@@ -1,26 +1,21 @@
-"""Prepared-item execution path: old (seed) vs new throughput.
+"""Compiled engine throughput against the NaiveExecutor reference.
 
-Measures the tokenize-once optimization end to end: the seed
-implementation re-normalized and re-tokenized each item title once per
-rule evaluation (and a third time in the index probe); the prepared path
-tokenizes each item exactly once per run. Four series are timed on the
-same synthetic corpus:
+Three series are timed on the same synthetic corpus:
 
-* ``seed_naive``     — faithful re-implementation of the seed scan path
-                       (uncached tokenizer, tokenize per evaluation);
-* ``seed_indexed``   — faithful re-implementation of the seed indexed path
-                       (tokenize per index probe and per candidate eval);
-* ``prepared_naive`` — NaiveExecutor over PreparedItems;
-* ``prepared_indexed`` — IndexedExecutor over PreparedItems;
-* ``compiled_indexed`` — IndexedExecutor(compiled=True): the whole rule
-  set lowered once into a CompiledRuleSet (DESIGN.md §11), measured
-  steady-state (compile + warmup excluded; compile time reported
-  separately as ``compile_time_sec``);
-* ``compiled_parallel`` — PartitionedExecutor(compiled=True), in-process
-  shards sharing one compiled artifact.
+* ``prepared_naive`` — NaiveExecutor (every rule x every item over
+  PreparedItems), on an item subsample: the reference semantics, and the
+  cost the engine exists to avoid;
+* ``compiled_indexed`` — IndexedExecutor: the whole rule set lowered once
+  into a CompiledRuleSet (DESIGN.md §5), measured steady-state (compile +
+  warmup excluded; compile time reported separately as
+  ``compile_time_sec``);
+* ``compiled_parallel`` — PartitionedExecutor, in-process shards sharing
+  one compiled artifact.
 
-Results are written machine-readable to ``BENCH_exec.json`` at the repo
-root so future PRs have a perf trajectory. Run directly:
+Both engine series must return NaiveExecutor's fired map over the whole
+corpus (``fired_identical``). The committed ``BENCH_exec.json`` also holds
+``seed_*`` / ``prepared_indexed`` series measured by earlier versions of
+this script; the programs they timed no longer exist. Run directly:
 
     python benchmarks/bench_exec_prepared.py                 # full scale
     python benchmarks/bench_exec_prepared.py --rules 100 --items 500  # smoke
@@ -32,7 +27,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 import time
 
@@ -40,95 +34,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from repro.catalog.types import ProductItem  # noqa: E402
 from repro.core import AttributeRule, SequenceRule, WhitelistRule  # noqa: E402
-from repro.core.rule import RegexRule  # noqa: E402
 from repro.execution import (  # noqa: E402
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleIndex,
 )
-from repro.utils.text import STOPWORDS, contains_word_sequence, tokenize_cached  # noqa: E402
+from repro.utils.text import tokenize_cached  # noqa: E402
 
 from _report import emit  # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_exec.json")
-
-# ---------------------------------------------------------------------------
-# Faithful seed-implementation baseline (uncached tokenizer, per-eval work).
-# These mirror the pre-prepared-path code exactly; keeping private copies
-# here means the baseline stays honest even though the library's tokenizer
-# is now memoized.
-# ---------------------------------------------------------------------------
-
-_SEED_STRIP = re.compile(r"[^\w\s/\-.]")
-_SEED_TOKEN = re.compile(r"[a-z0-9][a-z0-9\-./]*")
-_SEED_MULTI = re.compile(r"\s+")
-
-
-def seed_tokenize(text, drop_stopwords=True):
-    lowered = text.lower()
-    stripped = _SEED_STRIP.sub(" ", lowered)
-    normalized = _SEED_MULTI.sub(" ", stripped).strip()
-    tokens = _SEED_TOKEN.findall(normalized)
-    cleaned = [token.strip(".-/") for token in tokens]
-    kept = [token for token in cleaned if token]
-    if drop_stopwords:
-        kept = [token for token in kept if token not in STOPWORDS]
-    return kept
-
-
-def seed_matches(rule, item):
-    """The seed cost model: tokenize inside every evaluation."""
-    if isinstance(rule, RegexRule):
-        title = " ".join(seed_tokenize(item.title, drop_stopwords=False))
-        return rule._compiled.search(title) is not None
-    if isinstance(rule, SequenceRule):
-        return contains_word_sequence(seed_tokenize(item.title), rule.token_sequence)
-    return rule.matches(item)
-
-
-def seed_naive_run(rules, items):
-    fired = {}
-    evaluations = 0
-    for item in items:
-        hits = []
-        for rule in rules:
-            evaluations += 1
-            if seed_matches(rule, item):
-                hits.append(rule.rule_id)
-        if hits:
-            fired[item.item_id] = sorted(hits)
-    return fired, evaluations
-
-
-def seed_indexed_run(index, rules, items):
-    """The seed indexed path: tokenize once for the probe, again per eval."""
-    fired = {}
-    evaluations = 0
-    for item in items:
-        tokens = set(seed_tokenize(item.title, drop_stopwords=False))
-        expanded = set(tokens)
-        for token in tokens:
-            if len(token) > 3 and token.endswith("s") and not token.endswith("ss"):
-                expanded.add(token[:-1])
-        seen = set()
-        candidates = []
-        for token in expanded:
-            for rule in index._postings.get(token, ()):
-                if rule.rule_id not in seen:
-                    seen.add(rule.rule_id)
-                    candidates.append(rule)
-        candidates.extend(index._residue)
-        hits = []
-        for rule in candidates:
-            evaluations += 1
-            if seed_matches(rule, item):
-                hits.append(rule.rule_id)
-        if hits:
-            fired[item.item_id] = sorted(hits)
-    return fired, evaluations
-
 
 # ---------------------------------------------------------------------------
 # Synthetic corpus: wide vocabulary so the index prunes realistically.
@@ -140,8 +56,7 @@ def build_corpus(n_rules, n_items, seed=7):
 
     The paper's regime is thousands of rules written about the same catalog
     the items come from, so rule anchors genuinely occur in titles and each
-    item draws a non-trivial candidate set — that per-candidate work is
-    where the seed path's repeated tokenization burned its time.
+    item draws a non-trivial candidate set.
     """
     rng = random.Random(seed)
     vocab = [f"tok{i:04d}" for i in range(400)]
@@ -206,26 +121,8 @@ def main(argv=None):
     naive_sample = items[: min(args.naive_sample, len(items))]
     tokenize_cached.cache_clear()
 
-    # -- seed (old) paths ----------------------------------------------------
-    index = RuleIndex(rules)
-    (seed_naive_fired, seed_naive_evals), seed_naive_time = timed(
-        lambda: seed_naive_run(rules, naive_sample)
-    )
-    (seed_indexed_fired, seed_indexed_evals), seed_indexed_time = timed(
-        lambda: seed_indexed_run(index, rules, items)
-    )
-
-    # -- prepared (new) paths ------------------------------------------------
-    tokenize_cached.cache_clear()
-    naive_executor = NaiveExecutor(rules)
-    (prepared_naive_fired, prepared_naive_stats), _ = timed(
-        lambda: naive_executor.run(naive_sample)
-    )
-    tokenize_cached.cache_clear()
-    indexed_executor = IndexedExecutor(rules)
-    (prepared_indexed_fired, prepared_indexed_stats), _ = timed(
-        lambda: indexed_executor.run(items)
-    )
+    # -- the reference ---------------------------------------------------------
+    _, naive_stats = NaiveExecutor(rules).run(naive_sample)
 
     # -- compiled paths ------------------------------------------------------
     # Steady-state protocol: the artifact compiles once and serves every
@@ -234,7 +131,7 @@ def main(argv=None):
     # keeps the fastest run: at ~10us/item the loop is fine-grained enough
     # that a single shot mostly measures scheduler luck on a shared box, and
     # min-of-N is the standard estimator for the loop's true cost.
-    compiled_executor = IndexedExecutor(rules, compiled=True)
+    compiled_executor = IndexedExecutor(rules)
     _, compile_probe = timed(lambda: compiled_executor.compiled_ruleset())
     compiled_executor.run(items[: min(1000, len(items))])  # warmup
     compiled_fired = compiled_stats = None
@@ -243,9 +140,7 @@ def main(argv=None):
         if compiled_stats is None or run_stats.wall_time < compiled_stats.wall_time:
             compiled_fired, compiled_stats = run_fired, run_stats
 
-    parallel_executor = PartitionedExecutor(
-        rules, n_workers=4, compiled=True
-    )
+    parallel_executor = PartitionedExecutor(rules, n_workers=4)
     parallel_executor.run(items[: min(1000, len(items))])  # warmup + compile
     compiled_parallel_out = compiled_parallel_wall = None
     for _ in range(3):
@@ -254,18 +149,10 @@ def main(argv=None):
             compiled_parallel_out, compiled_parallel_wall = run_out, run_wall
     compiled_parallel_fired = compiled_parallel_out[0]
 
+    reference_fired = NaiveExecutor(rules).run(items)[0]
     identical = (
-        prepared_indexed_fired == NaiveExecutor(rules).run(items)[0]
-        and seed_indexed_fired == prepared_indexed_fired
-        and seed_naive_fired == prepared_naive_fired
-        and compiled_fired == prepared_indexed_fired
-        and compiled_parallel_fired == prepared_indexed_fired
-    )
-
-    indexed_speedup = seed_indexed_time / max(prepared_indexed_stats.wall_time, 1e-9)
-    naive_speedup = seed_naive_time / max(prepared_naive_stats.wall_time, 1e-9)
-    compiled_speedup = (
-        prepared_indexed_stats.wall_time / max(compiled_stats.wall_time, 1e-9)
+        compiled_fired == reference_fired
+        and compiled_parallel_fired == reference_fired
     )
 
     payload = {
@@ -277,19 +164,11 @@ def main(argv=None):
             "seed": args.seed,
         },
         "series": [
-            series("seed_naive", len(naive_sample), seed_naive_time, seed_naive_evals),
-            series("seed_indexed", len(items), seed_indexed_time, seed_indexed_evals),
             series(
                 "prepared_naive",
                 len(naive_sample),
-                prepared_naive_stats.wall_time,
-                prepared_naive_stats.rule_evaluations,
-            ),
-            series(
-                "prepared_indexed",
-                len(items),
-                prepared_indexed_stats.wall_time,
-                prepared_indexed_stats.rule_evaluations,
+                naive_stats.wall_time,
+                naive_stats.rule_evaluations,
             ),
             series(
                 "compiled_indexed",
@@ -304,20 +183,11 @@ def main(argv=None):
                 compiled_parallel_out[1].rule_evaluations,
             ),
         ],
-        "prepared_indexed_timing_split": {
-            "prepare_time_sec": round(prepared_indexed_stats.prepare_time, 4),
-            "match_time_sec": round(prepared_indexed_stats.match_time, 4),
-        },
         "compiled_indexed_protocol": {
             "note": "steady-state: compile + 1k-item warmup before the "
                     "timed passes, then best of 5 runs (3 for parallel); "
                     "compile amortizes across batches",
             "compile_time_sec": round(compile_probe, 4),
-        },
-        "speedups": {
-            "indexed_items_per_sec_vs_seed": round(indexed_speedup, 2),
-            "naive_items_per_sec_vs_seed": round(naive_speedup, 2),
-            "compiled_vs_prepared_indexed": round(compiled_speedup, 2),
         },
         "fired_identical": bool(identical),
     }
@@ -325,26 +195,20 @@ def main(argv=None):
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
+    naive_row, compiled_row, parallel_row = payload["series"]
     lines = [
         f"rules x items                  : {len(rules)} x {len(items)}",
-        f"seed naive items/sec  (n={len(naive_sample)}) : "
-        f"{payload['series'][0]['items_per_sec']}",
-        f"prepared naive items/sec       : {payload['series'][2]['items_per_sec']}"
-        f"  ({naive_speedup:.1f}x)",
-        f"seed indexed items/sec         : {payload['series'][1]['items_per_sec']}",
-        f"prepared indexed items/sec     : {payload['series'][3]['items_per_sec']}"
-        f"  ({indexed_speedup:.1f}x)",
-        f"prepared evals/item (indexed)  : "
-        f"{payload['series'][3]['evaluations_per_item']}",
-        f"compiled indexed items/sec     : {payload['series'][4]['items_per_sec']}"
-        f"  ({compiled_speedup:.1f}x vs prepared, compile {compile_probe:.3f}s)",
-        f"compiled parallel items/sec    : {payload['series'][5]['items_per_sec']}",
+        f"naive items/sec  (n={len(naive_sample)})      : {naive_row['items_per_sec']}",
+        f"compiled indexed items/sec     : {compiled_row['items_per_sec']}"
+        f"  (compile {compile_probe:.3f}s)",
+        f"compiled evals/item            : {compiled_row['evaluations_per_item']}",
+        f"compiled parallel items/sec    : {parallel_row['items_per_sec']}",
         f"fired maps identical           : {identical}",
         f"json                           : {os.path.relpath(args.out, REPO_ROOT)}",
     ]
     emit("BENCH_exec_prepared", lines)
     if not identical:
-        raise SystemExit("FAIL: prepared path diverged from seed output")
+        raise SystemExit("FAIL: compiled engine diverged from NaiveExecutor")
     return payload
 
 

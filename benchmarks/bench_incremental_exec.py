@@ -1,7 +1,8 @@
 """Incremental vs from-scratch execution under churn (§4's open problem).
 
 The never-ending deployment's two hot change events are measured against a
-full ``IndexedExecutor`` re-run over the same corpus:
+from-scratch ``IndexedExecutor`` (batch mode of the same engine) re-run over
+the same corpus:
 
 * ``1_rule_edit``      — an analyst refines one rule (``update_rule``);
 * ``10_rule_churn``    — a churn batch: 5 rule edits + 5 new rules;
@@ -9,8 +10,9 @@ full ``IndexedExecutor`` re-run over the same corpus:
                          (``add_items``); the full re-run must cover
                          corpus + batch.
 
-Every scenario asserts the delta-maintained fired map is **byte-identical**
-(canonical JSON) to the from-scratch run before timing is reported.
+Every scenario asserts the delta-maintained fired map *and* the from-scratch
+run are **byte-identical** (canonical JSON) to the ``NaiveExecutor``
+reference before timing is reported.
 Results are written machine-readable to ``BENCH_incremental.json`` at the
 repo root. Run directly:
 
@@ -34,6 +36,7 @@ from repro.execution import (  # noqa: E402
     ExecutionStats,
     IncrementalExecutor,
     IndexedExecutor,
+    NaiveExecutor,
 )
 
 from _report import emit, stats_lines  # noqa: E402
@@ -48,10 +51,18 @@ def canonical(fired) -> str:
 
 
 def full_rerun(rules, items):
-    """From-scratch IndexedExecutor pass: the cost incremental avoids."""
+    """From-scratch IndexedExecutor pass: the cost incremental avoids.
+
+    Returns its wall time and (untimed) the reference fired map, after
+    checking the re-run against it.
+    """
     started = time.perf_counter()
     fired, _stats = IndexedExecutor(rules).run(items)
-    return fired, time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    reference, _stats = NaiveExecutor(rules).run(items)
+    if canonical(fired) != canonical(reference):
+        raise SystemExit("FAIL: from-scratch run diverged from NaiveExecutor")
+    return reference, elapsed
 
 
 def edited(rule, salt):

@@ -65,7 +65,8 @@ REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(REPO_ROOT, "tests", "golden")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_quality.json")
 
-#: Same acceptance ceiling and statistic as ``bench_obs_overhead``.
+#: Acceptance ceiling on min telemetry cpu / min plain cpu - 1 (the
+#: min-of-interleaved-runs statistic of ``_report.measure_interleaved``).
 OVERHEAD_BUDGET = 0.05
 
 

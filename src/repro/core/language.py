@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.catalog.types import ProductItem
 from repro.core.errors import RuleParseError, UnknownDictionaryError, UnknownUdfError
 from repro.core.prepared import PreparedItem
 from repro.core.rule import (
@@ -40,7 +39,6 @@ from repro.core.rule import (
     WhitelistRule,
     compile_title_regex,
 )
-from repro.utils.text import tokenize
 
 _ATTR_CLAUSE = re.compile(r"^attr\(\s*([\w ]+?)\s*\)$")
 _VALUE_CLAUSE = re.compile(r"^value\(\s*([\w ]+?)\s*\)\s*=\s*(.+)$")
@@ -86,7 +84,8 @@ class UdfRegistry:
 
     Section 4 asks: "Can analysts write user-defined functions (at least
     certain relatively simple types ...)?" The answer here: CS developers
-    register vetted predicates (item -> bool); analysts call them by name
+    register vetted predicates (item -> bool, over the ``ProductItem`` read
+    surface a prepared item exposes); analysts call them by name
     from the DSL, keeping arbitrary code out of analyst hands while giving
     rules access to richer logic.
     """
@@ -135,11 +134,8 @@ class ConstraintRule(Rule):
     def is_constraint(self) -> bool:
         return True
 
-    def matches(self, item: ProductItem) -> bool:
-        return all(clause(item) for clause in self.clauses)
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
-        return all(clause.evaluate_prepared(prepared) for clause in self.clauses)
+        return all(clause.test(prepared) for clause in self.clauses)
 
     def describe(self) -> str:
         condition = " & ".join(c.description for c in self.clauses)
@@ -152,14 +148,10 @@ def _title_regex_clause(pattern: str, source: str) -> Clause:
     except (re.error, ValueError) as exc:
         raise RuleParseError(source, f"bad regex {pattern!r}: {exc}") from exc
 
-    def test(item: ProductItem) -> bool:
-        title = " ".join(tokenize(item.title, drop_stopwords=False))
-        return compiled.search(title) is not None
+    def test(item: PreparedItem) -> bool:
+        return compiled.search(item.match_text) is not None
 
-    def prepared_test(prepared: PreparedItem) -> bool:
-        return compiled.search(prepared.match_text) is not None
-
-    return Clause(description=f"title ~ {pattern}", test=test, prepared_test=prepared_test)
+    return Clause(description=f"title ~ {pattern}", test=test)
 
 
 def _dictionary_clause(name: str, store: Optional[DictionaryStore], source: str) -> Clause:
@@ -167,11 +159,8 @@ def _dictionary_clause(name: str, store: Optional[DictionaryStore], source: str)
         raise RuleParseError(source, f"dict({name}) used but no dictionary store given")
     phrases = store.get(name)  # raises UnknownDictionaryError for bad names
     pattern = "|".join(re.escape(p) for p in phrases)
-    regex_clause = _title_regex_clause(pattern, source)
     return Clause(
-        description=f"dict({name})",
-        test=regex_clause.test,
-        prepared_test=regex_clause.prepared_test,
+        description=f"dict({name})", test=_title_regex_clause(pattern, source).test
     )
 
 
@@ -185,7 +174,7 @@ def _numeric_clause(field: str, op: str, threshold: float) -> Clause:
     }
     compare = comparators[op]
 
-    def test(item: ProductItem) -> bool:
+    def test(item: PreparedItem) -> bool:
         raw = item.attribute(field)
         if raw is None:
             return False
@@ -220,12 +209,9 @@ def _parse_clause(
     match = _ATTR_CLAUSE.match(text)
     if match:
         attribute = match.group(1)
-        # The prepared variants are the same logic routed through the
-        # PreparedItem's memoized lowercase attribute map.
         return Clause(
             description=f"attr({attribute})",
             test=lambda item: item.has_attribute(attribute),
-            prepared_test=lambda prepared: prepared.has_attribute(attribute),
         )
     match = _VALUE_CLAUSE.match(text)
     if match:
@@ -233,8 +219,6 @@ def _parse_clause(
         return Clause(
             description=f"value({attribute})={value}",
             test=lambda item: (item.attribute(attribute) or "").lower() == value,
-            prepared_test=lambda prepared: (prepared.attribute(attribute) or "").lower()
-            == value,
         )
     match = _DICT_CLAUSE.match(text)
     if match:

@@ -29,7 +29,7 @@ def save_ruleset(ruleset: RuleSet, path: str) -> None:
         "name": ruleset.name,
         "rules": [rule_to_dict(rule) for rule in ruleset],
     }
-    _atomic_write(path, payload)
+    atomic_write_json(path, payload)
 
 
 def load_ruleset(path: str) -> RuleSet:
@@ -66,7 +66,7 @@ def save_registry(registry: RuleRegistry, path: str) -> None:
             for entry in registry.audit_log
         ],
     }
-    _atomic_write(path, payload)
+    atomic_write_json(path, payload)
 
 
 def load_registry(path: str, clock: Optional[SimClock] = None) -> RuleRegistry:
@@ -102,19 +102,6 @@ def load_registry(path: str, clock: Optional[SimClock] = None) -> RuleRegistry:
         for item in payload["audit"]
     ]
     return registry
-
-
-def _atomic_write(path: str, payload: Dict) -> None:
-    """Durable atomic replace: unique temp name, fsync'd file + directory.
-
-    The previous fixed ``f"{path}.tmp"`` temp name let two concurrent
-    writers corrupt each other's in-flight temp file, and skipping the
-    fsyncs meant a crash after :func:`os.replace` could surface an empty
-    or stale file after reboot. :func:`repro.core.durability.atomic_write_json`
-    closes both holes; the :mod:`repro.repository` change-log appender
-    shares the same hardened primitives.
-    """
-    atomic_write_json(path, payload)
 
 
 def _read(path: str, expected_kind: str) -> Dict:

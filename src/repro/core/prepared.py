@@ -14,15 +14,12 @@ PreparedItem also duck-types the read surface of ``ProductItem``
 (``title``, ``attribute(...)``, ``has_attribute(...)``, ...) so it can be
 threaded through code written against raw items (the Chimera stages, rule
 clauses, the gate keeper) without those layers caring which they hold.
-
-For the partitioned executor, :meth:`PreparedItem.to_payload` /
-:meth:`PreparedItem.from_payload` ship the precomputed token views to
-cluster workers so shards do not re-tokenize either.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+import re
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.catalog.types import ProductItem
 from repro.utils.text import (
@@ -33,6 +30,7 @@ from repro.utils.text import (
 )
 
 _UNSET = object()
+_WORD = re.compile(r"[a-z0-9]+")
 
 
 class PreparedItem:
@@ -134,9 +132,19 @@ class PreparedItem:
 
     @property
     def anchor_tokens(self) -> FrozenSet[str]:
-        """Token set plus crude singular forms — the index-probe alphabet."""
+        """The index-probe alphabet: tokens, their words, crude singulars.
+
+        A title regex sees a word boundary inside ``o-ring`` or ``13.5in``,
+        so a rule anchored on ``ring`` must be proposed for those tokens
+        too: tokens holding ``-``, ``.`` or ``/`` also contribute their
+        alphanumeric pieces.
+        """
         if self._anchor_tokens is _UNSET:
-            self._anchor_tokens = expand_plural_singulars(self.token_set)
+            words = set(self.token_set)
+            for token in self.token_set:
+                if not token.isalnum():
+                    words.update(_WORD.findall(token))
+            self._anchor_tokens = expand_plural_singulars(words)
         return self._anchor_tokens
 
     @property
@@ -153,32 +161,6 @@ class PreparedItem:
         if anchors:
             self.anchor_tokens
         return self
-
-    # -- shard shipping ----------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A picklable payload carrying the item and its token views.
-
-        Deliberately minimal — the item record plus the *unfiltered* token
-        tuple only. The stop-word-filtered view is a pure function of it
-        and is rederived on the worker, so shard payload size stays
-        O(items in the shard) and carries no references back to the parent
-        catalog, ruleset, or executor (asserted by the pickle-size
-        regression test).
-        """
-        return {
-            "item": self.item,
-            "tokens_with_stopwords": self.tokens_with_stopwords,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "PreparedItem":
-        """Rebuild a prepared item on a worker without re-tokenizing."""
-        prepared = cls(payload["item"])
-        tokens_ws = tuple(payload["tokens_with_stopwords"])
-        prepared._tokens_with_stopwords = tokens_ws
-        prepared._tokens = tuple(t for t in tokens_ws if t not in STOPWORDS)
-        return prepared
 
     def __repr__(self) -> str:
         return f"<PreparedItem {self.item.item_id!r}>"

@@ -29,11 +29,10 @@ import itertools
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.catalog.types import ProductItem
-from repro.core.prepared import PreparedItem, prepare
-from repro.utils.text import contains_word_sequence, tokenize
+from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.utils.text import contains_word_sequence, singular_form, tokenize
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,10 @@ def _fresh_rule_id(prefix: str) -> str:
 class Rule(ABC):
     """Base class for all rules.
 
-    Subclasses implement :meth:`matches`; whether a match is an assertion
-    (whitelist) or a veto (blacklist) is :attr:`is_blacklist`.
+    Subclasses implement :meth:`matches_prepared` — the condition, written
+    once over the item-like surface of
+    :class:`~repro.core.prepared.PreparedItem`; whether a match is an
+    assertion (whitelist) or a veto (blacklist) is :attr:`is_blacklist`.
     """
 
     kind: str = "rule"
@@ -97,18 +98,12 @@ class Rule(ABC):
         self.enabled = True
 
     @abstractmethod
-    def matches(self, item: ProductItem) -> bool:
-        """True when the rule's condition holds for ``item``."""
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
-        """Fast path over a :class:`~repro.core.prepared.PreparedItem`.
+        """True when the rule's condition holds for the prepared item."""
 
-        Subclasses whose condition only reads text views override this to
-        reuse the item's one-time tokenization; the default falls back to
-        :meth:`matches` on the wrapped item, so the two are always
-        result-identical.
-        """
-        return self.matches(prepared.item)
+    def matches(self, item: ItemLike) -> bool:
+        """True when the rule's condition holds for ``item``."""
+        return self.matches_prepared(prepare(item))
 
     @property
     def is_blacklist(self) -> bool:
@@ -118,16 +113,12 @@ class Rule(ABC):
     def is_constraint(self) -> bool:
         return False
 
-    def predict(self, item: ProductItem) -> Optional[Prediction]:
+    def predict(self, item: ItemLike) -> Optional[Prediction]:
         """A prediction if this (whitelist) rule fires, else None."""
-        if self.is_blacklist or self.is_constraint:
-            return None
-        if self.matches(item):
-            return Prediction(self.target_type, weight=self.confidence, source=self.rule_id)
-        return None
+        return self.predict_prepared(prepare(item))
 
     def predict_prepared(self, prepared: PreparedItem) -> Optional[Prediction]:
-        """:meth:`predict` over the prepared fast path."""
+        """:meth:`predict` for an already-prepared item."""
         if self.is_blacklist or self.is_constraint:
             return None
         if self.matches_prepared(prepared):
@@ -169,9 +160,6 @@ class RegexRule(Rule):
             self._compiled = compile_title_regex(pattern)
         except re.error as exc:
             raise ValueError(f"invalid rule regex {pattern!r}: {exc}") from exc
-
-    def matches(self, item: ProductItem) -> bool:
-        return self.matches_prepared(prepare(item))
 
     def matches_prepared(self, prepared: PreparedItem) -> bool:
         return self._compiled.search(prepared.match_text) is not None
@@ -216,12 +204,7 @@ class AttributeRule(Rule):
             raise ValueError("attribute rule needs an attribute name")
         self.attribute = attribute
 
-    def matches(self, item: ProductItem) -> bool:
-        return item.has_attribute(self.attribute)
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
-        # The prepared view memoizes a lowercased attribute map, replacing
-        # ProductItem's per-call linear scan.
         return prepared.has_attribute(self.attribute)
 
     def describe(self) -> str:
@@ -256,10 +239,6 @@ class ValueConstraintRule(Rule):
     def is_constraint(self) -> bool:
         return True
 
-    def matches(self, item: ProductItem) -> bool:
-        actual = item.attribute(self.attribute)
-        return actual is not None and actual.lower() == self.value
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
         actual = prepared.attribute(self.attribute)
         return actual is not None and actual.lower() == self.value
@@ -273,24 +252,17 @@ class ValueConstraintRule(Rule):
 class Clause:
     """One AND-ed predicate of a :class:`PredicateRule`.
 
-    ``prepared_test``, when present, is the clause evaluated against a
-    :class:`~repro.core.prepared.PreparedItem` — title clauses set it so
-    predicate rules share the item's one-time tokenization.
+    ``test`` receives a :class:`~repro.core.prepared.PreparedItem`, which
+    duck-types the ``ProductItem`` read surface — so title clauses share
+    the item's one-time tokenization and attribute/UDF clauses read it
+    like a raw record.
     """
 
     description: str
-    test: Callable[[ProductItem], bool] = field(compare=False)
-    prepared_test: Optional[Callable[[PreparedItem], bool]] = field(
-        default=None, compare=False, repr=False
-    )
+    test: Callable[[PreparedItem], bool] = field(compare=False)
 
-    def __call__(self, item: ProductItem) -> bool:
-        return self.test(item)
-
-    def evaluate_prepared(self, prepared: PreparedItem) -> bool:
-        if self.prepared_test is not None:
-            return self.prepared_test(prepared)
-        return self.test(prepared.item)
+    def __call__(self, item: ItemLike) -> bool:
+        return self.test(prepare(item))
 
 
 class PredicateRule(Rule):
@@ -320,11 +292,8 @@ class PredicateRule(Rule):
     def is_blacklist(self) -> bool:
         return self._negated
 
-    def matches(self, item: ProductItem) -> bool:
-        return all(clause(item) for clause in self.clauses)
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
-        return all(clause.evaluate_prepared(prepared) for clause in self.clauses)
+        return all(clause.test(prepared) for clause in self.clauses)
 
     def describe(self) -> str:
         condition = " & ".join(clause.description for clause in self.clauses)
@@ -353,9 +322,6 @@ class SequenceRule(Rule):
         """The regex rendering the paper shows analysts (``a1.*a2``)."""
         return ".*".join(self.token_sequence)
 
-    def matches(self, item: ProductItem) -> bool:
-        return self.matches_text(item.title)
-
     def matches_prepared(self, prepared: PreparedItem) -> bool:
         return contains_word_sequence(prepared.tokens, self.token_sequence)
 
@@ -375,7 +341,7 @@ class SequenceRule(Rule):
 # Anchor-literal extraction for regex rules (used by the execution index).
 # ---------------------------------------------------------------------------
 
-_WORD_RUN = re.compile(r"[a-z0-9]{2,}")
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 _EXPANSION_LIMIT = 256
 
 
@@ -399,11 +365,20 @@ def _split_top_level(pattern: str, separator: str = "|") -> List[str]:
 
 
 def _expand_alternations(pattern: str, limit: int = _EXPANSION_LIMIT) -> Optional[List[str]]:
-    """Expand top-level and first-level group alternations, bounded.
+    """Expand every alternation (top-level and in groups, nested), bounded.
 
-    Returns a list of branch strings, or None if the pattern is too complex
-    to expand within ``limit`` branches.
+    Returns the alternation-free branch strings, or None if the pattern is
+    too complex to expand within ``limit`` branches.
     """
+    alternatives = _split_top_level(pattern)
+    if len(alternatives) > 1:
+        branches: List[str] = []
+        for alternative in alternatives:
+            expanded = _expand_alternations(alternative, limit)
+            if expanded is None:
+                return None
+            branches.extend(expanded)
+        return branches if len(branches) <= limit else None
     branches = [""]
     index = 0
     while index < len(pattern):
@@ -424,9 +399,13 @@ def _expand_alternations(pattern: str, limit: int = _EXPANSION_LIMIT) -> Optiona
                 group = group[2:]
             if group.startswith("?"):
                 return None  # lookarounds etc.: bail out
+            if scan < len(pattern) and pattern[scan] in "+{":
+                return None  # repeated group: branches would not be matches
             optional = scan < len(pattern) and pattern[scan] in "?*"
-            sub_branches = _split_top_level(group)
-            expanded: List[str] = []
+            sub_branches = _expand_alternations(group, limit)
+            if sub_branches is None:
+                return None
+            expanded = []
             for prefix in branches:
                 for sub in sub_branches:
                     expanded.append(prefix + sub)
@@ -444,43 +423,125 @@ def _expand_alternations(pattern: str, limit: int = _EXPANSION_LIMIT) -> Optiona
     return branches
 
 
+def _scan_atoms(branch: str) -> Optional[List[Tuple[Optional[str], str]]]:
+    """Lex one alternation-free branch into ``(literal, quantifier)`` atoms.
+
+    ``literal`` is the single character the atom must match, or ``None``
+    for anything wider (``.``, ``\\d``, a character class, ``^``/``$``);
+    ``quantifier`` is ``""`` or the first character of the repetition
+    that follows. ``None`` means the branch holds syntax this lexer does
+    not model (a nested group, a dangling quantifier, an unterminated
+    class or escape).
+    """
+    atoms: List[Tuple[Optional[str], str]] = []
+    index, end = 0, len(branch)
+    while index < end:
+        char = branch[index]
+        index += 1
+        literal: Optional[str] = char
+        if char == "\\":
+            if index == end:
+                return None
+            literal = None if branch[index].isalnum() else branch[index]
+            index += 1
+        elif char == "[":
+            index += branch[index : index + 1] == "^"
+            first = True  # a leading "]" is a literal member of the class
+            while index < end and (first or branch[index] != "]"):
+                index += 2 if branch[index] == "\\" else 1
+                first = False
+            if index >= end:
+                return None
+            index += 1
+            literal = None
+        elif char in "()|?*+{":
+            return None
+        elif char in ".^$":
+            literal = None
+        quantifier = ""
+        if index < end and branch[index] in "?*+{":
+            quantifier = branch[index]
+            index = branch.find("}", index) + 1 if quantifier == "{" else index + 1
+            if index == 0:
+                return None
+            if index < end and branch[index] in "?+":  # lazy / possessive
+                index += 1
+        atoms.append((literal, quantifier))
+    return atoms
+
+
+def _branch_anchor(branch: str) -> Optional[FrozenSet[str]]:
+    """Surface forms of the longest literal word of ``branch``, or None.
+
+    A run of unquantified ``[a-z0-9]`` literals qualifies only when it is
+    a whole word in every match: bounded on each side by the branch edge
+    (where :func:`compile_title_regex` asserts a non-word character) or
+    an unquantified literal non-word character (a space, ``-``, ``.``,
+    ``/``). A trailing ``s?`` is allowed before the right boundary and
+    contributes the plural surface form whenever the index's singular
+    bridge (:func:`~repro.utils.text.singular_form`) would not map it back
+    to the stem — ``tvs?`` anchors on ``{tv, tvs}``, ``rings?`` on ``ring``.
+    """
+    atoms = _scan_atoms(branch)
+    if atoms is None:
+        return None
+
+    def is_word(position: int) -> bool:
+        literal, quantifier = atoms[position]
+        return not quantifier and literal is not None and literal in _WORD_CHARS
+
+    def is_boundary(position: int) -> bool:
+        if not 0 <= position < len(atoms):
+            return True
+        literal, quantifier = atoms[position]
+        return (
+            not quantifier
+            and literal is not None
+            and not (literal.isalnum() or literal == "_")
+        )
+
+    best: Optional[FrozenSet[str]] = None
+    best_length = 0
+    position = 0
+    while position < len(atoms):
+        if not is_word(position):
+            position += 1
+            continue
+        start = position
+        while position < len(atoms) and is_word(position):
+            position += 1
+        if position - start <= best_length or not is_boundary(start - 1):
+            continue
+        stem = "".join(atoms[k][0] for k in range(start, position))
+        if is_boundary(position):
+            best, best_length = frozenset({stem}), len(stem)
+        elif atoms[position] == ("s", "?") and is_boundary(position + 1):
+            plural = stem + "s"
+            forms = {stem} if singular_form(plural) == stem else {stem, plural}
+            best, best_length = frozenset(forms), len(stem)
+    return best
+
+
 def extract_anchor_literals(pattern: str) -> Optional[FrozenSet[str]]:
     """Anchor-token set for a title regex, or None if none can be proven.
 
-    Every matching title must contain at least one returned token. The
-    extractor expands alternations and takes, per branch, the longest literal
-    word run not followed by a quantifier that could erase it. If any branch
-    yields no literal, there is no sound anchor set.
+    Every matching title contains at least one returned token in its
+    plural-expanded, hyphen-split probe alphabet
+    (:attr:`~repro.core.prepared.PreparedItem.anchor_tokens`). The
+    extractor expands alternations and takes, per branch, the longest
+    literal run that is provably a whole word of every match (see
+    :func:`_branch_anchor`). If any branch yields none — an optional
+    character inside the word (``colou?r``), a class glued to it
+    (``usb\\d``) — there is no sound anchor set and the rule belongs on the
+    always-checked residue lane.
     """
-    branches: List[str] = []
-    for top_branch in _split_top_level(pattern):
-        expanded = _expand_alternations(top_branch)
-        if expanded is None:
-            return None
-        branches.extend(expanded)
-        if len(branches) > _EXPANSION_LIMIT:
-            return None
+    branches = _expand_alternations(pattern)
+    if branches is None:
+        return None
     anchors: Set[str] = set()
     for branch in branches:
-        # Drop characters that are optional (followed by ? or *) before
-        # looking for literal runs: "rings?" must anchor on "ring".
-        cleaned: List[str] = []
-        i = 0
-        while i < len(branch):
-            char = branch[i]
-            nxt = branch[i + 1] if i + 1 < len(branch) else ""
-            if nxt in ("?", "*"):
-                cleaned.append(" ")
-                i += 2
-                continue
-            if char in {".", "+", "\\", "[", "]", "{", "}", "^", "$"}:
-                cleaned.append(" ")
-                i += 1
-                continue
-            cleaned.append(char)
-            i += 1
-        words = _WORD_RUN.findall("".join(cleaned).lower())
-        if not words:
+        forms = _branch_anchor(branch)
+        if forms is None:
             return None
-        anchors.add(max(words, key=len))
+        anchors |= forms
     return frozenset(anchors)

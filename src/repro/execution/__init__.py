@@ -6,39 +6,33 @@ index the rules so that given a particular data item, we can quickly locate
 and execute only a (hopefully) small set of rules ... Another solution is
 to execute the rules in parallel on a cluster of machines."
 
-* :class:`RuleIndex` — inverted index rules-by-anchor-token;
-* :class:`DataIndex` — index *items* by token so a rule under development
-  can be evaluated against only its plausible matches;
-* :class:`NaiveExecutor` / :class:`IndexedExecutor` — measured executors;
-* :class:`PartitionedExecutor` — shard items across simulated cluster
-  workers (map/reduce over serialized rules and prepared token payloads).
+One engine, three modes, one reference (DESIGN.md §5):
 
-All executors run over :class:`~repro.core.prepared.PreparedItem` views:
-each item is normalized/tokenized exactly once per run and every rule
-evaluation (and the index probe) shares those views.
+* :class:`RuleSetCompiler` / :class:`CompiledRuleSet` — *the* engine: the
+  whole rule set lowered once into one combined matcher (flattened
+  Aho–Corasick tiers over a :class:`TokenAutomaton` plus precompiled
+  verification closures), with a per-item compat lane
+  (:class:`RuleIndex` probe + ``matches_prepared``) for unclean titles
+  and rule classes the compiler does not know;
+* :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
+* :class:`PartitionedExecutor` — **sharded** mode: items dealt across
+  simulated cluster workers (or a real process pool), each running the
+  artifact lowered from the serialized rules;
+* :class:`IncrementalExecutor` + :class:`MatchStore` — **delta** mode for
+  the never-ending deployment (§2.2/§4): the fired map is a materialized
+  view and only the changed rules/items are re-evaluated, with a
+  :class:`DataIndex` answering "which rows could this rule touch?";
+* :class:`NaiveExecutor` — the **reference**: every enabled rule against
+  every item, no index, no lowering. Every mode's fired map is
+  byte-identical to it; tests and benchmark oracles compare against it.
 
-The partitioned executor is fault tolerant (§2.2's ongoing-system
-requirements): failed shards retry with exponential backoff onto other
-workers, stragglers are re-dispatched after a timeout, corrupt shard
-output is rejected by driver-side validation, and runs degrade — with an
-explicit skip report — instead of raising. See
-:mod:`repro.execution.resilience` and the deterministic fault-injection
-harness in :mod:`repro.testing.faults`.
-
-For the never-ending deployment (§2.2/§4), the from-scratch executors are
-the wrong tool: rule churn and batch arrival change a sliver of the
-``rules × items`` grid. :class:`IncrementalExecutor` +
-:class:`MatchStore` (see :mod:`repro.execution.incremental`) maintain the
-fired map as a materialized view and re-evaluate only the delta.
-
-The compiled execution layer (:mod:`repro.execution.compiler`, DESIGN.md
-§11) removes the remaining per-candidate interpretive overhead:
-:class:`RuleSetCompiler` lowers the whole rule set into one combined
-matcher (:class:`CompiledRuleSet` — flattened Aho–Corasick tiers over a
-:class:`TokenAutomaton` plus precompiled verification closures) consumed
-by the ``compiled=True`` mode of the indexed, incremental, and
-partitioned executors. Fired maps stay byte-identical to the interpreted
-paths; only the cost changes.
+The sharded mode is fault tolerant (§2.2's ongoing-system requirements):
+failed shards retry with exponential backoff onto other workers,
+stragglers are re-dispatched after a timeout, corrupt shard output is
+rejected by driver-side validation, and runs degrade — with an explicit
+skip report — instead of raising. See :mod:`repro.execution.resilience`
+and the deterministic fault-injection harness in
+:mod:`repro.testing.faults`.
 """
 
 from repro.core.prepared import (

@@ -2,13 +2,14 @@
 
 Section 4 frames execution as the capacity floor of a never-ending
 classification system: "given a large set of rules and a large set of
-data records, how can we quickly execute all rules on all records?" The
+data records, how can we quickly execute all rules on all records?" A
 :class:`~repro.execution.rule_index.RuleIndex` answers the *candidate*
-half (which rules could match this item), but the interpreted executors
-still pay per candidate: a Python-level regex search or token walk per
+half (which rules could match this item), but probing it and then calling
+each candidate still pays a Python-level regex search or token walk per
 (rule, item) pair. This module removes that per-rule interpretive
 overhead by **lowering the whole rule set once** into shared data-driven
-lanes that a single pass over each item's token stream can consume.
+lanes that a single pass over each item's token stream can consume. It is
+the one engine behind the batch, sharded and delta executors.
 
 Automaton layout — a three-tier flattened Aho–Corasick over tokens:
 
@@ -47,8 +48,8 @@ Each entry in the depth-1 dict carries six lanes::
 * ``count_unique`` / ``count_multi`` — candidate accounting kept
   *exactly* parallel to :class:`RuleIndex` postings (single-anchor rules
   count unconditionally; multi-anchor rules are deduped per item), so
-  ``evaluations_per_item`` stays comparable between interpreted and
-  compiled series (see :func:`~repro.execution.rule_index.rarest_anchor`,
+  ``evaluations_per_item`` is the same on the compiled lanes and the
+  compat lane (see :func:`~repro.execution.rule_index.rarest_anchor`,
   the shared sequence-anchor tiebreak);
 * ``bridge`` — the plural fold: entry for token ``base`` mirrored under
   ``base + "s"`` and applied only when ``base`` itself is absent,
@@ -78,14 +79,9 @@ compat path for the whole artifact (``forced_compat``): correctness
 always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
 downgrade observable.
 
-**Pickling contract.** The compiled artifact is process-local (its
-verify lanes hold closures); crossing a process boundary re-lowers from
-the serialized rules. ``__reduce__`` ships ``rules_to_dicts`` payloads
-(enabled flags included) plus the frequency table, so a process-pool
-worker deserializes the rule set once per *worker* and compiles locally
-— never once per shard. Rule classes outside the serializable set (e.g.
-``PredicateRule``) make the artifact unpicklable, exactly like the
-interpreted partitioned executor's rule shipping.
+**Process-local.** The artifact holds closures and is never pickled;
+the sharded executor ships the serialized rules and each pool worker
+lowers its own copy once.
 
 Incremental invalidation rides the same generation-counter discipline as
 PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule
@@ -121,11 +117,8 @@ from repro.core.rule import (
     Rule,
     SequenceRule,
     ValueConstraintRule,
-    _EXPANSION_LIMIT,
     _expand_alternations,
-    _split_top_level,
 )
-from repro.core.serialize import rules_to_dicts
 from repro.execution.automaton import TokenAutomaton
 from repro.execution.executor import ExecutionStats, _checked_mode
 from repro.execution.rule_index import RuleIndex, rarest_anchor
@@ -163,14 +156,9 @@ def _lower_regex_branches(
     branch resisted lowering — the caller must fall back to running the
     compiled regex itself (a verify closure).
     """
-    branches: List[str] = []
-    for top_branch in _split_top_level(pattern):
-        expanded = _expand_alternations(top_branch)
-        if expanded is None:
-            return None
-        branches.extend(expanded)
-        if len(branches) > _EXPANSION_LIMIT:
-            return None
+    branches = _expand_alternations(pattern)
+    if branches is None:
+        return None
     words: Set[str] = set()
     phrases: Set[Tuple[str, ...]] = set()
     for branch in branches:
@@ -230,21 +218,6 @@ def _make_regex_verifier(compiled: "re.Pattern") -> Callable[[list, set], bool]:
     return verify
 
 
-def _rebuild_compiled(
-    payloads: List[Dict[str, Any]],
-    token_frequency: Dict[str, int],
-    include_disabled: bool,
-) -> "CompiledRuleSet":
-    """Unpickle target: re-lower the shipped rules on the worker."""
-    from repro.core.serialize import rules_from_dicts
-
-    return CompiledRuleSet(
-        rules_from_dicts(payloads),
-        token_frequency=token_frequency,
-        include_disabled=include_disabled,
-    )
-
-
 class _Lanes:
     """Mutable per-token lane accumulators (folded into tuples lazily)."""
 
@@ -271,10 +244,9 @@ class CompiledRuleSet:
 
     ``include_disabled`` picks the counting contract:
 
-    * ``False`` (batch executors): disabled rules are excluded from the
-      artifact entirely — the interpreted :class:`IndexedExecutor` skips
-      them before counting an evaluation, so excluding them reproduces
-      both its fired map and its ``rule_evaluations``;
+    * ``False`` (batch and sharded executors): disabled rules are
+      excluded from the artifact entirely — they neither fire nor count
+      as a candidate evaluation;
     * ``True`` (the incremental executor): every rule participates —
       the match store records condition-truth and filters ``enabled`` at
       snapshot time, and its evaluation counter includes disabled
@@ -864,10 +836,10 @@ class CompiledRuleSet:
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
         """Run the compiled matcher over a batch.
 
-        Fired map and counters are byte-/count-identical to
-        ``IndexedExecutor(rules).run(items)`` over the same (enabled)
-        rules. ``phase_timing`` (implied by enabled observability) runs
-        the instrumented two-phase variant that attributes time to
+        The fired map is byte-identical to
+        ``NaiveExecutor(rules).run(items)`` over the same (enabled) rules.
+        ``phase_timing`` (implied by enabled observability) runs the
+        instrumented two-phase variant that attributes time to
         ``exec.prefilter`` (tokenize + depth-1 intersection) and
         ``exec.verify`` (lanes, residue, output) spans and stats fields;
         the default single-pass loop avoids the staging cost.
@@ -1178,18 +1150,6 @@ class CompiledRuleSet:
         """One :meth:`explain` step per rule firing on ``item``, sorted."""
         hits, _ = self.match_item(item)
         return [self.explain(item, rule_id) for rule_id in hits]
-
-    # -- pickling (see module docstring: re-lower on the worker) -------------------
-
-    def __reduce__(self):
-        return (
-            _rebuild_compiled,
-            (
-                rules_to_dicts(list(self._rules.values())),
-                dict(self._freq),
-                self._include_disabled,
-            ),
-        )
 
 
 class RuleSetCompiler:

@@ -1,19 +1,21 @@
-"""Measured rule executors: naive scan vs index-assisted.
+"""Measured rule executors: the naive reference and the compiled engine.
 
-Both return the same (item -> fired rules) results; the comparison tracks
-two costs:
+:class:`NaiveExecutor` is the executable definition of rule execution —
+every enabled rule's ``matches_prepared`` against every item, no index,
+no lowering — and exists for tests and oracles to compare against.
+:class:`IndexedExecutor` is the batch mode of the one fast engine (the
+compiled rule set of :mod:`repro.execution.compiler`). Both return the
+same (item -> fired rules) result; the comparison tracks two costs:
 
 * **rule evaluations** — the machine-independent work counter the paper's
   scaling argument is about;
-* **wall-clock time**, split into ``prepare_time`` (one-time tokenization
-  of each item into a :class:`~repro.core.prepared.PreparedItem`) and
-  ``match_time`` (the rule evaluations proper), so the tokenize-once
-  optimization is directly measurable.
+* **wall-clock time**: ``prepare_time`` (tokenizing each item into a
+  :class:`~repro.core.prepared.PreparedItem`, where that is a separate
+  step) and ``match_time`` (the rule evaluations proper).
 
-Every executor prepares each item exactly once per run and evaluates rules
-through the ``matches_prepared`` fast path. Fired rule-id lists are sorted,
-so all executors return byte-identical, deterministic output. Disabled
-rules never fire (matching :class:`~repro.core.ruleset.RuleSet` semantics).
+Fired rule-id lists are sorted, so all executors return byte-identical,
+deterministic output. Disabled rules never fire (matching
+:class:`~repro.core.ruleset.RuleSet` semantics).
 
 Both executors support a degraded mode (``on_error="skip"``): an item whose
 preparation or rule evaluation raises — a malformed record, a buggy UDF
@@ -26,18 +28,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.catalog.types import ProductItem
-from repro.core.prepared import (
-    ItemLike,
-    PreparedCache,
-    PreparedItem,
-    prepare,
-    prepare_cached,
-)
+from repro.core.prepared import ItemLike, PreparedCache, PreparedItem, prepare_cached
 from repro.core.rule import Rule
-from repro.execution.rule_index import RuleIndex
 from repro.observability import Observability, ensure_observability
 
 
@@ -73,7 +67,7 @@ class ExecutionStats:
     time spent lowering the rule set into the combined matcher, and — when
     the instrumented two-phase path runs — the split between the automaton
     prefilter pass and per-candidate verification. All three are zero on
-    interpreted runs.
+    :class:`NaiveExecutor` runs.
 
     **Additive vs. wall-clock fields.** Every counter above plus
     ``prepare_time`` / ``match_time`` is *additive*: it sums cleanly
@@ -166,7 +160,6 @@ def _checked_mode(on_error: str) -> str:
 
 def _guarded_prepare(
     items: Sequence[ItemLike],
-    anchors: bool,
     skip: bool,
     stats: ExecutionStats,
     cache: Optional[PreparedCache] = None,
@@ -183,7 +176,7 @@ def _guarded_prepare(
                 hit = isinstance(item, PreparedItem) or item.item_id in cache
                 stats.cache_hits += 1 if hit else 0
                 stats.cache_misses += 0 if hit else 1
-            prepared_items.append(prepare_cached(item, cache).warm(anchors=anchors))
+            prepared_items.append(prepare_cached(item, cache).warm(anchors=False))
         except Exception:
             if not skip:
                 raise
@@ -232,7 +225,7 @@ class NaiveExecutor:
             started = clock()
             with obs.span("prepare"):
                 prepared_items = _guarded_prepare(
-                    items, False, skip, stats, self.prepared_cache
+                    items, skip, stats, self.prepared_cache
                 )
             stats.prepare_time = clock() - started
             with obs.span("match"):
@@ -265,21 +258,17 @@ class NaiveExecutor:
 
 
 class IndexedExecutor:
-    """Checks only the rules the index proposes per item.
+    """Batch mode of the compiled engine: lower once, run every batch.
 
-    Results are identical to :class:`NaiveExecutor` (the index is sound);
-    only the work differs.
-
-    ``compiled=True`` routes runs through the compiled execution layer
-    (:mod:`repro.execution.compiler`): the rule set is lowered once into a
-    combined matcher (span ``exec.compile``, cost on
-    ``stats.compile_time``) and the artifact is reused across batches.
-    Recompilation happens only when the set of disabled rules changes —
-    the compile cache is keyed by it, so flipping ``rule.enabled`` flags
-    between runs stays correct without a manual invalidation call. Fired
-    maps and ``rule_evaluations`` are identical to the interpreted path;
-    the one accounting divergence is that tokenization is fused into
-    matching, so ``prepare_time`` stays ~0 and its cost lands in
+    Results are identical to :class:`NaiveExecutor` (the anchors are
+    sound); only the work differs. The rule set is lowered into a
+    :class:`~repro.execution.compiler.CompiledRuleSet` on first use (span
+    ``exec.compile``, cost on ``stats.compile_time``) and the artifact is
+    reused across batches. It excludes disabled rules, so it is rebuilt
+    when the set of disabled rules changes — flipping ``rule.enabled``
+    between runs stays correct without a manual invalidation call, and
+    only the current artifact is ever held. Tokenization is fused into
+    matching: ``prepare_time`` stays 0 and its cost lands in
     ``match_time``.
     """
 
@@ -288,49 +277,46 @@ class IndexedExecutor:
         rules: Sequence[Rule],
         token_frequency: Optional[Dict[str, int]] = None,
         on_error: str = "raise",
-        prepared_cache: Optional[PreparedCache] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         self.rules = list(rules)
-        self.compiled = bool(compiled)
         self._token_frequency = dict(token_frequency or {})
-        self.index = RuleIndex(self.rules, token_frequency=token_frequency)
         self.on_error = _checked_mode(on_error)
-        self.prepared_cache = prepared_cache
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
-        # disabled-rule-id fingerprint -> compiled artifact (see class docs).
-        self._compiled_cache: Dict[frozenset, object] = {}
+        self._artifact = None
+        self._artifact_disabled: FrozenSet[str] = frozenset()
 
     def compiled_ruleset(self, stats: Optional[ExecutionStats] = None):
         """The compiled artifact for the current enabled-flag state.
 
         Compiles on first use (or after enabled-flag churn) under an
-        ``exec.compile`` span; otherwise returns the cached artifact.
+        ``exec.compile`` span; otherwise returns the held artifact.
         """
         from repro.execution.compiler import RuleSetCompiler
 
-        fingerprint = frozenset(r.rule_id for r in self.rules if not r.enabled)
-        artifact = self._compiled_cache.get(fingerprint)
-        if artifact is None:
+        disabled = frozenset(r.rule_id for r in self.rules if not r.enabled)
+        if self._artifact is None or disabled != self._artifact_disabled:
             compiler = RuleSetCompiler(
                 token_frequency=self._token_frequency,
                 observability=self.observability,
             )
-            artifact = compiler.compile(self.rules, stats=stats, clock=self._clock)
-            self._compiled_cache[fingerprint] = artifact
-        return artifact
+            self._artifact = compiler.compile(
+                self.rules, stats=stats, clock=self._clock
+            )
+            self._artifact_disabled = disabled
+        return self._artifact
 
-    def _run_compiled(
+    def run(
         self, items: Sequence[ItemLike]
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
+        """Returns (item_id -> sorted fired rule ids, stats)."""
         stats = ExecutionStats()
         obs = self.observability
         clock = self._clock
         with obs.span(
-            "exec.indexed.run", rules=len(self.rules), items=len(items), compiled=True
+            "exec.indexed.run", rules=len(self.rules), items=len(items)
         ) as run_span:
             started = clock()
             artifact = self.compiled_ruleset(stats=stats)
@@ -342,57 +328,6 @@ class IndexedExecutor:
                 stats=stats,
             )
             stats.wall_time = clock() - started
-            run_span.set_attribute("rule_evaluations", stats.rule_evaluations)
-            run_span.set_attribute("matches", stats.matches)
-        obs.observe_execution(stats, executor="indexed")
-        obs.observe_fired(fired)
-        return fired, stats
-
-    def run(
-        self, items: Sequence[ItemLike]
-    ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
-        """Returns (item_id -> sorted fired rule ids, stats)."""
-        if self.compiled:
-            return self._run_compiled(items)
-        stats = ExecutionStats()
-        fired: Dict[str, List[str]] = {}
-        candidates = self.index.candidates
-        skip = self.on_error == "skip"
-        obs = self.observability
-        clock = self._clock
-        with obs.span(
-            "exec.indexed.run", rules=len(self.rules), items=len(items)
-        ) as run_span:
-            started = clock()
-            with obs.span("prepare"):
-                prepared_items = _guarded_prepare(
-                    items, True, skip, stats, self.prepared_cache
-                )
-            stats.prepare_time = clock() - started
-            with obs.span("match"):
-                for prepared in prepared_items:
-                    stats.items += 1
-                    if prepared is None:  # dropped during prepare under degraded mode
-                        continue
-                    hits: List[str] = []
-                    try:
-                        for rule in candidates(prepared):
-                            if not rule.enabled:
-                                continue
-                            stats.rule_evaluations += 1
-                            if rule.matches_prepared(prepared):
-                                hits.append(rule.rule_id)
-                    except Exception:
-                        if not skip:
-                            raise
-                        stats.skipped_items += 1
-                        stats.skipped_item_ids.append(prepared.item_id)
-                        continue
-                    if hits:
-                        stats.matches += len(hits)
-                        fired[prepared.item_id] = sorted(hits)
-            stats.wall_time = clock() - started
-            stats.match_time = max(0.0, stats.wall_time - stats.prepare_time)
             run_span.set_attribute("rule_evaluations", stats.rule_evaluations)
             run_span.set_attribute("matches", stats.matches)
         obs.observe_execution(stats, executor="indexed")

@@ -18,16 +18,17 @@ KB construction):
   ``remove_items`` / ``refresh``). Rule-side deltas consult the
   :class:`~repro.execution.data_index.DataIndex` for the candidate *rows*
   of just the changed rules, so a single-rule edit costs O(candidate items
-  of that rule); item-side deltas consult the
-  :class:`~repro.execution.rule_index.RuleIndex` for the candidate *rules*
-  of just the new items, so a batch arrival costs O(batch), not O(corpus).
+  of that rule); item-side deltas run just the new items through the
+  :class:`~repro.execution.compiler.CompiledRuleSet` kept in step with the
+  rule base, so a batch arrival costs O(batch), not O(corpus).
 
-Soundness rests on the two index anchor contracts (any matching item
-contains an anchor token of the rule): every true match pair is inside the
-candidate set the delta re-evaluates, so the store always equals the truth
-table and :meth:`IncrementalExecutor.fired_map` is byte-identical to a
-from-scratch :class:`~repro.execution.executor.IndexedExecutor` run over
-the current rules and items.
+Soundness rests on one anchor contract shared by both sides (any matching
+item carries an anchor token of the rule in its probe alphabet): every
+true match pair is inside the candidate set the delta re-evaluates, in
+either arrival order, so the store always equals the truth table and
+:meth:`IncrementalExecutor.fired_map` is byte-identical to a from-scratch
+:class:`~repro.execution.executor.NaiveExecutor` run over the current
+rules and items.
 
 The store records matches for *all* tracked rules, enabled or not: a match
 is a property of the rule's condition and the item, while ``enabled`` is a
@@ -63,7 +64,6 @@ from repro.core.ruleset import RuleSet
 from repro.execution.compiler import CompiledRuleSet
 from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats
-from repro.execution.rule_index import RuleIndex
 from repro.observability import Observability, ensure_observability
 
 
@@ -226,7 +226,7 @@ class MatchStore:
 
         Exactly the executor output shape: items with no enabled match are
         absent, rule-id lists are sorted — byte-identical (canonical JSON)
-        to an :class:`~repro.execution.executor.IndexedExecutor` run.
+        to a :class:`~repro.execution.executor.NaiveExecutor` run.
         """
         result: Dict[str, List[str]] = {}
         for item_id in sorted(self._by_item):
@@ -240,8 +240,9 @@ class IncrementalExecutor:
     """Delta-maintained executor: same fired map, a fraction of the work.
 
     Holds the live corpus in a mutable :class:`DataIndex`, the live rule
-    base in a :class:`RuleIndex`, and the materialized matches in a
-    :class:`MatchStore`; the delta API keeps all three consistent.
+    base lowered into a :class:`CompiledRuleSet`, and the materialized
+    matches in a :class:`MatchStore`; the delta API keeps all three
+    consistent.
 
     ``stats`` accumulates the lifetime ledger (every delta op also returns
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
@@ -256,16 +257,14 @@ class IncrementalExecutor:
     Evaluation is fail-fast: a raising rule/record propagates (wrap inputs
     upstream; the degraded modes live on the batch executors).
 
-    ``compiled=True`` routes the *item-side* delta (the hot path — every
-    arriving batch) through a :class:`~repro.execution.compiler.CompiledRuleSet`
-    maintained incrementally alongside the rule base: rule churn patches
-    only the compiled lanes the rule occupies (no full recompile), riding
-    the same generation-counter discipline as the match store. The
-    artifact is compiled with ``include_disabled=True`` because the store
-    records condition-truth for disabled rules too; fired maps, per-op
-    evaluation counts, and the store contents are identical either way.
-    Rule-side deltas (one changed rule over its candidate rows) stay
-    interpreted — they are O(one rule) and gain nothing from lowering.
+    The *item-side* delta (the hot path — every arriving batch) runs
+    through the compiled rule set: rule churn patches only the lanes the
+    rule occupies (no full recompile), riding the same generation-counter
+    discipline as the match store. The artifact is compiled with
+    ``include_disabled=True`` because the store records condition-truth
+    for disabled rules too. Rule-side deltas (one changed rule over its
+    candidate rows) call the rule's own ``matches_prepared`` — they are
+    O(one rule) and gain nothing from lowering.
     """
 
     def __init__(
@@ -277,7 +276,6 @@ class IncrementalExecutor:
         monitor: Optional[object] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         self.prepared_cache: PreparedCache = (
             prepared_cache if prepared_cache is not None else {}
@@ -286,15 +284,8 @@ class IncrementalExecutor:
         self._clock = clock if clock is not None else time.perf_counter
         self._rules: Dict[str, Rule] = {}
         self._data_index = DataIndex(cache=self.prepared_cache)
-        self._rule_index = RuleIndex(
-            token_frequency=token_frequency, prepared_cache=self.prepared_cache
-        )
-        self._compiled: Optional[CompiledRuleSet] = (
-            CompiledRuleSet(
-                (), token_frequency=token_frequency, include_disabled=True
-            )
-            if compiled
-            else None
+        self._compiled = CompiledRuleSet(
+            (), token_frequency=token_frequency, include_disabled=True
         )
         self.store = MatchStore()
         self.stats = ExecutionStats()
@@ -407,16 +398,8 @@ class IncrementalExecutor:
                 prepared = prepare_cached(item, self.prepared_cache).warm(anchors=True)
                 op.prepare_time += self._clock() - prepare_started
                 self._data_index.add(prepared.item)
-                hits: List[str]
-                if self._compiled is not None:
-                    hits, n_evaluated = self._compiled.match_item(prepared)
-                    op.rule_evaluations += n_evaluated
-                else:
-                    hits = []
-                    for rule in self._rule_index.candidates(prepared):
-                        op.rule_evaluations += 1
-                        if rule.matches_prepared(prepared):
-                            hits.append(rule.rule_id)
+                hits, n_evaluated = self._compiled.match_item(prepared)
+                op.rule_evaluations += n_evaluated
                 op.invalidations += self.store.set_item_matches(prepared.item_id, hits)
                 op.matches += len(hits)
                 op.items += 1
@@ -446,9 +429,7 @@ class IncrementalExecutor:
                         f"rule {rule.rule_id!r} already tracked; use update_rule"
                     )
                 self._rules[rule.rule_id] = rule
-                self._rule_index.add(rule)
-                if self._compiled is not None:
-                    self._compiled.add_rule(rule)
+                self._compiled.add_rule(rule)
                 self._evaluate_rule(rule, op)
                 op.delta_rules += 1
             return self._finish("add_rules", op, started)
@@ -462,9 +443,7 @@ class IncrementalExecutor:
                 if rule_id not in self._rules:
                     raise UnknownRuleError(rule_id)
                 del self._rules[rule_id]
-                self._rule_index.remove(rule_id)
-                if self._compiled is not None:
-                    self._compiled.remove_rule(rule_id)
+                self._compiled.remove_rule(rule_id)
                 op.invalidations += self.store.discard_rule(rule_id)
                 op.delta_rules += 1
             return self._finish("remove_rules", op, started)
@@ -484,11 +463,8 @@ class IncrementalExecutor:
             if rule.rule_id not in self._rules:
                 raise UnknownRuleError(rule.rule_id)
             self._rules[rule.rule_id] = rule
-            self._rule_index.remove(rule.rule_id)
-            self._rule_index.add(rule)
-            if self._compiled is not None:
-                self._compiled.remove_rule(rule.rule_id)
-                self._compiled.add_rule(rule)
+            self._compiled.remove_rule(rule.rule_id)
+            self._compiled.add_rule(rule)
             self._evaluate_rule(rule, op)
             op.delta_rules += 1
             return self._finish("update_rule", op, started)
@@ -504,16 +480,8 @@ class IncrementalExecutor:
             started = self._clock()
             op.invalidations += self.store.clear()
             for _row, prepared in self._data_index.live_rows():
-                hits: List[str]
-                if self._compiled is not None:
-                    hits, n_evaluated = self._compiled.match_item(prepared)
-                    op.rule_evaluations += n_evaluated
-                else:
-                    hits = []
-                    for rule in self._rule_index.candidates(prepared):
-                        op.rule_evaluations += 1
-                        if rule.matches_prepared(prepared):
-                            hits.append(rule.rule_id)
+                hits, n_evaluated = self._compiled.match_item(prepared)
+                op.rule_evaluations += n_evaluated
                 self.store.set_item_matches(prepared.item_id, hits)
                 op.matches += len(hits)
                 op.items += 1
@@ -572,7 +540,7 @@ class IncrementalExecutor:
         """The current materialized fired map (enabled rules only).
 
         Byte-identical (canonical JSON) to
-        ``IndexedExecutor(rules).run(items)[0]`` over the executor's
+        ``NaiveExecutor(rules).run(items)[0]`` over the executor's
         current rules and items. Snapshots are memoized on
         ``(store generation, enabled-rule set)`` — repeated reads between
         deltas are cache hits. Treat the returned dict as read-only.

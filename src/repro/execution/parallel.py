@@ -7,11 +7,12 @@ would be shipped to Hadoop tasks), each shard reports its own work, and the
 driver merges shard outputs. With ``use_processes=True`` the shards run in
 a real process pool.
 
-The driver tokenizes each item exactly once into a
-:class:`~repro.core.prepared.PreparedItem` and ships the *prepared token
-payloads* to the shards, so workers never re-tokenize — the same
-"precompute the per-record views once" discipline the single-node
-executors follow.
+Every shard runs the one compiled engine
+(:mod:`repro.execution.compiler`): in-process shards share a single
+artifact lowered from the shipped rule payloads by the first shard
+attempt, process-pool workers lower their own copy once each in the pool
+initializer, and shard submissions carry only raw item records — the
+artifact tokenizes inline, so there are no prepared views to ship.
 
 The driver also implements the §2.2 failure model ("the system must keep
 running and degrade gracefully"):
@@ -47,10 +48,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.types import ProductItem
-from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.core.prepared import ItemLike, PreparedItem
 from repro.core.rule import Rule
 from repro.core.serialize import rules_from_dicts, rules_to_dicts
-from repro.execution.executor import ExecutionStats, IndexedExecutor
+from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
+from repro.execution.executor import ExecutionStats
 from repro.observability import Observability, ensure_observability
 from repro.execution.resilience import (
     CorruptShardOutput,
@@ -74,8 +76,9 @@ class ShardReport:
     listed on the run result). ``worker_id`` is the worker that produced
     the accepted output (-1 for skipped shards).
 
-    ``wall_time`` / ``prepare_time`` / ``match_time`` are the *accepted
-    attempt's* worker-side timings — failed attempts never contribute, so
+    ``wall_time`` / ``match_time`` are the *accepted attempt's*
+    worker-side timings (tokenization is fused into matching, so there is
+    no separate prepare time) — failed attempts never contribute, so
     summing these across reports reconstructs exactly what landed in the
     merged stats (the regression tests in ``tests/test_timing_stats.py``
     hold the driver to that).
@@ -90,7 +93,6 @@ class ShardReport:
     status: str = "ok"
     worker_id: int = -1
     wall_time: float = 0.0
-    prepare_time: float = 0.0
     match_time: float = 0.0
 
     @property
@@ -110,11 +112,11 @@ class PartitionedRunResult:
 
     Timing contract: ``stats.wall_time`` is the driver's elapsed time for
     the whole run (retries, backoff, and failed attempts included);
-    ``stats.prepare_time`` is ``driver_prepare_time`` (tokenizing the
-    shards once) plus the accepted attempts' shard-side prepare times, and
-    ``stats.match_time`` sums the accepted attempts' match times — both
-    additive CPU totals that count each shard's work exactly once no
-    matter how many times it was retried.
+    ``stats.prepare_time`` is ``driver_prepare_time`` (dealing the items
+    into shards), ``stats.match_time`` sums the accepted attempts' match
+    times and ``stats.compile_time`` is the lowering cost if the attempt
+    that paid it was accepted — additive CPU totals that count each
+    shard's work exactly once no matter how many times it was retried.
     """
 
     fired: Dict[str, List[str]]
@@ -148,42 +150,17 @@ class PartitionedRunResult:
         return self
 
 
-def _run_shard(
+def _execute_shard(
     shard_id: int,
-    rule_payloads: List[Dict[str, Any]],
-    item_payloads: List[Dict[str, Any]],
-    token_frequency: Optional[Dict[str, int]],
-    clock: Optional[Callable[[], float]] = None,
-) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """In-process worker entry point: rebuild rules and items, execute.
-
-    ``clock`` is only threaded through for in-process shards (process-pool
-    workers keep the default monotonic clock — an arbitrary callable is
-    not guaranteed to be picklable).
-    """
-    rules = rules_from_dicts(rule_payloads)
-    shard_items = [PreparedItem.from_payload(payload) for payload in item_payloads]
-    executor = IndexedExecutor(rules, token_frequency=token_frequency, clock=clock)
-    fired, stats = executor.run(shard_items)
-    return shard_id, fired, stats
-
-
-def _run_shard_compiled(
-    shard_id: int,
-    artifact: Any,
+    artifact: CompiledRuleSet,
     shard_items: Sequence[ItemLike],
-    clock: Optional[Callable[[], float]] = None,
+    clock: Callable[[], float] = time.perf_counter,
+    stats: Optional[ExecutionStats] = None,
 ) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """In-process compiled shard: one shared artifact, raw items.
-
-    The driver compiles once and every shard (and retry attempt) runs the
-    same read-only artifact — tokenization is fused into matching, so the
-    shard needs no prepared payloads at all.
-    """
-    clk = clock if clock is not None else time.perf_counter
-    started = clk()
-    fired, stats = artifact.execute(shard_items, clock=clock)
-    stats.wall_time = clk() - started
+    """Run one shard's raw items through a (read-only) compiled artifact."""
+    started = clock()
+    fired, stats = artifact.execute(shard_items, clock=clock, stats=stats)
+    stats.wall_time = clock() - started
     return shard_id, fired, stats
 
 
@@ -202,50 +179,31 @@ def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]
     return shards
 
 
-# Per-process worker state, installed once by the pool initializer. The
-# satellite-1 pickling contract hangs on this: rules (and, in compiled
-# mode, the compiled artifact — re-lowered from its serialized rules by
-# ``CompiledRuleSet.__reduce__``) cross the process boundary once per
-# *worker* via the initializer, so each shard submission carries only its
-# own items and pickle size stays O(shard items).
-_WORKER_STATE: Dict[str, Any] = {}
+# Per-process worker state, installed once by the pool initializer: the
+# rule payloads cross the process boundary once per *worker* and are
+# lowered there, so each shard submission carries only its own items and
+# pickle size stays O(shard items).
+_WORKER_STATE: Dict[str, CompiledRuleSet] = {}
 
 
 def _init_worker(
     rule_payloads: List[Dict[str, Any]],
     token_frequency: Optional[Dict[str, int]],
-    compiled_artifact: Optional[Any],
 ) -> None:
-    _WORKER_STATE["token_frequency"] = token_frequency
-    _WORKER_STATE["compiled"] = compiled_artifact
-    if compiled_artifact is None:
-        _WORKER_STATE["executor"] = IndexedExecutor(
-            rules_from_dicts(rule_payloads), token_frequency=token_frequency
-        )
+    _WORKER_STATE["artifact"] = CompiledRuleSet(
+        rules_from_dicts(rule_payloads), token_frequency=token_frequency
+    )
 
 
 def _run_shard_pooled(
-    shard_id: int, shard_payload: List[Any]
+    shard_id: int, shard_items: List[ProductItem]
 ) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """Process-pool worker entry point: only the shard's items travel.
-
-    Interpreted mode ships prepared-item payloads and runs the worker's
-    per-process :class:`IndexedExecutor`; compiled mode ships raw items
-    and runs the worker's compiled artifact directly.
-    """
-    artifact = _WORKER_STATE["compiled"]
-    if artifact is not None:
-        started = time.perf_counter()
-        fired, stats = artifact.execute(shard_payload)
-        stats.wall_time = time.perf_counter() - started
-        return shard_id, fired, stats
-    shard_items = [PreparedItem.from_payload(payload) for payload in shard_payload]
-    fired, stats = _WORKER_STATE["executor"].run(shard_items)
-    return shard_id, fired, stats
+    """Process-pool worker entry point: only the shard's items travel."""
+    return _execute_shard(shard_id, _WORKER_STATE["artifact"], shard_items)
 
 
 class PartitionedExecutor:
-    """Shards items over N workers, each running an IndexedExecutor.
+    """Sharded mode of the compiled engine: items dealt over N workers.
 
     Resilience knobs (all optional; the defaults reproduce a healthy run):
 
@@ -259,14 +217,11 @@ class PartitionedExecutor:
       :class:`~repro.testing.faults.VirtualSleeper`);
     * ``retry_seed`` — seeds the backoff jitter RNG.
 
-    ``compiled=True`` switches shards to the compiled execution layer
-    (:mod:`repro.execution.compiler`): the driver lowers the rule set once
-    and every in-process shard shares the read-only artifact, while
-    process-pool workers receive it once each through the pool initializer
-    (re-lowered from its serialized rules on arrival — the pickling
-    contract) and shard submissions carry only raw items. The resilience
-    machinery (retry rotation, fault injection, output validation,
-    degraded mode) is identical in both modes.
+    Shard semantics are frozen at construction time: the rules are
+    serialized to ``rule_payloads`` (as they would be shipped to cluster
+    tasks) and every worker lowers *those*. Lowering happens inside the
+    guarded shard attempt, so a payload that cannot be rebuilt is a
+    reported shard failure and a degraded run, never a driver exception.
     """
 
     def __init__(
@@ -282,15 +237,13 @@ class PartitionedExecutor:
         retry_seed: int = 0,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         self.rule_payloads = rules_to_dicts(rules)
-        self.compiled = bool(compiled)
-        self._driver_compiled: Optional[Any] = None
+        self._driver_compiled: Optional[CompiledRuleSet] = None
         self.n_workers = n_workers
         self.use_processes = use_processes
         self.token_frequency = token_frequency
@@ -307,53 +260,36 @@ class PartitionedExecutor:
 
     def _shards(
         self, items: Sequence[ItemLike]
-    ) -> Tuple[List[List[Any]], List[List[str]], float]:
-        """Round-robin shards (payloads, or raw items when compiled), ids, time.
-
-        Compiled shards carry the raw item records: the artifact tokenizes
-        inline, so shipping prepared token views would be pure overhead.
-        """
+    ) -> Tuple[List[List[ProductItem]], List[List[str]], float]:
+        """Round-robin shards of raw item records, their ids, elapsed time."""
         started = self._clock()
-        if self.compiled:
-            records = [
-                item.item if isinstance(item, PreparedItem) else item
-                for item in items
-            ]
-            shards = partition_round_robin(records, self.n_workers)
-            shard_ids = [
-                [record.item_id for record in shard] for shard in shards
-            ]
-        else:
-            prepared_shards = partition_round_robin(
-                [prepare(item) for item in items], self.n_workers
-            )
-            shards = [
-                [prepared.to_payload() for prepared in shard]
-                for shard in prepared_shards
-            ]
-            shard_ids = [
-                [prepared.item_id for prepared in shard]
-                for shard in prepared_shards
-            ]
+        records = [
+            item.item if isinstance(item, PreparedItem) else item for item in items
+        ]
+        shards = partition_round_robin(records, self.n_workers)
+        shard_ids = [[record.item_id for record in shard] for shard in shards]
         return shards, shard_ids, self._clock() - started
 
-    def _compiled_artifact(self) -> Any:
-        """The driver's compiled artifact (lowered once, reused across runs)."""
-        if self._driver_compiled is None:
-            from repro.execution.compiler import RuleSetCompiler
+    def _run_inline(
+        self, shard_id: int, shard_items: List[ProductItem]
+    ) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
+        """One in-process shard attempt; the first one lowers the rule set.
 
+        The artifact is lowered once from the shipped payloads and then
+        shared, read-only, by every later shard, retry and run.
+        """
+        stats = ExecutionStats()
+        if self._driver_compiled is None:
             compiler = RuleSetCompiler(
                 token_frequency=self.token_frequency,
                 observability=self.observability,
             )
-            # Compile from the shipped payloads, not the caller's rule
-            # objects: shard semantics are frozen at construction time by
-            # rule_payloads, and the driver must execute the same frozen
-            # rule set the interpreted workers would.
             self._driver_compiled = compiler.compile(
-                rules_from_dicts(self.rule_payloads)
+                rules_from_dicts(self.rule_payloads), stats=stats, clock=self._clock
             )
-        return self._driver_compiled
+        return _execute_shard(
+            shard_id, self._driver_compiled, shard_items, self._clock, stats
+        )
 
     def _worker_for(self, shard_id: int, attempt: int) -> int:
         """Rotate a retried shard onto the next worker (re-dispatch)."""
@@ -368,7 +304,7 @@ class PartitionedExecutor:
         self,
         pending: Sequence[int],
         attempt: int,
-        shards: List[List[Dict[str, Any]]],
+        shards: List[List[ProductItem]],
         pool: Optional[ProcessPoolExecutor],
     ) -> Dict[int, Any]:
         """Run every pending shard once; outcome is a tuple or a failure."""
@@ -387,16 +323,7 @@ class PartitionedExecutor:
                     with obs.span(
                         "shard", shard=shard_id, worker=worker, attempt=attempt
                     ):
-                        if self.compiled:
-                            output = _run_shard_compiled(
-                                shard_id, self._compiled_artifact(),
-                                shards[shard_id], clock=self._clock,
-                            )
-                        else:
-                            output = _run_shard(
-                                shard_id, self.rule_payloads, shards[shard_id],
-                                self.token_frequency, clock=self._clock,
-                            )
+                        output = self._run_inline(shard_id, shards[shard_id])
                 except Exception as exc:  # a real worker fault, not injected
                     outcomes[shard_id] = WorkerCrash(f"shard {shard_id} raised: {exc!r}")
                     continue
@@ -405,9 +332,8 @@ class PartitionedExecutor:
                     output = spec.corrupt_output(output)
                 outcomes[shard_id] = output
             else:
-                # Only the shard's own items travel: rules (and the
-                # compiled artifact) reached every worker once, via the
-                # pool initializer.
+                # Only the shard's own items travel: the rules reached
+                # every worker once, via the pool initializer.
                 future = pool.submit(_run_shard_pooled, shard_id, shards[shard_id])
                 submitted.append((shard_id, future, spec, worker))
         if submitted:
@@ -445,7 +371,7 @@ class PartitionedExecutor:
 
         Timing discipline (see the satellite audit in
         ``tests/test_timing_stats.py``): only the *accepted* attempt of
-        each shard lands in the merged ``prepare_time`` / ``match_time`` —
+        each shard lands in the merged ``match_time`` / ``compile_time`` —
         a retried shard's failed attempts cost driver wall-clock (which
         ``wall_time`` reports truthfully) but are never folded into the
         additive CPU totals, so retries cannot double-count shard work.
@@ -458,11 +384,6 @@ class PartitionedExecutor:
             started = clock()
             with obs.span("prepare"):
                 shards, shard_item_ids, driver_prepare_time = self._shards(items)
-            driver_compile_time = 0.0
-            if self.compiled:
-                compile_started = clock()
-                self._compiled_artifact()
-                driver_compile_time = clock() - compile_started
             policy = self.retry_policy
             rng = random.Random(self.retry_seed)
             events: List[FaultEvent] = []
@@ -475,11 +396,7 @@ class PartitionedExecutor:
                     pool = ProcessPoolExecutor(
                         max_workers=self.n_workers,
                         initializer=_init_worker,
-                        initargs=(
-                            self.rule_payloads,
-                            self.token_frequency,
-                            self._compiled_artifact() if self.compiled else None,
-                        ),
+                        initargs=(self.rule_payloads, self.token_frequency),
                     )
                 pending = list(range(self.n_workers))
                 attempt = 0
@@ -556,7 +473,6 @@ class PartitionedExecutor:
                                 status="ok",
                                 worker_id=worker,
                                 wall_time=shard_stats.wall_time,
-                                prepare_time=shard_stats.prepare_time,
                                 match_time=shard_stats.match_time,
                             )
                         )
@@ -580,7 +496,6 @@ class PartitionedExecutor:
                             )
                         )
             total.prepare_time += driver_prepare_time
-            total.compile_time += driver_compile_time
             total.wall_time = clock() - started
             run_span.set_attribute("rule_evaluations", total.rule_evaluations)
             run_span.set_attribute("matches", total.matches)

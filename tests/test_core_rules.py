@@ -131,8 +131,11 @@ class TestAnchorExtraction:
         assert anchors == frozenset({"ring", "band"})
 
     def test_gap_pattern_uses_longest_literal(self):
+        # "diamond" and "trio" touch the gap (``diamond.*`` also matches
+        # "diamonds ..."), so only "set" is a whole word of every match.
         anchors = extract_anchor_literals("diamond.*trio sets?")
-        assert anchors == frozenset({"diamond"})
+        assert anchors == frozenset({"set"})
+        assert extract_anchor_literals("diamond .* trio sets?") == frozenset({"diamond"})
 
     def test_soundness_on_sample(self):
         # Every matching title must contain at least one anchor token.

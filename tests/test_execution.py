@@ -55,7 +55,9 @@ class TestRuleIndex:
 
     def test_attribute_rules_in_residue(self):
         index = RuleIndex(RULES)
-        assert index.residue_count == 1  # attr(isbn) has no title anchor
+        # attr(isbn) has no title anchor; neither has ``denim.*jeans?``
+        # (it matches "denims bluejeans": no literal is a whole word).
+        assert index.residue_count == 2
 
     def test_plural_singular_bridging(self):
         index = RuleIndex([WhitelistRule("rings?", "rings")])
@@ -218,15 +220,6 @@ class TestPreparedItem:
         assert prepared.tokens is prepared.tokens
         assert prepared.match_text is prepared.match_text
         assert prepared.anchor_tokens is prepared.anchor_tokens
-
-    def test_payload_round_trip_preserves_views(self):
-        prepared = PreparedItem(item("relaxed denim jeans"))
-        payload = prepared.to_payload()
-        rebuilt = PreparedItem.from_payload(payload)
-        assert rebuilt.tokens == prepared.tokens
-        assert rebuilt.tokens_with_stopwords == prepared.tokens_with_stopwords
-        assert rebuilt.match_text == prepared.match_text
-        assert rebuilt.item == prepared.item
 
     def test_prepare_is_idempotent(self):
         prepared = prepare(ITEMS[0])

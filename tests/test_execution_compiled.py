@@ -1,13 +1,17 @@
 """Compiled execution layer: automaton, lowering, parity, churn, pickling.
 
-The contract under test everywhere: the compiled path is an *optimizer*,
-never a semantic fork — fired maps, evaluation counts, skip accounting,
-and explain output must be indistinguishable from the interpreted
-executors on every input, including the traps (plural-bridge collisions,
-stop-word sequences, dirty titles, disabled rules).
+The contract under test everywhere: the compiled engine is an
+*optimizer*, never a semantic fork — fired maps, skip accounting and
+explain output must be indistinguishable from the interpreted reference
+(:class:`NaiveExecutor`: every rule's ``matches_prepared`` on every item)
+and candidate counts from the :class:`RuleIndex` probe, on every input,
+including the traps (plural-bridge collisions, stop-word sequences, dirty
+titles, disabled rules).
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 from repro.catalog.types import ProductItem
 from repro.core.errors import UnknownRuleError
 from repro.core.explain import ExplanationStep
-from repro.core.prepared import PreparedItem, prepare
+from repro.core.prepared import prepare
 from repro.core.rule import (
     AttributeRule,
     BlacklistRule,
@@ -26,11 +30,11 @@ from repro.core.rule import (
     ValueConstraintRule,
     WhitelistRule,
 )
-from repro.core.serialize import UnserializableRuleError
 from repro.execution import (
     CompiledRuleSet,
     IncrementalExecutor,
     IndexedExecutor,
+    NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
     RuleSetCompiler,
@@ -52,12 +56,18 @@ def item(item_id, title, attributes=None):
     )
 
 
-def assert_parity(rules, items, **executor_kwargs):
-    """Fired map AND evaluation count identical, interpreted vs compiled."""
-    fired_i, stats_i = IndexedExecutor(rules, **executor_kwargs).run(items)
-    fired_c, stats_c = IndexedExecutor(rules, compiled=True, **executor_kwargs).run(items)
+def probe_count(rules, items):
+    """Candidate evaluations the RuleIndex probe proposes (enabled rules)."""
+    index = RuleIndex(rule for rule in rules if rule.enabled)
+    return sum(len(index.candidates(it)) for it in items)
+
+
+def assert_parity(rules, items):
+    """Fired map identical to the reference, evaluation count to the probe."""
+    fired_i, stats_i = NaiveExecutor(rules).run(items)
+    fired_c, stats_c = IndexedExecutor(rules).run(items)
     assert fired_c == fired_i
-    assert stats_c.rule_evaluations == stats_i.rule_evaluations
+    assert stats_c.rule_evaluations == probe_count(rules, items)
     assert stats_c.matches == stats_i.matches
     assert stats_c.items == stats_i.items
     return fired_i
@@ -301,8 +311,8 @@ class TestCompiledParityPerRuleClass:
                  WhitelistRule("band", "t", rule_id="w1")]
         items = [item("i1", "gold ring"), item("i2", "silver ring"),
                  item("i3", "band")]
-        fired_i, _ = IndexedExecutor(rules).run(items)
-        fired_c, _ = IndexedExecutor(rules, compiled=True).run(items)
+        fired_i, _ = NaiveExecutor(rules).run(items)
+        fired_c, _ = IndexedExecutor(rules).run(items)
         assert fired_c == fired_i == {"i1": ["x1"], "i3": ["w1"]}
         compiled = RuleSetCompiler().compile(rules)
         assert compiled.forced_compat
@@ -319,12 +329,12 @@ class TestPluralBridgeTrap:
     ])
     def test_candidate_counted_but_no_fire_on_plural_only_title(self, rule):
         items = [item("i1", "blue rings")]
-        fired_i, stats_i = IndexedExecutor([rule]).run(items)
-        fired_c, stats_c = IndexedExecutor([rule], compiled=True).run(items)
+        fired_i, _ = NaiveExecutor([rule]).run(items)
+        fired_c, stats_c = IndexedExecutor([rule]).run(items)
         assert fired_i == fired_c == {}
         # The singular-expanded probe proposes the rule: exactly one
-        # (failed) evaluation on both paths.
-        assert stats_i.rule_evaluations == stats_c.rule_evaluations == 1
+        # (failed) evaluation.
+        assert stats_c.rule_evaluations == probe_count([rule], items) == 1
 
     def test_multi_anchor_rule_not_double_counted_via_bridge(self):
         # anchors {ring, rings}: on "rings" the rule is reachable both
@@ -360,10 +370,8 @@ class TestDirtyTitlesAndSkipMode:
 
         rules = [WhitelistRule("ring", "t", rule_id="w1")]
         items = [item("i1", "a ring"), BadTitle(), item("i2", "band")]
-        fired_i, stats_i = IndexedExecutor(rules, on_error="skip").run(items)
-        fired_c, stats_c = IndexedExecutor(
-            rules, compiled=True, on_error="skip"
-        ).run(items)
+        fired_i, stats_i = NaiveExecutor(rules, on_error="skip").run(items)
+        fired_c, stats_c = IndexedExecutor(rules, on_error="skip").run(items)
         assert fired_c == fired_i == {"i1": ["w1"]}
         assert stats_c.skipped_items == stats_i.skipped_items == 1
         assert stats_c.skipped_item_ids == stats_i.skipped_item_ids == ["bad"]
@@ -378,7 +386,7 @@ class TestDirtyTitlesAndSkipMode:
             def title(self):
                 raise RuntimeError("boom")
 
-        executor = IndexedExecutor([WhitelistRule("x", "t")], compiled=True)
+        executor = IndexedExecutor([WhitelistRule("x", "t")])
         with pytest.raises(RuntimeError):
             executor.run([BadTitle()])
 
@@ -397,18 +405,34 @@ class TestDisabledRulesAndRecompile:
     def test_enabled_flip_between_runs_recompiles(self):
         rules = [WhitelistRule("ring", "t", rule_id="w1"),
                  WhitelistRule("band", "t", rule_id="w2")]
-        executor = IndexedExecutor(rules, compiled=True)
+        executor = IndexedExecutor(rules)
         items = [item("i1", "ring band")]
         fired, _ = executor.run(items)
         assert fired == {"i1": ["w1", "w2"]}
         rules[0].enabled = False
-        fired, _ = executor.run(items)
-        assert fired == {"i1": ["w2"]}
-        rules[0].enabled = True
         fired, stats = executor.run(items)
+        assert fired == {"i1": ["w2"]}
+        assert stats.compile_time > 0.0
+        fired, stats = executor.run(items)
+        assert stats.compile_time == 0.0  # unchanged flags: artifact reused
+        rules[0].enabled = True
+        fired, _ = executor.run(items)
         assert fired == {"i1": ["w1", "w2"]}
-        # back to the first fingerprint: served from the compile cache
-        assert stats.compile_time == 0.0
+
+    def test_enable_disable_churn_keeps_one_artifact_alive(self):
+        # One artifact per distinct disabled-rule set used to be cached
+        # forever; N states must leave only the current one reachable.
+        rules = [WhitelistRule(f"w{n}", "t", rule_id=f"w{n}") for n in range(6)]
+        executor = IndexedExecutor(rules)
+        items = [item("i1", " ".join(f"w{n}" for n in range(6)))]
+        artifacts = []
+        for rule in rules:
+            rule.enabled = False
+            fired, _ = executor.run(items)
+            assert fired == NaiveExecutor(rules).run(items)[0]
+            artifacts.append(weakref.ref(executor.compiled_ruleset()))
+        gc.collect()
+        assert [ref() is not None for ref in artifacts] == [False] * 5 + [True]
 
 
 class TestPhasedExecution:
@@ -430,7 +454,7 @@ class TestPhasedExecution:
     def test_observability_implies_phased_spans(self):
         obs = Observability()
         rules = [WhitelistRule("ring", "t", rule_id="w1")]
-        executor = IndexedExecutor(rules, compiled=True, observability=obs)
+        executor = IndexedExecutor(rules, observability=obs)
         fired, stats = executor.run([item("i1", "a ring")])
         assert fired == {"i1": ["w1"]}
         names = [span.name for span in obs.tracer.spans]
@@ -438,6 +462,12 @@ class TestPhasedExecution:
         assert "exec.prefilter" in names
         assert "exec.verify" in names
         assert stats.compile_time > 0.0
+
+
+def reference_of(executor, items):
+    """NaiveExecutor over the executor's current rules, in store order."""
+    fired, _ = NaiveExecutor(executor.rules()).run(items)
+    return {item_id: fired[item_id] for item_id in sorted(fired)}
 
 
 class TestIncrementalCompiled:
@@ -458,34 +488,32 @@ class TestIncrementalCompiled:
 
     def test_matches_interpreted_incremental(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
-        interpreted = IncrementalExecutor(rules=rules, items=items)
-        assert compiled.fired_map() == interpreted.fired_map()
-        assert (
-            compiled.stats.rule_evaluations == interpreted.stats.rule_evaluations
-        )
+        compiled = IncrementalExecutor(rules=rules, items=items)
+        assert compiled.fired_map() == reference_of(compiled, items)
+        # rules arrived first (no rows to probe), so every evaluation is
+        # an item-side probe
+        assert compiled.stats.rule_evaluations == probe_count(rules, items)
 
     def test_churn_cycle_keeps_parity(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
-        interpreted = IncrementalExecutor(rules=rules, items=items)
-        for ex in (compiled, interpreted):
-            ex.remove_rules(["w1"])
-            ex.add_rules([WhitelistRule("band", "t", rule_id="w2")])
-            ex.update_rule(SequenceRule(["silver", "ring"], "t", rule_id="s1"))
-            ex.add_items([item("i5", "silver band ring"), item("i2", "rings deluxe")])
-            ex.remove_items(["i3"])
-        assert compiled.fired_map() == interpreted.fired_map()
+        ex = IncrementalExecutor(rules=rules, items=items)
+        ex.remove_rules(["w1"])
+        ex.add_rules([WhitelistRule("band", "t", rule_id="w2")])
+        ex.update_rule(SequenceRule(["silver", "ring"], "t", rule_id="s1"))
+        relisted = [item("i5", "silver band ring"), item("i2", "rings deluxe")]
+        ex.add_items(relisted)
+        ex.remove_items(["i3"])
+        live = [items[0], items[3]] + relisted
+        assert ex.fired_map() == reference_of(ex, live)
         # and back to (a copy of) the original rule:
-        for ex in (compiled, interpreted):
-            ex.update_rule(SequenceRule(["gold", "ring"], "t", rule_id="s1"))
-            ex.add_rules([WhitelistRule("rings?", "t", rule_id="w1")])
-            ex.remove_rules(["w2"])
-        assert compiled.fired_map() == interpreted.fired_map()
+        ex.update_rule(SequenceRule(["gold", "ring"], "t", rule_id="s1"))
+        ex.add_rules([WhitelistRule("rings?", "t", rule_id="w1")])
+        ex.remove_rules(["w2"])
+        assert ex.fired_map() == reference_of(ex, live)
 
     def test_disable_enable_is_snapshot_filter_only(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
+        compiled = IncrementalExecutor(rules=rules, items=items)
         before = compiled.stats.rule_evaluations
         rules[0].enabled = False
         assert "w1" not in str(compiled.fired_map())
@@ -495,37 +523,13 @@ class TestIncrementalCompiled:
 
     def test_refresh_parity(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
-        interpreted = IncrementalExecutor(rules=rules, items=items)
+        compiled = IncrementalExecutor(rules=rules, items=items)
         fired_c, op_c = compiled.refresh()
-        fired_i, op_i = interpreted.refresh()
-        assert fired_c == fired_i
-        assert op_c.rule_evaluations == op_i.rule_evaluations
+        assert fired_c == reference_of(compiled, items)
+        assert op_c.rule_evaluations == probe_count(rules, items)
 
 
 class TestPicklingContract:
-    def test_compiled_artifact_round_trips_by_relowering(self):
-        rules = [
-            WhitelistRule("rings?|gold band", "t", rule_id="w1"),
-            SequenceRule(["fine", "gold", "ring"], "t", rule_id="s1"),
-            AttributeRule("isbn", "book", rule_id="a1"),
-        ]
-        rules[2].enabled = False
-        compiled = RuleSetCompiler().compile(rules, include_disabled=True)
-        clone = pickle.loads(pickle.dumps(compiled))
-        items = [item("i1", "fine gold ring"), item("i2", "gold band"),
-                 item("i3", "x", {"isbn": "1"})]
-        for it in items:
-            assert clone.match_item(it) == compiled.match_item(it)
-        assert clone.include_disabled
-
-    def test_predicate_rules_make_artifact_unpicklable(self):
-        compiled = RuleSetCompiler().compile(
-            [PredicateRule([Clause("title_contains x", lambda it: "x" in it.title)], "t", rule_id="p1")]
-        )
-        with pytest.raises(UnserializableRuleError):
-            pickle.dumps(compiled)
-
     def test_shard_payload_size_is_independent_of_rule_count(self):
         """Satellite: shard submissions carry O(shard items), not rules."""
         items = [item(f"i{n}", f"token{n} gold ring") for n in range(40)]
@@ -551,20 +555,15 @@ class TestPicklingContract:
         large_bytes = len(pickle.dumps(large[0]))
         assert large_bytes < small_bytes * 20  # ~10x items => ~10x bytes
 
-    def test_prepared_payload_is_minimal(self):
-        payload = prepare(item("i1", "a gold ring")).to_payload()
-        assert set(payload) == {"item", "tokens_with_stopwords"}
-        rebuilt = PreparedItem.from_payload(payload)
-        assert rebuilt.tokens == ("gold", "ring")
-        assert rebuilt.tokens_with_stopwords == ("a", "gold", "ring")
-
 
 class TestPartitionedCompiled:
     def test_compiled_shards_ship_raw_items(self):
         executor = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2, compiled=True
+            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2
         )
-        shards, shard_ids, _ = executor._shards([item("i1", "a"), item("i2", "b")])
+        shards, shard_ids, _ = executor._shards(
+            [item("i1", "a"), prepare(item("i2", "b"))]
+        )
         assert all(isinstance(record, ProductItem) for shard in shards for record in shard)
         assert shard_ids == [["i1"], ["i2"]]
 
@@ -574,17 +573,15 @@ class TestPartitionedCompiled:
             SequenceRule(["gold", "ring"], "t", rule_id="s1"),
         ]
         items = [item(f"i{n}", f"gold ring {n}") for n in range(23)]
-        fired_i, _, _ = PartitionedExecutor(rules, n_workers=3).run(items)
-        fired_c, stats_c, reports = PartitionedExecutor(
-            rules, n_workers=3, compiled=True
-        ).run(items)
+        fired_i, _ = NaiveExecutor(rules).run(items)
+        fired_c, stats_c, reports = PartitionedExecutor(rules, n_workers=3).run(items)
         assert fired_c == fired_i
         assert stats_c.compile_time > 0.0
         assert all(report.ok for report in reports)
 
     def test_compiled_artifact_reused_across_runs(self):
         executor = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2, compiled=True
+            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2
         )
         items = [item("i1", "a ring")]
         executor.run(items)
@@ -645,15 +642,15 @@ class TestExplain:
 
     def test_compiled_path_feeds_the_why_provenance_chain(self):
         """The fired maps reaching observe_fired (and from there the
-        quality/provenance chain) are identical, compiled vs interpreted."""
+        quality/provenance chain) are identical, compiled vs reference."""
         rules = [WhitelistRule("rings?", "t", rule_id="w1"),
                  SequenceRule(["gold", "ring"], "t", rule_id="s1")]
         items = [item("i1", "gold ring"), item("i2", "rings"), item("i3", "x")]
         snapshots = []
-        for compiled in (False, True):
+        for executor_class in (NaiveExecutor, IndexedExecutor):
             obs = Observability()
             obs.attach_quality()
-            IndexedExecutor(rules, compiled=compiled, observability=obs).run(items)
+            executor_class(rules, observability=obs).run(items)
             health = obs.quality.health
             snapshots.append(
                 {rid: health.health(rid).fires for rid in ("w1", "s1")}
@@ -695,7 +692,9 @@ class TestCompiledRuleSetChurn:
         assert layout["residue_rules"] == 1
 
 
-# -- the hypothesis property: compiled == interpreted, arbitrary rulesets ------
+# -- hypothesis: compiled == reference incl. candidate accounting; the full
+# -- differential property (every mode, churn, both arrival orders) lives in
+# -- tests/test_execution_differential.py
 
 _WORDS = st.sampled_from(
     ["ring", "rings", "gold", "band", "toy", "fine", "x1", "of", "the", "zz"]
@@ -753,11 +752,7 @@ class TestHypothesisParity:
         _items(),
     )
     def test_compiled_equals_interpreted_for_arbitrary_rulesets(self, rules, items):
-        fired_i, stats_i = IndexedExecutor(rules).run(items)
-        fired_c, stats_c = IndexedExecutor(rules, compiled=True).run(items)
-        assert fired_c == fired_i
-        assert stats_c.rule_evaluations == stats_i.rule_evaluations
-        assert stats_c.matches == stats_i.matches
+        assert_parity(rules, items)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -765,7 +760,5 @@ class TestHypothesisParity:
         _items(),
     )
     def test_incremental_compiled_equals_batch_interpreted(self, rules, items):
-        enabled = [r for r in rules]
-        incremental = IncrementalExecutor(rules=enabled, items=items, compiled=True)
-        fired_i, _ = IndexedExecutor(enabled).run(items)
-        assert incremental.fired_map() == fired_i
+        incremental = IncrementalExecutor(rules=rules, items=items)
+        assert incremental.fired_map() == reference_of(incremental, items)

@@ -3,7 +3,7 @@
 The contract under test: after ANY interleaved sequence of
 ``add_rules / update_rule / remove_rules / add_items / remove_items``
 (plus enable/disable churn), :class:`IncrementalExecutor.fired_map` is
-byte-identical to a from-scratch :class:`IndexedExecutor` run over the
+byte-identical to a from-scratch :class:`NaiveExecutor` run over the
 executor's current rules and items — while touching only the delta
 (checked through the MatchStore generation counters and the stats ledger).
 """
@@ -35,7 +35,6 @@ from repro.execution import (
     DataIndex,
     ExecutionStats,
     IncrementalExecutor,
-    IndexedExecutor,
     MatchStore,
     NaiveExecutor,
     RuleIndex,
@@ -62,7 +61,7 @@ def canonical(fired) -> str:
 
 
 def full_fired(rules, items):
-    return IndexedExecutor(list(rules)).run(list(items))[0]
+    return NaiveExecutor(list(rules)).run(list(items))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +440,10 @@ class TestSharedPreparedCache:
     def test_executor_counts_cache_hits(self):
         rules, items = small_world()
         cache = {}
-        executor = IndexedExecutor(rules, prepared_cache=cache)
-        _, first = executor.run(items)
+        executor = IncrementalExecutor(rules, prepared_cache=cache)
+        first = executor.add_items(items)
         assert first.cache_misses == len(items) and first.cache_hits == 0
-        _, second = executor.run(items)
+        second = executor.add_items(items)  # re-listing: already prepared
         assert second.cache_hits == len(items) and second.cache_misses == 0
 
     def test_data_index_reuses_executor_preparations(self):

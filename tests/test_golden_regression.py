@@ -19,6 +19,8 @@ from repro.execution import (
     NaiveExecutor,
     PartitionedExecutor,
     RetryPolicy,
+    RuleIndex,
+    prepare_all,
 )
 from repro.testing import FaultPlan, VirtualSleeper
 
@@ -109,40 +111,39 @@ class TestExecutorsReproduceGoldenFiredMap:
 
 
 class TestCompiledPathReproducesGoldenFiredMap:
-    """The compiled layer (DESIGN.md §11) against the same frozen corpus:
-    every compiled executor variant — batch, parallel, faulted, pooled,
-    and incrementally churned — must reproduce the stored bytes."""
+    """The compiled engine (DESIGN.md §5) against the same frozen corpus:
+    every mode — batch, sharded, faulted, pooled, and incrementally
+    churned — must reproduce the bytes NaiveExecutor stored, with the
+    accounting the engine promises."""
 
     def test_compiled_indexed(self, golden_items, golden_rules,
                               golden_fired_text):
-        fired, stats = IndexedExecutor(
-            golden_rules, compiled=True
-        ).run(golden_items)
+        fired, stats = IndexedExecutor(golden_rules).run(golden_items)
         assert canonical(fired) == golden_fired_text
         assert stats.compile_time > 0.0
 
     def test_compiled_matches_interpreted_evaluation_count(
             self, golden_items, golden_rules):
-        _, interpreted = IndexedExecutor(golden_rules).run(golden_items)
-        _, compiled = IndexedExecutor(
-            golden_rules, compiled=True
-        ).run(golden_items)
-        assert compiled.rule_evaluations == interpreted.rule_evaluations
+        index = RuleIndex(golden_rules)
+        interpreted = sum(len(index.candidates(item)) for item in golden_items)
+        _, compiled = IndexedExecutor(golden_rules).run(golden_items)
+        assert compiled.rule_evaluations == interpreted
 
     @pytest.mark.parametrize("n_workers", [1, 3, 5])
     def test_compiled_partitioned(self, golden_items, golden_rules,
                                   golden_fired_text, n_workers):
-        fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=n_workers, compiled=True
-        ).run(golden_items)
+        fired, stats, reports = PartitionedExecutor(
+            golden_rules, n_workers=n_workers
+        ).run(prepare_all(golden_items))
         assert canonical(fired) == golden_fired_text
+        assert stats.compile_time > 0.0
+        assert sum(report.items for report in reports) == len(golden_items)
 
     def test_compiled_partitioned_with_a_dead_worker(
             self, golden_items, golden_rules, golden_fired_text):
         result = PartitionedExecutor(
             golden_rules,
             n_workers=4,
-            compiled=True,
             fault_plan=FaultPlan().kill_worker(2),
             retry_policy=RetryPolicy.immediate(max_attempts=3),
             sleep=VirtualSleeper(),
@@ -153,7 +154,7 @@ class TestCompiledPathReproducesGoldenFiredMap:
     def test_compiled_process_pool(self, golden_items, golden_rules,
                                    golden_fired_text):
         fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=2, compiled=True, use_processes=True
+            golden_rules, n_workers=2, use_processes=True
         ).run(golden_items)
         assert canonical(fired) == golden_fired_text
 
@@ -165,8 +166,7 @@ class TestCompiledPathReproducesGoldenFiredMap:
         from repro.execution import IncrementalExecutor
 
         rules = rules_from_dicts(rules_to_dicts(golden_rules))
-        executor = IncrementalExecutor(rules=rules, items=golden_items,
-                                       compiled=True)
+        executor = IncrementalExecutor(rules=rules, items=golden_items)
         churned = rules[:5]
         executor.remove_rules([rule.rule_id for rule in churned])
         readded = rules_from_dicts(rules_to_dicts(churned))

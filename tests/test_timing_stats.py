@@ -10,7 +10,7 @@ The audit this PR ships found two sharp edges in the stats layer:
    previously untested) invariant: a retried shard's *failed* attempts run
    real work (a corrupt-output attempt executes the full shard before the
    driver rejects it), and that work must never leak into the merged
-   ``prepare_time`` / ``match_time``. These tests pin the invariant with a
+   ``match_time`` / ``compile_time``. These tests pin the invariant with a
    deterministic TickClock: every timing assertion is exact, not a range.
 """
 
@@ -123,72 +123,83 @@ class TestMergeSemantics:
 
 
 class TestPartitionedTimingInvariant:
-    """Retried shards must not double-count prepare/match CPU totals.
+    """Retried shards must not double-count the additive CPU totals.
 
-    Every in-process shard run reads the TickClock exactly three times
-    (start, after prepare, end), so each *accepted* attempt contributes
-    exactly ``prepare=STEP, match=STEP``; the driver's own shard-prepare
-    pass reads it twice (``driver_prepare_time == STEP``). The totals
-    below are therefore exact equalities — any leak from a rejected
-    attempt would show up as an extra STEP.
+    Tokenization is fused into matching, so the fields the engine fills
+    are ``match_time`` (per shard) and ``compile_time`` (the one shard
+    attempt that lowers the rule set). Every in-process shard attempt
+    reads the TickClock four times (shard start, execute start/end, shard
+    end), so each *accepted* attempt contributes exactly ``match=STEP``
+    and ``wall=3*STEP``; the lowering attempt reads it twice more first
+    (``compile=STEP``); the driver's sharding pass reads it twice
+    (``driver_prepare_time == STEP``, the only prepare time there is).
+    The totals below are therefore exact equalities — any leak from a
+    rejected attempt would show up as an extra STEP.
     """
 
-    def expected_prepare(self):
-        return (N_WORKERS + 1) * STEP  # one per accepted shard + driver pass
-
-    def expected_match(self):
-        return N_WORKERS * STEP
+    def assert_healthy_totals(self, result):
+        assert result.stats.prepare_time == pytest.approx(STEP)  # driver pass
+        assert result.stats.match_time == pytest.approx(N_WORKERS * STEP)
+        assert result.stats.compile_time == pytest.approx(STEP)
 
     def test_healthy_run_timing(self):
         result = run_partitioned(clock=TickClock(step=STEP))
         assert result.fired == BASELINE
         assert result.driver_prepare_time == pytest.approx(STEP)
-        assert result.stats.prepare_time == pytest.approx(self.expected_prepare())
-        assert result.stats.match_time == pytest.approx(self.expected_match())
+        self.assert_healthy_totals(result)
         for report in result.reports:
-            assert report.prepare_time == pytest.approx(STEP)
             assert report.match_time == pytest.approx(STEP)
-            assert report.wall_time == pytest.approx(2 * STEP)
+            assert report.wall_time == pytest.approx(3 * STEP)
 
     def test_corrupt_retry_does_not_double_count(self):
-        # A corrupt fault RUNS the real shard (full prepare + match) and
-        # then mangles the output; the driver rejects it and retries on
-        # the next worker. That rejected attempt's CPU time must not
-        # appear anywhere in the merged totals.
+        # A corrupt fault RUNS the real shard (tokenize + match) and then
+        # mangles the output; the driver rejects it and retries on the
+        # next worker. That rejected attempt's CPU time must not appear
+        # anywhere in the merged totals.
         plan = FaultPlan().corrupt(shard=1, attempt=0, detail="alien-item")
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.fired == BASELINE  # retry recovered the shard
         assert result.total_retries == 1
         assert result.stats.retries == 1
-        assert result.stats.prepare_time == pytest.approx(self.expected_prepare())
-        assert result.stats.match_time == pytest.approx(self.expected_match())
+        self.assert_healthy_totals(result)
         retried = [r for r in result.reports if r.retries]
         assert len(retried) == 1 and retried[0].shard_id == 1
         # The retried shard's report shows the accepted attempt's timing
         # only — identical to its never-failed peers.
-        assert retried[0].prepare_time == pytest.approx(STEP)
         assert retried[0].match_time == pytest.approx(STEP)
+        assert retried[0].wall_time == pytest.approx(3 * STEP)
+
+    def test_rejected_lowering_attempt_does_not_leak_compile_time(self):
+        # Shard 0's first attempt is the one that lowers the rule set; it
+        # is then rejected as corrupt. The artifact stays (the retry does
+        # not lower again) but the rejected attempt's compile time goes
+        # with the rest of its stats.
+        plan = FaultPlan().corrupt(shard=0, attempt=0, detail="alien-item")
+        result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
+        assert result.fired == BASELINE
+        assert result.stats.compile_time == 0.0
+        assert result.stats.match_time == pytest.approx(N_WORKERS * STEP)
 
     def test_crash_retry_timing_matches_healthy_run(self):
-        # Crashes never execute the shard at all; with VirtualSleeper the
-        # backoff is virtual too, so the CPU totals match a healthy run.
+        # Crashes never execute the shard at all (shard 1 lowers instead);
+        # with VirtualSleeper the backoff is virtual too, so the CPU
+        # totals match a healthy run.
         plan = FaultPlan().crash(shard=0, attempt=0)
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.fired == BASELINE
-        assert result.stats.prepare_time == pytest.approx(self.expected_prepare())
-        assert result.stats.match_time == pytest.approx(self.expected_match())
+        self.assert_healthy_totals(result)
 
     def test_skipped_shard_contributes_no_time(self):
         # Shard 2 fails all attempts: its work is dropped, so the merged
-        # prepare total is one shard short (plus the driver pass).
+        # match total is one shard short.
         plan = FaultPlan().crash(shard=2)
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.degraded and result.skipped_shards == [2]
-        assert result.stats.prepare_time == pytest.approx(N_WORKERS * STEP)
+        assert result.stats.prepare_time == pytest.approx(STEP)
         assert result.stats.match_time == pytest.approx((N_WORKERS - 1) * STEP)
         skipped = [r for r in result.reports if not r.ok]
-        assert skipped[0].prepare_time == 0.0
         assert skipped[0].match_time == 0.0
+        assert skipped[0].wall_time == 0.0
 
     def test_driver_owns_wall_time(self):
         # wall_time is the driver's elapsed clock, not the sum of shard
