@@ -115,6 +115,11 @@ class JsonlAppender:
         if self._fsync:
             os.fsync(self._handle.fileno())
 
+    def offset(self) -> int:
+        """Byte length of the file including every acknowledged append."""
+        self._handle.flush()
+        return self._handle.tell()
+
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.flush()
@@ -156,6 +161,18 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
     return scan_jsonl(path)[0]
 
 
+def iter_jsonl_lines(path: str) -> Iterator[bytes]:
+    """Complete, non-empty lines of a JSONL file, one at a time: the
+    :func:`scan_jsonl` contract (trailing bytes without a newline are a
+    torn append and end the iteration) without holding the file."""
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                return
+            if len(line) > 1:
+                yield line
+
+
 def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Iterate complete records of a JSONL file."""
-    yield from read_jsonl(path)
+    """Iterate complete records of a JSONL file, decoding line by line."""
+    return map(json.loads, iter_jsonl_lines(path))

@@ -75,7 +75,9 @@ class MatchStore:
     ``generation`` bumps on every mutation; the per-rule / per-item
     counters record how many times that row/column has been (re)computed —
     the audit trail tests use to prove a delta did not touch the rest of
-    the store.
+    the store. All three are process-local audit counters, not durable
+    state: a resumed service rebuilds the pairs from its logs
+    (:meth:`IncrementalExecutor.restore_items`) and the counters restart.
     """
 
     def __init__(self) -> None:
@@ -189,35 +191,6 @@ class MatchStore:
             row.discard(rule_id)
             if not row:
                 del self._by_item[item_id]
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the full store (pairs + generations)."""
-        return {
-            "by_rule": {
-                rule_id: sorted(item_ids)
-                for rule_id, item_ids in sorted(self._by_rule.items())
-            },
-            "rule_generation": dict(sorted(self._rule_generation.items())),
-            "item_generation": dict(sorted(self._item_generation.items())),
-            "generation": self.generation,
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot verbatim.
-
-        Generations are restored as-is (no bumps): a resumed store is
-        indistinguishable from the one that was checkpointed.
-        """
-        self._by_item.clear()
-        self._by_rule.clear()
-        for rule_id, item_ids in state["by_rule"].items():
-            for item_id in item_ids:
-                self._record_pair(rule_id, item_id)
-        self._rule_generation = dict(state["rule_generation"])
-        self._item_generation = dict(state["item_generation"])
-        self.generation = state["generation"]
 
     # -- reads --------------------------------------------------------------------
 
@@ -490,51 +463,45 @@ class IncrementalExecutor:
             self._finish("refresh", op, started)
         return self.fired_map(), op
 
-    # -- checkpointing ------------------------------------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """JSON-safe operational state for a durable-service checkpoint.
-
-        Covers the materialized matches and generation counters. Rules and
-        items are *not* embedded: the service layer rebuilds rules
-        deterministically and journals raw item records separately (see
-        ``repro.service.checkpoint``), then calls :meth:`restore_items` +
-        :meth:`restore_state`.
-        """
-        return {"store": self.store.state_dict()}
+    # -- resume -------------------------------------------------------------------
 
     def restore_items(self, items: Iterable[ItemLike]) -> int:
-        """Re-admit previously-evaluated items without re-evaluating them.
+        """Re-derive the view over previously-admitted items, silently.
 
-        Prepares and indexes each item (so future rule-side deltas see the
-        full corpus) but performs no rule matching and no store writes —
-        the matches arrive verbatim via :meth:`restore_state`.
+        The resume half of :meth:`add_items`: each item is prepared,
+        indexed and matched against the current rule base and its row is
+        written to the store (a re-listing discards the old row first) —
+        but ``stats``, the monitor, metrics and spans see nothing, because
+        an uninterrupted run observed these items once already. The
+        fired-map memo is then primed without the observe hook for the
+        same reason: the checkpoint was taken at a batch boundary where
+        that snapshot had already been materialized and observed. Consumes
+        ``items`` lazily; returns how many it admitted.
         """
         count = 0
         for item in items:
             prepared = prepare_cached(item, self.prepared_cache).warm(anchors=True)
+            if prepared.item_id in self._data_index:
+                self.store.discard_item(prepared.item_id)
             self._data_index.add(prepared.item)
+            hits, _ = self._compiled.match_item(prepared)
+            self.store.set_item_matches(prepared.item_id, hits)
             count += 1
+        self._materialize(self._enabled_ids())
         return count
 
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Load an :meth:`export_state` snapshot and re-prime the memo.
+    # -- reads --------------------------------------------------------------------
 
-        The fired-map memo is rebuilt directly from the restored store
-        (bypassing the observability hook): the checkpoint was taken at a
-        batch boundary where the snapshot had already been materialized
-        and observed, so re-observing here would double-feed the health
-        tracker relative to an uninterrupted run.
-        """
-        self.store.load_state(state["store"])
-        enabled = frozenset(
+    def _enabled_ids(self) -> FrozenSet[str]:
+        return frozenset(
             rule_id for rule_id, rule in self._rules.items() if rule.enabled
         )
+
+    def _materialize(self, enabled: FrozenSet[str]) -> None:
+        """Rebuild the fired-map memo for the current store generation."""
         self._snapshot = self.store.fired_map(enabled)
         self._snapshot_generation = self.store.generation
         self._snapshot_enabled = enabled
-
-    # -- reads --------------------------------------------------------------------
 
     def fired_map(self) -> Dict[str, List[str]]:
         """The current materialized fired map (enabled rules only).
@@ -545,9 +512,7 @@ class IncrementalExecutor:
         ``(store generation, enabled-rule set)`` — repeated reads between
         deltas are cache hits. Treat the returned dict as read-only.
         """
-        enabled = frozenset(
-            rule_id for rule_id, rule in self._rules.items() if rule.enabled
-        )
+        enabled = self._enabled_ids()
         if (
             self._snapshot is not None
             and self._snapshot_generation == self.store.generation
@@ -556,9 +521,7 @@ class IncrementalExecutor:
             self.stats.cache_hits += 1
             return self._snapshot
         self.stats.cache_misses += 1
-        self._snapshot = self.store.fired_map(enabled)
-        self._snapshot_generation = self.store.generation
-        self._snapshot_enabled = enabled
+        self._materialize(enabled)
         # Provenance hook: each freshly materialized snapshot is one
         # observation of "which rules fire where" — mirror it into
         # metrics and (when attached) the rule-health windows. Strictly

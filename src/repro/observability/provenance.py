@@ -495,17 +495,23 @@ class ProvenanceLog:
         mid-append — is ignored), refills the ring with the last
         ``capacity`` records, and restores the seq/total/evicted counters
         to exactly what a live log that spooled those records would hold.
-        Replayed records are *not* re-spooled.
+        Only those last ``capacity`` lines are decoded; the counters come
+        from the line count and (a spool is written in seq order) the
+        newest seq. Replayed records are *not* re-spooled.
         """
-        from repro.core.durability import scan_jsonl
+        from repro.core.durability import iter_jsonl_lines
 
-        payloads, _torn = scan_jsonl(spool)
-        records = [ProvenanceRecord.from_dict(payload) for payload in payloads]
+        tail: Deque[bytes] = deque(maxlen=capacity)
+        total = 0
+        for line in iter_jsonl_lines(spool):
+            tail.append(line)
+            total += 1
+        records = [ProvenanceRecord.from_dict(json.loads(line)) for line in tail]
         log = cls(capacity=capacity, spool=spool, on_evict=on_evict, spool_all=True)
-        log.total_records = len(records)
-        log.evicted_records = max(0, len(records) - capacity)
+        log.total_records = total
+        log.evicted_records = total - len(records)
         log._seq = max((record.seq for record in records), default=0)
-        for record in records[-capacity:]:
+        for record in records:
             log._records.append(record)
             bucket = log._by_item.get(record.item_id)
             if bucket is None:

@@ -262,10 +262,16 @@ class RuleRepository:
             raise UnknownRuleError(f"{rule_id}@{revision}") from None
 
     def materialize(self, namespace: str) -> RuleSet:
-        """Build a fresh :class:`RuleSet` of the namespace's live state."""
+        """Build a fresh :class:`RuleSet` of the namespace's live state.
+
+        Rules come back in the bound set's evaluation order — the fold
+        keeps ``state.rules`` in it (an add appends, a replace keeps its
+        place, a remove deletes) — because that order breaks equal-weight
+        vote ties in :meth:`RuleSet.apply`.
+        """
         state = self._ns(namespace)
         ruleset = RuleSet(name=namespace)
-        for rule_id in sorted(state.rules):
+        for rule_id in state.rules:
             payload = dict(state.rules[rule_id])
             payload["enabled"] = state.enabled[rule_id]
             ruleset.add(rule_from_dict(payload))

@@ -4,8 +4,9 @@ ROADMAP item 1's "never-ending session" made durable: a long-running
 daemon (:class:`StreamService`) follows a
 :class:`~repro.catalog.batches.BatchStream` continuously through the
 Chimera pipeline on the :class:`~repro.execution.incremental.IncrementalExecutor`,
-checkpointing its full operational state after every batch so a
-crash-killed process resumes byte-identical to an uninterrupted run. On
+logging what happened and checkpointing what no log determines after
+every batch, so a crash-killed process resumes byte-identical to an
+uninterrupted run. On
 top sits a metrics time-series layer, a dependency-free HTTP console
 (``repro serve``) and a text dashboard (``repro dashboard``). See
 DESIGN.md §15.

@@ -2,16 +2,21 @@
 
 The daemon's recovery contract is *byte identity*: a process SIGKILL'd at
 any instant must resume and produce exactly the bytes an uninterrupted
-run would have. Two write disciplines (both from
-:mod:`repro.core.durability`) make that hold:
+run would have. One rule divides the state between two write disciplines
+(both from :mod:`repro.core.durability`): **logs hold what happened, the
+checkpoint holds only what no log determines.**
 
-* ``checkpoint.json`` — the full operational snapshot, atomically
-  replaced after every batch. A crash leaves either the previous
-  checkpoint or the new one, never a torn mix.
 * ``batches.jsonl`` — an append-only journal of every batch the daemon
-  ingested (one fsync'd line per batch, items inlined). On resume the
-  journal replays the *prepared-item corpus* into the incremental
-  executor without re-running classification.
+  ingested (one fsync'd line per batch, items inlined). With the rule
+  repository's ``repo/changelog.jsonl`` it determines the incremental
+  executor's match store, which is therefore never written down: resume
+  streams the journal back through the engine and rebuilds it.
+* ``checkpoint.json`` — atomically replaced after every batch (a crash
+  leaves the previous checkpoint or the new one, never a torn mix): RNG
+  streams, clock, health windows, incidents, metrics, the logs' byte
+  offsets, the digest-chain head and the one chain link
+  (``prev_digest_chain``, ``last_batch_id``) that lets resume verify the
+  view it re-derived. O(rules + incidents); flat in items served.
 
 The checkpoint records the journal's **byte offset** at snapshot time
 (likewise for the provenance spool and the metric series). Anything past
@@ -24,17 +29,18 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from repro.core.durability import (
     JsonlAppender,
     atomic_write_json,
     fsync_dir,
-    scan_jsonl,
+    iter_jsonl,
 )
 
-#: Bumped when the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bumped when the checkpoint layout changes incompatibly. Version 1
+#: embedded the executor's match store; version 2 re-derives it.
+CHECKPOINT_VERSION = 2
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"
@@ -77,7 +83,7 @@ class CheckpointStore:
 
     Layout under ``root``::
 
-        checkpoint.json    atomic full snapshot (one per batch)
+        checkpoint.json    what no log determines (atomic, one per batch)
         batches.jsonl      append-only batch journal (items inlined)
         provenance.jsonl   provenance spool (spool-all mode)
         series.jsonl       metric time-series samples
@@ -98,8 +104,9 @@ class CheckpointStore:
     # -- checkpoint document -----------------------------------------------------
 
     def save(self, state: Dict[str, Any]) -> None:
-        """Atomically replace the checkpoint document."""
-        atomic_write_json(self.checkpoint_path, state)
+        """Atomically replace the checkpoint document (compact JSON, so
+        the C encoder runs; readers only ever ``json.load`` it)."""
+        atomic_write_json(self.checkpoint_path, state, indent=None)
 
     def load(self) -> Optional[Dict[str, Any]]:
         """The last durable checkpoint, or ``None`` on a fresh root."""
@@ -126,19 +133,17 @@ class CheckpointStore:
     def journal_offset(self) -> int:
         """Current durable byte length of the batch journal."""
         if self._journal is not None:
-            handle = self._journal._handle
-            handle.flush()
-            return handle.tell()
+            return self._journal.offset()
         if os.path.exists(self.journal_path):
             return os.path.getsize(self.journal_path)
         return 0
 
-    def read_journal(self) -> List[Dict[str, Any]]:
-        """Every complete journal record (torn trailing bytes ignored)."""
+    def read_journal(self) -> Iterator[Dict[str, Any]]:
+        """Every complete journal record, decoded one line at a time
+        (torn trailing bytes ignored)."""
         if not os.path.exists(self.journal_path):
-            return []
-        records, _torn = scan_jsonl(self.journal_path)
-        return records
+            return iter(())
+        return iter_jsonl(self.journal_path)
 
     # -- resume rollback ---------------------------------------------------------
 

@@ -3,27 +3,33 @@
 :class:`StreamService` is the paper's §2.2 "never ending" deployment made
 restartable: it follows a :class:`~repro.catalog.batches.BatchStream`
 continuously through the Chimera pipeline on the
-:class:`~repro.execution.incremental.IncrementalExecutor` and checkpoints
-its *entire* operational state after every batch — MatchStore
-generations, rule-repository head, :class:`RuleHealthTracker` windows,
-the incident log, the provenance spool offset, every RNG stream, and the
-simulated clock. Kill the process at any instant (SIGKILL, power cut,
-torn write) and a resumed instance continues **byte-identical** to an
-uninterrupted run: same fired-map digest chain, same health windows,
-same incident log.
+:class:`~repro.execution.incremental.IncrementalExecutor`. Kill the
+process at any instant (SIGKILL, power cut, torn write) and a resumed
+instance continues **byte-identical** to an uninterrupted run: same
+fired-map digest chain, same health windows, same incident log.
 
-Recovery strategy — deterministic re-execution plus verbatim state:
+One rule decides where each piece of state lives: **logs hold what
+happened; the checkpoint holds only what no log determines, plus the
+link that lets resume verify what it re-derives.**
 
-* Cheap derived state (taxonomy, classifiers, training, the analyst's
-  startup rules) is *re-derived* by replaying the seeded startup path.
-  On resume the analyst's rule draws are discarded (they only keep its
-  RNG in lockstep); the rule repository — pinned at the checkpointed
-  change-log seq — is the source of truth for rules and enabled flags.
-* Stream/generator RNGs, the clock, health windows, incidents, and the
-  executor's match store are restored *verbatim* from the checkpoint.
-* Append-only files (batch journal, provenance spool, metric series)
-  are rolled back to the checkpointed byte offsets, so a crashed run's
-  unacknowledged tail is regenerated identically instead of duplicated.
+* Logs (append-only, fsync'd): the batch journal (every item), the rule
+  repository's change log (every rule change), the provenance spool, the
+  metric series. Resume rolls them back to the checkpointed byte offsets
+  / change-log seq, so a crashed run's unacknowledged tail is regenerated
+  identically instead of duplicated.
+* Re-derived on resume: taxonomy, classifiers and training by replaying
+  the seeded startup path (the analyst's rule draws only keep its RNG in
+  lockstep — the pinned repository is the source of truth for rules and
+  enabled flags), and the executor's match store, a materialized view
+  over journal × change log, by streaming the journal back through the
+  engine (``restore_items``). Its per-item / per-rule generation counters
+  are process-local audit counters, not durable state.
+* Checkpointed after every batch, O(rules + incidents) and flat in items
+  served: every RNG stream, the simulated clock, :class:`RuleHealthTracker`
+  windows, incidents, metrics, the logs' offsets, the digest-chain head —
+  and the chain value before the last batch with that batch's id, from
+  which resume recomputes the last link over the rebuilt fired map and
+  refuses to start if it is not the checkpointed head.
 
 Wall-clock metrics (span latency histograms, per-batch ``wall_ms``) are
 operational telemetry and explicitly *outside* the identity contract.
@@ -64,6 +70,8 @@ from repro.utils.clock import SimClock
 GENESIS_DIGEST = hashlib.sha256(b"repro-service-genesis").hexdigest()
 
 _SERVICE_STAGES = ("rule-based", "attr-value", "filter")
+#: The stage whose fired map the incremental executor maintains.
+_TRACKED_STAGE = "rule-based"
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,16 @@ class ServiceConfig:
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _chain_link(previous: str, batch_id: str, fired: Dict[str, List[str]]) -> str:
+    """One digest-chain step: sha256 over the previous value, the batch id
+    and the canonical JSON of the whole fired map after that batch."""
+    payload = json.dumps(
+        {item: list(rules) for item, rules in fired.items()},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256((previous + batch_id + payload).encode("utf-8")).hexdigest()
 
 
 # -- JSON codecs for the checkpoint document --------------------------------------
@@ -182,6 +200,8 @@ class StreamService:
         self.config = config if config is not None else ServiceConfig()
         self.ordinal = 0
         self.digest_chain = GENESIS_DIGEST
+        self._prev_digest_chain = GENESIS_DIGEST
+        self._last_batch_id = ""
         self.totals: Dict[str, int] = {
             "items": 0, "classified": 0, "declined": 0, "rejected": 0,
         }
@@ -316,7 +336,7 @@ class StreamService:
         )
         self.tracker.on_alert.append(self._on_alert)
         self.incremental = self.chimera.track_fired_map(
-            "rule-based", batch_stream=self.stream
+            _TRACKED_STAGE, batch_stream=self.stream
         )
 
     def _fresh(self) -> None:
@@ -414,20 +434,34 @@ class StreamService:
 
         self._finish_wiring()
 
-        # 9. Incremental executor: re-admit the journalled corpus (prepare
-        #    + index only — no re-evaluation), then load the match store
-        #    verbatim and re-prime the fired-map memo.
-        items = [
+        # 9. Incremental executor: stream the journalled corpus back
+        #    through the engine. The match store is a view over journal ×
+        #    rules, so it is rebuilt rather than loaded — and then proved:
+        #    the last chain link recomputed from the rebuilt fired map
+        #    must equal the checkpointed head.
+        self.incremental.restore_items(
             _item_from_dict(payload)
             for record in self.store.read_journal()
             for payload in record["items"]
-        ]
-        self.incremental.restore_items(items)
-        self.incremental.restore_state(state["executor"])
-
-        # 10. Run counters and telemetry stores.
+        )
         self.ordinal = int(state["ordinal"])
         self.digest_chain = str(state["digest_chain"])
+        self._prev_digest_chain = str(state["prev_digest_chain"])
+        self._last_batch_id = str(state["last_batch_id"])
+        if self.ordinal:
+            rederived = _chain_link(
+                self._prev_digest_chain, self._last_batch_id,
+                self.incremental.fired_map(),
+            )
+            if rederived != self.digest_chain:
+                raise ValueError(
+                    f"digest mismatch at ordinal {self.ordinal}: the fired map "
+                    f"rebuilt from the journal and change log chains to "
+                    f"{rederived}, the checkpoint recorded {self.digest_chain} "
+                    f"— the logs and the checkpoint no longer agree"
+                )
+
+        # 10. Run counters and telemetry stores.
         self.totals = {key: int(value) for key, value in state["totals"].items()}
         self.series = SeriesStore(
             self.store.series_path, window=cfg.series_window, fsync=self.fsync
@@ -457,13 +491,9 @@ class StreamService:
         result = self.chimera.classify_batch(batch.items, batch_id=batch.batch_id)
         self.crash_plan.reached("classified")
         fired = self.incremental.fired_map()
-        payload = json.dumps(
-            {item: list(rules) for item, rules in fired.items()},
-            sort_keys=True, separators=(",", ":"),
-        )
-        self.digest_chain = hashlib.sha256(
-            (self.digest_chain + batch.batch_id + payload).encode("utf-8")
-        ).hexdigest()
+        self._prev_digest_chain = self.digest_chain
+        self._last_batch_id = batch.batch_id
+        self.digest_chain = _chain_link(self.digest_chain, batch.batch_id, fired)
         self.totals["items"] += len(batch.items)
         self.totals["classified"] += len(result.classified_pairs)
         self.totals["declined"] += len(result.declined)
@@ -525,6 +555,9 @@ class StreamService:
             "config": self.config.to_dict(),
             "ordinal": self.ordinal,
             "digest_chain": self.digest_chain,
+            # The link resume re-derives to verify its rebuilt view.
+            "prev_digest_chain": self._prev_digest_chain,
+            "last_batch_id": self._last_batch_id,
             "clock_now": self.clock.now,
             "stream": {
                 "rng": _rng_dump(self.stream.rng),
@@ -543,7 +576,6 @@ class StreamService:
                 "series": self.series.offset(),
             },
             "repo_head_seq": self._repo_head_seq(),
-            "executor": self.incremental.export_state(),
             "tracker": self.tracker.state_dict(),
             "incidents": [
                 _incident_to_dict(incident) for incident in self.manager.incidents
@@ -627,10 +659,13 @@ class StreamService:
         health = self.tracker.report().get(rule_id)
         if stage_name is None and health is None:
             return None
-        fired_items = sorted(
-            item
-            for item, rules in self.incremental.fired_map().items()
-            if rule_id in rules
+        # Handler threads call this: read one store column, never
+        # fired_map() — a memo miss there rebuilds the O(items) snapshot,
+        # writes the memo and feeds the observe hook, racing the batch loop.
+        fired_items = (
+            self.incremental.fired_for_rule(rule_id)
+            if enabled and stage_name == _TRACKED_STAGE
+            else []
         )
         return {
             "rule_id": rule_id,

@@ -10,10 +10,15 @@ frameworks, and an operations read-path doesn't need one. Endpoints:
 * ``GET /series``      — recent metric samples (``?n=`` bounds the tail)
 
 All responses are JSON. The server runs on a daemon thread
-(:class:`ThreadingHTTPServer`); handlers only *read* service state, and
-every view method builds a fresh document, so a request racing the batch
-loop sees a consistent-enough operational snapshot (the identity
-contract lives in the checkpoint, not here).
+(:class:`ThreadingHTTPServer`) and its handlers run on request threads,
+unlocked, beside the batch loop. They must therefore call nothing that
+writes: every view method builds a fresh document from plain reads, and
+``/rules/<id>`` reads the rule's one match-store column rather than
+``fired_map()`` (whose memo miss rebuilds the snapshot, stores it and
+feeds the observe hook). A request racing the batch loop sees a
+consistent-enough operational snapshot — or, if a container it iterates
+changes size under it, answers 500 — and never perturbs the run (the
+identity contract lives in the logs and the checkpoint, not here).
 """
 
 from __future__ import annotations

@@ -45,9 +45,7 @@ class SeriesStore:
 
     def offset(self) -> int:
         """Current durable byte length of the series file."""
-        handle = self._appender._handle
-        handle.flush()
-        return handle.tell()
+        return self._appender.offset()
 
     def tail(self, count: int = 60) -> List[Dict[str, Any]]:
         """The most recent ``count`` samples, oldest first."""

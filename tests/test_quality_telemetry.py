@@ -14,8 +14,11 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chimera import Chimera
 from repro.chimera.incidents import IncidentManager
@@ -285,6 +288,53 @@ class TestProvenanceLog:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ProvenanceLog(capacity=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        item_ids=st.lists(st.sampled_from("abcde"), max_size=24),
+        capacity=st.integers(min_value=1, max_value=12),
+        torn=st.sampled_from(("", '{"seq": 99, "item_id": "to', "\n")),
+    )
+    def test_replay_decodes_only_the_tail_yet_equals_full_decode(
+        self, item_ids, capacity, torn, tmp_path_factory
+    ):
+        """``replay`` decodes the last ``capacity`` lines and counts the
+        rest; the log it returns — ring, by-item index, counters — is the
+        one a full decode builds, and the one the live log held, for
+        spools shorter than, equal to and longer than ``capacity``."""
+        spool = str(tmp_path_factory.mktemp("replay") / "spool.jsonl")
+        live = ProvenanceLog(capacity=capacity, spool=spool, spool_all=True)
+        for index, item_id in enumerate(item_ids):
+            live.record(make_record(
+                item_id, "rings", batch_id=f"b{index // 5}",
+                stages=(rule_trace("rule-based", ("r1",), "rings"),),
+            ))
+        live.close()
+        with open(spool, "a") as handle:
+            handle.write(torn)  # a crash mid-append; "\n" is a blank line
+
+        def surface(log):
+            return (
+                log.records,
+                {item: list(bucket) for item, bucket in log._by_item.items()},
+                (log.total_records, log.evicted_records, log._seq),
+            )
+
+        # The replaced implementation: decode every complete line, keep the tail.
+        with open(spool) as handle:
+            complete = handle.readlines()[: len(item_ids)]
+        decoded = ProvenanceLog.read_jsonl(io.StringIO("".join(complete)))
+        full = ProvenanceLog(capacity=capacity, spool=spool, spool_all=True)
+        full.total_records = len(decoded)
+        full.evicted_records = max(0, len(decoded) - capacity)
+        full._seq = max((record.seq for record in decoded), default=0)
+        for record in decoded[-capacity:]:
+            full._records.append(record)
+            full._by_item.setdefault(record.item_id, deque()).append(record)
+
+        replayed = ProvenanceLog.replay(spool, capacity=capacity)
+        assert surface(replayed) == surface(full) == surface(live)
+        assert len(replayed) == min(len(item_ids), capacity)
 
 
 # ---------------------------------------------------------------------------

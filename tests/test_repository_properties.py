@@ -20,6 +20,7 @@ from repro.core.durability import (
     JsonlAppender,
     atomic_write_json,
     atomic_write_text,
+    iter_jsonl,
     read_jsonl,
     scan_jsonl,
 )
@@ -116,6 +117,8 @@ class TestCrashDuringAppend:
             assert len(records) == complete
             assert [r["seq"] for r in records] == list(range(1, complete + 1))
             assert torn == cut - (boundaries[complete - 1] + 1 if complete else 0)
+            # The line-by-line reader stops at the same torn tail.
+            assert list(iter_jsonl(crashed)) == records
 
     def test_reopen_after_crash_continues_cleanly(self, tmp_path):
         """A ChangeLog reopened over a torn tail truncates it and appends
@@ -150,6 +153,25 @@ class TestCrashDuringAppend:
         with RuleRepository.open(root) as repo:
             assert repo.rule_ids("em") == acked
             assert repo.log.torn_bytes_repaired > 0
+
+    def test_iter_jsonl_is_lazy_and_skips_blank_lines(self, tmp_path):
+        path = str(tmp_path / "data.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b'{"i":1}\n\n{"i":2}\nnot json\n{"i":3}\n')
+        records = iter_jsonl(path)
+        assert [next(records)["i"], next(records)["i"]] == [1, 2]
+        with pytest.raises(ValueError):  # decoded only when reached
+            next(records)
+
+    def test_appender_offset_counts_acknowledged_bytes(self, tmp_path):
+        path = str(tmp_path / "data.jsonl")
+        with JsonlAppender(path, fsync=False) as appender:
+            assert appender.offset() == 0
+            appender.append({"i": 1})
+            assert appender.offset() == os.path.getsize(path) == len(b'{"i":1}\n')
+        with JsonlAppender(path, fsync=False) as appender:  # reopen: append mode
+            appender.append({"i": 2})
+            assert appender.offset() == os.path.getsize(path)
 
     def test_appender_records_are_one_line_each(self, tmp_path):
         path = str(tmp_path / "data.jsonl")

@@ -222,6 +222,69 @@ class TestHttpConsole:
         assert status == 200 and "/health" in doc["endpoints"]
 
 
+class _RequestAtBarrier:
+    """A crash plan that never crashes: at ``point`` it issues one console
+    request and waits for the reply, so the handler thread runs while the
+    batch loop stands between ``next_batch()`` and its own fired-map read."""
+
+    def __init__(self, point: str):
+        self.point = point
+        self.url = None
+        self.replies = []
+
+    def reached(self, point: str) -> None:
+        if point == self.point and self.url is not None:
+            self.replies.append(_get(self.url))
+
+
+class TestConsoleLeavesEngineStateAlone:
+    """``GET /rules/<id>`` mid-batch: the handler used to call
+    ``fired_map()``, whose memo miss rebuilt the snapshot, stored it and fed
+    the observe hook from the request thread."""
+
+    RULE = "svc-wl-0007"
+
+    def _run(self, root: str, request: bool):
+        plan = _RequestAtBarrier("journal-appended")
+        service = StreamService(root, fsync=False, crash_plan=plan)
+        with service, ServiceHttpServer(service) as server:
+            service.run_to(2)
+            if request:
+                plan.url = f"{server.url}/rules/{self.RULE}"
+            service.run_to(4)
+            stats = service.incremental.stats
+            return plan.replies, {
+                "memo": (stats.cache_hits, stats.cache_misses),
+                "fired_counters": {
+                    key: value
+                    for key, value in service.obs.metrics.snapshot()["counters"].items()
+                    if key.startswith("rule_fired_total")
+                },
+                "tracker": service.tracker.state_dict(),
+                "identity": service.identity_json(),
+            }
+
+    def test_mid_batch_request_changes_nothing(self, tmp_path):
+        replies, with_request = self._run(str(tmp_path / "a"), request=True)
+        _, without = self._run(str(tmp_path / "b"), request=False)
+        assert [status for status, _ in replies] == [200, 200]
+        assert with_request == without
+
+    def test_rule_view_document(self, tmp_path):
+        """Same document as the fired-map scan it replaced: sorted items of
+        an enabled tracked rule, nothing for a disabled one."""
+        with StreamService(str(tmp_path / "run"), fsync=False) as service:
+            service.run_to(3)
+            fired = service.incremental.fired_map()
+            expected = sorted(i for i, rules in fired.items() if self.RULE in rules)
+            view = service.rule_view(self.RULE)
+            assert expected and view["fired_items"] == expected
+            assert view["fired_count"] == len(expected)
+            service.chimera.rule_stage.rules.disable(self.RULE)
+            view = service.rule_view(self.RULE)
+            assert view["enabled"] is False and view["fired_items"] == []
+
+
 class TestDashboard:
     def test_renders_from_disk(self, live_service):
         text = render_dashboard(live_service.root)

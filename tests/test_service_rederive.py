@@ -1,0 +1,274 @@
+"""Resume re-derives the match store from the logs — and proves it.
+
+Since checkpoint v2 the executor's match store is not serialised: the
+batch journal and the repository change log determine it, so resume
+streams the journal back through the engine and then verifies the last
+digest-chain link against the rebuilt fired map. Here:
+
+* the rebuilt view equals the uninterrupted run's after *rule churn*
+  (repository-bound add / replace / disable / enable / remove and a
+  rollback), for a kill at any barrier of any batch — the kill matrix in
+  ``test_service_resume.py`` edits no rule except through incidents;
+* ``checkpoint.json`` is flat in the number of items served;
+* a root whose logs no longer determine the checkpointed chain head, or
+  whose checkpoint is the v1 layout, is refused loudly.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.service.checkpoint import CHECKPOINT_NAME, JOURNAL_NAME
+from repro.service.daemon import ServiceConfig, StreamService
+from repro.testing.faults import CrashPlan, SimulatedCrash
+
+BATCHES = 6
+#: Startup rules that fire on 18-31 of the default config's first 766
+#: items, so every edit below moves pairs (``churn_reference`` checks).
+BUSY_RULES = (
+    "svc-wl-0104", "svc-wl-0112", "svc-wl-0110",
+    "svc-wl-0007", "svc-wl-0081", "svc-wl-0073",
+)
+CRASH_POINTS = (
+    "journal-appended",
+    "classified",
+    "before-checkpoint",
+    "after-checkpoint",
+)
+
+
+def _clone(donor, rule_id: str, enabled: bool = True):
+    rule = copy.copy(donor)
+    rule.rule_id = rule_id
+    rule.enabled = enabled
+    return rule
+
+
+def _edits_before(service: StreamService, ordinal: int) -> None:
+    """The churn script, keyed by the batch it precedes.
+
+    Every edit goes through the repository-bound rule set, so it lands in
+    ``repo/changelog.jsonl``. An edit made after the last checkpoint dies
+    with a killed run (the repository is pinned at the checkpointed seq)
+    and is re-applied here by the resumed driver, like the batch itself.
+    """
+    rules = service.chimera.rule_stage.rules
+    a, b, c, d, e, f = BUSY_RULES
+    if ordinal == 2:
+        rules.add(_clone(rules.get(a), "churn-add-1"))
+        rules.disable(b)
+    elif ordinal == 3:
+        service.repository.snapshot("mid")
+        rules.replace(_clone(rules.get(d), c))
+    elif ordinal == 4:
+        rules.enable(b)
+        rules.disable(e)
+        rules.remove("churn-add-1")
+        rules.add(_clone(rules.get(f), "churn-add-2"))
+    elif ordinal == 5:
+        service.repository.rollback("mid")
+    elif ordinal == 6:
+        rules.disable(f)
+
+
+def _drive(root: str, plan: CrashPlan = None) -> StreamService:
+    """Run the churn script to ``BATCHES``; a fired plan leaves the
+    service as a SIGKILL would (handles released, nothing flushed)."""
+    service = StreamService(root, fsync=False, crash_plan=plan)
+    try:
+        service.start()
+        while service.ordinal < BATCHES:
+            _edits_before(service, service.ordinal + 1)
+            service.process_batch()
+    except SimulatedCrash:
+        service.store.close()
+        service.series.close()
+        service.provenance.close()
+        service.repository.log.close()
+        return None
+    return service
+
+
+def _view(service: StreamService) -> dict:
+    rules = service.chimera.rule_stage.rules
+    return {
+        "fired": service.incremental.fired_map(),
+        "pairs": set(service.incremental.store.pairs()),
+        "disabled": {rule.rule_id for rule in rules if not rule.enabled},
+        "identity": service.identity_json(),
+    }
+
+
+@pytest.fixture(scope="module")
+def churn_reference(tmp_path_factory) -> dict:
+    service = _drive(str(tmp_path_factory.mktemp("churn-ref") / "run"))
+    view = _view(service)
+    service.close()
+    # The script is not vacuous: a disabled rule still holds condition-truth
+    # pairs in the store, and the rollback re-added the removed rule.
+    columns = {rule_id for rule_id, _ in view["pairs"]}
+    assert columns & view["disabled"]
+    assert "churn-add-1" in columns and "churn-add-2" not in columns
+    return view
+
+
+class TestResumeAfterRuleChurn:
+    @given(
+        crash_at=st.sampled_from(CRASH_POINTS),
+        on_hit=st.integers(min_value=1, max_value=BATCHES),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_rederived_view_equals_uninterrupted(
+        self, crash_at, on_hit, churn_reference, tmp_path_factory
+    ):
+        root = str(tmp_path_factory.mktemp("churn-kill") / f"{crash_at}-{on_hit}")
+        assert _drive(root, CrashPlan(crash_at=crash_at, on_hit=on_hit)) is None
+        resumed = _drive(root)
+        try:
+            assert resumed.resumed
+            view = _view(resumed)
+        finally:
+            resumed.close()
+        assert view["fired"] == churn_reference["fired"]
+        assert view["pairs"] == churn_reference["pairs"]
+        assert view["identity"] == churn_reference["identity"]
+
+    def test_resume_feeds_no_telemetry(self, tmp_path):
+        """Re-derivation is silent: item-side metrics and the health
+        windows come back exactly as checkpointed, and the digest check's
+        read is a memo hit. (Building the executor re-adds the rule base
+        on every start, as it always did: one ``add_rules`` op.)"""
+        rule_side = (
+            "exec_delta_rules_total{executor=incremental}",
+            "exec_runs_total{executor=incremental}",
+            "incremental_ops_total{op=add_rules}",
+        )
+
+        def counters(service):
+            snapshot = service.obs.metrics.snapshot()["counters"]
+            return {k: v for k, v in snapshot.items() if k not in rule_side}
+
+        root = str(tmp_path / "run")
+        service = StreamService(root, fsync=False).start()
+        service.run_to(3)
+        before, tracker = counters(service), service.tracker.state_dict()
+        service.close()
+        resumed = StreamService(root, fsync=False).start()
+        try:
+            assert counters(resumed) == before
+            assert resumed.tracker.state_dict() == tracker
+            stats = resumed.incremental.stats
+            assert (stats.items, stats.delta_items, stats.cache_misses) == (0, 0, 0)
+            assert resumed.incremental.item_count == resumed.totals["items"]
+        finally:
+            resumed.close()
+
+
+class TestFlatCheckpoint:
+    def test_size_does_not_grow_with_items(self, tmp_path):
+        """O(rules + incidents): 3N batches cost what N did (it grew
+        linearly while the match store was embedded)."""
+        root = str(tmp_path / "run")
+        path = os.path.join(root, CHECKPOINT_NAME)
+        config = ServiceConfig(quality_window=4)
+        n = 5
+        with StreamService(root, config=config, fsync=False) as service:
+            service.run_to(n)
+            early, early_items = os.path.getsize(path), service.totals["items"]
+            service.run_to(3 * n)
+            late, late_items = os.path.getsize(path), service.totals["items"]
+        assert late_items > 2 * early_items
+        assert late <= 1.25 * early, (early, late)
+        with open(path) as handle:
+            text = handle.read()
+        assert "executor" not in json.loads(text)
+        with open(os.path.join(root, JOURNAL_NAME)) as handle:
+            item_ids = [
+                item["item_id"]
+                for line in handle
+                for item in json.loads(line)["items"]
+            ]
+        assert len(item_ids) == late_items
+        assert not [item_id for item_id in item_ids if f'"{item_id}"' in text]
+
+
+class TestLoudRefusal:
+    @pytest.fixture()
+    def root(self, tmp_path) -> str:
+        root = str(tmp_path / "run")
+        with StreamService(root, fsync=False) as service:
+            service.run_to(3)
+            fired = service.incremental.fired_map()
+            self.fired_item = sorted(fired)[0]
+        return root
+
+    def _edit_checkpoint(self, root: str, **fields) -> None:
+        path = os.path.join(root, CHECKPOINT_NAME)
+        with open(path) as handle:
+            state = json.load(handle)
+        state.update(fields)
+        with open(path, "w") as handle:
+            json.dump(state, handle)
+
+    def _assert_refused(self, root: str, match: str) -> None:
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match=match):
+            service.start()
+        service.store.close()
+
+    def test_untampered_root_resumes(self, root):
+        with StreamService(root, fsync=False) as service:
+            assert service.resumed and service.ordinal == 3
+
+    def test_journal_altered_below_offset(self, root):
+        """Same byte length, so the offset check passes; but a rule stops
+        matching, so the rebuilt fired map no longer chains to the head."""
+        path = os.path.join(root, JOURNAL_NAME)
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        size = os.path.getsize(path)
+        for record in records:
+            for item in record["items"]:
+                if item["item_id"] == self.fired_item:
+                    item["title"] = "x" * len(item["title"])
+        with open(path, "w") as handle:
+            for record in records:
+                handle.write(
+                    json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                )
+        assert os.path.getsize(path) == size
+        self._assert_refused(root, "digest mismatch")
+
+    def test_change_log_altered_below_head(self, root):
+        """The other log: a rule that fired is recorded as added disabled."""
+        path = os.path.join(root, "repo", "changelog.jsonl")
+        with open(path) as handle:
+            text = handle.read()
+        enabled = '"rule":{"__enabled_at_add__":true,'
+        before, entry, after = text.partition(
+            next(line for line in text.splitlines() if '"pattern":"rugs?"' in line)
+        )
+        assert enabled in entry
+        with open(path, "w") as handle:
+            handle.write(before + entry.replace(enabled, enabled.replace("true", "false")) + after)
+        self._assert_refused(root, "digest mismatch")
+
+    def test_digest_chain_edited(self, root):
+        self._edit_checkpoint(root, digest_chain="0" * 64)
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match="digest mismatch") as excinfo:
+            service.start()
+        service.store.close()
+        # Both digests are named: the re-derived one and the recorded one.
+        assert "0" * 64 in str(excinfo.value)
+        assert str(excinfo.value).count("chains to") == 1
+
+    def test_v1_checkpoint_refused(self, root):
+        self._edit_checkpoint(root, version=1, executor={"store": {}})
+        self._assert_refused(root, "version 1 is not supported")
