@@ -1,36 +1,31 @@
-"""Sharded rule induction at catalog scale: identity + scaling curve.
+"""Rule induction at catalog scale: the miner against its reference.
 
 Induces rules over a procedurally scaled catalog (default: 100k labeled
-titles across 200+ types) with the serial §5.2 pipeline and with
-:class:`~repro.rulegen.parallel.ShardedRuleGenerator` at several worker
-counts, asserting that every sharded run produces a rule set identical to
-the serial one (same sequences, targets, supports, and confidences, in
-the same order — ids are auto-assigned and excluded), and writes
-``BENCH_rulegen.json`` with the wall-clock numbers and the shard-count
-scaling curve.
+titles across 200+ types) with :class:`~repro.rulegen.RuleGenerator`
+(weighted representative titles, interned token ids, vectorized L1-L3)
+and with :class:`~repro.rulegen.ReferenceRuleGenerator` (the §5.2
+pipeline row by row), asserts the two rule lists are identical (same
+sequences, targets, supports and confidences, in the same order — ids are
+auto-assigned and excluded) together with the stage counts, and writes
+``BENCH_rulegen.json`` with both wall clocks and the miner's phase split.
+
+The speedup it reports is algorithmic — deduplicated representative
+titles, a shared corpus index, vectorized low levels, selection before
+materialization — and single-threaded on both sides; ``cpu_count`` is
+recorded for the record, not because anything here scales with it.
 
 Honesty notes, recorded in the JSON:
 
-* ``cpu_count`` — on a single-core machine the speedup is algorithmic
-  (shared corpus index, deduplicated representative titles, positional
-  containment, candidate-superset merge with exact recount), not parallel
-  hardware; multi-core machines additionally get real process-pool
-  scaling via ``--processes``.
 * tokenization caches are cleared before every timed run, so neither
   series inherits the other's warm cache.
-* ``--repeats N`` times every configuration N times and keeps the best
-  wall clock — applied symmetrically to the serial baseline and every
-  sharded point, so scheduler noise can't flatter either side.
-* when the planner's CPU-aware cap keeps every type whole (single-core
-  machines), an extra ``forced_slicing`` entry pins
-  ``max_slices_per_type`` to the top worker count so the partition ->
-  merge -> exact-recount path is still exercised and identity-checked
-  at full scale.
+* ``--repeats N`` times both generators N times and keeps the best wall
+  clock of each, so scheduler noise can't flatter either side; the phase
+  split is the best miner run's.
 
 Usage:
     python benchmarks/bench_rulegen_parallel.py                  # full scale
     python benchmarks/bench_rulegen_parallel.py --items 10000 \
-        --extra-types 40 --workers 1,2 --out /tmp/BENCH_rulegen.json
+        --extra-types 40 --out /tmp/BENCH_rulegen.json
 """
 
 from __future__ import annotations
@@ -38,7 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import random
+import subprocess
 import sys
 import time
 
@@ -47,7 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from _report import emit  # noqa: E402
 from repro.catalog import build_seed_taxonomy, synthesize_types  # noqa: E402
 from repro.catalog.generator import CatalogGenerator  # noqa: E402
-from repro.rulegen import RuleGenerator, ShardedRuleGenerator  # noqa: E402
+from repro.rulegen import ReferenceRuleGenerator, RuleGenerator  # noqa: E402
 from repro.utils.text import clear_caches  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -68,40 +65,53 @@ def rule_payload(result):
     ]
 
 
+def stage_counts(result):
+    return {
+        "n_mined": result.n_mined,
+        "n_clean": result.n_clean,
+        "n_selected": result.n_selected,
+        "types_covered": result.types_covered,
+    }
+
+
+def git_state():
+    """(hash, src-dirty flag); (None, None) outside a git checkout."""
+    def git(*args):
+        return subprocess.run(
+            ("git", "-C", REPO_ROOT) + args,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    try:
+        return (git("rev-parse", "HEAD"),
+                bool(git("status", "--porcelain", "--", "src")))
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--items", type=int, default=100_000,
                         help="labeled training titles")
     parser.add_argument("--extra-types", type=int, default=180,
                         help="synthesized types on top of the seed taxonomy")
-    parser.add_argument("--workers", default="1,2,4,8",
-                        help="comma-separated worker counts for the curve")
-    parser.add_argument("--min-slice-rows", type=int, default=1024)
-    parser.add_argument("--local-support-factor", type=float, default=1.0)
-    parser.add_argument("--processes", action="store_true",
-                        help="use a real process pool for the sharded runs")
-    parser.add_argument("--seed", type=int, default=3,
-                        help="shard-partition seed")
     parser.add_argument("--repeats", type=int, default=1,
-                        help="time each configuration this many times and "
-                             "keep the best wall clock (cold caches every "
-                             "repeat, serial and sharded alike)")
+                        help="time each generator this many times and keep "
+                             "the best wall clock (cold caches every repeat)")
     parser.add_argument("--out", default=DEFAULT_OUT)
     args = parser.parse_args()
-    worker_counts = [int(w) for w in args.workers.split(",") if w]
     repeats = max(1, args.repeats)
 
-    def timed(run):
-        """Best-of-``repeats`` cold-cache wall clock for ``run()``."""
-        best_wall, result = None, None
+    def timed(generator):
+        """Best-of-``repeats`` cold-cache ``(wall, result)``."""
+        best_wall, best = None, None
         for _ in range(repeats):
             clear_caches()
             started = time.perf_counter()
-            result = run()
+            result = generator.generate(training)
             wall = time.perf_counter() - started
             if best_wall is None or wall < best_wall:
-                best_wall = wall
-        return best_wall, result
+                best_wall, best = wall, result
+        return best_wall, best
 
     taxonomy = build_seed_taxonomy()
     if args.extra_types:
@@ -113,123 +123,66 @@ def main() -> int:
     training = generator.generate_labeled(args.items)
     n_types = len({example.label for example in training})
 
-    serial_wall, serial = timed(
-        lambda: RuleGenerator(min_support=MIN_SUPPORT, q=QUOTA).generate(
-            training
-        )
+    reference_wall, reference = timed(
+        ReferenceRuleGenerator(min_support=MIN_SUPPORT, q=QUOTA)
     )
-    serial_key = rule_payload(serial)
+    miner_wall, mined = timed(RuleGenerator(min_support=MIN_SUPPORT, q=QUOTA))
+    identical = (
+        rule_payload(mined) == rule_payload(reference)
+        and stage_counts(mined) == stage_counts(reference)
+    )
+    speedup = round(reference_wall / miner_wall, 3) if miner_wall else 0.0
 
-    def sharded_point(n_workers, max_slices_per_type=None):
-        sharded_gen = ShardedRuleGenerator(
-            min_support=MIN_SUPPORT,
-            q=QUOTA,
-            n_workers=n_workers,
-            use_processes=args.processes,
-            local_support_factor=args.local_support_factor,
-            min_slice_rows=args.min_slice_rows,
-            max_slices_per_type=max_slices_per_type,
-            seed=args.seed,
-        )
-        wall, sharded = timed(lambda: sharded_gen.generate(training))
-        identical = (
-            rule_payload(sharded) == serial_key
-            and sharded.n_mined == serial.n_mined
-            and sharded.n_clean == serial.n_clean
-            and sharded.types_covered == serial.types_covered
-        )
-        return identical, {
-            "workers": n_workers,
-            "mode": sharded.mode,
-            "wall_seconds": round(wall, 4),
-            "speedup_vs_serial": round(serial_wall / wall, 3) if wall else 0.0,
-            "identical_to_serial": identical,
-            "n_tasks": sharded.n_tasks,
-            "n_shards": sharded.n_shards,
-            "n_sliced_types": sharded.n_sliced_types,
-            "n_recounted": sharded.n_recounted,
-            "phase_seconds": {
-                phase: round(seconds, 4)
-                for phase, seconds in sharded.timings.items()
-            },
-        }
-
-    curve = []
-    all_identical = True
-    for n_workers in worker_counts:
-        identical, point = sharded_point(n_workers)
-        all_identical = all_identical and identical
-        curve.append(point)
-
-    # On machines whose core count keeps every type whole, still exercise
-    # the partition -> merge -> recount machinery once at full scale.
-    forced = None
-    top_workers = max(worker_counts)
-    if top_workers > 1 and all(p["n_sliced_types"] == 0 for p in curve):
-        identical, forced = sharded_point(
-            top_workers, max_slices_per_type=top_workers
-        )
-        all_identical = all_identical and identical
-
-    by_workers = {point["workers"]: point for point in curve}
-    speedup_at_8 = by_workers.get(8, curve[-1])["speedup_vs_serial"]
+    commit, src_dirty = git_state()
     report = {
-        "experiment": "rulegen_parallel",
+        "experiment": "rulegen_miner_vs_reference",
+        "git_hash": commit,
+        "src_dirty": src_dirty,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "taxonomy_seed": TAXONOMY_SEED,
+        "catalog_seed": CATALOG_SEED,
+        "repeats": repeats,
         "items": args.items,
         "types": n_types,
         "min_support": MIN_SUPPORT,
         "quota": QUOTA,
-        "min_slice_rows": args.min_slice_rows,
-        "local_support_factor": args.local_support_factor,
-        "partition_seed": args.seed,
-        "cpu_count": os.cpu_count(),
-        "serial": {
-            "wall_seconds": round(serial_wall, 4),
-            "n_mined": serial.n_mined,
-            "n_clean": serial.n_clean,
-            "n_selected": serial.n_selected,
-            "types_covered": serial.types_covered,
+        "reference": {
+            "wall_seconds": round(reference_wall, 4),
+            **stage_counts(reference),
         },
-        "sharded_curve": curve,
-        "rule_sets_identical": all_identical,
-        "speedup_at_8_workers": speedup_at_8,
+        "miner": {
+            "wall_seconds": round(miner_wall, 4),
+            **stage_counts(mined),
+            "phase_seconds": {
+                phase: round(seconds, 4)
+                for phase, seconds in mined.timings.items()
+            },
+        },
+        "identical_to_reference": identical,
+        "speedup_vs_reference": speedup,
+        "speedup_kind": "algorithmic: weighted reps + vectorised L1-L3",
     }
-    if forced is not None:
-        report["forced_slicing"] = forced
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    lines = [
-        f"corpus items={args.items} types={n_types} "
-        f"min_support={MIN_SUPPORT} q={QUOTA} cpu_count={os.cpu_count()}",
-        f"serial wall={serial_wall:.3f}s mined={serial.n_mined} "
-        f"clean={serial.n_clean} selected={serial.n_selected}",
-    ]
-    for point in curve:
-        lines.append(
-            f"sharded workers={point['workers']} mode={point['mode']} "
-            f"wall={point['wall_seconds']:.3f}s "
-            f"speedup={point['speedup_vs_serial']:.2f}x "
-            f"identical={point['identical_to_serial']} "
-            f"tasks={point['n_tasks']} recounted={point['n_recounted']}"
-        )
-    if forced is not None:
-        lines.append(
-            f"forced slicing workers={forced['workers']} "
-            f"wall={forced['wall_seconds']:.3f}s "
-            f"identical={forced['identical_to_serial']} "
-            f"sliced_types={forced['n_sliced_types']} "
-            f"recounted={forced['n_recounted']}"
-        )
-    lines.append(
-        f"rule_sets_identical={all_identical} "
-        f"speedup_at_8_workers={speedup_at_8:.2f}x -> {args.out}"
+    phases = " ".join(
+        f"{phase}={seconds:.3f}s" for phase, seconds in mined.timings.items()
     )
-    emit("rulegen_parallel", lines)
+    emit("rulegen_parallel", [
+        f"corpus items={args.items} types={n_types} "
+        f"min_support={MIN_SUPPORT} q={QUOTA} cpu_count={os.cpu_count()} "
+        f"repeats={repeats}",
+        f"reference wall={reference_wall:.3f}s mined={reference.n_mined} "
+        f"clean={reference.n_clean} selected={reference.n_selected}",
+        f"miner wall={miner_wall:.3f}s {phases}",
+        f"identical_to_reference={identical} speedup={speedup:.2f}x "
+        f"(algorithmic: weighted reps + vectorised L1-L3) -> {args.out}",
+    ])
 
-    if not all_identical:
-        print("FAIL: sharded rule set diverged from serial", file=sys.stderr)
+    if not identical:
+        print("FAIL: miner rule set diverged from the reference", file=sys.stderr)
         return 1
     return 0
 

@@ -96,33 +96,22 @@ def test_sec52_rulegen(workload):
 
 
 def test_sec52_mining_speed(workload):
-    """Timing row: the sequence-mining step alone, with and without a
-    prebuilt :class:`CorpusIndex` (the postings-reuse satellite)."""
+    """Timing row: the reference sequence-mining step alone."""
     training, _ = workload
-    from repro.rulegen import CorpusIndex, mine_frequent_sequences
+    from repro.rulegen import mine_frequent_sequences
     from repro.utils.text import tokenize
 
     jeans_titles = [tokenize(t.title) for t in training if t.label == "jeans"]
 
-    walls_cold = []
+    walls = []
     result = None
     for _ in range(REPEATS):
         started = time.perf_counter()
         result = mine_frequent_sequences(jeans_titles, 0.02, 4)
-        walls_cold.append(time.perf_counter() - started)
-
-    index = CorpusIndex(jeans_titles)
-    index.row_postings  # build once, outside the timed region
-    walls_indexed = []
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        reused = mine_frequent_sequences(jeans_titles, 0.02, 4, index=index)
-        walls_indexed.append(time.perf_counter() - started)
+        walls.append(time.perf_counter() - started)
 
     emit("E3_sec52_mining_speed", [
         f"jeans titles={len(jeans_titles)} frequent={len(result)}",
-        f"mine cold (median of {REPEATS})    : {median(walls_cold)*1000:.1f}ms",
-        f"mine indexed (median of {REPEATS}) : {median(walls_indexed)*1000:.1f}ms",
+        f"mine (median of {REPEATS}) : {median(walls)*1000:.1f}ms",
     ])
     assert result
-    assert reused == result

@@ -69,25 +69,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_rulegen(args: argparse.Namespace) -> int:
     generator = _build_generator(args.seed, args.extra_types)
     training = generator.generate_labeled(args.training)
-    if args.workers > 1 or args.dedupe:
-        from repro.rulegen import ShardedRuleGenerator
-
-        result = ShardedRuleGenerator(
-            min_support=args.min_support, q=args.quota, alpha=args.alpha,
-            n_workers=args.workers, use_processes=args.processes,
-            local_support_factor=args.local_support_factor,
-            min_slice_rows=args.min_slice_rows, seed=args.seed,
-            dedupe=args.dedupe,
-        ).generate(training)
-        extra = (f" [{result.mode} x{result.n_workers}, "
-                 f"{result.n_tasks} tasks, {result.n_recounted} recounted"
-                 + (f", {result.n_deduped} deduped" if args.dedupe else "")
-                 + "]")
-    else:
-        result = RuleGenerator(
-            min_support=args.min_support, q=args.quota, alpha=args.alpha
-        ).generate(training)
-        extra = ""
+    result = RuleGenerator(
+        min_support=args.min_support, q=args.quota, alpha=args.alpha,
+        dedupe=args.dedupe,
+    ).generate(training)
+    extra = f" [{result.n_deduped} deduped]" if args.dedupe else ""
     ruleset = RuleSet(result.rules, name="rulegen")
     save_ruleset(ruleset, args.out)
     print(f"mined {result.n_mined}, clean {result.n_clean}, "
@@ -621,16 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     rulegen.add_argument("--quota", type=int, default=200)
     rulegen.add_argument("--alpha", type=float, default=0.7)
     rulegen.add_argument("--out", required=True, help="ruleset JSON path")
-    rulegen.add_argument("--workers", type=int, default=1,
-                         help="shard mining across N workers (1 = serial)")
-    rulegen.add_argument("--processes", action="store_true",
-                         help="run shards in a real process pool")
-    rulegen.add_argument("--local-support-factor", type=float, default=1.0,
-                         help="shards mine at min-support * factor (<= 1)")
-    rulegen.add_argument("--min-slice-rows", type=int, default=1024,
-                         help="only slice types with >= 2x this many rows")
     rulegen.add_argument("--dedupe", action="store_true",
-                         help="prune subsumed rules from the merged pool")
+                         help="prune subsumed rules from the selection")
     rulegen.set_defaults(func=_cmd_rulegen)
 
     classify = sub.add_parser("classify", help="run the Chimera pipeline on a batch")

@@ -168,8 +168,7 @@ def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]
     """Deal ``items`` round-robin into ``n_shards`` lists (some may be empty).
 
     The canonical sharding used across the repo — item ``i`` goes to shard
-    ``i % n_shards`` — extracted so the partitioned executor and the
-    sharded rule generator split work identically.
+    ``i % n_shards``.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")

@@ -6,19 +6,17 @@ that make no incorrect predictions on the training data, score each rule's
 confidence, and select a high-coverage subset with the paper's Greedy
 (Algorithm 1) and Greedy-Biased (Algorithm 2) procedures.
 
-``ShardedRuleGenerator`` runs the same pipeline over partitioned shards
-(CFM-BD-style mine/merge/recount) with results identical to the serial
-``RuleGenerator``; ``CorpusIndex`` is the reusable tokenization + inverted
-index both share.
+``RuleGenerator`` is the one miner: it runs that pipeline over a
+``CorpusIndex`` (deduplicated weighted representative titles, interned
+token ids, vectorized low levels). ``ReferenceRuleGenerator`` is the same
+pipeline written row by row, kept only as the oracle tests and the rulegen
+benchmark compare the miner against.
 """
 
 from repro.rulegen.confidence import ConfidenceScorer, confidence_score
 from repro.rulegen.corpus import CorpusIndex, TypeView, mine_weighted_reps
-from repro.rulegen.parallel import (
-    ShardedGenerationResult,
-    ShardedRuleGenerator,
-)
 from repro.rulegen.pipeline import GenerationResult, RuleGenerator
+from repro.rulegen.reference import ReferenceRuleGenerator
 from repro.rulegen.select import (
     CoverageMap,
     greedy_biased_select,
@@ -33,9 +31,8 @@ __all__ = [
     "CorpusIndex",
     "CoverageMap",
     "GenerationResult",
+    "ReferenceRuleGenerator",
     "RuleGenerator",
-    "ShardedGenerationResult",
-    "ShardedRuleGenerator",
     "TypeView",
     "confidence_score",
     "exact_min_count",

@@ -1,12 +1,9 @@
-"""Reusable corpus indexes for §5.2 rule induction.
+"""Reusable corpus index for §5.2 rule induction.
 
-Mining, cleanliness checking, and shard recounts all need the same
-artefacts over a labeled corpus: tokenized titles, a token -> title
-inverted index, and per-type row slices. The serial pipeline rebuilt the
-inverted index on every :func:`~repro.rulegen.seqmine.mine_frequent_sequences`
-call; :class:`CorpusIndex` builds everything once and every stage —
-including repeated mining, quota retries, and the sharded generator's
-exact global recount — reuses it.
+Mining, cleanliness checking and selection all need the same artefacts
+over a labeled corpus: tokenized titles, a token -> title inverted index,
+and per-type views. :class:`CorpusIndex` builds them once; every stage —
+and every repeated ``generate`` over the same corpus — reuses them.
 
 Two structural ideas carry the index:
 
@@ -20,10 +17,15 @@ Two structural ideas carry the index:
   and in-order containment falls back to a two-pointer subsequence scan
   over the (short) rep token tuples for the rare higher levels.
 
-:func:`mine_weighted_reps` is the weighted AprioriAll core shared by the
-in-process and process-pool shard miners: given reps + weights it produces
-the same frequent set and counts as ``mine_frequent_sequences`` over the
-expanded rows (``tests/test_rulegen_parallel.py`` holds it to that).
+:func:`mine_weighted_reps` is the weighted AprioriAll core: given reps +
+weights it produces the same frequent set and counts as
+``mine_frequent_sequences`` over the expanded rows
+(``tests/test_rulegen_parallel.py`` holds it to that).
+
+The vectorized passes pack ``(sequence, rep)`` and ``(sequence, label)``
+pairs into single ``int64`` sort keys; numpy wraps silently on overflow,
+so every packing site first bounds its largest possible key in Python
+integers (:func:`_require_int64`) and raises instead.
 """
 
 from __future__ import annotations
@@ -31,13 +33,28 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.rulegen.seqmine import Sequence_, _generate_candidates
 from repro.utils.text import tokenize_cached
 
-try:  # vectorized L1-L3 counting; the pure-Python path is equivalent
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+_INT64_MAX = 2**63 - 1
+
+
+def _require_int64(vocab: int, arity: int, radix: int, what: str) -> None:
+    """Raise unless every ``code * radix + low`` key fits in ``int64``.
+
+    ``code`` ranges over length-``arity`` sequences of ``vocab`` token
+    ids (``code < vocab ** arity``) and ``low < radix``, so the largest
+    key is ``vocab ** arity * radix - 1`` — computed here in unbounded
+    Python integers, before numpy gets a chance to wrap it.
+    """
+    largest = vocab**arity * radix - 1
+    if largest > _INT64_MAX:
+        raise ValueError(
+            f"{what}: a vocabulary of {vocab} tokens packs length-{arity} "
+            f"keys up to {largest}, past the int64 limit {_INT64_MAX}"
+        )
 
 
 def tokens_contain(tokens: Sequence, candidate: Sequence) -> bool:
@@ -57,15 +74,17 @@ def tokens_contain(tokens: Sequence, candidate: Sequence) -> bool:
     return True
 
 
-def _weighted_groups(codes, rids, rep_weights, n, min_count):
+def _weighted_groups(codes, rids, rep_weights, n, min_count, vocab, arity):
     """Weighted support counting over ``(code, rep)`` observation pairs.
 
     Dedupes the pairs (a rep supports a code once however many positional
     matches produced it), sums rep weights per code, and keeps codes
     reaching ``min_count``. Returns ``(codes, counts, id_sets)`` as plain
-    Python lists, ordered by code. ``codes * n + rid`` must stay within
-    int64 — true for token and pair codes over any realistic vocabulary.
+    Python lists, ordered by code. ``codes`` are length-``arity``
+    sequences over ``vocab`` token ids, which bounds the packed
+    ``codes * n + rid`` key (:func:`_require_int64`).
     """
+    _require_int64(vocab, arity, n, "weighted support counting")
     combo = codes * n + rids
     if combo.size == 0:
         return [], [], []
@@ -98,7 +117,7 @@ def _mine_levels_vectorized(
 ) -> Tuple[Dict[Sequence_, Tuple[int, Set[int]]], Dict[Sequence_, Set[int]], int]:
     """L1 + L2 + L3 over integer token ids, vectorized.
 
-    Produces exactly what the pure-Python scans and the AprioriAll
+    Produces exactly what row-wise scans and the AprioriAll
     join-plus-verify do — weighted rep counts and rep-id sets for every
     frequent token, ordered pair, and ordered triple of in-rep positions
     (a rep supports a sequence once however many positional matches it
@@ -123,8 +142,9 @@ def _mine_levels_vectorized(
     rep_weights = _np.asarray(weights, dtype=_np.int64)
 
     # L1.
+    n_token_ids = int(flat.max()) + 1
     tids, counts, id_sets = _weighted_groups(
-        flat, reps, rep_weights, n, min_count
+        flat, reps, rep_weights, n, min_count, n_token_ids, 1
     )
     for tid, count, ids in zip(tids, counts, id_sets):
         frequent[(tid,)] = (count, ids)
@@ -138,7 +158,7 @@ def _mine_levels_vectorized(
     # alphabet so pair and triple codes stay small.
     vocab = len(tids)
     tid_arr = _np.asarray(tids, dtype=_np.int64)
-    is_freq = _np.zeros(int(flat.max()) + 1, dtype=bool)
+    is_freq = _np.zeros(n_token_ids, dtype=bool)
     is_freq[tid_arr] = True
     mask = is_freq[flat]
     arr = _np.searchsorted(tid_arr, flat[mask])
@@ -162,6 +182,8 @@ def _mine_levels_vectorized(
         rep_weights,
         n,
         min_count,
+        vocab,
+        2,
     )
     current: Dict[Sequence_, Set[int]] = {}
     for code, count, ids in zip(pair_codes, pair_counts, pair_sets):
@@ -197,6 +219,8 @@ def _mine_levels_vectorized(
         rep_weights,
         n,
         min_count,
+        vocab,
+        3,
     )
     current = {}
     for code, count, ids in zip(triple_codes, triple_counts, triple_sets):
@@ -208,26 +232,24 @@ def _mine_levels_vectorized(
 
 
 def mine_weighted_reps(
-    rep_tokens: Sequence[Tuple[str, ...]],
+    rep_tokens: Sequence[Tuple[int, ...]],
     weights: Sequence[int],
     min_count: int,
     max_length: int,
 ) -> Dict[Sequence_, Tuple[int, Set[int]]]:
-    """Weighted AprioriAll over distinct reps.
+    """Weighted AprioriAll over distinct reps of integer token ids.
 
     Returns ``{sequence: (row_count, rep_id_set)}`` for every sequence of
     length 1..``max_length`` whose weighted support reaches ``min_count``.
     ``row_count`` sums the weights of the containing reps, so the frequent
     set and counts match ``mine_frequent_sequences`` over the expanded rows.
 
-    Levels: with integer token ids and numpy, L1-L3 by direct vectorized
-    enumeration (:func:`_mine_levels_vectorized`); otherwise L1 from
-    postings and L2 by direct ordered-pair counting in Python. Deeper
-    levels use the AprioriAll join with rep-set intersection and a
-    two-pointer subsequence verification over the rep tokens.
+    L1-L3 run by direct vectorized enumeration
+    (:func:`_mine_levels_vectorized`); deeper levels use the AprioriAll
+    join with rep-set intersection and a two-pointer subsequence
+    verification over the rep tokens.
     """
-    n = len(rep_tokens)
-    if n == 0 or max_length < 1:
+    if not rep_tokens or max_length < 1:
         return {}
 
     weight_at = weights.__getitem__
@@ -235,60 +257,9 @@ def mine_weighted_reps(
     def weigh(ids: Set[int]) -> int:
         return sum(map(weight_at, ids))
 
-    probe = next((tokens[0] for tokens in rep_tokens if tokens), None)
-    if _np is not None and isinstance(probe, int):
-        # Integer token ids: vectorized L1-L3, no Python postings at all.
-        frequent, current, length = _mine_levels_vectorized(
-            rep_tokens, weights, min_count, max_length
-        )
-    else:
-        # Pure-Python equivalent (string tokens / absent numpy).
-        postings: Dict[str, Set[int]] = {}
-        for rid, tokens in enumerate(rep_tokens):
-            for token in tokens:
-                bucket = postings.get(token)
-                if bucket is None:
-                    postings[token] = {rid}
-                else:
-                    bucket.add(rid)
-
-        frequent = {}
-
-        # L1.
-        current = {}
-        for token, ids in postings.items():
-            count = weigh(ids)
-            if count >= min_count:
-                current[(token,)] = ids
-                frequent[(token,)] = (count, ids)
-        length = 1
-        if max_length > 1 and current:
-            # L2: count ordered pairs of frequent tokens directly. For
-            # each rep, ``seen`` holds the frequent tokens already
-            # encountered, so every (earlier, current) pair is recorded
-            # exactly once per rep — including (t, t) for repeats.
-            freq1 = {seq[0] for seq in current}
-            pair_ids: Dict[Sequence_, Set[int]] = {}
-            for rid, tokens in enumerate(rep_tokens):
-                seen: Set[str] = set()
-                for token in tokens:
-                    if token not in freq1:
-                        continue
-                    for first in seen:
-                        key = (first, token)
-                        bucket = pair_ids.get(key)
-                        if bucket is None:
-                            pair_ids[key] = {rid}
-                        else:
-                            bucket.add(rid)
-                    seen.add(token)
-            current = {}
-            for pair, ids in pair_ids.items():
-                count = weigh(ids)
-                if count >= min_count:
-                    current[pair] = ids
-                    frequent[pair] = (count, ids)
-            length = 2
+    frequent, current, length = _mine_levels_vectorized(
+        rep_tokens, weights, min_count, max_length
+    )
 
     # Deeper levels: AprioriAll join + prune, then verify candidates on
     # the reps containing both the prefix and the suffix in order. The
@@ -327,9 +298,7 @@ class CorpusIndex:
     Tokens are interned to dense integer ids on the way in
     (``token_ids``/``id_tokens``); every internal structure — positional
     maps, rep postings, mined sequences — lives in id space, where tuple
-    keys hash an order of magnitude faster than string tuples. The
-    row-facing surface (``tokenized``, ``rep_tokens``, ``row_postings``)
-    stays in string space for the serial pipeline and external callers;
+    keys hash an order of magnitude faster than string tuples;
     :meth:`encode`/:meth:`decode` convert at the boundary.
     """
 
@@ -349,11 +318,8 @@ class CorpusIndex:
 
         token_ids: Dict[str, int] = {}
         id_tokens: List[str] = []
-        tokenized: List[Tuple[str, ...]] = []
         rep_of: Dict[Tuple[str, ...], int] = {}
-        rep_tokens: List[Tuple[str, ...]] = []
         rep_itokens: List[Tuple[int, ...]] = []
-        rep_rows: List[List[int]] = []
         row_rep: List[int] = []
         rep_postings: Dict[int, Set[int]] = {}
         # A rep's single shared label, or None when its rows disagree
@@ -362,13 +328,9 @@ class CorpusIndex:
 
         for row, tokens in enumerate(token_lists):
             key = tuple(tokens)
-            tokenized.append(key)
             rid = rep_of.get(key)
             if rid is None:
-                rid = len(rep_tokens)
-                rep_of[key] = rid
-                rep_tokens.append(key)
-                rep_rows.append([row])
+                rid = rep_of[key] = len(rep_itokens)
                 # Vocabulary saturates quickly, so interning is a plain
                 # C-speed lookup comprehension almost always; the except
                 # branch only runs for titles introducing a new token.
@@ -384,10 +346,8 @@ class CorpusIndex:
                         itoks.append(tid)
                 rep_itokens.append(tuple(itoks))
                 rep_label.append(labels[row] if labels is not None else None)
-            else:
-                rep_rows[rid].append(row)
-                if labels is not None and rep_label[rid] != labels[row]:
-                    rep_label[rid] = None
+            elif labels is not None and rep_label[rid] != labels[row]:
+                rep_label[rid] = None
             row_rep.append(rid)
 
         # Labels interned to codes for the token-uniformity index below:
@@ -410,11 +370,10 @@ class CorpusIndex:
         # it, or -2 when they disagree — the cleanliness check's early
         # exit. One flatten + unique in numpy (the unique also dedups
         # repeated tokens within a title) rather than half a million dict
-        # probes in the row loop; the pure-Python pass is the fallback
-        # shape.
-        n_reps = len(rep_tokens)
+        # probes in the row loop.
+        n_reps = len(rep_itokens)
         token_uniform: List[int] = []
-        if _np is not None and n_reps:
+        if n_reps:
             lengths = _np.fromiter(
                 map(len, rep_itokens), dtype=_np.int64, count=n_reps
             )
@@ -425,6 +384,7 @@ class CorpusIndex:
                 count=total,
             )
             rids = _np.repeat(_np.arange(n_reps, dtype=_np.int64), lengths)
+            _require_int64(len(id_tokens), 1, n_reps, "rep postings")
             combo = flat * n_reps + rids
             if combo.size:
                 combo.sort()
@@ -443,38 +403,17 @@ class CorpusIndex:
                 uniform = _np.full(len(id_tokens), -2, dtype=_np.int64)
                 uniform[utid[starts]] = _np.where(mins == maxs, mins, -2)
                 token_uniform = uniform.tolist()
-        else:
-            for rid, itoks in enumerate(rep_itokens):
-                for tid in itoks:
-                    ids = rep_postings.get(tid)
-                    if ids is None:
-                        rep_postings[tid] = {rid}
-                    else:
-                        ids.add(rid)
-            if labels is not None:
-                token_uniform = [-2] * len(id_tokens)
-                for tid, ids in rep_postings.items():
-                    codes_seen = {rep_label_codes[rid] for rid in ids}
-                    if len(codes_seen) == 1:
-                        token_uniform[tid] = codes_seen.pop()
 
         self.token_ids = token_ids
         self.id_tokens = id_tokens
-        self.tokenized = tokenized
-        self.rep_tokens = rep_tokens
         self.rep_itokens = rep_itokens
-        self.rep_rows = rep_rows
         self.row_rep = row_rep
         self.rep_postings = rep_postings
         self.rep_label = rep_label
         self.label_ids = label_ids
         self.rep_label_codes = rep_label_codes
         self.token_uniform = token_uniform
-        self.n_reps = len(rep_tokens)
-        # How many times the row-level inverted index has been built —
-        # regression hook for the "build once, mine many" contract.
-        self.row_postings_builds = 0
-        self._row_postings: Optional[Dict[str, Set[int]]] = None
+        self.n_reps = n_reps
         self._rows_by_type: Optional[Dict[str, List[int]]] = None
         self._seq_uniform: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
         self._type_views: Dict[str, "TypeView"] = {}
@@ -512,23 +451,6 @@ class CorpusIndex:
         """Id sequence -> token strings."""
         id_tokens = self.id_tokens
         return tuple(id_tokens[tid] for tid in sequence)
-
-    @property
-    def row_postings(self) -> Dict[str, Set[int]]:
-        """token -> *row* ids (lazy; the ``mine_frequent_sequences`` shape).
-
-        Derived by expanding the rep postings, which is cheaper than
-        re-scanning every token of every row, and cached for reuse.
-        """
-        if self._row_postings is None:
-            rep_rows = self.rep_rows
-            id_tokens = self.id_tokens
-            self._row_postings = {
-                id_tokens[tid]: {row for rid in ids for row in rep_rows[rid]}
-                for tid, ids in self.rep_postings.items()
-            }
-            self.row_postings_builds += 1
-        return self._row_postings
 
     @property
     def rows_by_type(self) -> Dict[str, List[int]]:
@@ -573,7 +495,7 @@ class CorpusIndex:
             n_reps = self.n_reps
             pair_uniform: Dict[int, int] = {}
             triple_uniform: Dict[int, int] = {}
-            if _np is not None and n_reps:
+            if n_reps:
                 lengths = _np.fromiter(
                     map(len, rep_itokens), dtype=_np.int64, count=n_reps
                 )
@@ -587,7 +509,7 @@ class CorpusIndex:
                     _np.arange(n_reps, dtype=_np.int64), lengths
                 )
                 labels_of = _np.asarray(rep_label_codes, dtype=_np.int64)
-                max_run = int(lengths.max()) if n_reps else 0
+                max_run = int(lengths.max())
 
                 # Label codes shifted into [0, span) ride in the low bits
                 # of a composite key, so one in-place sort groups each
@@ -595,7 +517,8 @@ class CorpusIndex:
                 # when the group's first and last labels agree.
                 span = len(self.label_ids) + 2
 
-                def grouped_uniform(codes, obs_labels):
+                def grouped_uniform(codes, obs_labels, arity):
+                    _require_int64(vocab, arity, span, "sequence uniformity")
                     comp = codes * span + (obs_labels + 2)
                     comp.sort()
                     code_s = comp // span
@@ -622,6 +545,7 @@ class CorpusIndex:
                     pair_uniform = grouped_uniform(
                         _np.concatenate(code_chunks),
                         _np.concatenate(label_chunks),
+                        2,
                     )
                 code_chunks = []
                 label_chunks = []
@@ -642,29 +566,8 @@ class CorpusIndex:
                     triple_uniform = grouped_uniform(
                         _np.concatenate(code_chunks),
                         _np.concatenate(label_chunks),
+                        3,
                     )
-            else:
-                def merge(table: Dict[int, int], code: int, label: int):
-                    got = table.get(code)
-                    if got is None:
-                        table[code] = label
-                    elif got != label:
-                        table[code] = -2
-
-                for rid, itoks in enumerate(rep_itokens):
-                    label = rep_label_codes[rid]
-                    size = len(itoks)
-                    for i in range(size):
-                        first = itoks[i] * vocab
-                        for j in range(i + 1, size):
-                            pair = first + itoks[j]
-                            merge(pair_uniform, pair, label)
-                            for k in range(j + 1, size):
-                                merge(
-                                    triple_uniform,
-                                    pair * vocab + itoks[k],
-                                    label,
-                                )
             self._seq_uniform = (pair_uniform, triple_uniform)
         return self._seq_uniform
 
@@ -683,13 +586,12 @@ class CorpusIndex:
 
 
 class TypeView:
-    """One type's slice of a :class:`CorpusIndex`: local reps and postings.
+    """One type's view of a :class:`CorpusIndex`: its reps and weights.
 
     Local rep ids (``lid``) index this type's reps in first-appearance
     order; ``g_reps[lid]`` maps back to the global rep id. ``weights[lid]``
     counts the type's rows for that rep — the weighted-rep coverage
-    universe selection optimizes over — and ``rep_type_rows[lid]`` can
-    expand a rep back to its row ids when needed.
+    universe that mining counts and selection optimizes over.
     """
 
     def __init__(self, index: CorpusIndex, type_name: str):
@@ -698,7 +600,6 @@ class TypeView:
         type_rows = index.rows_by_type.get(type_name)
         if type_rows is None:
             raise KeyError(f"no rows labeled {type_name!r}")
-        self.type_rows = type_rows
         row_rep = index.row_rep
         lid_of: Dict[int, int] = {}
         g_reps: List[int] = []
@@ -712,96 +613,27 @@ class TypeView:
                 weights.append(1)
             else:
                 weights[lid] += 1
-        self._lid_of = lid_of
         self.g_reps = g_reps
         self.weights = weights
         self.n_rows = len(type_rows)
         self.n_reps = len(g_reps)
-        self._rep_type_rows: Optional[List[List[int]]] = None
-        self._local_postings: Optional[Dict[int, Set[int]]] = None
         self._pure_reps: Optional[Set[int]] = None
 
-    @property
-    def rep_type_rows(self) -> List[List[int]]:
-        """lid -> this type's row ids for that rep (lazy; selection works
-        in weighted rep space, so the expansion is only built on demand)."""
-        if self._rep_type_rows is None:
-            lid_of = self._lid_of
-            row_rep = self.index.row_rep
-            expanded: List[List[int]] = [[] for _ in self.g_reps]
-            for row in self.type_rows:
-                expanded[lid_of[row_rep[row]]].append(row)
-            self._rep_type_rows = expanded
-        return self._rep_type_rows
-
-    @property
-    def local_postings(self) -> Dict[int, Set[int]]:
-        """token id -> local rep ids (lazy; for slice recounts)."""
-        if self._local_postings is None:
-            postings: Dict[int, Set[int]] = {}
-            rep_itokens = self.index.rep_itokens
-            for lid, rid in enumerate(self.g_reps):
-                for tid in rep_itokens[rid]:
-                    ids = postings.get(tid)
-                    if ids is None:
-                        postings[tid] = {lid}
-                    else:
-                        ids.add(lid)
-            self._local_postings = postings
-        return self._local_postings
-
-    def mine_slice(
-        self,
-        lids: Sequence[int],
-        min_count: int,
-        max_length: int,
-        identity: bool = False,
+    def mine(
+        self, min_count: int, max_length: int
     ) -> Dict[Sequence_, Tuple[int, Set[int]]]:
-        """Mine a slice of this type's reps in-process (shared token ids).
+        """Mine this type's reps: ``{id_sequence: (row_count, lid_set)}``.
 
-        Returns ``{id_sequence: (row_count, lid_set)}`` — sequences are
-        token-id tuples (decode at the boundary) — with rep ids mapped
-        back to this view's local id space — the same information
-        process-pool workers report (they ship tuples for pickling), so
-        the merge step is path-agnostic. ``identity=True`` declares that
-        ``lids`` is exactly ``range(n_reps)`` (a whole-type slice), which
-        skips the id remap entirely; the returned sets may then alias the
-        miner's internals and must be treated as read-only.
+        Sequences are token-id tuples (decode at the boundary); the id
+        sets may alias the miner's internals and are read-only.
         """
-        index = self.index
-        g_reps = self.g_reps
-        tokens = [index.rep_itokens[g_reps[lid]] for lid in lids]
-        slice_weights = [self.weights[lid] for lid in lids]
-        mined = mine_weighted_reps(tokens, slice_weights, min_count, max_length)
-        if identity:
-            return mined
-        lid_at = list(lids).__getitem__
-        return {
-            seq: (count, {lid_at(i) for i in ids})
-            for seq, (count, ids) in mined.items()
-        }
-
-    def recount(self, candidate: Sequence[int]) -> Tuple[int, Set[int]]:
-        """Exact weighted support of the id-space ``candidate`` over this
-        type's rows."""
-        postings = self.local_postings
-        sets: List[Set[int]] = []
-        for tid in candidate:
-            ids = postings.get(tid)
-            if ids is None:
-                return 0, set()
-            sets.append(ids)
-        sets.sort(key=len)
-        possible = sets[0] if len(sets) == 1 else sets[0].intersection(*sets[1:])
-        index = self.index
-        g_reps = self.g_reps
-        matched = {
-            lid
-            for lid in possible
-            if tokens_contain(index.rep_itokens[g_reps[lid]], candidate)
-        }
-        weights = self.weights
-        return sum(weights[lid] for lid in matched), matched
+        rep_itokens = self.index.rep_itokens
+        return mine_weighted_reps(
+            [rep_itokens[rid] for rid in self.g_reps],
+            self.weights,
+            min_count,
+            max_length,
+        )
 
     @property
     def pure_reps(self) -> Set[int]:

@@ -1,650 +1,13 @@
-"""Sharded §5.2 rule induction: partitioned AprioriAll, exact global merge.
+"""Leftover imposed by the frozen benchmark: ``benchmarks/ledger/workloads.py``
+(read-only for non-benchmark PRs) imports ``ShardedRuleGenerator`` from here and
+calls it with ``min_support=, n_workers=1, seed=``. Sharding itself is deleted;
+the benchmark PR that re-points that import deletes this file."""
 
-CFM-BD-style two-phase induction (Elkano et al.): partition the corpus,
-mine each partition at a (possibly lowered) local support threshold, then
-make the merged pool exact with one global verification pass. The
-partition theorem guarantees completeness: a sequence with global support
-``count >= min_support * n`` over slices of sizes ``n_i`` satisfies
-``sum_i count_i >= sum_i min_support * n_i``, so some slice has
-``count_i >= min_support * n_i >= min_support * factor * n_i`` — and since
-``count_i`` is an integer, it clears that slice's exact-ceiling threshold
-(:func:`~repro.rulegen.seqmine.exact_min_count` keeps the arithmetic
-exact, so no slice threshold can round past the global one). Every
-globally frequent sequence is therefore reported by at least one slice;
-the merge step then restores exact counts:
-
-* a candidate reported by **every** slice of its type already has its
-  exact count — slices partition the type's reps, so the slice counts sum;
-* a candidate missing from any slice is **recounted** against the type's
-  local postings (:meth:`~repro.rulegen.corpus.TypeView.recount`);
-* candidates below the global threshold after recounting are dropped.
-
-The result is byte-identical to the single-threaded pipeline (same mined
-set, counts, clean set, confidences, and selections — the benchmark and
-hypothesis tests assert it), for any worker count, slicing, or
-``local_support_factor``.
-
-Work distribution follows ``execution/parallel.py``'s cheap-payload
-pattern: the planner cuts (type, slice) :class:`MineTask` units, packs
-them into :class:`RulegenShardPayload` shards (longest-processing-time
-first), and either runs them inline (sharing the driver's
-:class:`~repro.rulegen.corpus.CorpusIndex`) or ships the materialized
-payloads to a process pool. Types are independent, so per-type generation
-(cleanliness -> confidence -> Greedy-Biased selection) is its own task
-stream; in process mode the selection stage fans out through the same
-pool.
-
-Everything is deterministic: slice membership comes from a
-``random.Random(crc32(f"{seed}:{type_name}"))`` permutation, shard packing
-is a pure function of the plan, and the merge is exact — so a given
-``(seed, n_workers)`` always partitions identically, and *every*
-``(seed, n_workers)`` produces the same rules.
-"""
-
-from __future__ import annotations
-
-import os
-import random
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-from zlib import crc32
-
-from repro.catalog.generator import LabeledTitle
-from repro.core.rule import SequenceRule
-from repro.execution.parallel import partition_round_robin
-from repro.maintenance.subsumption import dedupe_sequence_rules
-from repro.observability import Observability, ensure_observability
-from repro.rulegen.confidence import ConfidenceScorer
-from repro.rulegen.corpus import CorpusIndex, TypeView, mine_weighted_reps
-from repro.rulegen.pipeline import GenerationResult
-from repro.rulegen.select import Entry, greedy_biased_select_entries
-from repro.rulegen.seqmine import Sequence_, exact_min_count
-
-# seq -> (exact-or-partial count, local rep ids) as reported by one slice.
-SliceResult = Dict[Sequence_, Tuple[int, Tuple[int, ...]]]
+from repro.rulegen.pipeline import RuleGenerator
 
 
-@dataclass(frozen=True)
-class MineTask:
-    """One (type, slice) mining unit, materialized for shipping.
-
-    ``lids`` are the slice's rep ids in the type's local id space;
-    ``rep_tokens``/``weights`` are the corresponding rows' data — tokens
-    already interned to the index's integer ids — so the payload is
-    self-contained and cheap to pickle (no index, no labels, no strings).
-    """
-
-    type_name: str
-    slice_id: int
-    n_slices: int
-    lids: Tuple[int, ...]
-    rep_tokens: Tuple[Tuple[int, ...], ...]
-    weights: Tuple[int, ...]
-    min_count: int
-    max_length: int
-    n_rows: int
-
-
-@dataclass(frozen=True)
-class RulegenShardPayload:
-    """Everything one mining worker needs — the cheap-payload pattern."""
-
-    shard_id: int
-    tasks: Tuple[MineTask, ...]
-
-
-@dataclass(frozen=True)
-class SelectTask:
-    """One type's selection unit: id-free entries, coverage as rep-id
-    tuples weighted by ``weights`` (indexed by rep id)."""
-
-    type_name: str
-    q: int
-    alpha: float
-    entries: Tuple[Tuple[float, int, Tuple[int, ...]], ...]
-    weights: Tuple[int, ...]
-    # Total coverage weight per entry, aligned with ``entries`` (the mined
-    # support counts — full-coverage totals for the weighted selector).
-    totals: Tuple[int, ...]
-
-
-def _mine_shard(
-    payload: RulegenShardPayload,
-) -> Tuple[int, List[Tuple[str, int, SliceResult]]]:
-    """Process-pool worker: mine every task in the shard."""
-    out: List[Tuple[str, int, SliceResult]] = []
-    for task in payload.tasks:
-        mined = mine_weighted_reps(
-            task.rep_tokens, task.weights, task.min_count, task.max_length
-        )
-        lid_at = task.lids.__getitem__
-        mapped: SliceResult = {
-            seq: (count, tuple(map(lid_at, sorted(ids))))
-            for seq, (count, ids) in mined.items()
-        }
-        out.append((task.type_name, task.slice_id, mapped))
-    return payload.shard_id, out
-
-
-def _select_type(
-    task: SelectTask,
-) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
-    """Process-pool worker: Greedy-Biased over one type's entries.
-
-    Returns the selected entries' ``order`` indices (high, low) — the
-    driver owns the actual rule materialization.
-    """
-    entries: List[Entry] = [
-        (confidence, order, set(ids), None)
-        for confidence, order, ids in task.entries
-    ]
-    totals = {entry[1]: total for entry, total in zip(entries, task.totals)}
-    high, low = greedy_biased_select_entries(
-        entries, task.q, task.alpha, task.weights, totals
-    )
-    return (
-        task.type_name,
-        tuple(entry[1] for entry in high),
-        tuple(entry[1] for entry in low),
-    )
-
-
-@dataclass
-class ShardedGenerationResult(GenerationResult):
-    """A :class:`GenerationResult` plus the sharded run's accounting."""
-
-    n_workers: int = 1
-    mode: str = "inline"  # "inline" or "processes"
-    n_shards: int = 0
-    n_tasks: int = 0
-    n_sliced_types: int = 0
-    n_recounted: int = 0
-    n_deduped: int = 0
-    timings: Dict[str, float] = field(default_factory=dict)
-
-
-class ShardedRuleGenerator:
-    """Drop-in parallel :class:`~repro.rulegen.pipeline.RuleGenerator`.
-
-    Same parameters and same output rules (modulo auto-assigned rule ids)
-    as the serial generator, plus the sharding knobs:
-
-    ``n_workers``
-        Shard count; mining tasks are packed into this many shards.
-    ``use_processes``
-        Ship shards to a real :class:`ProcessPoolExecutor` (workers rebuild
-        positional indexes from the payload) instead of running them inline
-        against the shared index.
-    ``local_support_factor``
-        Slices mine at ``min_support * factor`` (<= 1). Lower values widen
-        the candidate superset slices report; the exact merge recount makes
-        the final set identical either way.
-    ``min_slice_rows``
-        Only types with at least ``2 * min_slice_rows`` rows are sliced
-        across workers (a slice below this floor would mine at a degenerate
-        local threshold and flood the merge with noise candidates); smaller
-        types ride whole as single tasks — type-level parallelism.
-    ``max_slices_per_type``
-        Hard cap on how many slices one type is cut into. ``None`` (the
-        default) caps at the machine's CPU count: slices exist to occupy
-        parallel executors, so cutting past the available cores buys only
-        merge/recount overhead. Tests pin an explicit value to exercise
-        the merge path deterministically on any machine.
-    ``seed``
-        Seeds the per-type slice permutation. Partitioning is deterministic
-        for a given (seed, n_workers); the rule set is identical for all.
-    ``dedupe``
-        Run the merged selection through
-        :func:`~repro.maintenance.subsumption.dedupe_sequence_rules`
-        (syntactic subsumption) before returning.
-    """
-
-    def __init__(
-        self,
-        min_support: float = 0.01,
-        min_length: int = 2,
-        max_length: int = 4,
-        q: int = 500,
-        alpha: float = 0.7,
-        require_clean: bool = True,
-        n_workers: int = 4,
-        use_processes: bool = False,
-        local_support_factor: float = 1.0,
-        min_slice_rows: int = 1024,
-        max_slices_per_type: Optional[int] = None,
-        seed: int = 0,
-        dedupe: bool = False,
-        observability: Optional[Observability] = None,
-    ):
-        if not 1 <= min_length <= max_length:
-            raise ValueError(
-                f"need 1 <= min_length <= max_length, got {min_length}..{max_length}"
-            )
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if not 0.0 < local_support_factor <= 1.0:
-            raise ValueError(
-                f"local_support_factor must be in (0, 1], got {local_support_factor}"
-            )
-        if min_slice_rows < 1:
-            raise ValueError(f"min_slice_rows must be >= 1, got {min_slice_rows}")
-        if max_slices_per_type is not None and max_slices_per_type < 1:
-            raise ValueError(
-                f"max_slices_per_type must be >= 1, got {max_slices_per_type}"
-            )
-        self.min_support = min_support
-        self.min_length = min_length
-        self.max_length = max_length
-        self.q = q
-        self.alpha = alpha
-        self.require_clean = require_clean
-        self.n_workers = n_workers
-        self.use_processes = use_processes
-        self.local_support_factor = local_support_factor
-        self.min_slice_rows = min_slice_rows
-        self.max_slices_per_type = max_slices_per_type
-        self.seed = seed
-        self.dedupe = dedupe
-        self.observability = ensure_observability(observability)
-
-    # ------------------------------------------------------------- plan
-
-    def _plan_slices(self, view: TypeView) -> int:
-        """How many slices this type's reps are cut into."""
-        cap = self.max_slices_per_type
-        if cap is None:
-            cap = os.cpu_count() or 1
-        cap = min(self.n_workers, cap)
-        if cap <= 1 or view.n_rows < 2 * self.min_slice_rows:
-            return 1
-        n_slices = min(cap, view.n_rows // self.min_slice_rows)
-        return max(1, min(n_slices, view.n_reps))
-
-    def _plan_tasks(
-        self, index: CorpusIndex
-    ) -> List[Tuple[str, int, int, List[int], int, int]]:
-        """(type, slice_id, n_slices, lids, min_count, n_rows) units."""
-        tasks: List[Tuple[str, int, int, List[int], int, int]] = []
-        for type_name in index.types:
-            view = index.type_view(type_name)
-            n_slices = self._plan_slices(view)
-            if n_slices == 1:
-                min_count = exact_min_count(self.min_support, view.n_rows)
-                tasks.append(
-                    (type_name, 0, 1, list(range(view.n_reps)), min_count,
-                     view.n_rows)
-                )
-                continue
-            order = list(range(view.n_reps))
-            sub_seed = crc32(f"{self.seed}:{type_name}".encode("utf-8"))
-            random.Random(sub_seed).shuffle(order)
-            weights = view.weights
-            for slice_id, lids in enumerate(
-                partition_round_robin(order, n_slices)
-            ):
-                slice_rows = sum(weights[lid] for lid in lids)
-                min_count = exact_min_count(
-                    self.min_support, slice_rows, self.local_support_factor
-                )
-                tasks.append(
-                    (type_name, slice_id, n_slices, lids, min_count, slice_rows)
-                )
-        return tasks
-
-    def _pack_shards(
-        self, tasks: Sequence[Tuple[str, int, int, List[int], int, int]]
-    ) -> List[List[Tuple[str, int, int, List[int], int, int]]]:
-        """LPT packing: biggest task to the lightest shard, deterministically."""
-        n_shards = min(self.n_workers, len(tasks)) or 1
-        shards: List[List[Tuple[str, int, int, List[int], int, int]]] = [
-            [] for _ in range(n_shards)
-        ]
-        loads = [0] * n_shards
-        by_size = sorted(tasks, key=lambda t: (-t[5], t[0], t[1]))
-        for task in by_size:
-            shard = loads.index(min(loads))
-            shards[shard].append(task)
-            loads[shard] += task[5]
-        return shards
-
-    # ------------------------------------------------------------- mine
-
-    def _materialize(
-        self,
-        index: CorpusIndex,
-        shards: Sequence[Sequence[Tuple[str, int, int, List[int], int, int]]],
-    ) -> List[RulegenShardPayload]:
-        payloads: List[RulegenShardPayload] = []
-        rep_itokens = index.rep_itokens
-        for shard_id, shard in enumerate(shards):
-            mine_tasks = []
-            for type_name, slice_id, n_slices, lids, min_count, n_rows in shard:
-                view = index.type_view(type_name)
-                g_reps = view.g_reps
-                mine_tasks.append(
-                    MineTask(
-                        type_name=type_name,
-                        slice_id=slice_id,
-                        n_slices=n_slices,
-                        lids=tuple(lids),
-                        rep_tokens=tuple(rep_itokens[g_reps[lid]] for lid in lids),
-                        weights=tuple(view.weights[lid] for lid in lids),
-                        min_count=min_count,
-                        max_length=self.max_length,
-                        n_rows=n_rows,
-                    )
-                )
-            payloads.append(
-                RulegenShardPayload(shard_id=shard_id, tasks=tuple(mine_tasks))
-            )
-        return payloads
-
-    # --------------------------------------------------------- generate
-
-    def generate(
-        self,
-        training: Sequence[LabeledTitle],
-        index: Optional[CorpusIndex] = None,
-    ) -> ShardedGenerationResult:
-        """Run the sharded pipeline; pass ``index`` to reuse a prebuilt one."""
-        if not training and index is None:
-            raise ValueError("cannot generate rules from empty training data")
-        obs = self.observability
-        result = ShardedGenerationResult(
-            n_workers=self.n_workers,
-            mode="processes" if self.use_processes and self.n_workers > 1
-            else "inline",
-        )
-        timings = result.timings
-        clock = time.perf_counter
-
-        with obs.span(
-            "rulegen.parallel.generate",
-            examples=len(training),
-            workers=self.n_workers,
-            mode=result.mode,
-        ) as gen_span:
-            started = clock()
-            with obs.span("rulegen.index"):
-                if index is None:
-                    index = CorpusIndex.from_labeled(training)
-                elif index.labels is None:
-                    raise ValueError("sharded rulegen needs a labeled index")
-            timings["index"] = clock() - started
-
-            started = clock()
-            with obs.span("rulegen.plan") as plan_span:
-                tasks = self._plan_tasks(index)
-                shards = self._pack_shards(tasks)
-                result.n_tasks = len(tasks)
-                result.n_shards = len(shards)
-                result.n_sliced_types = len(
-                    {t[0] for t in tasks if t[2] > 1}
-                )
-                plan_span.set_attribute("tasks", result.n_tasks)
-                plan_span.set_attribute("shards", result.n_shards)
-                plan_span.set_attribute("sliced_types", result.n_sliced_types)
-            timings["plan"] = clock() - started
-
-            # type -> slice_id -> that slice's reported sequences.
-            started = clock()
-            slice_results: Dict[str, Dict[int, SliceResult]] = {}
-            pool: Optional[ProcessPoolExecutor] = None
-            try:
-                with obs.span(
-                    "rulegen.mine", shards=result.n_shards, tasks=result.n_tasks
-                ):
-                    if result.mode == "processes":
-                        payloads = self._materialize(index, shards)
-                        pool = ProcessPoolExecutor(max_workers=self.n_workers)
-                        for _, reports in pool.map(_mine_shard, payloads):
-                            for type_name, slice_id, mined in reports:
-                                slice_results.setdefault(type_name, {})[
-                                    slice_id
-                                ] = mined
-                    else:
-                        for shard_id, shard in enumerate(shards):
-                            with obs.span(
-                                "rulegen.shard",
-                                shard=shard_id,
-                                tasks=len(shard),
-                                rows=sum(t[5] for t in shard),
-                            ):
-                                for (type_name, slice_id, n_slices, lids,
-                                     min_count, _) in shard:
-                                    view = index.type_view(type_name)
-                                    slice_results.setdefault(type_name, {})[
-                                        slice_id
-                                    ] = view.mine_slice(
-                                        lids, min_count, self.max_length,
-                                        identity=n_slices == 1,
-                                    )
-                timings["mine"] = clock() - started
-
-                # Merge: exact counts for every candidate any slice reported.
-                started = clock()
-                frequent_by_type: Dict[str, Dict[Sequence_, Tuple[int, Set[int]]]] = {}
-                with obs.span("rulegen.merge") as merge_span:
-                    n_slices_of = {t[0]: t[2] for t in tasks}
-                    for type_name in index.types:
-                        view = index.type_view(type_name)
-                        global_min = exact_min_count(
-                            self.min_support, view.n_rows
-                        )
-                        n_slices = n_slices_of[type_name]
-                        reported = slice_results.get(type_name, {})
-                        if n_slices == 1:
-                            # Whole-type slice: counts are already exact;
-                            # the threshold filter only bites when
-                            # local_support_factor lowered the slice's bar.
-                            mined = reported.get(0, {})
-                            frequent_by_type[type_name] = {
-                                seq: payload
-                                for seq, payload in mined.items()
-                                if payload[0] >= global_min
-                            }
-                            continue
-                        merged: Dict[
-                            Sequence_, Tuple[int, Set[int], int]
-                        ] = {}
-                        for mined in reported.values():
-                            for seq, (count, lids) in mined.items():
-                                entry = merged.get(seq)
-                                if entry is None:
-                                    merged[seq] = (count, set(lids), 1)
-                                else:
-                                    total, ids, reporting = entry
-                                    ids.update(lids)
-                                    merged[seq] = (
-                                        total + count, ids, reporting + 1
-                                    )
-                        frequent: Dict[Sequence_, Tuple[int, Set[int]]] = {}
-                        for seq, (count, ids, reporting) in merged.items():
-                            if reporting < n_slices:
-                                count, ids = view.recount(seq)
-                                result.n_recounted += 1
-                            if count >= global_min:
-                                frequent[seq] = (count, ids)
-                        frequent_by_type[type_name] = frequent
-                    merge_span.set_attribute("recounted", result.n_recounted)
-                timings["merge"] = clock() - started
-
-                # Per-type generation: cleanliness -> confidence -> selection.
-                started = clock()
-                selected_by_type: Dict[
-                    str,
-                    Tuple[List[Tuple[Sequence_, float, float]],
-                          List[Tuple[Sequence_, float, float]]],
-                ] = {}
-                select_tasks: List[SelectTask] = []
-                entries_by_type: Dict[
-                    str, List[Tuple[float, int, Set[int], Tuple[Sequence_, float]]]
-                ] = {}
-                for type_name in index.types:
-                    with obs.span(
-                        "rulegen.type", target_type=type_name
-                    ) as type_span:
-                        view = index.type_view(type_name)
-                        frequent = frequent_by_type[type_name]
-                        candidates = {
-                            seq: payload
-                            for seq, payload in frequent.items()
-                            if self.min_length <= len(seq) <= self.max_length
-                        }
-                        result.n_mined += len(candidates)
-                        type_span.set_attribute("mined", len(candidates))
-                        if not candidates:
-                            continue
-                        scorer = ConfidenceScorer(type_name)
-                        entries: List[
-                            Tuple[float, int, Set[int], Tuple[Sequence_, float]]
-                        ] = []
-                        # Mining ran in token-id space; decode before
-                        # sorting so candidate order (and hence the
-                        # selection tiebreak) matches the serial
-                        # pipeline's string-sorted iteration.
-                        decode = index.decode
-                        decorated = sorted(
-                            (decode(iseq), iseq) for iseq in candidates
-                        )
-                        # order -> total coverage weight; the mined count
-                        # *is* the entry's full-coverage weight, so the
-                        # selector never has to sum it.
-                        totals: Dict[int, int] = {}
-                        for seq, iseq in decorated:
-                            count, lids = candidates[iseq]
-                            if self.require_clean and view.has_impure_match(iseq):
-                                continue
-                            support = count / view.n_rows
-                            # Coverage stays in rep-id space (weighted
-                            # selection below counts the underlying rows
-                            # exactly); process-mode slices report tuples.
-                            coverage: Set[int] = (
-                                lids if isinstance(lids, set) else set(lids)
-                            )
-                            totals[len(entries)] = count
-                            entries.append(
-                                (scorer.score(seq, support), len(entries),
-                                 coverage, (seq, support))
-                            )
-                        result.n_clean += len(entries)
-                        type_span.set_attribute("clean", len(entries))
-                        if not entries:
-                            continue
-                        entries_by_type[type_name] = entries
-                        if result.mode == "processes":
-                            select_tasks.append(
-                                SelectTask(
-                                    type_name=type_name,
-                                    q=self.q,
-                                    alpha=self.alpha,
-                                    entries=tuple(
-                                        (conf, order, tuple(sorted(ids)))
-                                        for conf, order, ids, _ in entries
-                                    ),
-                                    weights=tuple(view.weights),
-                                    totals=tuple(
-                                        totals[order]
-                                        for _, order, _, _ in entries
-                                    ),
-                                )
-                            )
-                        else:
-                            high, low = greedy_biased_select_entries(
-                                entries, self.q, self.alpha, view.weights,
-                                totals,
-                            )
-                            selected_by_type[type_name] = (
-                                [(e[3][0], e[3][1], e[0]) for e in high],
-                                [(e[3][0], e[3][1], e[0]) for e in low],
-                            )
-                            type_span.set_attribute(
-                                "selected", len(high) + len(low)
-                            )
-                if select_tasks:
-                    assert pool is not None
-                    with obs.span("rulegen.select", types=len(select_tasks)):
-                        for type_name, high_orders, low_orders in pool.map(
-                            _select_type, select_tasks
-                        ):
-                            entries = entries_by_type[type_name]
-                            selected_by_type[type_name] = (
-                                [(entries[i][3][0], entries[i][3][1],
-                                  entries[i][0]) for i in high_orders],
-                                [(entries[i][3][0], entries[i][3][1],
-                                  entries[i][0]) for i in low_orders],
-                            )
-                timings["generate"] = clock() - started
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-
-            # Materialize rules in the serial pipeline's order: sorted
-            # types, selection order within each.
-            started = clock()
-            for type_name in index.types:
-                high, low = selected_by_type.get(type_name, ([], []))
-                if high or low:
-                    result.types_covered += 1
-                for seq, support, confidence in high:
-                    result.high_confidence.append(
-                        SequenceRule(
-                            seq,
-                            type_name,
-                            support=support,
-                            confidence=confidence,
-                            provenance="rulegen",
-                            author="rulegen",
-                        )
-                    )
-                for seq, support, confidence in low:
-                    result.low_confidence.append(
-                        SequenceRule(
-                            seq,
-                            type_name,
-                            support=support,
-                            confidence=confidence,
-                            provenance="rulegen",
-                            author="rulegen",
-                        )
-                    )
-
-            if self.dedupe and result.n_selected:
-                with obs.span("rulegen.dedupe") as dedupe_span:
-                    kept, pruned = dedupe_sequence_rules(result.rules)
-                    if pruned:
-                        kept_ids = {rule.rule_id for rule in kept}
-                        result.high_confidence = [
-                            r for r in result.high_confidence
-                            if r.rule_id in kept_ids
-                        ]
-                        result.low_confidence = [
-                            r for r in result.low_confidence
-                            if r.rule_id in kept_ids
-                        ]
-                    result.n_deduped = len(pruned)
-                    dedupe_span.set_attribute("pruned", result.n_deduped)
-            timings["materialize"] = clock() - started
-
-            gen_span.set_attribute("mined", result.n_mined)
-            gen_span.set_attribute("selected", result.n_selected)
-            gen_span.set_attribute("recounted", result.n_recounted)
-
-        if obs.enabled:
-            obs.metrics.counter("rulegen_mined_total").inc(result.n_mined)
-            obs.metrics.counter("rulegen_clean_total").inc(result.n_clean)
-            obs.metrics.counter("rulegen_selected_total", confidence="high").inc(
-                len(result.high_confidence)
-            )
-            obs.metrics.counter("rulegen_selected_total", confidence="low").inc(
-                len(result.low_confidence)
-            )
-            obs.metrics.counter("rulegen_shards_total").inc(result.n_shards)
-            obs.metrics.counter("rulegen_recounts_total").inc(result.n_recounted)
-            if self.dedupe:
-                obs.metrics.counter("rulegen_dedup_pruned_total").inc(
-                    result.n_deduped
-                )
-        return result
+def ShardedRuleGenerator(n_workers: int = 1, seed: int = 0, **rest) -> RuleGenerator:
+    """``RuleGenerator(**rest)``; ``seed`` only ever seeded slice permutations."""
+    if n_workers != 1:
+        raise ValueError(f"sharded induction is gone: n_workers must be 1, got {n_workers}")
+    return RuleGenerator(**rest)

@@ -2,29 +2,37 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.catalog.generator import LabeledTitle
 from repro.core.rule import SequenceRule
+from repro.maintenance.subsumption import dedupe_sequence_rules
 from repro.observability import Observability, ensure_observability
-from repro.rulegen.confidence import confidence_score
+from repro.rulegen.confidence import ConfidenceScorer
 from repro.rulegen.corpus import CorpusIndex
-from repro.rulegen.select import greedy_biased_select
-from repro.rulegen.seqmine import mine_frequent_sequences
-from repro.utils.text import contains_word_sequence, tokenize
+from repro.rulegen.select import Entry, greedy_biased_select_entries
+from repro.rulegen.seqmine import exact_min_count
 
 
 @dataclass
 class GenerationResult:
-    """Everything the section 5.2 pipeline produced, with stage counts."""
+    """Everything the section 5.2 pipeline produced, with stage counts.
+
+    ``timings`` splits the run's wall clock by phase — ``index``, ``mine``
+    and ``select`` (cleanliness, confidence, Greedy-Biased, materializing
+    and deduping the selection); ``n_deduped`` counts the rules the
+    optional subsumption pass pruned.
+    """
 
     high_confidence: List[SequenceRule] = field(default_factory=list)
     low_confidence: List[SequenceRule] = field(default_factory=list)
     n_mined: int = 0
     n_clean: int = 0
     types_covered: int = 0
+    n_deduped: int = 0
+    timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def rules(self) -> List[SequenceRule]:
@@ -46,7 +54,17 @@ class RuleGenerator:
     "too specific"), per-type ``min_support``, quota ``q`` (500), and the
     high/low-confidence split at ``alpha`` (0.7). ``require_clean`` enforces
     "only consider those rules that do not make any incorrect predictions
-    on training data" (section 7).
+    on training data" (section 7). ``dedupe`` runs the selection through
+    :func:`~repro.maintenance.subsumption.dedupe_sequence_rules`
+    (syntactic subsumption) before returning.
+
+    The pipeline runs over a :class:`~repro.rulegen.corpus.CorpusIndex`:
+    duplicate titles collapse to weighted representatives, AprioriAll and
+    the cleanliness check run in interned token-id space, selection
+    optimizes weighted rep coverage, and only the selected rules are
+    materialized. Each step is exact, so the rules equal the row-wise
+    reference generator's (``rulegen.reference``) — sequences, supports,
+    confidences and order; rule ids are auto-assigned and differ.
     """
 
     def __init__(
@@ -58,6 +76,7 @@ class RuleGenerator:
         alpha: float = 0.7,
         require_clean: bool = True,
         observability: Optional[Observability] = None,
+        dedupe: bool = False,
     ):
         if not 1 <= min_length <= max_length:
             raise ValueError(
@@ -69,99 +88,126 @@ class RuleGenerator:
         self.q = q
         self.alpha = alpha
         self.require_clean = require_clean
+        self.dedupe = dedupe
         self.observability = ensure_observability(observability)
 
     def generate(
         self,
         training: Sequence[LabeledTitle],
-        index: Optional["CorpusIndex"] = None,
+        index: Optional[CorpusIndex] = None,
     ) -> GenerationResult:
         """Run the full pipeline over ``training``.
 
-        ``index`` may supply a prebuilt
+        ``index`` may supply a prebuilt, labeled
         :class:`~repro.rulegen.corpus.CorpusIndex` over the same training
-        data; tokenization and the global inverted index are then reused
-        instead of rebuilt.
+        data, which is then reused instead of rebuilt; ``training`` may be
+        empty in that case, but if given it must match the index's rows.
         """
-        if not training and index is None:
-            raise ValueError("cannot generate rules from empty training data")
+        if index is None:
+            if not training:
+                raise ValueError("cannot generate rules from empty training data")
+        elif index.labels is None:
+            raise ValueError("rule generation needs a labeled index")
+        elif training and index.n_rows != len(training):
+            raise ValueError(
+                f"index covers {index.n_rows} rows, training has {len(training)}"
+            )
         obs = self.observability
         result = GenerationResult()
+        timings = result.timings
+        timings.update(index=0.0, mine=0.0, select=0.0)
+        clock = time.perf_counter
 
         with obs.span("rulegen.generate", examples=len(training)) as gen_span:
-            if index is not None:
-                if index.labels is None:
-                    raise ValueError("rule generation needs a labeled index")
-                tokenized: Sequence[Sequence[str]] = index.tokenized
-                labels: List[str] = index.labels
-                rows_by_type: Dict[str, List[int]] = index.rows_by_type
-                postings: Dict[str, Set[int]] = index.row_postings
-            else:
-                with obs.span("rulegen.tokenize"):
-                    tokenized = [tokenize(example.title) for example in training]
-                labels = [example.label for example in training]
-                rows_by_type = defaultdict(list)
-                for row, label in enumerate(labels):
-                    rows_by_type[label].append(row)
+            started = clock()
+            if index is None:
+                with obs.span("rulegen.index"):
+                    index = CorpusIndex.from_labeled(training)
+            timings["index"] = clock() - started
 
-                # Global token -> rows index, for the cleanliness check.
-                postings = defaultdict(set)
-                for row, tokens in enumerate(tokenized):
-                    for token in tokens:
-                        postings[token].add(row)
-
-            for type_name in sorted(rows_by_type):
+            for type_name in index.types:
                 with obs.span("rulegen.type", target_type=type_name) as type_span:
-                    type_rows = rows_by_type[type_name]
-                    type_token_lists = [tokenized[row] for row in type_rows]
-                    frequent = mine_frequent_sequences(
-                        type_token_lists, self.min_support, self.max_length
+                    started = clock()
+                    view = index.type_view(type_name)
+                    frequent = view.mine(
+                        exact_min_count(self.min_support, view.n_rows),
+                        self.max_length,
                     )
-                    candidates = {
-                        seq: count
-                        for seq, count in frequent.items()
-                        if self.min_length <= len(seq) <= self.max_length
-                    }
+                    candidates = [
+                        iseq for iseq in frequent
+                        if self.min_length <= len(iseq) <= self.max_length
+                    ]
+                    timings["mine"] += clock() - started
                     result.n_mined += len(candidates)
                     type_span.set_attribute("mined", len(candidates))
                     if not candidates:
                         continue
 
-                    rules: List[SequenceRule] = []
-                    coverage: Dict[str, Set[int]] = {}
-                    for seq in sorted(candidates):
-                        count = candidates[seq]
-                        support = count / len(type_rows)
-                        global_rows = self._global_coverage(seq, postings, tokenized)
-                        if self.require_clean and any(
-                            labels[row] != type_name for row in global_rows
-                        ):
+                    started = clock()
+                    scorer = ConfidenceScorer(type_name)
+                    # Mining ran in token-id space; decode before sorting
+                    # so candidate order (and hence the selection
+                    # tiebreak) is the reference's string-sorted order.
+                    decode = index.decode
+                    entries: List[Entry] = []
+                    # order -> total coverage weight: the mined count *is*
+                    # the entry's full-coverage weight, so the selector
+                    # never has to sum it.
+                    totals: Dict[int, int] = {}
+                    for seq, iseq in sorted(
+                        (decode(iseq), iseq) for iseq in candidates
+                    ):
+                        if self.require_clean and view.has_impure_match(iseq):
                             continue
-                        rule = SequenceRule(
-                            seq,
-                            type_name,
-                            support=support,
-                            confidence=confidence_score(seq, type_name, support),
-                            provenance="rulegen",
-                            author="rulegen",
+                        count, lids = frequent[iseq]
+                        support = count / view.n_rows
+                        totals[len(entries)] = count
+                        entries.append(
+                            (scorer.score(seq, support), len(entries), lids,
+                             (seq, support))
                         )
-                        rules.append(rule)
-                        # Selection optimizes coverage of this type's titles.
-                        coverage[rule.rule_id] = {
-                            row for row in global_rows if labels[row] == type_name
-                        }
-                    result.n_clean += len(rules)
-                    type_span.set_attribute("clean", len(rules))
-                    if not rules:
-                        continue
-                    high, low = greedy_biased_select(
-                        rules, coverage, self.q, self.alpha
+                    result.n_clean += len(entries)
+                    type_span.set_attribute("clean", len(entries))
+                    high, low = greedy_biased_select_entries(
+                        entries, self.q, self.alpha, view.weights, totals
                     )
+                    type_span.set_attribute("selected", len(high) + len(low))
                     if high or low:
                         result.types_covered += 1
-                    type_span.set_attribute("selected", len(high) + len(low))
-                    result.high_confidence.extend(high)
-                    result.low_confidence.extend(low)
+                    for pool, selected in (
+                        (result.high_confidence, high),
+                        (result.low_confidence, low),
+                    ):
+                        for confidence, _, _, (seq, support) in selected:
+                            pool.append(
+                                SequenceRule(
+                                    seq,
+                                    type_name,
+                                    support=support,
+                                    confidence=confidence,
+                                    provenance="rulegen",
+                                    author="rulegen",
+                                )
+                            )
+                    timings["select"] += clock() - started
+
+            if self.dedupe and result.n_selected:
+                started = clock()
+                with obs.span("rulegen.dedupe") as dedupe_span:
+                    kept, pruned = dedupe_sequence_rules(result.rules)
+                    if pruned:
+                        kept_ids = {rule.rule_id for rule in kept}
+                        result.high_confidence = [
+                            r for r in result.high_confidence
+                            if r.rule_id in kept_ids
+                        ]
+                        result.low_confidence = [
+                            r for r in result.low_confidence
+                            if r.rule_id in kept_ids
+                        ]
+                    result.n_deduped = len(pruned)
+                    dedupe_span.set_attribute("pruned", result.n_deduped)
+                timings["select"] += clock() - started
             gen_span.set_attribute("mined", result.n_mined)
             gen_span.set_attribute("selected", result.n_selected)
         if obs.enabled:
@@ -173,14 +219,8 @@ class RuleGenerator:
             obs.metrics.counter("rulegen_selected_total", confidence="low").inc(
                 len(result.low_confidence)
             )
+            if self.dedupe:
+                obs.metrics.counter("rulegen_dedup_pruned_total").inc(
+                    result.n_deduped
+                )
         return result
-
-    @staticmethod
-    def _global_coverage(
-        seq: Tuple[str, ...],
-        postings: Dict[str, Set[int]],
-        tokenized: Sequence[Sequence[str]],
-    ) -> Set[int]:
-        """Rows of the whole training set the sequence matches."""
-        possible = set.intersection(*(postings.get(t, set()) for t in seq))
-        return {row for row in possible if contains_word_sequence(tokenized[row], seq)}

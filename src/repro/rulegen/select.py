@@ -20,7 +20,7 @@ from repro.core.rule import SequenceRule
 CoverageMap = Dict[str, Set[int]]
 
 # (confidence, order, coverage set, payload): the id-free form of a
-# candidate rule used by the sharded generator, which selects *before*
+# candidate rule used by ``RuleGenerator``, which selects *before*
 # materializing SequenceRule objects. ``order`` is the candidate's creation
 # index within its pool and stands in for the rule-id tiebreak: freshly
 # generated rule ids ("seq-000123") are zero-padded, so their lexicographic

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.utils.text import contains_word_sequence
 
@@ -22,26 +22,19 @@ def _contains(title_tokens: Sequence[str], candidate: Sequence_) -> bool:
     return contains_word_sequence(title_tokens, candidate)
 
 
-def exact_min_count(min_support: float, n_titles: int, factor: float = 1.0) -> int:
-    """``ceil(min_support * factor * n_titles)`` in exact arithmetic, min 1.
+def exact_min_count(min_support: float, n_titles: int) -> int:
+    """``ceil(min_support * n_titles)`` in exact arithmetic, min 1.
 
     ``min_support`` is interpreted as the decimal literal it was written as
     (``Fraction(str(...))``), not as the binary float it is stored as:
     ``0.1 * 10`` titles is exactly 1 title, never the float artefact
     ``1.0000000000000002`` whose ceiling silently demands a second title.
-    ``factor`` (the sharded miner's lowered local threshold) goes through
-    the same exact path so shard thresholds can never round past the
-    global one.
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"factor must be in (0, 1], got {factor}")
     if n_titles < 0:
         raise ValueError(f"n_titles must be non-negative, got {n_titles}")
     threshold = Fraction(str(min_support))
-    if factor != 1.0:
-        threshold *= Fraction(str(factor))
     return max(1, -(-(threshold.numerator * n_titles) // threshold.denominator))
 
 
@@ -60,7 +53,6 @@ def mine_frequent_sequences(
     token_lists: Sequence[Sequence[str]],
     min_support: float,
     max_length: int = 4,
-    index: Optional[object] = None,
 ) -> Dict[Sequence_, int]:
     """All frequent sequences up to ``max_length``, mapped to their counts.
 
@@ -68,12 +60,6 @@ def mine_frequent_sequences(
     candidate generation with Apriori pruning; support counting is
     accelerated by a token -> title inverted index (a candidate can only be
     contained in titles containing all of its tokens).
-
-    ``index`` is an optional prebuilt :class:`repro.rulegen.corpus.CorpusIndex`
-    (or anything with a ``row_postings`` mapping) over the *same*
-    ``token_lists``; passing one skips the per-call postings build so
-    repeated mining over one corpus (quota retries, shard recounts) reuses
-    the inverted index.
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
@@ -84,14 +70,7 @@ def mine_frequent_sequences(
         return {}
     min_count = exact_min_count(min_support, n_titles)
 
-    if index is not None:
-        postings = index.row_postings
-        if index.n_rows != n_titles:
-            raise ValueError(
-                f"index covers {index.n_rows} rows, corpus has {n_titles}"
-            )
-    else:
-        postings = build_postings(token_lists)
+    postings = build_postings(token_lists)
 
     frequent: Dict[Sequence_, int] = {}
 

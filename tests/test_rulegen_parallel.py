@@ -1,11 +1,12 @@
-"""Sharded rule induction: partition-theorem equivalence, exact thresholds.
+"""The rule miner against its reference: identity, exact thresholds.
 
-The contract under test is byte-identity: for any worker count, any
-partition, any ``local_support_factor``, the sharded generator's mined
-sequences and final rule set equal the serial pipeline's exactly (rule
-ids excluded — they are auto-assigned). The hypothesis properties here
-drive that with adversarial corpora: duplicate titles, single-type
-corpora, types too small to slice, empty slices.
+The contract under test is byte-identity: ``RuleGenerator`` (weighted
+representatives, interned ids, vectorized low levels) produces exactly
+the mined counts and final rule list of ``ReferenceRuleGenerator`` (the
+paper's pipeline over plain rows) — rule ids excluded, they are
+auto-assigned. The hypothesis properties here drive that with adversarial
+corpora: duplicate and cross-label titles, single-type corpora, the
+cleanliness filter on and off, drawn length bounds.
 """
 
 import itertools
@@ -15,15 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.rulegen.corpus as corpus_module
 from repro.catalog.generator import LabeledTitle
-from repro.rulegen import RuleGenerator, ShardedRuleGenerator
+from repro.rulegen import ReferenceRuleGenerator, RuleGenerator
 from repro.rulegen.corpus import (
     CorpusIndex,
+    _weighted_groups,
     mine_weighted_reps,
     tokens_contain,
 )
-from repro.rulegen.parallel import MineTask, RulegenShardPayload, _mine_shard
+from repro.rulegen.parallel import ShardedRuleGenerator
 from repro.rulegen.select import (
     greedy_biased_select,
     greedy_biased_select_entries,
@@ -95,35 +96,21 @@ class TestExactMinCount:
         assert exact_min_count(0.01, 10) == 1
         assert exact_min_count(0.2, 0) == 1
 
-    def test_factor_stays_exact(self):
-        # factor lowers the bar through the same exact path.
-        assert exact_min_count(0.01, 300, factor=0.5) == 2  # ceil(1.5)
-        assert exact_min_count(0.1, 10, factor=1.0) == 1
-        assert exact_min_count(0.1, 100, factor=0.7) == 7
-        assert exact_min_count(0.2, 100, factor=0.35) == 7
-
     def test_validation(self):
         for bad_support in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 exact_min_count(bad_support, 10)
-        for bad_factor in (0.0, -1.0, 1.01):
-            with pytest.raises(ValueError):
-                exact_min_count(0.1, 10, factor=bad_factor)
         with pytest.raises(ValueError):
             exact_min_count(0.1, -1)
 
     @given(
         numerator=st.integers(min_value=1, max_value=1000),
         n_titles=st.integers(min_value=0, max_value=2000),
-        factor_pct=st.integers(min_value=1, max_value=100),
     )
-    def test_is_the_exact_ceiling(self, numerator, n_titles, factor_pct):
+    def test_is_the_exact_ceiling(self, numerator, n_titles):
         min_support = numerator / 1000
-        factor = factor_pct / 100
-        count = exact_min_count(min_support, n_titles, factor)
-        exact = (
-            Fraction(str(min_support)) * Fraction(str(factor)) * n_titles
-        )
+        count = exact_min_count(min_support, n_titles)
+        exact = Fraction(str(min_support)) * n_titles
         # Smallest integer >= exact, floored at 1: sufficient...
         assert count >= exact
         assert count >= 1
@@ -185,16 +172,12 @@ class TestWeightedMinerEquivalence:
             self.expand(str_reps, weights), min_support, max_length=4
         )
 
-        # Integer tokens take the vectorized path...
         mined_int = mine_weighted_reps(reps, weights, min_count, 4)
         decoded = {
             tuple(f"w{t}" for t in seq): count
             for seq, (count, _) in mined_int.items()
         }
         assert decoded == serial
-        # ...string tokens the pure-Python one. Same answer.
-        mined_str = mine_weighted_reps(str_reps, weights, min_count, 4)
-        assert {seq: count for seq, (count, _) in mined_str.items()} == serial
         # The id sets are the containing reps, exactly.
         for seq, (count, ids) in mined_int.items():
             containing = {
@@ -210,106 +193,49 @@ class TestWeightedMinerEquivalence:
         assert mine_weighted_reps([(1, 2)], [1], 1, 0) == {}
 
 
-class TestPartitionTheorem:
-    """Any partition of the reps, mined locally and merged with one exact
-    recount, reproduces global mining byte-for-byte."""
-
-    @given(
-        reps=TOKEN_ROWS,
-        weights_seed=st.lists(
-            st.integers(min_value=1, max_value=3), min_size=8, max_size=8
-        ),
-        assignment_seed=st.lists(
-            st.integers(min_value=0, max_value=3), min_size=8, max_size=8
-        ),
-        support_idx=st.integers(min_value=0, max_value=2),
-        factor_idx=st.integers(min_value=0, max_value=1),
-    )
-    @settings(deadline=None)
-    def test_local_mine_plus_recount_is_exact(
-        self, reps, weights_seed, assignment_seed, support_idx, factor_idx
-    ):
-        min_support = [0.1, 0.25, 0.5][support_idx]
-        factor = [1.0, 0.6][factor_idx]
-        weights = weights_seed[: len(reps)]
-        assignment = assignment_seed[: len(reps)]
-        n_rows = sum(weights)
-        global_min = exact_min_count(min_support, n_rows)
-
-        global_mined = {
-            seq: count
-            for seq, (count, _) in mine_weighted_reps(
-                reps, weights, global_min, 4
-            ).items()
-        }
-
-        candidates = set()
-        for slice_id in set(assignment):
-            slice_reps = [
-                rep for rep, s in zip(reps, assignment) if s == slice_id
-            ]
-            slice_weights = [
-                w for w, s in zip(weights, assignment) if s == slice_id
-            ]
-            local_min = exact_min_count(
-                min_support, sum(slice_weights), factor
-            )
-            candidates.update(
-                mine_weighted_reps(slice_reps, slice_weights, local_min, 4)
-            )
-
-        # Every globally frequent sequence must surface in some slice
-        # (the partition theorem); the recount then restores exact counts
-        # and drops the locally-frequent-only noise.
-        merged = {}
-        for seq in candidates:
-            count = sum(
-                weight
-                for rep, weight in zip(reps, weights)
-                if tokens_contain(rep, seq)
-            )
-            if count >= global_min:
-                merged[seq] = count
-        assert merged == global_mined
-
-
-SHARDED_SETTINGS = settings(
+IDENTITY_SETTINGS = settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+# (min_length, max_length) pairs with 1 <= min <= max <= 4.
+LENGTH_BOUNDS = st.tuples(
+    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
+).map(sorted)
 
-def assert_sharded_matches_serial(training, n_workers, factor, seed,
-                                  min_support=0.2, **kwargs):
-    serial = RuleGenerator(min_support=min_support, q=8).generate(training)
-    sharded = ShardedRuleGenerator(
-        min_support=min_support,
-        q=8,
-        n_workers=n_workers,
-        local_support_factor=factor,
-        min_slice_rows=1,
-        max_slices_per_type=n_workers,
-        seed=seed,
-        **kwargs,
+
+def assert_miner_matches_reference(training, min_support=0.2, **kwargs):
+    reference = ReferenceRuleGenerator(
+        min_support=min_support, q=8, **kwargs
     ).generate(training)
-    assert full_key(sharded) == full_key(serial)
-    return sharded
+    mined = RuleGenerator(min_support=min_support, q=8, **kwargs).generate(
+        training
+    )
+    assert full_key(mined) == full_key(reference)
+    return mined
 
 
 class TestShardedEqualsSerial:
-    """The tentpole contract: sharded(k workers, any partition) == serial."""
+    """The tentpole contract: the miner's rules == the reference's."""
 
     @given(
         training=CORPORA,
-        n_workers=st.integers(min_value=1, max_value=4),
-        factor_idx=st.integers(min_value=0, max_value=2),
-        seed=st.integers(min_value=0, max_value=10_000),
+        require_clean=st.booleans(),
+        bounds=LENGTH_BOUNDS,
+        support_idx=st.integers(min_value=0, max_value=2),
     )
-    @SHARDED_SETTINGS
-    def test_rule_sets_identical(self, training, n_workers, factor_idx, seed):
-        factor = [1.0, 0.7, 0.5][factor_idx]
-        assert_sharded_matches_serial(training, n_workers, factor, seed)
+    @IDENTITY_SETTINGS
+    def test_rule_sets_identical(
+        self, training, require_clean, bounds, support_idx
+    ):
+        assert_miner_matches_reference(
+            training,
+            min_support=[0.1, 0.2, 0.5][support_idx],
+            require_clean=require_clean,
+            min_length=bounds[0],
+            max_length=bounds[1],
+        )
 
     @given(
         training=st.lists(TITLES, min_size=1, max_size=15).map(
@@ -317,12 +243,17 @@ class TestShardedEqualsSerial:
                 LabeledTitle(title=t, label="pants") for t in titles
             ]
         ),
-        n_workers=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10_000),
+        require_clean=st.booleans(),
+        bounds=LENGTH_BOUNDS,
     )
-    @SHARDED_SETTINGS
-    def test_single_type_corpora(self, training, n_workers, seed):
-        assert_sharded_matches_serial(training, n_workers, 0.7, seed)
+    @IDENTITY_SETTINGS
+    def test_single_type_corpora(self, training, require_clean, bounds):
+        assert_miner_matches_reference(
+            training,
+            require_clean=require_clean,
+            min_length=bounds[0],
+            max_length=bounds[1],
+        )
 
     def test_duplicate_titles(self):
         training = (
@@ -336,59 +267,11 @@ class TestShardedEqualsSerial:
                 LabeledTitle(title="oak desk", label="lighting"),
             ]
         )
-        for n_workers in (1, 2, 3, 4):
-            sharded = assert_sharded_matches_serial(
-                training, n_workers, 0.6, seed=n_workers, min_support=0.1
+        for require_clean in (True, False):
+            mined = assert_miner_matches_reference(
+                training, min_support=0.1, require_clean=require_clean
             )
-            assert sharded.n_workers == n_workers
-        # The sliced path actually ran: reps exist and the planner cut them.
-        assert sharded.n_tasks > len(
-            {example.label for example in training}
-        )
-
-    def test_types_too_small_to_slice(self):
-        # One type with a single title rides whole even at 4 workers.
-        training = [
-            LabeledTitle(title="slim fit jeans", label="pants"),
-            LabeledTitle(title="oak desk lamp", label="lighting"),
-            LabeledTitle(title="oak desk lamp fit", label="lighting"),
-        ]
-        sharded = assert_sharded_matches_serial(
-            training, 4, 1.0, seed=0, min_support=0.5
-        )
-        assert sharded.n_shards <= 4
-
-    def test_empty_shard_payload(self):
-        task = MineTask(
-            type_name="pants",
-            slice_id=0,
-            n_slices=2,
-            lids=(),
-            rep_tokens=(),
-            weights=(),
-            min_count=1,
-            max_length=4,
-            n_rows=0,
-        )
-        shard_id, reports = _mine_shard(
-            RulegenShardPayload(shard_id=3, tasks=(task,))
-        )
-        assert shard_id == 3
-        assert reports == [("pants", 0, {})]
-
-    def test_process_pool_matches_serial(self):
-        training = [
-            LabeledTitle(title="slim fit denim jeans", label="pants"),
-            LabeledTitle(title="slim denim jeans", label="pants"),
-            LabeledTitle(title="denim jeans slim", label="pants"),
-            LabeledTitle(title="oak desk lamp", label="lighting"),
-            LabeledTitle(title="desk lamp oak", label="lighting"),
-            LabeledTitle(title="oak sofa", label="furniture"),
-        ]
-        sharded = assert_sharded_matches_serial(
-            training, 2, 0.8, seed=1, min_support=0.3, use_processes=True
-        )
-        assert sharded.mode == "processes"
+            assert mined.n_selected
 
     def test_dedupe_smoke(self):
         training = [
@@ -396,78 +279,50 @@ class TestShardedEqualsSerial:
             LabeledTitle(title="slim denim jeans", label="pants"),
             LabeledTitle(title="fit denim jeans", label="pants"),
         ]
-        plain = ShardedRuleGenerator(
-            min_support=0.3, q=8, n_workers=2, min_slice_rows=1,
-            max_slices_per_type=2,
-        ).generate(training)
-        deduped = ShardedRuleGenerator(
-            min_support=0.3, q=8, n_workers=2, min_slice_rows=1,
-            max_slices_per_type=2, dedupe=True,
-        ).generate(training)
+        plain = RuleGenerator(min_support=0.3, q=8).generate(training)
+        deduped = RuleGenerator(min_support=0.3, q=8, dedupe=True).generate(
+            training
+        )
         kept = {tuple(rule.token_sequence) for rule in deduped.rules}
         assert kept <= {tuple(rule.token_sequence) for rule in plain.rules}
         assert deduped.n_deduped == plain.n_selected - deduped.n_selected
+        assert plain.n_deduped == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedRuleGenerator(n_workers=0)
+            RuleGenerator(min_length=0)
         with pytest.raises(ValueError):
-            ShardedRuleGenerator(local_support_factor=0.0)
+            RuleGenerator(min_length=3, max_length=2)
         with pytest.raises(ValueError):
-            ShardedRuleGenerator(local_support_factor=1.5)
-        with pytest.raises(ValueError):
-            ShardedRuleGenerator(min_slice_rows=0)
-        with pytest.raises(ValueError):
-            ShardedRuleGenerator(max_slices_per_type=0)
-        with pytest.raises(ValueError):
-            ShardedRuleGenerator().generate([])
+            RuleGenerator().generate([])
 
-
-class TestDeterminism:
-    def corpus(self):
-        return [
+    def test_ledger_shim_is_the_miner(self):
+        """``benchmarks/ledger/workloads.py`` still constructs the miner as
+        ``repro.rulegen.parallel.ShardedRuleGenerator(n_workers=1, seed=)``."""
+        training = [
             LabeledTitle(title=title, label=label)
             for title, label in [
                 ("slim fit denim jeans", "pants"),
                 ("slim denim jeans", "pants"),
-                ("denim jeans", "pants"),
-                ("fit denim jeans slim", "pants"),
+                ("denim jeans slim fit", "pants"),
                 ("oak desk lamp", "lighting"),
-                ("desk lamp", "lighting"),
-                ("oak sofa desk", "furniture"),
+                ("desk lamp oak", "lighting"),
+                ("oak sofa", "furniture"),
             ]
-        ]
-
-    def test_same_seed_same_partition(self):
-        training = self.corpus()
-        index = CorpusIndex.from_labeled(training)
-
-        def plan(seed):
-            return ShardedRuleGenerator(
-                min_support=0.2, n_workers=4, min_slice_rows=1,
-                max_slices_per_type=4, seed=seed,
-            )._plan_tasks(index)
-
-        assert plan(7) == plan(7)
-        # A different seed permutes slice membership...
-        assert plan(7) != plan(8)
-        # ...but the rule set is identical for every seed regardless.
-        for seed in (7, 8):
-            assert_sharded_matches_serial(training, 4, 0.7, seed)
-
-    def test_worker_counts_all_identical(self):
-        training = self.corpus()
-        keys = set()
-        for n_workers in (1, 2, 3, 4):
-            result = assert_sharded_matches_serial(
-                training, n_workers, 0.5, seed=3, min_support=0.2
-            )
-            keys.add(str(full_key(result)))
-        assert len(keys) == 1
+        ] * 10
+        shimmed = ShardedRuleGenerator(
+            min_support=0.02, n_workers=1, seed=3
+        ).generate(training)
+        direct = RuleGenerator(min_support=0.02).generate(training)
+        assert shimmed.n_selected
+        assert full_key(shimmed) == full_key(direct)
+        assert shimmed.n_selected == direct.n_selected
+        with pytest.raises(ValueError):
+            ShardedRuleGenerator(min_support=0.02, n_workers=2, seed=3)
 
 
 class TestCorpusIndexReuse:
-    """Satellite: one postings build, many mining passes."""
+    """One index build, many generation passes."""
 
     def training(self):
         return [
@@ -482,52 +337,71 @@ class TestCorpusIndexReuse:
             ]
         ]
 
-    def test_postings_built_once_across_generates(self):
-        training = self.training()
-        index = CorpusIndex.from_labeled(training)
-        assert index.row_postings_builds == 0
-        generator = RuleGenerator(min_support=0.2, q=10)
-        baseline = generator.generate(training)
-        first = generator.generate(training, index=index)
-        second = generator.generate(training, index=index)
-        assert index.row_postings_builds == 1
-        assert full_key(first) == full_key(baseline)
-        assert full_key(second) == full_key(baseline)
-
-    def test_mine_with_index_matches_without(self):
-        training = self.training()
-        index = CorpusIndex.from_labeled(training)
-        with_index = mine_frequent_sequences(
-            index.tokenized, 0.2, index=index
-        )
-        without = mine_frequent_sequences(index.tokenized, 0.2)
-        assert with_index == without
-        mine_frequent_sequences(index.tokenized, 0.4, index=index)
-        assert index.row_postings_builds == 1
-
-    def test_index_row_count_mismatch_rejected(self):
-        index = CorpusIndex.from_labeled(self.training())
-        with pytest.raises(ValueError):
-            mine_frequent_sequences([("denim",)], 0.2, index=index)
-
     def test_sharded_accepts_prebuilt_index(self):
         training = self.training()
         index = CorpusIndex.from_labeled(training)
-        direct = ShardedRuleGenerator(
-            min_support=0.2, q=10, n_workers=2, min_slice_rows=1,
-            max_slices_per_type=2,
-        )
-        assert full_key(direct.generate(training, index=index)) == full_key(
-            direct.generate(training)
-        )
+        generator = RuleGenerator(min_support=0.2, q=10)
+        baseline = full_key(generator.generate(training))
+        # Reuse leaves the index intact: a second pass sees the same rules.
+        assert full_key(generator.generate(training, index=index)) == baseline
+        assert full_key(generator.generate(training, index=index)) == baseline
+        assert full_key(generator.generate([], index=index)) == baseline
+
+    def test_index_row_count_mismatch_rejected(self):
+        training = self.training()
+        index = CorpusIndex.from_labeled(training)
+        with pytest.raises(ValueError, match="6 rows, training has 1"):
+            RuleGenerator().generate(training[:1], index=index)
 
     def test_unlabeled_index_rejected(self):
         index = CorpusIndex([("denim", "jeans")])
-        with pytest.raises(ValueError):
-            ShardedRuleGenerator().generate(
+        with pytest.raises(ValueError, match="labeled index"):
+            RuleGenerator().generate(
                 [LabeledTitle(title="denim jeans", label="pants")],
                 index=index,
             )
+
+
+class TestPackedKeyBounds:
+    """Packed int64 sort keys are bounded before numpy can wrap them."""
+
+    @staticmethod
+    def index_with_vocab(vocab):
+        index = CorpusIndex.from_labeled([
+            LabeledTitle(title="slim fit denim jeans", label="pants"),
+            LabeledTitle(title="oak desk lamp", label="lighting"),
+        ])
+        # Stub the vocabulary *size*; the real token ids stay tiny.
+        index.id_tokens = range(vocab)
+        return index
+
+    def test_sequence_uniformity_boundary(self):
+        span = 2 + 2  # two labels + the mixed / disagree codes
+        # The largest vocabulary whose triple key V**3 * span - 1 fits.
+        vocab = round((2**63 / span) ** (1 / 3))
+        while vocab**3 * span > 2**63:
+            vocab -= 1
+        while (vocab + 1) ** 3 * span <= 2**63:
+            vocab += 1
+        pair_uniform, triple_uniform = self.index_with_vocab(vocab).seq_uniform
+        assert pair_uniform and triple_uniform
+        wraps = self.index_with_vocab(vocab + 1)
+        with pytest.raises(ValueError, match=f"vocabulary of {vocab + 1} tokens"):
+            wraps.seq_uniform
+
+    def test_weighted_groups_boundary(self):
+        import numpy as np
+
+        codes = np.array([0, 1, 1], dtype=np.int64)
+        rids = np.array([0, 0, 1], dtype=np.int64)
+        weights = np.array([1, 1], dtype=np.int64)
+        n = 2
+        vocab = 2**31  # vocab ** 2 * n - 1 == 2 ** 63 - 1: exactly fits
+        assert _weighted_groups(codes, rids, weights, n, 1, vocab, 2) == (
+            [0, 1], [1, 2], [{0}, {0, 1}]
+        )
+        with pytest.raises(ValueError, match="int64 limit"):
+            _weighted_groups(codes, rids, weights, n, 1, vocab + 1, 2)
 
 
 class TestCleanlinessTables:
@@ -564,43 +438,6 @@ class TestCleanlinessTables:
         index.labels = None
         with pytest.raises(ValueError):
             view.has_impure_match((0,))
-
-
-class TestPurePythonFallback:
-    """With numpy masked out, every structure and answer is unchanged."""
-
-    def test_index_and_miner_match_numpy(self, monkeypatch):
-        training = [
-            LabeledTitle(title=title, label=label)
-            for title, label in [
-                ("slim fit denim jeans", "pants"),
-                ("slim denim jeans", "pants"),
-                ("denim jeans slim fit", "pants"),
-                ("oak desk lamp", "lighting"),
-                ("oak desk lamp", "lighting"),
-                ("desk lamp oak", "lighting"),
-                ("oak sofa", "furniture"),
-                ("oak desk", "furniture"),
-            ]
-        ]
-        vec_index = CorpusIndex.from_labeled(training)
-        vec_result = RuleGenerator(min_support=0.2, q=10).generate(training)
-        vec_sharded = ShardedRuleGenerator(
-            min_support=0.2, q=10, n_workers=3, min_slice_rows=1,
-            max_slices_per_type=3, local_support_factor=0.7,
-        ).generate(training)
-
-        monkeypatch.setattr(corpus_module, "_np", None)
-        pure_index = CorpusIndex.from_labeled(training)
-        assert pure_index.rep_postings == vec_index.rep_postings
-        assert pure_index.token_uniform == vec_index.token_uniform
-        assert pure_index.seq_uniform == vec_index.seq_uniform
-        pure_sharded = ShardedRuleGenerator(
-            min_support=0.2, q=10, n_workers=3, min_slice_rows=1,
-            max_slices_per_type=3, local_support_factor=0.7,
-        ).generate(training)
-        assert full_key(pure_sharded) == full_key(vec_sharded)
-        assert full_key(pure_sharded) == full_key(vec_result)
 
 
 class TestWeightedEntrySelection:
