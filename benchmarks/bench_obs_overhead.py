@@ -1,6 +1,6 @@
 """Observability overhead: instrumented vs. un-instrumented execution.
 
-The observability layer's contract (DESIGN.md §9) is two-fold:
+The observability layer's contract (DESIGN.md §8) is two-fold:
 
 1. **identical results** — fired maps are byte-identical with tracing on
    or off (instrumentation is strictly observational);

@@ -1,6 +1,6 @@
 """Rule-quality telemetry overhead: Chimera with telemetry on vs. off.
 
-The telemetry layer's contract (DESIGN.md §10) mirrors the PR-4
+The telemetry layer's contract (DESIGN.md §9) mirrors the PR-4
 observability contract one level up the stack:
 
 1. **identical labels** — every item's (label, source) is byte-identical

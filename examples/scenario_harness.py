@@ -1,4 +1,4 @@
-"""The declarative scenario harness, end to end (DESIGN.md §12).
+"""The declarative scenario harness, end to end (DESIGN.md §10).
 
 Where examples/incident_response.py hand-wires §2.2's incident, the
 scenario harness makes the whole operational story data: a YAML spec

@@ -8,7 +8,6 @@ system to the previous state quickly."
 
 from __future__ import annotations
 
-import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -19,8 +18,6 @@ from repro.chimera.pipeline import Chimera
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.repository import RuleRepository
-
-_incident_ids = itertools.count(1)
 
 
 @dataclass
@@ -62,6 +59,10 @@ class IncidentManager:
         self.repository = repository
         self.incidents: List[Incident] = []
 
+    def _next_id(self) -> str:
+        """Incidents are numbered per manager, so ids replay with the log."""
+        return f"incident-{len(self.incidents) + 1:04d}"
+
     def _attributed(self, incident: Incident, action: str):
         """Attribution scope recording playbook mutations against the incident."""
         if self.repository is None:
@@ -76,7 +77,7 @@ class IncidentManager:
         if not affected_types:
             raise ValueError("an incident needs at least one affected type")
         incident = Incident(
-            incident_id=f"incident-{next(_incident_ids):04d}",
+            incident_id=self._next_id(),
             opened_at=at,
             affected_types=tuple(sorted(affected_types)),
         )
@@ -91,7 +92,7 @@ class IncidentManager:
         detect → debug → restore trail for component failures.
         """
         incident = Incident(
-            incident_id=f"incident-{next(_incident_ids):04d}",
+            incident_id=self._next_id(),
             opened_at=at,
             affected_types=(stage_name,),
             kind="stage-failure",
@@ -116,7 +117,7 @@ class IncidentManager:
         if not rule_ids:
             raise ValueError("a rule incident needs at least one rule id")
         incident = Incident(
-            incident_id=f"incident-{next(_incident_ids):04d}",
+            incident_id=self._next_id(),
             opened_at=at,
             affected_types=(),
             kind="rule-quality",

@@ -2,13 +2,13 @@
 
 Rules (whitelist/blacklist regexes, attribute, value-constraint, predicate,
 and generated sequence rules), the analyst DSL, ordered rule sets with
-whitelist-before-blacklist semantics, a lifecycle registry with audit trail,
-and mechanical checks of the rule-system properties section 4 calls for.
+whitelist-before-blacklist semantics, JSON persistence, and mechanical
+checks of the rule-system properties section 4 calls for. Rule history
+(who changed what, when, why) lives in :mod:`repro.repository`.
 """
 
 from repro.core.errors import (
     DuplicateRuleError,
-    LifecycleError,
     RuleError,
     RuleParseError,
     UnknownDictionaryError,
@@ -24,9 +24,7 @@ from repro.core.language import (
 )
 from repro.core.explain import Explanation, ExplanationStep, explain_verdict
 from repro.core.persistence import (
-    load_registry,
     load_ruleset,
-    save_registry,
     save_ruleset,
 )
 from repro.core.properties import (
@@ -44,7 +42,6 @@ from repro.core.prepared import (
     prepare_all,
     prepare_cached,
 )
-from repro.core.registry import AuditEntry, RuleRegistry
 from repro.core.rule import (
     AttributeRule,
     BlacklistRule,
@@ -53,7 +50,6 @@ from repro.core.rule import (
     Prediction,
     RegexRule,
     Rule,
-    RuleStatus,
     SequenceRule,
     ValueConstraintRule,
     WhitelistRule,
@@ -64,7 +60,6 @@ from repro.core.ruleset import RuleSet, RuleVerdict
 
 __all__ = [
     "AttributeRule",
-    "AuditEntry",
     "BlacklistRule",
     "Clause",
     "ConstraintRule",
@@ -73,7 +68,6 @@ __all__ = [
     "Explanation",
     "ExplanationStep",
     "ItemLike",
-    "LifecycleError",
     "OrderIndependenceReport",
     "PredicateRule",
     "Prediction",
@@ -83,9 +77,7 @@ __all__ = [
     "Rule",
     "RuleError",
     "RuleParseError",
-    "RuleRegistry",
     "RuleSet",
-    "RuleStatus",
     "RuleVerdict",
     "SequenceRule",
     "UdfRegistry",
@@ -99,14 +91,12 @@ __all__ = [
     "compile_title_regex",
     "explain_verdict",
     "extract_anchor_literals",
-    "load_registry",
     "load_ruleset",
     "parse_rule",
     "parse_rules",
     "prepare",
     "prepare_all",
     "prepare_cached",
-    "save_registry",
     "save_ruleset",
     "stage_partition",
     "whitelist_conflicts",

@@ -28,10 +28,6 @@ class DuplicateRuleError(RuleError):
     """A rule with the same id already exists."""
 
 
-class LifecycleError(RuleError):
-    """An invalid rule-lifecycle transition was requested."""
-
-
 class UnknownDictionaryError(RuleError, KeyError):
     """A dict(...) clause referenced a dictionary that was never registered."""
 

@@ -24,7 +24,6 @@ is the point of the paper.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import re
 from abc import ABC, abstractmethod
@@ -46,16 +45,6 @@ class Prediction:
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ValueError(f"prediction weight must be non-negative, got {self.weight}")
-
-
-class RuleStatus(enum.Enum):
-    """Lifecycle states managed by :class:`~repro.core.registry.RuleRegistry`."""
-
-    DRAFT = "draft"
-    VALIDATED = "validated"
-    DEPLOYED = "deployed"
-    DISABLED = "disabled"
-    RETIRED = "retired"
 
 
 _id_counter = itertools.count(1)

@@ -61,8 +61,8 @@ class RuleSet:
     **Rule-state ownership (copy-on-add).** The set stores a shallow *copy*
     of every rule handed to :meth:`add` / :meth:`replace`, so per-rule
     mutable state — today just ``enabled`` — is owned per set. Two rule
-    sets built from the same :class:`Rule` objects (e.g. a registry's
-    ``deployed_ruleset()`` and a snapshot view) no longer alias: disabling
+    sets built from the same :class:`Rule` objects (e.g. a pipeline stage
+    and a repository's materialized view) do not alias: disabling
     a rule in one cannot silently disable it in the other, and every set's
     subscribers see exactly the ``"disabled"`` events for *their* set.
     Rule conditions are immutable, so the shallow copy shares them.

@@ -2,14 +2,14 @@
 
 Section 5.3: "Regarding entity matching, we are currently developing a
 solution that can execute a set of matching rules efficiently on a cluster
-of machines, over a large amount of data." Candidate pairs are sharded;
-rules are shipped to workers as their DSL source strings (EM predicates
-close over functions and cannot be pickled) and re-parsed there.
+of machines, over a large amount of data." The cluster is simulated
+in-process: candidate pairs are sharded, and rules reach each shard as
+their DSL source strings (EM predicates close over functions and could not
+be shipped to a real worker) and are re-parsed there.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
@@ -46,7 +46,6 @@ class PartitionedEmMatcher:
         self,
         rule_sources: Sequence[str],
         n_workers: int = 4,
-        use_processes: bool = False,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -59,7 +58,6 @@ class PartitionedEmMatcher:
             raise ValueError("matcher needs at least one match rule")
         self.rule_sources = list(rule_sources)
         self.n_workers = n_workers
-        self.use_processes = use_processes
 
     def match(
         self, pairs: Sequence[Tuple[Record, Record]]
@@ -70,19 +68,10 @@ class PartitionedEmMatcher:
         for index, pair in enumerate(pairs):
             shards[index % self.n_workers].append(pair)
 
-        outputs = []
-        if self.use_processes:
-            with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [
-                    pool.submit(_run_em_shard, shard_id, self.rule_sources, shard)
-                    for shard_id, shard in enumerate(shards)
-                ]
-                outputs = [future.result() for future in futures]
-        else:
-            outputs = [
-                _run_em_shard(shard_id, self.rule_sources, shard)
-                for shard_id, shard in enumerate(shards)
-            ]
+        outputs = [
+            _run_em_shard(shard_id, self.rule_sources, shard)
+            for shard_id, shard in enumerate(shards)
+        ]
 
         merged: Set[FrozenSet] = set()
         reports: List[EmShardReport] = []

@@ -16,8 +16,8 @@ One engine, three modes, one reference (DESIGN.md §5):
   and rule classes the compiler does not know;
 * :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
-  simulated cluster workers (or a real process pool), each running the
-  artifact lowered from the serialized rules;
+  simulated, in-process cluster workers sharing the artifact lowered
+  from the serialized rules;
 * :class:`IncrementalExecutor` + :class:`MatchStore` — **delta** mode for
   the never-ending deployment (§2.2/§4): the fired map is a materialized
   view and only the changed rules/items are re-evaluated, with a
@@ -28,7 +28,7 @@ One engine, three modes, one reference (DESIGN.md §5):
 
 The sharded mode is fault tolerant (§2.2's ongoing-system requirements):
 failed shards retry with exponential backoff onto other workers,
-stragglers are re-dispatched after a timeout, corrupt shard output is
+(injected) stragglers are re-dispatched, corrupt shard output is
 rejected by driver-side validation, and runs degrade — with an explicit
 skip report — instead of raising. See :mod:`repro.execution.resilience`
 and the deterministic fault-injection harness in

@@ -335,7 +335,7 @@ class CompiledRuleSet:
         return self._lane_labels.get(rule_id, "compat")
 
     def layout(self) -> Dict[str, int]:
-        """Automaton layout counts (documented in DESIGN.md section 11)."""
+        """Automaton layout counts (documented in DESIGN.md §5)."""
         self._refresh()
         depth1 = sum(
             1 for lanes in self._raw.values() for _ in lanes.fires

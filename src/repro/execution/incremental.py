@@ -318,7 +318,9 @@ class IncrementalExecutor:
     def follow_batches(self, stream) -> Callable[[], None]:
         """Subscribe to a :class:`~repro.catalog.batches.BatchStream` so
         every arriving vendor batch lands as an ``add_items`` delta."""
-        return stream.subscribe(lambda batch: self.add_items(batch.items))
+        unsubscribe = stream.subscribe(lambda batch: self.add_items(batch.items))
+        self._unsubscribes.append(unsubscribe)
+        return unsubscribe
 
     def detach(self) -> None:
         """Drop every subscription taken out by this executor."""

@@ -1,18 +1,17 @@
 """Partitioned ("cluster") rule execution with fault tolerance.
 
 Section 4 suggests executing rules "in parallel on a cluster of machines
-(e.g., using Hadoop)". The cluster is simulated: items are sharded across
-workers, rules are *serialized* to each worker and rebuilt there (as they
-would be shipped to Hadoop tasks), each shard reports its own work, and the
-driver merges shard outputs. With ``use_processes=True`` the shards run in
-a real process pool.
+(e.g., using Hadoop)". The cluster is simulated, in-process: items are
+sharded across workers, rules are *serialized* and rebuilt from the
+shipped payloads (as they would be on Hadoop tasks), each shard reports
+its own work, and the driver merges shard outputs. Shards run one after
+another in this process: what the mode models is the cluster's *failure*
+behaviour, not its throughput (DESIGN.md §5 has the measurement).
 
 Every shard runs the one compiled engine
-(:mod:`repro.execution.compiler`): in-process shards share a single
-artifact lowered from the shipped rule payloads by the first shard
-attempt, process-pool workers lower their own copy once each in the pool
-initializer, and shard submissions carry only raw item records — the
-artifact tokenizes inline, so there are no prepared views to ship.
+(:mod:`repro.execution.compiler`): the shards share a single artifact
+lowered from the shipped rule payloads by the first shard attempt, and are
+handed raw item records — the artifact tokenizes inline.
 
 The driver also implements the §2.2 failure model ("the system must keep
 running and degrade gracefully"):
@@ -21,7 +20,7 @@ running and degrade gracefully"):
   (``worker = (shard + attempt) % n_workers``), so retrying a shard
   *re-dispatches it to a different worker* — a dead worker costs retries,
   not results;
-* failed attempts (crash, hang/timeout, corrupt output) back off
+* failed attempts (crash, hang, corrupt output) back off
   exponentially with seeded jitter (:class:`RetryPolicy`) through an
   injectable sleep, then retry, up to ``max_attempts``;
 * shard output is validated before merging
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -150,20 +147,6 @@ class PartitionedRunResult:
         return self
 
 
-def _execute_shard(
-    shard_id: int,
-    artifact: CompiledRuleSet,
-    shard_items: Sequence[ItemLike],
-    clock: Callable[[], float] = time.perf_counter,
-    stats: Optional[ExecutionStats] = None,
-) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """Run one shard's raw items through a (read-only) compiled artifact."""
-    started = clock()
-    fired, stats = artifact.execute(shard_items, clock=clock, stats=stats)
-    stats.wall_time = clock() - started
-    return shard_id, fired, stats
-
-
 def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]]:
     """Deal ``items`` round-robin into ``n_shards`` lists (some may be empty).
 
@@ -178,29 +161,6 @@ def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]
     return shards
 
 
-# Per-process worker state, installed once by the pool initializer: the
-# rule payloads cross the process boundary once per *worker* and are
-# lowered there, so each shard submission carries only its own items and
-# pickle size stays O(shard items).
-_WORKER_STATE: Dict[str, CompiledRuleSet] = {}
-
-
-def _init_worker(
-    rule_payloads: List[Dict[str, Any]],
-    token_frequency: Optional[Dict[str, int]],
-) -> None:
-    _WORKER_STATE["artifact"] = CompiledRuleSet(
-        rules_from_dicts(rule_payloads), token_frequency=token_frequency
-    )
-
-
-def _run_shard_pooled(
-    shard_id: int, shard_items: List[ProductItem]
-) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """Process-pool worker entry point: only the shard's items travel."""
-    return _execute_shard(shard_id, _WORKER_STATE["artifact"], shard_items)
-
-
 class PartitionedExecutor:
     """Sharded mode of the compiled engine: items dealt over N workers.
 
@@ -208,8 +168,6 @@ class PartitionedExecutor:
 
     * ``retry_policy`` — attempts/backoff for failed shards
       (:class:`~repro.execution.resilience.RetryPolicy`);
-    * ``shard_timeout`` — seconds before a process-pool shard counts as a
-      straggler and is re-dispatched (ignored in-process);
     * ``fault_plan`` — a :class:`~repro.testing.faults.FaultPlan` consulted
       at every dispatch, for deterministic failure testing;
     * ``sleep`` — the backoff sleep callable (tests inject a
@@ -227,10 +185,8 @@ class PartitionedExecutor:
         self,
         rules: Sequence[Rule],
         n_workers: int = 4,
-        use_processes: bool = False,
         token_frequency: Optional[Dict[str, int]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
         sleep: Optional[Callable[[float], None]] = None,
         retry_seed: int = 0,
@@ -239,15 +195,11 @@ class PartitionedExecutor:
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         self.rule_payloads = rules_to_dicts(rules)
         self._driver_compiled: Optional[CompiledRuleSet] = None
         self.n_workers = n_workers
-        self.use_processes = use_processes
         self.token_frequency = token_frequency
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.shard_timeout = shard_timeout
         self.fault_plan = fault_plan
         self._sleep = sleep if sleep is not None else time.sleep
         self.retry_seed = retry_seed
@@ -272,7 +224,7 @@ class PartitionedExecutor:
     def _run_inline(
         self, shard_id: int, shard_items: List[ProductItem]
     ) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-        """One in-process shard attempt; the first one lowers the rule set.
+        """One shard attempt; the first one lowers the rule set.
 
         The artifact is lowered once from the shipped payloads and then
         shared, read-only, by every later shard, retry and run.
@@ -286,9 +238,12 @@ class PartitionedExecutor:
             self._driver_compiled = compiler.compile(
                 rules_from_dicts(self.rule_payloads), stats=stats, clock=self._clock
             )
-        return _execute_shard(
-            shard_id, self._driver_compiled, shard_items, self._clock, stats
+        started = self._clock()
+        fired, stats = self._driver_compiled.execute(
+            shard_items, clock=self._clock, stats=stats
         )
+        stats.wall_time = self._clock() - started
+        return shard_id, fired, stats
 
     def _worker_for(self, shard_id: int, attempt: int) -> int:
         """Rotate a retried shard onto the next worker (re-dispatch)."""
@@ -304,12 +259,10 @@ class PartitionedExecutor:
         pending: Sequence[int],
         attempt: int,
         shards: List[List[ProductItem]],
-        pool: Optional[ProcessPoolExecutor],
     ) -> Dict[int, Any]:
         """Run every pending shard once; outcome is a tuple or a failure."""
         obs = self.observability
         outcomes: Dict[int, Any] = {}
-        submitted: List[Tuple[int, Any, Any, int]] = []
         for shard_id in sorted(pending):
             worker = self._worker_for(shard_id, attempt)
             spec = self._fault_for(worker, shard_id, attempt)
@@ -317,44 +270,18 @@ class PartitionedExecutor:
                 self.fault_plan.record(spec, worker, shard_id, attempt)
                 outcomes[shard_id] = spec.to_exception(worker, shard_id, attempt)
                 continue
-            if pool is None:
-                try:
-                    with obs.span(
-                        "shard", shard=shard_id, worker=worker, attempt=attempt
-                    ):
-                        output = self._run_inline(shard_id, shards[shard_id])
-                except Exception as exc:  # a real worker fault, not injected
-                    outcomes[shard_id] = WorkerCrash(f"shard {shard_id} raised: {exc!r}")
-                    continue
-                if spec is not None:
-                    self.fault_plan.record(spec, worker, shard_id, attempt)
-                    output = spec.corrupt_output(output)
-                outcomes[shard_id] = output
-            else:
-                # Only the shard's own items travel: the rules reached
-                # every worker once, via the pool initializer.
-                future = pool.submit(_run_shard_pooled, shard_id, shards[shard_id])
-                submitted.append((shard_id, future, spec, worker))
-        if submitted:
-            with obs.span("gather", shards=len(submitted), attempt=attempt):
-                for shard_id, future, spec, worker in submitted:
-                    try:
-                        output = future.result(timeout=self.shard_timeout)
-                    except FutureTimeoutError:
-                        future.cancel()
-                        outcomes[shard_id] = WorkerHang(
-                            f"shard {shard_id} exceeded {self.shard_timeout}s"
-                        )
-                        continue
-                    except Exception as exc:
-                        outcomes[shard_id] = WorkerCrash(
-                            f"shard {shard_id} raised: {exc!r}"
-                        )
-                        continue
-                    if spec is not None:
-                        self.fault_plan.record(spec, worker, shard_id, attempt)
-                        output = spec.corrupt_output(output)
-                    outcomes[shard_id] = output
+            try:
+                with obs.span(
+                    "shard", shard=shard_id, worker=worker, attempt=attempt
+                ):
+                    output = self._run_inline(shard_id, shards[shard_id])
+            except Exception as exc:  # a real worker fault, not injected
+                outcomes[shard_id] = WorkerCrash(f"shard {shard_id} raised: {exc!r}")
+                continue
+            if spec is not None:
+                self.fault_plan.record(spec, worker, shard_id, attempt)
+                output = spec.corrupt_output(output)
+            outcomes[shard_id] = output
         return outcomes
 
     @staticmethod
@@ -389,63 +316,48 @@ class PartitionedExecutor:
             accepted: Dict[
                 int, Tuple[Dict[str, List[str]], ExecutionStats, int, int]
             ] = {}
-            pool: Optional[ProcessPoolExecutor] = None
-            try:
-                if self.use_processes:
-                    pool = ProcessPoolExecutor(
-                        max_workers=self.n_workers,
-                        initializer=_init_worker,
-                        initargs=(self.rule_payloads, self.token_frequency),
-                    )
-                pending = list(range(self.n_workers))
-                attempt = 0
-                while pending and attempt < policy.max_attempts:
-                    with obs.span("round", attempt=attempt, pending=len(pending)):
-                        outcomes = self._dispatch_round(pending, attempt, shards, pool)
-                    failed: List[int] = []
-                    for shard_id in sorted(outcomes):
-                        outcome = outcomes[shard_id]
-                        worker = self._worker_for(shard_id, attempt)
-                        if not isinstance(outcome, ShardFailure):
-                            _, fired, stats = outcome
-                            try:
-                                fired = validate_shard_output(
-                                    fired, stats, shard_item_ids[shard_id],
-                                    self._known_rule_ids,
-                                )
-                            except CorruptShardOutput as exc:
-                                outcome = exc
-                            else:
-                                accepted[shard_id] = (fired, stats, attempt, worker)
-                                continue
-                        retrying = attempt + 1 < policy.max_attempts
-                        backoff = (
-                            policy.backoff_delay(attempt, rng) if retrying else 0.0
-                        )
-                        events.append(
-                            FaultEvent(
-                                shard_id=shard_id,
-                                worker_id=worker,
-                                attempt=attempt,
-                                kind=self._failure_kind(outcome),
-                                action="retry" if retrying else "skip",
-                                error=str(outcome),
-                                backoff=backoff,
+            pending = list(range(self.n_workers))
+            attempt = 0
+            while pending and attempt < policy.max_attempts:
+                with obs.span("round", attempt=attempt, pending=len(pending)):
+                    outcomes = self._dispatch_round(pending, attempt, shards)
+                failed: List[int] = []
+                for shard_id in sorted(outcomes):
+                    outcome = outcomes[shard_id]
+                    worker = self._worker_for(shard_id, attempt)
+                    if not isinstance(outcome, ShardFailure):
+                        _, fired, stats = outcome
+                        try:
+                            fired = validate_shard_output(
+                                fired, stats, shard_item_ids[shard_id],
+                                self._known_rule_ids,
                             )
+                        except CorruptShardOutput as exc:
+                            outcome = exc
+                        else:
+                            accepted[shard_id] = (fired, stats, attempt, worker)
+                            continue
+                    retrying = attempt + 1 < policy.max_attempts
+                    backoff = policy.backoff_delay(attempt, rng) if retrying else 0.0
+                    events.append(
+                        FaultEvent(
+                            shard_id=shard_id,
+                            worker_id=worker,
+                            attempt=attempt,
+                            kind=self._failure_kind(outcome),
+                            action="retry" if retrying else "skip",
+                            error=str(outcome),
+                            backoff=backoff,
                         )
-                        failed.append(shard_id)
-                    if failed and attempt + 1 < policy.max_attempts:
-                        delay = max(
-                            event.backoff for event in events[-len(failed):]
-                        )
-                        if delay > 0:
-                            with obs.span("backoff", delay=round(delay, 6)):
-                                self._sleep(delay)
-                    pending = failed
-                    attempt += 1
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=False)
+                    )
+                    failed.append(shard_id)
+                if failed and attempt + 1 < policy.max_attempts:
+                    delay = max(event.backoff for event in events[-len(failed):])
+                    if delay > 0:
+                        with obs.span("backoff", delay=round(delay, 6)):
+                            self._sleep(delay)
+                pending = failed
+                attempt += 1
 
             merged: Dict[str, List[str]] = {}
             total = ExecutionStats()

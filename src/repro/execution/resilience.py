@@ -32,11 +32,11 @@ class ShardFailure(Exception):
 
 
 class WorkerCrash(ShardFailure):
-    """The worker process raised (or died) while executing a shard."""
+    """The worker raised (or was killed by a fault plan) mid-shard."""
 
 
 class WorkerHang(ShardFailure):
-    """The worker exceeded the shard timeout (a straggler)."""
+    """A straggler, as a driver's timeout would report it (injected only)."""
 
 
 class CorruptShardOutput(ShardFailure):

@@ -17,7 +17,7 @@ the registry instead of duplicating it:
 Instruments are cheap plain-Python objects; names follow a
 ``<subsystem>_<what>_total`` convention with optional label sets
 (``registry.counter("rule_fired_total", rule_id="r-1")``), documented in
-DESIGN.md §9.
+DESIGN.md §8.
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("rules_fired_total").inc(3)

@@ -1,7 +1,7 @@
 """Versioned rule repository: audit log, snapshots, O(1) rollback.
 
 See :mod:`repro.repository.repository` for the design overview and
-``DESIGN.md`` §14 for the rationale.
+``DESIGN.md`` §12 for the rationale.
 """
 
 from repro.repository.changelog import OPS, ChangeEntry, ChangeLog

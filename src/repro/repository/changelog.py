@@ -26,7 +26,7 @@ OPS = (
     "disable",
     "snapshot",     # a named snapshot was taken (entries attached)
     "rollback",     # marker: a rollback to a named snapshot ran
-    "audit-import", # a RuleRegistry audit entry carried over verbatim
+    "audit-import", # marker from a retired importer; read, never written
 )
 
 

@@ -47,7 +47,7 @@ from typing import (
 )
 
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
-from repro.core.rule import Rule, RuleStatus
+from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.core.serialize import rule_from_dict, rule_to_dict
 from repro.repository.changelog import ChangeEntry, ChangeLog
@@ -818,48 +818,6 @@ class RuleRepository:
             if entry.rule_id == rule_id
             and (namespace is None or entry.namespace == namespace)
         ]
-
-    # -- registry subsumption -----------------------------------------------------
-
-    def import_registry(
-        self,
-        registry: object,
-        namespace: str = "chimera",
-        author: str = "registry-import",
-    ) -> int:
-        """Absorb a legacy :class:`~repro.core.registry.RuleRegistry`.
-
-        Rules become ``add`` entries (enabled iff deployed); the
-        registry's audit trail is carried over verbatim as
-        ``audit-import`` entries so no history is lost. Returns the
-        number of rules imported. The repository is the registry's
-        successor: after importing, manage lifecycle through namespaces,
-        snapshots, and the change log.
-        """
-        state = self._ns(namespace)
-        count = 0
-        with self.attribution(author, f"import registry ({len(registry)} rules)"):
-            for rule in registry.query():
-                if rule.rule_id in state.rules:
-                    continue
-                deployed = registry.status_of(rule.rule_id) is RuleStatus.DEPLOYED
-                self._record(
-                    namespace, "add",
-                    rule_id=rule.rule_id,
-                    revision=state.next_revision(rule.rule_id),
-                    rule=dict(
-                        _condition_payload(rule), __enabled_at_add__=deployed
-                    ),
-                )
-                count += 1
-            for audit in registry.audit_log:
-                self._record(
-                    namespace, "audit-import",
-                    rule_id=audit.rule_id,
-                    author=audit.actor,
-                    reason=f"[{audit.action}] {audit.detail}".strip(),
-                )
-        return count
 
 
 def bind_chimera(

@@ -2,7 +2,7 @@
 
 YAML scenario specs, a validating loader, a fully deterministic runner
 over the ``BatchStream`` → Chimera → executor stack, and per-scenario
-health reports. See DESIGN.md §12 for the schema reference and the
+health reports. See DESIGN.md §10 for the schema reference and the
 determinism contract, and ``src/repro/scenario/library/`` for the
 starter scenarios.
 """
@@ -14,7 +14,7 @@ from repro.scenario.diff import (
     render_diff,
 )
 from repro.scenario.report import ExitCheck, ScenarioReport, round6
-from repro.scenario.runner import ScenarioError, ScenarioRunner, run_scenario, sub_seed
+from repro.scenario.runner import ScenarioError, ScenarioRunner, run_scenario
 from repro.scenario.spec import (
     DRIFT_OPS,
     EXECUTOR_KINDS,
@@ -24,6 +24,7 @@ from repro.scenario.spec import (
     loads,
 )
 from repro.scenario.yamlio import YamlError, fallback_load, safe_load
+from repro.world import sub_seed
 
 __all__ = [
     "DRIFT_OPS",

@@ -17,11 +17,9 @@ Determinism contract (property-tested in
 * simulated time only — the wall clock is never read (the partitioned
   executor gets a :class:`~repro.utils.clock.TickClock` and a
   :class:`~repro.testing.faults.VirtualSleeper`);
-* rules created by the simulated analyst are re-identified with run-local
-  ``scn-*`` ids before entering the pipeline, because
-  :mod:`repro.core.rule` hands out process-global ids (two runs in one
-  process would otherwise diverge). Incidents are reported by per-run
-  ordinal for the same reason.
+* the world is :func:`repro.world.build_world` — the startup the daemon
+  runs — and every rule the simulated analyst writes gets a run-local
+  ``scn-*`` id from one :class:`~repro.world.RunIds`.
 
 Together: same spec + same seed ⇒ byte-identical report JSON, fired-map
 digest, and incident log, no matter how many runs share the process.
@@ -33,18 +31,14 @@ import hashlib
 import json
 import random
 import time
-import zlib
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analyst.analyst import SimulatedAnalyst
-from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
-from repro.catalog.batches import BatchStream, VendorProfile
+from repro.catalog.batches import VendorProfile
 from repro.catalog.drift import DriftInjector
 from repro.catalog.types import ProductType
 from repro.chimera.incidents import IncidentManager
 from repro.chimera.monitoring import PrecisionMonitor
-from repro.chimera.pipeline import Chimera
 from repro.core.rule import Rule
 from repro.crowd.budget import BudgetExhausted, CrowdBudget
 from repro.crowd.tasks import VerificationTask
@@ -62,20 +56,12 @@ from repro.repository import RuleRepository, bind_chimera
 from repro.scenario.report import ExitCheck, ScenarioReport, round6
 from repro.scenario.spec import _EXIT_CHECKS, ScenarioSpec, TaxonomyChange
 from repro.testing.faults import FaultPlan, VirtualSleeper
-from repro.utils.clock import SimClock, TickClock
+from repro.utils.clock import TickClock
+from repro.world import RunIds, World, build_world, sub_seed
 
 
 class ScenarioError(RuntimeError):
     """A spec references the world incorrectly (unknown type, vendor...)."""
-
-
-def sub_seed(seed: int, tag: str) -> int:
-    """A stable per-subsystem seed: CRC-32 of ``"{seed}:{tag}"``.
-
-    Sub-seeding means adding (say) a crowd section to a spec cannot shift
-    the stream/analyst/fault randomness — each subsystem owns its stream.
-    """
-    return zlib.crc32(f"{seed}:{tag}".encode("utf-8"))
 
 
 def _digest_update(digest, batch_id: str, fired: Dict[str, Sequence[str]]) -> None:
@@ -113,18 +99,40 @@ class ScenarioRunner:
     def __init__(self, spec: ScenarioSpec, seed: Optional[int] = None):
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
-        self._rule_seq = 0
+        self.ids = RunIds("scn")
 
     # -- helpers -----------------------------------------------------------------
 
-    def _reid(self, rules: Sequence[Rule], kind: str) -> List[Rule]:
-        """Run-local rule ids, immune to the process-global id counter."""
-        out = []
-        for rule in rules:
-            self._rule_seq += 1
-            rule.rule_id = f"scn-{kind}-{self._rule_seq:04d}"
-            out.append(rule)
-        return out
+    def open_world(self) -> World:
+        """The spec's seeded world (startup rules returned, not yet added)."""
+        spec = self.spec
+        try:
+            return build_world(
+                self.seed,
+                self.ids,
+                training=spec.catalog.training,
+                min_examples=spec.catalog.min_examples,
+                mean_gap_hours=spec.traffic.mean_gap_hours,
+                extra_types=spec.catalog.extra_types,
+                obvious_rule_types=spec.catalog.obvious_rule_types,
+                vendors=[
+                    VendorProfile(
+                        name=v.name,
+                        min_batch=v.min_batch,
+                        max_batch=v.max_batch,
+                        departments=v.departments,
+                        rewrites=dict(v.rewrites),
+                    )
+                    for v in spec.traffic.vendors
+                ],
+                rules_per_day=spec.analyst.rules_per_day,
+                verification_accuracy=spec.analyst.verification_accuracy,
+                labeling_accuracy=spec.analyst.labeling_accuracy,
+            )
+        except KeyError as error:
+            raise ScenarioError(
+                f"catalog.obvious_rule_types: {error.args[0]}"
+            ) from error
 
     def _build_fault_plan(self) -> Optional[FaultPlan]:
         faults = self.spec.faults
@@ -161,56 +169,10 @@ class ScenarioRunner:
         def sub(tag: str) -> int:
             return sub_seed(seed, tag)
 
-        # -- world setup ---------------------------------------------------------
-        clock = SimClock()
-        taxonomy = build_seed_taxonomy()
-        if spec.catalog.extra_types:
-            for product_type in synthesize_types(
-                spec.catalog.extra_types, random.Random(sub("types"))
-            ):
-                taxonomy.add(product_type)
-        generator = CatalogGenerator(taxonomy, seed=sub("generator"))
-        analyst = SimulatedAnalyst(
-            taxonomy,
-            clock=clock,
-            seed=sub("analyst"),
-            rules_per_day=spec.analyst.rules_per_day,
-            verification_accuracy=spec.analyst.verification_accuracy,
-            labeling_accuracy=spec.analyst.labeling_accuracy,
-        )
-        chimera = Chimera.build(seed=sub("chimera") % (2 ** 31))
-        if spec.catalog.training:
-            chimera.add_training(generator.generate_labeled(spec.catalog.training))
-            chimera.retrain(min_examples_per_type=spec.catalog.min_examples)
-        seed_types = spec.catalog.obvious_rule_types
-        if seed_types == ("*",):
-            seed_types = tuple(taxonomy.type_names)
-        for type_name in seed_types:
-            if type_name not in taxonomy:
-                raise ScenarioError(
-                    f"catalog.obvious_rule_types: unknown type {type_name!r}"
-                )
-            chimera.add_whitelist_rules(
-                self._reid(analyst.obvious_rules(type_name), "wl")
-            )
-
-        vendors = [
-            VendorProfile(
-                name=v.name,
-                min_batch=v.min_batch,
-                max_batch=v.max_batch,
-                departments=v.departments,
-                rewrites=dict(v.rewrites),
-            )
-            for v in spec.traffic.vendors
-        ]
-        stream = BatchStream(
-            generator,
-            clock,
-            vendors,
-            seed=sub("stream"),
-            mean_gap_hours=spec.traffic.mean_gap_hours,
-        )
+        world = self.open_world()
+        clock, taxonomy, generator = world.clock, world.taxonomy, world.generator
+        analyst, chimera, stream = world.analyst, world.chimera, world.stream
+        chimera.add_whitelist_rules(world.startup_rules)
         vendor_by_name = {profile.name: profile for profile in stream.vendors}
         drift = DriftInjector(generator, seed=sub("drift"))
         monitor = PrecisionMonitor(
@@ -326,12 +288,14 @@ class ScenarioRunner:
             whitelists, blacklists = analyst.patch_rules_for_errors(
                 list(error_samples)
             )
-            chimera.add_whitelist_rules(self._reid(whitelists, "patch-wl"))
-            chimera.add_blacklist_rules(self._reid(blacklists, "patch-bl"))
+            chimera.add_whitelist_rules(self.ids.assign(whitelists, "patch-wl"))
+            chimera.add_blacklist_rules(self.ids.assign(blacklists, "patch-bl"))
             added = len(whitelists) + len(blacklists)
             for type_name in incident.affected_types:
                 if type_name in taxonomy:
-                    refreshed = self._reid(analyst.obvious_rules(type_name), "wl")
+                    refreshed = self.ids.assign(
+                        analyst.obvious_rules(type_name), "wl"
+                    )
                     chimera.add_whitelist_rules(refreshed)
                     added += len(refreshed)
             rules_added += added
@@ -479,7 +443,7 @@ class ScenarioRunner:
                             f"unknown type {type_name!r}"
                         )
                     new_rules.extend(analyst.obvious_rules(type_name))
-                chimera.add_whitelist_rules(self._reid(new_rules, "wl"))
+                chimera.add_whitelist_rules(self.ids.assign(new_rules, "wl"))
                 rules_added += len(new_rules)
 
             # produce this step's batches: one scheduled + any bursts
@@ -724,7 +688,7 @@ class ScenarioRunner:
                 fresh: List[Rule] = []
                 for product_type in replacements:
                     fresh.extend(analyst.obvious_rules(product_type.name))
-                chimera.add_whitelist_rules(self._reid(fresh, "wl"))
+                chimera.add_whitelist_rules(self.ids.assign(fresh, "wl"))
                 new_rules = len(fresh)
         else:  # merge
             for type_name in change.types:
@@ -765,7 +729,7 @@ class ScenarioRunner:
             detail = f"{' + '.join(change.types)} -> {change.merged}"
             if change.write_rules:
                 fresh = analyst.obvious_rules(change.merged)
-                chimera.add_whitelist_rules(self._reid(fresh, "wl"))
+                chimera.add_whitelist_rules(self.ids.assign(fresh, "wl"))
                 new_rules = len(fresh)
         return {
             "at_batch": step,

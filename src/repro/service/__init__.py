@@ -9,7 +9,7 @@ every batch, so a crash-killed process resumes byte-identical to an
 uninterrupted run. On
 top sits a metrics time-series layer, a dependency-free HTTP console
 (``repro serve``) and a text dashboard (``repro dashboard``). See
-DESIGN.md §15.
+DESIGN.md §13.
 """
 
 from repro.service.checkpoint import CheckpointStore

@@ -18,12 +18,13 @@ link that lets resume verify what it re-derives.**
   / change-log seq, so a crashed run's unacknowledged tail is regenerated
   identically instead of duplicated.
 * Re-derived on resume: taxonomy, classifiers and training by replaying
-  the seeded startup path (the analyst's rule draws only keep its RNG in
-  lockstep — the pinned repository is the source of truth for rules and
-  enabled flags), and the executor's match store, a materialized view
-  over journal × change log, by streaming the journal back through the
-  engine (``restore_items``). Its per-item / per-rule generation counters
-  are process-local audit counters, not durable state.
+  the seeded startup (:func:`repro.world.build_world`, shared with the
+  scenario harness; its startup rules are not re-added — the pinned
+  repository is the source of truth for rules and enabled flags), and
+  the executor's match store, a materialized view over journal × change
+  log, by streaming the journal back through the engine
+  (``restore_items``). Its per-item / per-rule generation counters are
+  process-local audit counters, not durable state.
 * Checkpointed after every batch, O(rules + incidents) and flat in items
   served: every RNG stream, the simulated clock, :class:`RuleHealthTracker`
   windows, incidents, metrics, the logs' offsets, the digest-chain head —
@@ -44,12 +45,10 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analyst.analyst import SimulatedAnalyst
-from repro.catalog import CatalogGenerator, build_seed_taxonomy
-from repro.catalog.batches import Batch, BatchStream
+from repro.catalog.batches import Batch
 from repro.catalog.types import ProductItem
 from repro.chimera.incidents import Incident, IncidentManager
-from repro.chimera.pipeline import BatchResult, Chimera
+from repro.chimera.pipeline import BatchResult
 from repro.core.rule import Rule
 from repro.observability import Observability
 from repro.observability.metrics import MetricsRegistry
@@ -60,11 +59,10 @@ from repro.observability.quality import (
     RuleHealthTracker,
 )
 from repro.repository import RuleRepository, bind_chimera
-from repro.scenario.runner import sub_seed
 from repro.service.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.service.series import SeriesStore
 from repro.testing.faults import CrashPlan
-from repro.utils.clock import SimClock
+from repro.world import RunIds, build_world
 
 #: The digest chain's seed value (ordinal 0, before any batch).
 GENESIS_DIGEST = hashlib.sha256(b"repro-service-genesis").hexdigest()
@@ -207,8 +205,7 @@ class StreamService:
         }
         self.resumed = False
         self.rolled_back: Dict[str, int] = {}
-        self._incident_seq = 0
-        self._rule_seq = 0
+        self.ids = RunIds("svc")
         self._started = False
         self.series: Optional[SeriesStore] = None
 
@@ -246,16 +243,6 @@ class StreamService:
 
     # -- world construction -------------------------------------------------------
 
-    def _reid(self, rules: List[Rule], kind: str) -> List[Rule]:
-        """Service-local rule ids (the process-global counter is not
-        replayable across restarts — same trick as the scenario runner)."""
-        out = []
-        for rule in rules:
-            self._rule_seq += 1
-            rule.rule_id = f"svc-{kind}-{self._rule_seq:04d}"
-            out.append(rule)
-        return out
-
     def _on_span_end(self, span) -> None:
         self.obs.metrics.histogram("span_seconds", span=span.name).observe(
             span.duration
@@ -267,67 +254,42 @@ class StreamService:
             reason=f"[{alert.kind}] batch {alert.batch_id}: {alert.detail}",
             at=self.clock.now,
         )
-        # Re-id before scale_down: the repository records the incident id
-        # as provenance for every rule it disables, and the process-global
-        # incident counter is not replayable across restarts.
-        self._incident_seq += 1
-        incident.incident_id = f"svc-{self._incident_seq:04d}"
         self.manager.scale_down(incident)
 
-    def _build_world(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        add_startup_rules: bool = True,
-    ) -> None:
-        """Deterministic startup: seeded sub-streams, training, rules.
+    def _open_world(self, metrics: Optional[MetricsRegistry] = None) -> List[Rule]:
+        """The seeded startup both paths replay; returns the startup rules.
 
-        On resume (``add_startup_rules=False``) the analyst's obvious-rule
-        draws still run — they keep its RNG in lockstep with the fresh
-        path — but the rules are discarded: the pinned repository is the
-        source of truth for what survives a restart.
+        A fresh start adds them. A resume discards them — the draws only
+        keep the analyst's RNG in lockstep with the fresh path; the pinned
+        repository is the source of truth for what survives a restart.
         """
         cfg = self.config
-
-        def sub(tag: str) -> int:
-            return sub_seed(cfg.seed, tag)
-
-        self.clock = SimClock()
-        self.taxonomy = build_seed_taxonomy()
-        self.generator = CatalogGenerator(self.taxonomy, seed=sub("generator"))
-        self.analyst = SimulatedAnalyst(
-            self.taxonomy,
-            clock=self.clock,
-            seed=sub("analyst"),
-            rules_per_day=cfg.rules_per_day,
-        )
         self.obs = Observability()
         if metrics is not None:
-            # Must land before Chimera.build: the stage health monitor
-            # captures obs.metrics at assembly time.
             self.obs.metrics = metrics
         self.obs.tracer.on_span_end.append(self._on_span_end)
-        self.chimera = Chimera.build(
-            seed=sub("chimera") % (2 ** 31), observability=self.obs
-        )
-        if cfg.training:
-            self.chimera.add_training(self.generator.generate_labeled(cfg.training))
-            self.chimera.retrain(min_examples_per_type=cfg.min_examples)
-        for type_name in tuple(self.taxonomy.type_names):
-            rules = self._reid(self.analyst.obvious_rules(type_name), "wl")
-            if add_startup_rules:
-                self.chimera.add_whitelist_rules(rules)
-        self.stream = BatchStream(
-            self.generator,
-            self.clock,
-            seed=sub("stream"),
+        world = build_world(
+            cfg.seed,
+            self.ids,
+            training=cfg.training,
+            min_examples=cfg.min_examples,
             mean_gap_hours=cfg.mean_gap_hours,
+            observability=self.obs,
+            rules_per_day=cfg.rules_per_day,
         )
+        self.clock = world.clock
+        self.taxonomy = world.taxonomy
+        self.generator = world.generator
+        self.analyst = world.analyst
+        self.chimera = world.chimera
+        self.stream = world.stream
         self.tracker = RuleHealthTracker(
             window=cfg.quality_window,
             baseline_batches=cfg.baseline_batches,
             precision_floor=cfg.precision_floor,
             metrics=self.obs.metrics,
         )
+        return world.startup_rules
 
     def _finish_wiring(self) -> None:
         """Wiring shared by both startup paths, post rule/repo setup."""
@@ -341,7 +303,8 @@ class StreamService:
 
     def _fresh(self) -> None:
         cfg = self.config
-        self._build_world(add_startup_rules=True)
+        startup_rules = self._open_world()
+        self.chimera.add_whitelist_rules(startup_rules)
         self.provenance = ProvenanceLog(
             capacity=cfg.provenance_capacity,
             spool=self.store.spool_path,
@@ -376,10 +339,7 @@ class StreamService:
         self.rolled_back = self.store.truncate(state["offsets"])
 
         # 2. Deterministic startup re-execution (rules discarded).
-        self._build_world(
-            metrics=MetricsRegistry.load(state["metrics"]),
-            add_startup_rules=False,
-        )
+        self._open_world(metrics=MetricsRegistry.load(state["metrics"]))
 
         # 3. Repository pinned at the checkpointed change-log head; any
         #    entries a crashed run wrote past it are truncated away.
@@ -408,7 +368,7 @@ class StreamService:
         self.generator._next_id = int(state["generator"]["next_id"])
         _rng_load(self.analyst.rng, state["analyst_rng"])
         self.chimera._batch_counter = int(state["batch_counter"])
-        self._rule_seq = int(state["rule_seq"])
+        self.ids.seq = int(state["rule_seq"])
 
         # 6. Provenance: replay the (already truncated) spool.
         if os.path.exists(self.store.spool_path):
@@ -425,12 +385,11 @@ class StreamService:
         # 7. Health windows, verbatim.
         self.tracker.load_state(state["tracker"])
 
-        # 8. Incident log + the service-local incident counter.
+        # 8. Incident log (the manager numbers new incidents after it).
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self.manager.incidents = [
             _incident_from_dict(payload) for payload in state["incidents"]
         ]
-        self._incident_seq = int(state["incident_seq"])
 
         self._finish_wiring()
 
@@ -569,7 +528,7 @@ class StreamService:
             },
             "analyst_rng": _rng_dump(self.analyst.rng),
             "batch_counter": self.chimera._batch_counter,
-            "rule_seq": self._rule_seq,
+            "rule_seq": self.ids.seq,
             "offsets": {
                 "journal": self.store.journal_offset(),
                 "spool": self.provenance.spool_offset(),
@@ -580,7 +539,6 @@ class StreamService:
             "incidents": [
                 _incident_to_dict(incident) for incident in self.manager.incidents
             ],
-            "incident_seq": self._incident_seq,
             "metrics": self.obs.metrics.dump(),
             "totals": dict(self.totals),
         })
@@ -612,7 +570,6 @@ class StreamService:
             "incidents": [
                 _incident_to_dict(incident) for incident in self.manager.incidents
             ],
-            "incident_seq": self._incident_seq,
             "provenance_records": self.provenance.total_records,
             "rules": self.chimera.rule_count(),
             "repo_head_seq": self._repo_head_seq(),

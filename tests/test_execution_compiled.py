@@ -1,4 +1,4 @@
-"""Compiled execution layer: automaton, lowering, parity, churn, pickling.
+"""Compiled execution layer: automaton, lowering, parity, churn.
 
 The contract under test everywhere: the compiled engine is an
 *optimizer*, never a semantic fork — fired maps, skip accounting and
@@ -10,7 +10,6 @@ titles, disabled rules).
 """
 
 import gc
-import pickle
 import weakref
 
 import pytest
@@ -527,33 +526,6 @@ class TestIncrementalCompiled:
         fired_c, op_c = compiled.refresh()
         assert fired_c == reference_of(compiled, items)
         assert op_c.rule_evaluations == probe_count(rules, items)
-
-
-class TestPicklingContract:
-    def test_shard_payload_size_is_independent_of_rule_count(self):
-        """Satellite: shard submissions carry O(shard items), not rules."""
-        items = [item(f"i{n}", f"token{n} gold ring") for n in range(40)]
-        few = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w0")], n_workers=4
-        )
-        many = PartitionedExecutor(
-            [WhitelistRule(f"tok{n}", "t", rule_id=f"w{n}") for n in range(300)],
-            n_workers=4,
-        )
-        shards_few, _, _ = few._shards(items)
-        shards_many, _, _ = many._shards(items)
-        for shard_few, shard_many in zip(shards_few, shards_many):
-            assert len(pickle.dumps(shard_few)) == len(pickle.dumps(shard_many))
-
-    def test_shard_payload_grows_linearly_with_items_only(self):
-        executor = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w0")], n_workers=1
-        )
-        small, _, _ = executor._shards([item(f"i{n}", "gold ring") for n in range(10)])
-        large, _, _ = executor._shards([item(f"i{n}", "gold ring") for n in range(100)])
-        small_bytes = len(pickle.dumps(small[0]))
-        large_bytes = len(pickle.dumps(large[0]))
-        assert large_bytes < small_bytes * 20  # ~10x items => ~10x bytes
 
 
 class TestPartitionedCompiled:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.catalog.generator import CatalogGenerator
 from repro.catalog.batches import BatchStream
 from repro.catalog.types import ProductItem
+from repro.chimera import Chimera
 from repro.core import (
     AttributeRule,
     BlacklistRule,
@@ -632,3 +633,21 @@ class TestBatchStreamSubscription:
         unsubscribe()
         stream.next_batch()
         assert incremental.item_count == len(arrived)
+
+    def test_detach_drops_the_batch_subscription(self, taxonomy):
+        """Regression: follow_batches never registered its unsubscribe, so
+        a detached tracker kept matching every later batch."""
+        generator = CatalogGenerator(taxonomy, seed=12)
+        stream = BatchStream(generator, clock=SimClock(), seed=12)
+        chimera = Chimera.build()
+        chimera.add_whitelist_rules([WhitelistRule("rings?", "rings")])
+        old = chimera.track_fired_map("rule-based", batch_stream=stream)
+        new = chimera.track_fired_map("rule-based", batch_stream=stream)
+        batch = stream.next_batch()
+        assert len(stream._listeners) == 1
+        assert old.item_count == 0
+        assert new.item_count == len(batch.items)
+        new.detach()
+        stream.next_batch()
+        assert new.item_count == len(batch.items)
+        assert stream._listeners == []

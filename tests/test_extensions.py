@@ -10,16 +10,12 @@ from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.catalog.types import ProductItem
 from repro.core import (
     RuleParseError,
-    RuleRegistry,
     RuleSet,
-    RuleStatus,
     UdfRegistry,
     UnknownUdfError,
     WhitelistRule,
-    load_registry,
     load_ruleset,
     parse_rule,
-    save_registry,
     save_ruleset,
 )
 from repro.crowd import CrowdBudget, CrowdSynonymJudge, WorkerPool
@@ -31,6 +27,7 @@ from repro.em import (
     parse_em_rule,
 )
 from repro.maintenance import apply_plan, plan_for_merge
+from repro.repository import RuleRepository
 
 
 def item(title, **attributes):
@@ -91,40 +88,38 @@ class TestPersistence:
         assert payload["kind"] == "ruleset"
 
     def test_registry_round_trip(self, tmp_path):
-        path = str(tmp_path / "registry.json")
-        registry = RuleRegistry()
-        deployed = registry.submit(WhitelistRule("rings?", "rings"), actor="kay")
-        registry.validate(deployed, 0.95)
-        registry.deploy(deployed)
-        draft = registry.submit(WhitelistRule("jeans?", "jeans"))
-        save_registry(registry, path)
+        root = str(tmp_path / "repo")
+        deployed = WhitelistRule("rings?", "rings")
+        draft = WhitelistRule("jeans?", "jeans")
+        with RuleRepository.open(root) as repo:
+            repo.add("chimera", deployed, author="kay")
+            repo.add("chimera", draft, author="kay")
+            repo.set_enabled("chimera", draft.rule_id, False, reason="unvalidated")
 
-        loaded = load_registry(path)
-        assert loaded.status_of(deployed) is RuleStatus.DEPLOYED
-        assert loaded.status_of(draft) is RuleStatus.DRAFT
-        assert loaded.precision_of(deployed) == 0.95
-        assert loaded.get(deployed).enabled
-        assert not loaded.get(draft).enabled
-        # Audit trail restored verbatim.
-        actions = [(e.actor, e.action) for e in loaded.audit_for(deployed)]
-        assert actions == [("kay", "submit"), ("analyst", "validated"),
-                           ("analyst", "deployed")]
+        with RuleRepository.open(root) as loaded:
+            assert loaded.is_enabled("chimera", deployed.rule_id)
+            assert not loaded.is_enabled("chimera", draft.rule_id)
+            # Audit trail restored verbatim (blame is newest first).
+            actions = [(e.author, e.op) for e in loaded.blame(draft.rule_id)]
+            assert actions == [("direct", "disable"), ("kay", "add")]
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "rules.json")
-        save_ruleset(RuleSet([WhitelistRule("a", "t")]), path)
+        with open(path, "w") as handle:
+            json.dump({"format": 1, "kind": "registry", "entries": []}, handle)
         with pytest.raises(ValueError):
-            load_registry(path)
+            load_ruleset(path)
 
     def test_loaded_registry_keeps_working(self, tmp_path):
-        path = str(tmp_path / "registry.json")
-        registry = RuleRegistry()
-        rule_id = registry.submit(WhitelistRule("rings?", "rings"))
-        save_registry(registry, path)
-        loaded = load_registry(path)
-        loaded.validate(rule_id, 0.9)
-        loaded.deploy(rule_id)
-        assert loaded.deployed_ruleset().apply(item("a ring")).labels == ["rings"]
+        root = str(tmp_path / "repo")
+        rule = WhitelistRule("rings?", "rings")
+        with RuleRepository.open(root) as repo:
+            repo.add("chimera", rule)
+            repo.set_enabled("chimera", rule.rule_id, False)
+        with RuleRepository.open(root) as loaded:
+            assert not loaded.materialize("chimera").apply(item("a ring")).labels
+            loaded.set_enabled("chimera", rule.rule_id, True)
+            assert loaded.materialize("chimera").apply(item("a ring")).labels == ["rings"]
 
 
 class TestCrowdSynonymJudge:

@@ -151,13 +151,6 @@ class TestCompiledPathReproducesGoldenFiredMap:
         assert result.complete
         assert canonical(result.fired) == golden_fired_text
 
-    def test_compiled_process_pool(self, golden_items, golden_rules,
-                                   golden_fired_text):
-        fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=2, use_processes=True
-        ).run(golden_items)
-        assert canonical(fired) == golden_fired_text
-
     def test_incremental_churn_cycle_returns_to_golden(
             self, golden_items, golden_rules, golden_fired_text):
         """Remove five rules, add equivalent copies back: once the ruleset

@@ -5,10 +5,11 @@ import pytest
 from repro.analyst import SimulatedAnalyst
 from repro.catalog import BatchStream, CatalogGenerator, DriftInjector
 from repro.chimera import Chimera, FeedbackLoop, IncidentManager, PrecisionMonitor
-from repro.core import RuleRegistry, RuleSet, RuleStatus, parse_rules
+from repro.core import RuleSet, parse_rules
 from repro.crowd import CrowdBudget, PrecisionEstimator, VerificationTask, WorkerPool
 from repro.evaluation import ModuleLevelEvaluator, ruleset_quality
 from repro.execution import IndexedExecutor, NaiveExecutor
+from repro.repository import RuleRepository
 from repro.rulegen import RuleGenerator
 from repro.synonym import DiscoverySession, SynonymTool
 from repro.utils.clock import SimClock
@@ -40,17 +41,19 @@ class TestOngoingClassification:
         generator = CatalogGenerator(taxonomy, seed=111)
         training = generator.generate_labeled(2500)
         result = RuleGenerator(min_support=0.05, q=20).generate(training)
-        registry = RuleRegistry()
-        registry.submit_all(result.high_confidence, actor="rulegen")
+        repo = RuleRepository()
         test_items = generator.generate_items(800)
         for rule in result.high_confidence:
+            repo.add("chimera", rule, author="rulegen")
             quality = ruleset_quality([rule], test_items)
-            registry.validate(rule.rule_id, quality.precision)
-            if quality.precision >= 0.92:
-                registry.deploy(rule.rule_id)
-        deployed = registry.deployed_ruleset()
+            if quality.precision < 0.92:
+                repo.set_enabled(
+                    "chimera", rule.rule_id, False,
+                    reason=f"precision={quality.precision:.3f}",
+                )
+        deployed = repo.materialize("chimera").active_rules()
         assert len(deployed) > 0
-        quality = ruleset_quality(list(deployed), test_items)
+        quality = ruleset_quality(deployed, test_items)
         assert quality.precision >= 0.92
 
 

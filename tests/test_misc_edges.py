@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.catalog import CatalogGenerator, build_seed_taxonomy
+from repro.catalog import CatalogGenerator
 from repro.catalog.types import ProductItem
 from repro.catalog.vocabulary import brand_knowledge
 from repro.chimera import GateAction, GateKeeper, VotingMaster
-from repro.core import Prediction, SequenceRule, WhitelistRule
+from repro.core import Prediction
 from repro.crowd import CrowdBudget
-from repro.execution import PartitionedExecutor
 from repro.learning import TfidfVectorizer
 
 
@@ -72,20 +71,6 @@ class TestVectorizerBigrams:
         assert "wedding_band" in with_bigrams.vocabulary
         assert "wedding_band" not in without.vocabulary
         assert with_bigrams.n_features > without.n_features
-
-
-class TestPartitionedProcesses:
-    def test_process_pool_matches_serial(self):
-        rules = [SequenceRule(("gold", "ring"), "rings"),
-                 WhitelistRule("rugs?", "area rugs")]
-        generator = CatalogGenerator(build_seed_taxonomy(), seed=81)
-        items = generator.generate_items(60)
-        serial, serial_stats, _ = PartitionedExecutor(
-            rules, n_workers=2, use_processes=False).run(items)
-        parallel, parallel_stats, _ = PartitionedExecutor(
-            rules, n_workers=2, use_processes=True).run(items)
-        assert serial == parallel
-        assert serial_stats.matches == parallel_stats.matches
 
 
 class TestGeneratorRates:

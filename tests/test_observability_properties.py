@@ -1,6 +1,6 @@
 """Observability is strictly observational: on/off runs are byte-identical.
 
-The load-bearing property of the whole layer (DESIGN.md §9): attaching a
+The load-bearing property of the whole layer (DESIGN.md §8): attaching a
 tracer + metrics registry to any executor — or to the Chimera pipeline —
 must not change a single byte of output. These tests run every executor
 twice over the golden corpus (observability off, then on with a

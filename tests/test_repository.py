@@ -13,10 +13,10 @@ from repro.core import (
     UnknownRuleError,
     WhitelistRule,
 )
-from repro.core.registry import RuleRegistry
 from repro.execution.incremental import IncrementalExecutor
 from repro.observability.metrics import MetricsRegistry
 from repro.repository import (
+    CHANGELOG_NAME,
     ChangeEntry,
     ChangeLog,
     RepositoryError,
@@ -298,20 +298,26 @@ class TestPersistence:
             # reconciliation found nothing new: no extra entries
             assert len(repo.log) == changes
 
-    def test_import_registry_carries_audit_trail(self):
-        registry = RuleRegistry(clock=SimClock())
+    def test_import_registry_carries_audit_trail(self, tmp_path):
+        """The importer is gone; a log it wrote earlier still replays."""
+        root = str(tmp_path / "repo")
         rule = wl("rings?")
-        registry.submit(rule, actor="alice")
-        registry.validate(rule.rule_id, 0.97, actor="lead")
-        registry.deploy(rule.rule_id, actor="lead")
-        repo = RuleRepository()
-        assert repo.import_registry(registry, namespace="em") == 1
-        assert repo.rule_ids("em") == [rule.rule_id]
-        assert repo.is_enabled("em", rule.rule_id)
-        audit_ops = [entry for entry in repo.changes("em")
-                     if entry.op == "audit-import"]
-        assert len(audit_ops) == len(registry.audit_log)
-        assert any("deploy" in entry.reason for entry in audit_ops)
+        with RuleRepository.open(root) as repo:
+            repo.add("em", rule, author="registry-import")
+            seq = repo.log.next_seq
+        marker = {
+            "seq": seq, "at": 0.0, "ns": "em", "op": "audit-import",
+            "author": "lead", "reason": "[deployed]", "rule_id": rule.rule_id,
+        }
+        with open(os.path.join(root, CHANGELOG_NAME), "a") as handle:
+            handle.write(json.dumps(marker) + "\n")
+        with RuleRepository.open(root) as repo:
+            assert repo.rule_ids("em") == [rule.rule_id]
+            assert repo.is_enabled("em", rule.rule_id)
+            assert [e.op for e in repo.blame(rule.rule_id)] == ["audit-import", "add"]
+            # the marker changed no state, and the log stays appendable
+            repo.set_enabled("em", rule.rule_id, False)
+            assert repo.log.entries[-1].seq == seq + 1
 
 
 # -- acceptance: zero-evaluation rollback at scale --------------------------------

@@ -204,17 +204,14 @@ class TestRuleAliasing:
         assert b_events == []  # a's mutations never leak into b's feed
 
     def test_registry_deployed_ruleset_does_not_alias_registry_state(self):
-        from repro.core.registry import RuleRegistry
-
-        registry = RuleRegistry()
+        repo = RuleRepository()
         rule = wl("rings?")
-        registry.submit(rule)
-        registry.validate(rule.rule_id, 0.99)
-        registry.deploy(rule.rule_id)
-        deployed = registry.deployed_ruleset()
+        repo.add("chimera", rule)
+        deployed = repo.materialize("chimera")
         deployed.disable(rule.rule_id)
-        # the registry's own copy of the lifecycle state is untouched
-        assert registry.get(rule.rule_id).enabled
+        # the repository's own copy of the enabled state is untouched
+        assert repo.is_enabled("chimera", rule.rule_id)
+        assert repo.materialize("chimera").is_enabled(rule.rule_id)
 
 
 # -- subscriptions (satellite 4) --------------------------------------------------

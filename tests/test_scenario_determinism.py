@@ -163,3 +163,42 @@ class TestUnseededRandomnessGuard:
     def test_guard_permits_seeded_construction(self):
         tree = ast.parse("import random\nrng = random.Random(7)\n")
         assert not list(self.offending_calls(tree))
+
+
+class TestOneWorldImportGuard:
+    """The seeded startup lives in ``repro/world.py`` alone: the daemon
+    must not reach up into the harness for it, the world must not depend
+    on either caller, and nothing in ``src/`` spawns a process pool."""
+
+    @staticmethod
+    def imported_modules(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+
+    def importers(self, where, banned):
+        """``where`` is a file or a directory under the repo root."""
+        target = REPO / where
+        paths = [target] if target.is_file() else sorted(target.rglob("*.py"))
+        assert paths, f"nothing to check under {where}"
+        return [
+            f"{path.relative_to(REPO)} imports {module}"
+            for path in paths
+            for module in self.imported_modules(path)
+            if any(module == b or module.startswith(b + ".") for b in banned)
+        ]
+
+    def test_service_does_not_import_the_harness(self):
+        assert not self.importers("src/repro/service", ["repro.scenario"])
+
+    def test_world_imports_neither_caller(self):
+        assert not self.importers(
+            "src/repro/world.py", ["repro.scenario", "repro.service"]
+        )
+
+    def test_no_process_pools_in_src(self):
+        assert not self.importers("src", ["concurrent", "multiprocessing"])

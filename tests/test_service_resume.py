@@ -60,10 +60,10 @@ def reference(tmp_path_factory) -> dict:
 
 @pytest.fixture(scope="module")
 def reference_12(tmp_path_factory) -> dict:
-    """A longer run that naturally opens a rule incident (seq 1)."""
+    """A longer run that naturally opens a rule incident."""
     root = str(tmp_path_factory.mktemp("service-ref12") / "run")
     identity = uninterrupted_identity(root, 12, fsync=False)
-    assert identity["incident_seq"] >= 1, "fixture expects a natural incident"
+    assert identity["incidents"], "fixture expects a natural incident"
     return identity
 
 
@@ -116,7 +116,7 @@ class TestKillAtEveryBarrier:
             crash_on_hit=9, fsync=False,
         )
         assert identity_equal(resumed, reference_12)
-        assert resumed["incident_seq"] >= 1
+        assert resumed["incidents"][0]["incident_id"] == "incident-0001"
 
 
 class TestTornWrites:
