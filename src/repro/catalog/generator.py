@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.types import ProductItem, ProductType, Taxonomy
@@ -68,6 +70,11 @@ class CatalogGenerator:
         self.plural_rate = plural_rate
         self._next_id = 0
         self._weight_overrides: Dict[str, float] = {}
+        # (taxonomy version, types, cumulative weights, total) — see
+        # _sample_type; None until first use and after set_type_weight.
+        self._sampling_table: Optional[
+            Tuple[int, List[ProductType], List[float], float]
+        ] = None
 
     # -- distribution control (drift injectors use these) --------------------
 
@@ -78,6 +85,7 @@ class CatalogGenerator:
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight}")
         self._weight_overrides[type_name] = weight
+        self._sampling_table = None
 
     def effective_weight(self, product_type: ProductType) -> float:
         return self._weight_overrides.get(product_type.name, product_type.weight)
@@ -140,18 +148,24 @@ class CatalogGenerator:
     # -- internals ------------------------------------------------------------
 
     def _sample_type(self) -> ProductType:
-        types = list(self.taxonomy)
-        weights = [self.effective_weight(t) for t in types]
-        total = sum(weights)
+        """One weighted draw, O(log types).
+
+        The table of left-to-right partial sums is rebuilt only when the
+        taxonomy's type set or a weight override changes; the first type
+        whose partial sum reaches ``pick`` is ``bisect_left``'s answer.
+        """
+        table = self._sampling_table
+        if table is None or table[0] != self.taxonomy.version:
+            types = list(self.taxonomy)
+            weights = [self.effective_weight(t) for t in types]
+            table = self._sampling_table = (
+                self.taxonomy.version, types, list(accumulate(weights)), sum(weights)
+            )
+        _, types, cumulative, total = table
         if total <= 0:
             raise ValueError("all type weights are zero; nothing to sample")
         pick = self.rng.random() * total
-        running = 0.0
-        for product_type, weight in zip(types, weights):
-            running += weight
-            if pick <= running:
-                return product_type
-        return types[-1]
+        return types[min(bisect_left(cumulative, pick), len(types) - 1)]
 
     def _fill(self, match: re.Match, product_type: ProductType) -> str:
         kind = match.group(1)

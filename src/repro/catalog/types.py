@@ -96,6 +96,9 @@ class Taxonomy:
 
     def __init__(self, types: Sequence[ProductType] = ()):
         self._types: Dict[str, ProductType] = {}
+        #: Bumped whenever the set of types changes (``add`` / ``remove``,
+        #: hence splits and merges): what derived tables are cached against.
+        self.version = 0
         for product_type in types:
             self.add(product_type)
 
@@ -112,12 +115,15 @@ class Taxonomy:
         if product_type.name in self._types:
             raise ValueError(f"duplicate product type {product_type.name!r}")
         self._types[product_type.name] = product_type
+        self.version += 1
 
     def remove(self, name: str) -> ProductType:
         try:
-            return self._types.pop(name)
+            removed = self._types.pop(name)
         except KeyError:
             raise KeyError(f"unknown product type {name!r}") from None
+        self.version += 1
+        return removed
 
     def get(self, name: str) -> ProductType:
         try:

@@ -17,6 +17,7 @@ from repro.chimera.classifiers import (
 from repro.chimera.filter import FinalFilter
 from repro.chimera.gatekeeper import GateAction, GateDecision, GateKeeper
 from repro.chimera.incidents import Incident, IncidentManager
+from repro.chimera.matching import RuleSetMatcher
 from repro.chimera.monitoring import (
     BatchStats,
     BreakerState,
@@ -54,6 +55,7 @@ __all__ = [
     "LearningClassifierStage",
     "PrecisionMonitor",
     "RuleBasedClassifier",
+    "RuleSetMatcher",
     "StageFault",
     "StageHealthMonitor",
     "VotingMaster",

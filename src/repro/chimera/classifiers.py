@@ -13,12 +13,13 @@ Voting Master can combine them uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
+from repro.chimera.matching import RuleSetMatcher
 from repro.core.prepared import ItemLike
 from repro.core.rule import Prediction
-from repro.core.ruleset import RuleSet
+from repro.core.ruleset import RuleSet, RuleVerdict
 from repro.learning.ensemble import VotingEnsemble
 from repro.observability.provenance import StageTrace
 
@@ -57,66 +58,81 @@ class ClassifierStage(ABC):
         return trace
 
 
-class RuleBasedClassifier(ClassifierStage):
+class RuleSetStage(ClassifierStage):
+    """A stage whose votes are one rule set's verdict.
+
+    The verdict comes from :attr:`matcher` — one engine evaluation per
+    item, folded by the rule set — never from ``rules.apply``.
+    """
+
+    def __init__(self, rules: Optional[RuleSet], name: str):
+        super().__init__(name)
+        self.rules = rules if rules is not None else RuleSet(name=name)
+        self.matcher = RuleSetMatcher(self.rules)
+
+    def _evaluate(self, item: ItemLike) -> RuleVerdict:
+        return self.matcher.verdict(item)
+
+    def allowed(self, verdict: RuleVerdict) -> Optional[Set[str]]:
+        """The restriction ``verdict`` puts on *other* stages' votes: none —
+        a rule set's constraints already shaped its own predictions."""
+        return None
+
+    def predict(self, item: ItemLike) -> List[Prediction]:
+        verdict = self._evaluate(item)
+        predictions = [
+            Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
+            for p in verdict.predictions
+        ]
+        if self.record_provenance and (
+            verdict.fired or verdict.vetoed or verdict.constrained_to is not None
+        ):
+            self._last_trace = StageTrace(
+                self.name,
+                verdict.fired,
+                tuple([(p.label, p.weight, p.source) for p in predictions]),
+                verdict.vetoed,
+                verdict.constrained_to,
+            )
+        return predictions
+
+
+class RuleBasedClassifier(RuleSetStage):
     """Stage 1: whitelist/blacklist regex rules written by analysts."""
 
     def __init__(self, rules: Optional[RuleSet] = None, name: str = "rule-based"):
-        super().__init__(name)
-        self.rules = rules if rules is not None else RuleSet(name=name)
-
-    def predict(self, item: ItemLike) -> List[Prediction]:
-        verdict = self.rules.apply(item)
-        predictions = [
-            Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
-            for p in verdict.predictions
-        ]
-        if self.record_provenance and (
-            verdict.fired or verdict.vetoed or verdict.constrained_to is not None
-        ):
-            self._last_trace = StageTrace(
-                self.name,
-                verdict.fired,
-                tuple([(p.label, p.weight, p.source) for p in predictions]),
-                verdict.vetoed,
-                verdict.constrained_to,
-            )
-        return predictions
-
-    def vetoes(self, item: ItemLike) -> Set[str]:
-        """Types this stage's blacklists veto for ``item``."""
-        return set(self.rules.apply(item).vetoed)
+        super().__init__(rules, name)
 
 
-class AttributeValueClassifier(ClassifierStage):
+class AttributeValueClassifier(RuleSetStage):
     """Stage 2: attribute rules predict; value rules constrain."""
 
     def __init__(self, rules: Optional[RuleSet] = None, name: str = "attr-value"):
-        super().__init__(name)
-        self.rules = rules if rules is not None else RuleSet(name=name)
+        super().__init__(rules, name)
+        # predict() leaves its verdict here for the constraints() call the
+        # Voting Master makes next on the same item (taken once, and only
+        # while the rule set is unchanged), so the pair evaluates once.
+        self._handoff: Tuple[Optional[ItemLike], int, Optional[RuleVerdict]] = (
+            None, -1, None,
+        )
 
-    def predict(self, item: ItemLike) -> List[Prediction]:
-        verdict = self.rules.apply(item)
-        predictions = [
-            Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
-            for p in verdict.predictions
-        ]
-        if self.record_provenance and (
-            verdict.fired or verdict.vetoed or verdict.constrained_to is not None
-        ):
-            self._last_trace = StageTrace(
-                self.name,
-                verdict.fired,
-                tuple([(p.label, p.weight, p.source) for p in predictions]),
-                verdict.vetoed,
-                verdict.constrained_to,
-            )
-        return predictions
+    def _evaluate(self, item: ItemLike) -> RuleVerdict:
+        verdict = self.matcher.verdict(item)
+        self._handoff = (item, self.rules.version, verdict)
+        return verdict
 
-    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        verdict = self.rules.apply(item)
+    def allowed(self, verdict: RuleVerdict) -> Optional[Set[str]]:
+        """Value rules constrain every stage's candidates, not just ours."""
         if verdict.constrained_to is None:
             return None
         return set(verdict.constrained_to)
+
+    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
+        held_item, held_version, verdict = self._handoff
+        self._handoff = (None, -1, None)
+        if held_item is not item or held_version != self.rules.version:
+            verdict = self.matcher.verdict(item)
+        return self.allowed(verdict)
 
 
 class LearningClassifierStage(ClassifierStage):
@@ -142,15 +158,18 @@ class LearningClassifierStage(ClassifierStage):
     def is_trained(self) -> bool:
         return self._trained
 
-    def predict(self, item: ItemLike) -> List[Prediction]:
+    def votes(self, item: ItemLike) -> List[Prediction]:
+        """The ensemble's unsuppressed votes, sourced to this stage."""
         if not self._trained:
             return []
-        predictions = self.ensemble.predict(item.title)
-        surviving = [
+        return [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
-            for p in predictions
+            for p in self.ensemble.predict(item.title)
             if p.label not in self.suppressed_types
         ]
+
+    def predict(self, item: ItemLike) -> List[Prediction]:
+        surviving = self.votes(item)
         if self.record_provenance and surviving:
             # Learning votes carry no fired rule ids — the vote source
             # names the ensemble member, which is exactly the liability

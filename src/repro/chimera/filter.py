@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.catalog.types import ProductItem
+from repro.chimera.matching import RuleSetMatcher
 from repro.core.prepared import ItemLike
 from repro.core.rule import Prediction
 from repro.core.ruleset import RuleSet
@@ -24,11 +25,13 @@ class FinalFilter:
     With ``record_provenance`` on, each :meth:`select` stashes which
     filter rules fired and which types were vetoed (captured from the
     verdict it computed anyway); the pipeline collects the stash via
-    :meth:`take_trace`.
+    :meth:`take_trace`. The verdict is :attr:`matcher`'s — one engine
+    evaluation per item, folded by the rule set.
     """
 
     def __init__(self, rules: Optional[RuleSet] = None):
         self.rules = rules if rules is not None else RuleSet(name="filter")
+        self.matcher = RuleSetMatcher(self.rules)
         # Business kill switches: predictions for these types are always
         # dropped and the items routed to manual classification.
         self.killed_types: Set[str] = set()
@@ -47,7 +50,7 @@ class FinalFilter:
         self.killed_types.discard(type_name)
 
     def vetoed_types(self, item: ItemLike) -> Set[str]:
-        verdict = self.rules.apply(item)
+        verdict = self.matcher.verdict(item)
         return set(verdict.vetoed) | self.killed_types
 
     def select(
@@ -59,7 +62,7 @@ class FinalFilter:
         are considered — the Filter removes bad answers, it does not rescue
         low-confidence ones.
         """
-        verdict = self.rules.apply(item)
+        verdict = self.matcher.verdict(item)
         vetoed = set(verdict.vetoed) | self.killed_types
         if self.record_provenance:
             self._last_trace = StageTrace(
@@ -67,9 +70,17 @@ class FinalFilter:
                 fired=verdict.fired,
                 vetoed=tuple(sorted(vetoed)),
             )
-        for candidate in ranked:
-            if candidate.weight < confidence_threshold:
-                return None
-            if candidate.label not in vetoed:
-                return candidate
-        return None
+        return first_surviving(ranked, vetoed, confidence_threshold)
+
+
+def first_surviving(
+    ranked: List[Prediction], vetoed: Set[str], confidence_threshold: float
+) -> Optional[Prediction]:
+    """The Filter's walk: the first candidate of ``ranked`` not ``vetoed``,
+    stopping at the first one below ``confidence_threshold``."""
+    for candidate in ranked:
+        if candidate.weight < confidence_threshold:
+            return None
+        if candidate.label not in vetoed:
+            return candidate
+    return None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.catalog.types import ProductItem
+from repro.chimera.matching import RuleSetMatcher
 from repro.core.prepared import ItemLike
 from repro.core.ruleset import RuleSet
 
@@ -36,12 +37,13 @@ class GateKeeper:
     def __init__(self, bypass_rules: Optional[RuleSet] = None, min_title_tokens: int = 1):
         self.bypass_rules = bypass_rules if bypass_rules is not None else RuleSet(name="gate")
         self.min_title_tokens = min_title_tokens
+        self.matcher = RuleSetMatcher(self.bypass_rules)
 
     def process(self, item: ItemLike) -> GateDecision:
         title = item.title.strip()
         if not title or len(title.split()) < self.min_title_tokens:
             return GateDecision(GateAction.REJECT, reason="empty-or-short-title")
-        verdict = self.bypass_rules.apply(item)
+        verdict = self.matcher.verdict(item)
         best = verdict.best()
         if best is not None:
             return GateDecision(GateAction.CLASSIFY, label=best.label, reason=best.source)

@@ -12,7 +12,7 @@ from repro.chimera.classifiers import (
     LearningClassifierStage,
     RuleBasedClassifier,
 )
-from repro.chimera.filter import FinalFilter
+from repro.chimera.filter import FinalFilter, first_surviving
 from repro.chimera.gatekeeper import GateAction, GateKeeper
 from repro.chimera.monitoring import (
     DeltaExecutionMonitor,
@@ -20,7 +20,7 @@ from repro.chimera.monitoring import (
     StageHealthMonitor,
 )
 from repro.chimera.voting import VotingMaster
-from repro.core.prepared import ItemLike, prepare
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.execution.incremental import IncrementalExecutor
@@ -114,6 +114,24 @@ class BatchResult:
             recall = tp / a_count if a_count else 0.0
             metrics[type_name] = (precision, recall, a_count)
         return metrics
+
+
+class _StageAnswer:
+    """One stage's already-computed votes and allowed-type restriction, in
+    the shape :meth:`VotingMaster.combine` reads a stage — how
+    :meth:`Chimera.explain_item` votes without evaluating twice."""
+
+    def __init__(self, stage, votes, allowed: Optional[Set[str]]):
+        self.name = stage.name
+        self.enabled = stage.enabled
+        self._votes = votes
+        self._allowed = allowed
+
+    def predict(self, item: ItemLike):
+        return self._votes
+
+    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
+        return self._allowed
 
 
 class Chimera:
@@ -218,15 +236,19 @@ class Chimera:
 
     # -- incremental fired-map maintenance ----------------------------------------
 
-    def _stage_ruleset(self, stage: str) -> RuleSet:
-        rulesets = {
-            "rule-based": self.rule_stage.rules,
-            "attr-value": self.attr_stage.rules,
-            "filter": self.filter.rules,
+    def _rule_holder(self, stage: str):
+        """The component owning a stage's ``rules`` and their ``matcher``."""
+        holders = {
+            "rule-based": self.rule_stage,
+            "attr-value": self.attr_stage,
+            "filter": self.filter,
         }
-        if stage not in rulesets:
-            raise ValueError(f"unknown rule stage {stage!r}; one of {sorted(rulesets)}")
-        return rulesets[stage]
+        if stage not in holders:
+            raise ValueError(f"unknown rule stage {stage!r}; one of {sorted(holders)}")
+        return holders[stage]
+
+    def _stage_ruleset(self, stage: str) -> RuleSet:
+        return self._rule_holder(stage).rules
 
     def track_fired_map(
         self,
@@ -249,14 +271,20 @@ class Chimera:
         tracker's :class:`DeltaExecutionMonitor` (see
         :meth:`fired_delta_report`).
 
+        The stage classifies from the same rows: its matcher follows the
+        tracker, so an item the tracker admitted is not evaluated a second
+        time when it is classified (see
+        :meth:`IncrementalExecutor.match_row`).
+
         Calling again for an already-tracked stage detaches the old
         tracker first.
         """
         previous = self.fired_trackers.get(stage)
         if previous is not None:
             previous.detach()
+        holder = self._rule_holder(stage)
         tracker = IncrementalExecutor.for_ruleset(
-            self._stage_ruleset(stage),
+            holder.rules,
             items=items,
             monitor=DeltaExecutionMonitor(),
             observability=(
@@ -266,6 +294,7 @@ class Chimera:
         if batch_stream is not None:
             tracker.follow_batches(batch_stream)
         self.fired_trackers[stage] = tracker
+        holder.matcher.follow(tracker)
         return tracker
 
     def fired_delta_report(self) -> Dict[str, Dict[str, Dict[str, object]]]:
@@ -435,6 +464,16 @@ class Chimera:
 
     # -- classification -----------------------------------------------------------
 
+    def _prepared(self, item: ItemLike) -> PreparedItem:
+        """``item``'s prepared view: the one a fired-map tracker built and
+        warmed when this very record arrived, else a fresh one."""
+        if not isinstance(item, PreparedItem):
+            for tracker in self.fired_trackers.values():
+                cached = tracker.prepared_cache.get(item.item_id)
+                if cached is not None and cached.item is item:
+                    return cached
+        return prepare(item)
+
     def classify_item(
         self, item: ItemLike, batch_id: str = ""
     ) -> Optional[ItemResult]:
@@ -451,7 +490,7 @@ class Chimera:
         quality = self.quality
         with obs.span("chimera.classify_item") as item_span:
             with obs.span("chimera.prepare"):
-                prepared = prepare(item)
+                prepared = self._prepared(item)
             raw_item = prepared.item
             with obs.span("chimera.gate"):
                 decision = self.gatekeeper.process(prepared)
@@ -508,35 +547,53 @@ class Chimera:
             return ItemResult(raw_item, chosen.label, source="pipeline")
 
     def explain_item(self, item: ProductItem) -> str:
-        """A human-readable account of how the pipeline treated ``item``.
+        """A human-readable account of how the pipeline treats ``item``.
 
         Section 3.2's liability requirement: predictions for sensitive
         types must be explainable, and rule provenance is what makes the
         explanation crisp. Learning votes are reported as such — which is
         exactly why business-critical types are forced through rules.
+
+        Read-only: one pass over the matchers and learners
+        :meth:`classify_item` consults, each evaluated once, outside the
+        circuit-breaker guards — no provenance record, no health-window
+        observation, no stage trace, no breaker call. A raising stage
+        raises here.
         """
         from repro.core.explain import explain_verdict
 
         prepared = prepare(item)
-        result = self.classify_item(prepared)
-        lines: List[str] = []
         decision = self.gatekeeper.process(prepared)
-        lines.append(f"gate: {decision.action.value}"
-                     + (f" ({decision.reason})" if decision.reason else ""))
+        lines = [
+            f"gate: {decision.action.value}"
+            + (f" ({decision.reason})" if decision.reason else "")
+        ]
+        answers = []
         for stage in (self.rule_stage, self.attr_stage):
-            explanation = explain_verdict(stage.rules, item)
+            verdict = stage.matcher.verdict(prepared)
+            answers.append(
+                _StageAnswer(stage, verdict.predictions, stage.allowed(verdict))
+            )
+            explanation = explain_verdict(stage.rules, prepared.item, verdict)
             if explanation.steps:
                 lines.append(f"stage {stage.name}:")
                 for step in explanation.steps:
                     lines.append(f"  [{step.kind}] {step.statement} -> {step.effect}")
-        learning_votes = self.learning_stage.predict(prepared)
+        learning_votes = self.learning_stage.votes(prepared)
+        answers.append(_StageAnswer(self.learning_stage, learning_votes, None))
         if learning_votes:
             rendered = ", ".join(f"{p.label} ({p.weight:.2f})" for p in learning_votes)
             lines.append(f"stage learning: {rendered}")
         filter_vetoes = self.filter.vetoed_types(prepared)
         if filter_vetoes:
             lines.append(f"filter vetoes: {sorted(filter_vetoes)}")
-        label = result.label if result is not None else None
+        label = decision.label
+        if decision.action is GateAction.PASS:
+            _final, ranked = self.voting.combine(prepared, answers)
+            chosen = first_surviving(
+                ranked, filter_vetoes, self.voting.confidence_threshold
+            )
+            label = chosen.label if chosen is not None else None
         lines.append(f"final: {label if label else 'unclassified'}")
         return "\n".join(lines)
 

@@ -52,9 +52,17 @@ class Explanation:
         return "\n".join(lines)
 
 
-def explain_verdict(ruleset: RuleSet, item: ProductItem) -> Explanation:
-    """Re-evaluate ``item`` against ``ruleset``, recording every effect."""
-    verdict = ruleset.apply(item)
+def explain_verdict(
+    ruleset: RuleSet, item: ProductItem, verdict: Optional[RuleVerdict] = None
+) -> Explanation:
+    """Account for ``ruleset``'s verdict on ``item``, effect by effect.
+
+    ``verdict`` is the verdict to explain when the caller already holds it
+    (the pipeline explains the one it classified from); by default the
+    item is re-evaluated with the reference :meth:`RuleSet.apply`.
+    """
+    if verdict is None:
+        verdict = ruleset.apply(item)
     best = verdict.best()
     explanation = Explanation(
         item_id=item.item_id,

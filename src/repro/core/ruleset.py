@@ -46,6 +46,10 @@ class RuleVerdict:
         return max(self.predictions, key=lambda p: (p.weight, p.label))
 
 
+#: What both evaluations return when no enabled rule's condition holds.
+_NOTHING_FIRED = RuleVerdict(predictions=())
+
+
 class RuleSet:
     """An ordered, mutable collection of rules with stable evaluation.
 
@@ -70,8 +74,13 @@ class RuleSet:
 
     def __init__(self, rules: Iterable[Rule] = (), name: str = "ruleset"):
         self.name = name
+        # Insertion order IS live rule order: add appends, replace keeps
+        # the key's place, remove deletes, a re-add goes last.
         self._rules: Dict[str, Rule] = {}
-        self._order: List[str] = []
+        # The same order as a comparable key per rule, so fold() can sort
+        # an unordered handful of hit ids without walking the whole set.
+        self._live_key: Dict[str, int] = {}
+        self._keys_issued = 0
         # Change-notification plumbing for incremental consumers (§4's
         # "when rule R is modified ... re-run only what changed"): every
         # mutation bumps `version`, assigns the touched rule a fresh
@@ -150,7 +159,7 @@ class RuleSet:
         return len(self._rules)
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules[rule_id] for rule_id in self._order)
+        return iter(self._rules.values())
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
@@ -173,7 +182,8 @@ class RuleSet:
             raise DuplicateRuleError(f"rule {rule.rule_id!r} already in {self.name!r}")
         rule = copy.copy(rule)
         self._rules[rule.rule_id] = rule
-        self._order.append(rule.rule_id)
+        self._keys_issued += 1
+        self._live_key[rule.rule_id] = self._keys_issued
         self._revisions[rule.rule_id] = self._next_revision(rule.rule_id)
         self._notify("added", rule)
         return rule
@@ -185,7 +195,7 @@ class RuleSet:
     def remove(self, rule_id: str) -> Rule:
         rule = self.get(rule_id)
         del self._rules[rule_id]
-        self._order.remove(rule_id)
+        del self._live_key[rule_id]
         # Reap the tombstoned revision into the watermark so churn cannot
         # grow _revisions without bound (see _next_revision).
         self._revision_watermark = max(
@@ -308,6 +318,73 @@ class RuleSet:
 
         return RuleVerdict(
             predictions=surviving,
+            vetoed=tuple(sorted(veto_set)),
+            constrained_to=tuple(sorted(allowed)) if allowed is not None else None,
+            fired=tuple(fired),
+        )
+
+    def fold(self, hit_ids: Iterable[str]) -> RuleVerdict:
+        """The verdict :meth:`apply` returns, folded from an engine's answer.
+
+        ``hit_ids`` are the ids of this set's rules whose *condition* holds
+        on the item — enabled or not, in any order — as a
+        :class:`~repro.execution.compiler.CompiledRuleSet` built with
+        ``include_disabled=True`` (or the
+        :class:`~repro.execution.incremental.MatchStore` row it maintains)
+        reports them. No rule is evaluated here: ``enabled`` is read now,
+        the hits are put in live rule order, and the rest is ``apply``'s
+        bookkeeping — whitelists → constraints → blacklists, the strongest
+        vote per label with an equal-weight duplicate keeping the earlier
+        rule, ``fired`` in that same order. A whitelist hit votes
+        ``Prediction(target_type, confidence, source=rule_id)``, the shape
+        :meth:`Rule.predict_prepared` gives every rule class. :meth:`apply`
+        stays the executable definition; the property tests hold the two
+        equal under churn.
+        """
+        rules = self._rules
+        try:
+            hits = [rules[rule_id] for rule_id in hit_ids]
+        except KeyError as error:
+            raise UnknownRuleError(error.args[0]) from None
+        hits = [rule for rule in hits if rule.enabled]
+        if not hits:
+            return _NOTHING_FIRED
+        if len(hits) > 1:
+            live_key = self._live_key
+            hits.sort(key=lambda rule: live_key[rule.rule_id])
+
+        votes: Dict[str, Prediction] = {}  # first sighting fixes a label's place
+        constraints: List[Rule] = []
+        blacklists: List[Rule] = []
+        fired: List[str] = []
+        for rule in hits:
+            is_constraint, is_blacklist = rule.is_constraint, rule.is_blacklist
+            if is_constraint:
+                constraints.append(rule)
+            if is_blacklist:
+                blacklists.append(rule)
+            if is_constraint or is_blacklist:
+                continue
+            fired.append(rule.rule_id)
+            held = votes.get(rule.target_type)
+            if held is None or held.weight < rule.confidence:
+                votes[rule.target_type] = Prediction(
+                    rule.target_type, weight=rule.confidence, source=rule.rule_id
+                )
+        predictions = list(votes.values())
+
+        allowed: Optional[Set[str]] = None
+        for rule in constraints:
+            fired.append(rule.rule_id)
+            rule_allowed = set(rule.allowed_types)
+            allowed = rule_allowed if allowed is None else (allowed & rule_allowed)
+        if allowed is not None:
+            predictions = [p for p in predictions if p.label in allowed]
+
+        fired.extend(rule.rule_id for rule in blacklists)
+        veto_set = {rule.target_type for rule in blacklists}
+        return RuleVerdict(
+            predictions=tuple(p for p in predictions if p.label not in veto_set),
             vetoed=tuple(sorted(veto_set)),
             constrained_to=tuple(sorted(allowed)) if allowed is not None else None,
             fired=tuple(fired),

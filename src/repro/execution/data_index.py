@@ -98,6 +98,11 @@ class DataIndex:
     def prepared_at(self, row: int) -> Optional[PreparedItem]:
         return self._prepared[row]
 
+    def get(self, item_id: str) -> Optional[ProductItem]:
+        """The live record indexed under ``item_id``, or None."""
+        row = self._row_by_id.get(item_id)
+        return None if row is None else self.items[row]
+
     def candidate_rows(self, rule: Rule) -> List[int]:
         """Rows that might match ``rule`` (superset; sorted).
 

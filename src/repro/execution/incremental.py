@@ -322,6 +322,12 @@ class IncrementalExecutor:
         self._unsubscribes.append(unsubscribe)
         return unsubscribe
 
+    def on_detach(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` when :meth:`detach` ends this executor's
+        subscriptions — how a reader of its rows learns they stop being
+        maintained."""
+        self._unsubscribes.append(callback)
+
     def detach(self) -> None:
         """Drop every subscription taken out by this executor."""
         for unsubscribe in self._unsubscribes:
@@ -531,6 +537,27 @@ class IncrementalExecutor:
         if self.observability.enabled or self.observability.quality is not None:
             self.observability.observe_fired(self._snapshot)
         return self._snapshot
+
+    def match_row(self, item: ItemLike) -> Iterable[str]:
+        """Ids of the tracked rules — enabled or not, unordered — whose
+        condition holds on ``item``: the input of
+        :meth:`~repro.core.ruleset.RuleSet.fold`.
+
+        When the store holds this very record the answer is the row
+        ``add_items`` wrote on arrival, kept current by every rule delta
+        since: a read, no evaluation. Any other record — never admitted,
+        re-listed since under its id, or shadowed by a duplicate id later
+        in its batch — is evaluated through the same compiled rule set and
+        leaves the store untouched; those evaluations are counted on
+        ``stats.rule_evaluations``.
+        """
+        record = item.item if isinstance(item, PreparedItem) else item
+        stored = self._data_index.get(record.item_id)
+        if stored is record or stored == record:
+            return self.store.rules_of_item(record.item_id)
+        hits, n_evaluated = self._compiled.match_item(item)
+        self.stats.rule_evaluations += n_evaluated
+        return hits
 
     def fired_for_item(self, item_id: str) -> List[str]:
         """Sorted enabled rule ids currently firing on one item."""

@@ -228,6 +228,11 @@ class StreamService:
             self.store.close()
             return
         self.incremental.detach()
+        # start() hung two bound methods of this service on the world's
+        # listener lists; left there, service <-> world cycles keep the
+        # whole closed world alive until a gen-2 collection.
+        self.obs.tracer.on_span_end.remove(self._on_span_end)
+        self.tracker.on_alert.remove(self._on_alert)
         self.repository.close()
         self.provenance.close()
         if self.series is not None:

@@ -19,6 +19,7 @@ from repro.chimera import (
     StageHealthMonitor,
 )
 from repro.core import parse_rules
+from repro.core.rule import Clause, PredicateRule
 from repro.core.prepared import prepare
 from repro.utils.clock import SimClock
 
@@ -198,19 +199,19 @@ class TestGuardedStage:
 def _sabotage(stage):
     """Break a stage the way a bad artifact does: every call throws.
 
-    Patching ``rules.apply`` fails both ``predict`` and ``constraints`` —
-    a stage broken only in one method keeps having its breaker reset by
-    the other method's successes, which is correct breaker behaviour but
-    not what these tests are about.
+    Patching the stage's evaluation seam, ``matcher.verdict``, fails both
+    ``predict`` and ``constraints`` — a stage broken only in one method
+    keeps having its breaker reset by the other method's successes, which
+    is correct breaker behaviour but not what these tests are about.
     """
     def boom(*args, **kwargs):
         raise RuntimeError("rule dictionary corrupted")
 
-    stage.rules.apply = boom
+    stage.matcher.verdict = boom
 
 
 def _repair(stage):
-    del stage.rules.apply
+    del stage.matcher.verdict
 
 
 def build_chimera(failure_threshold=3, cooldown=4):
@@ -245,6 +246,28 @@ class TestChimeraStageFailure:
         assert chimera.degraded_stages() == ["attr-value"]
         assert chimera.health.failures["attr-value"] >= 2
         assert chimera.health_report()["attr-value"]["state"] == "open"
+
+    def test_a_raising_rule_is_contained_and_opens_the_breaker(self):
+        """Not the seam but a *rule* throws: the engine evaluates it inside
+        ``predict``/``constraints``, so the guard sees the exception."""
+        def corrupted(prepared):
+            raise RuntimeError("udf backend unreachable")
+
+        chimera = build_chimera(failure_threshold=2, cooldown=50)
+        chimera.add_attribute_rules([
+            PredicateRule([Clause("udf(lookup)", corrupted)], "books", rule_id="bad-udf")
+        ])
+        result = chimera.classify_batch(ITEMS)
+        labels = {r.item.item_id: r.label for r in result.results}
+        assert labels["gold ring"] == "rings"
+        assert labels["relaxed denim jeans"] == "jeans"
+        assert labels["mystery novel"] is None  # its only voter is routed around
+        assert chimera.degraded_stages() == ["attr-value"]
+        assert "udf backend unreachable" in chimera.health.faults[0].error
+        # Disabling the rule does not stop the engine evaluating its
+        # condition (the artifact holds disabled rules); retiring it does.
+        chimera.attr_stage.rules.remove("bad-udf")
+        assert chimera.attr_stage.predict(ITEMS[2])[0].label == "books"
 
     def test_healthy_pipeline_is_unchanged_by_the_guard(self):
         guarded = build_chimera().classify_batch(ITEMS)

@@ -78,6 +78,41 @@ class TestChimeraExplain:
         assert "final: rings" not in trap
 
 
+    def test_explaining_is_read_only(self):
+        """With quality telemetry on, an explanation records no provenance,
+        feeds no health window and leaves no stage trace behind."""
+        from repro.chimera import Chimera
+        from repro.core import parse_rules as parse
+
+        chimera = Chimera.build(seed=0)
+        # The rule stage's own constraint drops its "rings" vote and must
+        # not reach across to the attribute stage's "books".
+        chimera.add_whitelist_rules(parse(
+            "rings? -> rings\nvalue(brand)=acme -> laptop computers|smart phones"
+        ))
+        chimera.add_attribute_rules(parse("attr(isbn) -> books"))
+        chimera.add_blacklist_rules(parse("key rings? -> NOT rings"))
+        quality = chimera.enable_quality_telemetry()
+        ring = item("gold ring", isbn="978", brand="acme")
+        assert chimera.classify_batch([ring]).results[0].label == "books"
+        records = quality.provenance.total_records
+        windows = quality.health.state_dict()
+        health = chimera.health_report()
+
+        text = chimera.explain_item(ring)
+        assert "final: books" in text and "stage attr-value" in text
+        assert chimera.explain_item(item("retractable key ring")).endswith(
+            "final: unclassified"
+        )
+
+        assert quality.provenance.total_records == records == 1
+        assert quality.health.state_dict() == windows
+        assert chimera.health_report() == health
+        stages = (chimera.rule_stage, chimera.attr_stage, chimera.learning_stage)
+        assert [stage.take_trace() for stage in stages] == [None, None, None]
+        assert chimera.filter.take_trace() is None
+
+
 class TestTaxonomyValidation:
     def test_seed_taxonomy_is_clean(self, taxonomy):
         assert taxonomy.validate() == []

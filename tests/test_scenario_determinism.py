@@ -202,3 +202,37 @@ class TestOneWorldImportGuard:
 
     def test_no_process_pools_in_src(self):
         assert not self.importers("src", ["concurrent", "multiprocessing"])
+
+
+class TestServedPathNeverScansGuard:
+    """``RuleSet.apply`` — every active rule against the item — is the
+    reference the tests compare against. The served path classifies from
+    the engine's hit ids (``RuleSetMatcher.verdict``), so nothing under
+    ``repro/chimera`` or ``repro/service`` may call an ``.apply(...)``."""
+
+    ROOTS = ("src/repro/chimera", "src/repro/service")
+
+    @staticmethod
+    def apply_calls(tree):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "apply"):
+                yield node
+
+    def test_no_apply_call_on_the_served_path(self):
+        offenders = []
+        for root in self.ROOTS:
+            paths = sorted((REPO / root).rglob("*.py"))
+            assert paths, f"nothing to check under {root}"
+            for path in paths:
+                tree = ast.parse(path.read_text(), filename=str(path))
+                offenders += [
+                    f"{path.relative_to(REPO)}:{node.lineno}"
+                    for node in self.apply_calls(tree)
+                ]
+        assert not offenders, "RuleSet.apply on the served path:\n" + "\n".join(offenders)
+
+    def test_guard_detects_a_violation(self):
+        tree = ast.parse("verdict = self.stage.rules.apply(item)\n")
+        assert list(self.apply_calls(tree))

@@ -313,6 +313,49 @@ def test_resume_with_mismatched_config_raises(tmp_path):
     conflicting.close()
 
 
+# -- close() releases the world ------------------------------------------------
+
+
+def test_close_releases_the_world_without_the_cycle_collector(tmp_path):
+    """``start()`` hangs bound methods of the service on the tracer's and
+    the health tracker's listener lists; ``close()`` must take them off,
+    or service <-> world cycles keep the closed world (match store, data
+    index, prepared cache, provenance ring) alive until a gen-2 GC — and
+    every resume in one process stacks another dead world."""
+    import gc
+    import weakref
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        service = StreamService(
+            str(tmp_path / "run"), config=ServiceConfig(training=0), fsync=False
+        ).start()
+        service.run_to(2)
+        probes = {
+            name: weakref.ref(target)
+            for name, target in {
+                "incremental": service.incremental,
+                "store": service.incremental.store,
+                "chimera": service.chimera,
+                "rule_stage": service.chimera.rule_stage,
+                "rules": service.chimera.rule_stage.rules,
+                "tracker": service.tracker,
+                "repository": service.repository,
+                "provenance": service.provenance,
+                "manager": service.manager,
+                "obs": service.obs,
+            }.items()
+        }
+        service.close()
+        del service
+        alive = sorted(name for name, ref in probes.items() if ref() is not None)
+        assert not alive, f"kept alive by a reference cycle: {alive}"
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
