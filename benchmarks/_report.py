@@ -11,9 +11,35 @@ runs — so "overhead" means the same thing in every report.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Tuple
+import platform
+import subprocess
+from typing import Callable, Dict, Iterable, List, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
+
+def environment() -> Dict[str, object]:
+    """What a committed number was measured on: commit, interpreter, host.
+
+    ``git_hash`` / ``src_dirty`` are None outside a git checkout.
+    """
+    def git(*args):
+        return subprocess.run(
+            ("git", "-C", REPO_ROOT) + args,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    try:
+        commit, src_dirty = (git("rev-parse", "HEAD"),
+                             bool(git("status", "--porcelain", "--", "src")))
+    except (OSError, subprocess.CalledProcessError):
+        commit, src_dirty = None, None
+    return {
+        "git_hash": commit,
+        "src_dirty": src_dirty,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def median(values):

@@ -4,20 +4,20 @@ The observability layer's contract (DESIGN.md §8) is two-fold:
 
 1. **identical results** — fired maps are byte-identical with tracing on
    or off (instrumentation is strictly observational);
-2. **bounded cost** — spans are emitted at run/phase granularity (never
-   per item).
+2. **bounded cost** — spans are emitted per run (never per item or per
+   chunk).
 
 This benchmark checks the first and measures the second on the same
 synthetic corpus as ``bench_exec_prepared``, writing ``BENCH_obs.json`` at
-the repo root. The committed file's 5% ``overhead_budget`` was calibrated
-on the interpreted candidate loop (2% there); on the compiled engine the
-same tracing reads ~25% of a loop that is ~3x shorter — tracing a batch
-run switches on the two-phase instrumented variant (~20 points) and
-``observe_fired`` walks the fired map (~7) — so the relative figure is
-reported, not gated. The served path's tracing overhead is gated by the
-ledger (``ledger.trace_overhead_share``, benchmarks/ledger). The CI smoke
-job runs the small configuration and fails the build when identity
-breaks. Run directly:
+the repo root. A traced batch run executes the same loop as a plain one;
+what it adds is two spans (``exec.indexed.run``, plus ``exec.compile`` on
+the first run) and one ``observe_fired`` walk over the fired map, so
+``span_count`` is constant in the item count. The loop takes ~0.1 s and
+the difference sits inside this host's run-to-run drift, so the relative
+figure is reported, not gated. The served path's tracing overhead is
+gated by the ledger (``ledger.trace_overhead_share``, benchmarks/ledger).
+The CI smoke job runs the small configuration and fails the build when
+identity breaks or the span count grows. Run directly:
 
     python benchmarks/bench_obs_overhead.py                  # full scale
     python benchmarks/bench_obs_overhead.py --rules 100 --items 500  # smoke
@@ -37,7 +37,9 @@ from repro.execution import IndexedExecutor  # noqa: E402
 from repro.observability import Observability  # noqa: E402
 from repro.utils.text import clear_caches  # noqa: E402
 
-from _report import emit, measure_interleaved, median, overhead_fraction  # noqa: E402
+from _report import (  # noqa: E402
+    emit, environment, measure_interleaved, median, overhead_fraction,
+)
 from bench_exec_prepared import build_corpus  # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -95,6 +97,7 @@ def main(argv=None):
 
     payload = {
         "benchmark": "bench_obs_overhead",
+        **environment(),
         "config": {
             "rules": args.rules,
             "items": args.items,

@@ -33,15 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import random
-import subprocess
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _report import emit  # noqa: E402
+from _report import emit, environment  # noqa: E402
 from repro.catalog import build_seed_taxonomy, synthesize_types  # noqa: E402
 from repro.catalog.generator import CatalogGenerator  # noqa: E402
 from repro.rulegen import ReferenceRuleGenerator, RuleGenerator  # noqa: E402
@@ -72,20 +70,6 @@ def stage_counts(result):
         "n_selected": result.n_selected,
         "types_covered": result.types_covered,
     }
-
-
-def git_state():
-    """(hash, src-dirty flag); (None, None) outside a git checkout."""
-    def git(*args):
-        return subprocess.run(
-            ("git", "-C", REPO_ROOT) + args,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    try:
-        return (git("rev-parse", "HEAD"),
-                bool(git("status", "--porcelain", "--", "src")))
-    except (OSError, subprocess.CalledProcessError):
-        return None, None
 
 
 def main() -> int:
@@ -133,13 +117,9 @@ def main() -> int:
     )
     speedup = round(reference_wall / miner_wall, 3) if miner_wall else 0.0
 
-    commit, src_dirty = git_state()
     report = {
         "experiment": "rulegen_miner_vs_reference",
-        "git_hash": commit,
-        "src_dirty": src_dirty,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **environment(),
         "taxonomy_seed": TAXONOMY_SEED,
         "catalog_seed": CATALOG_SEED,
         "repeats": repeats,

@@ -7,12 +7,12 @@ work growing linearly in rules while indexed work stays near-flat.
 
 Run directly, this module is the *compiled-path* scale harness instead:
 it streams a large synthetic corpus (default 1M items / 10k rules, 50k-item
-chunks so memory stays flat) through one CompiledRuleSet with phase timing
-on, writes ``BENCH_scale.json`` at the repo root with the
-compile/prefilter/verify split, and cross-checks a leading subsample
-against the NaiveExecutor reference for fired-map identity (every rule on
-every subsample item, so keep ``--subsample`` x ``--rules`` in the tens of
-millions):
+chunks so memory stays flat) through one CompiledRuleSet, writes
+``BENCH_scale.json`` at the repo root with the compile / match seconds
+beside the wall clock (the rest is corpus generation), and cross-checks a
+leading subsample against the NaiveExecutor reference for fired-map
+identity (every rule on every subsample item, so keep ``--subsample`` x
+``--rules`` in the tens of millions):
 
     python benchmarks/bench_scale_execution.py                       # full
     python benchmarks/bench_scale_execution.py --items 50000 --rules 1000
@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import pytest
 
-from _report import emit
+from _report import emit, environment
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
 from repro.execution import IndexedExecutor, NaiveExecutor
 from repro.rulegen import RuleGenerator
@@ -201,7 +201,7 @@ def main(argv=None):
     try:
         started = time.perf_counter()
         for batch in item_chunks(args.items, args.chunk, vocab, args.seed):
-            fired, stats = compiled.execute(batch, stats=stats, phase_timing=True)
+            fired, stats = compiled.execute(batch, stats=stats)
             matches += sum(len(hits) for hits in fired.values())
             fired_items += len(fired)
             if len(subsample_items) < args.subsample:
@@ -221,6 +221,7 @@ def main(argv=None):
 
     payload = {
         "benchmark": "scale_execution_compiled",
+        **environment(),
         "config": {
             "rules": len(rules),
             "items": args.items,
@@ -237,10 +238,9 @@ def main(argv=None):
                 stats.rule_evaluations / max(args.items, 1), 2
             ),
         },
-        "phase_split_sec": {
+        "engine_sec": {
             "compile": round(stats.compile_time, 4),
-            "prefilter": round(stats.prefilter_time, 4),
-            "verify": round(stats.verify_time, 4),
+            "match": round(stats.match_time, 4),
         },
         "fired_identical_on_subsample": bool(identical),
     }
@@ -252,10 +252,8 @@ def main(argv=None):
         f"rules x items        : {len(rules)} x {args.items}",
         f"items/sec            : {payload['totals']['items_per_sec']}",
         f"evals/item           : {payload['totals']['evaluations_per_item']}",
-        f"compile/prefilter/verify sec : "
-        f"{payload['phase_split_sec']['compile']} / "
-        f"{payload['phase_split_sec']['prefilter']} / "
-        f"{payload['phase_split_sec']['verify']}",
+        f"compile / match sec  : "
+        f"{payload['engine_sec']['compile']} / {payload['engine_sec']['match']}",
         f"subsample identical  : {identical}  (n={len(subsample_items)})",
         f"json                 : {os.path.relpath(args.out, REPO_ROOT)}",
     ])

@@ -6,14 +6,16 @@ index the rules so that given a particular data item, we can quickly locate
 and execute only a (hopefully) small set of rules ... Another solution is
 to execute the rules in parallel on a cluster of machines."
 
-One engine, three modes, one reference (DESIGN.md §5):
+One engine, one match kernel, three modes, one reference (DESIGN.md §5):
 
 * :class:`RuleSetCompiler` / :class:`CompiledRuleSet` — *the* engine: the
   whole rule set lowered once into one combined matcher (flattened
   Aho–Corasick tiers over a :class:`TokenAutomaton` plus precompiled
   verification closures), with a per-item compat lane
   (:class:`RuleIndex` probe + ``matches_prepared``) for unclean titles
-  and rule classes the compiler does not know;
+  and rule classes the compiler does not know. An item is evaluated in
+  one function whichever mode asked, traced or not: ``match_item`` is
+  one call of it, ``execute`` a loop of them;
 * :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
   simulated, in-process cluster workers sharing the artifact lowered

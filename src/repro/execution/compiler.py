@@ -34,7 +34,7 @@ Each entry in the depth-1 dict carries six lanes::
   (single-token sequence rules; regex branches that are a bare word, or
   ``words?`` registered under both surface forms). Folded lanes carry
   small-int *ordinals* into a lexicographic rule-id table rather than id
-  strings: the hot loop sorts ints and decodes through the table, and
+  strings: the kernel sorts ints and decodes through the table, and
   raw (pre-fold) lanes keep the strings so incremental add/remove
   surgery is unchanged;
 * ``verify`` — ``None`` or a gated triple ``(gate, positional,
@@ -68,7 +68,13 @@ no-anchor regex, predicate rules) form the *residue*: counted for every
 item, with attribute/value rules fired straight off the item's attribute
 map and the rest via their ``matches_prepared``.
 
-**When compilation is skipped.** The fast path trusts that
+**One kernel.** ``CompiledRuleSet._apply_lanes`` is the only place the
+lanes above are evaluated: ``match_item`` calls it for one item,
+``execute`` calls it in a loop, and tracing a run changes nothing about
+either (spans are emitted by the executors around ``execute``, never
+inside it).
+
+**When compilation is skipped.** The kernel trusts that
 ``title.lower().split()`` equals the tokenizer's output, which holds
 exactly for ASCII alphanumeric-plus-spaces titles; anything else (an
 ''unclean'' title) is routed item-by-item through a private
@@ -80,8 +86,8 @@ always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
 downgrade observable.
 
 **Process-local.** The artifact holds closures and is never pickled;
-the sharded executor ships the serialized rules and each pool worker
-lowers its own copy once.
+the sharded executor ships the serialized rules and lowers them once,
+in-process, into an artifact every shard, retry and run then shares.
 
 Incremental invalidation rides the same generation-counter discipline as
 PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule
@@ -133,8 +139,10 @@ _RX_WORD = re.compile(r"^[a-z0-9]+$")
 _RX_WORD_SOPT = re.compile(r"^([a-z0-9]+)s\?$")
 _RX_PHRASE = re.compile(r"^[a-z0-9]+(?: [a-z0-9]+)+$")
 
-# Chunk size for the instrumented two-phase (prefilter/verify) path.
-_PHASE_CHUNK = 4096
+# Ordinal slots of retired rule ids tolerated beyond the live rule count
+# before _refresh renumbers: a compaction costs O(live lanes) and frees more
+# slots than there are live rules, so it is O(1) amortised per edit.
+_DEAD_SLOT_MARGIN = 1024
 
 
 # A "clean" lowered title is pure ascii alnum words separated by spaces --
@@ -267,19 +275,20 @@ class CompiledRuleSet:
         # rule removal O(lanes the rule occupies).
         self._raw: Dict[str, _Lanes] = {}
         self._contrib: Dict[str, List[Tuple[Optional[str], str, Any]]] = {}
-        # Folded (immutable-entry) probe dict consumed by the hot loop.
+        # Folded (immutable-entry) probe dict consumed by the kernel.
         self._post: Dict[str, tuple] = {}
         self._keys: Set[str] = set()
         self._dirty_tokens: Set[str] = set()
         # Fired-id ordinal table: folded lanes carry small ints, decoded
         # back to rule-id strings only when an item actually fires. The
         # initial compile assigns ordinals in sorted(rule_id) order, so
-        # the hot loop can sort the (much cheaper) ints and decode in
+        # the kernel can sort the (much cheaper) ints and decode in
         # order; incremental adds append out of order and flip
-        # _table_sorted, falling back to a decode-then-sort. Ordinals are
-        # stable for the life of a rule_id (re-adding after a removal
-        # reuses the old slot), so per-token refolds never invalidate
-        # lanes folded earlier.
+        # _table_sorted, falling back to a decode-then-sort. A removed
+        # rule keeps its slot (re-adding reuses it), so per-token refolds
+        # never invalidate lanes folded earlier -- until dead slots
+        # outnumber live rules by _DEAD_SLOT_MARGIN, when _refresh
+        # renumbers in sorted order and refolds everything.
         self._ord: Dict[str, int] = {}
         self._table: List[str] = []
         self._table_sorted = True
@@ -379,6 +388,7 @@ class CompiledRuleSet:
         self._compat.add(rule)
         self._contrib[rid] = contrib = []
         self._lower_rule(rule, contrib)
+        self._dirty_tokens.add("")  # force a refresh pass
 
     def remove_rule(self, rule_id: str) -> bool:
         """Un-lower one rule, touching only the lanes it occupies."""
@@ -392,25 +402,12 @@ class CompiledRuleSet:
             return True
         self._compat.remove(rule_id)
         for token, kind, payload in contrib:
-            if kind == "cu":
+            if token is not None:
                 lanes = self._raw[token]
-                lanes.cu -= payload
-                self._dirty_tokens.add(token)
-            elif kind == "fire":
-                lanes = self._raw[token]
-                lanes.fires.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "verify":
-                lanes = self._raw[token]
-                lanes.verify.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "cm":
-                lanes = self._raw[token]
-                lanes.cm.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "pair":
-                lanes = self._raw[token]
-                lanes.pairs.remove(payload)
+                if kind == "cu":
+                    lanes.cu -= payload
+                else:  # kind names the list lane: fires / verify / cm / pairs
+                    getattr(lanes, kind).remove(payload)
                 self._dirty_tokens.add(token)
             elif kind == "ac":
                 self._ac.remove(payload)
@@ -423,16 +420,12 @@ class CompiledRuleSet:
                 if not group:
                     del self._attr_groups[name]
                 self._n_residue -= 1
-                self._attr_items = ()
-                self._dirty_tokens.add("")  # force a refresh pass
             elif kind == "value":
                 self._value_rules.remove(payload)
                 self._n_residue -= 1
-                self._dirty_tokens.add("")
             elif kind == "generic":
                 del self._generic[payload]
                 self._n_residue -= 1
-                self._dirty_tokens.add("")
         if not self._forced_compat:
             # Drop now-empty raw lanes so layout()/folding stay tight.
             for token, kind, _ in contrib:
@@ -440,7 +433,7 @@ class CompiledRuleSet:
                     lanes = self._raw.get(token)
                     if lanes is not None and lanes.empty():
                         del self._raw[token]
-        self._dirty_tokens.add("")
+        self._dirty_tokens.add("")  # force a refresh pass
         return True
 
     def _lower_rule(self, rule: Rule, contrib: List) -> None:
@@ -453,8 +446,10 @@ class CompiledRuleSet:
         if isinstance(rule, RegexRule) and (
             type(rule).matches_prepared is RegexRule.matches_prepared
         ):
-            self._lower_regex(rule, contrib)
-            return
+            anchors = rule.anchor_literals()
+            if anchors:  # an anchorless regex is generic residue, below
+                self._lower_regex(rule, anchors, contrib)
+                return
         if isinstance(rule, AttributeRule) and (
             type(rule).matches_prepared is AttributeRule.matches_prepared
         ):
@@ -463,7 +458,6 @@ class CompiledRuleSet:
             self._n_residue += 1
             contrib.append((None, "attr", (name, rid)))
             self._lane_labels[rid] = "residue-attribute"
-            self._dirty_tokens.add("")
             return
         if isinstance(rule, ValueConstraintRule) and (
             type(rule).matches_prepared is ValueConstraintRule.matches_prepared
@@ -473,7 +467,6 @@ class CompiledRuleSet:
             self._n_residue += 1
             contrib.append((None, "value", entry))
             self._lane_labels[rid] = "residue-value"
-            self._dirty_tokens.add("")
             return
         anchors = rule.anchor_literals()
         if not anchors:
@@ -484,7 +477,6 @@ class CompiledRuleSet:
             self._n_residue += 1
             contrib.append((None, "generic", rid))
             self._lane_labels[rid] = "residue-generic"
-            self._dirty_tokens.add("")
             return
         # An anchored rule class the compiler cannot prove it understands:
         # correctness first — skip compilation for the whole artifact.
@@ -507,7 +499,7 @@ class CompiledRuleSet:
         if len(sequence) == 1:
             token = sequence[0]
             self._lane(token).fires.append(rid)
-            contrib.append((token, "fire", rid))
+            contrib.append((token, "fires", rid))
             self._lane_labels[rid] = "depth1-fire"
         elif len(sequence) == 2:
             entry = (sequence[1], sequence[0], rid)
@@ -522,16 +514,10 @@ class CompiledRuleSet:
             contrib.append((anchor, "verify", entry))
             self._lane_labels[rid] = "verify-sequence"
 
-    def _lower_regex(self, rule: RegexRule, contrib: List) -> None:
+    def _lower_regex(
+        self, rule: RegexRule, anchors: FrozenSet[str], contrib: List
+    ) -> None:
         rid = rule.rule_id
-        anchors = rule.anchor_literals()
-        if not anchors:
-            self._generic[rid] = rule
-            self._n_residue += 1
-            contrib.append((None, "generic", rid))
-            self._lane_labels[rid] = "residue-generic"
-            self._dirty_tokens.add("")
-            return
         # Candidate accounting: identical placement to RuleIndex postings.
         if len(anchors) == 1:
             anchor = next(iter(anchors))
@@ -553,14 +539,14 @@ class CompiledRuleSet:
         labels = []
         for word in words:
             self._lane(word).fires.append(rid)
-            contrib.append((word, "fire", rid))
+            contrib.append((word, "fires", rid))
         if words:
             labels.append("depth1-fire")
         for phrase in sorted(phrases):
             if len(phrase) == 2:
                 entry = (phrase[1], rid)
                 self._lane(phrase[0]).pairs.append(entry)
-                contrib.append((phrase[0], "pair", entry))
+                contrib.append((phrase[0], "pairs", entry))
                 labels.append("depth2-pair")
             else:
                 self._ac_counter += 1
@@ -651,6 +637,15 @@ class CompiledRuleSet:
     def _refresh(self) -> None:
         """Rebuild folded entries for dirty tokens (and plural carriers)."""
         if self._dirty_tokens:
+            if len(self._table) > 2 * len(self._contrib) + _DEAD_SLOT_MARGIN:
+                # Retired ids outnumber live rules: forget them all. Every
+                # live rule is pending again, so the assignment below hands
+                # out ordinals in sorted id order, and every lane refolds.
+                self._ord = {}
+                self._table = []
+                self._table_sorted = True
+                self._post = {}
+                self._dirty_tokens.update(self._raw)
             pending = sorted(
                 rid for rid in self._contrib if rid not in self._ord
             )
@@ -696,17 +691,19 @@ class CompiledRuleSet:
     def _apply_lanes(
         self, item: ItemLike, toks: List[str], tset: set, hit_tokens: Iterable[str]
     ) -> Tuple[List[str], int]:
-        """Full lane evaluation for one clean item: (fired ids, eval count).
+        """The match kernel: one clean item -> (sorted fired ids, eval count).
 
-        This is the reference implementation of the per-item step; the
-        batch loop in :meth:`execute` inlines the same logic for speed
-        (kept in lock-step by the parity tests in
-        ``tests/test_execution_compiled.py``).
+        The only place lanes are evaluated. :meth:`match_item` and
+        :meth:`execute` tokenize (``toks`` / ``tset``), probe depth 1
+        (``hit_tokens = tset & keys``) and land here, so the batch, sharded
+        and incremental executors and the pipeline's ``RuleSetMatcher``
+        all run this one function. Fired ids come back sorted and
+        de-duplicated.
         """
         post = self._post
         flist: List[int] = []
         n_candidates = self._n_residue
-        cmset: Optional[set] = None
+        multi: List[int] = []
         idx = toks.index
         for t in hit_tokens:
             fires, verify, cu, cm, bridge, pairs = post[t]
@@ -728,10 +725,7 @@ class CompiledRuleSet:
                         if closure(toks, tset):
                             flist.append(o)
             if cm:
-                if cmset is None:
-                    cmset = set(cm)
-                else:
-                    cmset.update(cm)
+                multi.extend(cm)
             if bridge is not None:
                 base, b_verify, b_cu, b_cm = bridge
                 if base not in tset:
@@ -751,10 +745,7 @@ class CompiledRuleSet:
                                 if closure(toks, tset):
                                     flist.append(o)
                     if b_cm:
-                        if cmset is None:
-                            cmset = set(b_cm)
-                        else:
-                            cmset.update(b_cm)
+                        multi.extend(b_cm)
             if pairs is not None and not pairs[0].isdisjoint(tset):
                 for second, o in pairs[1]:
                     if second in tset:
@@ -793,17 +784,35 @@ class CompiledRuleSet:
             for o, generic_rule in self._generic_items:
                 if generic_rule.matches_prepared(prepared):
                     flist.append(o)
-        if cmset is not None:
-            n_candidates += len(cmset)
+        if multi:
+            n_candidates += len(set(multi))
+        if not flist:
+            return [], n_candidates
         table = self._table
-        return [table[o] for o in flist], n_candidates
+        if self._table_sorted:
+            # Sorting ordinals sorts rule ids (the table is lexicographic);
+            # dedupe during decode to skip a set construction per item.
+            flist.sort()
+            prev = -1
+            hits: List[str] = []
+            for o in flist:
+                if o != prev:
+                    hits.append(table[o])
+                    prev = o
+            return hits, n_candidates
+        return sorted({table[o] for o in flist}), n_candidates
 
     def _match_compat(self, item: ItemLike) -> Tuple[List[str], int]:
+        """Interpreted path, same shape as the kernel's result.
+
+        The index proposes each rule at most once, so sorting the hits is
+        all the de-duplication there is to do.
+        """
         prepared = prepare(item)
         candidates = self._compat.candidates(prepared)
-        hits = [
+        hits = sorted(
             rule.rule_id for rule in candidates if rule.matches_prepared(prepared)
-        ]
+        )
         return hits, len(candidates)
 
     def match_item(self, item: ItemLike) -> Tuple[List[str], int]:
@@ -816,12 +825,10 @@ class CompiledRuleSet:
         self._refresh()
         lowered = item.title.lower()
         if self._forced_compat or _CLEAN_TITLE(lowered) is None:
-            hits, n_candidates = self._match_compat(item)
-        else:
-            toks = lowered.split()
-            tset = set(toks)
-            hits, n_candidates = self._apply_lanes(item, toks, tset, tset & self._keys)
-        return sorted(set(hits)), n_candidates
+            return self._match_compat(item)
+        toks = lowered.split()
+        tset = set(toks)
+        return self._apply_lanes(item, toks, tset, tset & self._keys)
 
     # -- batch execution ----------------------------------------------------------
 
@@ -829,28 +836,30 @@ class CompiledRuleSet:
         self,
         items: Sequence[ItemLike],
         on_error: str = "raise",
-        observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
         stats: Optional[ExecutionStats] = None,
-        phase_timing: bool = False,
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
         """Run the compiled matcher over a batch.
 
         The fired map is byte-identical to
         ``NaiveExecutor(rules).run(items)`` over the same (enabled) rules.
-        ``phase_timing`` (implied by enabled observability) runs the
-        instrumented two-phase variant that attributes time to
-        ``exec.prefilter`` (tokenize + depth-1 intersection) and
-        ``exec.verify`` (lanes, residue, output) spans and stats fields;
-        the default single-pass loop avoids the staging cost.
+        Each item takes the same route as :meth:`match_item` — the kernel
+        for clean titles, the compat path otherwise. Spans and metrics are
+        the caller's business (see :class:`IndexedExecutor`): nothing an
+        observer does can reach this loop.
         """
         skip = _checked_mode(on_error) == "skip"
-        obs = ensure_observability(observability)
         clk = clock if clock is not None else time.perf_counter
         if stats is None:
             stats = ExecutionStats()
         self._refresh()
+        keys = self._keys
+        forced = self._forced_compat
+        apply_lanes = self._apply_lanes
+        match_compat = self._match_compat
         fired: Dict[str, List[str]] = {}
+        n_evaluations = 0
+        n_matches = 0
         started = clk()
         # Pause cyclic GC for the batch: the compiled artifact is a large
         # long-lived tuple graph, and the loop's allocation rate would
@@ -861,241 +870,34 @@ class CompiledRuleSet:
         if gc_was_enabled:
             gc.disable()
         try:
-            if phase_timing or obs.enabled:
-                self._execute_phased(items, fired, stats, skip, obs, clk)
-            else:
-                self._execute_fast(items, fired, stats, skip)
+            for item in items:
+                try:
+                    lowered = item.title.lower()
+                    if forced or _CLEAN_TITLE(lowered) is None:
+                        hits, n_candidates = match_compat(item)
+                    else:
+                        toks = lowered.split()
+                        tset = set(toks)
+                        hits, n_candidates = apply_lanes(item, toks, tset, tset & keys)
+                    if hits:
+                        fired[item.item_id] = hits
+                        n_matches += len(hits)
+                    n_evaluations += n_candidates
+                except Exception:
+                    if not skip:
+                        raise
+                    stats.skipped_items += 1
+                    stats.skipped_item_ids.append(
+                        str(getattr(item, "item_id", "<unknown>"))
+                    )
         finally:
             if gc_was_enabled:
                 gc.enable()
+        stats.rule_evaluations += n_evaluations
+        stats.matches += n_matches
         stats.items += len(items)
         stats.match_time += clk() - started
         return fired, stats
-
-    def _skip_item(self, item: Any, stats: ExecutionStats) -> None:
-        stats.skipped_items += 1
-        stats.skipped_item_ids.append(str(getattr(item, "item_id", "<unknown>")))
-
-    def _execute_fast(
-        self,
-        items: Sequence[ItemLike],
-        fired: Dict[str, List[str]],
-        stats: ExecutionStats,
-        skip: bool,
-    ) -> None:
-        # The hot loop. Locals and lane layout are deliberate — see the
-        # module docstring; keep in lock-step with _apply_lanes.
-        post = self._post
-        keys = self._keys
-        n_residue = self._n_residue
-        attr_items = self._attr_items
-        value_items = self._value_items
-        has_attr_lanes = bool(attr_items or value_items)
-        generic_items = self._generic_items
-        ac_gate = self._ac_gate
-        ac_ord = self._ac_ord
-        ac_matching = self._ac.matching_ids if ac_gate is not None else None
-        forced = self._forced_compat
-        match_compat = self._match_compat
-        table = self._table
-        table_sorted = self._table_sorted
-        n_evaluations = 0
-        n_matches = 0
-        for item in items:
-            try:
-                lowered = item.title.lower()
-                if not forced and _CLEAN_TITLE(lowered) is not None:
-                    toks = lowered.split()
-                    tset = set(toks)
-                    flist: List[int] = []
-                    n_candidates = n_residue
-                    cmset = None
-                    fire_update = flist.extend
-                    for t in tset & keys:
-                        fires, verify, cu, cm, bridge, pairs = post[t]
-                        if fires:
-                            fire_update(fires)
-                        n_candidates += cu
-                        if verify is not None:
-                            v_gate, v_pos, v_clo = verify
-                            if not v_gate.isdisjoint(tset):
-                                idx = toks.index
-                                for other, second, first, o in v_pos:
-                                    if other in tset:
-                                        try:
-                                            idx(second, idx(first) + 1)
-                                            flist.append(o)
-                                        except ValueError:
-                                            pass
-                            if v_clo:
-                                for closure, o in v_clo:
-                                    if closure(toks, tset):
-                                        flist.append(o)
-                        if cm:
-                            if cmset is None:
-                                cmset = set(cm)
-                            else:
-                                cmset.update(cm)
-                        if bridge is not None:
-                            base, b_verify, b_cu, b_cm = bridge
-                            if base not in tset:
-                                n_candidates += b_cu
-                                if b_verify is not None:
-                                    v_gate, v_pos, v_clo = b_verify
-                                    if not v_gate.isdisjoint(tset):
-                                        idx = toks.index
-                                        for other, second, first, o in v_pos:
-                                            if other in tset:
-                                                try:
-                                                    idx(second, idx(first) + 1)
-                                                    flist.append(o)
-                                                except ValueError:
-                                                    pass
-                                    if v_clo:
-                                        for closure, o in v_clo:
-                                            if closure(toks, tset):
-                                                flist.append(o)
-                                if b_cm:
-                                    if cmset is None:
-                                        cmset = set(b_cm)
-                                    else:
-                                        cmset.update(b_cm)
-                        if pairs is not None and not pairs[0].isdisjoint(tset):
-                            idx = toks.index
-                            for second, o in pairs[1]:
-                                if second in tset:
-                                    start = 0
-                                    while True:
-                                        try:
-                                            start = idx(t, start)
-                                        except ValueError:
-                                            break
-                                        if (
-                                            start + 1 < len(toks)
-                                            and toks[start + 1] == second
-                                        ):
-                                            flist.append(o)
-                                            break
-                                        start += 1
-                    if ac_matching is not None and not ac_gate.isdisjoint(tset):
-                        for pattern_id in ac_matching(toks):
-                            flist.append(ac_ord[pattern_id])
-                    if has_attr_lanes:
-                        attrs = item.attributes
-                        if attrs:
-                            low = {}
-                            for key, value in attrs.items():
-                                kl = key.lower()
-                                if kl not in low:
-                                    low[kl] = value
-                            for name, ords in attr_items:
-                                if name in low:
-                                    fire_update(ords)
-                            for name, value, o in value_items:
-                                actual = low.get(name)
-                                if actual is not None and actual.lower() == value:
-                                    flist.append(o)
-                    if generic_items:
-                        prepared = (
-                            item if isinstance(item, PreparedItem) else PreparedItem(item)
-                        )
-                        for o, generic_rule in generic_items:
-                            if generic_rule.matches_prepared(prepared):
-                                flist.append(o)
-                    if cmset is not None:
-                        n_candidates += len(cmset)
-                    n_evaluations += n_candidates
-                    if flist:
-                        if table_sorted:
-                            # Sorting ordinals sorts rule ids (the table is
-                            # lexicographic); dedupe during decode to skip a
-                            # set construction on the per-item hot path.
-                            flist.sort()
-                            prev = -1
-                            fires_out = []
-                            out_append = fires_out.append
-                            for o in flist:
-                                if o != prev:
-                                    out_append(table[o])
-                                    prev = o
-                        else:
-                            fires_out = sorted({table[o] for o in flist})
-                        n_matches += len(fires_out)
-                        fired[item.item_id] = fires_out
-                else:
-                    flist, n_candidates = match_compat(item)
-                    n_evaluations += n_candidates
-                    if flist:
-                        fires_out = sorted(set(flist))
-                        n_matches += len(fires_out)
-                        fired[item.item_id] = fires_out
-            except Exception:
-                if not skip:
-                    raise
-                self._skip_item(item, stats)
-        stats.rule_evaluations += n_evaluations
-        stats.matches += n_matches
-
-    def _execute_phased(
-        self,
-        items: Sequence[ItemLike],
-        fired: Dict[str, List[str]],
-        stats: ExecutionStats,
-        skip: bool,
-        obs: Observability,
-        clk: Callable[[], float],
-    ) -> None:
-        """Instrumented two-phase variant: stage prefilter, then verify.
-
-        Same results as the fast loop; the staging buys an honest
-        prefilter/verify timing split (and spans) at a small constant
-        cost per item, so it only runs under observability/phase_timing.
-        """
-        keys = self._keys
-        forced = self._forced_compat
-        for offset in range(0, len(items), _PHASE_CHUNK):
-            chunk = items[offset : offset + _PHASE_CHUNK]
-            staged: List[Optional[Tuple[Any, Any, Any, Any]]] = []
-            with obs.span("exec.prefilter", items=len(chunk)):
-                phase_started = clk()
-                for item in chunk:
-                    try:
-                        lowered = item.title.lower()
-                        if not forced and _CLEAN_TITLE(lowered) is not None:
-                            toks = lowered.split()
-                            tset = set(toks)
-                            staged.append((item, toks, tset, tset & keys))
-                        else:
-                            staged.append((item, None, None, None))
-                    except Exception:
-                        if not skip:
-                            raise
-                        self._skip_item(item, stats)
-                        staged.append(None)
-                stats.prefilter_time += clk() - phase_started
-            with obs.span("exec.verify", items=len(chunk)):
-                phase_started = clk()
-                for entry in staged:
-                    if entry is None:
-                        continue
-                    item, toks, tset, hit_tokens = entry
-                    try:
-                        if toks is None:
-                            flist, n_candidates = self._match_compat(item)
-                        else:
-                            flist, n_candidates = self._apply_lanes(
-                                item, toks, tset, hit_tokens
-                            )
-                        stats.rule_evaluations += n_candidates
-                        if flist:
-                            fires = sorted(set(flist))
-                            stats.matches += len(fires)
-                            fired[item.item_id] = fires
-                    except Exception:
-                        if not skip:
-                            raise
-                        self._skip_item(item, stats)
-                stats.verify_time += clk() - phase_started
 
     # -- explainability (RuleChef-style: compiled -> human-readable) ---------------
 

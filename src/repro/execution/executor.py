@@ -62,12 +62,10 @@ class ExecutionStats:
       path actually (re)evaluated, i.e. the size of the re-run that
       replaced a full ``rules × items`` pass.
 
-    The ``compile_time`` / ``prefilter_time`` / ``verify_time`` fields are
-    the compiled-execution ledger (see :mod:`repro.execution.compiler`):
-    time spent lowering the rule set into the combined matcher, and — when
-    the instrumented two-phase path runs — the split between the automaton
-    prefilter pass and per-candidate verification. All three are zero on
-    :class:`NaiveExecutor` runs.
+    ``compile_time`` is the compiled-execution ledger (see
+    :mod:`repro.execution.compiler`): time spent lowering the rule set
+    into the combined matcher, beside the ``match_time`` its one loop
+    takes. It is zero on :class:`NaiveExecutor` runs.
 
     **Additive vs. wall-clock fields.** Every counter above plus
     ``prepare_time`` / ``match_time`` is *additive*: it sums cleanly
@@ -94,8 +92,6 @@ class ExecutionStats:
     delta_rules: int = 0
     delta_items: int = 0
     compile_time: float = 0.0
-    prefilter_time: float = 0.0
-    verify_time: float = 0.0
 
     @property
     def evaluations_per_item(self) -> float:
@@ -144,8 +140,6 @@ class ExecutionStats:
         self.delta_rules += other.delta_rules
         self.delta_items += other.delta_items
         self.compile_time += other.compile_time
-        self.prefilter_time += other.prefilter_time
-        self.verify_time += other.verify_time
         if wall == "sum":
             self.wall_time += other.wall_time
         elif wall == "max":
@@ -321,11 +315,7 @@ class IndexedExecutor:
             started = clock()
             artifact = self.compiled_ruleset(stats=stats)
             fired, stats = artifact.execute(
-                items,
-                on_error=self.on_error,
-                observability=obs,
-                clock=clock,
-                stats=stats,
+                items, on_error=self.on_error, clock=clock, stats=stats
             )
             stats.wall_time = clock() - started
             run_span.set_attribute("rule_evaluations", stats.rule_evaluations)

@@ -40,7 +40,7 @@ from repro.execution import (
     TokenAutomaton,
     rarest_anchor,
 )
-from repro.execution.compiler import _lower_regex_branches
+from repro.execution.compiler import _DEAD_SLOT_MARGIN, _lower_regex_branches
 from repro.observability import Observability
 
 
@@ -53,6 +53,17 @@ def item(item_id, title, attributes=None):
         vendor="v",
         description="",
     )
+
+
+class BadTitle:
+    """A malformed record: reading its title raises."""
+
+    item_id = "bad"
+    attributes = {}
+
+    @property
+    def title(self):
+        raise RuntimeError("boom")
 
 
 def probe_count(rules, items):
@@ -359,14 +370,6 @@ class TestDirtyTitlesAndSkipMode:
         assert_parity(rules, items)
 
     def test_skip_mode_accounting_matches_interpreted(self):
-        class BadTitle:
-            item_id = "bad"
-            attributes = {}
-
-            @property
-            def title(self):
-                raise RuntimeError("boom")
-
         rules = [WhitelistRule("ring", "t", rule_id="w1")]
         items = [item("i1", "a ring"), BadTitle(), item("i2", "band")]
         fired_i, stats_i = NaiveExecutor(rules, on_error="skip").run(items)
@@ -377,14 +380,6 @@ class TestDirtyTitlesAndSkipMode:
         assert stats_c.items == stats_i.items == 3
 
     def test_raise_mode_propagates(self):
-        class BadTitle:
-            item_id = "bad"
-            attributes = {}
-
-            @property
-            def title(self):
-                raise RuntimeError("boom")
-
         executor = IndexedExecutor([WhitelistRule("x", "t")])
         with pytest.raises(RuntimeError):
             executor.run([BadTitle()])
@@ -434,33 +429,35 @@ class TestDisabledRulesAndRecompile:
         assert [ref() is not None for ref in artifacts] == [False] * 5 + [True]
 
 
-class TestPhasedExecution:
-    def test_phase_timing_split_and_identical_results(self):
+class TestTracedExecution:
+    def test_tracing_changes_nothing_but_the_span_list(self):
+        # 2 x 4096 + 1 records: the deleted traced variant staged a batch
+        # in 4096-item chunks and emitted two spans per chunk.
         rules = [WhitelistRule("rings?", "t", rule_id="w1"),
                  SequenceRule(["gold", "ring"], "t", rule_id="s1"),
                  AttributeRule("isbn", "book", rule_id="a1")]
-        items = [item(f"i{n}", f"gold ring {n}") for n in range(50)]
-        items.append(item("dirty", "café ring"))
-        compiled = RuleSetCompiler().compile(rules)
-        fired_fast, stats_fast = compiled.execute(items)
-        fired_phased, stats_phased = compiled.execute(items, phase_timing=True)
-        assert fired_phased == fired_fast
-        assert stats_phased.rule_evaluations == stats_fast.rule_evaluations
-        assert stats_phased.prefilter_time > 0.0
-        assert stats_phased.verify_time > 0.0
-        assert stats_fast.prefilter_time == stats_fast.verify_time == 0.0
+        items = [item(f"i{n}", f"gold ring {n}") for n in range(2 * 4096 - 1)]
+        items += [item("unclean", "café ring"), BadTitle()]
 
-    def test_observability_implies_phased_spans(self):
-        obs = Observability()
-        rules = [WhitelistRule("ring", "t", rule_id="w1")]
-        executor = IndexedExecutor(rules, observability=obs)
-        fired, stats = executor.run([item("i1", "a ring")])
-        assert fired == {"i1": ["w1"]}
-        names = [span.name for span in obs.tracer.spans]
-        assert "exec.compile" in names
-        assert "exec.prefilter" in names
-        assert "exec.verify" in names
-        assert stats.compile_time > 0.0
+        def traced_run(batch):
+            obs = Observability()
+            fired, stats = IndexedExecutor(
+                rules, on_error="skip", observability=obs).run(batch)
+            assert [span.name for span in obs.tracer.spans] == [
+                "exec.compile", "exec.indexed.run"]
+            assert stats.compile_time > 0.0
+            return fired, stats
+
+        fired_plain, stats_plain = IndexedExecutor(rules, on_error="skip").run(items)
+        assert fired_plain == NaiveExecutor(rules, on_error="skip").run(items)[0]
+        assert fired_plain["unclean"] == ["w1"]
+        traced_run(items[:1])
+        fired, stats = traced_run(items)
+        assert fired == fired_plain
+        assert stats.rule_evaluations == stats_plain.rule_evaluations
+        assert stats.matches == stats_plain.matches
+        assert stats.skipped_item_ids == stats_plain.skipped_item_ids == ["bad"]
+        assert stats.items == stats_plain.items == 2 * 4096 + 1
 
 
 def reference_of(executor, items):
@@ -648,6 +645,53 @@ class TestCompiledRuleSetChurn:
         compiled = CompiledRuleSet([WhitelistRule("x", "t", rule_id="w1")])
         with pytest.raises(ValueError):
             compiled.add_rule(WhitelistRule("y", "t", rule_id="w1"))
+
+    def test_retired_rule_ids_are_forgotten(self):
+        # One rule of every lane kind stays live throughout; a transient
+        # rule of a rotating kind is added, matched and removed 5,000 times.
+        def rule_of_kind(kind, rule_id):
+            return [
+                lambda: WhitelistRule("rings?", "t", rule_id=rule_id),
+                lambda: WhitelistRule("gold band|rose gold ring", "t", rule_id=rule_id),
+                lambda: WhitelistRule("gold.*ring", "t", rule_id=rule_id),
+                lambda: SequenceRule(["gold", "ring"], "t", rule_id=rule_id),
+                lambda: SequenceRule(["rose", "gold", "ring"], "t", rule_id=rule_id),
+                lambda: AttributeRule("isbn", "book", rule_id=rule_id),
+                lambda: ValueConstraintRule("brand", "apple", ["phone"], rule_id=rule_id),
+                lambda: PredicateRule(
+                    [Clause("has ring", lambda it: "ring" in it.title)], "t",
+                    rule_id=rule_id),
+            ][kind % 8]()
+
+        items = [
+            item("i1", "rose gold ring", {"Brand": "Apple"}),
+            item("i2", "gold band rings"),
+            item("i3", "ring of gold", {"ISBN": "1"}),
+            item("i4", "café rings", {"brand": "Apple"}), item("i5", "toy"),
+        ]
+
+        def swept():
+            fired = {it.item_id: compiled.match_item(it)[0] for it in items}
+            return {item_id: hits for item_id, hits in fired.items() if hits}
+
+        compiled = CompiledRuleSet(rule_of_kind(k, f"live-{k}") for k in range(8))
+        assert swept() == NaiveExecutor(compiled.rules()).run(items)[0]
+        compiled.add_rule(rule_of_kind(0, "early"))  # sorts before a numbered id
+        assert swept() == NaiveExecutor(compiled.rules()).run(items)[0]
+        assert not compiled._table_sorted
+        compiled.remove_rule("early")
+        for n in range(5000):
+            compiled.add_rule(rule_of_kind(n, f"patch-{n:05d}"))
+            if n % 500 == 0:
+                assert swept() == NaiveExecutor(compiled.rules()).run(items)[0]
+            else:
+                compiled.match_item(items[n % len(items)])
+            compiled.remove_rule(f"patch-{n:05d}")
+        assert len(compiled) == 8
+        assert len(compiled._table) == len(compiled._ord)
+        assert len(compiled._table) <= 2 * len(compiled) + _DEAD_SLOT_MARGIN + 1
+        assert compiled._table_sorted  # regained at the first renumbering
+        assert swept() == NaiveExecutor(compiled.rules()).run(items)[0]
 
     def test_layout_counts(self):
         compiled = CompiledRuleSet([

@@ -3,7 +3,8 @@
 :class:`NaiveExecutor` — every enabled rule's ``matches_prepared`` against
 every item — is the executable definition of rule execution. This module
 drives the compiled engine's three modes (batch ``IndexedExecutor``,
-sharded ``PartitionedExecutor``, delta ``IncrementalExecutor``) through a
+traced and untraced, and a per-item ``CompiledRuleSet.match_item`` sweep;
+sharded ``PartitionedExecutor``; delta ``IncrementalExecutor``) through a
 random interleaving of item arrivals, re-listings, rule adds, edits,
 retirements and enable/disable flips, over rules of every registered
 class and clean as well as unclean titles, and asserts that each mode's
@@ -31,12 +32,14 @@ from repro.core import (
 )
 from repro.core.serialize import UnserializableRuleError, rule_to_dict
 from repro.execution import (
+    CompiledRuleSet,
     IncrementalExecutor,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
     RetryPolicy,
 )
+from repro.observability import Observability
 from repro.testing import FaultPlan, VirtualSleeper
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
@@ -182,8 +185,28 @@ def test_every_engine_mode_equals_the_reference(ops):
     churned, rules, items = _apply(ops)
     reference = _canonical(NaiveExecutor(rules).run(items)[0])
 
-    batch, _ = IndexedExecutor(rules).run(items)
+    batch, batch_stats = IndexedExecutor(rules).run(items)
     assert _canonical(batch) == reference
+
+    # Tracing observes the run; it must not change what the run does.
+    traced, traced_stats = IndexedExecutor(
+        rules, observability=Observability()
+    ).run(items)
+    assert _canonical(traced) == reference
+
+    # One item at a time through the same artifact: the incremental
+    # executor's and the pipeline matcher's way in.
+    compiled = CompiledRuleSet(rules)
+    swept = {item.item_id: compiled.match_item(item) for item in items}
+    assert _canonical(
+        {item_id: hits for item_id, (hits, _) in swept.items() if hits}
+    ) == reference
+    work = (batch_stats.rule_evaluations, batch_stats.matches)
+    assert (traced_stats.rule_evaluations, traced_stats.matches) == work
+    assert (
+        sum(n for _, n in swept.values()),
+        sum(len(hits) for hits, _ in swept.values()),
+    ) == work
 
     assert churned.fired_map() == reference
     rules_first = IncrementalExecutor(rules=rules)
