@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 
 def fsync_dir(path: str) -> None:
@@ -49,14 +50,16 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Atomically (and durably) replace ``path`` with ``text``.
 
     The temp file is uniquely named (``mkstemp``) in the destination's
     directory, so concurrent writers never stomp each other's temp file,
     and ``os.replace`` stays a same-filesystem rename. The temp file and
     then the directory are fsync'd, closing the two crash windows the old
-    fixed-name ``f"{path}.tmp"`` scheme left open.
+    fixed-name ``f"{path}.tmp"`` scheme left open. ``fsync=False`` keeps
+    the flush and the atomic rename and skips both syncs, as
+    :class:`JsonlAppender` does (throwaway roots: tests, benchmarks).
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, temporary = tempfile.mkstemp(
@@ -66,7 +69,8 @@ def atomic_write_text(path: str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                os.fsync(handle.fileno())
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -74,13 +78,16 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-    fsync_dir(directory)
+    if fsync:
+        fsync_dir(directory)
 
 
-def atomic_write_json(path: str, payload: Any, indent: Optional[int] = 2) -> None:
+def atomic_write_json(
+    path: str, payload: Any, indent: Optional[int] = 2, fsync: bool = True
+) -> None:
     """Atomically write ``payload`` as (key-sorted) JSON to ``path``."""
     atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=True)
+        path, json.dumps(payload, indent=indent, sort_keys=True), fsync=fsync
     )
 
 
@@ -96,7 +103,8 @@ class JsonlAppender:
     Every :meth:`append` writes one complete line, flushes, and fsyncs, so
     a record that was acknowledged is on disk. Creating the file also
     fsyncs the parent directory (the file's *existence* must survive a
-    crash too). Use as a context manager or call :meth:`close`.
+    crash too). ``fsync=False`` keeps every flush and issues no sync at
+    all. Use as a context manager or call :meth:`close`.
     """
 
     def __init__(self, path: str, fsync: bool = True):
@@ -105,7 +113,7 @@ class JsonlAppender:
         directory = os.path.dirname(os.path.abspath(path))
         existed = os.path.exists(path)
         self._handle = open(path, "ab")
-        if not existed:
+        if fsync and not existed:
             fsync_dir(directory)
 
     def append(self, payload: Dict[str, Any]) -> None:
@@ -171,6 +179,18 @@ def iter_jsonl_lines(path: str) -> Iterator[bytes]:
                 return
             if len(line) > 1:
                 yield line
+
+
+def tail_jsonl_lines(path: str, keep: int) -> Tuple[Deque[bytes], int]:
+    """``(the last keep complete lines, how many complete lines there
+    are)`` in one streaming pass: what a bounded in-memory window over an
+    unbounded log needs on reopen, without decoding what it will not hold."""
+    tail: Deque[bytes] = deque(maxlen=keep)
+    total = 0
+    for line in iter_jsonl_lines(path):
+        tail.append(line)
+        total += 1
+    return tail, total
 
 
 def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:

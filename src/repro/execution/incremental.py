@@ -12,7 +12,7 @@ KB construction):
 * :class:`MatchStore` — the materialized fired map, a set of
   ``(rule_id, item_id)`` match pairs mirrored both ways, with per-rule and
   per-item generation counters recording how often each side was
-  (re)computed and a global generation for O(1) staleness checks;
+  (re)computed, and a record of which rows moved since the last read;
 * :class:`IncrementalExecutor` — wraps the store with a delta API
   (``add_rules`` / ``remove_rules`` / ``update_rule`` / ``add_items`` /
   ``remove_items`` / ``refresh``). Rule-side deltas consult the
@@ -32,12 +32,19 @@ rules and items.
 
 The store records matches for *all* tracked rules, enabled or not: a match
 is a property of the rule's condition and the item, while ``enabled`` is a
-view filter applied at snapshot time. Disabling a type (§2.2 scale-down)
-and restoring it are therefore zero-evaluation deltas.
+view filter. Disabling a type (§2.2 scale-down) and restoring it are
+therefore zero-evaluation deltas.
+
+Reads cost what moved, not what is stored: every store mutator records the
+item ids whose row it touched, and the executor patches its enabled view,
+its pair count and its 256-bit set hash (:meth:`IncrementalExecutor.fired_fingerprint`)
+over just those rows plus the columns of rules whose enabled flag flipped.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from typing import (
     Callable,
@@ -78,6 +85,12 @@ class MatchStore:
     the store. All three are process-local audit counters, not durable
     state: a resumed service rebuilds the pairs from its logs
     (:meth:`IncrementalExecutor.restore_items`) and the counters restart.
+
+    Every mutator also notes what it moved, for readers that patch instead
+    of recompute: the item ids whose row changed (:meth:`drain_touched`)
+    and, per rule, how many new pairs were recorded
+    (:meth:`drain_recorded`). Both are bounded by the live corpus / rule
+    base and emptied by whoever consumes them.
     """
 
     def __init__(self) -> None:
@@ -86,6 +99,8 @@ class MatchStore:
         self._rule_generation: Dict[str, int] = {}
         self._item_generation: Dict[str, int] = {}
         self.generation = 0
+        self._touched: Set[str] = set()
+        self._recorded: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return sum(len(rules) for rules in self._by_item.values())
@@ -151,6 +166,7 @@ class MatchStore:
                 row.discard(rule_id)
                 if not row:
                     del self._by_item[item_id]
+        self._touched |= item_ids
         self._rule_generation.pop(rule_id, None)
         self.generation += 1
         return len(item_ids)
@@ -164,6 +180,8 @@ class MatchStore:
                 column.discard(item_id)
                 if not column:
                     del self._by_rule[rule_id]
+        if rule_ids:
+            self._touched.add(item_id)
         self._item_generation.pop(item_id, None)
         self.generation += 1
         return len(rule_ids)
@@ -171,6 +189,7 @@ class MatchStore:
     def clear(self) -> int:
         """Drop everything (full refresh); returns pairs invalidated."""
         invalidated = len(self)
+        self._touched.update(self._by_item)
         self._by_item.clear()
         self._by_rule.clear()
         self.generation += 1
@@ -179,8 +198,11 @@ class MatchStore:
     def _record_pair(self, rule_id: str, item_id: str) -> None:
         self._by_rule.setdefault(rule_id, set()).add(item_id)
         self._by_item.setdefault(item_id, set()).add(rule_id)
+        self._touched.add(item_id)
+        self._recorded[rule_id] = self._recorded.get(rule_id, 0) + 1
 
     def _discard_pair(self, rule_id: str, item_id: str) -> None:
+        self._touched.add(item_id)
         column = self._by_rule.get(rule_id)
         if column is not None:
             column.discard(item_id)
@@ -192,6 +214,20 @@ class MatchStore:
             if not row:
                 del self._by_item[item_id]
 
+    # -- what moved since the last read -------------------------------------------
+
+    def drain_touched(self) -> Set[str]:
+        """Item ids whose row changed since the last call (then forgotten)."""
+        touched, self._touched = self._touched, set()
+        return touched
+
+    def drain_recorded(self) -> Dict[str, int]:
+        """rule_id -> pairs newly recorded since the last call (then
+        forgotten): each ``(rule, item)`` pair counts once, when it enters
+        the store, whichever side of the delta brought it."""
+        recorded, self._recorded = self._recorded, {}
+        return recorded
+
     # -- reads --------------------------------------------------------------------
 
     def fired_map(self, enabled_rule_ids: FrozenSet[str]) -> Dict[str, List[str]]:
@@ -199,7 +235,9 @@ class MatchStore:
 
         Exactly the executor output shape: items with no enabled match are
         absent, rule-id lists are sorted — byte-identical (canonical JSON)
-        to a :class:`~repro.execution.executor.NaiveExecutor` run.
+        to a :class:`~repro.execution.executor.NaiveExecutor` run. A full
+        walk of the store: the from-scratch reference the executor's
+        patched view is tested against, not a served read.
         """
         result: Dict[str, List[str]] = {}
         for item_id in sorted(self._by_item):
@@ -207,6 +245,16 @@ class MatchStore:
             if hits:
                 result[item_id] = hits
         return result
+
+
+_FINGERPRINT_MODULUS = 1 << 256
+
+
+def _row_hash(item_id: str, rule_ids: List[str]) -> int:
+    """One fired-map row as a 256-bit integer: sha256 over the canonical
+    JSON of ``[item_id, sorted enabled rule ids]``."""
+    payload = json.dumps([item_id, rule_ids], separators=(",", ":"))
+    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest(), "big")
 
 
 class IncrementalExecutor:
@@ -221,8 +269,8 @@ class IncrementalExecutor:
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
     count what the delta path re-evaluated, ``invalidations`` counts
     stored pairs dropped as stale, and ``cache_hits`` / ``cache_misses``
-    count prepared-item reuse plus fired-map snapshots served without a
-    rebuild. An optional ``monitor`` (anything with
+    count prepared-item reuse plus fired-map reads served without a new
+    copy. An optional ``monitor`` (anything with
     ``record(op, stats)``, e.g.
     :class:`~repro.chimera.monitoring.DeltaExecutionMonitor`) observes
     each op.
@@ -263,9 +311,17 @@ class IncrementalExecutor:
         self.store = MatchStore()
         self.stats = ExecutionStats()
         self.monitor = monitor
+        # The enabled view, patched in place by _sync(): item id -> sorted
+        # enabled rule ids, non-empty rows only, item ids ascending unless
+        # _view_sorted is False. Row lists are replaced, never edited, so
+        # a dict handed out by fired_map() can share them.
+        self._view: Dict[str, List[str]] = {}
+        self._view_sorted = True
+        self._view_enabled: FrozenSet[str] = frozenset()
+        self._fired_pairs = 0
+        self._fingerprint = 0
+        # The last dict fired_map() returned, while the view still equals it.
         self._snapshot: Optional[Dict[str, List[str]]] = None
-        self._snapshot_generation = -1
-        self._snapshot_enabled: FrozenSet[str] = frozenset()
         self._unsubscribes: List[Callable[[], None]] = []
         if rules:
             self.add_rules(rules)
@@ -304,7 +360,7 @@ class IncrementalExecutor:
                 self.update_rule(rule)
             elif event in ("enabled", "disabled"):
                 # No recompute: stored matches are condition-truth; the
-                # fired-map snapshot filter sees the flip. Rule sets own
+                # next read's enabled-set comparison sees the flip. Rule sets own
                 # their rule copies, so mirror the flag onto our tracked
                 # object when the executor was built from different ones.
                 tracked = self._rules.get(rule.rule_id)
@@ -480,10 +536,7 @@ class IncrementalExecutor:
         indexed and matched against the current rule base and its row is
         written to the store (a re-listing discards the old row first) —
         but ``stats``, the monitor, metrics and spans see nothing, because
-        an uninterrupted run observed these items once already. The
-        fired-map memo is then primed without the observe hook for the
-        same reason: the checkpoint was taken at a batch boundary where
-        that snapshot had already been materialized and observed. Consumes
+        an uninterrupted run observed these items once already. Consumes
         ``items`` lazily; returns how many it admitted.
         """
         count = 0
@@ -495,7 +548,7 @@ class IncrementalExecutor:
             hits, _ = self._compiled.match_item(prepared)
             self.store.set_item_matches(prepared.item_id, hits)
             count += 1
-        self._materialize(self._enabled_ids())
+        self.store.drain_recorded()
         return count
 
     # -- reads --------------------------------------------------------------------
@@ -505,38 +558,79 @@ class IncrementalExecutor:
             rule_id for rule_id, rule in self._rules.items() if rule.enabled
         )
 
-    def _materialize(self, enabled: FrozenSet[str]) -> None:
-        """Rebuild the fired-map memo for the current store generation."""
-        self._snapshot = self.store.fired_map(enabled)
-        self._snapshot_generation = self.store.generation
-        self._snapshot_enabled = enabled
+    def _sync(self) -> None:
+        """Bring the enabled view, its pair count and its fingerprint up
+        to the store: O(rules) for the enabled-set comparison (so a silent
+        ``rule.enabled = ...`` is seen) plus O(rows touched since the last
+        read + columns of rules whose flag differs from that read)."""
+        enabled = self._enabled_ids()
+        touched = self.store.drain_touched()
+        if enabled != self._view_enabled:
+            for rule_id in enabled ^ self._view_enabled:
+                touched |= self.store.items_of_rule(rule_id)
+            self._view_enabled = enabled
+        if not touched:
+            return
+        view = self._view
+        fingerprint = self._fingerprint
+        for item_id in sorted(touched):
+            old = view.get(item_id)
+            new = sorted(self.store.rules_of_item(item_id) & enabled)
+            if new == (old or []):
+                continue
+            self._snapshot = None
+            if old:
+                fingerprint -= _row_hash(item_id, old)
+                self._fired_pairs -= len(old)
+            if new:
+                fingerprint += _row_hash(item_id, new)
+                self._fired_pairs += len(new)
+                if old is None and view and item_id < next(reversed(view)):
+                    self._view_sorted = False
+                view[item_id] = new
+            else:
+                del view[item_id]
+        self._fingerprint = fingerprint % _FINGERPRINT_MODULUS
 
     def fired_map(self) -> Dict[str, List[str]]:
         """The current materialized fired map (enabled rules only).
 
         Byte-identical (canonical JSON) to
         ``NaiveExecutor(rules).run(items)[0]`` over the executor's
-        current rules and items. Snapshots are memoized on
-        ``(store generation, enabled-rule set)`` — repeated reads between
-        deltas are cache hits. Treat the returned dict as read-only.
+        current rules and items, item ids ascending. Costs :meth:`_sync`
+        plus, when a row moved since the last call, one C-level copy of
+        the view (and one C-level sort if an item id arrived below the
+        largest one held); otherwise the previous dict is returned again.
+        A returned dict is never changed afterwards. Feeds no metric.
         """
-        enabled = self._enabled_ids()
-        if (
-            self._snapshot is not None
-            and self._snapshot_generation == self.store.generation
-            and self._snapshot_enabled == enabled
-        ):
+        self._sync()
+        if self._snapshot is not None:
             self.stats.cache_hits += 1
             return self._snapshot
         self.stats.cache_misses += 1
-        self._materialize(enabled)
-        # Provenance hook: each freshly materialized snapshot is one
-        # observation of "which rules fire where" — mirror it into
-        # metrics and (when attached) the rule-health windows. Strictly
-        # observational; the returned map is untouched.
-        if self.observability.enabled or self.observability.quality is not None:
-            self.observability.observe_fired(self._snapshot)
+        if not self._view_sorted:
+            self._view = dict(sorted(self._view.items()))
+            self._view_sorted = True
+        self._snapshot = dict(self._view)
         return self._snapshot
+
+    def fired_fingerprint(self) -> str:
+        """64 hex digits standing for the whole of :meth:`fired_map`: the
+        sum mod 2**256 of :func:`_row_hash` over its rows. Additive, so it
+        is patched row by row and never recomputed. Equal maps give equal
+        fingerprints and maps that diverged by accident differ with
+        probability 1 - 2**-256: a divergence check between honest runs,
+        not a defence against a forger (additive hashes admit
+        generalised-birthday collisions).
+        """
+        self._sync()
+        return f"{self._fingerprint:064x}"
+
+    @property
+    def fired_pairs(self) -> int:
+        """Number of ``(enabled rule, item)`` pairs in :meth:`fired_map`."""
+        self._sync()
+        return self._fired_pairs
 
     def match_row(self, item: ItemLike) -> Iterable[str]:
         """Ids of the tracked rules — enabled or not, unordered — whose
@@ -597,7 +691,9 @@ class IncrementalExecutor:
         if self.monitor is not None:
             self.monitor.record(op_name, op)
         obs = self.observability
+        recorded = self.store.drain_recorded()
         if obs.enabled:
             obs.observe_execution(op, executor="incremental")
             obs.metrics.counter("incremental_ops_total", op=op_name).inc()
+            obs.metrics.observe_rule_fires(recorded)
         return op

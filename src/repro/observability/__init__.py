@@ -81,7 +81,7 @@ class Observability:
         self.tracer = Tracer(clock=clock, enabled=enabled)
         self.metrics = MetricsRegistry()
         # Optional rule-quality telemetry: when attached, every fired map
-        # the executors report also lands on the health tracker as one
+        # a batch executor reports also lands on the health tracker as one
         # batch observation (the fired-map provenance hook).
         self.quality = quality
 

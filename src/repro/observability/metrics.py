@@ -128,7 +128,7 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-#: Default cap on distinct ``rule_id`` label values (see ``observe_fired``).
+#: Default cap on distinct ``rule_id`` label values (see ``observe_rule_fires``).
 DEFAULT_MAX_RULE_LABELS = 512
 
 #: The catch-all label value for rules beyond the cardinality cap.
@@ -139,7 +139,7 @@ class MetricsRegistry:
     """Named, optionally-labelled instruments, created on first touch.
 
     ``max_rule_labels`` bounds the per-rule label cardinality of
-    :meth:`observe_fired`: a 10k-rule ruleset must not mint 10k counter
+    :meth:`observe_rule_fires`: a 10k-rule ruleset must not mint 10k counter
     series. The first ``max_rule_labels`` distinct rule ids (highest
     fire counts first within each call) get their own
     ``rule_fired_total{rule_id=}`` series; everything beyond the cap
@@ -244,18 +244,23 @@ class MetricsRegistry:
         return OTHER_RULE_LABEL
 
     def observe_fired(self, fired: Dict[str, List[str]]) -> None:
-        """Accumulate per-rule fire counts from one fired map.
+        """Accumulate per-rule fire counts from one whole fired map (a
+        batch executor's run)."""
+        totals: Dict[str, int] = {}
+        for rule_ids in fired.values():
+            for rule_id in rule_ids:
+                totals[rule_id] = totals.get(rule_id, 0) + 1
+        self.observe_rule_fires(totals)
+
+    def observe_rule_fires(self, fires: Dict[str, int]) -> None:
+        """Add ``rule_id -> count`` to ``rule_fired_total``.
 
         Per-rule series are cardinality-bounded: within each call the
         hottest not-yet-admitted rules claim the remaining label slots
         (count-descending, id-ascending for determinism); the rest fold
         into ``rule_fired_total{rule_id=__other__}``.
         """
-        totals: Dict[str, int] = {}
-        for rule_ids in fired.values():
-            for rule_id in rule_ids:
-                totals[rule_id] = totals.get(rule_id, 0) + 1
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(fires.items(), key=lambda kv: (-kv[1], kv[0]))
         for rule_id, count in ranked:
             self.counter("rule_fired_total", rule_id=self.rule_label(rule_id)).inc(
                 count
@@ -298,7 +303,11 @@ class MetricsRegistry:
         }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def delta(self, prev: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, object]]:
+    def delta(
+        self,
+        prev: Dict[str, Dict[str, object]],
+        current: Optional[Dict[str, Dict[str, object]]] = None,
+    ) -> Dict[str, Dict[str, object]]:
         """What changed since ``prev`` (a prior :meth:`snapshot`).
 
         Copy-free with respect to the instruments: reads values, never
@@ -307,9 +316,10 @@ class MetricsRegistry:
         report the increase since ``prev`` (new series count from zero);
         gauges report their current value (a gauge has no rate); histogram
         entries report the observation count/sum added in the interval,
-        with the interval mean derived from those.
+        with the interval mean derived from those. ``current`` is a
+        :meth:`snapshot` the caller already holds; without it one is taken.
         """
-        snap = self.snapshot()
+        snap = current if current is not None else self.snapshot()
         prev_counters = prev.get("counters", {})
         counters = {
             name: value - prev_counters.get(name, 0)

@@ -31,6 +31,7 @@ byte-identical with provenance on or off (see
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -283,6 +284,7 @@ class ProvenanceLog:
 
     ``spool`` may be a path (opened lazily in append mode) or any
     writable text handle; :meth:`rotate` force-flushes the whole buffer.
+    ``fsync=False`` makes :meth:`spool_offset` flush without syncing.
     """
 
     def __init__(
@@ -291,6 +293,7 @@ class ProvenanceLog:
         spool: Optional[PathOrHandle] = None,
         on_evict: Optional[Callable[[ProvenanceRecord], None]] = None,
         spool_all: bool = False,
+        fsync: bool = True,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -304,6 +307,7 @@ class ProvenanceLog:
         #: replayable trail even for records still in the ring — the
         #: durable-service checkpoint contract (see ``replay``).
         self.spool_all = spool_all
+        self.fsync = fsync
         self._records: Deque[ProvenanceRecord] = deque()
         self._by_item: Dict[str, Deque[ProvenanceRecord]] = {}
         self._seq = 0
@@ -375,8 +379,6 @@ class ProvenanceLog:
         offset is on disk; a resume truncates the spool back to the last
         checkpointed offset, discarding any partially-spooled tail.
         """
-        import os
-
         if self._spool_handle is None:
             if isinstance(self.spool, str):
                 try:
@@ -385,10 +387,11 @@ class ProvenanceLog:
                     return 0
             return 0
         self._spool_handle.flush()
-        try:
-            os.fsync(self._spool_handle.fileno())
-        except (OSError, ValueError):
-            pass  # non-file handles (StringIO) have no durable backing
+        if self.fsync:
+            try:
+                os.fsync(self._spool_handle.fileno())
+            except (OSError, ValueError):
+                pass  # non-file handles (StringIO) have no durable backing
         return self._spool_handle.tell()
 
     # -- queries ----------------------------------------------------------------
@@ -488,6 +491,8 @@ class ProvenanceLog:
         spool: str,
         capacity: int = 10_000,
         on_evict: Optional[Callable[[ProvenanceRecord], None]] = None,
+        fsync: bool = True,
+        observe: Optional[Callable[[ProvenanceRecord], None]] = None,
     ) -> "ProvenanceLog":
         """Rebuild a ``spool_all`` log from its spool file.
 
@@ -495,19 +500,34 @@ class ProvenanceLog:
         mid-append — is ignored), refills the ring with the last
         ``capacity`` records, and restores the seq/total/evicted counters
         to exactly what a live log that spooled those records would hold.
-        Only those last ``capacity`` lines are decoded; the counters come
-        from the line count and (a spool is written in seq order) the
-        newest seq. Replayed records are *not* re-spooled.
-        """
-        from repro.core.durability import iter_jsonl_lines
+        The counters come from the line count and (a spool is written in
+        seq order) the newest seq. Replayed records are *not* re-spooled.
 
-        tail: Deque[bytes] = deque(maxlen=capacity)
-        total = 0
-        for line in iter_jsonl_lines(spool):
-            tail.append(line)
-            total += 1
-        records = [ProvenanceRecord.from_dict(json.loads(line)) for line in tail]
-        log = cls(capacity=capacity, spool=spool, on_evict=on_evict, spool_all=True)
+        ``observe`` is a fold over the whole history riding this one pass:
+        it is called with every record, oldest first, each line decoded
+        exactly once and dropped again unless the ring keeps it. Without
+        it only the last ``capacity`` lines are decoded.
+        """
+        from repro.core.durability import iter_jsonl_lines, tail_jsonl_lines
+
+        def decode(line: bytes) -> ProvenanceRecord:
+            return ProvenanceRecord.from_dict(json.loads(line))
+
+        if observe is None:
+            tail, total = tail_jsonl_lines(spool, capacity)
+            records = [decode(line) for line in tail]
+        else:
+            kept: Deque[ProvenanceRecord] = deque(maxlen=capacity)
+            total = 0
+            for record in map(decode, iter_jsonl_lines(spool)):
+                observe(record)
+                kept.append(record)
+                total += 1
+            records = list(kept)
+        log = cls(
+            capacity=capacity, spool=spool, on_evict=on_evict, spool_all=True,
+            fsync=fsync,
+        )
         log.total_records = total
         log.evicted_records = total - len(records)
         log._seq = max((record.seq for record in records), default=0)

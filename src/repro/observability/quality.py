@@ -348,16 +348,18 @@ class RuleHealthTracker:
         for callback in list(self.on_alert):
             callback(alert)
 
-    # -- checkpointing -----------------------------------------------------------
+    # -- the whole state, comparable ---------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot of the full tracker state.
 
-        Intended for batch boundaries, where the pending (``_cur_*``)
-        accumulators are empty; pending counters are folded and included
-        anyway so a mid-batch snapshot loses nothing. ``on_alert``
-        callbacks and the ``metrics`` registry are *not* part of the
-        state — the restoring side re-wires its own.
+        The tracker is a pure fold over the records and batch boundaries
+        it was fed, so nothing loads this back: the durable service
+        rebuilds its tracker by replaying its provenance spool, and this
+        document (part of its identity surface) is how two trackers are
+        proved equal. Pending (``_cur_*``) accumulators are folded and
+        included, so a mid-batch snapshot loses nothing. ``on_alert``
+        callbacks and the ``metrics`` registry are not part of the state.
         """
         self._fold_pending()
         return {
@@ -408,61 +410,6 @@ class RuleHealthTracker:
             "cur_has_votes": self._cur_has_votes,
             "auto_batch": self._auto_batch,
         }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot verbatim.
-
-        Configuration knobs are restored too (they shape future drift
-        checks); ``on_alert`` and ``metrics`` wiring is left untouched.
-        """
-        self.window = state["window"]
-        self.baseline_batches = state["baseline_batches"]
-        self.precision_floor = state["precision_floor"]
-        self.drift_min_delta = state["drift_min_delta"]
-        self.drift_tolerance = state["drift_tolerance"]
-        self.batches = deque(
-            (
-                BatchHealth(
-                    batch_id=entry["batch_id"],
-                    n_items=entry["n_items"],
-                    fires=tuple((r, c) for r, c in entry["fires"]),
-                    wins=tuple((r, c) for r, c in entry["wins"]),
-                    has_votes=entry["has_votes"],
-                )
-                for entry in state["batches"]
-            ),
-            maxlen=self.window,
-        )
-        self.total_batches = state["total_batches"]
-        self.total_items = state["total_items"]
-        self.total_fires = Counter(state["total_fires"])
-        self.total_wins = Counter(state["total_wins"])
-        self.overlap = Counter(
-            {(left, right): count for left, right, count in state["overlap"]}
-        )
-        self.precision_estimates = {
-            rule_id: tuple(estimate)
-            for rule_id, estimate in state["precision_estimates"].items()
-        }
-        self.baseline = (
-            dict(state["baseline"]) if state["baseline"] is not None else None
-        )
-        self.drifted_rules = dict(state["drifted_rules"])
-        self.alerts = [
-            RuleAlert(
-                kind=entry["kind"],
-                rule_ids=tuple(entry["rule_ids"]),
-                batch_id=entry["batch_id"],
-                detail=entry["detail"],
-            )
-            for entry in state["alerts"]
-        ]
-        self._cur_fires = Counter(state["cur_fires"])
-        self._cur_wins = Counter(state["cur_wins"])
-        self._cur_items = state["cur_items"]
-        self._cur_has_votes = state["cur_has_votes"]
-        self._cur_records = []
-        self._auto_batch = state["auto_batch"]
 
     # -- queries -----------------------------------------------------------------
 

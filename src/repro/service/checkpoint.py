@@ -11,12 +11,18 @@ checkpoint holds only what no log determines.**
   repository's ``repo/changelog.jsonl`` it determines the incremental
   executor's match store, which is therefore never written down: resume
   streams the journal back through the engine and rebuilds it.
+* ``provenance.jsonl`` — the provenance spool, one line per classified
+  item. With the journal's batch sizes it determines the per-rule health
+  windows (fire counts, co-fire overlap, baseline, drift alerts), which
+  are therefore never written down either: resume folds the spool
+  through a fresh tracker.
 * ``checkpoint.json`` — atomically replaced after every batch (a crash
   leaves the previous checkpoint or the new one, never a torn mix): RNG
-  streams, clock, health windows, incidents, metrics, the logs' byte
-  offsets, the digest-chain head and the one chain link
-  (``prev_digest_chain``, ``last_batch_id``) that lets resume verify the
-  view it re-derived. O(rules + incidents); flat in items served.
+  streams, clock, incidents, metrics, the logs' byte offsets, the
+  digest-chain head and the one chain link (``prev_digest_chain``,
+  ``last_batch_id``) that lets resume verify the view it re-derived.
+  O(metric series + incidents); flat in items served and in rule pairs
+  seen.
 
 The checkpoint records the journal's **byte offset** at snapshot time
 (likewise for the provenance spool and the metric series). Anything past
@@ -39,8 +45,11 @@ from repro.core.durability import (
 )
 
 #: Bumped when the checkpoint layout changes incompatibly. Version 1
-#: embedded the executor's match store; version 2 re-derives it.
-CHECKPOINT_VERSION = 2
+#: embedded the executor's match store; version 2 re-derives it; version 3
+#: re-derives the health windows too (no ``tracker`` key) and chains the
+#: digest over the fired map's fingerprint instead of its whole JSON, so a
+#: version-2 head cannot be verified by this code and is refused.
+CHECKPOINT_VERSION = 3
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"
@@ -105,8 +114,11 @@ class CheckpointStore:
 
     def save(self, state: Dict[str, Any]) -> None:
         """Atomically replace the checkpoint document (compact JSON, so
-        the C encoder runs; readers only ever ``json.load`` it)."""
-        atomic_write_json(self.checkpoint_path, state, indent=None)
+        the C encoder runs; readers only ever ``json.load`` it). Synced
+        to disk unless the store was opened with ``fsync=False``."""
+        atomic_write_json(
+            self.checkpoint_path, state, indent=None, fsync=self.fsync
+        )
 
     def load(self) -> Optional[Dict[str, Any]]:
         """The last durable checkpoint, or ``None`` on a fresh root."""

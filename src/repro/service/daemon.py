@@ -20,17 +20,25 @@ link that lets resume verify what it re-derives.**
 * Re-derived on resume: taxonomy, classifiers and training by replaying
   the seeded startup (:func:`repro.world.build_world`, shared with the
   scenario harness; its startup rules are not re-added — the pinned
-  repository is the source of truth for rules and enabled flags), and
-  the executor's match store, a materialized view over journal × change
+  repository is the source of truth for rules and enabled flags); the
+  executor's match store, a materialized view over journal × change
   log, by streaming the journal back through the engine
-  (``restore_items``). Its per-item / per-rule generation counters are
-  process-local audit counters, not durable state.
-* Checkpointed after every batch, O(rules + incidents) and flat in items
-  served: every RNG stream, the simulated clock, :class:`RuleHealthTracker`
-  windows, incidents, metrics, the logs' offsets, the digest-chain head —
-  and the chain value before the last batch with that batch's id, from
-  which resume recomputes the last link over the rebuilt fired map and
+  (``restore_items``; its per-item / per-rule generation counters are
+  process-local audit counters, not durable state); and the
+  :class:`RuleHealthTracker` windows, a pure fold over the provenance
+  spool, by streaming the spool through a tracker that is not yet wired
+  to metrics or incidents (so the fold re-fires nothing).
+* Checkpointed after every batch, O(metric series + incidents) and flat
+  in items served: every RNG stream, the simulated clock, incidents,
+  metrics, the logs' offsets, the digest-chain head — and the chain value
+  before the last batch with that batch's id, from which resume
+  recomputes the last link over the rebuilt fired map's fingerprint and
   refuses to start if it is not the checkpointed head.
+
+What a batch costs after classification is O(batch + delta): the chain
+link hashes the executor's additive fired-map fingerprint (kept current
+row by row), the sample reads its pair count, and the checkpoint holds
+nothing that grows with items served or rule pairs seen.
 
 Wall-clock metrics (span latency histograms, per-batch ``wall_ms``) are
 operational telemetry and explicitly *outside* the identity contract.
@@ -42,8 +50,9 @@ import hashlib
 import json
 import os
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.catalog.batches import Batch
 from repro.catalog.types import ProductItem
@@ -52,7 +61,7 @@ from repro.chimera.pipeline import BatchResult
 from repro.core.rule import Rule
 from repro.observability import Observability
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.provenance import ProvenanceLog
+from repro.observability.provenance import ProvenanceLog, ProvenanceRecord
 from repro.observability.quality import (
     PRECISION_FLOOR,
     QualityTelemetry,
@@ -100,14 +109,13 @@ class ServiceConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _chain_link(previous: str, batch_id: str, fired: Dict[str, List[str]]) -> str:
+def _chain_link(previous: str, batch_id: str, fingerprint: str) -> str:
     """One digest-chain step: sha256 over the previous value, the batch id
-    and the canonical JSON of the whole fired map after that batch."""
-    payload = json.dumps(
-        {item: list(rules) for item, rules in fired.items()},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256((previous + batch_id + payload).encode("utf-8")).hexdigest()
+    and the fingerprint of the whole fired map after that batch
+    (:meth:`~repro.execution.incremental.IncrementalExecutor.fired_fingerprint`)."""
+    return hashlib.sha256(
+        (previous + batch_id + fingerprint).encode("utf-8")
+    ).hexdigest()
 
 
 # -- JSON codecs for the checkpoint document --------------------------------------
@@ -302,6 +310,8 @@ class StreamService:
             QualityTelemetry(provenance=self.provenance, health=self.tracker)
         )
         self.tracker.on_alert.append(self._on_alert)
+
+    def _track_fired_map(self) -> None:
         self.incremental = self.chimera.track_fired_map(
             _TRACKED_STAGE, batch_stream=self.stream
         )
@@ -310,11 +320,7 @@ class StreamService:
         cfg = self.config
         startup_rules = self._open_world()
         self.chimera.add_whitelist_rules(startup_rules)
-        self.provenance = ProvenanceLog(
-            capacity=cfg.provenance_capacity,
-            spool=self.store.spool_path,
-            spool_all=True,
-        )
+        self.provenance = self._empty_provenance()
         self.repository = RuleRepository.open(
             self.store.repo_root, clock=self.clock, fsync=self.fsync
         )
@@ -322,6 +328,7 @@ class StreamService:
         bind_chimera(self.repository, self.chimera)
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self._finish_wiring()
+        self._track_fired_map()
         self.series = SeriesStore(
             self.store.series_path, window=cfg.series_window, fsync=self.fsync
         )
@@ -375,39 +382,20 @@ class StreamService:
         self.chimera._batch_counter = int(state["batch_counter"])
         self.ids.seq = int(state["rule_seq"])
 
-        # 6. Provenance: replay the (already truncated) spool.
-        if os.path.exists(self.store.spool_path):
-            self.provenance = ProvenanceLog.replay(
-                self.store.spool_path, capacity=cfg.provenance_capacity
-            )
-        else:
-            self.provenance = ProvenanceLog(
-                capacity=cfg.provenance_capacity,
-                spool=self.store.spool_path,
-                spool_all=True,
-            )
-
-        # 7. Health windows, verbatim.
-        self.tracker.load_state(state["tracker"])
-
-        # 8. Incident log (the manager numbers new incidents after it).
+        # 6. Incident log (the manager numbers new incidents after it).
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self.manager.incidents = [
             _incident_from_dict(payload) for payload in state["incidents"]
         ]
 
-        self._finish_wiring()
-
-        # 9. Incremental executor: stream the journalled corpus back
+        # 7. Incremental executor: stream the journalled corpus back
         #    through the engine. The match store is a view over journal ×
         #    rules, so it is rebuilt rather than loaded — and then proved:
-        #    the last chain link recomputed from the rebuilt fired map
-        #    must equal the checkpointed head.
-        self.incremental.restore_items(
-            _item_from_dict(payload)
-            for record in self.store.read_journal()
-            for payload in record["items"]
-        )
+        #    the last chain link recomputed from the rebuilt fired map's
+        #    fingerprint must equal the checkpointed head.
+        self._track_fired_map()
+        batch_sizes: Deque[Tuple[str, int]] = deque()
+        self.incremental.restore_items(self._journalled_items(batch_sizes))
         self.ordinal = int(state["ordinal"])
         self.digest_chain = str(state["digest_chain"])
         self._prev_digest_chain = str(state["prev_digest_chain"])
@@ -415,7 +403,7 @@ class StreamService:
         if self.ordinal:
             rederived = _chain_link(
                 self._prev_digest_chain, self._last_batch_id,
-                self.incremental.fired_map(),
+                self.incremental.fired_fingerprint(),
             )
             if rederived != self.digest_chain:
                 raise ValueError(
@@ -425,6 +413,17 @@ class StreamService:
                     f"— the logs and the checkpoint no longer agree"
                 )
 
+        # 8. Provenance ring and health windows, from one pass over the
+        #    (already truncated) spool. The windows are a fold over the
+        #    spool's records and the journal's batch sizes, so they are
+        #    re-derived rather than loaded; the tracker is not wired to
+        #    metrics or incidents until the fold is over, because the
+        #    uninterrupted run counted those alerts once already.
+        self._refold_health(batch_sizes)
+
+        # 9. Only now do alerts open incidents and count on metrics.
+        self._finish_wiring()
+
         # 10. Run counters and telemetry stores.
         self.totals = {key: int(value) for key, value in state["totals"].items()}
         self.series = SeriesStore(
@@ -432,6 +431,56 @@ class StreamService:
         )
         self._prev_metrics = self.obs.metrics.snapshot()
         self.resumed = True
+
+    def _empty_provenance(self) -> ProvenanceLog:
+        return ProvenanceLog(
+            capacity=self.config.provenance_capacity,
+            spool=self.store.spool_path,
+            spool_all=True,
+            fsync=self.fsync,
+        )
+
+    def _journalled_items(
+        self, batch_sizes: Deque[Tuple[str, int]]
+    ) -> Iterator[ProductItem]:
+        """Every journalled item, oldest first, one record in memory at a
+        time; notes each batch's ``(batch_id, item count)`` on the way."""
+        for record in self.store.read_journal():
+            batch_sizes.append((record["batch_id"], len(record["items"])))
+            for payload in record["items"]:
+                yield _item_from_dict(payload)
+
+    def _refold_health(self, batch_sizes: Deque[Tuple[str, int]]) -> None:
+        """Rebuild the provenance ring and, in the same pass over the
+        spool, the health windows: each record goes to the tracker as it
+        did live, and a batch is closed (with its journalled size) when
+        the spool moves on to the next one."""
+        tracker = self.tracker
+
+        def fold(record: ProvenanceRecord) -> None:
+            while batch_sizes and batch_sizes[0][0] != record.batch_id:
+                tracker.finish_batch(*batch_sizes.popleft())
+            if not batch_sizes:
+                raise ValueError(
+                    f"provenance record {record.seq} belongs to batch "
+                    f"{record.batch_id!r}, which the journal does not hold "
+                    f"in that order — the spool and the journal no longer agree"
+                )
+            tracker.observe_record(record)
+
+        metrics, tracker.metrics = tracker.metrics, None
+        if os.path.exists(self.store.spool_path):
+            self.provenance = ProvenanceLog.replay(
+                self.store.spool_path,
+                capacity=self.config.provenance_capacity,
+                fsync=self.fsync,
+                observe=fold,
+            )
+        else:
+            self.provenance = self._empty_provenance()
+        for batch_id, n_items in batch_sizes:
+            tracker.finish_batch(batch_id, n_items)
+        tracker.metrics = metrics
 
     # -- the batch loop -----------------------------------------------------------
 
@@ -454,16 +503,17 @@ class StreamService:
         self.crash_plan.reached("journal-appended")
         result = self.chimera.classify_batch(batch.items, batch_id=batch.batch_id)
         self.crash_plan.reached("classified")
-        fired = self.incremental.fired_map()
         self._prev_digest_chain = self.digest_chain
         self._last_batch_id = batch.batch_id
-        self.digest_chain = _chain_link(self.digest_chain, batch.batch_id, fired)
+        self.digest_chain = _chain_link(
+            self.digest_chain, batch.batch_id, self.incremental.fired_fingerprint()
+        )
         self.totals["items"] += len(batch.items)
         self.totals["classified"] += len(result.classified_pairs)
         self.totals["declined"] += len(result.declined)
         self.totals["rejected"] += len(result.rejected)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        self._sample(batch, result, fired, wall_ms)
+        self._sample(batch, result, wall_ms)
         self.crash_plan.reached("before-checkpoint")
         self._checkpoint()
         self.crash_plan.reached("after-checkpoint")
@@ -484,15 +534,9 @@ class StreamService:
 
     # -- persistence --------------------------------------------------------------
 
-    def _sample(
-        self,
-        batch: Batch,
-        result: BatchResult,
-        fired: Dict[str, List[str]],
-        wall_ms: float,
-    ) -> None:
+    def _sample(self, batch: Batch, result: BatchResult, wall_ms: float) -> None:
         snapshot = self.obs.metrics.snapshot()
-        delta = self.obs.metrics.delta(self._prev_metrics)
+        delta = self.obs.metrics.delta(self._prev_metrics, snapshot)
         self._prev_metrics = snapshot
         self.series.append({
             "ordinal": self.ordinal,
@@ -504,7 +548,7 @@ class StreamService:
             "declined": len(result.declined),
             "rejected": len(result.rejected),
             "coverage": round(result.coverage, 6),
-            "fired_pairs": sum(len(rules) for rules in fired.values()),
+            "fired_pairs": self.incremental.fired_pairs,
             "alerts_total": len(self.tracker.alerts),
             "incidents_open": self.open_incidents(),
             "breakers_degraded": len(self.chimera.health.degraded_stages()),
@@ -540,7 +584,6 @@ class StreamService:
                 "series": self.series.offset(),
             },
             "repo_head_seq": self._repo_head_seq(),
-            "tracker": self.tracker.state_dict(),
             "incidents": [
                 _incident_to_dict(incident) for incident in self.manager.incidents
             ],
@@ -609,7 +652,8 @@ class StreamService:
         ]
 
     def rule_view(self, rule_id: str) -> Optional[Dict[str, Any]]:
-        """The ``/rules/<id>`` document: placement, health, fired items."""
+        """The ``/rules/<id>`` document: placement, health, fired items.
+        Built from reads that write nothing (request threads call it)."""
         stage_name = None
         enabled = None
         for stage in _SERVICE_STAGES:
@@ -622,8 +666,8 @@ class StreamService:
         if stage_name is None and health is None:
             return None
         # Handler threads call this: read one store column, never
-        # fired_map() — a memo miss there rebuilds the O(items) snapshot,
-        # writes the memo and feeds the observe hook, racing the batch loop.
+        # fired_map() / fired_fingerprint() / fired_pairs — those patch the
+        # executor's view in place and belong to the batch loop's thread.
         fired_items = (
             self.incremental.fired_for_rule(rule_id)
             if enabled and stage_name == _TRACKED_STAGE

@@ -14,8 +14,9 @@ All responses are JSON. The server runs on a daemon thread
 unlocked, beside the batch loop. They must therefore call nothing that
 writes: every view method builds a fresh document from plain reads, and
 ``/rules/<id>`` reads the rule's one match-store column rather than
-``fired_map()`` (whose memo miss rebuilds the snapshot, stores it and
-feeds the observe hook). A request racing the batch loop sees a
+the executor's view (``fired_map()`` / ``fired_fingerprint()`` /
+``fired_pairs`` patch that view in place before answering, so they
+belong to the batch loop's thread). A request racing the batch loop sees a
 consistent-enough operational snapshot — or, if a container it iterates
 changes size under it, answers 500 — and never perturbs the run (the
 identity contract lives in the logs and the checkpoint, not here).

@@ -15,11 +15,12 @@ so the sample-per-batch invariant holds).
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.core.durability import JsonlAppender, scan_jsonl
+from repro.core.durability import JsonlAppender, scan_jsonl, tail_jsonl_lines
 
 
 class SeriesStore:
@@ -33,9 +34,10 @@ class SeriesStore:
         self.samples: Deque[Dict[str, Any]] = deque(maxlen=window)
         self.total_samples = 0
         if os.path.exists(path):
-            records, _torn = scan_jsonl(path)
-            self.total_samples = len(records)
-            self.samples.extend(records[-window:])
+            # Count every complete line, decode only the window's worth
+            # (a torn last line is a crashed append: ignored).
+            tail, self.total_samples = tail_jsonl_lines(path, window)
+            self.samples.extend(json.loads(line) for line in tail)
         self._appender = JsonlAppender(path, fsync=fsync)
 
     def append(self, sample: Dict[str, Any]) -> None:

@@ -14,6 +14,7 @@ first. The sharded mode runs under the CI chaos job's fault plan
 (``REPRO_CHAOS_SEED``), so a red run is replayable with the logged seed.
 """
 
+import copy
 import itertools
 import os
 
@@ -30,6 +31,7 @@ from repro.core import (
     WhitelistRule,
     parse_rule,
 )
+from repro.core.ruleset import RuleSet
 from repro.core.serialize import UnserializableRuleError, rule_to_dict
 from repro.execution import (
     CompiledRuleSet,
@@ -39,8 +41,10 @@ from repro.execution import (
     PartitionedExecutor,
     RetryPolicy,
 )
+from repro.execution import incremental as incremental_module
 from repro.observability import Observability
 from repro.testing import FaultPlan, VirtualSleeper
+from tests.chain_audit import fingerprint_from_scratch
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
 N_WORKERS = 3
@@ -257,3 +261,147 @@ def test_anchor_soundness_cases_fire_in_every_mode(pattern, title):
     items_first = IncrementalExecutor(items=[item])
     items_first.add_rules([rule])
     assert rules_first.fired_map() == items_first.fired_map() == expected
+
+
+# -- the patched view is the from-scratch view, after every single op ---------------
+
+# The interleaving above plus what only a subscribed executor sees: a
+# duplicate id inside one batch, a retired id coming back, and enable /
+# disable arriving as rule-set events (``toggle_rule`` stays the silent
+# ``rule.enabled = ...`` assignment no event announces).
+_view_op = st.one_of(
+    _op,
+    st.tuples(st.just("duplicate_items"), _item_spec, _item_spec),
+    st.tuples(st.just("readd_rule"), _pick, _rule_spec),
+    st.tuples(st.just("toggle_event"), _pick),
+)
+
+
+def _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids):
+    kind = op[0]
+    live = sorted(rule.rule_id for rule in ruleset)
+    if kind == "add_items":
+        batch = [_item(f"i{next(item_ids):03d}", spec) for spec in op[1]]
+        items.update((item.item_id, item) for item in batch)
+        executor.add_items(batch)
+    elif kind == "relist_item" and items:
+        item_id = sorted(items)[op[1] % len(items)]
+        items[item_id] = _item(item_id, op[2])
+        executor.add_items([items[item_id]])
+    elif kind == "duplicate_items":
+        item_id = f"i{next(item_ids):03d}"
+        batch = [_item(item_id, op[1]), _item(item_id, op[2])]
+        items[item_id] = batch[-1]  # the later listing wins
+        executor.add_items(batch)
+    elif kind == "add_rules":
+        for build in op[1]:
+            ruleset.add(build(f"r{next(rule_ids):03d}"))
+    elif kind == "update_rule" and live:
+        rule_id = live[op[1] % len(live)]
+        edited = op[2](rule_id)
+        edited.enabled = ruleset.is_enabled(rule_id)
+        ruleset.replace(edited)
+    elif kind == "remove_rule" and live:
+        rule_id = live[op[1] % len(live)]
+        ruleset.remove(rule_id)
+        retired.append(rule_id)
+    elif kind == "readd_rule" and retired:
+        ruleset.add(op[2](retired.pop(op[1] % len(retired))))
+    elif kind == "toggle_event" and live:
+        rule_id = live[op[1] % len(live)]
+        (ruleset.disable if ruleset.is_enabled(rule_id) else ruleset.enable)(rule_id)
+    elif kind == "toggle_rule" and live:
+        rule = ruleset.get(live[op[1] % len(live)])
+        rule.enabled = not rule.enabled
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_view_op, min_size=1, max_size=16))
+def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
+    """``fired_map()``, ``fired_pairs`` and ``fired_fingerprint()`` are
+    patched over touched rows only; after each op they must equal what a
+    ``NaiveExecutor`` run over the live state gives when recomputed from
+    nothing — and a map handed out before the op must not have moved."""
+    ruleset = RuleSet()
+    executor = IncrementalExecutor.for_ruleset(ruleset)
+    items, retired = {}, []
+    item_ids, rule_ids = itertools.count(), itertools.count()
+    for op in ops:
+        before = executor.fired_map()
+        frozen = copy.deepcopy(before)
+        _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids)
+        reference = _canonical(
+            NaiveExecutor(list(ruleset)).run(list(items.values()))[0]
+        )
+        fired = executor.fired_map()
+        assert fired == reference
+        assert list(fired) == list(reference)
+        assert executor.fired_pairs == sum(len(hits) for hits in reference.values())
+        assert executor.fired_fingerprint() == fingerprint_from_scratch(reference)
+        assert before == frozen
+        assert list(before) == list(frozen)
+
+
+class _NoWalkDict(dict):
+    """A dict that may be probed by key but never walked."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("full-store walk on the served read path")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
+    """After 40 batches, one more batch of k items hashes at most 2k rows
+    (new row in; a re-listed row's old hash out) and walks neither the
+    store nor the view."""
+    rules = [
+        WhitelistRule("rings?", "t", rule_id="w1"),
+        WhitelistRule("gold", "t", rule_id="w2"),
+        SequenceRule(["gold", "ring"], "t", rule_id="s1"),
+        BlacklistRule("toy", "t", rule_id="b1"),
+    ]
+    titles = ["gold ring", "toy rings", "plain band", "gold toy", "silver ring"]
+    executor = IncrementalExecutor(rules=rules)
+    serial = itertools.count()
+
+    def batch(size):
+        return [
+            ProductItem(item_id=f"i{n:05d}", title=titles[n % len(titles)])
+            for n in itertools.islice(serial, size)
+        ]
+
+    for _ in range(40):
+        executor.add_items(batch(25))
+        executor.fired_fingerprint()
+    assert executor.item_count == 1000
+
+    hashed = []
+    real_row_hash = incremental_module._row_hash
+    monkeypatch.setattr(
+        incremental_module, "_row_hash",
+        lambda item_id, rule_ids: hashed.append(item_id) or real_row_hash(item_id, rule_ids),
+    )
+    executor.store._by_item = _NoWalkDict(executor.store._by_item)
+    executor._view = _NoWalkDict(executor._view)
+
+    k = 20
+    arriving = batch(k - 2) + [
+        # two re-listings whose rows change: old hash out, new hash in
+        ProductItem(item_id="i00000", title="plain band"),
+        ProductItem(item_id="i00002", title="gold ring"),
+    ]
+    executor.add_items(arriving)
+    fingerprint, pairs = executor.fired_fingerprint(), executor.fired_pairs
+    assert 0 < len(hashed) <= 2 * k
+    assert set(hashed) <= {item.item_id for item in arriving}
+
+    # ... and the patched values are the from-scratch ones.
+    executor.store._by_item = dict(dict.items(executor.store._by_item))
+    executor._view = dict(dict.items(executor._view))
+    reference = executor.store.fired_map(frozenset(rule.rule_id for rule in rules))
+    assert executor.fired_map() == reference
+    # i00002 gained its first row below the largest id held: still sorted.
+    assert list(executor.fired_map()) == list(reference)
+    assert fingerprint == fingerprint_from_scratch(reference)
+    assert pairs == sum(len(hits) for hits in reference.values())

@@ -227,6 +227,38 @@ class TestIncrementalExecutor:
         incremental.add_items([item("gold rings")])
         assert incremental.fired_map() is not first
 
+    def test_rule_fired_total_counts_a_pair_once_however_often_it_is_read(self):
+        """The counter moves when the store records a ``(rule, item)`` pair
+        — item side and rule side alike — and never on a read: it used to
+        re-count the whole map on every read after a change, so it grew
+        with (items served) x (reads)."""
+        from repro.observability import Observability
+
+        obs = Observability()
+        rules, items = small_world()
+        incremental = IncrementalExecutor(rules, items, observability=obs)
+
+        def counted():
+            series = obs.metrics.series("rule_fired_total")
+            return sum(counter.value for counter in series.values())
+
+        assert counted() == len(incremental.store) > 0
+        for _ in range(3):
+            incremental.add_items([item("gold rings")])
+            incremental.fired_map()
+            incremental.fired_fingerprint()
+        assert counted() == len(incremental.store)
+        disabled = WhitelistRule("gold", "rings", rule_id=f"w-{next(_ids):06d}")
+        disabled.enabled = False
+        incremental.add_rules([disabled])
+        assert counted() == len(incremental.store)  # disabled: recorded all the same
+        rules[0].enabled = False
+        incremental.fired_map()
+        before = counted()
+        # A silent resume feeds nothing.
+        incremental.restore_items([item("rings rings")])
+        assert counted() == before == len(incremental.store) - 1
+
     def test_snapshot_memo_keys_on_enabled_identity_not_count(self):
         # Regression guard: the memo key must be the enabled-rule
         # *identity set*, not its size (or the store generation alone).

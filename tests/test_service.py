@@ -87,6 +87,34 @@ class TestCheckpointStore:
         assert truncate_file(path, 4) == 6
 
 
+class TestFsyncFlagReachesEveryWriter:
+    """``fsync=False`` used to silence the journal, series and change-log
+    appenders only: the checkpoint's atomic replace (temp file + directory)
+    and the spool's offset read still synced, three times a batch."""
+
+    def _count(self, root: str, fsync: bool, monkeypatch) -> int:
+        calls = []
+        real_fsync = os.fsync
+        with StreamService(root, fsync=fsync) as service:
+            service.run_to(1)  # every log file exists from here on
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd)
+            )
+            changes = len(service.repository.log)
+            service.run_to(4)
+            monkeypatch.undo()
+            assert len(service.repository.log) == changes  # no edit in these three
+        return len(calls)
+
+    def test_no_sync_at_all_when_off(self, tmp_path, monkeypatch):
+        assert self._count(str(tmp_path / "off"), False, monkeypatch) == 0
+
+    def test_same_syncs_as_ever_when_on(self, tmp_path, monkeypatch):
+        # Per batch: journal line, spool offset, checkpoint temp file,
+        # checkpoint directory, series line.
+        assert self._count(str(tmp_path / "on"), True, monkeypatch) == 3 * 5
+
+
 # -- series store --------------------------------------------------------------
 
 
@@ -106,6 +134,31 @@ class TestSeriesStore:
             assert [s["ordinal"] for s in series.tail(10)] == [2, 3, 4]
         assert len(load_series(path)) == 5
         assert [s["ordinal"] for s in load_series(path, window=2)] == [3, 4]
+
+    def test_reload_decodes_only_the_window(self, tmp_path, monkeypatch):
+        """A resume counts every line of the history but decodes at most
+        ``window`` of them, and a torn last line is not a sample."""
+        from repro.service import series as series_module
+
+        path = str(tmp_path / "series.jsonl")
+        with open(path, "w") as handle:
+            for ordinal in range(2000):
+                handle.write(json.dumps({"ordinal": ordinal}) + "\n")
+            handle.write('{"ordinal": 20')  # crashed mid-append
+        decoded = []
+        real_loads = json.loads
+        monkeypatch.setattr(
+            series_module.json, "loads",
+            lambda line: decoded.append(line) or real_loads(line),
+        )
+        series = SeriesStore(path, window=512, fsync=False)
+        monkeypatch.undo()
+        try:
+            assert series.total_samples == 2000
+            assert [s["ordinal"] for s in series.samples] == list(range(1488, 2000))
+            assert len(decoded) <= 512
+        finally:
+            series.close()
 
     def test_rejects_bad_window_and_count(self, tmp_path):
         path = str(tmp_path / "series.jsonl")
@@ -140,6 +193,23 @@ class TestMetricsSampling:
         assert delta["histograms"]["latency"]["count"] == 1
         assert delta["histograms"]["latency"]["sum"] == pytest.approx(0.75)
         assert delta["gauges"]["open_incidents"] == 2
+
+    def test_delta_from_a_snapshot_in_hand_is_the_same_delta(self):
+        """The daemon samples once per batch: ``delta(prev, current)``
+        reuses the snapshot it already took instead of walking the
+        registry again, and reports exactly what ``delta(prev)`` does."""
+        registry = self._populated()
+        prev = registry.snapshot()
+        registry.counter("batches").inc(2)
+        registry.counter("fresh").inc(5)
+        registry.gauge("open_incidents").set(1)
+        registry.histogram("latency").observe(0.75)
+        walks = []
+        real_snapshot = registry.snapshot
+        registry.snapshot = lambda: walks.append(1) or real_snapshot()
+        current = registry.snapshot()
+        assert registry.delta(prev, current) == registry.delta(prev)
+        assert len(walks) == 2  # ours + the one delta(prev) takes itself
 
     def test_sampling_leaves_values_untouched(self):
         """A poller may snapshot/delta every batch without resetting anything."""

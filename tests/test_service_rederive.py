@@ -1,9 +1,13 @@
-"""Resume re-derives the match store from the logs — and proves it.
+"""Resume re-derives the match store and the health windows from the
+logs — and proves it.
 
 Since checkpoint v2 the executor's match store is not serialised: the
 batch journal and the repository change log determine it, so resume
 streams the journal back through the engine and then verifies the last
-digest-chain link against the rebuilt fired map. Here:
+digest-chain link against the rebuilt fired map. Since v3 the link
+commits to that map through the executor's additive fingerprint, and the
+per-rule health windows — a fold over the provenance spool — are rebuilt
+the same way instead of being written down after every batch. Here:
 
 * the rebuilt view equals the uninterrupted run's after *rule churn*
   (repository-bound add / replace / disable / enable / remove and a
@@ -11,7 +15,11 @@ digest-chain link against the rebuilt fired map. Here:
   ``test_service_resume.py`` edits no rule except through incidents;
 * ``checkpoint.json`` is flat in the number of items served;
 * a root whose logs no longer determine the checkpointed chain head, or
-  whose checkpoint is the v1 layout, is refused loudly.
+  whose checkpoint is the v1 or v2 layout, is refused loudly;
+* every chain link's fingerprint is the from-scratch fingerprint of the
+  very map a v2 link serialised whole (``tests/chain_audit.py``);
+* a history with a drift alert and an open incident in it comes back
+  identical, and the fold that rebuilds it re-fires nothing.
 """
 
 from __future__ import annotations
@@ -24,9 +32,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.checkpoint import CHECKPOINT_NAME, JOURNAL_NAME
-from repro.service.daemon import ServiceConfig, StreamService
+from repro.service.checkpoint import CHECKPOINT_NAME, JOURNAL_NAME, SPOOL_NAME
+from repro.service.daemon import (
+    GENESIS_DIGEST,
+    ServiceConfig,
+    StreamService,
+    _chain_link,
+)
 from repro.testing.faults import CrashPlan, SimulatedCrash
+from tests.chain_audit import fingerprint_from_scratch, whole_map_chain_link
 
 BATCHES = 6
 #: Startup rules that fire on 18-31 of the default config's first 766
@@ -170,6 +184,96 @@ class TestResumeAfterRuleChurn:
             resumed.close()
 
 
+class TestChainAudit:
+    def test_every_link_commits_to_the_whole_map(self, tmp_path):
+        """Per batch, under rule churn: the fingerprint the link hashed is
+        the from-scratch fingerprint of the map the v2 link serialised, so
+        the two chains certify the same sequence of fired maps."""
+        service = StreamService(str(tmp_path / "run"), fsync=False).start()
+        try:
+            head, whole_map_head, seen = GENESIS_DIGEST, GENESIS_DIGEST, set()
+            while service.ordinal < BATCHES:
+                _edits_before(service, service.ordinal + 1)
+                batch, _ = service.process_batch()
+                fired = service.incremental.fired_map()
+                fingerprint = fingerprint_from_scratch(fired)
+                assert service.incremental.fired_fingerprint() == fingerprint
+                head = _chain_link(head, batch.batch_id, fingerprint)
+                assert service.digest_chain == head
+                whole_map_head = whole_map_chain_link(
+                    whole_map_head, batch.batch_id, fired
+                )
+                seen.add(fingerprint)
+            assert len(seen) == BATCHES  # the map moved every batch
+            assert whole_map_head != head  # same history, different encoding
+        finally:
+            service.close()
+
+
+class TestHealthWindowsRederived:
+    BATCHES = 12  # the default config opens a drift incident by then
+
+    def test_alert_history_is_refolded_not_refired(self, tmp_path):
+        root = str(tmp_path / "run")
+        plan = CrashPlan(crash_at="classified", on_hit=self.BATCHES + 1)
+        service = StreamService(root, fsync=False, crash_plan=plan).start()
+        service.run_to(self.BATCHES)
+        assert [alert.kind for alert in service.tracker.alerts].count(
+            "fire-rate-drift"
+        ) >= 1
+        assert service.open_incidents() >= 1
+
+        def surface(svc):
+            counters = svc.obs.metrics.snapshot()["counters"]
+            return {
+                "identity": svc.identity_json(),
+                "incidents": len(svc.manager.incidents),
+                "alerts_counted": {
+                    name: value for name, value in counters.items()
+                    if name.startswith("rule_quality_alerts_total")
+                },
+                "repo_changes": len(svc.repository.log),
+            }
+
+        before = surface(service)
+        assert sum(before["alerts_counted"].values()) == len(service.tracker.alerts)
+        # Killed inside batch 13, its provenance already spooled.
+        with pytest.raises(SimulatedCrash):
+            service.process_batch()
+        service.store.close()
+        service.series.close()
+        service.provenance.close()
+        service.repository.log.close()
+        with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
+            state = json.load(handle)
+        assert "tracker" not in state and state["ordinal"] == self.BATCHES
+        assert os.path.getsize(os.path.join(root, SPOOL_NAME)) > state["offsets"]["spool"]
+
+        with StreamService(root, fsync=False) as resumed:
+            assert resumed.resumed and resumed.ordinal == self.BATCHES
+            assert surface(resumed) == before
+            # Wired again once the fold is over: the next alert counts.
+            assert resumed.tracker.metrics is resumed.obs.metrics
+            assert len(resumed.tracker.on_alert) == 1
+
+    def test_spool_and_journal_must_agree(self, tmp_path):
+        """The fold takes batch boundaries from the journal: a spool whose
+        records name a batch the journal does not hold is refused."""
+        root = str(tmp_path / "run")
+        with StreamService(root, fsync=False) as service:
+            service.run_to(2)
+        path = os.path.join(root, SPOOL_NAME)
+        with open(path) as handle:
+            text = handle.read()
+        last_batch = json.loads(text.splitlines()[-1])["batch_id"]
+        with open(path, "w") as handle:
+            handle.write(text.replace(last_batch, last_batch[:-1] + "X"))
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match="spool and the journal no longer agree"):
+            service.start()
+        service.store.close()
+
+
 class TestFlatCheckpoint:
     def test_size_does_not_grow_with_items(self, tmp_path):
         """O(rules + incidents): 3N batches cost what N did (it grew
@@ -187,7 +291,7 @@ class TestFlatCheckpoint:
         assert late <= 1.25 * early, (early, late)
         with open(path) as handle:
             text = handle.read()
-        assert "executor" not in json.loads(text)
+        assert not {"executor", "tracker"} & set(json.loads(text))
         with open(os.path.join(root, JOURNAL_NAME)) as handle:
             item_ids = [
                 item["item_id"]
@@ -269,6 +373,34 @@ class TestLoudRefusal:
         assert "0" * 64 in str(excinfo.value)
         assert str(excinfo.value).count("chains to") == 1
 
+    def test_link_over_another_fingerprint_refused(self, root):
+        """A well-formed v3 head that commits to a different fired map:
+        one row's hash away from the rebuilt one."""
+        with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
+            state = json.load(handle)
+        with StreamService(root, fsync=False) as service:
+            fingerprint = service.incremental.fired_fingerprint()
+        assert state["digest_chain"] == _chain_link(
+            state["prev_digest_chain"], state["last_batch_id"], fingerprint
+        )
+        tampered = _chain_link(
+            state["prev_digest_chain"], state["last_batch_id"],
+            f"{int(fingerprint, 16) ^ 1:064x}",
+        )
+        self._edit_checkpoint(root, digest_chain=tampered)
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match="digest mismatch") as excinfo:
+            service.start()
+        service.store.close()
+        assert tampered in str(excinfo.value)
+        assert state["digest_chain"] in str(excinfo.value)
+
     def test_v1_checkpoint_refused(self, root):
         self._edit_checkpoint(root, version=1, executor={"store": {}})
         self._assert_refused(root, "version 1 is not supported")
+
+    def test_v2_checkpoint_refused(self, root):
+        """A v2 head chains over whole-map JSON and carries the health
+        windows: this code can neither verify the one nor wants the other."""
+        self._edit_checkpoint(root, version=2, tracker={"alerts": []})
+        self._assert_refused(root, r"version 2 is not supported \(expected 3\)")
