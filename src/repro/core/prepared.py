@@ -5,10 +5,13 @@ per-evaluation redundancy: industrial deployments run thousands of rules
 over millions of items, and the naive formulation re-normalizes and
 re-tokenizes each title once per *rule* instead of once per *item*. A
 :class:`PreparedItem` wraps a :class:`~repro.catalog.types.ProductItem`
-with every derived view the execution stack needs — normalized title,
-token lists with and without stop words, token set, plural-expanded
-anchor-token set, lowercased attribute map — each computed lazily exactly
-once and shared by every rule evaluation and by the rule index.
+with every derived view the execution stack needs. The views rules are
+evaluated against — normalized title, token lists with and without stop
+words, the token-joined match text, the lowercased attribute map — are
+computed lazily exactly once and shared by every rule evaluation. The two
+index-probe sets (``token_set``, ``anchor_tokens``) are derived on each
+read instead: indexing reads them once per item, and a served item lives
+as long as the daemon does.
 
 PreparedItem also duck-types the read surface of ``ProductItem``
 (``title``, ``attribute(...)``, ``has_attribute(...)``, ...) so it can be
@@ -34,15 +37,19 @@ _WORD = re.compile(r"[a-z0-9]+")
 
 
 class PreparedItem:
-    """A product item plus its lazily-memoized derived text views."""
+    """A product item plus its lazily-memoized derived text views.
+
+    Memoised (rule deltas re-verify stored items against them, many
+    times): ``normalized_title``, ``tokens``, ``tokens_with_stopwords``,
+    ``match_text`` and the lowered attribute map. Not memoised:
+    ``token_set`` and ``anchor_tokens``, one-shot probe sets.
+    """
 
     __slots__ = (
         "item",
         "_normalized_title",
         "_tokens",
         "_tokens_with_stopwords",
-        "_token_set",
-        "_anchor_tokens",
         "_match_text",
         "_attributes_lower",
     )
@@ -52,8 +59,6 @@ class PreparedItem:
         self._normalized_title: Any = _UNSET
         self._tokens: Any = _UNSET
         self._tokens_with_stopwords: Any = _UNSET
-        self._token_set: Any = _UNSET
-        self._anchor_tokens: Any = _UNSET
         self._match_text: Any = _UNSET
         self._attributes_lower: Any = _UNSET
 
@@ -126,9 +131,8 @@ class PreparedItem:
 
     @property
     def token_set(self) -> FrozenSet[str]:
-        if self._token_set is _UNSET:
-            self._token_set = frozenset(self.tokens_with_stopwords)
-        return self._token_set
+        """The distinct title tokens; derived on every read, never kept."""
+        return frozenset(self.tokens_with_stopwords)
 
     @property
     def anchor_tokens(self) -> FrozenSet[str]:
@@ -138,14 +142,18 @@ class PreparedItem:
         so a rule anchored on ``ring`` must be proposed for those tokens
         too: tokens holding ``-``, ``.`` or ``/`` also contribute their
         alphanumeric pieces.
+
+        Derived on every read, never kept: an item's probe set is read
+        once when the item is indexed (and once more if it is removed, or
+        per probe on the compat lane), and a memo of it would outlive that
+        read by the life of the item at ~0.4 KB a piece.
         """
-        if self._anchor_tokens is _UNSET:
-            words = set(self.token_set)
-            for token in self.token_set:
-                if not token.isalnum():
-                    words.update(_WORD.findall(token))
-            self._anchor_tokens = expand_plural_singulars(words)
-        return self._anchor_tokens
+        tokens = self.tokens_with_stopwords
+        words = set(tokens)
+        for token in tokens:
+            if not token.isalnum():
+                words.update(_WORD.findall(token))
+        return expand_plural_singulars(words)
 
     @property
     def match_text(self) -> str:
@@ -154,12 +162,10 @@ class PreparedItem:
             self._match_text = " ".join(self.tokens_with_stopwords)
         return self._match_text
 
-    def warm(self, anchors: bool = True) -> "PreparedItem":
-        """Force the hot views now (so timing splits attribute the cost)."""
+    def warm(self) -> "PreparedItem":
+        """Force the memoised views now (so timing splits attribute the cost)."""
         self.tokens
         self.match_text
-        if anchors:
-            self.anchor_tokens
         return self
 
     def __repr__(self) -> str:

@@ -170,7 +170,7 @@ def _guarded_prepare(
                 hit = isinstance(item, PreparedItem) or item.item_id in cache
                 stats.cache_hits += 1 if hit else 0
                 stats.cache_misses += 0 if hit else 1
-            prepared_items.append(prepare_cached(item, cache).warm(anchors=False))
+            prepared_items.append(prepare_cached(item, cache).warm())
         except Exception:
             if not skip:
                 raise

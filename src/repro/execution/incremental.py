@@ -105,6 +105,11 @@ class MatchStore:
     def __len__(self) -> int:
         return sum(len(rules) for rules in self._by_item.values())
 
+    @property
+    def row_count(self) -> int:
+        """Items holding at least one pair (O(1), unlike ``len``)."""
+        return len(self._by_item)
+
     def __contains__(self, pair: Tuple[str, str]) -> bool:
         rule_id, item_id = pair
         return item_id in self._by_rule.get(rule_id, ())
@@ -227,24 +232,6 @@ class MatchStore:
         the store, whichever side of the delta brought it."""
         recorded, self._recorded = self._recorded, {}
         return recorded
-
-    # -- reads --------------------------------------------------------------------
-
-    def fired_map(self, enabled_rule_ids: FrozenSet[str]) -> Dict[str, List[str]]:
-        """item_id -> sorted fired (enabled) rule ids, items sorted by id.
-
-        Exactly the executor output shape: items with no enabled match are
-        absent, rule-id lists are sorted — byte-identical (canonical JSON)
-        to a :class:`~repro.execution.executor.NaiveExecutor` run. A full
-        walk of the store: the from-scratch reference the executor's
-        patched view is tested against, not a served read.
-        """
-        result: Dict[str, List[str]] = {}
-        for item_id in sorted(self._by_item):
-            hits = sorted(self._by_item[item_id] & enabled_rule_ids)
-            if hits:
-                result[item_id] = hits
-        return result
 
 
 _FINGERPRINT_MODULUS = 1 << 256
@@ -432,7 +419,7 @@ class IncrementalExecutor:
                 op.cache_hits += 1 if hit else 0
                 op.cache_misses += 0 if hit else 1
                 prepare_started = self._clock()
-                prepared = prepare_cached(item, self.prepared_cache).warm(anchors=True)
+                prepared = prepare_cached(item, self.prepared_cache).warm()
                 op.prepare_time += self._clock() - prepare_started
                 self._data_index.add(prepared.item)
                 hits, n_evaluated = self._compiled.match_item(prepared)
@@ -541,7 +528,7 @@ class IncrementalExecutor:
         """
         count = 0
         for item in items:
-            prepared = prepare_cached(item, self.prepared_cache).warm(anchors=True)
+            prepared = prepare_cached(item, self.prepared_cache).warm()
             if prepared.item_id in self._data_index:
                 self.store.discard_item(prepared.item_id)
             self._data_index.add(prepared.item)

@@ -39,6 +39,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -266,6 +267,23 @@ def render_record(record: ProvenanceRecord) -> List[str]:
     return lines
 
 
+#: What a ring slot holds: the record, or — in a write-ahead log — the
+#: JSON line (newline included) the record was spooled as.
+_Entry = Union[ProvenanceRecord, str]
+
+
+def _encoded(record: ProvenanceRecord) -> str:
+    """The one spool / snapshot line of ``record``."""
+    return json.dumps(record.to_dict(), sort_keys=True) + "\n"
+
+
+def _decoded(entry: _Entry) -> ProvenanceRecord:
+    """The ring's one decode point: a slot's record, whichever form it holds."""
+    if isinstance(entry, str):
+        return ProvenanceRecord.from_dict(json.loads(entry))
+    return entry
+
+
 class ProvenanceLog:
     """Bounded ring buffer of :class:`ProvenanceRecord` with query indexes.
 
@@ -275,6 +293,19 @@ class ProvenanceLog:
     never-ending session keeps a complete trail on disk while memory
     stays fixed. Eviction is FIFO, so the per-item index can drop its
     oldest entry in O(1).
+
+    What the ring holds depends on when the log encodes. A write-ahead
+    log (``spool_all=True``) encodes every record at ``record()`` time
+    anyway, so it keeps that line — the very string it wrote to the
+    spool, ~0.5 KB — and not the record's object graph (~1.3 KB); the
+    other two modes keep the record, because encoding there would cost
+    ``record()`` an order of magnitude. Every reader goes through one
+    decode point (:func:`_decoded`), so ``records`` / ``why`` / ``blame``
+    / ``records_for_type`` / ``blame_summary`` / ``write_jsonl`` /
+    ``rotate`` / ``on_evict`` answer equal by value in all three modes;
+    a line-holding ring pays a decode per record *returned* (and
+    ``blame`` / ``records_for_type`` skip, by substring, lines that
+    cannot mention the id asked for).
 
     Only ``why``'s by-item index is maintained eagerly: recording happens
     once per classified item and is on the telemetry layer's 5%-overhead
@@ -308,8 +339,11 @@ class ProvenanceLog:
         #: durable-service checkpoint contract (see ``replay``).
         self.spool_all = spool_all
         self.fsync = fsync
-        self._records: Deque[ProvenanceRecord] = deque()
-        self._by_item: Dict[str, Deque[ProvenanceRecord]] = {}
+        self._records: Deque[_Entry] = deque()
+        #: item id of each encoded line in ``_records``, in ring order (a
+        #: record entry carries its own); empty unless ``spool_all``.
+        self._line_items: Deque[str] = deque()
+        self._by_item: Dict[str, List[_Entry]] = {}
         self._seq = 0
         self.total_records = 0
         self.evicted_records = 0
@@ -329,15 +363,20 @@ class ProvenanceLog:
                 self._seq = seq
         else:
             self._seq = record.seq = self._seq + 1
-        records = self._records
-        records.append(record)
-        self.total_records += 1
-        bucket = self._by_item.get(record.item_id)
-        if bucket is None:
-            bucket = self._by_item[record.item_id] = deque()
-        bucket.append(record)
+        item_id = record.item_id
+        entry: _Entry = record
         if self.spool_all:
-            self._spool_one(record)
+            entry = _encoded(record)
+            self._spool_write(entry)
+            self._line_items.append(item_id)
+        records = self._records
+        records.append(entry)
+        self.total_records += 1
+        bucket = self._by_item.get(item_id)
+        if bucket is None:
+            self._by_item[item_id] = [entry]
+        else:
+            bucket.append(entry)
         while len(records) > self.capacity:
             self._evict()
         return record
@@ -345,26 +384,28 @@ class ProvenanceLog:
     def _evict(self) -> None:
         evicted = self._records.popleft()
         self.evicted_records += 1
+        if isinstance(evicted, str):
+            item_id = self._line_items.popleft()
+        else:
+            item_id = evicted.item_id
         by_item = self._by_item
-        bucket = by_item.get(evicted.item_id)
+        bucket = by_item.get(item_id)
         if bucket and bucket[0] is evicted:  # FIFO: the oldest entry is ours
-            bucket.popleft()
+            del bucket[0]
             if not bucket:
-                del by_item[evicted.item_id]
+                del by_item[item_id]
         if self.spool is not None and not self.spool_all:
-            self._spool_one(evicted)
+            self._spool_write(_encoded(evicted))
         if self.on_evict is not None:
-            self.on_evict(evicted)
+            self.on_evict(_decoded(evicted))
 
-    def _spool_one(self, record: ProvenanceRecord) -> None:
-        if self.spool is None:
-            return
+    def _spool_write(self, line: str) -> None:
         if self._spool_handle is None:
             if isinstance(self.spool, str):
                 self._spool_handle = open(self.spool, "a")
             else:
                 self._spool_handle = self.spool
-        self._spool_handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        self._spool_handle.write(line)
 
     def close(self) -> None:
         """Flush and close an owned spool file (no-op otherwise)."""
@@ -401,7 +442,19 @@ class ProvenanceLog:
 
     @property
     def records(self) -> List[ProvenanceRecord]:
-        return list(self._records)
+        return [_decoded(entry) for entry in self._records]
+
+    def _mentioning(self, needle: str) -> Iterator[ProvenanceRecord]:
+        """Retained records, oldest first, minus the encoded lines that
+        cannot hold ``needle`` as a JSON string (a C-level substring test
+        on the encoded needle, so a drill-down decodes its hits and a few
+        look-alikes, not the ring). Callers still test the decoded field."""
+        encoded = json.dumps(needle)
+        for entry in self._records:
+            if not isinstance(entry, str):
+                yield entry
+            elif encoded in entry:
+                yield _decoded(entry)
 
     def why(self, item_id: str) -> List[ProvenanceRecord]:
         """Every retained record for one item, oldest first.
@@ -410,7 +463,7 @@ class ProvenanceLog:
         chain; earlier entries show how the label evolved across
         re-classifications.
         """
-        return list(self._by_item.get(item_id, ()))
+        return [_decoded(entry) for entry in self._by_item.get(item_id, ())]
 
     def explain(self, item_id: str) -> str:
         """``why`` rendered for humans (the CLI's drill-down view)."""
@@ -430,13 +483,17 @@ class ProvenanceLog:
         """
         return [
             record
-            for record in self._records
+            for record in self._mentioning(rule_id)
             if rule_id in record.fired_rule_ids()
         ]
 
     def records_for_type(self, type_name: str) -> List[ProvenanceRecord]:
         """Every retained record whose final label is ``type_name``."""
-        return [record for record in self._records if record.label == type_name]
+        return [
+            record
+            for record in self._mentioning(type_name)
+            if record.label == type_name
+        ]
 
     def blame_summary(self, rule_id: str) -> Dict[str, object]:
         """Aggregate view of one rule's retained activity."""
@@ -466,8 +523,8 @@ class ProvenanceLog:
         else:
             handle, owned = target, False
         try:
-            for record in self._records:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            for entry in self._records:
+                handle.write(entry if isinstance(entry, str) else _encoded(entry))
         finally:
             if owned:
                 handle.close()
@@ -505,38 +562,43 @@ class ProvenanceLog:
 
         ``observe`` is a fold over the whole history riding this one pass:
         it is called with every record, oldest first, each line decoded
-        exactly once and dropped again unless the ring keeps it. Without
-        it only the last ``capacity`` lines are decoded.
+        exactly once and dropped again — the ring keeps the raw line, as
+        the live log does. Without it only the last ``capacity`` lines are
+        decoded (for their item id and seq).
         """
         from repro.core.durability import iter_jsonl_lines, tail_jsonl_lines
 
-        def decode(line: bytes) -> ProvenanceRecord:
-            return ProvenanceRecord.from_dict(json.loads(line))
+        def keyed(line: bytes) -> Tuple[str, str, int]:
+            entry = line.decode("utf-8")
+            record = _decoded(entry)
+            if observe is not None:
+                observe(record)
+            return entry, record.item_id, record.seq
 
         if observe is None:
             tail, total = tail_jsonl_lines(spool, capacity)
-            records = [decode(line) for line in tail]
+            kept: Sequence[Tuple[str, str, int]] = [keyed(line) for line in tail]
         else:
-            kept: Deque[ProvenanceRecord] = deque(maxlen=capacity)
+            kept = deque(maxlen=capacity)
             total = 0
-            for record in map(decode, iter_jsonl_lines(spool)):
-                observe(record)
-                kept.append(record)
+            for line in iter_jsonl_lines(spool):
+                kept.append(keyed(line))
                 total += 1
-            records = list(kept)
         log = cls(
             capacity=capacity, spool=spool, on_evict=on_evict, spool_all=True,
             fsync=fsync,
         )
         log.total_records = total
-        log.evicted_records = total - len(records)
-        log._seq = max((record.seq for record in records), default=0)
-        for record in records:
-            log._records.append(record)
-            bucket = log._by_item.get(record.item_id)
+        log.evicted_records = total - len(kept)
+        log._seq = max((seq for _, _, seq in kept), default=0)
+        for entry, item_id, _ in kept:
+            log._records.append(entry)
+            log._line_items.append(item_id)
+            bucket = log._by_item.get(item_id)
             if bucket is None:
-                bucket = log._by_item[record.item_id] = deque()
-            bucket.append(record)
+                log._by_item[item_id] = [entry]
+            else:
+                bucket.append(entry)
         return log
 
     @staticmethod
@@ -548,11 +610,7 @@ class ProvenanceLog:
         else:
             handle, owned = source, False
         try:
-            return [
-                ProvenanceRecord.from_dict(json.loads(line))
-                for line in handle
-                if line.strip()
-            ]
+            return [_decoded(line) for line in handle if line.strip()]
         finally:
             if owned:
                 handle.close()

@@ -49,6 +49,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -142,14 +144,30 @@ def _item_to_dict(item: ProductItem) -> Dict[str, Any]:
 
 
 def _item_from_dict(payload: Dict[str, Any]) -> ProductItem:
+    # The generator hands every item the same vendor / type / attribute-key
+    # objects; a journal line decodes fresh copies of each. Interning gives
+    # a resumed world the live world's sharing back (~0.3 KB an item).
+    intern = sys.intern
     return ProductItem(
         item_id=payload["item_id"],
         title=payload["title"],
-        attributes=dict(payload["attributes"]),
-        true_type=payload["true_type"],
-        vendor=payload["vendor"],
+        attributes={
+            intern(key): value for key, value in payload["attributes"].items()
+        },
+        true_type=intern(payload["true_type"]),
+        vendor=intern(payload["vendor"]),
         description=payload.get("description", ""),
     )
+
+
+def _rss_mb() -> Optional[float]:
+    """This process's resident set right now, in MiB (None off Linux)."""
+    try:
+        with open("/proc/self/statm") as handle:
+            pages = int(handle.read().split()[1])
+    except OSError:
+        return None
+    return round(pages * os.sysconf("SC_PAGE_SIZE") / 2**20, 1)
 
 
 def _incident_to_dict(incident: Incident) -> Dict[str, Any]:
@@ -644,6 +662,24 @@ class StreamService:
             "repo_changes": len(self.repository.log),
             "stages": self.chimera.health.report(),
             "digest_chain": self.digest_chain,
+            "resident": self.resident(),
+        }
+
+    def resident(self) -> Dict[str, Any]:
+        """What the process holds, for "is anything growing without bound":
+        lengths and counters only, so a request thread may read it. The
+        first three grow with items served (ROADMAP 3d); the provenance
+        ring is capped at its capacity."""
+        return {
+            "items_held": self.incremental.item_count,
+            "match_rows": self.incremental.store.row_count,
+            "prepared_items": len(self.incremental.prepared_cache),
+            "provenance_retained": len(self.provenance),
+            "provenance_capacity": self.provenance.capacity,
+            "rss_mb": _rss_mb(),
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+            ),
         }
 
     def incidents_view(self) -> List[Dict[str, Any]]:

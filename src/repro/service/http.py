@@ -4,6 +4,7 @@ Stdlib ``http.server`` only — the container constraint rules out real web
 frameworks, and an operations read-path doesn't need one. Endpoints:
 
 * ``GET /health``      — liveness + run summary (ordinal, incidents, breakers)
+  and a ``resident`` block: what the process holds, as lengths and counters
 * ``GET /metrics``     — the full MetricsRegistry snapshot
 * ``GET /incidents``   — the incident log
 * ``GET /rules/<id>``  — one rule's placement, health, and fired items

@@ -1,17 +1,35 @@
-"""From-scratch references for the fired-map fingerprint and the digest chain.
+"""From-scratch references for the fired map, its fingerprint and the digest chain.
 
 The served path never walks the whole fired map any more: the executor
-patches an additive fingerprint row by row and the daemon chains over that
-fingerprint. These two functions recompute both the slow way, from a plain
-``item_id -> sorted rule ids`` dict, so tests can prove the patched values
-are the plain ones.
+patches its view and an additive fingerprint row by row and the daemon
+chains over that fingerprint. These functions recompute all three the
+slow way — the map by a full walk of the match store, the other two from a
+plain ``item_id -> sorted rule ids`` dict — so tests can prove the patched
+values are the plain ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
+from typing import Dict, FrozenSet, List
+
+from repro.execution.incremental import MatchStore
+
+
+def store_fired_map(
+    store: MatchStore, enabled_rule_ids: FrozenSet[str]
+) -> Dict[str, List[str]]:
+    """item_id -> sorted fired (enabled) rule ids, items sorted by id, by
+    walking every row of ``store``: exactly the executor output shape
+    (items with no enabled match are absent) that
+    ``IncrementalExecutor.fired_map()`` must equal."""
+    result: Dict[str, List[str]] = {}
+    for item_id in sorted(store._by_item):
+        hits = sorted(store._by_item[item_id] & enabled_rule_ids)
+        if hits:
+            result[item_id] = hits
+    return result
 
 
 def fingerprint_from_scratch(fired: Dict[str, List[str]]) -> str:

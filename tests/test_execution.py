@@ -219,7 +219,9 @@ class TestPreparedItem:
         prepared = PreparedItem(item("shaw area rug 5x7"))
         assert prepared.tokens is prepared.tokens
         assert prepared.match_text is prepared.match_text
-        assert prepared.anchor_tokens is prepared.anchor_tokens
+        # The probe sets are derived per read and kept nowhere.
+        assert prepared.anchor_tokens == prepared.anchor_tokens
+        assert prepared.anchor_tokens >= prepared.token_set
 
     def test_prepare_is_idempotent(self):
         prepared = prepare(ITEMS[0])

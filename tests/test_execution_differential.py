@@ -44,7 +44,7 @@ from repro.execution import (
 from repro.execution import incremental as incremental_module
 from repro.observability import Observability
 from repro.testing import FaultPlan, VirtualSleeper
-from tests.chain_audit import fingerprint_from_scratch
+from tests.chain_audit import fingerprint_from_scratch, store_fired_map
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
 N_WORKERS = 3
@@ -399,7 +399,9 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
     # ... and the patched values are the from-scratch ones.
     executor.store._by_item = dict(dict.items(executor.store._by_item))
     executor._view = dict(dict.items(executor._view))
-    reference = executor.store.fired_map(frozenset(rule.rule_id for rule in rules))
+    reference = store_fired_map(
+        executor.store, frozenset(rule.rule_id for rule in rules)
+    )
     assert executor.fired_map() == reference
     # i00002 gained its first row below the largest id held: still sorted.
     assert list(executor.fired_map()) == list(reference)

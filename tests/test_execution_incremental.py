@@ -42,6 +42,7 @@ from repro.execution import (
     prepare_all,
 )
 from repro.utils.clock import SimClock
+from tests.chain_audit import store_fired_map
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -115,7 +116,7 @@ class TestMatchStore:
         store = MatchStore()
         store.set_item_matches("b", ["r2", "r1", "r3"])
         store.set_item_matches("a", ["r3"])
-        fired = store.fired_map(frozenset({"r1", "r2"}))
+        fired = store_fired_map(store, frozenset({"r1", "r2"}))
         assert fired == {"b": ["r1", "r2"]}
         assert list(fired) == sorted(fired)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +72,15 @@ def make_record(
         tuple(filter_fired),
         tuple(filter_vetoed),
     )
+
+
+# Ids for the ring-equivalence property: ``r1`` is a prefix of ``r10``,
+# ``rings`` is a rule and a type, ``ring`` is a prefix of that type, ``r1``
+# is also a label, and three ids need JSON escapes.
+_RING_RULES = ("r1", "r10", "rings", "ring", 'q"uote', "back\\slash", "règle-ü")
+_RING_LABELS = ("rings", "jeans", "r1", None)
+_RING_ITEMS = ("a", "b", 'i"tem', "é")
+_RING_NEEDLES = _RING_RULES + ("jeans", "missing")
 
 
 def rule_trace(stage, fired, label=None, weight=1.0):
@@ -316,25 +324,114 @@ class TestProvenanceLog:
         def surface(log):
             return (
                 log.records,
-                {item: list(bucket) for item, bucket in log._by_item.items()},
-                (log.total_records, log.evicted_records, log._seq),
+                {item_id: log.why(item_id) for item_id in "abcde"},
+                (log.total_records, log.evicted_records, log.next_seq()),
             )
 
         # The replaced implementation: decode every complete line, keep the tail.
         with open(spool) as handle:
             complete = handle.readlines()[: len(item_ids)]
-        decoded = ProvenanceLog.read_jsonl(io.StringIO("".join(complete)))
-        full = ProvenanceLog(capacity=capacity, spool=spool, spool_all=True)
-        full.total_records = len(decoded)
-        full.evicted_records = max(0, len(decoded) - capacity)
-        full._seq = max((record.seq for record in decoded), default=0)
-        for record in decoded[-capacity:]:
-            full._records.append(record)
-            full._by_item.setdefault(record.item_id, deque()).append(record)
+        full = ProvenanceLog(capacity=capacity)
+        for record in ProvenanceLog.read_jsonl(io.StringIO("".join(complete))):
+            full.record(record)
 
         replayed = ProvenanceLog.replay(spool, capacity=capacity)
-        assert surface(replayed) == surface(full) == surface(live)
         assert len(replayed) == min(len(item_ids), capacity)
+        assert surface(replayed) == surface(full) == surface(live)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(_RING_ITEMS),
+                st.sampled_from(_RING_LABELS),
+                st.lists(st.sampled_from(_RING_RULES), max_size=3, unique=True),
+                st.lists(st.sampled_from(_RING_RULES), max_size=2, unique=True),
+                st.lists(st.sampled_from(_RING_RULES), max_size=2, unique=True),
+            ),
+            min_size=1,  # an unwritten spool has no file to replay
+            max_size=20,
+        ),
+        capacity=st.integers(min_value=1, max_value=8),
+    )
+    def test_ring_answers_equal_by_value_in_every_spool_mode(
+        self, specs, capacity, tmp_path_factory
+    ):
+        """A ring of encoded lines (write-ahead) and a ring of records
+        (unspooled, spool-on-evict) are one log by value: every query,
+        counter, export, eviction callback and a replay of the spool. The
+        ids are chosen to break a loose substring pre-filter: ``r1`` /
+        ``r10``, a rule named like a type, a rule that is a prefix of a
+        label, and ids that JSON escapes."""
+
+        def feed(log):
+            for index, (item_id, label, rule, attr, filtered) in enumerate(specs):
+                log.record(make_record(
+                    item_id, label, batch_id=f"b{index // 4}",
+                    stages=(
+                        rule_trace("rule-based", rule, label, 0.75),
+                        rule_trace("attr-value", attr, label),
+                    ),
+                    ranked=((label, 0.9),) if label else (),
+                    final=(label, 0.9) if label else None,
+                    filter_fired=filtered,
+                ))
+            return log
+
+        def surface(log):
+            snapshot = io.StringIO()
+            written = log.write_jsonl(snapshot)
+            return {
+                "records": log.records,
+                "why": {item_id: log.why(item_id) for item_id in _RING_ITEMS},
+                "blame": {rule_id: log.blame(rule_id) for rule_id in _RING_NEEDLES},
+                "by_type": {
+                    name: log.records_for_type(name) for name in _RING_NEEDLES
+                },
+                "summary": {
+                    rule_id: log.blame_summary(rule_id) for rule_id in _RING_NEEDLES
+                },
+                "jsonl": (written, snapshot.getvalue()),
+                "counts": (len(log), log.total_records, log.evicted_records),
+            }
+
+        spool = str(tmp_path_factory.mktemp("ring") / "spool.jsonl")
+        evict_spool = io.StringIO()
+        evicted = {"plain": [], "on-evict": [], "write-ahead": []}
+        logs = {
+            "plain": ProvenanceLog(capacity, on_evict=evicted["plain"].append),
+            "on-evict": ProvenanceLog(
+                capacity, spool=evict_spool, on_evict=evicted["on-evict"].append
+            ),
+            "write-ahead": ProvenanceLog(
+                capacity, spool=spool, spool_all=True,
+                on_evict=evicted["write-ahead"].append,
+            ),
+        }
+        for log in logs.values():
+            feed(log)
+        assert all(isinstance(entry, str) for entry in logs["write-ahead"]._records)
+
+        expected = surface(logs["plain"])
+        assert surface(logs["on-evict"]) == expected
+        assert surface(logs["write-ahead"]) == expected
+        assert evicted["on-evict"] == evicted["write-ahead"] == evicted["plain"]
+        evict_spool.seek(0)
+        assert ProvenanceLog.read_jsonl(evict_spool) == evicted["plain"]
+
+        logs["write-ahead"].close()
+        folded = []
+        for observe in (None, folded.append):
+            replayed = ProvenanceLog.replay(spool, capacity, observe=observe)
+            assert surface(replayed) == expected
+            assert replayed.next_seq() == len(specs) + 1
+        assert folded == evicted["plain"] + expected["records"]
+
+        # rotate() evicts the rest through the same decode point.
+        assert {log.rotate() for log in logs.values()} == {len(expected["records"])}
+        assert evicted["on-evict"] == evicted["write-ahead"] == evicted["plain"]
+        assert len(evicted["plain"]) == len(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,27 @@ class TestHttpConsole:
         assert doc["status"] == "ok" and doc["ordinal"] == 4
         assert "rule-based" in doc["stages"]
 
+    def test_health_resident_block(self, server, live_service):
+        """What the process holds, as lengths and counters: every item of
+        this stream (it re-lists none) is held, the ring is within its cap."""
+        _, doc = _get(server.url + "/health")
+        resident = doc["resident"]
+        assert sorted(resident) == [
+            "items_held", "match_rows", "peak_rss_mb", "prepared_items",
+            "provenance_capacity", "provenance_retained", "rss_mb",
+        ]
+        assert resident["items_held"] == doc["totals"]["items"] > 0
+        assert resident["prepared_items"] == resident["items_held"]
+        assert 0 < resident["match_rows"] <= resident["items_held"]
+        assert resident["provenance_retained"] == min(
+            doc["provenance_records"], resident["provenance_capacity"]
+        )
+        assert resident["provenance_capacity"] == (
+            live_service.config.provenance_capacity
+        )
+        # Two kernel counters read at different instants: sane, not ordered.
+        assert resident["rss_mb"] > 0 and resident["peak_rss_mb"] > 0
+
     def test_metrics(self, server):
         status, doc = _get(server.url + "/metrics")
         assert status == 200
