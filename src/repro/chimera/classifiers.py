@@ -13,7 +13,7 @@ Voting Master can combine them uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.catalog.types import ProductItem
 from repro.chimera.matching import RuleSetMatcher
@@ -24,45 +24,74 @@ from repro.learning.ensemble import VotingEnsemble
 from repro.observability.provenance import StageTrace
 
 
-class ClassifierStage(ABC):
-    """A named pipeline stage producing per-item predictions.
+class StageAnswer:
+    """One stage's answer for one item — votes, allowed-type restriction
+    and provenance trace — in the shape :meth:`VotingMaster.combine
+    <repro.chimera.voting.VotingMaster.combine>` reads a stage, so the
+    pipeline votes over answers a batch call computed earlier."""
 
-    When ``record_provenance`` is on, each ``predict`` call stashes a
+    __slots__ = ("name", "enabled", "votes", "allowed", "trace")
+
+    def __init__(
+        self,
+        stage,
+        votes: List[Prediction],
+        allowed: Optional[Set[str]] = None,
+        trace: Optional[StageTrace] = None,
+    ):
+        self.name = stage.name
+        self.enabled = stage.enabled
+        self.votes = votes
+        self.allowed = allowed
+        self.trace = trace
+
+    def predict(self, item: ItemLike) -> List[Prediction]:
+        return self.votes
+
+    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
+        return self.allowed
+
+
+class ClassifierStage(ABC):
+    """A named pipeline stage producing per-item answers.
+
+    When ``record_provenance`` is on, each answer carries a
     :class:`~repro.observability.provenance.StageTrace` of what fired and
     what was voted, captured from the values the stage computed anyway —
     recording never re-evaluates a rule, which is what keeps labels
-    byte-identical with telemetry on or off. The pipeline collects the
-    stash with :meth:`take_trace` (take-and-clear). A stage with nothing
-    to report — routed around by its breaker, untrained, or simply no
-    rule fired and no vote cast — stashes nothing, so empty traces never
-    hit the per-item recording budget.
+    byte-identical with telemetry on or off. A stage with nothing to
+    report — untrained, or simply no rule fired and no vote cast — leaves
+    the trace None, so empty traces never hit the recording budget.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.enabled = True
         self.record_provenance = False
-        self._last_trace: Optional[StageTrace] = None
 
     @abstractmethod
+    def answer(self, item: ItemLike) -> StageAnswer:
+        """Votes, restriction and trace for one item, evaluated once."""
+
+    def answer_batch(self, items: Sequence[ItemLike]) -> List[StageAnswer]:
+        """One answer per item, in order: the call the pipeline guards."""
+        return [self.answer(item) for item in items]
+
     def predict(self, item: ItemLike) -> List[Prediction]:
         """Weighted type votes for one item (empty when nothing fires)."""
+        return self.answer(item).votes
 
     def constraints(self, item: ItemLike) -> Optional[Set[str]]:
         """Allowed-type restriction for ``item``, or None for unconstrained."""
         return None
 
-    def take_trace(self) -> Optional[StageTrace]:
-        """The last predict's provenance trace, cleared on read."""
-        trace, self._last_trace = self._last_trace, None
-        return trace
-
 
 class RuleSetStage(ClassifierStage):
     """A stage whose votes are one rule set's verdict.
 
-    The verdict comes from :attr:`matcher` — one engine evaluation per
-    item, folded by the rule set — never from ``rules.apply``.
+    The verdict comes from :attr:`matcher` — the row the fired-map tracker
+    wrote when the batch arrived, else one engine evaluation — folded by
+    the rule set; never from ``rules.apply``.
     """
 
     def __init__(self, rules: Optional[RuleSet], name: str):
@@ -70,31 +99,29 @@ class RuleSetStage(ClassifierStage):
         self.rules = rules if rules is not None else RuleSet(name=name)
         self.matcher = RuleSetMatcher(self.rules)
 
-    def _evaluate(self, item: ItemLike) -> RuleVerdict:
-        return self.matcher.verdict(item)
-
     def allowed(self, verdict: RuleVerdict) -> Optional[Set[str]]:
         """The restriction ``verdict`` puts on *other* stages' votes: none —
         a rule set's constraints already shaped its own predictions."""
         return None
 
-    def predict(self, item: ItemLike) -> List[Prediction]:
-        verdict = self._evaluate(item)
-        predictions = [
+    def answer(self, item: ItemLike) -> StageAnswer:
+        verdict = self.matcher.verdict(item)
+        votes = [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
             for p in verdict.predictions
         ]
+        trace = None
         if self.record_provenance and (
             verdict.fired or verdict.vetoed or verdict.constrained_to is not None
         ):
-            self._last_trace = StageTrace(
+            trace = StageTrace(
                 self.name,
                 verdict.fired,
-                tuple([(p.label, p.weight, p.source) for p in predictions]),
+                tuple([(p.label, p.weight, p.source) for p in votes]),
                 verdict.vetoed,
                 verdict.constrained_to,
             )
-        return predictions
+        return StageAnswer(self, votes, self.allowed(verdict), trace)
 
 
 class RuleBasedClassifier(RuleSetStage):
@@ -109,17 +136,6 @@ class AttributeValueClassifier(RuleSetStage):
 
     def __init__(self, rules: Optional[RuleSet] = None, name: str = "attr-value"):
         super().__init__(rules, name)
-        # predict() leaves its verdict here for the constraints() call the
-        # Voting Master makes next on the same item (taken once, and only
-        # while the rule set is unchanged), so the pair evaluates once.
-        self._handoff: Tuple[Optional[ItemLike], int, Optional[RuleVerdict]] = (
-            None, -1, None,
-        )
-
-    def _evaluate(self, item: ItemLike) -> RuleVerdict:
-        verdict = self.matcher.verdict(item)
-        self._handoff = (item, self.rules.version, verdict)
-        return verdict
 
     def allowed(self, verdict: RuleVerdict) -> Optional[Set[str]]:
         """Value rules constrain every stage's candidates, not just ours."""
@@ -128,11 +144,7 @@ class AttributeValueClassifier(RuleSetStage):
         return set(verdict.constrained_to)
 
     def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        held_item, held_version, verdict = self._handoff
-        self._handoff = (None, -1, None)
-        if held_item is not item or held_version != self.rules.version:
-            verdict = self.matcher.verdict(item)
-        return self.allowed(verdict)
+        return self.allowed(self.matcher.verdict(item))
 
 
 class LearningClassifierStage(ClassifierStage):
@@ -158,25 +170,30 @@ class LearningClassifierStage(ClassifierStage):
     def is_trained(self) -> bool:
         return self._trained
 
-    def votes(self, item: ItemLike) -> List[Prediction]:
-        """The ensemble's unsuppressed votes, sourced to this stage."""
-        if not self._trained:
-            return []
-        return [
-            Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
-            for p in self.ensemble.predict(item.title)
-            if p.label not in self.suppressed_types
-        ]
+    def answer(self, item: ItemLike) -> StageAnswer:
+        return self.answer_batch([item])[0]
 
-    def predict(self, item: ItemLike) -> List[Prediction]:
-        surviving = self.votes(item)
-        if self.record_provenance and surviving:
-            # Learning votes carry no fired rule ids — the vote source
-            # names the ensemble member, which is exactly the liability
-            # distinction §3.2 draws between rule and learning labels.
-            self._last_trace = StageTrace(
-                self.name,
-                (),
-                tuple([(p.label, p.weight, p.source) for p in surviving]),
-            )
-        return surviving
+    def answer_batch(self, items: Sequence[ItemLike]) -> List[StageAnswer]:
+        """The ensemble's unsuppressed votes, sourced to this stage, from
+        one ``predict_batch`` over every title."""
+        if not self._trained:
+            return [StageAnswer(self, []) for _ in items]
+        answers = []
+        for predictions in self.ensemble.predict_batch([item.title for item in items]):
+            surviving = [
+                Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
+                for p in predictions
+                if p.label not in self.suppressed_types
+            ]
+            trace = None
+            if self.record_provenance and surviving:
+                # Learning votes carry no fired rule ids — the vote source
+                # names the ensemble member, which is exactly the liability
+                # distinction §3.2 draws between rule and learning labels.
+                trace = StageTrace(
+                    self.name,
+                    (),
+                    tuple([(p.label, p.weight, p.source) for p in surviving]),
+                )
+            answers.append(StageAnswer(self, surviving, None, trace))
+        return answers

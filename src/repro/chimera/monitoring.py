@@ -21,9 +21,9 @@ not allowed to take down classification of every item. That is the job of:
   callbacks the :class:`~repro.chimera.incidents.IncidentManager`
   subscribes to;
 * :class:`GuardedStage` — the wrapper the pipeline threads its stages
-  through: catches stage exceptions, feeds the monitor, and returns
-  no-votes while the breaker is open (the voting master simply sees an
-  abstaining stage, which is Chimera's standard degrade path).
+  through, a batch at a time: catches stage exceptions, feeds the monitor,
+  and answers no-votes while the breaker is open (the voting master simply
+  sees an abstaining stage, which is Chimera's standard degrade path).
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ from __future__ import annotations
 import enum
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+
+from repro.chimera.classifiers import StageAnswer
+from repro.observability.tracer import NULL_TRACER
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,13 @@ class CircuitBreaker:
     transition reproducible in tests and under the simulation clock.
     """
 
-    def __init__(self, failure_threshold: int = 3, cooldown: int = 8, name: str = ""):
+    def __init__(
+        self,
+        failure_threshold: int = 3,
+        cooldown: int = 8,
+        name: str = "",
+        on_move: Optional[Callable[[str], None]] = None,
+    ):
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
         if cooldown < 1:
@@ -248,10 +257,14 @@ class CircuitBreaker:
         self.times_opened = 0
         self._cooldown_remaining = 0
         self.transitions: List[Tuple[str, str]] = []
+        # Called with ``name`` after every state change.
+        self.on_move = on_move
 
     def _move(self, state: BreakerState) -> None:
         self.transitions.append((self.state.value, state.value))
         self.state = state
+        if self.on_move is not None:
+            self.on_move(self.name)
 
     def allow(self) -> bool:
         """May the next call go through? (OPEN swallows and counts down.)"""
@@ -263,8 +276,8 @@ class CircuitBreaker:
             return True  # the probe call
         return True
 
-    def record_success(self) -> None:
-        self.total_successes += 1
+    def record_success(self, calls: int = 1) -> None:
+        self.total_successes += calls
         self.consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
             self._move(BreakerState.CLOSED)
@@ -293,7 +306,6 @@ class StageFault:
 
     stage: str
     error: str
-    call_index: int
 
 
 class StageHealthMonitor:
@@ -326,10 +338,10 @@ class StageHealthMonitor:
         self.faults: List[StageFault] = []
         self.events: List[Tuple[str, str]] = []  # (stage, event)
         self.on_breaker_open: List[Callable[[str], None]] = []
-        self._calls = 0
         # Optional MetricsRegistry; when set, every health event is mirrored
-        # as stage_{success,failure,routed_around}_total counters plus the
-        # stage_breaker_state gauge (0=closed, 1=half-open, 2=open).
+        # as stage_{success,failure,routed_around}_total counters, and the
+        # stage_breaker_state gauge (0=closed, 1=half-open, 2=open) is set
+        # when a breaker is created and on each of its state changes.
         self.metrics = metrics
 
     def _publish_state(self, stage_name: str) -> None:
@@ -341,12 +353,12 @@ class StageHealthMonitor:
     def breaker(self, stage_name: str) -> CircuitBreaker:
         if stage_name not in self._breakers:
             self._breakers[stage_name] = CircuitBreaker(
-                self.failure_threshold, self.cooldown, name=stage_name
+                self.failure_threshold, self.cooldown, stage_name, self._publish_state
             )
+            self._publish_state(stage_name)
         return self._breakers[stage_name]
 
     def allow(self, stage_name: str) -> bool:
-        self._calls += 1
         allowed = self.breaker(stage_name).allow()
         if not allowed:
             self.routed_around[stage_name] += 1
@@ -354,25 +366,24 @@ class StageHealthMonitor:
                 self.metrics.counter(
                     "stage_routed_around_total", stage=stage_name
                 ).inc()
-        self._publish_state(stage_name)
         return allowed
 
-    def record_success(self, stage_name: str) -> None:
-        self.successes[stage_name] += 1
-        self.breaker(stage_name).record_success()
+    def record_success(self, stage_name: str, calls: int = 1) -> None:
+        """Book ``calls`` allowed-and-returned calls (a batch books its
+        items in bulk: two per item, the votes and the constraints)."""
+        self.successes[stage_name] += calls
+        self.breaker(stage_name).record_success(calls)
         if self.metrics is not None:
-            self.metrics.counter("stage_success_total", stage=stage_name).inc()
-        self._publish_state(stage_name)
+            self.metrics.counter("stage_success_total", stage=stage_name).inc(calls)
 
     def record_failure(self, stage_name: str, error: Exception) -> None:
         self.failures[stage_name] += 1
-        self.faults.append(StageFault(stage_name, repr(error), self._calls))
+        self.faults.append(StageFault(stage_name, repr(error)))
         breaker = self.breaker(stage_name)
         was_open = breaker.state is BreakerState.OPEN
         breaker.record_failure()
         if self.metrics is not None:
             self.metrics.counter("stage_failure_total", stage=stage_name).inc()
-        self._publish_state(stage_name)
         if breaker.state is BreakerState.OPEN and not was_open:
             self.events.append((stage_name, "breaker-open"))
             for callback in self.on_breaker_open:
@@ -402,20 +413,25 @@ class StageHealthMonitor:
 
 
 class GuardedStage:
-    """Duck-typed :class:`~repro.chimera.classifiers.ClassifierStage` proxy.
+    """Guards a :class:`~repro.chimera.classifiers.ClassifierStage` a batch
+    at a time, so the pipeline keeps classifying when the stage misbehaves.
 
-    Wraps a real stage so the pipeline keeps classifying when the stage
-    misbehaves: exceptions become no-votes (and feed the monitor), and an
-    open breaker skips the stage entirely until its cooldown elapses.
-    ``name``/``enabled`` delegate to the wrapped stage, so operator
-    actions on the underlying object (disabling, retraining) stay visible.
+    While the stage's breaker is CLOSED the whole batch is one call, booked
+    in bulk but item-denominated: two successes per item (its votes and its
+    constraints), exactly what answering item by item books. When the
+    breaker is not CLOSED, or the batch call raises, the batch is answered
+    item by item under the per-call guard instead — an exception costs only
+    that item's votes (and feeds the monitor), and an open breaker skips
+    the stage until its cooldown, counted in calls, elapses.
+    ``name``/``enabled`` delegate to the wrapped stage, so operator actions
+    on the underlying object (disabling, retraining) stay visible.
     """
 
-    def __init__(self, stage, health: StageHealthMonitor, tracer=None):
+    def __init__(self, stage, health: StageHealthMonitor, tracer=NULL_TRACER):
         self.stage = stage
         self.health = health
-        # Optional Tracer; each guarded call becomes a "stage.<name>" span
-        # with op= and outcome= attributes (ok / error / routed-around).
+        # Each guarded batch is one "stage.<name>" span with items= and
+        # outcome= (ok, or per-item when the batch was answered one by one).
         self.tracer = tracer
 
     @property
@@ -426,35 +442,42 @@ class GuardedStage:
     def enabled(self) -> bool:
         return self.stage.enabled
 
-    def _guarded(self, method: Callable, fallback, op: str):
-        if self.tracer is None:
-            return self._call(method, fallback, None)
-        with self.tracer.span(f"stage.{self.stage.name}", op=op) as span:
-            return self._call(method, fallback, span)
+    def answer_batch(self, items: Sequence) -> List[StageAnswer]:
+        name = self.stage.name
+        with self.tracer.span(f"stage.{name}", items=len(items)) as span:
+            if self.health.breaker(name).state is BreakerState.CLOSED:
+                try:
+                    answers = self.stage.answer_batch(items)
+                except Exception as exc:
+                    # Not booked here: the per-item guard below finds the
+                    # offending items and books each on its own.
+                    span.set_attribute("batch_error", type(exc).__name__)
+                else:
+                    self.health.record_success(name, 2 * len(items))
+                    span.set_attribute("outcome", "ok")
+                    return answers
+            span.set_attribute("outcome", "per-item")
+            return [self._answer(item) for item in items]
 
-    def _call(self, method: Callable, fallback, span):
-        if not self.health.allow(self.stage.name):
-            if span is not None:
-                span.set_attribute("outcome", "routed-around")
-            return fallback
+    def _answer(self, item) -> StageAnswer:
+        """One item, two guarded calls: its answer, then its constraints
+        (which a returned answer already holds)."""
+        answer = self._call(lambda: self.stage.answer(item))
+        if answer is not None:
+            self.health.record_success(self.stage.name)  # the constraints call
+            return answer
+        allowed = self._call(lambda: self.stage.constraints(item))
+        return StageAnswer(self.stage, [], allowed)
+
+    def _call(self, method: Callable):
+        """``method()``, or None when routed around or raising."""
+        name = self.stage.name
+        if not self.health.allow(name):
+            return None
         try:
             result = method()
         except Exception as exc:
-            self.health.record_failure(self.stage.name, exc)
-            if span is not None:
-                span.set_attribute("outcome", "error")
-            return fallback
-        self.health.record_success(self.stage.name)
-        if span is not None:
-            span.set_attribute("outcome", "ok")
+            self.health.record_failure(name, exc)
+            return None
+        self.health.record_success(name)
         return result
-
-    def predict(self, item) -> List:
-        return self._guarded(lambda: self.stage.predict(item), [], "predict")
-
-    def constraints(self, item) -> Optional[Set[str]]:
-        return self._guarded(lambda: self.stage.constraints(item), None, "constraints")
-
-    def take_trace(self):
-        """Provenance passthrough (a routed-around call leaves None)."""
-        return self.stage.take_trace()

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.generator import LabeledTitle
 from repro.catalog.types import ProductItem
@@ -11,6 +12,7 @@ from repro.chimera.classifiers import (
     AttributeValueClassifier,
     LearningClassifierStage,
     RuleBasedClassifier,
+    StageAnswer,
 )
 from repro.chimera.filter import FinalFilter, first_surviving
 from repro.chimera.gatekeeper import GateAction, GateKeeper
@@ -56,6 +58,25 @@ class BatchResult:
 
     results: List[ItemResult] = field(default_factory=list)
     rejected: List[ProductItem] = field(default_factory=list)
+    #: ``len(classified_pairs)`` and results per ``source``, counted as
+    #: :meth:`add` assembles ``results`` (or once, when constructed whole).
+    n_classified: int = field(init=False, default=0)
+    sources: Counter = field(init=False, default_factory=Counter)
+
+    def __post_init__(self) -> None:
+        results, self.results = self.results, []
+        for result in results:
+            self.add(result)
+
+    def add(self, result: ItemResult) -> None:
+        self.results.append(result)
+        self.sources[result.source] += 1
+        if result.label is not None:
+            self.n_classified += 1
+
+    @property
+    def n_declined(self) -> int:
+        return len(self.results) - self.n_classified
 
     @property
     def classified_pairs(self) -> List[Tuple[ProductItem, str]]:
@@ -70,7 +91,7 @@ class BatchResult:
         """Fraction of (non-junk) items the system classified."""
         if not self.results:
             return 0.0
-        return sum(1 for r in self.results if r.classified) / len(self.results)
+        return self.n_classified / len(self.results)
 
     # Ground-truth metrics: for experiment reporting only — the deployed
     # pipeline never sees true_type, but benchmarks need the real numbers.
@@ -116,24 +137,6 @@ class BatchResult:
         return metrics
 
 
-class _StageAnswer:
-    """One stage's already-computed votes and allowed-type restriction, in
-    the shape :meth:`VotingMaster.combine` reads a stage — how
-    :meth:`Chimera.explain_item` votes without evaluating twice."""
-
-    def __init__(self, stage, votes, allowed: Optional[Set[str]]):
-        self.name = stage.name
-        self.enabled = stage.enabled
-        self._votes = votes
-        self._allowed = allowed
-
-    def predict(self, item: ItemLike):
-        return self._votes
-
-    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        return self._allowed
-
-
 class Chimera:
     """The full pipeline: gate → stages → voting → filter.
 
@@ -159,22 +162,19 @@ class Chimera:
         self.voting = voting
         self.filter = final_filter
         # ``observability`` threads one tracer + metrics registry through
-        # the whole pipeline: classify calls emit chimera.* spans (gate →
-        # stages → vote → filter) and the health monitor mirrors breaker
-        # state as gauges. The default NULL instance records nothing.
+        # the whole pipeline: each batch emits one chimera.* span per step
+        # (gate → stages → vote → filter) and the health monitor mirrors
+        # breaker state as gauges. The default NULL instance records nothing.
         self.observability = ensure_observability(observability)
-        # Every stage call is routed through a circuit-breaker guard: a
+        # Every stage is answered through a circuit-breaker guard: a
         # stage that throws repeatedly is routed around (no votes) until
         # its breaker cools down, so one bad component degrades coverage
         # instead of stopping classification (§2.2).
         self.health = health if health is not None else StageHealthMonitor()
         if self.observability.enabled and self.health.metrics is None:
             self.health.metrics = self.observability.metrics
-        tracer = (
-            self.observability.tracer if self.observability.enabled else None
-        )
         self._guarded_stages = [
-            GuardedStage(stage, self.health, tracer=tracer)
+            GuardedStage(stage, self.health, tracer=self.observability.tracer)
             for stage in (self.rule_stage, self.attr_stage, self.learning_stage)
         ]
         self.training_data: List[LabeledTitle] = []
@@ -182,7 +182,7 @@ class Chimera:
         # stage name -> incremental fired-map tracker (see track_fired_map).
         self.fired_trackers: Dict[str, IncrementalExecutor] = {}
         # Rule-quality telemetry (see enable_quality_telemetry): when set,
-        # every classify_item records its full attribution chain.
+        # every classified item records its full attribution chain.
         self.quality: Optional[QualityTelemetry] = None
         self._batch_counter = 0
 
@@ -404,19 +404,11 @@ class Chimera:
         stages: Tuple[StageTrace, ...] = (),
         ranked=(),
         final=None,
+        filter_trace: Optional[StageTrace] = None,
     ) -> None:
         # Hot path: positional construction, seq stamped inside record()
         # — every call and keyword saved here is per classified item
         # (benchmarks/bench_quality_overhead.py).
-        quality = self.quality
-        filt = self.filter
-        filter_trace = filt._last_trace
-        if filter_trace is not None:
-            filt._last_trace = None
-            filter_fired = filter_trace.fired
-            filter_vetoed = filter_trace.vetoed
-        else:
-            filter_fired = filter_vetoed = ()
         record = ProvenanceRecord(
             0,  # seq: assigned by ProvenanceLog.record
             item_id,
@@ -428,39 +420,11 @@ class Chimera:
             stages,
             tuple([(p.label, p.weight) for p in ranked]) if ranked else (),
             (final.label, final.weight) if final is not None else None,
-            filter_fired,
-            filter_vetoed,
+            filter_trace.fired if filter_trace is not None else (),
+            filter_trace.vetoed if filter_trace is not None else (),
         )
-        quality.provenance.record(record)
-        quality.health.observe_record(record)
-
-    def _collect_stage_traces(self) -> Tuple[StageTrace, ...]:
-        # Reads the stages' trace stashes directly (take-and-clear, same
-        # contract as ClassifierStage.take_trace) — three method calls per
-        # item add up against the telemetry overhead budget.
-        traces = []
-        stage = self.rule_stage
-        trace = stage._last_trace
-        if trace is not None:
-            stage._last_trace = None
-            traces.append(trace)
-        stage = self.attr_stage
-        trace = stage._last_trace
-        if trace is not None:
-            stage._last_trace = None
-            traces.append(trace)
-        stage = self.learning_stage
-        trace = stage._last_trace
-        if trace is not None:
-            stage._last_trace = None
-            traces.append(trace)
-        return tuple(traces)
-
-    def _clear_traces(self) -> None:
-        self.rule_stage._last_trace = None
-        self.attr_stage._last_trace = None
-        self.learning_stage._last_trace = None
-        self.filter._last_trace = None
+        self.quality.provenance.record(record)
+        self.quality.health.observe_record(record)
 
     # -- classification -----------------------------------------------------------
 
@@ -474,77 +438,84 @@ class Chimera:
                     return cached
         return prepare(item)
 
+    def _classify(self, items: Sequence[ItemLike], batch_id: str) -> BatchResult:
+        """Every step answers the batch once, and records per item.
+
+        Each item is prepared (tokenized) once; the gate, every stage and
+        the filter share that :class:`~repro.core.prepared.PreparedItem`
+        view. Each enabled stage then answers all the items the gate passed
+        in one guarded call, and the Voting Master and the Filter walk
+        those answers item by item. With quality telemetry enabled, each
+        item's attribution chain (gate decision, per-stage fired rules and
+        votes, voting-master ranking, filter outcome) is recorded under
+        ``batch_id``, in item order.
+        """
+        obs = self.observability
+        result = BatchResult()
+        with obs.span("chimera.classify_batch", items=len(items)) as batch_span:
+            with obs.span("chimera.gate"):
+                prepared = [self._prepared(item) for item in items]
+                decisions = [self.gatekeeper.process(item) for item in prepared]
+            passed = [
+                item
+                for item, decision in zip(prepared, decisions)
+                if decision.action is GateAction.PASS
+            ]
+            # rows[i]: the enabled stages' answers for passed[i], stage order.
+            rows = list(zip(*[
+                stage.answer_batch(passed)
+                for stage in self._guarded_stages
+                if passed and stage.enabled
+            ])) or [()] * len(passed)
+            with obs.span("chimera.vote"):
+                votes = [
+                    self.voting.combine(item, row) for item, row in zip(passed, rows)
+                ]
+            with obs.span("chimera.filter"):
+                threshold = self.voting.confidence_threshold
+                picks = [
+                    (self.filter.select(item, ranked, threshold), self.filter.take_trace())
+                    if ranked
+                    else (None, None)
+                    for item, (_final, ranked) in zip(passed, votes)
+                ]
+            outcomes = zip(rows, votes, picks)
+            for item, view, decision in zip(items, prepared, decisions):
+                traces, ranked, final, filter_trace = (), (), None, None
+                if decision.action is GateAction.REJECT:
+                    label, source = None, "gate-reject"
+                elif decision.action is GateAction.CLASSIFY:
+                    label, source = decision.label, "gate"
+                else:
+                    row, (final, ranked), (pick, filter_trace) = next(outcomes)
+                    traces = tuple([a.trace for a in row if a.trace is not None])
+                    if not ranked:
+                        label, source = None, "no-votes"
+                    elif pick is None:
+                        label, source = None, "low-confidence-or-filtered"
+                    else:
+                        label, source = pick.label, "pipeline"
+                if self.quality is not None:
+                    self._record_provenance(
+                        view.item_id, batch_id, label, source, decision,
+                        traces, ranked, final, filter_trace,
+                    )
+                if decision.action is GateAction.REJECT:
+                    result.rejected.append(item)
+                else:
+                    result.add(ItemResult(view.item, label, source))
+            batch_span.set_attribute("classified", result.n_classified)
+            batch_span.set_attribute("rejected", len(result.rejected))
+        return result
+
     def classify_item(
         self, item: ItemLike, batch_id: str = ""
     ) -> Optional[ItemResult]:
-        """Classify one item; None means the gate rejected it as junk.
-
-        The item is prepared (tokenized) once here; every stage, rule set,
-        and filter below shares the same
-        :class:`~repro.core.prepared.PreparedItem` view. With quality
-        telemetry enabled, the item's attribution chain (gate decision,
-        per-stage fired rules and votes, voting-master ranking, filter
-        outcome) is recorded under ``batch_id``.
-        """
-        obs = self.observability
-        quality = self.quality
-        with obs.span("chimera.classify_item") as item_span:
-            with obs.span("chimera.prepare"):
-                prepared = self._prepared(item)
-            raw_item = prepared.item
-            with obs.span("chimera.gate"):
-                decision = self.gatekeeper.process(prepared)
-            if decision.action is GateAction.REJECT:
-                item_span.set_attribute("source", "gate-reject")
-                if quality is not None:
-                    self._record_provenance(
-                        prepared.item_id, batch_id, None, "gate-reject", decision
-                    )
-                return None
-            if decision.action is GateAction.CLASSIFY:
-                item_span.set_attribute("source", "gate")
-                if quality is not None:
-                    self._record_provenance(
-                        prepared.item_id, batch_id, decision.label, "gate", decision
-                    )
-                return ItemResult(raw_item, decision.label, source="gate")
-            if quality is not None:
-                # Drop any stash left by a bypassed/rejected item so a
-                # routed-around stage can't surface a stale trace.
-                self._clear_traces()
-            with obs.span("chimera.vote"):
-                final, ranked = self.voting.combine(prepared, self._guarded_stages)
-            stage_traces = (
-                self._collect_stage_traces() if quality is not None else ()
-            )
-            if final is None and not ranked:
-                item_span.set_attribute("source", "no-votes")
-                if quality is not None:
-                    self._record_provenance(
-                        prepared.item_id, batch_id, None, "no-votes",
-                        decision, stage_traces,
-                    )
-                return ItemResult(raw_item, None, source="no-votes")
-            with obs.span("chimera.filter"):
-                chosen = self.filter.select(
-                    prepared, ranked, self.voting.confidence_threshold
-                )
-            if chosen is None:
-                item_span.set_attribute("source", "low-confidence-or-filtered")
-                if quality is not None:
-                    self._record_provenance(
-                        prepared.item_id, batch_id, None,
-                        "low-confidence-or-filtered", decision,
-                        stage_traces, ranked, final,
-                    )
-                return ItemResult(raw_item, None, source="low-confidence-or-filtered")
-            item_span.set_attribute("source", "pipeline")
-            if quality is not None:
-                self._record_provenance(
-                    prepared.item_id, batch_id, chosen.label, "pipeline",
-                    decision, stage_traces, ranked, final,
-                )
-            return ItemResult(raw_item, chosen.label, source="pipeline")
+        """Classify one item — a one-item batch that neither takes a batch
+        number nor closes a health batch; None means the gate rejected it
+        as junk."""
+        result = self._classify([item], batch_id)
+        return result.results[0] if result.results else None
 
     def explain_item(self, item: ProductItem) -> str:
         """A human-readable account of how the pipeline treats ``item``.
@@ -555,7 +526,7 @@ class Chimera:
         exactly why business-critical types are forced through rules.
 
         Read-only: one pass over the matchers and learners
-        :meth:`classify_item` consults, each evaluated once, outside the
+        :meth:`classify_batch` consults, each evaluated once, outside the
         circuit-breaker guards — no provenance record, no health-window
         observation, no stage trace, no breaker call. A raising stage
         raises here.
@@ -572,15 +543,15 @@ class Chimera:
         for stage in (self.rule_stage, self.attr_stage):
             verdict = stage.matcher.verdict(prepared)
             answers.append(
-                _StageAnswer(stage, verdict.predictions, stage.allowed(verdict))
+                StageAnswer(stage, verdict.predictions, stage.allowed(verdict))
             )
             explanation = explain_verdict(stage.rules, prepared.item, verdict)
             if explanation.steps:
                 lines.append(f"stage {stage.name}:")
                 for step in explanation.steps:
                     lines.append(f"  [{step.kind}] {step.statement} -> {step.effect}")
-        learning_votes = self.learning_stage.votes(prepared)
-        answers.append(_StageAnswer(self.learning_stage, learning_votes, None))
+        learning_votes = self.learning_stage.predict(prepared)
+        answers.append(StageAnswer(self.learning_stage, learning_votes))
         if learning_votes:
             rendered = ", ".join(f"{p.label} ({p.weight:.2f})" for p in learning_votes)
             lines.append(f"stage learning: {rendered}")
@@ -600,36 +571,21 @@ class Chimera:
     def classify_batch(
         self, items: Sequence[ProductItem], batch_id: Optional[str] = None
     ) -> BatchResult:
-        obs = self.observability
-        result = BatchResult()
         if batch_id is None:
             batch_id = f"batch-{self._batch_counter:04d}"
         self._batch_counter += 1
-        with obs.span("chimera.classify_batch", items=len(items)) as batch_span:
-            for item in items:
-                item_result = self.classify_item(item, batch_id=batch_id)
-                if item_result is None:
-                    result.rejected.append(item)
-                else:
-                    result.results.append(item_result)
-            batch_span.set_attribute(
-                "classified", sum(1 for r in result.results if r.classified)
-            )
-            batch_span.set_attribute("rejected", len(result.rejected))
+        result = self._classify(items, batch_id)
         if self.quality is not None:
             self.quality.finish_batch(batch_id, len(items))
+        obs = self.observability
         if obs.enabled:
-            classified = sum(1 for r in result.results if r.classified)
             obs.metrics.counter("chimera_items_total").inc(len(items))
-            obs.metrics.counter("chimera_classified_total").inc(classified)
-            obs.metrics.counter("chimera_declined_total").inc(
-                len(result.results) - classified
-            )
+            obs.metrics.counter("chimera_classified_total").inc(result.n_classified)
+            obs.metrics.counter("chimera_declined_total").inc(result.n_declined)
             obs.metrics.counter("chimera_rejected_total").inc(len(result.rejected))
-            for result_source in ("gate", "pipeline"):
-                count = sum(1 for r in result.results if r.source == result_source)
-                if count:
+            for source in ("gate", "pipeline"):
+                if result.sources[source]:
                     obs.metrics.counter(
-                        "chimera_labeled_by_total", source=result_source
-                    ).inc(count)
+                        "chimera_labeled_by_total", source=source
+                    ).inc(result.sources[source])
         return result

@@ -95,6 +95,16 @@ class TextClassifier(ABC):
         return self.predict_batch([title])[0]
 
     def _rank(self, row: np.ndarray) -> List[Prediction]:
+        """Top-k of one score row — a pure function of that row, which is
+        what lets a batch be scored in one call.
+
+        The order is exactly ``np.argsort(row)[::-1]``: score descending,
+        and among equal scores the reverse of whatever order numpy's
+        default sort leaves them in (for short rows, higher class index
+        first). Ties are common — about half of kNN rows on the served
+        catalogs tie inside the top k+1 — so any other rule, ``kind=
+        "stable"`` included, moves labels, provenance and every digest.
+        """
         k = min(self.top_k, len(row))
         top = np.argsort(row)[::-1][:k]
         weights = _normalize_scores(row[top])

@@ -527,8 +527,8 @@ class StreamService:
             self.digest_chain, batch.batch_id, self.incremental.fired_fingerprint()
         )
         self.totals["items"] += len(batch.items)
-        self.totals["classified"] += len(result.classified_pairs)
-        self.totals["declined"] += len(result.declined)
+        self.totals["classified"] += result.n_classified
+        self.totals["declined"] += result.n_declined
         self.totals["rejected"] += len(result.rejected)
         wall_ms = (time.perf_counter() - started) * 1000.0
         self._sample(batch, result, wall_ms)
@@ -562,8 +562,8 @@ class StreamService:
             "vendor": batch.vendor,
             "arrived_day": round(batch.arrived_at, 6),
             "items": len(batch.items),
-            "classified": len(result.classified_pairs),
-            "declined": len(result.declined),
+            "classified": result.n_classified,
+            "declined": result.n_declined,
             "rejected": len(result.rejected),
             "coverage": round(result.coverage, 6),
             "fired_pairs": self.incremental.fired_pairs,

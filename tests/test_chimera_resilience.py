@@ -8,6 +8,8 @@ is call-counted — no wall-clock time anywhere.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.types import ProductItem
 from repro.chimera import (
@@ -18,9 +20,11 @@ from repro.chimera import (
     IncidentManager,
     StageHealthMonitor,
 )
+from repro.chimera.classifiers import StageAnswer
 from repro.core import parse_rules
 from repro.core.rule import Clause, PredicateRule
 from repro.core.prepared import prepare
+from repro.observability.metrics import MetricsRegistry
 from repro.utils.clock import SimClock
 
 
@@ -139,25 +143,74 @@ class TestStageHealthMonitor:
         }
 
 
+class _CountingGauges(MetricsRegistry):
+    def __init__(self):
+        super().__init__()
+        self.gauge_sets = 0
+
+    def gauge(self, name, **labels):
+        self.gauge_sets += 1
+        return super().gauge(name, **labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.sampled_from(["allow", "ok", "ok-bulk", "fail"]), max_size=40))
+def test_state_gauge_is_published_on_change_and_never_stale(ops):
+    """``stage_breaker_state`` is set when the breaker appears and on each
+    transition — not per call — and still reads the live state after any
+    sequence of calls, as ``report()`` does."""
+    metrics = _CountingGauges()
+    health = StageHealthMonitor(failure_threshold=2, cooldown=3, metrics=metrics)
+    for op in ops:
+        if op == "allow":
+            health.allow("s")
+        elif op == "fail":
+            health.record_failure("s", RuntimeError("x"))
+        else:
+            health.record_success("s", 7 if op == "ok-bulk" else 1)
+        breaker = health.breaker("s")
+        sets = metrics.gauge_sets
+        assert sets == 1 + len(breaker.transitions)
+        assert metrics.gauge("stage_breaker_state", stage="s").value == (
+            StageHealthMonitor.BREAKER_STATE_CODES[breaker.state]
+        )
+        metrics.gauge_sets = sets
+        assert health.report()["s"]["state"] == breaker.state.value
+    if ops:
+        assert metrics.counter("stage_success_total", stage="s").value == (
+            health.successes["s"]
+        ) == health.breaker("s").total_successes
+
+
 class _CountingStage:
-    """Minimal stage stub: scripted predictions, optional sabotage."""
+    """Minimal stage stub: scripted answers, optional sabotage."""
 
     def __init__(self, name="stub"):
         self.name = name
         self.enabled = True
         self.calls = 0
+        self.batch_calls = 0
         self.broken = False
+        self.poison = ()
 
-    def predict(self, item):
+    def answer(self, item):
         self.calls += 1
-        if self.broken:
+        if self.broken or item in self.poison:
             raise RuntimeError("model artifact corrupted")
-        return ["vote"]
+        return StageAnswer(self, ["vote"], {"books"})
+
+    def answer_batch(self, items):
+        self.batch_calls += 1
+        return [self.answer(item) for item in items]
 
     def constraints(self, item):
         if self.broken:
             raise RuntimeError("constraint table unreadable")
         return {"books"}
+
+
+def _shape(answers):
+    return [(answer.votes, answer.allowed) for answer in answers]
 
 
 class TestGuardedStage:
@@ -170,30 +223,48 @@ class TestGuardedStage:
 
     def test_healthy_calls_pass_through(self):
         health = StageHealthMonitor()
-        guarded = GuardedStage(_CountingStage(), health)
-        assert guarded.predict(None) == ["vote"]
-        assert guarded.constraints(None) == {"books"}
+        stage = _CountingStage()
+        guarded = GuardedStage(stage, health)
+        assert _shape(guarded.answer_batch([None])) == [(["vote"], {"books"})]
         assert health.successes["stub"] == 2
+        # A healthy batch is one stage call, booked two successes per item.
+        assert len(guarded.answer_batch(list("abcde"))) == 5
+        assert stage.batch_calls == 2
+        assert health.successes["stub"] == 12
+        assert health.breaker("stub").total_successes == 12
 
     def test_exceptions_become_no_votes(self):
         health = StageHealthMonitor(failure_threshold=10)
         stage = _CountingStage()
         stage.broken = True
         guarded = GuardedStage(stage, health)
-        assert guarded.predict(None) == []
-        assert guarded.constraints(None) is None
+        assert _shape(guarded.answer_batch([None])) == [([], None)]
         assert health.failures["stub"] == 2
+
+    def test_a_poison_item_costs_only_its_own_vote(self):
+        health = StageHealthMonitor(failure_threshold=10)
+        stage = _CountingStage()
+        stage.poison = ("c",)
+        guarded = GuardedStage(stage, health)
+        # Its votes are lost; its constraints call still answers.
+        assert _shape(guarded.answer_batch(list("abcde"))) == [
+            (["vote"], {"books"}), (["vote"], {"books"}), ([], {"books"}),
+            (["vote"], {"books"}), (["vote"], {"books"}),
+        ]
+        assert (health.successes["stub"], health.failures["stub"]) == (9, 1)
+        assert health.breaker("stub").state is BreakerState.CLOSED
 
     def test_open_breaker_skips_the_stage_entirely(self):
         health = StageHealthMonitor(failure_threshold=1, cooldown=100)
         stage = _CountingStage()
         stage.broken = True
         guarded = GuardedStage(stage, health)
-        guarded.predict(None)  # trips the breaker
-        calls_before = stage.calls
-        assert guarded.predict(None) == []
-        assert stage.calls == calls_before  # never invoked while open
-        assert health.routed_around["stub"] == 1
+        guarded.answer_batch([None])  # trips the breaker
+        calls_before = (stage.calls, stage.batch_calls)
+        assert _shape(guarded.answer_batch([None, None])) == [([], None)] * 2
+        assert (stage.calls, stage.batch_calls) == calls_before  # never invoked while open
+        # the tripping item's constraints call, then two calls per item
+        assert health.routed_around["stub"] == 5
 
 
 def _sabotage(stage):

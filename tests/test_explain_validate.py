@@ -108,8 +108,6 @@ class TestChimeraExplain:
         assert quality.provenance.total_records == records == 1
         assert quality.health.state_dict() == windows
         assert chimera.health_report() == health
-        stages = (chimera.rule_stage, chimera.attr_stage, chimera.learning_stage)
-        assert [stage.take_trace() for stage in stages] == [None, None, None]
         assert chimera.filter.take_trace() is None
 
 

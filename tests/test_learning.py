@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.learning import (
     KNearestNeighbors,
@@ -152,3 +154,56 @@ class TestVotingEnsemble:
         titles, labels = small_training
         ensemble = VotingEnsemble([MultinomialNaiveBayes()]).fit(titles, labels)
         assert ensemble.known_labels() == sorted(set(labels))
+
+
+# -- batching is safe: a title's ranking is a function of that title alone -----------
+
+_WORDS = ["ring", "gold", "jeans", "denim", "rug", "area", "band", "silver", "zzz"]
+_titles = st.lists(
+    st.one_of(
+        st.just(""),
+        st.lists(st.sampled_from(_WORDS + ["unseen", "oov"]), min_size=1, max_size=5).map(
+            " ".join
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_corpus = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join),
+        st.sampled_from(["rings", "jeans", "area rugs", "bands"]),
+    ),
+    min_size=2,
+    max_size=14,
+)
+
+
+def _bits(predictions):
+    """Label, source and the weight's exact bit pattern, per prediction."""
+    return [(p.label, p.source, float(p.weight).hex()) for p in predictions]
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=_corpus, titles=_titles, repeat=st.integers(min_value=0, max_value=11))
+def test_predict_batch_is_predict_bit_for_bit(corpus, titles, repeat):
+    """``predict_batch(titles)[i] == predict(titles[i])`` for each member and
+    for the ensemble, bit for bit — with duplicate, out-of-vocabulary and
+    empty titles in the batch, and a kNN whose block boundary the batch
+    crosses. Ties are common (small corpora score many classes equal), so
+    this also pins that ``_rank`` orders a row the same whatever its
+    neighbours are."""
+    titles = titles + [titles[repeat % len(titles)]] * 5  # duplicates; > block_size
+    train_titles = [title for title, _ in corpus]
+    train_labels = [label for _, label in corpus]
+    members = [
+        MultinomialNaiveBayes(),
+        KNearestNeighbors(k=3, block_size=4),
+        LinearSvmClassifier(epochs=2, seed=1),
+    ]
+    ensemble = VotingEnsemble(members).fit(train_titles, train_labels)
+    for model in members + [ensemble]:
+        batched = model.predict_batch(titles)
+        assert len(batched) == len(titles)
+        for title, row in zip(titles, batched):
+            assert _bits(row) == _bits(model.predict(title)), (model.name, title)

@@ -196,7 +196,9 @@ def _assert_stage_equals_reference(stage, records):
             for p in expected.predictions
         ]
         assert stage.predict(record) == votes
-        trace = stage.take_trace()
+        answer = stage.answer(record)
+        assert answer.votes == votes
+        trace = answer.trace
         if expected.fired or expected.vetoed or expected.constrained_to is not None:
             assert trace.fired == expected.fired
             assert trace.votes == tuple((p.label, p.weight, p.source) for p in votes)
@@ -205,6 +207,7 @@ def _assert_stage_equals_reference(stage, records):
         else:
             assert trace is None
         allowed = stage.constraints(record)
+        assert answer.allowed == allowed
         if isinstance(stage, AttributeValueClassifier) and expected.constrained_to is not None:
             assert allowed == set(expected.constrained_to)
         else:
