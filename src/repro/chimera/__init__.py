@@ -22,8 +22,6 @@ from repro.chimera.monitoring import (
     BatchStats,
     BreakerState,
     CircuitBreaker,
-    DeltaExecutionMonitor,
-    DeltaOpRecord,
     GuardedStage,
     PrecisionMonitor,
     StageFault,
@@ -41,8 +39,6 @@ __all__ = [
     "Chimera",
     "CircuitBreaker",
     "ClassifierStage",
-    "DeltaExecutionMonitor",
-    "DeltaOpRecord",
     "FeedbackLoop",
     "FinalFilter",
     "GateAction",

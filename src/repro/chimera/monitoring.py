@@ -150,77 +150,6 @@ class PrecisionMonitor:
         return [(s.batch_id, s.coverage) for s in self.history]
 
 
-@dataclass(frozen=True)
-class DeltaOpRecord:
-    """One incremental-execution delta, as seen by the monitor."""
-
-    op: str  # add_items | remove_items | add_rules | remove_rules | update_rule | refresh
-    delta_rules: int
-    delta_items: int
-    rule_evaluations: int
-    invalidations: int
-    wall_time: float
-
-
-class DeltaExecutionMonitor:
-    """Ledger of incremental-execution deltas for the long-running loop.
-
-    Plugs into an :class:`~repro.execution.incremental.IncrementalExecutor`
-    (its ``monitor=`` hook) and records every delta op: how many rules and
-    items were actually re-evaluated, how many materialized match pairs
-    were invalidated, and how long each delta took. The report answers the
-    operational question §4 raises — is rule churn being absorbed as small
-    deltas, or is something forcing full re-runs?
-    """
-
-    def __init__(self) -> None:
-        self.records: List[DeltaOpRecord] = []
-        self.ops: Counter = Counter()
-
-    def record(self, op: str, stats) -> DeltaOpRecord:
-        """Called by the executor after each delta (stats: ExecutionStats)."""
-        entry = DeltaOpRecord(
-            op=op,
-            delta_rules=stats.delta_rules,
-            delta_items=stats.delta_items,
-            rule_evaluations=stats.rule_evaluations,
-            invalidations=stats.invalidations,
-            wall_time=stats.wall_time,
-        )
-        self.records.append(entry)
-        self.ops[op] += 1
-        return entry
-
-    @property
-    def total_evaluations(self) -> int:
-        return sum(r.rule_evaluations for r in self.records)
-
-    @property
-    def total_invalidations(self) -> int:
-        return sum(r.invalidations for r in self.records)
-
-    def full_refreshes(self) -> int:
-        """Full rebuilds — should stay rare in a healthy delta loop."""
-        return self.ops["refresh"]
-
-    def report(self) -> Dict[str, Dict[str, object]]:
-        """Per-op totals for dashboards/tests."""
-        summary: Dict[str, Dict[str, object]] = {}
-        for record in self.records:
-            bucket = summary.setdefault(
-                record.op,
-                {"count": 0, "delta_rules": 0, "delta_items": 0,
-                 "rule_evaluations": 0, "invalidations": 0, "wall_time": 0.0},
-            )
-            bucket["count"] += 1
-            bucket["delta_rules"] += record.delta_rules
-            bucket["delta_items"] += record.delta_items
-            bucket["rule_evaluations"] += record.rule_evaluations
-            bucket["invalidations"] += record.invalidations
-            bucket["wall_time"] += record.wall_time
-        return summary
-
-
 class BreakerState(enum.Enum):
     CLOSED = "closed"        # healthy: calls flow through
     OPEN = "open"            # tripped: calls are routed around

@@ -16,11 +16,7 @@ from repro.chimera.classifiers import (
 )
 from repro.chimera.filter import FinalFilter, first_surviving
 from repro.chimera.gatekeeper import GateAction, GateKeeper
-from repro.chimera.monitoring import (
-    DeltaExecutionMonitor,
-    GuardedStage,
-    StageHealthMonitor,
-)
+from repro.chimera.monitoring import GuardedStage, StageHealthMonitor
 from repro.chimera.voting import VotingMaster
 from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
@@ -268,8 +264,7 @@ class Chimera:
         §2.2 scale-down playbook arrives as a delta; a
         :class:`~repro.catalog.batches.BatchStream`, when given, drives
         item arrivals the same way. Per-delta accounting lands on the
-        tracker's :class:`DeltaExecutionMonitor` (see
-        :meth:`fired_delta_report`).
+        tracker's ``stats`` and, when observability is on, the registry.
 
         The stage classifies from the same rows: its matcher follows the
         tracker, so an item the tracker admitted is not evaluated a second
@@ -286,7 +281,6 @@ class Chimera:
         tracker = IncrementalExecutor.for_ruleset(
             holder.rules,
             items=items,
-            monitor=DeltaExecutionMonitor(),
             observability=(
                 self.observability if self.observability.enabled else None
             ),
@@ -296,14 +290,6 @@ class Chimera:
         self.fired_trackers[stage] = tracker
         holder.matcher.follow(tracker)
         return tracker
-
-    def fired_delta_report(self) -> Dict[str, Dict[str, Dict[str, object]]]:
-        """Per-stage delta ledgers from the attached fired-map trackers."""
-        return {
-            stage: tracker.monitor.report()
-            for stage, tracker in self.fired_trackers.items()
-            if tracker.monitor is not None
-        }
 
     # -- health -------------------------------------------------------------------
 
@@ -430,12 +416,12 @@ class Chimera:
 
     def _prepared(self, item: ItemLike) -> PreparedItem:
         """``item``'s prepared view: the one a fired-map tracker built and
-        warmed when this very record arrived, else a fresh one."""
+        warmed when this record arrived, else a fresh one."""
         if not isinstance(item, PreparedItem):
             for tracker in self.fired_trackers.values():
-                cached = tracker.prepared_cache.get(item.item_id)
-                if cached is not None and cached.item is item:
-                    return cached
+                held = tracker.admitted(item)
+                if held is not None:
+                    return held
         return prepare(item)
 
     def _classify(self, items: Sequence[ItemLike], batch_id: str) -> BatchResult:

@@ -36,11 +36,9 @@ from repro.core.properties import (
 )
 from repro.core.prepared import (
     ItemLike,
-    PreparedCache,
     PreparedItem,
     prepare,
     prepare_all,
-    prepare_cached,
 )
 from repro.core.rule import (
     AttributeRule,
@@ -71,7 +69,6 @@ __all__ = [
     "OrderIndependenceReport",
     "PredicateRule",
     "Prediction",
-    "PreparedCache",
     "PreparedItem",
     "RegexRule",
     "Rule",
@@ -96,7 +93,6 @@ __all__ = [
     "parse_rules",
     "prepare",
     "prepare_all",
-    "prepare_cached",
     "save_ruleset",
     "stage_partition",
     "whitelist_conflicts",

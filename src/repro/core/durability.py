@@ -18,8 +18,12 @@ any instant. Two disciplines cover every write the rule-state layer does:
   stops at the last complete line, so the log is always readable at the
   previous durable state (property-tested in ``tests/test_repository_properties.py``).
 
-These are the primitives behind :mod:`repro.core.persistence` and the
-:mod:`repro.repository` change log.
+Reclaiming a torn tail or rolling a log back to a checkpointed offset is
+one more primitive, :func:`truncate_file` (truncate, fsync the file, fsync
+the directory).
+
+These are the primitives behind :mod:`repro.core.persistence`, the
+:mod:`repro.repository` change log and the service's checkpoint store.
 """
 
 from __future__ import annotations
@@ -48,6 +52,35 @@ def fsync_dir(path: str) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def truncate_file(path: str, keep_bytes: int) -> int:
+    """Durably truncate ``path`` to ``keep_bytes``; returns bytes dropped.
+
+    Missing file with ``keep_bytes == 0`` is a no-op (nothing was ever
+    written); a missing file with a positive offset is corruption the
+    caller must surface, so it raises.
+    """
+    if not os.path.exists(path):
+        if keep_bytes == 0:
+            return 0
+        raise FileNotFoundError(
+            f"checkpoint expects {keep_bytes} bytes of {path!r}, file is missing"
+        )
+    size = os.path.getsize(path)
+    if keep_bytes > size:
+        raise ValueError(
+            f"checkpoint expects {keep_bytes} bytes of {path!r}, "
+            f"only {size} on disk — the checkpoint is ahead of its logs"
+        )
+    if keep_bytes == size:
+        return 0
+    with open(path, "r+b") as handle:
+        handle.truncate(keep_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())
+    fsync_dir(os.path.dirname(os.path.abspath(path)))
+    return size - keep_bytes
 
 
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:

@@ -174,11 +174,6 @@ class PreparedItem:
 
 ItemLike = Union[ProductItem, PreparedItem]
 
-# A shared prepared-item cache is a plain mutable mapping item_id -> PreparedItem.
-# One cache threaded through DataIndex, RuleIndex probing, and the executors
-# means each item is tokenized once per *process*, not once per component.
-PreparedCache = Dict[str, PreparedItem]
-
 
 def prepare(item: ItemLike) -> PreparedItem:
     """Wrap ``item`` as a PreparedItem (idempotent on prepared input)."""
@@ -187,35 +182,6 @@ def prepare(item: ItemLike) -> PreparedItem:
     return PreparedItem(item)
 
 
-def prepare_cached(item: ItemLike, cache: Optional[PreparedCache]) -> PreparedItem:
-    """Prepare ``item``, consulting/populating a shared ``cache`` by item_id.
-
-    With ``cache=None`` this is just :func:`prepare`. An already-prepared
-    input wins over a cache entry (its views may be warmer) and is stored
-    back so later callers share it. A cache entry wrapping a *different*
-    record under the same item_id (a re-listing with new content) is
-    stale and gets re-prepared — an id collision must never serve another
-    item's token views.
-    """
-    if cache is None:
-        return prepare(item)
-    if isinstance(item, PreparedItem):
-        cache[item.item_id] = item
-        return item
-    prepared = cache.get(item.item_id)
-    if prepared is None or (prepared.item is not item and prepared.item != item):
-        prepared = PreparedItem(item)
-        cache[item.item_id] = prepared
-    return prepared
-
-
-def prepare_all(
-    items: Iterable[ItemLike], cache: Optional[PreparedCache] = None
-) -> List[PreparedItem]:
-    """Prepare a batch, reusing any already-prepared members.
-
-    ``cache`` (item_id -> PreparedItem), when given, is consulted before
-    preparing and populated with every result, so repeated runs over
-    overlapping corpora tokenize each item at most once overall.
-    """
-    return [prepare_cached(item, cache) for item in items]
+def prepare_all(items: Iterable[ItemLike]) -> List[PreparedItem]:
+    """Prepare a batch, reusing any already-prepared members."""
+    return [prepare(item) for item in items]

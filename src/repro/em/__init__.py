@@ -14,7 +14,6 @@ from repro.em.matcher import (
     RuleBasedMatcher,
     score_matches,
 )
-from repro.em.parallel import EmShardReport, PartitionedEmMatcher
 from repro.em.records import EmDataset, Record, generate_em_dataset
 from repro.em.rules import EmRule, parse_em_rule
 from repro.em.similarity import (
@@ -29,8 +28,6 @@ from repro.em.similarity import (
 __all__ = [
     "EmDataset",
     "EmRule",
-    "EmShardReport",
-    "PartitionedEmMatcher",
     "LearnedMatcher",
     "MatchReport",
     "Record",

@@ -38,11 +38,9 @@ and the deterministic fault-injection harness in
 """
 
 from repro.core.prepared import (
-    PreparedCache,
     PreparedItem,
     prepare,
     prepare_all,
-    prepare_cached,
 )
 from repro.execution.automaton import TokenAutomaton
 from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
@@ -80,7 +78,6 @@ __all__ = [
     "NaiveExecutor",
     "PartitionedExecutor",
     "PartitionedRunResult",
-    "PreparedCache",
     "PreparedItem",
     "RetryPolicy",
     "RuleIndex",
@@ -94,6 +91,5 @@ __all__ = [
     "prepare",
     "rarest_anchor",
     "prepare_all",
-    "prepare_cached",
     "validate_shard_output",
 ]

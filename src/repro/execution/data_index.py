@@ -5,18 +5,18 @@ it) ... the analyst often needs to run variations of rule R repeatedly on a
 development data set D ... a solution direction is to index the data set D
 for efficient rule execution."
 
-Items are prepared (tokenized) exactly once at build time — or once per
-*process* when a shared :data:`~repro.core.prepared.PreparedCache` is
-threaded in — and every rule run against the index reuses those
+Items are prepared (tokenized) exactly once, on the way in, and every rule
+run against the index reuses those
 :class:`~repro.core.prepared.PreparedItem` views instead of re-tokenizing
-per evaluation.
+per evaluation. A row *is* its prepared view: the record is read off it
+(``.item``), and :meth:`get` hands the view back by item id.
 
 The index is mutable: :meth:`add` and :meth:`remove` keep it current under
 batch arrival and item churn, which is what lets the incremental executor
 (:mod:`repro.execution.incremental`) answer "which rows could rule R
 touch?" against a live corpus. Removal tombstones the row (``None`` in
-``items``/``_prepared``) rather than renumbering, so previously returned
-row numbers stay stable.
+``_prepared``) rather than renumbering, so previously returned row numbers
+stay stable.
 """
 
 from __future__ import annotations
@@ -25,24 +25,18 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
-from repro.core.prepared import PreparedCache, PreparedItem, prepare_cached
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule, SequenceRule
 
 
 class DataIndex:
     """token -> item rows, consulted through each rule's anchor contract."""
 
-    def __init__(
-        self,
-        items: Sequence[ProductItem] = (),
-        cache: Optional[PreparedCache] = None,
-    ):
-        self.items: List[Optional[ProductItem]] = []
+    def __init__(self, items: Sequence[ItemLike] = ()):
         self._prepared: List[Optional[PreparedItem]] = []
         self._postings: Dict[str, Set[int]] = defaultdict(set)
         self._row_by_id: Dict[str, int] = {}
         self._live = 0
-        self._cache = cache
         for item in items:
             self.add(item)
 
@@ -55,18 +49,19 @@ class DataIndex:
 
     # -- mutation -----------------------------------------------------------------
 
-    def add(self, item: ProductItem) -> int:
-        """Index ``item``; returns its row. Duplicate item_ids replace."""
-        if getattr(item, "item_id", None) in self._row_by_id:
-            self.remove(item.item_id)
-        prepared = prepare_cached(item, self._cache)
-        row = len(self.items)
-        self.items.append(prepared.item)
+    def add(self, item: ItemLike) -> int:
+        """Index ``item`` (a prepared view is kept as handed in); returns
+        its row. Duplicate item_ids replace."""
+        prepared = prepare(item)
+        item_id = prepared.item_id
+        if item_id in self._row_by_id:
+            self.remove(item_id)
+        row = len(self._prepared)
         self._prepared.append(prepared)
         # Post plural-expanded anchors so "ring" anchors find "rings".
         for token in prepared.anchor_tokens:
             self._postings[token].add(row)
-        self._row_by_id[prepared.item_id] = row
+        self._row_by_id[item_id] = row
         self._live += 1
         return row
 
@@ -82,7 +77,6 @@ class DataIndex:
                 posted.discard(row)
                 if not posted:
                     del self._postings[token]
-        self.items[row] = None
         self._prepared[row] = None
         self._live -= 1
         return True
@@ -98,10 +92,10 @@ class DataIndex:
     def prepared_at(self, row: int) -> Optional[PreparedItem]:
         return self._prepared[row]
 
-    def get(self, item_id: str) -> Optional[ProductItem]:
-        """The live record indexed under ``item_id``, or None."""
+    def get(self, item_id: str) -> Optional[PreparedItem]:
+        """The live prepared view indexed under ``item_id``, or None."""
         row = self._row_by_id.get(item_id)
-        return None if row is None else self.items[row]
+        return None if row is None else self._prepared[row]
 
     def candidate_rows(self, rule: Rule) -> List[int]:
         """Rows that might match ``rule`` (superset; sorted).
@@ -125,11 +119,8 @@ class DataIndex:
 
     def matches(self, rule: Rule) -> List[ProductItem]:
         """Items actually matching ``rule``, via the index."""
-        return [
-            self.items[row]
-            for row in self.candidate_rows(rule)
-            if rule.matches_prepared(self._prepared[row])
-        ]
+        candidates = (self._prepared[row] for row in self.candidate_rows(rule))
+        return [p.item for p in candidates if rule.matches_prepared(p)]
 
     def candidate_fraction(self, rule: Rule) -> float:
         """How much of the data set the index lets the rule skip."""

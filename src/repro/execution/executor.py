@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.prepared import ItemLike, PreparedCache, PreparedItem, prepare_cached
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
 from repro.observability import Observability, ensure_observability
 
@@ -52,9 +52,9 @@ class ExecutionStats:
     incremental-execution ledger (see
     :mod:`repro.execution.incremental`):
 
-    * ``cache_hits`` / ``cache_misses`` — reuse of memoized state: a
-      prepared item found in (vs added to) a shared prepared cache, or a
-      materialized fired-map snapshot served without a rebuild;
+    * ``cache_hits`` / ``cache_misses`` — the fired-map memo only: a
+      ``fired_map()`` read served from the last snapshot vs one that had
+      to copy the view;
     * ``invalidations`` — stored ``(rule, item)`` match pairs discarded
       because a delta made them stale (rule removed/updated, item
       removed/re-listed);
@@ -153,24 +153,13 @@ def _checked_mode(on_error: str) -> str:
 
 
 def _guarded_prepare(
-    items: Sequence[ItemLike],
-    skip: bool,
-    stats: ExecutionStats,
-    cache: Optional[PreparedCache] = None,
+    items: Sequence[ItemLike], skip: bool, stats: ExecutionStats
 ) -> List[Optional[PreparedItem]]:
-    """Prepare every item; under degraded mode a bad record becomes None.
-
-    With a shared ``cache`` (item_id -> PreparedItem), items prepared by an
-    earlier run/component are reused; hits and misses land on ``stats``.
-    """
+    """Prepare every item; under degraded mode a bad record becomes None."""
     prepared_items: List[Optional[PreparedItem]] = []
     for item in items:
         try:
-            if cache is not None:
-                hit = isinstance(item, PreparedItem) or item.item_id in cache
-                stats.cache_hits += 1 if hit else 0
-                stats.cache_misses += 0 if hit else 1
-            prepared_items.append(prepare_cached(item, cache).warm())
+            prepared_items.append(prepare(item).warm())
         except Exception:
             if not skip:
                 raise
@@ -195,13 +184,11 @@ class NaiveExecutor:
         self,
         rules: Sequence[Rule],
         on_error: str = "raise",
-        prepared_cache: Optional[PreparedCache] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.rules = list(rules)
         self.on_error = _checked_mode(on_error)
-        self.prepared_cache = prepared_cache
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
 
@@ -218,9 +205,7 @@ class NaiveExecutor:
         with obs.span("exec.naive.run", rules=len(active), items=len(items)) as run_span:
             started = clock()
             with obs.span("prepare"):
-                prepared_items = _guarded_prepare(
-                    items, skip, stats, self.prepared_cache
-                )
+                prepared_items = _guarded_prepare(items, skip, stats)
             stats.prepare_time = clock() - started
             with obs.span("match"):
                 for prepared in prepared_items:

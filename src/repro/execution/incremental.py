@@ -60,12 +60,7 @@ from typing import (
 )
 
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
-from repro.core.prepared import (
-    ItemLike,
-    PreparedCache,
-    PreparedItem,
-    prepare_cached,
-)
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.execution.compiler import CompiledRuleSet
@@ -247,20 +242,19 @@ def _row_hash(item_id: str, rule_ids: List[str]) -> int:
 class IncrementalExecutor:
     """Delta-maintained executor: same fired map, a fraction of the work.
 
-    Holds the live corpus in a mutable :class:`DataIndex`, the live rule
-    base lowered into a :class:`CompiledRuleSet`, and the materialized
-    matches in a :class:`MatchStore`; the delta API keeps all three
-    consistent.
+    Holds the live corpus in a mutable :class:`DataIndex` — the one table
+    of served items, each row its prepared view, entered only through
+    :meth:`_admit` — the live rule base lowered into a
+    :class:`CompiledRuleSet`, and the materialized matches in a
+    :class:`MatchStore`; the delta API keeps all three consistent.
 
     ``stats`` accumulates the lifetime ledger (every delta op also returns
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
     count what the delta path re-evaluated, ``invalidations`` counts
     stored pairs dropped as stale, and ``cache_hits`` / ``cache_misses``
-    count prepared-item reuse plus fired-map reads served without a new
-    copy. An optional ``monitor`` (anything with
-    ``record(op, stats)``, e.g.
-    :class:`~repro.chimera.monitoring.DeltaExecutionMonitor`) observes
-    each op.
+    count fired-map reads served without / with a new copy. An op is
+    booked there, on the metrics registry and on a span; nothing grows
+    per op.
 
     Evaluation is fail-fast: a raising rule/record propagates (wrap inputs
     upstream; the degraded modes live on the batch executors).
@@ -280,24 +274,18 @@ class IncrementalExecutor:
         rules: Iterable[Rule] = (),
         items: Iterable[ItemLike] = (),
         token_frequency: Optional[Dict[str, int]] = None,
-        prepared_cache: Optional[PreparedCache] = None,
-        monitor: Optional[object] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
-        self.prepared_cache: PreparedCache = (
-            prepared_cache if prepared_cache is not None else {}
-        )
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
         self._rules: Dict[str, Rule] = {}
-        self._data_index = DataIndex(cache=self.prepared_cache)
+        self._data_index = DataIndex()
         self._compiled = CompiledRuleSet(
             (), token_frequency=token_frequency, include_disabled=True
         )
         self.store = MatchStore()
         self.stats = ExecutionStats()
-        self.monitor = monitor
         # The enabled view, patched in place by _sync(): item id -> sorted
         # enabled rule ids, non-empty rows only, item ids ascending unless
         # _view_sorted is False. Row lists are replaced, never edited, so
@@ -403,32 +391,27 @@ class IncrementalExecutor:
         with self.observability.span("exec.incremental.add_items", items=len(items)):
             started = self._clock()
             for item in items:
-                item_id = getattr(item, "item_id", None)
-                if item_id in self._data_index:
-                    # Re-listing: the old row's stored matches must not
-                    # survive. prepare_cached itself refuses to serve a stale
-                    # cache entry wrapping the old record, so no explicit
-                    # eviction is needed.
-                    op.invalidations += self.store.discard_item(item_id)
-                cached = self.prepared_cache.get(item_id)
-                record = item.item if isinstance(item, PreparedItem) else item
-                hit = isinstance(item, PreparedItem) or (
-                    cached is not None
-                    and (cached.item is record or cached.item == record)
-                )
-                op.cache_hits += 1 if hit else 0
-                op.cache_misses += 0 if hit else 1
-                prepare_started = self._clock()
-                prepared = prepare_cached(item, self.prepared_cache).warm()
-                op.prepare_time += self._clock() - prepare_started
-                self._data_index.add(prepared.item)
-                hits, n_evaluated = self._compiled.match_item(prepared)
-                op.rule_evaluations += n_evaluated
-                op.invalidations += self.store.set_item_matches(prepared.item_id, hits)
-                op.matches += len(hits)
-                op.items += 1
-                op.delta_items += 1
+                self._admit(item, op)
             return self._finish("add_items", op, started)
+
+    def _admit(self, item: ItemLike, op: ExecutionStats) -> None:
+        """The one way into the corpus: prepare and warm ``item``, drop
+        the row a re-listing replaces (its stored matches must not
+        survive), index it, evaluate it once and write its row. The work
+        is booked on ``op`` and nowhere else."""
+        prepare_started = self._clock()
+        prepared = prepare(item).warm()
+        op.prepare_time += self._clock() - prepare_started
+        item_id = prepared.item_id
+        if item_id in self._data_index:
+            op.invalidations += self.store.discard_item(item_id)
+        self._data_index.add(prepared)
+        hits, n_evaluated = self._compiled.match_item(prepared)
+        op.rule_evaluations += n_evaluated
+        op.invalidations += self.store.set_item_matches(item_id, hits)
+        op.matches += len(hits)
+        op.items += 1
+        op.delta_items += 1
 
     def remove_items(self, item_ids: Iterable[str]) -> ExecutionStats:
         """Drop departed items; cost is O(their stored matches)."""
@@ -438,7 +421,6 @@ class IncrementalExecutor:
             for item_id in item_ids:
                 if self._data_index.remove(item_id):
                     op.invalidations += self.store.discard_item(item_id)
-                    self.prepared_cache.pop(item_id, None)
                     op.delta_items += 1
             return self._finish("remove_items", op, started)
 
@@ -519,24 +501,17 @@ class IncrementalExecutor:
     def restore_items(self, items: Iterable[ItemLike]) -> int:
         """Re-derive the view over previously-admitted items, silently.
 
-        The resume half of :meth:`add_items`: each item is prepared,
-        indexed and matched against the current rule base and its row is
-        written to the store (a re-listing discards the old row first) —
-        but ``stats``, the monitor, metrics and spans see nothing, because
-        an uninterrupted run observed these items once already. Consumes
-        ``items`` lazily; returns how many it admitted.
+        The resume half of :meth:`add_items`: each item goes through
+        :meth:`_admit` against the current rule base — but ``stats``,
+        metrics and spans see nothing, because an uninterrupted run
+        observed these items once already. Consumes ``items`` lazily;
+        returns how many it admitted.
         """
-        count = 0
+        unbooked = ExecutionStats()
         for item in items:
-            prepared = prepare_cached(item, self.prepared_cache).warm()
-            if prepared.item_id in self._data_index:
-                self.store.discard_item(prepared.item_id)
-            self._data_index.add(prepared.item)
-            hits, _ = self._compiled.match_item(prepared)
-            self.store.set_item_matches(prepared.item_id, hits)
-            count += 1
+            self._admit(item, unbooked)
         self.store.drain_recorded()
-        return count
+        return unbooked.items
 
     # -- reads --------------------------------------------------------------------
 
@@ -632,13 +607,22 @@ class IncrementalExecutor:
         leaves the store untouched; those evaluations are counted on
         ``stats.rule_evaluations``.
         """
-        record = item.item if isinstance(item, PreparedItem) else item
-        stored = self._data_index.get(record.item_id)
-        if stored is record or stored == record:
-            return self.store.rules_of_item(record.item_id)
+        if self.admitted(item) is not None:
+            return self.store.rules_of_item(item.item_id)
         hits, n_evaluated = self._compiled.match_item(item)
         self.stats.rule_evaluations += n_evaluated
         return hits
+
+    def admitted(self, item: ItemLike) -> Optional[PreparedItem]:
+        """The prepared view the corpus holds for ``item`` when this very
+        record — by identity or by value — is the row under its id; None
+        for a record never admitted, removed, or re-listed since with
+        different content."""
+        record = item.item if isinstance(item, PreparedItem) else item
+        held = self._data_index.get(record.item_id)
+        if held is not None and (held.item is record or held.item == record):
+            return held
+        return None
 
     def fired_for_item(self, item_id: str) -> List[str]:
         """Sorted enabled rule ids currently firing on one item."""
@@ -675,8 +659,6 @@ class IncrementalExecutor:
         # Serial composition: each delta op ran after the previous one, so
         # the lifetime ledger's wall clock is the sum of op walls.
         self.stats.merge(op, wall="sum")
-        if self.monitor is not None:
-            self.monitor.record(op_name, op)
         obs = self.observability
         recorded = self.store.drain_recorded()
         if obs.enabled:

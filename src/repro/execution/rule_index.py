@@ -22,7 +22,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.catalog.types import ProductItem
-from repro.core.prepared import ItemLike, PreparedCache, prepare_cached
+from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import Rule, SequenceRule
 from repro.utils.text import tokenize
 
@@ -60,14 +60,10 @@ class RuleIndex:
         self,
         rules: Iterable[Rule] = (),
         token_frequency: Optional[Dict[str, int]] = None,
-        prepared_cache: Optional[PreparedCache] = None,
     ):
         self._postings: Dict[str, List[Rule]] = defaultdict(list)
         self._residue: List[Rule] = []
         self._token_frequency = dict(token_frequency or {})
-        # Shared item_id -> PreparedItem cache: candidate probing on a raw
-        # item reuses tokenization done by an executor or DataIndex.
-        self.prepared_cache = prepared_cache
         # rule_id -> posting keys (tokens, or _RESIDUE_KEY) the rule lives
         # under; consulted by remove() so it never scans unrelated postings.
         self._keys_by_rule: Dict[str, List[Optional[str]]] = {}
@@ -132,10 +128,9 @@ class RuleIndex:
         Matching against anchors uses the item's tokens *and* their crude
         singular forms so plural-tolerant anchors like "ring" hit "rings".
         Accepts a :class:`~repro.core.prepared.PreparedItem` to reuse the
-        item's one-time tokenization; raw items are prepared on the fly
-        (through :attr:`prepared_cache` when one is attached).
+        item's one-time tokenization; raw items are prepared on the fly.
         """
-        prepared = prepare_cached(item, self.prepared_cache)
+        prepared = prepare(item)
         seen: Set[str] = set()
         found: List[Rule] = []
         postings = self._postings

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.durability import JsonlAppender, fsync_dir, scan_jsonl
+from repro.core.durability import JsonlAppender, scan_jsonl, truncate_file
 
 #: Ops a change entry may carry.
 OPS = (
@@ -132,12 +132,7 @@ class ChangeLog:
                 if torn:
                     # Reclaim the torn tail so the next append starts on
                     # a clean line boundary.
-                    keep = os.path.getsize(path) - torn
-                    with open(path, "r+b") as handle:
-                        handle.truncate(keep)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    fsync_dir(os.path.dirname(os.path.abspath(path)))
+                    truncate_file(path, os.path.getsize(path) - torn)
                     self.torn_bytes_repaired = torn
                 if pin_seq is not None and self.entries and (
                     self.entries[-1].seq > pin_seq
@@ -149,13 +144,9 @@ class ChangeLog:
                     # identically instead of duplicating.
                     kept = [e for e in self.entries if e.seq <= pin_seq]
                     self.pinned_entries_dropped = len(self.entries) - len(kept)
-                    with open(path, "r+b") as handle:
+                    with open(path, "rb") as handle:
                         lines = handle.read().splitlines(keepends=True)
-                        keep_bytes = sum(len(line) for line in lines[:len(kept)])
-                        handle.truncate(keep_bytes)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    fsync_dir(os.path.dirname(os.path.abspath(path)))
+                    truncate_file(path, sum(len(line) for line in lines[:len(kept)]))
                     self.entries = kept
             self._appender = JsonlAppender(path, fsync=fsync)
 

@@ -40,8 +40,8 @@ from typing import Any, Dict, Iterator, Optional
 from repro.core.durability import (
     JsonlAppender,
     atomic_write_json,
-    fsync_dir,
     iter_jsonl,
+    truncate_file,
 )
 
 #: Bumped when the checkpoint layout changes incompatibly. Version 1
@@ -56,35 +56,6 @@ JOURNAL_NAME = "batches.jsonl"
 SPOOL_NAME = "provenance.jsonl"
 SERIES_NAME = "series.jsonl"
 REPO_DIR = "repo"
-
-
-def truncate_file(path: str, keep_bytes: int) -> int:
-    """Durably truncate ``path`` to ``keep_bytes``; returns bytes dropped.
-
-    Missing file with ``keep_bytes == 0`` is a no-op (nothing was ever
-    written); a missing file with a positive offset is corruption the
-    caller must surface, so it raises.
-    """
-    if not os.path.exists(path):
-        if keep_bytes == 0:
-            return 0
-        raise FileNotFoundError(
-            f"checkpoint expects {keep_bytes} bytes of {path!r}, file is missing"
-        )
-    size = os.path.getsize(path)
-    if keep_bytes > size:
-        raise ValueError(
-            f"checkpoint expects {keep_bytes} bytes of {path!r}, "
-            f"only {size} on disk — the checkpoint is ahead of its logs"
-        )
-    if keep_bytes == size:
-        return 0
-    with open(path, "r+b") as handle:
-        handle.truncate(keep_bytes)
-        handle.flush()
-        os.fsync(handle.fileno())
-    fsync_dir(os.path.dirname(os.path.abspath(path)))
-    return size - keep_bytes
 
 
 class CheckpointStore:

@@ -668,12 +668,11 @@ class StreamService:
     def resident(self) -> Dict[str, Any]:
         """What the process holds, for "is anything growing without bound":
         lengths and counters only, so a request thread may read it. The
-        first three grow with items served (ROADMAP 3d); the provenance
+        first two grow with items served (ROADMAP 3d); the provenance
         ring is capped at its capacity."""
         return {
             "items_held": self.incremental.item_count,
             "match_rows": self.incremental.store.row_count,
-            "prepared_items": len(self.incremental.prepared_cache),
             "provenance_retained": len(self.provenance),
             "provenance_capacity": self.provenance.capacity,
             "rss_mb": _rss_mb(),

@@ -43,6 +43,7 @@ from repro.execution import (
 )
 from repro.utils.clock import SimClock
 from tests.chain_audit import store_fired_map
+from tests.test_resident_budget import _traced_growth
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -457,50 +458,50 @@ class TestGoldenIncremental:
 
 
 # ---------------------------------------------------------------------------
-# Shared prepared cache (DataIndex / RuleIndex / executors)
+# One corpus: the DataIndex row is the prepared view (no second cache)
 # ---------------------------------------------------------------------------
 
 
 class TestSharedPreparedCache:
-    def test_prepare_all_populates_and_reuses_cache(self):
-        cache = {}
-        things = [item("gold rings"), item("area rug")]
-        first = prepare_all(things, cache=cache)
-        second = prepare_all(things, cache=cache)
-        assert [p.item_id for p in first] == [t.item_id for t in things]
-        assert all(a is b for a, b in zip(first, second))
-        assert set(cache) == {t.item_id for t in things}
-
-    def test_executor_counts_cache_hits(self):
-        rules, items = small_world()
-        cache = {}
-        executor = IncrementalExecutor(rules, prepared_cache=cache)
-        first = executor.add_items(items)
-        assert first.cache_misses == len(items) and first.cache_hits == 0
-        second = executor.add_items(items)  # re-listing: already prepared
-        assert second.cache_hits == len(items) and second.cache_misses == 0
-
     def test_data_index_reuses_executor_preparations(self):
+        """However an item got in, ``admitted`` hands back the row itself."""
         rules, items = small_world()
-        cache = {}
-        NaiveExecutor(rules, prepared_cache=cache).run(items)
-        index = DataIndex(items, cache=cache)
-        for row, prepared in index.live_rows():
-            assert cache[prepared.item_id] is prepared
-
-    def test_rule_index_probe_uses_cache(self):
-        rules, items = small_world()
-        cache = {}
-        index = RuleIndex(rules, prepared_cache=cache)
-        index.candidates(items[0])
-        assert items[0].item_id in cache
+        warmed = prepare_all(items[:1])[0]
+        incremental = IncrementalExecutor(rules)
+        incremental.add_items([warmed] + items[1:2])
+        assert incremental.restore_items(items[2:]) == 2
+        index = incremental._data_index
+        assert incremental.admitted(items[0]) is warmed  # kept as handed in
+        for thing in items:
+            held = incremental.admitted(thing)
+            assert held is index.get(thing.item_id) and held.item is thing
+        assert [p for _, p in index.live_rows()] == [
+            incremental.admitted(thing) for thing in items
+        ]
 
     def test_incremental_shares_one_cache_everywhere(self):
+        """``admitted`` is by identity or value, and only for the live row."""
         rules, items = small_world()
         incremental = IncrementalExecutor(rules, items)
-        assert set(incremental.prepared_cache) == {i.item_id for i in items}
-        op = incremental.add_items([items[0]])  # re-listing: already prepared
-        assert op.cache_hits == 1
+        first, second, third = items[:3]
+        # Re-listing with equal content: both records are "the row I hold".
+        copy = ProductItem(first.item_id, first.title, dict(first.attributes))
+        incremental.add_items([copy])
+        row = incremental._data_index.get(first.item_id)
+        assert row.item is copy
+        assert incremental.admitted(copy) is row and incremental.admitted(first) is row
+        # Re-listing with different content: the old record is not held.
+        changed = ProductItem(item_id=second.item_id, title="gold rings")
+        incremental.restore_items([changed])
+        assert incremental.admitted(second) is None
+        assert incremental.admitted(changed) is incremental._data_index.get(second.item_id)
+        # Removed, and equal content under an id never admitted.
+        incremental.remove_items([third.item_id])
+        assert incremental.admitted(third) is None
+        twin = ProductItem("inc-never-admitted", first.title, dict(first.attributes))
+        assert incremental.admitted(twin) is None
+        assert incremental.item_count == len(incremental._data_index._row_by_id) == 3
+        assert incremental.fired_map() == full_fired(rules, [copy, changed, items[3]])
 
 
 # ---------------------------------------------------------------------------
@@ -684,3 +685,23 @@ class TestBatchStreamSubscription:
         stream.next_batch()
         assert new.item_count == len(batch.items)
         assert stream._listeners == []
+
+
+# ---------------------------------------------------------------------------
+# Nothing on the served path grows per *op*
+# ---------------------------------------------------------------------------
+
+
+def test_empty_ops_leave_nothing_behind():
+    """A daemon books one ``add_items`` per batch for as long as it lives:
+    an op may cost time, never memory. 2,000 empty ops through a pipeline
+    tracker (no observability, so no spans) grow the heap by under 16 KB —
+    96 B measured; a per-op record list read 322,304 B."""
+    tracker = Chimera.build().track_fired_map("rule-based")
+    for _ in range(50):
+        tracker.add_items([])
+    with _traced_growth() as grown:
+        for _ in range(2_000):
+            tracker.add_items([])
+    assert tracker.stats.items == 0
+    assert grown[0] < 16 * 1024

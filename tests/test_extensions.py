@@ -1,12 +1,12 @@
 """Tests for the extension features: DSL UDFs, persistence, crowd synonym
-judging, partitioned EM, merge planning, and the CLI."""
+judging, merge planning, and the CLI."""
 
 import json
 import os
 
 import pytest
 
-from repro.catalog import CatalogGenerator, build_seed_taxonomy
+from repro.catalog import CatalogGenerator
 from repro.catalog.types import ProductItem
 from repro.core import (
     RuleParseError,
@@ -19,13 +19,6 @@ from repro.core import (
     save_ruleset,
 )
 from repro.crowd import CrowdBudget, CrowdSynonymJudge, WorkerPool
-from repro.em import (
-    PartitionedEmMatcher,
-    RuleBasedMatcher,
-    block_pairs,
-    generate_em_dataset,
-    parse_em_rule,
-)
 from repro.maintenance import apply_plan, plan_for_merge
 from repro.repository import RuleRepository
 
@@ -161,35 +154,6 @@ class TestCrowdSynonymJudge:
         report = DiscoverySession(tool, judge, slot="vehicle", patience=2).run()
         family = set(taxonomy.get("motor oil").slot("vehicle"))
         assert len(set(report.synonyms_found) & family) >= 5
-
-
-class TestPartitionedEm:
-    SOURCES = [
-        "jaccard(a.title, b.title) >= 0.7 & a.type = b.type -> match",
-        "lev_norm(a.title, b.title) < 0.2 -> no_match",
-    ]
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        generator = CatalogGenerator(build_seed_taxonomy(), seed=92)
-        dataset = generate_em_dataset(generator, n_entities=200, seed=92)
-        return dataset, block_pairs(dataset.records)
-
-    def test_matches_single_node(self, workload):
-        dataset, pairs = workload
-        single = RuleBasedMatcher(
-            [parse_em_rule(s) for s in self.SOURCES]).match(pairs)
-        sharded, reports = PartitionedEmMatcher(self.SOURCES, n_workers=4).match(pairs)
-        assert sharded == single
-        assert sum(r.pairs for r in reports) == len(pairs)
-
-    def test_bad_rule_fails_at_construction(self):
-        with pytest.raises(Exception):
-            PartitionedEmMatcher(["nonsense -> match"])
-
-    def test_needs_match_rule(self):
-        with pytest.raises(ValueError):
-            PartitionedEmMatcher(["lev_norm(a.title, b.title) < 0.2 -> no_match"])
 
 
 class TestMergePlanning:

@@ -6,13 +6,15 @@ never ends. This module measures that slope with ``tracemalloc`` — the
 live world's over 40 batches, and a resumed world's over everything its
 journal holds — and pins the three decisions that set it: the provenance
 ring of a write-ahead log holds encoded lines, its per-item index holds
-plain lists, and a cached ``PreparedItem`` keeps no probe set.
+plain lists, and a held ``PreparedItem`` keeps no probe set.
 
 The budgets are the largest reading over ``PYTHONHASHSEED`` 0, 1 and
-random at the commit that set them (3,051 / 2,792 B per item, equal on
-all three), plus 10%; the commit before read 4,977 / 5,417. A 40-batch
-run fills under half of the 10,000-slot ring, so these are this run's
-figures, not the soak's (DESIGN §13 has those).
+random at the commit that set them (3,010 / 2,754 B per item, equal on
+all three: the corpus holds an item once), plus 5%; with a second
+id-keyed cache beside the index they read 3,045 / 2,785, and before the
+ring held lines 4,977 / 5,417. A 40-batch run fills under half of the
+10,000-slot ring, so these are this run's figures, not the soak's
+(DESIGN §13 has those).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from repro.service import ServiceConfig, StreamService
 
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
-LIVE_BUDGET_B_PER_ITEM = 3_360
-RESUMED_BUDGET_B_PER_ITEM = 3_075
+LIVE_BUDGET_B_PER_ITEM = 3_160
+RESUMED_BUDGET_B_PER_ITEM = 2_891
 
 
 @contextmanager
@@ -54,7 +56,7 @@ def _retention_offenders(service: StreamService) -> dict:
     return {
         "prepared items holding a set": [
             prepared.item_id
-            for prepared in service.incremental.prepared_cache.values()
+            for _, prepared in service.incremental._data_index.live_rows()
             for slot in type(prepared).__slots__
             if isinstance(getattr(prepared, slot), (set, frozenset))
         ],

@@ -270,11 +270,10 @@ class TestHttpConsole:
         _, doc = _get(server.url + "/health")
         resident = doc["resident"]
         assert sorted(resident) == [
-            "items_held", "match_rows", "peak_rss_mb", "prepared_items",
+            "items_held", "match_rows", "peak_rss_mb",
             "provenance_capacity", "provenance_retained", "rss_mb",
         ]
         assert resident["items_held"] == doc["totals"]["items"] > 0
-        assert resident["prepared_items"] == resident["items_held"]
         assert 0 < resident["match_rows"] <= resident["items_held"]
         assert resident["provenance_retained"] == min(
             doc["provenance_records"], resident["provenance_capacity"]
