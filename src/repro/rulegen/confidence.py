@@ -8,9 +8,12 @@ of the rule in the training data."
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
-from repro.utils.text import tokenize
+import numpy as _np
+
+from repro.utils.text import tokenize_uncached
 
 
 def _singular(token: str) -> str:
@@ -18,6 +21,11 @@ def _singular(token: str) -> str:
     if len(token) > 3 and token.endswith("s") and not token.endswith("ss"):
         return token[:-1]
     return token
+
+
+def singular_forms(vocabulary: Sequence[str]) -> List[str]:
+    """Each vocabulary token's singular, for :meth:`ConfidenceScorer.score_rows`."""
+    return [_singular(token) for token in vocabulary]
 
 
 class ConfidenceScorer:
@@ -42,7 +50,7 @@ class ConfidenceScorer:
         self.type_name = type_name
         self.w_full, self.w_overlap, self.w_support = weights
         self.support_saturation = support_saturation
-        name_tokens = {_singular(t) for t in tokenize(type_name)}
+        name_tokens = {_singular(t) for t in tokenize_uncached(type_name)}
         # Type names like "abrasive wheels & discs" tokenize to several words.
         if not name_tokens:
             name_tokens = {_singular(type_name.lower())}
@@ -72,6 +80,30 @@ class ConfidenceScorer:
             + self.w_support * support_term
         )
         return max(0.0, min(1.0, score))
+
+    def score_rows(self, singulars: Sequence[str], tokens, support):
+        """:meth:`score` over columns: one float64 score per row.
+
+        ``tokens`` is an ``(n, k)`` array of ids into the vocabulary whose
+        singulars are ``singulars`` (``-1`` pads short rows), ``support``
+        the rows' supports. Bit-equal to calling :meth:`score` per row —
+        the same float64 operations in the same order.
+        """
+        slot_of = {name: slot for slot, name in enumerate(self.name_tokens)}
+        # One trailing -1 so the padding id -1 reads "no name token".
+        slots = _np.array(
+            [*map(slot_of.get, singulars, repeat(-1)), -1]
+        )[tokens]
+        hits = sum((slots == slot).any(axis=1) for slot in slot_of.values())
+        overlap = hits / self._n_name_tokens
+        contains_full = (hits == self._n_name_tokens).astype(_np.float64)
+        support_term = _np.minimum(1.0, support / self.support_saturation)
+        score = (
+            self.w_full * contains_full
+            + self.w_overlap * overlap
+            + self.w_support * support_term
+        )
+        return _np.maximum(0.0, _np.minimum(1.0, score))
 
 
 def confidence_score(

@@ -6,24 +6,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as _np
+
 from repro.catalog.generator import LabeledTitle
 from repro.core.rule import SequenceRule
 from repro.maintenance.subsumption import dedupe_sequence_rules
 from repro.observability import Observability, ensure_observability
-from repro.rulegen.confidence import ConfidenceScorer
+from repro.rulegen.confidence import ConfidenceScorer, singular_forms
 from repro.rulegen.corpus import CorpusIndex
-from repro.rulegen.select import Entry, greedy_biased_select_entries
-from repro.rulegen.seqmine import exact_min_count
+from repro.rulegen.select import greedy_biased_select_slices
 
 
 @dataclass
 class GenerationResult:
     """Everything the section 5.2 pipeline produced, with stage counts.
 
-    ``timings`` splits the run's wall clock by phase — ``index``, ``mine``
-    and ``select`` (cleanliness, confidence, Greedy-Biased, materializing
-    and deduping the selection); ``n_deduped`` counts the rules the
-    optional subsumption pass pruned.
+    ``timings`` splits the run's wall clock by phase — ``index`` (zero
+    with a prebuilt index), ``mine`` (the candidate table: supports,
+    cleanliness, candidate order) and ``select`` (confidence,
+    Greedy-Biased, materializing and deduping the selection);
+    ``n_deduped`` counts the rules the optional subsumption pass pruned.
     """
 
     high_confidence: List[SequenceRule] = field(default_factory=list)
@@ -58,12 +60,14 @@ class RuleGenerator:
     :func:`~repro.maintenance.subsumption.dedupe_sequence_rules`
     (syntactic subsumption) before returning.
 
-    The pipeline runs over a :class:`~repro.rulegen.corpus.CorpusIndex`:
-    duplicate titles collapse to weighted representatives, AprioriAll and
-    the cleanliness check run in interned token-id space, selection
-    optimizes weighted rep coverage, and only the selected rules are
-    materialized. Each step is exact, so the rules equal the row-wise
-    reference generator's (``rulegen.reference``) — sequences, supports,
+    The pipeline is columnar: a :class:`~repro.rulegen.corpus.CorpusIndex`
+    collapses duplicate titles to weighted representatives, one level
+    loop mines every type's frequent sequences with their cleanliness
+    into a :class:`~repro.rulegen.corpus.CandidateTable`, confidence is
+    array arithmetic, Algorithms 1-2 run over the table's coverage
+    slices, and only the selected rows become ``SequenceRule`` objects.
+    Each step is exact, so the rules equal the row-wise reference
+    generator's (``rulegen.reference``) — sequences, supports,
     confidences and order; rule ids are auto-assigned and differ.
     """
 
@@ -125,71 +129,61 @@ class RuleGenerator:
                     index = CorpusIndex.from_labeled(training)
             timings["index"] = clock() - started
 
-            for type_name in index.types:
-                with obs.span("rulegen.type", target_type=type_name) as type_span:
-                    started = clock()
-                    view = index.type_view(type_name)
-                    frequent = view.mine(
-                        exact_min_count(self.min_support, view.n_rows),
-                        self.max_length,
-                    )
-                    candidates = [
-                        iseq for iseq in frequent
-                        if self.min_length <= len(iseq) <= self.max_length
-                    ]
-                    timings["mine"] += clock() - started
-                    result.n_mined += len(candidates)
-                    type_span.set_attribute("mined", len(candidates))
-                    if not candidates:
-                        continue
+            started = clock()
+            with obs.span("rulegen.mine"):
+                table = index.mine(
+                    self.min_support, self.min_length, self.max_length
+                )
+            timings["mine"] = clock() - started
 
-                    started = clock()
-                    scorer = ConfidenceScorer(type_name)
-                    # Mining ran in token-id space; decode before sorting
-                    # so candidate order (and hence the selection
-                    # tiebreak) is the reference's string-sorted order.
-                    decode = index.decode
-                    entries: List[Entry] = []
-                    # order -> total coverage weight: the mined count *is*
-                    # the entry's full-coverage weight, so the selector
-                    # never has to sum it.
-                    totals: Dict[int, int] = {}
-                    for seq, iseq in sorted(
-                        (decode(iseq), iseq) for iseq in candidates
-                    ):
-                        if self.require_clean and view.has_impure_match(iseq):
-                            continue
-                        count, lids = frequent[iseq]
-                        support = count / view.n_rows
-                        totals[len(entries)] = count
-                        entries.append(
-                            (scorer.score(seq, support), len(entries), lids,
-                             (seq, support))
-                        )
-                    result.n_clean += len(entries)
-                    type_span.set_attribute("clean", len(entries))
-                    high, low = greedy_biased_select_entries(
-                        entries, self.q, self.alpha, view.weights, totals
+            started = clock()
+            singulars = singular_forms(index.id_tokens)
+            # Types own disjoint reps, so one weight vector serves them all.
+            uncovered = index.rep_weight.copy()
+            type_ptr = table.type_ptr.tolist()
+            for code, type_name in enumerate(index.label_names):
+                with obs.span("rulegen.type", target_type=type_name) as type_span:
+                    rows = _np.arange(type_ptr[code], type_ptr[code + 1])
+                    result.n_mined += rows.size
+                    type_span.set_attribute("mined", rows.size)
+                    if not rows.size:
+                        continue
+                    if self.require_clean:
+                        rows = rows[table.clean[rows]]
+                    result.n_clean += rows.size
+                    type_span.set_attribute("clean", rows.size)
+                    support = table.count[rows] / int(index.label_rows[code])
+                    confidence = ConfidenceScorer(type_name).score_rows(
+                        singulars, table.tokens[rows], support
+                    )
+                    high, low = greedy_biased_select_slices(
+                        confidence, table.lo[rows], table.hi[rows],
+                        table.reps, uncovered, self.q, self.alpha,
                     )
                     type_span.set_attribute("selected", len(high) + len(low))
                     if high or low:
                         result.types_covered += 1
-                    for pool, selected in (
+                    # Only the selection leaves the arrays.
+                    for pool, picks in (
                         (result.high_confidence, high),
                         (result.low_confidence, low),
                     ):
-                        for confidence, _, _, (seq, support) in selected:
+                        for seq, rule_support, rule_confidence in zip(
+                            table.tokens[rows[picks]].tolist(),
+                            support[picks].tolist(),
+                            confidence[picks].tolist(),
+                        ):
                             pool.append(
                                 SequenceRule(
-                                    seq,
+                                    index.decode(seq),
                                     type_name,
-                                    support=support,
-                                    confidence=confidence,
+                                    support=rule_support,
+                                    confidence=rule_confidence,
                                     provenance="rulegen",
                                     author="rulegen",
                                 )
                             )
-                    timings["select"] += clock() - started
+            timings["select"] = clock() - started
 
             if self.dedupe and result.n_selected:
                 started = clock()

@@ -11,23 +11,14 @@ rules even at some coverage cost).
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.core.rule import SequenceRule
 
 # rule_id -> set of covered item/title indices.
 CoverageMap = Dict[str, Set[int]]
-
-# (confidence, order, coverage set, payload): the id-free form of a
-# candidate rule used by ``RuleGenerator``, which selects *before*
-# materializing SequenceRule objects. ``order`` is the candidate's creation
-# index within its pool and stands in for the rule-id tiebreak: freshly
-# generated rule ids ("seq-000123") are zero-padded, so their lexicographic
-# order in greedy_select is exactly creation order. The coverage set holds
-# row ids, or — with a ``weights`` argument — deduplicated representative
-# ids whose weights count the underlying rows (see ``rulegen.corpus``).
-Entry = Tuple[float, int, Set[int], Any]
 
 
 def greedy_select(
@@ -93,123 +84,73 @@ def greedy_biased_select(
     return selected_high, selected_low
 
 
-def greedy_select_entries(
-    entries: Sequence[Entry],
-    q: int,
-    weights: Optional[Sequence[int]] = None,
-    totals: Optional[Dict[int, int]] = None,
-    covered: Optional[Set[int]] = None,
-) -> List[Entry]:
-    """Algorithm 1 over id-free :data:`Entry` tuples.
+def gather_slices(values, lo, hi):
+    """CSR of ``values[lo[i]:hi[i]]`` for every ``i``: ``(indptr, data)``."""
+    lengths = hi - lo
+    indptr = _np.zeros(lengths.size + 1, dtype=_np.int64)
+    _np.cumsum(lengths, out=indptr[1:])
+    take = _np.repeat(lo - indptr[:-1], lengths) + _np.arange(indptr[-1])
+    return indptr, values[take]
 
-    Step-for-step the same procedure as :func:`greedy_select` — same
-    objective, same ``(score, confidence, order)`` tiebreak (``order``
-    replaces ``rule_id``; see :data:`Entry`), same stop-on-zero-gain — so
-    selecting entries then materializing rules yields exactly the rules
-    :func:`greedy_select` would have picked.
 
-    With ``weights``, coverage sets hold representative ids and the
-    objective counts ``sum(weights[id] for id in new_ids)`` instead of set
-    cardinality. Because each rep's rows are covered all-or-nothing, the
-    weighted rep objective equals the row objective exactly, so the same
-    entries are selected in the same order — without ever materializing
-    the (much larger) row sets. ``totals`` may supply each entry's total
-    coverage weight keyed by order index (callers that mined the entries
-    already know it as the support count); otherwise it is computed once.
+def greedy_select_slices(confidence, lo, hi, ids, uncovered, q: int) -> List[int]:
+    """Algorithm 1 over candidate columns; returns row numbers in pick order.
 
-    ``covered`` pre-seeds the covered set (and is consumed — mutated in
-    place): selecting against pre-covered ids is identical to selecting
-    over per-entry residual coverage sets, without materializing them.
+    Candidate ``i`` covers the ids ``ids[lo[i]:hi[i]]``; ``uncovered[id]``
+    is the weight an id still contributes (its row count, for weighted
+    representatives — each rep's rows are covered all-or-nothing, so the
+    weighted objective equals the row objective exactly). Step for step
+    :func:`greedy_select`: every round re-scores all candidates
+    (``gain * confidence``, the same float64 product), takes the maximum
+    under the ``(score, confidence, order)`` tiebreak — row order stands
+    in for the rule-id order of freshly numbered rules — and stops on a
+    zero gain. ``uncovered`` is consumed: picked candidates' ids are
+    zeroed in place, so a second call over it selects against the
+    residual coverage, which is how Algorithm 2 seeds its low pool.
     """
     if q < 0:
         raise ValueError(f"q must be non-negative, got {q}")
-    selected: List[Entry] = []
-    if q == 0 or not entries:
+    selected: List[int] = []
+    if not len(confidence):
         return selected
-    if covered is None:
-        covered = set()
-    if weights is not None and totals is None:
-        # Per-entry total weight, keyed by the (pool-unique) order index;
-        # entries disjoint from the covered set short-circuit to it.
-        totals = {
-            entry[1]: sum(weights[i] for i in entry[2]) for entry in entries
-        }
-    # Lazy (CELF-style) greedy: an entry's marginal coverage only shrinks
-    # as the covered set grows, so a key computed in an earlier round is
-    # an upper bound on the current one. Keep entries in a max-heap under
-    # their last-computed key; when the popped top was computed against
-    # the *current* covered set it beats every other upper bound and is
-    # exactly the argmax the full scan would have found (the
-    # ``(value, confidence, order)`` tiebreak rides along in the key).
-    by_order = {entry[1]: entry for entry in entries}
-    # With a pre-seeded covered set the full-coverage keys are stale
-    # upper bounds, not round-0 values — tag them as such so every entry
-    # is re-scored against ``covered`` before it can be selected.
-    initial_round = -1 if covered else 0
-    heap: List[Tuple[float, float, int, int]] = []
-    for entry in entries:
-        confidence, order, coverage_ids = entry[0], entry[1], entry[2]
-        base = totals[order] if weights is not None else len(coverage_ids)
-        heap.append((-(base * confidence), -confidence, -order, initial_round))
-    heapq.heapify(heap)
-    rounds = 0
-    while heap and len(selected) < q:
-        neg_value, neg_confidence, neg_order, computed_at = heapq.heappop(heap)
-        entry = by_order[-neg_order]
-        if computed_at != rounds:
-            confidence, order, coverage_ids = entry[0], entry[1], entry[2]
-            if weights is None:
-                new_coverage = len(coverage_ids - covered)
-            elif covered.isdisjoint(coverage_ids):
-                new_coverage = totals[order]
-            else:
-                new_coverage = sum(
-                    weights[i] for i in coverage_ids if i not in covered
-                )
-            heapq.heappush(
-                heap,
-                (-(new_coverage * confidence), neg_confidence, neg_order,
-                 rounds),
-            )
-            continue
-        gained = entry[2] - covered
-        if not gained:
-            return selected
-        selected.append(entry)
-        covered |= gained
-        rounds += 1
+    indptr, covers = gather_slices(ids, lo, hi)
+    picked = _np.zeros(len(confidence), dtype=bool)
+    running = _np.zeros(covers.size + 1, dtype=_np.int64)
+    while len(selected) < q:
+        _np.cumsum(uncovered[covers], out=running[1:])
+        gain = running[indptr[1:]] - running[indptr[:-1]]
+        score = gain * confidence
+        score[picked] = -1.0
+        ties = _np.flatnonzero(score == score.max())
+        if ties.size > 1:
+            ties = ties[confidence[ties] == confidence[ties].max()]
+        best = int(ties[-1])
+        if picked[best] or not gain[best]:
+            break
+        selected.append(best)
+        picked[best] = True
+        uncovered[covers[indptr[best]:indptr[best + 1]]] = 0
     return selected
 
 
-def greedy_biased_select_entries(
-    entries: Sequence[Entry],
-    q: int,
-    alpha: float = 0.7,
-    weights: Optional[Sequence[int]] = None,
-    totals: Optional[Dict[int, int]] = None,
-) -> Tuple[List[Entry], List[Entry]]:
-    """Algorithm 2 over id-free :data:`Entry` tuples.
+def greedy_biased_select_slices(
+    confidence, lo, hi, ids, uncovered, q: int, alpha: float = 0.7
+) -> Tuple[List[int], List[int]]:
+    """Algorithm 2 over candidate columns: ``(high rows, low rows)``.
 
-    Mirrors :func:`greedy_biased_select`: exhaust the high-confidence pool,
-    then offer the low pool only the residual coverage and remaining
-    quota — by seeding the low-pool selection with the high pool's covered
-    ids, which is identical to materializing per-entry residual sets.
-    ``weights`` switches both pools to the weighted-rep objective and
-    ``totals`` (the full-coverage weights, valid for both pools) skips the
-    round-one summing; see :func:`greedy_select_entries`.
+    Mirrors :func:`greedy_biased_select`: exhaust the pool at
+    ``confidence >= alpha``, then offer the rest only the residual
+    coverage (``uncovered``, as the high pool left it) and the remaining
+    quota.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    high = [entry for entry in entries if entry[0] >= alpha]
-    low = [entry for entry in entries if entry[0] < alpha]
-    selected_high = greedy_select_entries(high, q, weights, totals)
-    selected_low: List[Entry] = []
-    if len(selected_high) < q:
-        covered_by_high: Set[int] = set()
-        for entry in selected_high:
-            covered_by_high |= entry[2]
-        selected_low = greedy_select_entries(
-            low, q - len(selected_high), weights, totals,
-            covered=covered_by_high,
+    selected = []
+    for pool in (confidence >= alpha, confidence < alpha):
+        rows = _np.flatnonzero(pool)
+        picks = greedy_select_slices(
+            confidence[rows], lo[rows], hi[rows], ids, uncovered,
+            q - sum(map(len, selected)),
         )
-    return selected_high, selected_low
+        selected.append(rows[picks].tolist())
+    return selected[0], selected[1]

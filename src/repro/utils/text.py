@@ -42,6 +42,20 @@ _MULTISPACE = re.compile(r"\s+")
 _TEXT_CACHE_SIZE = 32768
 
 
+def _normalize(text: str) -> str:
+    lowered = text.lower()
+    stripped = _STRIP_CHARS.sub(" ", lowered)
+    return _MULTISPACE.sub(" ", stripped).strip()
+
+
+def _tokens_of(normalized: str, drop_stopwords: bool) -> Tuple[str, ...]:
+    cleaned = [token.strip(".-/") for token in _TOKEN.findall(normalized)]
+    kept = [token for token in cleaned if token]
+    if drop_stopwords:
+        kept = [token for token in kept if token not in STOPWORDS]
+    return tuple(kept)
+
+
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
 def normalize_text(text: str) -> str:
     """Lowercase ``text`` and strip punctuation the rule pipeline ignores.
@@ -49,9 +63,7 @@ def normalize_text(text: str) -> str:
     >>> normalize_text("Dickies 38in. x 30in. Indigo Blue Jeans!")
     'dickies 38in. x 30in. indigo blue jeans'
     """
-    lowered = text.lower()
-    stripped = _STRIP_CHARS.sub(" ", lowered)
-    return _MULTISPACE.sub(" ", stripped).strip()
+    return _normalize(text)
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
@@ -62,12 +74,21 @@ def tokenize_cached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
     rule/data indexes) should call this directly and skip the list copy
     :func:`tokenize` makes.
     """
-    tokens = _TOKEN.findall(normalize_text(text))
-    cleaned = [token.strip(".-/") for token in tokens]
-    kept = [token for token in cleaned if token]
-    if drop_stopwords:
-        kept = [token for token in kept if token not in STOPWORDS]
-    return tuple(kept)
+    return _tokens_of(normalize_text(text), drop_stopwords)
+
+
+def tokenize_uncached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
+    """:func:`tokenize_cached` without touching either cache.
+
+    For one-shot bulk passes that keep their own memo (rule induction
+    reads every training title exactly once): routing those through the
+    bounded LRUs buys no hits, evicts the served path's entries and pins
+    a full cache of training titles for the life of the process.
+
+    >>> tokenize_uncached("Blue Jeans, 2 Pack") == tokenize_cached("Blue Jeans, 2 Pack")
+    True
+    """
+    return _tokens_of(_normalize(text), drop_stopwords)
 
 
 def tokenize(text: str, drop_stopwords: bool = True) -> List[str]:

@@ -1,37 +1,46 @@
 """The rule miner against its reference: identity, exact thresholds.
 
 The contract under test is byte-identity: ``RuleGenerator`` (weighted
-representatives, interned ids, vectorized low levels) produces exactly
+representatives mined, scored and selected as arrays) produces exactly
 the mined counts and final rule list of ``ReferenceRuleGenerator`` (the
 paper's pipeline over plain rows) — rule ids excluded, they are
 auto-assigned. The hypothesis properties here drive that with adversarial
 corpora: duplicate and cross-label titles, single-type corpora, the
-cleanliness filter on and off, drawn length bounds.
+cleanliness filter on and off, drawn length bounds; and hold each
+columnar stage (level loop, cleanliness, scoring, selection) to its
+row-wise definition on its own.
 """
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.generator import LabeledTitle
 from repro.rulegen import ReferenceRuleGenerator, RuleGenerator
-from repro.rulegen.corpus import (
-    CorpusIndex,
-    _weighted_groups,
-    mine_weighted_reps,
-    tokens_contain,
+from repro.core.rule import SequenceRule
+from repro.rulegen.confidence import (
+    ConfidenceScorer,
+    confidence_score,
+    singular_forms,
 )
+from repro.rulegen.corpus import CorpusIndex, mine_levels
 from repro.rulegen.parallel import ShardedRuleGenerator
 from repro.rulegen.select import (
     greedy_biased_select,
-    greedy_biased_select_entries,
-    greedy_select_entries,
+    greedy_biased_select_slices,
+    greedy_select_slices,
 )
 from repro.rulegen.seqmine import exact_min_count, mine_frequent_sequences
-from repro.utils.text import contains_word_sequence
+from repro.utils.text import (
+    cache_stats,
+    clear_caches,
+    contains_word_sequence,
+    tokenize,
+)
 
 
 def rule_key(result):
@@ -52,18 +61,44 @@ def full_key(result):
 WORDS = st.sampled_from(
     ["denim", "jeans", "slim", "fit", "sofa", "lamp", "oak", "desk"]
 )
-TITLES = st.lists(WORDS, min_size=1, max_size=5).map(" ".join)
+TITLES = st.lists(WORDS, min_size=1, max_size=6).map(" ".join)
 LABELS = st.sampled_from(["pants", "furniture", "lighting"])
 CORPORA = st.lists(st.tuples(TITLES, LABELS), min_size=1, max_size=20).map(
     lambda rows: [LabeledTitle(title=t, label=l) for t, l in rows]
 )
 
 TOKEN_ROWS = st.lists(
-    st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=5)
-    .map(tuple),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=7)
+    .map(lambda row: tuple(f"w{token}" for token in row)),
     min_size=1,
     max_size=8,
 )
+
+
+def mined_rows(index, table):
+    """A candidate table as ``(label, sequence, count, clean, rep ids)`` rows."""
+    ptr = table.type_ptr.tolist()
+    return [
+        (
+            index.label_names[code],
+            index.decode(table.tokens[row]),
+            int(table.count[row]),
+            bool(table.clean[row]),
+            table.reps[table.lo[row]:table.hi[row]].tolist(),
+        )
+        for code in range(len(index.label_names))
+        for row in range(ptr[code], ptr[code + 1])
+    ]
+
+
+def slices_of(coverages):
+    """Coverage id collections -> the ``(lo, hi, ids)`` columns of a table."""
+    sizes = [len(set(ids)) for ids in coverages]
+    hi = np.cumsum(sizes, dtype=np.int64)
+    ids = np.array(
+        [i for ids in coverages for i in sorted(set(ids))], dtype=np.int64
+    )
+    return hi - np.array(sizes, dtype=np.int64), hi, ids
 
 
 class TestExactMinCount:
@@ -119,39 +154,8 @@ class TestExactMinCount:
             assert count - 1 < exact
 
 
-class TestTokensContain:
-    @given(
-        tokens=st.lists(st.integers(min_value=0, max_value=4), max_size=10),
-        candidate=st.lists(st.integers(min_value=0, max_value=4), max_size=4),
-    )
-    def test_matches_reference_semantics(self, tokens, candidate):
-        expected = contains_word_sequence(
-            [str(t) for t in tokens], [str(c) for c in candidate]
-        )
-        assert tokens_contain(tokens, candidate) == expected
-        assert (
-            tokens_contain(tuple(tokens), tuple(candidate)) == expected
-        )
-
-    def test_edges(self):
-        assert tokens_contain([1, 2, 3], [])
-        assert tokens_contain([], [])
-        assert not tokens_contain([], [1])
-        # In-order, non-contiguous, with repeats consumed left to right.
-        assert tokens_contain([1, 9, 2, 9, 1], [1, 2, 1])
-        assert not tokens_contain([1, 2], [2, 1])
-        assert not tokens_contain([1, 1], [1, 1, 1])
-
-
 class TestWeightedMinerEquivalence:
-    """mine_weighted_reps over deduplicated reps == serial row mining."""
-
-    @staticmethod
-    def expand(reps, weights):
-        rows = []
-        for rep, weight in zip(reps, weights):
-            rows.extend([rep] * weight)
-        return rows
+    """The level loop over weighted reps == serial row mining, any length."""
 
     @given(
         reps=TOKEN_ROWS,
@@ -159,38 +163,49 @@ class TestWeightedMinerEquivalence:
             st.integers(min_value=1, max_value=3), min_size=8, max_size=8
         ),
         support_idx=st.integers(min_value=0, max_value=2),
+        max_length=st.integers(min_value=1, max_value=6),
     )
     @settings(deadline=None)
-    def test_matches_serial_miner(self, reps, weights_seed, support_idx):
+    def test_matches_serial_miner(
+        self, reps, weights_seed, support_idx, max_length
+    ):
         min_support = [0.1, 0.25, 0.5][support_idx]
-        weights = weights_seed[: len(reps)]
-        n_rows = sum(weights)
-        min_count = exact_min_count(min_support, n_rows)
-
-        str_reps = [tuple(f"w{t}" for t in rep) for rep in reps]
+        rows = []
+        for rep, weight in zip(reps, weights_seed):
+            rows.extend([rep] * weight)
         serial = mine_frequent_sequences(
-            self.expand(str_reps, weights), min_support, max_length=4
+            rows, min_support, max_length=max_length
         )
 
-        mined_int = mine_weighted_reps(reps, weights, min_count, 4)
-        decoded = {
-            tuple(f"w{t}" for t in seq): count
-            for seq, (count, _) in mined_int.items()
-        }
-        assert decoded == serial
-        # The id sets are the containing reps, exactly.
-        for seq, (count, ids) in mined_int.items():
-            containing = {
-                rid for rid, rep in enumerate(reps)
-                if tokens_contain(rep, seq)
-            }
-            assert ids == containing
-            assert count == sum(weights[rid] for rid in containing)
+        index = CorpusIndex(rows, ["t"] * len(rows))
+        mined = mined_rows(index, index.mine(min_support, 1, max_length))
+        assert {seq: count for _, seq, count, _, _ in mined} == serial
+        assert len(mined) == len(serial)
+        # The covering reps are the containing reps, exactly; with one
+        # label nothing can be unclean.
+        weights = dict(zip(index.rep_tokens, index.rep_weight.tolist()))
+        assert sum(weights.values()) == len(rows)
+        for _, seq, count, clean, rep_ids in mined:
+            covering = [index.rep_tokens[rid] for rid in rep_ids]
+            assert sorted(covering) == sorted(
+                rep for rep in weights if contains_word_sequence(rep, seq)
+            )
+            assert count == sum(weights[rep] for rep in covering)
+            assert clean
 
     def test_empty_inputs(self):
-        assert mine_weighted_reps([], [], 1, 4) == {}
-        assert mine_weighted_reps([()], [1], 1, 4) == {}
-        assert mine_weighted_reps([(1, 2)], [1], 1, 0) == {}
+        assert not mined_rows(*self.mined([], 1, 4))
+        assert not mined_rows(*self.mined([()], 1, 4))
+        # Nothing survives to the requested lengths.
+        assert not mined_rows(*self.mined([("a", "b")], 3, 4))
+        index, table = self.mined([("a", "b")], 2, 4)
+        assert mined_rows(index, table) == [("t", ("a", "b"), 1, True, [0])]
+        assert table.tokens.shape == (1, 4)
+
+    @staticmethod
+    def mined(rows, min_length, max_length):
+        index = CorpusIndex(rows, ["t"] * len(rows))
+        return index, index.mine(0.5, min_length, max_length)
 
 
 IDENTITY_SETTINGS = settings(
@@ -199,9 +214,9 @@ IDENTITY_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# (min_length, max_length) pairs with 1 <= min <= max <= 4.
+# (min_length, max_length) pairs with 1 <= min <= max <= 6.
 LENGTH_BOUNDS = st.tuples(
-    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
+    st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)
 ).map(sorted)
 
 
@@ -347,6 +362,16 @@ class TestCorpusIndexReuse:
         assert full_key(generator.generate(training, index=index)) == baseline
         assert full_key(generator.generate([], index=index)) == baseline
 
+    def test_induction_leaves_the_text_caches_alone(self):
+        clear_caches()
+        tokenize("a served title")
+        before = cache_stats()
+        assert RuleGenerator(min_support=0.2, q=10).generate(
+            self.training()
+        ).n_selected
+        assert cache_stats() == before
+        assert before["tokenize"]["size"] == before["normalize"]["size"] == 1
+
     def test_index_row_count_mismatch_rejected(self):
         training = self.training()
         index = CorpusIndex.from_labeled(training)
@@ -366,87 +391,132 @@ class TestPackedKeyBounds:
     """Packed int64 sort keys are bounded before numpy can wrap them."""
 
     @staticmethod
-    def index_with_vocab(vocab):
+    def levels(vocab, max_length):
+        """Mine a 7-position, 7-token corpus under a stubbed vocabulary
+        *size* (the real token ids stay tiny)."""
         index = CorpusIndex.from_labeled([
             LabeledTitle(title="slim fit denim jeans", label="pants"),
             LabeledTitle(title="oak desk lamp", label="lighting"),
         ])
-        # Stub the vocabulary *size*; the real token ids stay tiny.
-        index.id_tokens = range(vocab)
-        return index
+        assert index.tok.size == len(index.id_tokens) == 7
+        return [
+            [tuple(row) for row in level.tokens.tolist()]
+            for level in mine_levels(
+                index.tok, index.pos_rep, index.pos_end, index.rep_label,
+                index.rep_weight, np.array([1, 1]), vocab, max_length,
+            )
+        ]
 
     def test_sequence_uniformity_boundary(self):
-        span = 2 + 2  # two labels + the mixed / disagree codes
-        # The largest vocabulary whose triple key V**3 * span - 1 fits.
-        vocab = round((2**63 / span) ** (1 / 3))
-        while vocab**3 * span > 2**63:
-            vocab -= 1
-        while (vocab + 1) ** 3 * span <= 2**63:
-            vocab += 1
-        pair_uniform, triple_uniform = self.index_with_vocab(vocab).seq_uniform
-        assert pair_uniform and triple_uniform
-        wraps = self.index_with_vocab(vocab + 1)
-        with pytest.raises(ValueError, match=f"vocabulary of {vocab + 1} tokens"):
-            wraps.seq_uniform
+        # Length-2 keys pack (surviving length-1 rank, token, position):
+        # all 7 tokens survive, so the largest key is 7 * V * 7 - 1. It is
+        # the ranks that are bounded, not V ** 2 — re-ranking is what keeps
+        # deeper levels inside int64.
+        vocab = 2**63 // 49
+        assert self.levels(vocab, 2) == self.levels(7, 2)
+        assert len(self.levels(vocab, 2)[1]) == 9  # C(4,2) + C(3,2)
+        with pytest.raises(ValueError, match="length-2 sequence keys: "
+                           f"{7 * (vocab + 1)} sequence codes"):
+            self.levels(vocab + 1, 2)
 
     def test_weighted_groups_boundary(self):
-        import numpy as np
-
-        codes = np.array([0, 1, 1], dtype=np.int64)
-        rids = np.array([0, 0, 1], dtype=np.int64)
-        weights = np.array([1, 1], dtype=np.int64)
-        n = 2
-        vocab = 2**31  # vocab ** 2 * n - 1 == 2 ** 63 - 1: exactly fits
-        assert _weighted_groups(codes, rids, weights, n, 1, vocab, 2) == (
-            [0, 1], [1, 2], [{0}, {0, 1}]
-        )
+        # Length-1 keys are token * 7 + position: V * 7 - 1 at most.
+        vocab = 2**63 // 7
+        assert self.levels(vocab, 1) == self.levels(7, 1)
         with pytest.raises(ValueError, match="int64 limit"):
-            _weighted_groups(codes, rids, weights, n, 1, vocab + 1, 2)
+            self.levels(vocab + 1, 1)
 
 
 class TestCleanlinessTables:
-    """has_impure_match (uniformity tables + fallback) vs brute force."""
+    """A candidate is clean iff its corpus-wide support is its type's own."""
 
     @given(training=CORPORA)
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, training):
         index = CorpusIndex.from_labeled(training)
-        rep_itokens = index.rep_itokens
-        rep_label = index.rep_label
-        for type_name in index.types:
-            view = index.type_view(type_name)
-            candidates = set()
-            for rid in view.g_reps:
-                tokens = rep_itokens[rid]
-                for length in range(1, min(4, len(tokens)) + 1):
-                    candidates.update(
-                        itertools.combinations(tokens, length)
-                    )
-            for candidate in candidates:
-                brute = any(
-                    rep_label[rid] != type_name
-                    and tokens_contain(rep_itokens[rid], candidate)
-                    for rid in range(index.n_reps)
-                )
-                assert view.has_impure_match(candidate) == brute, (
-                    type_name, index.decode(candidate),
-                )
+        # min_count 1 everywhere: every in-order subsequence of every
+        # title, up to length 6, is a candidate of its type.
+        mined = mined_rows(index, index.mine(0.01, 1, 6))
+        rows = [(tuple(tokenize(ex.title)), ex.label) for ex in training]
+        assert {(label, seq) for label, seq, _, _, _ in mined} == {
+            (label, seq)
+            for tokens, label in rows
+            for length in range(1, len(tokens) + 1)
+            for seq in itertools.combinations(tokens, length)
+        }
+        for label, seq, count, clean, _ in mined:
+            containing = [
+                other for tokens, other in rows
+                if contains_word_sequence(tokens, seq)
+            ]
+            assert count == containing.count(label), (label, seq)
+            assert clean == (count == len(containing)), (label, seq)
 
     def test_requires_labels(self):
-        index = CorpusIndex([("denim", "jeans")], ["pants"])
-        view = index.type_view("pants")
-        index.labels = None
-        with pytest.raises(ValueError):
-            view.has_impure_match((0,))
+        index = CorpusIndex([("denim", "jeans")])
+        with pytest.raises(ValueError, match="labeled corpus"):
+            index.mine(0.5, 1, 2)
+
+
+NAME_WORDS = ["jean", "jeans", "wheel", "wheels", "disc", "discs", "glass",
+              "gas", "abrasive", "area", "rugs", "rug", "tv", "s"]
+
+
+class TestArrayScoring:
+    """``score_rows`` == ``confidence_score`` per row, bit for bit."""
+
+    @given(
+        type_name=st.sampled_from([
+            "jeans", "jean", "abrasive wheels & discs", "area rugs",
+            "glass", "TV Stands", "&", "rugs rug",
+        ]),
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=4),
+                st.integers(min_value=1, max_value=97),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(deadline=None)
+    def test_bit_equal_to_scalar_scoring(self, type_name, rows):
+        vocabulary = sorted(NAME_WORDS)
+        tokens = np.full((len(rows), 4), -1, dtype=np.int64)
+        for row, (seq, _) in enumerate(rows):
+            tokens[row, :len(seq)] = [vocabulary.index(t) for t in seq]
+        support = np.array([count for _, count in rows]) / 97
+        scores = ConfidenceScorer(type_name).score_rows(
+            singular_forms(vocabulary), tokens, support
+        )
+        assert scores.dtype == np.float64
+        for (seq, count), score in zip(rows, scores.tolist()):
+            assert score == confidence_score(seq, type_name, count / 97)
 
 
 class TestWeightedEntrySelection:
-    """Weighted rep-space selection == row-space selection == rule-space."""
+    """Column selection over weighted reps == over rows == over rules."""
+
+    CONFIDENCES = [0.0, 0.45, 0.65, 0.8, 0.95]
+
+    @staticmethod
+    def rule_selection(confidences, coverages, q):
+        """Algorithm 2 over materialized rules, as candidate numbers."""
+        rules = [
+            SequenceRule(("t", str(order)), "pants", confidence=confidence)
+            for order, confidence in enumerate(confidences)
+        ]
+        coverage = {
+            rule.rule_id: set(ids) for rule, ids in zip(rules, coverages)
+        }
+        high, low = greedy_biased_select(rules, coverage, q, 0.7)
+        return ([int(rule.token_sequence[1]) for rule in high],
+                [int(rule.token_sequence[1]) for rule in low])
 
     @given(
         pools=st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=3),  # confidence idx
+                st.integers(min_value=0, max_value=4),  # confidence idx
                 st.lists(
                     st.integers(min_value=0, max_value=5),
                     min_size=0,
@@ -463,89 +533,64 @@ class TestWeightedEntrySelection:
     )
     @settings(deadline=None)
     def test_rep_weights_equal_row_expansion(self, pools, weights, q):
-        confidences = [0.45, 0.65, 0.8, 0.95]
+        # Five confidence values over up to eight candidates: ties on the
+        # objective, on confidence and on both are the common case.
+        confidence = np.array([self.CONFIDENCES[idx] for idx, _ in pools])
         # rep i expands to rows offsets[i]..offsets[i]+weights[i]-1.
         offsets = [0]
         for weight in weights:
             offsets.append(offsets[-1] + weight)
+        rep_cover = [ids for _, ids in pools]
+        row_cover = [
+            [row for rid in ids for row in range(offsets[rid], offsets[rid + 1])]
+            for ids in rep_cover
+        ]
 
-        rep_entries = []
-        row_entries = []
-        for order, (conf_idx, rep_ids) in enumerate(pools):
-            confidence = confidences[conf_idx]
-            reps = set(rep_ids)
-            rows = {
-                row
-                for rid in reps
-                for row in range(offsets[rid], offsets[rid + 1])
-            }
-            rep_entries.append((confidence, order, reps, None))
-            row_entries.append((confidence, order, rows, None))
-
-        rep_high, rep_low = greedy_biased_select_entries(
-            rep_entries, q, 0.7, weights
+        by_rep = greedy_biased_select_slices(
+            confidence, *slices_of(rep_cover), np.array(weights), q, 0.7
         )
-        row_high, row_low = greedy_biased_select_entries(row_entries, q, 0.7)
-        assert [e[1] for e in rep_high] == [e[1] for e in row_high]
-        assert [e[1] for e in rep_low] == [e[1] for e in row_low]
-
-        # Supplying precomputed totals (the mined counts) changes nothing.
-        totals = {
-            entry[1]: sum(weights[rid] for rid in entry[2])
-            for entry in rep_entries
-        }
-        tot_high, tot_low = greedy_biased_select_entries(
-            rep_entries, q, 0.7, weights, totals
+        by_row = greedy_biased_select_slices(
+            confidence, *slices_of(row_cover),
+            np.ones(offsets[-1], dtype=np.int64), q, 0.7,
         )
-        assert [e[1] for e in tot_high] == [e[1] for e in row_high]
-        assert [e[1] for e in tot_low] == [e[1] for e in row_low]
+        assert by_rep == by_row
+        assert by_row == self.rule_selection(confidence.tolist(), row_cover, q)
 
     def test_entries_match_rule_selection(self):
-        from repro.core.rule import SequenceRule
-
         specs = [
-            (("denim", "jeans"), 0.95, {0, 1, 2}),
-            (("slim", "jeans"), 0.9, {1, 2, 3}),
-            (("fit", "jeans"), 0.8, {3, 4}),
-            (("oak", "jeans"), 0.6, {0, 4, 5}),
-            (("sofa", "jeans"), 0.5, {2, 5}),
+            (0.95, {0, 1, 2}),
+            (0.9, {1, 2, 3}),
+            (0.8, {3, 4}),
+            (0.6, {0, 4, 5}),
+            (0.5, {2, 5}),
         ]
-        rules = [
-            SequenceRule(seq, "pants", support=0.5, confidence=confidence)
-            for seq, confidence, _ in specs
-        ]
-        coverage = {
-            rule.rule_id: rows for rule, (_, _, rows) in zip(rules, specs)
-        }
-        entries = [
-            (confidence, order, set(rows), seq)
-            for order, (seq, confidence, rows) in enumerate(specs)
-        ]
+        confidence = np.array([confidence for confidence, _ in specs])
+        coverages = [rows for _, rows in specs]
         for q in range(len(specs) + 2):
-            high, low = greedy_biased_select(rules, coverage, q, 0.7)
-            entry_high, entry_low = greedy_biased_select_entries(
-                entries, q, 0.7
+            assert greedy_biased_select_slices(
+                confidence, *slices_of(coverages),
+                np.ones(6, dtype=np.int64), q, 0.7,
+            ) == self.rule_selection(confidence.tolist(), coverages, q)
+        with pytest.raises(ValueError):
+            greedy_select_slices(
+                confidence, *slices_of(coverages),
+                np.ones(6, dtype=np.int64), -1,
             )
-            assert [tuple(r.token_sequence) for r in high] == [
-                e[3] for e in entry_high
-            ]
-            assert [tuple(r.token_sequence) for r in low] == [
-                e[3] for e in entry_low
-            ]
 
     def test_covered_preseed_equals_residual_maps(self):
-        entries = [
-            (0.9, 0, {0, 1, 2}, None),
-            (0.85, 1, {2, 3}, None),
-            (0.8, 2, {4}, None),
-        ]
+        confidence = np.array([0.9, 0.85, 0.8])
+        coverages = [{0, 1, 2}, {2, 3}, {4}]
         covered = {0, 1}
-        preseeded = greedy_select_entries(
-            [(c, o, set(ids), p) for c, o, ids, p in entries],
-            3,
-            covered=set(covered),
+        uncovered = np.ones(5, dtype=np.int64)
+        uncovered[sorted(covered)] = 0
+        preseeded = greedy_select_slices(
+            confidence, *slices_of(coverages), uncovered, 3
         )
-        residual = greedy_select_entries(
-            [(c, o, set(ids) - covered, p) for c, o, ids, p in entries], 3
+        residual = greedy_select_slices(
+            confidence, *slices_of([ids - covered for ids in coverages]),
+            np.ones(5, dtype=np.int64), 3,
         )
-        assert [e[1] for e in preseeded] == [e[1] for e in residual]
+        # Candidate 0 has nothing left once {2, 3} is taken: zero gain stops.
+        assert preseeded == residual == [1, 2]
+        # The selection consumed the weights it covered.
+        assert not uncovered.any()
