@@ -118,9 +118,13 @@ def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
 def atomic_write_json(
     path: str, payload: Any, indent: Optional[int] = 2, fsync: bool = True
 ) -> None:
-    """Atomically write ``payload`` as (key-sorted) JSON to ``path``."""
+    """Atomically write ``payload`` as (key-sorted) JSON to ``path``;
+    ``indent=None`` writes it compact, with no space after a separator."""
+    separators = (",", ":") if indent is None else None
     atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=True), fsync=fsync
+        path,
+        json.dumps(payload, indent=indent, sort_keys=True, separators=separators),
+        fsync=fsync,
     )
 
 

@@ -31,7 +31,7 @@ DESIGN.md §8.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -55,11 +55,12 @@ def _render_name(name: str, labels: LabelItems) -> str:
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "rendered", "value")
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
+        self.rendered = _render_name(name, labels)
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -71,11 +72,12 @@ class Counter:
 class Gauge:
     """A value that can move both ways (queue depth, breaker state)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "rendered", "value")
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
+        self.rendered = _render_name(name, labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -96,8 +98,8 @@ class Histogram:
     the summary view reports print.
     """
 
-    __slots__ = ("name", "labels", "buckets", "bucket_counts", "count", "sum",
-                 "min", "max")
+    __slots__ = ("name", "labels", "rendered", "buckets", "bucket_counts",
+                 "count", "sum", "min", "max")
 
     def __init__(
         self,
@@ -109,6 +111,7 @@ class Histogram:
             raise ValueError(f"buckets must be a sorted non-empty sequence: {buckets}")
         self.name = name
         self.labels = labels
+        self.rendered = _render_name(name, labels)
         self.buckets: Tuple[float, ...] = tuple(buckets)
         self.bucket_counts: List[int] = [0] * (len(self.buckets) + 1)
         self.count = 0
@@ -134,6 +137,92 @@ DEFAULT_MAX_RULE_LABELS = 512
 #: The catch-all label value for rules beyond the cardinality cap.
 OTHER_RULE_LABEL = "__other__"
 
+#: The per-rule counter family :meth:`MetricsRegistry.observe_rule_fires` feeds.
+RULE_FIRED_TOTAL = "rule_fired_total"
+
+
+#: A family's key: ``(name, label keys, histogram buckets or None)``.
+FamilyKey = Tuple[str, Tuple[str, ...], Optional[Tuple[float, ...]]]
+
+
+class _Instruments(dict):
+    """One kind of instrument by ``(name, labels)`` key, plus what every
+    export walks — the key-sorted order and its grouping into families —
+    built again only after an instrument is created."""
+
+    __slots__ = ("_ordered", "_families")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ordered: Optional[list] = None
+        self._families: Optional[Dict[FamilyKey, List[Tuple[list, Any]]]] = None
+
+    def add(self, key: Tuple[str, LabelItems], instrument):
+        self[key] = instrument
+        self._ordered = self._families = None
+        return instrument
+
+    def ordered(self) -> list:
+        if self._ordered is None:
+            self._ordered = [self[key] for key in sorted(self)]
+        return self._ordered
+
+    def families(self) -> Dict[FamilyKey, List[Tuple[list, Any]]]:
+        """``family key -> [(label values, instrument), …]`` in key order."""
+        if self._families is None:
+            families: Dict[FamilyKey, List[Tuple[list, Any]]] = {}
+            for instrument in self.ordered():
+                family = (
+                    instrument.name,
+                    tuple(key for key, _ in instrument.labels),
+                    getattr(instrument, "buckets", None),
+                )
+                families.setdefault(family, []).append(
+                    ([value for _, value in instrument.labels], instrument)
+                )
+            self._families = families
+        return self._families
+
+
+def _section(state: Dict[str, Any], key: str) -> Any:
+    if not isinstance(state, dict) or key not in state:
+        raise ValueError(f"checkpoint field 'metrics.{key}' is missing")
+    return state[key]
+
+
+def _load_families(
+    state: Dict[str, Any], kind: str, tail_width: int, family_extras: int = 0
+) -> Iterator[Tuple[str, str, LabelItems, list, list]]:
+    """Decode one kind's families: ``(field, name, labels, row tail,
+    family extras)`` per row, refusing any family or row whose shape does
+    not match, with the field named."""
+    families = _section(state, kind)
+    if not isinstance(families, list):
+        raise ValueError(f"checkpoint field 'metrics.{kind}' is not a list of families")
+    for index, family in enumerate(families):
+        where = f"metrics.{kind}[{index}]"
+        if not (
+            isinstance(family, list)
+            and 3 <= len(family) <= 3 + family_extras
+            and isinstance(family[1], list)
+            and isinstance(family[2], list)
+        ):
+            raise ValueError(
+                f"checkpoint field {where!r} is not [name, label_keys, rows]"
+            )
+        name, keys, rows, *extras = family
+        width = len(keys) + tail_width
+        for position, row in enumerate(rows):
+            field = f"{where}.rows[{position}]"
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(
+                    f"checkpoint field {field!r} has "
+                    f"{len(row) if isinstance(row, list) else 'no'} values; family "
+                    f"{name!r} with label keys {keys} needs {width}"
+                )
+            labels = tuple(sorted(zip(keys, map(str, row[:len(keys)]))))
+            yield field, name, labels, row[len(keys):], extras
+
 
 class MetricsRegistry:
     """Named, optionally-labelled instruments, created on first touch.
@@ -150,9 +239,9 @@ class MetricsRegistry:
     def __init__(self, max_rule_labels: int = DEFAULT_MAX_RULE_LABELS) -> None:
         if max_rule_labels < 1:
             raise ValueError(f"max_rule_labels must be >= 1, got {max_rule_labels}")
-        self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
+        self._counters = _Instruments()
+        self._gauges = _Instruments()
+        self._histograms = _Instruments()
         self.max_rule_labels = max_rule_labels
         self._rule_label_ids: set = set()
 
@@ -162,14 +251,14 @@ class MetricsRegistry:
         key = (name, _labels_key(labels))
         instrument = self._counters.get(key)
         if instrument is None:
-            instrument = self._counters[key] = Counter(name, key[1])
+            instrument = self._counters.add(key, Counter(name, key[1]))
         return instrument
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         key = (name, _labels_key(labels))
         instrument = self._gauges.get(key)
         if instrument is None:
-            instrument = self._gauges[key] = Gauge(name, key[1])
+            instrument = self._gauges.add(key, Gauge(name, key[1]))
         return instrument
 
     def histogram(
@@ -181,13 +270,13 @@ class MetricsRegistry:
         key = (name, _labels_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(name, key[1], buckets)
+            instrument = self._histograms.add(key, Histogram(name, key[1], buckets))
         return instrument
 
     def series(self, name: str) -> Dict[str, Counter]:
         """All children of a labelled counter family, by rendered name."""
         return {
-            _render_name(name, key[1]): counter
+            counter.rendered: counter
             for key, counter in self._counters.items()
             if key[0] == name
         }
@@ -262,7 +351,7 @@ class MetricsRegistry:
         """
         ranked = sorted(fires.items(), key=lambda kv: (-kv[1], kv[0]))
         for rule_id, count in ranked:
-            self.counter("rule_fired_total", rule_id=self.rule_label(rule_id)).inc(
+            self.counter(RULE_FIRED_TOTAL, rule_id=self.rule_label(rule_id)).inc(
                 count
             )
 
@@ -284,22 +373,18 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A plain-dict view of every instrument (stable key order)."""
         counters = {
-            _render_name(*key): counter.value
-            for key, counter in sorted(self._counters.items())
+            counter.rendered: counter.value for counter in self._counters.ordered()
         }
-        gauges = {
-            _render_name(*key): gauge.value
-            for key, gauge in sorted(self._gauges.items())
-        }
+        gauges = {gauge.rendered: gauge.value for gauge in self._gauges.ordered()}
         histograms = {
-            _render_name(*key): {
+            hist.rendered: {
                 "count": hist.count,
                 "sum": hist.sum,
                 "mean": hist.mean,
                 "min": hist.min,
                 "max": hist.max,
             }
-            for key, hist in sorted(self._histograms.items())
+            for hist in self._histograms.ordered()
         }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
@@ -342,67 +427,86 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
+    def _rule_label_series(self) -> set:
+        """The rule ids that own a ``rule_fired_total{rule_id=…}`` series."""
+        family = self._counters.families().get(
+            (RULE_FIRED_TOTAL, ("rule_id",), None), ()
+        )
+        return {values[0] for values, _ in family}
+
     def dump(self) -> Dict[str, object]:
         """Full-fidelity, JSON-safe registry state for checkpointing.
 
         Unlike :meth:`snapshot` (the human/report view, which collapses
-        histograms to summaries), this keeps bucket bounds and counts so
-        :meth:`load` reconstructs instruments exactly — a resumed daemon
-        continues accumulating where the crashed one stopped.
+        histograms to summaries), this keeps bucket counts so :meth:`load`
+        reconstructs instruments exactly — a resumed daemon continues
+        accumulating where the crashed one stopped. Instruments are
+        written as columns: one ``[name, label_keys, rows]`` family per
+        name and label-key set, a row ``[label values…, value]`` (a
+        histogram's ``[label values…, bucket_counts, count, sum, min,
+        max]``, its family followed by ``buckets`` when they are not
+        :data:`DEFAULT_BUCKETS`). The rule-label admission set is not
+        written: :meth:`load` derives it from the ``rule_fired_total``
+        series, and ``rule_label_exceptions`` holds only where the two
+        differ — admitted ids without a series, series ids never admitted
+        (``__other__``) — so the codec is lossless whatever the registry
+        holds.
         """
         return {
             "max_rule_labels": self.max_rule_labels,
-            "rule_label_ids": sorted(self._rule_label_ids),
+            "rule_label_exceptions": sorted(
+                self._rule_label_ids ^ self._rule_label_series()
+            ),
             "counters": [
-                {"name": key[0], "labels": [list(kv) for kv in key[1]],
-                 "value": counter.value}
-                for key, counter in sorted(self._counters.items())
+                [name, list(keys), [values + [counter.value] for values, counter in rows]]
+                for (name, keys, _), rows in self._counters.families().items()
             ],
             "gauges": [
-                {"name": key[0], "labels": [list(kv) for kv in key[1]],
-                 "value": gauge.value}
-                for key, gauge in sorted(self._gauges.items())
+                [name, list(keys), [values + [gauge.value] for values, gauge in rows]]
+                for (name, keys, _), rows in self._gauges.families().items()
             ],
             "histograms": [
-                {
-                    "name": key[0],
-                    "labels": [list(kv) for kv in key[1]],
-                    "buckets": list(hist.buckets),
-                    "bucket_counts": list(hist.bucket_counts),
-                    "count": hist.count,
-                    "sum": hist.sum,
-                    "min": hist.min,
-                    "max": hist.max,
-                }
-                for key, hist in sorted(self._histograms.items())
+                [
+                    name,
+                    list(keys),
+                    [
+                        values + [
+                            list(hist.bucket_counts),
+                            hist.count, hist.sum, hist.min, hist.max,
+                        ]
+                        for values, hist in rows
+                    ],
+                    *([] if buckets == DEFAULT_BUCKETS else [list(buckets)]),
+                ]
+                for (name, keys, buckets), rows in self._histograms.families().items()
             ],
         }
 
     @classmethod
-    def load(cls, state: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from its :meth:`dump` form."""
-        registry = cls(max_rule_labels=state.get("max_rule_labels",
-                                                 DEFAULT_MAX_RULE_LABELS))
-        registry._rule_label_ids = set(state.get("rule_label_ids", ()))
-        for entry in state.get("counters", ()):
-            labels = tuple((k, v) for k, v in entry["labels"])
-            counter = Counter(entry["name"], labels)
-            counter.value = entry["value"]
-            registry._counters[(entry["name"], labels)] = counter
-        for entry in state.get("gauges", ()):
-            labels = tuple((k, v) for k, v in entry["labels"])
-            gauge = Gauge(entry["name"], labels)
-            gauge.value = entry["value"]
-            registry._gauges[(entry["name"], labels)] = gauge
-        for entry in state.get("histograms", ()):
-            labels = tuple((k, v) for k, v in entry["labels"])
-            hist = Histogram(entry["name"], labels, entry["buckets"])
-            hist.bucket_counts = list(entry["bucket_counts"])
-            hist.count = entry["count"]
-            hist.sum = entry["sum"]
-            hist.min = entry["min"]
-            hist.max = entry["max"]
-            registry._histograms[(entry["name"], labels)] = hist
+    def load(cls, state: Dict[str, Any]) -> "MetricsRegistry":
+        """Rebuild a registry from its :meth:`dump` form; a missing field
+        or a row of the wrong shape raises ``ValueError`` naming it."""
+        registry = cls(max_rule_labels=_section(state, "max_rule_labels"))
+        for _, name, labels, (value,), _ in _load_families(state, "counters", 1):
+            registry._counters.add((name, labels), Counter(name, labels)).value = value
+        for _, name, labels, (value,), _ in _load_families(state, "gauges", 1):
+            registry._gauges.add((name, labels), Gauge(name, labels)).value = value
+        for where, name, labels, row, buckets in _load_families(
+            state, "histograms", 5, family_extras=1
+        ):
+            hist = Histogram(name, labels, *buckets)
+            bucket_counts, hist.count, hist.sum, hist.min, hist.max = row
+            if len(bucket_counts) != len(hist.buckets) + 1:
+                raise ValueError(
+                    f"checkpoint field {where!r} has {len(bucket_counts)} bucket "
+                    f"counts for {len(hist.buckets)} buckets (expected "
+                    f"{len(hist.buckets) + 1})"
+                )
+            hist.bucket_counts = list(bucket_counts)
+            registry._histograms.add((name, labels), hist)
+        registry._rule_label_ids = registry._rule_label_series() ^ set(
+            _section(state, "rule_label_exceptions")
+        )
         return registry
 
     def report_lines(self) -> List[str]:

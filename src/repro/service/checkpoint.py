@@ -22,7 +22,11 @@ checkpoint holds only what no log determines.**
   digest-chain head and the one chain link (``prev_digest_chain``,
   ``last_batch_id``) that lets resume verify the view it re-derived.
   O(metric series + incidents); flat in items served and in rule pairs
-  seen.
+  seen. Written compact: each RNG as ``[version, base64 of the 625
+  packed state words, gauss_next]``, the metrics as column families
+  (:meth:`~repro.observability.metrics.MetricsRegistry.dump`), no space
+  after a separator. Resume refuses a missing field or a malformed RNG
+  or metrics row with a ``ValueError`` naming the field.
 
 The checkpoint records the journal's **byte offset** at snapshot time
 (likewise for the provenance spool and the metric series). Anything past
@@ -44,12 +48,14 @@ from repro.core.durability import (
     truncate_file,
 )
 
-#: Bumped when the checkpoint layout changes incompatibly. Version 1
-#: embedded the executor's match store; version 2 re-derives it; version 3
-#: re-derives the health windows too (no ``tracker`` key) and chains the
-#: digest over the fired map's fingerprint instead of its whole JSON, so a
-#: version-2 head cannot be verified by this code and is refused.
-CHECKPOINT_VERSION = 3
+#: Bumped when the checkpoint layout changes incompatibly; any other
+#: version is refused, and no converter exists. Version 1 embedded the
+#: executor's match store; version 2 re-derives it; version 3 re-derives
+#: the health windows too (no ``tracker`` key) and chains the digest over
+#: the fired map's fingerprint instead of its whole JSON; version 4 holds
+#: the same state encoded compactly (packed RNG states, metric families
+#: as columns, the rule-label admission set derived from its series).
+CHECKPOINT_VERSION = 4
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"

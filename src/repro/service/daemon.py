@@ -46,10 +46,12 @@ operational telemetry and explicitly *outside* the identity contract.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
 import resource
+import struct
 import sys
 import time
 from collections import deque
@@ -123,13 +125,60 @@ def _chain_link(previous: str, batch_id: str, fingerprint: str) -> str:
 # -- JSON codecs for the checkpoint document --------------------------------------
 
 
+#: ``random.Random``'s state: Mersenne Twister version 3, 624 words plus
+#: the position index, packed little-endian as 32-bit words.
+_MT_VERSION = 3
+_MT_FORMAT = struct.Struct("<625I")
+
+
+def _field(state: Dict[str, Any], path: str) -> Any:
+    """``state["a"]["b"]`` for ``path`` ``"a.b"``; a missing key raises a
+    ``ValueError`` naming the field."""
+    value = state
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"checkpoint field {path!r} is missing")
+        value = value[key]
+    return value
+
+
 def _rng_dump(rng) -> List[Any]:
+    """``[version, base64(packed state), gauss_next]``."""
     version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
+    packed = base64.b64encode(_MT_FORMAT.pack(*internal)).decode("ascii")
+    return [version, packed, gauss]
 
 
-def _rng_load(rng, state: List[Any]) -> None:
-    rng.setstate((state[0], tuple(state[1]), state[2]))
+def _rng_load(rng, state: Dict[str, Any], path: str) -> None:
+    """Restore ``rng`` from the :func:`_rng_dump` at ``path`` in the
+    checkpoint, refusing (``ValueError`` naming the field) anything that
+    is not a version-3 state of exactly 2,500 bytes."""
+    encoded = _field(state, path)
+    if not isinstance(encoded, list) or len(encoded) != 3:
+        raise ValueError(
+            f"checkpoint field {path!r} is not [version, state, gauss_next]"
+        )
+    version, packed, gauss = encoded
+    if version != _MT_VERSION:
+        raise ValueError(
+            f"checkpoint field {path!r} holds Mersenne Twister state version "
+            f"{version!r} (expected {_MT_VERSION})"
+        )
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except (TypeError, ValueError):
+        raise ValueError(f"checkpoint field {path!r}: state is not base64") from None
+    if len(raw) != _MT_FORMAT.size:
+        raise ValueError(
+            f"checkpoint field {path!r}: state is {len(raw)} bytes "
+            f"(expected {_MT_FORMAT.size})"
+        )
+    if gauss is not None and not isinstance(gauss, float):
+        raise ValueError(f"checkpoint field {path!r}: gauss_next is {gauss!r}")
+    try:
+        rng.setstate((version, _MT_FORMAT.unpack(raw), gauss))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint field {path!r}: {exc}") from None
 
 
 def _item_to_dict(item: ProductItem) -> Dict[str, Any]:
@@ -369,7 +418,7 @@ class StreamService:
         self.rolled_back = self.store.truncate(state["offsets"])
 
         # 2. Deterministic startup re-execution (rules discarded).
-        self._open_world(metrics=MetricsRegistry.load(state["metrics"]))
+        self._open_world(metrics=MetricsRegistry.load(_field(state, "metrics")))
 
         # 3. Repository pinned at the checkpointed change-log head; any
         #    entries a crashed run wrote past it are truncated away.
@@ -392,11 +441,11 @@ class StreamService:
 
         # 5. Clock and every RNG stream, restored verbatim.
         self.clock.now = float(state["clock_now"])
-        _rng_load(self.stream.rng, state["stream"]["rng"])
+        _rng_load(self.stream.rng, state, "stream.rng")
         self.stream._next_batch = int(state["stream"]["next_batch"])
-        _rng_load(self.generator.rng, state["generator"]["rng"])
+        _rng_load(self.generator.rng, state, "generator.rng")
         self.generator._next_id = int(state["generator"]["next_id"])
-        _rng_load(self.analyst.rng, state["analyst_rng"])
+        _rng_load(self.analyst.rng, state, "analyst_rng")
         self.chimera._batch_counter = int(state["batch_counter"])
         self.ids.seq = int(state["rule_seq"])
 

@@ -225,12 +225,26 @@ class TestMetricsSampling:
 
     def test_dump_load_roundtrip_continues_accumulating(self):
         registry = self._populated()
-        clone = MetricsRegistry.load(registry.dump())
+        registry.max_rule_labels = 2
+        registry.counter("exec_runs_total", executor="a,b", stage="ünï{=}").inc(3)
+        registry.histogram("sizes", buckets=(1, 10, 100), vendor="x").observe(7)
+        registry.histogram("never_observed")  # min/max stay None
+        registry.rule_label("r-silent")  # admitted, never fired: no series
+        registry.observe_rule_fires({"r1": 4, "r2": 2, "r3": 1})  # cap: r2, r3 -> __other__
+        document = json.loads(json.dumps(registry.dump()))
+        assert document["rule_label_exceptions"] == ["__other__", "r-silent"]
+        clone = MetricsRegistry.load(document)
         assert clone.snapshot() == registry.snapshot()
         assert clone.dump() == registry.dump()
+        assert clone.histogram("sizes", vendor="x").buckets == (1, 10, 100)
+        assert clone.histogram("never_observed").min is None
         clone.counter("batches").inc()
         assert clone.counter("batches").value \
             == registry.counter("batches").value + 1
+        # The admission set came back: r3 still folds into __other__.
+        clone.observe_rule_fires({"r3": 5, "r1": 1})
+        assert clone.counter("rule_fired_total", rule_id="__other__").value == 8
+        assert clone.counter("rule_fired_total", rule_id="r1").value == 5
 
 
 # -- live console + dashboard --------------------------------------------------

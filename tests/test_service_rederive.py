@@ -14,8 +14,11 @@ the same way instead of being written down after every batch. Here:
   rollback), for a kill at any barrier of any batch — the kill matrix in
   ``test_service_resume.py`` edits no rule except through incidents;
 * ``checkpoint.json`` is flat in the number of items served;
-* a root whose logs no longer determine the checkpointed chain head, or
-  whose checkpoint is the v1 or v2 layout, is refused loudly;
+* ``checkpoint.json`` stays inside a byte budget that the v3 encoding of
+  the same state breaks;
+* a root whose logs no longer determine the checkpointed chain head,
+  whose checkpoint is the v1, v2 or v3 layout, or whose RNG or metrics
+  section is damaged, is refused loudly;
 * every chain link's fingerprint is the from-scratch fingerprint of the
   very map a v2 link serialised whole (``tests/chain_audit.py``);
 * a history with a drift alert and an open incident in it comes back
@@ -24,14 +27,18 @@ the same way instead of being written down after every batch. Here:
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import os
+import shutil
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability.metrics import MetricsRegistry
 from repro.service.checkpoint import CHECKPOINT_NAME, JOURNAL_NAME, SPOOL_NAME
 from repro.service.daemon import (
     GENESIS_DIGEST,
@@ -302,14 +309,131 @@ class TestFlatCheckpoint:
         assert not [item_id for item_id in item_ids if f'"{item_id}"' in text]
 
 
+_RNG_PATHS = (("stream", "rng"), ("generator", "rng"), ("analyst_rng",))
+
+
+def _v3_encoding(state: dict) -> dict:
+    """The same state in checkpoint v3's encoding: each RNG as 625
+    decimal ints, one ``{"labels", "name", "value"}`` object per series,
+    the rule-label admission set spelled out."""
+    registry = MetricsRegistry.load(state["metrics"])
+
+    def series(instruments, **fields):
+        return [
+            {"name": inst.name, "labels": [list(kv) for kv in inst.labels],
+             **{field: get(inst) for field, get in fields.items()}}
+            for inst in instruments.ordered()
+        ]
+
+    def unpacked(rng):
+        version, packed, gauss = rng
+        return [version, list(struct.unpack("<625I", base64.b64decode(packed))), gauss]
+
+    v3 = copy.deepcopy(state)
+    v3["version"] = 3
+    v3["metrics"] = {
+        "max_rule_labels": registry.max_rule_labels,
+        "rule_label_ids": sorted(registry._rule_label_ids),
+        "counters": series(registry._counters, value=lambda c: c.value),
+        "gauges": series(registry._gauges, value=lambda g: g.value),
+        "histograms": series(
+            registry._histograms,
+            buckets=lambda h: list(h.buckets),
+            bucket_counts=lambda h: list(h.bucket_counts),
+            count=lambda h: h.count, sum=lambda h: h.sum,
+            min=lambda h: h.min, max=lambda h: h.max,
+        ),
+    }
+    for *parents, leaf in _RNG_PATHS:
+        holder = v3
+        for key in parents:
+            holder = holder[key]
+        holder[leaf] = unpacked(holder[leaf])
+    return v3
+
+
+def _sizes(state: dict, separators, n_series: int) -> dict:
+    """Bytes of the whole document, of its largest RNG section and of its
+    metrics section per series, as ``json.dumps`` with ``separators``
+    writes them."""
+
+    def size(payload) -> int:
+        return len(json.dumps(payload, sort_keys=True, separators=separators).encode())
+
+    rngs = []
+    for *parents, leaf in _RNG_PATHS:
+        holder = state
+        for key in parents:
+            holder = holder[key]
+        rngs.append(size(holder[leaf]))
+    return {
+        "total": size(state),
+        "rng": max(rngs),
+        "metric_series": size(state["metrics"]) / n_series,
+    }
+
+
+class TestCheckpointBudget:
+    """A host-independent byte budget for the document every batch
+    rewrites: ``ServiceConfig(seed=7, training=0)`` after ``BATCHES``
+    batches, as checkpoint v4 encodes it, + 5%. The sizes are counts —
+    only the reprs of wall-clock histogram floats move them, by bytes."""
+
+    BATCHES = 8
+    TOTAL = int(15_876 * 1.05)
+    RNG = 3_400
+    PER_SERIES = 30.5 * 1.05
+    COMPACT = (",", ":")
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("budget") / "run")
+        with StreamService(root, ServiceConfig(seed=7, training=0), fsync=False) as service:
+            service.run_to(self.BATCHES)
+            snapshot = service.obs.metrics.snapshot()
+        path = os.path.join(root, CHECKPOINT_NAME)
+        with open(path) as handle:
+            state = json.load(handle)
+        n_series = sum(len(snapshot[kind]) for kind in snapshot)
+        return state, os.path.getsize(path), n_series
+
+    def test_sizes_are_what_the_daemon_wrote(self, checkpoint):
+        state, size, n_series = checkpoint
+        assert _sizes(state, self.COMPACT, n_series)["total"] == size
+
+    def test_within_budget(self, checkpoint):
+        state, _, n_series = checkpoint
+        sizes = _sizes(state, self.COMPACT, n_series)
+        assert sizes["total"] <= self.TOTAL, sizes
+        assert sizes["rng"] <= self.RNG, sizes
+        assert sizes["metric_series"] <= self.PER_SERIES, sizes
+
+    def test_budget_goes_red_for_the_v3_encoding(self, checkpoint):
+        """The gate has teeth: the same state as v3 wrote it — decimal
+        RNG words, a keyed object per series, ``", "`` / ``": "`` — fails
+        every one of the three bounds."""
+        state, _, n_series = checkpoint
+        sizes = _sizes(_v3_encoding(state), None, n_series)
+        assert sizes["total"] > self.TOTAL
+        assert sizes["rng"] > self.RNG
+        assert sizes["metric_series"] > self.PER_SERIES
+
+
 class TestLoudRefusal:
-    @pytest.fixture()
-    def root(self, tmp_path) -> str:
-        root = str(tmp_path / "run")
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("refusal") / "run")
         with StreamService(root, fsync=False) as service:
             service.run_to(3)
             fired = service.incremental.fired_map()
-            self.fired_item = sorted(fired)[0]
+        return root, sorted(fired)[0]
+
+    @pytest.fixture()
+    def root(self, template, tmp_path) -> str:
+        """A private copy of one 3-batch root, for each test to damage."""
+        source, self.fired_item = template
+        root = str(tmp_path / "run")
+        shutil.copytree(source, root)
         return root
 
     def _edit_checkpoint(self, root: str, **fields) -> None:
@@ -374,7 +498,7 @@ class TestLoudRefusal:
         assert str(excinfo.value).count("chains to") == 1
 
     def test_link_over_another_fingerprint_refused(self, root):
-        """A well-formed v3 head that commits to a different fired map:
+        """A well-formed head that commits to a different fired map:
         one row's hash away from the rebuilt one."""
         with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
             state = json.load(handle)
@@ -403,4 +527,56 @@ class TestLoudRefusal:
         """A v2 head chains over whole-map JSON and carries the health
         windows: this code can neither verify the one nor wants the other."""
         self._edit_checkpoint(root, version=2, tracker={"alerts": []})
-        self._assert_refused(root, r"version 2 is not supported \(expected 3\)")
+        self._assert_refused(root, r"version 2 is not supported \(expected 4\)")
+
+    def test_v3_checkpoint_refused(self, root):
+        """v3 held the same state in the long encoding; there is no
+        converter, so the refusal names both versions."""
+        self._edit_checkpoint(root, version=3)
+        self._assert_refused(root, r"version 3 is not supported \(expected 4\)")
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda s: s["generator"].pop("rng"), r"'generator\.rng' is missing"),
+            (lambda s: s.pop("analyst_rng"), r"'analyst_rng' is missing"),
+            (lambda s: s["metrics"].pop("counters"), r"'metrics\.counters' is missing"),
+            (
+                lambda s: s["metrics"].pop("rule_label_exceptions"),
+                r"'metrics\.rule_label_exceptions' is missing",
+            ),
+            (
+                lambda s: s["stream"]["rng"].__setitem__(
+                    1, base64.b64encode(base64.b64decode(s["stream"]["rng"][1])[:-4]).decode()
+                ),
+                r"'stream\.rng': state is 2496 bytes \(expected 2500\)",
+            ),
+            (
+                lambda s: s["generator"]["rng"].__setitem__(0, 2),
+                r"'generator\.rng' holds Mersenne Twister state version 2 \(expected 3\)",
+            ),
+            (
+                lambda s: s["metrics"]["counters"][0][2][0].pop(),
+                r"'metrics\.counters\[0\]\.rows\[0\]' has \d+ values; family .* needs",
+            ),
+            (
+                lambda s: s["metrics"]["histograms"][0][2][0].append(0),
+                r"'metrics\.histograms\[0\]\.rows\[0\]' has \d+ values; family .* needs",
+            ),
+        ],
+        ids=[
+            "rng-missing", "analyst-rng-missing", "metrics-section-missing",
+            "rule-label-exceptions-missing", "rng-short-blob", "rng-version",
+            "counter-row-narrow", "histogram-row-wide",
+        ],
+    )
+    def test_damaged_rng_or_metrics_refused(self, root, damage, match):
+        """A truncated or hand-edited section fails naming the field — it
+        used to resume with zeroed counters or die in a bare TypeError."""
+        path = os.path.join(root, CHECKPOINT_NAME)
+        with open(path) as handle:
+            state = json.load(handle)
+        damage(state)
+        with open(path, "w") as handle:
+            json.dump(state, handle)
+        self._assert_refused(root, match)
