@@ -147,7 +147,7 @@ def main(argv=None):
         run_out, run_wall = timed(lambda: parallel_executor.run(items))
         if compiled_parallel_wall is None or run_wall < compiled_parallel_wall:
             compiled_parallel_out, compiled_parallel_wall = run_out, run_wall
-    compiled_parallel_fired = compiled_parallel_out[0]
+    compiled_parallel_fired = compiled_parallel_out.fired
 
     reference_fired = NaiveExecutor(rules).run(items)[0]
     identical = (
@@ -180,7 +180,7 @@ def main(argv=None):
                 "compiled_parallel",
                 len(items),
                 compiled_parallel_wall,
-                compiled_parallel_out[1].rule_evaluations,
+                compiled_parallel_out.stats.rule_evaluations,
             ),
         ],
         "compiled_indexed_protocol": {

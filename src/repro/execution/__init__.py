@@ -18,8 +18,8 @@ One engine, one match kernel, three modes, one reference (DESIGN.md §5):
   one call of it, ``execute`` a loop of them;
 * :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
-  simulated, in-process cluster workers sharing the artifact lowered
-  from the serialized rules;
+  simulated, in-process cluster workers sharing the batch mode's
+  artifact;
 * :class:`IncrementalExecutor` + :class:`MatchStore` — **delta** mode for
   the never-ending deployment (§2.2/§4): the fired map is a materialized
   view and only the changed rules/items are re-evaluated, with a
@@ -29,12 +29,11 @@ One engine, one match kernel, three modes, one reference (DESIGN.md §5):
   byte-identical to it; tests and benchmark oracles compare against it.
 
 The sharded mode is fault tolerant (§2.2's ongoing-system requirements):
-failed shards retry with exponential backoff onto other workers,
-(injected) stragglers are re-dispatched, corrupt shard output is
-rejected by driver-side validation, and runs degrade — with an explicit
-skip report — instead of raising. See :mod:`repro.execution.resilience`
-and the deterministic fault-injection harness in
-:mod:`repro.testing.faults`.
+each shard tries each worker once, corrupt shard output is rejected by
+driver-side validation, and a shard every worker failed is skipped — the
+run degrades, with one :class:`FaultEvent` per failed attempt, instead of
+raising. :mod:`repro.execution.parallel` owns that loop and its
+deterministic fault injection (:class:`FaultPlan`).
 """
 
 from repro.core.prepared import (
@@ -48,19 +47,13 @@ from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats, IndexedExecutor, NaiveExecutor
 from repro.execution.incremental import IncrementalExecutor, MatchStore
 from repro.execution.parallel import (
+    CorruptShardOutput,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
     PartitionedExecutor,
     PartitionedRunResult,
-    ShardReport,
-    critical_path,
-)
-from repro.execution.resilience import (
-    CorruptShardOutput,
-    DegradedRunError,
-    FaultEvent,
-    RetryPolicy,
-    ShardFailure,
-    WorkerCrash,
-    WorkerHang,
     validate_shard_output,
 )
 from repro.execution.rule_index import RuleIndex, rarest_anchor
@@ -69,9 +62,11 @@ __all__ = [
     "CompiledRuleSet",
     "CorruptShardOutput",
     "DataIndex",
-    "DegradedRunError",
     "ExecutionStats",
     "FaultEvent",
+    "FaultKind",
+    "FaultPlan",
+    "FaultSpec",
     "IncrementalExecutor",
     "IndexedExecutor",
     "MatchStore",
@@ -79,15 +74,9 @@ __all__ = [
     "PartitionedExecutor",
     "PartitionedRunResult",
     "PreparedItem",
-    "RetryPolicy",
     "RuleIndex",
     "RuleSetCompiler",
-    "ShardFailure",
-    "ShardReport",
     "TokenAutomaton",
-    "WorkerCrash",
-    "WorkerHang",
-    "critical_path",
     "prepare",
     "rarest_anchor",
     "prepare_all",

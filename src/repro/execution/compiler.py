@@ -86,8 +86,8 @@ always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
 downgrade observable.
 
 **Process-local.** The artifact holds closures and is never pickled;
-the sharded executor ships the serialized rules and lowers them once,
-in-process, into an artifact every shard, retry and run then shares.
+the sharded executor lowers the rules once, in-process, into an
+artifact every shard attempt and run then shares.
 
 Incremental invalidation rides the same generation-counter discipline as
 PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule

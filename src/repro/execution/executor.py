@@ -37,7 +37,7 @@ from repro.observability import Observability, ensure_observability
 
 _ON_ERROR_MODES = ("raise", "skip")
 
-_MERGE_WALL_MODES = ("keep", "sum", "max")
+_MERGE_WALL_MODES = ("keep", "sum")
 
 
 @dataclass
@@ -73,8 +73,8 @@ class ExecutionStats:
     parallel run their sum can legitimately exceed elapsed time).
     ``wall_time`` is the one *non-additive* field: it is elapsed time as
     observed by whoever owns the run (the driver, for a partitioned run —
-    including retry backoff and failed attempts), so :meth:`merge` leaves
-    it alone unless told how to combine it (see the ``wall`` parameter).
+    failed attempts included), so :meth:`merge` leaves it alone unless
+    told how to combine it (see the ``wall`` parameter).
     """
 
     items: int = 0
@@ -116,13 +116,9 @@ class ExecutionStats:
 
         * ``"keep"`` (default) — untouched; the caller owns elapsed time.
           This is shard merging: the driver measures the run's wall clock
-          itself, and summing per-shard walls would double-count the
-          driver's elapsed time (each retried shard's failed attempts are
-          already inside the driver's measurement exactly once).
+          itself, failed attempts included.
         * ``"sum"`` — serial composition: ``other`` ran after ``self``
           (the incremental executor's lifetime ledger).
-        * ``"max"`` — parallel composition: the makespan of runs that
-          executed side by side.
         """
         if wall not in _MERGE_WALL_MODES:
             raise ValueError(f"wall must be one of {_MERGE_WALL_MODES}, got {wall!r}")
@@ -142,8 +138,6 @@ class ExecutionStats:
         self.compile_time += other.compile_time
         if wall == "sum":
             self.wall_time += other.wall_time
-        elif wall == "max":
-            self.wall_time = max(self.wall_time, other.wall_time)
 
 
 def _checked_mode(on_error: str) -> str:

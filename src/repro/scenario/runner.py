@@ -15,8 +15,7 @@ Determinism contract (property-tested in
   ``(seed, subsystem-tag)`` via CRC-32, so subsystems cannot perturb each
   other's streams when a spec toggles one of them;
 * simulated time only — the wall clock is never read (the partitioned
-  executor gets a :class:`~repro.utils.clock.TickClock` and a
-  :class:`~repro.testing.faults.VirtualSleeper`);
+  executor gets a :class:`~repro.utils.clock.TickClock`);
 * the world is :func:`repro.world.build_world` — the startup the daemon
   runs — and every rule the simulated analyst writes gets a run-local
   ``scn-*`` id from one :class:`~repro.world.RunIds`.
@@ -45,7 +44,7 @@ from repro.crowd.tasks import VerificationTask
 from repro.crowd.worker import WorkerPool
 from repro.evaluation.per_rule import PerRuleCrowdEvaluator
 from repro.execution.executor import IndexedExecutor
-from repro.execution.parallel import PartitionedExecutor
+from repro.execution.parallel import FaultPlan, PartitionedExecutor
 from repro.maintenance.taxonomy_change import (
     apply_plan,
     plan_for_merge,
@@ -55,7 +54,6 @@ from repro.observability.quality import QualityTelemetry, RuleHealthTracker
 from repro.repository import RuleRepository, bind_chimera
 from repro.scenario.report import ExitCheck, ScenarioReport, round6
 from repro.scenario.spec import _EXIT_CHECKS, ScenarioSpec, TaxonomyChange
-from repro.testing.faults import FaultPlan, VirtualSleeper
 from repro.utils.clock import TickClock
 from repro.world import RunIds, World, build_world, sub_seed
 
@@ -494,18 +492,15 @@ class ScenarioRunner:
                     ).run(batch.items)
                     _digest_update(digest, batch.batch_id, fired)
                 elif executor_kind == "partitioned":
-                    executor = PartitionedExecutor(
+                    run = PartitionedExecutor(
                         chimera.rule_stage.rules.active_rules(),
                         n_workers=spec.executor.n_workers,
                         fault_plan=fault_plan,
-                        sleep=VirtualSleeper(),
-                        retry_seed=sub("retry"),
                         clock=TickClock(),
-                    )
-                    run = executor.run_detailed(batch.items)
+                    ).run(batch.items)
                     if run.degraded:
                         degraded_runs += 1
-                    skipped_items += len(run.skipped_item_ids)
+                    skipped_items += run.stats.skipped_items
                     _digest_update(digest, batch.batch_id, run.fired)
                 batch_latencies.append(
                     (time.perf_counter() - batch_started) * 1000.0

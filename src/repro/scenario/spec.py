@@ -793,7 +793,8 @@ class ScenarioSpec:
         return spec
 
     def _validate_schedule(self) -> None:
-        """Every scheduled event must land inside the scheduled batches."""
+        """Every scheduled event must land inside the scheduled batches,
+        and every fault coordinate inside the executor's workers."""
         last = self.traffic.batches - 1
 
         def check(at_batch: int, label: str) -> None:
@@ -821,6 +822,18 @@ class ScenarioSpec:
             check(event.at_batch, f"repository.rollbacks[{i}]")
         if not self.faults.empty and self.executor.kind != "partitioned":
             raise _err("faults", "a fault plan needs executor.kind: partitioned")
+        # Workers, shards and attempts all range over [0, n_workers).
+        n_workers = self.executor.n_workers
+        for i, entry in enumerate(self.faults.plan):
+            for key in ("worker", "shard", "attempt"):
+                value = getattr(entry, key)
+                if value is not None and value >= n_workers:
+                    raise _err(f"faults.plan[{i}].{key}",
+                               f"{value} is out of range for n_workers={n_workers}")
+        if self.faults.random_spare_workers > n_workers:
+            raise _err("faults.random.spare_workers",
+                       f"{self.faults.random_spare_workers} exceeds "
+                       f"n_workers={n_workers}")
 
     # -- canonical form ----------------------------------------------------------
 

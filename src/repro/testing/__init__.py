@@ -1,25 +1,11 @@
-"""Deterministic test harnesses for the resilience layer.
+"""Deterministic test harnesses for the durable service.
 
 This package is shipped with the library (not hidden inside ``tests/``)
-so downstream users can chaos-test their own deployments of the
-partitioned executor and the Chimera pipeline with the same tooling the
-repo's own suite uses.
+so downstream users can crash-test their own deployments of the daemon
+with the same tooling the repo's own suite uses. Fault injection for the
+sharded executor lives beside its loop, in :mod:`repro.execution.parallel`.
 """
 
-from repro.testing.faults import (
-    ANY,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    TriggeredFault,
-    VirtualSleeper,
-)
+from repro.testing.faults import CrashPlan, SimulatedCrash, tear_file
 
-__all__ = [
-    "ANY",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "TriggeredFault",
-    "VirtualSleeper",
-]
+__all__ = ["CrashPlan", "SimulatedCrash", "tear_file"]

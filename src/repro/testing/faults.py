@@ -1,239 +1,19 @@
-"""Deterministic fault injection for the partitioned executor.
+"""Deterministic crash injection for the durable service.
 
-The resilience layer (retry, straggler re-dispatch, degraded results) is
-only trustworthy if every failure path is exercised by fast, reproducible
-tests. Real fault injection — killing processes, sleeping past timeouts —
-is slow and flaky; this module replaces it with a *schedule*:
+Real fault injection — killing processes mid-write — is slow and flaky;
+this module replaces it with a *schedule* and a file mangler:
 
-* a :class:`FaultSpec` says "when worker W runs shard S on attempt A,
-  crash / hang / corrupt the output";
-* a :class:`FaultPlan` is an ordered list of specs plus a trigger log, so
-  a test (or the CI chaos job) can assert exactly which faults fired;
-* :meth:`FaultPlan.random_plan` derives a plan from a seed — the same seed
-  always yields the same plan, making randomized chaos runs replayable.
-
-Hangs are *simulated*: the plan raises
-:class:`~repro.execution.resilience.WorkerHang` at dispatch time, which is
-precisely what the driver would observe from a real straggler timeout —
-so no test ever sleeps. Corruption runs the real shard and then mangles
-the output deterministically, exercising driver-side validation.
+* a :class:`CrashPlan` names the barrier (``"journal-appended"``,
+  ``"before-checkpoint"``, ...) where the daemon raises
+  :class:`SimulatedCrash`, leaving the on-disk state exactly as a kill at
+  that instant would;
+* :func:`tear_file` truncates an append-only file mid-record, as a crash
+  partway through an append would.
 """
 
 from __future__ import annotations
 
-import enum
-import random
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
-
-from repro.execution.executor import ExecutionStats
-from repro.execution.resilience import ShardFailure, WorkerCrash, WorkerHang
-
-ANY: Optional[int] = None  # wildcard for FaultSpec coordinates
-
-
-class FaultKind(enum.Enum):
-    """The three failure modes of the §2.2 failure model."""
-
-    CRASH = "crash"
-    HANG = "hang"
-    CORRUPT = "corrupt"
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One scheduled fault. ``None`` coordinates are wildcards.
-
-    ``detail`` selects the corruption style for CORRUPT faults:
-    ``alien-item`` (default) adds a fired entry for an item the shard never
-    held, ``alien-rule`` fires a rule id the driver never shipped,
-    ``unsorted`` breaks the sorted-output contract, ``garbage`` replaces
-    the fired map wholesale, and ``bad-stats`` mangles the stats object.
-    """
-
-    kind: FaultKind
-    worker: Optional[int] = ANY
-    shard: Optional[int] = ANY
-    attempt: Optional[int] = ANY
-    detail: str = ""
-
-    def applies_to(self, worker: int, shard: int, attempt: int) -> bool:
-        return (
-            (self.worker is ANY or self.worker == worker)
-            and (self.shard is ANY or self.shard == shard)
-            and (self.attempt is ANY or self.attempt == attempt)
-        )
-
-    @property
-    def blocks_execution(self) -> bool:
-        """True when the fault prevents the shard from returning at all."""
-        return self.kind in (FaultKind.CRASH, FaultKind.HANG)
-
-    def to_exception(self, worker: int, shard: int, attempt: int) -> ShardFailure:
-        where = f"worker {worker}, shard {shard}, attempt {attempt}"
-        if self.kind is FaultKind.CRASH:
-            return WorkerCrash(f"injected crash ({where})")
-        if self.kind is FaultKind.HANG:
-            return WorkerHang(f"injected hang ({where})")
-        raise ValueError(f"{self.kind} does not block execution")
-
-    def corrupt_output(self, output: Tuple[int, dict, Any]) -> Tuple[int, Any, Any]:
-        """Deterministically mangle a shard's (shard_id, fired, stats)."""
-        shard_id, fired, stats = output
-        style = self.detail or "alien-item"
-        if style == "alien-item":
-            fired = dict(fired)
-            fired["__not-in-this-shard__"] = ["rule-000000"]
-        elif style == "alien-rule":
-            fired = dict(fired)
-            fired["__not-in-this-shard__"] = ["__never-shipped-rule__"]
-        elif style == "unsorted":
-            fired = dict(fired)
-            fired["__not-in-this-shard__"] = ["zz-rule", "aa-rule"]
-        elif style == "garbage":
-            fired = "\x00corrupted frame"
-        elif style == "bad-stats":
-            broken = ExecutionStats()
-            broken.items = -1
-            stats = broken
-        else:
-            raise ValueError(f"unknown corruption detail {style!r}")
-        return shard_id, fired, stats
-
-
-@dataclass(frozen=True)
-class TriggeredFault:
-    """A log entry: which spec fired, at which (worker, shard, attempt)."""
-
-    worker: int
-    shard: int
-    attempt: int
-    kind: FaultKind
-    detail: str = ""
-
-
-class FaultPlan:
-    """An ordered fault schedule consulted by the partitioned executor.
-
-    The first matching spec wins, so plans read top-down like a playbook.
-    Builder methods return ``self`` for chaining::
-
-        plan = FaultPlan().kill_worker(1).corrupt(worker=2, attempt=0)
-    """
-
-    def __init__(self, specs: Sequence[FaultSpec] = ()):
-        self.specs: List[FaultSpec] = list(specs)
-        self.triggered: List[TriggeredFault] = []
-
-    # -- builders ----------------------------------------------------------------
-
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        self.specs.append(spec)
-        return self
-
-    def crash(
-        self,
-        worker: Optional[int] = ANY,
-        shard: Optional[int] = ANY,
-        attempt: Optional[int] = ANY,
-    ) -> "FaultPlan":
-        return self.add(FaultSpec(FaultKind.CRASH, worker, shard, attempt))
-
-    def hang(
-        self,
-        worker: Optional[int] = ANY,
-        shard: Optional[int] = ANY,
-        attempt: Optional[int] = ANY,
-    ) -> "FaultPlan":
-        return self.add(FaultSpec(FaultKind.HANG, worker, shard, attempt))
-
-    def corrupt(
-        self,
-        worker: Optional[int] = ANY,
-        shard: Optional[int] = ANY,
-        attempt: Optional[int] = ANY,
-        detail: str = "",
-    ) -> "FaultPlan":
-        return self.add(FaultSpec(FaultKind.CORRUPT, worker, shard, attempt, detail))
-
-    def kill_worker(self, worker: int) -> "FaultPlan":
-        """Worker ``worker`` crashes on every call, forever."""
-        return self.crash(worker=worker)
-
-    def hang_worker(self, worker: int) -> "FaultPlan":
-        """Worker ``worker`` hangs (times out) on every call, forever."""
-        return self.hang(worker=worker)
-
-    # -- consultation (called by the executor) -----------------------------------
-
-    def fault_for(self, worker: int, shard: int, attempt: int) -> Optional[FaultSpec]:
-        for spec in self.specs:
-            if spec.applies_to(worker, shard, attempt):
-                return spec
-        return None
-
-    def record(self, spec: FaultSpec, worker: int, shard: int, attempt: int) -> None:
-        self.triggered.append(
-            TriggeredFault(worker, shard, attempt, spec.kind, spec.detail)
-        )
-
-    # -- seeded chaos ------------------------------------------------------------
-
-    @classmethod
-    def random_plan(
-        cls,
-        seed: int,
-        n_workers: int,
-        rate: float = 0.3,
-        max_faulted_attempts: int = 2,
-        kinds: Sequence[FaultKind] = (FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT),
-        spare_workers: int = 1,
-    ) -> "FaultPlan":
-        """A reproducible random plan that always leaves healthy capacity.
-
-        Workers ``0..spare_workers-1`` are never faulted, so a driver whose
-        retry budget lets each shard rotate across the pool is guaranteed
-        to finish — which is what the CI chaos job asserts under an
-        arbitrary logged seed.
-        """
-        if not 0 <= rate <= 1:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        if spare_workers < 0 or spare_workers > n_workers:
-            raise ValueError("spare_workers must be in [0, n_workers]")
-        rng = random.Random(seed)
-        plan = cls()
-        details = ("alien-item", "alien-rule", "unsorted", "garbage", "bad-stats")
-        for worker in range(spare_workers, n_workers):
-            for attempt in range(max_faulted_attempts):
-                if rng.random() >= rate:
-                    continue
-                kind = rng.choice(tuple(kinds))
-                detail = rng.choice(details) if kind is FaultKind.CORRUPT else ""
-                plan.add(FaultSpec(kind, worker=worker, attempt=attempt, detail=detail))
-        return plan
-
-    def describe(self) -> str:
-        if not self.specs:
-            return "fault plan: (healthy)"
-        lines = ["fault plan:"]
-        for spec in self.specs:
-            coords = ", ".join(
-                f"{label}={'*' if value is ANY else value}"
-                for label, value in (
-                    ("worker", spec.worker),
-                    ("shard", spec.shard),
-                    ("attempt", spec.attempt),
-                )
-            )
-            suffix = f" [{spec.detail}]" if spec.detail else ""
-            lines.append(f"  {spec.kind.value} @ {coords}{suffix}")
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __repr__(self) -> str:
-        return f"<FaultPlan {len(self.specs)} specs, {len(self.triggered)} triggered>"
+from typing import List, Optional
 
 
 class SimulatedCrash(Exception):
@@ -307,23 +87,3 @@ def tear_file(path: str, keep_bytes: Optional[int] = None, garbage: bytes = b"")
         handle.flush()
         os.fsync(handle.fileno())
     return os.path.getsize(path)
-
-
-class VirtualSleeper:
-    """An injectable ``sleep`` that records naps instead of taking them.
-
-    Tests pass this to the executor so exponential backoff is *observable*
-    (the requested delays are on ``naps``) without the suite ever blocking.
-    """
-
-    def __init__(self) -> None:
-        self.naps: List[float] = []
-
-    def __call__(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"cannot sleep a negative duration ({seconds})")
-        self.naps.append(seconds)
-
-    @property
-    def total(self) -> float:
-        return sum(self.naps)

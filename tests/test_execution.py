@@ -16,7 +16,6 @@ from repro.execution import (
     NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
-    critical_path,
     prepare,
 )
 
@@ -230,16 +229,15 @@ class TestPreparedItem:
 
 class TestPartitionedExecutor:
     def test_matches_single_node_results(self):
-        serializable = [r for r in RULES]
-        merged, stats, reports = PartitionedExecutor(serializable, n_workers=3).run(ITEMS)
-        naive_fired, naive_stats = NaiveExecutor(serializable).run(ITEMS)
-        assert {k: sorted(v) for k, v in naive_fired.items()} == merged
-        assert stats.items == len(ITEMS)
-        assert len(reports) == 3
+        result = PartitionedExecutor(RULES, n_workers=3).run(ITEMS)
+        naive_fired, naive_stats = NaiveExecutor(RULES).run(ITEMS)
+        assert {k: sorted(v) for k, v in naive_fired.items()} == result.fired
+        assert result.stats.items == len(ITEMS)
+        assert len(result.shard_evaluations) == 3
 
     def test_critical_path_below_total(self):
-        _, stats, reports = PartitionedExecutor(RULES, n_workers=3).run(ITEMS * 10)
-        assert critical_path(reports) < stats.rule_evaluations
+        result = PartitionedExecutor(RULES, n_workers=3).run(ITEMS * 10)
+        assert max(result.shard_evaluations) < result.stats.rule_evaluations
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):

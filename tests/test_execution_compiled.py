@@ -527,14 +527,14 @@ class TestIncrementalCompiled:
 
 class TestPartitionedCompiled:
     def test_compiled_shards_ship_raw_items(self):
+        # Shards are dealt the items as given, raw records and prepared
+        # views alike; the artifact tokenizes either inline.
         executor = PartitionedExecutor(
             [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2
         )
-        shards, shard_ids, _ = executor._shards(
-            [item("i1", "a"), prepare(item("i2", "b"))]
-        )
-        assert all(isinstance(record, ProductItem) for shard in shards for record in shard)
-        assert shard_ids == [["i1"], ["i2"]]
+        result = executor.run([item("i1", "a ring"), prepare(item("i2", "b ring"))])
+        assert result.fired == {"i1": ["w1"], "i2": ["w1"]}
+        assert result.shard_evaluations == [1, 1]
 
     def test_compiled_partitioned_matches_interpreted(self):
         rules = [
@@ -543,20 +543,18 @@ class TestPartitionedCompiled:
         ]
         items = [item(f"i{n}", f"gold ring {n}") for n in range(23)]
         fired_i, _ = NaiveExecutor(rules).run(items)
-        fired_c, stats_c, reports = PartitionedExecutor(rules, n_workers=3).run(items)
-        assert fired_c == fired_i
-        assert stats_c.compile_time > 0.0
-        assert all(report.ok for report in reports)
+        result = PartitionedExecutor(rules, n_workers=3).run(items)
+        assert result.fired == fired_i
+        assert result.stats.compile_time > 0.0
+        assert not result.fault_events
 
     def test_compiled_artifact_reused_across_runs(self):
         executor = PartitionedExecutor(
             [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2
         )
         items = [item("i1", "a ring")]
-        executor.run(items)
-        first = executor._driver_compiled
-        executor.run(items)
-        assert executor._driver_compiled is first
+        assert executor.run(items).stats.compile_time > 0.0
+        assert executor.run(items).stats.compile_time == 0.0
 
 
 class TestExplain:

@@ -31,19 +31,18 @@ from repro.core import (
     WhitelistRule,
     parse_rule,
 )
+from repro.core.rule import Clause, PredicateRule
 from repro.core.ruleset import RuleSet
-from repro.core.serialize import UnserializableRuleError, rule_to_dict
 from repro.execution import (
     CompiledRuleSet,
+    FaultPlan,
     IncrementalExecutor,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RetryPolicy,
 )
 from repro.execution import incremental as incremental_module
 from repro.observability import Observability
-from repro.testing import FaultPlan, VirtualSleeper
 from tests.chain_audit import fingerprint_from_scratch, store_fired_map
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
@@ -175,14 +174,6 @@ def _canonical(fired):
     return {item_id: fired[item_id] for item_id in sorted(fired)}
 
 
-def _serializable(rule):
-    try:
-        rule_to_dict(rule)
-    except UnserializableRuleError:
-        return False
-    return True
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=14))
 def test_every_engine_mode_equals_the_reference(ops):
@@ -220,19 +211,13 @@ def test_every_engine_mode_equals_the_reference(ops):
     assert rules_first.fired_map() == reference
     assert items_first.fired_map() == reference
 
-    shippable = [rule for rule in rules if _serializable(rule)]
     plan = FaultPlan.random_plan(
         seed=CHAOS_SEED, n_workers=N_WORKERS, rate=0.5,
         max_faulted_attempts=2, spare_workers=1,
     )
-    sharded = PartitionedExecutor(
-        shippable, n_workers=N_WORKERS, fault_plan=plan,
-        retry_policy=RetryPolicy.immediate(max_attempts=4), sleep=VirtualSleeper(),
-    ).run_detailed(items)
-    assert sharded.complete, f"chaos seed={CHAOS_SEED}\n{plan.describe()}"
-    assert _canonical(sharded.fired) == _canonical(
-        NaiveExecutor(shippable).run(items)[0]
-    )
+    sharded = PartitionedExecutor(rules, n_workers=N_WORKERS, fault_plan=plan).run(items)
+    assert not sharded.degraded, f"chaos seed={CHAOS_SEED}\n{plan.describe()}"
+    assert _canonical(sharded.fired) == reference
 
 
 # The rows of the anchor-soundness bugfix, pinned by name: each fired under
@@ -255,12 +240,52 @@ def test_anchor_soundness_cases_fire_in_every_mode(pattern, title):
     expected = {"i1": ["w1"]}
     assert NaiveExecutor([rule]).run([item])[0] == expected
     assert IndexedExecutor([rule]).run([item])[0] == expected
-    assert PartitionedExecutor([rule], n_workers=2).run([item])[0] == expected
+    assert PartitionedExecutor([rule], n_workers=2).run([item]).fired == expected
     rules_first = IncrementalExecutor(rules=[rule])
     rules_first.add_items([item])
     items_first = IncrementalExecutor(items=[item])
     items_first.add_rules([rule])
     assert rules_first.fired_map() == items_first.fired_map() == expected
+
+
+def _fired_by_mode(executors, items):
+    return {
+        type(executor).__name__: (
+            executor.run(items).fired if isinstance(executor, PartitionedExecutor)
+            else executor.run(items)[0]
+        )
+        for executor in executors
+    }
+
+
+def test_reused_executors_follow_an_enabled_flag_flip():
+    """An executor built once and run again after ``rule.enabled = False``
+    must drop the disabled rule in every mode, sharded included."""
+    rules = [
+        WhitelistRule("rings?", "t", rule_id="w1"),
+        WhitelistRule("gold", "t", rule_id="w2"),
+    ]
+    item = ProductItem(item_id="i1", title="gold ring")
+    executors = [
+        NaiveExecutor(rules), IndexedExecutor(rules), PartitionedExecutor(rules, n_workers=2),
+    ]
+    for mode, fired in _fired_by_mode(executors, [item]).items():
+        assert fired == {"i1": ["w1", "w2"]}, mode
+    rules[0].enabled = False
+    for mode, fired in _fired_by_mode(executors, [item]).items():
+        assert fired == {"i1": ["w2"]}, mode
+
+
+def test_every_mode_runs_a_predicate_rule():
+    """A rule class with no serialized form runs in every mode."""
+    rule = PredicateRule([Clause("gold", lambda thing: "gold" in thing.title)], "t",
+                         rule_id="p1")
+    item = ProductItem(item_id="i1", title="gold ring")
+    executors = [
+        NaiveExecutor([rule]), IndexedExecutor([rule]), PartitionedExecutor([rule], n_workers=2),
+    ]
+    for mode, fired in _fired_by_mode(executors, [item]).items():
+        assert fired == {"i1": ["p1"]}, mode
 
 
 # -- the patched view is the from-scratch view, after every single op ---------------

@@ -104,15 +104,13 @@ def rule_corpora(draw):
 def test_all_executors_agree(rules, corpus, n_workers):
     naive_fired, naive_stats = NaiveExecutor(rules).run(corpus)
     indexed_fired, indexed_stats = IndexedExecutor(rules).run(corpus)
-    partitioned_fired, part_stats, _ = PartitionedExecutor(
-        rules, n_workers=n_workers
-    ).run(corpus)
+    partitioned = PartitionedExecutor(rules, n_workers=n_workers).run(corpus)
 
     assert naive_fired == indexed_fired
-    assert naive_fired == partitioned_fired
+    assert naive_fired == partitioned.fired
     # The index proposes a superset, never more work than the naive scan.
     assert indexed_stats.rule_evaluations <= naive_stats.rule_evaluations
-    assert part_stats.items == len(corpus)
+    assert partitioned.stats.items == len(corpus)
 
 
 @settings(max_examples=40, deadline=None)

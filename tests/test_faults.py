@@ -1,15 +1,14 @@
-"""Deterministic fault-injection tests for the resilient partitioned executor.
+"""Deterministic fault-injection tests for the sharded executor.
 
-Every failure path — crash, hang/straggler, corrupt output, full-cluster
-death — is driven by a scheduled :class:`FaultPlan`; no test sleeps, kills
-processes, or touches the wall clock. Backoff is observed through a
-:class:`VirtualSleeper` and jitter through a seeded RNG.
+Every failure path — crash, hang, corrupt output, a rule that raises,
+full-cluster death — is driven by a scheduled :class:`FaultPlan` or a
+deterministic rule; no test sleeps, kills processes, or touches the wall
+clock.
 """
 
 from __future__ import annotations
 
 import os
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,19 +16,19 @@ from hypothesis import strategies as st
 
 from repro.catalog.types import ProductItem
 from repro.core import AttributeRule, SequenceRule, parse_rules
+from repro.core.rule import Clause, PredicateRule
 from repro.execution import (
     CorruptShardOutput,
-    DegradedRunError,
     ExecutionStats,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RetryPolicy,
-    WorkerCrash,
-    WorkerHang,
     validate_shard_output,
 )
-from repro.testing import ANY, FaultKind, FaultPlan, FaultSpec, VirtualSleeper
+from repro.utils.clock import TickClock
 
 
 def item(title, item_id=None, **attributes):
@@ -58,19 +57,20 @@ ITEMS = [
 
 BASELINE, _ = NaiveExecutor(RULES).run(ITEMS)
 
+# A rule whose condition raises on any title containing "bomb": a real
+# (not injected) worker failure, the same on every worker a shard visits.
+BOMB = PredicateRule(
+    [Clause("explodes on bombs", lambda thing: "bomb" in thing.title and 1 / 0)],
+    "t", rule_id="pred-bomb",
+)
 
-def executor(n_workers=3, plan=None, max_attempts=3, sleeper=None, **kwargs):
-    return PartitionedExecutor(
-        RULES,
-        n_workers=n_workers,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(
-            max_attempts=max_attempts, base_delay=0.01, multiplier=2.0,
-            max_delay=1.0, jitter=0.5,
-        ),
-        sleep=sleeper if sleeper is not None else VirtualSleeper(),
-        **kwargs,
-    )
+
+def executor(n_workers=3, plan=None, **kwargs):
+    return PartitionedExecutor(RULES, n_workers=n_workers, fault_plan=plan, **kwargs)
+
+
+def shard_events(result, shard):
+    return [e for e in result.fault_events if e.shard_id == shard]
 
 
 class TestFaultPlan:
@@ -89,7 +89,7 @@ class TestFaultPlan:
         assert plan.fault_for(1, 0, 0).kind is FaultKind.CRASH
 
     def test_builders_chain(self):
-        plan = FaultPlan().kill_worker(0).hang_worker(1).corrupt(worker=2)
+        plan = FaultPlan().crash(worker=0).hang(worker=1).corrupt(worker=2)
         assert [s.kind for s in plan.specs] == [
             FaultKind.CRASH, FaultKind.HANG, FaultKind.CORRUPT,
         ]
@@ -118,42 +118,17 @@ class TestFaultPlan:
         assert FaultPlan().describe() == "fault plan: (healthy)"
 
     def test_blocking_spec_to_exception(self):
-        crash = FaultSpec(FaultKind.CRASH).to_exception(0, 1, 2)
-        hang = FaultSpec(FaultKind.HANG).to_exception(0, 1, 2)
-        assert isinstance(crash, WorkerCrash) and isinstance(hang, WorkerHang)
-        with pytest.raises(ValueError):
-            FaultSpec(FaultKind.CORRUPT).to_exception(0, 0, 0)
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, jitter=0.0, max_delay=10.0)
-        rng = random.Random(0)
-        assert [policy.backoff_delay(a, rng) for a in range(4)] == [
-            pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.4), pytest.approx(0.8),
+        # A crash or hang stops the attempt before the shard runs: the
+        # event carries the spec's kind, and the driver's clock shows no
+        # extra execution against a healthy run.
+        plan = FaultPlan().crash(shard=0, attempt=0).hang(shard=1, attempt=0)
+        result = executor(plan=plan, clock=TickClock()).run(ITEMS)
+        assert [(e.shard_id, e.kind, e.action) for e in result.fault_events] == [
+            (0, "crash", "retry"), (1, "hang", "retry"),
         ]
-
-    def test_backoff_is_capped(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, jitter=0.0, max_delay=2.5)
-        assert policy.backoff_delay(5, random.Random(0)) == pytest.approx(2.5)
-
-    def test_jitter_bounds_and_determinism(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=1.0, jitter=0.5)
-        a = policy.backoff_delay(0, random.Random(42))
-        b = policy.backoff_delay(0, random.Random(42))
-        assert a == b  # same seed, same jitter
-        assert 0.1 <= a <= 0.15
-
-    def test_rejects_bad_parameters(self):
-        for kwargs in (
-            {"max_attempts": 0}, {"base_delay": -1}, {"multiplier": 0.5}, {"jitter": -0.1},
-        ):
-            with pytest.raises(ValueError):
-                RetryPolicy(**kwargs)
-
-    def test_immediate_policy_never_sleeps(self):
-        policy = RetryPolicy.immediate(max_attempts=5)
-        assert policy.backoff_delay(3, random.Random(0)) == 0.0
+        assert result.fired == BASELINE
+        healthy = executor(clock=TickClock()).run(ITEMS)
+        assert result.stats.wall_time == healthy.stats.wall_time
 
 
 class TestShardOutputValidation:
@@ -203,154 +178,115 @@ class TestSingleWorkerDeath:
     @pytest.mark.parametrize("kind", ["kill", "hang"])
     def test_complete_despite_dead_worker(self, worker, kind):
         plan = FaultPlan()
-        (plan.kill_worker if kind == "kill" else plan.hang_worker)(worker)
-        result = executor(n_workers=3, plan=plan, max_attempts=3).run_detailed(ITEMS)
-        assert result.complete
+        (plan.crash if kind == "kill" else plan.hang)(worker=worker)
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert not result.degraded
         assert result.fired == BASELINE
-        # The dead worker's shard was re-dispatched elsewhere.
-        report = result.reports[worker]
-        assert report.ok and report.retries >= 1 and report.worker_id != worker
+        # The dead worker's own shard failed there once and moved on.
+        assert [(e.worker_id, e.attempt, e.action)
+                for e in shard_events(result, worker)] == [(worker, 0, "retry")]
 
     def test_crash_then_recover_on_retry(self):
         plan = FaultPlan().crash(worker=1, attempt=0)  # transient: first attempt only
-        result = executor(n_workers=3, plan=plan).run_detailed(ITEMS)
-        assert result.complete and result.fired == BASELINE
-        assert result.total_retries == 1
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert not result.degraded and result.fired == BASELINE
+        assert result.stats.retries == 1
         assert [e.kind for e in result.fault_events] == ["crash"]
 
     def test_corrupt_worker_is_caught_and_retried(self):
         for detail in ("alien-item", "alien-rule", "unsorted", "garbage", "bad-stats"):
             plan = FaultPlan().corrupt(worker=2, attempt=0, detail=detail)
-            result = executor(n_workers=3, plan=plan).run_detailed(ITEMS)
-            assert result.complete, detail
+            result = executor(n_workers=3, plan=plan).run(ITEMS)
+            assert not result.degraded, detail
             assert result.fired == BASELINE, detail
-            assert any(e.kind == "corrupt" for e in result.fault_events), detail
+            assert [e.kind for e in result.fault_events] == ["corrupt"], detail
 
     def test_triggered_faults_are_logged_on_the_plan(self):
-        plan = FaultPlan().kill_worker(1)
-        executor(n_workers=3, plan=plan).run_detailed(ITEMS)
-        assert plan.triggered
-        assert all(t.worker == 1 for t in plan.triggered)
-
-
-class TestBackoff:
-    def test_sleeps_are_virtual_and_grow(self):
-        sleeper = VirtualSleeper()
-        plan = FaultPlan().crash(shard=0, attempt=0).crash(shard=0, attempt=1)
-        result = executor(
-            n_workers=3, plan=plan, max_attempts=4, sleeper=sleeper
-        ).run_detailed(ITEMS)
-        assert result.complete
-        assert len(sleeper.naps) == 2  # one backoff per failed round
-        assert sleeper.naps[1] > sleeper.naps[0]  # exponential growth
-        assert all(nap < 0.05 for nap in sleeper.naps)  # never a real-scale delay
-
-    def test_jitter_is_seeded(self):
-        def run(seed):
-            sleeper = VirtualSleeper()
-            plan = FaultPlan().crash(shard=1, attempt=0)
-            executor(
-                n_workers=3, plan=plan, sleeper=sleeper, retry_seed=seed
-            ).run_detailed(ITEMS)
-            return sleeper.naps
-
-        assert run(7) == run(7)
-        assert run(7) != run(8)
-
-    def test_no_sleep_when_no_faults(self):
-        sleeper = VirtualSleeper()
-        result = executor(n_workers=3, sleeper=sleeper).run_detailed(ITEMS)
-        assert result.complete and sleeper.naps == []
-
-    def test_no_sleep_after_final_attempt(self):
-        sleeper = VirtualSleeper()
-        plan = FaultPlan().crash()  # everything always crashes
-        executor(n_workers=2, plan=plan, max_attempts=2, sleeper=sleeper).run_detailed(ITEMS)
-        assert len(sleeper.naps) == 1  # only between attempts 0 and 1
+        plan = FaultPlan().crash(worker=1)
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert plan.triggered == result.fault_events
+        assert plan.triggered and all(t.worker_id == 1 for t in plan.triggered)
 
 
 class TestDegradedMode:
     def test_total_failure_degrades_instead_of_raising(self):
         plan = FaultPlan().crash()
-        result = executor(n_workers=3, plan=plan, max_attempts=2).run_detailed(ITEMS)
-        assert result.degraded and not result.complete
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert result.degraded
         assert result.fired == {}
-        assert sorted(result.skipped_item_ids) == sorted(i.item_id for i in ITEMS)
-        assert result.skipped_shards == [0, 1, 2]
-        assert all(r.status == "skipped" and not r.ok for r in result.reports)
+        assert sorted(result.stats.skipped_item_ids) == sorted(i.item_id for i in ITEMS)
+        assert [e.shard_id for e in result.fault_events if e.action == "skip"] == [0, 1, 2]
+        assert result.shard_evaluations == [0, 0, 0]
         assert result.stats.skipped_items == len(ITEMS)
-
-    def test_require_complete_raises_on_degraded(self):
-        plan = FaultPlan().crash()
-        result = executor(n_workers=2, plan=plan, max_attempts=2).run_detailed(ITEMS)
-        with pytest.raises(DegradedRunError, match="degraded"):
-            result.require_complete()
-
-    def test_require_complete_passthrough_when_healthy(self):
-        result = executor(n_workers=2).run_detailed(ITEMS)
-        assert result.require_complete() is result
 
     def test_one_shard_lost_keeps_the_rest(self):
         # Shard 1 fails on every worker it rotates to; others stay healthy.
         plan = FaultPlan().crash(shard=1)
-        result = executor(n_workers=3, plan=plan, max_attempts=3).run_detailed(ITEMS)
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
         assert result.degraded
-        assert result.skipped_shards == [1]
-        shard_1_ids = {i.item_id for k, i in enumerate(ITEMS) if k % 3 == 1}
-        assert set(result.skipped_item_ids) == shard_1_ids
+        shard_1_ids = {i.item_id for i in ITEMS[1::3]}
+        assert set(result.stats.skipped_item_ids) == shard_1_ids
         expected = {k: v for k, v in BASELINE.items() if k not in shard_1_ids}
         assert result.fired == expected
         skip_events = [e for e in result.fault_events if e.action == "skip"]
         assert len(skip_events) == 1 and skip_events[0].shard_id == 1
 
     def test_run_keeps_three_tuple_and_reports(self):
-        plan = FaultPlan().kill_worker(0)
-        fired, stats, reports = executor(n_workers=3, plan=plan).run(ITEMS)
-        assert fired == BASELINE
-        assert stats.retries >= 1
-        assert [r.shard_id for r in reports] == [0, 1, 2]
+        # One entry point: the result carries the fired map, the stats and
+        # the per-shard work that the old (fired, stats, reports) tuple did.
+        plan = FaultPlan().crash(worker=0)
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert result.fired == BASELINE
+        assert result.stats.retries >= 1
+        assert len(result.shard_evaluations) == 3
+        assert sum(result.shard_evaluations) == result.stats.rule_evaluations
 
     def test_real_worker_exception_is_contained(self):
-        ex = executor(n_workers=2, max_attempts=2)
-        ex.rule_payloads.append({"kind": "mystery", "target_type": "t"})
-        result = ex.run_detailed(ITEMS)  # every shard rebuild raises
+        # Every item is a bomb: every shard crashes on every worker.
+        bombs = [item(f"bomb {i.title}", i.item_id) for i in ITEMS]
+        result = PartitionedExecutor(RULES + [BOMB], n_workers=2).run(bombs)
         assert result.degraded and result.fired == {}
-        assert all(e.kind == "crash" for e in result.fault_events)
+        assert [(e.shard_id, e.attempt, e.kind, e.action) for e in result.fault_events] == [
+            (0, 0, "crash", "retry"), (0, 1, "crash", "skip"),
+            (1, 0, "crash", "retry"), (1, 1, "crash", "skip"),
+        ]
+        assert "ZeroDivisionError" in result.fault_events[0].error
 
 
 class TestShardReportMerge:
-    """Satellite: per-shard reports surface retry/skip accounting."""
+    """Retry/skip accounting lives on the fault events and the stats."""
 
     def test_healthy_reports(self):
-        result = executor(n_workers=3).run_detailed(ITEMS)
-        assert [r.shard_id for r in result.reports] == [0, 1, 2]
-        assert all(r.status == "ok" and r.attempts == 1 and r.retries == 0
-                   for r in result.reports)
-        assert sum(r.items for r in result.reports) == len(ITEMS)
-        assert sum(r.matches for r in result.reports) == result.stats.matches
-        assert sum(r.rule_evaluations for r in result.reports) == (
-            result.stats.rule_evaluations
-        )
+        result = executor(n_workers=3).run(ITEMS)
+        assert result.fault_events == [] and result.stats.retries == 0
+        assert result.stats.items == len(ITEMS)
+        assert sum(result.shard_evaluations) == result.stats.rule_evaluations
+        assert result.stats.matches == sum(len(v) for v in result.fired.values())
 
     def test_retry_counts_in_reports_and_stats(self):
         plan = FaultPlan().crash(shard=2, attempt=0).crash(shard=2, attempt=1)
-        result = executor(n_workers=3, plan=plan, max_attempts=4).run_detailed(ITEMS)
-        report = result.reports[2]
-        assert report.retries == 2 and report.attempts == 3 and report.ok
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert not result.degraded
+        assert [(e.attempt, e.action) for e in shard_events(result, 2)] == [
+            (0, "retry"), (1, "retry"),
+        ]
         assert result.stats.retries == 2
 
     def test_worker_rotation_is_recorded(self):
-        plan = FaultPlan().crash(shard=0, attempt=0)
-        result = executor(n_workers=3, plan=plan).run_detailed(ITEMS)
-        # shard 0, attempt 1 lands on worker (0 + 1) % 3 == 1
-        assert result.reports[0].worker_id == 1
+        # shard s, attempt a runs on worker (s + a) % n: every worker once
+        plan = FaultPlan().crash(shard=2)
+        result = executor(n_workers=3, plan=plan).run(ITEMS)
+        assert [(e.worker_id, e.attempt, e.action) for e in shard_events(result, 2)] == [
+            (2, 0, "retry"), (0, 1, "retry"), (1, 2, "skip"),
+        ]
 
     def test_merged_stats_exclude_skipped_shards(self):
         plan = FaultPlan().crash(shard=0)
-        result = executor(n_workers=2, plan=plan, max_attempts=2).run_detailed(ITEMS)
-        ok_items = sum(r.items for r in result.reports if r.ok)
-        assert result.stats.items == ok_items
-        assert result.stats.skipped_item_ids == result.skipped_item_ids
+        result = executor(n_workers=2, plan=plan).run(ITEMS)
+        assert result.stats.items == len(ITEMS[1::2])
+        assert result.stats.skipped_item_ids == [i.item_id for i in ITEMS[0::2]]
+        assert result.shard_evaluations[0] == 0
+        assert result.stats.rule_evaluations == result.shard_evaluations[1]
 
 
 # -- hypothesis: the degraded-mode contract over arbitrary fault plans ---------
@@ -370,15 +306,11 @@ class TestFaultProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_any_plan_with_a_spared_worker_completes(self, seed):
-        """≥1 healthy worker + enough retries ⇒ byte-identical fired map."""
+        """One healthy worker ⇒ byte-identical fired map, whatever else fails."""
         plan = FaultPlan.random_plan(seed=seed, n_workers=4, rate=0.9,
                                      max_faulted_attempts=4, spare_workers=1)
-        result = PartitionedExecutor(
-            RULES, n_workers=4, fault_plan=plan,
-            retry_policy=RetryPolicy.immediate(max_attempts=4),
-            sleep=VirtualSleeper(),
-        ).run_detailed(ITEMS)
-        assert result.complete, plan.describe()
+        result = PartitionedExecutor(RULES, n_workers=4, fault_plan=plan).run(ITEMS)
+        assert not result.degraded, plan.describe()
         assert result.fired == BASELINE
 
     @settings(max_examples=40, deadline=None)
@@ -386,22 +318,46 @@ class TestFaultProperties:
     def test_fired_map_is_baseline_minus_reported_skips(self, plan_specs):
         """Whatever the faults, fired == no-fault map minus explicit skips."""
         plan = FaultPlan(plan_specs)
-        result = PartitionedExecutor(
-            RULES, n_workers=4, fault_plan=plan,
-            retry_policy=RetryPolicy.immediate(max_attempts=3),
-            sleep=VirtualSleeper(),
-        ).run_detailed(ITEMS)
-        skipped = set(result.skipped_item_ids)
+        result = PartitionedExecutor(RULES, n_workers=4, fault_plan=plan).run(ITEMS)
+        skipped = set(result.stats.skipped_item_ids)
         expected = {k: v for k, v in BASELINE.items() if k not in skipped}
         assert result.fired == expected
         # Every input item is accounted for: merged or explicitly skipped.
-        merged_shards = {r.shard_id for r in result.reports if r.ok}
+        skipped_shards = {e.shard_id for e in result.fault_events if e.action == "skip"}
         for index, thing in enumerate(ITEMS):
-            if index % 4 in merged_shards:
-                assert thing.item_id not in skipped
-            else:
-                assert thing.item_id in skipped
-        assert result.degraded == bool(result.skipped_shards)
+            assert (thing.item_id in skipped) == (index % 4 in skipped_shards)
+        assert result.stats.items + result.stats.skipped_items == len(ITEMS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plan_specs=st.lists(specs, max_size=6),
+        bombs=st.sets(st.integers(min_value=0, max_value=len(ITEMS) - 1), max_size=2),
+    )
+    def test_shard_is_skipped_iff_every_worker_fails_it(self, plan_specs, bombs):
+        """Attempts run in order until one succeeds; a shard is skipped
+        exactly when every worker's attempt on it failed — injected by the
+        plan, or real (a bomb item raises on every worker)."""
+        n = 4
+        items = [item(f"bomb {thing.title}", thing.item_id) if k in bombs else thing
+                 for k, thing in enumerate(ITEMS)]
+        plan = FaultPlan(plan_specs)
+        result = PartitionedExecutor(RULES + [BOMB], n_workers=n, fault_plan=plan).run(items)
+        skipped_ids = set(result.stats.skipped_item_ids)
+        for shard in range(n):
+            real = any(k % n == shard for k in bombs)
+            fails = [real or plan.fault_for((shard + a) % n, shard, a) is not None
+                     for a in range(n)]
+            tried = range(n) if all(fails) else range(fails.index(False))
+            assert [(e.attempt, e.worker_id) for e in shard_events(result, shard)] == [
+                (a, (shard + a) % n) for a in tried
+            ]
+            skipped = any(e.action == "skip" for e in shard_events(result, shard))
+            assert skipped == all(fails)
+            shard_ids = {thing.item_id for thing in items[shard::n]}
+            assert (shard_ids <= skipped_ids) if skipped else not (shard_ids & skipped_ids)
+        assert result.stats.retries == sum(
+            1 for e in result.fault_events if e.action == "retry"
+        )
 
 
 class TestChaosSeed:
@@ -416,12 +372,8 @@ class TestChaosSeed:
         plan = FaultPlan.random_plan(seed=seed, n_workers=4, rate=0.5,
                                      max_faulted_attempts=3, spare_workers=1)
         print(f"chaos fault-plan seed={seed}: {plan.describe()}")
-        result = PartitionedExecutor(
-            RULES, n_workers=4, fault_plan=plan,
-            retry_policy=RetryPolicy.immediate(max_attempts=4),
-            sleep=VirtualSleeper(),
-        ).run_detailed(ITEMS)
-        assert result.complete, f"seed={seed}\n{plan.describe()}"
+        result = PartitionedExecutor(RULES, n_workers=4, fault_plan=plan).run(ITEMS)
+        assert not result.degraded, f"seed={seed}\n{plan.describe()}"
         assert result.fired == BASELINE
 
 
@@ -444,8 +396,6 @@ class TestSingleNodeDegradedMode:
             NaiveExecutor(RULES).run(self._poisoned_items())
 
     def test_failing_rule_skips_item_under_degraded_mode(self):
-        from repro.core.rule import Clause, PredicateRule
-
         bomb = PredicateRule(
             [Clause("explodes", lambda item: 1 / 0)], "t", rule_id="pred-bomb"
         )

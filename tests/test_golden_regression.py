@@ -15,14 +15,13 @@ import pytest
 from repro.catalog.types import ProductItem
 from repro.core.serialize import rules_from_dicts, rules_to_dicts
 from repro.execution import (
+    FaultPlan,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RetryPolicy,
     RuleIndex,
     prepare_all,
 )
-from repro.testing import FaultPlan, VirtualSleeper
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -91,22 +90,16 @@ class TestExecutorsReproduceGoldenFiredMap:
     @pytest.mark.parametrize("n_workers", [1, 3, 5])
     def test_partitioned(self, golden_items, golden_rules, golden_fired_text,
                          n_workers):
-        fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=n_workers
-        ).run(golden_items)
-        assert canonical(fired) == golden_fired_text
+        result = PartitionedExecutor(golden_rules, n_workers=n_workers).run(golden_items)
+        assert canonical(result.fired) == golden_fired_text
 
     def test_partitioned_with_a_dead_worker(self, golden_items, golden_rules,
                                             golden_fired_text):
         """Fault tolerance must not change a single fired byte."""
         result = PartitionedExecutor(
-            golden_rules,
-            n_workers=4,
-            fault_plan=FaultPlan().kill_worker(2),
-            retry_policy=RetryPolicy.immediate(max_attempts=3),
-            sleep=VirtualSleeper(),
-        ).run_detailed(golden_items)
-        assert result.complete
+            golden_rules, n_workers=4, fault_plan=FaultPlan().crash(worker=2),
+        ).run(golden_items)
+        assert not result.degraded
         assert canonical(result.fired) == golden_fired_text
 
 
@@ -132,23 +125,19 @@ class TestCompiledPathReproducesGoldenFiredMap:
     @pytest.mark.parametrize("n_workers", [1, 3, 5])
     def test_compiled_partitioned(self, golden_items, golden_rules,
                                   golden_fired_text, n_workers):
-        fired, stats, reports = PartitionedExecutor(
+        result = PartitionedExecutor(
             golden_rules, n_workers=n_workers
         ).run(prepare_all(golden_items))
-        assert canonical(fired) == golden_fired_text
-        assert stats.compile_time > 0.0
-        assert sum(report.items for report in reports) == len(golden_items)
+        assert canonical(result.fired) == golden_fired_text
+        assert result.stats.compile_time > 0.0
+        assert result.stats.items == len(golden_items)
 
     def test_compiled_partitioned_with_a_dead_worker(
             self, golden_items, golden_rules, golden_fired_text):
         result = PartitionedExecutor(
-            golden_rules,
-            n_workers=4,
-            fault_plan=FaultPlan().kill_worker(2),
-            retry_policy=RetryPolicy.immediate(max_attempts=3),
-            sleep=VirtualSleeper(),
-        ).run_detailed(golden_items)
-        assert result.complete
+            golden_rules, n_workers=4, fault_plan=FaultPlan().crash(worker=2),
+        ).run(golden_items)
+        assert not result.degraded
         assert canonical(result.fired) == golden_fired_text
 
     def test_incremental_churn_cycle_returns_to_golden(

@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 from repro.catalog.types import ProductItem
 from repro.core.serialize import rules_from_dicts
 from repro.execution import (
+    FaultPlan,
     IncrementalExecutor,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RetryPolicy,
 )
 from repro.observability import Observability
-from repro.testing import FaultPlan, VirtualSleeper
 from repro.utils.clock import TickClock
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -68,10 +67,7 @@ def run_indexed(rules, items, obs):
 
 
 def run_partitioned(rules, items, obs):
-    executor = PartitionedExecutor(
-        rules, n_workers=3, sleep=VirtualSleeper(), observability=obs
-    )
-    return executor.run(items)[0]
+    return PartitionedExecutor(rules, n_workers=3, observability=obs).run(items).fired
 
 
 def run_incremental(rules, items, obs):
@@ -104,13 +100,10 @@ class TestGoldenCorpusOnOffIdentity:
         # recovered output.
         plan_off = FaultPlan().corrupt(shard=1, attempt=0, detail="alien-item")
         plan_on = FaultPlan().corrupt(shard=1, attempt=0, detail="alien-item")
-        plain = PartitionedExecutor(
-            RULES, n_workers=3, sleep=VirtualSleeper(), fault_plan=plan_off
-        ).run(ITEMS)[0]
+        plain = PartitionedExecutor(RULES, n_workers=3, fault_plan=plan_off).run(ITEMS).fired
         traced = PartitionedExecutor(
-            RULES, n_workers=3, sleep=VirtualSleeper(), fault_plan=plan_on,
-            observability=observed(),
-        ).run(ITEMS)[0]
+            RULES, n_workers=3, fault_plan=plan_on, observability=observed(),
+        ).run(ITEMS).fired
         assert canonical(traced) == canonical(plain)
 
     def test_chimera_stage_spans_do_not_change_labels(self):

@@ -29,16 +29,15 @@ from repro.chimera import Chimera
 from repro.core import AttributeRule, SequenceRule, parse_rules
 from repro.core.serialize import rules_from_dicts
 from repro.execution import (
+    FaultPlan,
     IncrementalExecutor,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RetryPolicy,
 )
 from repro.observability import Observability
 from repro.observability.provenance import vote_rule_id
 from repro.observability.quality import QualityTelemetry, RuleHealthTracker
-from repro.testing import FaultPlan, VirtualSleeper
 from repro.utils.text import clear_caches
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -205,51 +204,38 @@ class TestExecutorFiredMapIdentity:
 
     def test_partitioned_under_fault_injected_retries(self):
         items = exec_items()
-        plain, _, _ = PartitionedExecutor(EXEC_RULES, n_workers=3).run(items)
+        plain = PartitionedExecutor(EXEC_RULES, n_workers=3).run(items).fired
 
         def faulted(observability):
             return PartitionedExecutor(
                 EXEC_RULES,
                 n_workers=3,
                 fault_plan=FaultPlan().crash(worker=1).crash(worker=2),
-                retry_policy=RetryPolicy(
-                    max_attempts=4, base_delay=0.01, multiplier=2.0,
-                    max_delay=1.0, jitter=0.5,
-                ),
-                sleep=VirtualSleeper(),
-                retry_seed=99,
                 observability=observability,
             )
 
-        recovered, stats, _ = faulted(None).run(items)
-        assert plain == recovered
-        assert stats.retries > 0, "the fault plan should have forced retries"
+        recovered = faulted(None).run(items)
+        assert plain == recovered.fired
+        assert recovered.stats.retries > 0, "the fault plan should have forced retries"
 
         obs = quality_observability()
-        traced, traced_stats, _ = faulted(obs).run(items)
-        assert plain == traced
-        assert traced_stats.retries > 0
+        traced = faulted(obs).run(items)
+        assert plain == traced.fired
+        assert traced.stats.retries > 0
         # The telemetry side really observed the run.
         assert obs.quality.health.fire_rate(EXEC_RULES[0].rule_id) > 0
 
     def test_random_fault_plans_keep_identity(self):
         items = exec_items(30)
-        plain, _, _ = PartitionedExecutor(EXEC_RULES, n_workers=4).run(items)
+        plain = PartitionedExecutor(EXEC_RULES, n_workers=4).run(items).fired
         for seed in range(5):
-            obs = quality_observability()
-            traced, _, _ = PartitionedExecutor(
+            traced = PartitionedExecutor(
                 EXEC_RULES,
                 n_workers=4,
                 fault_plan=FaultPlan.random_plan(seed, n_workers=4, rate=0.4),
-                retry_policy=RetryPolicy(
-                    max_attempts=5, base_delay=0.01, multiplier=2.0,
-                    max_delay=1.0, jitter=0.5,
-                ),
-                sleep=VirtualSleeper(),
-                retry_seed=seed,
-                observability=obs,
+                observability=quality_observability(),
             ).run(items)
-            assert plain == traced, f"fired map diverged under fault seed {seed}"
+            assert plain == traced.fired, f"fired map diverged under fault seed {seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,39 @@ class TestSpecValidation:
                 "      worker: 0\n"
             )
 
+    @pytest.mark.parametrize("key", ["worker", "shard", "attempt"])
+    def test_fault_coordinate_past_the_workers_is_an_error(self, key):
+        text = (
+            "name: x\n"
+            "executor:\n"
+            "  kind: partitioned\n"
+            "  n_workers: 2\n"
+            "faults:\n"
+            "  plan:\n"
+            "    - kind: crash\n"
+            "      worker: 0\n"
+            "    - kind: hang\n"
+            f"      {key}: 1\n"
+        )
+        loads(text)  # every coordinate in [0, n_workers) is reachable
+        with pytest.raises(SpecError, match=rf"faults\.plan\[1\]\.{key}: 2 is out of range"):
+            loads(text.replace(f"{key}: 1", f"{key}: 2"))
+
+    def test_spare_workers_past_the_workers_is_an_error(self):
+        text = (
+            "name: x\n"
+            "executor:\n"
+            "  kind: partitioned\n"
+            "  n_workers: 2\n"
+            "faults:\n"
+            "  random:\n"
+            "    rate: 0.5\n"
+            "    spare_workers: 2\n"
+        )
+        loads(text)
+        with pytest.raises(SpecError, match=r"faults\.random\.spare_workers: 9 exceeds"):
+            loads(text.replace("spare_workers: 2", "spare_workers: 9"))
+
     def test_burst_must_name_a_declared_vendor(self):
         with pytest.raises(SpecError, match="unknown vendor"):
             loads(

@@ -1,14 +1,10 @@
-"""Timing/stats bugfix sweep: merge semantics and retry accounting.
+"""Timing/stats sweep: merge semantics and retry accounting.
 
-The audit this PR ships found two sharp edges in the stats layer:
-
-1. ``ExecutionStats.merge`` silently mixed additive CPU totals with the
-   non-additive driver wall clock — callers had to know to fix up
-   ``wall_time`` by hand. ``merge`` now takes an explicit ``wall=`` mode
-   (keep / sum / max) and documents which fields are additive.
-2. The partitioned executor's retry path had an undocumented (and
-   previously untested) invariant: a retried shard's *failed* attempts run
-   real work (a corrupt-output attempt executes the full shard before the
+1. ``ExecutionStats.merge`` keeps additive CPU totals apart from the
+   non-additive wall clock: it takes an explicit ``wall=`` mode (keep /
+   sum) and documents which fields are additive.
+2. The partitioned executor's retry path: a failed attempt may run real
+   work (a corrupt-output attempt executes the full shard before the
    driver rejects it), and that work must never leak into the merged
    ``match_time`` / ``compile_time``. These tests pin the invariant with a
    deterministic TickClock: every timing assertion is exact, not a range.
@@ -18,10 +14,8 @@ import pytest
 
 from repro.catalog.types import ProductItem
 from repro.core import AttributeRule, SequenceRule, parse_rules
-from repro.execution import NaiveExecutor, PartitionedExecutor
+from repro.execution import FaultPlan, NaiveExecutor, PartitionedExecutor
 from repro.execution.executor import ExecutionStats
-from repro.execution.resilience import RetryPolicy
-from repro.testing import FaultPlan, VirtualSleeper
 from repro.utils.clock import TickClock
 
 
@@ -60,17 +54,9 @@ STEP = 0.25
 
 def run_partitioned(plan=None, clock=None):
     executor = PartitionedExecutor(
-        RULES,
-        n_workers=N_WORKERS,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(
-            max_attempts=3, base_delay=0.01, multiplier=2.0,
-            max_delay=1.0, jitter=0.5,
-        ),
-        sleep=VirtualSleeper(),
-        clock=clock,
+        RULES, n_workers=N_WORKERS, fault_plan=plan, clock=clock
     )
-    return executor.run_detailed(ITEMS)
+    return executor.run(ITEMS)
 
 
 class TestMergeSemantics:
@@ -110,46 +96,33 @@ class TestMergeSemantics:
         a.merge(b, wall="sum")
         assert a.wall_time == 12.0
 
-    def test_wall_max_composes_in_parallel(self):
-        a, b = self.make(wall_time=5.0), self.make(wall_time=7.0)
-        a.merge(b, wall="max")
-        assert a.wall_time == 7.0
-        b.merge(a, wall="max")
-        assert b.wall_time == 7.0
-
     def test_invalid_wall_mode_rejected(self):
         with pytest.raises(ValueError, match="wall must be one of"):
             self.make().merge(self.make(), wall="average")
 
 
 class TestPartitionedTimingInvariant:
-    """Retried shards must not double-count the additive CPU totals.
+    """Failed attempts must not double-count the additive CPU totals.
 
     Tokenization is fused into matching, so the fields the engine fills
-    are ``match_time`` (per shard) and ``compile_time`` (the one shard
-    attempt that lowers the rule set). Every in-process shard attempt
-    reads the TickClock four times (shard start, execute start/end, shard
-    end), so each *accepted* attempt contributes exactly ``match=STEP``
-    and ``wall=3*STEP``; the lowering attempt reads it twice more first
-    (``compile=STEP``); the driver's sharding pass reads it twice
-    (``driver_prepare_time == STEP``, the only prepare time there is).
-    The totals below are therefore exact equalities — any leak from a
-    rejected attempt would show up as an extra STEP.
+    are ``match_time`` (two TickClock reads per executed attempt) and
+    ``compile_time`` (two reads, once per run that lowers). The driver
+    reads the clock once at the start and once at the end of the run, so
+    a healthy run's ``wall_time`` is ``(3 + 2 * N_WORKERS) * STEP``. The
+    totals below are exact equalities — any leak from a rejected attempt
+    would show up as an extra STEP.
     """
 
     def assert_healthy_totals(self, result):
-        assert result.stats.prepare_time == pytest.approx(STEP)  # driver pass
+        assert result.stats.prepare_time == 0.0  # dealing is not timed
         assert result.stats.match_time == pytest.approx(N_WORKERS * STEP)
         assert result.stats.compile_time == pytest.approx(STEP)
 
     def test_healthy_run_timing(self):
         result = run_partitioned(clock=TickClock(step=STEP))
         assert result.fired == BASELINE
-        assert result.driver_prepare_time == pytest.approx(STEP)
         self.assert_healthy_totals(result)
-        for report in result.reports:
-            assert report.match_time == pytest.approx(STEP)
-            assert report.wall_time == pytest.approx(3 * STEP)
+        assert result.stats.wall_time == pytest.approx((3 + 2 * N_WORKERS) * STEP)
 
     def test_corrupt_retry_does_not_double_count(self):
         # A corrupt fault RUNS the real shard (tokenize + match) and then
@@ -159,55 +132,45 @@ class TestPartitionedTimingInvariant:
         plan = FaultPlan().corrupt(shard=1, attempt=0, detail="alien-item")
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.fired == BASELINE  # retry recovered the shard
-        assert result.total_retries == 1
+        assert [(e.shard_id, e.kind, e.action) for e in result.fault_events] == [
+            (1, "corrupt", "retry"),
+        ]
         assert result.stats.retries == 1
         self.assert_healthy_totals(result)
-        retried = [r for r in result.reports if r.retries]
-        assert len(retried) == 1 and retried[0].shard_id == 1
-        # The retried shard's report shows the accepted attempt's timing
-        # only — identical to its never-failed peers.
-        assert retried[0].match_time == pytest.approx(STEP)
-        assert retried[0].wall_time == pytest.approx(3 * STEP)
 
     def test_rejected_lowering_attempt_does_not_leak_compile_time(self):
-        # Shard 0's first attempt is the one that lowers the rule set; it
-        # is then rejected as corrupt. The artifact stays (the retry does
-        # not lower again) but the rejected attempt's compile time goes
-        # with the rest of its stats.
+        # The rule set is lowered once by the driver, before any attempt:
+        # rejecting shard 0's first attempt neither repeats nor drops the
+        # lowering, and the rejected attempt's match time goes with it.
         plan = FaultPlan().corrupt(shard=0, attempt=0, detail="alien-item")
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.fired == BASELINE
-        assert result.stats.compile_time == 0.0
+        assert result.stats.compile_time == pytest.approx(STEP)
         assert result.stats.match_time == pytest.approx(N_WORKERS * STEP)
 
     def test_crash_retry_timing_matches_healthy_run(self):
-        # Crashes never execute the shard at all (shard 1 lowers instead);
-        # with VirtualSleeper the backoff is virtual too, so the CPU
-        # totals match a healthy run.
+        # Crashes never execute the shard at all, so even the driver's
+        # wall clock matches a healthy run.
         plan = FaultPlan().crash(shard=0, attempt=0)
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
         assert result.fired == BASELINE
         self.assert_healthy_totals(result)
+        healthy = run_partitioned(clock=TickClock(step=STEP))
+        assert result.stats.wall_time == healthy.stats.wall_time
 
     def test_skipped_shard_contributes_no_time(self):
-        # Shard 2 fails all attempts: its work is dropped, so the merged
+        # Shard 2 fails on every worker: its work is dropped, so the merged
         # match total is one shard short.
         plan = FaultPlan().crash(shard=2)
         result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
-        assert result.degraded and result.skipped_shards == [2]
-        assert result.stats.prepare_time == pytest.approx(STEP)
+        assert result.degraded
         assert result.stats.match_time == pytest.approx((N_WORKERS - 1) * STEP)
-        skipped = [r for r in result.reports if not r.ok]
-        assert skipped[0].match_time == 0.0
-        assert skipped[0].wall_time == 0.0
+        assert result.shard_evaluations[2] == 0
 
     def test_driver_owns_wall_time(self):
-        # wall_time is the driver's elapsed clock, not the sum of shard
-        # walls: with the TickClock it is strictly greater than any one
-        # shard's wall and not equal to their sum plus driver prepare.
-        result = run_partitioned(clock=TickClock(step=STEP))
-        shard_wall_sum = sum(r.wall_time for r in result.reports)
-        assert result.stats.wall_time > max(r.wall_time for r in result.reports)
-        assert result.stats.wall_time != pytest.approx(
-            shard_wall_sum + result.driver_prepare_time
-        )
+        # wall_time is the driver's elapsed clock: a rejected attempt costs
+        # it two reads, though none of its match time is kept.
+        plan = FaultPlan().corrupt(shard=1, attempt=0)
+        result = run_partitioned(plan=plan, clock=TickClock(step=STEP))
+        assert result.stats.wall_time == pytest.approx((3 + 2 * (N_WORKERS + 1)) * STEP)
+        assert result.stats.match_time == pytest.approx(N_WORKERS * STEP)
