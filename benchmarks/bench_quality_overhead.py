@@ -148,7 +148,7 @@ def main(argv=None):
 
     identical = True
     attempts = []
-    best = None  # (overhead, plain_cpu, traced_cpu, cpus_plain, cpus_traced, quality)
+    best = None  # (overhead, plain_cpu, traced_cpu, cpus_plain, cpus_traced, chimera)
     for attempt in range(max(1, args.attempts)):
         plain_chimera = build_chimera(rules, args.seed, False, train_items)
         traced_chimera = build_chimera(rules, args.seed, True, train_items)
@@ -171,11 +171,12 @@ def main(argv=None):
         attempts.append(overhead)
         if best is None or overhead < best[0]:
             best = (overhead, cpu_plain, cpu_traced, cpus_plain, cpus_traced,
-                    traced_chimera.quality)
+                    traced_chimera)
         if not identical or overhead <= args.budget:
             break
 
-    overhead, cpu_plain, cpu_traced, cpus_plain, cpus_traced, quality = best
+    overhead, cpu_plain, cpu_traced, cpus_plain, cpus_traced, traced = best
+    provenance, health = traced.provenance, traced.rule_health
     within_budget = overhead <= args.budget
     payload = {
         "benchmark": "bench_quality_overhead",
@@ -201,10 +202,10 @@ def main(argv=None):
         "within_budget": within_budget,
         "attempts_used": len(attempts),
         "labels_identical": identical,
-        "provenance_records": quality.provenance.total_records,
-        "provenance_retained": len(quality.provenance),
-        "health_batches": quality.health.total_batches,
-        "rules_tracked": len(quality.health.seen_rules()),
+        "provenance_records": provenance.total_records,
+        "provenance_retained": len(provenance),
+        "health_batches": health.total_batches,
+        "rules_tracked": len(health.seen_rules()),
     }
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -222,9 +223,9 @@ def main(argv=None):
         f"labels identical: {identical} "
         f"({len(items)} items x {len(rules)} rules, "
         f"{'trained' if not args.no_train else 'untrained'} pipeline)",
-        f"provenance: {quality.provenance.total_records} records, "
-        f"{quality.health.total_batches} health batches, "
-        f"{len(quality.health.seen_rules())} rules tracked",
+        f"provenance: {provenance.total_records} records, "
+        f"{health.total_batches} health batches, "
+        f"{len(health.seen_rules())} rules tracked",
         f"-> {args.out}",
     ]
     emit("BENCH_quality_overhead", lines)

@@ -55,7 +55,8 @@ class StageAnswer:
 class ClassifierStage(ABC):
     """A named pipeline stage producing per-item answers.
 
-    When ``record_provenance`` is on, each answer carries a
+    Asked with ``traced`` (the pipeline asks while a provenance log is
+    attached), each answer carries a
     :class:`~repro.observability.provenance.StageTrace` of what fired and
     what was voted, captured from the values the stage computed anyway —
     recording never re-evaluates a rule, which is what keeps labels
@@ -67,15 +68,17 @@ class ClassifierStage(ABC):
     def __init__(self, name: str):
         self.name = name
         self.enabled = True
-        self.record_provenance = False
 
     @abstractmethod
-    def answer(self, item: ItemLike) -> StageAnswer:
-        """Votes, restriction and trace for one item, evaluated once."""
+    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
+        """Votes, restriction and (when ``traced``) trace for one item,
+        evaluated once."""
 
-    def answer_batch(self, items: Sequence[ItemLike]) -> List[StageAnswer]:
+    def answer_batch(
+        self, items: Sequence[ItemLike], traced: bool = False
+    ) -> List[StageAnswer]:
         """One answer per item, in order: the call the pipeline guards."""
-        return [self.answer(item) for item in items]
+        return [self.answer(item, traced) for item in items]
 
     def predict(self, item: ItemLike) -> List[Prediction]:
         """Weighted type votes for one item (empty when nothing fires)."""
@@ -104,14 +107,14 @@ class RuleSetStage(ClassifierStage):
         a rule set's constraints already shaped its own predictions."""
         return None
 
-    def answer(self, item: ItemLike) -> StageAnswer:
+    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
         verdict = self.matcher.verdict(item)
         votes = [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
             for p in verdict.predictions
         ]
         trace = None
-        if self.record_provenance and (
+        if traced and (
             verdict.fired or verdict.vetoed or verdict.constrained_to is not None
         ):
             trace = StageTrace(
@@ -170,10 +173,12 @@ class LearningClassifierStage(ClassifierStage):
     def is_trained(self) -> bool:
         return self._trained
 
-    def answer(self, item: ItemLike) -> StageAnswer:
-        return self.answer_batch([item])[0]
+    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
+        return self.answer_batch([item], traced)[0]
 
-    def answer_batch(self, items: Sequence[ItemLike]) -> List[StageAnswer]:
+    def answer_batch(
+        self, items: Sequence[ItemLike], traced: bool = False
+    ) -> List[StageAnswer]:
         """The ensemble's unsuppressed votes, sourced to this stage, from
         one ``predict_batch`` over every title."""
         if not self._trained:
@@ -186,7 +191,7 @@ class LearningClassifierStage(ClassifierStage):
                 if p.label not in self.suppressed_types
             ]
             trace = None
-            if self.record_provenance and surviving:
+            if traced and surviving:
                 # Learning votes carry no fired rule ids — the vote source
                 # names the ensemble member, which is exactly the liability
                 # distinction §3.2 draws between rule and learning labels.

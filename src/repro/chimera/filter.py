@@ -9,7 +9,7 @@ classification team").
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.catalog.types import ProductItem
 from repro.chimera.matching import RuleSetMatcher
@@ -22,11 +22,10 @@ from repro.observability.provenance import StageTrace
 class FinalFilter:
     """Walks the ranked candidates, dropping vetoed or killed types.
 
-    With ``record_provenance`` on, each :meth:`select` stashes which
+    Asked with ``traced``, :meth:`select` returns beside its pick which
     filter rules fired and which types were vetoed (captured from the
-    verdict it computed anyway); the pipeline collects the stash via
-    :meth:`take_trace`. The verdict is :attr:`matcher`'s — one engine
-    evaluation per item, folded by the rule set.
+    verdict it computed anyway). The verdict is :attr:`matcher`'s — one
+    engine evaluation per item, folded by the rule set.
     """
 
     def __init__(self, rules: Optional[RuleSet] = None):
@@ -35,13 +34,6 @@ class FinalFilter:
         # Business kill switches: predictions for these types are always
         # dropped and the items routed to manual classification.
         self.killed_types: Set[str] = set()
-        self.record_provenance = False
-        self._last_trace: Optional[StageTrace] = None
-
-    def take_trace(self) -> Optional[StageTrace]:
-        """The last select's provenance trace, cleared on read."""
-        trace, self._last_trace = self._last_trace, None
-        return trace
 
     def kill_type(self, type_name: str) -> None:
         self.killed_types.add(type_name)
@@ -54,9 +46,14 @@ class FinalFilter:
         return set(verdict.vetoed) | self.killed_types
 
     def select(
-        self, item: ItemLike, ranked: List[Prediction], confidence_threshold: float
-    ) -> Optional[Prediction]:
-        """First ranked candidate that survives vetoes and the threshold.
+        self,
+        item: ItemLike,
+        ranked: List[Prediction],
+        confidence_threshold: float,
+        traced: bool = False,
+    ) -> Tuple[Optional[Prediction], Optional[StageTrace]]:
+        """First ranked candidate that survives vetoes and the threshold,
+        and the filter's provenance trace (None unless ``traced``).
 
         Only candidates at or above the Voting Master's confidence threshold
         are considered — the Filter removes bad answers, it does not rescue
@@ -64,13 +61,14 @@ class FinalFilter:
         """
         verdict = self.matcher.verdict(item)
         vetoed = set(verdict.vetoed) | self.killed_types
-        if self.record_provenance:
-            self._last_trace = StageTrace(
+        trace = None
+        if traced:
+            trace = StageTrace(
                 stage="filter",
                 fired=verdict.fired,
                 vetoed=tuple(sorted(vetoed)),
             )
-        return first_surviving(ranked, vetoed, confidence_threshold)
+        return first_surviving(ranked, vetoed, confidence_threshold), trace
 
 
 def first_surviving(

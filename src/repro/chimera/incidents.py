@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyst.analyst import SimulatedAnalyst
 from repro.catalog.types import ProductItem
@@ -128,24 +128,32 @@ class IncidentManager:
         self.incidents.append(incident)
         return incident
 
-    def watch_quality(self, tracker, clock=None) -> None:
-        """Auto-open a rule incident for every rule-quality alert.
+    def watch_quality(
+        self, tracker, clock=None, scale_down: bool = False
+    ) -> Callable[[], None]:
+        """Open a rule incident for every rule-quality alert; returns the
+        unsubscribe.
 
-        Subscribes to a
-        :class:`~repro.observability.quality.RuleHealthTracker` (or a
-        :class:`~repro.observability.quality.QualityTelemetry` facade):
-        each precision-floor / drift alert becomes an open incident
-        carrying the offending rule ids, ready for :meth:`scale_down`.
+        The one wiring from a
+        :class:`~repro.observability.quality.RuleHealthTracker` to the
+        playbook: each precision-floor / drift alert becomes an incident
+        carrying the offending rule ids, stamped with ``clock.now`` (a
+        :class:`~repro.utils.clock.SimClock`) when a clock is given, and
+        scaled down on the spot when ``scale_down`` is set — the durable
+        service always does, the scenario runner when its spec asks,
+        ``repro monitor`` never.
         """
         def on_alert(alert) -> None:
-            at = clock.now if clock is not None else 0.0
-            self.open_rule_incident(
+            incident = self.open_rule_incident(
                 alert.rule_ids,
                 reason=f"[{alert.kind}] batch {alert.batch_id}: {alert.detail}",
-                at=at,
+                at=clock.now if clock is not None else 0.0,
             )
+            if scale_down:
+                self.scale_down(incident)
 
         tracker.on_alert.append(on_alert)
+        return lambda: tracker.on_alert.remove(on_alert)
 
     def watch_health(self, clock=None) -> None:
         """Auto-open a stage incident whenever a breaker trips.
@@ -235,21 +243,29 @@ class IncidentManager:
         incident: Incident,
         analyst: SimulatedAnalyst,
         error_samples: Sequence[Tuple[ProductItem, str]],
+        ids=None,
     ) -> int:
         """Analysts patch the affected types from sampled errors.
 
         Returns the number of rules added. Also refreshes the affected
         types' obvious rules so the repaired vocabulary is covered.
+        ``ids`` — anything with ``assign(rules, kind)``, such as the run's
+        :class:`~repro.world.RunIds` — re-identifies every written rule
+        (``patch-wl`` / ``patch-bl`` / ``wl``) before it is added.
         """
         if incident.status != "scaled-down":
             raise ValueError(f"cannot repair incident in state {incident.status!r}")
+
+        def named(rules, kind: str):
+            return ids.assign(rules, kind) if ids is not None else rules
+
         whitelists, blacklists = analyst.patch_rules_for_errors(error_samples)
-        self.chimera.add_whitelist_rules(whitelists)
-        self.chimera.add_blacklist_rules(blacklists)
+        self.chimera.add_whitelist_rules(named(whitelists, "patch-wl"))
+        self.chimera.add_blacklist_rules(named(blacklists, "patch-bl"))
         added = len(whitelists) + len(blacklists)
         for type_name in incident.affected_types:
             if type_name in analyst.taxonomy:
-                refreshed = analyst.obvious_rules(type_name)
+                refreshed = named(analyst.obvious_rules(type_name), "wl")
                 self.chimera.add_whitelist_rules(refreshed)
                 added += len(refreshed)
         incident.status = "repaired"

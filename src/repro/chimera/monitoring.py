@@ -371,12 +371,13 @@ class GuardedStage:
     def enabled(self) -> bool:
         return self.stage.enabled
 
-    def answer_batch(self, items: Sequence) -> List[StageAnswer]:
+    def answer_batch(self, items: Sequence, traced: bool = False) -> List[StageAnswer]:
+        """Every item's answer, with provenance traces when ``traced``."""
         name = self.stage.name
         with self.tracer.span(f"stage.{name}", items=len(items)) as span:
             if self.health.breaker(name).state is BreakerState.CLOSED:
                 try:
-                    answers = self.stage.answer_batch(items)
+                    answers = self.stage.answer_batch(items, traced)
                 except Exception as exc:
                     # Not booked here: the per-item guard below finds the
                     # offending items and books each on its own.
@@ -386,12 +387,12 @@ class GuardedStage:
                     span.set_attribute("outcome", "ok")
                     return answers
             span.set_attribute("outcome", "per-item")
-            return [self._answer(item) for item in items]
+            return [self._answer(item, traced) for item in items]
 
-    def _answer(self, item) -> StageAnswer:
+    def _answer(self, item, traced: bool) -> StageAnswer:
         """One item, two guarded calls: its answer, then its constraints
         (which a returned answer already holds)."""
-        answer = self._call(lambda: self.stage.answer(item))
+        answer = self._call(lambda: self.stage.answer(item, traced))
         if answer is not None:
             self.health.record_success(self.stage.name)  # the constraints call
             return answer

@@ -24,8 +24,8 @@ from repro.core.ruleset import RuleSet
 from repro.execution.incremental import IncrementalExecutor
 from repro.learning.ensemble import VotingEnsemble
 from repro.observability import Observability, ensure_observability
-from repro.observability.provenance import ProvenanceRecord, StageTrace
-from repro.observability.quality import QualityTelemetry
+from repro.observability.provenance import ProvenanceLog, ProvenanceRecord, StageTrace
+from repro.observability.quality import RuleHealthTracker
 from repro.learning.knn import KNearestNeighbors
 from repro.learning.naive_bayes import MultinomialNaiveBayes
 from repro.learning.svm import LinearSvmClassifier
@@ -177,9 +177,11 @@ class Chimera:
         self._pending_training = 0
         # stage name -> incremental fired-map tracker (see track_fired_map).
         self.fired_trackers: Dict[str, IncrementalExecutor] = {}
-        # Rule-quality telemetry (see enable_quality_telemetry): when set,
-        # every classified item records its full attribution chain.
-        self.quality: Optional[QualityTelemetry] = None
+        # Rule-quality telemetry (see enable_quality_telemetry): while a
+        # provenance log is attached, every classified item records its
+        # full attribution chain there and feeds the health tracker.
+        self.provenance: Optional[ProvenanceLog] = None
+        self.rule_health: Optional[RuleHealthTracker] = None
         self._batch_counter = 0
 
     @classmethod
@@ -337,50 +339,28 @@ class Chimera:
     # -- rule-quality telemetry ---------------------------------------------------
 
     def enable_quality_telemetry(
-        self, quality: Optional[QualityTelemetry] = None
-    ) -> QualityTelemetry:
-        """Attach rule-quality telemetry (label provenance + health windows).
+        self,
+        provenance: Optional[ProvenanceLog] = None,
+        rule_health: Optional[RuleHealthTracker] = None,
+    ) -> None:
+        """Attach label provenance and per-rule health windows, together.
 
-        Turns on provenance recording in every stage and the filter:
-        from here on each classified item's full attribution chain lands
-        on ``quality.provenance`` and feeds ``quality.health``'s per-rule
-        windows; ``classify_batch`` closes a health batch per call.
-        Recording reads only values the pipeline computed anyway, so
-        labels stay byte-identical (tests/test_quality_properties.py).
+        From here on each classified item's full attribution chain lands
+        on :attr:`provenance` (ask it ``why(item_id)`` / ``blame(rule_id)``)
+        and feeds :attr:`rule_health`'s per-rule windows; ``classify_batch``
+        closes a health batch per call. The defaults are an in-memory log
+        and a tracker on this pipeline's metrics registry; setting both
+        attributes back to None detaches them. Recording reads only values
+        the pipeline computed anyway, so labels stay byte-identical
+        (tests/test_quality_properties.py).
         """
-        if quality is None:
-            metrics = (
-                self.observability.metrics if self.observability.enabled else None
-            )
-            from repro.observability.quality import RuleHealthTracker
+        if rule_health is None:
+            obs = self.observability
+            rule_health = RuleHealthTracker(metrics=obs.metrics if obs.enabled else None)
+        self.provenance = provenance if provenance is not None else ProvenanceLog()
+        self.rule_health = rule_health
 
-            quality = QualityTelemetry(health=RuleHealthTracker(metrics=metrics))
-        self.quality = quality
-        for stage in (self.rule_stage, self.attr_stage, self.learning_stage):
-            stage.record_provenance = True
-        self.filter.record_provenance = True
-        return quality
-
-    def disable_quality_telemetry(self) -> None:
-        """Detach telemetry and stop provenance recording."""
-        self.quality = None
-        for stage in (self.rule_stage, self.attr_stage, self.learning_stage):
-            stage.record_provenance = False
-        self.filter.record_provenance = False
-
-    def why(self, item_id: str):
-        """Provenance records for one item (requires telemetry enabled)."""
-        if self.quality is None:
-            raise RuntimeError("call enable_quality_telemetry() first")
-        return self.quality.why(item_id)
-
-    def blame(self, rule_id: str):
-        """Provenance records in which one rule fired (requires telemetry)."""
-        if self.quality is None:
-            raise RuntimeError("call enable_quality_telemetry() first")
-        return self.quality.blame(rule_id)
-
-    def _record_provenance(
+    def _record_chain(
         self,
         item_id: str,
         batch_id: str,
@@ -409,8 +389,8 @@ class Chimera:
             filter_trace.fired if filter_trace is not None else (),
             filter_trace.vetoed if filter_trace is not None else (),
         )
-        self.quality.provenance.record(record)
-        self.quality.health.observe_record(record)
+        self.provenance.record(record)
+        self.rule_health.observe_record(record)
 
     # -- classification -----------------------------------------------------------
 
@@ -431,12 +411,14 @@ class Chimera:
         the filter share that :class:`~repro.core.prepared.PreparedItem`
         view. Each enabled stage then answers all the items the gate passed
         in one guarded call, and the Voting Master and the Filter walk
-        those answers item by item. With quality telemetry enabled, each
-        item's attribution chain (gate decision, per-stage fired rules and
-        votes, voting-master ranking, filter outcome) is recorded under
-        ``batch_id``, in item order.
+        those answers item by item. While a provenance log is attached —
+        decided here, once per batch — the stages and the filter trace
+        what they computed, and each item's attribution chain (gate
+        decision, per-stage fired rules and votes, voting-master ranking,
+        filter outcome) is recorded under ``batch_id``, in item order.
         """
         obs = self.observability
+        traced = self.provenance is not None
         result = BatchResult()
         with obs.span("chimera.classify_batch", items=len(items)) as batch_span:
             with obs.span("chimera.gate"):
@@ -449,7 +431,7 @@ class Chimera:
             ]
             # rows[i]: the enabled stages' answers for passed[i], stage order.
             rows = list(zip(*[
-                stage.answer_batch(passed)
+                stage.answer_batch(passed, traced)
                 for stage in self._guarded_stages
                 if passed and stage.enabled
             ])) or [()] * len(passed)
@@ -460,7 +442,7 @@ class Chimera:
             with obs.span("chimera.filter"):
                 threshold = self.voting.confidence_threshold
                 picks = [
-                    (self.filter.select(item, ranked, threshold), self.filter.take_trace())
+                    self.filter.select(item, ranked, threshold, traced)
                     if ranked
                     else (None, None)
                     for item, (_final, ranked) in zip(passed, votes)
@@ -481,8 +463,8 @@ class Chimera:
                         label, source = None, "low-confidence-or-filtered"
                     else:
                         label, source = pick.label, "pipeline"
-                if self.quality is not None:
-                    self._record_provenance(
+                if traced:
+                    self._record_chain(
                         view.item_id, batch_id, label, source, decision,
                         traces, ranked, final, filter_trace,
                     )
@@ -561,8 +543,8 @@ class Chimera:
             batch_id = f"batch-{self._batch_counter:04d}"
         self._batch_counter += 1
         result = self._classify(items, batch_id)
-        if self.quality is not None:
-            self.quality.finish_batch(batch_id, len(items))
+        if self.rule_health is not None:
+            self.rule_health.finish_batch(batch_id, len(items))
         obs = self.observability
         if obs.enabled:
             obs.metrics.counter("chimera_items_total").inc(len(items))

@@ -160,7 +160,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.evaluation.per_rule import PerRuleCrowdEvaluator
     from repro.observability import (
         Observability,
-        QualityTelemetry,
         RuleHealthTracker,
         render_health_report,
         write_health_json,
@@ -193,7 +192,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         precision_floor=args.floor,
         metrics=observability.metrics,
     )
-    quality = chimera.enable_quality_telemetry(QualityTelemetry(health=tracker))
+    chimera.enable_quality_telemetry(rule_health=tracker)
     manager = IncidentManager(chimera)
     manager.watch_quality(tracker)
 
@@ -244,13 +243,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         evaluator = PerRuleCrowdEvaluator(task, sample_per_rule=args.crowd_sample)
         all_items = [item for batch in batched for item in batch]
         report = evaluator.evaluate(rules, all_items)
-        breaches = quality.ingest_precision(report, batch_id="crowd")
+        breaches = tracker.ingest_precision(report, batch_id="crowd")
         print(f"crowd: {len(report.estimates)} rules estimated, "
               f"{report.crowd_answers} answers, "
               f"{len(breaches)} below floor", file=sys.stderr)
 
     print(render_health_report(
-        tracker, provenance=quality.provenance,
+        tracker, provenance=chimera.provenance,
         title="rule health", top=args.top,
     ))
     if manager.incidents:
@@ -262,7 +261,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             for note in incident.notes:
                 print(f"    {note}")
     if args.json:
-        write_health_json(tracker, args.json, provenance=quality.provenance)
+        write_health_json(tracker, args.json, provenance=chimera.provenance)
         print(f"wrote health report -> {args.json}", file=sys.stderr)
     return 0
 
@@ -324,6 +323,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         ScenarioRunner,
         SpecError,
         YamlError,
+        load_report,
         load_scenario,
     )
     from repro.scenario.library import library_paths, load_library_scenario
@@ -393,8 +393,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0 if identical else 2
 
     if args.action == "report":
-        with open(args.spec) as handle:
-            report = ScenarioReport.from_dict(json.load(handle))
+        try:
+            report = ScenarioReport.from_dict(load_report(args.spec))
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         print(report.render_text(), end="")
         return 0 if report.passed else 2
 

@@ -15,9 +15,13 @@ time goes. This package is that one instrumented path:
 * :mod:`~repro.observability.provenance` — the per-label attribution
   chain (``why(item_id)`` / ``blame(rule_id)``) in a bounded ring buffer;
 * :mod:`~repro.observability.quality` — per-rule health windows (fire
-  rate, win-rate, overlap, crowd precision) with drift/precision-floor
-  alerting wired into the incident machinery.
+  rate, win-rate, overlap, crowd precision) folded from the provenance
+  records alone, with drift/precision-floor alerts that
+  :meth:`~repro.chimera.incidents.IncidentManager.watch_quality` turns
+  into incidents.
 
+A :class:`~repro.chimera.pipeline.Chimera` holds its provenance log and
+health tracker itself (``enable_quality_telemetry``).
 :class:`Observability` bundles one tracer and one registry, which is the
 object executors, the Chimera pipeline, the synonym session, and the
 rulegen pipeline accept (``observability=``). Passing nothing costs
@@ -55,7 +59,6 @@ from repro.observability.provenance import (
 )
 from repro.observability.quality import (
     PRECISION_FLOOR,
-    QualityTelemetry,
     RuleAlert,
     RuleHealth,
     RuleHealthTracker,
@@ -75,30 +78,14 @@ class Observability:
         self,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = True,
-        quality: Optional[QualityTelemetry] = None,
     ):
         self.enabled = enabled
         self.tracer = Tracer(clock=clock, enabled=enabled)
         self.metrics = MetricsRegistry()
-        # Optional rule-quality telemetry: when attached, every fired map
-        # a batch executor reports also lands on the health tracker as one
-        # batch observation (the fired-map provenance hook).
-        self.quality = quality
 
     def span(self, name: str, **attributes: object):
         """Shorthand for ``self.tracer.span(...)``."""
         return self.tracer.span(name, **attributes)
-
-    def attach_quality(
-        self, quality: Optional[QualityTelemetry] = None
-    ) -> QualityTelemetry:
-        """Attach (or create) rule-quality telemetry; returns it."""
-        if quality is None:
-            quality = QualityTelemetry(
-                health=RuleHealthTracker(metrics=self.metrics)
-            )
-        self.quality = quality
-        return quality
 
     def observe_execution(self, stats, executor: str) -> None:
         """Feed run stats to the registry (no-op when disabled)."""
@@ -109,8 +96,6 @@ class Observability:
         """Feed per-rule fire counts to the registry (no-op when disabled)."""
         if self.enabled:
             self.metrics.observe_fired(fired)
-            if self.quality is not None:
-                self.quality.observe_fired_map(fired)
 
     def report(self, title: str = "observability report") -> str:
         """Plain-text span tree + metrics dump."""
@@ -143,7 +128,6 @@ __all__ = [
     "PRECISION_FLOOR",
     "ProvenanceLog",
     "ProvenanceRecord",
-    "QualityTelemetry",
     "RuleAlert",
     "RuleHealth",
     "RuleHealthTracker",

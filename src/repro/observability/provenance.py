@@ -14,9 +14,9 @@ moment the label was emitted. This module keeps it:
   label out of the Chimera pipeline (gate decision → stage traces →
   voting-master decision → filter outcome);
 * :class:`ProvenanceLog` — a bounded ring buffer of records with a
-  by-item index and JSON-lines spooling, so a week-long never-ending run
-  keeps a complete on-disk trail while the in-memory buffer stays
-  fixed-size.
+  by-item index and an optional write-ahead JSON-lines spool, so a
+  week-long never-ending run keeps a complete on-disk trail while the
+  in-memory buffer stays fixed-size.
 
 The two query verbs are the ones analysts actually ask:
 ``why(item_id)`` ("why did this item get this label?") and
@@ -267,8 +267,8 @@ def render_record(record: ProvenanceRecord) -> List[str]:
     return lines
 
 
-#: What a ring slot holds: the record, or — in a write-ahead log — the
-#: JSON line (newline included) the record was spooled as.
+#: What a ring slot holds: the record, or — in a spooled log — the JSON
+#: line (newline included) the record was spooled as.
 _Entry = Union[ProvenanceRecord, str]
 
 
@@ -287,25 +287,29 @@ def _decoded(entry: _Entry) -> ProvenanceRecord:
 class ProvenanceLog:
     """Bounded ring buffer of :class:`ProvenanceRecord` with query indexes.
 
-    The in-memory buffer holds at most ``capacity`` records; when a new
-    record would overflow it, the oldest record is evicted (and appended
-    to ``spool`` as one JSON line, when a spool is attached) — the §2.2
-    never-ending session keeps a complete trail on disk while memory
-    stays fixed. Eviction is FIFO, so the per-item index can drop its
-    oldest entry in O(1).
+    The buffer holds at most ``capacity`` records; when a new record
+    would overflow it, the oldest is dropped. Eviction is FIFO, so the
+    per-item index can drop its oldest entry in O(1).
 
-    What the ring holds depends on when the log encodes. A write-ahead
-    log (``spool_all=True``) encodes every record at ``record()`` time
-    anyway, so it keeps that line — the very string it wrote to the
-    spool, ~0.5 KB — and not the record's object graph (~1.3 KB); the
-    other two modes keep the record, because encoding there would cost
-    ``record()`` an order of magnitude. Every reader goes through one
-    decode point (:func:`_decoded`), so ``records`` / ``why`` / ``blame``
-    / ``records_for_type`` / ``blame_summary`` / ``write_jsonl`` /
-    ``rotate`` / ``on_evict`` answer equal by value in all three modes;
-    a line-holding ring pays a decode per record *returned* (and
-    ``blame`` / ``records_for_type`` skip, by substring, lines that
-    cannot mention the id asked for).
+    A log has one of two modes, decided by ``spool``:
+
+    * **write-ahead** (a path, opened lazily in append mode, or any
+      writable text handle): every record is encoded and appended to the
+      spool at :meth:`record` time, so the spool is a complete, replayable
+      trail even for records still in the ring — the §2.2 never-ending
+      session keeps everything on disk while memory stays fixed, and the
+      durable service checkpoints the spool's offset (see :meth:`replay`).
+      The ring keeps that very line (~0.5 KB), not the record's object
+      graph (~1.3 KB);
+    * **in-memory** (no spool): the ring keeps the records, because
+      encoding them would cost ``record()`` an order of magnitude.
+
+    Every reader goes through one decode point (:func:`_decoded`), so
+    ``records`` / ``why`` / ``blame`` / ``records_for_type`` /
+    ``blame_summary`` / ``write_jsonl`` answer equal by value in both
+    modes; a line-holding ring pays a decode per record *returned* (and
+    ``blame`` / ``records_for_type`` skip, by substring, lines that cannot
+    mention the id asked for).
 
     Only ``why``'s by-item index is maintained eagerly: recording happens
     once per classified item and is on the telemetry layer's 5%-overhead
@@ -313,8 +317,6 @@ class ProvenanceLog:
     ``records_for_type`` are analyst drill-downs, so they scan the
     bounded buffer at query time instead of taxing the hot path.
 
-    ``spool`` may be a path (opened lazily in append mode) or any
-    writable text handle; :meth:`rotate` force-flushes the whole buffer.
     ``fsync=False`` makes :meth:`spool_offset` flush without syncing.
     """
 
@@ -322,26 +324,16 @@ class ProvenanceLog:
         self,
         capacity: int = 10_000,
         spool: Optional[PathOrHandle] = None,
-        on_evict: Optional[Callable[[ProvenanceRecord], None]] = None,
-        spool_all: bool = False,
         fsync: bool = True,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if spool_all and spool is None:
-            raise ValueError("spool_all=True requires a spool target")
         self.capacity = capacity
         self.spool = spool
-        self.on_evict = on_evict
-        #: Write-ahead mode: every record is spooled at ``record()`` time
-        #: (eviction skips the re-spool), so the spool file is a complete,
-        #: replayable trail even for records still in the ring — the
-        #: durable-service checkpoint contract (see ``replay``).
-        self.spool_all = spool_all
         self.fsync = fsync
         self._records: Deque[_Entry] = deque()
         #: item id of each encoded line in ``_records``, in ring order (a
-        #: record entry carries its own); empty unless ``spool_all``.
+        #: record entry carries its own); empty without a spool.
         self._line_items: Deque[str] = deque()
         self._by_item: Dict[str, List[_Entry]] = {}
         self._seq = 0
@@ -365,7 +357,7 @@ class ProvenanceLog:
             self._seq = record.seq = self._seq + 1
         item_id = record.item_id
         entry: _Entry = record
-        if self.spool_all:
+        if self.spool is not None:
             entry = _encoded(record)
             self._spool_write(entry)
             self._line_items.append(item_id)
@@ -377,7 +369,7 @@ class ProvenanceLog:
             self._by_item[item_id] = [entry]
         else:
             bucket.append(entry)
-        while len(records) > self.capacity:
+        if len(records) > self.capacity:
             self._evict()
         return record
 
@@ -394,10 +386,6 @@ class ProvenanceLog:
             del bucket[0]
             if not bucket:
                 del by_item[item_id]
-        if self.spool is not None and not self.spool_all:
-            self._spool_write(_encoded(evicted))
-        if self.on_evict is not None:
-            self.on_evict(_decoded(evicted))
 
     def _spool_write(self, line: str) -> None:
         if self._spool_handle is None:
@@ -530,28 +518,15 @@ class ProvenanceLog:
                 handle.close()
         return len(self._records)
 
-    def rotate(self) -> int:
-        """Spool every retained record and clear the buffer.
-
-        Returns the number of records rotated out. The snapshot/rotation
-        primitive for week-long runs: call at batch boundaries to keep
-        the full trail on disk without waiting for capacity eviction.
-        """
-        rotated = len(self._records)
-        while self._records:
-            self._evict()
-        return rotated
-
     @classmethod
     def replay(
         cls,
         spool: str,
         capacity: int = 10_000,
-        on_evict: Optional[Callable[[ProvenanceRecord], None]] = None,
         fsync: bool = True,
         observe: Optional[Callable[[ProvenanceRecord], None]] = None,
     ) -> "ProvenanceLog":
-        """Rebuild a ``spool_all`` log from its spool file.
+        """Rebuild a write-ahead log from its spool file.
 
         Reads the spool torn-tolerantly (a partial final line — a crash
         mid-append — is ignored), refills the ring with the last
@@ -584,10 +559,7 @@ class ProvenanceLog:
             for line in iter_jsonl_lines(spool):
                 kept.append(keyed(line))
                 total += 1
-        log = cls(
-            capacity=capacity, spool=spool, on_evict=on_evict, spool_all=True,
-            fsync=fsync,
-        )
+        log = cls(capacity=capacity, spool=spool, fsync=fsync)
         log.total_records = total
         log.evicted_records = total - len(kept)
         log._seq = max((seq for _, _, seq in kept), default=0)

@@ -4,13 +4,12 @@ The never-ending pipeline's quality question is always *per rule*: which
 rule's behaviour changed, and is that change making labels worse? This
 module maintains the per-rule signals the paper's ongoing-system
 requirements ask for, fed entirely from values the system already
-computes (provenance records, executor fired maps, crowd verdicts):
+computes (Chimera's provenance records and crowd verdicts):
 
 * **fire rate** — fraction of batch items a rule fired on, kept as a
   sliding window of per-batch observations;
 * **vote win-rate** — of the items a rule fired on, how often its vote
-  became the final label (only available from Chimera provenance; pure
-  fired-map feeds leave it undefined);
+  became the final label (undefined until a labelled record arrives);
 * **overlap** — co-fire counts with other rules, the §4 redundancy
   signal the per-rule crowd evaluator exploits;
 * **precision estimates** — joined from
@@ -22,9 +21,9 @@ computes (provenance records, executor fired maps, crowd verdicts):
 Degradations become :class:`RuleAlert` events fanned out to ``on_alert``
 callbacks — the same subscription shape as
 :class:`~repro.chimera.monitoring.StageHealthMonitor.on_breaker_open` —
-which :meth:`~repro.chimera.incidents.IncidentManager.watch_quality`
-turns into auto-opened rule-level incidents carrying the offending rule
-ids.
+and :meth:`~repro.chimera.incidents.IncidentManager.watch_quality` is the
+one subscriber that turns them into rule-level incidents carrying the
+offending rule ids.
 
 Everything here is strictly observational: the tracker never feeds back
 into classification, so labels and fired maps are byte-identical with
@@ -36,13 +35,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.observability.provenance import (
-    ProvenanceLog,
-    ProvenanceRecord,
-    vote_rule_id,
-)
+from repro.observability.provenance import ProvenanceRecord
 
 #: The §2.2 quality bar: estimated precision at or above this is healthy.
 PRECISION_FLOOR = 0.92
@@ -100,12 +95,12 @@ class RuleHealth:
 class RuleHealthTracker:
     """Sliding-window per-rule health with baseline-drift detection.
 
-    Feeding paths (all optional, all composable):
+    The tracker learns through exactly two doors:
 
-    * :meth:`observe_record` per classified item (Chimera provenance) and
-      :meth:`finish_batch` at batch boundaries;
-    * :meth:`observe_fired_map` for whole executor fired maps (the
-      incremental/partitioned provenance hook) — each map is one batch;
+    * :meth:`observe_record` per classified item (the provenance record
+      Chimera writes) and :meth:`finish_batch` at batch boundaries — the
+      only source of fire counts, wins and overlap, so every item of a
+      batch, fired on or not, is in its denominator;
     * :meth:`ingest_precision` to join crowd verdicts from
       :class:`~repro.evaluation.per_rule.PerRuleCrowdEvaluator`.
 
@@ -160,7 +155,6 @@ class RuleHealthTracker:
         self._cur_items = 0
         self._cur_has_votes = False
         self._cur_records: List[ProvenanceRecord] = []
-        self._auto_batch = 0
 
     # -- feeding -----------------------------------------------------------------
 
@@ -212,27 +206,6 @@ class RuleHealthTracker:
         self._cur_items += len(records)
         self._cur_has_votes = has_votes
         self._cur_records = []
-
-    def observe_fired_map(
-        self, fired: Dict[str, Sequence[str]], batch_id: Optional[str] = None
-    ) -> BatchHealth:
-        """Treat one executor fired map as a finished batch.
-
-        This is the provenance hook the executors call through
-        :meth:`Observability.observe_fired`: per-rule fire counts over the
-        run's items, with no vote information (win-rate stays undefined
-        for fired-map-only feeds).
-        """
-        for rule_ids in fired.values():
-            distinct = tuple(dict.fromkeys(rule_ids))
-            self._cur_fires.update(distinct)
-            if len(distinct) > 1:
-                self.overlap.update(combinations(distinct, 2))
-        self._cur_items += len(fired)
-        if batch_id is None:
-            self._auto_batch += 1
-            batch_id = f"fired-map-{self._auto_batch:04d}"
-        return self.finish_batch(batch_id)
 
     def finish_batch(
         self, batch_id: str, n_items: Optional[int] = None
@@ -408,7 +381,9 @@ class RuleHealthTracker:
             "cur_wins": dict(sorted(self._cur_wins.items())),
             "cur_items": self._cur_items,
             "cur_has_votes": self._cur_has_votes,
-            "auto_batch": self._auto_batch,
+            # Always 0; kept so service identity documents stay comparable
+            # with those written by earlier commits.
+            "auto_batch": 0,
         }
 
     # -- queries -----------------------------------------------------------------
@@ -503,64 +478,9 @@ class RuleHealthTracker:
         return out
 
 
-class QualityTelemetry:
-    """The bundle the pipeline threads through: provenance + rule health.
-
-    One object per deployment, mirroring the PR-4
-    :class:`~repro.observability.Observability` facade: attach it to a
-    :class:`~repro.chimera.pipeline.Chimera` via
-    ``enable_quality_telemetry`` (label provenance + per-batch health) or
-    to an :class:`Observability` via ``attach_quality`` (executor
-    fired-map feeds).
-    """
-
-    def __init__(
-        self,
-        provenance: Optional[ProvenanceLog] = None,
-        health: Optional[RuleHealthTracker] = None,
-    ):
-        self.provenance = provenance if provenance is not None else ProvenanceLog()
-        self.health = health if health is not None else RuleHealthTracker()
-
-    # -- feeding -----------------------------------------------------------------
-
-    def observe_item(self, record: ProvenanceRecord) -> ProvenanceRecord:
-        self.provenance.record(record)
-        self.health.observe_record(record)
-        return record
-
-    def finish_batch(self, batch_id: str, n_items: Optional[int] = None) -> BatchHealth:
-        return self.health.finish_batch(batch_id, n_items=n_items)
-
-    def observe_fired_map(
-        self, fired: Dict[str, Sequence[str]], batch_id: Optional[str] = None
-    ) -> BatchHealth:
-        return self.health.observe_fired_map(fired, batch_id=batch_id)
-
-    def ingest_precision(self, report, batch_id: str = "crowd") -> List[str]:
-        return self.health.ingest_precision(report, batch_id=batch_id)
-
-    # -- queries ----------------------------------------------------------------
-
-    def why(self, item_id: str) -> List[ProvenanceRecord]:
-        return self.provenance.why(item_id)
-
-    def blame(self, rule_id: str) -> List[ProvenanceRecord]:
-        return self.provenance.blame(rule_id)
-
-    @property
-    def alerts(self) -> List[RuleAlert]:
-        return self.health.alerts
-
-    @property
-    def on_alert(self) -> List[Callable[[RuleAlert], None]]:
-        return self.health.on_alert
-
-
 __all__ = [
     "BatchHealth",
     "PRECISION_FLOOR",
-    "QualityTelemetry",
     "RuleAlert",
     "RuleHealth",
     "RuleHealthTracker",

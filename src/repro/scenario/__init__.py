@@ -23,7 +23,7 @@ from repro.scenario.spec import (
     load_scenario,
     loads,
 )
-from repro.scenario.yamlio import YamlError, fallback_load, safe_load
+from repro.scenario.yamlio import YamlError, safe_load
 from repro.world import sub_seed
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "YamlError",
     "diff_report_files",
     "diff_reports",
-    "fallback_load",
     "load_report",
     "load_scenario",
     "loads",

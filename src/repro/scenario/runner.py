@@ -50,7 +50,7 @@ from repro.maintenance.taxonomy_change import (
     plan_for_merge,
     plan_for_split,
 )
-from repro.observability.quality import QualityTelemetry, RuleHealthTracker
+from repro.observability.quality import RuleHealthTracker
 from repro.repository import RuleRepository, bind_chimera
 from repro.scenario.report import ExitCheck, ScenarioReport, round6
 from repro.scenario.spec import _EXIT_CHECKS, ScenarioSpec, TaxonomyChange
@@ -185,7 +185,7 @@ class ScenarioRunner:
                 baseline_batches=spec.quality.baseline_batches,
                 precision_floor=spec.quality.precision_floor,
             )
-            chimera.enable_quality_telemetry(QualityTelemetry(health=tracker))
+            chimera.enable_quality_telemetry(rule_health=tracker)
 
         repository: Optional[RuleRepository] = None
         if spec.repository.enabled:
@@ -198,6 +198,10 @@ class ScenarioRunner:
             repository.default_author = "scenario"
             bind_chimera(repository, chimera)
         manager = IncidentManager(chimera, repository=repository)
+        if tracker is not None and spec.quality.auto_incidents:
+            manager.watch_quality(
+                tracker, clock, scale_down=spec.quality.auto_scale_down
+            )
 
         # -- run state -----------------------------------------------------------
         rules_added = 0
@@ -214,27 +218,6 @@ class ScenarioRunner:
         error_samples = deque(maxlen=spec.incidents.max_error_samples)
         repair_due: List[List[Any]] = []  # [due_step, incident]
         reenable_at: Dict[int, List[str]] = {}
-        state = {"step": 0}
-
-        if tracker is not None and spec.quality.auto_incidents:
-            def on_alert(alert) -> None:
-                nonlocal rules_disabled
-                incident = manager.open_rule_incident(
-                    alert.rule_ids,
-                    reason=f"[{alert.kind}] batch {alert.batch_id}",
-                    at=clock.now,
-                )
-                if spec.quality.auto_scale_down:
-                    manager.scale_down(incident)
-                    rules_disabled += sum(
-                        len(ids) for ids in incident.disabled_rule_ids.values()
-                    )
-                    if spec.incidents.repair_after:
-                        repair_due.append(
-                            [state["step"] + spec.incidents.repair_after, incident]
-                        )
-
-            tracker.on_alert.append(on_alert)
 
         # -- executor ------------------------------------------------------------
         executor_kind = spec.executor.kind
@@ -281,26 +264,6 @@ class ScenarioRunner:
         crowd_steps = set(spec.crowd.at_batches)
         churn_rng = random.Random(sub("churn"))
 
-        def repair_and_restore(incident) -> None:
-            nonlocal rules_added
-            whitelists, blacklists = analyst.patch_rules_for_errors(
-                list(error_samples)
-            )
-            chimera.add_whitelist_rules(self.ids.assign(whitelists, "patch-wl"))
-            chimera.add_blacklist_rules(self.ids.assign(blacklists, "patch-bl"))
-            added = len(whitelists) + len(blacklists)
-            for type_name in incident.affected_types:
-                if type_name in taxonomy:
-                    refreshed = self.ids.assign(
-                        analyst.obvious_rules(type_name), "wl"
-                    )
-                    chimera.add_whitelist_rules(refreshed)
-                    added += len(refreshed)
-            rules_added += added
-            incident.status = "repaired"
-            incident.notes.append(f"added {added} repair rules")
-            manager.restore(incident)
-
         # -- wall-clock budget (ROADMAP item 4) ----------------------------------
         # The only place the runner reads the host's real clock. Specs
         # that declare these checks trade report-byte replayability for a
@@ -323,7 +286,7 @@ class ScenarioRunner:
                 # already ran is reported; the max_wall_seconds check
                 # passes iff no single batch blew through the budget.
                 break
-            state["step"] = step
+            opened = len(manager.incidents)
 
             # repository schedule: snapshots capture the state as this step
             # begins; rollbacks restore a named snapshot via delta ops only
@@ -363,7 +326,10 @@ class ScenarioRunner:
             for entry in list(repair_due):
                 due_step, incident = entry
                 if due_step <= step and incident.status == "scaled-down":
-                    repair_and_restore(incident)
+                    rules_added += manager.repair(
+                        incident, analyst, list(error_samples), ids=self.ids
+                    )
+                    manager.restore(incident)
                     repair_due.remove(entry)
 
             # hot-key skew
@@ -522,14 +488,6 @@ class ScenarioRunner:
                     if suspects:
                         incident = manager.open_incident(suspects, at=clock.now)
                         manager.scale_down(incident)
-                        rules_disabled += sum(
-                            len(ids)
-                            for ids in incident.disabled_rule_ids.values()
-                        )
-                        if spec.incidents.repair_after:
-                            repair_due.append(
-                                [step + spec.incidents.repair_after, incident]
-                            )
 
             # crowd evaluation over this step's traffic
             if step in crowd_steps and evaluator is not None:
@@ -547,6 +505,18 @@ class ScenarioRunner:
                     if tracker is not None:
                         tracker.ingest_precision(
                             crowd_report, batch_id=produced[-1].batch_id
+                        )
+
+            # book what this step scaled down — whether the monitor or an
+            # alert opened the incident — and schedule its repair
+            for incident in manager.incidents[opened:]:
+                if incident.status == "scaled-down":
+                    rules_disabled += sum(
+                        len(ids) for ids in incident.disabled_rule_ids.values()
+                    )
+                    if spec.incidents.repair_after:
+                        repair_due.append(
+                            [step + spec.incidents.repair_after, incident]
                         )
 
         # -- wrap up -------------------------------------------------------------

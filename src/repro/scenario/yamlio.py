@@ -1,28 +1,24 @@
-"""YAML loading for scenario specs, with a dependency-free fallback.
+"""YAML loading for scenario specs: one dependency-free parser.
 
 Scenario specs are plain YAML documents (ROADMAP item 4, in the style of
-the Ouroboros seed-authoring guide in SNIPPETS.md). PyYAML is used when
-importable, but it is *not* a hard dependency of the library: the
-fallback parser below understands the strict subset the shipped library
-files use — nested mappings and lists by indentation, inline ``[a, b]``
-lists and ``{k: v}`` maps, quoted and plain scalars, comments — so the
-harness works on a bare ``numpy/scipy`` install.
+the Ouroboros seed-authoring guide in SNIPPETS.md). Every install reads
+them with the parser below, whether or not PyYAML is importable, so a
+spec runs through the same code everywhere. It understands the strict
+subset the shipped library files use — nested mappings and lists by
+indentation, inline ``[a, b]`` lists and ``{k: v}`` maps, quoted and
+plain scalars, comments — so the harness works on a bare ``numpy/scipy``
+install.
 
 The subset is deliberately strict (tabs, anchors, multi-document streams
-and block scalars are rejected with positioned errors) because a scenario
-file that parses differently under the two parsers would silently break
-the determinism contract. ``tests/test_scenario_spec.py`` parses every
-shipped spec with both parsers and asserts identical trees.
+and block scalars are rejected with positioned errors): a spec is either
+read as YAML reads it or refused. ``tests/test_scenario_spec.py`` keeps
+PyYAML as the oracle, where installed, and asserts identical trees for
+every shipped spec.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised indirectly; absence is the tested path
-    import yaml as _pyyaml
-except ImportError:  # pragma: no cover
-    _pyyaml = None
 
 
 class YamlError(ValueError):
@@ -238,8 +234,8 @@ def _parse_map(lines, start: int, indent: int) -> Tuple[dict, int]:
     return mapping, index
 
 
-def fallback_load(text: str) -> Any:
-    """Parse the supported YAML subset without PyYAML."""
+def safe_load(text: str) -> Any:
+    """Parse the supported YAML subset of ``text``."""
     lines = _logical_lines(text)
     if not lines:
         return None
@@ -250,13 +246,3 @@ def fallback_load(text: str) -> Any:
     if consumed != len(lines):
         raise YamlError("trailing content after document", lines[consumed][0])
     return value
-
-
-def safe_load(text: str) -> Any:
-    """Parse YAML ``text`` with PyYAML when available, else the fallback."""
-    if _pyyaml is not None:
-        try:
-            return _pyyaml.safe_load(text)
-        except _pyyaml.YAMLError as error:  # normalize the exception type
-            raise YamlError(f"invalid YAML: {error}") from error
-    return fallback_load(text)

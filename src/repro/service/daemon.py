@@ -55,7 +55,7 @@ import struct
 import sys
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.catalog.batches import Batch
@@ -66,11 +66,7 @@ from repro.core.rule import Rule
 from repro.observability import Observability
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.provenance import ProvenanceLog, ProvenanceRecord
-from repro.observability.quality import (
-    PRECISION_FLOOR,
-    QualityTelemetry,
-    RuleHealthTracker,
-)
+from repro.observability.quality import PRECISION_FLOOR, RuleHealthTracker
 from repro.repository import RuleRepository, bind_chimera
 from repro.service.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.service.series import SeriesStore
@@ -179,6 +175,28 @@ def _rng_load(rng, state: Dict[str, Any], path: str) -> None:
         rng.setstate((version, _MT_FORMAT.unpack(raw), gauss))
     except ValueError as exc:
         raise ValueError(f"checkpoint field {path!r}: {exc}") from None
+
+
+def _config_load(state: Dict[str, Any]) -> ServiceConfig:
+    """The checkpoint's :class:`ServiceConfig`, refusing (``ValueError``
+    naming the field) a missing or unknown key, and a section whose
+    fingerprint is not the checkpoint's own — a hand-edited value would
+    otherwise resume as a different deployment."""
+    section = _field(state, "config")
+    known = [spec.name for spec in fields(ServiceConfig)]
+    for name in known:
+        _field(state, f"config.{name}")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"checkpoint field 'config.{unknown[0]}' is not a config field")
+    config = ServiceConfig(**section)
+    recorded = _field(state, "fingerprint")
+    if config.fingerprint() != recorded:
+        raise ValueError(
+            f"checkpoint field 'config' fingerprints to {config.fingerprint()}, "
+            f"the checkpoint recorded {recorded}"
+        )
+    return config
 
 
 def _item_to_dict(item: ProductItem) -> Dict[str, Any]:
@@ -303,11 +321,12 @@ class StreamService:
             self.store.close()
             return
         self.incremental.detach()
-        # start() hung two bound methods of this service on the world's
-        # listener lists; left there, service <-> world cycles keep the
-        # whole closed world alive until a gen-2 collection.
+        # start() hung a bound method of this service and the incident
+        # wiring on the world's listener lists; left there, service <->
+        # world cycles keep the whole closed world alive until a gen-2
+        # collection.
         self.obs.tracer.on_span_end.remove(self._on_span_end)
-        self.tracker.on_alert.remove(self._on_alert)
+        self._unwatch_quality()
         self.repository.close()
         self.provenance.close()
         if self.series is not None:
@@ -327,14 +346,6 @@ class StreamService:
         self.obs.metrics.histogram("span_seconds", span=span.name).observe(
             span.duration
         )
-
-    def _on_alert(self, alert) -> None:
-        incident = self.manager.open_rule_incident(
-            alert.rule_ids,
-            reason=f"[{alert.kind}] batch {alert.batch_id}: {alert.detail}",
-            at=self.clock.now,
-        )
-        self.manager.scale_down(incident)
 
     def _open_world(self, metrics: Optional[MetricsRegistry] = None) -> List[Rule]:
         """The seeded startup both paths replay; returns the startup rules.
@@ -372,11 +383,13 @@ class StreamService:
         return world.startup_rules
 
     def _finish_wiring(self) -> None:
-        """Wiring shared by both startup paths, post rule/repo setup."""
-        self.chimera.enable_quality_telemetry(
-            QualityTelemetry(provenance=self.provenance, health=self.tracker)
+        """Wiring shared by both startup paths, post rule/repo setup: the
+        pipeline records into the service's log and tracker, and every
+        alert opens an incident that is scaled down at once."""
+        self.chimera.enable_quality_telemetry(self.provenance, self.tracker)
+        self._unwatch_quality = self.manager.watch_quality(
+            self.tracker, self.clock, scale_down=True
         )
-        self.tracker.on_alert.append(self._on_alert)
 
     def _track_fired_map(self) -> None:
         self.incremental = self.chimera.track_fired_map(
@@ -404,7 +417,7 @@ class StreamService:
         self._checkpoint()
 
     def _resume(self, state: Dict[str, Any]) -> None:
-        cfg_state = ServiceConfig(**state["config"])
+        cfg_state = _config_load(state)
         if self._config_given and self.config.fingerprint() != cfg_state.fingerprint():
             raise ValueError(
                 f"config fingerprint mismatch: checkpoint has "
@@ -503,7 +516,6 @@ class StreamService:
         return ProvenanceLog(
             capacity=self.config.provenance_capacity,
             spool=self.store.spool_path,
-            spool_all=True,
             fsync=self.fsync,
         )
 

@@ -127,21 +127,24 @@ class TestFinalFilter:
     def test_veto_falls_through_to_next(self):
         final_filter = FinalFilter(RuleSet(parse_rules("key rings? -> NOT rings")))
         ranked = [Prediction("rings", 0.6), Prediction("keychains", 0.4)]
-        chosen = final_filter.select(item("key ring"), ranked, 0.3)
+        chosen, trace = final_filter.select(item("key ring"), ranked, 0.3)
         assert chosen.label == "keychains"
+        assert trace is None  # traced only when asked
 
     def test_threshold_stops_walk(self):
         final_filter = FinalFilter(RuleSet(parse_rules("key rings? -> NOT rings")))
         ranked = [Prediction("rings", 0.6), Prediction("keychains", 0.2)]
-        assert final_filter.select(item("key ring"), ranked, 0.3) is None
+        assert final_filter.select(item("key ring"), ranked, 0.3) == (None, None)
 
     def test_kill_switch(self):
         final_filter = FinalFilter()
         final_filter.kill_type("medicine")
         ranked = [Prediction("medicine", 0.9)]
-        assert final_filter.select(item("pills"), ranked, 0.3) is None
+        assert final_filter.select(item("pills"), ranked, 0.3)[0] is None
         final_filter.revive_type("medicine")
-        assert final_filter.select(item("pills"), ranked, 0.3).label == "medicine"
+        chosen, trace = final_filter.select(item("pills"), ranked, 0.3, traced=True)
+        assert chosen.label == "medicine"
+        assert (trace.stage, trace.vetoed) == ("filter", ())
 
 
 class TestChimeraEndToEnd:

@@ -193,13 +193,13 @@ class _CountingStage:
         self.broken = False
         self.poison = ()
 
-    def answer(self, item):
+    def answer(self, item, traced=False):
         self.calls += 1
         if self.broken or item in self.poison:
             raise RuntimeError("model artifact corrupted")
         return StageAnswer(self, ["vote"], {"books"})
 
-    def answer_batch(self, items):
+    def answer_batch(self, items, traced=False):
         self.batch_calls += 1
         return [self.answer(item) for item in items]
 

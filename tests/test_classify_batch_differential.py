@@ -23,7 +23,7 @@ from repro.chimera.pipeline import BatchResult
 from repro.core import parse_rules
 from repro.observability import Observability
 from repro.observability.provenance import ProvenanceLog
-from repro.observability.quality import QualityTelemetry, RuleHealthTracker
+from repro.observability.quality import RuleHealthTracker
 from repro.service import ServiceConfig, StreamService
 from repro.world import RunIds, build_world
 
@@ -60,15 +60,12 @@ class _Side:
         chimera.add_blacklist_rules(_rules("veto", "toy -> NOT rings"))
         chimera.gatekeeper.bypass_rules.extend(_rules("gate", "gift cards? -> gift cards"))
         self.spool = root / "provenance.jsonl"
-        self.quality = None
         if telemetry:
             metrics = self.obs.metrics if observed else None
-            self.quality = chimera.enable_quality_telemetry(QualityTelemetry(
-                provenance=ProvenanceLog(
-                    capacity=10_000, spool=str(self.spool), spool_all=True, fsync=False
-                ),
-                health=RuleHealthTracker(metrics=metrics),
-            ))
+            chimera.enable_quality_telemetry(
+                ProvenanceLog(capacity=10_000, spool=str(self.spool), fsync=False),
+                RuleHealthTracker(metrics=metrics),
+            )
         if tracked:
             chimera.track_fired_map("rule-based")
         self.opened = []
@@ -102,8 +99,8 @@ class _Side:
             else:
                 result.add(item_result)
         self.chimera._batch_counter += 1
-        if self.quality is not None:
-            self.quality.finish_batch(batch_id, len(items))
+        if self.chimera.rule_health is not None:
+            self.chimera.rule_health.finish_batch(batch_id, len(items))
         self.note(result)
 
     def view(self):
@@ -120,11 +117,13 @@ class _Side:
             "faults": sorted((f.stage, f.error) for f in health.faults),
             "batch_counter": self.chimera._batch_counter,
         }
-        if self.quality is not None:
-            self.quality.provenance.close()
-            out["records"] = self.quality.provenance.records
+        if self.chimera.provenance is not None:
+            self.chimera.provenance.close()
+            out["records"] = self.chimera.provenance.records
             out["spool"] = self.spool.read_bytes()
-            out["tracker"] = json.dumps(self.quality.health.state_dict(), sort_keys=True)
+            out["tracker"] = json.dumps(
+                self.chimera.rule_health.state_dict(), sort_keys=True
+            )
         if self.obs is not None:
             metrics = self.obs.metrics
             out["counters"] = {

@@ -607,22 +607,21 @@ class TestExplain:
         steps = compiled.explain_fired(item("i1", "gold ring"))
         assert [step.rule_id for step in steps] == ["w1", "w2"]
 
-    def test_compiled_path_feeds_the_why_provenance_chain(self):
+    def test_compiled_path_feeds_the_same_fire_counts(self):
         """The fired maps reaching observe_fired (and from there the
-        quality/provenance chain) are identical, compiled vs reference."""
+        rule_fired_total mirror) are identical, compiled vs reference."""
         rules = [WhitelistRule("rings?", "t", rule_id="w1"),
                  SequenceRule(["gold", "ring"], "t", rule_id="s1")]
         items = [item("i1", "gold ring"), item("i2", "rings"), item("i3", "x")]
         snapshots = []
         for executor_class in (NaiveExecutor, IndexedExecutor):
             obs = Observability()
-            obs.attach_quality()
             executor_class(rules, observability=obs).run(items)
-            health = obs.quality.health
-            snapshots.append(
-                {rid: health.health(rid).fires for rid in ("w1", "s1")}
-            )
-        assert snapshots[0] == snapshots[1]
+            snapshots.append({
+                rid: obs.metrics.counter("rule_fired_total", rule_id=rid).value
+                for rid in ("w1", "s1")
+            })
+        assert snapshots[0] == snapshots[1] == {"w1": 2, "s1": 1}
 
 
 class TestCompiledRuleSetChurn:

@@ -92,11 +92,12 @@ class TestChimeraExplain:
         ))
         chimera.add_attribute_rules(parse("attr(isbn) -> books"))
         chimera.add_blacklist_rules(parse("key rings? -> NOT rings"))
-        quality = chimera.enable_quality_telemetry()
+        chimera.enable_quality_telemetry()
+        provenance, tracker = chimera.provenance, chimera.rule_health
         ring = item("gold ring", isbn="978", brand="acme")
         assert chimera.classify_batch([ring]).results[0].label == "books"
-        records = quality.provenance.total_records
-        windows = quality.health.state_dict()
+        records = provenance.total_records
+        windows = tracker.state_dict()
         health = chimera.health_report()
 
         text = chimera.explain_item(ring)
@@ -105,10 +106,9 @@ class TestChimeraExplain:
             "final: unclassified"
         )
 
-        assert quality.provenance.total_records == records == 1
-        assert quality.health.state_dict() == windows
+        assert provenance.total_records == records == 1
+        assert tracker.state_dict() == windows
         assert chimera.health_report() == health
-        assert chimera.filter.take_trace() is None
 
 
 class TestTaxonomyValidation:

@@ -6,9 +6,9 @@ feeds back into classification. These tests prove that contract:
 
 1. Chimera labels are **byte-identical** with telemetry on or off — for
    the frozen golden corpus, untrained and fully trained;
-2. executor fired maps are **byte-identical** with an Observability +
-   attached quality telemetry vs. no observability at all, across all
-   four executors — including the partitioned executor under
+2. executor fired maps are **byte-identical** with an Observability
+   (whose metrics mirror counts every fire) vs. no observability at all,
+   across all four executors — including the partitioned executor under
    fault-injected retries;
 3. ``why``/``blame`` reconstruct the exact vote chain for every golden
    corpus item (winners fired, winners voted the final label, blame is
@@ -37,7 +37,7 @@ from repro.execution import (
 )
 from repro.observability import Observability
 from repro.observability.provenance import vote_rule_id
-from repro.observability.quality import QualityTelemetry, RuleHealthTracker
+from repro.observability.quality import RuleHealthTracker
 from repro.utils.text import clear_caches
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -131,7 +131,7 @@ class TestChimeraByteIdentity:
             assert classify_signature(plain, golden_items) == classify_signature(
                 traced, golden_items
             )
-        assert traced.quality.health.total_batches == 3
+        assert traced.rule_health.total_batches == 3
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +170,33 @@ def exec_items(n=40):
     ]
 
 
-def quality_observability():
-    observability = Observability()
-    observability.attach_quality()
-    return observability
+def fired_total(observability):
+    """Every fire the metrics mirror counted."""
+    series = observability.metrics.series("rule_fired_total")
+    return sum(counter.value for counter in series.values())
 
 
 class TestExecutorFiredMapIdentity:
     def test_naive(self):
         items = exec_items()
         plain, _ = NaiveExecutor(EXEC_RULES).run(items)
-        obs = quality_observability()
+        obs = Observability()
         traced, _ = NaiveExecutor(EXEC_RULES, observability=obs).run(items)
         assert plain == traced
-        assert obs.quality.health.total_batches == 1
+        assert fired_total(obs) == sum(len(ids) for ids in plain.values())
 
     def test_indexed(self):
         items = exec_items()
         plain, _ = IndexedExecutor(EXEC_RULES).run(items)
         traced, _ = IndexedExecutor(
-            EXEC_RULES, observability=quality_observability()
+            EXEC_RULES, observability=Observability()
         ).run(items)
         assert plain == traced
 
     def test_incremental(self):
         items = exec_items()
         plain = IncrementalExecutor(rules=EXEC_RULES, items=items).fired_map()
-        obs = quality_observability()
+        obs = Observability()
         traced = IncrementalExecutor(
             rules=EXEC_RULES, items=items, observability=obs
         ).fired_map()
@@ -218,12 +218,14 @@ class TestExecutorFiredMapIdentity:
         assert plain == recovered.fired
         assert recovered.stats.retries > 0, "the fault plan should have forced retries"
 
-        obs = quality_observability()
+        obs = Observability()
         traced = faulted(obs).run(items)
         assert plain == traced.fired
         assert traced.stats.retries > 0
         # The telemetry side really observed the run.
-        assert obs.quality.health.fire_rate(EXEC_RULES[0].rule_id) > 0
+        assert obs.metrics.counter(
+            "rule_fired_total", rule_id=EXEC_RULES[0].rule_id
+        ).value > 0
 
     def test_random_fault_plans_keep_identity(self):
         items = exec_items(30)
@@ -233,7 +235,7 @@ class TestExecutorFiredMapIdentity:
                 EXEC_RULES,
                 n_workers=4,
                 fault_plan=FaultPlan.random_plan(seed, n_workers=4, rate=0.4),
-                observability=quality_observability(),
+                observability=Observability(),
             ).run(items)
             assert plain == traced.fired, f"fired map diverged under fault seed {seed}"
 
@@ -252,9 +254,9 @@ class TestGoldenVoteChain:
 
     def test_every_item_has_a_complete_chain(self, classified, golden_items):
         chimera, result = classified
-        assert len(chimera.quality.provenance) == len(golden_items)
+        assert len(chimera.provenance) == len(golden_items)
         for item_result in result.results:
-            chain = chimera.why(item_result.item.item_id)
+            chain = chimera.provenance.why(item_result.item.item_id)
             assert chain, f"no provenance for {item_result.item.item_id}"
             record = chain[-1]
             assert record.label == item_result.label
@@ -277,32 +279,32 @@ class TestGoldenVoteChain:
                     ]
                     assert record.label in voted
         for item in result.rejected:
-            chain = chimera.why(item.item_id)
+            chain = chimera.provenance.why(item.item_id)
             assert chain and chain[-1].source == "gate-reject"
             assert chain[-1].label is None
 
     def test_blame_is_the_inverse_of_fired(self, classified):
         chimera, _result = classified
-        log = chimera.quality.provenance
+        log = chimera.provenance
         fired_index = {}
         for record in log.records:
             for rule_id in record.fired_rule_ids():
                 fired_index.setdefault(rule_id, []).append(record.item_id)
         assert fired_index, "expected the golden ruleset to fire somewhere"
         for rule_id, item_ids in fired_index.items():
-            blamed = [record.item_id for record in chimera.blame(rule_id)]
+            blamed = [record.item_id for record in log.blame(rule_id)]
             assert blamed == item_ids
         # And blame never invents records for silent rules.
-        assert chimera.blame("no-such-rule") == []
+        assert log.blame("no-such-rule") == []
 
     def test_health_totals_match_provenance(self, classified, golden_items):
         chimera, _result = classified
-        health = chimera.quality.health
+        health = chimera.rule_health
         assert health.total_batches == 1
         assert health.total_items == len(golden_items)
         fired_total = sum(
             len(record.fired_rule_ids())
-            for record in chimera.quality.provenance.records
+            for record in chimera.provenance.records
         )
         assert sum(health.total_fires.values()) == fired_total
 
@@ -324,7 +326,7 @@ class TestDriftDetection:
         tracker = RuleHealthTracker(
             window=8, baseline_batches=2, drift_min_delta=0.1, drift_tolerance=0.5
         )
-        chimera.enable_quality_telemetry(QualityTelemetry(health=tracker))
+        chimera.enable_quality_telemetry(rule_health=tracker)
 
         def batch(titles, tag):
             return [

@@ -1,9 +1,9 @@
 """Unit tests for the rule-quality telemetry subsystem.
 
-Covers the provenance layer (ring buffer, spooling, why/blame), the
-per-rule health tracker (windows, baseline drift, precision joins,
-alert fan-out), the incident wiring (watch_quality auto-open, rule-level
-scale-down/restore), the bounded-history satellites (PrecisionMonitor
+Covers the provenance layer (ring buffer, write-ahead spool, why/blame),
+the per-rule health tracker (windows, baseline drift, precision joins,
+alert fan-out), the incident wiring (watch_quality auto-open, scale-down
+policy, rule-level scale-down/restore), the bounded-history satellites (PrecisionMonitor
 retention, MetricsRegistry label cardinality), and the ``repro monitor``
 CLI. The cross-cutting byte-identity properties live in
 ``tests/test_quality_properties.py``.
@@ -23,7 +23,6 @@ from repro.chimera import Chimera
 from repro.chimera.incidents import IncidentManager
 from repro.chimera.monitoring import PrecisionMonitor
 from repro.core import parse_rules
-from repro.observability import Observability
 from repro.observability.metrics import (
     DEFAULT_MAX_RULE_LABELS,
     OTHER_RULE_LABEL,
@@ -36,11 +35,7 @@ from repro.observability.provenance import (
     render_record,
     vote_rule_id,
 )
-from repro.observability.quality import (
-    QualityTelemetry,
-    RuleAlert,
-    RuleHealthTracker,
-)
+from repro.observability.quality import RuleAlert, RuleHealthTracker
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -90,6 +85,17 @@ def rule_trace(stage, fired, label=None, weight=1.0):
         else ()
     )
     return StageTrace(stage, tuple(fired), votes)
+
+
+def observe_batch(tracker, fired, batch_id="b0"):
+    """One finished batch of unlabelled records, item ``i`` firing
+    ``fired[i]`` — the tracker's only feed, written out by hand."""
+    for item_id, rule_ids in fired.items():
+        tracker.observe_record(make_record(
+            item_id, None, batch_id=batch_id, source="no-votes",
+            stages=(rule_trace("rule-based", rule_ids),),
+        ))
+    return tracker.finish_batch(batch_id)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +227,18 @@ class TestProvenanceLog:
         ]
 
     def test_eviction_spools_jsonl(self):
+        """A spooled log is write-ahead: eviction drops a record from the
+        ring only, because its line reached the spool when it was recorded."""
         spool = io.StringIO()
         log = ProvenanceLog(capacity=2, spool=spool)
         for index in range(4):
             log.record(make_record(f"item-{index}", "rings"))
+        assert [record.item_id for record in log.records] == ["item-2", "item-3"]
         spool.seek(0)
         spooled = ProvenanceLog.read_jsonl(spool)
-        assert [record.item_id for record in spooled] == ["item-0", "item-1"]
-
-    def test_rotate_spools_everything_and_clears(self):
-        spool = io.StringIO()
-        log = ProvenanceLog(capacity=10, spool=spool)
-        for index in range(3):
-            log.record(make_record(f"item-{index}", "rings"))
-        assert log.rotate() == 3
-        assert len(log) == 0
-        spool.seek(0)
-        assert len(ProvenanceLog.read_jsonl(spool)) == 3
-
-    def test_on_evict_hook_sees_records_in_order(self):
-        evicted = []
-        log = ProvenanceLog(capacity=2, on_evict=evicted.append)
-        for index in range(4):
-            log.record(make_record(f"item-{index}", "rings"))
-        assert [record.item_id for record in evicted] == ["item-0", "item-1"]
+        assert [record.item_id for record in spooled] == [
+            "item-0", "item-1", "item-2", "item-3",
+        ]
 
     def test_blame_scans_fired_rules(self):
         log = ProvenanceLog(capacity=10)
@@ -291,7 +285,7 @@ class TestProvenanceLog:
         log.record(make_record("a", "rings"))
         log.record(make_record("b", "rings"))
         log.close()
-        assert [r.item_id for r in ProvenanceLog.read_jsonl(str(target))] == ["a"]
+        assert [r.item_id for r in ProvenanceLog.read_jsonl(str(target))] == ["a", "b"]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -311,7 +305,7 @@ class TestProvenanceLog:
         one a full decode builds, and the one the live log held, for
         spools shorter than, equal to and longer than ``capacity``."""
         spool = str(tmp_path_factory.mktemp("replay") / "spool.jsonl")
-        live = ProvenanceLog(capacity=capacity, spool=spool, spool_all=True)
+        live = ProvenanceLog(capacity=capacity, spool=spool)
         for index, item_id in enumerate(item_ids):
             live.record(make_record(
                 item_id, "rings", batch_id=f"b{index // 5}",
@@ -359,11 +353,10 @@ class TestProvenanceLog:
         self, specs, capacity, tmp_path_factory
     ):
         """A ring of encoded lines (write-ahead) and a ring of records
-        (unspooled, spool-on-evict) are one log by value: every query,
-        counter, export, eviction callback and a replay of the spool. The
-        ids are chosen to break a loose substring pre-filter: ``r1`` /
-        ``r10``, a rule named like a type, a rule that is a prefix of a
-        label, and ids that JSON escapes."""
+        (in-memory) are one log by value: every query, counter, export and
+        a replay of the spool. The ids are chosen to break a loose
+        substring pre-filter: ``r1`` / ``r10``, a rule named like a type, a
+        rule that is a prefix of a label, and ids that JSON escapes."""
 
         def feed(log):
             for index, (item_id, label, rule, attr, filtered) in enumerate(specs):
@@ -397,41 +390,23 @@ class TestProvenanceLog:
             }
 
         spool = str(tmp_path_factory.mktemp("ring") / "spool.jsonl")
-        evict_spool = io.StringIO()
-        evicted = {"plain": [], "on-evict": [], "write-ahead": []}
-        logs = {
-            "plain": ProvenanceLog(capacity, on_evict=evicted["plain"].append),
-            "on-evict": ProvenanceLog(
-                capacity, spool=evict_spool, on_evict=evicted["on-evict"].append
-            ),
-            "write-ahead": ProvenanceLog(
-                capacity, spool=spool, spool_all=True,
-                on_evict=evicted["write-ahead"].append,
-            ),
-        }
-        for log in logs.values():
-            feed(log)
-        assert all(isinstance(entry, str) for entry in logs["write-ahead"]._records)
+        in_memory = feed(ProvenanceLog(capacity))
+        write_ahead = feed(ProvenanceLog(capacity, spool=spool))
+        assert all(isinstance(entry, str) for entry in write_ahead._records)
 
-        expected = surface(logs["plain"])
-        assert surface(logs["on-evict"]) == expected
-        assert surface(logs["write-ahead"]) == expected
-        assert evicted["on-evict"] == evicted["write-ahead"] == evicted["plain"]
-        evict_spool.seek(0)
-        assert ProvenanceLog.read_jsonl(evict_spool) == evicted["plain"]
+        expected = surface(in_memory)
+        assert surface(write_ahead) == expected
 
-        logs["write-ahead"].close()
+        write_ahead.close()
+        trail = ProvenanceLog.read_jsonl(spool)
+        assert len(trail) == len(specs)
+        assert trail[len(specs) - len(expected["records"]):] == expected["records"]
         folded = []
         for observe in (None, folded.append):
             replayed = ProvenanceLog.replay(spool, capacity, observe=observe)
             assert surface(replayed) == expected
             assert replayed.next_seq() == len(specs) + 1
-        assert folded == evicted["plain"] + expected["records"]
-
-        # rotate() evicts the rest through the same decode point.
-        assert {log.rotate() for log in logs.values()} == {len(expected["records"])}
-        assert evicted["on-evict"] == evicted["write-ahead"] == evicted["plain"]
-        assert len(evicted["plain"]) == len(specs)
+        assert folded == trail
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +430,14 @@ class FakeReport:
 class TestRuleHealthTracker:
     def test_fire_rate_over_window(self):
         tracker = RuleHealthTracker(window=4, baseline_batches=1)
-        tracker.observe_fired_map({"a": ("r1",), "b": ("r1", "r2"), "c": ()})
+        observe_batch(tracker, {"a": ("r1",), "b": ("r1", "r2"), "c": ()})
         assert tracker.fire_rate("r1") == pytest.approx(2 / 3)
         assert tracker.fire_rate("r2") == pytest.approx(1 / 3)
         assert tracker.fire_rate("never") == 0.0
 
-    def test_fired_map_feed_leaves_win_rate_undefined(self):
+    def test_unlabelled_records_leave_win_rate_undefined(self):
         tracker = RuleHealthTracker(window=4, baseline_batches=1)
-        tracker.observe_fired_map({"a": ("r1",)})
+        observe_batch(tracker, {"a": ("r1",)})
         assert tracker.win_rate("r1") is None
 
     def test_win_rate_from_provenance_records(self):
@@ -490,7 +465,7 @@ class TestRuleHealthTracker:
 
     def test_overlap_counts_cofired_pairs(self):
         tracker = RuleHealthTracker(window=4, baseline_batches=1)
-        tracker.observe_fired_map({
+        observe_batch(tracker, {
             "a": ("r1", "r2"),
             "b": ("r2", "r1"),
             "c": ("r1",),
@@ -503,15 +478,15 @@ class TestRuleHealthTracker:
             window=8, baseline_batches=2, drift_min_delta=0.1, drift_tolerance=0.5
         )
         steady = {f"item-{i}": ("r1",) for i in range(10)}
-        tracker.observe_fired_map(dict(steady), batch_id="base-0")
+        observe_batch(tracker, steady, batch_id="base-0")
         assert tracker.baseline is None
-        tracker.observe_fired_map(dict(steady), batch_id="base-1")
+        observe_batch(tracker, steady, batch_id="base-1")
         assert tracker.baseline == {"r1": pytest.approx(1.0)}
         assert tracker.alerts == []
 
         # The rule stops firing entirely: a full-scale drift.
         quiet = {f"item-{i}": () for i in range(10)}
-        tracker.observe_fired_map(quiet, batch_id="drifted")
+        observe_batch(tracker, quiet, batch_id="drifted")
         assert len(tracker.alerts) == 1
         alert = tracker.alerts[0]
         assert alert.kind == "fire-rate-drift"
@@ -525,11 +500,11 @@ class TestRuleHealthTracker:
             window=8, baseline_batches=1, drift_min_delta=0.1, drift_tolerance=0.5
         )
         half = {f"item-{i}": (("r1",) if i % 2 else ()) for i in range(10)}
-        tracker.observe_fired_map(half, batch_id="base")
+        observe_batch(tracker, half, batch_id="base")
         slightly_more = {
             f"item-{i}": (("r1",) if i % 2 or i == 0 else ()) for i in range(10)
         }
-        tracker.observe_fired_map(slightly_more, batch_id="next")
+        observe_batch(tracker, slightly_more, batch_id="next")
         assert tracker.alerts == []
 
     def test_ingest_precision_flags_floor_breaches(self):
@@ -568,7 +543,7 @@ class TestRuleHealthTracker:
 
     def test_report_shape(self):
         tracker = RuleHealthTracker(window=4, baseline_batches=1)
-        tracker.observe_fired_map({"a": ("r1",), "b": ("r1",)})
+        observe_batch(tracker, {"a": ("r1",), "b": ("r1",)})
         report = tracker.report()
         assert set(report) == {"r1"}
         entry = report["r1"]
@@ -587,7 +562,7 @@ class TestRuleHealthTracker:
 
 
 # ---------------------------------------------------------------------------
-# QualityTelemetry facade + Chimera wiring
+# Chimera wiring
 # ---------------------------------------------------------------------------
 
 
@@ -623,58 +598,42 @@ def batch_items(n=8):
 
 
 class TestChimeraTelemetryWiring:
-    def test_why_blame_require_enabled_telemetry(self):
-        chimera, _ = build_chimera()
-        with pytest.raises(RuntimeError):
-            chimera.why("item")
-        with pytest.raises(RuntimeError):
-            chimera.blame("rule")
-
     def test_enable_records_disable_stops(self):
         chimera, rule_ids = build_chimera()
-        quality = chimera.enable_quality_telemetry()
-        assert chimera.rule_stage.record_provenance
-        assert chimera.filter.record_provenance
+        assert chimera.provenance is None and chimera.rule_health is None
+        chimera.enable_quality_telemetry()
+        provenance, health = chimera.provenance, chimera.rule_health
 
         items = batch_items()
         result = chimera.classify_batch(items, batch_id="t-0")
-        assert quality.provenance.total_records == len(items)
-        assert quality.health.total_batches == 1
+        assert provenance.total_records == len(items)
+        assert health.total_batches == 1
         classified = [r for r in result.results if r.classified]
         assert classified, "expected the rule corpus to classify something"
         some = classified[0]
-        chain = chimera.why(some.item.item_id)
+        chain = provenance.why(some.item.item_id)
         assert chain and chain[-1].label == some.label
+        assert chain[-1].stages, "an attached log makes the stages trace"
         # blame traces every firing back to its items.
         rings = rule_ids["rings"]
-        blamed = chimera.blame(rings)
+        blamed = provenance.blame(rings)
         assert blamed and all(
             rings in record.fired_rule_ids() for record in blamed
         )
 
-        chimera.disable_quality_telemetry()
-        assert not chimera.rule_stage.record_provenance
-        before = quality.provenance.total_records
+        # Detaching is two attribute writes: nothing records any more.
+        chimera.provenance = chimera.rule_health = None
         chimera.classify_batch(batch_items(4))
-        assert quality.provenance.total_records == before
+        assert provenance.total_records == len(items)
+        assert health.total_batches == 1
 
     def test_auto_batch_ids_are_sequential(self):
         chimera, _ = build_chimera()
-        quality = chimera.enable_quality_telemetry()
+        chimera.enable_quality_telemetry()
         chimera.classify_batch(batch_items(5))
         chimera.classify_batch(batch_items(5))
-        batch_ids = {record.batch_id for record in quality.provenance.records}
+        batch_ids = {record.batch_id for record in chimera.provenance.records}
         assert batch_ids == {"batch-0000", "batch-0001"}
-
-    def test_observability_attach_quality_feeds_fired_maps(self):
-        observability = Observability()
-        quality = observability.attach_quality()
-        observability.observe_fired({"a": ("r1",), "b": ("r1",)})
-        assert quality.health.total_batches == 1
-        assert quality.health.fire_rate("r1") == pytest.approx(1.0)
-        # The metrics mirror got the same counts.
-        series = observability.metrics.series("rule_fired_total")
-        assert sum(counter.value for counter in series.values()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +658,25 @@ class TestRuleIncidents:
         assert any("[precision-floor]" in note and "crowd-7" in note
                    for note in incident.notes)
 
-    def test_watch_quality_accepts_facade(self):
-        chimera, _ = build_chimera()
-        quality = QualityTelemetry()
+    def test_watch_quality_scale_down_policy_and_unsubscribe(self):
+        from repro.utils.clock import SimClock
+
+        chimera, rule_ids = build_chimera()
+        rings = rule_ids["rings"]
+        tracker = RuleHealthTracker()
         manager = IncidentManager(chimera)
-        manager.watch_quality(quality)
-        quality.ingest_precision(FakeReport({"rings": FakeEstimate(0.1)}))
-        assert [incident.kind for incident in manager.incidents] == ["rule-quality"]
+        clock = SimClock()
+        clock.now = 2.5
+        unwatch = manager.watch_quality(tracker, clock, scale_down=True)
+        tracker.ingest_precision(FakeReport({rings: FakeEstimate(0.1)}))
+        (incident,) = manager.incidents
+        assert (incident.status, incident.opened_at) == ("scaled-down", 2.5)
+        assert not chimera.rule_stage.rules.get(rings).enabled
+
+        unwatch()
+        assert tracker.on_alert == []
+        tracker.ingest_precision(FakeReport({rings: FakeEstimate(0.1)}))
+        assert len(manager.incidents) == 1
 
     def test_scale_down_disables_exactly_named_rules(self):
         chimera, rule_ids = build_chimera()

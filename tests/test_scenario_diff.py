@@ -131,6 +131,22 @@ class TestDiffCli:
         assert "two health JSON" in capsys.readouterr().err
 
 
+class TestReportCli:
+    def test_missing_file_is_an_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert cli_main(["scenario", "report", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.json" in err
+        assert "Traceback" not in err
+
+    def test_non_report_json_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "health.json"
+        path.write_text('{"rules": {}}')
+        assert cli_main(["scenario", "report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a scenario report" in err
+
+
 class TestWallClockExit:
     def test_generous_budgets_pass_without_touching_report_body(self):
         plain = run_scenario(loads(_SMALL_SPEC)).to_dict()

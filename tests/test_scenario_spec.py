@@ -1,9 +1,8 @@
-"""Scenario spec loading and validation, plus the YAML fallback parser.
+"""Scenario spec loading and validation, plus the in-repo YAML parser.
 
-The shipped library must parse identically under PyYAML and the
-dependency-free fallback in :mod:`repro.scenario.yamlio` — a file the two
-parsers disagree on would silently break the determinism contract on a
-bare install.
+Every install reads specs with the dependency-free parser in
+:mod:`repro.scenario.yamlio`; PyYAML, where installed, is only the oracle
+that the shipped library parses as YAML reads it.
 """
 
 import pathlib
@@ -12,7 +11,7 @@ import pytest
 
 from repro.scenario import ScenarioSpec, SpecError, YamlError, loads
 from repro.scenario.library import SMOKE_TAG, library_paths, load_library
-from repro.scenario.yamlio import fallback_load
+from repro.scenario.yamlio import safe_load
 
 try:
     import yaml as pyyaml
@@ -37,7 +36,7 @@ def all_spec_paths():
 class TestYamlFallback:
     def test_scalars(self):
         text = "a: 1\nb: 2.5\nc: true\nd: null\ne: plain text\nf: 'quoted: text'"
-        assert fallback_load(text) == {
+        assert safe_load(text) == {
             "a": 1, "b": 2.5, "c": True, "d": None,
             "e": "plain text", "f": "quoted: text",
         }
@@ -52,7 +51,7 @@ class TestYamlFallback:
             "  flags: [a, b]\n"
             "  map: {k: v, n: 3}\n"
         )
-        assert fallback_load(text) == {
+        assert safe_load(text) == {
             "outer": {
                 "inner": [{"name": "x", "n": 1}, {"name": "y"}],
                 "flags": ["a", "b"],
@@ -62,19 +61,19 @@ class TestYamlFallback:
 
     def test_comments_stripped_outside_strings(self):
         text = "a: 1  # trailing\n# full line\nb: 'kept # inside'\n"
-        assert fallback_load(text) == {"a": 1, "b": "kept # inside"}
+        assert safe_load(text) == {"a": 1, "b": "kept # inside"}
 
     def test_rejects_tabs_in_indentation(self):
         with pytest.raises(YamlError, match="tabs"):
-            fallback_load("a:\n\tb: 1")
+            safe_load("a:\n\tb: 1")
 
     def test_rejects_duplicate_keys(self):
         with pytest.raises(YamlError, match="duplicate"):
-            fallback_load("a: 1\na: 2")
+            safe_load("a: 1\na: 2")
 
     def test_error_carries_line_number(self):
         with pytest.raises(YamlError) as exc:
-            fallback_load("ok: 1\nbroken junk without colon\n")
+            safe_load("ok: 1\nbroken junk without colon\n")
         assert exc.value.line == 2
 
     @pytest.mark.skipif(pyyaml is None, reason="PyYAML not installed")
@@ -82,7 +81,7 @@ class TestYamlFallback:
                              ids=lambda p: pathlib.Path(p).stem)
     def test_fallback_agrees_with_pyyaml_on_every_shipped_spec(self, path):
         text = pathlib.Path(path).read_text()
-        assert fallback_load(text) == pyyaml.safe_load(text)
+        assert safe_load(text) == pyyaml.safe_load(text)
 
 
 class TestSpecValidation:

@@ -17,8 +17,8 @@ the same way instead of being written down after every batch. Here:
 * ``checkpoint.json`` stays inside a byte budget that the v3 encoding of
   the same state breaks;
 * a root whose logs no longer determine the checkpointed chain head,
-  whose checkpoint is the v1, v2 or v3 layout, or whose RNG or metrics
-  section is damaged, is refused loudly;
+  whose checkpoint is the v1, v2 or v3 layout, or whose RNG, metrics or
+  config section is damaged, is refused loudly;
 * every chain link's fingerprint is the from-scratch fingerprint of the
   very map a v2 link serialised whole (``tests/chain_audit.py``);
 * a history with a drift alert and an open incident in it comes back
@@ -573,10 +573,37 @@ class TestLoudRefusal:
     def test_damaged_rng_or_metrics_refused(self, root, damage, match):
         """A truncated or hand-edited section fails naming the field — it
         used to resume with zeroed counters or die in a bare TypeError."""
+        self._damage(root, damage)
+        self._assert_refused(root, match)
+
+    def _damage(self, root: str, damage) -> None:
         path = os.path.join(root, CHECKPOINT_NAME)
         with open(path) as handle:
             state = json.load(handle)
         damage(state)
         with open(path, "w") as handle:
             json.dump(state, handle)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            # The root runs the default training=120, so a dropped key would
+            # silently resume with the same value: refused all the same.
+            (lambda s: s["config"].pop("training"), r"'config\.training' is missing"),
+            (
+                lambda s: s["config"].__setitem__("shards", 4),
+                r"'config\.shards' is not a config field",
+            ),
+            (
+                lambda s: s["config"].__setitem__("training", 0),
+                r"'config' fingerprints to [0-9a-f]{16}, the checkpoint recorded",
+            ),
+        ],
+        ids=["key-missing", "key-unknown", "value-edited"],
+    )
+    def test_damaged_config_refused(self, root, damage, match):
+        """A config section that is not the one the checkpoint fingerprinted
+        is refused naming the field — it used to resume as another
+        deployment (or die in a bare TypeError on an unknown key)."""
+        self._damage(root, damage)
         self._assert_refused(root, match)

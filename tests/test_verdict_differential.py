@@ -125,8 +125,6 @@ class _Churned:
         self.tracker = chimera.track_fired_map("rule-based")
         self.untracked = AttributeValueClassifier()
         self.stages = (self.tracked, self.untracked)
-        for stage in self.stages:
-            stage.record_provenance = True
         self.live = {}     # item_id -> the record the tracker holds
         self.records = []  # every record ever made, shadowed and re-listed too
         self._item_ids = itertools.count()
@@ -196,7 +194,7 @@ def _assert_stage_equals_reference(stage, records):
             for p in expected.predictions
         ]
         assert stage.predict(record) == votes
-        answer = stage.answer(record)
+        answer = stage.answer(record, traced=True)
         assert answer.votes == votes
         trace = answer.trace
         if expected.fired or expected.vetoed or expected.constrained_to is not None:
@@ -218,7 +216,6 @@ def _rebuilt(source: RuleSet, items, rules_first: bool):
     """A fresh tracked stage over ``source``'s rules, in its live order."""
     chimera = Chimera.build()
     stage = chimera.rule_stage
-    stage.record_provenance = True
     if rules_first:
         stage.rules.extend(source)
         chimera.track_fired_map("rule-based").add_items(items)
