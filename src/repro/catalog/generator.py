@@ -121,11 +121,18 @@ class CatalogGenerator:
         return [self.generate_item(vendor=vendor) for _ in range(count)]
 
     def generate_labeled(self, count: int) -> List[LabeledTitle]:
-        """Labeled (title, type) pairs, as used for training data in section 5.2."""
-        return [
-            LabeledTitle(title=item.title, label=item.true_type)
-            for item in self.generate_items(count)
-        ]
+        """Labeled (title, type) pairs, as used for training data in section 5.2.
+
+        Each item is generated and dropped in turn (the same draws as
+        ``generate_items(count)``), so only the two kept fields pile up.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        labeled = []
+        for _ in range(count):
+            item = self.generate_item()
+            labeled.append(LabeledTitle(title=item.title, label=item.true_type))
+        return labeled
 
     def stream(self, vendor: str = "vendor-000") -> Iterator[ProductItem]:
         """An endless item stream ("never ending data", section 2.2)."""

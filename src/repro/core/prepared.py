@@ -114,12 +114,14 @@ class PreparedItem:
 
         Derived by filtering :attr:`tokens_with_stopwords` (identical to
         ``tokenize(title)`` since stop-word removal is the tokenizer's last
-        step) so each title is regex-tokenized only once.
+        step) so each title is regex-tokenized only once. A title without
+        a stop word shares that tuple instead of holding an equal copy.
         """
         if self._tokens is _UNSET:
-            self._tokens = tuple(
-                t for t in self.tokens_with_stopwords if t not in STOPWORDS
-            )
+            tokens = self.tokens_with_stopwords
+            if not STOPWORDS.isdisjoint(tokens):
+                tokens = tuple(t for t in tokens if t not in STOPWORDS)
+            self._tokens = tokens
         return self._tokens
 
     @property
@@ -157,9 +159,12 @@ class PreparedItem:
 
     @property
     def match_text(self) -> str:
-        """The token-joined title string regex rules search."""
+        """The token-joined title string regex rules search (the title
+        itself, not an equal copy, when the two read the same)."""
         if self._match_text is _UNSET:
-            self._match_text = " ".join(self.tokens_with_stopwords)
+            text = " ".join(self.tokens_with_stopwords)
+            title = self.item.title
+            self._match_text = title if text == title else text
         return self._match_text
 
     def warm(self) -> "PreparedItem":

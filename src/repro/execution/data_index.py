@@ -17,11 +17,19 @@ batch arrival and item churn, which is what lets the incremental executor
 touch?" against a live corpus. Removal tombstones the row (``None`` in
 ``_prepared``) rather than renumbering, so previously returned row numbers
 stay stable.
+
+Postings are append-only: each token owns one ``array('i')`` of rows in
+arrival order, 4 bytes an entry, and removal leaves the row's entries in
+place. Readers skip tombstoned rows. A token's array is rewritten without
+them when a read finds its dead entries outnumber its live ones, and
+every array is when a removal leaves the index's dead entries
+outnumbering its live ones, so the dead never outnumber the live.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
@@ -34,9 +42,11 @@ class DataIndex:
 
     def __init__(self, items: Sequence[ItemLike] = ()):
         self._prepared: List[Optional[PreparedItem]] = []
-        self._postings: Dict[str, Set[int]] = defaultdict(set)
+        self._postings: Dict[str, array] = {}
         self._row_by_id: Dict[str, int] = {}
         self._live = 0
+        self._live_postings = 0
+        self._dead_postings = 0
         for item in items:
             self.add(item)
 
@@ -46,6 +56,11 @@ class DataIndex:
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._row_by_id
+
+    @property
+    def dead_postings(self) -> int:
+        """Posting entries that still name a tombstoned row (O(1))."""
+        return self._dead_postings
 
     # -- mutation -----------------------------------------------------------------
 
@@ -59,27 +74,63 @@ class DataIndex:
         row = len(self._prepared)
         self._prepared.append(prepared)
         # Post plural-expanded anchors so "ring" anchors find "rings".
-        for token in prepared.anchor_tokens:
-            self._postings[token].add(row)
+        anchors = prepared.anchor_tokens
+        postings = self._postings
+        for token in anchors:
+            posted = postings.get(token)
+            if posted is None:
+                postings[token] = array("i", (row,))
+            else:
+                posted.append(row)
+        self._live_postings += len(anchors)
         self._row_by_id[item_id] = row
         self._live += 1
         return row
 
     def remove(self, item_id: str) -> bool:
-        """Drop an item from the index; True if it was present."""
+        """Tombstone an item's row; True if it was present."""
         row = self._row_by_id.pop(item_id, None)
         if row is None:
             return False
-        prepared = self._prepared[row]
-        for token in prepared.anchor_tokens:
-            posted = self._postings.get(token)
-            if posted is not None:
-                posted.discard(row)
-                if not posted:
-                    del self._postings[token]
+        posted = len(self._prepared[row].anchor_tokens)
         self._prepared[row] = None
         self._live -= 1
+        self._live_postings -= posted
+        self._dead_postings += posted
+        if self._dead_postings > self._live_postings:
+            self._compact()
         return True
+
+    def _live_posting(self, token: str) -> Sequence[int]:
+        """``token``'s live rows, ascending: the array itself while the
+        index holds no tombstoned entry. Otherwise a filtered copy, and
+        the array is rewritten without its tombstoned rows when those
+        outnumber its live ones."""
+        posted = self._postings.get(token)
+        if posted is None:
+            return ()
+        if not self._dead_postings:
+            return posted
+        live = list(compress(posted, map(self._prepared.__getitem__, posted)))
+        dead = len(posted) - len(live)
+        if dead > len(live):
+            self._dead_postings -= dead
+            if live:
+                self._postings[token] = array("i", live)
+            else:
+                del self._postings[token]
+        return live
+
+    def _compact(self) -> None:
+        """Rewrite every posting array without its tombstoned rows."""
+        for token in list(self._postings):
+            posted = self._postings[token]
+            live = array("i", compress(posted, map(self._prepared.__getitem__, posted)))
+            if live:
+                self._postings[token] = live
+            else:
+                del self._postings[token]
+        self._dead_postings = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -98,23 +149,22 @@ class DataIndex:
         return None if row is None else self._prepared[row]
 
     def candidate_rows(self, rule: Rule) -> List[int]:
-        """Rows that might match ``rule`` (superset; sorted).
+        """Live rows that might match ``rule`` (superset; sorted).
 
         Sequence rules intersect their tokens' postings; regex rules union
         their anchors'. Rules without anchors scan everything live.
         """
         if isinstance(rule, SequenceRule):
-            postings = [self._postings.get(t, set()) for t in rule.token_sequence]
+            postings = [self._live_posting(t) for t in rule.token_sequence]
             if not postings:
                 return []
-            rows = set.intersection(*postings)
-            return sorted(rows)
+            return sorted(set(postings[0]).intersection(*postings[1:]))
         anchors = rule.anchor_literals()
         if not anchors:
             return [row for row, _ in self.live_rows()]
         rows: Set[int] = set()
         for anchor in anchors:
-            rows |= self._postings.get(anchor, set())
+            rows.update(self._live_posting(anchor))
         return sorted(rows)
 
     def matches(self, rule: Rule) -> List[ProductItem]:

@@ -69,12 +69,57 @@ from repro.execution.executor import ExecutionStats
 from repro.observability import Observability, ensure_observability
 
 
+_NO_RULES: FrozenSet[str] = frozenset()
+
+
+class _SharedRows:
+    """One canonical object per distinct row value, counted by holders.
+
+    :meth:`hold` returns the held object equal to ``key`` (making
+    ``build(key)``, or ``key`` itself, that object when none is) and
+    counts one more holder; :meth:`release` counts one fewer and forgets
+    the row with its last holder. The table is therefore exactly the
+    distinct rows some item holds, however rows churn.
+    """
+
+    __slots__ = ("_rows", "_holders")
+
+    def __init__(self) -> None:
+        self._rows: Dict[FrozenSet[str], object] = {}
+        self._holders: Dict[FrozenSet[str], int] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def hold(self, key: FrozenSet[str], build: Optional[Callable] = None) -> object:
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = key if build is None else build(key)
+            self._holders[key] = 1
+        else:
+            self._holders[key] += 1
+        return row
+
+    def release(self, key: FrozenSet[str]) -> None:
+        left = self._holders[key] - 1
+        if left:
+            self._holders[key] = left
+        else:
+            del self._holders[key]
+            del self._rows[key]
+
+
 class MatchStore:
     """Materialized fired map keyed by ``(rule_id, item_id)``.
 
     Pairs are mirrored in both directions (rule -> items, item -> rules) so
     either side of a delta can find exactly the entries it invalidates.
-    ``generation`` bumps on every mutation; the per-rule / per-item
+    An item's row is an immutable ``frozenset`` shared by every item whose
+    row is equal to it, so the corpus holds one row object per distinct
+    row (a few hundred for the daemon's tens of thousands of items).
+    Mutators replace rows and never edit them, so :meth:`rules_of_item`
+    hands the row out without copying. ``generation`` bumps on every
+    mutation; the per-rule / per-item
     counters record how many times that row/column has been (re)computed —
     the audit trail tests use to prove a delta did not touch the rest of
     the store. All three are process-local audit counters, not durable
@@ -89,8 +134,9 @@ class MatchStore:
     """
 
     def __init__(self) -> None:
-        self._by_item: Dict[str, Set[str]] = {}
+        self._by_item: Dict[str, FrozenSet[str]] = {}
         self._by_rule: Dict[str, Set[str]] = {}
+        self._rows = _SharedRows()
         self._rule_generation: Dict[str, int] = {}
         self._item_generation: Dict[str, int] = {}
         self.generation = 0
@@ -104,6 +150,11 @@ class MatchStore:
     def row_count(self) -> int:
         """Items holding at least one pair (O(1), unlike ``len``)."""
         return len(self._by_item)
+
+    @property
+    def shared_rows(self) -> int:
+        """Distinct rows held, one object each (O(1))."""
+        return len(self._rows)
 
     def __contains__(self, pair: Tuple[str, str]) -> bool:
         rule_id, item_id = pair
@@ -119,7 +170,8 @@ class MatchStore:
         return frozenset(self._by_rule.get(rule_id, ()))
 
     def rules_of_item(self, item_id: str) -> FrozenSet[str]:
-        return frozenset(self._by_item.get(item_id, ()))
+        """The item's row itself (shared and immutable, so not copied)."""
+        return self._by_item.get(item_id, _NO_RULES)
 
     def rule_generation(self, rule_id: str) -> int:
         """How many times this rule's column has been (re)computed."""
@@ -146,13 +198,16 @@ class MatchStore:
 
     def set_item_matches(self, item_id: str, rule_ids: Iterable[str]) -> int:
         """Replace an item's row wholesale; returns pairs invalidated."""
-        new = set(rule_ids)
-        old = self._by_item.get(item_id, set())
+        new = frozenset(rule_ids)
+        old = self._by_item.get(item_id, _NO_RULES)
         invalidated = len(old - new)
-        for rule_id in old - new:
-            self._discard_pair(rule_id, item_id)
-        for rule_id in new - old:
-            self._record_pair(rule_id, item_id)
+        if new != old:
+            for rule_id in old - new:
+                self._column_discard(rule_id, item_id)
+            for rule_id in new - old:
+                self._column_add(rule_id, item_id)
+            self._set_row(item_id, new)
+            self._touched.add(item_id)
         self._item_generation[item_id] = self._item_generation.get(item_id, 0) + 1
         self.generation += 1
         return invalidated
@@ -163,9 +218,7 @@ class MatchStore:
         for item_id in item_ids:
             row = self._by_item.get(item_id)
             if row is not None:
-                row.discard(rule_id)
-                if not row:
-                    del self._by_item[item_id]
+                self._set_row(item_id, row - {rule_id})
         self._touched |= item_ids
         self._rule_generation.pop(rule_id, None)
         self.generation += 1
@@ -173,15 +226,12 @@ class MatchStore:
 
     def discard_item(self, item_id: str) -> int:
         """Drop every pair of a removed item; returns pairs invalidated."""
-        rule_ids = self._by_item.pop(item_id, set())
-        for rule_id in rule_ids:
-            column = self._by_rule.get(rule_id)
-            if column is not None:
-                column.discard(item_id)
-                if not column:
-                    del self._by_rule[rule_id]
+        rule_ids = self._by_item.pop(item_id, _NO_RULES)
         if rule_ids:
+            self._rows.release(rule_ids)
             self._touched.add(item_id)
+        for rule_id in rule_ids:
+            self._column_discard(rule_id, item_id)
         self._item_generation.pop(item_id, None)
         self.generation += 1
         return len(rule_ids)
@@ -192,27 +242,43 @@ class MatchStore:
         self._touched.update(self._by_item)
         self._by_item.clear()
         self._by_rule.clear()
+        self._rows = _SharedRows()
         self.generation += 1
         return invalidated
 
-    def _record_pair(self, rule_id: str, item_id: str) -> None:
+    def _set_row(self, item_id: str, row: FrozenSet[str]) -> None:
+        """Point ``item_id`` at the shared row equal to ``row`` (at none
+        when it is empty) and let go of the one it held."""
+        old = self._by_item.get(item_id)
+        if row:
+            self._by_item[item_id] = self._rows.hold(row)
+        elif old is not None:
+            del self._by_item[item_id]
+        if old is not None:
+            self._rows.release(old)
+
+    def _column_add(self, rule_id: str, item_id: str) -> None:
         self._by_rule.setdefault(rule_id, set()).add(item_id)
-        self._by_item.setdefault(item_id, set()).add(rule_id)
-        self._touched.add(item_id)
         self._recorded[rule_id] = self._recorded.get(rule_id, 0) + 1
 
-    def _discard_pair(self, rule_id: str, item_id: str) -> None:
-        self._touched.add(item_id)
+    def _column_discard(self, rule_id: str, item_id: str) -> None:
         column = self._by_rule.get(rule_id)
         if column is not None:
             column.discard(item_id)
             if not column:
                 del self._by_rule[rule_id]
+
+    def _record_pair(self, rule_id: str, item_id: str) -> None:
+        self._column_add(rule_id, item_id)
+        self._set_row(item_id, self._by_item.get(item_id, _NO_RULES) | {rule_id})
+        self._touched.add(item_id)
+
+    def _discard_pair(self, rule_id: str, item_id: str) -> None:
+        self._touched.add(item_id)
+        self._column_discard(rule_id, item_id)
         row = self._by_item.get(item_id)
-        if row is not None:
-            row.discard(rule_id)
-            if not row:
-                del self._by_item[item_id]
+        if row is not None and rule_id in row:
+            self._set_row(item_id, row - {rule_id})
 
     # -- what moved since the last read -------------------------------------------
 
@@ -289,8 +355,10 @@ class IncrementalExecutor:
         # The enabled view, patched in place by _sync(): item id -> sorted
         # enabled rule ids, non-empty rows only, item ids ascending unless
         # _view_sorted is False. Row lists are replaced, never edited, so
-        # a dict handed out by fired_map() can share them.
+        # a dict handed out by fired_map() can share them, and so can
+        # items: _view_rows holds one list per distinct row.
         self._view: Dict[str, List[str]] = {}
+        self._view_rows = _SharedRows()
         self._view_sorted = True
         self._view_enabled: FrozenSet[str] = frozenset()
         self._fired_pairs = 0
@@ -374,6 +442,12 @@ class IncrementalExecutor:
     @property
     def item_count(self) -> int:
         return len(self._data_index)
+
+    @property
+    def dead_postings(self) -> int:
+        """Posting entries the corpus index still holds for removed
+        items (O(1))."""
+        return self._data_index.dead_postings
 
     def rules(self) -> List[Rule]:
         return list(self._rules.values())
@@ -534,17 +608,21 @@ class IncrementalExecutor:
         if not touched:
             return
         view = self._view
+        shared = self._view_rows
         fingerprint = self._fingerprint
         for item_id in sorted(touched):
             old = view.get(item_id)
-            new = sorted(self.store.rules_of_item(item_id) & enabled)
-            if new == (old or []):
+            old_key = _NO_RULES if old is None else frozenset(old)
+            key = self.store.rules_of_item(item_id) & enabled
+            if key == old_key:
                 continue
             self._snapshot = None
             if old:
                 fingerprint -= _row_hash(item_id, old)
                 self._fired_pairs -= len(old)
-            if new:
+                shared.release(old_key)
+            if key:
+                new = shared.hold(key, sorted)
                 fingerprint += _row_hash(item_id, new)
                 self._fired_pairs += len(new)
                 if old is None and view and item_id < next(reversed(view)):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -548,7 +549,8 @@ class ProvenanceLog:
             record = _decoded(entry)
             if observe is not None:
                 observe(record)
-            return entry, record.item_id, record.seq
+            # Interned: the by-item index and the resumed corpus share one string.
+            return entry, sys.intern(record.item_id), record.seq
 
         if observe is None:
             tail, total = tail_jsonl_lines(spool, capacity)

@@ -213,10 +213,11 @@ def _item_to_dict(item: ProductItem) -> Dict[str, Any]:
 def _item_from_dict(payload: Dict[str, Any]) -> ProductItem:
     # The generator hands every item the same vendor / type / attribute-key
     # objects; a journal line decodes fresh copies of each. Interning gives
-    # a resumed world the live world's sharing back (~0.3 KB an item).
+    # a resumed world the live world's sharing back (~0.3 KB an item), and
+    # makes the item id one string with the id the provenance replay reads.
     intern = sys.intern
     return ProductItem(
-        item_id=payload["item_id"],
+        item_id=intern(payload["item_id"]),
         title=payload["title"],
         attributes={
             intern(key): value for key, value in payload["attributes"].items()
@@ -729,11 +730,17 @@ class StreamService:
     def resident(self) -> Dict[str, Any]:
         """What the process holds, for "is anything growing without bound":
         lengths and counters only, so a request thread may read it. The
-        first two grow with items served (ROADMAP 3d); the provenance
-        ring is capped at its capacity."""
+        first two grow with items served (ROADMAP 3d); ``shared_rows``
+        counts the distinct match rows those items share, never more than
+        ``match_rows``; ``dead_postings`` (index entries of removed items)
+        never outnumbers the live entries; the provenance ring is capped at
+        its capacity."""
+        store = self.incremental.store
         return {
             "items_held": self.incremental.item_count,
-            "match_rows": self.incremental.store.row_count,
+            "match_rows": store.row_count,
+            "shared_rows": store.shared_rows,
+            "dead_postings": self.incremental.dead_postings,
             "provenance_retained": len(self.provenance),
             "provenance_capacity": self.provenance.capacity,
             "rss_mb": _rss_mb(),

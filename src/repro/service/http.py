@@ -8,7 +8,8 @@ frameworks, and an operations read-path doesn't need one. Endpoints:
 * ``GET /metrics``     — the full MetricsRegistry snapshot
 * ``GET /incidents``   — the incident log
 * ``GET /rules/<id>``  — one rule's placement, health, and fired items
-* ``GET /series``      — recent metric samples (``?n=`` bounds the tail)
+* ``GET /series``      — recent metric samples (``?n=`` bounds the tail; a
+  value that is not a non-negative integer answers 400)
 
 All responses are JSON. The server runs on a daemon thread
 (:class:`ThreadingHTTPServer`) and its handlers run on request threads,
@@ -61,9 +62,17 @@ class _ConsoleHandler(BaseHTTPRequestHandler):
             elif route == "/incidents":
                 self._send_json(service.incidents_view())
             elif route == "/series":
-                query = parse_qs(parsed.query)
-                count = int(query.get("n", ["60"])[0])
-                self._send_json(service.series.tail(count))
+                raw = parse_qs(parsed.query).get("n", ["60"])[0]
+                try:
+                    count = int(raw)
+                except ValueError:
+                    count = -1
+                if count < 0:
+                    self._send_json(
+                        {"error": f"n must be a non-negative integer, got {raw!r}"}, 400
+                    )
+                else:
+                    self._send_json(service.series.tail(count))
             elif route.startswith("/rules/"):
                 rule_id = route[len("/rules/"):]
                 view = service.rule_view(rule_id)

@@ -9,6 +9,7 @@ dictionary plus the tokenizer.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
@@ -72,9 +73,12 @@ def tokenize_cached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
 
     Hot paths that never mutate the result (the prepared-item layer, the
     rule/data indexes) should call this directly and skip the list copy
-    :func:`tokenize` makes.
+    :func:`tokenize` makes. The tokens are interned: a served item holds
+    its title's tokens for as long as the daemon runs, and interning makes
+    each one a pointer into a vocabulary of a few thousand shared strings
+    rather than a fresh string per title.
     """
-    return _tokens_of(normalize_text(text), drop_stopwords)
+    return tuple(map(sys.intern, _tokens_of(normalize_text(text), drop_stopwords)))
 
 
 def tokenize_uncached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:

@@ -10,6 +10,7 @@ executor's current rules and items — while touching only the delta
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import pathlib
@@ -41,6 +42,7 @@ from repro.execution import (
     RuleIndex,
     prepare_all,
 )
+from repro.rulegen import RuleGenerator
 from repro.utils.clock import SimClock
 from tests.chain_audit import store_fired_map
 from tests.test_resident_budget import _traced_growth
@@ -541,6 +543,58 @@ class TestDataIndexMutation:
         assert {i.item_id for i in index.matches(rule)} == {first.item_id}
 
 
+def _posting_entries(index):
+    """(dead, live) entries over every posting array, read off the arrays."""
+    dead = live = 0
+    for posted in index._postings.values():
+        for row in posted:
+            if index.prepared_at(row) is None:
+                dead += 1
+            else:
+                live += 1
+    return dead, live
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rule_specs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), tokens, tokens),
+        min_size=1, max_size=4,
+    ),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=5), titles),
+        min_size=1, max_size=30,
+    ),
+)
+def test_tombstoned_rows_never_surface(rule_specs, ops):
+    """Re-listings and removals only tombstone rows in the append-only
+    postings: after every op no candidate row is a tombstone, every rule
+    matches what a from-scratch run fires, and the dead entries (counted
+    off the arrays) are the index's count and never outnumber the live."""
+    rules = [build_rule(*spec) for spec in rule_specs]
+    index = DataIndex()
+    live = {}
+    for relist, key, title in ops:
+        item_id = f"dx-h{key}"
+        if relist:
+            live[item_id] = ProductItem(
+                item_id, title, attributes={"isbn": "978"} if key % 2 else {}
+            )
+            index.add(live[item_id])
+        else:
+            index.remove(item_id)
+            live.pop(item_id, None)
+        naive = full_fired(rules, live.values())
+        for rule in rules:
+            rows = index.candidate_rows(rule)
+            assert all(index.prepared_at(row) is not None for row in rows)
+            assert sorted(i.item_id for i in index.matches(rule)) == sorted(
+                item_id for item_id, fired in naive.items() if rule.rule_id in fired
+            )
+        dead, live_entries = _posting_entries(index)
+        assert dead == index.dead_postings <= live_entries
+
+
 # ---------------------------------------------------------------------------
 # RuleIndex rarest-anchor determinism
 # ---------------------------------------------------------------------------
@@ -705,3 +759,70 @@ def test_empty_ops_leave_nothing_behind():
             tracker.add_items([])
     assert tracker.stats.items == 0
     assert grown[0] < 16 * 1024
+
+
+def _clone(donor, rule_id, enabled=True):
+    rule = copy.copy(donor)
+    rule.rule_id = rule_id
+    rule.enabled = enabled
+    return rule
+
+
+def test_shared_rows_and_dead_postings_stay_bounded_under_churn(taxonomy):
+    """The ledger's ``churn`` edit mix — add / replace / disable / enable /
+    remove, each read back through ``fired_map()`` — 500 times over a
+    2k-item corpus, re-listing four items and removing one per cycle.
+    Throughout, the store's and the view's shared-row tables hold exactly
+    the distinct rows some item holds, one object each, and the corpus
+    index's dead posting entries never outnumber its live ones; at the end
+    the view equals a from-scratch run."""
+    generator = CatalogGenerator(taxonomy, seed=23)
+    induced = list(
+        RuleGenerator(min_support=0.01).generate(generator.generate_labeled(2000)).rules
+    )
+    for number, rule in enumerate(induced):
+        rule.rule_id = f"churn-{number:04d}"
+    deployed, donors = induced[: len(induced) // 2], induced[len(induced) // 2:]
+    ruleset = RuleSet(deployed)
+    corpus = {item.item_id: item for item in generator.generate_items(2000)}
+    executor = IncrementalExecutor.for_ruleset(ruleset, list(corpus.values()))
+    ids = sorted(corpus)
+    store, index = executor.store, executor._data_index
+
+    for cycle in range(500):
+        added = f"churn-add-{cycle:04d}"
+        victim = deployed[cycle % len(deployed)].rule_id
+        ruleset.add(_clone(donors[(cycle + 1) % len(donors)], added))
+        executor.fired_map()
+        ruleset.replace(
+            _clone(donors[cycle % len(donors)], victim, ruleset.is_enabled(victim))
+        )
+        executor.fired_map()
+        ruleset.disable(victim)
+        executor.fired_map()
+        ruleset.enable(victim)
+        executor.fired_map()
+        ruleset.remove(added)
+        executor.fired_map()
+
+        relisted = [
+            ProductItem(item_id, generator.generate_item().title)
+            for item_id in ids[4 * cycle % len(ids):][:4]
+        ]
+        executor.add_items(relisted)
+        corpus.update((item.item_id, item) for item in relisted)
+        gone = ids[(7 * cycle + 3) % len(ids)]
+        executor.remove_items([gone])
+        corpus.pop(gone, None)
+        executor.fired_map()
+
+        rows = list(store._by_item.values())
+        assert len(store._rows) == len(set(rows)) == len({id(row) for row in rows})
+        views = list(executor._view.values())
+        assert len(executor._view_rows) == len({tuple(v) for v in views}) \
+            == len({id(v) for v in views})
+        if cycle % 10 == 0:
+            dead, live = _posting_entries(index)
+            assert dead == executor.dead_postings <= live
+
+    assert executor.fired_map() == full_fired(list(ruleset), corpus.values())

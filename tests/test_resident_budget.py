@@ -4,22 +4,27 @@ The daemon never forgets an item (ROADMAP 3d), so the bytes each one
 leaves behind are the slope of the process's memory over a stream that
 never ends. This module measures that slope with ``tracemalloc`` — the
 live world's over 40 batches, and a resumed world's over everything its
-journal holds — and pins the three decisions that set it: the provenance
-ring of a write-ahead log holds encoded lines, its per-item index holds
-plain lists, and a held ``PreparedItem`` keeps no probe set.
+journal holds — and pins the decisions that set it: the provenance ring
+of a write-ahead log holds encoded lines and its per-item index plain
+lists; a held ``PreparedItem`` keeps no probe set, and its stop-word-free
+tokens are its full token tuple when the two are equal; the corpus
+index's postings are arrays, not sets; and the match store's rows are
+shared, one object per distinct row.
 
 The budgets are the largest reading over ``PYTHONHASHSEED`` 0, 1 and
-random at the commit that set them (3,010 / 2,754 B per item, equal on
-all three: the corpus holds an item once), plus 5%; with a second
-id-keyed cache beside the index they read 3,045 / 2,785, and before the
-ring held lines 4,977 / 5,417. A 40-batch run fills under half of the
-10,000-slot ring, so these are this run's figures, not the soak's
-(DESIGN §13 has those).
+random at the commit that set them (1,949 / 1,998 B per item), plus 5%.
+Before tokens were interned, postings were arrays and rows were shared
+they read 2,879 / 2,754 (2,816 resumed as measured here, which counts the
+then un-interned ids twice); with a second id-keyed cache beside the
+index 3,045 / 2,785; before the ring held lines 4,977 / 5,417. A
+40-batch run fills under half of the 10,000-slot ring, so these are this
+run's figures, not the soak's (DESIGN §13 has those).
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from collections import deque
 from contextlib import contextmanager
@@ -30,8 +35,8 @@ from repro.service import ServiceConfig, StreamService
 
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
-LIVE_BUDGET_B_PER_ITEM = 3_160
-RESUMED_BUDGET_B_PER_ITEM = 2_891
+LIVE_BUDGET_B_PER_ITEM = 2_047
+RESUMED_BUDGET_B_PER_ITEM = 2_098
 
 
 @contextmanager
@@ -51,15 +56,34 @@ def _traced_growth():
 
 
 def _retention_offenders(service: StreamService) -> dict:
-    """Objects of the three shapes this budget exists to keep out."""
+    """Objects of the six shapes this budget exists to keep out."""
     log = service.provenance
+    index = service.incremental._data_index
+    rows = list(service.incremental.store._by_item.values())
+    distinct_rows = len({frozenset(row) for row in rows})
     return {
         "prepared items holding a set": [
             prepared.item_id
-            for _, prepared in service.incremental._data_index.live_rows()
+            for _, prepared in index.live_rows()
             for slot in type(prepared).__slots__
             if isinstance(getattr(prepared, slot), (set, frozenset))
         ],
+        "prepared items holding an equal copy of their tokens": [
+            prepared.item_id
+            for _, prepared in index.live_rows()
+            if prepared._tokens == prepared._tokens_with_stopwords
+            and prepared._tokens is not prepared._tokens_with_stopwords
+        ],
+        "posting lists that are sets": [
+            token
+            for token, posted in index._postings.items()
+            if isinstance(posted, (set, frozenset))
+        ],
+        "store rows that are not shared": (
+            [f"{len(rows)} row objects for {distinct_rows} distinct rows"]
+            if len({id(row) for row in rows}) > distinct_rows
+            else []
+        ),
         "deques in the by-item index": [
             item_id
             for item_id, bucket in log._by_item.items()
@@ -91,12 +115,20 @@ def readings(tmp_path_factory):
     del service
 
     # One untraced resume warms what is process-global (the text LRUs, the
-    # interned vocabulary), so the traced one reads the world alone.
-    StreamService(root, fsync=False).start().close()
+    # interned vocabulary), so the traced one reads the world alone. Its
+    # item ids are kept, so the traced world's interned ids resolve to
+    # them and the process-wide interned-string table, whose resizes step
+    # with everything else the process ever interned, does not grow inside
+    # the trace; the bytes of those shared id strings are added back.
+    warm = StreamService(root, fsync=False).start()
+    warm_ids = list(warm.incremental._data_index._row_by_id)
+    warm.close()
+    del warm
     with _traced_growth() as grown:
         resumed = StreamService(root, fsync=False).start()
     assert resumed.totals["items"] == items
-    out["resumed_b_per_item"] = grown[0] / items
+    shared_id_bytes = sum(map(sys.getsizeof, warm_ids))
+    out["resumed_b_per_item"] = (grown[0] + shared_id_bytes) / items
     out["resumed_offenders"] = _retention_offenders(resumed)
     resumed.close()
     return out

@@ -284,11 +284,15 @@ class TestHttpConsole:
         _, doc = _get(server.url + "/health")
         resident = doc["resident"]
         assert sorted(resident) == [
-            "items_held", "match_rows", "peak_rss_mb",
+            "dead_postings", "items_held", "match_rows", "peak_rss_mb",
             "provenance_capacity", "provenance_retained", "rss_mb",
+            "shared_rows",
         ]
         assert resident["items_held"] == doc["totals"]["items"] > 0
         assert 0 < resident["match_rows"] <= resident["items_held"]
+        # Rows are shared: fewer distinct rows than items holding one.
+        assert 0 < resident["shared_rows"] < resident["match_rows"]
+        assert resident["dead_postings"] == 0  # nothing was removed
         assert resident["provenance_retained"] == min(
             doc["provenance_records"], resident["provenance_capacity"]
         )
@@ -309,6 +313,14 @@ class TestHttpConsole:
         status, samples = _get(server.url + "/series?n=2")
         assert status == 200 and len(samples) == 2
         assert samples[-1]["ordinal"] == 4
+
+    @pytest.mark.parametrize("bad", ["abc", "-1"])
+    def test_series_bad_n_is_a_400_naming_n(self, server, bad):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server.url + f"/series?n={bad}")
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error.startswith("n must be") and repr(bad) in error
 
     def test_rule_view_and_404(self, server):
         status, doc = _get(server.url + "/rules/svc-wl-0001")
