@@ -13,15 +13,17 @@ Voting Master can combine them uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 from repro.catalog.types import ProductItem
 from repro.chimera.matching import RuleSetMatcher
 from repro.core.prepared import ItemLike
 from repro.core.rule import Prediction
 from repro.core.ruleset import RuleSet, RuleVerdict
-from repro.learning.ensemble import VotingEnsemble
 from repro.observability.provenance import StageTrace
+
+if TYPE_CHECKING:
+    from repro.learning.ensemble import VotingEnsemble
 
 
 class StageAnswer:
@@ -156,16 +158,32 @@ class LearningClassifierStage(ClassifierStage):
     The stage reports no predictions until it has been trained — Chimera
     must keep running (and declining) even when learning is not ready for
     some or all types (section 3.2).
+
+    Without an explicit ``ensemble`` the stage holds none (``ensemble is
+    None``) until its first :meth:`fit` builds
+    :func:`~repro.learning.ensemble.default_ensemble` from ``seed``. The
+    learning package (numpy, scipy.sparse) is imported there, so a
+    rules-only process never loads it.
     """
 
-    def __init__(self, ensemble: VotingEnsemble, name: str = "learning"):
+    def __init__(
+        self,
+        ensemble: Optional[VotingEnsemble] = None,
+        name: str = "learning",
+        seed: int = 0,
+    ):
         super().__init__(name)
         self.ensemble = ensemble
+        self.seed = seed
         self._trained = False
         # Types the operator has suppressed (incident scale-down).
         self.suppressed_types: Set[str] = set()
 
     def fit(self, titles: Sequence[str], labels: Sequence[str]) -> None:
+        if self.ensemble is None:
+            from repro.learning.ensemble import default_ensemble
+
+            self.ensemble = default_ensemble(self.seed)
         self.ensemble.fit(titles, labels)
         self._trained = True
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.generator import LabeledTitle
 from repro.catalog.types import ProductItem
@@ -22,13 +22,12 @@ from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.execution.incremental import IncrementalExecutor
-from repro.learning.ensemble import VotingEnsemble
 from repro.observability import Observability, ensure_observability
 from repro.observability.provenance import ProvenanceLog, ProvenanceRecord, StageTrace
 from repro.observability.quality import RuleHealthTracker
-from repro.learning.knn import KNearestNeighbors
-from repro.learning.naive_bayes import MultinomialNaiveBayes
-from repro.learning.svm import LinearSvmClassifier
+
+if TYPE_CHECKING:
+    from repro.learning.ensemble import VotingEnsemble
 
 
 @dataclass(frozen=True)
@@ -192,20 +191,17 @@ class Chimera:
         seed: int = 0,
         observability: Optional[Observability] = None,
     ) -> "Chimera":
-        """Standard assembly with the NB + kNN + SVM ensemble of section 3.1."""
-        if ensemble is None:
-            ensemble = VotingEnsemble(
-                [
-                    MultinomialNaiveBayes(),
-                    KNearestNeighbors(),
-                    LinearSvmClassifier(seed=seed),
-                ]
-            )
+        """Standard assembly with the NB + kNN + SVM ensemble of section 3.1.
+
+        Without an explicit ``ensemble`` the learning stage builds
+        :func:`~repro.learning.ensemble.default_ensemble` from ``seed`` at
+        its first fit, so an untrained pipeline never imports the learners.
+        """
         return cls(
             gatekeeper=GateKeeper(),
             rule_stage=RuleBasedClassifier(RuleSet(name="rule-based")),
             attr_stage=AttributeValueClassifier(RuleSet(name="attr-value")),
-            learning_stage=LearningClassifierStage(ensemble),
+            learning_stage=LearningClassifierStage(ensemble, seed=seed),
             voting=VotingMaster(confidence_threshold=confidence_threshold),
             final_filter=FinalFilter(RuleSet(name="filter")),
             observability=observability,

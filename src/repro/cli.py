@@ -32,7 +32,6 @@ from repro.analyst import SimulatedAnalyst
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
 from repro.chimera import Chimera
 from repro.core import RuleSet, load_ruleset, save_ruleset
-from repro.rulegen import RuleGenerator
 from repro.synonym import DiscoverySession, SynonymTool
 
 
@@ -67,6 +66,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_rulegen(args: argparse.Namespace) -> int:
+    # Induction imports numpy; only the subcommands that induce load it.
+    from repro.rulegen import RuleGenerator
+
     generator = _build_generator(args.seed, args.extra_types)
     training = generator.generate_labeled(args.training)
     result = RuleGenerator(
@@ -280,6 +282,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         title = f"chimera classify ({len(batch)} items)"
     elif args.run == "exec":
         from repro.execution import IndexedExecutor, NaiveExecutor
+        from repro.rulegen import RuleGenerator
 
         training = generator.generate_labeled(args.training)
         rules = RuleGenerator(min_support=0.02, q=200).generate(training).rules
@@ -288,6 +291,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         IndexedExecutor(rules, observability=observability).run(items)
         title = f"executors ({len(rules)} rules x {len(items)} items)"
     elif args.run == "rulegen":
+        from repro.rulegen import RuleGenerator
+
         training = generator.generate_labeled(args.training)
         RuleGenerator(
             min_support=0.02, q=200, observability=observability

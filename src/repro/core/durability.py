@@ -153,12 +153,15 @@ class JsonlAppender:
         if fsync and not existed:
             fsync_dir(directory)
 
-    def append(self, payload: Dict[str, Any]) -> None:
-        """Durably append one record (a JSON-safe dict) as a line."""
-        self._handle.write(_encode_jsonl(payload))
+    def append(self, payload: Dict[str, Any]) -> bytes:
+        """Durably append one record (a JSON-safe dict) as a line; returns
+        the line written."""
+        line = _encode_jsonl(payload)
+        self._handle.write(line)
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
+        return line
 
     def offset(self) -> int:
         """Byte length of the file including every acknowledged append."""

@@ -5,10 +5,14 @@ etc.), often combining them into an ensemble." No ML library is assumed:
 TF-IDF features, Multinomial Naive Bayes, k-nearest-neighbours, a linear
 SVM (one-vs-rest SGD hinge), softmax logistic regression, and a weighted
 voting ensemble are implemented directly on numpy/scipy.sparse.
+
+Importing this package imports numpy and scipy. Chimera therefore imports
+it only where it fits a learner (``LearningClassifierStage.fit`` builds
+:func:`default_ensemble` there), so a rules-only process never loads it.
 """
 
 from repro.learning.base import LabelEncoder, Prediction, TextClassifier
-from repro.learning.ensemble import VotingEnsemble
+from repro.learning.ensemble import VotingEnsemble, default_ensemble
 from repro.learning.features import TfidfVectorizer
 from repro.learning.knn import KNearestNeighbors
 from repro.learning.logistic import LogisticRegressionClassifier
@@ -25,4 +29,5 @@ __all__ = [
     "TextClassifier",
     "TfidfVectorizer",
     "VotingEnsemble",
+    "default_ensemble",
 ]

@@ -6,6 +6,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.rule import Prediction
 from repro.learning.base import TextClassifier
+from repro.learning.knn import KNearestNeighbors
+from repro.learning.naive_bayes import MultinomialNaiveBayes
+from repro.learning.svm import LinearSvmClassifier
 
 
 class VotingEnsemble:
@@ -79,3 +82,15 @@ class VotingEnsemble:
         for member in self.members:
             labels.update(member.encoder.classes)
         return sorted(labels)
+
+
+def default_ensemble(seed: int = 0) -> VotingEnsemble:
+    """The NB + kNN + SVM ensemble of section 3.1, equally weighted; ``seed``
+    drives the SVM's mini-batch order."""
+    return VotingEnsemble(
+        [
+            MultinomialNaiveBayes(),
+            KNearestNeighbors(),
+            LinearSvmClassifier(seed=seed),
+        ]
+    )

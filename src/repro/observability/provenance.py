@@ -61,7 +61,12 @@ def vote_rule_id(source: str) -> str:
     return source.rsplit(":", 1)[-1]
 
 
-@dataclass(slots=True)
+#: ``dataclass(slots=True)`` is Python 3.10+; older interpreters build the
+#: same classes with an instance ``__dict__``.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTTED)
 class StageTrace:
     """One classifier stage's contribution to one item.
 
@@ -109,7 +114,7 @@ class StageTrace:
         )
 
 
-@dataclass(slots=True)
+@dataclass(**_SLOTTED)
 class ProvenanceRecord:
     """The full attribution chain for one item through the pipeline.
 

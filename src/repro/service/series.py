@@ -5,7 +5,10 @@ After every batch the daemon samples the
 previous sample (cheap, copy-free — satellite API on the registry) plus
 a handful of gauges (ordinal, clock day, open incidents, wall latency)
 and appends the sample here. The in-memory ring bounds what the HTTP
-console and dashboard read; the JSONL file is the durable history.
+console and dashboard read; the JSONL file is the durable history. The
+ring holds each sample as the line written for it (~8 KB: every delta
+lists every counter), not as the decoded dict (~23 KB), and decodes on
+read — only the console's ``/series`` reads it.
 
 Samples are **operational telemetry, not replay state**: wall-clock
 latencies differ run to run, so the byte-identity contract explicitly
@@ -31,30 +34,29 @@ class SeriesStore:
             raise ValueError(f"window must be >= 1, got {window}")
         self.path = path
         self.window = window
-        self.samples: Deque[Dict[str, Any]] = deque(maxlen=window)
+        #: The window's samples as their JSONL lines, oldest first.
+        self.lines: Deque[bytes] = deque(maxlen=window)
         self.total_samples = 0
         if os.path.exists(path):
-            # Count every complete line, decode only the window's worth
-            # (a torn last line is a crashed append: ignored).
-            tail, self.total_samples = tail_jsonl_lines(path, window)
-            self.samples.extend(json.loads(line) for line in tail)
+            # Count every complete line, keep the window's worth (a torn
+            # last line is a crashed append: ignored).
+            self.lines, self.total_samples = tail_jsonl_lines(path, window)
         self._appender = JsonlAppender(path, fsync=fsync)
 
     def append(self, sample: Dict[str, Any]) -> None:
-        self.samples.append(sample)
+        self.lines.append(self._appender.append(sample))
         self.total_samples += 1
-        self._appender.append(sample)
 
     def offset(self) -> int:
         """Current durable byte length of the series file."""
         return self._appender.offset()
 
     def tail(self, count: int = 60) -> List[Dict[str, Any]]:
-        """The most recent ``count`` samples, oldest first."""
+        """The most recent ``count`` samples, oldest first, decoded."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        window = list(self.samples)
-        return window[-count:] if count else []
+        window = list(self.lines)[-count:] if count else []
+        return [json.loads(line) for line in window]
 
     def column(self, key: str, count: int = 60) -> List[float]:
         """One numeric column of the recent window (missing -> 0.0)."""

@@ -71,6 +71,49 @@ class TestLearningStage:
         predictions = stage.predict(item("gold ring"))
         assert all(p.label != "rings" for p in predictions)
 
+    def test_default_stage_builds_its_ensemble_at_the_first_fit(self):
+        stage = Chimera.build(seed=11).learning_stage
+        assert stage.ensemble is None
+        answers = stage.answer_batch([item("gold ring"), item("blue jeans")], True)
+        assert [(a.votes, a.trace) for a in answers] == [([], None), ([], None)]
+        stage.fit(["gold ring", "blue jeans"], ["rings", "jeans"])
+        ensemble = stage.ensemble
+        assert [m.name for m in ensemble.members] == ["naive-bayes", "knn", "svm"]
+        assert ensemble.members[2].seed == 11
+        stage.fit(["gold ring", "blue jeans"], ["rings", "jeans"])
+        assert stage.ensemble is ensemble  # a refit trains the same one
+
+    def test_lazy_default_ensemble_equals_an_eager_one(self, tmp_path, monkeypatch):
+        """The seed-7 learning world served with the ensemble built at its
+        first fit and with one injected at assembly: the same results, the
+        same provenance bytes, the same chain."""
+        from repro.learning.ensemble import default_ensemble
+        from repro.service import ServiceConfig, StreamService
+
+        def served(root):
+            service = StreamService(
+                str(root), ServiceConfig(seed=7, training=120), fsync=False
+            ).start()
+            outcomes = []
+            for _ in range(2):
+                _batch, result = service.process_batch()
+                outcomes.append([(r.item.item_id, r.label, r.source) for r in result.results])
+            service.close()
+            return outcomes, (root / "provenance.jsonl").read_bytes(), service.digest_chain
+
+        lazy = served(tmp_path / "lazy")
+        build, injected = Chimera.build, []
+
+        def eager_build(seed=0, **kw):
+            injected.append(default_ensemble(seed))
+            return build(seed=seed, ensemble=injected[-1], **kw)
+
+        monkeypatch.setattr(Chimera, "build", eager_build)
+        eager = served(tmp_path / "eager")
+        assert len(injected) == 1
+        assert b'"learning:ensemble"' in lazy[1]  # the learner voted
+        assert lazy == eager
+
 
 class TestVotingMaster:
     class FakeStage:

@@ -1,0 +1,84 @@
+"""A rules-only process loads no ML stack.
+
+numpy and scipy.sparse belong to the learning ensemble and the rule miner,
+and importing them is about half of a rules-only daemon's start-up and a
+quarter of its peak memory. The pipeline builds its ensemble at the first
+fit and the CLI imports the miner only where it induces, so importing the
+service or the CLI, and serving and resuming a ``training=0`` root, must
+leave both out of ``sys.modules``. Each check runs in a fresh interpreter,
+because this one has long since imported both. The last two checks keep
+the gate honest: a learning world still loads the stack, and induction
+still runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+REPORT = (
+    "\nimport json, sys\n"
+    "print(json.dumps(sorted({'numpy', 'scipy'} & set(sys.modules))))\n"
+)
+
+SERVE = """
+import sys
+from repro.service import ServiceConfig, StreamService
+
+root, training, batches = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+service = StreamService(root, ServiceConfig(seed=7, training=training), fsync=False).start()
+for _ in range(batches):
+    service.process_batch()
+digest = service.digest_chain
+service.close()
+resumed = StreamService(root, fsync=False).start()
+assert resumed.digest_chain == digest
+resumed.close()
+"""
+
+
+def _fresh(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded(code, cwd, *argv):
+    """numpy / scipy as left in ``sys.modules`` by ``code`` run alone."""
+    return json.loads(_fresh(["-c", code + REPORT, *argv], cwd).splitlines()[-1])
+
+
+def _serve(tmp_path, training, batches):
+    return _loaded(SERVE, tmp_path, str(tmp_path / "root"), str(training), str(batches))
+
+
+def test_importing_the_service_and_the_cli_loads_no_ml_stack(tmp_path):
+    assert _loaded("import repro.service", tmp_path) == []
+    assert _loaded("import repro.cli", tmp_path) == []
+
+
+def test_a_rules_only_service_serves_and_resumes_without_the_ml_stack(tmp_path):
+    assert _serve(tmp_path, training=0, batches=3) == []
+
+
+def test_a_learning_service_still_loads_the_ml_stack(tmp_path):
+    assert _serve(tmp_path, training=120, batches=1) == ["numpy", "scipy"]
+
+
+def test_rulegen_subcommand_still_induces(tmp_path):
+    out = tmp_path / "rules.json"
+    stdout = _fresh(
+        ["-m", "repro.cli", "rulegen", "--training", "200", "--out", str(out)],
+        tmp_path,
+    )
+    assert stdout.startswith("mined ")
+    assert json.loads(out.read_text())["rules"]

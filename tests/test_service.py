@@ -136,8 +136,9 @@ class TestSeriesStore:
         assert [s["ordinal"] for s in load_series(path, window=2)] == [3, 4]
 
     def test_reload_decodes_only_the_window(self, tmp_path, monkeypatch):
-        """A resume counts every line of the history but decodes at most
-        ``window`` of them, and a torn last line is not a sample."""
+        """A resume counts every line of the history and keeps the last
+        ``window`` of them undecoded, and a torn last line is not a
+        sample."""
         from repro.service import series as series_module
 
         path = str(tmp_path / "series.jsonl")
@@ -155,10 +156,35 @@ class TestSeriesStore:
         monkeypatch.undo()
         try:
             assert series.total_samples == 2000
-            assert [s["ordinal"] for s in series.samples] == list(range(1488, 2000))
-            assert len(decoded) <= 512
+            assert decoded == []
+            assert len(series.lines) == 512
+            assert [s["ordinal"] for s in series.tail(512)] == list(range(1488, 2000))
         finally:
             series.close()
+
+    def test_window_is_the_lines_written(self, tmp_path):
+        """The ring holds each sample as its JSONL line; ``tail`` and
+        ``column`` decode on read and answer what a window of decoded
+        samples answers, live and after a reopen."""
+        path = str(tmp_path / "series.jsonl")
+        samples = [
+            {"ordinal": n, "wall_ms": n / 3 if n % 2 else None, "delta": {"c": [n, n]}}
+            for n in range(7)
+        ]
+        decoded = [json.loads(json.dumps(sample)) for sample in samples[-4:]]
+        want = (decoded, [0.0, 5 / 3, 0.0], [])
+
+        def read(series):
+            return series.tail(10), series.column("wall_ms", 3), series.tail(0)
+
+        with SeriesStore(path, window=4, fsync=False) as series:
+            for sample in samples:
+                series.append(sample)
+            with open(path, "rb") as handle:
+                assert list(series.lines) == handle.readlines()[-4:]
+            assert read(series) == want
+        with SeriesStore(path, window=4, fsync=False) as series:
+            assert read(series) == want
 
     def test_rejects_bad_window_and_count(self, tmp_path):
         path = str(tmp_path / "series.jsonl")
