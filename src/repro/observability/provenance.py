@@ -13,10 +13,10 @@ moment the label was emitted. This module keeps it:
 * :class:`ProvenanceRecord` — the full attribution chain for one final
   label out of the Chimera pipeline (gate decision → stage traces →
   voting-master decision → filter outcome);
-* :class:`ProvenanceLog` — a bounded ring buffer of records with a
-  by-item index and an optional write-ahead JSON-lines spool, so a
-  week-long never-ending run keeps a complete on-disk trail while the
-  in-memory buffer stays fixed-size.
+* :class:`ProvenanceLog` — a bounded ring of records, either in memory
+  with a by-item index or, with a write-ahead JSON-lines spool, on disk:
+  the spool keeps the complete trail of a week-long never-ending run and
+  is itself the ring, so memory holds one byte offset per retained line.
 
 The two query verbs are the ones analysts actually ask:
 ``why(item_id)`` ("why did this item get this label?") and
@@ -43,7 +43,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -273,55 +272,52 @@ def render_record(record: ProvenanceRecord) -> List[str]:
     return lines
 
 
-#: What a ring slot holds: the record, or — in a spooled log — the JSON
-#: line (newline included) the record was spooled as.
-_Entry = Union[ProvenanceRecord, str]
-
-
 def _encoded(record: ProvenanceRecord) -> str:
-    """The one spool / snapshot line of ``record``."""
+    """The one spool / snapshot line of ``record``. ``json.dumps`` escapes
+    non-ASCII, so the line's length in characters is its length in bytes."""
     return json.dumps(record.to_dict(), sort_keys=True) + "\n"
 
 
-def _decoded(entry: _Entry) -> ProvenanceRecord:
-    """The ring's one decode point: a slot's record, whichever form it holds."""
-    if isinstance(entry, str):
-        return ProvenanceRecord.from_dict(json.loads(entry))
-    return entry
+def _decoded(line: Union[bytes, str]) -> ProvenanceRecord:
+    """The one decode point: the record a spooled line holds."""
+    return ProvenanceRecord.from_dict(json.loads(line))
 
 
 class ProvenanceLog:
     """Bounded ring buffer of :class:`ProvenanceRecord` with query indexes.
 
     The buffer holds at most ``capacity`` records; when a new record
-    would overflow it, the oldest is dropped. Eviction is FIFO, so the
-    per-item index can drop its oldest entry in O(1).
+    would overflow it, the oldest is dropped (FIFO).
 
     A log has one of two modes, decided by ``spool``:
 
-    * **write-ahead** (a path, opened lazily in append mode, or any
-      writable text handle): every record is encoded and appended to the
-      spool at :meth:`record` time, so the spool is a complete, replayable
-      trail even for records still in the ring — the §2.2 never-ending
-      session keeps everything on disk while memory stays fixed, and the
+    * **write-ahead** (a path, opened lazily in append mode; the
+      daemon's): every record is encoded and appended to the spool at
+      :meth:`record` time, so the spool is a complete, replayable trail —
+      the §2.2 never-ending session keeps everything on disk, and the
       durable service checkpoints the spool's offset (see :meth:`replay`).
-      The ring keeps that very line (~0.5 KB), not the record's object
-      graph (~1.3 KB);
-    * **in-memory** (no spool): the ring keeps the records, because
-      encoding them would cost ``record()`` an order of magnitude.
+      The spool *is* the ring: the log keeps only the byte offset at
+      which each retained line starts (``_starts``, at most ``capacity``
+      ints) and ``_end``, the offset just past the last line, and readers
+      read the window ``[_starts[0], _end)`` back from the file;
+    * **in-memory** (no spool): the log keeps the records in a ring with a
+      by-item index, because encoding them would cost ``record()`` an
+      order of magnitude.
 
-    Every reader goes through one decode point (:func:`_decoded`), so
-    ``records`` / ``why`` / ``blame`` / ``records_for_type`` /
-    ``blame_summary`` / ``write_jsonl`` answer equal by value in both
-    modes; a line-holding ring pays a decode per record *returned* (and
-    ``blame`` / ``records_for_type`` skip, by substring, lines that cannot
-    mention the id asked for).
+    The two modes answer ``records`` / ``why`` / ``blame`` /
+    ``records_for_type`` / ``blame_summary`` / ``write_jsonl`` equal by
+    value. A write-ahead reader flushes the spool, reads the window in
+    one read and decodes (through :func:`_decoded`) only the lines it
+    returns: ``why`` / ``blame`` / ``records_for_type`` find them by a
+    substring search for the JSON-encoded id, then test the decoded field.
+    Readers flush the append handle, so they belong to the thread that
+    records (the daemon's batch loop), as ``fired_map()`` does.
 
-    Only ``why``'s by-item index is maintained eagerly: recording happens
-    once per classified item and is on the telemetry layer's 5%-overhead
-    budget (``benchmarks/bench_quality_overhead.py``), while ``blame`` /
-    ``records_for_type`` are analyst drill-downs, so they scan the
-    bounded buffer at query time instead of taxing the hot path.
+    In-memory ``why`` reads an index maintained at record time; ``blame``
+    / ``records_for_type`` are analyst drill-downs, so they scan the
+    bounded buffer at query time instead of taxing the hot path, which is
+    on the telemetry layer's 5%-overhead budget
+    (``benchmarks/bench_quality_overhead.py``).
 
     ``fsync=False`` makes :meth:`spool_offset` flush without syncing.
     """
@@ -329,7 +325,7 @@ class ProvenanceLog:
     def __init__(
         self,
         capacity: int = 10_000,
-        spool: Optional[PathOrHandle] = None,
+        spool: Optional[str] = None,
         fsync: bool = True,
     ):
         if capacity < 1:
@@ -337,11 +333,13 @@ class ProvenanceLog:
         self.capacity = capacity
         self.spool = spool
         self.fsync = fsync
-        self._records: Deque[_Entry] = deque()
-        #: item id of each encoded line in ``_records``, in ring order (a
-        #: record entry carries its own); empty without a spool.
-        self._line_items: Deque[str] = deque()
-        self._by_item: Dict[str, List[_Entry]] = {}
+        if spool is None:
+            self._records: Deque[ProvenanceRecord] = deque()
+            self._by_item: Dict[str, List[ProvenanceRecord]] = {}
+        else:
+            self._starts: Deque[int] = deque(maxlen=capacity)
+        # Where the next spooled line starts: appends follow what is there.
+        self._end = os.path.getsize(spool) if spool and os.path.exists(spool) else 0
         self._seq = 0
         self.total_records = 0
         self.evicted_records = 0
@@ -361,49 +359,44 @@ class ProvenanceLog:
                 self._seq = seq
         else:
             self._seq = record.seq = self._seq + 1
-        item_id = record.item_id
-        entry: _Entry = record
         if self.spool is not None:
-            entry = _encoded(record)
-            self._spool_write(entry)
-            self._line_items.append(item_id)
-        records = self._records
-        records.append(entry)
-        self.total_records += 1
-        bucket = self._by_item.get(item_id)
-        if bucket is None:
-            self._by_item[item_id] = [entry]
+            line = _encoded(record)
+            self._spool_write(line)
+            starts = self._starts
+            if len(starts) == self.capacity:
+                self.evicted_records += 1  # the append below drops the oldest
+            starts.append(self._end)
+            self._end += len(line)
         else:
-            bucket.append(entry)
-        if len(records) > self.capacity:
-            self._evict()
+            records = self._records
+            records.append(record)
+            bucket = self._by_item.get(record.item_id)
+            if bucket is None:
+                self._by_item[record.item_id] = [record]
+            else:
+                bucket.append(record)
+            if len(records) > self.capacity:
+                self._evict()
+        self.total_records += 1
         return record
 
     def _evict(self) -> None:
         evicted = self._records.popleft()
         self.evicted_records += 1
-        if isinstance(evicted, str):
-            item_id = self._line_items.popleft()
-        else:
-            item_id = evicted.item_id
         by_item = self._by_item
-        bucket = by_item.get(item_id)
-        if bucket and bucket[0] is evicted:  # FIFO: the oldest entry is ours
-            del bucket[0]
-            if not bucket:
-                del by_item[item_id]
+        bucket = by_item[evicted.item_id]
+        del bucket[0]  # FIFO: the item's oldest record is the evicted one
+        if not bucket:
+            del by_item[evicted.item_id]
 
     def _spool_write(self, line: str) -> None:
         if self._spool_handle is None:
-            if isinstance(self.spool, str):
-                self._spool_handle = open(self.spool, "a")
-            else:
-                self._spool_handle = self.spool
+            self._spool_handle = open(self.spool, "a", encoding="ascii", newline="")
         self._spool_handle.write(line)
 
     def close(self) -> None:
-        """Flush and close an owned spool file (no-op otherwise)."""
-        if self._spool_handle is not None and isinstance(self.spool, str):
+        """Flush and close the spool file (no-op when it is not open)."""
+        if self._spool_handle is not None:
             self._spool_handle.close()
             self._spool_handle = None
 
@@ -414,41 +407,55 @@ class ProvenanceLog:
         offset is on disk; a resume truncates the spool back to the last
         checkpointed offset, discarding any partially-spooled tail.
         """
-        if self._spool_handle is None:
-            if isinstance(self.spool, str):
-                try:
-                    return os.path.getsize(self.spool)
-                except OSError:
-                    return 0
-            return 0
-        self._spool_handle.flush()
-        if self.fsync:
-            try:
-                os.fsync(self._spool_handle.fileno())
-            except (OSError, ValueError):
-                pass  # non-file handles (StringIO) have no durable backing
-        return self._spool_handle.tell()
+        handle = self._spool_handle
+        if handle is not None:
+            handle.flush()
+            if self.fsync:
+                os.fsync(handle.fileno())
+        return self._end
 
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records if self.spool is None else self._starts)
+
+    def _window(self) -> bytes:
+        """The retained lines of a write-ahead log, read back from the
+        spool in one read (after flushing what is still buffered)."""
+        starts = self._starts
+        if not starts:
+            return b""
+        if self._spool_handle is not None:
+            self._spool_handle.flush()
+        with open(self.spool, "rb") as handle:
+            handle.seek(starts[0])
+            return handle.read(self._end - starts[0])
 
     @property
     def records(self) -> List[ProvenanceRecord]:
-        return [_decoded(entry) for entry in self._records]
+        if self.spool is None:
+            return list(self._records)
+        # One ASCII decode of the window spares json.loads a per-line one.
+        lines = self._window().decode("ascii").split("\n")
+        return [_decoded(line) for line in lines if line]
 
     def _mentioning(self, needle: str) -> Iterator[ProvenanceRecord]:
-        """Retained records, oldest first, minus the encoded lines that
-        cannot hold ``needle`` as a JSON string (a C-level substring test
-        on the encoded needle, so a drill-down decodes its hits and a few
-        look-alikes, not the ring). Callers still test the decoded field."""
-        encoded = json.dumps(needle)
-        for entry in self._records:
-            if not isinstance(entry, str):
-                yield entry
-            elif encoded in entry:
-                yield _decoded(entry)
+        """Retained records, oldest first, minus — in a write-ahead log —
+        the lines that cannot hold ``needle`` as a JSON string: a C-level
+        byte search for the encoded needle over the window, so a query
+        decodes its hits and a few look-alikes, never splitting the
+        window into lines. Callers still test the decoded field."""
+        if self.spool is None:
+            yield from self._records
+            return
+        window = self._window()
+        encoded = json.dumps(needle).encode("ascii")
+        find = window.find
+        hit = find(encoded)
+        while hit >= 0:
+            end = find(b"\n", hit) + 1  # every spooled line ends in "\n"
+            yield _decoded(window[window.rfind(b"\n", 0, hit) + 1 : end])
+            hit = find(encoded, end)
 
     def why(self, item_id: str) -> List[ProvenanceRecord]:
         """Every retained record for one item, oldest first.
@@ -457,7 +464,13 @@ class ProvenanceLog:
         chain; earlier entries show how the label evolved across
         re-classifications.
         """
-        return [_decoded(entry) for entry in self._by_item.get(item_id, ())]
+        if self.spool is None:
+            return list(self._by_item.get(item_id, ()))
+        return [
+            record
+            for record in self._mentioning(item_id)
+            if record.item_id == item_id
+        ]
 
     def explain(self, item_id: str) -> str:
         """``why`` rendered for humans (the CLI's drill-down view)."""
@@ -517,12 +530,14 @@ class ProvenanceLog:
         else:
             handle, owned = target, False
         try:
-            for entry in self._records:
-                handle.write(entry if isinstance(entry, str) else _encoded(entry))
+            if self.spool is None:
+                handle.writelines(map(_encoded, self._records))
+            else:
+                handle.write(self._window().decode("ascii"))
         finally:
             if owned:
                 handle.close()
-        return len(self._records)
+        return len(self)
 
     @classmethod
     def replay(
@@ -534,50 +549,46 @@ class ProvenanceLog:
     ) -> "ProvenanceLog":
         """Rebuild a write-ahead log from its spool file.
 
-        Reads the spool torn-tolerantly (a partial final line — a crash
-        mid-append — is ignored), refills the ring with the last
-        ``capacity`` records, and restores the seq/total/evicted counters
-        to exactly what a live log that spooled those records would hold.
-        The counters come from the line count and (a spool is written in
-        seq order) the newest seq. Replayed records are *not* re-spooled.
+        One pass over the spool notes where each complete line starts,
+        keeps the last ``capacity`` offsets as the window, and restores
+        the seq/total/evicted counters to exactly what a live log that
+        spooled those records would hold: the counters come from the line
+        count and (a spool is written in seq order) the last line's seq.
+        Replayed records are *not* re-spooled.
+
+        A partial final line (a crash mid-append) and any blank lines
+        after the last record are truncated away before the log can
+        append, so its next line starts a line of its own and the window
+        ends where the file does (the change log's torn-tail rule).
 
         ``observe`` is a fold over the whole history riding this one pass:
         it is called with every record, oldest first, each line decoded
-        exactly once and dropped again — the ring keeps the raw line, as
-        the live log does. Without it only the last ``capacity`` lines are
-        decoded (for their item id and seq).
+        exactly once and dropped again. Without it only the last line is
+        decoded (for its seq).
         """
-        from repro.core.durability import iter_jsonl_lines, tail_jsonl_lines
+        from repro.core.durability import truncate_file
 
-        def keyed(line: bytes) -> Tuple[str, str, int]:
-            entry = line.decode("utf-8")
-            record = _decoded(entry)
-            if observe is not None:
-                observe(record)
-            # Interned: the by-item index and the resumed corpus share one string.
-            return entry, sys.intern(record.item_id), record.seq
-
-        if observe is None:
-            tail, total = tail_jsonl_lines(spool, capacity)
-            kept: Sequence[Tuple[str, str, int]] = [keyed(line) for line in tail]
-        else:
-            kept = deque(maxlen=capacity)
-            total = 0
-            for line in iter_jsonl_lines(spool):
-                kept.append(keyed(line))
-                total += 1
         log = cls(capacity=capacity, spool=spool, fsync=fsync)
+        starts = log._starts
+        position = end = total = 0
+        last = b""
+        with open(spool, "rb") as handle:
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    break  # a torn append ends the trail
+                if len(line) > 1:
+                    if observe is not None:
+                        observe(_decoded(line.decode("ascii")))
+                    starts.append(position)
+                    total += 1
+                    last = line
+                    end = position + len(line)
+                position += len(line)
+        truncate_file(spool, end)
+        log._end = end
         log.total_records = total
-        log.evicted_records = total - len(kept)
-        log._seq = max((seq for _, _, seq in kept), default=0)
-        for entry, item_id, _ in kept:
-            log._records.append(entry)
-            log._line_items.append(item_id)
-            bucket = log._by_item.get(item_id)
-            if bucket is None:
-                log._by_item[item_id] = [entry]
-            else:
-                bucket.append(entry)
+        log.evicted_records = total - len(starts)
+        log._seq = _decoded(last).seq if last else 0
         return log
 
     @staticmethod

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -71,10 +72,10 @@ def make_record(
 
 # Ids for the ring-equivalence property: ``r1`` is a prefix of ``r10``,
 # ``rings`` is a rule and a type, ``ring`` is a prefix of that type, ``r1``
-# is also a label, and three ids need JSON escapes.
+# is also a label and an item, and five ids need JSON escapes.
 _RING_RULES = ("r1", "r10", "rings", "ring", 'q"uote', "back\\slash", "règle-ü")
 _RING_LABELS = ("rings", "jeans", "r1", None)
-_RING_ITEMS = ("a", "b", 'i"tem', "é")
+_RING_ITEMS = ("a", "b", 'i"tem', "é", "r1")
 _RING_NEEDLES = _RING_RULES + ("jeans", "missing")
 
 
@@ -226,15 +227,15 @@ class TestProvenanceLog:
             "item-2", "item-3", "item-4",
         ]
 
-    def test_eviction_spools_jsonl(self):
-        """A spooled log is write-ahead: eviction drops a record from the
-        ring only, because its line reached the spool when it was recorded."""
-        spool = io.StringIO()
+    def test_eviction_spools_jsonl(self, tmp_path):
+        """A spooled log is write-ahead: eviction drops a line from the
+        window only, because it reached the spool when it was recorded."""
+        spool = str(tmp_path / "spool.jsonl")
         log = ProvenanceLog(capacity=2, spool=spool)
         for index in range(4):
             log.record(make_record(f"item-{index}", "rings"))
         assert [record.item_id for record in log.records] == ["item-2", "item-3"]
-        spool.seek(0)
+        log.close()
         spooled = ProvenanceLog.read_jsonl(spool)
         assert [record.item_id for record in spooled] == [
             "item-0", "item-1", "item-2", "item-3",
@@ -300,10 +301,12 @@ class TestProvenanceLog:
     def test_replay_decodes_only_the_tail_yet_equals_full_decode(
         self, item_ids, capacity, torn, tmp_path_factory
     ):
-        """``replay`` decodes the last ``capacity`` lines and counts the
-        rest; the log it returns — ring, by-item index, counters — is the
-        one a full decode builds, and the one the live log held, for
-        spools shorter than, equal to and longer than ``capacity``."""
+        """``replay`` keeps the offsets of the last ``capacity`` lines and
+        counts the rest; the log it returns — window, ``why``, counters —
+        is the one a full decode builds, and the one the live log held, for
+        spools shorter than, equal to and longer than ``capacity``. It
+        drops a torn tail before it appends, so the replayed log records
+        more lines and a second replay still equals the full decode."""
         spool = str(tmp_path_factory.mktemp("replay") / "spool.jsonl")
         live = ProvenanceLog(capacity=capacity, spool=spool)
         for index, item_id in enumerate(item_ids):
@@ -333,6 +336,16 @@ class TestProvenanceLog:
         assert len(replayed) == min(len(item_ids), capacity)
         assert surface(replayed) == surface(full) == surface(live)
 
+        for index, item_id in enumerate("aeb", start=len(item_ids)):
+            for log in (replayed, full):
+                log.record(make_record(
+                    item_id, "jeans", batch_id=f"b{index // 5}",
+                    stages=(rule_trace("rule-based", ("r2",), "jeans"),),
+                ))
+        replayed.close()
+        again = ProvenanceLog.replay(spool, capacity=capacity)
+        assert surface(again) == surface(replayed) == surface(full)
+
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -352,25 +365,34 @@ class TestProvenanceLog:
     def test_ring_answers_equal_by_value_in_every_spool_mode(
         self, specs, capacity, tmp_path_factory
     ):
-        """A ring of encoded lines (write-ahead) and a ring of records
-        (in-memory) are one log by value: every query, counter, export and
-        a replay of the spool. The ids are chosen to break a loose
-        substring pre-filter: ``r1`` / ``r10``, a rule named like a type, a
-        rule that is a prefix of a label, and ids that JSON escapes."""
+        """A window of spool offsets (write-ahead) and a ring of records
+        (in-memory) are one log by value: every query, counter and export,
+        reads taken between two appends, a replay of the spool, and a
+        replayed log that records more. The ids are chosen to break a
+        loose substring search: ``r1`` / ``r10``, a rule named like a type,
+        a rule that is a prefix of a label, an item named like a rule and a
+        label, and ids that JSON escapes."""
 
-        def feed(log):
-            for index, (item_id, label, rule, attr, filtered) in enumerate(specs):
-                log.record(make_record(
-                    item_id, label, batch_id=f"b{index // 4}",
-                    stages=(
-                        rule_trace("rule-based", rule, label, 0.75),
-                        rule_trace("attr-value", attr, label),
-                    ),
-                    ranked=((label, 0.9),) if label else (),
-                    final=(label, 0.9) if label else None,
-                    filter_fired=filtered,
-                ))
-            return log
+        def feed(reference, log, start=0):
+            """Record ``specs`` into both logs in lockstep; after each
+            append, ``log`` must read what ``reference`` holds (a
+            write-ahead reader flushes the spool first)."""
+            for index, (item_id, label, rule, attr, filtered) in enumerate(
+                specs, start
+            ):
+                for target in (reference, log):
+                    target.record(make_record(
+                        item_id, label, batch_id=f"b{index // 4}",
+                        stages=(
+                            rule_trace("rule-based", rule, label, 0.75),
+                            rule_trace("attr-value", attr, label),
+                        ),
+                        ranked=((label, 0.9),) if label else (),
+                        final=(label, 0.9) if label else None,
+                        filter_fired=filtered,
+                    ))
+                assert log.records == reference.records
+                assert log.why(item_id) == reference.why(item_id)
 
         def surface(log):
             snapshot = io.StringIO()
@@ -390,9 +412,16 @@ class TestProvenanceLog:
             }
 
         spool = str(tmp_path_factory.mktemp("ring") / "spool.jsonl")
-        in_memory = feed(ProvenanceLog(capacity))
-        write_ahead = feed(ProvenanceLog(capacity, spool=spool))
-        assert all(isinstance(entry, str) for entry in write_ahead._records)
+        in_memory = ProvenanceLog(capacity)
+        write_ahead = ProvenanceLog(capacity, spool=spool)
+        feed(in_memory, write_ahead)
+        # The write-ahead log holds offsets into its spool, nothing decoded.
+        assert {
+            name
+            for name, value in vars(write_ahead).items()
+            if isinstance(value, (deque, dict, list))
+        } == {"_starts"}
+        assert all(type(start) is int for start in write_ahead._starts)
 
         expected = surface(in_memory)
         assert surface(write_ahead) == expected
@@ -407,6 +436,11 @@ class TestProvenanceLog:
             assert surface(replayed) == expected
             assert replayed.next_seq() == len(specs) + 1
         assert folded == trail
+
+        resumed = ProvenanceLog.replay(spool, capacity)
+        feed(in_memory, resumed, start=len(specs))
+        assert surface(resumed) == surface(in_memory)
+        resumed.close()
 
 
 # ---------------------------------------------------------------------------

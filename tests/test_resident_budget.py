@@ -4,21 +4,23 @@ The daemon never forgets an item (ROADMAP 3d), so the bytes each one
 leaves behind are the slope of the process's memory over a stream that
 never ends. This module measures that slope with ``tracemalloc`` — the
 live world's over 40 batches, and a resumed world's over everything its
-journal holds — and pins the decisions that set it: the provenance ring
-of a write-ahead log holds encoded lines and its per-item index plain
-lists; a held ``PreparedItem`` keeps no probe set, and its stop-word-free
-tokens are its full token tuple when the two are equal; the corpus
-index's postings are arrays, not sets; and the match store's rows are
-shared, one object per distinct row.
+journal holds — and pins the decisions that set it: a write-ahead
+provenance log keeps its window in the spool and holds only the offset
+of each retained line (no records, lines or by-item index); a held
+``PreparedItem`` keeps no probe set, and its stop-word-free tokens are
+its full token tuple when the two are equal; the corpus index's postings
+are arrays, not sets; and the match store's rows are shared, one object
+per distinct row.
 
 The budgets are the largest reading over ``PYTHONHASHSEED`` 0, 1 and
-random at the commit that set them (1,949 / 1,998 B per item), plus 5%.
-Before tokens were interned, postings were arrays and rows were shared
-they read 2,879 / 2,754 (2,816 resumed as measured here, which counts the
-then un-interned ids twice); with a second id-keyed cache beside the
-index 3,045 / 2,785; before the ring held lines 4,977 / 5,417. A
-40-batch run fills under half of the 10,000-slot ring, so these are this
-run's figures, not the soak's (DESIGN §13 has those).
+random at the commit that set them (1,410 / 1,309 B per item), plus 5%.
+While the ring held the encoded lines and a by-item index they read
+1,955 / 1,852; before tokens were interned, postings were arrays and
+rows were shared 2,879 / 2,754 (2,816 resumed as measured here, which
+counts the then un-interned ids twice); with a second id-keyed cache
+beside the index 3,045 / 2,785; before the ring held lines 4,977 /
+5,417. A 40-batch run fills under half of the 10,000-slot ring, so these
+are this run's figures, not the soak's (DESIGN §13 has those).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from repro.service import ServiceConfig, StreamService
 
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
-LIVE_BUDGET_B_PER_ITEM = 2_047
-RESUMED_BUDGET_B_PER_ITEM = 2_098
+LIVE_BUDGET_B_PER_ITEM = 1_481
+RESUMED_BUDGET_B_PER_ITEM = 1_375
 
 
 @contextmanager
@@ -56,7 +58,7 @@ def _traced_growth():
 
 
 def _retention_offenders(service: StreamService) -> dict:
-    """Objects of the six shapes this budget exists to keep out."""
+    """Objects of the five shapes this budget exists to keep out."""
     log = service.provenance
     index = service.incremental._data_index
     rows = list(service.incremental.store._by_item.values())
@@ -84,15 +86,14 @@ def _retention_offenders(service: StreamService) -> dict:
             if len({id(row) for row in rows}) > distinct_rows
             else []
         ),
-        "deques in the by-item index": [
-            item_id
-            for item_id, bucket in log._by_item.items()
-            if isinstance(bucket, deque)
-        ],
-        "ring entries that are not lines": [
-            type(entry).__name__
-            for entry in log._records
-            if not isinstance(entry, str)
+        "a write-ahead log holding records, lines or by-item entries": [
+            name
+            for name, value in vars(log).items()
+            if isinstance(value, (deque, dict, list)) and name != "_starts"
+        ] + [
+            type(start).__name__
+            for start in log._starts
+            if type(start) is not int
         ],
     }
 
