@@ -6,7 +6,9 @@ under certain assumptions ... the execution order among the whitelist rules
 (or the blacklist rules) does not affect the final output." A
 :class:`RuleSet` implements exactly that evaluation discipline; the
 order-independence assumptions themselves are checked by
-:mod:`repro.core.properties`.
+:mod:`repro.core.properties`. A set is live state only — which rules, in
+what order, enabled or not; a rule's revisions and change history belong
+to :mod:`repro.repository`.
 """
 
 from __future__ import annotations
@@ -65,11 +67,17 @@ class RuleSet:
     **Rule-state ownership (copy-on-add).** The set stores a shallow *copy*
     of every rule handed to :meth:`add` / :meth:`replace`, so per-rule
     mutable state — today just ``enabled`` — is owned per set. Two rule
-    sets built from the same :class:`Rule` objects (e.g. a pipeline stage
-    and a repository's materialized view) do not alias: disabling
+    sets built from the same :class:`Rule` objects do not alias: disabling
     a rule in one cannot silently disable it in the other, and every set's
     subscribers see exactly the ``"disabled"`` events for *their* set.
     Rule conditions are immutable, so the shallow copy shares them.
+
+    **Live state, one write path.** A set holds which rules are live, in
+    what order, and their enabled flags; its mutators are the only way to
+    change them. A set bound to a repository namespace has a ``recorder``:
+    each mutator validates, calls ``recorder(op, rule)`` with the
+    change-log op, and applies and notifies only once it returns, so a
+    recorder that raises leaves the set untouched.
     """
 
     def __init__(self, rules: Iterable[Rule] = (), name: str = "ruleset"):
@@ -81,16 +89,13 @@ class RuleSet:
         # an unordered handful of hit ids without walking the whole set.
         self._live_key: Dict[str, int] = {}
         self._keys_issued = 0
-        # Change-notification plumbing for incremental consumers (§4's
-        # "when rule R is modified ... re-run only what changed"): every
-        # mutation bumps `version`, assigns the touched rule a fresh
-        # per-rule revision, and fans the event out to subscribers.
-        self._version = 0
-        self._revisions: Dict[str, int] = {}
-        # Highest revision ever reaped by remove(); see _next_revision.
-        self._revision_watermark = 0
-        # Subscriptions are tracked by token (not listener value), so the
-        # same callable registered twice unsubscribes independently.
+        #: ``recorder(op, rule)`` runs before each mutation applies; set by
+        #: ``RuleRepository.bind``, ``None`` when unbound.
+        self.recorder: Optional[Callable[[str, Rule], None]] = None
+        # Change notification for incremental consumers (§4's "when rule R
+        # is modified ... re-run only what changed"). Subscriptions are
+        # tracked by token (not listener value), so the same callable
+        # registered twice unsubscribes independently.
         self._listeners: Dict[int, Callable[[str, Rule], None]] = {}
         self._listener_tokens = 0
         for rule in rules:
@@ -98,43 +103,12 @@ class RuleSet:
 
     # -- change notification ------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped by every mutation (cheap staleness check)."""
-        return self._version
-
-    def revision(self, rule_id: str) -> int:
-        """The rule's revision number: bumped on add and on replace.
-
-        ``(rule_id, revision)`` is the *versioned rule identity* — two
-        sightings of the same pair are guaranteed to denote the same rule
-        condition, so cached per-rule results keyed on it stay sound. The
-        guarantee holds across remove/re-add churn: a re-added rule's
-        revision is strictly greater than any revision its id ever held
-        (see :meth:`_next_revision`), without keeping a tombstone entry
-        per removed id.
-        """
-        if rule_id not in self._rules:
-            raise UnknownRuleError(rule_id)
-        return self._revisions[rule_id]
-
-    def _next_revision(self, rule_id: str) -> int:
-        """A revision strictly above everything ``rule_id`` ever held.
-
-        ``_revisions`` only keeps entries for *live* rules; :meth:`remove`
-        folds the departing revision into a single scalar watermark (the
-        max revision ever reaped). A fresh add starts above the watermark,
-        so heavy churn cannot grow the dict without bound and the
-        versioned-identity guarantee survives: the watermark dominates
-        every removed id's last revision, in particular this one's.
-        """
-        return max(self._revisions.get(rule_id, 0), self._revision_watermark) + 1
-
     def subscribe(self, listener: Callable[[str, Rule], None]) -> Callable[[], None]:
         """Register ``listener(event, rule)`` for mutations; returns unsubscribe.
 
         Events: ``"added"``, ``"removed"``, ``"replaced"``, ``"enabled"``,
-        ``"disabled"``. Listeners run synchronously inside the mutation.
+        ``"disabled"``. Listeners run synchronously inside the mutation,
+        after it is recorded and applied.
         Each call registers an independent subscription (tracked by token):
         subscribing the same callable twice and unsubscribing once detaches
         only that registration, never the other one.
@@ -148,8 +122,11 @@ class RuleSet:
 
         return unsubscribe
 
+    def _record(self, op: str, rule: Rule) -> None:
+        if self.recorder is not None:
+            self.recorder(op, rule)
+
     def _notify(self, event: str, rule: Rule) -> None:
-        self._version += 1
         for listener in list(self._listeners.values()):
             listener(event, rule)
 
@@ -181,10 +158,10 @@ class RuleSet:
         if rule.rule_id in self._rules:
             raise DuplicateRuleError(f"rule {rule.rule_id!r} already in {self.name!r}")
         rule = copy.copy(rule)
+        self._record("add", rule)
         self._rules[rule.rule_id] = rule
         self._keys_issued += 1
         self._live_key[rule.rule_id] = self._keys_issued
-        self._revisions[rule.rule_id] = self._next_revision(rule.rule_id)
         self._notify("added", rule)
         return rule
 
@@ -194,28 +171,26 @@ class RuleSet:
 
     def remove(self, rule_id: str) -> Rule:
         rule = self.get(rule_id)
+        self._record("remove", rule)
         del self._rules[rule_id]
         del self._live_key[rule_id]
-        # Reap the tombstoned revision into the watermark so churn cannot
-        # grow _revisions without bound (see _next_revision).
-        self._revision_watermark = max(
-            self._revision_watermark, self._revisions.pop(rule_id)
-        )
         self._notify("removed", rule)
         return rule
 
     def replace(self, rule: Rule) -> Rule:
         """Swap in an edited rule with the same rule_id (an analyst edit).
 
-        The rule keeps its position in evaluation order but gets a fresh
-        revision; returns the old rule object. This is the mutation §4's
+        The rule keeps its position in evaluation order and its enabled
+        flag (flip that with :meth:`enable` / :meth:`disable`); returns
+        the old rule object. This is the mutation §4's
         incremental-execution discussion is about — subscribers see a
         single ``"replaced"`` event instead of a remove/add pair.
         """
         old = self.get(rule.rule_id)
         rule = copy.copy(rule)
+        rule.enabled = old.enabled
+        self._record("replace", rule)
         self._rules[rule.rule_id] = rule
-        self._revisions[rule.rule_id] += 1
         self._notify("replaced", rule)
         return old
 
@@ -223,12 +198,14 @@ class RuleSet:
         """Switch a rule off without losing it (fast incident response)."""
         rule = self.get(rule_id)
         if rule.enabled:
+            self._record("disable", rule)
             rule.enabled = False
             self._notify("disabled", rule)
 
     def enable(self, rule_id: str) -> None:
         rule = self.get(rule_id)
         if not rule.enabled:
+            self._record("enable", rule)
             rule.enabled = True
             self._notify("enabled", rule)
 
@@ -238,12 +215,12 @@ class RuleSet:
         This is the "scale down" primitive: when predictions for one type go
         bad, kill that type's rules with minimal impact on the rest.
         """
-        disabled = []
-        for rule in self:
-            if rule.target_type == target_type and rule.enabled:
-                rule.enabled = False
-                self._notify("disabled", rule)
-                disabled.append(rule.rule_id)
+        disabled = [
+            rule.rule_id for rule in self
+            if rule.target_type == target_type and rule.enabled
+        ]
+        for rule_id in disabled:
+            self.disable(rule_id)
         return disabled
 
     def enable_all(self, rule_ids: Iterable[str]) -> None:

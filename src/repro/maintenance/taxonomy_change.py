@@ -12,12 +12,14 @@ each old rule whose coverage lands (cleanly enough) in one new type.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.types import ProductItem
 from repro.core.rule import Rule
+from repro.core.ruleset import RuleSet
 
 
 @dataclass
@@ -99,15 +101,20 @@ def plan_for_merge(
     return plan
 
 
-def apply_plan(rules: Sequence[Rule], plan: TaxonomyChangePlan) -> List[Rule]:
-    """Apply a plan in place: retargeted rules get their new type, the rest
-    of the invalidated rules are disabled. Returns the disabled rules."""
+def apply_plan(rulesets: Sequence[RuleSet], plan: TaxonomyChangePlan) -> List[Rule]:
+    """Apply a plan through the rule sets' own mutators, so a bound
+    repository logs every change: each retargeted rule is replaced by a
+    copy aimed at its new type, and the rest of the invalidated rules are
+    disabled. Returns the disabled rules."""
     disabled: List[Rule] = []
     retargets = plan.retargets
-    for rule in rules:
-        if rule.rule_id in retargets:
-            rule.target_type = retargets[rule.rule_id]
-        elif rule.rule_id in plan.undecidable:
-            rule.enabled = False
-            disabled.append(rule)
+    for ruleset in rulesets:
+        for rule in list(ruleset):
+            if rule.rule_id in retargets:
+                retargeted = copy.copy(rule)
+                retargeted.target_type = retargets[rule.rule_id]
+                ruleset.replace(retargeted)
+            elif rule.rule_id in plan.undecidable:
+                ruleset.disable(rule.rule_id)
+                disabled.append(rule)
     return disabled

@@ -158,15 +158,19 @@ class ChangeLog:
         return self.entries[-1].seq + 1 if self.entries else 1
 
     def append(self, entry: ChangeEntry) -> ChangeEntry:
-        """Record one entry (durably when the log is file-backed)."""
+        """Record one entry (durably when the log is file-backed).
+
+        The line is written before the entry joins :attr:`entries`, so a
+        write that raises leaves the in-memory log unchanged.
+        """
         if entry.seq != self.next_seq:
             raise ValueError(
                 f"change log is append-only: expected seq {self.next_seq}, "
                 f"got {entry.seq}"
             )
-        self.entries.append(entry)
         if self._appender is not None:
             self._appender.append(entry.to_dict())
+        self.entries.append(entry)
         return entry
 
     def close(self) -> None:

@@ -19,14 +19,16 @@ persistent home with the properties §4's maintenance story demands:
   ``tagging`` (or any other domain) share one store, one change log, one
   metrics registry, and one incident manager.
 
-A namespace may be *bound* to a live :class:`~repro.core.ruleset.RuleSet`:
-mutations made through the repository API are applied to the rule set
-(fanning out to its incremental subscribers), and mutations made directly
-on the rule set — e.g. :meth:`IncidentManager.scale_down
-<repro.chimera.incidents.IncidentManager.scale_down>` disabling rules
-during an incident — are captured through the rule set's subscription feed
-and recorded with the ambient :meth:`RuleRepository.attribution`. Unbound
-namespaces work purely on the stored state (the CLI's mode of operation).
+**History here, live state in one rule set.** The repository owns each
+namespace's history: live revisions, the revision watermark, the payload
+of every ``(rule_id, revision)``, snapshots and the log. One
+:class:`~repro.core.ruleset.RuleSet` per namespace owns its live state
+(rules, order, enabled flags): the repository's own until
+:meth:`RuleRepository.bind` makes a pipeline's set live. That set's
+mutators are the only write path — for analysts, the incident manager and
+the repository's own ``add`` / ``rollback`` alike — and each has the
+repository log the change (under the ambient
+:meth:`RuleRepository.attribution`) and fold history before it applies.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -46,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.errors import DuplicateRuleError, UnknownRuleError
+from repro.core.errors import UnknownRuleError
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.core.serialize import rule_from_dict, rule_to_dict
@@ -67,9 +68,10 @@ class RepositoryError(RuntimeError):
 def _condition_payload(rule: Rule) -> Dict[str, Any]:
     """The rule's serialized *condition identity* (enabled flag stripped).
 
-    The repository owns enabled flags per namespace; the payload keyed by
-    ``(rule_id, revision)`` must denote the rule's condition only, so two
-    sightings of the same pair are guaranteed to be the same condition.
+    Enabled flags are live state, held by the namespace's rule set; the
+    payload keyed by ``(rule_id, revision)`` must denote the rule's
+    condition only, so two sightings of the same pair are guaranteed to be
+    the same condition.
     """
     payload = rule_to_dict(rule)
     payload.pop("enabled", None)
@@ -88,15 +90,6 @@ class Snapshot:
     author: str
     reason: str = ""
     entries: Mapping[str, Tuple[int, bool]] = field(default_factory=dict)
-
-    def to_log_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "entries": {
-                rule_id: [revision, enabled]
-                for rule_id, (revision, enabled) in sorted(self.entries.items())
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -145,30 +138,33 @@ class RollbackResult:
 
 
 class _NamespaceState:
-    """Everything the repository knows about one namespace."""
+    """One namespace: its history, and the rule set holding its live state."""
 
     def __init__(self, name: str):
         self.name = name
-        self.rules: Dict[str, Dict[str, Any]] = {}      # live condition payloads
         self.revisions: Dict[str, int] = {}             # live revisions
-        self.enabled: Dict[str, bool] = {}              # live enabled flags
         # (rule_id, revision) -> payload; the structurally shared history.
         self.payloads: Dict[Tuple[str, int], Dict[str, Any]] = {}
         self.revision_watermark = 0
-        self.bound: Optional[RuleSet] = None
-        self.unsubscribe: Optional[Callable[[], None]] = None
+        self.ruleset = RuleSet(name=name)
+        #: False once :meth:`RuleRepository.bind` made a caller's set live.
+        self.owned = True
 
     def next_revision(self, rule_id: str) -> int:
         return max(
             self.revisions.get(rule_id, 0), self.revision_watermark
         ) + 1
 
+    def payload(self, rule_id: str) -> Dict[str, Any]:
+        return self.payloads[(rule_id, self.revisions[rule_id])]
+
 
 class RuleRepository:
     """Persistent, multi-tenant rule repository over one change log.
 
-    ``root=None`` keeps everything in memory (deterministic scenario runs,
-    tests); with a directory, the change log lives at
+    It owns history; each namespace's live state is one :class:`RuleSet`
+    (see the module docstring). ``root=None`` keeps everything in memory
+    (deterministic scenario runs, tests); with a directory, the log lives at
     ``<root>/changelog.jsonl`` with fsync'd appends, and
     :meth:`RuleRepository.open`-ing the same root replays it back to the
     identical state (round-trip property-tested).
@@ -196,11 +192,11 @@ class RuleRepository:
         # snapshot name -> namespace -> Snapshot
         self._snapshots: Dict[str, Dict[str, Snapshot]] = {}
         self._attribution: List[Tuple[str, str, Optional[str]]] = []
-        self._self_mutating = 0
+        # The revision a rollback restores; the next add/replace takes it.
+        self._restoring: Optional[int] = None
         #: Author recorded for changes made with no attribution scope open.
         self.default_author = "direct"
-        for entry in self.log.entries:
-            self._fold(entry)
+        self._replay()
 
     @classmethod
     def open(cls, root: str, **kwargs: Any) -> "RuleRepository":
@@ -210,10 +206,8 @@ class RuleRepository:
     def close(self) -> None:
         """Detach from bound rule sets and close the log file."""
         for state in self._namespaces.values():
-            if state.unsubscribe is not None:
-                state.unsubscribe()
-                state.unsubscribe = None
-                state.bound = None
+            if not state.owned:
+                state.ruleset.recorder = None
         self.log.close()
 
     def __enter__(self) -> "RuleRepository":
@@ -228,12 +222,20 @@ class RuleRepository:
         return sorted(self._namespaces)
 
     def _ns(self, namespace: str) -> _NamespaceState:
-        if namespace not in self._namespaces:
-            self._namespaces[namespace] = _NamespaceState(namespace)
-        return self._namespaces[namespace]
+        state = self._namespaces.get(namespace)
+        if state is None:
+            state = self._namespaces[namespace] = _NamespaceState(namespace)
+            self._attach(state, state.ruleset)
+        return state
+
+    def _attach(self, state: _NamespaceState, ruleset: RuleSet) -> None:
+        state.ruleset = ruleset
+        ruleset.recorder = (
+            lambda op, rule: self._write(state.name, op, rule)
+        )
 
     def rule_ids(self, namespace: str) -> List[str]:
-        return sorted(self._ns(namespace).rules)
+        return sorted(self._ns(namespace).revisions)
 
     def revision(self, namespace: str, rule_id: str) -> int:
         state = self._ns(namespace)
@@ -242,10 +244,7 @@ class RuleRepository:
         return state.revisions[rule_id]
 
     def is_enabled(self, namespace: str, rule_id: str) -> bool:
-        state = self._ns(namespace)
-        if rule_id not in state.enabled:
-            raise UnknownRuleError(rule_id)
-        return state.enabled[rule_id]
+        return self._ns(namespace).ruleset.is_enabled(rule_id)
 
     def rule_payload(
         self, namespace: str, rule_id: str, revision: Optional[int] = None
@@ -253,29 +252,34 @@ class RuleRepository:
         """The stored condition payload of ``(rule_id, revision)``."""
         state = self._ns(namespace)
         if revision is None:
-            if rule_id not in state.rules:
-                raise UnknownRuleError(rule_id)
-            return dict(state.rules[rule_id])
+            revision = state.revisions.get(rule_id)
         try:
             return dict(state.payloads[(rule_id, revision)])
         except KeyError:
-            raise UnknownRuleError(f"{rule_id}@{revision}") from None
+            raise UnknownRuleError(
+                rule_id if revision is None else f"{rule_id}@{revision}"
+            ) from None
 
     def materialize(self, namespace: str) -> RuleSet:
-        """Build a fresh :class:`RuleSet` of the namespace's live state.
-
-        Rules come back in the bound set's evaluation order — the fold
-        keeps ``state.rules`` in it (an add appends, a replace keeps its
-        place, a remove deletes) — because that order breaks equal-weight
-        vote ties in :meth:`RuleSet.apply`.
-        """
+        """Build a fresh, unbound :class:`RuleSet` of the namespace's live
+        state from its history: each live rule at its current revision's
+        payload, in the live set's evaluation order (which breaks
+        equal-weight vote ties in :meth:`RuleSet.apply`) and with its
+        enabled flag."""
         state = self._ns(namespace)
-        ruleset = RuleSet(name=namespace)
-        for rule_id in state.rules:
-            payload = dict(state.rules[rule_id])
-            payload["enabled"] = state.enabled[rule_id]
-            ruleset.add(rule_from_dict(payload))
-        return ruleset
+        return self._build(
+            state, ((rule.rule_id, rule.enabled) for rule in state.ruleset)
+        )
+
+    @staticmethod
+    def _build(
+        state: _NamespaceState, flags: Iterable[Tuple[str, bool]]
+    ) -> RuleSet:
+        return RuleSet(
+            (rule_from_dict(dict(state.payload(rule_id), enabled=enabled))
+             for rule_id, enabled in flags),
+            name=state.name,
+        )
 
     # -- attribution --------------------------------------------------------------
 
@@ -284,8 +288,9 @@ class RuleRepository:
         self, author: str, reason: str = "", provenance: Optional[str] = None
     ):
         """Ambient author/reason/provenance for changes made inside the
-        block — including changes arriving through a bound rule set's
-        subscription feed (the incident manager's scale-down path)."""
+        block — by the repository's methods and by direct calls on a
+        namespace's live rule set alike (the incident manager's
+        scale-down path)."""
         self._attribution.append((author, reason, provenance))
         try:
             yield self
@@ -297,6 +302,21 @@ class RuleRepository:
             return self._attribution[-1]
         return (self.default_author, "", None)
 
+    def _explicit(
+        self,
+        author: Optional[str],
+        reason: Optional[str],
+        provenance: Optional[str],
+    ):
+        """An attribution scope in which explicit arguments win over the
+        ambient scope."""
+        amb_author, amb_reason, amb_prov = self._current_attribution()
+        return self.attribution(
+            author if author is not None else amb_author,
+            reason if reason is not None else amb_reason,
+            provenance if provenance is not None else amb_prov,
+        )
+
     # -- recording ----------------------------------------------------------------
 
     def _record(
@@ -307,54 +327,64 @@ class RuleRepository:
         revision: int = 0,
         rule: Optional[Dict[str, Any]] = None,
         snapshot: Optional[Dict[str, Any]] = None,
-        author: Optional[str] = None,
-        reason: Optional[str] = None,
-        provenance: Optional[str] = None,
     ) -> ChangeEntry:
-        amb_author, amb_reason, amb_prov = self._current_attribution()
+        """Append one entry under the ambient attribution, then fold it:
+        if the append raises, neither the log nor history has changed."""
+        author, reason, provenance = self._current_attribution()
         entry = ChangeEntry(
             seq=self.log.next_seq,
             at=self.clock.now,
             namespace=namespace,
             op=op,
-            author=author if author is not None else amb_author,
-            reason=reason if reason is not None else amb_reason,
+            author=author,
+            reason=reason,
             rule_id=rule_id,
             revision=revision,
             rule=rule,
             snapshot=snapshot,
-            provenance=provenance if provenance is not None else amb_prov,
+            provenance=provenance,
         )
-        self._fold(entry)
         self.log.append(entry)
+        self._fold(entry)
         if self.metrics is not None:
             self.metrics.counter(
                 "repository_changes_total", ns=namespace, op=op
             ).inc()
         return entry
 
+    def _write(self, namespace: str, op: str, rule: Rule) -> None:
+        """A namespace's live set is about to apply ``op`` to ``rule``:
+        log it and fold it into history (the set's ``recorder``)."""
+        if op not in ("add", "replace"):
+            self._record(namespace, op, rule_id=rule.rule_id)
+            return
+        revision, self._restoring = self._restoring, None
+        payload = _condition_payload(rule)
+        if op == "add":
+            payload["__enabled_at_add__"] = rule.enabled
+        self._record(
+            namespace, op,
+            rule_id=rule.rule_id,
+            revision=revision or self._ns(namespace).next_revision(rule.rule_id),
+            rule=payload,
+        )
+
     def _fold(self, entry: ChangeEntry) -> None:
-        """Apply one entry to in-memory state (used live and on replay)."""
+        """Fold one entry into history (used live and on replay)."""
         state = self._ns(entry.namespace)
         if entry.op in ("add", "replace"):
             payload = dict(entry.rule or {})
-            state.rules[entry.rule_id] = payload
+            payload.pop("__enabled_at_add__", None)
+            displaced = state.revisions.get(entry.rule_id, 0)
+            if entry.revision < displaced:
+                # A rollback restored an older revision: reap the newer one
+                # as a remove would, so the id's next revision skips it.
+                state.revision_watermark = max(state.revision_watermark, displaced)
             state.revisions[entry.rule_id] = entry.revision
             state.payloads[(entry.rule_id, entry.revision)] = payload
-            if entry.op == "add":
-                state.enabled[entry.rule_id] = bool(
-                    (entry.rule or {}).get("__enabled_at_add__", True)
-                )
-                payload.pop("__enabled_at_add__", None)
         elif entry.op == "remove":
-            state.rules.pop(entry.rule_id, None)
             reaped = state.revisions.pop(entry.rule_id, 0)
             state.revision_watermark = max(state.revision_watermark, reaped)
-            state.enabled.pop(entry.rule_id, None)
-        elif entry.op == "enable":
-            state.enabled[entry.rule_id] = True
-        elif entry.op == "disable":
-            state.enabled[entry.rule_id] = False
         elif entry.op == "snapshot":
             data = entry.snapshot or {}
             snap = Snapshot(
@@ -369,9 +399,29 @@ class RuleRepository:
                 },
             )
             self._snapshots.setdefault(snap.name, {})[entry.namespace] = snap
-        # "rollback" and "audit-import" are markers: no state change.
+        # "enable"/"disable" are live state (the set's flag); "rollback"
+        # and "audit-import" are markers: no history to fold.
 
-    # -- bound rule sets ----------------------------------------------------------
+    def _replay(self) -> None:
+        """Fold the opened log into history and build each namespace's
+        live set once, from its live rules' payloads and flags."""
+        live: Dict[str, Dict[str, bool]] = {}
+        for entry in self.log.entries:
+            self._fold(entry)
+            flags = live.setdefault(entry.namespace, {})
+            if entry.op == "add":
+                flags[entry.rule_id] = bool(
+                    (entry.rule or {}).get("__enabled_at_add__", True)
+                )
+            elif entry.op == "remove":
+                flags.pop(entry.rule_id, None)
+            elif entry.op in ("enable", "disable") and entry.rule_id in flags:
+                flags[entry.rule_id] = entry.op == "enable"
+        for namespace, flags in live.items():
+            state = self._ns(namespace)
+            self._attach(state, self._build(state, flags.items()))
+
+    # -- binding ------------------------------------------------------------------
 
     def bind(
         self,
@@ -380,97 +430,48 @@ class RuleRepository:
         author: str = "bind",
         reason: str = "",
     ) -> None:
-        """Bind a live rule set to ``namespace`` and start recording.
+        """Make ``ruleset`` the namespace's live set and record its changes.
 
-        Rules already in the set are reconciled into the store first
-        (new ids recorded as adds, changed conditions as replaces, flag
-        drift as enable/disable), so binding a freshly rebuilt pipeline
-        to a reopened repository is idempotent. After binding, every
-        mutation of the rule set — from any caller — lands in the log.
+        The set's rules are reconciled into history first (new ids logged
+        as adds, changed conditions as replaces, flag drift as
+        enable/disable), so binding a freshly rebuilt pipeline to a
+        reopened repository is idempotent. Rules only the repository
+        holds are then added to the set, in live order, with no log entry
+        — binding an empty set to a reopened root adopts its rules. From
+        then on every mutation of the set, from any caller, is logged
+        before it applies.
         """
         state = self._ns(namespace)
-        if state.bound is not None:
+        if not state.owned:
             raise RepositoryError(
                 f"namespace {namespace!r} is already bound to "
-                f"rule set {state.bound.name!r}"
+                f"rule set {state.ruleset.name!r}"
             )
+        if ruleset.recorder is not None:
+            raise RepositoryError(f"rule set {ruleset.name!r} is already bound")
+        held = state.ruleset
         with self.attribution(author, reason or f"bind {ruleset.name!r}"):
             for rule in ruleset:
-                payload = _condition_payload(rule)
-                flag = ruleset.is_enabled(rule.rule_id)
-                if rule.rule_id not in state.rules:
-                    self._record(
-                        namespace, "add",
-                        rule_id=rule.rule_id,
-                        revision=state.next_revision(rule.rule_id),
-                        rule=dict(payload, __enabled_at_add__=flag),
+                rule_id = rule.rule_id
+                if rule_id not in held:
+                    self._write(namespace, "add", rule)
+                    continue
+                if state.payload(rule_id) != _condition_payload(rule):
+                    self._write(namespace, "replace", rule)
+                if held.is_enabled(rule_id) != rule.enabled:
+                    self._write(
+                        namespace, "enable" if rule.enabled else "disable", rule
                     )
-                else:
-                    if state.rules[rule.rule_id] != payload:
-                        self._record(
-                            namespace, "replace",
-                            rule_id=rule.rule_id,
-                            revision=state.next_revision(rule.rule_id),
-                            rule=payload,
-                        )
-                    if state.enabled[rule.rule_id] != flag:
-                        self._record(
-                            namespace,
-                            "enable" if flag else "disable",
-                            rule_id=rule.rule_id,
-                        )
-        state.bound = ruleset
-        state.unsubscribe = ruleset.subscribe(
-            lambda event, rule: self._on_ruleset_event(namespace, event, rule)
-        )
-
-    def _on_ruleset_event(self, namespace: str, event: str, rule: Rule) -> None:
-        if self._self_mutating:
-            return  # repository-driven mutation: already recorded
-        state = self._ns(namespace)
-        rule_id = rule.rule_id
-        if event == "added":
-            self._record(
-                namespace, "add",
-                rule_id=rule_id,
-                revision=state.next_revision(rule_id),
-                rule=dict(_condition_payload(rule), __enabled_at_add__=rule.enabled),
-            )
-            return
-        if rule_id not in state.rules:
-            # Defensive auto-import: a rule the store never saw (bound set
-            # mutated before binding finished, or an exotic caller).
-            self._record(
-                namespace, "add",
-                rule_id=rule_id,
-                revision=state.next_revision(rule_id),
-                rule=dict(_condition_payload(rule), __enabled_at_add__=rule.enabled),
-            )
-        if event == "removed":
-            self._record(namespace, "remove", rule_id=rule_id)
-        elif event == "replaced":
-            self._record(
-                namespace, "replace",
-                rule_id=rule_id,
-                revision=state.next_revision(rule_id),
-                rule=_condition_payload(rule),
-            )
-        elif event == "enabled":
-            if not state.enabled.get(rule_id, False):
-                self._record(namespace, "enable", rule_id=rule_id)
-        elif event == "disabled":
-            if state.enabled.get(rule_id, True):
-                self._record(namespace, "disable", rule_id=rule_id)
-
-    @contextmanager
-    def _self_mutation(self):
-        self._self_mutating += 1
-        try:
-            yield
-        finally:
-            self._self_mutating -= 1
+        for rule in held:
+            if rule.rule_id not in ruleset:
+                ruleset.add(rule)
+        self._attach(state, ruleset)
+        state.owned = False
 
     # -- repository-driven mutations ----------------------------------------------
+    #
+    # Each one is a call on the namespace's live set under an attribution
+    # scope: the same write path as a direct call on a bound set.
 
     def add(
         self,
@@ -480,22 +481,9 @@ class RuleRepository:
         reason: Optional[str] = None,
         provenance: Optional[str] = None,
     ) -> ChangeEntry:
-        state = self._ns(namespace)
-        if rule.rule_id in state.rules:
-            raise DuplicateRuleError(
-                f"rule {rule.rule_id!r} already in namespace {namespace!r}"
-            )
-        entry = self._record(
-            namespace, "add",
-            rule_id=rule.rule_id,
-            revision=state.next_revision(rule.rule_id),
-            rule=dict(_condition_payload(rule), __enabled_at_add__=rule.enabled),
-            author=author, reason=reason, provenance=provenance,
-        )
-        if state.bound is not None and rule.rule_id not in state.bound:
-            with self._self_mutation():
-                state.bound.add(rule)
-        return entry
+        with self._explicit(author, reason, provenance):
+            self._ns(namespace).ruleset.add(rule)
+        return self.log.entries[-1]
 
     def replace(
         self,
@@ -505,20 +493,9 @@ class RuleRepository:
         reason: Optional[str] = None,
         provenance: Optional[str] = None,
     ) -> ChangeEntry:
-        state = self._ns(namespace)
-        if rule.rule_id not in state.rules:
-            raise UnknownRuleError(rule.rule_id)
-        entry = self._record(
-            namespace, "replace",
-            rule_id=rule.rule_id,
-            revision=state.next_revision(rule.rule_id),
-            rule=_condition_payload(rule),
-            author=author, reason=reason, provenance=provenance,
-        )
-        if state.bound is not None and rule.rule_id in state.bound:
-            with self._self_mutation():
-                state.bound.replace(rule)
-        return entry
+        with self._explicit(author, reason, provenance):
+            self._ns(namespace).ruleset.replace(rule)
+        return self.log.entries[-1]
 
     def remove(
         self,
@@ -528,17 +505,9 @@ class RuleRepository:
         reason: Optional[str] = None,
         provenance: Optional[str] = None,
     ) -> ChangeEntry:
-        state = self._ns(namespace)
-        if rule_id not in state.rules:
-            raise UnknownRuleError(rule_id)
-        entry = self._record(
-            namespace, "remove", rule_id=rule_id,
-            author=author, reason=reason, provenance=provenance,
-        )
-        if state.bound is not None and rule_id in state.bound:
-            with self._self_mutation():
-                state.bound.remove(rule_id)
-        return entry
+        with self._explicit(author, reason, provenance):
+            self._ns(namespace).ruleset.remove(rule_id)
+        return self.log.entries[-1]
 
     def set_enabled(
         self,
@@ -550,22 +519,12 @@ class RuleRepository:
         provenance: Optional[str] = None,
     ) -> Optional[ChangeEntry]:
         """Flip one rule's enabled flag; no-op if already in that state."""
-        state = self._ns(namespace)
-        if rule_id not in state.rules:
-            raise UnknownRuleError(rule_id)
-        if state.enabled[rule_id] == enabled:
+        ruleset = self._ns(namespace).ruleset
+        if ruleset.is_enabled(rule_id) == enabled:
             return None
-        entry = self._record(
-            namespace, "enable" if enabled else "disable", rule_id=rule_id,
-            author=author, reason=reason, provenance=provenance,
-        )
-        if state.bound is not None and rule_id in state.bound:
-            with self._self_mutation():
-                if enabled:
-                    state.bound.enable(rule_id)
-                else:
-                    state.bound.disable(rule_id)
-        return entry
+        with self._explicit(author, reason, provenance):
+            (ruleset.enable if enabled else ruleset.disable)(rule_id)
+        return self.log.entries[-1]
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -596,32 +555,24 @@ class RuleRepository:
         """
         if name in self._snapshots:
             raise RepositoryError(f"snapshot {name!r} already exists")
-        amb_author, amb_reason, _ = self._current_attribution()
-        author = author if author is not None else amb_author
-        reason = reason if reason is not None else amb_reason
         targets = (
             list(namespaces) if namespaces is not None else self.namespaces()
         )
         out: Dict[str, Snapshot] = {}
-        for namespace in targets:
-            state = self._ns(namespace)
-            snap = Snapshot(
-                name=name,
-                namespace=namespace,
-                at=self.clock.now,
-                author=author,
-                reason=reason,
-                entries={
-                    rule_id: (state.revisions[rule_id], state.enabled[rule_id])
-                    for rule_id in state.rules
-                },
-            )
-            self._record(
-                namespace, "snapshot",
-                snapshot=snap.to_log_dict(),
-                author=author, reason=reason,
-            )
-            out[namespace] = self._snapshots[name][namespace]
+        with self._explicit(author, reason, None):
+            for namespace in targets:
+                entries = self._entries_of(None, namespace)
+                self._record(
+                    namespace, "snapshot",
+                    snapshot={
+                        "name": name,
+                        "entries": {
+                            rule_id: list(entries[rule_id])
+                            for rule_id in sorted(entries)
+                        },
+                    },
+                )
+                out[namespace] = self._snapshots[name][namespace]
         return out
 
     def _entries_of(
@@ -632,8 +583,8 @@ class RuleRepository:
         if ref is None or ref == "HEAD":
             state = self._ns(namespace)
             return {
-                rule_id: (state.revisions[rule_id], state.enabled[rule_id])
-                for rule_id in state.rules
+                rule.rule_id: (state.revisions[rule.rule_id], rule.enabled)
+                for rule in state.ruleset
             }
         by_ns = self.get_snapshot(ref)
         snap = by_ns.get(namespace)
@@ -690,11 +641,11 @@ class RuleRepository:
         """Restore every (or the given) namespace to snapshot ``name``.
 
         The rollback is computed as ``diff(HEAD, name)`` and lowered to
-        the minimal delta ops:
+        the minimal delta ops on each namespace's live set:
 
         * enabled-flag differences become ``enable``/``disable`` flips —
-          on a bound rule set these ride the incremental engine's
-          zero-evaluation view-filter path (§2.2 restore semantics);
+          on an incremental consumer these ride the zero-evaluation
+          view-filter path (§2.2 restore semantics);
         * revision differences become single-rule ``replace`` deltas from
           the structurally shared payload store;
         * rules created after the snapshot are removed; rules removed
@@ -713,78 +664,48 @@ class RuleRepository:
             list(namespaces) if namespaces is not None else sorted(by_ns)
         )
         result = RollbackResult(snapshot=name)
-        amb_author, amb_reason, amb_prov = self._current_attribution()
-        author = author if author is not None else amb_author
-        provenance = provenance if provenance is not None else amb_prov
+        amb_reason = self._current_attribution()[1]
         rollback_reason = reason or amb_reason or f"rollback to {name!r}"
-        with self.attribution(author, rollback_reason, provenance):
+        with self._explicit(author, rollback_reason, provenance):
             for namespace in targets:
                 if namespace not in by_ns:
                     continue
                 state = self._ns(namespace)
+                ruleset = state.ruleset
                 snap_entries = by_ns[namespace].entries
                 live = self._entries_of(None, namespace)
                 ops = 0
                 # 1. retire rules created after the snapshot
                 for rule_id in sorted(set(live) - set(snap_entries)):
-                    self.remove(
-                        namespace, rule_id,
-                        author=author, reason=rollback_reason,
-                        provenance=provenance,
-                    )
+                    ruleset.remove(rule_id)
                     result.removed += 1
                     ops += 1
                 # 2. re-add rules removed since, at their recorded revision
                 for rule_id in sorted(set(snap_entries) - set(live)):
                     revision, enabled = snap_entries[rule_id]
-                    payload = dict(state.payloads[(rule_id, revision)])
-                    self._record(
-                        namespace, "add",
-                        rule_id=rule_id,
-                        revision=revision,
-                        rule=dict(payload, __enabled_at_add__=enabled),
-                        author=author, reason=rollback_reason,
-                        provenance=provenance,
+                    rule = rule_from_dict(
+                        dict(state.payloads[(rule_id, revision)], enabled=enabled)
                     )
-                    if state.bound is not None and rule_id not in state.bound:
-                        rule = rule_from_dict(dict(payload, enabled=enabled))
-                        with self._self_mutation():
-                            state.bound.add(rule)
+                    self._restoring = revision
+                    ruleset.add(rule)
                     result.added += 1
                     ops += 1
                 # 3. replace rules whose revision moved
                 for rule_id in sorted(set(snap_entries) & set(live)):
                     revision, enabled = snap_entries[rule_id]
                     if live[rule_id][0] != revision:
-                        payload = dict(state.payloads[(rule_id, revision)])
-                        self._record(
-                            namespace, "replace",
-                            rule_id=rule_id,
-                            revision=revision,
-                            rule=payload,
-                            author=author, reason=rollback_reason,
-                            provenance=provenance,
-                        )
-                        if state.bound is not None and rule_id in state.bound:
-                            rule = rule_from_dict(dict(payload, enabled=enabled))
-                            with self._self_mutation():
-                                state.bound.replace(rule)
+                        rule = rule_from_dict(state.payloads[(rule_id, revision)])
+                        self._restoring = revision
+                        ruleset.replace(rule)
                         result.replaced += 1
                         ops += 1
-                    # 4. enabled flips (zero-evaluation on bound sets)
+                    # 4. enabled flips (zero-evaluation on incremental consumers)
                     if live[rule_id][1] != enabled:
-                        self.set_enabled(
-                            namespace, rule_id, enabled,
-                            author=author, reason=rollback_reason,
-                            provenance=provenance,
-                        )
+                        (ruleset.enable if enabled else ruleset.disable)(rule_id)
                         result.flips += 1
                         ops += 1
                 self._record(
-                    namespace, "rollback",
-                    snapshot={"name": name, "ops": ops},
-                    author=author, reason=rollback_reason,
-                    provenance=provenance,
+                    namespace, "rollback", snapshot={"name": name, "ops": ops}
                 )
                 result.namespaces.append(namespace)
         return result

@@ -618,7 +618,8 @@ class ScenarioRunner:
         self, change: TaxonomyChange, step: int, drift, generator,
         taxonomy, chimera, analyst,
     ) -> Dict[str, Any]:
-        all_rules = list(chimera.rule_stage.rules) + list(chimera.attr_stage.rules)
+        rulesets = (chimera.rule_stage.rules, chimera.attr_stage.rules)
+        all_rules = [rule for ruleset in rulesets for rule in ruleset]
         new_rules = 0
         if change.op == "split":
             if change.type not in taxonomy:
@@ -644,7 +645,7 @@ class ScenarioRunner:
                 [product_type.name for product_type in replacements],
                 samples,
             )
-            disabled = apply_plan(all_rules, plan)
+            disabled = apply_plan(rulesets, plan)
             detail = (
                 f"{change.type} -> "
                 f"{', '.join(t.name for t in replacements)}"
@@ -690,7 +691,7 @@ class ScenarioRunner:
             merged.templates = _safe_templates(merged)
             taxonomy.merge_types(list(change.types), merged)
             plan = plan_for_merge(all_rules, change.types, change.merged)
-            disabled = apply_plan(all_rules, plan)
+            disabled = apply_plan(rulesets, plan)
             detail = f"{' + '.join(change.types)} -> {change.merged}"
             if change.write_rules:
                 fresh = analyst.obvious_rules(change.merged)

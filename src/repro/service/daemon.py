@@ -444,13 +444,8 @@ class StreamService:
         )
         self.repository.default_author = "service"
 
-        # 4. Materialize the repository back into the pipeline's rulesets
-        #    (ids, payloads, enabled flags all round-trip), then bind —
-        #    the reconcile is silent because the states already agree.
-        for stage in _SERVICE_STAGES:
-            target = self.chimera._stage_ruleset(stage)
-            for rule in self.repository.materialize(f"chimera/{stage}"):
-                target.add(rule)
+        # 4. Bind the pipeline's empty rule sets: each adopts its
+        #    namespace's live rules, in order, with their flags.
         bind_chimera(self.repository, self.chimera)
 
         # 5. Clock and every RNG stream, restored verbatim.

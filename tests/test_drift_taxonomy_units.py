@@ -8,7 +8,7 @@ import pytest
 
 from repro.catalog import CatalogGenerator, DriftInjector, build_seed_taxonomy
 from repro.catalog.types import ProductItem
-from repro.core import WhitelistRule
+from repro.core import RuleSet, WhitelistRule
 from repro.maintenance import apply_plan, plan_for_merge, plan_for_split
 from repro.scenario import loads, run_scenario
 
@@ -122,18 +122,20 @@ class TestSplitMergeEdgeCases:
         plan = plan_for_split([rule], "pants", ["jeans", "work pants"], [])
         assert plan.invalidated == [rule.rule_id]
         assert plan.undecidable == [rule.rule_id]
-        disabled = apply_plan([rule], plan)
-        assert disabled == [rule]
-        assert not rule.enabled
+        ruleset = RuleSet([rule])
+        disabled = apply_plan([ruleset], plan)
+        assert [r.rule_id for r in disabled] == [rule.rule_id]
+        assert not ruleset.is_enabled(rule.rule_id)
 
     def test_split_single_rule_with_pure_samples_retargets(self):
         rule = WhitelistRule("denim pants?", "pants")
         samples = [item(f"denim pants {i}", "jeans") for i in range(4)]
         plan = plan_for_split([rule], "pants", ["jeans", "work pants"], samples)
         assert plan.retargets == {rule.rule_id: "jeans"}
-        apply_plan([rule], plan)
-        assert rule.target_type == "jeans"
-        assert rule.enabled
+        ruleset = RuleSet([rule])
+        apply_plan([ruleset], plan)
+        assert ruleset.get(rule.rule_id).target_type == "jeans"
+        assert ruleset.is_enabled(rule.rule_id)
 
     def test_split_ignores_rules_for_other_types(self):
         bystander = WhitelistRule("tv", "televisions")
@@ -150,9 +152,10 @@ class TestSplitMergeEdgeCases:
         plan = plan_for_merge([rule], ["area rugs", "bath rugs"], "rugs")
         assert plan.retargets == {rule.rule_id: "rugs"}
         assert plan.undecidable == []
-        apply_plan([rule], plan)
-        assert rule.target_type == "rugs"
-        assert rule.enabled
+        ruleset = RuleSet([rule])
+        apply_plan([ruleset], plan)
+        assert ruleset.get(rule.rule_id).target_type == "rugs"
+        assert ruleset.is_enabled(rule.rule_id)
 
     def test_merge_needs_old_types(self):
         with pytest.raises(ValueError):

@@ -645,7 +645,7 @@ class TestStatsMerge:
 
 
 # ---------------------------------------------------------------------------
-# RuleSet notifications / versioned identity
+# RuleSet notifications
 # ---------------------------------------------------------------------------
 
 
@@ -666,22 +666,9 @@ class TestRuleSetNotifications:
             ("added", "n1"), ("disabled", "n1"), ("enabled", "n1"),
             ("replaced", "n1"), ("removed", "n1"),
         ]
-        assert ruleset.version == len(events)
         unsubscribe()
         ruleset.add(rule)
         assert len(events) == 5
-
-    def test_revision_is_versioned_identity(self):
-        ruleset = RuleSet(name="rev")
-        ruleset.add(WhitelistRule("rings?", "rings", rule_id="r1"))
-        assert ruleset.revision("r1") == 1
-        ruleset.replace(WhitelistRule("band", "rings", rule_id="r1"))
-        assert ruleset.revision("r1") == 2
-        ruleset.remove("r1")
-        ruleset.add(WhitelistRule("rings?", "rings", rule_id="r1"))
-        assert ruleset.revision("r1") == 3  # a re-add is a new identity
-        with pytest.raises(UnknownRuleError):
-            ruleset.revision("missing")
 
     def test_replace_keeps_evaluation_order(self):
         first = WhitelistRule("rings?", "rings", rule_id="p1")
@@ -746,6 +733,7 @@ class TestBatchStreamSubscription:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.gates
 def test_empty_ops_leave_nothing_behind():
     """A daemon books one ``add_items`` per batch for as long as it lives:
     an op may cost time, never memory. 2,000 empty ops through a pipeline
@@ -768,6 +756,7 @@ def _clone(donor, rule_id, enabled=True):
     return rule
 
 
+@pytest.mark.gates
 def test_shared_rows_and_dead_postings_stay_bounded_under_churn(taxonomy):
     """The ledger's ``churn`` edit mix — add / replace / disable / enable /
     remove, each read back through ``fired_map()`` — 500 times over a

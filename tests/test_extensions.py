@@ -165,10 +165,9 @@ class TestMergePlanning:
         assert len(plan.invalidated) == 2
         assert set(plan.retargets.values()) == {"pants"}
         assert plan.undecidable == []
-        apply_plan(rules, plan)
-        assert rules[0].target_type == "pants"
-        assert rules[1].target_type == "pants"
-        assert rules[2].target_type == "rings"
+        ruleset = RuleSet(rules)
+        apply_plan([ruleset], plan)
+        assert [rule.target_type for rule in ruleset] == ["pants", "pants", "rings"]
 
     def test_needs_old_types(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
+
+pytestmark = pytest.mark.gates
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 

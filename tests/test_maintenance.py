@@ -4,7 +4,7 @@ change, and consolidation."""
 import pytest
 
 from repro.catalog.types import ProductItem
-from repro.core import BlacklistRule, SequenceRule, WhitelistRule
+from repro.core import BlacklistRule, RuleSet, SequenceRule, WhitelistRule
 from repro.maintenance import (
     StalenessMonitor,
     apply_plan,
@@ -17,6 +17,7 @@ from repro.maintenance import (
     prune_redundant,
     split_consolidated,
 )
+from repro.repository import RuleRepository
 
 
 def item(title, true_type=""):
@@ -153,10 +154,34 @@ class TestTaxonomyChange:
             [self.pants_rule, self.jeans_rule], "pants",
             ["jeans", "work pants"], self.sample,
         )
-        disabled = apply_plan([self.pants_rule, self.jeans_rule], plan)
-        assert self.jeans_rule.target_type == "jeans"
-        assert disabled == [self.pants_rule]
-        assert not self.pants_rule.enabled
+        ruleset = RuleSet([self.pants_rule, self.jeans_rule])
+        disabled = apply_plan([ruleset], plan)
+        assert ruleset.get(self.jeans_rule.rule_id).target_type == "jeans"
+        assert [rule.rule_id for rule in disabled] == [self.pants_rule.rule_id]
+        assert not ruleset.is_enabled(self.pants_rule.rule_id)
+
+    def test_apply_plan_is_logged_by_a_bound_repository(self):
+        """The migration goes through the rule set's mutators, so the
+        repository logs the disable and the replace, and its snapshot of
+        the set agrees with the set."""
+        plan = plan_for_split(
+            [self.pants_rule, self.jeans_rule], "pants",
+            ["jeans", "work pants"], self.sample,
+        )
+        ruleset = RuleSet([self.pants_rule, self.jeans_rule])
+        repo = RuleRepository()
+        repo.bind("chimera", ruleset)
+        seen = len(repo.log)
+        apply_plan([ruleset], plan)
+        assert [(e.op, e.rule_id) for e in repo.log.entries[seen:]] == [
+            ("disable", self.pants_rule.rule_id),
+            ("replace", self.jeans_rule.rule_id),
+        ]
+        assert repo.rule_payload("chimera", self.jeans_rule.rule_id)["target_type"] == "jeans"
+        for rule in ruleset:
+            assert repo.is_enabled("chimera", rule.rule_id) == rule.enabled
+        snapshot = repo.snapshot("after")["chimera"]
+        assert snapshot.entries[self.pants_rule.rule_id][1] is False
 
     def test_needs_new_types(self):
         with pytest.raises(ValueError):

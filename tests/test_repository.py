@@ -179,6 +179,46 @@ class TestRepository:
         assert counters["repository_changes_total{ns=em,op=disable}"] == 1
 
 
+class TestWriteAhead:
+    def test_raising_append_leaves_everything_unchanged(self, tmp_path, monkeypatch):
+        """A bound mutation whose log write raises changes nothing: not
+        the log, not history, not the set, not its incremental consumer
+        — and a reopen agrees."""
+        from repro.catalog.types import ProductItem
+
+        root = str(tmp_path / "store")
+        ruleset = RuleSet([wl("rings?")], name="em")
+        kept = next(iter(ruleset)).rule_id
+        items = [ProductItem(item_id=f"i{n}", title=title)
+                 for n, title in enumerate(("gold ring", "steel band", "hoop"))]
+        executor = IncrementalExecutor.for_ruleset(ruleset, items=items)
+        repo = RuleRepository.open(root, fsync=False)
+        repo.bind("em", ruleset)
+
+        def state():
+            return (len(repo.log), repo.rule_ids("em"),
+                    [(r.rule_id, r.enabled) for r in ruleset],
+                    executor.fired_map())
+
+        before = state()
+
+        def refuse(payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(repo.log._appender, "append", refuse)
+        with pytest.raises(OSError):
+            ruleset.add(wl("bands?"))
+        with pytest.raises(OSError):
+            ruleset.disable(kept)
+        assert state() == before
+        assert repo.is_enabled("em", kept)
+        monkeypatch.undo()
+        repo.close()
+        with RuleRepository.open(root) as reopened:
+            assert reopened.rule_ids("em") == before[1]
+            assert reopened.is_enabled("em", kept)
+
+
 class TestSnapshotsAndRollback:
     def test_snapshot_diff_rollback_roundtrip(self):
         ruleset = RuleSet(name="em")
@@ -221,6 +261,24 @@ class TestSnapshotsAndRollback:
         repo.rollback("v1")
         assert repo.revision("em", rule.rule_id) == revision
         assert repo.diff("v1", None)["em"].empty
+
+    def test_edit_after_rollback_never_reuses_a_revision(self):
+        """A replace after a rollback gets a revision the id never held, so
+        a later rollback to a snapshot of the displaced revision restores
+        that revision's condition, not the newer edit's."""
+        ruleset = RuleSet(name="em")
+        repo = RuleRepository()
+        repo.bind("em", ruleset)
+        rule_id = ruleset.add(wl("rings?")).rule_id
+        repo.snapshot("a")
+        ruleset.replace(WhitelistRule("bands?", "rings", rule_id=rule_id))
+        repo.snapshot("b")
+        repo.rollback("a")
+        ruleset.replace(WhitelistRule("hoops?", "rings", rule_id=rule_id))
+        assert repo.revision("em", rule_id) == 3
+        repo.rollback("b")
+        assert ruleset.get(rule_id).pattern == "bands?"
+        assert repo.diff("b", None)["em"].empty
 
     def test_structural_sharing_no_payload_copies(self):
         """Snapshots store (rule_id, revision) pairs; N snapshots do not

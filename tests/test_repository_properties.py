@@ -2,8 +2,8 @@
 
 Covers the bugfix sweep's regression surface: crash-safe atomic writes
 and fsync'd appends (:mod:`repro.core.durability`), cross-ruleset rule
-aliasing, token-based subscriptions, and the revision-watermark
-versioned-identity guarantee under remove/re-add churn.
+aliasing, token-based subscriptions, and the repository's
+versioned-identity guarantee under remove/re-add and rollback churn.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RuleSet, WhitelistRule, load_ruleset, save_ruleset
+from repro.core.serialize import rule_to_dict
 from repro.core.durability import (
     JsonlAppender,
     atomic_write_json,
@@ -247,61 +248,92 @@ class TestSubscriptionTokens:
         assert seen == {"a": 0, "b": 1}
 
 
-# -- revision watermark (satellite 3) ---------------------------------------------
+# -- revisions under churn on a bound set -----------------------------------------
+
+_script_op = st.tuples(
+    st.sampled_from(
+        ["add", "replace", "remove", "enable", "disable", "snapshot", "rollback"]
+    ),
+    st.integers(min_value=0, max_value=1),  # two ids, so ops collide
+)
 
 
-class TestRevisionWatermark:
-    def test_revisions_monotone_across_remove_readd(self):
-        ruleset = RuleSet(name="w")
-        rule = wl("rings?")
-        ruleset.add(rule)
-        r1 = ruleset.revision(rule.rule_id)
-        ruleset.replace(rule)
-        r2 = ruleset.revision(rule.rule_id)
-        ruleset.remove(rule.rule_id)
-        ruleset.add(rule)
-        r3 = ruleset.revision(rule.rule_id)
-        assert r1 < r2 < r3
-
-    def test_revisions_dict_only_holds_live_rules(self):
-        ruleset = RuleSet(name="w")
-        for _ in range(50):
-            rule = wl()
-            ruleset.add(rule)
-            ruleset.remove(rule.rule_id)
-        keeper = wl()
-        ruleset.add(keeper)
-        assert set(ruleset._revisions) == {keeper.rule_id}
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.sampled_from(["add", "remove", "replace"]),
-                    min_size=1, max_size=60),
-           st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_versioned_identity_under_churn(self, script, seed):
-        """Property: for every rule id, the sequence of revisions it is
-        ever assigned is strictly increasing — across add, replace, AND
-        remove/re-add — and ``_revisions`` tracks exactly the live ids."""
-        rng = random.Random(seed)
+class TestRepositoryRevisions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_script_op, min_size=6, max_size=40))
+    def test_revisions_under_random_scripts(self, script):
+        """Property: on a bound set, through add / replace / remove /
+        re-add / enable / disable / snapshot / rollback, each id's
+        revisions strictly increase (a rollback re-add or replace restores
+        the snapshot's recorded revision instead), the live revisions
+        cover exactly the live ids, and the bound set equals
+        ``materialize`` in ids, order, flags and conditions."""
         ruleset = RuleSet(name="churn")
-        history = {}  # rule_id -> last revision ever seen
-        pool = [f"churn-{i}" for i in range(6)]
-        for op in script:
-            rule_id = rng.choice(pool)
-            rule = WhitelistRule("rings?", "rings", rule_id=rule_id)
-            if op == "add" and rule_id not in ruleset:
-                ruleset.add(rule)
+        repo = RuleRepository()
+        repo.bind("em", ruleset)
+        highest = {}  # rule_id -> highest revision it was ever given
+        snapshots = []
+        patterns = ("rings?", "bands?", "hoops?")
+        for step, (op, pick) in enumerate(script):
+            rule_id = f"churn-{pick}"
+            seen = len(repo.log)
+            restored = {}
+            if op == "add" and rule_id not in ruleset:  # a re-add after remove too
+                ruleset.add(WhitelistRule(patterns[step % 3], "rings", rule_id=rule_id))
+            elif op == "replace" and rule_id in ruleset:
+                ruleset.replace(WhitelistRule(patterns[step % 3], "rings", rule_id=rule_id))
             elif op == "remove" and rule_id in ruleset:
                 ruleset.remove(rule_id)
-                continue
-            elif op == "replace" and rule_id in ruleset:
-                ruleset.replace(rule)
-            else:
-                continue
-            revision = ruleset.revision(rule_id)
-            assert revision > history.get(rule_id, 0), \
-                f"revision regressed for {rule_id}"
-            history[rule_id] = revision
-        assert set(ruleset._revisions) == {r.rule_id for r in ruleset}
+            elif op == "enable" and rule_id in ruleset:
+                ruleset.enable(rule_id)
+            elif op == "disable" and rule_id in ruleset:
+                ruleset.disable(rule_id)
+            elif op == "snapshot":
+                snapshots.append(f"s{step}")
+                repo.snapshot(snapshots[-1])
+            elif op == "rollback" and snapshots:
+                name = snapshots[pick % len(snapshots)]
+                restored = dict(repo.get_snapshot(name)["em"].entries)
+                repo.rollback(name)
+            for entry in repo.log.entries[seen:]:
+                if entry.op not in ("add", "replace"):
+                    continue
+                if entry.rule_id in restored:
+                    assert entry.revision == restored[entry.rule_id][0]
+                else:
+                    assert entry.revision > highest.get(entry.rule_id, 0), entry
+                highest[entry.rule_id] = max(
+                    highest.get(entry.rule_id, 0), entry.revision
+                )
+            live = [rule.rule_id for rule in ruleset]
+            assert repo.rule_ids("em") == sorted(live)
+            assert all(repo.revision("em", r) <= highest[r] for r in live)
+            built = repo.materialize("em")
+            assert [rule_to_dict(r) for r in built] == \
+                [rule_to_dict(r) for r in ruleset]
+            if restored:
+                assert repo.diff(name, None)["em"].empty
+
+    def test_bind_empty_set_adopts_a_reopened_root(self, tmp_path):
+        """Binding an empty set to a reopened root adopts its live rules in
+        order, with their flags, and logs nothing."""
+        root = str(tmp_path / "store")
+        with RuleRepository.open(root) as repo:
+            ruleset = RuleSet(name="em")
+            repo.bind("em", ruleset)
+            first, second, _ = (ruleset.add(wl()) for _ in range(3))
+            ruleset.disable(second.rule_id)
+            ruleset.remove(first.rule_id)
+            ruleset.add(first)  # re-added: now last
+            expected = [(r.rule_id, r.enabled) for r in ruleset]
+            changes = len(repo.log)
+        with RuleRepository.open(root) as repo:
+            adopted = RuleSet(name="em")
+            repo.bind("em", adopted)
+            assert [(r.rule_id, r.enabled) for r in adopted] == expected
+            assert len(repo.log) == changes
+            adopted.enable(second.rule_id)  # and the adopted set is bound
+            assert repo.log.entries[-1].op == "enable"
 
 
 # -- repository round-trip property ----------------------------------------------

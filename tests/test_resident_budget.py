@@ -35,6 +35,8 @@ import pytest
 
 from repro.service import ServiceConfig, StreamService
 
+pytestmark = pytest.mark.gates
+
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
 LIVE_BUDGET_B_PER_ITEM = 1_481

@@ -14,8 +14,12 @@ per-candidate miner this one replaced read 44 on this corpus.
 
 import sys
 
+import pytest
+
 from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.rulegen import ReferenceRuleGenerator, RuleGenerator
+
+pytestmark = pytest.mark.gates
 
 BUDGET = 10.0
 

@@ -373,6 +373,7 @@ def _sizes(state: dict, separators, n_series: int) -> dict:
     }
 
 
+@pytest.mark.gates
 class TestCheckpointBudget:
     """A host-independent byte budget for the document every batch
     rewrites: ``ServiceConfig(seed=7, training=0)`` after ``BATCHES``
