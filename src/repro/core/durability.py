@@ -1,4 +1,4 @@
-"""Crash-safe file primitives: atomic replace and fsync'd JSONL appends.
+"""Crash-safe file primitives: atomic replace and append-only logs.
 
 The paper's rules are long-lived assets ("tens of thousands of rules ...
 accumulated over years"); the files holding them must survive crashes at
@@ -12,18 +12,13 @@ any instant. Two disciplines cover every write the rule-state layer does:
   and concurrent writers cannot corrupt each other because every writer
   gets its own temp name (``tempfile.mkstemp``).
 
-* **fsync'd appends** (:class:`JsonlAppender`) for append-only logs: each
-  record is one JSON line written, flushed, and fsync'd as a unit. A crash
-  mid-append can leave at most one torn trailing line; :func:`read_jsonl`
-  stops at the last complete line, so the log is always readable at the
-  previous durable state (property-tested in ``tests/test_repository_properties.py``).
+* **append-only logs** (:class:`AppendLog`, read back by
+  :func:`read_lines`) for histories: the change log, the provenance
+  spool, the service's journal and series (property-tested for a cut at
+  every byte in ``tests/test_repository_properties.py``).
 
-Reclaiming a torn tail or rolling a log back to a checkpointed offset is
-one more primitive, :func:`truncate_file` (truncate, fsync the file, fsync
-the directory).
-
-These are the primitives behind :mod:`repro.core.persistence`, the
-:mod:`repro.repository` change log and the service's checkpoint store.
+Rolling a log back to a checkpointed offset is one more primitive,
+:func:`truncate_file` (truncate, fsync the file, fsync the directory).
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 
 def fsync_dir(path: str) -> None:
@@ -92,7 +86,7 @@ def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     then the directory are fsync'd, closing the two crash windows the old
     fixed-name ``f"{path}.tmp"`` scheme left open. ``fsync=False`` keeps
     the flush and the atomic rename and skips both syncs, as
-    :class:`JsonlAppender` does (throwaway roots: tests, benchmarks).
+    :class:`AppendLog` does (throwaway roots: tests, benchmarks).
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, temporary = tempfile.mkstemp(
@@ -128,111 +122,104 @@ def atomic_write_json(
     )
 
 
-def _encode_jsonl(payload: Dict[str, Any]) -> bytes:
+def json_line(payload: Dict[str, Any]) -> bytes:
+    """``payload`` as one compact, key-sorted JSON line: the line format of
+    the batch journal, the change log and the metric series."""
     return (
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     ).encode("utf-8")
 
 
-class JsonlAppender:
-    """Append-only JSONL writer with per-record durability.
-
-    Every :meth:`append` writes one complete line, flushes, and fsyncs, so
-    a record that was acknowledged is on disk. Creating the file also
-    fsyncs the parent directory (the file's *existence* must survive a
-    crash too). ``fsync=False`` keeps every flush and issues no sync at
-    all. Use as a context manager or call :meth:`close`.
-    """
-
-    def __init__(self, path: str, fsync: bool = True):
-        self.path = path
-        self._fsync = fsync
-        directory = os.path.dirname(os.path.abspath(path))
-        existed = os.path.exists(path)
-        self._handle = open(path, "ab")
-        if fsync and not existed:
-            fsync_dir(directory)
-
-    def append(self, payload: Dict[str, Any]) -> bytes:
-        """Durably append one record (a JSON-safe dict) as a line; returns
-        the line written."""
-        line = _encode_jsonl(payload)
-        self._handle.write(line)
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-        return line
-
-    def offset(self) -> int:
-        """Byte length of the file including every acknowledged append."""
-        self._handle.flush()
-        return self._handle.tell()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            if self._fsync:
-                try:
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    pass
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def scan_jsonl(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Read every *complete* record of a JSONL file.
-
-    Returns ``(records, torn_bytes)`` where ``torn_bytes`` counts trailing
-    bytes after the last newline — the footprint of an append interrupted
-    by a crash. Torn bytes are ignored (the log is readable at the
-    previous durable state); callers that want to reclaim the space can
-    truncate to ``os.path.getsize(path) - torn_bytes``.
-    """
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    end = raw.rfind(b"\n") + 1  # 0 when no complete line exists
-    torn = len(raw) - end
-    records = [
-        json.loads(line) for line in raw[:end].split(b"\n") if line
-    ]
-    return records, torn
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """All complete records of a JSONL file (torn trailing bytes ignored)."""
-    return scan_jsonl(path)[0]
-
-
-def iter_jsonl_lines(path: str) -> Iterator[bytes]:
-    """Complete, non-empty lines of a JSONL file, one at a time: the
-    :func:`scan_jsonl` contract (trailing bytes without a newline are a
-    torn append and end the iteration) without holding the file."""
-    with open(path, "rb") as handle:
+def read_lines(path: str) -> Iterator[Tuple[int, bytes]]:
+    """``(offset, line)`` for every complete, non-empty line of ``path``,
+    oldest first, one line in memory at a time: the one way a log is read
+    back. Bytes after the last newline are a torn append and end the
+    iteration; a missing file has no lines."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with handle:
+        offset = 0
         for line in handle:
             if not line.endswith(b"\n"):
                 return
             if len(line) > 1:
-                yield line
+                yield offset, line
+            offset += len(line)
 
 
-def tail_jsonl_lines(path: str, keep: int) -> Tuple[Deque[bytes], int]:
-    """``(the last keep complete lines, how many complete lines there
-    are)`` in one streaming pass: what a bounded in-memory window over an
-    unbounded log needs on reopen, without decoding what it will not hold."""
-    tail: Deque[bytes] = deque(maxlen=keep)
-    total = 0
-    for line in iter_jsonl_lines(path):
-        tail.append(line)
-        total += 1
-    return tail, total
+def _complete_length(path: str) -> int:
+    """Bytes of ``path`` up to and including its last newline (0 for a
+    missing file), found by reading back from the end."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return 0
+    with handle:
+        position = handle.seek(0, os.SEEK_END)
+        while position:
+            step = min(position, 1 << 16)
+            position -= step
+            handle.seek(position)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                return position + newline + 1
+    return 0
 
 
-def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Iterate complete records of a JSONL file, decoding line by line."""
-    return map(json.loads, iter_jsonl_lines(path))
+class AppendLog:
+    """A file of newline-terminated lines, written at its end only.
+
+    Opening cuts a torn tail — bytes after the last newline, left by a
+    crash mid-append and never acknowledged — so the next line starts a
+    line of its own (``torn_bytes_repaired`` counts them). :meth:`append`
+    buffers one encoded line; :meth:`sync` flushes, fsyncs (not with
+    ``fsync=False``) and returns :attr:`end`: per record, or once per
+    batch that a checkpoint acknowledges. Opening does not sync the
+    directory: the service's checkpoint does with every save, and the
+    change log when it creates its file.
+    """
+
+    def __init__(self, path: str, fsync: bool = True):
+        self.path = path
+        self.fsync = fsync
+        #: Byte length of the log, every appended line included.
+        self.end = _complete_length(path)
+        self.torn_bytes_repaired = truncate_file(path, self.end)
+        self._handle = open(path, "ab")
+
+    def append(self, line: bytes) -> int:
+        """Buffer one encoded line (ending in a newline); returns the
+        offset it starts at."""
+        start = self.end
+        self._handle.write(line)
+        self.end = start + len(line)
+        return start
+
+    def sync(self) -> int:
+        """Make every appended line durable; returns :attr:`end`."""
+        self._handle.flush()
+        if self.fsync:
+            os.fsync(self._handle.fileno())
+        return self.end
+
+    def read(self, start: int) -> bytes:
+        """Bytes ``[start, end)``, lines not yet synced included (a closed
+        log reads too)."""
+        if not self._handle.closed:
+            self._handle.flush()
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            return handle.read(self.end - start)
+
+    def close(self) -> None:
+        """Flush and close; lines appended since the last :meth:`sync` are
+        not synced (none is acknowledged yet)."""
+        self._handle.close()
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -31,7 +31,6 @@ byte-identical with provenance on or off (see
 from __future__ import annotations
 
 import json
-import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,6 +45,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from repro.core.durability import AppendLog, read_lines
 
 PathOrHandle = Union[str, IO[str]]
 
@@ -274,7 +275,7 @@ def render_record(record: ProvenanceRecord) -> List[str]:
 
 def _encoded(record: ProvenanceRecord) -> str:
     """The one spool / snapshot line of ``record``. ``json.dumps`` escapes
-    non-ASCII, so the line's length in characters is its length in bytes."""
+    non-ASCII, so the line is ASCII: its characters are its bytes."""
     return json.dumps(record.to_dict(), sort_keys=True) + "\n"
 
 
@@ -291,15 +292,16 @@ class ProvenanceLog:
 
     A log has one of two modes, decided by ``spool``:
 
-    * **write-ahead** (a path, opened lazily in append mode; the
-      daemon's): every record is encoded and appended to the spool at
-      :meth:`record` time, so the spool is a complete, replayable trail —
+    * **write-ahead** (a path, opened as an
+      :class:`~repro.core.durability.AppendLog`; the daemon's): every
+      record is encoded and appended to the spool at :meth:`record` time,
+      so the spool is a complete, replayable trail —
       the §2.2 never-ending session keeps everything on disk, and the
       durable service checkpoints the spool's offset (see :meth:`replay`).
       The spool *is* the ring: the log keeps only the byte offset at
       which each retained line starts (``_starts``, at most ``capacity``
-      ints) and ``_end``, the offset just past the last line, and readers
-      read the window ``[_starts[0], _end)`` back from the file;
+      ints), and readers read the window — from ``_starts[0]`` to the
+      spool's end — back from the file;
     * **in-memory** (no spool): the log keeps the records in a ring with a
       by-item index, because encoding them would cost ``record()`` an
       order of magnitude.
@@ -310,7 +312,7 @@ class ProvenanceLog:
     one read and decodes (through :func:`_decoded`) only the lines it
     returns: ``why`` / ``blame`` / ``records_for_type`` find them by a
     substring search for the JSON-encoded id, then test the decoded field.
-    Readers flush the append handle, so they belong to the thread that
+    Readers flush the spool's buffer, so they belong to the thread that
     records (the daemon's batch loop), as ``fired_map()`` does.
 
     In-memory ``why`` reads an index maintained at record time; ``blame``
@@ -319,7 +321,8 @@ class ProvenanceLog:
     on the telemetry layer's 5%-overhead budget
     (``benchmarks/bench_quality_overhead.py``).
 
-    ``fsync=False`` makes :meth:`spool_offset` flush without syncing.
+    The spool is appended per record and synced once per batch, by
+    :meth:`spool_offset`; ``fsync=False`` makes that a flush.
     """
 
     def __init__(
@@ -332,18 +335,15 @@ class ProvenanceLog:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.spool = spool
-        self.fsync = fsync
         if spool is None:
             self._records: Deque[ProvenanceRecord] = deque()
             self._by_item: Dict[str, List[ProvenanceRecord]] = {}
         else:
+            self._spool = AppendLog(spool, fsync=fsync)
             self._starts: Deque[int] = deque(maxlen=capacity)
-        # Where the next spooled line starts: appends follow what is there.
-        self._end = os.path.getsize(spool) if spool and os.path.exists(spool) else 0
         self._seq = 0
         self.total_records = 0
         self.evicted_records = 0
-        self._spool_handle: Optional[IO[str]] = None
 
     # -- recording ---------------------------------------------------------------
 
@@ -360,13 +360,10 @@ class ProvenanceLog:
         else:
             self._seq = record.seq = self._seq + 1
         if self.spool is not None:
-            line = _encoded(record)
-            self._spool_write(line)
             starts = self._starts
             if len(starts) == self.capacity:
                 self.evicted_records += 1  # the append below drops the oldest
-            starts.append(self._end)
-            self._end += len(line)
+            starts.append(self._spool.append(_encoded(record).encode("ascii")))
         else:
             records = self._records
             records.append(record)
@@ -389,30 +386,19 @@ class ProvenanceLog:
         if not bucket:
             del by_item[evicted.item_id]
 
-    def _spool_write(self, line: str) -> None:
-        if self._spool_handle is None:
-            self._spool_handle = open(self.spool, "a", encoding="ascii", newline="")
-        self._spool_handle.write(line)
-
     def close(self) -> None:
-        """Flush and close the spool file (no-op when it is not open)."""
-        if self._spool_handle is not None:
-            self._spool_handle.close()
-            self._spool_handle = None
+        """Close the spool (no-op without one)."""
+        if self.spool is not None:
+            self._spool.close()
 
     def spool_offset(self) -> int:
-        """Flush + fsync the spool and return its current byte offset.
+        """Sync the spool and return its byte length.
 
         The checkpoint durability point: everything before the returned
         offset is on disk; a resume truncates the spool back to the last
         checkpointed offset, discarding any partially-spooled tail.
         """
-        handle = self._spool_handle
-        if handle is not None:
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        return self._end
+        return self._spool.sync()
 
     # -- queries ----------------------------------------------------------------
 
@@ -422,14 +408,7 @@ class ProvenanceLog:
     def _window(self) -> bytes:
         """The retained lines of a write-ahead log, read back from the
         spool in one read (after flushing what is still buffered)."""
-        starts = self._starts
-        if not starts:
-            return b""
-        if self._spool_handle is not None:
-            self._spool_handle.flush()
-        with open(self.spool, "rb") as handle:
-            handle.seek(starts[0])
-            return handle.read(self._end - starts[0])
+        return self._spool.read(self._starts[0]) if self._starts else b""
 
     @property
     def records(self) -> List[ProvenanceRecord]:
@@ -549,43 +528,29 @@ class ProvenanceLog:
     ) -> "ProvenanceLog":
         """Rebuild a write-ahead log from its spool file.
 
-        One pass over the spool notes where each complete line starts,
-        keeps the last ``capacity`` offsets as the window, and restores
-        the seq/total/evicted counters to exactly what a live log that
-        spooled those records would hold: the counters come from the line
-        count and (a spool is written in seq order) the last line's seq.
+        Opening the spool cuts a torn tail (a crash mid-append), so the
+        log's next line starts a line of its own. One pass over the
+        complete lines notes where each starts, keeps the last
+        ``capacity`` offsets as the window, and restores the
+        seq/total/evicted counters to exactly what a live log that spooled
+        those records would hold: the counters come from the line count
+        and (a spool is written in seq order) the last line's seq.
         Replayed records are *not* re-spooled.
-
-        A partial final line (a crash mid-append) and any blank lines
-        after the last record are truncated away before the log can
-        append, so its next line starts a line of its own and the window
-        ends where the file does (the change log's torn-tail rule).
 
         ``observe`` is a fold over the whole history riding this one pass:
         it is called with every record, oldest first, each line decoded
         exactly once and dropped again. Without it only the last line is
         decoded (for its seq).
         """
-        from repro.core.durability import truncate_file
-
         log = cls(capacity=capacity, spool=spool, fsync=fsync)
         starts = log._starts
-        position = end = total = 0
+        total = 0
         last = b""
-        with open(spool, "rb") as handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break  # a torn append ends the trail
-                if len(line) > 1:
-                    if observe is not None:
-                        observe(_decoded(line.decode("ascii")))
-                    starts.append(position)
-                    total += 1
-                    last = line
-                    end = position + len(line)
-                position += len(line)
-        truncate_file(spool, end)
-        log._end = end
+        for start, last in read_lines(spool):
+            if observe is not None:
+                observe(_decoded(last))
+            starts.append(start)
+            total += 1
         log.total_records = total
         log.evicted_records = total - len(starts)
         log._seq = _decoded(last).seq if last else 0

@@ -1,21 +1,22 @@
 """The repository's append-only change log.
 
 Every mutation of the rule base — who, when, why, what — is one
-:class:`ChangeEntry`, appended durably (fsync'd, torn-tail tolerant; see
-:mod:`repro.core.durability`) to ``changelog.jsonl`` and replayable into
-the exact repository state. The log is the *authoritative* store: rules,
-revisions, enabled flags, and snapshots are all folds over it, in the
-spirit of the audit-trail-centric designs the paper's §4 maintenance
-story calls for.
+:class:`ChangeEntry`, appended and synced as one line of
+``changelog.jsonl`` (an :class:`~repro.core.durability.AppendLog`) and
+replayable into the exact repository state. The log is the
+*authoritative* store: rules, revisions, enabled flags, and snapshots are
+all folds over it, in the spirit of the audit-trail-centric designs the
+paper's §4 maintenance story calls for.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from repro.core.durability import JsonlAppender, scan_jsonl, truncate_file
+from repro.core.durability import AppendLog, fsync_dir, json_line, read_lines
 
 #: Ops a change entry may carry.
 OPS = (
@@ -107,48 +108,29 @@ class ChangeLog:
     """Durable, replayable sequence of :class:`ChangeEntry`.
 
     With ``path=None`` the log is in-memory only (scenario runs, tests);
-    with a path, every append is one fsync'd JSONL line via the same
-    hardened primitives as :mod:`repro.core.persistence`. Opening an
-    existing log replays every complete line; a torn trailing line left
-    by a crash mid-append is truncated away (it was never acknowledged),
-    so the store is always readable at the previous durable state.
+    with a path it is an :class:`~repro.core.durability.AppendLog`, so
+    opening cuts a torn trailing line (a crash mid-append: never
+    acknowledged) before every complete line is replayed, and each
+    append is one line, synced before :meth:`append` returns. Creating
+    the file syncs its directory too: a standalone repository has no
+    checkpoint to do it.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        fsync: bool = True,
-        pin_seq: Optional[int] = None,
-    ):
+    def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self.path = path
         self.entries: List[ChangeEntry] = []
         self.torn_bytes_repaired = 0
-        self.pinned_entries_dropped = 0
-        self._appender: Optional[JsonlAppender] = None
+        self._appender: Optional[AppendLog] = None
         if path is not None:
-            if os.path.exists(path):
-                records, torn = scan_jsonl(path)
-                self.entries = [ChangeEntry.from_dict(r) for r in records]
-                if torn:
-                    # Reclaim the torn tail so the next append starts on
-                    # a clean line boundary.
-                    truncate_file(path, os.path.getsize(path) - torn)
-                    self.torn_bytes_repaired = torn
-                if pin_seq is not None and self.entries and (
-                    self.entries[-1].seq > pin_seq
-                ):
-                    # Revision pinning (durable-service resume): entries
-                    # beyond the last acknowledged checkpoint were written
-                    # by a run that crashed before checkpointing them;
-                    # drop them so replayed batches regenerate them
-                    # identically instead of duplicating.
-                    kept = [e for e in self.entries if e.seq <= pin_seq]
-                    self.pinned_entries_dropped = len(self.entries) - len(kept)
-                    with open(path, "rb") as handle:
-                        lines = handle.read().splitlines(keepends=True)
-                    truncate_file(path, sum(len(line) for line in lines[:len(kept)]))
-                    self.entries = kept
-            self._appender = JsonlAppender(path, fsync=fsync)
+            created = not os.path.exists(path)
+            self._appender = AppendLog(path, fsync=fsync)
+            if created and fsync:
+                fsync_dir(os.path.dirname(os.path.abspath(path)))
+            self.torn_bytes_repaired = self._appender.torn_bytes_repaired
+            self.entries = [
+                ChangeEntry.from_dict(json.loads(line))
+                for _, line in read_lines(path)
+            ]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -156,6 +138,10 @@ class ChangeLog:
     @property
     def next_seq(self) -> int:
         return self.entries[-1].seq + 1 if self.entries else 1
+
+    def offset(self) -> int:
+        """Byte length of the file-backed log: where the next entry starts."""
+        return self._appender.end
 
     def append(self, entry: ChangeEntry) -> ChangeEntry:
         """Record one entry (durably when the log is file-backed).
@@ -169,7 +155,8 @@ class ChangeLog:
                 f"got {entry.seq}"
             )
         if self._appender is not None:
-            self._appender.append(entry.to_dict())
+            self._appender.append(json_line(entry.to_dict()))
+            self._appender.sync()
         self.entries.append(entry)
         return entry
 

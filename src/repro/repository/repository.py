@@ -176,7 +176,6 @@ class RuleRepository:
         clock: Optional[SimClock] = None,
         metrics: Optional[object] = None,
         fsync: bool = True,
-        pin_seq: Optional[int] = None,
     ):
         self.root = root
         self.clock = clock if clock is not None else SimClock()
@@ -185,9 +184,7 @@ class RuleRepository:
         if root is not None:
             os.makedirs(root, exist_ok=True)
             log_path = os.path.join(root, CHANGELOG_NAME)
-        # ``pin_seq`` (durable-service resume) truncates any change-log
-        # entries beyond the last acknowledged checkpoint before replay.
-        self.log = ChangeLog(log_path, fsync=fsync, pin_seq=pin_seq)
+        self.log = ChangeLog(log_path, fsync=fsync)
         self._namespaces: Dict[str, _NamespaceState] = {}
         # snapshot name -> namespace -> Snapshot
         self._snapshots: Dict[str, Dict[str, Snapshot]] = {}

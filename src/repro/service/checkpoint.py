@@ -2,37 +2,30 @@
 
 The daemon's recovery contract is *byte identity*: a process SIGKILL'd at
 any instant must resume and produce exactly the bytes an uninterrupted
-run would have. One rule divides the state between two write disciplines
-(both from :mod:`repro.core.durability`): **logs hold what happened, the
-checkpoint holds only what no log determines.**
+run would have. One rule divides the state: **logs hold what happened,
+the checkpoint holds only what no log determines.**
 
-* ``batches.jsonl`` — an append-only journal of every batch the daemon
-  ingested (one fsync'd line per batch, items inlined). With the rule
-  repository's ``repo/changelog.jsonl`` it determines the incremental
-  executor's match store, which is therefore never written down: resume
-  streams the journal back through the engine and rebuilds it.
-* ``provenance.jsonl`` — the provenance spool, one line per classified
-  item. With the journal's batch sizes it determines the per-rule health
-  windows (fire counts, co-fire overlap, baseline, drift alerts), which
-  are therefore never written down either: resume folds the spool
-  through a fresh tracker.
-* ``checkpoint.json`` — atomically replaced after every batch (a crash
-  leaves the previous checkpoint or the new one, never a torn mix): RNG
-  streams, clock, incidents, metrics, the logs' byte offsets, the
+* The logs, each an :class:`~repro.core.durability.AppendLog`:
+  ``batches.jsonl`` (every ingested batch, items inlined) and the rule
+  repository's ``repo/changelog.jsonl`` determine the incremental
+  executor's match store, and ``provenance.jsonl`` (one line per
+  classified item) with the journal's batch sizes determines the health
+  windows — so neither is ever written down: resume rebuilds both.
+  ``series.jsonl`` holds metric samples.
+* ``checkpoint.json``, atomically replaced after every batch: RNG
+  streams, clock, incidents, metrics, every log's byte offset, the
   digest-chain head and the one chain link (``prev_digest_chain``,
   ``last_batch_id``) that lets resume verify the view it re-derived.
-  O(metric series + incidents); flat in items served and in rule pairs
-  seen. Written compact: each RNG as ``[version, base64 of the 625
-  packed state words, gauss_next]``, the metrics as column families
-  (:meth:`~repro.observability.metrics.MetricsRegistry.dump`), no space
-  after a separator. Resume refuses a missing field or a malformed RNG
-  or metrics row with a ``ValueError`` naming the field.
+  O(metric series + incidents), written compact (RNGs as ``[version,
+  base64 of the 625 packed state words, gauss_next]``, metrics as column
+  families); a missing or malformed field is a ``ValueError`` naming it.
 
-The checkpoint records the journal's **byte offset** at snapshot time
-(likewise for the provenance spool and the metric series). Anything past
-those offsets was written by a run that died before checkpointing it;
-:meth:`CheckpointStore.truncate` rolls the files back so the replayed
-batches regenerate those bytes identically instead of duplicating them.
+Anything past a log's offset was written by a run that died before
+checkpointing it (or by a ``repro repo`` command on a stopped root):
+:meth:`CheckpointStore.truncate` rolls all four logs back before anything
+opens one, so the replayed batches regenerate those bytes instead of
+duplicating them. A log shorter than its offset lost acknowledged bytes
+and is refused ("ahead of its logs").
 """
 
 from __future__ import annotations
@@ -42,20 +35,21 @@ import os
 from typing import Any, Dict, Iterator, Optional
 
 from repro.core.durability import (
-    JsonlAppender,
+    AppendLog,
     atomic_write_json,
-    iter_jsonl,
+    json_line,
+    read_lines,
     truncate_file,
 )
+from repro.repository import CHANGELOG_NAME
 
 #: Bumped when the checkpoint layout changes incompatibly; any other
 #: version is refused, and no converter exists. Version 1 embedded the
 #: executor's match store; version 2 re-derives it; version 3 re-derives
-#: the health windows too (no ``tracker`` key) and chains the digest over
-#: the fired map's fingerprint instead of its whole JSON; version 4 holds
-#: the same state encoded compactly (packed RNG states, metric families
-#: as columns, the rule-label admission set derived from its series).
-CHECKPOINT_VERSION = 4
+#: the health windows too and chains the digest over the fired map's
+#: fingerprint; version 4 encodes the state compactly; version 5 rolls the
+#: change log back by ``offsets.changelog`` (version 4 pinned it by seq).
+CHECKPOINT_VERSION = 5
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"
@@ -65,15 +59,18 @@ REPO_DIR = "repo"
 
 
 class CheckpointStore:
-    """The service's on-disk root: checkpoint, journal, spool, series.
+    """The service's on-disk root: checkpoint and the four logs.
 
     Layout under ``root``::
 
-        checkpoint.json    what no log determines (atomic, one per batch)
-        batches.jsonl      append-only batch journal (items inlined)
-        provenance.jsonl   provenance spool (spool-all mode)
-        series.jsonl       metric time-series samples
-        repo/              file-backed RuleRepository (changelog.jsonl)
+        checkpoint.json      what no log determines (atomic, one per batch)
+        batches.jsonl        append-only batch journal (items inlined)
+        provenance.jsonl     provenance spool (write-ahead)
+        series.jsonl         metric time-series samples
+        repo/changelog.jsonl the RuleRepository's change log
+
+    The store owns the journal and only rolls the other logs back:
+    :meth:`truncate` first, then :meth:`open_journal`.
     """
 
     def __init__(self, root: str, fsync: bool = True):
@@ -85,7 +82,14 @@ class CheckpointStore:
         self.spool_path = os.path.join(root, SPOOL_NAME)
         self.series_path = os.path.join(root, SERIES_NAME)
         self.repo_root = os.path.join(root, REPO_DIR)
-        self._journal: Optional[JsonlAppender] = None
+        #: Checkpoint offset key -> the log it measures.
+        self.log_paths = {
+            "journal": self.journal_path,
+            "spool": self.spool_path,
+            "series": self.series_path,
+            "changelog": os.path.join(self.repo_root, CHANGELOG_NAME),
+        }
+        self.journal: Optional[AppendLog] = None
 
     # -- checkpoint document -----------------------------------------------------
 
@@ -113,51 +117,49 @@ class CheckpointStore:
 
     # -- batch journal -----------------------------------------------------------
 
+    def open_journal(self) -> None:
+        """Open the batch journal for appending (after :meth:`truncate`)."""
+        self.journal = AppendLog(self.journal_path, fsync=self.fsync)
+
     def append_batch(self, record: Dict[str, Any]) -> None:
         """Durably journal one ingested batch."""
-        if self._journal is None:
-            self._journal = JsonlAppender(self.journal_path, fsync=self.fsync)
-        self._journal.append(record)
+        self.journal.append(json_line(record))
+        self.journal.sync()
 
     def journal_offset(self) -> int:
         """Current durable byte length of the batch journal."""
-        if self._journal is not None:
-            return self._journal.offset()
-        if os.path.exists(self.journal_path):
-            return os.path.getsize(self.journal_path)
-        return 0
+        return self.journal.end
 
     def read_journal(self) -> Iterator[Dict[str, Any]]:
-        """Every complete journal record, decoded one line at a time
-        (torn trailing bytes ignored)."""
-        if not os.path.exists(self.journal_path):
-            return iter(())
-        return iter_jsonl(self.journal_path)
+        """Every complete journal record, decoded one line at a time."""
+        return (json.loads(line) for _, line in read_lines(self.journal_path))
 
     # -- resume rollback ---------------------------------------------------------
 
-    def truncate(self, offsets: Dict[str, int]) -> Dict[str, int]:
-        """Roll the append-only files back to the checkpointed offsets.
-
-        Must run *before* any appender is opened on them. Returns the
-        bytes dropped per file (the footprint of the crashed run's
-        unacknowledged tail), for operator visibility.
-        """
-        if self._journal is not None:
+    def truncate(self, offsets: Dict[str, Any]) -> Dict[str, int]:
+        """Roll all four logs back to the checkpointed ``offsets``, before
+        any is opened; returns the bytes dropped per log. Every offset is
+        checked before any log is cut: a missing or malformed one is a
+        ``ValueError`` naming ``offsets.<log>``, never a rollback to 0."""
+        if self.journal is not None:
             raise RuntimeError("truncate() must run before the journal is opened")
-        dropped = {}
-        for name, path in (
-            ("journal", self.journal_path),
-            ("spool", self.spool_path),
-            ("series", self.series_path),
-        ):
-            dropped[name] = truncate_file(path, int(offsets.get(name, 0)))
-        return dropped
+        for name in self.log_paths:
+            offset = offsets.get(name)
+            if type(offset) is not int or offset < 0:
+                raise ValueError(
+                    f"checkpoint field 'offsets.{name}' is "
+                    f"{'missing' if offset is None else repr(offset)}; "
+                    f"expected a byte offset"
+                )
+        return {
+            name: truncate_file(path, offsets[name])
+            for name, path in self.log_paths.items()
+        }
 
     def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        if self.journal is not None:
+            self.journal.close()
+            self.journal = None
 
     def __enter__(self) -> "CheckpointStore":
         return self

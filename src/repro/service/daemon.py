@@ -8,32 +8,23 @@ process at any instant (SIGKILL, power cut, torn write) and a resumed
 instance continues **byte-identical** to an uninterrupted run: same
 fired-map digest chain, same health windows, same incident log.
 
-One rule decides where each piece of state lives: **logs hold what
-happened; the checkpoint holds only what no log determines, plus the
-link that lets resume verify what it re-derives.**
-
-* Logs (append-only, fsync'd): the batch journal (every item), the rule
-  repository's change log (every rule change), the provenance spool, the
-  metric series. Resume rolls them back to the checkpointed byte offsets
-  / change-log seq, so a crashed run's unacknowledged tail is regenerated
-  identically instead of duplicated.
-* Re-derived on resume: taxonomy, classifiers and training by replaying
-  the seeded startup (:func:`repro.world.build_world`, shared with the
-  scenario harness; its startup rules are not re-added — the pinned
-  repository is the source of truth for rules and enabled flags); the
-  executor's match store, a materialized view over journal × change
-  log, by streaming the journal back through the engine
-  (``restore_items``; its per-item / per-rule generation counters are
-  process-local audit counters, not durable state); and the
-  :class:`RuleHealthTracker` windows, a pure fold over the provenance
-  spool, by streaming the spool through a tracker that is not yet wired
-  to metrics or incidents (so the fold re-fires nothing).
-* Checkpointed after every batch, O(metric series + incidents) and flat
-  in items served: every RNG stream, the simulated clock, incidents,
-  metrics, the logs' offsets, the digest-chain head — and the chain value
-  before the last batch with that batch's id, from which resume
-  recomputes the last link over the rebuilt fired map's fingerprint and
-  refuses to start if it is not the checkpointed head.
+One rule decides where each piece of state lives (see
+:mod:`repro.service.checkpoint`): **logs hold what happened; the
+checkpoint holds only what no log determines, plus the link that lets
+resume verify what it re-derives.** Resume rolls the four logs (journal,
+change log, provenance spool, series) back to their checkpointed byte
+offsets, then re-derives: taxonomy, classifiers and training by replaying
+the seeded startup (:func:`repro.world.build_world`, shared with the
+scenario harness; its startup rules are not re-added — the rolled-back
+repository is the source of truth for rules and enabled flags); the
+executor's match store, a view over journal × change log, by streaming
+the journal back through the engine (``restore_items``); and the
+:class:`RuleHealthTracker` windows, a fold over the spool, through a
+tracker not yet wired to metrics or incidents (so the fold re-fires
+nothing). The checkpoint also holds the chain value before the last
+batch and that batch's id: resume recomputes the last link over the
+rebuilt fired map's fingerprint and refuses to start if it is not the
+checkpointed head.
 
 What a batch costs after classification is O(batch + delta): the chain
 link hashes the executor's additive fired-map fingerprint (kept current
@@ -352,8 +343,9 @@ class StreamService:
         """The seeded startup both paths replay; returns the startup rules.
 
         A fresh start adds them. A resume discards them — the draws only
-        keep the analyst's RNG in lockstep with the fresh path; the pinned
-        repository is the source of truth for what survives a restart.
+        keep the analyst's RNG in lockstep with the fresh path; the
+        rolled-back repository is the source of truth for what survives a
+        restart.
         """
         cfg = self.config
         self.obs = Observability()
@@ -399,9 +391,14 @@ class StreamService:
 
     def _fresh(self) -> None:
         cfg = self.config
+        self.store.open_journal()
         startup_rules = self._open_world()
         self.chimera.add_whitelist_rules(startup_rules)
-        self.provenance = self._empty_provenance()
+        self.provenance = ProvenanceLog(
+            capacity=cfg.provenance_capacity,
+            spool=self.store.spool_path,
+            fsync=self.fsync,
+        )
         self.repository = RuleRepository.open(
             self.store.repo_root, clock=self.clock, fsync=self.fsync
         )
@@ -427,22 +424,26 @@ class StreamService:
         self.config = cfg_state
         cfg = self.config
 
-        # 1. Roll the append-only files back to the checkpointed offsets —
-        #    before anything opens an appender on them.
-        self.rolled_back = self.store.truncate(state["offsets"])
+        # 1. Roll all four logs back to the checkpointed offsets — before
+        #    anything opens one.
+        self.rolled_back = self.store.truncate(_field(state, "offsets"))
+        self.store.open_journal()
 
         # 2. Deterministic startup re-execution (rules discarded).
         self._open_world(metrics=MetricsRegistry.load(_field(state, "metrics")))
 
-        # 3. Repository pinned at the checkpointed change-log head; any
-        #    entries a crashed run wrote past it are truncated away.
+        # 3. The repository, replayed from its rolled-back change log,
+        #    which must end where the checkpoint saw it end.
         self.repository = RuleRepository.open(
-            self.store.repo_root,
-            clock=self.clock,
-            fsync=self.fsync,
-            pin_seq=int(state["repo_head_seq"]),
+            self.store.repo_root, clock=self.clock, fsync=self.fsync
         )
         self.repository.default_author = "service"
+        head_seq = _field(state, "repo_head_seq")
+        if self._repo_head_seq() != head_seq:
+            raise ValueError(
+                f"checkpoint field 'repo_head_seq' is {head_seq!r}, the "
+                f"change log ends at seq {self._repo_head_seq()}"
+            )
 
         # 4. Bind the pipeline's empty rule sets: each adopts its
         #    namespace's live rules, in order, with their flags.
@@ -508,13 +509,6 @@ class StreamService:
         self._prev_metrics = self.obs.metrics.snapshot()
         self.resumed = True
 
-    def _empty_provenance(self) -> ProvenanceLog:
-        return ProvenanceLog(
-            capacity=self.config.provenance_capacity,
-            spool=self.store.spool_path,
-            fsync=self.fsync,
-        )
-
     def _journalled_items(
         self, batch_sizes: Deque[Tuple[str, int]]
     ) -> Iterator[ProductItem]:
@@ -544,15 +538,12 @@ class StreamService:
             tracker.observe_record(record)
 
         metrics, tracker.metrics = tracker.metrics, None
-        if os.path.exists(self.store.spool_path):
-            self.provenance = ProvenanceLog.replay(
-                self.store.spool_path,
-                capacity=self.config.provenance_capacity,
-                fsync=self.fsync,
-                observe=fold,
-            )
-        else:
-            self.provenance = self._empty_provenance()
+        self.provenance = ProvenanceLog.replay(
+            self.store.spool_path,
+            capacity=self.config.provenance_capacity,
+            fsync=self.fsync,
+            observe=fold,
+        )
         for batch_id, n_items in batch_sizes:
             tracker.finish_batch(batch_id, n_items)
         tracker.metrics = metrics
@@ -657,6 +648,7 @@ class StreamService:
                 "journal": self.store.journal_offset(),
                 "spool": self.provenance.spool_offset(),
                 "series": self.series.offset(),
+                "changelog": self.repository.log.offset(),
             },
             "repo_head_seq": self._repo_head_seq(),
             "incidents": [
@@ -667,8 +659,7 @@ class StreamService:
         })
 
     def _repo_head_seq(self) -> int:
-        entries = self.repository.log.entries
-        return entries[-1].seq if entries else 0
+        return self.repository.log.next_seq - 1
 
     # -- views (identity contract + console) --------------------------------------
 

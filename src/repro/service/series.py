@@ -5,10 +5,11 @@ After every batch the daemon samples the
 previous sample (cheap, copy-free — satellite API on the registry) plus
 a handful of gauges (ordinal, clock day, open incidents, wall latency)
 and appends the sample here. The in-memory ring bounds what the HTTP
-console and dashboard read; the JSONL file is the durable history. The
-ring holds each sample as the line written for it (~8 KB: every delta
-lists every counter), not as the decoded dict (~23 KB), and decodes on
-read — only the console's ``/series`` reads it.
+console and dashboard read; the file, an
+:class:`~repro.core.durability.AppendLog` synced per sample, is the
+durable history. The ring holds each sample as the line written for it
+(~8 KB: every delta lists every counter), not as the decoded dict
+(~23 KB), and decodes on read — only the console's ``/series`` reads it.
 
 Samples are **operational telemetry, not replay state**: wall-clock
 latencies differ run to run, so the byte-identity contract explicitly
@@ -19,11 +20,10 @@ so the sample-per-batch invariant holds).
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.core.durability import JsonlAppender, scan_jsonl, tail_jsonl_lines
+from repro.core.durability import AppendLog, json_line, read_lines
 
 
 class SeriesStore:
@@ -34,22 +34,24 @@ class SeriesStore:
             raise ValueError(f"window must be >= 1, got {window}")
         self.path = path
         self.window = window
+        self._log = AppendLog(path, fsync=fsync)
         #: The window's samples as their JSONL lines, oldest first.
         self.lines: Deque[bytes] = deque(maxlen=window)
         self.total_samples = 0
-        if os.path.exists(path):
-            # Count every complete line, keep the window's worth (a torn
-            # last line is a crashed append: ignored).
-            self.lines, self.total_samples = tail_jsonl_lines(path, window)
-        self._appender = JsonlAppender(path, fsync=fsync)
+        for _, line in read_lines(path):  # count all, keep the window's worth
+            self.lines.append(line)
+            self.total_samples += 1
 
     def append(self, sample: Dict[str, Any]) -> None:
-        self.lines.append(self._appender.append(sample))
+        line = json_line(sample)
+        self._log.append(line)
+        self._log.sync()
+        self.lines.append(line)
         self.total_samples += 1
 
     def offset(self) -> int:
         """Current durable byte length of the series file."""
-        return self._appender.offset()
+        return self._log.end
 
     def tail(self, count: int = 60) -> List[Dict[str, Any]]:
         """The most recent ``count`` samples, oldest first, decoded."""
@@ -63,7 +65,7 @@ class SeriesStore:
         return [float(sample.get(key, 0.0) or 0.0) for sample in self.tail(count)]
 
     def close(self) -> None:
-        self._appender.close()
+        self._log.close()
 
     def __enter__(self) -> "SeriesStore":
         return self
@@ -73,8 +75,6 @@ class SeriesStore:
 
 
 def load_series(path: str, window: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Read samples from disk without opening an appender (dashboard use)."""
-    if not os.path.exists(path):
-        return []
-    records, _torn = scan_jsonl(path)
+    """Read samples from disk without opening the log (dashboard use)."""
+    records = [json.loads(line) for _, line in read_lines(path)]
     return records[-window:] if window else records

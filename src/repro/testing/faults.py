@@ -65,8 +65,8 @@ def tear_file(path: str, keep_bytes: Optional[int] = None, garbage: bytes = b"")
     line (a crash partway through an append); otherwise it is truncated
     to exactly ``keep_bytes``. ``garbage`` is appended afterwards (a
     partially-flushed buffer of a *new* record). Returns the resulting
-    file size. Durable readers (``scan_jsonl`` consumers) must treat the
-    torn tail as never written.
+    file size. Every log is an :class:`~repro.core.durability.AppendLog`,
+    whose open cuts the torn tail: it was never written.
     """
     import os
 

@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from repro.core import RuleSet, WhitelistRule, load_ruleset, save_ruleset
 from repro.core.serialize import rule_to_dict
 from repro.core.durability import (
-    JsonlAppender,
+    AppendLog,
     atomic_write_json,
     atomic_write_text,
-    iter_jsonl,
-    read_jsonl,
-    scan_jsonl,
+    json_line,
+    read_lines,
 )
 from repro.repository import ChangeEntry, ChangeLog, RuleRepository
 
@@ -100,8 +99,8 @@ def _entry(seq: int) -> ChangeEntry:
 class TestCrashDuringAppend:
     def test_any_byte_truncation_leaves_log_readable(self, tmp_path):
         """Kill the appender at ANY byte offset: every complete record
-        before the cut survives, the torn tail is ignored — the store is
-        always readable at the previous durable state."""
+        before the cut survives, and opening the log cuts exactly the torn
+        tail — the store is always readable at the previous durable state."""
         path = str(tmp_path / "log.jsonl")
         with ChangeLog(path) as log:
             for seq in range(1, 6):
@@ -109,17 +108,21 @@ class TestCrashDuringAppend:
         with open(path, "rb") as handle:
             raw = handle.read()
         boundaries = [i for i, byte in enumerate(raw) if byte == ord("\n")]
+        starts = [0] + [b + 1 for b in boundaries]
         for cut in range(len(raw) + 1):
             crashed = str(tmp_path / "crashed.jsonl")
             with open(crashed, "wb") as handle:
                 handle.write(raw[:cut])
-            records, torn = scan_jsonl(crashed)
+            lines = list(read_lines(crashed))
             complete = sum(1 for b in boundaries if b < cut)
-            assert len(records) == complete
-            assert [r["seq"] for r in records] == list(range(1, complete + 1))
-            assert torn == cut - (boundaries[complete - 1] + 1 if complete else 0)
-            # The line-by-line reader stops at the same torn tail.
-            assert list(iter_jsonl(crashed)) == records
+            kept = starts[complete]
+            assert [json.loads(line)["seq"] for _, line in lines] == \
+                list(range(1, complete + 1))
+            assert [offset for offset, _ in lines] == starts[:complete]
+            with AppendLog(crashed, fsync=False) as reopened:
+                assert reopened.torn_bytes_repaired == cut - kept
+                assert reopened.end == kept == os.path.getsize(crashed)
+            assert list(read_lines(crashed)) == lines
 
     def test_reopen_after_crash_continues_cleanly(self, tmp_path):
         """A ChangeLog reopened over a torn tail truncates it and appends
@@ -136,9 +139,9 @@ class TestCrashDuringAppend:
             assert log.torn_bytes_repaired > 0
             assert os.path.getsize(path) == size
             log.append(_entry(3))
-        records, torn = scan_jsonl(path)
-        assert torn == 0
-        assert [r["seq"] for r in records] == [1, 2, 3]
+        with open(path, "rb") as handle:
+            assert handle.read().endswith(b"\n")
+        assert [json.loads(line)["seq"] for _, line in read_lines(path)] == [1, 2, 3]
 
     def test_repository_survives_crash_kill_mid_append(self, tmp_path):
         """End to end: crash-kill the repository between fsync'd appends;
@@ -156,30 +159,39 @@ class TestCrashDuringAppend:
             assert repo.log.torn_bytes_repaired > 0
 
     def test_iter_jsonl_is_lazy_and_skips_blank_lines(self, tmp_path):
+        """``read_lines`` yields each complete, non-empty line with its
+        offset, one at a time: a line that does not decode is found only
+        when the caller reaches it."""
         path = str(tmp_path / "data.jsonl")
         with open(path, "wb") as handle:
             handle.write(b'{"i":1}\n\n{"i":2}\nnot json\n{"i":3}\n')
-        records = iter_jsonl(path)
-        assert [next(records)["i"], next(records)["i"]] == [1, 2]
-        with pytest.raises(ValueError):  # decoded only when reached
-            next(records)
+        lines = read_lines(path)
+        assert next(lines) == (0, b'{"i":1}\n')
+        assert next(lines) == (9, b'{"i":2}\n')
+        offset, line = next(lines)
+        assert offset == 17
+        with pytest.raises(ValueError):
+            json.loads(line)
+        assert list(lines) == [(26, b'{"i":3}\n')]
+        assert list(read_lines(str(tmp_path / "missing.jsonl"))) == []
 
     def test_appender_offset_counts_acknowledged_bytes(self, tmp_path):
         path = str(tmp_path / "data.jsonl")
-        with JsonlAppender(path, fsync=False) as appender:
-            assert appender.offset() == 0
-            appender.append({"i": 1})
-            assert appender.offset() == os.path.getsize(path) == len(b'{"i":1}\n')
-        with JsonlAppender(path, fsync=False) as appender:  # reopen: append mode
-            appender.append({"i": 2})
-            assert appender.offset() == os.path.getsize(path)
+        with AppendLog(path, fsync=False) as log:
+            assert log.end == log.sync() == 0
+            assert log.append(json_line({"i": 1})) == 0
+            assert log.sync() == os.path.getsize(path) == len(b'{"i":1}\n')
+        with AppendLog(path, fsync=False) as log:  # reopen: append at the end
+            assert log.append(json_line({"i": 2})) == len(b'{"i":1}\n')
+            assert log.sync() == os.path.getsize(path)
 
     def test_appender_records_are_one_line_each(self, tmp_path):
         path = str(tmp_path / "data.jsonl")
-        with JsonlAppender(path) as appender:
+        with AppendLog(path) as log:
             for index in range(10):
-                appender.append({"i": index, "text": "x\ny"})
-        records = read_jsonl(path)
+                log.append(json_line({"i": index, "text": "x\ny"}))
+                log.sync()
+        records = [json.loads(line) for _, line in read_lines(path)]
         assert [r["i"] for r in records] == list(range(10))
         assert all(r["text"] == "x\ny" for r in records)
 

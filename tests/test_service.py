@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import urllib.error
 import urllib.request
 
@@ -33,6 +34,17 @@ from repro.service.series import load_series
 # -- checkpoint store ----------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def one_batch_root(tmp_path_factory) -> str:
+    """A closed root one batch in (seed 7, no learner)."""
+    root = str(tmp_path_factory.mktemp("one-batch") / "root")
+    with StreamService(
+        root, ServiceConfig(seed=7, training=0), fsync=False
+    ) as service:
+        service.run_to(1)
+    return root
+
+
 class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         with CheckpointStore(str(tmp_path), fsync=False) as store:
@@ -48,6 +60,7 @@ class TestCheckpointStore:
 
     def test_journal_append_and_offsets(self, tmp_path):
         with CheckpointStore(str(tmp_path), fsync=False) as store:
+            store.open_journal()
             assert store.journal_offset() == 0
             store.append_batch({"ordinal": 1})
             first = store.journal_offset()
@@ -58,20 +71,70 @@ class TestCheckpointStore:
     def test_truncate_rolls_back_unacknowledged_tail(self, tmp_path):
         root = str(tmp_path)
         with CheckpointStore(root, fsync=False) as store:
+            store.open_journal()
             store.append_batch({"ordinal": 1})
             keep = store.journal_offset()
             store.append_batch({"ordinal": 2})
         with CheckpointStore(root, fsync=False) as store:
-            dropped = store.truncate({"journal": keep})
-            assert dropped["journal"] > 0
-            assert dropped["spool"] == 0 and dropped["series"] == 0
+            dropped = store.truncate(
+                {"journal": keep, "spool": 0, "series": 0, "changelog": 0}
+            )
+            assert dropped == {
+                "journal": keep, "spool": 0, "series": 0, "changelog": 0,
+            }
             assert [r["ordinal"] for r in store.read_journal()] == [1]
 
     def test_truncate_after_journal_open_is_refused(self, tmp_path):
         with CheckpointStore(str(tmp_path), fsync=False) as store:
+            store.open_journal()
             store.append_batch({"ordinal": 1})
             with pytest.raises(RuntimeError, match="before the journal"):
                 store.truncate({"journal": 0})
+
+    @pytest.mark.parametrize("log", ["journal", "spool", "series", "changelog"])
+    @pytest.mark.parametrize("bad", ["missing", "0", -1])
+    def test_a_missing_or_malformed_offset_is_refused(
+        self, log, bad, one_batch_root, tmp_path
+    ):
+        """A checkpoint without ``offsets.<log>`` used to roll that log
+        back to 0 — the whole history gone, no error."""
+        root = str(tmp_path / "root")
+        shutil.copytree(one_batch_root, root)
+        paths = {
+            "journal": os.path.join(root, "batches.jsonl"),
+            "spool": os.path.join(root, "provenance.jsonl"),
+            "series": os.path.join(root, "series.jsonl"),
+            "changelog": os.path.join(root, "repo", "changelog.jsonl"),
+        }
+        sizes = {name: os.path.getsize(path) for name, path in paths.items()}
+        checkpoint = os.path.join(root, "checkpoint.json")
+        with open(checkpoint) as handle:
+            state = json.load(handle)
+        assert state["offsets"] == sizes
+        if bad == "missing":
+            del state["offsets"][log]
+        else:
+            state["offsets"][log] = bad
+        with open(checkpoint, "w") as handle:
+            json.dump(state, handle)
+        with pytest.raises(ValueError, match=rf"'offsets\.{log}'"):
+            StreamService(root, fsync=False).start()
+        assert {name: os.path.getsize(path) for name, path in paths.items()} == sizes
+
+    def test_reopened_journal_cuts_a_torn_tail(self, tmp_path):
+        """Reopening over a crashed append used to write the next record
+        onto the fragment, and the journal no longer decoded."""
+        with CheckpointStore(str(tmp_path), fsync=False) as store:
+            store.open_journal()
+            store.append_batch({"ordinal": 1})
+            store.append_batch({"ordinal": 2})
+        with open(store.journal_path, "ab") as handle:
+            handle.write(b'{"ordinal": 3, "ba')
+        with CheckpointStore(str(tmp_path), fsync=False) as store:
+            store.open_journal()
+            assert store.journal.torn_bytes_repaired == len(b'{"ordinal": 3, "ba')
+            store.append_batch({"ordinal": 3})
+            assert [r["ordinal"] for r in store.read_journal()] == [1, 2, 3]
 
     def test_truncate_file_edge_cases(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
@@ -185,6 +248,21 @@ class TestSeriesStore:
             assert read(series) == want
         with SeriesStore(path, window=4, fsync=False) as series:
             assert read(series) == want
+
+    def test_reopen_over_a_torn_tail_appends_a_line_of_its_own(self, tmp_path):
+        """Reopening used to append onto the crashed fragment, and both
+        ``load_series`` and ``tail`` then raised ``JSONDecodeError``."""
+        path = str(tmp_path / "series.jsonl")
+        with SeriesStore(path, window=8, fsync=False) as series:
+            series.append({"ordinal": 1})
+            series.append({"ordinal": 2})
+        with open(path, "ab") as handle:
+            handle.write(b'{"ordinal": 3, "ba')
+        with SeriesStore(path, window=8, fsync=False) as series:
+            assert series.total_samples == 2
+            series.append({"ordinal": 3})
+            assert [s["ordinal"] for s in series.tail()] == [1, 2, 3]
+        assert [s["ordinal"] for s in load_series(path)] == [1, 2, 3]
 
     def test_rejects_bad_window_and_count(self, tmp_path):
         path = str(tmp_path / "series.jsonl")

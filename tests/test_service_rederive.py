@@ -17,7 +17,7 @@ the same way instead of being written down after every batch. Here:
 * ``checkpoint.json`` stays inside a byte budget that the v3 encoding of
   the same state breaks;
 * a root whose logs no longer determine the checkpointed chain head,
-  whose checkpoint is the v1, v2 or v3 layout, or whose RNG, metrics or
+  whose checkpoint is a v1 to v4 layout, or whose RNG, metrics or
   config section is damaged, is refused loudly;
 * every chain link's fingerprint is the from-scratch fingerprint of the
   very map a v2 link serialised whole (``tests/chain_audit.py``);
@@ -76,8 +76,9 @@ def _edits_before(service: StreamService, ordinal: int) -> None:
 
     Every edit goes through the repository-bound rule set, so it lands in
     ``repo/changelog.jsonl``. An edit made after the last checkpoint dies
-    with a killed run (the repository is pinned at the checkpointed seq)
-    and is re-applied here by the resumed driver, like the batch itself.
+    with a killed run (resume rolls the change log back to its
+    checkpointed offset) and is re-applied here by the resumed driver,
+    like the batch itself.
     """
     rules = service.chimera.rule_stage.rules
     a, b, c, d, e, f = BUSY_RULES
@@ -475,17 +476,24 @@ class TestLoudRefusal:
         self._assert_refused(root, "digest mismatch")
 
     def test_change_log_altered_below_head(self, root):
-        """The other log: a rule that fired is recorded as added disabled."""
+        """The other log: a rule that fired is recorded as added disabled.
+        Same byte length (the entry's author loses a letter), so the
+        rollback to the checkpointed offset keeps every line; a longer log
+        would be cut at its offset, and the entry cut in half would leave
+        it ending before ``repo_head_seq``."""
         path = os.path.join(root, "repo", "changelog.jsonl")
         with open(path) as handle:
             text = handle.read()
+        size = os.path.getsize(path)
         enabled = '"rule":{"__enabled_at_add__":true,'
         before, entry, after = text.partition(
             next(line for line in text.splitlines() if '"pattern":"rugs?"' in line)
         )
-        assert enabled in entry
+        assert enabled in entry and entry.startswith('{"at":3.375,"author":"bind"')
+        entry = entry.replace(enabled, enabled.replace("true", "false"))
         with open(path, "w") as handle:
-            handle.write(before + entry.replace(enabled, enabled.replace("true", "false")) + after)
+            handle.write(before + entry.replace('"bind"', '"bin"', 1) + after)
+        assert os.path.getsize(path) == size
         self._assert_refused(root, "digest mismatch")
 
     def test_digest_chain_edited(self, root):
@@ -528,13 +536,25 @@ class TestLoudRefusal:
         """A v2 head chains over whole-map JSON and carries the health
         windows: this code can neither verify the one nor wants the other."""
         self._edit_checkpoint(root, version=2, tracker={"alerts": []})
-        self._assert_refused(root, r"version 2 is not supported \(expected 4\)")
+        self._assert_refused(root, r"version 2 is not supported \(expected 5\)")
 
     def test_v3_checkpoint_refused(self, root):
         """v3 held the same state in the long encoding; there is no
         converter, so the refusal names both versions."""
         self._edit_checkpoint(root, version=3)
-        self._assert_refused(root, r"version 3 is not supported \(expected 4\)")
+        self._assert_refused(root, r"version 3 is not supported \(expected 5\)")
+
+    def test_v4_checkpoint_refused(self, root):
+        """v4 pinned the change log by seq and has no ``offsets.changelog``:
+        refused, and the change log is not rolled back to 0."""
+        with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
+            offsets = json.load(handle)["offsets"]
+        del offsets["changelog"]
+        self._edit_checkpoint(root, version=4, offsets=offsets)
+        changelog = os.path.join(root, "repo", "changelog.jsonl")
+        size = os.path.getsize(changelog)
+        self._assert_refused(root, r"version 4 is not supported \(expected 5\)")
+        assert os.path.getsize(changelog) == size
 
     @pytest.mark.parametrize(
         "damage, match",

@@ -1,32 +1,37 @@
 """Crash-kill-resume durability for the streaming service.
 
 The acceptance bar from the durable-service work: a daemon SIGKILL'd at
-*any* batch boundary — or with a torn journal/spool tail from a write
-the crash interrupted — resumes and finishes with the exact identity an
-uninterrupted run reaches (digest chain, tracker windows, incident log,
-provenance counts, byte for byte). ``SimulatedCrash`` stands in for the
+*any* batch boundary — or with a torn tail in any of its four logs from
+a write the crash interrupted — resumes and finishes with the exact
+identity an uninterrupted run reaches (digest chain, tracker windows,
+incident log, provenance counts, byte for byte). ``SimulatedCrash`` stands in for the
 kill; the harness's cleanup releases OS handles only, never flushes.
 
 Fault model: only bytes past the last *checkpointed* offset may be torn.
-The checkpoint records each append-only file's durable length; tearing
-acknowledged bytes below that offset is storage corruption, which the
-resume path must refuse (see ``test_torn_acknowledged_bytes_refused``).
+The checkpoint records each log's durable length; cutting acknowledged
+bytes below that offset is storage corruption, which the resume path
+must refuse (see ``test_cut_below_checkpoint_refused``).
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import WhitelistRule
+from repro.repository import CHANGELOG_NAME, RuleRepository
 from repro.service.checkpoint import (
     CHECKPOINT_NAME,
     JOURNAL_NAME,
+    REPO_DIR,
+    SERIES_NAME,
     SPOOL_NAME,
 )
-from repro.service.daemon import StreamService
+from repro.service.daemon import ServiceConfig, StreamService
 from repro.service.harness import (
     crash_resume_identity,
     identity_equal,
@@ -45,8 +50,6 @@ CRASH_POINTS = (
 
 
 def _read_checkpoint(root: str) -> dict:
-    import json
-
     with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
         return json.load(handle)
 
@@ -110,7 +113,7 @@ class TestKillAtEveryBarrier:
         assert identity_equal(resumed, reference)
 
     def test_kill_during_incident_run(self, reference_12, tmp_path):
-        """Resume restores open incidents, disabled rules, repo pinning."""
+        """Resume restores open incidents, disabled rules, the change log."""
         resumed = crash_resume_identity(
             str(tmp_path / "run"), 12, "journal-appended",
             crash_on_hit=9, fsync=False,
@@ -119,53 +122,90 @@ class TestKillAtEveryBarrier:
         assert resumed["incidents"][0]["incident_id"] == "incident-0001"
 
 
+#: Every append-only log of a root, by its ``offsets`` key.
+LOGS = {
+    "journal": JOURNAL_NAME,
+    "spool": SPOOL_NAME,
+    "series": SERIES_NAME,
+    "changelog": os.path.join(REPO_DIR, CHANGELOG_NAME),
+}
+
+
 class TestTornWrites:
-    def test_torn_journal_tail(self, reference, tmp_path):
-        """A half-written journal line past the checkpoint is discarded."""
+    @pytest.mark.parametrize("log", sorted(LOGS))
+    def test_torn_tail_past_checkpoint(self, log, reference, tmp_path):
+        """Bytes past the checkpointed offset were never acknowledged: a
+        tear there (half the crashed batch's bytes plus a fragment) is
+        rolled back, and the resumed run is the uninterrupted one."""
 
         def mangle(root: str) -> None:
+            path = os.path.join(root, LOGS[log])
+            checkpointed = _read_checkpoint(root)["offsets"][log]
+            size = os.path.getsize(path)
             tear_file(
-                os.path.join(root, JOURNAL_NAME), garbage=b'{"half":'
+                path,
+                keep_bytes=checkpointed + (size - checkpointed) // 2,
+                garbage=b'{"torn',
             )
 
         resumed = crash_resume_identity(
-            str(tmp_path / "run"), BATCHES, "journal-appended",
+            str(tmp_path / "run"), BATCHES, "before-checkpoint",
             crash_on_hit=3, fsync=False, mangle_after_crash=mangle,
         )
         assert identity_equal(resumed, reference)
 
-    def test_torn_spool_tail(self, reference, tmp_path):
-        """Provenance bytes the crash never acknowledged may be torn."""
-
-        def mangle(root: str) -> None:
-            spool = os.path.join(root, SPOOL_NAME)
-            checkpointed = _read_checkpoint(root)["offsets"]["spool"]
-            size = os.path.getsize(spool) if os.path.exists(spool) else 0
-            if size > checkpointed:
-                tear_file(
-                    spool,
-                    keep_bytes=checkpointed + (size - checkpointed) // 2,
-                    garbage=b'{"torn',
-                )
-
-        resumed = crash_resume_identity(
-            str(tmp_path / "run"), BATCHES, "classified",
-            crash_on_hit=3, fsync=False, mangle_after_crash=mangle,
-        )
-        assert identity_equal(resumed, reference)
-
-    def test_torn_acknowledged_bytes_refused(self, tmp_path):
-        """Tearing *below* the checkpointed offset is corruption: raise."""
+    @pytest.mark.parametrize("log", sorted(LOGS))
+    def test_cut_below_checkpoint_refused(self, log, tmp_path):
+        """Cutting acknowledged bytes is corruption: resume raises, naming
+        the file. The last change-log entry here is a rule that never
+        fires, so nothing else would notice it gone — a change log pinned
+        by seq used to resume with one rule fewer."""
         root = str(tmp_path / "run")
-        run_service(root, 3, fsync=False)
-
-        offsets = _read_checkpoint(root)["offsets"]
-        tear_file(
-            os.path.join(root, JOURNAL_NAME),
-            keep_bytes=max(0, offsets["journal"] - 10),
-        )
+        with StreamService(
+            root, ServiceConfig(seed=7, training=0), fsync=False
+        ) as service:
+            service.run_to(1)
+            service.chimera.add_whitelist_rules([WhitelistRule("zzqxv", "rugs")])
+            service.run_to(2)
+        path = os.path.join(root, LOGS[log])
+        assert _read_checkpoint(root)["offsets"][log] == os.path.getsize(path)
+        tear_file(path, keep_bytes=os.path.getsize(path) - 10)
         service = StreamService(root, fsync=False)
-        with pytest.raises(ValueError, match="ahead of its logs"):
+        with pytest.raises(ValueError, match="ahead of its logs") as refused:
+            service.start()
+        assert LOGS[log] in str(refused.value)
+        service.close()
+
+    def test_changes_past_the_checkpoint_are_dropped(self, tmp_path):
+        """A change written to a stopped root's repository is past the
+        checkpoint: resume drops it, as it drops a crashed run's tail."""
+        root = str(tmp_path / "run")
+        with StreamService(
+            root, ServiceConfig(seed=7, training=0), fsync=False
+        ) as service:
+            service.run_to(1)
+            rules = service.chimera.rule_count()
+        changelog = os.path.join(root, LOGS["changelog"])
+        size = os.path.getsize(changelog)
+        with RuleRepository.open(os.path.join(root, REPO_DIR)) as repo:
+            repo.add("chimera/rule-based", WhitelistRule("zzqxv", "rugs"))
+        grown = os.path.getsize(changelog)
+        with StreamService(root, fsync=False) as service:
+            assert service.rolled_back["changelog"] == grown - size > 0
+            assert service.chimera.rule_count() == rules
+        assert os.path.getsize(changelog) == size
+
+    def test_change_log_ending_elsewhere_is_refused(self, tmp_path):
+        """``repo_head_seq`` stays in the checkpoint as a check on the
+        rolled-back change log."""
+        root = str(tmp_path / "run")
+        run_service(root, 1, ServiceConfig(seed=7, training=0), fsync=False)
+        state = _read_checkpoint(root)
+        state["repo_head_seq"] -= 1
+        with open(os.path.join(root, CHECKPOINT_NAME), "w") as handle:
+            json.dump(state, handle)
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match="'repo_head_seq'"):
             service.start()
         service.close()
 
