@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 from repro.catalog.types import ProductItem
 from repro.chimera.matching import RuleSetMatcher
-from repro.core.prepared import ItemLike
+from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import Prediction
 from repro.core.ruleset import RuleSet, RuleVerdict
 from repro.observability.provenance import StageTrace
@@ -198,11 +198,12 @@ class LearningClassifierStage(ClassifierStage):
         self, items: Sequence[ItemLike], traced: bool = False
     ) -> List[StageAnswer]:
         """The ensemble's unsuppressed votes, sourced to this stage, from
-        one ``predict_batch`` over every title."""
+        one ``predict_batch`` over every title's prepared tokens."""
         if not self._trained:
             return [StageAnswer(self, []) for _ in items]
         answers = []
-        for predictions in self.ensemble.predict_batch([item.title for item in items]):
+        titles = [prepare(item).tokens for item in items]
+        for predictions in self.ensemble.predict_batch(titles):
             surviving = [
                 Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
                 for p in predictions

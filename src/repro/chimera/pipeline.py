@@ -249,6 +249,7 @@ class Chimera:
         stage: str = "rule-based",
         items: Sequence[ItemLike] = (),
         batch_stream=None,
+        records=None,
     ) -> IncrementalExecutor:
         """Maintain a stage's ``rules × items`` fired map incrementally.
 
@@ -263,6 +264,7 @@ class Chimera:
         :class:`~repro.catalog.batches.BatchStream`, when given, drives
         item arrivals the same way. Per-delta accounting lands on the
         tracker's ``stats`` and, when observability is on, the registry.
+        ``records`` is the tracker's record source (default: in RAM).
 
         The stage classifies from the same rows: its matcher follows the
         tracker, so an item the tracker admitted is not evaluated a second
@@ -282,6 +284,7 @@ class Chimera:
             observability=(
                 self.observability if self.observability.enabled else None
             ),
+            records=records,
         )
         if batch_stream is not None:
             tracker.follow_batches(batch_stream)
@@ -391,13 +394,14 @@ class Chimera:
     # -- classification -----------------------------------------------------------
 
     def _prepared(self, item: ItemLike) -> PreparedItem:
-        """``item``'s prepared view: the one a fired-map tracker built and
-        warmed when this record arrived, else a fresh one."""
+        """``item``'s prepared view: over the record in hand, sharing the
+        tokens of the row a fired-map tracker built and warmed when this
+        record arrived, else a fresh one."""
         if not isinstance(item, PreparedItem):
             for tracker in self.fired_trackers.values():
                 held = tracker.admitted(item)
                 if held is not None:
-                    return held
+                    return held.with_record(item)
         return prepare(item)
 
     def _classify(self, items: Sequence[ItemLike], batch_id: str) -> BatchResult:

@@ -204,14 +204,14 @@ class AppendLog:
             os.fsync(self._handle.fileno())
         return self.end
 
-    def read(self, start: int) -> bytes:
-        """Bytes ``[start, end)``, lines not yet synced included (a closed
-        log reads too)."""
+    def read(self, start: int, stop: Optional[int] = None) -> bytes:
+        """Bytes ``[start, stop)`` — to :attr:`end` by default — lines not
+        yet synced included (a closed log reads too)."""
         if not self._handle.closed:
             self._handle.flush()
         with open(self.path, "rb") as handle:
             handle.seek(start)
-            return handle.read(self.end - start)
+            return handle.read((self.end if stop is None else stop) - start)
 
     def close(self) -> None:
         """Flush and close; lines appended since the last :meth:`sync` are

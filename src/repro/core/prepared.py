@@ -1,22 +1,20 @@
 """Prepared item views: tokenize once, match many.
 
 Section 4's "Rule Execution and Optimization" challenge is dominated by
-per-evaluation redundancy: industrial deployments run thousands of rules
-over millions of items, and the naive formulation re-normalizes and
-re-tokenizes each title once per *rule* instead of once per *item*. A
-:class:`PreparedItem` wraps a :class:`~repro.catalog.types.ProductItem`
-with every derived view the execution stack needs. The views rules are
-evaluated against — normalized title, token lists with and without stop
-words, the token-joined match text, the lowercased attribute map — are
-computed lazily exactly once and shared by every rule evaluation. The two
-index-probe sets (``token_set``, ``anchor_tokens``) are derived on each
-read instead: indexing reads them once per item, and a served item lives
-as long as the daemon does.
+per-evaluation redundancy: the naive formulation re-tokenizes each title
+once per *rule* instead of once per *item*. A :class:`PreparedItem` wraps
+a :class:`~repro.catalog.types.ProductItem` with the views rules are
+evaluated against — token lists with and without stop words, the
+token-joined match text, the lowercased attribute map — each computed at
+most once; the index-probe sets (``token_set``, ``anchor_tokens``) are
+derived on each read instead, as a served item lives as long as the
+daemon. It duck-types the ``ProductItem`` read surface, so the Chimera
+stages, rule clauses and gate keeper need not care which they hold.
 
-PreparedItem also duck-types the read surface of ``ProductItem``
-(``title``, ``attribute(...)``, ``has_attribute(...)``, ...) so it can be
-threaded through code written against raw items (the Chimera stages, rule
-clauses, the gate keeper) without those layers caring which they hold.
+Rules read titles (§2–3), so a served corpus row drops its record once
+evaluated (:meth:`drop_record`); its ``item``, ``description``, ``vendor``,
+``true_type`` — and ``attributes`` unless kept — then raise
+:class:`RecordNotHeld`, never a default.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.catalog.types import ProductItem
 from repro.utils.text import (
     STOPWORDS,
     expand_plural_singulars,
-    normalize_text,
     tokenize_cached,
 )
 
@@ -36,18 +33,24 @@ _UNSET = object()
 _WORD = re.compile(r"[a-z0-9]+")
 
 
+class RecordNotHeld(LookupError):
+    """A read of a record field on a view that no longer holds the record."""
+
+
 class PreparedItem:
     """A product item plus its lazily-memoized derived text views.
 
     Memoised (rule deltas re-verify stored items against them, many
-    times): ``normalized_title``, ``tokens``, ``tokens_with_stopwords``,
-    ``match_text`` and the lowered attribute map. Not memoised:
+    times): ``tokens``, ``tokens_with_stopwords``, ``match_text`` and the
+    lowered attribute map. Not memoised:
     ``token_set`` and ``anchor_tokens``, one-shot probe sets.
     """
 
     __slots__ = (
-        "item",
-        "_normalized_title",
+        "item_id",
+        "title",
+        "_record",
+        "_attributes",
         "_tokens",
         "_tokens_with_stopwords",
         "_match_text",
@@ -55,26 +58,46 @@ class PreparedItem:
     )
 
     def __init__(self, item: ProductItem):
-        self.item = item
-        self._normalized_title: Any = _UNSET
+        self.item_id = item.item_id
+        self.title = item.title
+        self._record: Optional[ProductItem] = item
+        self._attributes: Optional[Mapping[str, str]] = item.attributes
         self._tokens: Any = _UNSET
         self._tokens_with_stopwords: Any = _UNSET
         self._match_text: Any = _UNSET
         self._attributes_lower: Any = _UNSET
 
+    # -- the record -------------------------------------------------------------
+
+    @property
+    def item(self) -> ProductItem:
+        """The record; :class:`RecordNotHeld` once dropped."""
+        if self._record is None:
+            raise RecordNotHeld(f"{self.item_id!r}: this view holds no record")
+        return self._record
+
+    def drop_record(self, attributes: Optional[Mapping[str, str]] = None) -> None:
+        """Forget the record; keep ``attributes`` (its own, or read back)."""
+        self._record = None
+        self._attributes = attributes
+        self._attributes_lower = _UNSET
+
+    def with_record(self, record: ProductItem) -> "PreparedItem":
+        """A view of ``record`` (this view's item, read back) sharing this
+        view's memoised title views: the title is not tokenized again."""
+        view = PreparedItem(record)
+        view._tokens = self._tokens
+        view._tokens_with_stopwords = self._tokens_with_stopwords
+        view._match_text = self._match_text
+        return view
+
     # -- ProductItem read surface (duck-typed passthrough) ----------------------
 
     @property
-    def item_id(self) -> str:
-        return self.item.item_id
-
-    @property
-    def title(self) -> str:
-        return self.item.title
-
-    @property
     def attributes(self) -> Mapping[str, str]:
-        return self.item.attributes
+        if self._attributes is None:
+            raise RecordNotHeld(f"{self.item_id!r}: this view holds no attributes")
+        return self._attributes
 
     @property
     def true_type(self) -> str:
@@ -92,7 +115,7 @@ class PreparedItem:
         """Case-insensitive attribute lookup via a one-time lowered map."""
         if self._attributes_lower is _UNSET:
             lowered: Dict[str, str] = {}
-            for key, value in self.item.attributes.items():
+            for key, value in self.attributes.items():
                 lowered.setdefault(key.lower(), value)
             self._attributes_lower = lowered
         return self._attributes_lower.get(name.lower(), default)
@@ -101,12 +124,6 @@ class PreparedItem:
         return self.attribute(name) is not None
 
     # -- derived text views (each computed at most once) ------------------------
-
-    @property
-    def normalized_title(self) -> str:
-        if self._normalized_title is _UNSET:
-            self._normalized_title = normalize_text(self.item.title)
-        return self._normalized_title
 
     @property
     def tokens(self) -> Tuple[str, ...]:
@@ -128,7 +145,7 @@ class PreparedItem:
     def tokens_with_stopwords(self) -> Tuple[str, ...]:
         """All title tokens (regex rules match over these)."""
         if self._tokens_with_stopwords is _UNSET:
-            self._tokens_with_stopwords = tokenize_cached(self.item.title, False)
+            self._tokens_with_stopwords = tokenize_cached(self.title, False)
         return self._tokens_with_stopwords
 
     @property
@@ -163,7 +180,7 @@ class PreparedItem:
         itself, not an equal copy, when the two read the same)."""
         if self._match_text is _UNSET:
             text = " ".join(self.tokens_with_stopwords)
-            title = self.item.title
+            title = self.title
             self._match_text = title if text == title else text
         return self._match_text
 
@@ -174,7 +191,7 @@ class PreparedItem:
         return self
 
     def __repr__(self) -> str:
-        return f"<PreparedItem {self.item.item_id!r}>"
+        return f"<PreparedItem {self.item_id!r}>"
 
 
 ItemLike = Union[ProductItem, PreparedItem]

@@ -335,6 +335,17 @@ class CompiledRuleSet:
     def rules(self) -> List[Rule]:
         return list(self._rules.values())
 
+    @property
+    def reads_attributes(self) -> bool:
+        return bool(self._attr_groups or self._value_rules)
+
+    def reads_record(self, rule_id: str) -> bool:
+        """Whether a rule may read past title and attributes: the generic
+        and compat lanes run its own ``matches_prepared``."""
+        return self._lane_labels.get(rule_id, "compat").startswith(
+            ("residue-generic", "compat")
+        )
+
     def lane_of(self, rule_id: str) -> str:
         """Which compiled tier handles this rule (explain/debug surface)."""
         if rule_id not in self._rules:

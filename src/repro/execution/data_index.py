@@ -8,8 +8,10 @@ for efficient rule execution."
 Items are prepared (tokenized) exactly once, on the way in, and every rule
 run against the index reuses those
 :class:`~repro.core.prepared.PreparedItem` views instead of re-tokenizing
-per evaluation. A row *is* its prepared view: the record is read off it
-(``.item``), and :meth:`get` hands the view back by item id.
+per evaluation. A row *is* the prepared view it was handed, kept as is:
+a development set's views keep their records (:meth:`matches` returns
+them); the incremental executor's drop theirs once evaluated.
+:meth:`get` hands a view back by item id.
 
 The index is mutable: :meth:`add` and :meth:`remove` keep it current under
 batch arrival and item churn, which is what lets the incremental executor
@@ -87,11 +89,11 @@ class DataIndex:
         self._live += 1
         return row
 
-    def remove(self, item_id: str) -> bool:
-        """Tombstone an item's row; True if it was present."""
+    def remove(self, item_id: str) -> Optional[int]:
+        """Tombstone an item's row; returns it (None if absent)."""
         row = self._row_by_id.pop(item_id, None)
         if row is None:
-            return False
+            return None
         posted = len(self._prepared[row].anchor_tokens)
         self._prepared[row] = None
         self._live -= 1
@@ -99,7 +101,7 @@ class DataIndex:
         self._dead_postings += posted
         if self._dead_postings > self._live_postings:
             self._compact()
-        return True
+        return row
 
     def _live_posting(self, token: str) -> Sequence[int]:
         """``token``'s live rows, ascending: the array itself while the
@@ -142,6 +144,10 @@ class DataIndex:
 
     def prepared_at(self, row: int) -> Optional[PreparedItem]:
         return self._prepared[row]
+
+    def row_of(self, item_id: str) -> Optional[int]:
+        """The live row indexed under ``item_id``, or None."""
+        return self._row_by_id.get(item_id)
 
     def get(self, item_id: str) -> Optional[PreparedItem]:
         """The live prepared view indexed under ``item_id``, or None."""

@@ -35,6 +35,11 @@ is a property of the rule's condition and the item, while ``enabled`` is a
 view filter. Disabling a type (§2.2 scale-down) and restoring it are
 therefore zero-evaluation deltas.
 
+Rows hold what rules read: an arriving item is evaluated with its record
+in hand, then its row drops it (keeping attributes once an attribute or
+value rule is tracked) and a record source keeps it — RAM by default, the
+batch journal in the daemon — for the few paths that read it back.
+
 Reads cost what moved, not what is stored: every store mutator records the
 item ids whose row it touched, and the executor patches its enabled view,
 its pair count and its 256-bit set hash (:meth:`IncrementalExecutor.fired_fingerprint`)
@@ -59,8 +64,9 @@ from typing import (
     Tuple,
 )
 
+from repro.catalog.types import ProductItem
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
-from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.core.prepared import ItemLike, PreparedItem
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
 from repro.execution.compiler import CompiledRuleSet
@@ -70,6 +76,27 @@ from repro.observability import Observability, ensure_observability
 
 
 _NO_RULES: FrozenSet[str] = frozenset()
+
+
+class MemoryRecords:
+    """The default record source: every live row's record, in RAM. A source
+    is told each admitted row (ascending) and each released one, hands back
+    ascending rows' records in order, and counts in ``held`` those in RAM."""
+
+    def __init__(self) -> None:
+        self._by_row: List[Optional[ProductItem]] = []
+        self.held = 0
+
+    def admit(self, row: int, record: ProductItem) -> None:
+        self._by_row.append(record)
+        self.held += 1
+
+    def release(self, row: int) -> None:
+        self._by_row[row] = None
+        self.held -= 1
+
+    def records(self, rows: Sequence[int]) -> Iterator[ProductItem]:
+        return map(self._by_row.__getitem__, rows)
 
 
 class _SharedRows:
@@ -308,11 +335,11 @@ def _row_hash(item_id: str, rule_ids: List[str]) -> int:
 class IncrementalExecutor:
     """Delta-maintained executor: same fired map, a fraction of the work.
 
-    Holds the live corpus in a mutable :class:`DataIndex` — the one table
-    of served items, each row its prepared view, entered only through
-    :meth:`_admit` — the live rule base lowered into a
-    :class:`CompiledRuleSet`, and the materialized matches in a
-    :class:`MatchStore`; the delta API keeps all three consistent.
+    Holds the live corpus in a mutable :class:`DataIndex` (rows without
+    records, entered only through :meth:`_admit`; ``records`` is the
+    record source, :class:`MemoryRecords` by default), the live rule base
+    lowered into a :class:`CompiledRuleSet`, and the materialized matches
+    in a :class:`MatchStore`; the delta API keeps them consistent.
 
     ``stats`` accumulates the lifetime ledger (every delta op also returns
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
@@ -342,11 +369,16 @@ class IncrementalExecutor:
         token_frequency: Optional[Dict[str, int]] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
+        records=None,
     ):
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
         self._rules: Dict[str, Rule] = {}
         self._data_index = DataIndex()
+        self._records = records if records is not None else MemoryRecords()
+        # The last add_items batch by id (a later duplicate wins), for admitted().
+        self._arrived: Dict[str, ProductItem] = {}
+        self._keep_attributes = False  # from the first attribute/value rule on
         self._compiled = CompiledRuleSet(
             (), token_frequency=token_frequency, include_disabled=True
         )
@@ -462,30 +494,40 @@ class IncrementalExecutor:
         """
         op = ExecutionStats()
         items = list(items)
+        self._arrived = {}
         with self.observability.span("exec.incremental.add_items", items=len(items)):
             started = self._clock()
             for item in items:
-                self._admit(item, op)
+                record = self._admit(item, op)
+                self._arrived[record.item_id] = record
             return self._finish("add_items", op, started)
 
-    def _admit(self, item: ItemLike, op: ExecutionStats) -> None:
-        """The one way into the corpus: prepare and warm ``item``, drop
-        the row a re-listing replaces (its stored matches must not
-        survive), index it, evaluate it once and write its row. The work
-        is booked on ``op`` and nowhere else."""
+    def _admit(self, item: ItemLike, op: ExecutionStats) -> ProductItem:
+        """The one way into the corpus: prepare and warm a row of its own
+        (sharing a handed-in view's tokens), drop the row a re-listing
+        replaces (its stored matches must not survive), index it, evaluate
+        it with the record in hand, write its row and hand the record to
+        the source. The work is booked on ``op`` only."""
         prepare_started = self._clock()
-        prepared = prepare(item).warm()
+        record = item.item if isinstance(item, PreparedItem) else item
+        prepared = PreparedItem(record) if record is item else item.with_record(record)
+        prepared.warm()
         op.prepare_time += self._clock() - prepare_started
         item_id = prepared.item_id
-        if item_id in self._data_index:
+        self._arrived.pop(item_id, None)
+        replaced = self._data_index.remove(item_id)
+        if replaced is not None:
+            self._records.release(replaced)
             op.invalidations += self.store.discard_item(item_id)
-        self._data_index.add(prepared)
+        self._records.admit(self._data_index.add(prepared), record)
         hits, n_evaluated = self._compiled.match_item(prepared)
         op.rule_evaluations += n_evaluated
         op.invalidations += self.store.set_item_matches(item_id, hits)
         op.matches += len(hits)
         op.items += 1
         op.delta_items += 1
+        prepared.drop_record(record.attributes if self._keep_attributes else None)
+        return record
 
     def remove_items(self, item_ids: Iterable[str]) -> ExecutionStats:
         """Drop departed items; cost is O(their stored matches)."""
@@ -493,7 +535,9 @@ class IncrementalExecutor:
         with self.observability.span("exec.incremental.remove_items"):
             started = self._clock()
             for item_id in item_ids:
-                if self._data_index.remove(item_id):
+                row = self._data_index.remove(item_id)
+                if row is not None:
+                    self._records.release(row)
                     op.invalidations += self.store.discard_item(item_id)
                     op.delta_items += 1
             return self._finish("remove_items", op, started)
@@ -510,6 +554,7 @@ class IncrementalExecutor:
                     )
                 self._rules[rule.rule_id] = rule
                 self._compiled.add_rule(rule)
+                self._hold_attributes()
                 self._evaluate_rule(rule, op)
                 op.delta_rules += 1
             return self._finish("add_rules", op, started)
@@ -545,12 +590,14 @@ class IncrementalExecutor:
             self._rules[rule.rule_id] = rule
             self._compiled.remove_rule(rule.rule_id)
             self._compiled.add_rule(rule)
+            self._hold_attributes()
             self._evaluate_rule(rule, op)
             op.delta_rules += 1
             return self._finish("update_rule", op, started)
 
     def refresh(self) -> Tuple[Dict[str, List[str]], ExecutionStats]:
-        """Rebuild the store from scratch (escape hatch / initial load).
+        """Rebuild the store from scratch over every row's record, read
+        back in one pass (escape hatch / initial load).
 
         Returns ``(fired map, op stats)``; the op's ``invalidations`` is
         the size of the store it threw away.
@@ -559,7 +606,8 @@ class IncrementalExecutor:
         with self.observability.span("exec.incremental.refresh"):
             started = self._clock()
             op.invalidations += self.store.clear()
-            for _row, prepared in self._data_index.live_rows():
+            rows = [row for row, _ in self._data_index.live_rows()]
+            for prepared in self._views(rows, True):
                 hits, n_evaluated = self._compiled.match_item(prepared)
                 op.rule_evaluations += n_evaluated
                 self.store.set_item_matches(prepared.item_id, hits)
@@ -692,14 +740,20 @@ class IncrementalExecutor:
         return hits
 
     def admitted(self, item: ItemLike) -> Optional[PreparedItem]:
-        """The prepared view the corpus holds for ``item`` when this very
-        record — by identity or by value — is the row under its id; None
-        for a record never admitted, removed, or re-listed since with
-        different content."""
+        """The row (a view without its record) held for ``item`` when this
+        very record — by identity or by value — is the one admitted under
+        its id (the last ``add_items`` batch is checked in memory, older
+        ones via the source); None if never admitted, shadowed by a later
+        duplicate in its batch, removed, or re-listed since changed."""
         record = item.item if isinstance(item, PreparedItem) else item
-        held = self._data_index.get(record.item_id)
-        if held is not None and (held.item is record or held.item == record):
-            return held
+        row = self._data_index.row_of(record.item_id)
+        if row is None:
+            return None
+        held = self._arrived.get(record.item_id)
+        if held is None:
+            held = next(self._records.records((row,)))
+        if held is record or held == record:
+            return self._data_index.prepared_at(row)
         return None
 
     def fired_for_item(self, item_id: str) -> List[str]:
@@ -718,11 +772,30 @@ class IncrementalExecutor:
 
     # -- internals ----------------------------------------------------------------
 
+    def _views(self, rows: List[int], records: bool) -> Iterator[PreparedItem]:
+        """The rows at ascending ``rows`` — with ``records``, each as a view
+        over its record, read back from the source in one pass."""
+        held = map(self._data_index.prepared_at, rows)
+        if not records:
+            return held
+        return map(PreparedItem.with_record, held, self._records.records(rows))
+
+    def _hold_attributes(self) -> None:
+        """Once the compiled set first reads attributes, copy them onto
+        every live row, in one pass over the source; they stay there."""
+        if self._keep_attributes or not self._compiled.reads_attributes:
+            return
+        self._keep_attributes = True
+        rows = [row for row, _ in self._data_index.live_rows()]
+        for row, record in zip(rows, self._records.records(rows)):
+            self._data_index.prepared_at(row).drop_record(record.attributes)
+
     def _evaluate_rule(self, rule: Rule, op: ExecutionStats) -> None:
-        """Recompute one rule's column over its DataIndex candidate rows."""
+        """Recompute one rule's column over its DataIndex candidate rows
+        (over their records, when the rule may read past the title)."""
         matched: List[str] = []
-        for row in self._data_index.candidate_rows(rule):
-            prepared = self._data_index.prepared_at(row)
+        rows = self._data_index.candidate_rows(rule)
+        for prepared in self._views(rows, self._compiled.reads_record(rule.rule_id)):
             op.rule_evaluations += 1
             if rule.matches_prepared(prepared):
                 matched.append(prepared.item_id)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -28,8 +28,10 @@ class TfidfVectorizer:
         self._idf: np.ndarray = np.zeros(0)
         self._fitted = False
 
-    def _features(self, title: str) -> List[str]:
-        tokens = tokenize(title)
+    def _features(self, title: Union[str, Sequence[str]]) -> List[str]:
+        """A title's features; a title may come already tokenized (as
+        :func:`tokenize` does it), as a served item's prepared view holds it."""
+        tokens = tokenize(title) if isinstance(title, str) else title
         features = list(tokens)
         if self.use_bigrams:
             features.extend(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))

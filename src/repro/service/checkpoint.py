@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.durability import (
     AppendLog,
     atomic_write_json,
     json_line,
-    read_lines,
     truncate_file,
 )
 from repro.repository import CHANGELOG_NAME
@@ -129,10 +128,6 @@ class CheckpointStore:
     def journal_offset(self) -> int:
         """Current durable byte length of the batch journal."""
         return self.journal.end
-
-    def read_journal(self) -> Iterator[Dict[str, Any]]:
-        """Every complete journal record, decoded one line at a time."""
-        return (json.loads(line) for _, line in read_lines(self.journal_path))
 
     # -- resume rollback ---------------------------------------------------------
 

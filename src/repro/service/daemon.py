@@ -45,14 +45,16 @@ import resource
 import struct
 import sys
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.batches import Batch
 from repro.catalog.types import ProductItem
 from repro.chimera.incidents import Incident, IncidentManager
 from repro.chimera.pipeline import BatchResult
+from repro.core.durability import AppendLog, read_lines
 from repro.core.rule import Rule
 from repro.observability import Observability
 from repro.observability.metrics import MetricsRegistry
@@ -219,6 +221,45 @@ def _item_from_dict(payload: Dict[str, Any]) -> ProductItem:
     )
 
 
+class JournalRecords:
+    """The daemon's record source: records stay in the batch journal. A
+    batch is one line and takes consecutive rows, so one ``(first row,
+    line offset)`` pair per batch — O(batches) — locates every record. The
+    daemon names each batch's line (:meth:`next_line`) before admitting it."""
+
+    held = 0
+
+    def __init__(self, journal: AppendLog):
+        self._journal = journal
+        self._first_rows: List[int] = []
+        self._offsets: List[int] = []
+        self._line: Optional[int] = None
+
+    def next_line(self, offset: int) -> None:
+        """The next rows admitted are the items of the line at ``offset``."""
+        self._line = offset
+
+    def admit(self, row: int, record: ProductItem) -> None:
+        if self._line is not None:
+            self._first_rows.append(row)
+            self._offsets.append(self._line)
+            self._line = None
+
+    def release(self, row: int) -> None:
+        pass
+
+    def records(self, rows: Sequence[int]) -> Iterator[ProductItem]:
+        """Records of ascending ``rows``, decoding each batch line once."""
+        batch, items = -1, []
+        for row in rows:
+            at = bisect_right(self._first_rows, row) - 1
+            if at != batch:
+                batch = at
+                stop = self._offsets[at + 1] if at + 1 < len(self._offsets) else None
+                items = json.loads(self._journal.read(self._offsets[at], stop))["items"]
+            yield _item_from_dict(items[row - self._first_rows[at]])
+
+
 def _rss_mb() -> Optional[float]:
     """This process's resident set right now, in MiB (None off Linux)."""
     try:
@@ -293,6 +334,8 @@ class StreamService:
         self.ids = RunIds("svc")
         self._started = False
         self.series: Optional[SeriesStore] = None
+        self.repository: Optional[RuleRepository] = None
+        self.provenance: Optional[ProvenanceLog] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -301,10 +344,18 @@ class StreamService:
         if self._started:
             raise RuntimeError("service already started")
         state = self.store.load()
-        if state is None:
-            self._fresh()
-        else:
-            self._resume(state)
+        try:
+            if state is None:
+                self._fresh()
+            else:
+                self._resume(state)
+        except Exception:
+            # A refused start closes every log it opened: a corrected
+            # start() in this process must not be a second writer on one.
+            for log in (self.repository, self.provenance, self.series, self.store):
+                if log is not None:
+                    log.close()
+            raise
         self._started = True
         return self
 
@@ -385,8 +436,9 @@ class StreamService:
         )
 
     def _track_fired_map(self) -> None:
+        self._records = JournalRecords(self.store.journal)
         self.incremental = self.chimera.track_fired_map(
-            _TRACKED_STAGE, batch_stream=self.stream
+            _TRACKED_STAGE, records=self._records
         )
 
     def _fresh(self) -> None:
@@ -513,10 +565,14 @@ class StreamService:
         self, batch_sizes: Deque[Tuple[str, int]]
     ) -> Iterator[ProductItem]:
         """Every journalled item, oldest first, one record in memory at a
-        time; notes each batch's ``(batch_id, item count)`` on the way."""
-        for record in self.store.read_journal():
-            batch_sizes.append((record["batch_id"], len(record["items"])))
-            for payload in record["items"]:
+        time; notes each batch's ``(batch_id, item count)`` on the way, and
+        names each batch's line to the record source."""
+        for offset, line in read_lines(self.store.journal_path):
+            record = json.loads(line)
+            items = record["items"]
+            batch_sizes.append((record["batch_id"], len(items)))
+            self._records.next_line(offset)
+            for payload in items:
                 yield _item_from_dict(payload)
 
     def _refold_health(self, batch_sizes: Deque[Tuple[str, int]]) -> None:
@@ -551,14 +607,13 @@ class StreamService:
     # -- the batch loop -----------------------------------------------------------
 
     def process_batch(self) -> Tuple[Batch, BatchResult]:
-        """Ingest → journal → classify → digest → sample → checkpoint."""
+        """Ingest → journal → admit → classify → digest → sample → checkpoint."""
         if not self._started:
             raise RuntimeError("service not started; call start() first")
         started = time.perf_counter()
-        # next_batch() pushes the items into the incremental executor via
-        # its stream subscription before returning.
         batch = self.stream.next_batch()
         self.ordinal += 1
+        line = self.store.journal_offset()
         self.store.append_batch({
             "ordinal": self.ordinal,
             "batch_id": batch.batch_id,
@@ -567,6 +622,8 @@ class StreamService:
             "items": [_item_to_dict(item) for item in batch.items],
         })
         self.crash_plan.reached("journal-appended")
+        self._records.next_line(line)
+        self.incremental.add_items(batch.items)
         result = self.chimera.classify_batch(batch.items, batch_id=batch.batch_id)
         self.crash_plan.reached("classified")
         self._prev_digest_chain = self.digest_chain
@@ -716,7 +773,8 @@ class StreamService:
     def resident(self) -> Dict[str, Any]:
         """What the process holds, for "is anything growing without bound":
         lengths and counters only, so a request thread may read it. The
-        first two grow with items served (ROADMAP 3d); ``shared_rows``
+        first two grow with items served (ROADMAP 3d), not the records,
+        which the journal holds (``records_held`` is 0); ``shared_rows``
         counts the distinct match rows those items share, never more than
         ``match_rows``; ``dead_postings`` (index entries of removed items)
         never outnumbers the live entries; the provenance ring is capped at
@@ -724,6 +782,7 @@ class StreamService:
         store = self.incremental.store
         return {
             "items_held": self.incremental.item_count,
+            "records_held": self._records.held,
             "match_rows": store.row_count,
             "shared_rows": store.shared_rows,
             "dead_postings": self.incremental.dead_postings,

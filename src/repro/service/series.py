@@ -4,12 +4,11 @@ After every batch the daemon samples the
 :class:`~repro.observability.metrics.MetricsRegistry` *delta* since the
 previous sample (cheap, copy-free — satellite API on the registry) plus
 a handful of gauges (ordinal, clock day, open incidents, wall latency)
-and appends the sample here. The in-memory ring bounds what the HTTP
-console and dashboard read; the file, an
+and appends the sample here. The file, an
 :class:`~repro.core.durability.AppendLog` synced per sample, is the
-durable history. The ring holds each sample as the line written for it
-(~8 KB: every delta lists every counter), not as the decoded dict
-(~23 KB), and decodes on read — only the console's ``/series`` reads it.
+durable history and the window's only copy: the ring holds where each of
+the last ``window`` lines (~8 KB each) starts, and ``tail`` — like
+:func:`load_series` — reads lines back and decodes them.
 
 Samples are **operational telemetry, not replay state**: wall-clock
 latencies differ run to run, so the byte-identity contract explicitly
@@ -21,13 +20,26 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.core.durability import AppendLog, json_line, read_lines
 
 
+def _read_window(
+    starts: Sequence[int], count: int, read: Callable[[int], bytes]
+) -> List[Dict[str, Any]]:
+    """The last ``count`` (0: none) of the lines at ``starts``, decoded;
+    ``read(start)`` returns the bytes from ``start`` to the last line's end."""
+    if count < 0:
+        raise ValueError(f"series window must be non-negative, got {count}")
+    if not count or not starts:
+        return []
+    start = starts[max(len(starts) - count, 0)]
+    return [json.loads(line) for line in read(start).splitlines()]
+
+
 class SeriesStore:
-    """Append metric samples durably; keep the recent window in memory."""
+    """Append metric samples durably; keep the recent window's offsets."""
 
     def __init__(self, path: str, window: int = 512, fsync: bool = True):
         if window < 1:
@@ -35,18 +47,16 @@ class SeriesStore:
         self.path = path
         self.window = window
         self._log = AppendLog(path, fsync=fsync)
-        #: The window's samples as their JSONL lines, oldest first.
-        self.lines: Deque[bytes] = deque(maxlen=window)
+        #: Where each of the window's lines starts, oldest first.
+        self._starts: Deque[int] = deque(maxlen=window)
         self.total_samples = 0
-        for _, line in read_lines(path):  # count all, keep the window's worth
-            self.lines.append(line)
+        for start, _ in read_lines(path):  # count all, keep the window's worth
+            self._starts.append(start)
             self.total_samples += 1
 
     def append(self, sample: Dict[str, Any]) -> None:
-        line = json_line(sample)
-        self._log.append(line)
+        self._starts.append(self._log.append(json_line(sample)))
         self._log.sync()
-        self.lines.append(line)
         self.total_samples += 1
 
     def offset(self) -> int:
@@ -54,11 +64,8 @@ class SeriesStore:
         return self._log.end
 
     def tail(self, count: int = 60) -> List[Dict[str, Any]]:
-        """The most recent ``count`` samples, oldest first, decoded."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        window = list(self.lines)[-count:] if count else []
-        return [json.loads(line) for line in window]
+        """The most recent ``count`` samples, oldest first."""
+        return _read_window(self._starts, count, self._log.read)
 
     def column(self, key: str, count: int = 60) -> List[float]:
         """One numeric column of the recent window (missing -> 0.0)."""
@@ -75,6 +82,17 @@ class SeriesStore:
 
 
 def load_series(path: str, window: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Read samples from disk without opening the log (dashboard use)."""
-    records = [json.loads(line) for _, line in read_lines(path)]
-    return records[-window:] if window else records
+    """The last ``window`` samples on disk (all of them when None), read
+    without opening the log (dashboard use)."""
+    starts: List[int] = []
+    end = 0
+    for start, line in read_lines(path):
+        starts.append(start)
+        end = start + len(line)
+
+    def read(start: int) -> bytes:
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            return handle.read(end - start)
+
+    return _read_window(starts, len(starts) if window is None else window, read)

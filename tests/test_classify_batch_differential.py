@@ -25,6 +25,7 @@ from repro.observability import Observability
 from repro.observability.provenance import ProvenanceLog
 from repro.observability.quality import RuleHealthTracker
 from repro.service import ServiceConfig, StreamService
+from repro.utils.text import tokenize
 from repro.world import RunIds, build_world
 
 COUNTERS = ("stage_success_total", "stage_failure_total", "stage_routed_around_total")
@@ -208,8 +209,11 @@ def _poison(side, stage_name, poisoned_ids):
     if stage_name == "learning":
         ensemble = chimera.learning_stage.ensemble
         original = ensemble.predict_batch
+        # The stage hands the ensemble each title's prepared tokens.
         titles = {
-            title for item_id, title in side.titles.items() if item_id in poisoned_ids
+            tuple(tokenize(title))
+            for item_id, title in side.titles.items()
+            if item_id in poisoned_ids
         }
 
         def predict_batch(batch):

@@ -13,7 +13,9 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import os
 import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,15 @@ from repro.chimera import Chimera
 from repro.core import (
     AttributeRule,
     BlacklistRule,
+    PredicateRule,
     SequenceRule,
     ValueConstraintRule,
     WhitelistRule,
 )
+from repro.core.durability import AppendLog, json_line
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
+from repro.core.prepared import RecordNotHeld
+from repro.core.rule import Clause
 from repro.core.ruleset import RuleSet
 from repro.core.serialize import rules_from_dicts
 from repro.execution import (
@@ -43,6 +49,7 @@ from repro.execution import (
     prepare_all,
 )
 from repro.rulegen import RuleGenerator
+from repro.service.daemon import JournalRecords, _item_to_dict
 from repro.utils.clock import SimClock
 from tests.chain_audit import store_fired_map
 from tests.test_resident_budget import _traced_growth
@@ -350,7 +357,7 @@ def operations(draw):
     payload = {
         "titles": draw(st.lists(titles, min_size=1, max_size=3)),
         "pick": draw(st.integers(min_value=0, max_value=10 ** 6)),
-        "flavor": draw(st.integers(min_value=0, max_value=3)),
+        "flavor": draw(st.integers(min_value=0, max_value=4)),
         "token": draw(tokens),
         "token2": draw(tokens),
     }
@@ -365,7 +372,35 @@ def build_rule(flavor, token, token2, rule_id=None):
         return SequenceRule((token, token2), "t", rule_id=rule_id)
     if flavor == 2:
         return AttributeRule("isbn", "books", rule_id=rule_id)
+    if flavor == 4:  # reads a record field no corpus row holds
+        clause = Clause(f"udf({token})", lambda item: token in item.description)
+        return PredicateRule([clause], "t", rule_id=rule_id)
     return BlacklistRule(f"({token}|{token2})", "t", rule_id=rule_id)
+
+
+def described(title, **attrs):
+    """An item whose description repeats its title's first word."""
+    return ProductItem(
+        item_id=f"inc-{next(_ids):06d}", title=title, attributes=attrs,
+        description=f"a {title.split()[0]} product",
+    )
+
+
+def record_source(kind, directory):
+    """``(records, admit)``: an executor's record source and the way a
+    batch gets in — journalled first, like the daemon, for the journal
+    source."""
+    if kind == "memory":
+        return None, lambda executor, batch: executor.add_items(batch)
+    log = AppendLog(os.path.join(directory, "batches.jsonl"), fsync=False)
+    records = JournalRecords(log)
+
+    def admit(executor, batch):
+        line = log.append(json_line({"items": [_item_to_dict(i) for i in batch]}))
+        records.next_line(line)
+        executor.add_items(batch)
+
+    return records, admit
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,13 +409,23 @@ def build_rule(flavor, token, token2, rule_id=None):
     ops=st.lists(operations(), min_size=1, max_size=12),
 )
 def test_interleaved_deltas_match_from_scratch(seed_titles, ops):
+    """Rule flavours include an attribute rule and a UDF over the
+    description, so attribute and record read-back are in the loop; each
+    example runs over both record sources, RAM and a journal."""
+    for source in ("memory", "journal"):
+        with tempfile.TemporaryDirectory() as directory:
+            _interleave(*record_source(source, directory), seed_titles, ops)
+
+
+def _interleave(records, admit, seed_titles, ops):
     rules = [
         WhitelistRule("rings?", "rings", rule_id=f"hyp-{next(_ids):06d}"),
         SequenceRule(("area", "rug"), "rugs", rule_id=f"hyp-{next(_ids):06d}"),
     ]
-    items = [item(t, **({"isbn": "978"} if i % 2 else {}))
+    items = [described(t, **({"isbn": "978"} if i % 2 else {}))
              for i, t in enumerate(seed_titles)]
-    incremental = IncrementalExecutor(list(rules), list(items))
+    incremental = IncrementalExecutor(list(rules), records=records)
+    admit(incremental, list(items))
 
     for kind, payload in ops:
         pick, flavor = payload["pick"], payload["flavor"]
@@ -402,9 +447,9 @@ def test_interleaved_deltas_match_from_scratch(seed_titles, ops):
             rule = rules[pick % len(rules)]
             rule.enabled = not rule.enabled
         elif kind == "add_items":
-            batch = [item(t) for t in payload["titles"]]
+            batch = [described(t) for t in payload["titles"]]
             items.extend(batch)
-            incremental.add_items(batch)
+            admit(incremental, batch)
         elif kind == "remove_item" and items:
             gone = items.pop(pick % len(items))
             incremental.remove_items([gone.item_id])
@@ -466,17 +511,26 @@ class TestGoldenIncremental:
 
 class TestSharedPreparedCache:
     def test_data_index_reuses_executor_preparations(self):
-        """However an item got in, ``admitted`` hands back the row itself."""
+        """However an item got in, ``admitted`` hands back the row itself:
+        a view of its own that shares a handed-in view's tokens and holds
+        no record, which the record source keeps instead."""
         rules, items = small_world()
         warmed = prepare_all(items[:1])[0]
         incremental = IncrementalExecutor(rules)
         incremental.add_items([warmed] + items[1:2])
         assert incremental.restore_items(items[2:]) == 2
         index = incremental._data_index
-        assert incremental.admitted(items[0]) is warmed  # kept as handed in
+        row = incremental.admitted(items[0])
+        assert row is not warmed and warmed.item is items[0]
+        assert row.tokens_with_stopwords is warmed.tokens_with_stopwords
         for thing in items:
             held = incremental.admitted(thing)
-            assert held is index.get(thing.item_id) and held.item is thing
+            assert held is index.get(thing.item_id) and held.item_id == thing.item_id
+            with pytest.raises(RecordNotHeld):
+                held.item
+        rows = [index.row_of(thing.item_id) for thing in items]
+        assert list(incremental._records.records(rows)) == items
+        assert incremental._records.held == len(items)
         assert [p for _, p in index.live_rows()] == [
             incremental.admitted(thing) for thing in items
         ]
@@ -490,7 +544,8 @@ class TestSharedPreparedCache:
         copy = ProductItem(first.item_id, first.title, dict(first.attributes))
         incremental.add_items([copy])
         row = incremental._data_index.get(first.item_id)
-        assert row.item is copy
+        at = incremental._data_index.row_of(first.item_id)
+        assert next(incremental._records.records([at])) is copy
         assert incremental.admitted(copy) is row and incremental.admitted(first) is row
         # Re-listing with different content: the old record is not held.
         changed = ProductItem(item_id=second.item_id, title="gold rings")

@@ -4,16 +4,20 @@ The daemon never forgets an item (ROADMAP 3d), so the bytes each one
 leaves behind are the slope of the process's memory over a stream that
 never ends. This module measures that slope with ``tracemalloc`` — the
 live world's over 40 batches, and a resumed world's over everything its
-journal holds — and pins the decisions that set it: a write-ahead
-provenance log keeps its window in the spool and holds only the offset
+journal holds — and pins the decisions that set it: a corpus row holds
+no record (the journal does); a write-ahead provenance log and the
+series store keep their windows in their files and hold only the offset
 of each retained line (no records, lines or by-item index); a held
 ``PreparedItem`` keeps no probe set, and its stop-word-free tokens are
 its full token tuple when the two are equal; the corpus index's postings
 are arrays, not sets; and the match store's rows are shared, one object
-per distinct row.
+per distinct row. The bounded text LRUs are emptied before each reading:
+their fill is not slope.
 
 The budgets are the largest reading over ``PYTHONHASHSEED`` 0, 1 and
-random at the commit that set them (1,410 / 1,309 B per item), plus 5%.
+random at the commit that set them (633 / 759 B per item), plus 5%.
+While corpus rows held their records and the series its lines they read
+1,138 / 1,308 (1,410 / 1,309 with the live world's cache fill counted).
 While the ring held the encoded lines and a by-item index they read
 1,955 / 1,852; before tokens were interned, postings were arrays and
 rows were shared 2,879 / 2,754 (2,816 resumed as measured here, which
@@ -33,26 +37,30 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.catalog.types import ProductItem
 from repro.service import ServiceConfig, StreamService
+from repro.utils.text import clear_caches
 
 pytestmark = pytest.mark.gates
 
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
-LIVE_BUDGET_B_PER_ITEM = 1_481
-RESUMED_BUDGET_B_PER_ITEM = 1_375
+LIVE_BUDGET_B_PER_ITEM = 665
+RESUMED_BUDGET_B_PER_ITEM = 797
 
 
 @contextmanager
 def _traced_growth():
     """Yields a list that, after the block, holds the bytes allocated
-    inside it and still reachable once the cycle collector has run."""
+    inside it and still reachable once the text LRUs are emptied and the
+    cycle collector has run: the bounded caches' fill is not slope."""
     grown = []
     tracemalloc.start()
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         yield grown
+        clear_caches()
         gc.collect()
         grown.append(tracemalloc.get_traced_memory()[0] - before)
     finally:
@@ -60,12 +68,24 @@ def _traced_growth():
 
 
 def _retention_offenders(service: StreamService) -> dict:
-    """Objects of the five shapes this budget exists to keep out."""
+    """Objects of the seven shapes this budget exists to keep out."""
     log = service.provenance
     index = service.incremental._data_index
     rows = list(service.incremental.store._by_item.values())
     distinct_rows = len({frozenset(row) for row in rows})
     return {
+        "corpus rows referencing a record": [
+            prepared.item_id
+            for _, prepared in index.live_rows()
+            for slot in type(prepared).__slots__
+            if isinstance(getattr(prepared, slot), ProductItem)
+        ],
+        "a series store holding lines": [
+            name
+            for name, value in vars(service.series).items()
+            if isinstance(value, (deque, list))
+            and any(type(entry) is not int for entry in value)
+        ],
         "prepared items holding a set": [
             prepared.item_id
             for _, prepared in index.live_rows()

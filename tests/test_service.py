@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.durability import read_lines
 from repro.observability.metrics import MetricsRegistry
 from repro.service import (
     CheckpointStore,
@@ -45,6 +46,10 @@ def one_batch_root(tmp_path_factory) -> str:
     return root
 
 
+def _journal(store):
+    return [json.loads(line) for _, line in read_lines(store.journal_path)]
+
+
 class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         with CheckpointStore(str(tmp_path), fsync=False) as store:
@@ -66,7 +71,7 @@ class TestCheckpointStore:
             first = store.journal_offset()
             store.append_batch({"ordinal": 2})
             assert store.journal_offset() > first
-            assert [r["ordinal"] for r in store.read_journal()] == [1, 2]
+            assert [r["ordinal"] for r in _journal(store)] == [1, 2]
 
     def test_truncate_rolls_back_unacknowledged_tail(self, tmp_path):
         root = str(tmp_path)
@@ -82,7 +87,7 @@ class TestCheckpointStore:
             assert dropped == {
                 "journal": keep, "spool": 0, "series": 0, "changelog": 0,
             }
-            assert [r["ordinal"] for r in store.read_journal()] == [1]
+            assert [r["ordinal"] for r in _journal(store)] == [1]
 
     def test_truncate_after_journal_open_is_refused(self, tmp_path):
         with CheckpointStore(str(tmp_path), fsync=False) as store:
@@ -134,7 +139,7 @@ class TestCheckpointStore:
             store.open_journal()
             assert store.journal.torn_bytes_repaired == len(b'{"ordinal": 3, "ba')
             store.append_batch({"ordinal": 3})
-            assert [r["ordinal"] for r in store.read_journal()] == [1, 2, 3]
+            assert [r["ordinal"] for r in _journal(store)] == [1, 2, 3]
 
     def test_truncate_file_edge_cases(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
@@ -220,15 +225,15 @@ class TestSeriesStore:
         try:
             assert series.total_samples == 2000
             assert decoded == []
-            assert len(series.lines) == 512
+            assert len(series._starts) == 512
             assert [s["ordinal"] for s in series.tail(512)] == list(range(1488, 2000))
         finally:
             series.close()
 
     def test_window_is_the_lines_written(self, tmp_path):
-        """The ring holds each sample as its JSONL line; ``tail`` and
-        ``column`` decode on read and answer what a window of decoded
-        samples answers, live and after a reopen."""
+        """The ring holds where each sample's JSONL line starts; ``tail``
+        and ``column`` read the lines back, decode them and answer what a
+        window of decoded samples answers, live and after a reopen."""
         path = str(tmp_path / "series.jsonl")
         samples = [
             {"ordinal": n, "wall_ms": n / 3 if n % 2 else None, "delta": {"c": [n, n]}}
@@ -244,10 +249,32 @@ class TestSeriesStore:
             for sample in samples:
                 series.append(sample)
             with open(path, "rb") as handle:
-                assert list(series.lines) == handle.readlines()[-4:]
+                lengths = [len(line) for line in handle]
+            starts = [sum(lengths[:n]) for n in range(len(lengths))]
+            assert list(series._starts) == starts[-4:]
             assert read(series) == want
         with SeriesStore(path, window=4, fsync=False) as series:
             assert read(series) == want
+
+    def test_window_counts_are_exact_and_shared_by_both_readers(self, tmp_path):
+        """``tail(n)`` and ``load_series(path, n)`` answer the last ``n`` of
+        8 samples alike: 0 means none, a larger ``n`` all, and a negative
+        one is a ``ValueError`` naming the window. ``load_series`` used to
+        answer ``window=-5`` with ordinals [5, 6, 7] (so ``repro dashboard
+        --window -5`` silently dropped the first five) and ``window=0``
+        with all 8, while ``tail(0)`` answered none."""
+        path = str(tmp_path / "series.jsonl")
+        with SeriesStore(path, window=16, fsync=False) as series:
+            for ordinal in range(8):
+                series.append({"ordinal": ordinal})
+            readers = (series.tail, lambda count: load_series(path, count))
+            for read in readers:
+                for count in (0, 1, 3, 8, 20):
+                    want = list(range(8))[-count:] if count else []
+                    assert [s["ordinal"] for s in read(count)] == want
+                with pytest.raises(ValueError, match="window"):
+                    read(-5)
+        assert [s["ordinal"] for s in load_series(path)] == list(range(8))
 
     def test_reopen_over_a_torn_tail_appends_a_line_of_its_own(self, tmp_path):
         """Reopening used to append onto the crashed fragment, and both
@@ -389,10 +416,11 @@ class TestHttpConsole:
         resident = doc["resident"]
         assert sorted(resident) == [
             "dead_postings", "items_held", "match_rows", "peak_rss_mb",
-            "provenance_capacity", "provenance_retained", "rss_mb",
-            "shared_rows",
+            "provenance_capacity", "provenance_retained", "records_held",
+            "rss_mb", "shared_rows",
         ]
         assert resident["items_held"] == doc["totals"]["items"] > 0
+        assert resident["records_held"] == 0  # the journal holds them
         assert 0 < resident["match_rows"] <= resident["items_held"]
         # Rows are shared: fewer distinct rows than items holding one.
         assert 0 < resident["shared_rows"] < resident["match_rows"]

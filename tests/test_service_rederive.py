@@ -628,3 +628,57 @@ class TestLoudRefusal:
         deployment (or die in a bare TypeError on an unknown key)."""
         self._damage(root, damage)
         self._assert_refused(root, match)
+
+
+def _held_under(root: str) -> list:
+    """Files under ``root`` this process holds a descriptor on."""
+    real = os.path.realpath(root)
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing (the listing's own fd)
+            continue
+        if target.startswith(real + os.sep):
+            held.append(os.path.relpath(target, real))
+    return sorted(held)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda s: s.__setitem__("repo_head_seq", s["repo_head_seq"] + 1),
+         "repo_head_seq"),
+        (lambda s: s.__setitem__("digest_chain", "0" * 64), "digest mismatch"),
+    ],
+    ids=["repo-head-seq", "digest-chain"],
+)
+def test_refused_resume_leaves_no_log_open(tmp_path, damage, match):
+    """A resume refused after it opened the change log (and, for the
+    digest, the journal and its record source) closes what it opened: the
+    change log's append handle used to outlive ``close()`` — a corrected
+    ``start()`` in the same process would have been a second writer on
+    it, and collecting the service raised a ``ResourceWarning``."""
+    import gc
+    import warnings
+
+    root = str(tmp_path / "run")
+    with StreamService(root, ServiceConfig(seed=7, training=0), fsync=False) as service:
+        service.run(3)
+    path = os.path.join(root, CHECKPOINT_NAME)
+    with open(path) as handle:
+        state = json.load(handle)
+    damage(state)
+    with open(path, "w") as handle:
+        json.dump(state, handle)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        service = StreamService(root, fsync=False)
+        with pytest.raises(ValueError, match=match):
+            service.start()
+        service.close()
+        assert _held_under(root) == []
+        del service
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
