@@ -64,6 +64,9 @@ class Rule(ABC):
     """
 
     kind: str = "rule"
+    #: A weak reference to the :class:`~repro.core.ruleset.RuleSet` holding
+    #: this copy, set by its ``add`` / ``replace``; ``None`` on a bare rule.
+    _owner = None
 
     def __init__(
         self,
@@ -85,6 +88,18 @@ class Rule(ABC):
         self.confidence = confidence
         self.provenance = provenance
         self.enabled = True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        """A write to ``enabled`` on the copy a rule set holds is that
+        set's ``enable`` / ``disable`` (recorded, applied, announced); on
+        a bare rule — a copy, or one its set no longer holds — and for any
+        other name it sets the field. Reads stay plain attribute reads."""
+        if name == "enabled":
+            owner = self._owner and self._owner()
+            if owner is not None and owner.holds(self):
+                (owner.enable if value else owner.disable)(self.rule_id)
+                return
+        object.__setattr__(self, name, value)
 
     @abstractmethod
     def matches_prepared(self, prepared: PreparedItem) -> bool:

@@ -14,6 +14,7 @@ to :mod:`repro.repository`.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -71,6 +72,8 @@ class RuleSet:
     a rule in one cannot silently disable it in the other, and every set's
     subscribers see exactly the ``"disabled"`` events for *their* set.
     Rule conditions are immutable, so the shallow copy shares them.
+    Writing ``enabled`` on a copy the set holds calls :meth:`enable` /
+    :meth:`disable`, so even that write is recorded and announced.
 
     **Live state, one write path.** A set holds which rules are live, in
     what order, and their enabled flags; its mutators are the only way to
@@ -147,6 +150,10 @@ class RuleSet:
         except KeyError:
             raise UnknownRuleError(rule_id) from None
 
+    def holds(self, rule: Rule) -> bool:
+        """Whether ``rule`` is the very copy this set stores."""
+        return self._rules.get(rule.rule_id) is rule
+
     def is_enabled(self, rule_id: str) -> bool:
         """This set's enabled flag for the rule (per-set state)."""
         return self.get(rule_id).enabled
@@ -159,6 +166,7 @@ class RuleSet:
             raise DuplicateRuleError(f"rule {rule.rule_id!r} already in {self.name!r}")
         rule = copy.copy(rule)
         self._record("add", rule)
+        rule._owner = weakref.ref(self)
         self._rules[rule.rule_id] = rule
         self._keys_issued += 1
         self._live_key[rule.rule_id] = self._keys_issued
@@ -190,6 +198,7 @@ class RuleSet:
         rule = copy.copy(rule)
         rule.enabled = old.enabled
         self._record("replace", rule)
+        rule._owner = weakref.ref(self)
         self._rules[rule.rule_id] = rule
         self._notify("replaced", rule)
         return old
@@ -199,14 +208,14 @@ class RuleSet:
         rule = self.get(rule_id)
         if rule.enabled:
             self._record("disable", rule)
-            rule.enabled = False
+            object.__setattr__(rule, "enabled", False)
             self._notify("disabled", rule)
 
     def enable(self, rule_id: str) -> None:
         rule = self.get(rule_id)
         if not rule.enabled:
             self._record("enable", rule)
-            rule.enabled = True
+            object.__setattr__(rule, "enabled", True)
             self._notify("enabled", rule)
 
     def disable_type(self, target_type: str) -> List[str]:

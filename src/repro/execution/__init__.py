@@ -9,12 +9,11 @@ to execute the rules in parallel on a cluster of machines."
 One engine, one match kernel, three modes, one reference (DESIGN.md §5):
 
 * :class:`RuleSetCompiler` / :class:`CompiledRuleSet` — *the* engine: the
-  whole rule set lowered once into one combined matcher (flattened
-  Aho–Corasick tiers over a :class:`TokenAutomaton` plus precompiled
-  verification closures), with a per-item compat lane
-  (:class:`RuleIndex` probe + ``matches_prepared``) for unclean titles
-  and rule classes the compiler does not know. An item is evaluated in
-  one function whichever mode asked, traced or not: ``match_item`` is
+  whole rule set lowered once into one combined matcher (a token table
+  for words, a pair table for two-word phrases, precompiled verification
+  closures for the rest), with a per-item compat lane (:class:`RuleIndex`
+  probe + ``matches_prepared``) for unclean titles. An item is evaluated
+  in one function whichever mode asked, traced or not: ``match_item`` is
   one call of it, ``execute`` a loop of them;
 * :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
@@ -41,7 +40,6 @@ from repro.core.prepared import (
     prepare,
     prepare_all,
 )
-from repro.execution.automaton import TokenAutomaton
 from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
 from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats, IndexedExecutor, NaiveExecutor
@@ -76,7 +74,6 @@ __all__ = [
     "PreparedItem",
     "RuleIndex",
     "RuleSetCompiler",
-    "TokenAutomaton",
     "prepare",
     "rarest_anchor",
     "prepare_all",

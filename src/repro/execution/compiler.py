@@ -11,20 +11,17 @@ overhead by **lowering the whole rule set once** into shared data-driven
 lanes that a single pass over each item's token stream can consume. It is
 the one engine behind the batch, sharded and delta executors.
 
-Automaton layout — a three-tier flattened Aho–Corasick over tokens:
+Lane layout — two literal-phrase tiers over title tokens:
 
 * **depth 1** (single-token patterns: sequence anchors, literal word
-  branches of regex rules) flattens to one token -> entry dict probed by
-  a single set intersection per item (``token_set & keys``). In AC terms
-  these are root transitions whose failure link is the root, so the hash
-  probe *is* the automaton step.
-* **depth 2** (two-word literal phrases) flattens to a pair table hung
-  off the first word: ``(second_word, rule_id)`` entries checked by
-  position only when the first word is present.
-* **depth >= 3** (longer literal phrases) uses the real
-  :class:`~repro.execution.automaton.TokenAutomaton` (goto/fail/output
-  links), gated behind a per-pattern required-token set so the walk runs
-  only on items that could possibly match.
+  branches of regex rules) is one token -> entry dict probed by a single
+  set intersection per item (``token_set & keys``).
+* **depth 2** (two-word literal phrases) is a pair table hung off the
+  first word: ``(second_word, rule_id)`` entries checked by position only
+  when the first word is present.
+
+A regex with a longer literal phrase (or any branch the lowerer does not
+know) keeps its own compiled regex as a verify closure under its anchors.
 
 Each entry in the depth-1 dict carries six lanes::
 
@@ -74,16 +71,15 @@ lanes above are evaluated: ``match_item`` calls it for one item,
 either (spans are emitted by the executors around ``execute``, never
 inside it).
 
-**When compilation is skipped.** The kernel trusts that
-``title.lower().split()`` equals the tokenizer's output, which holds
-exactly for ASCII alphanumeric-plus-spaces titles; anything else (an
-''unclean'' title) is routed item-by-item through a private
-:class:`RuleIndex` + ``matches_prepared`` compat path with identical
-semantics and accounting. Rule *classes* the compiler does not know (or
-known classes whose ``matches_prepared`` was overridden) force the
-compat path for the whole artifact (``forced_compat``): correctness
-always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
-downgrade observable.
+**The compat lane.** The kernel trusts that ``title.lower().split()``
+equals the tokenizer's output, which holds exactly for ASCII
+alphanumeric-plus-spaces titles; anything else (an *unclean* title) is
+routed item-by-item through a private :class:`RuleIndex` +
+``matches_prepared`` path with identical semantics and accounting. An
+anchored rule class the compiler does not know (or a known class whose
+``matches_prepared`` was overridden) is counted where the index posts it
+and evaluated by its own ``matches_prepared`` on every clean item; the
+rest of the artifact stays compiled, and ``lane_of`` names the lane.
 
 **Process-local.** The artifact holds closures and is never pickled;
 the sharded executor lowers the rules once, in-process, into an
@@ -125,7 +121,6 @@ from repro.core.rule import (
     ValueConstraintRule,
     _expand_alternations,
 )
-from repro.execution.automaton import TokenAutomaton
 from repro.execution.executor import ExecutionStats, _checked_mode
 from repro.execution.rule_index import RuleIndex, rarest_anchor
 from repro.observability import Observability, ensure_observability
@@ -137,7 +132,7 @@ __all__ = ["RuleSetCompiler", "CompiledRuleSet"]
 # Fully-lowerable regex branch shapes (post alternation expansion).
 _RX_WORD = re.compile(r"^[a-z0-9]+$")
 _RX_WORD_SOPT = re.compile(r"^([a-z0-9]+)s\?$")
-_RX_PHRASE = re.compile(r"^[a-z0-9]+(?: [a-z0-9]+)+$")
+_RX_PAIR = re.compile(r"^([a-z0-9]+) ([a-z0-9]+)$")
 
 # Ordinal slots of retired rule ids tolerated beyond the live rule count
 # before _refresh renumbers: a compaction costs O(live lanes) and frees more
@@ -146,7 +141,7 @@ _DEAD_SLOT_MARGIN = 1024
 
 
 # A "clean" lowered title is pure ascii alnum words separated by spaces --
-# exactly the inputs the automaton's whitespace tokenizer agrees on with the
+# exactly the inputs the kernel's whitespace tokenizer agrees on with the
 # full prepared-path tokenizer. Uppercase cannot survive str.lower, so this
 # regex gives the same verdict as the ascii/strip-spaces/alnum check on the
 # lowered string while skipping that check's per-item string copy.
@@ -155,20 +150,21 @@ _CLEAN_TITLE = re.compile(r" *[a-z0-9][a-z0-9 ]*\Z").match
 
 def _lower_regex_branches(
     pattern: str,
-) -> Optional[Tuple[Set[str], Set[Tuple[str, ...]]]]:
-    """Lower a title regex to literal (words, phrases), or None.
+) -> Optional[Tuple[Set[str], Set[Tuple[str, str]]]]:
+    """Lower a title regex to literal (words, two-word pairs), or None.
 
     Returns the exact acceptance set at token level: the rule fires on a
     clean title iff one of ``words`` is a title token or one of the
-    ``phrases`` occurs as adjacent tokens. ``None`` means at least one
-    branch resisted lowering — the caller must fall back to running the
-    compiled regex itself (a verify closure).
+    ``pairs`` occurs as adjacent tokens. ``None`` means at least one
+    branch resisted lowering (a literal phrase of three or more words
+    included) — the caller must fall back to running the compiled regex
+    itself (a verify closure).
     """
     branches = _expand_alternations(pattern)
     if branches is None:
         return None
     words: Set[str] = set()
-    phrases: Set[Tuple[str, ...]] = set()
+    pairs: Set[Tuple[str, str]] = set()
     for branch in branches:
         if _RX_WORD.match(branch):
             words.add(branch)
@@ -179,11 +175,12 @@ def _lower_regex_branches(
             words.add(base)
             words.add(base + "s")
             continue
-        if _RX_PHRASE.match(branch):
-            phrases.add(tuple(branch.split(" ")))
+        pair = _RX_PAIR.match(branch)
+        if pair:
+            pairs.add(pair.groups())
             continue
         return None
-    return words, phrases
+    return words, pairs
 
 
 def _make_seq_verifier(sequence: Tuple[str, ...]) -> Callable[[list, set], bool]:
@@ -292,13 +289,8 @@ class CompiledRuleSet:
         self._ord: Dict[str, int] = {}
         self._table: List[str] = []
         self._table_sorted = True
-        self._ac_ord: Dict[str, int] = {}
-        # Depth >= 3 phrase tier.
-        self._ac = TokenAutomaton()
-        self._ac_rid: Dict[str, str] = {}
-        self._ac_gate: Optional[FrozenSet[str]] = None
-        self._ac_counter = 0
-        # Residue lanes.
+        # Residue lanes; _generic also holds the anchored rules of classes
+        # the compiler does not know (counted on anchors, not as residue).
         self._attr_groups: Dict[str, List[str]] = {}
         self._value_rules: List[Tuple[str, str, str]] = []
         self._generic: Dict[str, Rule] = {}
@@ -306,10 +298,9 @@ class CompiledRuleSet:
         self._value_items: Tuple[Tuple[str, str, str], ...] = ()
         self._generic_items: Tuple[Tuple[str, Rule], ...] = ()
         self._n_residue = 0
-        # Unclean-title (and forced) compat path: a private RuleIndex over
-        # the same rules, probed with full interpreted semantics.
+        # Unclean-title compat path: a private RuleIndex over the same
+        # rules, probed with full interpreted semantics.
         self._compat = RuleIndex(token_frequency=self._freq)
-        self._forced_compat = False
         self._lane_labels: Dict[str, str] = {}
         for rule in rules:
             self.add_rule(rule)
@@ -326,12 +317,6 @@ class CompiledRuleSet:
     def include_disabled(self) -> bool:
         return self._include_disabled
 
-    @property
-    def forced_compat(self) -> bool:
-        """True when an unknown rule class downgraded every item to the
-        interpreted compat path (compilation effectively skipped)."""
-        return self._forced_compat
-
     def rules(self) -> List[Rule]:
         return list(self._rules.values())
 
@@ -341,21 +326,17 @@ class CompiledRuleSet:
 
     def reads_record(self, rule_id: str) -> bool:
         """Whether a rule may read past title and attributes: the generic
-        and compat lanes run its own ``matches_prepared``."""
-        return self._lane_labels.get(rule_id, "compat").startswith(
-            ("residue-generic", "compat")
-        )
+        lane runs its own ``matches_prepared`` (so may an uncompiled id)."""
+        return rule_id in self._generic or rule_id not in self._lane_labels
 
     def lane_of(self, rule_id: str) -> str:
         """Which compiled tier handles this rule (explain/debug surface)."""
         if rule_id not in self._rules:
             raise UnknownRuleError(rule_id)
-        if self._forced_compat:
-            return "compat (compilation skipped: unknown rule class present)"
-        return self._lane_labels.get(rule_id, "compat")
+        return self._lane_labels[rule_id]
 
     def layout(self) -> Dict[str, int]:
-        """Automaton layout counts (documented in DESIGN.md §5)."""
+        """Lane population counts (documented in DESIGN.md §5)."""
         self._refresh()
         depth1 = sum(
             1 for lanes in self._raw.values() for _ in lanes.fires
@@ -368,7 +349,6 @@ class CompiledRuleSet:
             "depth1_fire_entries": depth1,
             "depth2_pair_entries": pairs,
             "verify_entries": verify,
-            "automaton_patterns": len(self._ac),
             "residue_rules": self._n_residue,
         }
 
@@ -420,10 +400,6 @@ class CompiledRuleSet:
                 else:  # kind names the list lane: fires / verify / cm / pairs
                     getattr(lanes, kind).remove(payload)
                 self._dirty_tokens.add(token)
-            elif kind == "ac":
-                self._ac.remove(payload)
-                self._ac_rid.pop(payload, None)
-                self._ac_gate = None
             elif kind == "attr":
                 name, _rid = payload
                 group = self._attr_groups[name]
@@ -437,13 +413,14 @@ class CompiledRuleSet:
             elif kind == "generic":
                 del self._generic[payload]
                 self._n_residue -= 1
-        if not self._forced_compat:
-            # Drop now-empty raw lanes so layout()/folding stay tight.
-            for token, kind, _ in contrib:
-                if token is not None:
-                    lanes = self._raw.get(token)
-                    if lanes is not None and lanes.empty():
-                        del self._raw[token]
+            elif kind == "anchored":
+                del self._generic[payload]
+        # Drop now-empty raw lanes so layout()/folding stay tight.
+        for token, kind, _ in contrib:
+            if token is not None:
+                lanes = self._raw.get(token)
+                if lanes is not None and lanes.empty():
+                    del self._raw[token]
         self._dirty_tokens.add("")  # force a refresh pass
         return True
 
@@ -479,28 +456,43 @@ class CompiledRuleSet:
             contrib.append((None, "value", entry))
             self._lane_labels[rid] = "residue-value"
             return
-        anchors = rule.anchor_literals()
+        self._generic[rid] = rule
+        if isinstance(rule, SequenceRule):
+            anchors = (rarest_anchor(rule.token_sequence, self._freq),)
+        else:
+            anchors = rule.anchor_literals()
         if not anchors:
             # Predicate rules and other anchorless classes: always-checked
             # residue, evaluated through matches_prepared — identical to
             # the RuleIndex residue list.
-            self._generic[rid] = rule
             self._n_residue += 1
             contrib.append((None, "generic", rid))
             self._lane_labels[rid] = "residue-generic"
             return
         # An anchored rule class the compiler cannot prove it understands:
-        # correctness first — skip compilation for the whole artifact.
-        self._forced_compat = True
-        self._lane_labels[rid] = "compat (unknown anchored rule class)"
+        # counted where RuleIndex posts it, evaluated by its own
+        # matches_prepared on every clean item.
+        self._count(rid, anchors, contrib)
+        contrib.append((None, "anchored", rid))
+        self._lane_labels[rid] = "generic-anchored"
+
+    def _count(self, rid: str, anchors: Sequence[str], contrib: List) -> None:
+        """Candidate accounting: identical placement to RuleIndex postings
+        (one anchor counts unconditionally, several are deduped per item)."""
+        if len(anchors) == 1:
+            anchor = next(iter(anchors))
+            self._lane(anchor).cu += 1
+            contrib.append((anchor, "cu", 1))
+        else:
+            for anchor in anchors:
+                self._lane(anchor).cm.append(rid)
+                contrib.append((anchor, "cm", rid))
 
     def _lower_sequence(self, rule: SequenceRule, contrib: List) -> None:
         rid = rule.rule_id
         sequence = rule.token_sequence
         anchor = rarest_anchor(sequence, self._freq)
-        lanes = self._lane(anchor)
-        lanes.cu += 1
-        contrib.append((anchor, "cu", 1))
+        self._count(rid, (anchor,), contrib)
         if any(token in STOPWORDS for token in sequence):
             # matches_prepared filters stop words out of the title before
             # the in-order walk, so a stop-word-bearing sequence can never
@@ -529,15 +521,7 @@ class CompiledRuleSet:
         self, rule: RegexRule, anchors: FrozenSet[str], contrib: List
     ) -> None:
         rid = rule.rule_id
-        # Candidate accounting: identical placement to RuleIndex postings.
-        if len(anchors) == 1:
-            anchor = next(iter(anchors))
-            self._lane(anchor).cu += 1
-            contrib.append((anchor, "cu", 1))
-        else:
-            for anchor in anchors:
-                self._lane(anchor).cm.append(rid)
-                contrib.append((anchor, "cm", rid))
+        self._count(rid, anchors, contrib)
         lowered = _lower_regex_branches(rule.pattern)
         if lowered is None:
             entry = (None, _make_regex_verifier(rule._compiled), rid)
@@ -546,28 +530,18 @@ class CompiledRuleSet:
                 contrib.append((anchor, "verify", entry))
             self._lane_labels[rid] = "verify-regex"
             return
-        words, phrases = lowered
-        labels = []
+        words, pairs = lowered
         for word in words:
             self._lane(word).fires.append(rid)
             contrib.append((word, "fires", rid))
-        if words:
-            labels.append("depth1-fire")
-        for phrase in sorted(phrases):
-            if len(phrase) == 2:
-                entry = (phrase[1], rid)
-                self._lane(phrase[0]).pairs.append(entry)
-                contrib.append((phrase[0], "pairs", entry))
-                labels.append("depth2-pair")
-            else:
-                self._ac_counter += 1
-                pattern_id = f"{rid}\x00{self._ac_counter}"
-                self._ac.add(phrase, pattern_id)
-                self._ac_rid[pattern_id] = rid
-                self._ac_gate = None
-                contrib.append((None, "ac", pattern_id))
-                labels.append("automaton-phrase")
-        self._lane_labels[rid] = "+".join(dict.fromkeys(labels)) or "depth1-fire"
+        for first, second in sorted(pairs):
+            entry = (second, rid)
+            self._lane(first).pairs.append(entry)
+            contrib.append((first, "pairs", entry))
+        labels = ["depth1-fire"] if words else []
+        if pairs:
+            labels.append("depth2-pair")
+        self._lane_labels[rid] = "+".join(labels) or "depth1-fire"
 
     # -- folding ------------------------------------------------------------------
 
@@ -687,15 +661,6 @@ class CompiledRuleSet:
             self._generic_items = tuple(
                 (ord_[rid], rule) for rid, rule in self._generic.items()
             )
-            self._ac_ord = {
-                pid: ord_[rid] for pid, rid in self._ac_rid.items()
-            }
-        if self._ac_gate is None and len(self._ac):
-            self._ac_gate = frozenset(
-                self._ac.gate_tokens(
-                    choose=lambda tokens: rarest_anchor(tokens, self._freq)
-                )
-            )
 
     # -- matching -----------------------------------------------------------------
 
@@ -770,11 +735,6 @@ class CompiledRuleSet:
                                 flist.append(o)
                                 break
                             start += 1
-        ac_gate = self._ac_gate
-        if ac_gate is not None and not ac_gate.isdisjoint(tset):
-            ac_ord = self._ac_ord
-            for pattern_id in self._ac.matching_ids(toks):
-                flist.append(ac_ord[pattern_id])
         if self._attr_items or self._value_items:
             attrs = item.attributes
             if attrs:
@@ -835,7 +795,7 @@ class CompiledRuleSet:
         """
         self._refresh()
         lowered = item.title.lower()
-        if self._forced_compat or _CLEAN_TITLE(lowered) is None:
+        if _CLEAN_TITLE(lowered) is None:
             return self._match_compat(item)
         toks = lowered.split()
         tset = set(toks)
@@ -865,7 +825,6 @@ class CompiledRuleSet:
             stats = ExecutionStats()
         self._refresh()
         keys = self._keys
-        forced = self._forced_compat
         apply_lanes = self._apply_lanes
         match_compat = self._match_compat
         fired: Dict[str, List[str]] = {}
@@ -884,7 +843,7 @@ class CompiledRuleSet:
             for item in items:
                 try:
                     lowered = item.title.lower()
-                    if forced or _CLEAN_TITLE(lowered) is None:
+                    if _CLEAN_TITLE(lowered) is None:
                         hits, n_candidates = match_compat(item)
                     else:
                         toks = lowered.split()

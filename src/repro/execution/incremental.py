@@ -437,10 +437,11 @@ class IncrementalExecutor:
                 # No recompute: stored matches are condition-truth; the
                 # next read's enabled-set comparison sees the flip. Rule sets own
                 # their rule copies, so mirror the flag onto our tracked
-                # object when the executor was built from different ones.
+                # object when the executor was built from different ones —
+                # as a field: a mutator would record the flip a second time.
                 tracked = self._rules.get(rule.rule_id)
                 if tracked is not None and tracked is not rule:
-                    tracked.enabled = rule.enabled
+                    object.__setattr__(tracked, "enabled", rule.enabled)
 
         unsubscribe = ruleset.subscribe(on_event)
         self._unsubscribes.append(unsubscribe)
@@ -644,9 +645,10 @@ class IncrementalExecutor:
 
     def _sync(self) -> None:
         """Bring the enabled view, its pair count and its fingerprint up
-        to the store: O(rules) for the enabled-set comparison (so a silent
-        ``rule.enabled = ...`` is seen) plus O(rows touched since the last
-        read + columns of rules whose flag differs from that read)."""
+        to the store: O(rules) for the enabled-set comparison (so a
+        ``rule.enabled = ...`` on a bare rule is seen) plus O(rows touched
+        since the last read + columns of rules whose flag differs from
+        that read)."""
         enabled = self._enabled_ids()
         touched = self.store.drain_touched()
         if enabled != self._view_enabled:

@@ -1,5 +1,7 @@
 """Tests for RuleSet evaluation semantics."""
 
+import copy
+
 import pytest
 
 from repro.catalog.types import ProductItem
@@ -106,6 +108,29 @@ class TestMutation:
         assert target not in ruleset.active_rules()
         ruleset.enable(target.rule_id)
         assert target in ruleset.active_rules()
+
+    def test_enabled_write_on_a_held_rule_goes_through_the_set(self, ruleset):
+        events, ops = [], []
+        ruleset.subscribe(lambda event, rule: events.append((event, rule.rule_id)))
+        ruleset.recorder = lambda op, rule: ops.append((op, rule.rule_id))
+        held = next(iter(ruleset))
+        held.enabled = False
+        held.enabled = False  # already off: nothing to record
+        held.enabled = True
+        flips = [("disable", held.rule_id), ("enable", held.rule_id)]
+        assert ops == flips
+        assert events == [("disabled", held.rule_id), ("enabled", held.rule_id)]
+        # A copy, a removed rule and the rule handed to add() are bare rules.
+        stray = copy.copy(held)
+        stray.enabled = False
+        assert ruleset.is_enabled(held.rule_id) and not stray.enabled
+        given = WhitelistRule("zz", "t", rule_id="zz")
+        ruleset.add(given)
+        given.enabled = False
+        ruleset.remove(held.rule_id)
+        held.enabled = False
+        assert ops == flips + [("add", "zz"), ("remove", held.rule_id)]
+        assert not held.enabled and ruleset.is_enabled("zz")
 
     def test_disable_type(self, ruleset):
         disabled = ruleset.disable_type("rings")

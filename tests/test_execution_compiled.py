@@ -1,4 +1,4 @@
-"""Compiled execution layer: automaton, lowering, parity, churn.
+"""Compiled execution layer: lowering, parity, churn.
 
 The contract under test everywhere: the compiled engine is an
 *optimizer*, never a semantic fork — fired maps, skip accounting and
@@ -37,7 +37,6 @@ from repro.execution import (
     PartitionedExecutor,
     RuleIndex,
     RuleSetCompiler,
-    TokenAutomaton,
     rarest_anchor,
 )
 from repro.execution.compiler import _DEAD_SLOT_MARGIN, _lower_regex_branches
@@ -83,59 +82,6 @@ def assert_parity(rules, items):
     return fired_i
 
 
-class TestTokenAutomaton:
-    def test_classic_overlapping_patterns(self):
-        # The textbook he/she/his/hers example, lifted to token alphabet.
-        ac = TokenAutomaton()
-        for pid, pattern in {
-            "he": ("h", "e"),
-            "she": ("s", "h", "e"),
-            "his": ("h", "i", "s"),
-            "hers": ("h", "e", "r", "s"),
-        }.items():
-            ac.add(pattern, pid)
-        hits = ac.scan(list("ushers"))
-        assert set(hits) == {("she", 3), ("he", 3), ("hers", 5)}
-
-    def test_matching_ids_and_end_positions(self):
-        ac = TokenAutomaton()
-        ac.add(("rose", "gold", "ring"), "p1")
-        ac.add(("gold", "ring"), "p2")
-        tokens = ["a", "rose", "gold", "ring", "b"]
-        assert ac.matching_ids(tokens) == {"p1", "p2"}
-        assert set(ac.scan(tokens)) == {("p1", 3), ("p2", 3)}
-        assert ac.matching_ids(["gold", "rose", "ring"]) == set()
-
-    def test_add_remove_and_generation(self):
-        ac = TokenAutomaton()
-        ac.add(("a", "b", "c"), "p")
-        gen = ac.generation
-        assert ac.matching_ids(["a", "b", "c"]) == {"p"}
-        assert ac.remove("p") is True
-        assert ac.remove("p") is False
-        assert ac.generation == gen + 1
-        assert ac.matching_ids(["a", "b", "c"]) == set()
-
-    def test_readd_replaces_pattern(self):
-        ac = TokenAutomaton()
-        ac.add(("a", "b"), "p")
-        ac.add(("c", "d"), "p")
-        assert ac.matching_ids(["a", "b"]) == set()
-        assert ac.matching_ids(["c", "d"]) == {"p"}
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            TokenAutomaton().add((), "p")
-
-    def test_gate_tokens_cover_every_pattern(self):
-        ac = TokenAutomaton()
-        ac.add(("x", "y", "z"), "p1")
-        ac.add(("q", "r"), "p2")
-        gate = ac.gate_tokens()
-        assert gate & {"x", "y", "z"}
-        assert gate & {"q", "r"}
-
-
 class TestRegexBranchLowering:
     def test_bare_word(self):
         assert _lower_regex_branches("ring") == ({"ring"}, set())
@@ -146,9 +92,12 @@ class TestRegexBranchLowering:
         assert phrases == set()
 
     def test_alternation_and_phrase(self):
-        words, phrases = _lower_regex_branches("ring|gold band|rose gold ring")
+        words, pairs = _lower_regex_branches("ring|gold band")
         assert words == {"ring"}
-        assert phrases == {("gold", "band"), ("rose", "gold", "ring")}
+        assert pairs == {("gold", "band")}
+        # A literal phrase of three or more words is not lowered: the rule
+        # verifies with its own compiled regex.
+        assert _lower_regex_branches("ring|rose gold ring") is None
 
     def test_unloweable_branch_bails_entirely(self):
         assert _lower_regex_branches("ring|ba.d") is None
@@ -309,24 +258,45 @@ class TestCompiledParityPerRuleClass:
         items = [item("i1", "gold ring"), item("i2", "silver band")]
         assert_parity(rules, items)
         compiled = RuleSetCompiler().compile(rules)
-        assert "residue-generic" in compiled.lane_of("pr1")
-        assert not compiled.forced_compat
+        assert compiled.lane_of("pr1") == "residue-generic"
+        assert compiled.lane_of("w1") == "depth1-fire"
 
     def test_unknown_anchored_rule_class_forces_compat(self):
+        """Compat for that rule only: an anchored class the compiler does
+        not know runs its own ``matches_prepared``, counted where the
+        index posts it; every other rule stays compiled."""
         class ExoticRule(WhitelistRule):
             def matches_prepared(self, prepared):  # overridden semantics
                 return "gold" in prepared.tokens and super().matches_prepared(prepared)
 
-        rules = [ExoticRule("ring", "t", rule_id="x1"),
+        class ExoticSequence(SequenceRule):
+            def matches_prepared(self, prepared):
+                return "fine" in prepared.tokens and super().matches_prepared(prepared)
+
+        rules = [ExoticRule("rings?", "t", rule_id="x1"),
+                 ExoticRule("ring|band", "t", rule_id="x2"),
+                 ExoticSequence(["gold", "band"], "t", rule_id="x3"),
                  WhitelistRule("band", "t", rule_id="w1")]
         items = [item("i1", "gold ring"), item("i2", "silver ring"),
-                 item("i3", "band")]
-        fired_i, _ = NaiveExecutor(rules).run(items)
-        fired_c, _ = IndexedExecutor(rules).run(items)
-        assert fired_c == fired_i == {"i1": ["x1"], "i3": ["w1"]}
+                 item("i3", "band"), item("i4", "fine gold rings band"),
+                 item("i5", "Gold Ring band!"), item("i6", "fine gold band")]
+        fired = assert_parity(rules, items)
+        assert fired == {
+            "i1": ["x1", "x2"], "i3": ["w1"], "i4": ["w1", "x1", "x2", "x3"],
+            "i5": ["w1", "x1", "x2"], "i6": ["w1", "x2", "x3"],
+        }
         compiled = RuleSetCompiler().compile(rules)
-        assert compiled.forced_compat
-        assert "compilation skipped" in compiled.lane_of("w1")
+        assert [compiled.lane_of(r.rule_id) for r in rules] == [
+            "generic-anchored", "generic-anchored", "generic-anchored", "depth1-fire",
+        ]
+        assert compiled.layout()["residue_rules"] == 0
+        assert compiled.reads_record("x1") and not compiled.reads_record("w1")
+        # Churn: removing the unknown rules leaves the compiled one alone.
+        for rule_id in ("x1", "x2", "x3"):
+            compiled.remove_rule(rule_id)
+        assert compiled.execute(items)[0] == {
+            "i3": ["w1"], "i4": ["w1"], "i5": ["w1"], "i6": ["w1"],
+        }
 
 
 class TestPluralBridgeTrap:
@@ -691,18 +661,30 @@ class TestCompiledRuleSetChurn:
         assert swept() == NaiveExecutor(compiled.rules()).run(items)[0]
 
     def test_layout_counts(self):
-        compiled = CompiledRuleSet([
-            WhitelistRule("ring|gold band|rose gold ring", "t", rule_id="w1"),
+        rules = [
+            WhitelistRule("ring|gold band", "t", rule_id="w1"),
+            WhitelistRule("rose gold ring", "t", rule_id="w2"),
             SequenceRule(["gold", "ring"], "t", rule_id="s1"),
             AttributeRule("isbn", "book", rule_id="a1"),
+        ]
+        compiled = CompiledRuleSet(rules)
+        assert compiled.layout() == {
+            "rules": 4,
+            "tokens": 6,                # gold, ring, rose + their plural bridges
+            "depth1_fire_entries": 1,   # "ring" branch
+            "depth2_pair_entries": 1,   # "gold band"
+            "verify_entries": 2,        # the 2-token sequence; w2's regex under "rose"
+            "residue_rules": 1,
+        }
+        assert [compiled.lane_of(rule.rule_id) for rule in rules] == [
+            "depth1-fire+depth2-pair", "verify-regex", "verify-pair-order",
+            "residue-attribute",
+        ]
+        assert_parity(rules, [
+            item("i1", "rose gold ring"), item("i2", "gold band"),
+            item("i3", "rose gold rings"), item("i4", "gold rose ring"),
+            item("i5", "isbn", {"ISBN": "1"}), item("i6", "Rose Gold Ring!"),
         ])
-        layout = compiled.layout()
-        assert layout["rules"] == 3
-        assert layout["depth1_fire_entries"] == 1   # "ring" branch
-        assert layout["depth2_pair_entries"] == 1   # "gold band"
-        assert layout["automaton_patterns"] == 1    # "rose gold ring"
-        assert layout["verify_entries"] == 1        # the 2-token sequence
-        assert layout["residue_rules"] == 1
 
 
 # -- hypothesis: compiled == reference incl. candidate accounting; the full

@@ -65,7 +65,7 @@ _title = st.lists(_token, min_size=0, max_size=6).map(" ".join)
 
 # Regex conditions: whole words, optional plurals on short stems, optional
 # and wildcard characters *inside* a word (no sound anchor exists), gaps,
-# groups, classes, escaped punctuation.
+# groups, classes, escaped punctuation, literal phrases of three words.
 _regex = st.one_of(
     _stem,
     _stem.map(lambda w: w + "s?"),
@@ -77,8 +77,20 @@ _regex = st.one_of(
     ]),
     st.builds("{} {}s?".format, _word, _stem),
     st.builds("{}|{}s?".format, _word, _stem),
+    st.sampled_from(["rose gold rings", "gold ring band", "gold ring tv", "usb pc|glass tv pc"]),
+    st.builds("{} {} {}".format, _word, _word, _word),
 )
 _attribute = st.sampled_from(["isbn", "brand", "price"])
+
+
+class _NarrowedWhitelist(WhitelistRule):
+    """An anchored rule class the compiler does not know: a whitelist
+    condition narrowed by a check of its own (its anchors stay sound)."""
+
+    def matches_prepared(self, prepared):
+        return "glass" not in prepared.tokens and super().matches_prepared(prepared)
+
+
 _value = st.sampled_from(["apple", "acme", "9", "120"])
 
 # A rule spec is a factory taking the rule id, so edits can rebuild a
@@ -86,6 +98,7 @@ _value = st.sampled_from(["apple", "acme", "9", "120"])
 _rule_spec = st.one_of(
     st.builds(lambda p: lambda rid: WhitelistRule(p, "t", rule_id=rid), _regex),
     st.builds(lambda p: lambda rid: BlacklistRule(p, "t", rule_id=rid), _regex),
+    st.builds(lambda p: lambda rid: _NarrowedWhitelist(p, "t", rule_id=rid), _regex),
     st.builds(
         lambda seq: lambda rid: SequenceRule(seq, "t", rule_id=rid),
         st.lists(_word, min_size=1, max_size=3),
@@ -235,9 +248,32 @@ ANCHOR_CASES = [
 
 @pytest.mark.parametrize("pattern,title", ANCHOR_CASES)
 def test_anchor_soundness_cases_fire_in_every_mode(pattern, title):
-    rule = WhitelistRule(pattern, "t", rule_id="w1")
+    _assert_every_mode(WhitelistRule(pattern, "t", rule_id="w1"), title, fires=True)
+
+
+# Rules no tier of their own lowers: literal phrases of three words take
+# verify-regex, an anchored class the compiler does not know runs its own
+# matches_prepared (generic-anchored); clean and unclean titles.
+REROUTED_CASES = [
+    (WhitelistRule, "rose gold rings", "rose gold rings", True),
+    (WhitelistRule, "tv|gold ring band", "a gold ring band", True),
+    (WhitelistRule, "gold ring band", "Gold Ring Band!", True),
+    (WhitelistRule, "gold ring band", "gold band ring", False),
+    (_NarrowedWhitelist, "rings?", "gold ring", True),
+    (_NarrowedWhitelist, "rings?", "rubber o-rings", True),
+    (_NarrowedWhitelist, "gold ring tv", "gold ring tv", True),
+    (_NarrowedWhitelist, "rings?", "glass ring", False),
+]
+
+
+@pytest.mark.parametrize("cls,pattern,title,fires", REROUTED_CASES)
+def test_rerouted_rules_answer_alike_in_every_mode(cls, pattern, title, fires):
+    _assert_every_mode(cls(pattern, "t", rule_id="w1"), title, fires)
+
+
+def _assert_every_mode(rule, title, fires):
     item = ProductItem(item_id="i1", title=title)
-    expected = {"i1": ["w1"]}
+    expected = {"i1": ["w1"]} if fires else {}
     assert NaiveExecutor([rule]).run([item])[0] == expected
     assert IndexedExecutor([rule]).run([item])[0] == expected
     assert PartitionedExecutor([rule], n_workers=2).run([item]).fired == expected
@@ -292,8 +328,8 @@ def test_every_mode_runs_a_predicate_rule():
 
 # The interleaving above plus what only a subscribed executor sees: a
 # duplicate id inside one batch, a retired id coming back, and enable /
-# disable arriving as rule-set events (``toggle_rule`` stays the silent
-# ``rule.enabled = ...`` assignment no event announces).
+# disable arriving as rule-set events (``toggle_rule`` stays the
+# ``rule.enabled = ...`` assignment, which on a set's rule calls the set).
 _view_op = st.one_of(
     _op,
     st.tuples(st.just("duplicate_items"), _item_spec, _item_spec),

@@ -210,6 +210,38 @@ class TestTornWrites:
         service.close()
 
 
+class TestRuleFlagWrite:
+    def test_enabled_write_on_a_served_rule_is_logged_and_resumes(self, tmp_path):
+        """``rule.enabled = False`` on a rule the pipeline's set holds is
+        that set's ``disable``: logged, so a resume rebuilds the same
+        fired map an uninterrupted twin making the same write ends with."""
+
+        def served(root, close_after):
+            service = StreamService(
+                root, ServiceConfig(seed=7, training=0), fsync=False
+            ).start()
+            service.run(3)
+            fired = service.incremental.fired_map()
+            rule_id = min(rule_id for hits in fired.values() for rule_id in hits)
+            service.chimera.rule_stage.rules.get(rule_id).enabled = False
+            service.run(2)
+            if close_after:
+                service.close()
+                service = StreamService(root, fsync=False).start()
+            identity = service.identity_json()
+            service.close()
+            return rule_id, identity
+
+        root = str(tmp_path / "resumed")
+        rule_id, resumed = served(root, close_after=True)
+        assert served(str(tmp_path / "twin"), close_after=False) == (rule_id, resumed)
+        with open(os.path.join(root, LOGS["changelog"])) as handle:
+            ops = [json.loads(line) for line in handle]
+        assert [(op["op"], op["rule_id"]) for op in ops if op["op"] == "disable"] == [
+            ("disable", rule_id)
+        ]
+
+
 class TestDoubleKill:
     def test_two_sequential_kills(self, reference, tmp_path):
         """A resume that itself dies must still converge on the identity."""
