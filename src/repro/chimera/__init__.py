@@ -13,11 +13,11 @@ from repro.chimera.classifiers import (
     ClassifierStage,
     LearningClassifierStage,
     RuleBasedClassifier,
+    RuleFold,
 )
 from repro.chimera.filter import FinalFilter
 from repro.chimera.gatekeeper import GateAction, GateDecision, GateKeeper
 from repro.chimera.incidents import Incident, IncidentManager
-from repro.chimera.matching import RuleSetMatcher
 from repro.chimera.monitoring import (
     BatchStats,
     BreakerState,
@@ -51,7 +51,7 @@ __all__ = [
     "LearningClassifierStage",
     "PrecisionMonitor",
     "RuleBasedClassifier",
-    "RuleSetMatcher",
+    "RuleFold",
     "StageFault",
     "StageHealthMonitor",
     "VotingMaster",

@@ -13,17 +13,39 @@ Voting Master can combine them uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from itertools import repeat
+from typing import TYPE_CHECKING, Collection, List, Optional, Sequence, Set
 
-from repro.catalog.types import ProductItem
-from repro.chimera.matching import RuleSetMatcher
 from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import Prediction
-from repro.core.ruleset import RuleSet, RuleVerdict
+from repro.core.ruleset import NOTHING_FIRED, RuleSet, RuleVerdict
 from repro.observability.provenance import StageTrace
 
 if TYPE_CHECKING:
     from repro.learning.ensemble import VotingEnsemble
+
+
+#: One item's hit ids for one rule set (any order, disabled rules too), or
+#: None when nobody read them.
+Hits = Optional[Collection[str]]
+
+
+class RuleFold:
+    """One rule set's consumer: its verdict is ``rules.fold`` over the
+    item's hits of that set, which the pipeline reads from its engine; no
+    hits, no fold. With ``hits`` None (a consumer on its own, or an item
+    whose engine evaluation raised) it evaluates each of its rules by
+    ``matches_prepared``, disabled ones too as the engine does, so a
+    raising condition raises inside the caller's guard."""
+
+    rules: RuleSet
+
+    def verdict(self, item: ItemLike, hits: Hits = None) -> RuleVerdict:
+        """What ``rules.apply(item)`` returns."""
+        if hits is None:
+            prepared = prepare(item)
+            hits = [rule.rule_id for rule in self.rules if rule.matches_prepared(prepared)]
+        return self.rules.fold(hits) if hits else NOTHING_FIRED
 
 
 class StageAnswer:
@@ -72,45 +94,43 @@ class ClassifierStage(ABC):
         self.enabled = True
 
     @abstractmethod
-    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
+    def answer(self, item: ItemLike, traced: bool = False, hits: Hits = None) -> StageAnswer:
         """Votes, restriction and (when ``traced``) trace for one item,
-        evaluated once."""
+        evaluated once (``hits``: see :class:`RuleFold`)."""
 
     def answer_batch(
-        self, items: Sequence[ItemLike], traced: bool = False
+        self,
+        items: Sequence[ItemLike],
+        traced: bool = False,
+        hits: Optional[Sequence[Hits]] = None,
     ) -> List[StageAnswer]:
         """One answer per item, in order: the call the pipeline guards."""
-        return [self.answer(item, traced) for item in items]
+        per_item = repeat(None) if hits is None else hits
+        return [self.answer(item, traced, h) for item, h in zip(items, per_item)]
 
     def predict(self, item: ItemLike) -> List[Prediction]:
         """Weighted type votes for one item (empty when nothing fires)."""
         return self.answer(item).votes
 
-    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
+    def constraints(self, item: ItemLike, hits: Hits = None) -> Optional[Set[str]]:
         """Allowed-type restriction for ``item``, or None for unconstrained."""
         return None
 
 
-class RuleSetStage(ClassifierStage):
-    """A stage whose votes are one rule set's verdict.
-
-    The verdict comes from :attr:`matcher` — the row the fired-map tracker
-    wrote when the batch arrived, else one engine evaluation — folded by
-    the rule set; never from ``rules.apply``.
-    """
+class RuleSetStage(ClassifierStage, RuleFold):
+    """A stage whose votes are one rule set's verdict (see :class:`RuleFold`)."""
 
     def __init__(self, rules: Optional[RuleSet], name: str):
         super().__init__(name)
         self.rules = rules if rules is not None else RuleSet(name=name)
-        self.matcher = RuleSetMatcher(self.rules)
 
     def allowed(self, verdict: RuleVerdict) -> Optional[Set[str]]:
         """The restriction ``verdict`` puts on *other* stages' votes: none —
         a rule set's constraints already shaped its own predictions."""
         return None
 
-    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
-        verdict = self.matcher.verdict(item)
+    def answer(self, item: ItemLike, traced: bool = False, hits: Hits = None) -> StageAnswer:
+        verdict = self.verdict(item, hits)
         votes = [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
             for p in verdict.predictions
@@ -148,8 +168,8 @@ class AttributeValueClassifier(RuleSetStage):
             return None
         return set(verdict.constrained_to)
 
-    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        return self.allowed(self.matcher.verdict(item))
+    def constraints(self, item: ItemLike, hits: Hits = None) -> Optional[Set[str]]:
+        return self.allowed(self.verdict(item, hits))
 
 
 class LearningClassifierStage(ClassifierStage):
@@ -191,11 +211,14 @@ class LearningClassifierStage(ClassifierStage):
     def is_trained(self) -> bool:
         return self._trained
 
-    def answer(self, item: ItemLike, traced: bool = False) -> StageAnswer:
+    def answer(self, item: ItemLike, traced: bool = False, hits: Hits = None) -> StageAnswer:
         return self.answer_batch([item], traced)[0]
 
     def answer_batch(
-        self, items: Sequence[ItemLike], traced: bool = False
+        self,
+        items: Sequence[ItemLike],
+        traced: bool = False,
+        hits: Optional[Sequence[Hits]] = None,
     ) -> List[StageAnswer]:
         """The ensemble's unsuppressed votes, sourced to this stage, from
         one ``predict_batch`` over every title's prepared tokens."""

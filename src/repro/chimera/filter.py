@@ -11,26 +11,24 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.catalog.types import ProductItem
-from repro.chimera.matching import RuleSetMatcher
+from repro.chimera.classifiers import Hits, RuleFold
 from repro.core.prepared import ItemLike
 from repro.core.rule import Prediction
 from repro.core.ruleset import RuleSet
 from repro.observability.provenance import StageTrace
 
 
-class FinalFilter:
+class FinalFilter(RuleFold):
     """Walks the ranked candidates, dropping vetoed or killed types.
 
     Asked with ``traced``, :meth:`select` returns beside its pick which
     filter rules fired and which types were vetoed (captured from the
-    verdict it computed anyway). The verdict is :attr:`matcher`'s — one
-    engine evaluation per item, folded by the rule set.
+    verdict it computed anyway). The verdict folds the item's hits of
+    :attr:`rules` (see :class:`~repro.chimera.classifiers.RuleFold`).
     """
 
     def __init__(self, rules: Optional[RuleSet] = None):
         self.rules = rules if rules is not None else RuleSet(name="filter")
-        self.matcher = RuleSetMatcher(self.rules)
         # Business kill switches: predictions for these types are always
         # dropped and the items routed to manual classification.
         self.killed_types: Set[str] = set()
@@ -41,16 +39,13 @@ class FinalFilter:
     def revive_type(self, type_name: str) -> None:
         self.killed_types.discard(type_name)
 
-    def vetoed_types(self, item: ItemLike) -> Set[str]:
-        verdict = self.matcher.verdict(item)
-        return set(verdict.vetoed) | self.killed_types
-
     def select(
         self,
         item: ItemLike,
         ranked: List[Prediction],
         confidence_threshold: float,
         traced: bool = False,
+        hits: Hits = None,
     ) -> Tuple[Optional[Prediction], Optional[StageTrace]]:
         """First ranked candidate that survives vetoes and the threshold,
         and the filter's provenance trace (None unless ``traced``).
@@ -59,7 +54,7 @@ class FinalFilter:
         are considered — the Filter removes bad answers, it does not rescue
         low-confidence ones.
         """
-        verdict = self.matcher.verdict(item)
+        verdict = self.verdict(item, hits)
         vetoed = set(verdict.vetoed) | self.killed_types
         trace = None
         if traced:

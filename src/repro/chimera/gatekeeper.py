@@ -12,8 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.catalog.types import ProductItem
-from repro.chimera.matching import RuleSetMatcher
+from repro.chimera.classifiers import Hits, RuleFold
 from repro.core.prepared import ItemLike
 from repro.core.ruleset import RuleSet
 
@@ -31,20 +30,23 @@ class GateDecision:
     reason: str = ""
 
 
-class GateKeeper:
+class GateKeeper(RuleFold):
     """Preliminary item screening with an analyst-editable bypass rule set."""
 
     def __init__(self, bypass_rules: Optional[RuleSet] = None, min_title_tokens: int = 1):
-        self.bypass_rules = bypass_rules if bypass_rules is not None else RuleSet(name="gate")
+        self.rules = bypass_rules if bypass_rules is not None else RuleSet(name="gate")
         self.min_title_tokens = min_title_tokens
-        self.matcher = RuleSetMatcher(self.bypass_rules)
 
-    def process(self, item: ItemLike) -> GateDecision:
+    def rejects(self, item: ItemLike) -> bool:
+        """Whether ``item`` is junk: an empty or too short title."""
         title = item.title.strip()
-        if not title or len(title.split()) < self.min_title_tokens:
+        return not title or len(title.split()) < self.min_title_tokens
+
+    def process(self, item: ItemLike, hits: Hits = None) -> GateDecision:
+        """Reject junk, else bypass on the bypass rules' strongest vote."""
+        if self.rejects(item):
             return GateDecision(GateAction.REJECT, reason="empty-or-short-title")
-        verdict = self.matcher.verdict(item)
-        best = verdict.best()
+        best = self.verdict(item, hits).best()
         if best is not None:
             return GateDecision(GateAction.CLASSIFY, label=best.label, reason=best.source)
         return GateDecision(GateAction.PASS)

@@ -206,30 +206,20 @@ class IncidentManager:
             f"disabled {sum(len(v) for v in incident.disabled_rule_ids.values())} rules"
         )
 
-    def _rule_stages(self):
-        """(stage name, ruleset) pairs a rule incident may touch."""
-        return (
-            ("rule-based", self.chimera.rule_stage.rules),
-            ("attr-value", self.chimera.attr_stage.rules),
-            ("filter", self.chimera.filter.rules),
-        )
-
     def _scale_down_rules(self, incident: Incident) -> None:
         """Disable exactly the incident's named rules, wherever they live."""
         missing: List[str] = []
         with self._attributed(incident, "scale down"):
             for rule_id in incident.rule_ids:
-                found = False
-                for stage_name, rules in self._rule_stages():
+                for stage_name, rules in self.chimera.rule_sets().items():
                     if rule_id in rules:
-                        found = True
                         if rules.is_enabled(rule_id):
                             rules.disable(rule_id)
                             incident.disabled_rule_ids.setdefault(
                                 stage_name, []
                             ).append(rule_id)
                         break
-                if not found:
+                else:
                     missing.append(rule_id)
         incident.status = "scaled-down"
         disabled = sum(len(v) for v in incident.disabled_rule_ids.values())
@@ -279,12 +269,9 @@ class IncidentManager:
         with self._attributed(incident, "restore"):
             for type_name, rule_ids in incident.disabled_rule_ids.items():
                 for rule_id in rule_ids:
-                    if rule_id in self.chimera.rule_stage.rules:
-                        self.chimera.rule_stage.rules.enable(rule_id)
-                    elif rule_id in self.chimera.attr_stage.rules:
-                        self.chimera.attr_stage.rules.enable(rule_id)
-                    elif rule_id in self.chimera.filter.rules:
-                        self.chimera.filter.rules.enable(rule_id)
+                    for rules in self.chimera.rule_sets().values():
+                        if rule_id in rules:
+                            rules.enable(rule_id)
             for type_name in incident.affected_types:
                 self.chimera.voting.suppressed_types.discard(type_name)
                 self.chimera.learning_stage.suppressed_types.discard(type_name)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.chimera.classifiers import StageAnswer
@@ -371,13 +372,14 @@ class GuardedStage:
     def enabled(self) -> bool:
         return self.stage.enabled
 
-    def answer_batch(self, items: Sequence, traced: bool = False) -> List[StageAnswer]:
-        """Every item's answer, with provenance traces when ``traced``."""
+    def answer_batch(self, items: Sequence, traced: bool = False, hits=None) -> List[StageAnswer]:
+        """Every item's answer, with provenance traces when ``traced``
+        (``hits``: each item's, for the stage)."""
         name = self.stage.name
         with self.tracer.span(f"stage.{name}", items=len(items)) as span:
             if self.health.breaker(name).state is BreakerState.CLOSED:
                 try:
-                    answers = self.stage.answer_batch(items, traced)
+                    answers = self.stage.answer_batch(items, traced, hits)
                 except Exception as exc:
                     # Not booked here: the per-item guard below finds the
                     # offending items and books each on its own.
@@ -387,16 +389,17 @@ class GuardedStage:
                     span.set_attribute("outcome", "ok")
                     return answers
             span.set_attribute("outcome", "per-item")
-            return [self._answer(item, traced) for item in items]
+            per_item = repeat(None) if hits is None else hits
+            return [self._answer(item, traced, h) for item, h in zip(items, per_item)]
 
-    def _answer(self, item, traced: bool) -> StageAnswer:
+    def _answer(self, item, traced: bool, hits) -> StageAnswer:
         """One item, two guarded calls: its answer, then its constraints
         (which a returned answer already holds)."""
-        answer = self._call(lambda: self.stage.answer(item, traced))
+        answer = self._call(lambda: self.stage.answer(item, traced, hits))
         if answer is not None:
             self.health.record_success(self.stage.name)  # the constraints call
             return answer
-        allowed = self._call(lambda: self.stage.constraints(item))
+        allowed = self._call(lambda: self.stage.constraints(item, hits))
         return StageAnswer(self.stage, [], allowed)
 
     def _call(self, method: Callable):

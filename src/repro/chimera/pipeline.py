@@ -1,4 +1,10 @@
-"""The assembled Chimera pipeline."""
+"""The assembled Chimera pipeline.
+
+Section 4 asks how to "quickly execute all rules on all records": one
+engine per pipeline, attached to its four rule sets, gives each item one
+row of firing rule ids (stored at admission, else evaluated once), and
+every consumer folds its own set's ids from that row.
+"""
 
 from __future__ import annotations
 
@@ -18,9 +24,10 @@ from repro.chimera.filter import FinalFilter, first_surviving
 from repro.chimera.gatekeeper import GateAction, GateKeeper
 from repro.chimera.monitoring import GuardedStage, StageHealthMonitor
 from repro.chimera.voting import VotingMaster
+from repro.core.errors import UnknownRuleError
 from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Rule
-from repro.core.ruleset import RuleSet
+from repro.core.ruleset import RuleSet, share_ids
 from repro.execution.incremental import IncrementalExecutor
 from repro.observability import Observability, ensure_observability
 from repro.observability.provenance import ProvenanceLog, ProvenanceRecord, StageTrace
@@ -132,11 +139,22 @@ class BatchResult:
         return metrics
 
 
+#: The rule sets' places in an item's per-set hits, in stage order.
+_GATE, _RULES, _ATTR, _FILTER = range(4)
+#: Per-set hits when no rule fires, and when the row could not be read.
+_NO_HITS = ((), (), (), ())
+_OWN_HITS = (None, None, None, None)
+
+
 class Chimera:
     """The full pipeline: gate → stages → voting → filter.
 
     Use :meth:`build` for the standard assembly, or construct the pieces
     explicitly for ablations (e.g. a learning-only Chimera for E5).
+
+    The four rule sets share one id space (a rule id names one rule per
+    pipeline) and one :attr:`engine`, whose fired map — the identity the
+    service chains — covers the rule-based set only.
     """
 
     def __init__(
@@ -168,14 +186,18 @@ class Chimera:
         self.health = health if health is not None else StageHealthMonitor()
         if self.observability.enabled and self.health.metrics is None:
             self.health.metrics = self.observability.metrics
+        # (guarded stage, its rule set's place in an item's hits).
         self._guarded_stages = [
-            GuardedStage(stage, self.health, tracer=self.observability.tracer)
-            for stage in (self.rule_stage, self.attr_stage, self.learning_stage)
+            (GuardedStage(stage, self.health, tracer=self.observability.tracer), slot)
+            for stage, slot in (
+                (rule_stage, _RULES), (attr_stage, _ATTR), (learning_stage, None)
+            )
         ]
+        self._sets = (gatekeeper.rules, rule_stage.rules, attr_stage.rules, final_filter.rules)
+        share_ids(self._sets)
+        self._engine: Optional[IncrementalExecutor] = None
         self.training_data: List[LabeledTitle] = []
         self._pending_training = 0
-        # stage name -> incremental fired-map tracker (see track_fired_map).
-        self.fired_trackers: Dict[str, IncrementalExecutor] = {}
         # Rule-quality telemetry (see enable_quality_telemetry): while a
         # provenance log is attached, every classified item records its
         # full attribution chain there and feeds the health tracker.
@@ -220,77 +242,46 @@ class Chimera:
     def add_attribute_rules(self, rules: Sequence[Rule]) -> None:
         self.attr_stage.rules.extend(rules)
 
+    @property
+    def engine(self) -> IncrementalExecutor:
+        """The pipeline's one engine, attached to the four rule sets at first
+        use, so the rules added before then (a service's startup rules, or
+        those a resume adopts) arrive as one delta a set."""
+        if self._engine is None:
+            self._engine = IncrementalExecutor(observability=self.observability)
+            for rules in self._sets:
+                self._engine.attach_ruleset(rules, in_view=rules is self.rule_stage.rules)
+        return self._engine
+
+    def rule_sets(self) -> Dict[str, RuleSet]:
+        """The four analyst rule sets by stage name, in stage order."""
+        return dict(zip(("gate", "rule-based", "attr-value", "filter"), self._sets))
+
     def rule_count(self) -> Dict[str, int]:
-        return {
-            "gate": len(self.gatekeeper.bypass_rules),
-            "rule-based": len(self.rule_stage.rules),
-            "attr-value": len(self.attr_stage.rules),
-            "filter": len(self.filter.rules),
-        }
+        return {name: len(rules) for name, rules in self.rule_sets().items()}
 
-    # -- incremental fired-map maintenance ----------------------------------------
-
-    def _rule_holder(self, stage: str):
-        """The component owning a stage's ``rules`` and their ``matcher``."""
-        holders = {
-            "rule-based": self.rule_stage,
-            "attr-value": self.attr_stage,
-            "filter": self.filter,
-        }
-        if stage not in holders:
-            raise ValueError(f"unknown rule stage {stage!r}; one of {sorted(holders)}")
-        return holders[stage]
-
-    def _stage_ruleset(self, stage: str) -> RuleSet:
-        return self._rule_holder(stage).rules
+    # -- the engine's corpus ------------------------------------------------------
 
     def track_fired_map(
-        self,
-        stage: str = "rule-based",
-        items: Sequence[ItemLike] = (),
-        batch_stream=None,
-        records=None,
+        self, items: Sequence[ItemLike] = (), batch_stream=None, records=None
     ) -> IncrementalExecutor:
-        """Maintain a stage's ``rules × items`` fired map incrementally.
+        """Give the pipeline's :attr:`engine` a corpus; returns the engine.
 
-        The long-running deployment's view of "which rules fire where" —
-        the input to coverage evaluation, scale-down blast-radius checks,
-        and rule repair — is kept as a materialized
-        :class:`~repro.execution.incremental.MatchStore` instead of being
-        recomputed from scratch. The returned executor is subscribed to
-        the stage's :class:`~repro.core.ruleset.RuleSet`, so every
-        analyst add/replace/retire and every ``disable_type`` from the
-        §2.2 scale-down playbook arrives as a delta; a
-        :class:`~repro.catalog.batches.BatchStream`, when given, drives
-        item arrivals the same way. Per-delta accounting lands on the
-        tracker's ``stats`` and, when observability is on, the registry.
-        ``records`` is the tracker's record source (default: in RAM).
-
-        The stage classifies from the same rows: its matcher follows the
-        tracker, so an item the tracker admitted is not evaluated a second
-        time when it is classified (see
-        :meth:`IncrementalExecutor.match_row`).
-
-        Calling again for an already-tracked stage detaches the old
-        tracker first.
+        "Which rules fire where" — the input to coverage evaluation,
+        scale-down blast-radius checks and rule repair — is then a
+        :class:`~repro.execution.incremental.MatchStore` kept current by
+        every rule edit and arrival. ``items`` are admitted now; a
+        :class:`~repro.catalog.batches.BatchStream` drives later arrivals;
+        ``records`` is the record source (default: in RAM), given before
+        the first item. Classifying an admitted item reads its stored row.
         """
-        previous = self.fired_trackers.get(stage)
-        if previous is not None:
-            previous.detach()
-        holder = self._rule_holder(stage)
-        tracker = IncrementalExecutor.for_ruleset(
-            holder.rules,
-            items=items,
-            observability=(
-                self.observability if self.observability.enabled else None
-            ),
-            records=records,
-        )
+        if records is not None:
+            self.engine.use_records(records)
+        if items:
+            self.engine.add_items(items)
         if batch_stream is not None:
-            tracker.follow_batches(batch_stream)
-        self.fired_trackers[stage] = tracker
-        holder.matcher.follow(tracker)
-        return tracker
+            self.engine.follow_batches(batch_stream)
+        return self.engine
 
     # -- health -------------------------------------------------------------------
 
@@ -393,46 +384,85 @@ class Chimera:
 
     # -- classification -----------------------------------------------------------
 
-    def _prepared(self, item: ItemLike) -> PreparedItem:
-        """``item``'s prepared view: over the record in hand, sharing the
-        tokens of the row a fired-map tracker built and warmed when this
-        record arrived, else a fresh one."""
-        if not isinstance(item, PreparedItem):
-            for tracker in self.fired_trackers.values():
-                held = tracker.admitted(item)
-                if held is not None:
-                    return held.with_record(item)
-        return prepare(item)
+    def _live(self) -> List[int]:
+        """The places of the rule sets holding a rule: the rest fold nothing."""
+        return [slot for slot, rules in enumerate(self._sets) if rules]
+
+    def _read(self, item: ItemLike, live: List[int]) -> Tuple[PreparedItem, Sequence]:
+        """``item``'s prepared view and per-set hits, from one read of its
+        engine row: an admitted record shares its row's tokens and reads
+        the stored row; any other item is prepared afresh and evaluated
+        once, unless the gate rejects it as junk first. If evaluating
+        raises (a rule condition threw), every consumer evaluates its own
+        rules, inside the guard it runs under."""
+        engine = self.engine
+        held = engine.admitted(item)
+        if held is None:
+            view = prepare(item)
+        else:
+            view = item if isinstance(item, PreparedItem) else held.with_record(item)
+        if not live or (held is None and self.gatekeeper.rejects(view)):
+            return view, _NO_HITS
+        try:
+            row = engine.match_row(view)
+        except Exception:
+            return view, _OWN_HITS
+        return view, self._split(row, live)
+
+    def _split(self, row, live: List[int]) -> Sequence:
+        """``row`` as per-set hits (``live``: the places of the non-empty
+        sets); an id no set holds raises ``UnknownRuleError``."""
+        if not row:
+            return _NO_HITS
+        hits = list(_NO_HITS)
+        if len(live) == 1:
+            hits[live[0]] = row
+            return hits
+        for slot in live:
+            hits[slot] = []
+        for rule_id in row:
+            for slot in live:
+                if rule_id in self._sets[slot]:
+                    hits[slot].append(rule_id)
+                    break
+            else:
+                raise UnknownRuleError(rule_id)
+        return hits
 
     def _classify(self, items: Sequence[ItemLike], batch_id: str) -> BatchResult:
         """Every step answers the batch once, and records per item.
 
-        Each item is prepared (tokenized) once; the gate, every stage and
-        the filter share that :class:`~repro.core.prepared.PreparedItem`
-        view. Each enabled stage then answers all the items the gate passed
-        in one guarded call, and the Voting Master and the Filter walk
-        those answers item by item. While a provenance log is attached —
-        decided here, once per batch — the stages and the filter trace
-        what they computed, and each item's attribution chain (gate
-        decision, per-stage fired rules and votes, voting-master ranking,
-        filter outcome) is recorded under ``batch_id``, in item order.
+        Each item is prepared (tokenized) and its engine row read once
+        (:meth:`_read`); the gate, every stage and the filter share that
+        view and fold their own set's hits. Each enabled stage then answers
+        all the items the gate passed in one guarded call, and the Voting
+        Master and the Filter walk those answers item by item. While a
+        provenance log is attached — decided here, once per batch — the
+        stages and the filter trace what they computed, and each item's
+        attribution chain (gate decision, per-stage fired rules and votes,
+        voting-master ranking, filter outcome) is recorded under
+        ``batch_id``, in item order.
         """
         obs = self.observability
         traced = self.provenance is not None
         result = BatchResult()
         with obs.span("chimera.classify_batch", items=len(items)) as batch_span:
             with obs.span("chimera.gate"):
-                prepared = [self._prepared(item) for item in items]
-                decisions = [self.gatekeeper.process(item) for item in prepared]
-            passed = [
-                item
-                for item, decision in zip(prepared, decisions)
+                live = self._live()
+                read = [self._read(item, live) for item in items]
+                decisions = [self.gatekeeper.process(view, hits[_GATE]) for view, hits in read]
+            passing = [
+                pair
+                for pair, decision in zip(read, decisions)
                 if decision.action is GateAction.PASS
             ]
+            passed = [view for view, _ in passing]
             # rows[i]: the enabled stages' answers for passed[i], stage order.
             rows = list(zip(*[
-                stage.answer_batch(passed, traced)
-                for stage in self._guarded_stages
+                stage.answer_batch(
+                    passed, traced, None if slot is None else [h[slot] for _, h in passing]
+                )
+                for stage, slot in self._guarded_stages
                 if passed and stage.enabled
             ])) or [()] * len(passed)
             with obs.span("chimera.vote"):
@@ -442,13 +472,13 @@ class Chimera:
             with obs.span("chimera.filter"):
                 threshold = self.voting.confidence_threshold
                 picks = [
-                    self.filter.select(item, ranked, threshold, traced)
+                    self.filter.select(view, ranked, threshold, traced, hits[_FILTER])
                     if ranked
                     else (None, None)
-                    for item, (_final, ranked) in zip(passed, votes)
+                    for (view, hits), (_final, ranked) in zip(passing, votes)
                 ]
             outcomes = zip(rows, votes, picks)
-            for item, view, decision in zip(items, prepared, decisions):
+            for item, (view, _hits), decision in zip(items, read, decisions):
                 traces, ranked, final, filter_trace = (), (), None, None
                 if decision.action is GateAction.REJECT:
                     label, source = None, "gate-reject"
@@ -493,23 +523,23 @@ class Chimera:
         explanation crisp. Learning votes are reported as such — which is
         exactly why business-critical types are forced through rules.
 
-        Read-only: one pass over the matchers and learners
-        :meth:`classify_batch` consults, each evaluated once, outside the
-        circuit-breaker guards — no provenance record, no health-window
-        observation, no stage trace, no breaker call. A raising stage
-        raises here.
+        Read-only: one read of the item's engine row, folded by every rule
+        set, and one pass over the learners :meth:`classify_batch`
+        consults, outside the circuit-breaker guards — no provenance
+        record, no health-window observation, no stage trace, no breaker
+        call. A raising rule or stage raises here.
         """
         from repro.core.explain import explain_verdict
 
-        prepared = prepare(item)
-        decision = self.gatekeeper.process(prepared)
+        prepared, hits = self._read(item, self._live())
+        decision = self.gatekeeper.process(prepared, hits[_GATE])
         lines = [
             f"gate: {decision.action.value}"
             + (f" ({decision.reason})" if decision.reason else "")
         ]
         answers = []
-        for stage in (self.rule_stage, self.attr_stage):
-            verdict = stage.matcher.verdict(prepared)
+        for stage, slot in ((self.rule_stage, _RULES), (self.attr_stage, _ATTR)):
+            verdict = stage.verdict(prepared, hits[slot])
             answers.append(
                 StageAnswer(stage, verdict.predictions, stage.allowed(verdict))
             )
@@ -523,7 +553,9 @@ class Chimera:
         if learning_votes:
             rendered = ", ".join(f"{p.label} ({p.weight:.2f})" for p in learning_votes)
             lines.append(f"stage learning: {rendered}")
-        filter_vetoes = self.filter.vetoed_types(prepared)
+        filter_vetoes = self.filter.killed_types | set(
+            self.filter.verdict(prepared, hits[_FILTER]).vetoed
+        )
         if filter_vetoes:
             lines.append(f"filter vetoes: {sorted(filter_vetoes)}")
         label = decision.label

@@ -50,7 +50,7 @@ class RuleVerdict:
 
 
 #: What both evaluations return when no enabled rule's condition holds.
-_NOTHING_FIRED = RuleVerdict(predictions=())
+NOTHING_FIRED = RuleVerdict(predictions=())
 
 
 class RuleSet:
@@ -101,6 +101,7 @@ class RuleSet:
         # registered twice unsubscribes independently.
         self._listeners: Dict[int, Callable[[str, Rule], None]] = {}
         self._listener_tokens = 0
+        self._peers: Tuple[weakref.ref, ...] = ()  # see share_ids
         for rule in rules:
             self.add(rule)
 
@@ -164,6 +165,12 @@ class RuleSet:
         """Add a rule; returns the set-owned copy actually stored."""
         if rule.rule_id in self._rules:
             raise DuplicateRuleError(f"rule {rule.rule_id!r} already in {self.name!r}")
+        for peer in self._peers:
+            other = peer()
+            if other is not None and rule.rule_id in other:
+                raise DuplicateRuleError(
+                    f"rule {rule.rule_id!r} already in {other.name!r}, not added to {self.name!r}"
+                )
         rule = copy.copy(rule)
         self._record("add", rule)
         rule._owner = weakref.ref(self)
@@ -334,7 +341,7 @@ class RuleSet:
             raise UnknownRuleError(error.args[0]) from None
         hits = [rule for rule in hits if rule.enabled]
         if not hits:
-            return _NOTHING_FIRED
+            return NOTHING_FIRED
         if len(hits) > 1:
             live_key = self._live_key
             hits.sort(key=lambda rule: live_key[rule.rule_id])
@@ -387,3 +394,21 @@ class RuleSet:
                 if rule.matches_prepared(prepared):
                     covered[rule.rule_id].append(prepared.item_id)
         return covered
+
+
+def share_ids(rulesets: Sequence[RuleSet]) -> None:
+    """Make ``rulesets`` one id space: :meth:`RuleSet.add` refuses an id
+    another of them holds, before anything is recorded, and sets that
+    already share an id are refused here. They refer to each other weakly."""
+    holder: Dict[str, RuleSet] = {}
+    for ruleset in rulesets:
+        for rule in ruleset:
+            other = holder.setdefault(rule.rule_id, ruleset)
+            if other is not ruleset:
+                raise DuplicateRuleError(
+                    f"rule {rule.rule_id!r} is in both {other.name!r} and {ruleset.name!r}"
+                )
+    for ruleset in rulesets:
+        ruleset._peers = tuple(
+            weakref.ref(other) for other in rulesets if other is not ruleset
+        )

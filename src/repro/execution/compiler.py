@@ -672,8 +672,8 @@ class CompiledRuleSet:
         The only place lanes are evaluated. :meth:`match_item` and
         :meth:`execute` tokenize (``toks`` / ``tset``), probe depth 1
         (``hit_tokens = tset & keys``) and land here, so the batch, sharded
-        and incremental executors and the pipeline's ``RuleSetMatcher``
-        all run this one function. Fired ids come back sorted and
+        and incremental executors (the pipeline's engine among them) all
+        run this one function. Fired ids come back sorted and
         de-duplicated.
         """
         post = self._post

@@ -339,7 +339,8 @@ class IncrementalExecutor:
     records, entered only through :meth:`_admit`; ``records`` is the
     record source, :class:`MemoryRecords` by default), the live rule base
     lowered into a :class:`CompiledRuleSet`, and the materialized matches
-    in a :class:`MatchStore`; the delta API keeps them consistent.
+    in a :class:`MatchStore`; the delta API keeps them consistent. A
+    Chimera pipeline holds one over its four rule sets (``Chimera.engine``).
 
     ``stats`` accumulates the lifetime ledger (every delta op also returns
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
@@ -397,6 +398,8 @@ class IncrementalExecutor:
         self._fingerprint = 0
         # The last dict fired_map() returned, while the view still equals it.
         self._snapshot: Optional[Dict[str, List[str]]] = None
+        # Rules added with in_view=False: tracked, but not in the view.
+        self._outside: Set[str] = set()
         self._unsubscribes: List[Callable[[], None]] = []
         if rules:
             self.add_rules(rules)
@@ -405,43 +408,26 @@ class IncrementalExecutor:
 
     # -- construction helpers -----------------------------------------------------
 
-    @classmethod
-    def for_ruleset(
-        cls,
-        ruleset: RuleSet,
-        items: Iterable[ItemLike] = (),
-        **kwargs,
-    ) -> "IncrementalExecutor":
-        """Build over a :class:`RuleSet` and subscribe to its churn.
-
-        Every subsequent ``add`` / ``remove`` / ``replace`` on the rule set
-        — including :meth:`~repro.core.ruleset.RuleSet.disable_type` from
-        the §2.2 scale-down playbook and the repair rules analysts add —
-        flows into this executor as a delta automatically.
-        """
-        executor = cls(rules=list(ruleset), items=items, **kwargs)
-        executor.attach_ruleset(ruleset)
-        return executor
-
-    def attach_ruleset(self, ruleset: RuleSet) -> Callable[[], None]:
-        """Subscribe to ``ruleset`` mutations; returns the unsubscribe."""
+    def attach_ruleset(self, ruleset: RuleSet, in_view: bool = True) -> Callable[[], None]:
+        """Track ``ruleset``: add its rules, then take every mutation —
+        :meth:`~repro.core.ruleset.RuleSet.disable_type` from the §2.2
+        scale-down playbook and analysts' repair rules included — as a
+        delta; returns the unsubscribe. With ``in_view=False`` its rules
+        keep rows and columns (:meth:`match_row`, :meth:`fired_for_rule`)
+        but stay out of :meth:`fired_map` and everything derived from it."""
+        if ruleset:
+            self.add_rules(ruleset, in_view)
 
         def on_event(event: str, rule: Rule) -> None:
+            # enabled/disabled need nothing: the store records
+            # condition-truth, the rules tracked are the set's own objects,
+            # and the next read's enabled-set comparison sees the flip.
             if event == "added":
-                self.add_rules([rule])
+                self.add_rules([rule], in_view)
             elif event == "removed":
                 self.remove_rules([rule.rule_id])
             elif event == "replaced":
                 self.update_rule(rule)
-            elif event in ("enabled", "disabled"):
-                # No recompute: stored matches are condition-truth; the
-                # next read's enabled-set comparison sees the flip. Rule sets own
-                # their rule copies, so mirror the flag onto our tracked
-                # object when the executor was built from different ones —
-                # as a field: a mutator would record the flip a second time.
-                tracked = self._rules.get(rule.rule_id)
-                if tracked is not None and tracked is not rule:
-                    object.__setattr__(tracked, "enabled", rule.enabled)
 
         unsubscribe = ruleset.subscribe(on_event)
         self._unsubscribes.append(unsubscribe)
@@ -454,11 +440,9 @@ class IncrementalExecutor:
         self._unsubscribes.append(unsubscribe)
         return unsubscribe
 
-    def on_detach(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` when :meth:`detach` ends this executor's
-        subscriptions — how a reader of its rows learns they stop being
-        maintained."""
-        self._unsubscribes.append(callback)
+    def use_records(self, records) -> None:
+        """Hand arriving records to ``records``; call before the first."""
+        self._records = records
 
     def detach(self) -> None:
         """Drop every subscription taken out by this executor."""
@@ -543,8 +527,9 @@ class IncrementalExecutor:
                     op.delta_items += 1
             return self._finish("remove_items", op, started)
 
-    def add_rules(self, rules: Iterable[Rule]) -> ExecutionStats:
-        """Fold new rules in: O(candidate rows of each rule), not O(catalog)."""
+    def add_rules(self, rules: Iterable[Rule], in_view: bool = True) -> ExecutionStats:
+        """Fold new rules in: O(candidate rows of each rule), not O(catalog);
+        ``in_view``: see :meth:`attach_ruleset`."""
         op = ExecutionStats()
         with self.observability.span("exec.incremental.add_rules"):
             started = self._clock()
@@ -554,6 +539,8 @@ class IncrementalExecutor:
                         f"rule {rule.rule_id!r} already tracked; use update_rule"
                     )
                 self._rules[rule.rule_id] = rule
+                if not in_view:
+                    self._outside.add(rule.rule_id)
                 self._compiled.add_rule(rule)
                 self._hold_attributes()
                 self._evaluate_rule(rule, op)
@@ -569,6 +556,7 @@ class IncrementalExecutor:
                 if rule_id not in self._rules:
                     raise UnknownRuleError(rule_id)
                 del self._rules[rule_id]
+                self._outside.discard(rule_id)
                 self._compiled.remove_rule(rule_id)
                 op.invalidations += self.store.discard_rule(rule_id)
                 op.delta_rules += 1
@@ -639,8 +627,10 @@ class IncrementalExecutor:
     # -- reads --------------------------------------------------------------------
 
     def _enabled_ids(self) -> FrozenSet[str]:
+        outside = self._outside
         return frozenset(
-            rule_id for rule_id, rule in self._rules.items() if rule.enabled
+            rule_id for rule_id, rule in self._rules.items()
+            if rule.enabled and rule_id not in outside
         )
 
     def _sync(self) -> None:
@@ -683,7 +673,7 @@ class IncrementalExecutor:
         self._fingerprint = fingerprint % _FINGERPRINT_MODULUS
 
     def fired_map(self) -> Dict[str, List[str]]:
-        """The current materialized fired map (enabled rules only).
+        """The current materialized fired map (enabled rules in view only).
 
         Byte-identical (canonical JSON) to
         ``NaiveExecutor(rules).run(items)[0]`` over the executor's
@@ -759,11 +749,11 @@ class IncrementalExecutor:
         return None
 
     def fired_for_item(self, item_id: str) -> List[str]:
-        """Sorted enabled rule ids currently firing on one item."""
+        """Sorted enabled rule ids currently firing on one item, in view."""
         return sorted(
             rule_id
             for rule_id in self.store.rules_of_item(item_id)
-            if self._rules[rule_id].enabled
+            if self._rules[rule_id].enabled and rule_id not in self._outside
         )
 
     def fired_for_rule(self, rule_id: str) -> List[str]:

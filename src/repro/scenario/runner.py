@@ -225,7 +225,7 @@ class ScenarioRunner:
         fault_plan = self._build_fault_plan()
         incremental = None
         if executor_kind == "incremental":
-            incremental = chimera.track_fired_map("rule-based", batch_stream=stream)
+            incremental = chimera.track_fired_map(batch_stream=stream)
 
         # -- crowd ---------------------------------------------------------------
         evaluator: Optional[PerRuleCrowdEvaluator] = None
@@ -313,11 +313,7 @@ class ScenarioRunner:
 
             # scheduled re-enables from earlier churn
             for rule_id in reenable_at.pop(step, []):
-                for ruleset in (
-                    chimera.rule_stage.rules,
-                    chimera.attr_stage.rules,
-                    chimera.filter.rules,
-                ):
+                for ruleset in chimera.rule_sets().values():
                     if rule_id in ruleset:
                         ruleset.enable(rule_id)
                         break

@@ -69,9 +69,6 @@ from repro.world import RunIds, build_world
 #: The digest chain's seed value (ordinal 0, before any batch).
 GENESIS_DIGEST = hashlib.sha256(b"repro-service-genesis").hexdigest()
 
-_SERVICE_STAGES = ("rule-based", "attr-value", "filter")
-#: The stage whose fired map the incremental executor maintains.
-_TRACKED_STAGE = "rule-based"
 
 
 @dataclass(frozen=True)
@@ -437,9 +434,7 @@ class StreamService:
 
     def _track_fired_map(self) -> None:
         self._records = JournalRecords(self.store.journal)
-        self.incremental = self.chimera.track_fired_map(
-            _TRACKED_STAGE, records=self._records
-        )
+        self.incremental = self.chimera.track_fired_map(records=self._records)
 
     def _fresh(self) -> None:
         cfg = self.config
@@ -802,13 +797,10 @@ class StreamService:
     def rule_view(self, rule_id: str) -> Optional[Dict[str, Any]]:
         """The ``/rules/<id>`` document: placement, health, fired items.
         Built from reads that write nothing (request threads call it)."""
-        stage_name = None
-        enabled = None
-        for stage in _SERVICE_STAGES:
-            ruleset = self.chimera._stage_ruleset(stage)
+        stage_name = enabled = None
+        for name, ruleset in self.chimera.rule_sets().items():
             if rule_id in ruleset:
-                stage_name = stage
-                enabled = ruleset.is_enabled(rule_id)
+                stage_name, enabled = name, ruleset.is_enabled(rule_id)
                 break
         health = self.tracker.report().get(rule_id)
         if stage_name is None and health is None:
@@ -816,11 +808,7 @@ class StreamService:
         # Handler threads call this: read one store column, never
         # fired_map() / fired_fingerprint() / fired_pairs — those patch the
         # executor's view in place and belong to the batch loop's thread.
-        fired_items = (
-            self.incremental.fired_for_rule(rule_id)
-            if enabled and stage_name == _TRACKED_STAGE
-            else []
-        )
+        fired_items = self.incremental.fired_for_rule(rule_id) if enabled else []
         return {
             "rule_id": rule_id,
             "stage": stage_name,

@@ -193,17 +193,17 @@ class _CountingStage:
         self.broken = False
         self.poison = ()
 
-    def answer(self, item, traced=False):
+    def answer(self, item, traced=False, hits=None):
         self.calls += 1
         if self.broken or item in self.poison:
             raise RuntimeError("model artifact corrupted")
         return StageAnswer(self, ["vote"], {"books"})
 
-    def answer_batch(self, items, traced=False):
+    def answer_batch(self, items, traced=False, hits=None):
         self.batch_calls += 1
         return [self.answer(item) for item in items]
 
-    def constraints(self, item):
+    def constraints(self, item, hits=None):
         if self.broken:
             raise RuntimeError("constraint table unreadable")
         return {"books"}
@@ -270,7 +270,7 @@ class TestGuardedStage:
 def _sabotage(stage):
     """Break a stage the way a bad artifact does: every call throws.
 
-    Patching the stage's evaluation seam, ``matcher.verdict``, fails both
+    Patching the stage's fold seam, ``verdict``, fails both
     ``predict`` and ``constraints`` — a stage broken only in one method
     keeps having its breaker reset by the other method's successes, which
     is correct breaker behaviour but not what these tests are about.
@@ -278,11 +278,11 @@ def _sabotage(stage):
     def boom(*args, **kwargs):
         raise RuntimeError("rule dictionary corrupted")
 
-    stage.matcher.verdict = boom
+    stage.verdict = boom
 
 
 def _repair(stage):
-    del stage.matcher.verdict
+    del stage.verdict
 
 
 def build_chimera(failure_threshold=3, cooldown=4):

@@ -59,7 +59,7 @@ class _Side:
             "value(brand_name)=apple -> laptop computers|smart phones"
         ))
         chimera.add_blacklist_rules(_rules("veto", "toy -> NOT rings"))
-        chimera.gatekeeper.bypass_rules.extend(_rules("gate", "gift cards? -> gift cards"))
+        chimera.gatekeeper.rules.extend(_rules("gate", "gift cards? -> gift cards"))
         self.spool = root / "provenance.jsonl"
         if telemetry:
             metrics = self.obs.metrics if observed else None
@@ -67,16 +67,16 @@ class _Side:
                 ProvenanceLog(capacity=10_000, spool=str(self.spool), fsync=False),
                 RuleHealthTracker(metrics=metrics),
             )
+        self.tracked = tracked
         if tracked:
-            chimera.track_fired_map("rule-based")
+            chimera.track_fired_map()
         self.opened = []
         chimera.health.on_breaker_open.append(self.opened.append)
         self.outcomes = []
 
     def arrive(self, items):
-        tracker = self.chimera.fired_trackers.get("rule-based")
-        if tracker is not None:
-            tracker.add_items(items)
+        if self.tracked:
+            self.chimera.engine.add_items(items)
 
     def note(self, result):
         self.outcomes.append((
@@ -135,8 +135,7 @@ class _Side:
                 stage: metrics.gauge("stage_breaker_state", stage=stage).value
                 for stage in STAGES
             }
-            for tracker in self.chimera.fired_trackers.values():
-                out["rule_evals"] = tracker.stats.rule_evaluations
+            out["rule_evals"] = self.chimera.engine.stats.rule_evaluations
         return out
 
 
@@ -223,15 +222,15 @@ def _poison(side, stage_name, poisoned_ids):
 
         ensemble.predict_batch = predict_batch
     else:
-        matcher = chimera._rule_holder(stage_name).matcher
-        original = matcher.verdict
+        stage = chimera.rule_stage if stage_name == "rule-based" else chimera.attr_stage
+        original = stage.verdict
 
-        def verdict(item):
+        def verdict(item, hits=None):
             if item.item_id in poisoned_ids:
                 raise RuntimeError("rule dictionary corrupted")
-            return original(item)
+            return original(item, hits)
 
-        matcher.verdict = verdict
+        stage.verdict = verdict
 
 
 @pytest.mark.parametrize("stage_name", ["attr-value", "learning", "rule-based"])

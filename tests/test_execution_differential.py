@@ -384,7 +384,8 @@ def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
     ``NaiveExecutor`` run over the live state gives when recomputed from
     nothing — and a map handed out before the op must not have moved."""
     ruleset = RuleSet()
-    executor = IncrementalExecutor.for_ruleset(ruleset)
+    executor = IncrementalExecutor()
+    executor.attach_ruleset(ruleset)
     items, retired = {}, []
     item_ids, rule_ids = itertools.count(), itertools.count()
     for op in ops:

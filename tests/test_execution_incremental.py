@@ -328,7 +328,9 @@ class TestIncrementalExecutor:
     def test_ruleset_attachment_drives_deltas(self):
         rules, items = small_world()
         ruleset = RuleSet(rules, name="tracked")
-        incremental = IncrementalExecutor.for_ruleset(ruleset, items=items)
+        incremental = IncrementalExecutor()
+        incremental.attach_ruleset(ruleset)
+        incremental.add_items(items)
         ruleset.add(WhitelistRule("jeans", "jeans", rule_id="rs-add"))
         ruleset.replace(WhitelistRule("novel", "books", rule_id=rules[0].rule_id))
         ruleset.remove(rules[3].rule_id)
@@ -771,15 +773,13 @@ class TestBatchStreamSubscription:
         stream = BatchStream(generator, clock=SimClock(), seed=12)
         chimera = Chimera.build()
         chimera.add_whitelist_rules([WhitelistRule("rings?", "rings")])
-        old = chimera.track_fired_map("rule-based", batch_stream=stream)
-        new = chimera.track_fired_map("rule-based", batch_stream=stream)
+        engine = chimera.track_fired_map(batch_stream=stream)
         batch = stream.next_batch()
         assert len(stream._listeners) == 1
-        assert old.item_count == 0
-        assert new.item_count == len(batch.items)
-        new.detach()
+        assert engine.item_count == len(batch.items)
+        engine.detach()
         stream.next_batch()
-        assert new.item_count == len(batch.items)
+        assert engine.item_count == len(batch.items)
         assert stream._listeners == []
 
 
@@ -794,7 +794,7 @@ def test_empty_ops_leave_nothing_behind():
     an op may cost time, never memory. 2,000 empty ops through a pipeline
     tracker (no observability, so no spans) grow the heap by under 16 KB —
     96 B measured; a per-op record list read 322,304 B."""
-    tracker = Chimera.build().track_fired_map("rule-based")
+    tracker = Chimera.build().track_fired_map()
     for _ in range(50):
         tracker.add_items([])
     with _traced_growth() as grown:
@@ -829,7 +829,9 @@ def test_shared_rows_and_dead_postings_stay_bounded_under_churn(taxonomy):
     deployed, donors = induced[: len(induced) // 2], induced[len(induced) // 2:]
     ruleset = RuleSet(deployed)
     corpus = {item.item_id: item for item in generator.generate_items(2000)}
-    executor = IncrementalExecutor.for_ruleset(ruleset, list(corpus.values()))
+    executor = IncrementalExecutor()
+    executor.attach_ruleset(ruleset)
+    executor.add_items(list(corpus.values()))
     ids = sorted(corpus)
     store, index = executor.store, executor._data_index
 

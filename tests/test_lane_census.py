@@ -3,9 +3,11 @@
 The compiled engine (``CompiledRuleSet``) keeps the lanes its traffic
 reaches: depth-1 fires, the depth-2 pair table, verify closures, the
 residue and a per-item compat lane for unclean titles. This census pins
-``lane_of`` over two rule sets that stand for that traffic, the rule
-stage of a fresh seed-7 ``training=0`` service and the golden rule set,
-so a rule sliding off a fast lane (or onto a new one) edits this table.
+``lane_of`` over the rule sets that stand for that traffic — the engine
+of a fresh seed-7 ``training=0`` service (one artifact for the pipeline's
+four rule sets), the golden rule set compiled on its own, and a pipeline
+holding the golden set split across its stages — so a rule sliding off a
+fast lane (or onto a new one) edits this table.
 """
 
 import json
@@ -14,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.chimera import Chimera
 from repro.core.serialize import rules_from_dicts
 from repro.execution import CompiledRuleSet
 from repro.service import ServiceConfig, StreamService
@@ -32,18 +35,41 @@ GOLDEN_LANES = {
 }
 
 
-def census(rules):
-    compiled = CompiledRuleSet(rules)
+def census(rules, compiled=None):
+    if compiled is None:
+        compiled = CompiledRuleSet(rules)
     return dict(Counter(compiled.lane_of(rule.rule_id) for rule in rules))
+
+
+def engine_census(engine):
+    """The census of a pipeline engine's one artifact, every set's rules."""
+    return census(engine.rules(), engine._compiled)
+
+
+def golden():
+    return rules_from_dicts(json.loads((GOLDEN / "ruleset.json").read_text()))
 
 
 def test_served_rule_stage_lanes(tmp_path):
     with StreamService(
         str(tmp_path / "root"), ServiceConfig(seed=7, training=0), fsync=False
     ) as service:
-        assert census(list(service.chimera.rule_stage.rules)) == SERVED_LANES
+        assert service.chimera.rule_count()["rule-based"] == 135
+        assert engine_census(service.incremental) == SERVED_LANES
 
 
 def test_golden_ruleset_lanes():
-    rules = rules_from_dicts(json.loads((GOLDEN / "ruleset.json").read_text()))
-    assert census(rules) == GOLDEN_LANES
+    assert census(golden()) == GOLDEN_LANES
+
+
+def test_golden_ruleset_split_across_a_pipeline():
+    """The split ``repro classify`` makes — blacklists to the filter, the
+    rest to the rule stage (``classify`` itself drops the value
+    constraint; it stays here so the whole golden set is counted) — lowers
+    in the pipeline's engine exactly as the set does compiled alone."""
+    chimera = Chimera.build()
+    rules = golden()
+    chimera.add_whitelist_rules([rule for rule in rules if not rule.is_blacklist])
+    chimera.add_blacklist_rules([rule for rule in rules if rule.is_blacklist])
+    assert sum(chimera.rule_count().values()) == len(rules)
+    assert engine_census(chimera.engine) == GOLDEN_LANES

@@ -191,7 +191,9 @@ class TestWriteAhead:
         kept = next(iter(ruleset)).rule_id
         items = [ProductItem(item_id=f"i{n}", title=title)
                  for n, title in enumerate(("gold ring", "steel band", "hoop"))]
-        executor = IncrementalExecutor.for_ruleset(ruleset, items=items)
+        executor = IncrementalExecutor()
+        executor.attach_ruleset(ruleset)
+        executor.add_items(items)
         repo = RuleRepository.open(root, fsync=False)
         repo.bind("em", ruleset)
 
@@ -396,7 +398,9 @@ class TestZeroEvaluationRollback:
             ProductItem(item_id=f"item-{i:04d}", title=f"tok{i % 1000:04d} thing")
             for i in range(300)
         ]
-        executor = IncrementalExecutor.for_ruleset(ruleset, items=items)
+        executor = IncrementalExecutor()
+        executor.attach_ruleset(ruleset)
+        executor.add_items(items)
         repo = RuleRepository()
         repo.bind("bulk", ruleset)
         baseline = json.dumps(executor.fired_map(), sort_keys=True)
@@ -431,7 +435,7 @@ class TestZeroEvaluationRollback:
             ProductItem(item_id=f"i-{i:03d}", title=f"word{i % 40:03d} object")
             for i in range(120)
         ]
-        tracker = chimera.track_fired_map("rule-based", items=items)
+        tracker = chimera.track_fired_map(items=items)
         repo = RuleRepository()
         bind_chimera(repo, chimera)
         manager = IncidentManager(chimera, repository=repo)

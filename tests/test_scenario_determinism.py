@@ -207,8 +207,10 @@ class TestOneWorldImportGuard:
 class TestServedPathNeverScansGuard:
     """``RuleSet.apply`` — every active rule against the item — is the
     reference the tests compare against. The served path classifies from
-    the engine's hit ids (``RuleSetMatcher.verdict``), so nothing under
-    ``repro/chimera`` or ``repro/service`` may call an ``.apply(...)``."""
+    the one engine's rows (``RuleFold.verdict``), so nothing under
+    ``repro/chimera`` or ``repro/service`` may call an ``.apply(...)``,
+    and nothing under ``repro/chimera`` may build a ``CompiledRuleSet``
+    beside the pipeline's engine."""
 
     ROOTS = ("src/repro/chimera", "src/repro/service")
 
@@ -220,19 +222,42 @@ class TestServedPathNeverScansGuard:
                     and node.func.attr == "apply"):
                 yield node
 
-    def test_no_apply_call_on_the_served_path(self):
-        offenders = []
-        for root in self.ROOTS:
+    @staticmethod
+    def compiled_rule_sets(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "CompiledRuleSet":
+                    yield node
+
+    def offenders(self, roots, find):
+        found = []
+        for root in roots:
             paths = sorted((REPO / root).rglob("*.py"))
             assert paths, f"nothing to check under {root}"
             for path in paths:
                 tree = ast.parse(path.read_text(), filename=str(path))
-                offenders += [
-                    f"{path.relative_to(REPO)}:{node.lineno}"
-                    for node in self.apply_calls(tree)
+                found += [
+                    f"{path.relative_to(REPO)}:{node.lineno}" for node in find(tree)
                 ]
+        return found
+
+    def test_no_apply_call_on_the_served_path(self):
+        offenders = self.offenders(self.ROOTS, self.apply_calls)
         assert not offenders, "RuleSet.apply on the served path:\n" + "\n".join(offenders)
 
     def test_guard_detects_a_violation(self):
         tree = ast.parse("verdict = self.stage.rules.apply(item)\n")
         assert list(self.apply_calls(tree))
+
+    def test_the_pipeline_builds_no_artifact_of_its_own(self):
+        offenders = self.offenders(("src/repro/chimera",), self.compiled_rule_sets)
+        assert not offenders, "CompiledRuleSet built in chimera:\n" + "\n".join(offenders)
+
+    def test_artifact_guard_detects_a_violation(self):
+        for source in (
+            "compiled = CompiledRuleSet(self.rules, include_disabled=True)\n",
+            "compiled = compiler.CompiledRuleSet(rules)\n",
+        ):
+            assert list(self.compiled_rule_sets(ast.parse(source)))

@@ -18,7 +18,9 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core import parse_rules
 from repro.core.durability import read_lines
+from repro.execution import NaiveExecutor
 from repro.observability.metrics import MetricsRegistry
 from repro.service import (
     CheckpointStore,
@@ -29,6 +31,7 @@ from repro.service import (
     render_dashboard,
 )
 from repro.service.checkpoint import CHECKPOINT_VERSION, truncate_file
+from repro.service.daemon import _item_from_dict
 from repro.service.series import load_series
 
 
@@ -531,6 +534,34 @@ class TestConsoleLeavesEngineStateAlone:
             service.chimera.rule_stage.rules.disable(self.RULE)
             view = service.rule_view(self.RULE)
             assert view["enabled"] is False and view["fired_items"] == []
+
+    def test_rule_view_counts_a_filter_rule(self, tmp_path):
+        """Every rule has a column in the one engine: a firing filter rule
+        reports the items it fires on (it read ``fired_count: 0`` while its
+        health window counted 16 fires), live and after a resume."""
+        root = str(tmp_path / "run")
+
+        def expected(service, rule):
+            items = [
+                _item_from_dict(payload)
+                for _, line in read_lines(service.store.journal_path)
+                for payload in json.loads(line)["items"]
+            ]
+            return len(NaiveExecutor([rule]).run(items)[0])
+
+        config = ServiceConfig(seed=7, training=0)
+        with StreamService(root, config, fsync=False) as service:
+            service.run(1)
+            service.chimera.filter.rules.extend(parse_rules("rings? -> NOT rings"))
+            (rule,) = service.chimera.filter.rules
+            service.run(3)
+            view = service.rule_view(rule.rule_id)
+            assert view["stage"] == "filter" and view["health"]["fires"] == 16
+            assert view["fired_count"] == expected(service, rule) > 16
+        with StreamService(root, fsync=False) as service:
+            assert service.rule_view(rule.rule_id)["fired_count"] == expected(
+                service, rule
+            )
 
 
 class TestDashboard:

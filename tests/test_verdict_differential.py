@@ -2,19 +2,24 @@
 
 ``RuleSet.apply`` — every active rule's condition against the item,
 whitelists → constraints → blacklists — is the executable definition of a
-stage's verdict. The served path never runs it: each stage folds the rule
-ids the compiled engine reports (``RuleSetMatcher.verdict`` →
-``RuleSet.fold``), and the tracked stage reads them from the ``MatchStore``
-row the arriving batch wrote. Two differentials hold the paths equal:
+rule set's verdict. The served path never runs it: a pipeline holds one
+engine over its four rule sets (gate bypass, rule-based, attr-value,
+filter), reads each item's row from it once — the ``MatchStore`` row the
+arriving batch wrote, else one evaluation — and every consumer folds its
+own set's ids (``RuleFold.verdict`` → ``RuleSet.fold``). Two
+differentials hold the paths equal:
 
 * a hypothesis property over random interleavings of rule and item churn
   (the strategies of ``test_execution_differential.py``, widened to several
-  target types, tied confidences, constraint intersections and blacklists),
-  for a tracked stage — churned in place, rebuilt rules-first and rebuilt
-  items-first — and an untracked one;
+  target types, tied confidences, constraint intersections and blacklists)
+  with rules landing in all four sets, for a tracked pipeline — churned in
+  place, rebuilt rules-first and rebuilt items-first — and an untracked
+  one; the tracked engine's fired map stays ``NaiveExecutor``'s over the
+  rule-based set alone;
 * a ``StreamService`` under rule churn with a kill and a resume, against a
-  run whose matchers are forced through ``RuleSet.apply`` by a monkeypatch:
-  equal identity, equal provenance spool bytes, equal digest chain.
+  run whose consumers are forced through ``RuleSet.apply`` by a
+  monkeypatch: equal identity, equal provenance spool bytes, equal digest
+  chain.
 """
 
 import copy
@@ -24,9 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chimera import Chimera
+from repro.chimera import Chimera, GateKeeper, RuleFold
 from repro.chimera.classifiers import AttributeValueClassifier
-from repro.chimera.matching import RuleSetMatcher
 from repro.core import (
     AttributeRule,
     BlacklistRule,
@@ -37,7 +41,10 @@ from repro.core import (
     parse_rule,
     parse_rules,
 )
+from repro.core.errors import DuplicateRuleError
 from repro.core.rule import Prediction
+from repro.execution import NaiveExecutor
+from repro.repository import RuleRepository, bind_chimera
 from repro.service.checkpoint import SPOOL_NAME
 from repro.service.daemon import ServiceConfig, StreamService
 from repro.testing.faults import CrashPlan, SimulatedCrash
@@ -103,11 +110,16 @@ _rule_spec = st.one_of(
     ),
 )
 
+#: Which of the pipeline's four rule sets a new rule lands in.
+_slot = st.integers(min_value=0, max_value=3)
+
 _op = st.one_of(
     st.tuples(st.just("add_items"), st.lists(_item_spec, min_size=1, max_size=4)),
     st.tuples(st.just("duplicate_id_in_batch"), _item_spec, _item_spec),
     st.tuples(st.just("relist_item"), _pick, _item_spec),
-    st.tuples(st.just("add_rules"), st.lists(_rule_spec, min_size=1, max_size=3)),
+    st.tuples(
+        st.just("add_rules"), st.lists(st.tuples(_slot, _rule_spec), min_size=1, max_size=3)
+    ),
     st.tuples(st.just("replace_rule"), _pick, _rule_spec),
     st.tuples(st.just("twin_rule"), _pick),  # same condition, label and weight: a tie
     st.tuples(st.just("remove_and_readd"), _pick),
@@ -116,16 +128,29 @@ _op = st.one_of(
 )
 
 
+def _consumers(chimera):
+    """Each rule set's consumer with the place of its ids in an item's hits."""
+    return (
+        (chimera.gatekeeper, 0),
+        (chimera.rule_stage, 1),
+        (chimera.attr_stage, 2),
+        (chimera.filter, 3),
+    )
+
+
+def _sets(chimera):
+    return [consumer.rules for consumer, _ in _consumers(chimera)]
+
+
 class _Churned:
-    """One tracked and one untracked stage under the same rule churn."""
+    """A tracked and an untracked pipeline under the same rule churn."""
 
     def __init__(self):
-        chimera = Chimera.build()
-        self.tracked = chimera.rule_stage
-        self.tracker = chimera.track_fired_map("rule-based")
-        self.untracked = AttributeValueClassifier()
-        self.stages = (self.tracked, self.untracked)
-        self.live = {}     # item_id -> the record the tracker holds
+        self.tracked = Chimera.build()
+        self.engine = self.tracked.track_fired_map()
+        self.untracked = Chimera.build()
+        self.pipelines = (self.tracked, self.untracked)
+        self.live = {}     # item_id -> the record the engine holds
         self.records = []  # every record ever made, shadowed and re-listed too
         self._item_ids = itertools.count()
         self._rule_ids = itertools.count()
@@ -136,7 +161,7 @@ class _Churned:
         return record
 
     def _admit(self, batch):
-        self.tracker.add_items(batch)
+        self.engine.add_items(batch)
         self.live.update((record.item_id, record) for record in batch)
 
     def apply(self, op):
@@ -153,27 +178,31 @@ class _Churned:
                 item_id = sorted(self.live)[op[1] % len(self.live)]
                 self._admit([self._record(item_id, op[2])])
         elif kind == "add_rules":
-            for build in op[1]:
+            for slot, build in op[1]:
                 rule_id = f"r{next(self._rule_ids):03d}"
-                for stage in self.stages:
-                    stage.rules.add(build(rule_id))
-        elif len(self.tracked.rules):
-            rule_ids = sorted(rule.rule_id for rule in self.tracked.rules)
-            rule_id = rule_ids[op[1] % len(rule_ids)]
-            for stage in self.stages:
-                self._edit_rule(stage.rules, kind, rule_id, op)
+                for chimera in self.pipelines:
+                    _sets(chimera)[slot].add(build(rule_id))
+        else:
+            held = sorted(
+                (rule.rule_id, slot)
+                for slot, rules in enumerate(_sets(self.tracked)) for rule in rules
+            )
+            if held:
+                rule_id, slot = held[op[1] % len(held)]
+                twin_id = f"{rule_id}-twin{next(self._rule_ids)}"
+                for chimera in self.pipelines:
+                    self._edit_rule(_sets(chimera)[slot], kind, rule_id, twin_id, op)
 
     @staticmethod
-    def _edit_rule(rules, kind, rule_id, op):
+    def _edit_rule(rules, kind, rule_id, twin_id, op):
         if kind == "replace_rule":
             edited = op[2](rule_id)
             edited.enabled = rules.is_enabled(rule_id)
             rules.replace(edited)
         elif kind == "twin_rule":
             twin = copy.copy(rules.get(rule_id))
-            twin.rule_id = f"{rule_id}-twin{len(rules)}"
-            if twin.rule_id not in rules:
-                rules.add(twin)
+            twin.rule_id = twin_id
+            rules.add(twin)
         elif kind == "remove_and_readd":
             rules.add(rules.remove(rule_id))
         elif kind == "remove_rule":
@@ -184,45 +213,67 @@ class _Churned:
             rules.enable(rule_id)
 
 
-def _assert_stage_equals_reference(stage, records):
+def _assert_stage_equals_reference(stage, record, hits):
     """Verdict, votes, trace and constraints against ``RuleSet.apply``."""
-    for record in records:
-        expected = stage.rules.apply(record)
-        assert stage.matcher.verdict(record) == expected
-        votes = [
-            Prediction(p.label, weight=p.weight, source=f"{stage.name}:{p.source}")
-            for p in expected.predictions
-        ]
-        assert stage.predict(record) == votes
-        answer = stage.answer(record, traced=True)
-        assert answer.votes == votes
-        trace = answer.trace
-        if expected.fired or expected.vetoed or expected.constrained_to is not None:
-            assert trace.fired == expected.fired
-            assert trace.votes == tuple((p.label, p.weight, p.source) for p in votes)
-            assert trace.vetoed == expected.vetoed
-            assert trace.constrained_to == expected.constrained_to
-        else:
-            assert trace is None
-        allowed = stage.constraints(record)
-        assert answer.allowed == allowed
-        if isinstance(stage, AttributeValueClassifier) and expected.constrained_to is not None:
-            assert allowed == set(expected.constrained_to)
-        else:
-            assert allowed is None
-
-
-def _rebuilt(source: RuleSet, items, rules_first: bool):
-    """A fresh tracked stage over ``source``'s rules, in its live order."""
-    chimera = Chimera.build()
-    stage = chimera.rule_stage
-    if rules_first:
-        stage.rules.extend(source)
-        chimera.track_fired_map("rule-based").add_items(items)
+    expected = stage.rules.apply(record)
+    votes = [
+        Prediction(p.label, weight=p.weight, source=f"{stage.name}:{p.source}")
+        for p in expected.predictions
+    ]
+    answer = stage.answer(record, traced=True, hits=hits)
+    assert answer.votes == votes
+    trace = answer.trace
+    if expected.fired or expected.vetoed or expected.constrained_to is not None:
+        assert trace.fired == expected.fired
+        assert trace.votes == tuple((p.label, p.weight, p.source) for p in votes)
+        assert trace.vetoed == expected.vetoed
+        assert trace.constrained_to == expected.constrained_to
     else:
-        chimera.track_fired_map("rule-based", items=items)
-        stage.rules.extend(source)
-    return stage, chimera.fired_trackers["rule-based"]
+        assert trace is None
+    allowed = stage.constraints(record, hits)
+    assert answer.allowed == allowed
+    if isinstance(stage, AttributeValueClassifier) and expected.constrained_to is not None:
+        assert allowed == set(expected.constrained_to)
+    else:
+        assert allowed is None
+
+
+def _assert_pipeline_equals_reference(chimera, records):
+    """Every consumer, folding its slice of the one row the pipeline reads,
+    and on its own, against ``RuleSet.apply``."""
+    live = chimera._live()
+    for record in records:
+        view, hits = chimera._read(record, live)
+        if chimera.gatekeeper.rejects(view):
+            continue  # junk: the gate rejects it before any fold
+        for consumer, slot in _consumers(chimera):
+            expected = consumer.rules.apply(record)
+            assert consumer.verdict(view, hits[slot]) == expected
+            assert consumer.verdict(record) == expected
+        _assert_stage_equals_reference(chimera.rule_stage, view, hits[1])
+        _assert_stage_equals_reference(chimera.attr_stage, view, hits[2])
+        best = chimera.gatekeeper.rules.apply(record).best()
+        assert chimera.gatekeeper.process(view, hits[0]).label == (
+            best.label if best is not None else None
+        )
+
+
+
+def _assert_fired_map_is_the_rule_stage(chimera, records):
+    reference, _ = NaiveExecutor(list(chimera.rule_stage.rules)).run(records)
+    assert chimera.engine.fired_map() == reference
+
+
+def _rebuilt(source, items, rules_first: bool):
+    """A fresh tracked pipeline over ``source``'s four sets, in live order."""
+    chimera = Chimera.build()
+    if not rules_first:
+        chimera.track_fired_map(items=items)
+    for rules, source_rules in zip(_sets(chimera), _sets(source)):
+        rules.extend(source_rules)
+    if rules_first:
+        chimera.track_fired_map(items=items)
+    return chimera
 
 
 @settings(max_examples=120, deadline=None)
@@ -233,38 +284,43 @@ def test_stage_verdicts_equal_apply_under_churn(ops):
         world.apply(op)
         # After every step, on every record ever seen: the live ones are
         # row reads, the shadowed and re-listed ones go through the engine.
-        for stage in world.stages:
-            _assert_stage_equals_reference(stage, world.records)
+        for chimera in world.pipelines:
+            _assert_pipeline_equals_reference(chimera, world.records)
+        _assert_fired_map_is_the_rule_stage(world.tracked, list(world.live.values()))
 
     live = list(world.live.values())
-    tracked = [(world.tracked, world.tracker)]
+    tracked = [world.tracked]
     for rules_first in (True, False):
-        tracked.append(_rebuilt(world.tracked.rules, live, rules_first))
-        _assert_stage_equals_reference(tracked[-1][0], world.records)
-    # No second evaluation of an item the store holds: classifying every
-    # live record moves no evaluation counter, and a tracked stage lowers
-    # no compiled set of its own.
-    for stage, tracker in tracked:
-        before = tracker.stats.rule_evaluations
+        tracked.append(_rebuilt(world.tracked, live, rules_first))
+        _assert_pipeline_equals_reference(tracked[-1], world.records)
+        _assert_fired_map_is_the_rule_stage(tracked[-1], live)
+    # No second evaluation of an item the engine holds: reading every live
+    # record's row moves no evaluation counter.
+    for chimera in tracked:
+        before = chimera.engine.stats.rule_evaluations
         for record in live:
-            stage.matcher.verdict(record)
-        assert tracker.stats.rule_evaluations == before
-        assert stage.matcher._compiled is None
+            chimera._read(record, chimera._live())
+        assert chimera.engine.stats.rule_evaluations == before
 
 
 def test_equal_weight_tie_keeps_the_earlier_rule_in_live_order():
-    rules = RuleSet(parse_rules("rings? -> rings\ngold -> rings"))
+    chimera = Chimera.build()
+    rules = chimera.rule_stage.rules
+    rules.extend(parse_rules("rings? -> rings\ngold -> rings"))
     first, second = [rule.rule_id for rule in rules]
     item = _item("i1", ("gold ring", {}))
-    matcher = RuleSetMatcher(rules)
-    assert matcher.verdict(item).predictions[0].source == first
+
+    def verdict():
+        return chimera.rule_stage.verdict(item, chimera.engine.match_row(item))
+
+    assert verdict().predictions[0].source == first
     # replace keeps the place; remove-and-re-add goes last
     rules.replace(rules.get(first))
-    assert matcher.verdict(item).predictions[0].source == first
+    assert verdict().predictions[0].source == first
     rules.add(rules.remove(first))
-    assert matcher.verdict(item) == rules.apply(item)
-    assert matcher.verdict(item).predictions[0].source == second
-    assert matcher.verdict(item).fired == (second, first)
+    assert verdict() == rules.apply(item)
+    assert verdict().predictions[0].source == second
+    assert verdict().fired == (second, first)
 
 
 def test_fold_rejects_an_id_the_set_does_not_hold():
@@ -274,17 +330,32 @@ def test_fold_rejects_an_id_the_set_does_not_hold():
         RuleSet().fold(["ghost"])
 
 
-def test_matcher_leaves_a_detached_tracker():
+def test_a_rule_id_names_one_rule_per_pipeline():
+    """The four sets share one engine, so one id space: adding an id
+    another set holds is refused before the change log records it."""
     chimera = Chimera.build()
-    chimera.add_whitelist_rules(parse_rules("rings? -> rings"))
-    item = _item("i1", ("gold ring", {}))
-    tracker = chimera.track_fired_map("rule-based", items=[item])
-    tracker.detach()
-    # The detached tracker no longer hears rule churn; the stage must not
-    # read its rows.
-    chimera.add_whitelist_rules(parse_rules("gold -> jewelry"))
-    assert chimera.rule_stage.matcher.verdict(item) == chimera.rule_stage.rules.apply(item)
-    assert len(chimera.rule_stage.matcher.verdict(item).fired) == 2
+    repository = RuleRepository()
+    bind_chimera(repository, chimera)
+    chimera.add_whitelist_rules([parse_rule("rings? -> rings", rule_id="r1")])
+    logged = len(repository.log)
+    with pytest.raises(DuplicateRuleError, match="already in 'rule-based', not added to 'filter'"):
+        chimera.add_blacklist_rules([parse_rule("toy -> NOT rings", rule_id="r1")])
+    assert "r1" not in chimera.filter.rules
+    assert len(repository.log) == logged
+    assert chimera.engine.rule_count == 1
+    # A retired id is free for any set again.
+    chimera.rule_stage.rules.remove("r1")
+    chimera.add_blacklist_rules([parse_rule("toy -> NOT rings", rule_id="r1")])
+    assert chimera.engine.rule_count == 1
+    # Stages that already share an id cannot form one pipeline.
+    gate = GateKeeper(
+        RuleSet([parse_rule("gift cards? -> gift cards", rule_id="r1")], name="gate")
+    )
+    with pytest.raises(DuplicateRuleError, match="both 'gate' and 'filter'"):
+        Chimera(
+            gate, chimera.rule_stage, chimera.attr_stage,
+            chimera.learning_stage, chimera.voting, chimera.filter,
+        )
 
 
 # -- service level -------------------------------------------------------------------
@@ -375,7 +446,7 @@ def _serve(root: str, crash_on_hit=None):
 def test_service_under_churn_and_kill_equals_the_apply_forced_run(tmp_path, monkeypatch):
     served = _serve(str(tmp_path / "served"), crash_on_hit=5)
     monkeypatch.setattr(
-        RuleSetMatcher, "verdict", lambda self, item: self.rules.apply(item)
+        RuleFold, "verdict", lambda self, item, hits=None: self.rules.apply(item)
     )
     reference = _serve(str(tmp_path / "reference"))
     assert served[0] == reference[0]
