@@ -396,18 +396,20 @@ class Chimera:
         raises (a rule condition threw), every consumer evaluates its own
         rules, inside the guard it runs under."""
         engine = self.engine
-        held = engine.admitted(item)
-        if held is None:
+        row = engine.admitted(item)
+        if row is None:
             view = prepare(item)
         else:
-            view = item if isinstance(item, PreparedItem) else held.with_record(item)
-        if not live or (held is None and self.gatekeeper.rejects(view)):
+            view = item if isinstance(item, PreparedItem) else engine.view(row, item)
+        if not live or (row is None and self.gatekeeper.rejects(view)):
             return view, _NO_HITS
+        if row is not None:
+            return view, self._split(engine.store.rules_of_row(row), live)
         try:
-            row = engine.match_row(view)
+            hits = engine.evaluate(view)
         except Exception:
             return view, _OWN_HITS
-        return view, self._split(row, live)
+        return view, self._split(hits, live)
 
     def _split(self, row, live: List[int]) -> Sequence:
         """``row`` as per-set hits (``live``: the places of the non-empty

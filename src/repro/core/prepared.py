@@ -11,10 +11,12 @@ derived on each read instead, as a served item lives as long as the
 daemon. It duck-types the ``ProductItem`` read surface, so the Chimera
 stages, rule clauses and gate keeper need not care which they hold.
 
-Rules read titles (§2–3), so a served corpus row drops its record once
-evaluated (:meth:`drop_record`); its ``item``, ``description``, ``vendor``,
-``true_type`` — and ``attributes`` unless kept — then raise
-:class:`RecordNotHeld`, never a default.
+Rules read titles (§2–3), so a served corpus row is held as columns, not
+as a view: :meth:`PreparedItem.of_row` builds a view over a row's id,
+title and token tuple when the row is read. Such a view holds no record;
+its ``item``, ``description``, ``vendor``, ``true_type`` — and
+``attributes`` unless the corpus holds them — raise :class:`RecordNotHeld`,
+never a default.
 """
 
 from __future__ import annotations
@@ -34,16 +36,16 @@ _WORD = re.compile(r"[a-z0-9]+")
 
 
 class RecordNotHeld(LookupError):
-    """A read of a record field on a view that no longer holds the record."""
+    """A read of a record field on a view that holds no record."""
 
 
 class PreparedItem:
     """A product item plus its lazily-memoized derived text views.
 
-    Memoised (rule deltas re-verify stored items against them, many
-    times): ``tokens``, ``tokens_with_stopwords``, ``match_text`` and the
-    lowered attribute map. Not memoised:
-    ``token_set`` and ``anchor_tokens``, one-shot probe sets.
+    Memoised for the view's life (every stage of a classification reads
+    the same view): ``tokens``, ``tokens_with_stopwords``, ``match_text``
+    and the lowered attribute map. Not memoised: ``token_set`` and
+    ``anchor_tokens``, one-shot probe sets.
     """
 
     __slots__ = (
@@ -57,39 +59,45 @@ class PreparedItem:
         "_attributes_lower",
     )
 
-    def __init__(self, item: ProductItem):
+    def __init__(self, item: ProductItem, tokens: Any = _UNSET):
+        """A view of ``item``; ``tokens``: its title's token tuple with stop
+        words, when already known (a corpus row's)."""
         self.item_id = item.item_id
         self.title = item.title
         self._record: Optional[ProductItem] = item
         self._attributes: Optional[Mapping[str, str]] = item.attributes
         self._tokens: Any = _UNSET
-        self._tokens_with_stopwords: Any = _UNSET
+        self._tokens_with_stopwords: Any = tokens
         self._match_text: Any = _UNSET
         self._attributes_lower: Any = _UNSET
+
+    @classmethod
+    def of_row(
+        cls,
+        item_id: str,
+        title: str,
+        tokens: Tuple[str, ...],
+        attributes: Optional[Mapping[str, str]] = None,
+    ) -> "PreparedItem":
+        """A view of a corpus row: no record, and ``attributes`` only when
+        the corpus holds them."""
+        view = cls.__new__(cls)
+        view.item_id = item_id
+        view.title = title
+        view._record = None
+        view._attributes = attributes
+        view._tokens = view._match_text = view._attributes_lower = _UNSET
+        view._tokens_with_stopwords = tokens
+        return view
 
     # -- the record -------------------------------------------------------------
 
     @property
     def item(self) -> ProductItem:
-        """The record; :class:`RecordNotHeld` once dropped."""
+        """The record; :class:`RecordNotHeld` on a row view."""
         if self._record is None:
             raise RecordNotHeld(f"{self.item_id!r}: this view holds no record")
         return self._record
-
-    def drop_record(self, attributes: Optional[Mapping[str, str]] = None) -> None:
-        """Forget the record; keep ``attributes`` (its own, or read back)."""
-        self._record = None
-        self._attributes = attributes
-        self._attributes_lower = _UNSET
-
-    def with_record(self, record: ProductItem) -> "PreparedItem":
-        """A view of ``record`` (this view's item, read back) sharing this
-        view's memoised title views: the title is not tokenized again."""
-        view = PreparedItem(record)
-        view._tokens = self._tokens
-        view._tokens_with_stopwords = self._tokens_with_stopwords
-        view._match_text = self._match_text
-        return view
 
     # -- ProductItem read surface (duck-typed passthrough) ----------------------
 
@@ -167,12 +175,7 @@ class PreparedItem:
         per probe on the compat lane), and a memo of it would outlive that
         read by the life of the item at ~0.4 KB a piece.
         """
-        tokens = self.tokens_with_stopwords
-        words = set(tokens)
-        for token in tokens:
-            if not token.isalnum():
-                words.update(_WORD.findall(token))
-        return expand_plural_singulars(words)
+        return anchor_tokens(self.tokens_with_stopwords)
 
     @property
     def match_text(self) -> str:
@@ -195,6 +198,16 @@ class PreparedItem:
 
 
 ItemLike = Union[ProductItem, PreparedItem]
+
+
+def anchor_tokens(tokens: Tuple[str, ...]) -> FrozenSet[str]:
+    """The probe alphabet of a title's token tuple (with stop words): see
+    :attr:`PreparedItem.anchor_tokens`."""
+    words = set(tokens)
+    for token in tokens:
+        if not token.isalnum():
+            words.update(_WORD.findall(token))
+    return expand_plural_singulars(words)
 
 
 def prepare(item: ItemLike) -> PreparedItem:

@@ -5,20 +5,19 @@ it) ... the analyst often needs to run variations of rule R repeatedly on a
 development data set D ... a solution direction is to index the data set D
 for efficient rule execution."
 
-Items are prepared (tokenized) exactly once, on the way in, and every rule
-run against the index reuses those
-:class:`~repro.core.prepared.PreparedItem` views instead of re-tokenizing
-per evaluation. A row *is* the prepared view it was handed, kept as is:
-a development set's views keep their records (:meth:`matches` returns
-them); the incremental executor's drop theirs once evaluated.
-:meth:`get` hands a view back by item id.
+The index is the corpus as columns indexed by row: ``ids``, ``titles``,
+``tokens`` (each title's token tuple with stop words, tokenized once on
+the way in, uncached and interned: an indexed title never enters the text
+LRUs) and, once :meth:`hold_attributes` starts it, ``attributes``. It
+holds no record and no :class:`~repro.core.prepared.PreparedItem`:
+:meth:`view` builds one when a row is read. Callers keep records by row.
 
 The index is mutable: :meth:`add` and :meth:`remove` keep it current under
 batch arrival and item churn, which is what lets the incremental executor
 (:mod:`repro.execution.incremental`) answer "which rows could rule R
-touch?" against a live corpus. Removal tombstones the row (``None`` in
-``_prepared``) rather than renumbering, so previously returned row numbers
-stay stable.
+touch?" against a live corpus. Removal tombstones the row (title and
+tokens become ``None``; the id stays, so a reader can still name the row)
+rather than renumbering: row numbers are stable and never reused.
 
 Postings are append-only: each token owns one ``array('i')`` of rows in
 arrival order, 4 bytes an entry, and removal leaves the row's entries in
@@ -32,18 +31,22 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
-from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.core.prepared import PreparedItem, anchor_tokens
 from repro.core.rule import Rule, SequenceRule
+from repro.utils.text import tokenize_uncached
 
 
 class DataIndex:
     """token -> item rows, consulted through each rule's anchor contract."""
 
-    def __init__(self, items: Sequence[ItemLike] = ()):
-        self._prepared: List[Optional[PreparedItem]] = []
+    def __init__(self, items: Iterable[ProductItem] = ()):
+        self.ids: List[str] = []
+        self.titles: List[Optional[str]] = []
+        self.tokens: List[Optional[Tuple[str, ...]]] = []
+        self.attributes: Optional[List[Optional[Mapping[str, str]]]] = None
         self._postings: Dict[str, array] = {}
         self._row_by_id: Dict[str, int] = {}
         self._live = 0
@@ -66,17 +69,20 @@ class DataIndex:
 
     # -- mutation -----------------------------------------------------------------
 
-    def add(self, item: ItemLike) -> int:
-        """Index ``item`` (a prepared view is kept as handed in); returns
-        its row. Duplicate item_ids replace."""
-        prepared = prepare(item)
-        item_id = prepared.item_id
+    def add(self, item: ProductItem) -> int:
+        """Index ``item`` in a new row; returns it. Duplicate item_ids replace."""
+        item_id = item.item_id
         if item_id in self._row_by_id:
             self.remove(item_id)
-        row = len(self._prepared)
-        self._prepared.append(prepared)
+        row = len(self.ids)
+        tokens = tokenize_uncached(item.title, False)
+        self.ids.append(item_id)
+        self.titles.append(item.title)
+        self.tokens.append(tokens)
+        if self.attributes is not None:
+            self.attributes.append(item.attributes)
         # Post plural-expanded anchors so "ring" anchors find "rings".
-        anchors = prepared.anchor_tokens
+        anchors = anchor_tokens(tokens)
         postings = self._postings
         for token in anchors:
             posted = postings.get(token)
@@ -94,14 +100,30 @@ class DataIndex:
         row = self._row_by_id.pop(item_id, None)
         if row is None:
             return None
-        posted = len(self._prepared[row].anchor_tokens)
-        self._prepared[row] = None
+        posted = len(anchor_tokens(self.tokens[row]))
+        self.titles[row] = self.tokens[row] = None
+        if self.attributes is not None:
+            self.attributes[row] = None
         self._live -= 1
         self._live_postings -= posted
         self._dead_postings += posted
         if self._dead_postings > self._live_postings:
             self._compact()
         return row
+
+    def hold_attributes(self, records: Callable[[List[int]], Iterable[ProductItem]]) -> None:
+        """Start the ``attributes`` column from ``records(live rows)``
+        (records out in row order); :meth:`add` appends to it from then on."""
+        column: List[Optional[Mapping[str, str]]] = [None] * len(self.ids)
+        rows = self.live_rows()
+        for row, record in zip(rows, records(rows)):
+            column[row] = record.attributes
+        self.attributes = column
+
+    def _live_of(self, posted: Sequence[int]) -> List[int]:
+        # A posted row has at least one token, so its tokens are truthy
+        # exactly while it is live.
+        return list(compress(posted, map(self.tokens.__getitem__, posted)))
 
     def _live_posting(self, token: str) -> Sequence[int]:
         """``token``'s live rows, ascending: the array itself while the
@@ -113,7 +135,7 @@ class DataIndex:
             return ()
         if not self._dead_postings:
             return posted
-        live = list(compress(posted, map(self._prepared.__getitem__, posted)))
+        live = self._live_of(posted)
         dead = len(posted) - len(live)
         if dead > len(live):
             self._dead_postings -= dead
@@ -126,33 +148,30 @@ class DataIndex:
     def _compact(self) -> None:
         """Rewrite every posting array without its tombstoned rows."""
         for token in list(self._postings):
-            posted = self._postings[token]
-            live = array("i", compress(posted, map(self._prepared.__getitem__, posted)))
+            live = self._live_of(self._postings[token])
             if live:
-                self._postings[token] = live
+                self._postings[token] = array("i", live)
             else:
                 del self._postings[token]
         self._dead_postings = 0
 
     # -- queries ------------------------------------------------------------------
 
-    def live_rows(self) -> Iterator[Tuple[int, PreparedItem]]:
-        """Yield (row, prepared item) for every non-tombstoned row."""
-        for row, prepared in enumerate(self._prepared):
-            if prepared is not None:
-                yield row, prepared
-
-    def prepared_at(self, row: int) -> Optional[PreparedItem]:
-        return self._prepared[row]
+    def live_rows(self) -> List[int]:
+        """Every non-tombstoned row, ascending."""
+        return [row for row, tokens in enumerate(self.tokens) if tokens is not None]
 
     def row_of(self, item_id: str) -> Optional[int]:
         """The live row indexed under ``item_id``, or None."""
         return self._row_by_id.get(item_id)
 
-    def get(self, item_id: str) -> Optional[PreparedItem]:
-        """The live prepared view indexed under ``item_id``, or None."""
-        row = self._row_by_id.get(item_id)
-        return None if row is None else self._prepared[row]
+    def view(self, row: int, record: Optional[ProductItem] = None) -> PreparedItem:
+        """A live row as the view rules read, sharing its token tuple: over
+        ``record`` (the row's) when given, else over the row alone."""
+        if record is not None:
+            return PreparedItem(record, self.tokens[row])
+        attributes = None if self.attributes is None else self.attributes[row]
+        return PreparedItem.of_row(self.ids[row], self.titles[row], self.tokens[row], attributes)
 
     def candidate_rows(self, rule: Rule) -> List[int]:
         """Live rows that might match ``rule`` (superset; sorted).
@@ -167,16 +186,18 @@ class DataIndex:
             return sorted(set(postings[0]).intersection(*postings[1:]))
         anchors = rule.anchor_literals()
         if not anchors:
-            return [row for row, _ in self.live_rows()]
+            return self.live_rows()
         rows: Set[int] = set()
         for anchor in anchors:
             rows.update(self._live_posting(anchor))
         return sorted(rows)
 
-    def matches(self, rule: Rule) -> List[ProductItem]:
-        """Items actually matching ``rule``, via the index."""
-        candidates = (self._prepared[row] for row in self.candidate_rows(rule))
-        return [p.item for p in candidates if rule.matches_prepared(p)]
+    def matches(self, rule: Rule, records: Sequence[ProductItem]) -> List[int]:
+        """Rows matching ``rule``, via the index, over ``records`` by row."""
+        return [
+            row for row in self.candidate_rows(rule)
+            if rule.matches_prepared(self.view(row, records[row]))
+        ]
 
     def candidate_fraction(self, rule: Rule) -> float:
         """How much of the data set the index lets the rule skip."""

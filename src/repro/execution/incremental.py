@@ -9,10 +9,12 @@ materialized-view answer (the classic incremental view-maintenance trick;
 see PAPERS.md on incremental view maintenance and DeepDive's incremental
 KB construction):
 
-* :class:`MatchStore` — the materialized fired map, a set of
-  ``(rule_id, item_id)`` match pairs mirrored both ways, with per-rule and
-  per-item generation counters recording how often each side was
-  (re)computed, and a record of which rows moved since the last read;
+* :class:`MatchStore` — the materialized fired map, the
+  ``(rule_id, row)`` match pairs held as columns indexed by corpus row
+  (one shared ``frozenset`` of rule ids per row, one ascending
+  ``array('i')`` of rows per rule), with per-rule generation counters
+  recording how often a column was (re)computed, and a record of which
+  rows moved since the last read;
 * :class:`IncrementalExecutor` — wraps the store with a delta API
   (``add_rules`` / ``remove_rules`` / ``update_rule`` / ``add_items`` /
   ``remove_items`` / ``refresh``). Rule-side deltas consult the
@@ -35,13 +37,15 @@ is a property of the rule's condition and the item, while ``enabled`` is a
 view filter. Disabling a type (§2.2 scale-down) and restoring it are
 therefore zero-evaluation deltas.
 
-Rows hold what rules read: an arriving item is evaluated with its record
-in hand, then its row drops it (keeping attributes once an attribute or
-value rule is tracked) and a record source keeps it — RAM by default, the
-batch journal in the daemon — for the few paths that read it back.
+The corpus row number is the engine's item key: the executor is the only
+code that translates between item ids and rows. The corpus holds what
+rules read (id, title, tokens; attributes once an attribute or value rule
+is tracked): an arriving item is evaluated with its record in hand, then a
+record source keeps the record — RAM by default, the batch journal in the
+daemon — for the few paths that read it back.
 
 Reads cost what moved, not what is stored: every store mutator records the
-item ids whose row it touched, and the executor patches its enabled view,
+rows it touched, and the executor patches its enabled view,
 its pair count and its 256-bit set hash (:meth:`IncrementalExecutor.fired_fingerprint`)
 over just those rows plus the columns of rules whose enabled flag flipped.
 """
@@ -51,6 +55,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from array import array
+from bisect import bisect_left, insort
 from typing import (
     Callable,
     Dict,
@@ -76,6 +82,7 @@ from repro.observability import Observability, ensure_observability
 
 
 _NO_RULES: FrozenSet[str] = frozenset()
+_NO_ROWS = array("i")
 
 
 class MemoryRecords:
@@ -137,186 +144,174 @@ class _SharedRows:
 
 
 class MatchStore:
-    """Materialized fired map keyed by ``(rule_id, item_id)``.
+    """Materialized fired map: the ``(rule_id, row)`` pairs whose rule
+    condition holds on the corpus row, as columns indexed by row.
 
-    Pairs are mirrored in both directions (rule -> items, item -> rules) so
-    either side of a delta can find exactly the entries it invalidates.
-    An item's row is an immutable ``frozenset`` shared by every item whose
-    row is equal to it, so the corpus holds one row object per distinct
-    row (a few hundred for the daemon's tens of thousands of items).
-    Mutators replace rows and never edit them, so :meth:`rules_of_item`
-    hands the row out without copying. ``generation`` bumps on every
-    mutation; the per-rule / per-item
-    counters record how many times that row/column has been (re)computed —
-    the audit trail tests use to prove a delta did not touch the rest of
-    the store. All three are process-local audit counters, not durable
-    state: a resumed service rebuilds the pairs from its logs
+    ``_by_row[row]`` is the row's rule ids, an immutable ``frozenset``
+    shared by every row equal to it (a few hundred distinct rows for the
+    daemon's tens of thousands of items); ``_by_rule[rule_id]`` is the
+    rule's column, an ascending ``array('i')`` of rows. Mutators replace
+    row sets and never edit them, so :meth:`rules_of_row` hands one out
+    without copying; a column is edited in place, so only the batch loop's
+    thread may mutate the store. ``generation`` bumps on every mutation
+    and the per-rule counter records how many times a column has been
+    (re)computed — audit counters tests read to prove a delta did not
+    touch the rest of the store, process-local, not durable: a resumed
+    service rebuilds the pairs from its logs
     (:meth:`IncrementalExecutor.restore_items`) and the counters restart.
 
     Every mutator also notes what it moved, for readers that patch instead
-    of recompute: the item ids whose row changed (:meth:`drain_touched`)
+    of recompute: the rows whose rule set changed (:meth:`drain_touched`)
     and, per rule, how many new pairs were recorded
     (:meth:`drain_recorded`). Both are bounded by the live corpus / rule
     base and emptied by whoever consumes them.
     """
 
     def __init__(self) -> None:
-        self._by_item: Dict[str, FrozenSet[str]] = {}
-        self._by_rule: Dict[str, Set[str]] = {}
+        self._by_row: List[FrozenSet[str]] = []
+        self._by_rule: Dict[str, array] = {}
         self._rows = _SharedRows()
+        self._held = 0
         self._rule_generation: Dict[str, int] = {}
-        self._item_generation: Dict[str, int] = {}
         self.generation = 0
-        self._touched: Set[str] = set()
+        self._touched: Set[int] = set()
         self._recorded: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return sum(len(rules) for rules in self._by_item.values())
+        return sum(map(len, self._by_rule.values()))
 
     @property
     def row_count(self) -> int:
-        """Items holding at least one pair (O(1), unlike ``len``)."""
-        return len(self._by_item)
+        """Rows holding at least one pair (O(1), unlike ``len``)."""
+        return self._held
 
     @property
     def shared_rows(self) -> int:
         """Distinct rows held, one object each (O(1))."""
         return len(self._rows)
 
-    def __contains__(self, pair: Tuple[str, str]) -> bool:
-        rule_id, item_id = pair
-        return item_id in self._by_rule.get(rule_id, ())
+    def __contains__(self, pair: Tuple[str, int]) -> bool:
+        rule_id, row = pair
+        return rule_id in self.rules_of_row(row)
 
-    def pairs(self) -> Iterator[Tuple[str, str]]:
-        """All stored ``(rule_id, item_id)`` pairs (unordered)."""
-        for rule_id, item_ids in self._by_rule.items():
-            for item_id in item_ids:
-                yield (rule_id, item_id)
+    def pairs(self) -> Iterator[Tuple[str, int]]:
+        """All stored ``(rule_id, row)`` pairs (rules unordered)."""
+        for rule_id, rows in self._by_rule.items():
+            for row in rows:
+                yield (rule_id, row)
 
-    def items_of_rule(self, rule_id: str) -> FrozenSet[str]:
-        return frozenset(self._by_rule.get(rule_id, ()))
+    def rows_of_rule(self, rule_id: str) -> array:
+        """The rule's column, ascending: the array itself, not a copy."""
+        return self._by_rule.get(rule_id, _NO_ROWS)
 
-    def rules_of_item(self, item_id: str) -> FrozenSet[str]:
-        """The item's row itself (shared and immutable, so not copied)."""
-        return self._by_item.get(item_id, _NO_RULES)
+    def rules_of_row(self, row: int) -> FrozenSet[str]:
+        """The row's rule ids (shared and immutable, so not copied)."""
+        by_row = self._by_row
+        return by_row[row] if row < len(by_row) else _NO_RULES
 
     def rule_generation(self, rule_id: str) -> int:
         """How many times this rule's column has been (re)computed."""
         return self._rule_generation.get(rule_id, 0)
 
-    def item_generation(self, item_id: str) -> int:
-        """How many times this item's row has been (re)computed."""
-        return self._item_generation.get(item_id, 0)
-
     # -- delta writes -------------------------------------------------------------
 
-    def set_rule_matches(self, rule_id: str, item_ids: Iterable[str]) -> int:
+    def set_rule_matches(self, rule_id: str, rows: Iterable[int]) -> int:
         """Replace a rule's column wholesale; returns pairs invalidated."""
-        new = set(item_ids)
-        old = self._by_rule.get(rule_id, set())
-        invalidated = len(old - new)
-        for item_id in old - new:
-            self._discard_pair(rule_id, item_id)
-        for item_id in new - old:
-            self._record_pair(rule_id, item_id)
+        new = set(rows)
+        column = array("i", sorted(new))
+        old = set(self._by_rule.pop(rule_id, _NO_ROWS))
+        gone, came = old - new, new - old
+        drop = {rule_id}
+        for row in gone:
+            self._set_row(row, self._by_row[row] - drop)
+        for row in came:
+            self._set_row(row, self.rules_of_row(row) | drop)
+        if column:
+            self._by_rule[rule_id] = column
+        if came:
+            self._recorded[rule_id] = self._recorded.get(rule_id, 0) + len(came)
+        self._touched |= gone
+        self._touched |= came
         self._rule_generation[rule_id] = self._rule_generation.get(rule_id, 0) + 1
         self.generation += 1
-        return invalidated
+        return len(gone)
 
-    def set_item_matches(self, item_id: str, rule_ids: Iterable[str]) -> int:
-        """Replace an item's row wholesale; returns pairs invalidated."""
+    def set_item_matches(self, row: int, rule_ids: Iterable[str]) -> int:
+        """Replace a row's rule set wholesale; returns pairs invalidated."""
         new = frozenset(rule_ids)
-        old = self._by_item.get(item_id, _NO_RULES)
+        old = self.rules_of_row(row)
         invalidated = len(old - new)
         if new != old:
             for rule_id in old - new:
-                self._column_discard(rule_id, item_id)
+                self._column_discard(rule_id, row)
             for rule_id in new - old:
-                self._column_add(rule_id, item_id)
-            self._set_row(item_id, new)
-            self._touched.add(item_id)
-        self._item_generation[item_id] = self._item_generation.get(item_id, 0) + 1
+                self._column_add(rule_id, row)
+            self._set_row(row, new)
+            self._touched.add(row)
         self.generation += 1
         return invalidated
 
     def discard_rule(self, rule_id: str) -> int:
         """Drop every pair of a retired rule; returns pairs invalidated."""
-        item_ids = self._by_rule.pop(rule_id, set())
-        for item_id in item_ids:
-            row = self._by_item.get(item_id)
-            if row is not None:
-                self._set_row(item_id, row - {rule_id})
-        self._touched |= item_ids
+        column = self._by_rule.pop(rule_id, _NO_ROWS)
+        drop = {rule_id}
+        for row in column:
+            self._set_row(row, self._by_row[row] - drop)
+        self._touched.update(column)
         self._rule_generation.pop(rule_id, None)
         self.generation += 1
-        return len(item_ids)
+        return len(column)
 
-    def discard_item(self, item_id: str) -> int:
-        """Drop every pair of a removed item; returns pairs invalidated."""
-        rule_ids = self._by_item.pop(item_id, _NO_RULES)
+    def discard_item(self, row: int) -> int:
+        """Drop every pair of a removed row; returns pairs invalidated."""
+        rule_ids = self.rules_of_row(row)
         if rule_ids:
-            self._rows.release(rule_ids)
-            self._touched.add(item_id)
-        for rule_id in rule_ids:
-            self._column_discard(rule_id, item_id)
-        self._item_generation.pop(item_id, None)
+            for rule_id in rule_ids:
+                self._column_discard(rule_id, row)
+            self._set_row(row, _NO_RULES)
+            self._touched.add(row)
         self.generation += 1
         return len(rule_ids)
 
-    def clear(self) -> int:
-        """Drop everything (full refresh); returns pairs invalidated."""
-        invalidated = len(self)
-        self._touched.update(self._by_item)
-        self._by_item.clear()
-        self._by_rule.clear()
-        self._rows = _SharedRows()
-        self.generation += 1
-        return invalidated
-
-    def _set_row(self, item_id: str, row: FrozenSet[str]) -> None:
-        """Point ``item_id`` at the shared row equal to ``row`` (at none
-        when it is empty) and let go of the one it held."""
-        old = self._by_item.get(item_id)
-        if row:
-            self._by_item[item_id] = self._rows.hold(row)
-        elif old is not None:
-            del self._by_item[item_id]
-        if old is not None:
+    def _set_row(self, row: int, rule_ids: FrozenSet[str]) -> None:
+        """Point ``row`` at the shared set equal to ``rule_ids`` (at the
+        empty one when it is empty) and let go of the one it held."""
+        by_row = self._by_row
+        if row >= len(by_row):
+            if not rule_ids:
+                return
+            by_row.extend([_NO_RULES] * (row + 1 - len(by_row)))
+        old = by_row[row]
+        by_row[row] = self._rows.hold(rule_ids) if rule_ids else _NO_RULES
+        if old:
             self._rows.release(old)
+        self._held += bool(rule_ids) - bool(old)
 
-    def _column_add(self, rule_id: str, item_id: str) -> None:
-        self._by_rule.setdefault(rule_id, set()).add(item_id)
+    def _column_add(self, rule_id: str, row: int) -> None:
+        # Admission's rows arrive ascending, so this is an append there.
+        column = self._by_rule.get(rule_id)
+        if column is None:
+            self._by_rule[rule_id] = array("i", (row,))
+        else:
+            insort(column, row)
         self._recorded[rule_id] = self._recorded.get(rule_id, 0) + 1
 
-    def _column_discard(self, rule_id: str, item_id: str) -> None:
-        column = self._by_rule.get(rule_id)
-        if column is not None:
-            column.discard(item_id)
-            if not column:
-                del self._by_rule[rule_id]
-
-    def _record_pair(self, rule_id: str, item_id: str) -> None:
-        self._column_add(rule_id, item_id)
-        self._set_row(item_id, self._by_item.get(item_id, _NO_RULES) | {rule_id})
-        self._touched.add(item_id)
-
-    def _discard_pair(self, rule_id: str, item_id: str) -> None:
-        self._touched.add(item_id)
-        self._column_discard(rule_id, item_id)
-        row = self._by_item.get(item_id)
-        if row is not None and rule_id in row:
-            self._set_row(item_id, row - {rule_id})
+    def _column_discard(self, rule_id: str, row: int) -> None:
+        column = self._by_rule[rule_id]
+        del column[bisect_left(column, row)]
+        if not column:
+            del self._by_rule[rule_id]
 
     # -- what moved since the last read -------------------------------------------
 
-    def drain_touched(self) -> Set[str]:
-        """Item ids whose row changed since the last call (then forgotten)."""
+    def drain_touched(self) -> Set[int]:
+        """Rows whose rule set changed since the last call (then forgotten)."""
         touched, self._touched = self._touched, set()
         return touched
 
     def drain_recorded(self) -> Dict[str, int]:
         """rule_id -> pairs newly recorded since the last call (then
-        forgotten): each ``(rule, item)`` pair counts once, when it enters
+        forgotten): each ``(rule, row)`` pair counts once, when it enters
         the store, whichever side of the delta brought it."""
         recorded, self._recorded = self._recorded, {}
         return recorded
@@ -335,12 +330,13 @@ def _row_hash(item_id: str, rule_ids: List[str]) -> int:
 class IncrementalExecutor:
     """Delta-maintained executor: same fired map, a fraction of the work.
 
-    Holds the live corpus in a mutable :class:`DataIndex` (rows without
-    records, entered only through :meth:`_admit`; ``records`` is the
-    record source, :class:`MemoryRecords` by default), the live rule base
-    lowered into a :class:`CompiledRuleSet`, and the materialized matches
-    in a :class:`MatchStore`; the delta API keeps them consistent. A
-    Chimera pipeline holds one over its four rule sets (``Chimera.engine``).
+    Holds the live corpus in a mutable :class:`DataIndex` (columns by
+    row, no records, entered only through :meth:`_admit`; ``records`` is
+    the record source, :class:`MemoryRecords` by default), the live rule
+    base lowered into a :class:`CompiledRuleSet`, and the materialized
+    matches in a :class:`MatchStore` keyed by the same rows; the delta API
+    keeps them consistent and translates item ids to rows. A Chimera
+    pipeline holds one over its four rule sets (``Chimera.engine``).
 
     ``stats`` accumulates the lifetime ledger (every delta op also returns
     its own :class:`ExecutionStats`): ``delta_rules`` / ``delta_items``
@@ -379,7 +375,6 @@ class IncrementalExecutor:
         self._records = records if records is not None else MemoryRecords()
         # The last add_items batch by id (a later duplicate wins), for admitted().
         self._arrived: Dict[str, ProductItem] = {}
-        self._keep_attributes = False  # from the first attribute/value rule on
         self._compiled = CompiledRuleSet(
             (), token_frequency=token_frequency, include_disabled=True
         )
@@ -488,30 +483,29 @@ class IncrementalExecutor:
             return self._finish("add_items", op, started)
 
     def _admit(self, item: ItemLike, op: ExecutionStats) -> ProductItem:
-        """The one way into the corpus: prepare and warm a row of its own
-        (sharing a handed-in view's tokens), drop the row a re-listing
-        replaces (its stored matches must not survive), index it, evaluate
-        it with the record in hand, write its row and hand the record to
-        the source. The work is booked on ``op`` only."""
-        prepare_started = self._clock()
+        """The one way into the corpus: drop the row a re-listing replaces
+        (its stored matches must not survive), index the item in a new row
+        (its title tokenized there, once), evaluate the row's view over the
+        record in hand, write the row's matches and hand the record to the
+        source. The work is booked on ``op`` only."""
+        index = self._data_index
         record = item.item if isinstance(item, PreparedItem) else item
-        prepared = PreparedItem(record) if record is item else item.with_record(record)
-        prepared.warm()
-        op.prepare_time += self._clock() - prepare_started
-        item_id = prepared.item_id
+        item_id = record.item_id
         self._arrived.pop(item_id, None)
-        replaced = self._data_index.remove(item_id)
+        replaced = index.remove(item_id)
         if replaced is not None:
             self._records.release(replaced)
-            op.invalidations += self.store.discard_item(item_id)
-        self._records.admit(self._data_index.add(prepared), record)
-        hits, n_evaluated = self._compiled.match_item(prepared)
+            op.invalidations += self.store.discard_item(replaced)
+        prepare_started = self._clock()
+        row = index.add(record)
+        op.prepare_time += self._clock() - prepare_started
+        self._records.admit(row, record)
+        hits, n_evaluated = self._compiled.match_item(index.view(row, record))
         op.rule_evaluations += n_evaluated
-        op.invalidations += self.store.set_item_matches(item_id, hits)
+        op.invalidations += self.store.set_item_matches(row, hits)
         op.matches += len(hits)
         op.items += 1
         op.delta_items += 1
-        prepared.drop_record(record.attributes if self._keep_attributes else None)
         return record
 
     def remove_items(self, item_ids: Iterable[str]) -> ExecutionStats:
@@ -523,7 +517,7 @@ class IncrementalExecutor:
                 row = self._data_index.remove(item_id)
                 if row is not None:
                     self._records.release(row)
-                    op.invalidations += self.store.discard_item(item_id)
+                    op.invalidations += self.store.discard_item(row)
                     op.delta_items += 1
             return self._finish("remove_items", op, started)
 
@@ -585,21 +579,22 @@ class IncrementalExecutor:
             return self._finish("update_rule", op, started)
 
     def refresh(self) -> Tuple[Dict[str, List[str]], ExecutionStats]:
-        """Rebuild the store from scratch over every row's record, read
-        back in one pass (escape hatch / initial load).
+        """Re-evaluate every row from scratch over its record, read back in
+        one pass (escape hatch / initial load), and rewrite each row whose
+        matches differ; only pairs the store did not hold count as fired.
 
         Returns ``(fired map, op stats)``; the op's ``invalidations`` is
-        the size of the store it threw away.
+        the size of the store it re-derived.
         """
         op = ExecutionStats()
         with self.observability.span("exec.incremental.refresh"):
             started = self._clock()
-            op.invalidations += self.store.clear()
-            rows = [row for row, _ in self._data_index.live_rows()]
-            for prepared in self._views(rows, True):
-                hits, n_evaluated = self._compiled.match_item(prepared)
+            op.invalidations += len(self.store)
+            rows = self._data_index.live_rows()
+            for row, view in zip(rows, self._views(rows, True)):
+                hits, n_evaluated = self._compiled.match_item(view)
                 op.rule_evaluations += n_evaluated
-                self.store.set_item_matches(prepared.item_id, hits)
+                self.store.set_item_matches(row, hits)
                 op.matches += len(hits)
                 op.items += 1
                 op.delta_items += 1
@@ -643,17 +638,21 @@ class IncrementalExecutor:
         touched = self.store.drain_touched()
         if enabled != self._view_enabled:
             for rule_id in enabled ^ self._view_enabled:
-                touched |= self.store.items_of_rule(rule_id)
+                touched.update(self.store.rows_of_rule(rule_id))
             self._view_enabled = enabled
         if not touched:
             return
         view = self._view
         shared = self._view_rows
         fingerprint = self._fingerprint
-        for item_id in sorted(touched):
+        ids, rules_of_row = self._data_index.ids, self.store.rules_of_row
+        # Ascending rows: a re-listed id's tombstoned row comes before the
+        # row that replaced it.
+        for row in sorted(touched):
+            item_id = ids[row]
             old = view.get(item_id)
             old_key = _NO_RULES if old is None else frozenset(old)
-            key = self.store.rules_of_item(item_id) & enabled
+            key = rules_of_row(row) & enabled
             if key == old_key:
                 continue
             self._snapshot = None
@@ -715,28 +714,26 @@ class IncrementalExecutor:
     def match_row(self, item: ItemLike) -> Iterable[str]:
         """Ids of the tracked rules — enabled or not, unordered — whose
         condition holds on ``item``: the input of
-        :meth:`~repro.core.ruleset.RuleSet.fold`.
+        :meth:`~repro.core.ruleset.RuleSet.fold`. The stored row when
+        :meth:`admitted` holds this very record (a read, no evaluation),
+        else :meth:`evaluate`."""
+        row = self.admitted(item)
+        return self.evaluate(item) if row is None else self.store.rules_of_row(row)
 
-        When the store holds this very record the answer is the row
-        ``add_items`` wrote on arrival, kept current by every rule delta
-        since: a read, no evaluation. Any other record — never admitted,
-        re-listed since under its id, or shadowed by a duplicate id later
-        in its batch — is evaluated through the same compiled rule set and
-        leaves the store untouched; those evaluations are counted on
-        ``stats.rule_evaluations``.
-        """
-        if self.admitted(item) is not None:
-            return self.store.rules_of_item(item.item_id)
+    def evaluate(self, item: ItemLike) -> Iterable[str]:
+        """Ids of the tracked rules whose condition holds on ``item``, by the
+        compiled set (counted on ``stats``); the store is untouched."""
         hits, n_evaluated = self._compiled.match_item(item)
         self.stats.rule_evaluations += n_evaluated
         return hits
 
-    def admitted(self, item: ItemLike) -> Optional[PreparedItem]:
-        """The row (a view without its record) held for ``item`` when this
-        very record — by identity or by value — is the one admitted under
-        its id (the last ``add_items`` batch is checked in memory, older
-        ones via the source); None if never admitted, shadowed by a later
-        duplicate in its batch, removed, or re-listed since changed."""
+    def admitted(self, item: ItemLike) -> Optional[int]:
+        """The row held for ``item`` when this very record — by identity
+        or by value — is the one admitted under its id (the last
+        ``add_items`` batch is checked in memory, older ones via the
+        source); None if never admitted, shadowed by a later duplicate in
+        its batch, removed, or re-listed since changed. The row's stored
+        matches then stand in for an evaluation of ``item``."""
         record = item.item if isinstance(item, PreparedItem) else item
         row = self._data_index.row_of(record.item_id)
         if row is None:
@@ -744,53 +741,55 @@ class IncrementalExecutor:
         held = self._arrived.get(record.item_id)
         if held is None:
             held = next(self._records.records((row,)))
-        if held is record or held == record:
-            return self._data_index.prepared_at(row)
-        return None
+        return row if held is record or held == record else None
+
+    def view(self, row: int, record: Optional[ProductItem] = None) -> PreparedItem:
+        """:meth:`DataIndex.view`: the row's tokens are not computed again."""
+        return self._data_index.view(row, record)
 
     def fired_for_item(self, item_id: str) -> List[str]:
         """Sorted enabled rule ids currently firing on one item, in view."""
+        row = self._data_index.row_of(item_id)
+        if row is None:
+            return []
         return sorted(
             rule_id
-            for rule_id in self.store.rules_of_item(item_id)
+            for rule_id in self.store.rules_of_row(row)
             if self._rules[rule_id].enabled and rule_id not in self._outside
         )
 
     def fired_for_rule(self, rule_id: str) -> List[str]:
-        """Sorted item ids one rule currently fires on (enabled or not)."""
+        """Sorted item ids one rule currently fires on (enabled or not).
+        Writes nothing, so a request thread may call it: ``tolist`` copies
+        the column in one step while the batch loop may be editing it."""
         if rule_id not in self._rules:
             raise UnknownRuleError(rule_id)
-        return sorted(self.store.items_of_rule(rule_id))
+        rows = self.store.rows_of_rule(rule_id).tolist()
+        return sorted(map(self._data_index.ids.__getitem__, rows))
 
     # -- internals ----------------------------------------------------------------
 
     def _views(self, rows: List[int], records: bool) -> Iterator[PreparedItem]:
-        """The rows at ascending ``rows`` — with ``records``, each as a view
-        over its record, read back from the source in one pass."""
-        held = map(self._data_index.prepared_at, rows)
+        """Views of the ascending ``rows`` — with ``records``, each over
+        its record, read back from the source in one pass."""
+        view = self._data_index.view
         if not records:
-            return held
-        return map(PreparedItem.with_record, held, self._records.records(rows))
+            return map(view, rows)
+        return map(view, rows, self._records.records(rows))
 
     def _hold_attributes(self) -> None:
-        """Once the compiled set first reads attributes, copy them onto
-        every live row, in one pass over the source; they stay there."""
-        if self._keep_attributes or not self._compiled.reads_attributes:
-            return
-        self._keep_attributes = True
-        rows = [row for row, _ in self._data_index.live_rows()]
-        for row, record in zip(rows, self._records.records(rows)):
-            self._data_index.prepared_at(row).drop_record(record.attributes)
+        """Once the compiled set first reads attributes, start the
+        corpus's attributes column, in one pass over the source; it stays."""
+        if self._data_index.attributes is None and self._compiled.reads_attributes:
+            self._data_index.hold_attributes(self._records.records)
 
     def _evaluate_rule(self, rule: Rule, op: ExecutionStats) -> None:
         """Recompute one rule's column over its DataIndex candidate rows
         (over their records, when the rule may read past the title)."""
-        matched: List[str] = []
         rows = self._data_index.candidate_rows(rule)
-        for prepared in self._views(rows, self._compiled.reads_record(rule.rule_id)):
-            op.rule_evaluations += 1
-            if rule.matches_prepared(prepared):
-                matched.append(prepared.item_id)
+        views = self._views(rows, self._compiled.reads_record(rule.rule_id))
+        matched = [row for row, view in zip(rows, views) if rule.matches_prepared(view)]
+        op.rule_evaluations += len(rows)
         op.invalidations += self.store.set_rule_matches(rule.rule_id, matched)
         op.matches += len(matched)
 

@@ -1,0 +1,34 @@
+"""Every exact budget the ``gates`` tests hold, in one table: a change that
+removes work or bytes edits this file, and the diff is its claim. Each
+figure names the commit that set it and what it read; a budget is its
+reading plus 5% unless it says otherwise.
+"""
+
+# Resident bytes per served item (tests/test_resident_budget.py): the
+# largest reading over PYTHONHASHSEED 0, 1 and random, plus 5%.
+# Corpus and match store as row columns: read 454.1 live, 654.1 resumed,
+# 597.5 live with an attribute rule tracked (8e8444a read 633 / 759 / -).
+LIVE_B_PER_ITEM = 477
+RESUMED_B_PER_ITEM = 687
+ATTRIBUTE_B_PER_ITEM = 628
+
+# Interpreter calls per served item (tests/test_served_budget.py), a flat
+# ceiling: 8e8444a read 400.6 / 671.4.
+CALL_BUDGET = {"training=0": 415.0, "default": 700.0}
+
+# fsyncs of a fresh seed-7 training=0 root (tests/test_fsync_budget.py),
+# exact: e4d060a read these; the ceilings do not move.
+FSYNCS = {"start": 139, "first_batch": 5, "batch": 5, "per_change": 1}
+FSYNC_BATCH_CEILING = 5
+FSYNC_START_AND_FIRST_BATCH_CEILING = 145
+
+# Interpreter calls per mined candidate (tests/test_rulegen_budget.py), a
+# ceiling: 05a8a8d read 2.9.
+RULEGEN_CALLS_PER_CANDIDATE = 10.0
+
+# Checkpoint bytes after 8 seed-7 training=0 batches
+# (tests/test_service_rederive.py::TestCheckpointBudget): a4ec307 read
+# 15,876 B in total, under 3,400 B per RNG state and 30.5 B per metric series.
+CHECKPOINT_TOTAL_B = int(15_876 * 1.05)
+CHECKPOINT_RNG_B = 3_400
+CHECKPOINT_PER_SERIES_B = 30.5 * 1.05

@@ -82,17 +82,19 @@ def tokenize_cached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
 
 
 def tokenize_uncached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
-    """:func:`tokenize_cached` without touching either cache.
+    """:func:`tokenize_cached` (interned tokens too) without touching
+    either cache.
 
-    For one-shot bulk passes that keep their own memo (rule induction
-    reads every training title exactly once): routing those through the
-    bounded LRUs buys no hits, evicts the served path's entries and pins
-    a full cache of training titles for the life of the process.
+    For passes that read each title once and keep what they need: rule
+    induction (every training title, behind its own memo) and the served
+    corpus (every arriving title, held as its row's token tuple). Routing
+    those through the bounded LRUs buys no hits, evicts other users'
+    entries and pins a full cache of titles for the life of the process.
 
     >>> tokenize_uncached("Blue Jeans, 2 Pack") == tokenize_cached("Blue Jeans, 2 Pack")
     True
     """
-    return _tokens_of(_normalize(text), drop_stopwords)
+    return tuple(map(sys.intern, _tokens_of(_normalize(text), drop_stopwords)))
 
 
 def tokenize(text: str, drop_stopwords: bool = True) -> List[str]:

@@ -54,7 +54,8 @@ class RuleWorkbench:
 
     The development set is indexed once; every preview reuses the index, so
     iterating on a rule costs milliseconds instead of a full scan — the
-    section 4 requirement for effective rule development.
+    section 4 requirement for effective rule development. The index holds
+    no records: row ``i`` is ``items[i]``.
     """
 
     def __init__(
@@ -66,7 +67,8 @@ class RuleWorkbench:
     ):
         if not development_items:
             raise ValueError("workbench needs a development data set")
-        self.index = DataIndex(development_items)
+        self.items = list(development_items)
+        self.index = DataIndex(self.items)
         self.deployed = deployed if deployed is not None else RuleSet(name="deployed")
         self.analyst = analyst
         self.rng = random.Random(seed)
@@ -80,7 +82,7 @@ class RuleWorkbench:
         verify_sample: int = 30,
     ) -> RulePreview:
         """Run a draft rule against the indexed development set."""
-        matches = self.index.matches(rule)
+        matches = self._matches(rule)
         sample = matches[:sample_size]
         preview = RulePreview(
             rule_id=rule.rule_id,
@@ -112,7 +114,7 @@ class RuleWorkbench:
         if rule.is_blacklist or rule.is_constraint:
             return []
         if matches is None:
-            matches = self.index.matches(rule)
+            matches = self._matches(rule)
         conflicting: Set[str] = set()
         for item in matches:
             for deployed_rule in self.deployed.whitelists():
@@ -138,7 +140,7 @@ class RuleWorkbench:
         if self.analyst is None:
             return []
         if matches is None:
-            matches = self.index.matches(rule)
+            matches = self._matches(rule)
         rejected: List[ProductItem] = []
         accepted_tokens: Counter = Counter()
         for item in matches:
@@ -161,6 +163,10 @@ class RuleWorkbench:
             f"{' '.join(bigram)} -> NOT {rule.target_type}"
             for _, bigram in distinctive[:top]
         ]
+
+    def _matches(self, rule: Rule) -> List[ProductItem]:
+        """Development items matching ``rule``, via the index."""
+        return [self.items[row] for row in self.index.matches(rule, self.items)]
 
     @staticmethod
     def _bigrams(item: ProductItem) -> List[Tuple[str, str]]:

@@ -12,24 +12,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.execution.incremental import MatchStore
 
 
 def store_fired_map(
-    store: MatchStore, enabled_rule_ids: FrozenSet[str]
+    store: MatchStore, ids: Sequence[str], enabled_rule_ids: FrozenSet[str]
 ) -> Dict[str, List[str]]:
     """item_id -> sorted fired (enabled) rule ids, items sorted by id, by
-    walking every row of ``store``: exactly the executor output shape
-    (items with no enabled match are absent) that
-    ``IncrementalExecutor.fired_map()`` must equal."""
+    walking every row of ``store`` and naming it through ``ids`` (the
+    corpus's ids column): exactly the executor output shape (items with
+    no enabled match are absent) that ``IncrementalExecutor.fired_map()``
+    must equal."""
     result: Dict[str, List[str]] = {}
-    for item_id in sorted(store._by_item):
-        hits = sorted(store._by_item[item_id] & enabled_rule_ids)
+    for row, rule_ids in enumerate(store._by_row):
+        hits = sorted(rule_ids & enabled_rule_ids)
         if hits:
-            result[item_id] = hits
-    return result
+            result[ids[row]] = hits
+    return dict(sorted(result.items()))
 
 
 def fingerprint_from_scratch(fired: Dict[str, List[str]]) -> str:

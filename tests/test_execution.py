@@ -248,7 +248,7 @@ class TestDataIndex:
     def test_matches_equal_full_scan(self):
         index = DataIndex(ITEMS)
         for rule in RULES:
-            via_index = {i.item_id for i in index.matches(rule)}
+            via_index = {ITEMS[row].item_id for row in index.matches(rule, ITEMS)}
             via_scan = {i.item_id for i in ITEMS if rule.matches(i)}
             assert via_index == via_scan
 

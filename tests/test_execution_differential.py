@@ -327,14 +327,20 @@ def test_every_mode_runs_a_predicate_rule():
 # -- the patched view is the from-scratch view, after every single op ---------------
 
 # The interleaving above plus what only a subscribed executor sees: a
-# duplicate id inside one batch, a retired id coming back, and enable /
+# duplicate id inside one batch, a retired id coming back, enable /
 # disable arriving as rule-set events (``toggle_rule`` stays the
-# ``rule.enabled = ...`` assignment, which on a set's rule calls the set).
+# ``rule.enabled = ...`` assignment, which on a set's rule calls the set),
+# and removals naming live ids, ids removed already and ids never admitted.
 _view_op = st.one_of(
     _op,
     st.tuples(st.just("duplicate_items"), _item_spec, _item_spec),
     st.tuples(st.just("readd_rule"), _pick, _rule_spec),
     st.tuples(st.just("toggle_event"), _pick),
+    st.tuples(
+        st.just("remove_items"),
+        st.lists(_pick, max_size=3),
+        st.integers(min_value=0, max_value=2),
+    ),
 )
 
 
@@ -374,6 +380,13 @@ def _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids):
     elif kind == "toggle_rule" and live:
         rule = ruleset.get(live[op[1] % len(live)])
         rule.enabled = not rule.enabled
+    elif kind == "remove_items":
+        held = sorted(items)
+        gone = [held[pick % len(held)] for pick in op[1]] if held else []
+        gone += [f"i{next(item_ids):03d}" for _ in range(op[2])]
+        for item_id in gone:
+            items.pop(item_id, None)
+        executor.remove_items(gone)
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,7 +395,9 @@ def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
     """``fired_map()``, ``fired_pairs`` and ``fired_fingerprint()`` are
     patched over touched rows only; after each op they must equal what a
     ``NaiveExecutor`` run over the live state gives when recomputed from
-    nothing — and a map handed out before the op must not have moved."""
+    nothing — and a map handed out before the op must not have moved.
+    Every tracked rule's store column, enabled or not, is the rows its
+    condition holds on, recomputed from scratch."""
     ruleset = RuleSet()
     executor = IncrementalExecutor()
     executor.attach_ruleset(ruleset)
@@ -402,15 +417,26 @@ def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
         assert executor.fired_fingerprint() == fingerprint_from_scratch(reference)
         assert before == frozen
         assert list(before) == list(frozen)
+        for rule in ruleset:
+            assert executor.fired_for_rule(rule.rule_id) == sorted(
+                item_id for item_id, item in items.items() if rule.matches(item)
+            )
+
+
+def _refuse(self, *args, **kwargs):
+    raise AssertionError("full-store walk on the served read path")
 
 
 class _NoWalkDict(dict):
     """A dict that may be probed by key but never walked."""
 
-    def _refuse(self, *args, **kwargs):
-        raise AssertionError("full-store walk on the served read path")
-
     __iter__ = keys = values = items = _refuse
+
+
+class _NoWalkList(list):
+    """A list that may be indexed and grown but never walked."""
+
+    __iter__ = __reversed__ = __contains__ = index = count = _refuse
 
 
 def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
@@ -444,7 +470,7 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
         incremental_module, "_row_hash",
         lambda item_id, rule_ids: hashed.append(item_id) or real_row_hash(item_id, rule_ids),
     )
-    executor.store._by_item = _NoWalkDict(executor.store._by_item)
+    executor.store._by_row = _NoWalkList(executor.store._by_row)
     executor._view = _NoWalkDict(executor._view)
 
     k = 20
@@ -459,10 +485,10 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
     assert set(hashed) <= {item.item_id for item in arriving}
 
     # ... and the patched values are the from-scratch ones.
-    executor.store._by_item = dict(dict.items(executor.store._by_item))
+    executor.store._by_row = executor.store._by_row[:]
     executor._view = dict(dict.items(executor._view))
     reference = store_fired_map(
-        executor.store, frozenset(rule.rule_id for rule in rules)
+        executor.store, executor._data_index.ids, frozenset(rule.rule_id for rule in rules)
     )
     assert executor.fired_map() == reference
     # i00002 gained its first row below the largest id held: still sorted.

@@ -5,7 +5,8 @@ The contract under test: after ANY interleaved sequence of
 (plus enable/disable churn), :class:`IncrementalExecutor.fired_map` is
 byte-identical to a from-scratch :class:`NaiveExecutor` run over the
 executor's current rules and items — while touching only the delta
-(checked through the MatchStore generation counters and the stats ledger).
+(checked through the MatchStore's per-rule generation counters and the
+stats ledger).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.core import (
 )
 from repro.core.durability import AppendLog, json_line
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
-from repro.core.prepared import RecordNotHeld
+from repro.core.prepared import PreparedItem, RecordNotHeld
 from repro.core.rule import Clause
 from repro.core.ruleset import RuleSet
 from repro.core.serialize import rules_from_dicts
@@ -48,6 +49,7 @@ from repro.execution import (
     RuleIndex,
     prepare_all,
 )
+from repro.observability import Observability
 from repro.rulegen import RuleGenerator
 from repro.service.daemon import JournalRecords, _item_to_dict
 from repro.utils.clock import SimClock
@@ -84,49 +86,47 @@ def full_fired(rules, items):
 class TestMatchStore:
     def test_pairs_mirrored_both_ways(self):
         store = MatchStore()
-        store.set_rule_matches("r1", ["i1", "i2"])
-        store.set_item_matches("i3", ["r1", "r2"])
-        assert store.items_of_rule("r1") == {"i1", "i2", "i3"}
-        assert store.rules_of_item("i3") == {"r1", "r2"}
-        assert ("r1", "i2") in store
-        assert ("r2", "i1") not in store
+        store.set_rule_matches("r1", [2, 1])
+        store.set_item_matches(3, ["r1", "r2"])
+        assert list(store.rows_of_rule("r1")) == [1, 2, 3]
+        assert store.rules_of_row(3) == {"r1", "r2"}
+        assert ("r1", 2) in store
+        assert ("r2", 1) not in store
         assert len(store) == 4
         assert set(store.pairs()) == {
-            ("r1", "i1"), ("r1", "i2"), ("r1", "i3"), ("r2", "i3"),
+            ("r1", 1), ("r1", 2), ("r1", 3), ("r2", 3),
         }
 
     def test_set_rule_matches_reports_invalidations(self):
         store = MatchStore()
-        store.set_rule_matches("r1", ["i1", "i2", "i3"])
-        # i1 kept, i2/i3 dropped, i4 added -> 2 invalidations.
-        assert store.set_rule_matches("r1", ["i1", "i4"]) == 2
-        assert store.items_of_rule("r1") == {"i1", "i4"}
+        store.set_rule_matches("r1", [1, 2, 3])
+        # 1 kept, 2/3 dropped, 4 added -> 2 invalidations.
+        assert store.set_rule_matches("r1", [1, 4]) == 2
+        assert list(store.rows_of_rule("r1")) == [1, 4]
 
     def test_discards_report_invalidations_and_clean_up(self):
         store = MatchStore()
-        store.set_rule_matches("r1", ["i1", "i2"])
-        store.set_rule_matches("r2", ["i1"])
-        assert store.discard_item("i1") == 2
-        assert store.rules_of_item("i1") == frozenset()
+        store.set_rule_matches("r1", [1, 2])
+        store.set_rule_matches("r2", [1])
+        assert store.discard_item(1) == 2
+        assert store.rules_of_row(1) == frozenset()
         assert store.discard_rule("r1") == 1
-        assert len(store) == 0
+        assert len(store) == 0 and store.row_count == 0
 
     def test_generation_counters_track_recomputes(self):
         store = MatchStore()
         assert store.rule_generation("r1") == 0
-        store.set_rule_matches("r1", ["i1"])
-        store.set_rule_matches("r1", ["i2"])
-        store.set_item_matches("i9", ["r1"])
-        assert store.rule_generation("r1") == 2
-        assert store.item_generation("i9") == 1
-        assert store.item_generation("i1") == 0  # written via rule side only
+        store.set_rule_matches("r1", [1])
+        store.set_rule_matches("r1", [2])
+        store.set_item_matches(9, ["r1"])
+        assert store.rule_generation("r1") == 2  # the row write is not a recompute
         assert store.generation == 3
 
     def test_fired_map_filters_and_sorts(self):
         store = MatchStore()
-        store.set_item_matches("b", ["r2", "r1", "r3"])
-        store.set_item_matches("a", ["r3"])
-        fired = store_fired_map(store, frozenset({"r1", "r2"}))
+        store.set_item_matches(0, ["r2", "r1", "r3"])
+        store.set_item_matches(1, ["r3"])
+        fired = store_fired_map(store, ["b", "a"], frozenset({"r1", "r2"}))
         assert fired == {"b": ["r1", "r2"]}
         assert list(fired) == sorted(fired)
 
@@ -163,18 +163,12 @@ class TestIncrementalExecutor:
     def test_single_rule_edit_touches_only_its_candidates(self):
         rules, items = small_world()
         incremental = IncrementalExecutor(rules, items)
-        generations_before = {
-            i.item_id: incremental.store.item_generation(i.item_id) for i in items
-        }
         edit = WhitelistRule("(rings?|novel)", "rings", rule_id=rules[0].rule_id)
         op = incremental.update_rule(edit)
         # Only the anchored candidates (ring/novel items) were evaluated.
         assert op.rule_evaluations == 2
+        # No item row was re-evaluated: the delta went through the rule side.
         assert op.delta_rules == 1 and op.delta_items == 0
-        # Item rows were not rewritten — the delta went through the rule side.
-        for i in items:
-            assert incremental.store.item_generation(i.item_id) \
-                == generations_before[i.item_id]
         new_rules = [edit] + rules[1:]
         assert incremental.fired_map() == full_fired(new_rules, items)
 
@@ -243,8 +237,6 @@ class TestIncrementalExecutor:
         — item side and rule side alike — and never on a read: it used to
         re-count the whole map on every read after a change, so it grew
         with (items served) x (reads)."""
-        from repro.observability import Observability
-
         obs = Observability()
         rules, items = small_world()
         incremental = IncrementalExecutor(rules, items, observability=obs)
@@ -302,6 +294,21 @@ class TestIncrementalExecutor:
         fired, op = incremental.refresh()
         assert op.invalidations == pairs
         assert fired == full_fired(rules, items)
+
+    def test_refresh_records_no_stored_pair_again(self):
+        """``rule_fired_total`` moves only when the store records a pair it
+        did not hold: a refresh that re-derives the same two pairs leaves
+        it at two."""
+        obs = Observability()
+        items = [item("gold rings"), item("silver ring"), item("blue jeans")]
+        incremental = IncrementalExecutor(
+            [WhitelistRule("rings?", "rings", rule_id="w1")], items, observability=obs
+        )
+        counter = obs.metrics.counter("rule_fired_total", rule_id="w1")
+        assert counter.value == 2
+        _, op = incremental.refresh()
+        assert op.invalidations == 2
+        assert counter.value == incremental.fired_pairs == 2
 
     def test_per_rule_and_per_item_views(self):
         rules, items = small_world()
@@ -513,29 +520,33 @@ class TestGoldenIncremental:
 
 class TestSharedPreparedCache:
     def test_data_index_reuses_executor_preparations(self):
-        """However an item got in, ``admitted`` hands back the row itself:
-        a view of its own that shares a handed-in view's tokens and holds
-        no record, which the record source keeps instead."""
+        """However an item got in, ``admitted`` hands back its row. The
+        corpus holds the row as columns — id, title, tokens — and neither
+        a record, which the record source keeps, nor a view, which each
+        read builds over the row's own token tuple."""
         rules, items = small_world()
         warmed = prepare_all(items[:1])[0]
         incremental = IncrementalExecutor(rules)
         incremental.add_items([warmed] + items[1:2])
         assert incremental.restore_items(items[2:]) == 2
         index = incremental._data_index
-        row = incremental.admitted(items[0])
-        assert row is not warmed and warmed.item is items[0]
-        assert row.tokens_with_stopwords is warmed.tokens_with_stopwords
-        for thing in items:
-            held = incremental.admitted(thing)
-            assert held is index.get(thing.item_id) and held.item_id == thing.item_id
+        rows = [incremental.admitted(thing) for thing in items]
+        assert rows == [index.row_of(thing.item_id) for thing in items] == index.live_rows()
+        assert index.tokens[rows[0]] == warmed.tokens_with_stopwords
+        for row, thing in zip(rows, items):
+            view = incremental.view(row)
+            assert (view.item_id, view.title) == (thing.item_id, thing.title)
+            assert view.tokens_with_stopwords is index.tokens[row]
             with pytest.raises(RecordNotHeld):
-                held.item
-        rows = [index.row_of(thing.item_id) for thing in items]
+                view.item
+            assert incremental.view(row, thing).item is thing
+            assert incremental.view(row, thing).tokens_with_stopwords is index.tokens[row]
+        assert not [
+            value for column in vars(index).values() if isinstance(column, list)
+            for value in column if isinstance(value, (ProductItem, PreparedItem))
+        ]
         assert list(incremental._records.records(rows)) == items
         assert incremental._records.held == len(items)
-        assert [p for _, p in index.live_rows()] == [
-            incremental.admitted(thing) for thing in items
-        ]
 
     def test_incremental_shares_one_cache_everywhere(self):
         """``admitted`` is by identity or value, and only for the live row."""
@@ -545,15 +556,14 @@ class TestSharedPreparedCache:
         # Re-listing with equal content: both records are "the row I hold".
         copy = ProductItem(first.item_id, first.title, dict(first.attributes))
         incremental.add_items([copy])
-        row = incremental._data_index.get(first.item_id)
         at = incremental._data_index.row_of(first.item_id)
         assert next(incremental._records.records([at])) is copy
-        assert incremental.admitted(copy) is row and incremental.admitted(first) is row
+        assert incremental.admitted(copy) == at == incremental.admitted(first)
         # Re-listing with different content: the old record is not held.
         changed = ProductItem(item_id=second.item_id, title="gold rings")
         incremental.restore_items([changed])
         assert incremental.admitted(second) is None
-        assert incremental.admitted(changed) is incremental._data_index.get(second.item_id)
+        assert incremental.admitted(changed) == incremental._data_index.row_of(second.item_id)
         # Removed, and equal content under an id never admitted.
         incremental.remove_items([third.item_id])
         assert incremental.admitted(third) is None
@@ -568,17 +578,23 @@ class TestSharedPreparedCache:
 # ---------------------------------------------------------------------------
 
 
+def _matched_ids(index, rule, records):
+    return {records[row].item_id for row in index.matches(rule, records)}
+
+
 class TestDataIndexMutation:
     def test_add_remove_keeps_matches_consistent(self):
         rules, items = small_world()
         index = DataIndex(items)
+        records = list(items)
         rule = rules[0]
-        assert {i.item_id for i in index.matches(rule)} == {items[0].item_id}
+        assert _matched_ids(index, rule, records) == {items[0].item_id}
         index.remove(items[0].item_id)
-        assert index.matches(rule) == []
+        assert index.matches(rule, records) == []
         assert len(index) == len(items) - 1
         index.add(items[0])
-        assert {i.item_id for i in index.matches(rule)} == {items[0].item_id}
+        records.append(items[0])
+        assert _matched_ids(index, rule, records) == {items[0].item_id}
 
     def test_unanchored_rules_scan_only_live_rows(self):
         rules, items = small_world()
@@ -590,14 +606,12 @@ class TestDataIndexMutation:
         assert index.candidate_fraction(attr_rule) == 1.0
 
     def test_duplicate_add_replaces(self):
-        index = DataIndex()
         first = item("gold rings")
-        index.add(first)
         replacement = ProductItem(item_id=first.item_id, title="area rug")
-        index.add(replacement)
+        index = DataIndex([first, replacement])
         assert len(index) == 1
         rule = SequenceRule(("area", "rug"), "rugs", rule_id=f"dx-{next(_ids):06d}")
-        assert {i.item_id for i in index.matches(rule)} == {first.item_id}
+        assert index.matches(rule, [first, replacement]) == [1]
 
 
 def _posting_entries(index):
@@ -605,7 +619,7 @@ def _posting_entries(index):
     dead = live = 0
     for posted in index._postings.values():
         for row in posted:
-            if index.prepared_at(row) is None:
+            if index.tokens[row] is None:
                 dead += 1
             else:
                 live += 1
@@ -630,7 +644,7 @@ def test_tombstoned_rows_never_surface(rule_specs, ops):
     off the arrays) are the index's count and never outnumber the live."""
     rules = [build_rule(*spec) for spec in rule_specs]
     index = DataIndex()
-    live = {}
+    live, records = {}, []
     for relist, key, title in ops:
         item_id = f"dx-h{key}"
         if relist:
@@ -638,14 +652,15 @@ def test_tombstoned_rows_never_surface(rule_specs, ops):
                 item_id, title, attributes={"isbn": "978"} if key % 2 else {}
             )
             index.add(live[item_id])
+            records.append(live[item_id])
         else:
             index.remove(item_id)
             live.pop(item_id, None)
         naive = full_fired(rules, live.values())
         for rule in rules:
             rows = index.candidate_rows(rule)
-            assert all(index.prepared_at(row) is not None for row in rows)
-            assert sorted(i.item_id for i in index.matches(rule)) == sorted(
+            assert all(index.tokens[row] is not None for row in rows)
+            assert sorted(_matched_ids(index, rule, records)) == sorted(
                 item_id for item_id, fired in naive.items() if rule.rule_id in fired
             )
         dead, live_entries = _posting_entries(index)
@@ -862,7 +877,7 @@ def test_shared_rows_and_dead_postings_stay_bounded_under_churn(taxonomy):
         corpus.pop(gone, None)
         executor.fired_map()
 
-        rows = list(store._by_item.values())
+        rows = [row for row in store._by_row if row]
         assert len(store._rows) == len(set(rows)) == len({id(row) for row in rows})
         views = list(executor._view.values())
         assert len(executor._view_rows) == len({tuple(v) for v in views}) \

@@ -26,12 +26,13 @@ import pytest
 from repro.core import WhitelistRule
 from repro.observability.provenance import ProvenanceLog
 from repro.service import ServiceConfig, StreamService
+from repro.testing.budgets import (
+    FSYNC_BATCH_CEILING as BATCH_CEILING,
+    FSYNC_START_AND_FIRST_BATCH_CEILING as START_AND_FIRST_BATCH_CEILING,
+    FSYNCS,
+)
 
 pytestmark = pytest.mark.gates
-
-FSYNCS = {"start": 139, "first_batch": 5, "batch": 5, "per_change": 1}
-BATCH_CEILING = 5
-START_AND_FIRST_BATCH_CEILING = 145
 
 
 def count_fsyncs(root, monkeypatch):

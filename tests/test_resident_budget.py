@@ -3,28 +3,30 @@
 The daemon never forgets an item (ROADMAP 3d), so the bytes each one
 leaves behind are the slope of the process's memory over a stream that
 never ends. This module measures that slope with ``tracemalloc`` — the
-live world's over 40 batches, and a resumed world's over everything its
-journal holds — and pins the decisions that set it: a corpus row holds
-no record (the journal does); a write-ahead provenance log and the
-series store keep their windows in their files and hold only the offset
-of each retained line (no records, lines or by-item index); a held
-``PreparedItem`` keeps no probe set, and its stop-word-free tokens are
-its full token tuple when the two are equal; the corpus index's postings
-are arrays, not sets; and the match store's rows are shared, one object
-per distinct row. The bounded text LRUs are emptied before each reading:
-their fill is not slope.
+live world's over 40 batches, with and without an attribute rule
+tracked, and a resumed world's over everything its journal holds — and
+pins the decisions that set it: the corpus is columns indexed by row (ids,
+titles, token tuples; attributes only once an attribute rule is tracked)
+holding no record (the journal does), no view and no set per row; a
+write-ahead provenance log and the series store keep their windows in
+their files and hold only the offset of each retained line; the corpus
+index's postings and the match store's rule columns are arrays of rows,
+and the store's row sets are shared, one object per distinct row. The
+bounded text LRUs are emptied before each reading: their fill is not
+slope.
 
-The budgets are the largest reading over ``PYTHONHASHSEED`` 0, 1 and
-random at the commit that set them (633 / 759 B per item), plus 5%.
-While corpus rows held their records and the series its lines they read
-1,138 / 1,308 (1,410 / 1,309 with the live world's cache fill counted).
-While the ring held the encoded lines and a by-item index they read
-1,955 / 1,852; before tokens were interned, postings were arrays and
-rows were shared 2,879 / 2,754 (2,816 resumed as measured here, which
-counts the then un-interned ids twice); with a second id-keyed cache
-beside the index 3,045 / 2,785; before the ring held lines 4,977 /
-5,417. A 40-batch run fills under half of the 10,000-slot ring, so these
-are this run's figures, not the soak's (DESIGN §13 has those).
+The budgets (``repro.testing.budgets``) are the largest reading over
+``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (454 /
+654 B per item, 597 with the attribute rule), plus 5%. While each row was
+a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
+while corpus rows held their records and the series its lines 1,138 /
+1,308 (1,410 / 1,309 with the live world's cache fill counted). While the
+ring held the encoded lines and a by-item index they read 1,955 / 1,852;
+before tokens were interned, postings were arrays and rows were shared
+2,879 / 2,754; with a second id-keyed cache beside the index 3,045 /
+2,785; before the ring held lines 4,977 / 5,417. A 40-batch run fills
+under half of the 10,000-slot ring, so these are this run's figures, not
+the soak's (DESIGN §13 has those).
 """
 
 from __future__ import annotations
@@ -32,21 +34,23 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
+from array import array
 from collections import deque
 from contextlib import contextmanager
 
 import pytest
 
 from repro.catalog.types import ProductItem
+from repro.core import AttributeRule
+from repro.core.prepared import PreparedItem
 from repro.service import ServiceConfig, StreamService
+from repro.testing import budgets
 from repro.utils.text import clear_caches
 
 pytestmark = pytest.mark.gates
 
 WARMUP_BATCHES = 3
 MEASURED_BATCHES = 40
-LIVE_BUDGET_B_PER_ITEM = 665
-RESUMED_BUDGET_B_PER_ITEM = 797
 
 
 @contextmanager
@@ -68,40 +72,41 @@ def _traced_growth():
 
 
 def _retention_offenders(service: StreamService) -> dict:
-    """Objects of the seven shapes this budget exists to keep out."""
+    """Objects of the shapes this budget exists to keep out."""
     log = service.provenance
     index = service.incremental._data_index
-    rows = list(service.incremental.store._by_item.values())
-    distinct_rows = len({frozenset(row) for row in rows})
+    store = service.incremental.store
+    rows = [row for row in store._by_row if row]
+    distinct_rows = len(set(rows))
+    columns = {
+        name: value for name, value in vars(index).items() if isinstance(value, list)
+    }
     return {
-        "corpus rows referencing a record": [
-            prepared.item_id
-            for _, prepared in index.live_rows()
-            for slot in type(prepared).__slots__
-            if isinstance(getattr(prepared, slot), ProductItem)
+        "corpus columns holding a record or a view": [
+            f"{name}: {type(value).__name__}"
+            for name, column in columns.items()
+            for value in column
+            if isinstance(value, (ProductItem, PreparedItem))
         ],
+        "corpus columns beyond ids, titles and tokens": sorted(
+            set(columns) - {"ids", "titles", "tokens"}
+        ),
         "a series store holding lines": [
             name
             for name, value in vars(service.series).items()
             if isinstance(value, (deque, list))
             and any(type(entry) is not int for entry in value)
         ],
-        "prepared items holding a set": [
-            prepared.item_id
-            for _, prepared in index.live_rows()
-            for slot in type(prepared).__slots__
-            if isinstance(getattr(prepared, slot), (set, frozenset))
+        "corpus columns holding a set per row": [
+            name
+            for name, column in columns.items()
+            if any(isinstance(value, (set, frozenset)) for value in column)
         ],
-        "prepared items holding an equal copy of their tokens": [
-            prepared.item_id
-            for _, prepared in index.live_rows()
-            if prepared._tokens == prepared._tokens_with_stopwords
-            and prepared._tokens is not prepared._tokens_with_stopwords
-        ],
-        "posting lists that are sets": [
-            token
-            for token, posted in index._postings.items()
-            if isinstance(posted, (set, frozenset))
+        "posting lists or store columns that are not arrays": [
+            key
+            for table in (index._postings, store._by_rule)
+            for key, posted in table.items()
+            if not isinstance(posted, array)
         ],
         "store rows that are not shared": (
             [f"{len(rows)} row objects for {distinct_rows} distinct rows"]
@@ -120,29 +125,41 @@ def _retention_offenders(service: StreamService) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def readings(tmp_path_factory):
-    root = str(tmp_path_factory.mktemp("resident") / "run")
-    out = {}
+def _live_world(root, attribute_rule=False):
+    """(B/item over the measured batches, offenders, items served)."""
     service = StreamService(
         root, ServiceConfig(seed=7, training=0), fsync=False
     ).start()
+    if attribute_rule:
+        service.chimera.rule_sets()["attr-value"].add(
+            AttributeRule("isbn", "books", rule_id="resident-isbn")
+        )
     service.run(WARMUP_BATCHES)
     warm_items = service.totals["items"]
     with _traced_growth() as grown:
         service.run(MEASURED_BATCHES)
     items = service.totals["items"]
-    out["live_b_per_item"] = grown[0] / (items - warm_items)
-    out["live_offenders"] = _retention_offenders(service)
+    offenders = _retention_offenders(service)
     service.close()
-    del service
+    return grown[0] / (items - warm_items), offenders, items
 
-    # One untraced resume warms what is process-global (the text LRUs, the
-    # interned vocabulary), so the traced one reads the world alone. Its
-    # item ids are kept, so the traced world's interned ids resolve to
-    # them and the process-wide interned-string table, whose resizes step
-    # with everything else the process ever interned, does not grow inside
-    # the trace; the bytes of those shared id strings are added back.
+
+@pytest.fixture(scope="module")
+def readings(tmp_path_factory):
+    base = tmp_path_factory.mktemp("resident")
+    root = str(base / "run")
+    out = {}
+    out["live_b_per_item"], out["live_offenders"], items = _live_world(root)
+    out["attribute_b_per_item"], out["attribute_offenders"], _ = _live_world(
+        str(base / "attribute"), attribute_rule=True
+    )
+
+    # One untraced resume warms what is process-global (the interned
+    # vocabulary), so the traced one reads the world alone. Its item ids
+    # are kept, so the traced world's interned ids resolve to them and the
+    # process-wide interned-string table, whose resizes step with
+    # everything else the process ever interned, does not grow inside the
+    # trace; the bytes of those shared id strings are added back.
     warm = StreamService(root, fsync=False).start()
     warm_ids = list(warm.incremental._data_index._row_by_id)
     warm.close()
@@ -158,14 +175,25 @@ def readings(tmp_path_factory):
 
 
 def test_live_world_bytes_per_item_within_budget(readings):
-    assert readings["live_b_per_item"] <= LIVE_BUDGET_B_PER_ITEM
+    assert readings["live_b_per_item"] <= budgets.LIVE_B_PER_ITEM
 
 
 def test_resumed_world_bytes_per_item_within_budget(readings):
-    assert readings["resumed_b_per_item"] <= RESUMED_BUDGET_B_PER_ITEM
+    assert readings["resumed_b_per_item"] <= budgets.RESUMED_B_PER_ITEM
 
 
-@pytest.mark.parametrize("world", ["live", "resumed"])
+def test_attribute_world_bytes_per_item_within_budget(readings):
+    assert readings["attribute_b_per_item"] <= budgets.ATTRIBUTE_B_PER_ITEM
+
+
+@pytest.mark.parametrize("world", ["live", "resumed", "attribute"])
 def test_nothing_retains_probe_sets_deques_or_decoded_records(readings, world):
+    """No world holds a record, a view or a set per row, and store rows
+    are shared; only the world tracking an attribute rule holds an
+    attributes column."""
     offenders = readings[f"{world}_offenders"]
-    assert {what: found[:3] for what, found in offenders.items() if found} == {}
+    expected = (
+        {"corpus columns beyond ids, titles and tokens": ["attributes"]}
+        if world == "attribute" else {}
+    )
+    assert {what: found[:3] for what, found in offenders.items() if found} == expected

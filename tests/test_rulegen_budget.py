@@ -18,10 +18,9 @@ import pytest
 
 from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.rulegen import ReferenceRuleGenerator, RuleGenerator
+from repro.testing.budgets import RULEGEN_CALLS_PER_CANDIDATE as BUDGET
 
 pytestmark = pytest.mark.gates
-
-BUDGET = 10.0
 
 
 def calls_per_candidate(generator, training):

@@ -46,6 +46,7 @@ from repro.service.daemon import (
     StreamService,
     _chain_link,
 )
+from repro.testing import budgets
 from repro.testing.faults import CrashPlan, SimulatedCrash
 from tests.chain_audit import fingerprint_from_scratch, whole_map_chain_link
 
@@ -382,9 +383,9 @@ class TestCheckpointBudget:
     only the reprs of wall-clock histogram floats move them, by bytes."""
 
     BATCHES = 8
-    TOTAL = int(15_876 * 1.05)
-    RNG = 3_400
-    PER_SERIES = 30.5 * 1.05
+    TOTAL = budgets.CHECKPOINT_TOTAL_B
+    RNG = budgets.CHECKPOINT_RNG_B
+    PER_SERIES = budgets.CHECKPOINT_PER_SERIES_B
     COMPACT = (",", ":")
 
     @pytest.fixture(scope="class")
