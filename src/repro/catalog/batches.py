@@ -4,6 +4,9 @@ Section 2.2: "batches of data arriving at irregular intervals. For example,
 in the morning a small vendor ... may send in a few tens of items, but hours
 later a large vendor may send in a few millions of items." Batches are the
 unit Chimera classifies, evaluates with the crowd, and accepts or rejects.
+A stream only produces batches: each driver (the ``repro serve`` daemon,
+the scenario runner) admits a batch into the pipeline's engine with
+``chimera.engine.add_items(batch.items)`` right before classifying it.
 
 Vendors also carry vocabulary quirks — the scale-down scenario in section
 2.2 is triggered by "a new vendor who describes [clothes] using a new
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.generator import CatalogGenerator
 from repro.catalog.types import ProductItem
@@ -91,27 +94,10 @@ class BatchStream:
         ]
         self.mean_gap_hours = mean_gap_hours
         self._next_batch = 0
-        self._listeners: List[Callable[[Batch], None]] = []
 
     def add_vendor(self, vendor: VendorProfile) -> None:
         """Onboard a new vendor mid-stream (the scale-up scenario)."""
         self.vendors.append(vendor)
-
-    def subscribe(self, listener: Callable[[Batch], None]) -> Callable[[], None]:
-        """Push every produced batch to ``listener``; returns unsubscribe.
-
-        This is how arrivals drive *delta* execution instead of full
-        re-runs: an :class:`~repro.execution.incremental.IncrementalExecutor`
-        subscribed here (via ``follow_batches``) folds each shipment into
-        its materialized fired map at O(batch) cost.
-        """
-        self._listeners.append(listener)
-
-        def unsubscribe() -> None:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
-        return unsubscribe
 
     def next_batch(self, vendor: Optional[VendorProfile] = None) -> Batch:
         """Advance the clock and produce the next batch."""
@@ -131,15 +117,12 @@ class BatchStream:
                     item = self.generator.generate_item(vendor=profile.name)
             items.append(profile.apply_rewrites(item))
         self._next_batch += 1
-        batch = Batch(
+        return Batch(
             batch_id=f"batch-{self._next_batch:05d}",
             vendor=profile.name,
             arrived_at=self.clock.now,
             items=tuple(items),
         )
-        for listener in list(self._listeners):
-            listener(batch)
-        return batch
 
     def take(self, count: int) -> Iterator[Batch]:
         """Yield the next ``count`` batches."""

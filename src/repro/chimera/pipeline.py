@@ -260,29 +260,6 @@ class Chimera:
     def rule_count(self) -> Dict[str, int]:
         return {name: len(rules) for name, rules in self.rule_sets().items()}
 
-    # -- the engine's corpus ------------------------------------------------------
-
-    def track_fired_map(
-        self, items: Sequence[ItemLike] = (), batch_stream=None, records=None
-    ) -> IncrementalExecutor:
-        """Give the pipeline's :attr:`engine` a corpus; returns the engine.
-
-        "Which rules fire where" — the input to coverage evaluation,
-        scale-down blast-radius checks and rule repair — is then a
-        :class:`~repro.execution.incremental.MatchStore` kept current by
-        every rule edit and arrival. ``items`` are admitted now; a
-        :class:`~repro.catalog.batches.BatchStream` drives later arrivals;
-        ``records`` is the record source (default: in RAM), given before
-        the first item. Classifying an admitted item reads its stored row.
-        """
-        if records is not None:
-            self.engine.use_records(records)
-        if items:
-            self.engine.add_items(items)
-        if batch_stream is not None:
-            self.engine.follow_batches(batch_stream)
-        return self.engine
-
     # -- health -------------------------------------------------------------------
 
     def degraded_stages(self) -> List[str]:

@@ -363,21 +363,15 @@ class IncrementalExecutor:
         self,
         rules: Iterable[Rule] = (),
         items: Iterable[ItemLike] = (),
-        token_frequency: Optional[Dict[str, int]] = None,
         observability: Optional[Observability] = None,
-        clock: Optional[Callable[[], float]] = None,
-        records=None,
     ):
         self.observability = ensure_observability(observability)
-        self._clock = clock if clock is not None else time.perf_counter
         self._rules: Dict[str, Rule] = {}
         self._data_index = DataIndex()
-        self._records = records if records is not None else MemoryRecords()
+        self._records = MemoryRecords()
         # The last add_items batch by id (a later duplicate wins), for admitted().
         self._arrived: Dict[str, ProductItem] = {}
-        self._compiled = CompiledRuleSet(
-            (), token_frequency=token_frequency, include_disabled=True
-        )
+        self._compiled = CompiledRuleSet((), include_disabled=True)
         self.store = MatchStore()
         self.stats = ExecutionStats()
         # The enabled view, patched in place by _sync(): item id -> sorted
@@ -408,7 +402,7 @@ class IncrementalExecutor:
         :meth:`~repro.core.ruleset.RuleSet.disable_type` from the §2.2
         scale-down playbook and analysts' repair rules included — as a
         delta; returns the unsubscribe. With ``in_view=False`` its rules
-        keep rows and columns (:meth:`match_row`, :meth:`fired_for_rule`)
+        keep rows and columns (:attr:`store`, :meth:`fired_for_rule`)
         but stay out of :meth:`fired_map` and everything derived from it."""
         if ruleset:
             self.add_rules(ruleset, in_view)
@@ -425,13 +419,6 @@ class IncrementalExecutor:
                 self.update_rule(rule)
 
         unsubscribe = ruleset.subscribe(on_event)
-        self._unsubscribes.append(unsubscribe)
-        return unsubscribe
-
-    def follow_batches(self, stream) -> Callable[[], None]:
-        """Subscribe to a :class:`~repro.catalog.batches.BatchStream` so
-        every arriving vendor batch lands as an ``add_items`` delta."""
-        unsubscribe = stream.subscribe(lambda batch: self.add_items(batch.items))
         self._unsubscribes.append(unsubscribe)
         return unsubscribe
 
@@ -476,7 +463,7 @@ class IncrementalExecutor:
         items = list(items)
         self._arrived = {}
         with self.observability.span("exec.incremental.add_items", items=len(items)):
-            started = self._clock()
+            started = time.perf_counter()
             for item in items:
                 record = self._admit(item, op)
                 self._arrived[record.item_id] = record
@@ -496,9 +483,9 @@ class IncrementalExecutor:
         if replaced is not None:
             self._records.release(replaced)
             op.invalidations += self.store.discard_item(replaced)
-        prepare_started = self._clock()
+        prepare_started = time.perf_counter()
         row = index.add(record)
-        op.prepare_time += self._clock() - prepare_started
+        op.prepare_time += time.perf_counter() - prepare_started
         self._records.admit(row, record)
         hits, n_evaluated = self._compiled.match_item(index.view(row, record))
         op.rule_evaluations += n_evaluated
@@ -512,7 +499,7 @@ class IncrementalExecutor:
         """Drop departed items; cost is O(their stored matches)."""
         op = ExecutionStats()
         with self.observability.span("exec.incremental.remove_items"):
-            started = self._clock()
+            started = time.perf_counter()
             for item_id in item_ids:
                 row = self._data_index.remove(item_id)
                 if row is not None:
@@ -526,7 +513,7 @@ class IncrementalExecutor:
         ``in_view``: see :meth:`attach_ruleset`."""
         op = ExecutionStats()
         with self.observability.span("exec.incremental.add_rules"):
-            started = self._clock()
+            started = time.perf_counter()
             for rule in rules:
                 if rule.rule_id in self._rules:
                     raise DuplicateRuleError(
@@ -545,7 +532,7 @@ class IncrementalExecutor:
         """Retire rules; cost is O(their postings + stored matches)."""
         op = ExecutionStats()
         with self.observability.span("exec.incremental.remove_rules"):
-            started = self._clock()
+            started = time.perf_counter()
             for rule_id in rule_ids:
                 if rule_id not in self._rules:
                     raise UnknownRuleError(rule_id)
@@ -567,7 +554,7 @@ class IncrementalExecutor:
         with self.observability.span(
             "exec.incremental.update_rule", rule_id=rule.rule_id
         ):
-            started = self._clock()
+            started = time.perf_counter()
             if rule.rule_id not in self._rules:
                 raise UnknownRuleError(rule.rule_id)
             self._rules[rule.rule_id] = rule
@@ -588,7 +575,7 @@ class IncrementalExecutor:
         """
         op = ExecutionStats()
         with self.observability.span("exec.incremental.refresh"):
-            started = self._clock()
+            started = time.perf_counter()
             op.invalidations += len(self.store)
             rows = self._data_index.live_rows()
             for row, view in zip(rows, self._views(rows, True)):
@@ -711,15 +698,6 @@ class IncrementalExecutor:
         self._sync()
         return self._fired_pairs
 
-    def match_row(self, item: ItemLike) -> Iterable[str]:
-        """Ids of the tracked rules — enabled or not, unordered — whose
-        condition holds on ``item``: the input of
-        :meth:`~repro.core.ruleset.RuleSet.fold`. The stored row when
-        :meth:`admitted` holds this very record (a read, no evaluation),
-        else :meth:`evaluate`."""
-        row = self.admitted(item)
-        return self.evaluate(item) if row is None else self.store.rules_of_row(row)
-
     def evaluate(self, item: ItemLike) -> Iterable[str]:
         """Ids of the tracked rules whose condition holds on ``item``, by the
         compiled set (counted on ``stats``); the store is untouched."""
@@ -796,7 +774,7 @@ class IncrementalExecutor:
     def _finish(
         self, op_name: str, op: ExecutionStats, started: float
     ) -> ExecutionStats:
-        op.wall_time = self._clock() - started
+        op.wall_time = time.perf_counter() - started
         op.match_time = max(0.0, op.wall_time - op.prepare_time)
         # Serial composition: each delta op ran after the previous one, so
         # the lifetime ledger's wall clock is the sum of op walls.

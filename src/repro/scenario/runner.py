@@ -1,11 +1,12 @@
 """The scenario runner: executes any spec deterministically from its seed.
 
 This is ROADMAP item 4's engine. One :class:`ScenarioRunner` drives the
-whole existing stack — ``BatchStream`` → Chimera → an executor-maintained
-fired map — through the spec's event schedule: drift operations, taxonomy
-splits/merges, mass rule churn, vendor bursts, hot-key skew, fault plans,
-the §2.2 incident playbook (detect → scale down → repair → restore), and
-crowd evaluation under a budget. The output is a
+whole existing stack — ``BatchStream`` → the pipeline's engine, which
+admits each batch before Chimera classifies it — through the spec's event
+schedule: drift operations, taxonomy splits/merges, mass rule churn,
+vendor bursts, hot-key skew, fault plans, the §2.2 incident playbook
+(detect → scale down → repair → restore), and crowd evaluation under a
+budget. The output is a
 :class:`~repro.scenario.report.ScenarioReport`.
 
 Determinism contract (property-tested in
@@ -43,7 +44,6 @@ from repro.crowd.budget import BudgetExhausted, CrowdBudget
 from repro.crowd.tasks import VerificationTask
 from repro.crowd.worker import WorkerPool
 from repro.evaluation.per_rule import PerRuleCrowdEvaluator
-from repro.execution.executor import IndexedExecutor
 from repro.execution.parallel import FaultPlan, PartitionedExecutor
 from repro.maintenance.taxonomy_change import (
     apply_plan,
@@ -69,6 +69,25 @@ def _digest_update(digest, batch_id: str, fired: Dict[str, Sequence[str]]) -> No
     )
     digest.update(batch_id.encode("utf-8"))
     digest.update(payload.encode("utf-8"))
+
+
+def _engine_fired(engine, items, skipped=()) -> Dict[str, List[str]]:
+    """The engine's non-empty fired rows for ``items`` not in ``skipped``:
+    the fired map a batch pass over them returns."""
+    rows = {item.item_id: engine.fired_for_item(item.item_id) for item in items}
+    return {item_id: row for item_id, row in rows.items() if row and item_id not in skipped}
+
+
+def _check_fault_model(engine, batch, run) -> None:
+    """A partitioned run must equal the engine's rows for the items it did
+    not skip: a distributed result is the sequential one."""
+    expected = _engine_fired(engine, batch.items, set(run.stats.skipped_item_ids))
+    for item in batch.items:
+        if run.fired.get(item.item_id, []) != expected.get(item.item_id, []):
+            raise ScenarioError(
+                f"batch {batch.batch_id}: the partitioned run differs from the "
+                f"engine at item {item.item_id!r}"
+            )
 
 
 def _safe_templates(product_type: ProductType) -> Tuple[str, ...]:
@@ -220,12 +239,12 @@ class ScenarioRunner:
         reenable_at: Dict[int, List[str]] = {}
 
         # -- executor ------------------------------------------------------------
+        # Every kind feeds the pipeline's one engine; the kind picks only
+        # the digest's shape and whether the fault model runs beside it.
         executor_kind = spec.executor.kind
+        engine = chimera.engine
         digest = hashlib.sha256()
         fault_plan = self._build_fault_plan()
-        incremental = None
-        if executor_kind == "incremental":
-            incremental = chimera.track_fired_map(batch_stream=stream)
 
         # -- crowd ---------------------------------------------------------------
         evaluator: Optional[PerRuleCrowdEvaluator] = None
@@ -413,9 +432,10 @@ class ScenarioRunner:
                 for _ in range(burst.batches):
                     produced.append(stream.next_batch(vendor=profile))
 
-            # classify + monitor + executor maintenance
+            # admit + classify + monitor + digest
             for position, batch in enumerate(produced):
                 batch_started = time.perf_counter()
+                engine.add_items(batch.items)
                 result = chimera.classify_batch(batch.items, batch_id=batch.batch_id)
                 precision = result.true_precision()
                 coverage = result.coverage
@@ -449,10 +469,9 @@ class ScenarioRunner:
                 precision_trajectory.append(round6(precision))
 
                 if executor_kind == "indexed":
-                    fired, _stats = IndexedExecutor(
-                        chimera.rule_stage.rules.active_rules()
-                    ).run(batch.items)
-                    _digest_update(digest, batch.batch_id, fired)
+                    _digest_update(
+                        digest, batch.batch_id, _engine_fired(engine, batch.items)
+                    )
                 elif executor_kind == "partitioned":
                     run = PartitionedExecutor(
                         chimera.rule_stage.rules.active_rules(),
@@ -460,6 +479,7 @@ class ScenarioRunner:
                         fault_plan=fault_plan,
                         clock=TickClock(),
                     ).run(batch.items)
+                    _check_fault_model(engine, batch, run)
                     if run.degraded:
                         degraded_runs += 1
                     skipped_items += run.stats.skipped_items
@@ -516,9 +536,8 @@ class ScenarioRunner:
                         )
 
         # -- wrap up -------------------------------------------------------------
-        if executor_kind == "incremental" and incremental is not None:
-            _digest_update(digest, "final", incremental.fired_map())
-            incremental.detach()
+        if executor_kind == "incremental":
+            _digest_update(digest, "final", engine.fired_map())
 
         total_items = sum(row["items"] for row in batch_rows)
         total_classified = sum(row["classified"] for row in batch_rows)

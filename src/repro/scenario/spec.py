@@ -649,7 +649,10 @@ class RepositorySpec:
 
 @dataclass(frozen=True)
 class ExecutorSpec:
-    """Which executor maintains the rules × items fired map alongside."""
+    """The shape of the report's fired-map digest: per batch from the
+    engine's rows (``indexed``), per batch from the partitioned fault
+    model checked against them (``partitioned``), or the final map
+    (``incremental``); ``none`` digests nothing."""
 
     kind: str = "incremental"
     n_workers: int = 4

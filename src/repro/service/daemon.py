@@ -432,9 +432,11 @@ class StreamService:
             self.tracker, self.clock, scale_down=True
         )
 
-    def _track_fired_map(self) -> None:
+    def _use_engine(self) -> None:
+        """The pipeline's engine, its records read back from the journal."""
         self._records = JournalRecords(self.store.journal)
-        self.incremental = self.chimera.track_fired_map(records=self._records)
+        self.incremental = self.chimera.engine
+        self.incremental.use_records(self._records)
 
     def _fresh(self) -> None:
         cfg = self.config
@@ -453,7 +455,7 @@ class StreamService:
         bind_chimera(self.repository, self.chimera)
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self._finish_wiring()
-        self._track_fired_map()
+        self._use_engine()
         self.series = SeriesStore(
             self.store.series_path, window=cfg.series_window, fsync=self.fsync
         )
@@ -517,7 +519,7 @@ class StreamService:
         #    rules, so it is rebuilt rather than loaded — and then proved:
         #    the last chain link recomputed from the rebuilt fired map's
         #    fingerprint must equal the checkpointed head.
-        self._track_fired_map()
+        self._use_engine()
         batch_sizes: Deque[Tuple[str, int]] = deque()
         self.incremental.restore_items(self._journalled_items(batch_sizes))
         self.ordinal = int(state["ordinal"])

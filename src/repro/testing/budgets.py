@@ -16,6 +16,18 @@ ATTRIBUTE_B_PER_ITEM = 628
 # ceiling: 8e8444a read 400.6 / 671.4.
 CALL_BUDGET = {"training=0": 415.0, "default": 700.0}
 
+# Compiled-engine work per scenario item (tests/test_served_budget.py),
+# exact, by executor kind: (CompiledRuleSet.match_item calls, execute
+# items, CompiledRuleSets built; None: not held, the fault model lowers
+# one a batch). Every kind admits each batch into the pipeline's one
+# engine before classifying it; this change reads exactly these, and
+# 0a6d1da read indexed (1.0, 1.0, 5): a batch pass and a lowering a batch.
+SCENARIO_WORK = {
+    "incremental": (1.0, 0.0, 1),
+    "indexed": (1.0, 0.0, 1),
+    "partitioned": (1.0, 1.0, None),
+}
+
 # fsyncs of a fresh seed-7 training=0 root (tests/test_fsync_budget.py),
 # exact: e4d060a read these; the ceilings do not move.
 FSYNCS = {"start": 139, "first_batch": 5, "batch": 5, "per_change": 1}

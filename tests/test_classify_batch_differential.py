@@ -68,8 +68,6 @@ class _Side:
                 RuleHealthTracker(metrics=metrics),
             )
         self.tracked = tracked
-        if tracked:
-            chimera.track_fired_map()
         self.opened = []
         chimera.health.on_breaker_open.append(self.opened.append)
         self.outcomes = []

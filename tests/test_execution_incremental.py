@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.generator import CatalogGenerator
-from repro.catalog.batches import BatchStream
 from repro.catalog.types import ProductItem
 from repro.chimera import Chimera
 from repro.core import (
@@ -49,10 +48,10 @@ from repro.execution import (
     RuleIndex,
     prepare_all,
 )
+from repro.execution.incremental import MemoryRecords
 from repro.observability import Observability
 from repro.rulegen import RuleGenerator
 from repro.service.daemon import JournalRecords, _item_to_dict
-from repro.utils.clock import SimClock
 from tests.chain_audit import store_fired_map
 from tests.test_resident_budget import _traced_growth
 
@@ -400,7 +399,7 @@ def record_source(kind, directory):
     batch gets in — journalled first, like the daemon, for the journal
     source."""
     if kind == "memory":
-        return None, lambda executor, batch: executor.add_items(batch)
+        return MemoryRecords(), lambda executor, batch: executor.add_items(batch)
     log = AppendLog(os.path.join(directory, "batches.jsonl"), fsync=False)
     records = JournalRecords(log)
 
@@ -433,7 +432,8 @@ def _interleave(records, admit, seed_titles, ops):
     ]
     items = [described(t, **({"isbn": "978"} if i % 2 else {}))
              for i, t in enumerate(seed_titles)]
-    incremental = IncrementalExecutor(list(rules), records=records)
+    incremental = IncrementalExecutor(list(rules))
+    incremental.use_records(records)
     admit(incremental, list(items))
 
     for kind, payload in ops:
@@ -762,43 +762,6 @@ class TestRuleSetNotifications:
 
 
 # ---------------------------------------------------------------------------
-# BatchStream subscription
-# ---------------------------------------------------------------------------
-
-
-class TestBatchStreamSubscription:
-    def test_follow_batches_drives_item_deltas(self, taxonomy):
-        generator = CatalogGenerator(taxonomy, seed=11)
-        stream = BatchStream(generator, clock=SimClock(), seed=11)
-        rules = [WhitelistRule("rings?", "rings", rule_id=f"bs-{next(_ids):06d}")]
-        incremental = IncrementalExecutor(rules)
-        unsubscribe = incremental.follow_batches(stream)
-        batches = list(stream.take(2))
-        arrived = [i for batch in batches for i in batch.items]
-        assert incremental.item_count == len(arrived)
-        assert incremental.fired_map() == full_fired(rules, arrived)
-        unsubscribe()
-        stream.next_batch()
-        assert incremental.item_count == len(arrived)
-
-    def test_detach_drops_the_batch_subscription(self, taxonomy):
-        """Regression: follow_batches never registered its unsubscribe, so
-        a detached tracker kept matching every later batch."""
-        generator = CatalogGenerator(taxonomy, seed=12)
-        stream = BatchStream(generator, clock=SimClock(), seed=12)
-        chimera = Chimera.build()
-        chimera.add_whitelist_rules([WhitelistRule("rings?", "rings")])
-        engine = chimera.track_fired_map(batch_stream=stream)
-        batch = stream.next_batch()
-        assert len(stream._listeners) == 1
-        assert engine.item_count == len(batch.items)
-        engine.detach()
-        stream.next_batch()
-        assert engine.item_count == len(batch.items)
-        assert stream._listeners == []
-
-
-# ---------------------------------------------------------------------------
 # Nothing on the served path grows per *op*
 # ---------------------------------------------------------------------------
 
@@ -809,7 +772,7 @@ def test_empty_ops_leave_nothing_behind():
     an op may cost time, never memory. 2,000 empty ops through a pipeline
     tracker (no observability, so no spans) grow the heap by under 16 KB —
     96 B measured; a per-op record list read 322,304 B."""
-    tracker = Chimera.build().track_fired_map()
+    tracker = Chimera.build().engine
     for _ in range(50):
         tracker.add_items([])
     with _traced_growth() as grown:

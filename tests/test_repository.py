@@ -435,7 +435,8 @@ class TestZeroEvaluationRollback:
             ProductItem(item_id=f"i-{i:03d}", title=f"word{i % 40:03d} object")
             for i in range(120)
         ]
-        tracker = chimera.track_fired_map(items=items)
+        tracker = chimera.engine
+        tracker.add_items(items)
         repo = RuleRepository()
         bind_chimera(repo, chimera)
         manager = IncidentManager(chimera, repository=repo)

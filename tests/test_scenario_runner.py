@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.execution import PartitionedExecutor
 from repro.scenario import ScenarioError, loads, run_scenario
 from repro.scenario.library import (
     SMOKE_TAG,
@@ -156,6 +157,25 @@ class TestEventLoop:
         assert [i["ordinal"] for i in first.incidents] == list(
             range(1, len(first.incidents) + 1)
         )
+
+    def test_partitioned_run_is_checked_against_the_engine(self, monkeypatch):
+        """The fault model's output must equal the engine's rows for the
+        items it did not skip: one fired entry dropped from a run is a
+        ScenarioError naming the batch and the item."""
+        run = PartitionedExecutor.run
+        dropped = []
+
+        def dropping(self, items):
+            result = run(self, items)
+            if result.fired and not dropped:
+                dropped.append(min(result.fired))
+                del result.fired[dropped[0]]
+            return result
+
+        monkeypatch.setattr(PartitionedExecutor, "run", dropping)
+        with pytest.raises(ScenarioError, match=r"batch batch-\d+: .*engine") as error:
+            run_scenario(load_library_scenario("hot-key-skew"))
+        assert str(error.value).endswith(f"at item {dropped[0]!r}")
 
 
 class TestScenarioCli:

@@ -14,16 +14,25 @@ per served item are held:
   one, the classification's read of the item's row (it read 2 while the
   row read asked again);
 * interpreter calls, all of them, against a ceiling.
+
+A scenario run is held the same way, per item, on each executor kind:
+one engine evaluation (each batch is admitted before it is classified),
+and no batch pass over the compiled set except the partitioned fault
+model's own.
 """
 
+import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.execution.compiler import CompiledRuleSet
 from repro.execution.incremental import IncrementalExecutor
+from repro.scenario import load_scenario, run_scenario
+from repro.scenario.library import load_library_scenario
 from repro.service import ServiceConfig, StreamService
-from repro.testing.budgets import CALL_BUDGET
+from repro.testing.budgets import CALL_BUDGET, SCENARIO_WORK
 
 pytestmark = pytest.mark.gates
 
@@ -70,3 +79,39 @@ def test_one_engine_evaluation_per_served_item(tmp_path, name, config):
     evaluations, lookups, calls = served_work(str(tmp_path / "root"), config)
     assert evaluations == lookups == 1.0
     assert calls <= CALL_BUDGET[name], f"{calls:.1f} calls per served item"
+
+
+GOLDEN_SCENARIOS = pathlib.Path(__file__).parent / "golden" / "scenarios"
+
+
+def scenario_work(monkeypatch, spec):
+    """(match_item calls per item, execute items per item, CompiledRuleSets
+    built) over one run of ``spec``."""
+    counts = Counter()
+
+    def count(name, size):
+        method = getattr(CompiledRuleSet, name)
+
+        def counted(self, *args, **kwargs):
+            counts[name] += size(*args)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledRuleSet, name, counted)
+
+    count("__init__", lambda *args: 1)
+    count("match_item", lambda item: 1)
+    count("execute", lambda items, *rest: len(items))
+    items = run_scenario(spec).totals["items"]
+    assert items > 50
+    return counts["match_item"] / items, counts["execute"] / items, counts["__init__"]
+
+
+@pytest.mark.parametrize("name", ["golden-quiet", "golden-eventful", "hot-key-skew"])
+def test_one_engine_evaluation_per_scenario_item(monkeypatch, name):
+    path = GOLDEN_SCENARIOS / f"{name}.yaml"
+    spec = load_scenario(str(path)) if path.exists() else load_library_scenario(name)
+    evaluations, executed, built = scenario_work(monkeypatch, spec)
+    expected_evaluations, expected_executed, expected_built = SCENARIO_WORK[spec.executor.kind]
+    assert (evaluations, executed) == (expected_evaluations, expected_executed)
+    if expected_built is not None:
+        assert built == expected_built

@@ -147,7 +147,7 @@ class _Churned:
 
     def __init__(self):
         self.tracked = Chimera.build()
-        self.engine = self.tracked.track_fired_map()
+        self.engine = self.tracked.engine
         self.untracked = Chimera.build()
         self.pipelines = (self.tracked, self.untracked)
         self.live = {}     # item_id -> the record the engine holds
@@ -268,11 +268,11 @@ def _rebuilt(source, items, rules_first: bool):
     """A fresh tracked pipeline over ``source``'s four sets, in live order."""
     chimera = Chimera.build()
     if not rules_first:
-        chimera.track_fired_map(items=items)
+        chimera.engine.add_items(items)
     for rules, source_rules in zip(_sets(chimera), _sets(source)):
         rules.extend(source_rules)
     if rules_first:
-        chimera.track_fired_map(items=items)
+        chimera.engine.add_items(items)
     return chimera
 
 
@@ -311,7 +311,8 @@ def test_equal_weight_tie_keeps_the_earlier_rule_in_live_order():
     item = _item("i1", ("gold ring", {}))
 
     def verdict():
-        return chimera.rule_stage.verdict(item, chimera.engine.match_row(item))
+        view, hits = chimera._read(item, chimera._live())
+        return chimera.rule_stage.verdict(view, hits[1])
 
     assert verdict().predictions[0].source == first
     # replace keeps the place; remove-and-re-add goes last
