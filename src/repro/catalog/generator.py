@@ -33,8 +33,14 @@ _PLACEHOLDER = re.compile(r"\{(brand|head|detail|mod(?::(\w+))?)\}")
 class LabeledTitle:
     """A (title, type) pair — the unit of training data in sections 3 and 5.2."""
 
+    __slots__ = ("title", "label")
     title: str
     label: str
+
+    def __reduce__(self):
+        # A frozen instance refuses the attribute writes that restoring
+        # slot state makes, so copy and pickle rebuild it from its fields.
+        return LabeledTitle, (self.title, self.label)
 
 
 def pluralize(phrase: str) -> str:

@@ -1,6 +1,6 @@
 """Columnar corpus index and sequence miner for §5.2 rule induction.
 
-:class:`CorpusIndex` reduces a labeled corpus to flat ``int64`` arrays
+:class:`CorpusIndex` reduces a labeled corpus to flat ``int32`` columns
 once; :meth:`CorpusIndex.mine` then produces every type's frequent
 sequences — with supports, cleanliness verdicts and covering titles — as
 one :class:`CandidateTable` of arrays. No per-candidate Python object
@@ -25,16 +25,20 @@ Three structural ideas carry it:
   sequence is §7-clean for a type exactly when the two are equal (no
   differently-labeled title contains it). A sequence survives to be
   extended while any type finds it frequent, and survivors are re-ranked
-  densely so packed keys stay small at every length.
+  densely so packed keys stay small at every length. A level passes on
+  only its frequent groups' reps, as a compact CSR.
 
-numpy wraps ``int64`` silently, so each level bounds its largest key in
-Python integers first (:func:`_require_int64`) and raises instead.
+Positions, reps, token ids and prefixes are ``int32``; only the packed
+sort key and the weight sums are ``int64``. numpy wraps silently, so the
+index bounds its columns (:func:`_require_int32`) and each level its
+largest key (:func:`_require_int64`) in Python integers first, and raises
+instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,7 +47,16 @@ import numpy as _np
 from repro.rulegen.seqmine import exact_min_count
 from repro.utils.text import tokenize_uncached
 
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+
+
+def _require_int32(count: int, what: str) -> None:
+    """Raise unless ids ``0..count`` fit an ``int32`` column."""
+    if count > _INT32_MAX:
+        raise ValueError(
+            f"{what}: {count} is past the int32 limit {_INT32_MAX}"
+        )
 
 
 def _require_int64(n_codes: int, radix: int, what: str) -> None:
@@ -94,7 +107,7 @@ def mine_levels(
     weighted reps.
     """
     n_pos = tok.size
-    code, pos = tok, _np.arange(n_pos)
+    code, pos = tok.astype(_np.int64), _np.arange(n_pos, dtype=_np.int32)
     n_codes = vocab
     prefixes = None
     for length in range(1, max_length + 1):
@@ -104,62 +117,83 @@ def mine_levels(
         # Sorted by (code, position), hence by (code, rep, position) and —
         # reps being label-major — by (code, label, rep): the first row of
         # each (code, rep) run is the sequence's leftmost match in the rep.
-        key = code * n_pos + pos
-        key.sort()
-        code = key // n_pos
-        pos = key - code * n_pos
+        code *= n_pos
+        code += pos
+        code.sort()
+        _np.divmod(code, n_pos, out=(code, pos))
         rep = pos_rep[pos]
         leftmost = _boundaries(code, rep)
-        code, rep, pos = code[leftmost], rep[leftmost], pos[leftmost]
+        code = code[leftmost]
+        rep = rep[leftmost]
+        pos = pos[leftmost]
         label = rep_label[rep]
-        group_mask = _boundaries(code, label)
-        group_lo = _np.flatnonzero(group_mask)
+        group_lo = _np.flatnonzero(_boundaries(code, label))
+        group_size = _np.diff(group_lo, append=rep.size)
         group_code = code[group_lo]
         group_label = label[group_lo]
+        # Observation-sized columns go as soon as they are read: the peak
+        # is a few of them at the largest level.
+        del code, label, leftmost
         group_count = _np.add.reduceat(rep_weight[rep], group_lo)
         frequent = group_count >= min_counts[group_label]
         node_mask = _boundaries(group_code)
         node_lo = _np.flatnonzero(node_mask)
-        node_of_group = _np.cumsum(node_mask) - 1
+        _require_int32(node_lo.size, f"length-{length} sequences")
+        node_of_group = _np.cumsum(node_mask, dtype=_np.int32) - 1
         total = _np.add.reduceat(group_count, node_lo)
         alive = _np.logical_or.reduceat(frequent, node_lo)
-        rank = _np.cumsum(alive) - 1
+        rank = _np.cumsum(alive, dtype=_np.int32) - 1
 
         alive_code = group_code[node_lo][alive]
         if prefixes is None:
-            prefixes = alive_code[:, None]
+            prefixes = alive_code.astype(_np.int32)[:, None]
         else:
+            parent, token = _np.divmod(alive_code, vocab)
             prefixes = _np.column_stack(
-                (prefixes[alive_code // vocab], alive_code % vocab)
+                (prefixes[parent], token.astype(_np.int32))
             )
-        group_hi = _np.append(group_lo[1:], code.size)
+        hi = _np.cumsum(group_size[frequent])
+        reps = rep[_np.repeat(frequent, group_size)]
+        del rep
         yield _Level(
             prefixes[rank[node_of_group[frequent]]],
             group_label[frequent],
             group_count[frequent],
             (group_count == total[node_of_group])[frequent],
-            group_lo[frequent],
-            group_hi[frequent],
-            rep,
+            hi - group_size[frequent],
+            hi,
+            reps,
         )
+        del reps
         if length == max_length or not alive.any():
             return
 
         # Extend every observation of a surviving sequence — other labels'
         # too: the next level's corpus-wide supports need them — by each
-        # later position of its rep.
-        node = node_of_group[_np.cumsum(group_mask) - 1]
-        keep = alive[node]
-        node, pos = rank[node[keep]], pos[keep]
-        end = pos_end[pos]
-        codes, positions = [], []
-        while pos.size:
-            pos = pos + 1
-            inside = pos < end
-            node, pos, end = node[inside], pos[inside], end[inside]
-            codes.append(node * vocab + tok[pos])
-            positions.append(pos)
-        code, pos = _np.concatenate(codes), _np.concatenate(positions)
+        # later position of its rep. The next level sorts its keys, so the
+        # extensions are built in one pass, in any order.
+        later = pos_end[pos]
+        later -= pos
+        later -= 1
+        keep = _np.repeat(alive[node_of_group], group_size)
+        keep &= later > 0
+        node = _np.repeat(rank[node_of_group], group_size)[keep]
+        pos = pos[keep]
+        later = later[keep]
+        del keep
+        if not later.size:
+            return
+        # Observation i's run is pos[i] + 1 .. pos[i] + later[i]: a running
+        # sum of unit steps whose first step jumps from the previous run's
+        # last position.
+        step = _np.ones(int(later.sum()), dtype=_np.int32)
+        step[0] = pos[0] + 1
+        step[_np.cumsum(later[:-1])] = pos[1:] + 1 - (pos[:-1] + later[:-1])
+        pos = _np.cumsum(step, out=step)
+        code = _np.repeat(node.astype(_np.int64), later)
+        del node, later
+        code *= vocab
+        code += tok[pos]
         n_codes = len(alive_code) * vocab
 
 
@@ -171,8 +205,9 @@ class CandidateTable(NamedTuple):
     type ``c``'s candidates are rows ``type_ptr[c]:type_ptr[c + 1]``.
     Row ``i`` is the sequence ``tokens[i]`` (``-1``-padded token ids),
     contained in ``count[i]`` rows of its label — exactly the rows of
-    reps ``reps[lo[i]:hi[i]]`` — and ``clean[i]`` when no row of any
-    other label contains it.
+    reps ``reps[lo[i]:hi[i]]``, ascending — and ``clean[i]`` when no row
+    of any other label contains it. ``reps`` holds those slices and
+    nothing else.
     """
 
     tokens: "_np.ndarray"
@@ -185,13 +220,14 @@ class CandidateTable(NamedTuple):
 
 
 class CorpusIndex:
-    """A labeled corpus as weighted representatives in flat arrays.
+    """A labeled corpus as weighted representatives in flat columns.
 
     ``label_names`` is sorted and indexed by label code; ``label_rows``
     counts each label's rows. Reps are label-major (``rep_label``
-    ascending), ``rep_weight`` counts a rep's rows and ``rep_tokens``
-    keeps its token strings. ``id_tokens`` is the sorted vocabulary; the flat
-    position arrays are the miner's input (:func:`mine_levels`).
+    ascending) and ``rep_weight`` counts a rep's rows. ``id_tokens`` is
+    the sorted vocabulary; the flat position columns are the miner's
+    input (:func:`mine_levels`) and the only copy of the reps' tokens.
+    ``labeled`` says whether labels were given.
     """
 
     def __init__(
@@ -204,22 +240,26 @@ class CorpusIndex:
                 f"{len(labels)} labels for {len(token_lists)} rows"
             )
         self.n_rows = len(token_lists)
-        self.labels = labels
+        self.labeled = labels is not None
         # Insertion-ordered, so the stable sort keeps first-appearance
         # order within a label.
         weights = Counter(
             zip(map(tuple, token_lists), labels or [""] * self.n_rows)
         )
         reps = sorted(weights, key=itemgetter(1))
-        self.rep_tokens: List[Tuple[str, ...]] = [rep[0] for rep in reps]
+        rep_tokens = [rep[0] for rep in reps]
         self.label_names: List[str] = sorted({rep[1] for rep in reps})
-        self.id_tokens: List[str] = sorted(
-            set(chain.from_iterable(self.rep_tokens))
-        )
+        self.id_tokens: List[str] = sorted(set(chain.from_iterable(rep_tokens)))
         n_reps = len(reps)
+        lengths = _np.fromiter(
+            map(len, rep_tokens), dtype=_np.int64, count=n_reps
+        )
+        n_pos = int(lengths.sum())
+        _require_int32(n_pos, "token positions")
+        _require_int32(n_reps, "representatives")
         label_code = {name: code for code, name in enumerate(self.label_names)}
         self.rep_label = _np.fromiter(
-            (label_code[rep[1]] for rep in reps), dtype=_np.int64, count=n_reps
+            (label_code[rep[1]] for rep in reps), dtype=_np.int32, count=n_reps
         )
         self.rep_weight = _np.fromiter(
             map(weights.__getitem__, reps), dtype=_np.int64, count=n_reps
@@ -229,17 +269,14 @@ class CorpusIndex:
             minlength=len(self.label_names),
         ).astype(_np.int64)
 
-        lengths = _np.fromiter(
-            map(len, self.rep_tokens), dtype=_np.int64, count=n_reps
-        )
         token_id = {token: tid for tid, token in enumerate(self.id_tokens)}
         self.tok = _np.fromiter(
-            map(token_id.__getitem__, chain.from_iterable(self.rep_tokens)),
-            dtype=_np.int64,
-            count=int(lengths.sum()),
+            map(token_id.__getitem__, chain.from_iterable(rep_tokens)),
+            dtype=_np.int32,
+            count=n_pos,
         )
-        self.pos_rep = _np.repeat(_np.arange(n_reps), lengths)
-        self.pos_end = _np.repeat(_np.cumsum(lengths), lengths)
+        self.pos_rep = _np.repeat(_np.arange(n_reps, dtype=_np.int32), lengths)
+        self.pos_end = _np.repeat(_np.cumsum(lengths, dtype=_np.int32), lengths)
 
     @classmethod
     def from_labeled(cls, training: Sequence) -> "CorpusIndex":
@@ -272,25 +309,32 @@ class CorpusIndex:
         A sequence is frequent for a type at
         ``exact_min_count(min_support, rows of that type)`` rows.
         """
-        if self.labels is None:
+        if not 1 <= min_length <= max_length:
+            raise ValueError(
+                f"need 1 <= min_length <= max_length, got {min_length}..{max_length}"
+            )
+        if not self.labeled:
             raise ValueError("mining per type needs a labeled corpus")
         min_counts = _np.array(
             [exact_min_count(min_support, rows)
              for rows in self.label_rows.tolist()],
             dtype=_np.int64,
         )
-        levels = list(mine_levels(
+        levels = list(islice(mine_levels(
             self.tok, self.pos_rep, self.pos_end, self.rep_label,
             self.rep_weight, min_counts, len(self.id_tokens), max_length,
-        ))[min_length - 1:]
+        ), min_length - 1, None))
         n_labels = len(self.label_names)
         if not levels:
             empty = _np.zeros(0, dtype=_np.int64)
             return CandidateTable(
-                empty.reshape(0, max_length), empty, empty.astype(bool),
-                empty, empty, empty, _np.zeros(n_labels + 1, dtype=_np.int64),
+                _np.zeros((0, max_length), dtype=_np.int32), empty,
+                empty.astype(bool), empty, empty, empty.astype(_np.int32),
+                _np.zeros(n_labels + 1, dtype=_np.int64),
             )
         tokens, label, count, clean, lo, hi, reps = zip(*levels)
+        # Each column's per-level pieces go once it is concatenated.
+        del levels
         tokens = _np.concatenate([
             _np.pad(
                 level_tokens,

@@ -110,7 +110,7 @@ class RuleGenerator:
         if index is None:
             if not training:
                 raise ValueError("cannot generate rules from empty training data")
-        elif index.labels is None:
+        elif not index.labeled:
             raise ValueError("rule generation needs a labeled index")
         elif training and index.n_rows != len(training):
             raise ValueError(

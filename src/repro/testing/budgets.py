@@ -44,3 +44,9 @@ RULEGEN_CALLS_PER_CANDIDATE = 10.0
 CHECKPOINT_TOTAL_B = int(15_876 * 1.05)
 CHECKPOINT_RNG_B = 3_400
 CHECKPOINT_PER_SERIES_B = 30.5 * 1.05
+
+# Traced peak bytes per training row of RuleGenerator().generate over its
+# 5,000-title corpus (tests/test_rulegen_budget.py), the largest reading
+# over PYTHONHASHSEED 0, 1, 2 and random, plus 5%: int32 level columns and
+# compact coverage read 1,510.9 (77d33e2 read 2,474.0).
+RULEGEN_PEAK_B_PER_ROW = int(1_511 * 1.05)

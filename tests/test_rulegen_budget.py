@@ -10,15 +10,24 @@ selection, so the figure is a small constant (tokenizing the titles and
 building the selected rules is nearly all of it); a pipeline that touches
 each candidate from Python pays tens of calls per candidate — the
 per-candidate miner this one replaced read 44 on this corpus.
+
+The same corpus holds ``generate``'s traced peak per training row: the
+miner's level arrays are ``int32`` except the sort key and the weight
+sums, each level is built in one allocation, and only the frequent
+groups' coverage outlives its level, so the peak is a few columns of the
+largest level. The reading moves by < 1 KB in total over
+``PYTHONHASHSEED`` values.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.rulegen import ReferenceRuleGenerator, RuleGenerator
 from repro.testing.budgets import RULEGEN_CALLS_PER_CANDIDATE as BUDGET
+from repro.testing.budgets import RULEGEN_PEAK_B_PER_ROW
 
 pytestmark = pytest.mark.gates
 
@@ -41,6 +50,20 @@ def calls_per_candidate(generator, training):
     return calls / result.n_mined
 
 
+def peak_bytes_per_row(training):
+    generator = RuleGenerator()
+    # Warm-up: first-call allocations (imports, lazily built tables) are
+    # not the miner's working set.
+    generator.generate(training[:500])
+    tracemalloc.start()
+    try:
+        generator.generate(training)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(training)
+
+
 def training():
     generator = CatalogGenerator(build_seed_taxonomy(), seed=2015)
     return generator.generate_labeled(5000)
@@ -55,3 +78,7 @@ def test_budget_goes_red_for_a_per_candidate_pipeline():
     per candidate, which is what putting the per-candidate loop back into
     the miner amounts to — is far outside the same budget."""
     assert calls_per_candidate(ReferenceRuleGenerator(), training()) > 4 * BUDGET
+
+
+def test_generate_stays_inside_the_memory_budget():
+    assert peak_bytes_per_row(training()) <= RULEGEN_PEAK_B_PER_ROW

@@ -27,6 +27,7 @@ from repro.rulegen.confidence import (
     confidence_score,
     singular_forms,
 )
+from repro.rulegen import corpus
 from repro.rulegen.corpus import CorpusIndex, mine_levels
 from repro.rulegen.parallel import ShardedRuleGenerator
 from repro.rulegen.select import (
@@ -67,6 +68,11 @@ CORPORA = st.lists(st.tuples(TITLES, LABELS), min_size=1, max_size=20).map(
     lambda rows: [LabeledTitle(title=t, label=l) for t, l in rows]
 )
 
+# (min_length, max_length) pairs with 1 <= min <= max <= 6.
+LENGTH_BOUNDS = st.tuples(
+    st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)
+).map(sorted)
+
 TOKEN_ROWS = st.lists(
     st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=7)
     .map(lambda row: tuple(f"w{token}" for token in row)),
@@ -88,6 +94,14 @@ def mined_rows(index, table):
         )
         for code in range(len(index.label_names))
         for row in range(ptr[code], ptr[code + 1])
+    ]
+
+
+def rep_token_rows(index):
+    """Each rep's token strings, decoded from the flat position columns."""
+    return [
+        index.decode(index.tok[index.pos_rep == rep].tolist())
+        for rep in range(index.rep_weight.size)
     ]
 
 
@@ -183,15 +197,26 @@ class TestWeightedMinerEquivalence:
         assert len(mined) == len(serial)
         # The covering reps are the containing reps, exactly; with one
         # label nothing can be unclean.
-        weights = dict(zip(index.rep_tokens, index.rep_weight.tolist()))
+        rep_tokens = rep_token_rows(index)
+        weights = dict(zip(rep_tokens, index.rep_weight.tolist()))
         assert sum(weights.values()) == len(rows)
         for _, seq, count, clean, rep_ids in mined:
-            covering = [index.rep_tokens[rid] for rid in rep_ids]
+            covering = [rep_tokens[rid] for rid in rep_ids]
             assert sorted(covering) == sorted(
                 rep for rep in weights if contains_word_sequence(rep, seq)
             )
             assert count == sum(weights[rep] for rep in covering)
             assert clean
+
+    @given(training=CORPORA, bounds=LENGTH_BOUNDS)
+    @settings(max_examples=40, deadline=None)
+    def test_coverage_is_compact(self, training, bounds):
+        """``reps`` holds the candidates' slices and nothing else, each
+        slice strictly ascending."""
+        table = CorpusIndex.from_labeled(training).mine(0.2, *bounds)
+        assert table.reps.size == (table.hi - table.lo).sum()
+        for lo, hi in zip(table.lo.tolist(), table.hi.tolist()):
+            assert (np.diff(table.reps[lo:hi]) > 0).all()
 
     def test_empty_inputs(self):
         assert not mined_rows(*self.mined([], 1, 4))
@@ -213,11 +238,6 @@ IDENTITY_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-# (min_length, max_length) pairs with 1 <= min <= max <= 6.
-LENGTH_BOUNDS = st.tuples(
-    st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)
-).map(sorted)
 
 
 def assert_miner_matches_reference(training, min_support=0.2, **kwargs):
@@ -427,6 +447,45 @@ class TestPackedKeyBounds:
             self.levels(vocab + 1, 1)
 
 
+class TestInt32ColumnBounds:
+    """Positions and rep ids live in int32 columns, bounded before numpy
+    can wrap them."""
+
+    ROWS = [("slim", "fit", "denim", "jeans"), ("oak", "desk", "lamp")]
+
+    def index(self, monkeypatch, limit):
+        """Index a 7-position, 2-rep corpus under a stubbed int32 limit."""
+        monkeypatch.setattr(corpus, "_INT32_MAX", limit)
+        return CorpusIndex(self.ROWS, ["pants", "lighting"])
+
+    def test_position_boundary(self, monkeypatch):
+        index = self.index(monkeypatch, 7)
+        assert index.pos_end.max() == 7
+        assert index.tok.dtype == index.pos_rep.dtype == np.int32
+        with pytest.raises(
+            ValueError, match="token positions: 7 is past the int32 limit 6"
+        ):
+            self.index(monkeypatch, 6)
+
+    def test_sequence_boundary(self, monkeypatch):
+        # Prefix ranks are int32 too: 7 length-1 sequences fit a limit of
+        # 7, the 9 length-2 ones (C(4,2) + C(3,2)) do not.
+        index = self.index(monkeypatch, 7)
+        assert index.mine(0.5, 1, 1).count.size == 7
+        with pytest.raises(
+            ValueError, match="length-2 sequences: 9 is past the int32 limit 7"
+        ):
+            index.mine(0.5, 1, 2)
+
+    def test_rep_boundary(self, monkeypatch):
+        # Two empty titles and a one-word one: 3 reps over 1 position.
+        monkeypatch.setattr(corpus, "_INT32_MAX", 2)
+        with pytest.raises(
+            ValueError, match="representatives: 3 is past the int32 limit 2"
+        ):
+            CorpusIndex([(), (), ("oak",)], ["a", "b", "c"])
+
+
 class TestCleanlinessTables:
     """A candidate is clean iff its corpus-wide support is its type's own."""
 
@@ -456,6 +515,17 @@ class TestCleanlinessTables:
         index = CorpusIndex([("denim", "jeans")])
         with pytest.raises(ValueError, match="labeled corpus"):
             index.mine(0.5, 1, 2)
+
+    @pytest.mark.parametrize("bounds", [(0, 3), (3, 2)])
+    def test_length_bounds_validated(self, bounds):
+        # min_length 0 once sliced the levels from [-1:], silently
+        # returning only the longest sequences.
+        index = CorpusIndex([("denim", "jeans")], ["pants"])
+        with pytest.raises(
+            ValueError, match="need 1 <= min_length <= max_length, got "
+            f"{bounds[0]}..{bounds[1]}"
+        ):
+            index.mine(0.5, *bounds)
 
 
 NAME_WORDS = ["jean", "jeans", "wheel", "wheels", "disc", "discs", "glass",
