@@ -1,8 +1,8 @@
 """Incremental vs from-scratch execution under churn (§4's open problem).
 
 The never-ending deployment's two hot change events are measured against a
-from-scratch ``IndexedExecutor`` (batch mode of the same engine) re-run over
-the same corpus:
+from-scratch batch run of the same engine
+(``RuleSetCompiler().compile(rules).execute(items)``) over the same corpus:
 
 * ``1_rule_edit``      — an analyst refines one rule (``update_rule``);
 * ``10_rule_churn``    — a churn batch: 5 rule edits + 5 new rules;
@@ -35,8 +35,8 @@ from repro.core import SequenceRule, WhitelistRule  # noqa: E402
 from repro.execution import (  # noqa: E402
     ExecutionStats,
     IncrementalExecutor,
-    IndexedExecutor,
     NaiveExecutor,
+    RuleSetCompiler,
 )
 
 from _report import emit, stats_lines  # noqa: E402
@@ -51,13 +51,13 @@ def canonical(fired) -> str:
 
 
 def full_rerun(rules, items):
-    """From-scratch IndexedExecutor pass: the cost incremental avoids.
+    """From-scratch batch pass (lower + execute): the cost incremental avoids.
 
     Returns its wall time and (untimed) the reference fired map, after
     checking the re-run against it.
     """
     started = time.perf_counter()
-    fired, _stats = IndexedExecutor(rules).run(items)
+    fired, _stats = RuleSetCompiler().compile(rules).execute(items)
     elapsed = time.perf_counter() - started
     reference, _stats = NaiveExecutor(rules).run(items)
     if canonical(fired) != canonical(reference):

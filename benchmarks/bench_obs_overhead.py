@@ -10,9 +10,10 @@ The observability layer's contract (DESIGN.md §8) is two-fold:
 This benchmark checks the first and measures the second on the same
 synthetic corpus as ``bench_exec_prepared``, writing ``BENCH_obs.json`` at
 the repo root. A traced batch run executes the same loop as a plain one;
-what it adds is two spans (``exec.indexed.run``, plus ``exec.compile`` on
-the first run) and one ``observe_fired`` walk over the fired map, so
-``span_count`` is constant in the item count. The loop takes ~0.1 s and
+what it adds is two spans (``exec.compile`` and ``exec.partitioned.run``:
+the traced run is a one-worker ``PartitionedExecutor``, the batch engine
+with spans around it) and one ``observe_fired`` walk over the fired map,
+so ``span_count`` is constant in the item count. The loop takes ~0.1 s and
 the difference sits inside this host's run-to-run drift, so the relative
 figure is reported, not gated. The served path's tracing overhead is
 gated by the ledger (``ledger.trace_overhead_share``, benchmarks/ledger).
@@ -33,7 +34,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.execution import IndexedExecutor  # noqa: E402
+from repro.execution import PartitionedExecutor  # noqa: E402
 from repro.observability import Observability  # noqa: E402
 from repro.utils.text import clear_caches  # noqa: E402
 
@@ -46,9 +47,8 @@ REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_obs.json")
 
 def run_once(rules, items, observability=None):
-    executor = IndexedExecutor(rules, observability=observability)
-    fired, stats = executor.run(items)
-    return fired, stats.wall_time
+    result = PartitionedExecutor(rules, n_workers=1, observability=observability).run(items)
+    return result.fired, result.stats.wall_time
 
 
 def measure(rules, items, repeats):

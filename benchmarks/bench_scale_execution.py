@@ -27,7 +27,7 @@ import pytest
 
 from _report import emit, environment
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
-from repro.execution import IndexedExecutor, NaiveExecutor
+from repro.execution import NaiveExecutor, RuleSetCompiler
 from repro.rulegen import RuleGenerator
 
 SEED = 591
@@ -78,8 +78,8 @@ def test_scale_execution(benchmark, workload):
         for count in rule_counts:
             rules = all_rules[:count]
             _, naive_stats = NaiveExecutor(rules).run(items)
-            _, indexed_stats = IndexedExecutor(
-                rules, token_frequency=frequency).run(items)
+            _, indexed_stats = RuleSetCompiler(
+                token_frequency=frequency).compile(rules).execute(items)
             rows.append((len(rules),
                          naive_stats.evaluations_per_item,
                          indexed_stats.evaluations_per_item))
@@ -175,7 +175,6 @@ def main(argv=None):
     import json
     import time
 
-    from repro.execution.compiler import RuleSetCompiler
     from repro.execution.executor import ExecutionStats
 
     parser = argparse.ArgumentParser(description=__doc__)

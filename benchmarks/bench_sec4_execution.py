@@ -16,10 +16,10 @@ from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.core import WhitelistRule
 from repro.execution import (
     DataIndex,
-    IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
+    RuleSetCompiler,
 )
 from repro.rulegen import RuleGenerator
 
@@ -41,9 +41,9 @@ def workload():
 def test_sec4_indexed_vs_naive(benchmark, workload):
     rules, items, frequency = workload
     naive_fired, naive_stats = NaiveExecutor(rules).run(items)
-    indexed = IndexedExecutor(rules, token_frequency=frequency)
+    indexed = RuleSetCompiler(token_frequency=frequency).compile(rules)
     indexed_fired, indexed_stats = benchmark.pedantic(
-        lambda: indexed.run(items), rounds=1, iterations=1
+        lambda: indexed.execute(items), rounds=1, iterations=1
     )
     speedup = naive_stats.rule_evaluations / max(1, indexed_stats.rule_evaluations)
     sharded = PartitionedExecutor(rules, n_workers=8, token_frequency=frequency).run(items)

@@ -281,15 +281,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         chimera.classify_batch(batch)
         title = f"chimera classify ({len(batch)} items)"
     elif args.run == "exec":
-        from repro.execution import IndexedExecutor, NaiveExecutor
+        from repro.execution import IncrementalExecutor
         from repro.rulegen import RuleGenerator
 
         training = generator.generate_labeled(args.training)
         rules = RuleGenerator(min_support=0.02, q=200).generate(training).rules
         items = generator.generate_items(args.items)
-        NaiveExecutor(rules, observability=observability).run(items)
-        IndexedExecutor(rules, observability=observability).run(items)
-        title = f"executors ({len(rules)} rules x {len(items)} items)"
+        IncrementalExecutor(rules, items, observability=observability).fired_map()
+        title = f"delta engine ({len(rules)} rules x {len(items)} items)"
     elif args.run == "rulegen":
         from repro.rulegen import RuleGenerator
 

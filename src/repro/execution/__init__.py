@@ -6,26 +6,26 @@ index the rules so that given a particular data item, we can quickly locate
 and execute only a (hopefully) small set of rules ... Another solution is
 to execute the rules in parallel on a cluster of machines."
 
-One engine, one match kernel, three modes, one reference (DESIGN.md §5):
+One engine, one match kernel, two execution modes over it, one reference
+(DESIGN.md §5):
 
 * :class:`RuleSetCompiler` / :class:`CompiledRuleSet` — *the* engine: the
   whole rule set lowered once into one combined matcher (a token table
   for words, a pair table for two-word phrases, precompiled verification
   closures for the rest), with a per-item compat lane (:class:`RuleIndex`
   probe + ``matches_prepared``) for unclean titles. An item is evaluated
-  in one function whichever mode asked, traced or not: ``match_item`` is
-  one call of it, ``execute`` a loop of them;
-* :class:`IndexedExecutor` — **batch** mode: lower once, run every batch;
+  in one function whichever mode asked: ``match_item`` is one call of it,
+  and **batch** execution, ``RuleSetCompiler().compile(rules).execute(items)``,
+  a loop of them;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
-  simulated, in-process cluster workers sharing the batch mode's
-  artifact;
+  simulated, in-process cluster workers sharing one artifact a run;
 * :class:`IncrementalExecutor` + :class:`MatchStore` — **delta** mode for
   the never-ending deployment (§2.2/§4): the fired map is a materialized
   view and only the changed rules/items are re-evaluated, with a
   :class:`DataIndex` answering "which rows could this rule touch?";
 * :class:`NaiveExecutor` — the **reference**: every enabled rule against
-  every item, no index, no lowering. Every mode's fired map is
-  byte-identical to it; tests and benchmark oracles compare against it.
+  every item, no index, no lowering, no tracing. Every mode's fired map is
+  byte-identical to it; only tests and benchmark oracles call it.
 
 The sharded mode is fault tolerant (§2.2's ongoing-system requirements):
 each shard tries each worker once, corrupt shard output is rejected by
@@ -42,7 +42,7 @@ from repro.core.prepared import (
 )
 from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
 from repro.execution.data_index import DataIndex
-from repro.execution.executor import ExecutionStats, IndexedExecutor, NaiveExecutor
+from repro.execution.executor import ExecutionStats, NaiveExecutor
 from repro.execution.incremental import IncrementalExecutor, MatchStore
 from repro.execution.parallel import (
     CorruptShardOutput,
@@ -66,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "IncrementalExecutor",
-    "IndexedExecutor",
     "MatchStore",
     "NaiveExecutor",
     "PartitionedExecutor",

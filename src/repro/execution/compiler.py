@@ -9,7 +9,8 @@ each candidate still pays a Python-level regex search or token walk per
 (rule, item) pair. This module removes that per-rule interpretive
 overhead by **lowering the whole rule set once** into shared data-driven
 lanes that a single pass over each item's token stream can consume. It is
-the one engine behind the batch, sharded and delta executors.
+the one engine behind batch execution (:meth:`CompiledRuleSet.execute`)
+and the sharded and delta executors.
 
 Lane layout — two literal-phrase tiers over title tokens:
 
@@ -82,8 +83,8 @@ and evaluated by its own ``matches_prepared`` on every clean item; the
 rest of the artifact stays compiled, and ``lane_of`` names the lane.
 
 **Process-local.** The artifact holds closures and is never pickled;
-the sharded executor lowers the rules once, in-process, into an
-artifact every shard attempt and run then shares.
+the sharded executor lowers the rules once a run, in-process, into an
+artifact every shard attempt shares.
 
 Incremental invalidation rides the same generation-counter discipline as
 PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule
@@ -110,7 +111,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.explain import ExplanationStep
 from repro.core.errors import UnknownRuleError
 from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import (
@@ -121,7 +121,7 @@ from repro.core.rule import (
     ValueConstraintRule,
     _expand_alternations,
 )
-from repro.execution.executor import ExecutionStats, _checked_mode
+from repro.execution.executor import ExecutionStats
 from repro.execution.rule_index import RuleIndex, rarest_anchor
 from repro.observability import Observability, ensure_observability
 from repro.utils.text import STOPWORDS, singular_form
@@ -249,7 +249,7 @@ class CompiledRuleSet:
 
     ``include_disabled`` picks the counting contract:
 
-    * ``False`` (batch and sharded executors): disabled rules are
+    * ``False`` (batch and sharded execution): disabled rules are
       excluded from the artifact entirely — they neither fire nor count
       as a candidate evaluation;
     * ``True`` (the incremental executor): every rule participates —
@@ -330,7 +330,7 @@ class CompiledRuleSet:
         return rule_id in self._generic or rule_id not in self._lane_labels
 
     def lane_of(self, rule_id: str) -> str:
-        """Which compiled tier handles this rule (explain/debug surface)."""
+        """Which compiled tier handles this rule (lane census / debug surface)."""
         if rule_id not in self._rules:
             raise UnknownRuleError(rule_id)
         return self._lane_labels[rule_id]
@@ -671,8 +671,8 @@ class CompiledRuleSet:
 
         The only place lanes are evaluated. :meth:`match_item` and
         :meth:`execute` tokenize (``toks`` / ``tset``), probe depth 1
-        (``hit_tokens = tset & keys``) and land here, so the batch, sharded
-        and incremental executors (the pipeline's engine among them) all
+        (``hit_tokens = tset & keys``) and land here, so batch, sharded
+        and incremental execution (the pipeline's engine among them) all
         run this one function. Fired ids come back sorted and
         de-duplicated.
         """
@@ -806,7 +806,6 @@ class CompiledRuleSet:
     def execute(
         self,
         items: Sequence[ItemLike],
-        on_error: str = "raise",
         clock: Optional[Callable[[], float]] = None,
         stats: Optional[ExecutionStats] = None,
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
@@ -815,11 +814,11 @@ class CompiledRuleSet:
         The fired map is byte-identical to
         ``NaiveExecutor(rules).run(items)`` over the same (enabled) rules.
         Each item takes the same route as :meth:`match_item` — the kernel
-        for clean titles, the compat path otherwise. Spans and metrics are
-        the caller's business (see :class:`IndexedExecutor`): nothing an
-        observer does can reach this loop.
+        for clean titles, the compat path otherwise — and a repeated item
+        id is decided by its last occurrence. Spans and metrics are the
+        caller's business: nothing an observer does can reach this loop,
+        and an item that raises fails the batch.
         """
-        skip = _checked_mode(on_error) == "skip"
         clk = clock if clock is not None else time.perf_counter
         if stats is None:
             stats = ExecutionStats()
@@ -828,6 +827,7 @@ class CompiledRuleSet:
         apply_lanes = self._apply_lanes
         match_compat = self._match_compat
         fired: Dict[str, List[str]] = {}
+        pop = fired.pop
         n_evaluations = 0
         n_matches = 0
         started = clk()
@@ -841,25 +841,19 @@ class CompiledRuleSet:
             gc.disable()
         try:
             for item in items:
-                try:
-                    lowered = item.title.lower()
-                    if _CLEAN_TITLE(lowered) is None:
-                        hits, n_candidates = match_compat(item)
-                    else:
-                        toks = lowered.split()
-                        tset = set(toks)
-                        hits, n_candidates = apply_lanes(item, toks, tset, tset & keys)
-                    if hits:
-                        fired[item.item_id] = hits
-                        n_matches += len(hits)
-                    n_evaluations += n_candidates
-                except Exception:
-                    if not skip:
-                        raise
-                    stats.skipped_items += 1
-                    stats.skipped_item_ids.append(
-                        str(getattr(item, "item_id", "<unknown>"))
-                    )
+                lowered = item.title.lower()
+                if _CLEAN_TITLE(lowered) is None:
+                    hits, n_candidates = match_compat(item)
+                else:
+                    toks = lowered.split()
+                    tset = set(toks)
+                    hits, n_candidates = apply_lanes(item, toks, tset, tset & keys)
+                if hits:
+                    fired[item.item_id] = hits
+                    n_matches += len(hits)
+                else:
+                    pop(item.item_id, None)
+                n_evaluations += n_candidates
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -868,60 +862,6 @@ class CompiledRuleSet:
         stats.items += len(items)
         stats.match_time += clk() - started
         return fired, stats
-
-    # -- explainability (RuleChef-style: compiled -> human-readable) ---------------
-
-    def explain(self, item: ItemLike, rule_id: str) -> ExplanationStep:
-        """Map a compiled decision back to the originating rule.
-
-        Returns an :class:`~repro.core.explain.ExplanationStep` — the same
-        shape the ``why()``/provenance chain renders — whose statement is
-        the rule's own human-readable form plus the compiled lane that
-        carried it, and whose effect states whether (and how) the rule
-        matched this item. Ground truth is re-derived from the rule's
-        interpreted ``matches_prepared``, so an explanation can never
-        drift from semantics even if a lane were wrong.
-        """
-        rule = self._rules.get(rule_id)
-        if rule is None:
-            raise UnknownRuleError(rule_id)
-        prepared = prepare(item)
-        matched = rule.matches_prepared(prepared)
-        lane = self.lane_of(rule_id)
-        if matched:
-            if rule.is_constraint:
-                effect = (
-                    f"matched via compiled lane [{lane}]; restricts candidates "
-                    f"to {{{'|'.join(getattr(rule, 'allowed_types', ()))}}}"
-                )
-            elif rule.is_blacklist:
-                effect = (
-                    f"matched via compiled lane [{lane}]; "
-                    f"vetoes type {rule.target_type!r}"
-                )
-            else:
-                effect = (
-                    f"matched via compiled lane [{lane}]; "
-                    f"asserts type {rule.target_type!r}"
-                )
-        else:
-            effect = f"did not match (checked via compiled lane [{lane}])"
-        kind = (
-            "constraint"
-            if rule.is_constraint
-            else "blacklist" if rule.is_blacklist else "whitelist"
-        )
-        return ExplanationStep(
-            rule_id=rule_id,
-            kind=kind,
-            statement=rule.describe(),
-            effect=effect,
-        )
-
-    def explain_fired(self, item: ItemLike) -> List[ExplanationStep]:
-        """One :meth:`explain` step per rule firing on ``item``, sorted."""
-        hits, _ = self.match_item(item)
-        return [self.explain(item, rule_id) for rule_id in hits]
 
 
 class RuleSetCompiler:

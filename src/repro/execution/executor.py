@@ -1,41 +1,29 @@
-"""Measured rule executors: the naive reference and the compiled engine.
+"""The execution ledger and the reference executor.
 
 :class:`NaiveExecutor` is the executable definition of rule execution —
 every enabled rule's ``matches_prepared`` against every item, no index,
-no lowering — and exists for tests and oracles to compare against.
-:class:`IndexedExecutor` is the batch mode of the one fast engine (the
-compiled rule set of :mod:`repro.execution.compiler`). Both return the
-same (item -> fired rules) result; the comparison tracks two costs:
+no lowering, no tracing — and exists only for tests and oracles to
+compare the compiled engine against
+(:meth:`~repro.execution.compiler.CompiledRuleSet.execute`). Both return
+the same (item -> fired rules) map, with sorted rule-id lists, so the
+output is byte-identical and deterministic. Disabled rules never fire
+(matching :class:`~repro.core.ruleset.RuleSet` semantics), and an item id
+that repeats in a batch is decided by its last occurrence, as the delta
+engine re-lists it.
 
-* **rule evaluations** — the machine-independent work counter the paper's
-  scaling argument is about;
-* **wall-clock time**: ``prepare_time`` (tokenizing each item into a
-  :class:`~repro.core.prepared.PreparedItem`, where that is a separate
-  step) and ``match_time`` (the rule evaluations proper).
-
-Fired rule-id lists are sorted, so all executors return byte-identical,
-deterministic output. Disabled rules never fire (matching
-:class:`~repro.core.ruleset.RuleSet` semantics).
-
-Both executors support a degraded mode (``on_error="skip"``): an item whose
-preparation or rule evaluation raises — a malformed record, a buggy UDF
-clause — is dropped from the fired map and reported on the stats
-(``skipped_items`` / ``skipped_item_ids``) instead of killing the run.
-The default (``on_error="raise"``) preserves fail-fast semantics.
+:class:`ExecutionStats` is the ledger every mode fills: **rule
+evaluations**, the machine-independent work counter the paper's scaling
+argument is about, beside wall-clock time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import Rule
-from repro.observability import Observability, ensure_observability
-
-
-_ON_ERROR_MODES = ("raise", "skip")
 
 _MERGE_WALL_MODES = ("keep", "sum")
 
@@ -44,9 +32,9 @@ _MERGE_WALL_MODES = ("keep", "sum")
 class ExecutionStats:
     """Work and time accounting for one execution run.
 
-    ``retries`` and the ``skipped_*`` fields are the resilience ledger:
-    how many shard re-dispatches the run cost, and which items were
-    dropped under degraded mode (item-level skips or skipped shards).
+    ``retries`` and the ``skipped_*`` fields are the resilience ledger of
+    a partitioned run: how many shard re-dispatches it cost, and which
+    items it dropped because every worker failed their shard.
 
     The ``cache_*`` / ``invalidations`` / ``delta_*`` fields are the
     incremental-execution ledger (see
@@ -140,165 +128,30 @@ class ExecutionStats:
             self.wall_time += other.wall_time
 
 
-def _checked_mode(on_error: str) -> str:
-    if on_error not in _ON_ERROR_MODES:
-        raise ValueError(f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}")
-    return on_error
-
-
-def _guarded_prepare(
-    items: Sequence[ItemLike], skip: bool, stats: ExecutionStats
-) -> List[Optional[PreparedItem]]:
-    """Prepare every item; under degraded mode a bad record becomes None."""
-    prepared_items: List[Optional[PreparedItem]] = []
-    for item in items:
-        try:
-            prepared_items.append(prepare(item).warm())
-        except Exception:
-            if not skip:
-                raise
-            stats.skipped_items += 1
-            stats.skipped_item_ids.append(str(getattr(item, "item_id", "<unknown>")))
-            prepared_items.append(None)
-    return prepared_items
-
-
 class NaiveExecutor:
-    """Checks every (enabled) rule against every item.
+    """Checks every enabled rule against every item: the reference."""
 
-    ``observability`` (a :class:`~repro.observability.Observability`)
-    makes the run emit an ``exec.naive.run`` span with ``prepare`` /
-    ``match`` children and feeds the metrics registry; ``clock`` is the
-    monotonic clock backing the stats timing (default
-    :func:`time.perf_counter` — tests inject a
-    :class:`~repro.utils.clock.TickClock`). Neither changes results.
-    """
-
-    def __init__(
-        self,
-        rules: Sequence[Rule],
-        on_error: str = "raise",
-        observability: Optional[Observability] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, rules: Sequence[Rule]):
         self.rules = list(rules)
-        self.on_error = _checked_mode(on_error)
-        self.observability = ensure_observability(observability)
-        self._clock = clock if clock is not None else time.perf_counter
 
     def run(
         self, items: Sequence[ItemLike]
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
         """Returns (item_id -> sorted fired rule ids, stats)."""
-        stats = ExecutionStats()
+        stats = ExecutionStats(items=len(items))
         fired: Dict[str, List[str]] = {}
         active = [rule for rule in self.rules if rule.enabled]
-        skip = self.on_error == "skip"
-        obs = self.observability
-        clock = self._clock
-        with obs.span("exec.naive.run", rules=len(active), items=len(items)) as run_span:
-            started = clock()
-            with obs.span("prepare"):
-                prepared_items = _guarded_prepare(items, skip, stats)
-            stats.prepare_time = clock() - started
-            with obs.span("match"):
-                for prepared in prepared_items:
-                    stats.items += 1
-                    if prepared is None:  # dropped during prepare under degraded mode
-                        continue
-                    hits: List[str] = []
-                    try:
-                        for rule in active:
-                            stats.rule_evaluations += 1
-                            if rule.matches_prepared(prepared):
-                                hits.append(rule.rule_id)
-                    except Exception:
-                        if not skip:
-                            raise
-                        stats.skipped_items += 1
-                        stats.skipped_item_ids.append(prepared.item_id)
-                        continue
-                    if hits:
-                        stats.matches += len(hits)
-                        fired[prepared.item_id] = sorted(hits)
-            stats.wall_time = clock() - started
-            stats.match_time = max(0.0, stats.wall_time - stats.prepare_time)
-            run_span.set_attribute("rule_evaluations", stats.rule_evaluations)
-            run_span.set_attribute("matches", stats.matches)
-        obs.observe_execution(stats, executor="naive")
-        obs.observe_fired(fired)
-        return fired, stats
-
-
-class IndexedExecutor:
-    """Batch mode of the compiled engine: lower once, run every batch.
-
-    Results are identical to :class:`NaiveExecutor` (the anchors are
-    sound); only the work differs. The rule set is lowered into a
-    :class:`~repro.execution.compiler.CompiledRuleSet` on first use (span
-    ``exec.compile``, cost on ``stats.compile_time``) and the artifact is
-    reused across batches. It excludes disabled rules, so it is rebuilt
-    when the set of disabled rules changes — flipping ``rule.enabled``
-    between runs stays correct without a manual invalidation call, and
-    only the current artifact is ever held. Tokenization is fused into
-    matching: ``prepare_time`` stays 0 and its cost lands in
-    ``match_time``.
-    """
-
-    def __init__(
-        self,
-        rules: Sequence[Rule],
-        token_frequency: Optional[Dict[str, int]] = None,
-        on_error: str = "raise",
-        observability: Optional[Observability] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        self.rules = list(rules)
-        self._token_frequency = dict(token_frequency or {})
-        self.on_error = _checked_mode(on_error)
-        self.observability = ensure_observability(observability)
-        self._clock = clock if clock is not None else time.perf_counter
-        self._artifact = None
-        self._artifact_disabled: FrozenSet[str] = frozenset()
-
-    def compiled_ruleset(self, stats: Optional[ExecutionStats] = None):
-        """The compiled artifact for the current enabled-flag state.
-
-        Compiles on first use (or after enabled-flag churn) under an
-        ``exec.compile`` span; otherwise returns the held artifact.
-        """
-        from repro.execution.compiler import RuleSetCompiler
-
-        disabled = frozenset(r.rule_id for r in self.rules if not r.enabled)
-        if self._artifact is None or disabled != self._artifact_disabled:
-            compiler = RuleSetCompiler(
-                token_frequency=self._token_frequency,
-                observability=self.observability,
-            )
-            self._artifact = compiler.compile(
-                self.rules, stats=stats, clock=self._clock
-            )
-            self._artifact_disabled = disabled
-        return self._artifact
-
-    def run(
-        self, items: Sequence[ItemLike]
-    ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
-        """Returns (item_id -> sorted fired rule ids, stats)."""
-        stats = ExecutionStats()
-        obs = self.observability
-        clock = self._clock
-        with obs.span(
-            "exec.indexed.run", rules=len(self.rules), items=len(items)
-        ) as run_span:
-            started = clock()
-            artifact = self.compiled_ruleset(stats=stats)
-            fired, stats = artifact.execute(
-                items, on_error=self.on_error, clock=clock, stats=stats
-            )
-            stats.wall_time = clock() - started
-            run_span.set_attribute("rule_evaluations", stats.rule_evaluations)
-            run_span.set_attribute("matches", stats.matches)
-        obs.observe_execution(stats, executor="indexed")
-        obs.observe_fired(fired)
+        started = time.perf_counter()
+        prepared_items = [prepare(item).warm() for item in items]
+        stats.prepare_time = time.perf_counter() - started
+        for prepared in prepared_items:
+            hits = [rule.rule_id for rule in active if rule.matches_prepared(prepared)]
+            stats.rule_evaluations += len(active)
+            stats.matches += len(hits)
+            if hits:
+                fired[prepared.item_id] = sorted(hits)
+            else:
+                fired.pop(prepared.item_id, None)
+        stats.wall_time = time.perf_counter() - started
+        stats.match_time = stats.wall_time - stats.prepare_time
         return fired, stats

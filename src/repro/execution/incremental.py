@@ -347,7 +347,7 @@ class IncrementalExecutor:
     per op.
 
     Evaluation is fail-fast: a raising rule/record propagates (wrap inputs
-    upstream; the degraded modes live on the batch executors).
+    upstream; the one degraded mode is the sharded executor's shard skip).
 
     The *item-side* delta (the hot path — every arriving batch) runs
     through the compiled rule set: rule churn patches only the lanes the

@@ -4,13 +4,15 @@ Section 4 suggests executing rules "in parallel on a cluster of machines
 (e.g., using Hadoop)", and §2.2 asks that such a system keep running and
 degrade gracefully. The cluster is simulated in-process: what this mode
 models is the cluster's *failure* behaviour, not its throughput (DESIGN.md
-§5 has the measurement). :class:`PartitionedExecutor` is one loop over the
-batch mode's compiled artifact:
+§5 has the measurement). :class:`PartitionedExecutor` is one loop over a
+compiled artifact:
 
-* the rule set is lowered once, through
-  :meth:`~repro.execution.executor.IndexedExecutor.compiled_ruleset` (so
-  ``rule.enabled`` flips are followed and every rule class runs);
-* items are dealt ``items[s::n_workers]`` into one shard per worker;
+* the rule set is lowered once a run, through
+  :class:`~repro.execution.compiler.RuleSetCompiler` (so ``rule.enabled``
+  flips are followed and every rule class runs);
+* items are dealt ``items[s::n_workers]`` into one shard per worker, and
+  the shard holding an id's last occurrence owns that id, so a repeated
+  id gets the row a sequential pass gives it;
 * shard ``s`` tries worker ``(s + a) % n_workers`` for attempt
   ``a = 0 .. n_workers - 1`` — each worker once — and is skipped only
   when every worker failed it;
@@ -34,8 +36,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 from repro.core.prepared import ItemLike
 from repro.core.rule import Rule
-from repro.execution.compiler import CompiledRuleSet
-from repro.execution.executor import ExecutionStats, IndexedExecutor
+from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
+from repro.execution.executor import ExecutionStats
 from repro.observability import Observability, ensure_observability
 
 Coord = Optional[int]  # a fault coordinate; None is the wildcard
@@ -258,8 +260,8 @@ class PartitionedRunResult:
     """A possibly-degraded partitioned run: results plus an honest account.
 
     The degraded-mode contract: ``fired`` holds exactly the output of every
-    shard some worker completed, ``stats.skipped_item_ids`` names every item
-    of a shard every worker failed, and ``fault_events`` records each
+    shard some worker completed for the ids it owns, ``stats.skipped_item_ids``
+    names every id owned by a shard every worker failed, and ``fault_events`` records each
     failed attempt and the driver's response. ``stats.retries`` counts the
     ``retry`` events. ``shard_evaluations[s]`` is shard ``s``'s accepted
     rule evaluations (0 when skipped): the simulated parallel makespan is
@@ -279,8 +281,8 @@ class PartitionedRunResult:
 class PartitionedExecutor:
     """Sharded mode of the compiled engine: items dealt over N workers.
 
-    Timing: ``stats.compile_time`` is the lowering (paid on the first run
-    and after enabled-flag churn, as in batch mode), ``stats.match_time``
+    Timing: ``stats.compile_time`` is the lowering (paid once a run),
+    ``stats.match_time``
     sums the *accepted* attempts only, so a failed attempt's work is never
     counted, and ``stats.wall_time`` is the driver's elapsed time for the
     whole run, failed attempts included.
@@ -297,16 +299,12 @@ class PartitionedExecutor:
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        self.rules = list(rules)
         self.n_workers = n_workers
         self.fault_plan = fault_plan
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
-        self._engine = IndexedExecutor(
-            rules,
-            token_frequency=token_frequency,
-            observability=self.observability,
-            clock=self._clock,
-        )
+        self._compiler = RuleSetCompiler(token_frequency, self.observability)
 
     def _attempt(
         self,
@@ -331,8 +329,12 @@ class PartitionedExecutor:
         total = result.stats
         with obs.span("exec.partitioned.run", workers=n, items=len(items)) as run_span:
             started = clock()
-            artifact = self._engine.compiled_ruleset(stats=total)
-            known = frozenset(rule.rule_id for rule in self._engine.rules)
+            artifact = self._compiler.compile(self.rules, stats=total, clock=clock)
+            known = frozenset(rule.rule_id for rule in self.rules)
+            # The shard holding an id's last occurrence owns the id.
+            owned: List[List[str]] = [[] for _ in range(n)]
+            for item_id, last in {item.item_id: i for i, item in enumerate(items)}.items():
+                owned[last % n].append(item_id)
             for shard in range(n):
                 chunk = items[shard::n]
                 item_ids = [item.item_id for item in chunk]
@@ -349,13 +351,15 @@ class PartitionedExecutor:
                         if spec is not None:
                             plan.triggered.append(event)
                         continue
-                    result.fired.update(fired)
+                    result.fired.update(
+                        (item_id, fired[item_id]) for item_id in owned[shard] if item_id in fired
+                    )
                     total.merge(stats)
                     result.shard_evaluations[shard] = stats.rule_evaluations
                     break
                 else:  # every worker failed this shard
-                    total.skipped_items += len(chunk)
-                    total.skipped_item_ids.extend(item_ids)
+                    total.skipped_items += len(owned[shard])
+                    total.skipped_item_ids.extend(owned[shard])
             total.retries = sum(1 for event in result.fault_events if event.action == "retry")
             total.wall_time = clock() - started
             run_span.set_attribute("rule_evaluations", total.rule_evaluations)

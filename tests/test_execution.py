@@ -12,10 +12,10 @@ from repro.core import (
 )
 from repro.execution import (
     DataIndex,
-    IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
+    RuleSetCompiler,
     prepare,
 )
 
@@ -149,26 +149,26 @@ class TestRuleIndexRemove:
 class TestExecutors:
     def test_naive_and_indexed_agree(self):
         naive_fired, _ = NaiveExecutor(RULES).run(ITEMS)
-        indexed_fired, _ = IndexedExecutor(RULES).run(ITEMS)
+        indexed_fired, _ = RuleSetCompiler().compile(RULES).execute(ITEMS)
         assert {k: sorted(v) for k, v in naive_fired.items()} == indexed_fired
 
     def test_indexed_does_less_work(self):
         _, naive_stats = NaiveExecutor(RULES).run(ITEMS)
-        _, indexed_stats = IndexedExecutor(RULES).run(ITEMS)
+        _, indexed_stats = RuleSetCompiler().compile(RULES).execute(ITEMS)
         assert indexed_stats.rule_evaluations < naive_stats.rule_evaluations
         assert indexed_stats.matches == naive_stats.matches
 
     def test_work_scales_with_rules(self, corpus_items):
         many_rules = [SequenceRule((f"tok{i}", "x"), "t") for i in range(200)]
         _, naive_stats = NaiveExecutor(many_rules).run(corpus_items[:50])
-        _, indexed_stats = IndexedExecutor(many_rules).run(corpus_items[:50])
+        _, indexed_stats = RuleSetCompiler().compile(many_rules).execute(corpus_items[:50])
         assert naive_stats.evaluations_per_item == 200
         assert indexed_stats.evaluations_per_item < 5
 
     def test_both_executors_return_sorted_rule_ids(self):
         """Deterministic output contract: fired lists are sorted."""
         naive_fired, _ = NaiveExecutor(RULES).run(ITEMS)
-        indexed_fired, _ = IndexedExecutor(RULES).run(ITEMS)
+        indexed_fired, _ = RuleSetCompiler().compile(RULES).execute(ITEMS)
         assert naive_fired == indexed_fired
         for fired in (naive_fired, indexed_fired):
             for hits in fired.values():
@@ -179,7 +179,7 @@ class TestExecutors:
         rules[0].enabled = False
         target = item("diamond ring gold")
         naive_fired, _ = NaiveExecutor(rules).run([target])
-        indexed_fired, _ = IndexedExecutor(rules).run([target])
+        indexed_fired, _ = RuleSetCompiler().compile(rules).execute([target])
         assert naive_fired == indexed_fired
         assert naive_fired[target.item_id] == [rules[1].rule_id]
 
@@ -190,7 +190,7 @@ class TestExecutors:
         assert from_raw == from_prepared
 
     def test_stats_report_timing_split(self):
-        _, stats = IndexedExecutor(RULES).run(ITEMS)
+        stats = PartitionedExecutor(RULES).run(ITEMS).stats
         assert stats.wall_time > 0
         assert stats.prepare_time >= 0
         assert stats.match_time >= 0

@@ -2,9 +2,10 @@
 
 :class:`NaiveExecutor` — every enabled rule's ``matches_prepared`` against
 every item — is the executable definition of rule execution. This module
-drives the compiled engine's three modes (batch ``IndexedExecutor``,
-traced and untraced, and a per-item ``CompiledRuleSet.match_item`` sweep;
-sharded ``PartitionedExecutor``; delta ``IncrementalExecutor``) through a
+drives the compiled engine's modes (a batch ``CompiledRuleSet.execute``,
+a per-item ``CompiledRuleSet.match_item`` sweep; sharded
+``PartitionedExecutor``, traced and under faults; delta
+``IncrementalExecutor``) through a
 random interleaving of item arrivals, re-listings, rule adds, edits,
 retirements and enable/disable flips, over rules of every registered
 class and clean as well as unclean titles, and asserts that each mode's
@@ -12,11 +13,14 @@ fired map on the final state is exactly the reference's — and that the
 delta mode gives the same answer whichever of rules and items arrived
 first. The sharded mode runs under the CI chaos job's fault plan
 (``REPRO_CHAOS_SEED``), so a red run is replayable with the logged seed.
+A batch that repeats an item id is decided by the id's last occurrence in
+every mode.
 """
 
 import copy
 import itertools
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +41,13 @@ from repro.execution import (
     CompiledRuleSet,
     FaultPlan,
     IncrementalExecutor,
-    IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
+    RuleSetCompiler,
 )
 from repro.execution import incremental as incremental_module
 from repro.observability import Observability
+from repro.scenario.runner import _check_fault_model
 from tests.chain_audit import fingerprint_from_scratch, store_fired_map
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
@@ -193,14 +198,13 @@ def test_every_engine_mode_equals_the_reference(ops):
     churned, rules, items = _apply(ops)
     reference = _canonical(NaiveExecutor(rules).run(items)[0])
 
-    batch, batch_stats = IndexedExecutor(rules).run(items)
+    batch, batch_stats = RuleSetCompiler().compile(rules).execute(items)
     assert _canonical(batch) == reference
 
     # Tracing observes the run; it must not change what the run does.
-    traced, traced_stats = IndexedExecutor(
-        rules, observability=Observability()
-    ).run(items)
-    assert _canonical(traced) == reference
+    traced = PartitionedExecutor(rules, n_workers=1, observability=Observability()).run(items)
+    traced_stats = traced.stats
+    assert _canonical(traced.fired) == reference
 
     # One item at a time through the same artifact: the incremental
     # executor's and the pipeline matcher's way in.
@@ -275,7 +279,7 @@ def _assert_every_mode(rule, title, fires):
     item = ProductItem(item_id="i1", title=title)
     expected = {"i1": ["w1"]} if fires else {}
     assert NaiveExecutor([rule]).run([item])[0] == expected
-    assert IndexedExecutor([rule]).run([item])[0] == expected
+    assert RuleSetCompiler().compile([rule]).execute([item])[0] == expected
     assert PartitionedExecutor([rule], n_workers=2).run([item]).fired == expected
     rules_first = IncrementalExecutor(rules=[rule])
     rules_first.add_items([item])
@@ -302,9 +306,7 @@ def test_reused_executors_follow_an_enabled_flag_flip():
         WhitelistRule("gold", "t", rule_id="w2"),
     ]
     item = ProductItem(item_id="i1", title="gold ring")
-    executors = [
-        NaiveExecutor(rules), IndexedExecutor(rules), PartitionedExecutor(rules, n_workers=2),
-    ]
+    executors = [NaiveExecutor(rules), PartitionedExecutor(rules, n_workers=2)]
     for mode, fired in _fired_by_mode(executors, [item]).items():
         assert fired == {"i1": ["w1", "w2"]}, mode
     rules[0].enabled = False
@@ -317,11 +319,58 @@ def test_every_mode_runs_a_predicate_rule():
     rule = PredicateRule([Clause("gold", lambda thing: "gold" in thing.title)], "t",
                          rule_id="p1")
     item = ProductItem(item_id="i1", title="gold ring")
-    executors = [
-        NaiveExecutor([rule]), IndexedExecutor([rule]), PartitionedExecutor([rule], n_workers=2),
-    ]
+    executors = [NaiveExecutor([rule]), PartitionedExecutor([rule], n_workers=2)]
     for mode, fired in _fired_by_mode(executors, [item]).items():
         assert fired == {"i1": ["p1"]}, mode
+    assert RuleSetCompiler().compile([rule]).execute([item])[0] == {"i1": ["p1"]}
+    assert IncrementalExecutor([rule], [item]).fired_map() == {"i1": ["p1"]}
+
+
+# -- a repeated item id: its last occurrence decides its row -------------------------
+
+REPEAT_RULES = [
+    WhitelistRule("rings?", "rings", rule_id="ring"),
+    WhitelistRule("(motor|engine) oils?", "motor oil", rule_id="oil"),
+]
+# With two shards the first batch puts the two "x" rows in different
+# shards; in the second the later occurrence matches no rule.
+REPEATED_ID_BATCHES = {
+    "across-shards": ([("c", "nothing"), ("x", "gold ring"), ("x", "motor oil")],
+                      {"x": ["oil"]}),
+    "later-matches-nothing": ([("x", "gold ring"), ("x", "nothing")], {}),
+}
+
+
+def _batch(rows):
+    return [ProductItem(item_id=item_id, title=title) for item_id, title in rows]
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_ID_BATCHES))
+def test_a_repeated_id_is_decided_by_its_last_occurrence_in_every_mode(name):
+    rows, expected = REPEATED_ID_BATCHES[name]
+    items = _batch(rows)
+    fired = {
+        "naive": NaiveExecutor(REPEAT_RULES).run(items)[0],
+        "execute": RuleSetCompiler().compile(REPEAT_RULES).execute(items)[0],
+        "partitioned": PartitionedExecutor(REPEAT_RULES, n_workers=2).run(items).fired,
+        "incremental": IncrementalExecutor(REPEAT_RULES, items).fired_map(),
+    }
+    assert fired == dict.fromkeys(fired, expected)
+
+
+@pytest.mark.parametrize("failed_shard, skipped", [(None, set()), (0, {"c", "x"}), (1, set())])
+def test_a_skipped_shard_skips_the_ids_it_owns(failed_shard, skipped):
+    """The shard holding an id's last occurrence owns the id: the run
+    equals the reference on every id it does not skip, so the scenario
+    runner's fault-model check accepts it."""
+    items = _batch(REPEATED_ID_BATCHES["across-shards"][0])
+    plan = None if failed_shard is None else FaultPlan().crash(shard=failed_shard)
+    run = PartitionedExecutor(REPEAT_RULES, n_workers=2, fault_plan=plan).run(items)
+    reference = NaiveExecutor(REPEAT_RULES).run(items)[0]
+    assert set(run.stats.skipped_item_ids) == skipped
+    assert run.fired == {k: v for k, v in reference.items() if k not in skipped}
+    batch = SimpleNamespace(batch_id="b1", items=items)
+    _check_fault_model(IncrementalExecutor(REPEAT_RULES, items), batch, run)
 
 
 # -- the patched view is the from-scratch view, after every single op ---------------

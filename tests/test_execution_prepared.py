@@ -22,7 +22,7 @@ from repro.core import (
     ValueConstraintRule,
     WhitelistRule,
 )
-from repro.execution import IndexedExecutor, NaiveExecutor, PartitionedExecutor
+from repro.execution import NaiveExecutor, PartitionedExecutor, RuleSetCompiler
 
 # A vocabulary engineered to exercise the tricky corners: plural/singular
 # pairs ("ring"/"rings"), stop words ("with", "for"), shared stems, and
@@ -103,7 +103,7 @@ def rule_corpora(draw):
        n_workers=st.integers(min_value=1, max_value=3))
 def test_all_executors_agree(rules, corpus, n_workers):
     naive_fired, naive_stats = NaiveExecutor(rules).run(corpus)
-    indexed_fired, indexed_stats = IndexedExecutor(rules).run(corpus)
+    indexed_fired, indexed_stats = RuleSetCompiler().compile(rules).execute(corpus)
     partitioned = PartitionedExecutor(rules, n_workers=n_workers).run(corpus)
 
     assert naive_fired == indexed_fired

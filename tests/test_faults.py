@@ -23,9 +23,9 @@ from repro.execution import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
+    RuleSetCompiler,
     validate_shard_output,
 )
 from repro.utils.clock import TickClock
@@ -378,36 +378,22 @@ class TestChaosSeed:
 
 
 class TestSingleNodeDegradedMode:
-    """Item-level on_error="skip" on the single-node executors."""
-
-    def _poisoned_items(self):
-        return ITEMS[:3] + [ProductItem(item_id="bad", title=None)] + ITEMS[3:]
-
-    @pytest.mark.parametrize("executor_cls", [NaiveExecutor, IndexedExecutor])
-    def test_bad_record_is_skipped_not_fatal(self, executor_cls):
-        fired, stats = executor_cls(RULES, on_error="skip").run(self._poisoned_items())
-        assert fired == BASELINE
-        assert stats.skipped_items == 1
-        assert stats.skipped_item_ids == ["bad"]
-        assert stats.items == len(ITEMS) + 1  # every row is accounted for
+    """A single-node run has no degraded mode: a bad record or a failing
+    rule fails it. Only a sharded run skips, a whole shard at a time."""
 
     def test_bad_record_raises_by_default(self):
+        poisoned = ITEMS[:3] + [ProductItem(item_id="bad", title=None)] + ITEMS[3:]
         with pytest.raises(AttributeError):
-            NaiveExecutor(RULES).run(self._poisoned_items())
-
-    def test_failing_rule_skips_item_under_degraded_mode(self):
+            NaiveExecutor(RULES).run(poisoned)
+        with pytest.raises(AttributeError):
+            RuleSetCompiler().compile(RULES).execute(poisoned)
         bomb = PredicateRule(
             [Clause("explodes", lambda item: 1 / 0)], "t", rule_id="pred-bomb"
         )
-        fired, stats = NaiveExecutor(RULES + [bomb], on_error="skip").run(ITEMS)
-        assert fired == {}  # the bomb fires on every item, so all are skipped
-        assert stats.skipped_items == len(ITEMS)
         with pytest.raises(ZeroDivisionError):
             NaiveExecutor(RULES + [bomb]).run(ITEMS)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            NaiveExecutor(RULES, on_error="ignore")
+        with pytest.raises(ZeroDivisionError):
+            RuleSetCompiler().compile(RULES + [bomb]).execute(ITEMS)
 
     def test_stats_merge_carries_resilience_ledger(self):
         a, b = ExecutionStats(), ExecutionStats()

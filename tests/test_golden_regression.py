@@ -15,11 +15,12 @@ import pytest
 from repro.catalog.types import ProductItem
 from repro.core.serialize import rules_from_dicts, rules_to_dicts
 from repro.execution import (
+    ExecutionStats,
     FaultPlan,
-    IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
+    RuleSetCompiler,
     prepare_all,
 )
 
@@ -84,7 +85,7 @@ class TestExecutorsReproduceGoldenFiredMap:
         assert canonical(fired) == golden_fired_text
 
     def test_indexed(self, golden_items, golden_rules, golden_fired_text):
-        fired, _ = IndexedExecutor(golden_rules).run(golden_items)
+        fired, _ = RuleSetCompiler().compile(golden_rules).execute(golden_items)
         assert canonical(fired) == golden_fired_text
 
     @pytest.mark.parametrize("n_workers", [1, 3, 5])
@@ -111,7 +112,9 @@ class TestCompiledPathReproducesGoldenFiredMap:
 
     def test_compiled_indexed(self, golden_items, golden_rules,
                               golden_fired_text):
-        fired, stats = IndexedExecutor(golden_rules).run(golden_items)
+        stats = ExecutionStats()
+        compiled = RuleSetCompiler().compile(golden_rules, stats=stats)
+        fired, _ = compiled.execute(golden_items, stats=stats)
         assert canonical(fired) == golden_fired_text
         assert stats.compile_time > 0.0
 
@@ -119,7 +122,7 @@ class TestCompiledPathReproducesGoldenFiredMap:
             self, golden_items, golden_rules):
         index = RuleIndex(golden_rules)
         interpreted = sum(len(index.candidates(item)) for item in golden_items)
-        _, compiled = IndexedExecutor(golden_rules).run(golden_items)
+        _, compiled = RuleSetCompiler().compile(golden_rules).execute(golden_items)
         assert compiled.rule_evaluations == interpreted
 
     @pytest.mark.parametrize("n_workers", [1, 3, 5])

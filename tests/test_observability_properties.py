@@ -1,9 +1,9 @@
 """Observability is strictly observational: on/off runs are byte-identical.
 
 The load-bearing property of the whole layer (DESIGN.md §8): attaching a
-tracer + metrics registry to any executor — or to the Chimera pipeline —
-must not change a single byte of output. These tests run every executor
-twice over the golden corpus (observability off, then on with a
+tracer + metrics registry to an executor — or to the Chimera pipeline —
+must not change a single byte of output. These tests run the sharded and
+the delta executor twice over the golden corpus (observability off, then on with a
 deterministic TickClock) and compare canonical-JSON fired maps, plus a
 hypothesis sweep over random rule/item subsets so the property is not an
 artifact of one fixed corpus.
@@ -21,8 +21,6 @@ from repro.core.serialize import rules_from_dicts
 from repro.execution import (
     FaultPlan,
     IncrementalExecutor,
-    IndexedExecutor,
-    NaiveExecutor,
     PartitionedExecutor,
 )
 from repro.observability import Observability
@@ -58,14 +56,6 @@ def observed():
     return Observability(clock=TickClock(step=0.001))
 
 
-def run_naive(rules, items, obs):
-    return NaiveExecutor(rules, observability=obs).run(items)[0]
-
-
-def run_indexed(rules, items, obs):
-    return IndexedExecutor(rules, observability=obs).run(items)[0]
-
-
 def run_partitioned(rules, items, obs):
     return PartitionedExecutor(rules, n_workers=3, observability=obs).run(items).fired
 
@@ -76,8 +66,6 @@ def run_incremental(rules, items, obs):
 
 
 EXECUTOR_RUNNERS = {
-    "naive": run_naive,
-    "indexed": run_indexed,
     "partitioned": run_partitioned,
     "incremental": run_incremental,
 }

@@ -210,7 +210,8 @@ class TestServedPathNeverScansGuard:
     the one engine's rows (``RuleFold.verdict``), so nothing under
     ``repro/chimera`` or ``repro/service`` may call an ``.apply(...)``,
     and nothing under ``repro/chimera`` may build a ``CompiledRuleSet``
-    beside the pipeline's engine."""
+    beside the pipeline's engine. ``NaiveExecutor`` is the executor
+    reference: no module outside ``repro/execution`` imports or calls it."""
 
     ROOTS = ("src/repro/chimera", "src/repro/service")
 
@@ -223,18 +224,33 @@ class TestServedPathNeverScansGuard:
                 yield node
 
     @staticmethod
-    def compiled_rule_sets(tree):
+    def calls_to(tree, name):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name == "CompiledRuleSet":
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == name:
                     yield node
 
+    @classmethod
+    def compiled_rule_sets(cls, tree):
+        return cls.calls_to(tree, "CompiledRuleSet")
+
+    @classmethod
+    def reference_uses(cls, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.rsplit(".", 1)[-1] == "NaiveExecutor" for alias in node.names
+            ):
+                yield node
+        yield from cls.calls_to(tree, "NaiveExecutor")
+
     def offenders(self, roots, find):
+        """``roots`` are files or directories under the repo root."""
         found = []
         for root in roots:
-            paths = sorted((REPO / root).rglob("*.py"))
+            target = REPO / root
+            paths = [target] if target.is_file() else sorted(target.rglob("*.py"))
             assert paths, f"nothing to check under {root}"
             for path in paths:
                 tree = ast.parse(path.read_text(), filename=str(path))
@@ -261,3 +277,21 @@ class TestServedPathNeverScansGuard:
             "compiled = compiler.CompiledRuleSet(rules)\n",
         ):
             assert list(self.compiled_rule_sets(ast.parse(source)))
+
+    def test_the_reference_stays_an_oracle(self):
+        roots = [
+            path.relative_to(REPO)
+            for path in sorted((REPO / "src/repro").iterdir())
+            if path.name != "execution" and (path.is_dir() or path.suffix == ".py")
+        ]
+        offenders = self.offenders(roots, self.reference_uses)
+        assert not offenders, "NaiveExecutor outside repro/execution:\n" + "\n".join(offenders)
+
+    def test_reference_guard_detects_a_violation(self):
+        for source in (
+            "from repro.execution import NaiveExecutor\n",
+            "import repro.execution.executor.NaiveExecutor\n",
+            "fired, _ = execution.NaiveExecutor(rules).run(items)\n",
+        ):
+            assert list(self.reference_uses(ast.parse(source)))
+        assert not list(self.reference_uses(ast.parse("from repro.execution import RuleIndex\n")))
