@@ -483,6 +483,14 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _cmd_repo(args: argparse.Namespace) -> int:
     from repro.repository import RepositoryError, RuleRepository
 
@@ -752,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     repo_log = repo_sub.add_parser("log", help="show the audit log")
     repo_common(repo_log)
-    repo_log.add_argument("--limit", type=int, default=None,
-                          help="show only the last N entries")
+    repo_log.add_argument("--limit", type=_count, default=None,
+                          help="show only the last N entries (0: none)")
     repo_log.add_argument("--json", action="store_true")
     repo_log.set_defaults(func=_cmd_repo)
 

@@ -45,9 +45,10 @@ record source keeps the record — RAM by default, the batch journal in the
 daemon — for the few paths that read it back.
 
 Reads cost what moved, not what is stored: every store mutator records the
-rows it touched, and the executor patches its enabled view,
-its pair count and its 256-bit set hash (:meth:`IncrementalExecutor.fired_fingerprint`)
-over just those rows plus the columns of rules whose enabled flag flipped.
+rows it touched, and the executor patches its pair count, its 256-bit set
+hash (:meth:`IncrementalExecutor.fired_fingerprint`) and, once a read built
+it, its enabled view over just those rows plus the columns of rules whose
+enabled flag flipped.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class MatchStore:
         self._held = 0
         self._rule_generation: Dict[str, int] = {}
         self.generation = 0
-        self._touched: Set[int] = set()
+        self._touched: Dict[int, FrozenSet[str]] = {}
         self._recorded: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -230,8 +231,6 @@ class MatchStore:
             self._by_rule[rule_id] = column
         if came:
             self._recorded[rule_id] = self._recorded.get(rule_id, 0) + len(came)
-        self._touched |= gone
-        self._touched |= came
         self._rule_generation[rule_id] = self._rule_generation.get(rule_id, 0) + 1
         self.generation += 1
         return len(gone)
@@ -247,7 +246,6 @@ class MatchStore:
             for rule_id in new - old:
                 self._column_add(rule_id, row)
             self._set_row(row, new)
-            self._touched.add(row)
         self.generation += 1
         return invalidated
 
@@ -257,7 +255,6 @@ class MatchStore:
         drop = {rule_id}
         for row in column:
             self._set_row(row, self._by_row[row] - drop)
-        self._touched.update(column)
         self._rule_generation.pop(rule_id, None)
         self.generation += 1
         return len(column)
@@ -269,19 +266,19 @@ class MatchStore:
             for rule_id in rule_ids:
                 self._column_discard(rule_id, row)
             self._set_row(row, _NO_RULES)
-            self._touched.add(row)
         self.generation += 1
         return len(rule_ids)
 
     def _set_row(self, row: int, rule_ids: FrozenSet[str]) -> None:
-        """Point ``row`` at the shared set equal to ``rule_ids`` (at the
-        empty one when it is empty) and let go of the one it held."""
+        """Point ``row`` at the shared set equal to ``rule_ids`` (the empty
+        one when empty), note the set it held as touched, and release it."""
         by_row = self._by_row
         if row >= len(by_row):
             if not rule_ids:
                 return
             by_row.extend([_NO_RULES] * (row + 1 - len(by_row)))
         old = by_row[row]
+        self._touched.setdefault(row, old)
         by_row[row] = self._rows.hold(rule_ids) if rule_ids else _NO_RULES
         if old:
             self._rows.release(old)
@@ -304,9 +301,9 @@ class MatchStore:
 
     # -- what moved since the last read -------------------------------------------
 
-    def drain_touched(self) -> Set[int]:
-        """Rows whose rule set changed since the last call (then forgotten)."""
-        touched, self._touched = self._touched, set()
+    def drain_touched(self) -> Dict[int, FrozenSet[str]]:
+        """``{row: its set before the first change}`` since the last call."""
+        touched, self._touched = self._touched, {}
         return touched
 
     def drain_recorded(self) -> Dict[str, int]:
@@ -374,15 +371,16 @@ class IncrementalExecutor:
         self._compiled = CompiledRuleSet((), include_disabled=True)
         self.store = MatchStore()
         self.stats = ExecutionStats()
-        # The enabled view, patched in place by _sync(): item id -> sorted
-        # enabled rule ids, non-empty rows only, item ids ascending unless
-        # _view_sorted is False. Row lists are replaced, never edited, so
-        # a dict handed out by fired_map() can share them, and so can
-        # items: _view_rows holds one list per distinct row.
-        self._view: Dict[str, List[str]] = {}
+        # The enabled view, None until fired_map() builds it, then patched
+        # in place by _sync(): item id -> sorted enabled rule ids, non-empty
+        # rows only, item ids ascending unless _view_sorted is False. Row
+        # lists are replaced, never edited, so a dict handed out by
+        # fired_map() can share them, and so can items: _view_rows holds
+        # one list per distinct row.
+        self._view: Optional[Dict[str, List[str]]] = None
         self._view_rows = _SharedRows()
         self._view_sorted = True
-        self._view_enabled: FrozenSet[str] = frozenset()
+        self._synced_enabled: FrozenSet[str] = frozenset()
         self._fired_pairs = 0
         self._fingerprint = 0
         # The last dict fired_map() returned, while the view still equals it.
@@ -616,44 +614,46 @@ class IncrementalExecutor:
         )
 
     def _sync(self) -> None:
-        """Bring the enabled view, its pair count and its fingerprint up
-        to the store: O(rules) for the enabled-set comparison (so a
-        ``rule.enabled = ...`` on a bare rule is seen) plus O(rows touched
-        since the last read + columns of rules whose flag differs from
-        that read)."""
-        enabled = self._enabled_ids()
-        touched = self.store.drain_touched()
-        if enabled != self._view_enabled:
-            for rule_id in enabled ^ self._view_enabled:
-                touched.update(self.store.rows_of_rule(rule_id))
-            self._view_enabled = enabled
-        if not touched:
-            return
-        view = self._view
-        shared = self._view_rows
-        fingerprint = self._fingerprint
-        ids, rules_of_row = self._data_index.ids, self.store.rules_of_row
+        """Bring the pair count, the fingerprint and (once built) the
+        enabled view up to the store: O(rules) for the enabled-set
+        comparison (so a ``rule.enabled = ...`` on a bare rule is seen)
+        plus O(rows touched since the last read + columns of rules whose
+        flag differs from that read), each row from its value then to now."""
+        was, enabled = self._synced_enabled, self._enabled_ids()
+        store = self.store
+        touched = store.drain_touched()
+        rules_of_row = store.rules_of_row
+        if enabled != was:
+            for rule_id in enabled ^ was:
+                for row in store.rows_of_rule(rule_id):
+                    if row not in touched:
+                        touched[row] = rules_of_row(row)
+            self._synced_enabled = enabled
+        view, shared = self._view, self._view_rows
+        fingerprint, ids = self._fingerprint, self._data_index.ids
         # Ascending rows: a re-listed id's tombstoned row comes before the
         # row that replaced it.
         for row in sorted(touched):
-            item_id = ids[row]
-            old = view.get(item_id)
-            old_key = _NO_RULES if old is None else frozenset(old)
+            old_key = touched[row] & was
             key = rules_of_row(row) & enabled
             if key == old_key:
                 continue
+            item_id = ids[row]
+            if old_key:
+                fingerprint -= _row_hash(item_id, sorted(old_key))
+                self._fired_pairs -= len(old_key)
+            if key:
+                fingerprint += _row_hash(item_id, sorted(key))
+                self._fired_pairs += len(key)
+            if view is None:
+                continue
             self._snapshot = None
-            if old:
-                fingerprint -= _row_hash(item_id, old)
-                self._fired_pairs -= len(old)
+            if old_key:
                 shared.release(old_key)
             if key:
-                new = shared.hold(key, sorted)
-                fingerprint += _row_hash(item_id, new)
-                self._fired_pairs += len(new)
-                if old is None and view and item_id < next(reversed(view)):
+                if not old_key and view and item_id < next(reversed(view)):
                     self._view_sorted = False
-                view[item_id] = new
+                view[item_id] = shared.hold(key, sorted)
             else:
                 del view[item_id]
         self._fingerprint = fingerprint % _FINGERPRINT_MODULUS
@@ -667,9 +667,16 @@ class IncrementalExecutor:
         plus, when a row moved since the last call, one C-level copy of
         the view (and one C-level sort if an item id arrived below the
         largest one held); otherwise the previous dict is returned again.
-        A returned dict is never changed afterwards. Feeds no metric.
+        A returned dict is never changed afterwards. Feeds no metric. The
+        first call builds the view (one walk of the store) for _sync to keep.
         """
         self._sync()
+        if self._view is None:
+            hold, ids, enabled = self._view_rows.hold, self._data_index.ids, self._synced_enabled
+            self._view = dict(sorted(
+                (ids[row], hold(rule_ids & enabled, sorted))
+                for row, rule_ids in enumerate(self.store._by_row) if rule_ids & enabled
+            ))
         if self._snapshot is not None:
             self.stats.cache_hits += 1
             return self._snapshot

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -299,9 +300,10 @@ class ProvenanceLog:
       the §2.2 never-ending session keeps everything on disk, and the
       durable service checkpoints the spool's offset (see :meth:`replay`).
       The spool *is* the ring: the log keeps only the byte offset at
-      which each retained line starts (``_starts``, at most ``capacity``
-      ints), and readers read the window — from ``_starts[0]`` to the
-      spool's end — back from the file;
+      which each retained line starts (``_starts[_head:]``, at most
+      ``capacity`` offsets in an ``array('q')``), and readers read the
+      window — from ``_starts[_head]`` to the spool's end — back from the
+      file;
     * **in-memory** (no spool): the log keeps the records in a ring with a
       by-item index, because encoding them would cost ``record()`` an
       order of magnitude.
@@ -340,7 +342,8 @@ class ProvenanceLog:
             self._by_item: Dict[str, List[ProvenanceRecord]] = {}
         else:
             self._spool = AppendLog(spool, fsync=fsync)
-            self._starts: Deque[int] = deque(maxlen=capacity)
+            self._starts = array("q")
+            self._head = 0
         self._seq = 0
         self.total_records = 0
         self.evicted_records = 0
@@ -360,10 +363,7 @@ class ProvenanceLog:
         else:
             self._seq = record.seq = self._seq + 1
         if self.spool is not None:
-            starts = self._starts
-            if len(starts) == self.capacity:
-                self.evicted_records += 1  # the append below drops the oldest
-            starts.append(self._spool.append(_encoded(record).encode("ascii")))
+            self._keep(self._spool.append(_encoded(record).encode("ascii")))
         else:
             records = self._records
             records.append(record)
@@ -376,6 +376,18 @@ class ProvenanceLog:
                 self._evict()
         self.total_records += 1
         return record
+
+    def _keep(self, start: int) -> None:
+        """Retain the spooled line at ``start``, dropping the oldest past
+        ``capacity`` (the dropped head is shed once it is that long)."""
+        starts = self._starts
+        starts.append(start)
+        if len(starts) - self._head > self.capacity:
+            self._head += 1
+            self.evicted_records += 1
+            if self._head == self.capacity:
+                del starts[: self._head]
+                self._head = 0
 
     def _evict(self) -> None:
         evicted = self._records.popleft()
@@ -403,12 +415,12 @@ class ProvenanceLog:
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records if self.spool is None else self._starts)
+        return len(self._records) if self.spool is None else len(self._starts) - self._head
 
     def _window(self) -> bytes:
         """The retained lines of a write-ahead log, read back from the
         spool in one read (after flushing what is still buffered)."""
-        return self._spool.read(self._starts[0]) if self._starts else b""
+        return self._spool.read(self._starts[self._head]) if len(self) else b""
 
     @property
     def records(self) -> List[ProvenanceRecord]:
@@ -543,16 +555,12 @@ class ProvenanceLog:
         decoded (for its seq).
         """
         log = cls(capacity=capacity, spool=spool, fsync=fsync)
-        starts = log._starts
-        total = 0
         last = b""
         for start, last in read_lines(spool):
             if observe is not None:
                 observe(_decoded(last))
-            starts.append(start)
-            total += 1
-        log.total_records = total
-        log.evicted_records = total - len(starts)
+            log._keep(start)
+        log.total_records = len(log) + log.evicted_records
         log._seq = _decoded(last).seq if last else 0
         return log
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from typing import Any, Dict, Iterator, Optional
 
 from repro.core.durability import AppendLog, fsync_dir, json_line, read_lines
 
@@ -107,19 +109,23 @@ class ChangeEntry:
 class ChangeLog:
     """Durable, replayable sequence of :class:`ChangeEntry`.
 
-    With ``path=None`` the log is in-memory only (scenario runs, tests);
-    with a path it is an :class:`~repro.core.durability.AppendLog`, so
-    opening cuts a torn trailing line (a crash mid-append: never
-    acknowledged) before every complete line is replayed, and each
-    append is one line, synced before :meth:`append` returns. Creating
-    the file syncs its directory too: a standalone repository has no
-    checkpoint to do it.
+    The entries are encoded lines: RAM holds where each starts
+    (:attr:`starts`) and the :attr:`last` one, and a read decodes. With
+    ``path=None`` the lines are an in-memory buffer (scenario runs, tests);
+    with a path, an :class:`~repro.core.durability.AppendLog`, so opening
+    cuts a torn trailing line (a crash mid-append: never acknowledged)
+    and each append is one line, synced before :meth:`append` returns.
+    Creating the file syncs its directory too: a standalone repository
+    has no checkpoint to do it.
     """
 
     def __init__(self, path: Optional[str] = None, fsync: bool = True):
         self.path = path
-        self.entries: List[ChangeEntry] = []
         self.torn_bytes_repaired = 0
+        self.last: Optional[ChangeEntry] = None
+        #: Where each entry's line starts, oldest first.
+        self.starts = array("q")
+        self._buffer = bytearray()  # an in-memory log's lines
         self._appender: Optional[AppendLog] = None
         if path is not None:
             created = not os.path.exists(path)
@@ -127,38 +133,63 @@ class ChangeLog:
             if created and fsync:
                 fsync_dir(os.path.dirname(os.path.abspath(path)))
             self.torn_bytes_repaired = self._appender.torn_bytes_repaired
-            self.entries = [
-                ChangeEntry.from_dict(json.loads(line))
-                for _, line in read_lines(path)
-            ]
+            self.starts.extend(start for start, _ in read_lines(path))
+            self.last = self.entry(-1) if self.starts else None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.starts)
 
     @property
     def next_seq(self) -> int:
-        return self.entries[-1].seq + 1 if self.entries else 1
+        return self.last.seq + 1 if self.last is not None else 1
 
     def offset(self) -> int:
-        """Byte length of the file-backed log: where the next entry starts."""
-        return self._appender.end
+        """Byte length of the log: where the next entry starts."""
+        return len(self._buffer) if self.path is None else self._appender.end
 
-    def append(self, entry: ChangeEntry) -> ChangeEntry:
-        """Record one entry (durably when the log is file-backed).
+    def at(self, start: int) -> ChangeEntry:
+        """The entry whose line starts at byte ``start``."""
+        if self.path is None:
+            line = self._buffer[start:self._buffer.index(b"\n", start)]
+        else:
+            with open(self.path, "rb") as handle:
+                handle.seek(start)
+                line = handle.readline()
+        return ChangeEntry.from_dict(json.loads(line))
 
-        The line is written before the entry joins :attr:`entries`, so a
-        write that raises leaves the in-memory log unchanged.
+    def entry(self, index: int) -> ChangeEntry:
+        """The ``index``-th entry (negative counts from the newest)."""
+        return self.at(self.starts[index])
+
+    def __iter__(self) -> Iterator[ChangeEntry]:
+        """Every entry, oldest first, one line decoded at a time."""
+        if self.path is None:
+            lines = self._buffer.splitlines()
+        else:
+            lines = (line for _, line in read_lines(self.path))
+        return (ChangeEntry.from_dict(json.loads(line)) for line in islice(lines, len(self)))
+
+    def append(self, entry: ChangeEntry) -> int:
+        """Record one entry (durably when the log is file-backed); returns
+        the offset its line starts at.
+
+        The line is written before the entry is counted, so a write that
+        raises leaves the log unchanged.
         """
         if entry.seq != self.next_seq:
             raise ValueError(
                 f"change log is append-only: expected seq {self.next_seq}, "
                 f"got {entry.seq}"
             )
-        if self._appender is not None:
-            self._appender.append(json_line(entry.to_dict()))
+        start, line = self.offset(), json_line(entry.to_dict())
+        if self.path is None:
+            self._buffer += line
+        else:
+            self._appender.append(line)
             self._appender.sync()
-        self.entries.append(entry)
-        return entry
+        self.starts.append(start)
+        self.last = entry
+        return start
 
     def close(self) -> None:
         if self._appender is not None:

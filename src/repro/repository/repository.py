@@ -7,9 +7,9 @@ persistent home with the properties §4's maintenance story demands:
   is appended to a durable change log with author, reason, timestamp, and
   an optional provenance link (:mod:`repro.repository.changelog`);
 * **named snapshots with structural sharing** — a snapshot is just the set
-  of ``(rule_id, revision)`` pairs plus per-rule enabled flags; rule
-  payloads are stored once per revision no matter how many snapshots
-  reference them, so ``diff`` is a set comparison;
+  of ``(rule_id, revision)`` pairs plus per-rule enabled flags; a rule
+  payload is the log line that recorded its revision, however many
+  snapshots reference it, so ``diff`` is a set comparison;
 * **rollback that rides the zero-evaluation path** — rolling a bound
   namespace back lowers to ``enable``/``disable`` flips (pure
   :class:`~repro.execution.incremental.MatchStore` view filters, zero rule
@@ -20,8 +20,9 @@ persistent home with the properties §4's maintenance story demands:
   metrics registry, and one incident manager.
 
 **History here, live state in one rule set.** The repository owns each
-namespace's history: live revisions, the revision watermark, the payload
-of every ``(rule_id, revision)``, snapshots and the log. One
+namespace's history: live revisions, the revision watermark and the log,
+with each ``(rule_id, revision)`` payload and snapshot read back from the
+log line at an offset it holds (records on disk, offsets in RAM). One
 :class:`~repro.core.ruleset.RuleSet` per namespace owns its live state
 (rules, order, enabled flags): the repository's own until
 :meth:`RuleRepository.bind` makes a pipeline's set live. That set's
@@ -34,12 +35,12 @@ repository log the change (under the ambient
 from __future__ import annotations
 
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -143,8 +144,8 @@ class _NamespaceState:
     def __init__(self, name: str):
         self.name = name
         self.revisions: Dict[str, int] = {}             # live revisions
-        # (rule_id, revision) -> payload; the structurally shared history.
-        self.payloads: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        # (rule_id, revision) -> offset of the log line with its payload.
+        self.payloads: Dict[Tuple[str, int], int] = {}
         self.revision_watermark = 0
         self.ruleset = RuleSet(name=name)
         #: False once :meth:`RuleRepository.bind` made a caller's set live.
@@ -154,9 +155,6 @@ class _NamespaceState:
         return max(
             self.revisions.get(rule_id, 0), self.revision_watermark
         ) + 1
-
-    def payload(self, rule_id: str) -> Dict[str, Any]:
-        return self.payloads[(rule_id, self.revisions[rule_id])]
 
 
 class RuleRepository:
@@ -186,8 +184,8 @@ class RuleRepository:
             log_path = os.path.join(root, CHANGELOG_NAME)
         self.log = ChangeLog(log_path, fsync=fsync)
         self._namespaces: Dict[str, _NamespaceState] = {}
-        # snapshot name -> namespace -> Snapshot
-        self._snapshots: Dict[str, Dict[str, Snapshot]] = {}
+        # snapshot name -> namespace -> where its snapshot line starts
+        self._snapshots: Dict[str, Dict[str, int]] = {}
         self._attribution: List[Tuple[str, str, Optional[str]]] = []
         # The revision a rollback restores; the next add/replace takes it.
         self._restoring: Optional[int] = None
@@ -247,15 +245,23 @@ class RuleRepository:
         self, namespace: str, rule_id: str, revision: Optional[int] = None
     ) -> Dict[str, Any]:
         """The stored condition payload of ``(rule_id, revision)``."""
-        state = self._ns(namespace)
-        if revision is None:
-            revision = state.revisions.get(rule_id)
         try:
-            return dict(state.payloads[(rule_id, revision)])
+            return self._payload(self._ns(namespace), rule_id, revision)
         except KeyError:
             raise UnknownRuleError(
                 rule_id if revision is None else f"{rule_id}@{revision}"
             ) from None
+
+    def _payload(
+        self, state: _NamespaceState, rule_id: str, revision: Optional[int] = None
+    ) -> Dict[str, Any]:
+        """The condition payload of ``(rule_id, revision)`` (default: the
+        live revision), read back from the log line that carried it."""
+        if revision is None:
+            revision = state.revisions.get(rule_id)
+        payload = self.log.at(state.payloads[(rule_id, revision)]).rule or {}
+        payload.pop("__enabled_at_add__", None)
+        return payload
 
     def materialize(self, namespace: str) -> RuleSet:
         """Build a fresh, unbound :class:`RuleSet` of the namespace's live
@@ -264,18 +270,10 @@ class RuleRepository:
         equal-weight vote ties in :meth:`RuleSet.apply`) and with its
         enabled flag."""
         state = self._ns(namespace)
-        return self._build(
-            state, ((rule.rule_id, rule.enabled) for rule in state.ruleset)
-        )
-
-    @staticmethod
-    def _build(
-        state: _NamespaceState, flags: Iterable[Tuple[str, bool]]
-    ) -> RuleSet:
         return RuleSet(
-            (rule_from_dict(dict(state.payload(rule_id), enabled=enabled))
-             for rule_id, enabled in flags),
-            name=state.name,
+            (rule_from_dict(dict(self._payload(state, rule.rule_id), enabled=rule.enabled))
+             for rule in state.ruleset),
+            name=namespace,
         )
 
     # -- attribution --------------------------------------------------------------
@@ -341,8 +339,7 @@ class RuleRepository:
             snapshot=snapshot,
             provenance=provenance,
         )
-        self.log.append(entry)
-        self._fold(entry)
+        self._fold(entry, self.log.append(entry))
         if self.metrics is not None:
             self.metrics.counter(
                 "repository_changes_total", ns=namespace, op=op
@@ -366,57 +363,48 @@ class RuleRepository:
             rule=payload,
         )
 
-    def _fold(self, entry: ChangeEntry) -> None:
-        """Fold one entry into history (used live and on replay)."""
+    def _fold(self, entry: ChangeEntry, start: int) -> None:
+        """Fold one entry, its line at ``start``, into history (live and on replay)."""
         state = self._ns(entry.namespace)
         if entry.op in ("add", "replace"):
-            payload = dict(entry.rule or {})
-            payload.pop("__enabled_at_add__", None)
             displaced = state.revisions.get(entry.rule_id, 0)
             if entry.revision < displaced:
                 # A rollback restored an older revision: reap the newer one
                 # as a remove would, so the id's next revision skips it.
                 state.revision_watermark = max(state.revision_watermark, displaced)
             state.revisions[entry.rule_id] = entry.revision
-            state.payloads[(entry.rule_id, entry.revision)] = payload
+            state.payloads[(entry.rule_id, entry.revision)] = start
         elif entry.op == "remove":
             reaped = state.revisions.pop(entry.rule_id, 0)
             state.revision_watermark = max(state.revision_watermark, reaped)
         elif entry.op == "snapshot":
-            data = entry.snapshot or {}
-            snap = Snapshot(
-                name=data.get("name", ""),
-                namespace=entry.namespace,
-                at=entry.at,
-                author=entry.author,
-                reason=entry.reason,
-                entries={
-                    rule_id: (int(pair[0]), bool(pair[1]))
-                    for rule_id, pair in data.get("entries", {}).items()
-                },
-            )
-            self._snapshots.setdefault(snap.name, {})[entry.namespace] = snap
+            name = (entry.snapshot or {}).get("name", "")
+            self._snapshots.setdefault(name, {})[entry.namespace] = start
         # "enable"/"disable" are live state (the set's flag); "rollback"
         # and "audit-import" are markers: no history to fold.
 
     def _replay(self) -> None:
-        """Fold the opened log into history and build each namespace's
-        live set once, from its live rules' payloads and flags."""
-        live: Dict[str, Dict[str, bool]] = {}
-        for entry in self.log.entries:
-            self._fold(entry)
-            flags = live.setdefault(entry.namespace, {})
-            if entry.op == "add":
-                flags[entry.rule_id] = bool(
-                    (entry.rule or {}).get("__enabled_at_add__", True)
+        """Fold the opened log into history in one pass and build each
+        namespace's live set once, from its live rules' flagged payloads."""
+        live: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        for start, entry in zip(self.log.starts, self.log):
+            self._fold(entry, start)
+            rules = live.setdefault(entry.namespace, {})
+            held = rules.get(entry.rule_id)
+            if entry.op == "add" or (entry.op == "replace" and held):
+                payload = entry.rule or {}
+                enabled = held["enabled"] if entry.op == "replace" else bool(
+                    payload.pop("__enabled_at_add__", True)
                 )
+                rules[entry.rule_id] = dict(payload, enabled=enabled)
             elif entry.op == "remove":
-                flags.pop(entry.rule_id, None)
-            elif entry.op in ("enable", "disable") and entry.rule_id in flags:
-                flags[entry.rule_id] = entry.op == "enable"
-        for namespace, flags in live.items():
-            state = self._ns(namespace)
-            self._attach(state, self._build(state, flags.items()))
+                rules.pop(entry.rule_id, None)
+            elif entry.op in ("enable", "disable") and held:
+                held["enabled"] = entry.op == "enable"
+        for namespace, rules in live.items():
+            self._attach(
+                self._ns(namespace), RuleSet(map(rule_from_dict, rules.values()), name=namespace)
+            )
 
     # -- binding ------------------------------------------------------------------
 
@@ -453,7 +441,7 @@ class RuleRepository:
                 if rule_id not in held:
                     self._write(namespace, "add", rule)
                     continue
-                if state.payload(rule_id) != _condition_payload(rule):
+                if self._payload(state, rule_id) != _condition_payload(rule):
                     self._write(namespace, "replace", rule)
                 if held.is_enabled(rule_id) != rule.enabled:
                     self._write(
@@ -480,7 +468,7 @@ class RuleRepository:
     ) -> ChangeEntry:
         with self._explicit(author, reason, provenance):
             self._ns(namespace).ruleset.add(rule)
-        return self.log.entries[-1]
+        return self.log.last
 
     def replace(
         self,
@@ -492,7 +480,7 @@ class RuleRepository:
     ) -> ChangeEntry:
         with self._explicit(author, reason, provenance):
             self._ns(namespace).ruleset.replace(rule)
-        return self.log.entries[-1]
+        return self.log.last
 
     def remove(
         self,
@@ -504,7 +492,7 @@ class RuleRepository:
     ) -> ChangeEntry:
         with self._explicit(author, reason, provenance):
             self._ns(namespace).ruleset.remove(rule_id)
-        return self.log.entries[-1]
+        return self.log.last
 
     def set_enabled(
         self,
@@ -521,7 +509,7 @@ class RuleRepository:
             return None
         with self._explicit(author, reason, provenance):
             (ruleset.enable if enabled else ruleset.disable)(rule_id)
-        return self.log.entries[-1]
+        return self.log.last
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -529,13 +517,14 @@ class RuleRepository:
         return sorted(self._snapshots)
 
     def get_snapshot(self, name: str) -> Dict[str, Snapshot]:
-        try:
-            return dict(self._snapshots[name])
-        except KeyError:
+        """The snapshot's namespaces, each decoded from its log line."""
+        if name not in self._snapshots:
             known = ", ".join(self.snapshot_names()) or "(none)"
-            raise RepositoryError(
-                f"unknown snapshot {name!r}; known: {known}"
-            ) from None
+            raise RepositoryError(f"unknown snapshot {name!r}; known: {known}")
+        return {
+            namespace: _snapshot_of(self.log.at(start))
+            for namespace, start in self._snapshots[name].items()
+        }
 
     def snapshot(
         self,
@@ -555,7 +544,6 @@ class RuleRepository:
         targets = (
             list(namespaces) if namespaces is not None else self.namespaces()
         )
-        out: Dict[str, Snapshot] = {}
         with self._explicit(author, reason, None):
             for namespace in targets:
                 entries = self._entries_of(None, namespace)
@@ -569,8 +557,7 @@ class RuleRepository:
                         },
                     },
                 )
-                out[namespace] = self._snapshots[name][namespace]
-        return out
+        return self.get_snapshot(name) if targets else {}
 
     def _entries_of(
         self, ref: Optional[str], namespace: str
@@ -681,7 +668,7 @@ class RuleRepository:
                 for rule_id in sorted(set(snap_entries) - set(live)):
                     revision, enabled = snap_entries[rule_id]
                     rule = rule_from_dict(
-                        dict(state.payloads[(rule_id, revision)], enabled=enabled)
+                        dict(self._payload(state, rule_id, revision), enabled=enabled)
                     )
                     self._restoring = revision
                     ruleset.add(rule)
@@ -691,7 +678,7 @@ class RuleRepository:
                 for rule_id in sorted(set(snap_entries) & set(live)):
                     revision, enabled = snap_entries[rule_id]
                     if live[rule_id][0] != revision:
-                        rule = rule_from_dict(state.payloads[(rule_id, revision)])
+                        rule = rule_from_dict(self._payload(state, rule_id, revision))
                         self._restoring = revision
                         ruleset.replace(rule)
                         result.replaced += 1
@@ -714,14 +701,15 @@ class RuleRepository:
         namespace: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[ChangeEntry]:
-        """The change log, oldest first (optionally one namespace/tail)."""
-        entries = [
-            entry for entry in self.log.entries
+        """The change log, oldest first (optionally one namespace), or its
+        last ``limit`` entries, streamed from the log."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+        entries = (
+            entry for entry in self.log
             if namespace is None or entry.namespace == namespace
-        ]
-        if limit is not None:
-            entries = entries[-limit:]
-        return entries
+        )
+        return list(entries if limit is None else deque(entries, maxlen=limit))
 
     def blame(self, rule_id: str, namespace: Optional[str] = None) -> List[ChangeEntry]:
         """Every recorded change touching ``rule_id``, newest first.
@@ -732,10 +720,22 @@ class RuleRepository:
         """
         return [
             entry
-            for entry in reversed(self.log.entries)
+            for entry in self.log
             if entry.rule_id == rule_id
             and (namespace is None or entry.namespace == namespace)
-        ]
+        ][::-1]
+
+
+def _snapshot_of(entry: ChangeEntry) -> Snapshot:
+    """The :class:`Snapshot` a ``snapshot`` entry records."""
+    data = entry.snapshot or {}
+    entries = {
+        rule_id: (int(pair[0]), bool(pair[1]))
+        for rule_id, pair in data.get("entries", {}).items()
+    }
+    return Snapshot(
+        data.get("name", ""), entry.namespace, entry.at, entry.author, entry.reason, entries
+    )
 
 
 def bind_chimera(

@@ -393,22 +393,25 @@ _view_op = st.one_of(
 )
 
 
-def _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids):
+def _apply_view_op(op, executors, ruleset, items, retired, item_ids, rule_ids):
     kind = op[0]
     live = sorted(rule.rule_id for rule in ruleset)
     if kind == "add_items":
         batch = [_item(f"i{next(item_ids):03d}", spec) for spec in op[1]]
         items.update((item.item_id, item) for item in batch)
-        executor.add_items(batch)
+        for executor in executors:
+            executor.add_items(batch)
     elif kind == "relist_item" and items:
         item_id = sorted(items)[op[1] % len(items)]
         items[item_id] = _item(item_id, op[2])
-        executor.add_items([items[item_id]])
+        for executor in executors:
+            executor.add_items([items[item_id]])
     elif kind == "duplicate_items":
         item_id = f"i{next(item_ids):03d}"
         batch = [_item(item_id, op[1]), _item(item_id, op[2])]
         items[item_id] = batch[-1]  # the later listing wins
-        executor.add_items(batch)
+        for executor in executors:
+            executor.add_items(batch)
     elif kind == "add_rules":
         for build in op[1]:
             ruleset.add(build(f"r{next(rule_ids):03d}"))
@@ -435,7 +438,8 @@ def _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids):
         gone += [f"i{next(item_ids):03d}" for _ in range(op[2])]
         for item_id in gone:
             items.pop(item_id, None)
-        executor.remove_items(gone)
+        for executor in executors:
+            executor.remove_items(gone)
 
 
 @settings(max_examples=100, deadline=None)
@@ -446,19 +450,28 @@ def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
     ``NaiveExecutor`` run over the live state gives when recomputed from
     nothing — and a map handed out before the op must not have moved.
     Every tracked rule's store column, enabled or not, is the rows its
-    condition holds on, recomputed from scratch."""
+    condition holds on, recomputed from scratch. A second executor on the
+    same set that is never asked for ``fired_map()`` patches ``fired_pairs``
+    and ``fired_fingerprint()`` with no view built; at the end its first
+    ``fired_map()`` builds one equal to the reference."""
     ruleset = RuleSet()
-    executor = IncrementalExecutor()
+    executor, blind = IncrementalExecutor(), IncrementalExecutor()
     executor.attach_ruleset(ruleset)
+    blind.attach_ruleset(ruleset)
     items, retired = {}, []
     item_ids, rule_ids = itertools.count(), itertools.count()
     for op in ops:
         before = executor.fired_map()
         frozen = copy.deepcopy(before)
-        _apply_view_op(op, executor, ruleset, items, retired, item_ids, rule_ids)
+        _apply_view_op(
+            op, (executor, blind), ruleset, items, retired, item_ids, rule_ids
+        )
         reference = _canonical(
             NaiveExecutor(list(ruleset)).run(list(items.values()))[0]
         )
+        assert blind.fired_pairs == sum(len(hits) for hits in reference.values())
+        assert blind.fired_fingerprint() == fingerprint_from_scratch(reference)
+        assert blind._view is None
         fired = executor.fired_map()
         assert fired == reference
         assert list(fired) == list(reference)
@@ -470,6 +483,8 @@ def test_patched_view_is_the_from_scratch_view_after_every_op(ops):
             assert executor.fired_for_rule(rule.rule_id) == sorted(
                 item_id for item_id, item in items.items() if rule.matches(item)
             )
+    assert blind.fired_map() == reference
+    assert list(blind.fired_map()) == list(reference)
 
 
 def _refuse(self, *args, **kwargs):
@@ -488,10 +503,11 @@ class _NoWalkList(list):
     __iter__ = __reversed__ = __contains__ = index = count = _refuse
 
 
-def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
+def _batch_epilogue(monkeypatch, view_built):
     """After 40 batches, one more batch of k items hashes at most 2k rows
     (new row in; a re-listed row's old hash out) and walks neither the
-    store nor the view."""
+    store nor, once a read built it, the view; then the patched values
+    equal the from-scratch ones."""
     rules = [
         WhitelistRule("rings?", "t", rule_id="w1"),
         WhitelistRule("gold", "t", rule_id="w2"),
@@ -512,6 +528,8 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
         executor.add_items(batch(25))
         executor.fired_fingerprint()
     assert executor.item_count == 1000
+    if view_built:
+        executor.fired_map()
 
     hashed = []
     real_row_hash = incremental_module._row_hash
@@ -520,7 +538,8 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
         lambda item_id, rule_ids: hashed.append(item_id) or real_row_hash(item_id, rule_ids),
     )
     executor.store._by_row = _NoWalkList(executor.store._by_row)
-    executor._view = _NoWalkDict(executor._view)
+    if view_built:
+        executor._view = _NoWalkDict(executor._view)
 
     k = 20
     arriving = batch(k - 2) + [
@@ -532,15 +551,27 @@ def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
     fingerprint, pairs = executor.fired_fingerprint(), executor.fired_pairs
     assert 0 < len(hashed) <= 2 * k
     assert set(hashed) <= {item.item_id for item in arriving}
+    assert (executor._view is None) is not view_built
 
     # ... and the patched values are the from-scratch ones.
     executor.store._by_row = executor.store._by_row[:]
-    executor._view = dict(dict.items(executor._view))
+    if view_built:
+        executor._view = dict(dict.items(executor._view))
     reference = store_fired_map(
         executor.store, executor._data_index.ids, frozenset(rule.rule_id for rule in rules)
     )
+    assert fingerprint == fingerprint_from_scratch(reference)
+    assert pairs == sum(len(hits) for hits in reference.values())
     assert executor.fired_map() == reference
     # i00002 gained its first row below the largest id held: still sorted.
     assert list(executor.fired_map()) == list(reference)
-    assert fingerprint == fingerprint_from_scratch(reference)
-    assert pairs == sum(len(hits) for hits in reference.values())
+
+
+def test_batch_epilogue_costs_the_batch_not_the_store(monkeypatch):
+    """No read has built the view: the epilogue patches the pair count and
+    the fingerprint alone, and the first ``fired_map()`` builds the view."""
+    _batch_epilogue(monkeypatch, view_built=False)
+
+
+def test_batch_epilogue_patches_a_built_view_without_walking_it(monkeypatch):
+    _batch_epilogue(monkeypatch, view_built=True)

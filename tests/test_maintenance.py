@@ -173,7 +173,7 @@ class TestTaxonomyChange:
         repo.bind("chimera", ruleset)
         seen = len(repo.log)
         apply_plan([ruleset], plan)
-        assert [(e.op, e.rule_id) for e in repo.log.entries[seen:]] == [
+        assert [(e.op, e.rule_id) for e in list(repo.log)[seen:]] == [
             ("disable", self.pants_rule.rule_id),
             ("replace", self.jeans_rule.rule_id),
         ]

@@ -46,8 +46,9 @@ class TestChangeLog:
                                    author="bob", reason="noisy", rule_id="r1"))
         with ChangeLog(path) as log:
             assert len(log) == 2
-            assert log.entries[0].rule == {"kind": "whitelist"}
-            assert log.entries[1].reason == "noisy"
+            assert log.entry(0).rule == {"kind": "whitelist"}
+            assert log.entry(1).reason == "noisy"
+            assert log.last == log.entry(-1)
             assert log.next_seq == 3
 
     def test_append_only_seq_enforced(self, tmp_path):
@@ -71,7 +72,7 @@ class TestChangeLog:
             log.append(ChangeEntry(seq=2, at=0.2, namespace="em", op="remove",
                                    author="a", rule_id="r1"))
         with ChangeLog(path) as log:
-            assert [entry.op for entry in log.entries] == ["add", "remove"]
+            assert [entry.op for entry in log] == ["add", "remove"]
 
     def test_describe_lines(self):
         entry = ChangeEntry(seq=7, at=1.25, namespace="em", op="disable",
@@ -304,6 +305,18 @@ class TestSnapshotsAndRollback:
         with pytest.raises(RepositoryError, match="unknown snapshot"):
             repo.rollback("v9")
 
+    def test_changes_limit_zero_is_empty_and_negative_refused(self):
+        repo = RuleRepository()
+        rule = wl("rings?")
+        repo.add("em", rule)
+        repo.set_enabled("em", rule.rule_id, False)
+        assert len(repo.changes()) == 2
+        assert repo.changes(limit=0) == []
+        assert [entry.op for entry in repo.changes(limit=1)] == ["disable"]
+        assert len(repo.changes(limit=5)) == 2
+        with pytest.raises(ValueError, match="non-negative"):
+            repo.changes(limit=-1)
+
     def test_blame_newest_first_with_provenance(self):
         repo = RuleRepository()
         rule = wl("rings?")
@@ -377,7 +390,7 @@ class TestPersistence:
             assert [e.op for e in repo.blame(rule.rule_id)] == ["audit-import", "add"]
             # the marker changed no state, and the log stays appendable
             repo.set_enabled("em", rule.rule_id, False)
-            assert repo.log.entries[-1].seq == seq + 1
+            assert repo.log.last.seq == seq + 1
 
 
 # -- acceptance: zero-evaluation rollback at scale --------------------------------
@@ -496,6 +509,20 @@ class TestRepoCli:
             rule_id = repo.rule_ids("em")[0]
         assert self.run("repo", "blame", "--root", root, rule_id) == 0
         assert "alice" in capsys.readouterr().out
+
+    def test_log_limit_zero_prints_nothing_and_negative_is_refused(
+        self, store, capsys
+    ):
+        root, rules_path = store
+        self.run("repo", "import", "--root", root, "--ns", "em", rules_path)
+        capsys.readouterr()
+        assert self.run("repo", "log", "--root", root, "--limit", "0") == 0
+        assert capsys.readouterr().out == ""
+        assert self.run("repo", "log", "--root", root, "--limit", "1") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        with pytest.raises(SystemExit):
+            self.run("repo", "log", "--root", root, "--limit", "-1")
+        assert "non-negative" in capsys.readouterr().err
 
     def test_diff_and_rollback(self, store, capsys):
         root, rules_path = store

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -307,7 +308,7 @@ class TestRepositoryRevisions:
                 name = snapshots[pick % len(snapshots)]
                 restored = dict(repo.get_snapshot(name)["em"].entries)
                 repo.rollback(name)
-            for entry in repo.log.entries[seen:]:
+            for entry in map(repo.log.entry, range(seen, len(repo.log))):
                 if entry.op not in ("add", "replace"):
                     continue
                 if entry.rule_id in restored:
@@ -345,7 +346,7 @@ class TestRepositoryRevisions:
             assert [(r.rule_id, r.enabled) for r in adopted] == expected
             assert len(repo.log) == changes
             adopted.enable(second.rule_id)  # and the adopted set is bound
-            assert repo.log.entries[-1].op == "enable"
+            assert repo.log.last.op == "enable"
 
 
 # -- repository round-trip property ----------------------------------------------
@@ -394,3 +395,73 @@ class TestRepositoryRoundTrip:
                 for rule_id in repo.rule_ids("em")
             }
         assert actual == expected
+
+
+def _query_surface(repo, snapshots):
+    """Everything a repository answers about its history, by value."""
+    changes = repo.changes()
+    ids = sorted({entry.rule_id for entry in changes if entry.rule_id})
+    refs = [None] + snapshots
+    return {
+        "changes": [entry.to_dict() for entry in changes],
+        "tail": [entry.to_dict() for entry in repo.changes("em", limit=3)],
+        "blame": {rule_id: repo.blame(rule_id) for rule_id in ids},
+        "payloads": {
+            (entry.rule_id, entry.revision): repo.rule_payload(
+                "em", entry.rule_id, entry.revision
+            )
+            for entry in changes if entry.op in ("add", "replace")
+        },
+        "snapshots": {name: repo.get_snapshot(name) for name in repo.snapshot_names()},
+        "diff": {(a, b): repo.diff(a, b, ["em"]) for a in refs for b in refs},
+        "live": [rule_to_dict(rule) for rule in repo.materialize("em")],
+    }
+
+
+class TestReopenedQueries:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_script_op, min_size=4, max_size=30), st.integers(0, 7))
+    def test_reopened_root_answers_as_the_live_repository(
+        self, tmp_path_factory, script, pick
+    ):
+        """Property: a reopened root, which reads entries, payloads and
+        snapshots back from their lines, answers ``changes()``,
+        ``blame()``, ``rule_payload()``, ``get_snapshot()`` and ``diff()``
+        equal to the live repository that wrote the log, and a
+        ``rollback()`` on each does the same ops and leaves equal state."""
+        base = tmp_path_factory.mktemp("repo")
+        root, copy = str(base / "live"), str(base / "copy")
+        live = RuleRepository.open(root, fsync=False)
+        ruleset = RuleSet(name="em")
+        live.bind("em", ruleset)
+        snapshots = []
+        patterns = ("rings?", "bands?", "hoops?")
+        for step, (op, pick_id) in enumerate(script):
+            rule_id = f"q-{pick_id}"
+            if op == "add" and rule_id not in ruleset:
+                ruleset.add(WhitelistRule(patterns[step % 3], "rings", rule_id=rule_id))
+            elif op == "replace" and rule_id in ruleset:
+                ruleset.replace(WhitelistRule(patterns[step % 3], "rings", rule_id=rule_id))
+            elif op == "remove" and rule_id in ruleset:
+                ruleset.remove(rule_id)
+            elif op in ("enable", "disable") and rule_id in ruleset:
+                (ruleset.enable if op == "enable" else ruleset.disable)(rule_id)
+            elif op == "snapshot":
+                snapshots.append(f"s{step}")
+                live.snapshot(snapshots[-1])
+            elif op == "rollback" and snapshots:
+                live.rollback(snapshots[pick_id % len(snapshots)])
+        shutil.copytree(root, copy)
+        reopened = RuleRepository.open(copy, fsync=False)
+        try:
+            assert _query_surface(reopened, snapshots) == _query_surface(live, snapshots)
+            if snapshots:
+                seen = len(live.log)
+                name = snapshots[pick % len(snapshots)]
+                assert reopened.rollback(name) == live.rollback(name)
+                assert reopened.changes()[seen:] == live.changes()[seen:]
+                assert _query_surface(reopened, snapshots) == \
+                    _query_surface(live, snapshots)
+        finally:
+            live.close()
+            reopened.close()

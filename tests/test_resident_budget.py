@@ -7,18 +7,21 @@ live world's over 40 batches, with and without an attribute rule
 tracked, and a resumed world's over everything its journal holds — and
 pins the decisions that set it: the corpus is columns indexed by row (ids,
 titles, token tuples; attributes only once an attribute rule is tracked)
-holding no record (the journal does), no view and no set per row; a
-write-ahead provenance log and the series store keep their windows in
-their files and hold only the offset of each retained line; the corpus
-index's postings and the match store's rule columns are arrays of rows,
-and the store's row sets are shared, one object per distinct row. The
-bounded text LRUs are emptied before each reading: their fill is not
-slope.
+holding no record (the journal does), no view and no set per row; the
+engine builds no fired view; a write-ahead provenance log and the series
+store keep their windows in their files and hold only the offset of each
+retained line; the corpus index's postings and the match store's rule
+columns are arrays of rows, and the store's row sets are shared, one
+object per distinct row. The bounded text LRUs are emptied before each
+reading: their fill is not slope. A reopened change log is held to a
+budget per line the same way: entries, payloads and snapshots stay in
+the file behind offsets.
 
 The budgets (``repro.testing.budgets``) are the largest reading over
-``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (454 /
-654 B per item, 597 with the attribute rule), plus 5%. While each row was
-a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
+``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (394 /
+541 B per item, 538 with the attribute rule), plus 5%. While the engine
+kept a fired view and the change log was held decoded they read 454 /
+654 / 597. While each row was a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
 while corpus rows held their records and the series its lines 1,138 /
 1,308 (1,410 / 1,309 with the live world's cache fill counted). While the
 ring held the encoded lines and a by-item index they read 1,955 / 1,852;
@@ -41,8 +44,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.catalog.types import ProductItem
-from repro.core import AttributeRule
+from repro.core import AttributeRule, WhitelistRule
 from repro.core.prepared import PreparedItem
+from repro.core.ruleset import RuleSet
+from repro.repository import RuleRepository
 from repro.service import ServiceConfig, StreamService
 from repro.testing import budgets
 from repro.utils.text import clear_caches
@@ -112,6 +117,9 @@ def _retention_offenders(service: StreamService) -> dict:
             [f"{len(rows)} row objects for {distinct_rows} distinct rows"]
             if len({id(row) for row in rows}) > distinct_rows
             else []
+        ),
+        "an engine holding a fired view": (
+            ["_view"] if service.incremental._view is not None else []
         ),
         "a write-ahead log holding records, lines or by-item entries": [
             name
@@ -188,12 +196,65 @@ def test_attribute_world_bytes_per_item_within_budget(readings):
 
 @pytest.mark.parametrize("world", ["live", "resumed", "attribute"])
 def test_nothing_retains_probe_sets_deques_or_decoded_records(readings, world):
-    """No world holds a record, a view or a set per row, and store rows
-    are shared; only the world tracking an attribute rule holds an
-    attributes column."""
+    """No world holds a record, a view or a set per row, nor a fired view
+    (no served read builds one), and store rows are shared; only the world
+    tracking an attribute rule holds an attributes column."""
     offenders = readings[f"{world}_offenders"]
     expected = (
         {"corpus columns beyond ids, titles and tokens": ["attributes"]}
         if world == "attribute" else {}
     )
     assert {what: found[:3] for what, found in offenders.items() if found} == expected
+
+
+_PATTERNS = ("rings?", "gold bands?", "silver hoops?", "pearl necklaces?")
+
+
+def _churned_repository(root) -> int:
+    """A change log of adds, a snapshot, replaces, disables, removes,
+    enables and a second snapshot; returns its line count."""
+    with RuleRepository.open(root, fsync=False) as repository:
+        rules = RuleSet(name="em")
+        repository.bind("em", rules)
+        ids = [f"r{n:04d}" for n in range(500)]
+        for n, rule_id in enumerate(ids):
+            rules.add(WhitelistRule(_PATTERNS[n % 4], "rings", rule_id=rule_id))
+        repository.snapshot("first")
+        for n in range(0, 500, 2):
+            rules.replace(WhitelistRule(_PATTERNS[(n + 1) % 4], "rings", rule_id=ids[n]))
+        for n in range(1, 500, 4):
+            rules.disable(ids[n])
+        for n in range(3, 500, 8):
+            rules.remove(ids[n])
+        for n in range(1, 500, 8):
+            rules.enable(ids[n])
+        repository.snapshot("second")
+        return len(repository.log)
+
+
+def test_reopened_repository_bytes_per_change_within_budget(tmp_path):
+    """A reopened repository holds its live rules and, per change, an
+    offset and the fold's indices: no decoded entry, no payload copy and
+    no decoded snapshot (each is read back from its line on demand)."""
+    root = str(tmp_path / "repo")
+    lines = _churned_repository(root)
+    assert lines >= 1_000
+    RuleRepository.open(root, fsync=False).close()  # warms what is process-global
+    with _traced_growth() as grown:
+        repository = RuleRepository.open(root, fsync=False)
+    decoded = [
+        value
+        for value in (
+            list(vars(repository.log).values())
+            + [start for by_ns in repository._snapshots.values() for start in by_ns.values()]
+            + [
+                start
+                for state in repository._namespaces.values()
+                for start in state.payloads.values()
+            ]
+        )
+        if isinstance(value, (list, dict))
+    ]
+    repository.close()
+    assert grown[0] / lines <= budgets.RESUMED_B_PER_CHANGE
+    assert decoded == []
