@@ -182,8 +182,8 @@ class LearningClassifierStage(ClassifierStage):
     Without an explicit ``ensemble`` the stage holds none (``ensemble is
     None``) until its first :meth:`fit` builds
     :func:`~repro.learning.ensemble.default_ensemble` from ``seed``. The
-    learning package (numpy, scipy.sparse) is imported there, so a
-    rules-only process never loads it.
+    learning package (numpy only) is imported there, so a rules-only
+    process never loads it.
     """
 
     def __init__(

@@ -4,10 +4,12 @@
 etc.), often combining them into an ensemble." No ML library is assumed:
 TF-IDF features, Multinomial Naive Bayes, k-nearest-neighbours, a linear
 SVM (one-vs-rest SGD hinge), softmax logistic regression, and a weighted
-voting ensemble are implemented directly on numpy/scipy.sparse.
+voting ensemble are implemented directly on numpy; their sparse algebra is
+:mod:`repro.learning.sparse`, which reproduces scipy.sparse's results bit
+for bit without importing it.
 
-Importing this package imports numpy and scipy. Chimera therefore imports
-it only where it fits a learner (``LearningClassifierStage.fit`` builds
+Importing this package imports numpy. Chimera therefore imports it only
+where it fits a learner (``LearningClassifierStage.fit`` builds
 :func:`default_ensemble` there), so a rules-only process never loads it.
 """
 

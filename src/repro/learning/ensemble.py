@@ -38,6 +38,8 @@ class VotingEnsemble:
             )
         if any(w < 0 for w in weights):
             raise ValueError("member weights must be non-negative")
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.members: List[TextClassifier] = list(members)
         self.weights: List[float] = list(weights)
         self.top_k = top_k

@@ -1,12 +1,13 @@
-"""TF-IDF feature extraction on scipy.sparse matrices."""
+"""TF-IDF feature extraction into :class:`~repro.learning.sparse.CsrMatrix` rows."""
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
+from repro.learning.sparse import CsrMatrix
 from repro.utils.text import tokenize
 
 
@@ -34,7 +35,7 @@ class TfidfVectorizer:
         tokens = tokenize(title) if isinstance(title, str) else title
         features = list(tokens)
         if self.use_bigrams:
-            features.extend(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))
+            features.extend(map("_".join, zip(tokens, tokens[1:])))
         return features
 
     def fit(self, titles: Sequence[str]) -> "TfidfVectorizer":
@@ -56,40 +57,23 @@ class TfidfVectorizer:
         self._fitted = True
         return self
 
-    def transform(self, titles: Sequence[str]) -> sparse.csr_matrix:
+    def transform(self, titles: Sequence[str]) -> CsrMatrix:
         """Row-normalized TF-IDF matrix of shape (len(titles), |vocab|)."""
         if not self._fitted:
             raise RuntimeError("vectorizer is not fitted; call fit() first")
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for row_index, title in enumerate(titles):
-            counts: Dict[int, int] = {}
-            for feature in self._features(title):
-                col = self.vocabulary.get(feature)
-                if col is not None:
-                    counts[col] = counts.get(col, 0) + 1
-            for col, count in counts.items():
-                tf = 1.0 + np.log(count) if self.sublinear_tf else float(count)
-                rows.append(row_index)
-                cols.append(col)
-                data.append(tf * self._idf[col])
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(titles), len(self.vocabulary))
+        vocabulary = self.vocabulary
+        counts = CsrMatrix.from_rows(
+            [list(map(vocabulary.get, self._features(title), repeat(-1))) for title in titles],
+            len(vocabulary),
         )
-        return _l2_normalize(matrix)
+        tf = 1.0 + np.log(counts.data) if self.sublinear_tf else counts.data
+        tfidf = CsrMatrix(tf * self._idf[counts.indices], counts.indices, counts.indptr, counts.shape)
+        return tfidf.normalized()
 
-    def fit_transform(self, titles: Sequence[str]) -> sparse.csr_matrix:
+    def fit_transform(self, titles: Sequence[str]) -> CsrMatrix:
         return self.fit(titles).transform(titles)
 
     @property
     def n_features(self) -> int:
         return len(self.vocabulary)
 
-
-def _l2_normalize(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Normalize rows to unit L2 norm (zero rows stay zero)."""
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-    norms[norms == 0] = 1.0
-    inverse = sparse.diags(1.0 / norms)
-    return (inverse @ matrix).tocsr()

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.learning.base import TextClassifier
 from repro.learning.features import TfidfVectorizer
+from repro.learning.sparse import CsrMatrix
+
+# Queries scored per dense similarity block (bounds its memory).
+BLOCK_SIZE = 512
 
 
 class KNearestNeighbors(TextClassifier):
@@ -16,40 +19,40 @@ class KNearestNeighbors(TextClassifier):
 
     Rows are L2-normalized by the vectorizer, so the dense dot product of
     the query block with the training matrix *is* the cosine similarity.
-    Queries are processed in blocks to bound memory.
+    Queries are processed in blocks of :data:`BLOCK_SIZE` to bound memory.
     """
 
     name = "knn"
 
-    def __init__(self, k: int = 7, top_k: int = 3, block_size: int = 512):
+    def __init__(self, k: int = 7, top_k: int = 3):
         super().__init__(top_k=top_k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.k = k
-        self.block_size = block_size
         self.vectorizer = TfidfVectorizer()
-        self._train: sparse.csr_matrix = sparse.csr_matrix((0, 0))
+        self._columns: Optional[CsrMatrix] = None  # the training matrix, by column
         self._y: np.ndarray = np.zeros(0, dtype=np.int64)
 
     def _fit(self, titles: Sequence[str], y: np.ndarray) -> None:
-        self._train = self.vectorizer.fit_transform(titles)
+        self._columns = self.vectorizer.fit_transform(titles).by_column()
         self._y = y
 
     def _scores(self, titles: Sequence[str]) -> np.ndarray:
         queries = self.vectorizer.transform(titles)
-        n_classes = len(self.encoder)
-        k = min(self.k, self._train.shape[0])
-        scores = np.zeros((queries.shape[0], n_classes))
-        for start in range(0, queries.shape[0], self.block_size):
-            block = queries[start : start + self.block_size]
-            similarity = np.asarray((block @ self._train.T).todense())
+        n_queries = queries.shape[0]
+        k = min(self.k, self._columns.shape[1])
+        scores = np.zeros((n_queries, len(self.encoder)))
+        for start in range(0, n_queries, BLOCK_SIZE):
+            block = queries.take(np.arange(start, min(start + BLOCK_SIZE, n_queries)))
+            similarity = block.similarity(self._columns)
             # Indices of the k most similar training rows per query.
-            neighbour_index = np.argpartition(-similarity, k - 1, axis=1)[:, :k]
-            for row in range(similarity.shape[0]):
-                for col in neighbour_index[row]:
-                    weight = similarity[row, col]
-                    if weight > 0:
-                        scores[start + row, self._y[col]] += weight
+            neighbours = np.argpartition(-similarity, k - 1, axis=1)[:, :k]
+            weights = np.take_along_axis(similarity, neighbours, axis=1)
+            voting = weights > 0
+            # Row-major, as a loop over rows and then neighbours would add.
+            np.add.at(
+                scores,
+                (np.nonzero(voting)[0] + start, self._y[neighbours[voting]]),
+                weights[voting],
+            )
         return scores

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.learning.base import TextClassifier
 from repro.learning.features import TfidfVectorizer
@@ -54,10 +53,10 @@ class LogisticRegressionClassifier(TextClassifier):
         bias = np.zeros(n_classes)
         for epoch in range(self.epochs):
             step = self.learning_rate / np.sqrt(1.0 + epoch)
-            logits = np.asarray(features @ weights.T) + bias
+            logits = features.dot(weights.T) + bias
             probabilities = _softmax(logits)
             error = probabilities - one_hot  # (n_samples, n_classes)
-            gradient = np.asarray((features.T @ error)).T / n_samples  # (classes, features)
+            gradient = features.tdot(error) / n_samples  # (classes, features)
             weights -= step * (gradient + self.regularization * weights)
             bias -= step * error.mean(axis=0)
         self._weights = weights
@@ -65,5 +64,5 @@ class LogisticRegressionClassifier(TextClassifier):
 
     def _scores(self, titles: Sequence[str]) -> np.ndarray:
         features = self.vectorizer.transform(titles)
-        logits = np.asarray(features @ self._weights.T) + self._bias
+        logits = features.dot(self._weights.T) + self._bias
         return np.log(_softmax(logits) + 1e-12)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.learning.base import TextClassifier
 from repro.learning.features import TfidfVectorizer
@@ -32,18 +31,13 @@ class MultinomialNaiveBayes(TextClassifier):
     def _fit(self, titles: Sequence[str], y: np.ndarray) -> None:
         features = self.vectorizer.fit_transform(titles)
         n_classes = len(self.encoder)
-        n_features = features.shape[1]
         class_counts = np.bincount(y, minlength=n_classes).astype(float)
         self._log_prior = np.log(class_counts / class_counts.sum())
 
-        # Sum feature mass per class via a class-indicator matrix product.
-        indicator = sparse.csr_matrix(
-            (np.ones(len(y)), (y, np.arange(len(y)))), shape=(n_classes, len(y))
-        )
-        feature_mass = np.asarray((indicator @ features).todense())
+        feature_mass = features.class_mass(y, n_classes)
         smoothed = feature_mass + self.alpha
         self._log_likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
 
     def _scores(self, titles: Sequence[str]) -> np.ndarray:
         features = self.vectorizer.transform(titles)
-        return np.asarray(features @ self._log_likelihood.T) + self._log_prior
+        return features.dot(self._log_likelihood.T) + self._log_prior

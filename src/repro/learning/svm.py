@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 from typing import Sequence
 
-from scipy import sparse
+import numpy as np
 
 from repro.learning.base import TextClassifier
 from repro.learning.features import TfidfVectorizer
@@ -33,6 +32,8 @@ class LinearSvmClassifier(TextClassifier):
         super().__init__(top_k=top_k)
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
@@ -56,15 +57,15 @@ class LinearSvmClassifier(TextClassifier):
             step = self.learning_rate / (1.0 + epoch)
             for start in range(0, n_samples, self.batch_size):
                 batch_rows = order[start : start + self.batch_size]
-                x_batch = features[batch_rows]
+                x_batch = features.take(batch_rows)
                 y_batch = y[batch_rows]
                 targets = -np.ones((len(batch_rows), n_classes))
                 targets[np.arange(len(batch_rows)), y_batch] = 1.0
 
-                margins = targets * (np.asarray(x_batch @ weights.T) + bias)
+                margins = targets * (x_batch.dot(weights.T) + bias)
                 violating = (margins < 1.0).astype(float) * targets  # (batch, classes)
 
-                gradient = -np.asarray(violating.T @ x_batch) / len(batch_rows)
+                gradient = -x_batch.tdot(violating) / len(batch_rows)
                 weights *= 1.0 - step * self.regularization
                 weights -= step * gradient
                 bias += step * violating.mean(axis=0)
@@ -73,4 +74,4 @@ class LinearSvmClassifier(TextClassifier):
 
     def _scores(self, titles: Sequence[str]) -> np.ndarray:
         features = self.vectorizer.transform(titles)
-        return np.asarray(features @ self._weights.T) + self._bias
+        return features.dot(self._weights.T) + self._bias

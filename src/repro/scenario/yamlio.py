@@ -6,7 +6,7 @@ them with the parser below, whether or not PyYAML is importable, so a
 spec runs through the same code everywhere. It understands the strict
 subset the shipped library files use — nested mappings and lists by
 indentation, inline ``[a, b]`` lists and ``{k: v}`` maps, quoted and
-plain scalars, comments — so the harness works on a bare ``numpy/scipy``
+plain scalars, comments — so the harness works on a bare ``numpy``
 install.
 
 The subset is deliberately strict (tabs, anchors, multi-document streams

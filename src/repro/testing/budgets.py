@@ -18,9 +18,11 @@ ATTRIBUTE_B_PER_ITEM = int(538.0 * 1.05)
 # 520.8 with entries behind line offsets (332b4e1 decoded them: 1,973.3).
 RESUMED_B_PER_CHANGE = int(520.8 * 1.05)
 
-# Interpreter calls per served item (tests/test_served_budget.py), a flat
-# ceiling: 8e8444a read 400.6 / 671.4.
-CALL_BUDGET = {"training=0": 415.0, "default": 700.0}
+# Interpreter calls per served item (tests/test_served_budget.py). The
+# rules-only ceiling is flat (8e8444a read 400.6). With the learners' sparse
+# algebra on numpy alone the default config reads 555.8 over PYTHONHASHSEED
+# 0, 1, 2 and random (3097a09 read 668.4, 32.4 of them made from scipy).
+CALL_BUDGET = {"training=0": 415.0, "default": round(555.8 * 1.05, 1)}
 
 # Compiled-engine work per scenario item (tests/test_served_budget.py),
 # exact, by executor kind: (CompiledRuleSet.match_item calls, execute

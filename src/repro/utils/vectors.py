@@ -3,8 +3,9 @@
 The section 5.1 tool builds TF/IDF prefix/suffix vectors per regex match,
 normalizes them, averages them per candidate synonym, and compares them with
 cosine similarity. Those vectors are tiny and extremely sparse, so a
-dict-backed vector is simpler and faster here than scipy.sparse matrices
-(which the learning substrate uses for the bulk classifier workloads).
+dict-backed vector is simpler and faster here than CSR matrices (which the
+learning substrate, ``repro.learning.sparse``, uses for the bulk classifier
+workloads).
 """
 
 from __future__ import annotations

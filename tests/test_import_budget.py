@@ -1,14 +1,16 @@
-"""A rules-only process loads no ML stack.
+"""A rules-only process loads no ML stack, and a learning one loads no scipy.
 
-numpy and scipy.sparse belong to the learning ensemble and the rule miner,
-and importing them is about half of a rules-only daemon's start-up and a
-quarter of its peak memory. The pipeline builds its ensemble at the first
-fit and the CLI imports the miner only where it induces, so importing the
-service or the CLI, and serving and resuming a ``training=0`` root, must
-leave both out of ``sys.modules``. Each check runs in a fresh interpreter,
-because this one has long since imported both. The last two checks keep
-the gate honest: a learning world still loads the stack, and induction
-still runs.
+numpy belongs to the learning ensemble and the rule miner, and importing
+it is about half of a rules-only daemon's start-up and a quarter of its
+peak memory. The pipeline builds its ensemble at the first fit and the CLI
+imports the miner only where it induces, so importing the service or the
+CLI, and serving and resuming a ``training=0`` root, must leave numpy and
+scipy out of ``sys.modules``. The ensemble's sparse algebra is
+``repro.learning.sparse`` on numpy alone, so a learning daemon loads numpy
+and never scipy: serving and resuming a ``training=120`` root must work
+with every scipy import made to fail. Each check runs in a fresh
+interpreter, because this one has long since imported both. The last
+check keeps the gate honest: induction still runs.
 """
 
 import json
@@ -75,7 +77,13 @@ def test_a_rules_only_service_serves_and_resumes_without_the_ml_stack(tmp_path):
 
 
 def test_a_learning_service_still_loads_the_ml_stack(tmp_path):
-    assert _serve(tmp_path, training=120, batches=1) == ["numpy", "scipy"]
+    assert _serve(tmp_path, training=120, batches=1) == ["numpy"]
+
+
+def test_a_learning_service_serves_and_resumes_with_scipy_unimportable(tmp_path):
+    # A None entry in sys.modules makes every ``import scipy...`` raise.
+    code = "import sys\nsys.modules['scipy'] = None\n" + SERVE
+    _fresh(["-c", code, str(tmp_path / "root"), "120", "3"], tmp_path)
 
 
 def test_rulegen_subcommand_still_induces(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the learning substrate."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.learning import (
     TfidfVectorizer,
     VotingEnsemble,
 )
+from repro.learning import knn
 
 CLASSIFIERS = [
     MultinomialNaiveBayes,
@@ -59,7 +62,7 @@ class TestTfidfVectorizer:
     def test_rows_unit_norm(self, small_training):
         titles, _ = small_training
         matrix = TfidfVectorizer().fit_transform(titles)
-        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
+        norms = np.sqrt(np.bincount(matrix.row_ids(), matrix.data ** 2, minlength=len(titles)))
         assert np.allclose(norms[norms > 0], 1.0)
 
     def test_unseen_tokens_ignored(self, small_training):
@@ -120,6 +123,15 @@ class TestClassifiers:
             classifier_cls().fit([], [])
 
 
+class TestLinearSvmOptions:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # -1 used to train nothing (every title scored 1/n) and 0 to fail
+        # only at fit, inside range().
+        with pytest.raises(ValueError, match="batch_size"):
+            LinearSvmClassifier(batch_size=batch_size)
+
+
 class TestVotingEnsemble:
     def test_combines_members(self, small_training):
         titles, labels = small_training
@@ -144,6 +156,12 @@ class TestVotingEnsemble:
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError):
             VotingEnsemble([MultinomialNaiveBayes()], weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        # -1 used to drop the lowest-ranked label and 0 to vote nothing.
+        with pytest.raises(ValueError, match="top_k"):
+            VotingEnsemble([MultinomialNaiveBayes()], top_k=top_k)
 
     def test_batch_empty(self, small_training):
         titles, labels = small_training
@@ -193,17 +211,18 @@ def test_predict_batch_is_predict_bit_for_bit(corpus, titles, repeat):
     crosses. Ties are common (small corpora score many classes equal), so
     this also pins that ``_rank`` orders a row the same whatever its
     neighbours are."""
-    titles = titles + [titles[repeat % len(titles)]] * 5  # duplicates; > block_size
+    titles = titles + [titles[repeat % len(titles)]] * 5  # duplicates; > BLOCK_SIZE
     train_titles = [title for title, _ in corpus]
     train_labels = [label for _, label in corpus]
     members = [
         MultinomialNaiveBayes(),
-        KNearestNeighbors(k=3, block_size=4),
+        KNearestNeighbors(k=3),
         LinearSvmClassifier(epochs=2, seed=1),
     ]
     ensemble = VotingEnsemble(members).fit(train_titles, train_labels)
-    for model in members + [ensemble]:
-        batched = model.predict_batch(titles)
-        assert len(batched) == len(titles)
-        for title, row in zip(titles, batched):
-            assert _bits(row) == _bits(model.predict(title)), (model.name, title)
+    with mock.patch.object(knn, "BLOCK_SIZE", 4):
+        for model in members + [ensemble]:
+            batched = model.predict_batch(titles)
+            assert len(batched) == len(titles)
+            for title, row in zip(titles, batched):
+                assert _bits(row) == _bits(model.predict(title)), (model.name, title)

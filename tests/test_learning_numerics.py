@@ -1,5 +1,7 @@
 """Numeric sanity tests for the learning substrate internals."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.learning import (
     MultinomialNaiveBayes,
     TfidfVectorizer,
 )
+from repro.learning import knn
 from repro.learning.base import _normalize_scores
 from repro.learning.logistic import _softmax
 
@@ -66,12 +69,12 @@ class TestKnnInternals:
         titles = [f"item number {i} gold ring" for i in range(30)] + \
                  [f"item number {i} blue jeans" for i in range(30)]
         labels = ["rings"] * 30 + ["jeans"] * 30
-        big = KNearestNeighbors(block_size=512).fit(titles, labels)
-        small = KNearestNeighbors(block_size=3).fit(titles, labels)
+        model = KNearestNeighbors().fit(titles, labels)
         queries = ["gold ring sale", "jeans cheap", "item number 5"]
-        for query in queries:
-            assert [p.label for p in big.predict(query)] == \
-                   [p.label for p in small.predict(query)]
+        big = model.predict_batch(queries)
+        with mock.patch.object(knn, "BLOCK_SIZE", 2):
+            small = model.predict_batch(queries)
+        assert big == small
 
 
 class TestLogisticInternals:
