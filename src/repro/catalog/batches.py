@@ -15,6 +15,7 @@ vocabulary"; :class:`VendorProfile` models that with title rewrites.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -70,6 +71,17 @@ class VendorProfile:
         )
 
 
+def check_mean_gap_hours(value: float) -> float:
+    """``value`` when it is a finite number of hours > 0 (the mean of the
+    exponential gap between batches); else a ``ValueError`` naming the
+    field. Zero and infinity would divide by zero at the first batch, a
+    negative gap would move the clock backwards, and NaN would serve and
+    checkpoint a clock that is not valid JSON."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"mean_gap_hours must be a finite number > 0, got {value!r}")
+    return value
+
+
 class BatchStream:
     """Generates a deterministic stream of vendor batches.
 
@@ -92,7 +104,7 @@ class BatchStream:
         self.vendors: List[VendorProfile] = list(vendors) or [
             VendorProfile(name=f"vendor-{i:03d}") for i in range(1, 6)
         ]
-        self.mean_gap_hours = mean_gap_hours
+        self.mean_gap_hours = check_mean_gap_hours(mean_gap_hours)
         self._next_batch = 0
 
     def add_vendor(self, vendor: VendorProfile) -> None:

@@ -9,13 +9,22 @@ classification systems target.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
+#: ``dataclass(slots=True)`` is Python 3.10+; older interpreters build the
+#: same class with an instance ``__dict__``.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTTED)
 class ProductItem:
     """One product record.
+
+    Slotted: a batch in flight and every record read back from the journal
+    holds one per item, and slots save the instance ``__dict__``.
 
     ``true_type`` is the generator's ground truth. By convention only the
     evaluation/crowd/analyst simulators may read it — classifiers never do,

@@ -13,8 +13,8 @@ stages, rule clauses and gate keeper need not care which they hold.
 
 Rules read titles (§2–3), so a served corpus row is held as columns, not
 as a view: :meth:`PreparedItem.of_row` builds a view over a row's id,
-title and token tuple when the row is read. Such a view holds no record;
-its ``item``, ``description``, ``vendor``, ``true_type`` — and
+title and token tuple, decoded when the row is read. Such a view holds no
+record; its ``item``, ``description``, ``vendor``, ``true_type`` — and
 ``attributes`` unless the corpus holds them — raise :class:`RecordNotHeld`,
 never a default.
 """

@@ -5,19 +5,30 @@ it) ... the analyst often needs to run variations of rule R repeatedly on a
 development data set D ... a solution direction is to index the data set D
 for efficient rule execution."
 
-The index is the corpus as columns indexed by row: ``ids``, ``titles``,
-``tokens`` (each title's token tuple with stop words, tokenized once on
-the way in, uncached and interned: an indexed title never enters the text
-LRUs) and, once :meth:`hold_attributes` starts it, ``attributes``. It
-holds no record and no :class:`~repro.core.prepared.PreparedItem`:
-:meth:`view` builds one when a row is read. Callers keep records by row.
+The index is the corpus as flat columns indexed by row, so a row costs
+bytes, not objects:
+
+- ``ids``, a list of the item ids;
+- the titles, one ``bytearray`` of UTF-8 (encoded ``surrogatepass``, so
+  every ``str`` round-trips) cut by an ``array('q')`` of row ends;
+- the tokens, each title's token tuple with stop words (tokenized once on
+  the way in, uncached: an indexed title never enters the text LRUs) as
+  ``array('i')`` codes into one append-only vocabulary of the interned
+  token strings, cut by an ``array('q')`` of row ends;
+- a ``bytearray`` of live flags;
+- once :meth:`hold_attributes` starts it, ``attributes``, a list.
+
+:meth:`title_of` and :meth:`tokens_of` decode a row; :meth:`tokens_of`
+gives the tuple ``tokenize_uncached(title, False)`` gave. The index holds
+no record and no :class:`~repro.core.prepared.PreparedItem`: :meth:`view`
+builds one when a row is read. Callers keep records by row.
 
 The index is mutable: :meth:`add` and :meth:`remove` keep it current under
 batch arrival and item churn, which is what lets the incremental executor
 (:mod:`repro.execution.incremental`) answer "which rows could rule R
-touch?" against a live corpus. Removal tombstones the row (title and
-tokens become ``None``; the id stays, so a reader can still name the row)
-rather than renumbering: row numbers are stable and never reused.
+touch?" against a live corpus. Removal tombstones the row (its live flag
+drops; the id stays, so a reader can still name the row) rather than
+renumbering: row numbers are stable and never reused.
 
 Postings are append-only: each token owns one ``array('i')`` of rows in
 arrival order, 4 bytes an entry, and removal leaves the row's entries in
@@ -44,9 +55,17 @@ class DataIndex:
 
     def __init__(self, items: Iterable[ProductItem] = ()):
         self.ids: List[str] = []
-        self.titles: List[Optional[str]] = []
-        self.tokens: List[Optional[Tuple[str, ...]]] = []
         self.attributes: Optional[List[Optional[Mapping[str, str]]]] = None
+        self._title_bytes = bytearray()
+        self._title_ends = array("q")
+        self._token_codes = array("i")
+        self._token_ends = array("q")
+        self._vocabulary: List[str] = []
+        self._code_of: Dict[str, int] = {}
+        self._live_flags = bytearray()
+        # The last added row and its token tuple: the view admission reads
+        # right after :meth:`add` shares the tuple instead of decoding it.
+        self._fresh: Tuple[int, Tuple[str, ...]] = (-1, ())
         self._postings: Dict[str, array] = {}
         self._row_by_id: Dict[str, int] = {}
         self._live = 0
@@ -75,10 +94,14 @@ class DataIndex:
         if item_id in self._row_by_id:
             self.remove(item_id)
         row = len(self.ids)
-        tokens = tokenize_uncached(item.title, False)
+        title = item.title
+        tokens = tokenize_uncached(title, False)
         self.ids.append(item_id)
-        self.titles.append(item.title)
-        self.tokens.append(tokens)
+        self._title_bytes += title.encode("utf-8", "surrogatepass")
+        self._title_ends.append(len(self._title_bytes))
+        self._encode(tokens)
+        self._live_flags.append(1)
+        self._fresh = (row, tokens)
         if self.attributes is not None:
             self.attributes.append(item.attributes)
         # Post plural-expanded anchors so "ring" anchors find "rings".
@@ -95,13 +118,26 @@ class DataIndex:
         self._live += 1
         return row
 
+    def _encode(self, tokens: Tuple[str, ...]) -> None:
+        """Append ``tokens`` as vocabulary codes, coining a code for each
+        token the vocabulary does not hold yet."""
+        code_of = self._code_of
+        codes = self._token_codes
+        for token in tokens:
+            code = code_of.get(token)
+            if code is None:
+                code = code_of[token] = len(self._vocabulary)
+                self._vocabulary.append(token)
+            codes.append(code)
+        self._token_ends.append(len(codes))
+
     def remove(self, item_id: str) -> Optional[int]:
         """Tombstone an item's row; returns it (None if absent)."""
         row = self._row_by_id.pop(item_id, None)
         if row is None:
             return None
-        posted = len(anchor_tokens(self.tokens[row]))
-        self.titles[row] = self.tokens[row] = None
+        posted = len(anchor_tokens(self.tokens_of(row)))
+        self._live_flags[row] = 0
         if self.attributes is not None:
             self.attributes[row] = None
         self._live -= 1
@@ -121,9 +157,7 @@ class DataIndex:
         self.attributes = column
 
     def _live_of(self, posted: Sequence[int]) -> List[int]:
-        # A posted row has at least one token, so its tokens are truthy
-        # exactly while it is live.
-        return list(compress(posted, map(self.tokens.__getitem__, posted)))
+        return list(compress(posted, map(self._live_flags.__getitem__, posted)))
 
     def _live_posting(self, token: str) -> Sequence[int]:
         """``token``'s live rows, ascending: the array itself while the
@@ -159,19 +193,38 @@ class DataIndex:
 
     def live_rows(self) -> List[int]:
         """Every non-tombstoned row, ascending."""
-        return [row for row, tokens in enumerate(self.tokens) if tokens is not None]
+        return list(compress(range(len(self._live_flags)), self._live_flags))
 
     def row_of(self, item_id: str) -> Optional[int]:
         """The live row indexed under ``item_id``, or None."""
         return self._row_by_id.get(item_id)
 
+    def title_of(self, row: int) -> str:
+        """Row ``row``'s title, decoded from the titles buffer."""
+        ends = self._title_ends
+        return self._title_bytes[ends[row - 1] if row else 0:ends[row]].decode(
+            "utf-8", "surrogatepass"
+        )
+
+    def tokens_of(self, row: int) -> Tuple[str, ...]:
+        """Row ``row``'s token tuple with stop words, rebuilt from its
+        codes: equal to what ``tokenize_uncached(title, False)`` gave."""
+        fresh_row, tokens = self._fresh
+        if row == fresh_row:
+            return tokens
+        ends, vocabulary = self._token_ends, self._vocabulary
+        codes = self._token_codes[ends[row - 1] if row else 0:ends[row]]
+        return tuple([vocabulary[code] for code in codes])
+
     def view(self, row: int, record: Optional[ProductItem] = None) -> PreparedItem:
-        """A live row as the view rules read, sharing its token tuple: over
-        ``record`` (the row's) when given, else over the row alone."""
+        """A live row as the view rules read, over its decoded token tuple:
+        over ``record`` (the row's) when given, else over the row alone."""
         if record is not None:
-            return PreparedItem(record, self.tokens[row])
+            return PreparedItem(record, self.tokens_of(row))
         attributes = None if self.attributes is None else self.attributes[row]
-        return PreparedItem.of_row(self.ids[row], self.titles[row], self.tokens[row], attributes)
+        return PreparedItem.of_row(
+            self.ids[row], self.title_of(row), self.tokens_of(row), attributes
+        )
 
     def candidate_rows(self, rule: Rule) -> List[int]:
         """Live rows that might match ``rule`` (superset; sorted).

@@ -729,7 +729,8 @@ class IncrementalExecutor:
         return row if held is record or held == record else None
 
     def view(self, row: int, record: Optional[ProductItem] = None) -> PreparedItem:
-        """:meth:`DataIndex.view`: the row's tokens are not computed again."""
+        """:meth:`DataIndex.view`: the row's tokens are decoded, not
+        tokenized again."""
         return self._data_index.view(row, record)
 
     def fired_for_item(self, item_id: str) -> List[str]:

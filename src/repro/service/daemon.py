@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.catalog.batches import Batch
+from repro.catalog.batches import Batch, check_mean_gap_hours
 from repro.catalog.types import ProductItem
 from repro.chimera.incidents import Incident, IncidentManager
 from repro.chimera.pipeline import BatchResult
@@ -90,6 +90,9 @@ class ServiceConfig:
     precision_floor: float = PRECISION_FLOOR
     provenance_capacity: int = 10_000
     series_window: int = 512
+
+    def __post_init__(self) -> None:
+        check_mean_gap_hours(self.mean_gap_hours)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -5,13 +5,14 @@ reading plus 5% unless it says otherwise.
 """
 
 # Resident bytes per served item (tests/test_resident_budget.py): the
-# largest reading over PYTHONHASHSEED 0, 1 and random, plus 5%. With no
-# fired view on the served path and the change log behind offsets: read
-# 394.4 live, 541.5 resumed, 538.0 live with an attribute rule tracked
-# (332b4e1 read 454.1 / 654.1 / 597.5; 8e8444a 633 / 759 / -).
-LIVE_B_PER_ITEM = int(394.4 * 1.05)
-RESUMED_B_PER_ITEM = int(541.5 * 1.05)
-ATTRIBUTE_B_PER_ITEM = int(538.0 * 1.05)
+# largest reading over PYTHONHASHSEED 0, 1 and random, plus 5%. With the
+# corpus as flat columns (titles one UTF-8 buffer, tokens int32 vocabulary
+# codes, live flags a bytearray): read 305.8 live, 449.8 resumed, 449.5
+# live with an attribute rule tracked (0bc7b98 read 394.4 / 541.5 / 538.0;
+# 332b4e1 454.1 / 654.1 / 597.5; 8e8444a 633 / 759 / -).
+LIVE_B_PER_ITEM = int(305.8 * 1.05)
+RESUMED_B_PER_ITEM = int(449.8 * 1.05)
+ATTRIBUTE_B_PER_ITEM = int(449.5 * 1.05)
 
 # Resident bytes per line of a reopened 1,003-line change log
 # (tests/test_resident_budget.py), equal over PYTHONHASHSEED 0, 1, 2: read

@@ -21,8 +21,9 @@ STOPWORDS = frozenset(
     """.split()
 )
 
-# Characters stripped from titles before tokenization (keeps alphanumerics,
-# whitespace and intra-word hyphens/slashes which appear in sizes like "13-293snb").
+# Characters normalize_text strips (keeps alphanumerics, whitespace and
+# intra-word hyphens/slashes which appear in sizes like "13-293snb"). The
+# tokenizer needs no such pass: none of them can be part of a token.
 _STRIP_CHARS = re.compile(r"[^\w\s/\-.]")
 _TOKEN = re.compile(r"[a-z0-9][a-z0-9\-./]*")
 _MULTISPACE = re.compile(r"\s+")
@@ -49,8 +50,12 @@ def _normalize(text: str) -> str:
     return _MULTISPACE.sub(" ", stripped).strip()
 
 
-def _tokens_of(normalized: str, drop_stopwords: bool) -> Tuple[str, ...]:
-    cleaned = [token.strip(".-/") for token in _TOKEN.findall(normalized)]
+def _tokens_of(text: str, drop_stopwords: bool) -> Tuple[str, ...]:
+    """The tokenizer body. It reads ``text`` lowered, without the
+    :func:`_normalize` pass: no token character is ever stripped there and
+    each character it replaces or collapses was already a token break, so
+    the tokens are ``_tokens_of(_normalize(text))``'s."""
+    cleaned = [token.strip(".-/") for token in _TOKEN.findall(text.lower())]
     kept = [token for token in cleaned if token]
     if drop_stopwords:
         kept = [token for token in kept if token not in STOPWORDS]
@@ -78,7 +83,7 @@ def tokenize_cached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
     each one a pointer into a vocabulary of a few thousand shared strings
     rather than a fresh string per title.
     """
-    return tuple(map(sys.intern, _tokens_of(normalize_text(text), drop_stopwords)))
+    return tuple(map(sys.intern, _tokens_of(text, drop_stopwords)))
 
 
 def tokenize_uncached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]:
@@ -87,14 +92,14 @@ def tokenize_uncached(text: str, drop_stopwords: bool = True) -> Tuple[str, ...]
 
     For passes that read each title once and keep what they need: rule
     induction (every training title, behind its own memo) and the served
-    corpus (every arriving title, held as its row's token tuple). Routing
+    corpus (every arriving title, held as its row's token codes). Routing
     those through the bounded LRUs buys no hits, evicts other users'
     entries and pins a full cache of titles for the life of the process.
 
     >>> tokenize_uncached("Blue Jeans, 2 Pack") == tokenize_cached("Blue Jeans, 2 Pack")
     True
     """
-    return tuple(map(sys.intern, _tokens_of(_normalize(text), drop_stopwords)))
+    return tuple(map(sys.intern, _tokens_of(text, drop_stopwords)))
 
 
 def tokenize(text: str, drop_stopwords: bool = True) -> List[str]:

@@ -252,6 +252,15 @@ class TestBatchStream:
         with pytest.raises(ValueError):
             list(stream.take(-1))
 
+    @pytest.mark.parametrize("gap", [0.0, -2.0, float("inf"), float("nan"), "6"])
+    def test_mean_gap_must_be_finite_and_positive(self, generator, clock, gap):
+        with pytest.raises(ValueError, match="mean_gap_hours"):
+            BatchStream(generator, clock=clock, seed=0, mean_gap_hours=gap)
+
+    def test_smallest_spec_gap_serves(self, generator, clock):
+        stream = BatchStream(generator, clock=clock, seed=0, mean_gap_hours=0.001)
+        assert len(stream.next_batch()) > 0
+
 
 class TestDriftInjector:
     def test_extend_slot(self, mutable_taxonomy):

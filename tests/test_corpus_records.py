@@ -1,6 +1,6 @@
 """A served corpus row holds what rules read; the journal holds the record.
 
-The daemon's corpus keeps each row's item id, title and token tuple as
+The daemon's corpus keeps each row's item id, title and tokens as flat
 columns; each record is read back from the batch journal by the few paths
 that need more (a UDF over the description, the first attribute rule), and
 classifying an arriving item shares its row's tokens, so the title is

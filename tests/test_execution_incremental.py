@@ -523,7 +523,7 @@ class TestSharedPreparedCache:
         """However an item got in, ``admitted`` hands back its row. The
         corpus holds the row as columns — id, title, tokens — and neither
         a record, which the record source keeps, nor a view, which each
-        read builds over the row's own token tuple."""
+        read builds over the row's token tuple, decoded from its columns."""
         rules, items = small_world()
         warmed = prepare_all(items[:1])[0]
         incremental = IncrementalExecutor(rules)
@@ -532,15 +532,15 @@ class TestSharedPreparedCache:
         index = incremental._data_index
         rows = [incremental.admitted(thing) for thing in items]
         assert rows == [index.row_of(thing.item_id) for thing in items] == index.live_rows()
-        assert index.tokens[rows[0]] == warmed.tokens_with_stopwords
+        assert index.tokens_of(rows[0]) == warmed.tokens_with_stopwords
         for row, thing in zip(rows, items):
             view = incremental.view(row)
             assert (view.item_id, view.title) == (thing.item_id, thing.title)
-            assert view.tokens_with_stopwords is index.tokens[row]
+            assert view.tokens_with_stopwords == index.tokens_of(row)
             with pytest.raises(RecordNotHeld):
                 view.item
             assert incremental.view(row, thing).item is thing
-            assert incremental.view(row, thing).tokens_with_stopwords is index.tokens[row]
+            assert incremental.view(row, thing).tokens_with_stopwords == index.tokens_of(row)
         assert not [
             value for column in vars(index).values() if isinstance(column, list)
             for value in column if isinstance(value, (ProductItem, PreparedItem))
@@ -619,7 +619,7 @@ def _posting_entries(index):
     dead = live = 0
     for posted in index._postings.values():
         for row in posted:
-            if index.tokens[row] is None:
+            if not index._live_flags[row]:
                 dead += 1
             else:
                 live += 1
@@ -659,7 +659,7 @@ def test_tombstoned_rows_never_surface(rule_specs, ops):
         naive = full_fired(rules, live.values())
         for rule in rules:
             rows = index.candidate_rows(rule)
-            assert all(index.tokens[row] is not None for row in rows)
+            assert all(index._live_flags[row] for row in rows)
             assert sorted(_matched_ids(index, rule, records)) == sorted(
                 item_id for item_id, fired in naive.items() if rule.rule_id in fired
             )

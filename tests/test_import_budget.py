@@ -9,8 +9,15 @@ scipy out of ``sys.modules``. The ensemble's sparse algebra is
 ``repro.learning.sparse`` on numpy alone, so a learning daemon loads numpy
 and never scipy: serving and resuming a ``training=120`` root must work
 with every scipy import made to fail. Each check runs in a fresh
-interpreter, because this one has long since imported both. The last
-check keeps the gate honest: induction still runs.
+interpreter, because this one has long since imported both.
+
+The same holds for the HTTP console: ``http.server`` pulls in
+``http.client``, ``email`` and ``ssl``, and only ``repro serve`` uses
+them, so ``repro.service`` resolves the console on first access.
+Importing it, and serving and resuming either root, must leave
+``http.server``, ``ssl`` and ``email`` out of ``sys.modules`` too. The
+last two checks keep the gate honest: the console still resolves, and
+induction still runs.
 """
 
 import json
@@ -26,9 +33,11 @@ pytestmark = pytest.mark.gates
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
+WATCHED = ("email", "http.server", "numpy", "scipy", "ssl")
+
 REPORT = (
     "\nimport json, sys\n"
-    "print(json.dumps(sorted({'numpy', 'scipy'} & set(sys.modules))))\n"
+    f"print(json.dumps(sorted(set({WATCHED!r}) & set(sys.modules))))\n"
 )
 
 SERVE = """
@@ -59,7 +68,7 @@ def _fresh(args, cwd):
 
 
 def _loaded(code, cwd, *argv):
-    """numpy / scipy as left in ``sys.modules`` by ``code`` run alone."""
+    """The ``WATCHED`` modules left in ``sys.modules`` by ``code`` run alone."""
     return json.loads(_fresh(["-c", code + REPORT, *argv], cwd).splitlines()[-1])
 
 
@@ -84,6 +93,11 @@ def test_a_learning_service_serves_and_resumes_with_scipy_unimportable(tmp_path)
     # A None entry in sys.modules makes every ``import scipy...`` raise.
     code = "import sys\nsys.modules['scipy'] = None\n" + SERVE
     _fresh(["-c", code, str(tmp_path / "root"), "120", "3"], tmp_path)
+
+
+def test_the_console_still_resolves(tmp_path):
+    code = "from repro.service import ServiceHttpServer, serve\n"
+    assert _loaded(code, tmp_path) == ["email", "http.server", "ssl"]
 
 
 def test_rulegen_subcommand_still_induces(tmp_path):

@@ -5,9 +5,11 @@ leaves behind are the slope of the process's memory over a stream that
 never ends. This module measures that slope with ``tracemalloc`` — the
 live world's over 40 batches, with and without an attribute rule
 tracked, and a resumed world's over everything its journal holds — and
-pins the decisions that set it: the corpus is columns indexed by row (ids,
-titles, token tuples; attributes only once an attribute rule is tracked)
-holding no record (the journal does), no view and no set per row; the
+pins the decisions that set it: the corpus is flat columns indexed by row
+(a list of ids, titles in one UTF-8 buffer, tokens as int32 vocabulary
+codes, live flags; attributes only once an attribute rule is tracked)
+holding no record (the journal does), no view, and no str, tuple or set
+per row besides the id; the
 engine builds no fired view; a write-ahead provenance log and the series
 store keep their windows in their files and hold only the offset of each
 retained line; the corpus index's postings and the match store's rule
@@ -18,9 +20,10 @@ budget per line the same way: entries, payloads and snapshots stay in
 the file behind offsets.
 
 The budgets (``repro.testing.budgets``) are the largest reading over
-``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (394 /
-541 B per item, 538 with the attribute rule), plus 5%. While the engine
-kept a fired view and the change log was held decoded they read 454 /
+``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (306 /
+450 B per item, 450 with the attribute rule), plus 5%. While each row
+held a title ``str`` and a token tuple they read 394 / 541 / 538; while
+the engine kept a fired view and the change log was held decoded 454 /
 654 / 597. While each row was a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
 while corpus rows held their records and the series its lines 1,138 /
 1,308 (1,410 / 1,309 with the live world's cache fill counted). While the
@@ -86,6 +89,9 @@ def _retention_offenders(service: StreamService) -> dict:
     columns = {
         name: value for name, value in vars(index).items() if isinstance(value, list)
     }
+    per_row = {
+        name: column for name, column in columns.items() if len(column) == len(index.ids)
+    }
     return {
         "corpus columns holding a record or a view": [
             f"{name}: {type(value).__name__}"
@@ -93,9 +99,12 @@ def _retention_offenders(service: StreamService) -> dict:
             for value in column
             if isinstance(value, (ProductItem, PreparedItem))
         ],
-        "corpus columns beyond ids, titles and tokens": sorted(
-            set(columns) - {"ids", "titles", "tokens"}
+        "a corpus holding a str or tuple per row besides ids": sorted(
+            name
+            for name, column in per_row.items()
+            if name != "ids" and any(isinstance(value, (str, tuple)) for value in column)
         ),
+        "an attributes column": ["attributes"] if index.attributes is not None else [],
         "a series store holding lines": [
             name
             for name, value in vars(service.series).items()
@@ -201,7 +210,7 @@ def test_nothing_retains_probe_sets_deques_or_decoded_records(readings, world):
     tracking an attribute rule holds an attributes column."""
     offenders = readings[f"{world}_offenders"]
     expected = (
-        {"corpus columns beyond ids, titles and tokens": ["attributes"]}
+        {"an attributes column": ["attributes"]}
         if world == "attribute" else {}
     )
     assert {what: found[:3] for what, found in offenders.items() if found} == expected

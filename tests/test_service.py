@@ -592,6 +592,31 @@ def test_resume_with_mismatched_config_raises(tmp_path):
     conflicting.close()
 
 
+@pytest.mark.parametrize("gap", [0.0, -2.0, float("inf"), float("nan")])
+def test_config_refuses_a_gap_that_is_not_finite_and_positive(gap):
+    """Zero and infinity used to divide by zero at the first batch, a
+    negative gap to move the clock backwards, and NaN to serve and write
+    ``"clock_now":NaN`` into the checkpoint: each is refused up front."""
+    with pytest.raises(ValueError, match="mean_gap_hours"):
+        ServiceConfig(training=0, mean_gap_hours=gap)
+
+
+def test_a_hand_edited_checkpoint_gap_is_refused_at_resume(tmp_path):
+    root = str(tmp_path / "run")
+    with StreamService(root, ServiceConfig(seed=7, training=0), fsync=False) as service:
+        service.run(1)
+    path = os.path.join(root, "checkpoint.json")
+    with open(path, encoding="utf-8") as handle:
+        state = json.load(handle)
+    state["config"]["mean_gap_hours"] = 0.0
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(state, handle)
+    service = StreamService(root, fsync=False)
+    with pytest.raises(ValueError, match="mean_gap_hours"):
+        service.start()
+    service.close()
+
+
 # -- close() releases the world ------------------------------------------------
 
 

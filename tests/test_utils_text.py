@@ -1,7 +1,13 @@
 """Tests for repro.utils.text."""
 
-import pytest
+import re
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.utils import text as text_module
 from repro.utils.text import (
     STOPWORDS,
     char_ngrams,
@@ -10,6 +16,8 @@ from repro.utils.text import (
     ngrams,
     normalize_text,
     tokenize,
+    tokenize_cached,
+    tokenize_uncached,
     window,
 )
 
@@ -47,6 +55,43 @@ class TestTokenize:
 
     def test_empty_title(self):
         assert tokenize("") == []
+
+
+def _normalized_tokens(text, drop_stopwords):
+    """The tokenizer as it was: normalize (strip, collapse), then split."""
+    normalized = re.sub(r"\s+", " ", re.sub(r"[^\w\s/\-.]", " ", text.lower())).strip()
+    cleaned = [token.strip(".-/") for token in re.findall(r"[a-z0-9][a-z0-9\-./]*", normalized)]
+    return tuple(
+        token for token in cleaned
+        if token and not (drop_stopwords and token in STOPWORDS)
+    )
+
+
+class TestTokenizerSkipsNormalize:
+    """The tokenizer reads the lowered title without the normalize pass:
+    no token character is stripped there, and every character it replaces
+    or collapses was already a token break."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.text(st.characters(exclude_categories=())),
+        drop_stopwords=st.booleans(),
+    )
+    def test_equals_tokens_of_the_normalized_text(self, text, drop_stopwords):
+        expected = _normalized_tokens(text, drop_stopwords)
+        assert text_module._tokens_of(text_module._normalize(text), drop_stopwords) == expected
+        assert tokenize_uncached(text, drop_stopwords) == expected
+        assert tokenize_cached(text, drop_stopwords) == expected
+
+    def test_every_code_point_inside_a_word(self):
+        """Each code point in the middle, at the start and at the end of
+        a word, 4,096 code points a title."""
+        for start in range(0, sys.maxunicode + 1, 4096):
+            title = " ".join(
+                f"{char}a{char}b{char}"
+                for char in map(chr, range(start, min(start + 4096, sys.maxunicode + 1)))
+            )
+            assert text_module._tokens_of(title, False) == _normalized_tokens(title, False), hex(start)
 
 
 class TestNgrams:
