@@ -53,6 +53,18 @@ class VendorProfile:
     departments: Tuple[str, ...] = ()
     rewrites: Dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name in ("min_batch", "max_batch"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ValueError(
+                    f"vendor {self.name!r}: {name} must be an integer >= 1, got {value!r}"
+                )
+        if self.max_batch < self.min_batch:
+            raise ValueError(
+                f"vendor {self.name!r}: max_batch ({self.max_batch}) < min_batch ({self.min_batch})"
+            )
+
     def apply_rewrites(self, item: ProductItem) -> ProductItem:
         if not self.rewrites:
             return item
@@ -101,15 +113,24 @@ class BatchStream:
         self.generator = generator
         self.clock = clock if clock is not None else SimClock()
         self.rng = random.Random(seed)
-        self.vendors: List[VendorProfile] = list(vendors) or [
-            VendorProfile(name=f"vendor-{i:03d}") for i in range(1, 6)
-        ]
+        self.vendors: List[VendorProfile] = [
+            self._known(vendor) for vendor in vendors
+        ] or [VendorProfile(name=f"vendor-{i:03d}") for i in range(1, 6)]
         self.mean_gap_hours = check_mean_gap_hours(mean_gap_hours)
         self._next_batch = 0
 
     def add_vendor(self, vendor: VendorProfile) -> None:
         """Onboard a new vendor mid-stream (the scale-up scenario)."""
-        self.vendors.append(vendor)
+        self.vendors.append(self._known(vendor))
+
+    def _known(self, vendor: VendorProfile) -> VendorProfile:
+        """``vendor`` when every department it names is in the taxonomy;
+        else a ``ValueError`` naming the unknown ones (such a vendor would
+        resample every item 50 times and still serve it)."""
+        unknown = sorted(set(vendor.departments) - set(self.generator.taxonomy.departments()))
+        if unknown:
+            raise ValueError(f"vendor {vendor.name!r}: unknown departments {unknown}")
+        return vendor
 
     def next_batch(self, vendor: Optional[VendorProfile] = None) -> Batch:
         """Advance the clock and produce the next batch."""
@@ -117,17 +138,19 @@ class BatchStream:
         self.clock.advance(hours=gap)
         profile = vendor if vendor is not None else self.rng.choice(self.vendors)
         size = self.rng.randint(profile.min_batch, profile.max_batch)
+        draw, render, departments = self.generator.draw, self.generator.render, profile.departments
         items = []
         for _ in range(size):
-            item = self.generator.generate_item(vendor=profile.name)
-            if profile.departments:
-                # Resample until the item is in the vendor's departments;
-                # bounded so a misconfigured vendor cannot loop forever.
+            drawn = draw()
+            if departments:
+                # Redraw until the item is in the vendor's departments;
+                # bounded, as a drifted taxonomy may have emptied them.
+                # Only the kept draw is rendered.
                 for _attempt in range(50):
-                    if self.generator.taxonomy.get(item.true_type).department in profile.departments:
+                    if drawn.product_type.department in departments:
                         break
-                    item = self.generator.generate_item(vendor=profile.name)
-            items.append(profile.apply_rewrites(item))
+                    drawn = draw()
+            items.append(profile.apply_rewrites(render(drawn, profile.name)))
         self._next_batch += 1
         return Batch(
             batch_id=f"batch-{self._next_batch:05d}",

@@ -8,6 +8,7 @@ classification systems target.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -67,15 +68,19 @@ class ProductType:
     modifier_slots: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     brands: Tuple[str, ...] = ()
     attribute_kinds: Dict[str, str] = field(default_factory=dict)
-    templates: Tuple[str, ...] = ("{modifier} {head}",)
+    templates: Tuple[str, ...] = ("{mod} {head}",)
     weight: float = 1.0
     trap_phrases: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.heads:
             raise ValueError(f"product type {self.name!r} needs at least one head noun")
-        if self.weight <= 0:
-            raise ValueError(f"product type {self.name!r} needs positive weight")
+        if not (isinstance(self.weight, (int, float)) and math.isfinite(self.weight)
+                and self.weight > 0):
+            raise ValueError(
+                f"product type {self.name!r}: weight must be a finite number > 0, "
+                f"got {self.weight!r}"
+            )
 
     def all_modifiers(self) -> List[str]:
         """Every modifier phrase across slots, deterministically ordered."""
@@ -174,7 +179,8 @@ class Taxonomy:
 
         Catches the mistakes that otherwise surface as crashes (or silently
         wrong titles) deep inside the generator: templates referencing
-        missing slots, ``{mod}`` on slot-less types, empty phrases.
+        missing slots or braced words outside the placeholder grammar
+        (left in titles as written), empty phrases.
         """
         problems: List[str] = []
         for product_type in self:
@@ -182,7 +188,51 @@ class Taxonomy:
         return problems
 
 
-_TEMPLATE_PLACEHOLDER = re.compile(r"\{(brand|head|detail|mod(?::(\w+))?)\}")
+#: A braced word; it is a placeholder when its content is ``brand``,
+#: ``head``, ``detail``, ``mod`` or ``mod:<slot>``, and literal text otherwise.
+_BRACED = re.compile(r"\{([^{}]*)\}")
+_PLACEHOLDER = re.compile(r"(brand|head|detail|mod(?::(\w+))?)")
+
+#: One template's parts: ``(literal, kind, slot)`` per placeholder in order
+#: (the text before it, ``brand`` / ``head`` / ``detail`` / ``mod``, the
+#: ``mod:`` slot or None), the text after the last one, and the braced
+#: words that are not placeholders (left in the text as written).
+ParsedTemplate = Tuple[Tuple[Tuple[str, str, Optional[str]], ...], str, Tuple[str, ...]]
+
+# Parts by template string: drift and the scenario runner edit a type's
+# ``templates`` at run time, and the string itself is the stable key.
+_PARSED: Dict[str, ParsedTemplate] = {}
+
+
+def parse_template(template: str) -> ParsedTemplate:
+    """The parts of a title template, parsed once per distinct string.
+
+    >>> parse_template("{brand} {mod:style} {head}s {modifier}")
+    ((('', 'brand', None), (' ', 'mod', 'style'), (' ', 'head', None)), 's {modifier}', ('{modifier}',))
+    """
+    try:
+        return _PARSED[template]
+    except KeyError:
+        pass
+    placeholders: List[Tuple[str, str, Optional[str]]] = []
+    unknown: List[str] = []
+    literal, start = "", 0
+    for match in _BRACED.finditer(template):
+        literal += template[start:match.start()]
+        start = match.end()
+        placeholder = _PLACEHOLDER.fullmatch(match.group(1))
+        if placeholder is None:
+            literal += match.group(0)
+            unknown.append(match.group(0))
+            continue
+        kind = placeholder.group(1)
+        placeholders.append((literal, "mod" if kind.startswith("mod") else kind,
+                             placeholder.group(2)))
+        literal = ""
+    parsed = _PARSED[template] = (
+        tuple(placeholders), literal + template[start:], tuple(unknown)
+    )
+    return parsed
 
 
 def validate_product_type(product_type: ProductType) -> List[str]:
@@ -199,18 +249,14 @@ def validate_product_type(product_type: ProductType) -> List[str]:
             if not str(phrase).strip():
                 problems.append(f"{name}: slot {slot!r} has an empty phrase")
     for template in product_type.templates:
-        saw_placeholder = False
-        for match in _TEMPLATE_PLACEHOLDER.finditer(template):
-            saw_placeholder = True
-            slot = match.group(2)
+        placeholders, _tail, unknown = parse_template(template)
+        for word in unknown:
+            problems.append(f"{name}: template {template!r} has unknown placeholder {word!r}")
+        for _literal, _kind, slot in placeholders:
             if slot is not None and slot not in product_type.modifier_slots:
                 problems.append(
                     f"{name}: template {template!r} references missing slot {slot!r}"
                 )
-            if match.group(1).startswith("mod") and slot is None and not product_type.modifier_slots:
-                # Bare {mod} falls back to a color; flag it as a smell only
-                # when the type has no slots at all AND relies on modifiers.
-                continue
-        if not saw_placeholder:
+        if not placeholders:
             problems.append(f"{name}: template {template!r} has no placeholders")
     return problems

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
@@ -99,7 +99,7 @@ class RuleSet:
         # is modified ... re-run only what changed"). Subscriptions are
         # tracked by token (not listener value), so the same callable
         # registered twice unsubscribes independently.
-        self._listeners: Dict[int, Callable[[str, Rule], None]] = {}
+        self._listeners: Dict[int, Callable[[str, Any], None]] = {}
         self._listener_tokens = 0
         self._peers: Tuple[weakref.ref, ...] = ()  # see share_ids
         for rule in rules:
@@ -107,12 +107,14 @@ class RuleSet:
 
     # -- change notification ------------------------------------------------------
 
-    def subscribe(self, listener: Callable[[str, Rule], None]) -> Callable[[], None]:
-        """Register ``listener(event, rule)`` for mutations; returns unsubscribe.
+    def subscribe(self, listener: Callable[[str, Any], None]) -> Callable[[], None]:
+        """Register ``listener(event, payload)`` for mutations; returns unsubscribe.
 
         Events: ``"added"``, ``"removed"``, ``"replaced"``, ``"enabled"``,
-        ``"disabled"``. Listeners run synchronously inside the mutation,
-        after it is recorded and applied.
+        ``"disabled"`` with the rule as payload, and ``"extended"`` with
+        the tuple of rules one :meth:`extend` added, in order. Listeners
+        run synchronously inside the mutation, after it is recorded and
+        applied.
         Each call registers an independent subscription (tracked by token):
         subscribing the same callable twice and unsubscribing once detaches
         only that registration, never the other one.
@@ -130,9 +132,9 @@ class RuleSet:
         if self.recorder is not None:
             self.recorder(op, rule)
 
-    def _notify(self, event: str, rule: Rule) -> None:
+    def _notify(self, event: str, payload: Any) -> None:
         for listener in list(self._listeners.values()):
-            listener(event, rule)
+            listener(event, payload)
 
     # -- container protocol ----------------------------------------------------
 
@@ -163,6 +165,26 @@ class RuleSet:
 
     def add(self, rule: Rule) -> Rule:
         """Add a rule; returns the set-owned copy actually stored."""
+        rule = self._insert(rule)
+        self._notify("added", rule)
+        return rule
+
+    def extend(self, rules: Iterable[Rule]) -> None:
+        """Add each rule in turn, validated and recorded as :meth:`add`
+        does, then announce them once, as one ``"extended"`` event (an
+        engine folds a deployed rule set in as one delta). When rule k is
+        refused, the k - 1 before it stay added and are announced before
+        the error propagates: the state k - 1 single adds leave."""
+        added: List[Rule] = []
+        try:
+            for rule in rules:
+                added.append(self._insert(rule))
+        finally:
+            if added:
+                self._notify("extended", tuple(added))
+
+    def _insert(self, rule: Rule) -> Rule:
+        """:meth:`add` up to the announcement."""
         if rule.rule_id in self._rules:
             raise DuplicateRuleError(f"rule {rule.rule_id!r} already in {self.name!r}")
         for peer in self._peers:
@@ -177,12 +199,7 @@ class RuleSet:
         self._rules[rule.rule_id] = rule
         self._keys_issued += 1
         self._live_key[rule.rule_id] = self._keys_issued
-        self._notify("added", rule)
         return rule
-
-    def extend(self, rules: Iterable[Rule]) -> None:
-        for rule in rules:
-            self.add(rule)
 
     def remove(self, rule_id: str) -> Rule:
         rule = self.get(rule_id)

@@ -405,16 +405,18 @@ class IncrementalExecutor:
         if ruleset:
             self.add_rules(ruleset, in_view)
 
-        def on_event(event: str, rule: Rule) -> None:
+        def on_event(event: str, payload) -> None:
             # enabled/disabled need nothing: the store records
             # condition-truth, the rules tracked are the set's own objects,
             # and the next read's enabled-set comparison sees the flip.
-            if event == "added":
-                self.add_rules([rule], in_view)
+            if event == "extended":  # a deployed rule set: one delta
+                self.add_rules(payload, in_view)
+            elif event == "added":
+                self.add_rules([payload], in_view)
             elif event == "removed":
-                self.remove_rules([rule.rule_id])
+                self.remove_rules([payload.rule_id])
             elif event == "replaced":
-                self.update_rule(rule)
+                self.update_rule(payload)
 
         unsubscribe = ruleset.subscribe(on_event)
         self._unsubscribes.append(unsubscribe)

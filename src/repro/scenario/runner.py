@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.batches import VendorProfile
 from repro.catalog.drift import DriftInjector
-from repro.catalog.types import ProductType
+from repro.catalog.types import ProductType, parse_template
 from repro.chimera.incidents import IncidentManager
 from repro.chimera.monitoring import PrecisionMonitor
 from repro.core.rule import Rule
@@ -97,13 +97,11 @@ def _safe_templates(product_type: ProductType) -> Tuple[str, ...]:
     the new types a single ``style`` slot — a template referencing a lost
     slot would crash generation mid-run.
     """
-    import re
-
     kept = []
     slots = set(product_type.modifier_slots)
     for template in product_type.templates:
-        referenced = re.findall(r"\{mod:(\w+)\}", template)
-        if all(name in slots for name in referenced):
+        placeholders, _tail, _unknown = parse_template(template)
+        if all(slot is None or slot in slots for _literal, _kind, slot in placeholders):
             kept.append(template)
     if not kept:
         kept = ["{mod} {head}", "{mod} {head} {detail}"]
@@ -150,6 +148,8 @@ class ScenarioRunner:
             raise ScenarioError(
                 f"catalog.obvious_rule_types: {error.args[0]}"
             ) from error
+        except ValueError as error:  # a vendor's departments
+            raise ScenarioError(f"traffic.vendors: {error}") from error
 
     def _build_fault_plan(self) -> Optional[FaultPlan]:
         faults = self.spec.faults

@@ -19,6 +19,7 @@ from repro.catalog import (
 )
 from repro.catalog.batches import VendorProfile
 from repro.catalog.generator import LabeledTitle, pluralize
+from repro.catalog.types import validate_product_type
 from repro.utils.clock import SimClock
 
 
@@ -41,6 +42,29 @@ class TestProductType:
     def test_requires_positive_weight(self):
         with pytest.raises(ValueError):
             ProductType(name="x", department="d", heads=("x",), weight=0)
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf"), "1"])
+    def test_requires_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="weight"):
+            ProductType(name="x", department="d", heads=("x",), weight=weight)
+
+    def test_default_template_is_in_the_grammar(self):
+        """The default template once read ``{modifier} {head}``, which no
+        placeholder matches: titles came out as ``{modifier} lamps``."""
+        lamps = ProductType(name="lamps", department="home", heads=("lamp",))
+        assert validate_product_type(lamps) == []
+        titles = CatalogGenerator(Taxonomy([lamps]), seed=0, corner_case_rate=0.0).generate_labeled(40)
+        assert not any("{" in example.title for example in titles)
+        assert all(example.title.split()[-1] in ("lamp", "lamps") for example in titles)
+
+    def test_validate_reports_words_outside_the_grammar(self):
+        lamps = ProductType(name="lamps", department="home", heads=("lamp",),
+                            modifier_slots={"style": ("desk",)},
+                            templates=("{modifier} {head}", "{mod:style} {Head}", "{mod:} {head}"))
+        problems = validate_product_type(lamps)
+        for word in ("{modifier}", "{Head}", "{mod:}"):
+            assert any(f"unknown placeholder {word!r}" in p for p in problems), word
+        assert not any("has no placeholders" in p for p in problems)
 
     def test_slot_lookup_error_names_available(self):
         pt = ProductType(name="x", department="d", heads=("x",),
@@ -150,6 +174,20 @@ class TestCatalogGenerator:
         with pytest.raises(KeyError):
             generator.set_type_weight("nope", 1.0)
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf"), None])
+    def test_weight_override_must_be_finite_and_non_negative(self, generator, weight):
+        """A NaN override once made every later draw land on one type."""
+        with pytest.raises(ValueError, match="weight"):
+            generator.set_type_weight("books", weight)
+        generator.set_type_weight("books", 0.0)
+
+    @pytest.mark.parametrize("field", ["corner_case_rate", "trap_rate", "plural_rate"])
+    @pytest.mark.parametrize("rate", [-1, 1.5, float("nan"), float("inf"), "0.1"])
+    def test_rates_must_lie_in_the_unit_interval(self, taxonomy, field, rate):
+        with pytest.raises(ValueError, match=field):
+            CatalogGenerator(taxonomy, seed=0, **{field: rate})
+        CatalogGenerator(taxonomy, seed=0, **{field: 1})
+
     def test_labeled_title_is_slotted_and_round_trips(self):
         example = LabeledTitle(title="slim denim jeans", label="jeans")
         assert not hasattr(example, "__dict__")
@@ -245,6 +283,27 @@ class TestBatchStream:
         batch = stream.next_batch()
         departments = {generator.taxonomy.get(i.true_type).department for i in batch.items}
         assert departments == {"automotive"}
+
+    @pytest.mark.parametrize("sizes, match", [
+        ((-5, -1), "min_batch"), ((0, 3), "min_batch"), ((30, 20), "max_batch"),
+        ((2.5, 3), "min_batch"),
+    ])
+    def test_vendor_sizes_are_refused_at_construction(self, sizes, match):
+        """Negative sizes once served empty batches, and an empty range
+        failed only at the vendor's first batch."""
+        with pytest.raises(ValueError, match=match):
+            VendorProfile(name="v", min_batch=sizes[0], max_batch=sizes[1])
+
+    def test_unknown_departments_are_refused(self, generator, clock):
+        """A vendor of no known department once drew 51 items per item
+        served and then served one outside its departments."""
+        nowhere = VendorProfile(name="nowhere", departments=("automotive", "gardening"))
+        with pytest.raises(ValueError, match="unknown departments \\['gardening'\\]"):
+            BatchStream(generator, clock=clock, vendors=[nowhere], seed=0)
+        stream = BatchStream(generator, clock=clock, seed=0)
+        with pytest.raises(ValueError, match="'nowhere'"):
+            stream.add_vendor(nowhere)
+        assert len(stream.vendors) == 5
 
     def test_take(self, generator, clock):
         stream = BatchStream(generator, clock=clock, seed=0)

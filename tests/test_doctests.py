@@ -6,6 +6,7 @@ import pytest
 
 import repro.analyst.analyst
 import repro.catalog.generator
+import repro.catalog.types
 import repro.em.similarity
 import repro.observability.metrics
 import repro.observability.tracer
@@ -18,6 +19,7 @@ import repro.utils.vectors
 MODULES = [
     repro.analyst.analyst,
     repro.catalog.generator,
+    repro.catalog.types,
     repro.em.similarity,
     repro.observability.metrics,
     repro.observability.tracer,

@@ -96,6 +96,17 @@ class TestEventLoop:
         with pytest.raises(ScenarioError, match="no-such-type"):
             run_scenario(spec)
 
+    def test_unknown_vendor_department_raises(self):
+        spec = loads(
+            "name: bad\n"
+            "traffic:\n"
+            "  vendors:\n"
+            "    - name: specialist\n"
+            "      departments: [no-such-department]\n"
+        )
+        with pytest.raises(ScenarioError, match="traffic.vendors: .*no-such-department"):
+            run_scenario(spec)
+
     def test_rule_churn_disables_and_reenables(self):
         spec = loads(
             "name: churny\n"
