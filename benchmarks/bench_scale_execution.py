@@ -28,6 +28,7 @@ import pytest
 from _report import emit, environment
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
 from repro.execution import NaiveExecutor, RuleSetCompiler
+from repro.execution.compiler import corpus_token_frequency
 from repro.rulegen import RuleGenerator
 
 SEED = 591
@@ -62,8 +63,7 @@ def workload():
         if len(all_rules) >= 12_000:
             break
     items = generator.generate_items(150)
-    from repro.execution import RuleIndex as _RuleIndex
-    frequency = _RuleIndex.corpus_token_frequency(t.title for t in training)
+    frequency = corpus_token_frequency(t.title for t in training)
     return all_rules, items, frequency
 
 

@@ -18,9 +18,9 @@ from repro.execution import (
     DataIndex,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleIndex,
     RuleSetCompiler,
 )
+from repro.execution.compiler import corpus_token_frequency
 from repro.rulegen import RuleGenerator
 
 SEED = 540
@@ -34,7 +34,7 @@ def workload():
     training = generator.generate_labeled(9000)
     rules = RuleGenerator(min_support=0.01, q=500).generate(training).rules
     items = generator.generate_items(N_ITEMS)
-    frequency = RuleIndex.corpus_token_frequency(t.title for t in training)
+    frequency = corpus_token_frequency(t.title for t in training)
     return rules, items, frequency
 
 

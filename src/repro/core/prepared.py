@@ -172,7 +172,7 @@ class PreparedItem:
 
         Derived on every read, never kept: an item's probe set is read
         once when the item is indexed (and once more if it is removed, or
-        per probe on the compat lane), and a memo of it would outlive that
+        per match of an unclean title), and a memo of it would outlive that
         read by the life of the item at ~0.4 KB a piece.
         """
         return anchor_tokens(self.tokens_with_stopwords)

@@ -31,7 +31,12 @@ from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.prepared import ItemLike, PreparedItem, prepare
-from repro.utils.text import contains_word_sequence, singular_form, tokenize
+from repro.utils.text import (
+    contains_word_sequence,
+    singular_form,
+    tokenize,
+    tokenize_uncached,
+)
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,8 @@ class SequenceRule(Rule):
 
     Matching is on tokenized titles (stop words removed, as in the paper's
     preprocessing), with the tokens required in order but not contiguously.
+    Each token must be its own tokenization (``"Ring"``, ``"gold ring"``
+    or ``"tv,"`` is no title token, so such a rule could never fire).
     """
 
     kind = "seq"
@@ -317,6 +324,9 @@ class SequenceRule(Rule):
     def __init__(self, token_sequence: Sequence[str], target_type: str, support: float = 0.0, **metadata):
         if not token_sequence:
             raise ValueError("sequence rule needs at least one token")
+        for token in token_sequence:
+            if not isinstance(token, str) or tokenize_uncached(token, False) != (token,):
+                raise ValueError(f"sequence rule token {token!r} is not a title token")
         super().__init__(target_type, **metadata)
         self.token_sequence: Tuple[str, ...] = tuple(token_sequence)
         self.support = support

@@ -2,15 +2,14 @@
 
 Section 4 frames execution as the capacity floor of a never-ending
 classification system: "given a large set of rules and a large set of
-data records, how can we quickly execute all rules on all records?" A
-:class:`~repro.execution.rule_index.RuleIndex` answers the *candidate*
-half (which rules could match this item), but probing it and then calling
-each candidate still pays a Python-level regex search or token walk per
-(rule, item) pair. This module removes that per-rule interpretive
-overhead by **lowering the whole rule set once** into shared data-driven
-lanes that a single pass over each item's token stream can consume. It is
-the one engine behind batch execution (:meth:`CompiledRuleSet.execute`)
-and the sharded and delta executors.
+data records, how can we quickly execute all rules on all records?"
+Probing a rule index for the candidates and then calling each one still
+pays a Python-level regex search or token walk per (rule, item) pair.
+This module removes that per-rule interpretive overhead by **lowering
+the whole rule set once** into shared data-driven lanes that a single
+pass over each item's token stream can consume. It is the one engine
+behind batch execution (:meth:`CompiledRuleSet.execute`) and the sharded
+and delta executors.
 
 Lane layout — two literal-phrase tiers over title tokens:
 
@@ -43,15 +42,14 @@ Each entry in the depth-1 dict carries six lanes::
   ``isdisjoint`` call when none are present), closures are ``(closure,
   ordinal)`` with the rule's precompiled verifier (regex rules that
   resisted branch lowering; sequence rules of length >= 3);
-* ``count_unique`` / ``count_multi`` — candidate accounting kept
-  *exactly* parallel to :class:`RuleIndex` postings (single-anchor rules
-  count unconditionally; multi-anchor rules are deduped per item), so
-  ``evaluations_per_item`` is the same on the compiled lanes and the
-  compat lane (see :func:`~repro.execution.rule_index.rarest_anchor`,
-  the shared sequence-anchor tiebreak);
+* ``count_unique`` / ``count_multi`` — candidate accounting: a rule
+  counts once per item when one of its anchors is probed (a sequence
+  rule's one anchor is its :func:`rarest_anchor`; a regex rule's are its
+  ``anchor_literals``). Single-anchor rules count unconditionally,
+  multi-anchor rules are deduped per item;
 * ``bridge`` — the plural fold: entry for token ``base`` mirrored under
-  ``base + "s"`` and applied only when ``base`` itself is absent,
-  replicating the index's singular-expanded probe alphabet
+  ``base + "s"`` and applied only when ``base`` itself is absent, so a
+  clean title probes the singular-expanded alphabet
   (:func:`~repro.utils.text.expand_plural_singulars`) without building a
   per-item expanded set. Only the *verify* and *count* lanes bridge: a
   bare-word fire must not fire on the plural surface form (the regex
@@ -66,21 +64,20 @@ no-anchor regex, predicate rules) form the *residue*: counted for every
 item, with attribute/value rules fired straight off the item's attribute
 map and the rest via their ``matches_prepared``.
 
-**One kernel.** ``CompiledRuleSet._apply_lanes`` is the only place the
-lanes above are evaluated: ``match_item`` calls it for one item,
+**One kernel.** ``CompiledRuleSet._apply_lanes`` evaluates the lanes
+above for a *clean* title: ``match_item`` calls it for one item,
 ``execute`` calls it in a loop, and tracing a run changes nothing about
 either (spans are emitted by the executors around ``execute``, never
-inside it).
-
-**The compat lane.** The kernel trusts that ``title.lower().split()``
-equals the tokenizer's output, which holds exactly for ASCII
-alphanumeric-plus-spaces titles; anything else (an *unclean* title) is
-routed item-by-item through a private :class:`RuleIndex` +
-``matches_prepared`` path with identical semantics and accounting. An
-anchored rule class the compiler does not know (or a known class whose
-``matches_prepared`` was overridden) is counted where the index posts it
-and evaluated by its own ``matches_prepared`` on every clean item; the
-rest of the artifact stays compiled, and ``lane_of`` names the lane.
+inside it). The kernel trusts that ``title.lower().split()`` equals the
+tokenizer's output, which holds exactly for ASCII
+alphanumeric-plus-spaces titles. An *unclean* title probes the same
+folded lanes with its ``anchor_tokens`` and decides every rule ordinal a
+hit entry names by that rule's own ``matches_prepared``
+(``_match_unclean``). An anchored rule class the compiler does not know
+(or a known class whose ``matches_prepared`` was overridden) is counted
+on its anchors and evaluated by its own ``matches_prepared`` on every
+item; the rest of the artifact stays compiled, and ``lane_of`` names the
+lane.
 
 **Process-local.** The artifact holds closures and is never pickled;
 the sharded executor lowers the rules once a run, in-process, into an
@@ -112,7 +109,7 @@ from typing import (
 )
 
 from repro.core.errors import UnknownRuleError
-from repro.core.prepared import ItemLike, PreparedItem, prepare
+from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import (
     AttributeRule,
     RegexRule,
@@ -122,11 +119,10 @@ from repro.core.rule import (
     _expand_alternations,
 )
 from repro.execution.executor import ExecutionStats
-from repro.execution.rule_index import RuleIndex, rarest_anchor
 from repro.observability import Observability, ensure_observability
-from repro.utils.text import STOPWORDS, singular_form
+from repro.utils.text import STOPWORDS, singular_form, tokenize
 
-__all__ = ["RuleSetCompiler", "CompiledRuleSet"]
+__all__ = ["RuleSetCompiler", "CompiledRuleSet", "corpus_token_frequency", "rarest_anchor"]
 
 
 # Fully-lowerable regex branch shapes (post alternation expansion).
@@ -146,6 +142,28 @@ _DEAD_SLOT_MARGIN = 1024
 # regex gives the same verdict as the ascii/strip-spaces/alnum check on the
 # lowered string while skipping that check's per-item string copy.
 _CLEAN_TITLE = re.compile(r" *[a-z0-9][a-z0-9 ]*\Z").match
+
+
+def rarest_anchor(tokens: Sequence[str], token_frequency: Dict[str, int]) -> str:
+    """The one anchor a sequence rule is counted and verified under.
+
+    Ranking, best first: the lowest corpus frequency (a token missing
+    from the table ranks as 0, so unseen vocabulary counts as rare); then
+    the longest token; then the lexicographically smallest. The same rule
+    therefore lands under the same anchor for a given frequency table,
+    whatever the insertion or iteration order.
+    """
+    return min(tokens, key=lambda t: (token_frequency.get(t, 0), -len(t), t))
+
+
+def corpus_token_frequency(titles: Iterable[str]) -> Dict[str, int]:
+    """Token document frequency over a reference corpus: the table
+    :func:`rarest_anchor` ranks by."""
+    frequency: Dict[str, int] = {}
+    for title in titles:
+        for token in set(tokenize(title)):
+            frequency[token] = frequency.get(token, 0) + 1
+    return frequency
 
 
 def _lower_regex_branches(
@@ -298,9 +316,6 @@ class CompiledRuleSet:
         self._value_items: Tuple[Tuple[str, str, str], ...] = ()
         self._generic_items: Tuple[Tuple[str, Rule], ...] = ()
         self._n_residue = 0
-        # Unclean-title compat path: a private RuleIndex over the same
-        # rules, probed with full interpreted semantics.
-        self._compat = RuleIndex(token_frequency=self._freq)
         self._lane_labels: Dict[str, str] = {}
         for rule in rules:
             self.add_rule(rule)
@@ -364,9 +379,9 @@ class CompiledRuleSet:
     def add_rule(self, rule: Rule) -> None:
         """Lower one rule into the shared lanes (incremental add).
 
-        Mirrors :meth:`RuleIndex.add` candidate placement exactly; the
-        fired surface is lowered per rule class. Disabled rules are
-        skipped entirely unless ``include_disabled``.
+        The rule is counted on its anchors and its fired surface is
+        lowered per rule class. Disabled rules are skipped entirely unless
+        ``include_disabled``.
         """
         rid = rule.rule_id
         if rid in self._rules:
@@ -376,7 +391,6 @@ class CompiledRuleSet:
         if not self._include_disabled and not rule.enabled:
             self._lane_labels[rid] = "excluded (disabled)"
             return
-        self._compat.add(rule)
         self._contrib[rid] = contrib = []
         self._lower_rule(rule, contrib)
         self._dirty_tokens.add("")  # force a refresh pass
@@ -391,7 +405,6 @@ class CompiledRuleSet:
         self._lane_labels.pop(rule_id, None)
         if contrib is None:  # was excluded as disabled
             return True
-        self._compat.remove(rule_id)
         for token, kind, payload in contrib:
             if token is not None:
                 lanes = self._raw[token]
@@ -463,22 +476,21 @@ class CompiledRuleSet:
             anchors = rule.anchor_literals()
         if not anchors:
             # Predicate rules and other anchorless classes: always-checked
-            # residue, evaluated through matches_prepared — identical to
-            # the RuleIndex residue list.
+            # residue, evaluated through matches_prepared.
             self._n_residue += 1
             contrib.append((None, "generic", rid))
             self._lane_labels[rid] = "residue-generic"
             return
         # An anchored rule class the compiler cannot prove it understands:
-        # counted where RuleIndex posts it, evaluated by its own
-        # matches_prepared on every clean item.
+        # counted on its anchors, evaluated by its own matches_prepared on
+        # every item.
         self._count(rid, anchors, contrib)
         contrib.append((None, "anchored", rid))
         self._lane_labels[rid] = "generic-anchored"
 
     def _count(self, rid: str, anchors: Sequence[str], contrib: List) -> None:
-        """Candidate accounting: identical placement to RuleIndex postings
-        (one anchor counts unconditionally, several are deduped per item)."""
+        """Candidate accounting: one anchor counts unconditionally,
+        several are deduped per item."""
         if len(anchors) == 1:
             anchor = next(iter(anchors))
             self._lane(anchor).cu += 1
@@ -669,12 +681,11 @@ class CompiledRuleSet:
     ) -> Tuple[List[str], int]:
         """The match kernel: one clean item -> (sorted fired ids, eval count).
 
-        The only place lanes are evaluated. :meth:`match_item` and
-        :meth:`execute` tokenize (``toks`` / ``tset``), probe depth 1
-        (``hit_tokens = tset & keys``) and land here, so batch, sharded
-        and incremental execution (the pipeline's engine among them) all
-        run this one function. Fired ids come back sorted and
-        de-duplicated.
+        :meth:`match_item` and :meth:`execute` tokenize (``toks`` /
+        ``tset``), probe depth 1 (``hit_tokens = tset & keys``) and land
+        here, so batch, sharded and incremental execution (the pipeline's
+        engine among them) all run this one function on a clean title.
+        Fired ids come back sorted and de-duplicated.
         """
         post = self._post
         flist: List[int] = []
@@ -735,26 +746,8 @@ class CompiledRuleSet:
                                 flist.append(o)
                                 break
                             start += 1
-        if self._attr_items or self._value_items:
-            attrs = item.attributes
-            if attrs:
-                low: Dict[str, str] = {}
-                for key, value in attrs.items():
-                    kl = key.lower()
-                    if kl not in low:
-                        low[kl] = value
-                for name, ords in self._attr_items:
-                    if name in low:
-                        flist.extend(ords)
-                for name, value, o in self._value_items:
-                    actual = low.get(name)
-                    if actual is not None and actual.lower() == value:
-                        flist.append(o)
-        if self._generic_items:
-            prepared = item if isinstance(item, PreparedItem) else PreparedItem(item)
-            for o, generic_rule in self._generic_items:
-                if generic_rule.matches_prepared(prepared):
-                    flist.append(o)
+        if self._attr_items or self._value_items or self._generic_items:
+            self._fire_residue(item, flist)
         if multi:
             n_candidates += len(set(multi))
         if not flist:
@@ -773,30 +766,67 @@ class CompiledRuleSet:
             return hits, n_candidates
         return sorted({table[o] for o in flist}), n_candidates
 
-    def _match_compat(self, item: ItemLike) -> Tuple[List[str], int]:
-        """Interpreted path, same shape as the kernel's result.
+    def _fire_residue(self, item: ItemLike, flist: List[int]) -> None:
+        """Append the residue rules ``item`` fires: attribute and value
+        rules off its attribute map, the rest by ``matches_prepared``."""
+        if self._attr_items or self._value_items:
+            attrs = item.attributes
+            if attrs:
+                low: Dict[str, str] = {}
+                for key, value in attrs.items():
+                    kl = key.lower()
+                    if kl not in low:
+                        low[kl] = value
+                for name, ords in self._attr_items:
+                    if name in low:
+                        flist.extend(ords)
+                for name, value, o in self._value_items:
+                    actual = low.get(name)
+                    if actual is not None and actual.lower() == value:
+                        flist.append(o)
+        if self._generic_items:
+            prepared = prepare(item)
+            for o, generic_rule in self._generic_items:
+                if generic_rule.matches_prepared(prepared):
+                    flist.append(o)
 
-        The index proposes each rule at most once, so sorting the hits is
-        all the de-duplication there is to do.
+    def _match_unclean(self, item: ItemLike) -> Tuple[List[str], int]:
+        """An unclean title: the folded lanes probed with its anchor alphabet.
+
+        ``anchor_tokens`` holds every whole word of the title, each piece
+        of ``o-ring`` or ``13.5in`` and every crude singular, so it reaches
+        every rule that can match and the plural bridges are skipped. A hit
+        entry counts as it does in the kernel, and every ordinal it names
+        is a candidate decided by its own rule's ``matches_prepared``.
         """
         prepared = prepare(item)
-        candidates = self._compat.candidates(prepared)
-        hits = sorted(
-            rule.rule_id for rule in candidates if rule.matches_prepared(prepared)
-        )
-        return hits, len(candidates)
+        post = self._post
+        n_candidates = self._n_residue
+        candidates: Set[int] = set()
+        multi: Set[int] = set()
+        for t in prepared.anchor_tokens & self._keys:
+            fires, verify, cu, cm, _bridge, pairs = post[t]
+            n_candidates += cu
+            multi.update(cm)
+            candidates.update(fires)
+            if verify is not None:
+                candidates.update([entry[3] for entry in verify[1]])
+                candidates.update([o for _closure, o in verify[2]])
+            if pairs is not None:
+                candidates.update([o for _second, o in pairs[1]])
+        table, rules = self._table, self._rules
+        flist = [o for o in candidates if rules[table[o]].matches_prepared(prepared)]
+        self._fire_residue(prepared, flist)
+        return sorted([table[o] for o in flist]), n_candidates + len(multi)
 
     def match_item(self, item: ItemLike) -> Tuple[List[str], int]:
-        """(sorted fired rule ids, candidate evaluations) for one item.
-
-        The per-item entry point the incremental executor uses; identical
-        fired output and evaluation count to probing a
-        :class:`RuleIndex` and running ``matches_prepared`` per candidate.
-        """
+        """(sorted fired rule ids, candidate evaluations) for one item:
+        the kernel for a clean title, :meth:`_match_unclean` otherwise.
+        The per-item entry point the incremental executor uses."""
         self._refresh()
         lowered = item.title.lower()
         if _CLEAN_TITLE(lowered) is None:
-            return self._match_compat(item)
+            return self._match_unclean(item)
         toks = lowered.split()
         tset = set(toks)
         return self._apply_lanes(item, toks, tset, tset & self._keys)
@@ -814,7 +844,7 @@ class CompiledRuleSet:
         The fired map is byte-identical to
         ``NaiveExecutor(rules).run(items)`` over the same (enabled) rules.
         Each item takes the same route as :meth:`match_item` — the kernel
-        for clean titles, the compat path otherwise — and a repeated item
+        for clean titles, the unclean path otherwise — and a repeated item
         id is decided by its last occurrence. Spans and metrics are the
         caller's business: nothing an observer does can reach this loop,
         and an item that raises fails the batch.
@@ -825,7 +855,7 @@ class CompiledRuleSet:
         self._refresh()
         keys = self._keys
         apply_lanes = self._apply_lanes
-        match_compat = self._match_compat
+        match_unclean = self._match_unclean
         fired: Dict[str, List[str]] = {}
         pop = fired.pop
         n_evaluations = 0
@@ -843,7 +873,7 @@ class CompiledRuleSet:
             for item in items:
                 lowered = item.title.lower()
                 if _CLEAN_TITLE(lowered) is None:
-                    hits, n_candidates = match_compat(item)
+                    hits, n_candidates = match_unclean(item)
                 else:
                     toks = lowered.split()
                     tset = set(toks)
@@ -867,8 +897,8 @@ class CompiledRuleSet:
 class RuleSetCompiler:
     """Front door: lower rule sets into :class:`CompiledRuleSet` artifacts.
 
-    Stateless apart from the corpus token-frequency table (shared with
-    :class:`RuleIndex` so both pick the same sequence anchors); the
+    Stateless apart from the corpus token-frequency table (the
+    :func:`rarest_anchor` ranking of sequence anchors); the
     ``exec.compile`` span makes compilation cost visible wherever an
     observability pipeline is attached.
     """

@@ -1,5 +1,7 @@
 """Tests for repro.core.rule: the rule classes and anchor extraction."""
 
+import re
+
 import pytest
 
 from repro.catalog.types import ProductItem
@@ -13,6 +15,7 @@ from repro.core import (
     compile_title_regex,
     extract_anchor_literals,
 )
+from repro.core.serialize import rules_from_dicts
 
 
 def item(title, **attributes):
@@ -116,6 +119,20 @@ class TestSequenceRule:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             SequenceRule((), "t")
+
+    @pytest.mark.parametrize("token", ["Ring", "gold ring", "", "tv,", "w/", 1])
+    def test_token_no_title_can_hold_rejected(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            SequenceRule(("gold", token), "t")
+
+    def test_token_no_title_can_hold_rejected_on_load(self):
+        payload = {"kind": "sequence", "tokens": ["gold", "Ring"], "target_type": "t"}
+        with pytest.raises(ValueError, match="'Ring'"):
+            rules_from_dicts([payload])
+
+    @pytest.mark.parametrize("tokens", [("of", "gold"), ("o-ring",), ("13.5in", "tv")])
+    def test_stop_words_and_punctuated_tokens_accepted(self, tokens):
+        assert SequenceRule(tokens, "t").token_sequence == tokens
 
 
 class TestAnchorExtraction:

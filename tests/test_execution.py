@@ -11,13 +11,15 @@ from repro.core import (
     parse_rules,
 )
 from repro.execution import (
+    CompiledRuleSet,
     DataIndex,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleIndex,
     RuleSetCompiler,
     prepare,
 )
+from repro.execution.compiler import corpus_token_frequency
+from tests.candidate_reference import reference_evaluations
 
 
 def item(title, **attributes):
@@ -44,56 +46,62 @@ ITEMS = [
 
 
 class TestRuleIndex:
+    """Candidate placement in the compiled lanes: which rules an item
+    probes, and how many evaluations that costs."""
+
     def test_candidates_are_superset_of_matches(self):
-        index = RuleIndex(RULES)
+        compiled = CompiledRuleSet(RULES)
         for thing in ITEMS:
-            candidate_ids = {rule.rule_id for rule in index.candidates(thing)}
-            for rule in RULES:
-                if rule.matches(thing):
-                    assert rule.rule_id in candidate_ids
+            assert compiled.match_item(thing) == (
+                sorted(rule.rule_id for rule in RULES if rule.matches(thing)),
+                reference_evaluations(RULES, thing),
+            )
 
     def test_attribute_rules_in_residue(self):
-        index = RuleIndex(RULES)
         # attr(isbn) has no title anchor; neither has ``denim.*jeans?``
         # (it matches "denims bluejeans": no literal is a whole word).
-        assert index.residue_count == 2
+        assert CompiledRuleSet(RULES).layout()["residue_rules"] == 2
 
     def test_plural_singular_bridging(self):
-        index = RuleIndex([WhitelistRule("rings?", "rings")])
-        candidates = index.candidates(item("two rings"))
-        assert len(candidates) == 1
+        rule = WhitelistRule("rings?", "rings")
+        compiled = CompiledRuleSet([rule])
+        assert compiled.match_item(item("two rings")) == ([rule.rule_id], 1)
+        assert compiled.match_item(item("two o-rings!")) == ([rule.rule_id], 1)
 
     def test_sequence_indexed_under_one_token(self):
         frequency = {"area": 1000, "rug": 3}
-        index = RuleIndex([SequenceRule(("area", "rug"), "area rugs")],
-                          token_frequency=frequency)
-        # Indexed under the rare token: items with only "area" skip the rule.
-        assert index.candidates(item("area code map")) == []
-        assert len(index.candidates(item("rug sale"))) == 1
+        compiled = CompiledRuleSet([SequenceRule(("area", "rug"), "area rugs")],
+                                   token_frequency=frequency)
+        # Counted under the rare token: items with only "area" skip the rule.
+        assert compiled.match_item(item("area code map")) == ([], 0)
+        assert compiled.match_item(item("area-code map")) == ([], 0)
+        assert compiled.match_item(item("rug sale"))[1] == 1
+        assert compiled.match_item(item("rug sale!"))[1] == 1
 
     def test_corpus_token_frequency(self):
-        freq = RuleIndex.corpus_token_frequency(["rug mat", "rug lamp"])
+        freq = corpus_token_frequency(["rug mat", "rug lamp"])
         assert freq == {"rug": 2, "mat": 1, "lamp": 1}
 
     def test_candidates_accept_prepared_items(self):
-        index = RuleIndex(RULES)
+        compiled = CompiledRuleSet(RULES)
         for thing in ITEMS:
-            raw_ids = {rule.rule_id for rule in index.candidates(thing)}
-            prepared_ids = {
-                rule.rule_id for rule in index.candidates(PreparedItem(thing))
-            }
-            assert raw_ids == prepared_ids
+            assert compiled.match_item(thing) == compiled.match_item(PreparedItem(thing))
 
 
-class _CountingPostings(dict):
-    """Postings dict that counts lookups, to prove remove() never scans."""
+class _CountingLanes(dict):
+    """Raw-lane dict that records the tokens looked up, to prove
+    remove_rule() never scans."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.lookups = 0
+        self.looked_up = set()
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.lookups += 1
+        self.looked_up.add(key)
         return super().get(key, default)
 
 
@@ -103,47 +111,51 @@ class TestRuleIndexRemove:
             SequenceRule((f"alpha{i}", f"beta{i}"), "t", rule_id=f"seq-{i:05d}")
             for i in range(n)
         ]
-        return RuleIndex(rules), rules
+        return CompiledRuleSet(rules), rules
 
     def test_remove_present_and_absent(self):
-        index, rules = self._big_index(100)
-        assert index.remove(rules[17].rule_id) is True
-        assert index.remove(rules[17].rule_id) is False
-        assert index.remove("never-existed") is False
-        assert len(index) == 99
+        compiled, rules = self._big_index(100)
+        assert compiled.remove_rule(rules[17].rule_id) is True
+        assert compiled.remove_rule(rules[17].rule_id) is False
+        assert compiled.remove_rule("never-existed") is False
+        assert len(compiled) == 99
 
     def test_remove_does_not_scan_posting_lists(self):
-        """On a 10k-rule index, removal touches only the rule's own postings."""
-        index, rules = self._big_index(10_000)
-        counting = _CountingPostings(index._postings)
-        index._postings = counting
-        counting.lookups = 0
-        assert index.remove(rules[1234].rule_id) is True
-        # A sequence rule lives under exactly one posting key.
-        assert counting.lookups <= 2
-        assert len(index) == 9_999
+        """On a 10k-rule artifact, removal touches only the rule's own lanes."""
+        compiled, rules = self._big_index(10_000)
+        compiled.layout()  # fold, so only the removal dirties tokens
+        counting = _CountingLanes(compiled._raw)
+        compiled._raw = counting
+        assert compiled.remove_rule(rules[1234].rule_id) is True
+        # A sequence rule lives under exactly one anchor: its rarest.
+        assert counting.looked_up == {"alpha1234"}
+        assert compiled._dirty_tokens == {"alpha1234", ""}
+        assert len(compiled) == 9_999
 
     def test_remove_regex_rule_clears_all_anchor_postings(self):
         rule = WhitelistRule("(motor|engine) oils?", "motor oil")
-        index = RuleIndex([rule])
-        assert index.remove(rule.rule_id) is True
-        assert len(index) == 0
-        assert index.candidates(item("castrol motor oil")) == []
+        compiled = CompiledRuleSet([rule])
+        assert compiled.remove_rule(rule.rule_id) is True
+        assert len(compiled) == 0
+        assert compiled.match_item(item("castrol motor oil")) == ([], 0)
+        assert compiled.match_item(item("castrol motor-oil")) == ([], 0)
+        assert not compiled._raw
 
     def test_remove_residue_rule(self):
         rule = AttributeRule("isbn", "books")
-        index = RuleIndex([rule])
-        assert index.residue_count == 1
-        assert index.remove(rule.rule_id) is True
-        assert index.residue_count == 0
+        compiled = CompiledRuleSet([rule])
+        assert compiled.layout()["residue_rules"] == 1
+        assert compiled.remove_rule(rule.rule_id) is True
+        assert compiled.layout()["residue_rules"] == 0
 
     def test_remove_all_rules_empties_index(self):
-        index, rules = self._big_index(1_000)
+        compiled, rules = self._big_index(1_000)
         for rule in rules:
-            assert index.remove(rule.rule_id)
-        assert len(index) == 0
-        assert not index._postings
-        assert not index._keys_by_rule
+            assert compiled.remove_rule(rule.rule_id)
+        assert len(compiled) == 0
+        assert not compiled._raw
+        assert not compiled._contrib
+        assert compiled.layout()["tokens"] == 0
 
 
 class TestExecutors:

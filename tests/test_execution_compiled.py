@@ -4,13 +4,14 @@ The contract under test everywhere: the compiled engine is an
 *optimizer*, never a semantic fork — fired maps and fire counts must be
 indistinguishable from the interpreted reference
 (:class:`NaiveExecutor`: every rule's ``matches_prepared`` on every item)
-and candidate counts from the :class:`RuleIndex` probe, on every input,
-including the traps (plural-bridge collisions, stop-word sequences, dirty
-titles, disabled rules).
+and candidate counts from the plain count in
+``tests/candidate_reference.py``, on every input, including the traps
+(plural-bridge collisions, stop-word sequences, unclean titles, disabled
+rules).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.types import ProductItem
@@ -30,12 +31,12 @@ from repro.execution import (
     IncrementalExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleIndex,
     RuleSetCompiler,
     rarest_anchor,
 )
 from repro.execution.compiler import _DEAD_SLOT_MARGIN, _lower_regex_branches
 from repro.observability import Observability
+from tests.candidate_reference import reference_evaluations
 
 
 def item(item_id, title, attributes=None):
@@ -61,9 +62,8 @@ class BadTitle:
 
 
 def probe_count(rules, items):
-    """Candidate evaluations the RuleIndex probe proposes (enabled rules)."""
-    index = RuleIndex(rule for rule in rules if rule.enabled)
-    return sum(len(index.candidates(it)) for it in items)
+    """Candidate evaluations the reference count owes (enabled rules)."""
+    return sum(reference_evaluations(rules, it) for it in items)
 
 
 def assert_parity(rules, items):
@@ -100,7 +100,7 @@ class TestRegexBranchLowering:
 
 
 class TestRarestAnchorSharedTiebreak:
-    """Satellite: the anchor tiebreak is one function used by both layers."""
+    """The anchor tiebreak is one function, and the lanes key on it."""
 
     def test_ranking_frequency_then_length_then_lexicographic(self):
         freq = {"common": 100, "rare": 1, "rarer": 1}
@@ -114,11 +114,10 @@ class TestRarestAnchorSharedTiebreak:
 
     def test_rule_index_delegates_to_shared_function(self):
         freq = {"gold": 50, "ring": 2}
-        index = RuleIndex(token_frequency=freq)
-        rule = SequenceRule(["gold", "ring"], "t", rule_id="s1")
-        index.add(rule)
+        compiled = CompiledRuleSet(token_frequency=freq)
+        compiled.add_rule(SequenceRule(["gold", "ring"], "t", rule_id="s1"))
         assert rarest_anchor(["gold", "ring"], freq) == "ring"
-        assert index._keys_by_rule["s1"] == ["ring"]
+        assert {token for token, _, _ in compiled._contrib["s1"]} == {"ring"}
 
     def test_candidate_counts_comparable_between_layers(self):
         """evaluations_per_item must agree, else bench series diverge."""
@@ -133,13 +132,12 @@ class TestRarestAnchorSharedTiebreak:
             item("i2", "gold band special"),
             item("i3", "gold rings"),
             item("i4", "nothing here"),
+            item("i5", "Gold-Rings, band!"),
         ]
-        index = RuleIndex(rules, token_frequency=freq)
         compiled = RuleSetCompiler(token_frequency=freq).compile(rules)
         for it in items:
-            interpreted = len(index.candidates(prepare(it)))
             _, n_evaluated = compiled.match_item(it)
-            assert n_evaluated == interpreted, it.item_id
+            assert n_evaluated == reference_evaluations(rules, it, freq), it.item_id
 
 
 class TestCompiledParityPerRuleClass:
@@ -257,9 +255,9 @@ class TestCompiledParityPerRuleClass:
         assert compiled.lane_of("w1") == "depth1-fire"
 
     def test_unknown_anchored_rule_class_forces_compat(self):
-        """Compat for that rule only: an anchored class the compiler does
-        not know runs its own ``matches_prepared``, counted where the
-        index posts it; every other rule stays compiled."""
+        """An anchored class the compiler does not know runs its own
+        ``matches_prepared`` for that rule only, counted on its anchors;
+        every other rule stays compiled."""
         class ExoticRule(WhitelistRule):
             def matches_prepared(self, prepared):  # overridden semantics
                 return "gold" in prepared.tokens and super().matches_prepared(prepared)
@@ -296,7 +294,7 @@ class TestCompiledParityPerRuleClass:
 
 class TestPluralBridgeTrap:
     """The fire lane must never bridge: an exact-word rule does not fire
-    on the plural surface form, even though the index proposes it."""
+    on the plural surface form, even though the probe counts it."""
 
     @pytest.mark.parametrize("rule", [
         SequenceRule(["ring"], "t", rule_id="r1"),
@@ -313,7 +311,7 @@ class TestPluralBridgeTrap:
 
     def test_multi_anchor_rule_not_double_counted_via_bridge(self):
         # anchors {ring, rings}: on "rings" the rule is reachable both
-        # directly and through the bridge — one candidate, like the index.
+        # directly and through the bridge — one candidate.
         rules = [WhitelistRule("ring|rings", "t", rule_id="w1")]
         items = [item("i1", "rings"), item("i2", "ring rings")]
         assert_parity(rules, items)
@@ -321,9 +319,12 @@ class TestPluralBridgeTrap:
 
 class TestDirtyTitlesAndSkipMode:
     def test_dirty_titles_route_through_compat_path(self):
+        """Unclean titles probe the same lanes with their anchor tokens."""
         rules = [
             WhitelistRule("ring", "t", rule_id="w1"),
             SequenceRule(["gold", "ring"], "t", rule_id="s1"),
+            WhitelistRule("gold band", "t", rule_id="p1"),
+            SequenceRule(["o-ring"], "t", rule_id="s2"),
         ]
         items = [
             item("i1", "café gold ring"),     # non-ascii
@@ -331,8 +332,13 @@ class TestDirtyTitlesAndSkipMode:
             item("i3", "GOLD Ring"),               # clean after lowering
             item("i4", ""),                        # empty title
             item("i5", "gold/ring combo"),
+            item("i6", "gold band, o-ring"),       # a pair; a hyphenated token
+            item("i7", "!!!"),                     # no token at all
         ]
-        assert_parity(rules, items)
+        fired = assert_parity(rules, items)
+        # "gold-plated" and "gold/ring" are one token each: no sequence.
+        assert fired == {"i1": ["s1", "w1"], "i2": ["w1"], "i3": ["s1", "w1"],
+                         "i5": ["w1"], "i6": ["p1", "s2", "w1"]}
 
     def test_raise_mode_propagates(self):
         compiled = RuleSetCompiler().compile([WhitelistRule("x", "t")])
@@ -694,3 +700,95 @@ class TestHypothesisParity:
     def test_incremental_compiled_equals_batch_interpreted(self, rules, items):
         incremental = IncrementalExecutor(rules=rules, items=items)
         assert incremental.fired_map() == reference_of(incremental, items)
+
+
+# -- hypothesis: unclean titles (the path that probes with anchor_tokens)
+# -- against the reference, every rule class, both counting contracts
+
+_UNCLEAN_WORDS = ["ring", "rings", "o-ring", "gold", "band", "13.5in", "5in",
+                  "tv", "tvs", "of", "motor"]
+_UNCLEAN_TITLES = st.text(alphabet="abdgilnorstvGR é-./_59!", max_size=24) | st.tuples(
+    st.lists(st.sampled_from(_UNCLEAN_WORDS + ["gold band", "Gold", "RINGS", "café",
+                                               "x_y", "w/"]), max_size=5),
+    st.sampled_from([" ", "-", "/", ".", "_", ", ", " & "]),
+    st.sampled_from(["", "!", " é", "_", "-", " 9v"]),
+).map(lambda parts: parts[1].join(parts[0]) + parts[2])
+
+
+class _ExoticRegex(WhitelistRule):
+    """A known class with overridden semantics: the generic-anchored lane."""
+
+    def matches_prepared(self, prepared):
+        return "gold" in prepared.tokens and super().matches_prepared(prepared)
+
+
+class _ExoticSequence(SequenceRule):
+    def matches_prepared(self, prepared):
+        return "band" not in prepared.tokens and super().matches_prepared(prepared)
+
+
+@st.composite
+def _any_rule(draw):
+    kind = draw(st.integers(min_value=0, max_value=8))
+    rid = f"r{draw(st.integers(min_value=0, max_value=10 ** 6))}"
+    words = st.sampled_from(["ring", "gold", "band", "tv", "motor", "of"])
+    if kind == 0:  # one or several anchors, bare words and plurals
+        picked = draw(st.lists(words, min_size=1, max_size=3, unique=True))
+        pattern = "|".join(w + ("s?" if draw(st.booleans()) else "") for w in picked)
+        rule = WhitelistRule(pattern, "t", rule_id=rid)
+    elif kind == 1:  # depth-2 pairs, or a verify closure at three words
+        phrase = draw(st.sampled_from(["gold band", "band ring", "gold band ring"]))
+        rule = BlacklistRule(phrase, "t", rule_id=rid)
+    elif kind == 2:  # closures, anchorless regexes, punctuated anchors
+        pattern = draw(st.sampled_from(
+            ["o-ring", r"13\.5in", "gold.*ring", "(motor|gold) rings?", "ring|rings",
+             "colou?r", "tvs?", "ring|gold band"]))
+        rule = WhitelistRule(pattern, "t", rule_id=rid)
+    elif kind == 3:
+        tokens = draw(st.lists(st.sampled_from(_UNCLEAN_WORDS), min_size=1, max_size=3))
+        rule = SequenceRule(tokens, "t", rule_id=rid)
+    elif kind == 4:
+        rule = AttributeRule(draw(st.sampled_from(["isbn", "brand"])), "t", rule_id=rid)
+    elif kind == 5:
+        rule = ValueConstraintRule("brand", "acme", ["t"], rule_id=rid)
+    elif kind == 6:
+        rule = PredicateRule([Clause("says ring", lambda it: "ring" in it.title)],
+                             "t", rule_id=rid)
+    elif kind == 7:
+        rule = _ExoticRegex(draw(st.sampled_from(["rings?", "ring|band", "o-ring"])),
+                            "t", rule_id=rid)
+    else:
+        tokens = draw(st.lists(st.sampled_from(_UNCLEAN_WORDS), min_size=1, max_size=2))
+        rule = _ExoticSequence(tokens, "t", rule_id=rid)
+    rule.enabled = draw(st.booleans())
+    return rule
+
+
+class TestUncleanTitlesProbeTheLanes:
+    @settings(max_examples=200, deadline=None)
+    @example(  # a pair candidate, a deduped multi-anchor count, a piece anchor
+        [BlacklistRule("gold band", "t", rule_id="p"),
+         WhitelistRule("ring|rings", "t", rule_id="m"),
+         WhitelistRule("rings?", "t", rule_id="w")],
+        ["gold band!", "o-rings, gold band"], {}, False,
+    )
+    @given(
+        st.lists(_any_rule(), max_size=8, unique_by=lambda r: r.rule_id),
+        st.lists(_UNCLEAN_TITLES, min_size=1, max_size=6),
+        st.dictionaries(st.sampled_from(_UNCLEAN_WORDS), st.integers(0, 3)),
+        st.booleans(),
+    )
+    def test_fired_ids_are_the_reference_and_counts_the_contract(
+        self, rules, titles, frequency, include_disabled
+    ):
+        compiled = CompiledRuleSet(
+            rules, token_frequency=frequency, include_disabled=include_disabled
+        )
+        for n, title in enumerate(titles):
+            it = item(f"i{n}", title, {"Brand": "ACME"} if n % 2 else {})
+            if include_disabled:
+                expected = sorted(rule.rule_id for rule in rules if rule.matches(it))
+            else:
+                expected = NaiveExecutor(rules).run([it])[0].get(it.item_id, [])
+            count = reference_evaluations(rules, it, frequency, include_disabled)
+            assert compiled.match_item(it) == (expected, count), title

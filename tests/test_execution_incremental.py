@@ -45,8 +45,8 @@ from repro.execution import (
     IncrementalExecutor,
     MatchStore,
     NaiveExecutor,
-    RuleIndex,
     prepare_all,
+    rarest_anchor,
 )
 from repro.execution.incremental import MemoryRecords
 from repro.observability import Observability
@@ -668,32 +668,30 @@ def test_tombstoned_rows_never_surface(rule_specs, ops):
 
 
 # ---------------------------------------------------------------------------
-# RuleIndex rarest-anchor determinism
+# rarest-anchor determinism
 # ---------------------------------------------------------------------------
 
 
 class TestRarestAnchor:
     def test_empty_frequency_prefers_longest_then_lexicographic(self):
-        index = RuleIndex()
-        assert index._rarest(["ab", "abcd", "xyzw"]) == "abcd"
-        assert index._rarest(["aa", "bb"]) == "aa"
+        assert rarest_anchor(["ab", "abcd", "xyzw"], {}) == "abcd"
+        assert rarest_anchor(["aa", "bb"], {}) == "aa"
 
     def test_missing_tokens_count_as_rare(self):
-        index = RuleIndex(token_frequency={"common": 10_000, "rare": 2})
-        assert index._rarest(["common", "rare"]) == "rare"
+        frequency = {"common": 10_000, "rare": 2}
+        assert rarest_anchor(["common", "rare"], frequency) == "rare"
         # Unseen vocabulary beats any seen count (treated as frequency 0).
-        assert index._rarest(["common", "unseen"]) == "unseen"
+        assert rarest_anchor(["common", "unseen"], frequency) == "unseen"
 
     def test_frequency_ties_break_by_length_then_lex(self):
-        index = RuleIndex(token_frequency={"aa": 5, "bbbb": 5, "cccc": 5})
-        assert index._rarest(["aa", "bbbb", "cccc"]) == "bbbb"
+        frequency = {"aa": 5, "bbbb": 5, "cccc": 5}
+        assert rarest_anchor(["aa", "bbbb", "cccc"], frequency) == "bbbb"
 
     def test_anchor_choice_is_token_order_independent(self):
-        index = RuleIndex(token_frequency={"area": 1000, "rug": 3})
-        assert index._rarest(["area", "rug"]) == "rug"
-        assert index._rarest(["rug", "area"]) == "rug"
-        empty = RuleIndex()
-        assert empty._rarest(["abcd", "wxyz"]) == empty._rarest(["wxyz", "abcd"])
+        frequency = {"area": 1000, "rug": 3}
+        assert rarest_anchor(["area", "rug"], frequency) == "rug"
+        assert rarest_anchor(["rug", "area"], frequency) == "rug"
+        assert rarest_anchor(["abcd", "wxyz"], {}) == rarest_anchor(["wxyz", "abcd"], {})
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,13 @@ from repro.core import (
     ValueConstraintRule,
     WhitelistRule,
 )
-from repro.execution import NaiveExecutor, PartitionedExecutor, RuleSetCompiler
+from repro.execution import (
+    CompiledRuleSet,
+    NaiveExecutor,
+    PartitionedExecutor,
+    RuleSetCompiler,
+)
+from tests.candidate_reference import reference_evaluations
 
 # A vocabulary engineered to exercise the tricky corners: plural/singular
 # pairs ("ring"/"rings"), stop words ("with", "for"), shared stems, and
@@ -116,12 +122,11 @@ def test_all_executors_agree(rules, corpus, n_workers):
 @settings(max_examples=40, deadline=None)
 @given(rules=rule_corpora(), corpus=st.lists(items(), min_size=0, max_size=10))
 def test_index_candidates_are_sound(rules, corpus):
-    """Every matching (enabled or not) rule appears among the candidates."""
-    from repro.execution import RuleIndex
-
-    index = RuleIndex(rules)
+    """Every matching (enabled or not) rule fires off the lanes, at the
+    reference's candidate count."""
+    compiled = CompiledRuleSet(rules, include_disabled=True)
     for thing in corpus:
-        candidate_ids = {rule.rule_id for rule in index.candidates(thing)}
-        for rule in rules:
-            if rule.matches(thing):
-                assert rule.rule_id in candidate_ids
+        assert compiled.match_item(thing) == (
+            sorted(rule.rule_id for rule in rules if rule.matches(thing)),
+            reference_evaluations(rules, thing, include_disabled=True),
+        )

@@ -19,10 +19,10 @@ from repro.execution import (
     FaultPlan,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleIndex,
     RuleSetCompiler,
     prepare_all,
 )
+from tests.candidate_reference import reference_evaluations
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -120,8 +120,9 @@ class TestCompiledPathReproducesGoldenFiredMap:
 
     def test_compiled_matches_interpreted_evaluation_count(
             self, golden_items, golden_rules):
-        index = RuleIndex(golden_rules)
-        interpreted = sum(len(index.candidates(item)) for item in golden_items)
+        interpreted = sum(
+            reference_evaluations(golden_rules, item) for item in golden_items
+        )
         _, compiled = RuleSetCompiler().compile(golden_rules).execute(golden_items)
         assert compiled.rule_evaluations == interpreted
 

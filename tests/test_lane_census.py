@@ -1,13 +1,16 @@
-"""Which compiled lane each served rule takes.
+"""Which compiled lane each served rule takes, and which path each
+served title takes.
 
 The compiled engine (``CompiledRuleSet``) keeps the lanes its traffic
-reaches: depth-1 fires, the depth-2 pair table, verify closures, the
-residue and a per-item compat lane for unclean titles. This census pins
-``lane_of`` over the rule sets that stand for that traffic — the engine
-of a fresh seed-7 ``training=0`` service (one artifact for the pipeline's
-four rule sets), the golden rule set compiled on its own, and a pipeline
-holding the golden set split across its stages — so a rule sliding off a
-fast lane (or onto a new one) edits this table.
+reaches: depth-1 fires, the depth-2 pair table, verify closures and the
+residue. This census pins ``lane_of`` over the rule sets that stand for
+that traffic — the engine of a fresh seed-7 ``training=0`` service (one
+artifact for the pipeline's four rule sets), the golden rule set compiled
+on its own, and a pipeline holding the golden set split across its
+stages — so a rule sliding off a fast lane (or onto a new one) edits this
+table. It also pins how many served items, and evaluations, take the
+kernel (a clean title) and how many the unclean path, so a tokenizer or
+clean-check change that moves traffic between them edits a table too.
 """
 
 import json
@@ -26,6 +29,10 @@ pytestmark = pytest.mark.gates
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SERVED_LANES = {"depth1-fire": 58, "verify-regex": 77}
+#: Seed-7 ``training=0`` served traffic over SERVED_BATCHES batches after
+#: start: (items, engine evaluations) per path.
+SERVED_BATCHES = 6
+SERVED_PATHS = {"clean": (585, 1064), "unclean": (50, 90)}
 GOLDEN_LANES = {
     "verify-regex": 40,
     "depth1-fire": 13,
@@ -56,6 +63,29 @@ def test_served_rule_stage_lanes(tmp_path):
     ) as service:
         assert service.chimera.rule_count()["rule-based"] == 135
         assert engine_census(service.incremental) == SERVED_LANES
+
+
+def test_served_traffic_by_path(tmp_path, monkeypatch):
+    traffic = {}
+
+    def count(path, name):
+        method = getattr(CompiledRuleSet, name)
+
+        def counted(self, *args):
+            hits, evaluations = method(self, *args)
+            items, total = traffic.get(path, (0, 0))
+            traffic[path] = (items + 1, total + evaluations)
+            return hits, evaluations
+
+        monkeypatch.setattr(CompiledRuleSet, name, counted)
+
+    with StreamService(
+        str(tmp_path / "root"), ServiceConfig(seed=7, training=0), fsync=False
+    ) as service:
+        count("clean", "_apply_lanes")
+        count("unclean", "_match_unclean")
+        service.run(SERVED_BATCHES)
+    assert traffic == SERVED_PATHS
 
 
 def test_golden_ruleset_lanes():

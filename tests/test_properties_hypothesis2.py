@@ -12,10 +12,11 @@ from repro.core.persistence import load_ruleset, save_ruleset
 from repro.em.blocking import block_pairs
 from repro.em.records import Record
 from repro.em.similarity import jaccard_tokens
-from repro.execution import RuleIndex
+from repro.execution import CompiledRuleSet
 from repro.maintenance import consolidate_rules, split_consolidated
 from repro.synonym.rocchio import RocchioFeedback
 from repro.utils.vectors import SparseVector
+from tests.candidate_reference import reference_evaluations
 
 words = st.text(alphabet="abcdefghij", min_size=2, max_size=6)
 vectors = st.dictionaries(words, st.floats(min_value=0.01, max_value=5,
@@ -104,23 +105,25 @@ class TestRuleIndexSoundness:
     @settings(max_examples=40)
     def test_candidates_superset_of_matches(self, specs, title_words):
         rules = [WhitelistRule(w, t) for w, t in specs]
-        index = RuleIndex(rules)
-        probe = item(" ".join(title_words))
-        candidate_ids = {rule.rule_id for rule in index.candidates(probe)}
-        for rule in rules:
-            if rule.matches(probe):
-                assert rule.rule_id in candidate_ids
+        compiled = CompiledRuleSet(rules)
+        for probe in (item(" ".join(title_words)), item("-".join(title_words) + "!")):
+            assert compiled.match_item(probe) == (
+                sorted(rule.rule_id for rule in rules if rule.matches(probe)),
+                reference_evaluations(rules, probe),
+            )
 
     @given(st.lists(st.tuples(words, words), min_size=2, max_size=8))
     @settings(max_examples=30)
     def test_remove_shrinks_candidates(self, specs):
         rules = [WhitelistRule(w, t) for w, t in specs]
-        index = RuleIndex(rules)
+        compiled = CompiledRuleSet(rules)
         victim = rules[0]
-        assert index.remove(victim.rule_id)
-        probe = item(f"{specs[0][0]} thing")
-        assert victim.rule_id not in {r.rule_id for r in index.candidates(probe)}
-        assert not index.remove(victim.rule_id)  # already gone
+        assert compiled.remove_rule(victim.rule_id)
+        for probe in (item(f"{specs[0][0]} thing"), item(f"{specs[0][0]}/thing")):
+            hits, count = compiled.match_item(probe)
+            assert victim.rule_id not in hits
+            assert count == reference_evaluations(rules[1:], probe)
+        assert not compiled.remove_rule(victim.rule_id)  # already gone
 
 
 class TestBlockingSoundness:

@@ -294,4 +294,4 @@ class TestServedPathNeverScansGuard:
             "fired, _ = execution.NaiveExecutor(rules).run(items)\n",
         ):
             assert list(self.reference_uses(ast.parse(source)))
-        assert not list(self.reference_uses(ast.parse("from repro.execution import RuleIndex\n")))
+        assert not list(self.reference_uses(ast.parse("from repro.execution import CompiledRuleSet\n")))
