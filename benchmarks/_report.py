@@ -2,7 +2,8 @@
 
 Each experiment emits its paper-style rows both to stdout and to
 ``benchmarks/results/<experiment>.txt`` so the regenerated tables survive
-pytest's output capturing. The overhead benchmarks
+pytest's output capturing (a script run with ``--out`` elsewhere prints
+only). The overhead benchmarks
 (``bench_obs_overhead``, ``bench_quality_overhead``) also share one
 comparison statistic, :func:`measure_interleaved` — min of interleaved
 runs — so "overhead" means the same thing in every report.
@@ -106,14 +107,21 @@ def stats_lines(label: str, stats) -> List[str]:
     return rows
 
 
-def emit(experiment: str, lines: Iterable[str]) -> List[str]:
-    """Print the experiment's rows and persist them; returns the lines."""
+def emit(experiment: str, lines: Iterable[str], persist: bool = True) -> List[str]:
+    """Print the experiment's rows and, with ``persist``, write them to
+    ``results/<experiment>.txt``; returns the lines.
+
+    A script with an ``--out`` option persists only when ``--out`` is its
+    committed default, so a run that writes elsewhere leaves the checkout
+    clean.
+    """
     rendered = list(lines)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
-    with open(path, "w") as handle:
-        for line in rendered:
-            handle.write(line + "\n")
+    if persist:
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
+        with open(path, "w") as handle:
+            for line in rendered:
+                handle.write(line + "\n")
     print(f"\n=== {experiment} ===")
     for line in rendered:
         print(line)

@@ -205,7 +205,8 @@ def main(argv=None):
         f"fired maps identical           : {identical}",
         f"json                           : {os.path.relpath(args.out, REPO_ROOT)}",
     ]
-    emit("BENCH_exec_prepared", lines)
+    emit("BENCH_exec_prepared", lines,
+         persist=os.path.abspath(args.out) == DEFAULT_OUT)
     if not identical:
         raise SystemExit("FAIL: compiled engine diverged from NaiveExecutor")
     return payload

@@ -188,7 +188,8 @@ def main(argv=None):
     lines.extend(stats_lines("lifetime", incremental.stats))
     lines.append(f"json                           : "
                  f"{os.path.relpath(args.out, REPO_ROOT)}")
-    emit("BENCH_incremental_exec", lines)
+    emit("BENCH_incremental_exec", lines,
+         persist=os.path.abspath(args.out) == DEFAULT_OUT)
     if not all_identical:
         raise SystemExit("FAIL: incremental fired map diverged from full re-run")
     return payload

@@ -134,7 +134,8 @@ def main(argv=None):
         f"fired maps identical: {identical}",
         f"-> {args.out}",
     ]
-    emit("BENCH_obs_overhead", lines)
+    emit("BENCH_obs_overhead", lines,
+         persist=os.path.abspath(args.out) == DEFAULT_OUT)
 
     if not identical:
         print("FAIL: fired maps differ between traced and plain runs",

@@ -228,7 +228,8 @@ def main(argv=None):
         f"{len(health.seen_rules())} rules tracked",
         f"-> {args.out}",
     ]
-    emit("BENCH_quality_overhead", lines)
+    emit("BENCH_quality_overhead", lines,
+         persist=os.path.abspath(args.out) == DEFAULT_OUT)
 
     if not identical:
         print("FAIL: labels differ between telemetry and plain runs",

@@ -161,7 +161,7 @@ def main() -> int:
         f"miner wall={miner_wall:.3f}s {phases}",
         f"identical_to_reference={identical} speedup={speedup:.2f}x "
         f"({SPEEDUP_KIND}) -> {args.out}",
-    ])
+    ], persist=os.path.abspath(args.out) == DEFAULT_OUT)
 
     if not identical:
         print("FAIL: miner rule set diverged from the reference", file=sys.stderr)

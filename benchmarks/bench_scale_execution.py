@@ -255,7 +255,7 @@ def main(argv=None):
         f"{payload['engine_sec']['compile']} / {payload['engine_sec']['match']}",
         f"subsample identical  : {identical}  (n={len(subsample_items)})",
         f"json                 : {os.path.relpath(args.out, REPO_ROOT)}",
-    ])
+    ], persist=os.path.abspath(args.out) == DEFAULT_OUT)
     if not identical:
         raise SystemExit("FAIL: compiled path diverged from NaiveExecutor")
     return payload

@@ -155,7 +155,8 @@ def main(argv=None):
         f"attempt {attempts_used}/{max(1, args.attempts)})",
         f"-> {args.out} [service]",
     ]
-    emit("BENCH_service_overhead", lines)
+    emit("BENCH_service_overhead", lines,
+         persist=os.path.abspath(args.out) == DEFAULT_OUT)
 
     if not within_budget:
         print(f"FAIL: daemon overhead {overhead * 100:.2f}% exceeds budget "

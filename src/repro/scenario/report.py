@@ -17,7 +17,7 @@ two runs of the same spec and seed produce byte-identical files
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List
 
 
@@ -37,12 +37,7 @@ class ExitCheck:
     passed: bool
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -73,59 +68,21 @@ class ScenarioReport:
     exit_checks: List[ExitCheck] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "executor": self.executor,
-            "passed": self.passed,
-            "totals": self.totals,
-            "batches": self.batches,
-            "precision_trajectory": self.precision_trajectory,
-            "incidents": self.incidents,
-            "alerts": self.alerts,
-            "drift_events": self.drift_events,
-            "taxonomy_changes": self.taxonomy_changes,
-            "crowd": self.crowd,
-            "faults": self.faults,
-            "rules": self.rules,
-            "repository": self.repository,
-            "fired_digest": self.fired_digest,
-            "exit_checks": [check.to_dict() for check in self.exit_checks],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioReport":
-        """Rebuild a report from its :meth:`to_dict` form (for re-rendering)."""
-        checks = [
-            ExitCheck(
-                name=entry["name"],
-                expected=entry["expected"],
-                actual=entry["actual"],
-                passed=entry["passed"],
-            )
+        """Rebuild a report from its :meth:`to_dict` form (for re-rendering).
+
+        A key the form lacks takes its field's default (``""`` for the
+        fingerprint and the executor).
+        """
+        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        values["exit_checks"] = [
+            ExitCheck(**{f.name: entry[f.name] for f in fields(ExitCheck)})
             for entry in data.get("exit_checks", [])
         ]
-        return cls(
-            scenario=data["scenario"],
-            seed=data["seed"],
-            fingerprint=data.get("fingerprint", ""),
-            executor=data.get("executor", ""),
-            passed=data.get("passed", True),
-            totals=data.get("totals", {}),
-            batches=data.get("batches", []),
-            precision_trajectory=data.get("precision_trajectory", []),
-            incidents=data.get("incidents", []),
-            alerts=data.get("alerts", []),
-            drift_events=data.get("drift_events", []),
-            taxonomy_changes=data.get("taxonomy_changes", []),
-            crowd=data.get("crowd", {}),
-            faults=data.get("faults", {}),
-            rules=data.get("rules", {}),
-            repository=data.get("repository", {}),
-            fired_digest=data.get("fired_digest", ""),
-            exit_checks=checks,
-        )
+        return cls(**{"fingerprint": "", "executor": "", **values})
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, 2-space indent, trailing newline."""

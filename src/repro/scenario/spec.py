@@ -8,6 +8,15 @@ budgets, and the exit conditions the run must satisfy. Every field is
 validated here with positioned errors, so a typo in a spec fails at load
 time, not three phases into a simulation.
 
+Each section is a frozen dataclass whose fields declare how they are
+read: ``min_batch: int = field(default=20, metadata=_int(minimum=1))``.
+One reader, :func:`_read`, builds every section from its mapping — it
+rejects unknown keys, reads the fields in declaration order (nested
+sections and section lists get their indexed paths, ``drift[3]``,
+``traffic.vendors[0]``), and then runs the section's cross-field
+``_check``. The document's own ``_check`` walks every scheduled event
+once. Every number a spec holds is finite.
+
 Batch indices are 0-based: an event with ``at_batch: k`` is applied
 *before* the k-th scheduled batch is produced. Everything in a spec is
 data — no field names code — and a spec plus a seed fully determines a
@@ -18,23 +27,30 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.scenario.yamlio import safe_load
 
 #: Fired-map executor kinds the runner knows how to drive.
 EXECUTOR_KINDS = ("none", "indexed", "partitioned", "incremental")
 
-#: Drift-schedule operations (mirroring DriftInjector's surface).
-DRIFT_OPS = (
-    "extend_slot",
-    "replace_slot",
-    "shift_heads",
-    "shift_distribution",
-    "surge_department",
-)
+#: Drift-schedule operations (mirroring DriftInjector's surface), each
+#: with the fields it needs and how its refusal names them.
+_DRIFT_NEEDS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "extend_slot": (("type", "slot", "phrases"), "type, slot, and phrases"),
+    "replace_slot": (("type", "slot", "phrases"), "type, slot, and phrases"),
+    "shift_heads": (("type", "heads"), "type and heads"),
+    "shift_distribution": (("weights",), "weights"),
+    "surge_department": (("department",), "department"),
+}
+DRIFT_OPS = tuple(_DRIFT_NEEDS)
+
+#: The path of the document itself. Its scalars are addressed below it
+#: (``scenario.name``), its sections from the root (``drift[3]``).
+_ROOT = "scenario"
 
 
 class SpecError(ValueError):
@@ -67,48 +83,78 @@ def _check_keys(data: Mapping[str, Any], allowed: Sequence[str], path: str) -> N
         raise _err(path, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def _get_int(data: Mapping[str, Any], key: str, path: str, default: int,
-             minimum: Optional[int] = None) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _err(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return value
+def _child(path: str, key: str) -> str:
+    return key if path == _ROOT else f"{path}.{key}"
 
 
-def _get_float(data: Mapping[str, Any], key: str, path: str, default: float,
-               minimum: Optional[float] = None,
-               maximum: Optional[float] = None) -> float:
-    value = data.get(key, default)
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value: Any, path: str) -> float:
+    """``value`` as a finite float; a bool, a non-number, NaN or ±inf is
+    refused at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _err(f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise _err(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _err(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-    return value
+        raise _err(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _err(path, f"must be a finite number, got {value!r}")
+    return number
 
 
-def _get_bool(data: Mapping[str, Any], key: str, path: str, default: bool) -> bool:
+# -- field readers ---------------------------------------------------------------
+#
+# A reader is ``read(data, key, path, default) -> value``: ``data`` is the
+# section's mapping, ``path`` the section's path, and ``default`` the
+# field's default (or its ``missing`` stand-in when it has none). The
+# factories below return a field's ``metadata``.
+
+
+def _int(minimum: Optional[int] = None) -> Dict[str, Any]:
+    def read(data, key, path, default):
+        value = data.get(key, default)
+        if not _is_int(value):
+            raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise _err(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+        return value
+    return {"read": read}
+
+
+def _float(minimum: Optional[float] = None,
+           maximum: Optional[float] = None) -> Dict[str, Any]:
+    def read(data, key, path, default):
+        value = _finite(data.get(key, default), f"{path}.{key}")
+        if minimum is not None and value < minimum:
+            raise _err(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise _err(f"{path}.{key}", f"must be <= {maximum}, got {value}")
+        return value
+    return {"read": read}
+
+
+def _get_bool(data, key, path, default) -> bool:
     value = data.get(key, default)
     if not isinstance(value, bool):
         raise _err(f"{path}.{key}", f"expected true/false, got {value!r}")
     return value
 
 
-def _get_str(data: Mapping[str, Any], key: str, path: str,
-             default: str = "", required: bool = False) -> str:
-    value = data.get(key, default)
-    if required and not value:
-        raise _err(f"{path}.{key}", "is required")
-    if not isinstance(value, str):
-        raise _err(f"{path}.{key}", f"expected a string, got {value!r}")
-    return value
+def _str(required: bool = False) -> Dict[str, Any]:
+    def read(data, key, path, default):
+        value = data.get(key, default)
+        if required and not value:
+            raise _err(f"{path}.{key}", "is required")
+        if not isinstance(value, str):
+            raise _err(f"{path}.{key}", f"expected a string, got {value!r}")
+        return value
+    return {"read": read, "missing": ""} if required else {"read": read}
 
 
-def _get_str_list(data: Mapping[str, Any], key: str, path: str) -> Tuple[str, ...]:
+def _get_strs(data, key, path, default) -> Tuple[str, ...]:
     values = _require_list(data.get(key), f"{path}.{key}")
     for value in values:
         if not isinstance(value, str):
@@ -116,26 +162,115 @@ def _get_str_list(data: Mapping[str, Any], key: str, path: str) -> Tuple[str, ..
     return tuple(values)
 
 
-def _get_str_map(data: Mapping[str, Any], key: str, path: str) -> Dict[str, str]:
+def _get_rewrites(data, key, path, default) -> Tuple[Tuple[str, str], ...]:
     mapping = _require_map(data.get(key), f"{path}.{key}")
-    out: Dict[str, str] = {}
     for k, v in mapping.items():
         if not isinstance(k, str) or not isinstance(v, str):
             raise _err(f"{path}.{key}", f"expected string keys/values, got {k!r}: {v!r}")
-        out[k] = v
-    return out
+    return tuple(sorted(mapping.items()))
 
 
-def _get_weight_map(data: Mapping[str, Any], key: str, path: str) -> Dict[str, float]:
+def _get_weights(data, key, path, default) -> Tuple[Tuple[str, float], ...]:
     mapping = _require_map(data.get(key), f"{path}.{key}")
     out: Dict[str, float] = {}
     for k, v in mapping.items():
         if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
             raise _err(f"{path}.{key}", f"expected 'type: weight' entries, got {k!r}: {v!r}")
-        if v < 0:
+        weight = _finite(v, f"{path}.{key}.{k}")
+        if weight < 0:
             raise _err(f"{path}.{key}", f"weight for {k!r} must be >= 0, got {v}")
-        out[k] = float(v)
-    return out
+        out[k] = weight
+    return tuple(sorted(out.items()))
+
+
+def _get_coordinate(data, key, path, default) -> Optional[int]:
+    value = data.get(key)
+    if value is not None and (not _is_int(value) or value < 0):
+        raise _err(f"{path}.{key}", f"expected a non-negative int, got {value!r}")
+    return value
+
+
+def _get_batches(data, key, path, default) -> Tuple[int, ...]:
+    values = _require_list(data.get(key), f"{path}.{key}")
+    for value in values:
+        if not _is_int(value) or value < 0:
+            raise _err(f"{path}.{key}", f"expected batch indices, got {value!r}")
+    return tuple(sorted(values))
+
+
+def _get_into(data, key, path, default) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    into = _require_map(data.get(key), f"{path}.{key}")
+    return tuple((str(name), _get_strs(into, name, f"{path}.{key}", ()))
+                 for name in sorted(into))
+
+
+def _get_enabled(data, key, path, default) -> bool:
+    # Absent, the repository is on exactly when the document schedules
+    # snapshots or rollbacks.
+    return _get_bool(data, key, path,
+                     bool(data.get("snapshots") or data.get("rollbacks")))
+
+
+def _get_exit_checks(data, key, path, default) -> Tuple[Tuple[str, Any], ...]:
+    _check_keys(data, tuple(_EXIT_CHECKS), path)
+    for name in sorted(data):
+        value = data[name]
+        if name == "expect_budget_exhausted":
+            if not isinstance(value, bool):
+                raise _err(f"{path}.{name}", f"expected true/false, got {value!r}")
+        else:
+            _finite(value, f"{path}.{name}")
+    return tuple(sorted(data.items()))
+
+
+_AT_BATCH = {**_int(minimum=0), "missing": -1}
+_BOOL = {"read": _get_bool}
+_STRS = {"read": _get_strs}
+
+
+def _section(cls: type) -> Dict[str, Any]:
+    def read(data, key, path, default):
+        return _read(cls, data.get(key), _child(path, key))
+    return {"read": read}
+
+
+def _sections(cls: type) -> Dict[str, Any]:
+    def read(data, key, path, default):
+        where = _child(path, key)
+        return tuple(_read(cls, entry, f"{where}[{i}]")
+                     for i, entry in enumerate(_require_list(data.get(key), where)))
+    return {"read": read}
+
+
+def _read(cls: type, data: Any, path: str) -> Any:
+    """Build section ``cls`` from ``data``, refusing anything it does not
+    declare, then run its cross-field ``_check``.
+
+    A field's ``key`` defaults to its name; ``"outer.inner"`` reads from a
+    nested mapping (``faults.random.rate``), and ``""`` hands the reader
+    the whole mapping, which then checks its own keys.
+    """
+    data = _require_map(data, path)
+    specs = fields(cls)
+    keys = [spec.metadata.get("key", spec.name) for spec in specs]
+    if "" not in keys:
+        _check_keys(data, {key.split(".")[0] for key in keys}, path)
+    values = {}
+    for spec, key in zip(specs, keys):
+        source, where = data, path
+        if "." in key:
+            outer, key = key.split(".")
+            where = f"{path}.{outer}"
+            source = _require_map(data.get(outer), where)
+            _check_keys(source, [k.split(".")[1] for k in keys
+                                 if k.startswith(outer + ".")], where)
+        default = spec.metadata.get("missing", spec.default)
+        values[spec.name] = spec.metadata["read"](source, key, where, default)
+    section = cls(**values)
+    check = getattr(section, "_check", None)
+    if check is not None:
+        check(path)
+    return section
 
 
 # -- section dataclasses ---------------------------------------------------------
@@ -145,334 +280,168 @@ def _get_weight_map(data: Mapping[str, Any], key: str, path: str) -> Dict[str, f
 class CatalogSpec:
     """The catalog profile: taxonomy size, training volume, seeded rules."""
 
-    extra_types: int = 0
-    training: int = 0
-    min_examples: int = 5
-    obvious_rule_types: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "catalog") -> "CatalogSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("extra_types", "training", "min_examples",
-                           "obvious_rule_types"), path)
-        return cls(
-            extra_types=_get_int(data, "extra_types", path, 0, minimum=0),
-            training=_get_int(data, "training", path, 0, minimum=0),
-            min_examples=_get_int(data, "min_examples", path, 5, minimum=1),
-            obvious_rule_types=_get_str_list(data, "obvious_rule_types", path),
-        )
+    extra_types: int = field(default=0, metadata=_int(minimum=0))
+    training: int = field(default=0, metadata=_int(minimum=0))
+    min_examples: int = field(default=5, metadata=_int(minimum=1))
+    obvious_rule_types: Tuple[str, ...] = field(default=(), metadata=_STRS)
 
 
 @dataclass(frozen=True)
 class VendorSpec:
     """One vendor profile (size range, departments, vocabulary rewrites)."""
 
-    name: str
-    min_batch: int = 20
-    max_batch: int = 200
-    departments: Tuple[str, ...] = ()
-    rewrites: Tuple[Tuple[str, str], ...] = ()
+    name: str = field(metadata=_str(required=True))
+    min_batch: int = field(default=20, metadata=_int(minimum=1))
+    max_batch: int = field(default=200, metadata=_int(minimum=1))
+    departments: Tuple[str, ...] = field(default=(), metadata=_STRS)
+    rewrites: Tuple[Tuple[str, str], ...] = field(
+        default=(), metadata={"read": _get_rewrites})
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "VendorSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("name", "min_batch", "max_batch", "departments",
-                           "rewrites"), path)
-        min_batch = _get_int(data, "min_batch", path, 20, minimum=1)
-        max_batch = _get_int(data, "max_batch", path, 200, minimum=1)
-        if max_batch < min_batch:
-            raise _err(path, f"max_batch ({max_batch}) < min_batch ({min_batch})")
-        return cls(
-            name=_get_str(data, "name", path, required=True),
-            min_batch=min_batch,
-            max_batch=max_batch,
-            departments=_get_str_list(data, "departments", path),
-            rewrites=tuple(sorted(_get_str_map(data, "rewrites", path).items())),
-        )
+    def _check(self, path: str) -> None:
+        if self.max_batch < self.min_batch:
+            raise _err(path, f"max_batch ({self.max_batch}) < min_batch ({self.min_batch})")
 
 
 @dataclass(frozen=True)
 class BurstSpec:
     """Extra batches from a named vendor injected at one point in the run."""
 
-    at_batch: int
-    vendor: str
-    batches: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "BurstSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "vendor", "batches"), path)
-        return cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            vendor=_get_str(data, "vendor", path, required=True),
-            batches=_get_int(data, "batches", path, 1, minimum=1),
-        )
+    at_batch: int = field(metadata=_AT_BATCH)
+    vendor: str = field(metadata=_str(required=True))
+    batches: int = field(default=1, metadata=_int(minimum=1))
 
 
 @dataclass(frozen=True)
 class HotKeySpec:
     """Type-weight overrides applied at one point (hot-key skew)."""
 
-    at_batch: int
-    weights: Tuple[Tuple[str, float], ...] = ()
+    at_batch: int = field(metadata=_AT_BATCH)
+    weights: Tuple[Tuple[str, float], ...] = field(
+        default=(), metadata={"read": _get_weights})
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "HotKeySpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "weights"), path)
-        weights = _get_weight_map(data, "weights", path)
-        if not weights:
+    def _check(self, path: str) -> None:
+        if not self.weights:
             raise _err(f"{path}.weights", "needs at least one 'type: weight' entry")
-        return cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            weights=tuple(sorted(weights.items())),
-        )
 
 
 @dataclass(frozen=True)
 class TrafficSpec:
     """The traffic shape: scheduled batches, vendors, bursts, hot keys."""
 
-    batches: int = 4
-    mean_gap_hours: float = 6.0
-    vendors: Tuple[VendorSpec, ...] = ()
-    bursts: Tuple[BurstSpec, ...] = ()
-    hot_keys: Tuple[HotKeySpec, ...] = ()
+    batches: int = field(default=4, metadata=_int(minimum=1))
+    mean_gap_hours: float = field(default=6.0, metadata=_float(minimum=0.001))
+    vendors: Tuple[VendorSpec, ...] = field(default=(), metadata=_sections(VendorSpec))
+    bursts: Tuple[BurstSpec, ...] = field(default=(), metadata=_sections(BurstSpec))
+    hot_keys: Tuple[HotKeySpec, ...] = field(default=(), metadata=_sections(HotKeySpec))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "traffic") -> "TrafficSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("batches", "mean_gap_hours", "vendors", "bursts",
-                           "hot_keys"), path)
-        vendors = tuple(
-            VendorSpec.from_dict(entry, f"{path}.vendors[{i}]")
-            for i, entry in enumerate(_require_list(data.get("vendors"), f"{path}.vendors"))
-        )
-        names = [vendor.name for vendor in vendors]
+    def _check(self, path: str) -> None:
+        names = [vendor.name for vendor in self.vendors]
         if len(set(names)) != len(names):
             raise _err(f"{path}.vendors", f"duplicate vendor names in {names}")
-        bursts = tuple(
-            BurstSpec.from_dict(entry, f"{path}.bursts[{i}]")
-            for i, entry in enumerate(_require_list(data.get("bursts"), f"{path}.bursts"))
-        )
-        for i, burst in enumerate(bursts):
+        for i, burst in enumerate(self.bursts):
             if burst.vendor not in names:
                 raise _err(f"{path}.bursts[{i}].vendor",
                            f"unknown vendor {burst.vendor!r}; declared: {names}")
-        return cls(
-            batches=_get_int(data, "batches", path, 4, minimum=1),
-            mean_gap_hours=_get_float(data, "mean_gap_hours", path, 6.0, minimum=0.001),
-            vendors=vendors,
-            bursts=bursts,
-            hot_keys=tuple(
-                HotKeySpec.from_dict(entry, f"{path}.hot_keys[{i}]")
-                for i, entry in enumerate(
-                    _require_list(data.get("hot_keys"), f"{path}.hot_keys"))
-            ),
-        )
 
 
 @dataclass(frozen=True)
 class DriftOp:
     """One scheduled drift operation (see :class:`DriftInjector`)."""
 
-    at_batch: int
-    op: str
-    type: str = ""
-    slot: str = ""
-    phrases: Tuple[str, ...] = ()
-    heads: Tuple[str, ...] = ()
-    weights: Tuple[Tuple[str, float], ...] = ()
-    department: str = ""
-    factor: float = 1.0
+    at_batch: int = field(metadata=_AT_BATCH)
+    op: str = field(metadata=_str(required=True))
+    type: str = field(default="", metadata=_str())
+    slot: str = field(default="", metadata=_str())
+    phrases: Tuple[str, ...] = field(default=(), metadata=_STRS)
+    heads: Tuple[str, ...] = field(default=(), metadata=_STRS)
+    weights: Tuple[Tuple[str, float], ...] = field(
+        default=(), metadata={"read": _get_weights})
+    department: str = field(default="", metadata=_str())
+    factor: float = field(default=1.0, metadata=_float(minimum=0.0))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "DriftOp":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "op", "type", "slot", "phrases", "heads",
-                           "weights", "department", "factor"), path)
-        op = _get_str(data, "op", path, required=True)
-        if op not in DRIFT_OPS:
-            raise _err(f"{path}.op", f"unknown drift op {op!r}; one of {list(DRIFT_OPS)}")
-        spec = cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            op=op,
-            type=_get_str(data, "type", path),
-            slot=_get_str(data, "slot", path),
-            phrases=_get_str_list(data, "phrases", path),
-            heads=_get_str_list(data, "heads", path),
-            weights=tuple(sorted(_get_weight_map(data, "weights", path).items())),
-            department=_get_str(data, "department", path),
-            factor=_get_float(data, "factor", path, 1.0, minimum=0.0),
-        )
-        if op in ("extend_slot", "replace_slot"):
-            if not spec.type or not spec.slot or not spec.phrases:
-                raise _err(path, f"{op} needs type, slot, and phrases")
-        elif op == "shift_heads":
-            if not spec.type or not spec.heads:
-                raise _err(path, "shift_heads needs type and heads")
-        elif op == "shift_distribution":
-            if not spec.weights:
-                raise _err(path, "shift_distribution needs weights")
-        elif op == "surge_department":
-            if not spec.department:
-                raise _err(path, "surge_department needs department")
-        return spec
+    def _check(self, path: str) -> None:
+        if self.op not in _DRIFT_NEEDS:
+            raise _err(f"{path}.op", f"unknown drift op {self.op!r}; one of {list(DRIFT_OPS)}")
+        needs, named = _DRIFT_NEEDS[self.op]
+        if not all(getattr(self, need) for need in needs):
+            raise _err(path, f"{self.op} needs {named}")
 
 
 @dataclass(frozen=True)
 class TaxonomyChange:
     """A scheduled split or merge, with the rule-migration plan applied."""
 
-    at_batch: int
-    op: str  # "split" | "merge"
-    type: str = ""
-    into: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()  # split: new type -> phrases
-    types: Tuple[str, ...] = ()  # merge: old types
-    merged: str = ""  # merge: new type name
-    sample_items: int = 30
-    write_rules: bool = True
+    at_batch: int = field(metadata=_AT_BATCH)
+    op: str = field(metadata=_str(required=True))  # "split" | "merge"
+    type: str = field(default="", metadata=_str())
+    # split: new type -> phrases
+    into: Tuple[Tuple[str, Tuple[str, ...]], ...] = field(
+        default=(), metadata={"read": _get_into})
+    types: Tuple[str, ...] = field(default=(), metadata=_STRS)  # merge: old types
+    merged: str = field(default="", metadata=_str())  # merge: new type name
+    sample_items: int = field(default=30, metadata=_int(minimum=1))
+    write_rules: bool = field(default=True, metadata=_BOOL)
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "TaxonomyChange":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "op", "type", "into", "types", "merged",
-                           "sample_items", "write_rules"), path)
-        op = _get_str(data, "op", path, required=True)
-        if op not in ("split", "merge"):
-            raise _err(f"{path}.op", f"unknown taxonomy op {op!r}; split or merge")
-        into_map = _require_map(data.get("into"), f"{path}.into")
-        into: List[Tuple[str, Tuple[str, ...]]] = []
-        for name, phrases in sorted(into_map.items()):
-            phrase_list = _require_list(phrases, f"{path}.into.{name}")
-            for phrase in phrase_list:
-                if not isinstance(phrase, str):
-                    raise _err(f"{path}.into.{name}", f"expected strings, got {phrase!r}")
-            into.append((str(name), tuple(phrase_list)))
-        spec = cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            op=op,
-            type=_get_str(data, "type", path),
-            into=tuple(into),
-            types=_get_str_list(data, "types", path),
-            merged=_get_str(data, "merged", path),
-            sample_items=_get_int(data, "sample_items", path, 30, minimum=1),
-            write_rules=_get_bool(data, "write_rules", path, True),
-        )
-        if op == "split" and (not spec.type or len(spec.into) < 2):
+    def _check(self, path: str) -> None:
+        if self.op not in ("split", "merge"):
+            raise _err(f"{path}.op", f"unknown taxonomy op {self.op!r}; split or merge")
+        if self.op == "split" and (not self.type or len(self.into) < 2):
             raise _err(path, "split needs type and an 'into' map of >= 2 new types")
-        if op == "merge" and (len(spec.types) < 2 or not spec.merged):
+        if self.op == "merge" and (len(self.types) < 2 or not self.merged):
             raise _err(path, "merge needs >= 2 old types and a merged name")
-        return spec
 
 
 @dataclass(frozen=True)
 class RuleChurn:
     """Mass rule churn: disable a slice of the ruleset, re-enable later."""
 
-    at_batch: int
-    disable_fraction: float = 0.0
-    disable_count: int = 0
-    reenable_after: int = 0  # 0 = never re-enable
+    at_batch: int = field(metadata=_AT_BATCH)
+    disable_fraction: float = field(default=0.0, metadata=_float(minimum=0.0, maximum=1.0))
+    disable_count: int = field(default=0, metadata=_int(minimum=0))
+    # 0 = never re-enable
+    reenable_after: int = field(default=0, metadata=_int(minimum=0))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "RuleChurn":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "disable_fraction", "disable_count",
-                           "reenable_after"), path)
-        spec = cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            disable_fraction=_get_float(data, "disable_fraction", path, 0.0,
-                                        minimum=0.0, maximum=1.0),
-            disable_count=_get_int(data, "disable_count", path, 0, minimum=0),
-            reenable_after=_get_int(data, "reenable_after", path, 0, minimum=0),
-        )
-        if not spec.disable_fraction and not spec.disable_count:
+    def _check(self, path: str) -> None:
+        if not self.disable_fraction and not self.disable_count:
             raise _err(path, "needs disable_fraction or disable_count")
-        return spec
 
 
 @dataclass(frozen=True)
 class ScaleUp:
     """Onboard types fast: the analyst writes their obvious rules."""
 
-    at_batch: int
-    types: Tuple[str, ...] = ()
+    at_batch: int = field(metadata=_AT_BATCH)
+    types: Tuple[str, ...] = field(default=(), metadata=_STRS)
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "ScaleUp":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "types"), path)
-        spec = cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            types=_get_str_list(data, "types", path),
-        )
-        if not spec.types:
+    def _check(self, path: str) -> None:
+        if not self.types:
             raise _err(path, "needs at least one type")
-        return spec
 
 
 @dataclass(frozen=True)
 class FaultEntry:
     """One scheduled fault for the partitioned executor's fault plan."""
 
-    kind: str
-    worker: Optional[int] = None
-    shard: Optional[int] = None
-    attempt: Optional[int] = None
-    detail: str = ""
+    kind: str = field(metadata=_str(required=True))
+    worker: Optional[int] = field(default=None, metadata={"read": _get_coordinate})
+    shard: Optional[int] = field(default=None, metadata={"read": _get_coordinate})
+    attempt: Optional[int] = field(default=None, metadata={"read": _get_coordinate})
+    detail: str = field(default="", metadata=_str())
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "FaultEntry":
-        data = _require_map(data, path)
-        _check_keys(data, ("kind", "worker", "shard", "attempt", "detail"), path)
-        kind = _get_str(data, "kind", path, required=True)
-        if kind not in ("crash", "hang", "corrupt"):
-            raise _err(f"{path}.kind", f"unknown fault kind {kind!r}")
-
-        def coord(key: str) -> Optional[int]:
-            value = data.get(key)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise _err(f"{path}.{key}", f"expected a non-negative int, got {value!r}")
-            return value
-
-        return cls(
-            kind=kind,
-            worker=coord("worker"),
-            shard=coord("shard"),
-            attempt=coord("attempt"),
-            detail=_get_str(data, "detail", path),
-        )
+    def _check(self, path: str) -> None:
+        if self.kind not in ("crash", "hang", "corrupt"):
+            raise _err(f"{path}.kind", f"unknown fault kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class FaultsSpec:
     """The fault plan: explicit entries and/or a seeded random plan."""
 
-    plan: Tuple[FaultEntry, ...] = ()
-    random_rate: float = 0.0
-    random_spare_workers: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "faults") -> "FaultsSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("plan", "random"), path)
-        plan = tuple(
-            FaultEntry.from_dict(entry, f"{path}.plan[{i}]")
-            for i, entry in enumerate(_require_list(data.get("plan"), f"{path}.plan"))
-        )
-        random_cfg = _require_map(data.get("random"), f"{path}.random")
-        _check_keys(random_cfg, ("rate", "spare_workers"), f"{path}.random")
-        return cls(
-            plan=plan,
-            random_rate=_get_float(random_cfg, "rate", f"{path}.random", 0.0,
-                                   minimum=0.0, maximum=1.0),
-            random_spare_workers=_get_int(random_cfg, "spare_workers",
-                                          f"{path}.random", 1, minimum=0),
-        )
+    plan: Tuple[FaultEntry, ...] = field(default=(), metadata=_sections(FaultEntry))
+    random_rate: float = field(
+        default=0.0, metadata={**_float(minimum=0.0, maximum=1.0), "key": "random.rate"})
+    random_spare_workers: int = field(
+        default=1, metadata={**_int(minimum=0), "key": "random.spare_workers"})
 
     @property
     def empty(self) -> bool:
@@ -483,121 +452,56 @@ class FaultsSpec:
 class CrowdSpec:
     """Crowd evaluation points and the budget that bounds them."""
 
-    budget: float = 0.0  # 0 = unlimited
-    sample_per_rule: int = 3
-    votes_per_pair: int = 3
-    at_batches: Tuple[int, ...] = ()
+    budget: float = field(default=0.0, metadata=_float(minimum=0.0))  # 0 = unlimited
+    sample_per_rule: int = field(default=3, metadata=_int(minimum=1))
+    votes_per_pair: int = field(default=3, metadata=_int(minimum=1))
+    at_batches: Tuple[int, ...] = field(default=(), metadata={"read": _get_batches})
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "crowd") -> "CrowdSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("budget", "sample_per_rule", "votes_per_pair",
-                           "at_batches"), path)
-        at_batches = _require_list(data.get("at_batches"), f"{path}.at_batches")
-        for value in at_batches:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise _err(f"{path}.at_batches", f"expected batch indices, got {value!r}")
-        votes = _get_int(data, "votes_per_pair", path, 3, minimum=1)
-        if votes % 2 == 0:
-            raise _err(f"{path}.votes_per_pair", f"must be odd, got {votes}")
-        return cls(
-            budget=_get_float(data, "budget", path, 0.0, minimum=0.0),
-            sample_per_rule=_get_int(data, "sample_per_rule", path, 3, minimum=1),
-            votes_per_pair=votes,
-            at_batches=tuple(sorted(at_batches)),
-        )
+    def _check(self, path: str) -> None:
+        if self.votes_per_pair % 2 == 0:
+            raise _err(f"{path}.votes_per_pair", f"must be odd, got {self.votes_per_pair}")
 
 
 @dataclass(frozen=True)
 class QualitySpec:
     """Rule-quality telemetry wiring (PR 5's provenance + health windows)."""
 
-    enabled: bool = True
-    window: int = 8
-    baseline_batches: int = 2
-    precision_floor: float = 0.92
-    auto_incidents: bool = True
-    auto_scale_down: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "quality") -> "QualitySpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("enabled", "window", "baseline_batches",
-                           "precision_floor", "auto_incidents",
-                           "auto_scale_down"), path)
-        return cls(
-            enabled=_get_bool(data, "enabled", path, True),
-            window=_get_int(data, "window", path, 8, minimum=1),
-            baseline_batches=_get_int(data, "baseline_batches", path, 2, minimum=1),
-            precision_floor=_get_float(data, "precision_floor", path, 0.92,
-                                       minimum=0.0, maximum=1.0),
-            auto_incidents=_get_bool(data, "auto_incidents", path, True),
-            auto_scale_down=_get_bool(data, "auto_scale_down", path, False),
-        )
+    enabled: bool = field(default=True, metadata=_BOOL)
+    window: int = field(default=8, metadata=_int(minimum=1))
+    baseline_batches: int = field(default=2, metadata=_int(minimum=1))
+    precision_floor: float = field(default=0.92, metadata=_float(minimum=0.0, maximum=1.0))
+    auto_incidents: bool = field(default=True, metadata=_BOOL)
+    auto_scale_down: bool = field(default=False, metadata=_BOOL)
 
 
 @dataclass(frozen=True)
 class IncidentPolicy:
     """The §2.2 playbook knobs: detect → scale down → repair → restore."""
 
-    monitor_floor: float = 0.92
-    monitor_window: int = 4
-    auto_scale_down: bool = False
-    repair_after: int = 0  # batches after scale-down; 0 = never repair
-    max_error_samples: int = 40
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "incidents") -> "IncidentPolicy":
-        data = _require_map(data, path)
-        _check_keys(data, ("monitor_floor", "monitor_window", "auto_scale_down",
-                           "repair_after", "max_error_samples"), path)
-        return cls(
-            monitor_floor=_get_float(data, "monitor_floor", path, 0.92,
-                                     minimum=0.001, maximum=1.0),
-            monitor_window=_get_int(data, "monitor_window", path, 4, minimum=1),
-            auto_scale_down=_get_bool(data, "auto_scale_down", path, False),
-            repair_after=_get_int(data, "repair_after", path, 0, minimum=0),
-            max_error_samples=_get_int(data, "max_error_samples", path, 40, minimum=1),
-        )
+    monitor_floor: float = field(default=0.92, metadata=_float(minimum=0.001, maximum=1.0))
+    monitor_window: int = field(default=4, metadata=_int(minimum=1))
+    auto_scale_down: bool = field(default=False, metadata=_BOOL)
+    # batches after scale-down; 0 = never repair
+    repair_after: int = field(default=0, metadata=_int(minimum=0))
+    max_error_samples: int = field(default=40, metadata=_int(minimum=1))
 
 
 @dataclass(frozen=True)
 class AnalystSpec:
     """The simulated analyst's throughput and accuracy profile."""
 
-    rules_per_day: int = 40
-    verification_accuracy: float = 0.97
-    labeling_accuracy: float = 0.98
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "analyst") -> "AnalystSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("rules_per_day", "verification_accuracy",
-                           "labeling_accuracy"), path)
-        return cls(
-            rules_per_day=_get_int(data, "rules_per_day", path, 40, minimum=1),
-            verification_accuracy=_get_float(data, "verification_accuracy", path,
-                                             0.97, minimum=0.0, maximum=1.0),
-            labeling_accuracy=_get_float(data, "labeling_accuracy", path,
-                                         0.98, minimum=0.0, maximum=1.0),
-        )
+    rules_per_day: int = field(default=40, metadata=_int(minimum=1))
+    verification_accuracy: float = field(
+        default=0.97, metadata=_float(minimum=0.0, maximum=1.0))
+    labeling_accuracy: float = field(default=0.98, metadata=_float(minimum=0.0, maximum=1.0))
 
 
 @dataclass(frozen=True)
 class RepoEvent:
     """One scheduled repository action: snapshot or rollback by name."""
 
-    at_batch: int
-    name: str
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "RepoEvent":
-        data = _require_map(data, path)
-        _check_keys(data, ("at_batch", "name"), path)
-        return cls(
-            at_batch=_get_int(data, "at_batch", path, -1, minimum=0),
-            name=_get_str(data, "name", path, required=True),
-        )
+    at_batch: int = field(metadata=_AT_BATCH)
+    name: str = field(metadata=_str(required=True))
 
 
 @dataclass(frozen=True)
@@ -611,40 +515,20 @@ class RepositorySpec:
     roll namespaces back to them (delta ops only — §2.2 restore).
     """
 
-    enabled: bool = False
-    snapshots: Tuple[RepoEvent, ...] = ()
-    rollbacks: Tuple[RepoEvent, ...] = ()
+    enabled: bool = field(default=False, metadata={"read": _get_enabled})
+    snapshots: Tuple[RepoEvent, ...] = field(default=(), metadata=_sections(RepoEvent))
+    rollbacks: Tuple[RepoEvent, ...] = field(default=(), metadata=_sections(RepoEvent))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "repository") -> "RepositorySpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("enabled", "snapshots", "rollbacks"), path)
-        snapshots = tuple(
-            RepoEvent.from_dict(entry, f"{path}.snapshots[{i}]")
-            for i, entry in enumerate(
-                _require_list(data.get("snapshots"), f"{path}.snapshots"))
-        )
-        rollbacks = tuple(
-            RepoEvent.from_dict(entry, f"{path}.rollbacks[{i}]")
-            for i, entry in enumerate(
-                _require_list(data.get("rollbacks"), f"{path}.rollbacks"))
-        )
-        spec = cls(
-            enabled=_get_bool(data, "enabled", path,
-                              bool(snapshots or rollbacks)),
-            snapshots=snapshots,
-            rollbacks=rollbacks,
-        )
-        if (snapshots or rollbacks) and not spec.enabled:
+    def _check(self, path: str) -> None:
+        if (self.snapshots or self.rollbacks) and not self.enabled:
             raise _err(path, "snapshots/rollbacks need enabled: true")
-        names = [event.name for event in snapshots]
+        names = [event.name for event in self.snapshots]
         if len(set(names)) != len(names):
             raise _err(f"{path}.snapshots", f"duplicate snapshot names in {names}")
-        for i, event in enumerate(rollbacks):
+        for i, event in enumerate(self.rollbacks):
             if event.name not in names:
                 raise _err(f"{path}.rollbacks[{i}].name",
                            f"unknown snapshot {event.name!r}; declared: {names}")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -654,43 +538,27 @@ class ExecutorSpec:
     model checked against them (``partitioned``), or the final map
     (``incremental``); ``none`` digests nothing."""
 
-    kind: str = "incremental"
-    n_workers: int = 4
+    kind: str = field(default="incremental", metadata=_str())
+    n_workers: int = field(default=4, metadata=_int(minimum=1))
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "executor") -> "ExecutorSpec":
-        data = _require_map(data, path)
-        _check_keys(data, ("kind", "n_workers"), path)
-        kind = _get_str(data, "kind", path, default="incremental")
-        if kind not in EXECUTOR_KINDS:
-            raise _err(f"{path}.kind", f"unknown executor {kind!r}; one of {list(EXECUTOR_KINDS)}")
-        return cls(
-            kind=kind,
-            n_workers=_get_int(data, "n_workers", path, 4, minimum=1),
-        )
+    def _check(self, path: str) -> None:
+        if self.kind not in EXECUTOR_KINDS:
+            raise _err(f"{path}.kind",
+                       f"unknown executor {self.kind!r}; one of {list(EXECUTOR_KINDS)}")
 
 
 #: Exit-condition keys and the direction they compare in.
 _EXIT_CHECKS: Dict[str, str] = {
-    "min_batches": "ge",
-    "min_items": "ge",
-    "final_precision_at_least": "ge",
-    "mean_precision_at_least": "ge",
-    "final_coverage_at_least": "ge",
+    **dict.fromkeys((
+        "min_batches", "min_items", "final_precision_at_least",
+        "mean_precision_at_least", "final_coverage_at_least", "min_incidents",
+        "min_closed_incidents", "min_alerts", "min_drift_alerts",
+        "min_faults_triggered", "min_degraded_runs", "min_rules_disabled",
+        "min_taxonomy_changes", "min_repository_changes", "min_snapshots",
+        "min_rollbacks"), "ge"),
     "max_open_incidents": "le",
-    "min_incidents": "ge",
-    "min_closed_incidents": "ge",
-    "min_alerts": "ge",
-    "min_drift_alerts": "ge",
     "max_skipped_items": "le",
-    "min_faults_triggered": "ge",
-    "min_degraded_runs": "ge",
     "expect_budget_exhausted": "eq",
-    "min_rules_disabled": "ge",
-    "min_taxonomy_changes": "ge",
-    "min_repository_changes": "ge",
-    "min_snapshots": "ge",
-    "min_rollbacks": "ge",
     # Wall-clock budgets (ROADMAP item 4: latency/budget exit conditions).
     # These read the host's real clock, so specs using them trade away
     # byte-replay identity of the *report* (the measured milliseconds
@@ -704,125 +572,67 @@ _EXIT_CHECKS: Dict[str, str] = {
 class ExitConditions:
     """Declarative pass/fail checks evaluated over the finished run."""
 
-    checks: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "exit") -> "ExitConditions":
-        data = _require_map(data, path)
-        _check_keys(data, tuple(_EXIT_CHECKS), path)
-        checks: List[Tuple[str, Any]] = []
-        for key in sorted(data):
-            value = data[key]
-            if key == "expect_budget_exhausted":
-                if not isinstance(value, bool):
-                    raise _err(f"{path}.{key}", f"expected true/false, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _err(f"{path}.{key}", f"expected a number, got {value!r}")
-            checks.append((key, value))
-        return cls(checks=tuple(checks))
+    checks: Tuple[Tuple[str, Any], ...] = field(
+        default=(), metadata={"read": _get_exit_checks, "key": ""})
 
     def __len__(self) -> int:
         return len(self.checks)
+
+
+def _events(section: Any, path: str) -> Iterator[Tuple[str, int]]:
+    """``(path, at_batch)`` of every scheduled event under ``section``."""
+    for spec in fields(section):
+        value, where = getattr(section, spec.name), _child(path, spec.name)
+        if spec.name == "at_batch":
+            yield path, value
+        elif spec.name == "at_batches":
+            yield from ((f"{where}[{i}]", at_batch) for i, at_batch in enumerate(value))
+        elif is_dataclass(value):
+            yield from _events(value, where)
+        elif isinstance(value, tuple) and value and is_dataclass(value[0]):
+            for i, entry in enumerate(value):
+                yield from _events(entry, f"{where}[{i}]")
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """The whole scenario document, validated."""
 
-    name: str
-    description: str = ""
-    seed: int = 0
-    tags: Tuple[str, ...] = ()
-    catalog: CatalogSpec = field(default_factory=CatalogSpec)
-    traffic: TrafficSpec = field(default_factory=TrafficSpec)
-    drift: Tuple[DriftOp, ...] = ()
-    taxonomy_changes: Tuple[TaxonomyChange, ...] = ()
-    rule_churn: Tuple[RuleChurn, ...] = ()
-    scale_ups: Tuple[ScaleUp, ...] = ()
-    faults: FaultsSpec = field(default_factory=FaultsSpec)
-    crowd: CrowdSpec = field(default_factory=CrowdSpec)
-    quality: QualitySpec = field(default_factory=QualitySpec)
-    incidents: IncidentPolicy = field(default_factory=IncidentPolicy)
-    analyst: AnalystSpec = field(default_factory=AnalystSpec)
-    executor: ExecutorSpec = field(default_factory=ExecutorSpec)
-    repository: RepositorySpec = field(default_factory=RepositorySpec)
-    exit: ExitConditions = field(default_factory=ExitConditions)
-
-    TOP_KEYS = ("name", "description", "seed", "tags", "catalog", "traffic",
-                "drift", "taxonomy_changes", "rule_churn", "scale_ups",
-                "faults", "crowd", "quality", "incidents", "analyst",
-                "executor", "repository", "exit")
+    name: str = field(metadata=_str(required=True))
+    description: str = field(default="", metadata=_str())
+    seed: int = field(default=0, metadata=_int(minimum=0))
+    tags: Tuple[str, ...] = field(default=(), metadata=_STRS)
+    catalog: CatalogSpec = field(default_factory=CatalogSpec, metadata=_section(CatalogSpec))
+    traffic: TrafficSpec = field(default_factory=TrafficSpec, metadata=_section(TrafficSpec))
+    drift: Tuple[DriftOp, ...] = field(default=(), metadata=_sections(DriftOp))
+    taxonomy_changes: Tuple[TaxonomyChange, ...] = field(
+        default=(), metadata=_sections(TaxonomyChange))
+    rule_churn: Tuple[RuleChurn, ...] = field(default=(), metadata=_sections(RuleChurn))
+    scale_ups: Tuple[ScaleUp, ...] = field(default=(), metadata=_sections(ScaleUp))
+    faults: FaultsSpec = field(default_factory=FaultsSpec, metadata=_section(FaultsSpec))
+    crowd: CrowdSpec = field(default_factory=CrowdSpec, metadata=_section(CrowdSpec))
+    quality: QualitySpec = field(default_factory=QualitySpec, metadata=_section(QualitySpec))
+    incidents: IncidentPolicy = field(
+        default_factory=IncidentPolicy, metadata=_section(IncidentPolicy))
+    analyst: AnalystSpec = field(default_factory=AnalystSpec, metadata=_section(AnalystSpec))
+    executor: ExecutorSpec = field(default_factory=ExecutorSpec, metadata=_section(ExecutorSpec))
+    repository: RepositorySpec = field(
+        default_factory=RepositorySpec, metadata=_section(RepositorySpec))
+    exit: ExitConditions = field(
+        default_factory=ExitConditions, metadata=_section(ExitConditions))
 
     @classmethod
     def from_dict(cls, data: Any) -> "ScenarioSpec":
-        data = _require_map(data, "scenario")
-        _check_keys(data, cls.TOP_KEYS, "scenario")
-        spec = cls(
-            name=_get_str(data, "name", "scenario", required=True),
-            description=_get_str(data, "description", "scenario"),
-            seed=_get_int(data, "seed", "scenario", 0, minimum=0),
-            tags=_get_str_list(data, "tags", "scenario"),
-            catalog=CatalogSpec.from_dict(data.get("catalog")),
-            traffic=TrafficSpec.from_dict(data.get("traffic")),
-            drift=tuple(
-                DriftOp.from_dict(entry, f"drift[{i}]")
-                for i, entry in enumerate(_require_list(data.get("drift"), "drift"))
-            ),
-            taxonomy_changes=tuple(
-                TaxonomyChange.from_dict(entry, f"taxonomy_changes[{i}]")
-                for i, entry in enumerate(
-                    _require_list(data.get("taxonomy_changes"), "taxonomy_changes"))
-            ),
-            rule_churn=tuple(
-                RuleChurn.from_dict(entry, f"rule_churn[{i}]")
-                for i, entry in enumerate(
-                    _require_list(data.get("rule_churn"), "rule_churn"))
-            ),
-            scale_ups=tuple(
-                ScaleUp.from_dict(entry, f"scale_ups[{i}]")
-                for i, entry in enumerate(
-                    _require_list(data.get("scale_ups"), "scale_ups"))
-            ),
-            faults=FaultsSpec.from_dict(data.get("faults")),
-            crowd=CrowdSpec.from_dict(data.get("crowd")),
-            quality=QualitySpec.from_dict(data.get("quality")),
-            incidents=IncidentPolicy.from_dict(data.get("incidents")),
-            analyst=AnalystSpec.from_dict(data.get("analyst")),
-            executor=ExecutorSpec.from_dict(data.get("executor")),
-            repository=RepositorySpec.from_dict(data.get("repository")),
-            exit=ExitConditions.from_dict(data.get("exit")),
-        )
-        spec._validate_schedule()
-        return spec
+        return _read(cls, data, _ROOT)
 
-    def _validate_schedule(self) -> None:
+    def _check(self, path: str) -> None:
         """Every scheduled event must land inside the scheduled batches,
         and every fault coordinate inside the executor's workers."""
         last = self.traffic.batches - 1
-
-        def check(at_batch: int, label: str) -> None:
+        for where, at_batch in _events(self, path):
             if at_batch > last:
-                raise _err(label, f"at_batch {at_batch} is past the last "
+                raise _err(where, f"at_batch {at_batch} is past the last "
                                   f"scheduled batch ({last})")
-
-        for i, op in enumerate(self.drift):
-            check(op.at_batch, f"drift[{i}]")
-        for i, change in enumerate(self.taxonomy_changes):
-            check(change.at_batch, f"taxonomy_changes[{i}]")
-        for i, churn in enumerate(self.rule_churn):
-            check(churn.at_batch, f"rule_churn[{i}]")
-        for i, scale in enumerate(self.scale_ups):
-            check(scale.at_batch, f"scale_ups[{i}]")
-        for i, burst in enumerate(self.traffic.bursts):
-            check(burst.at_batch, f"traffic.bursts[{i}]")
-        for i, hot in enumerate(self.traffic.hot_keys):
-            check(hot.at_batch, f"traffic.hot_keys[{i}]")
-        for i, at_batch in enumerate(self.crowd.at_batches):
-            check(at_batch, f"crowd.at_batches[{i}]")
-        for i, event in enumerate(self.repository.snapshots):
-            check(event.at_batch, f"repository.snapshots[{i}]")
-        for i, event in enumerate(self.repository.rollbacks):
-            check(event.at_batch, f"repository.rollbacks[{i}]")
         if not self.faults.empty and self.executor.kind != "partitioned":
             raise _err("faults", "a fault plan needs executor.kind: partitioned")
         # Workers, shards and attempts all range over [0, n_workers).
@@ -846,11 +656,9 @@ class ScenarioSpec:
         def unfreeze(value: Any) -> Any:
             if isinstance(value, tuple):
                 return [unfreeze(v) for v in value]
-            if hasattr(value, "__dataclass_fields__"):
-                return {
-                    key: unfreeze(getattr(value, key))
-                    for key in sorted(value.__dataclass_fields__)
-                }
+            if is_dataclass(value):
+                return {key: unfreeze(getattr(value, key))
+                        for key in sorted(value.__dataclass_fields__)}
             return value
 
         return {key: unfreeze(getattr(self, key)) for key in self.TOP_KEYS}
@@ -866,6 +674,10 @@ class ScenarioSpec:
         del shape["seed"]
         canonical = json.dumps(shape, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+#: The document's top-level keys, in declaration order.
+ScenarioSpec.TOP_KEYS = tuple(spec.name for spec in fields(ScenarioSpec))
 
 
 def loads(text: str) -> ScenarioSpec:

@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 # Deliberately small: product titles are terse and most tokens carry signal.
 STOPWORDS = frozenset(
     """
-    a an and at by for from in of on or the to with w/
+    a an and at by for from in of on or the to with
     """.split()
 )
 
@@ -25,7 +25,8 @@ STOPWORDS = frozenset(
 # intra-word hyphens/slashes which appear in sizes like "13-293snb"). The
 # tokenizer needs no such pass: none of them can be part of a token.
 _STRIP_CHARS = re.compile(r"[^\w\s/\-.]")
-_TOKEN = re.compile(r"[a-z0-9][a-z0-9\-./]*")
+# A token starts and ends on an alphanumeric; ``-./`` join inside it.
+_TOKEN = re.compile(r"[a-z0-9](?:[a-z0-9\-./]*[a-z0-9])?")
 _MULTISPACE = re.compile(r"\s+")
 
 
@@ -55,11 +56,10 @@ def _tokens_of(text: str, drop_stopwords: bool) -> Tuple[str, ...]:
     :func:`_normalize` pass: no token character is ever stripped there and
     each character it replaces or collapses was already a token break, so
     the tokens are ``_tokens_of(_normalize(text))``'s."""
-    cleaned = [token.strip(".-/") for token in _TOKEN.findall(text.lower())]
-    kept = [token for token in cleaned if token]
+    tokens = _TOKEN.findall(text.lower())
     if drop_stopwords:
-        kept = [token for token in kept if token not in STOPWORDS]
-    return tuple(kept)
+        tokens = [token for token in tokens if token not in STOPWORDS]
+    return tuple(tokens)
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)

@@ -247,3 +247,28 @@ class TestScenarioCli:
         )
         assert cli_main(["scenario", "run", str(spec_path)]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+
+def test_report_round_trips_through_its_dict_form():
+    """``to_dict`` / ``from_dict`` are derived from the report's fields:
+    every field is written once, under its own name, and read back."""
+    import dataclasses
+
+    from repro.scenario import ExitCheck, ScenarioReport
+
+    report = ScenarioReport(
+        scenario="s", seed=3, fingerprint="f", executor="indexed", passed=False,
+        totals={"items": 4}, batches=[{"batch": 0}], precision_trajectory=[0.5],
+        incidents=[{"ordinal": 1}], alerts=[{"kind": "drift"}],
+        drift_events=[{"at_batch": 0}], taxonomy_changes=[{"op": "split"}],
+        crowd={"spent": 1.0}, faults={"triggered": 2}, rules={"added": 1},
+        repository={"changes": 5}, fired_digest="d",
+        exit_checks=[ExitCheck("min_batches", 1, 2, True)],
+    )
+    data = json.loads(report.to_json())
+    assert list(data) == sorted(f.name for f in dataclasses.fields(ScenarioReport))
+    assert data["exit_checks"] == [
+        {"name": "min_batches", "expected": 1, "actual": 2, "passed": True}]
+    assert ScenarioReport.from_dict(data) == report
+    sparse = ScenarioReport.from_dict({"scenario": "s", "seed": 3})
+    assert (sparse.fingerprint, sparse.executor, sparse.passed) == ("", "", True)

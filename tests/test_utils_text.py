@@ -67,6 +67,31 @@ def _normalized_tokens(text, drop_stopwords):
     )
 
 
+def _two_pass_tokens(text, drop_stopwords):
+    """The tokenizer body before the one-regex pass: match a run, then
+    strip its edge punctuation and drop what is left empty."""
+    cleaned = [token.strip(".-/") for token in re.findall(r"[a-z0-9][a-z0-9\-./]*", text.lower())]
+    return tuple(
+        token for token in cleaned
+        if token and not (drop_stopwords and token in STOPWORDS)
+    )
+
+
+class TestOneRegexPass:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.one_of(st.text(st.sampled_from("ab09-./ _,\u00e9\u0130K")), st.text()),
+        drop_stopwords=st.booleans(),
+    )
+    def test_equals_the_two_pass_body(self, text, drop_stopwords):
+        assert text_module._tokens_of(text, drop_stopwords) == _two_pass_tokens(text, drop_stopwords)
+
+    def test_every_stopword_is_a_tokenizer_fixed_point(self):
+        """A stop word the tokenizer cannot produce would never be dropped."""
+        for word in STOPWORDS:
+            assert text_module._tokens_of(word, False) == (word,), word
+
+
 class TestTokenizerSkipsNormalize:
     """The tokenizer reads the lowered title without the normalize pass:
     no token character is stripped there, and every character it replaces
