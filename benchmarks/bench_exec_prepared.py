@@ -5,7 +5,7 @@ Three series are timed on the same synthetic corpus:
 * ``prepared_naive`` — NaiveExecutor (every rule x every item over
   PreparedItems), on an item subsample: the reference semantics, and the
   cost the engine exists to avoid;
-* ``compiled_indexed`` — ``RuleSetCompiler().compile(rules).execute``: the
+* ``compiled_indexed`` — ``CompiledRuleSet(rules).execute``: the
   whole rule set lowered once into a CompiledRuleSet (DESIGN.md §5),
   measured steady-state (compile + warmup excluded; compile time reported
   separately as ``compile_time_sec``);
@@ -35,9 +35,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from repro.catalog.types import ProductItem  # noqa: E402
 from repro.core import AttributeRule, SequenceRule, WhitelistRule  # noqa: E402
 from repro.execution import (  # noqa: E402
+    CompiledRuleSet,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
 )
 from repro.utils.text import tokenize_cached  # noqa: E402
 
@@ -131,7 +131,7 @@ def main(argv=None):
     # keeps the fastest run: at ~10us/item the loop is fine-grained enough
     # that a single shot mostly measures scheduler luck on a shared box, and
     # min-of-N is the standard estimator for the loop's true cost.
-    compiled, compile_probe = timed(lambda: RuleSetCompiler().compile(rules))
+    compiled, compile_probe = timed(lambda: CompiledRuleSet(rules))
     compiled.execute(items[: min(1000, len(items))])  # warmup
     compiled_fired = compiled_stats = None
     for _ in range(5):

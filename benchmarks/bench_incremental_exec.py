@@ -2,7 +2,7 @@
 
 The never-ending deployment's two hot change events are measured against a
 from-scratch batch run of the same engine
-(``RuleSetCompiler().compile(rules).execute(items)``) over the same corpus:
+(``CompiledRuleSet(rules).execute(items)``) over the same corpus:
 
 * ``1_rule_edit``      — an analyst refines one rule (``update_rule``);
 * ``10_rule_churn``    — a churn batch: 5 rule edits + 5 new rules;
@@ -33,10 +33,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from repro.core import SequenceRule, WhitelistRule  # noqa: E402
 from repro.execution import (  # noqa: E402
+    CompiledRuleSet,
     ExecutionStats,
     IncrementalExecutor,
     NaiveExecutor,
-    RuleSetCompiler,
 )
 
 from _report import emit, stats_lines  # noqa: E402
@@ -57,7 +57,7 @@ def full_rerun(rules, items):
     checking the re-run against it.
     """
     started = time.perf_counter()
-    fired, _stats = RuleSetCompiler().compile(rules).execute(items)
+    fired, _stats = CompiledRuleSet(rules).execute(items)
     elapsed = time.perf_counter() - started
     reference, _stats = NaiveExecutor(rules).run(items)
     if canonical(fired) != canonical(reference):

@@ -27,7 +27,7 @@ import pytest
 
 from _report import emit, environment
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
-from repro.execution import NaiveExecutor, RuleSetCompiler
+from repro.execution import CompiledRuleSet, NaiveExecutor
 from repro.execution.compiler import corpus_token_frequency
 from repro.rulegen import RuleGenerator
 
@@ -78,8 +78,8 @@ def test_scale_execution(benchmark, workload):
         for count in rule_counts:
             rules = all_rules[:count]
             _, naive_stats = NaiveExecutor(rules).run(items)
-            _, indexed_stats = RuleSetCompiler(
-                token_frequency=frequency).compile(rules).execute(items)
+            _, indexed_stats = CompiledRuleSet(
+                rules, token_frequency=frequency).execute(items)
             rows.append((len(rules),
                          naive_stats.evaluations_per_item,
                          indexed_stats.evaluations_per_item))
@@ -190,7 +190,9 @@ def main(argv=None):
     rules, vocab = build_scale_rules(args.rules, args.seed)
 
     stats = ExecutionStats()
-    compiled = RuleSetCompiler().compile(rules, stats=stats)
+    started = time.perf_counter()
+    compiled = CompiledRuleSet(rules)
+    stats.compile_time = time.perf_counter() - started
 
     matches = 0
     fired_items = 0

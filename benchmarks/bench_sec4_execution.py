@@ -15,10 +15,10 @@ from _report import emit
 from repro.catalog import CatalogGenerator, build_seed_taxonomy
 from repro.core import WhitelistRule
 from repro.execution import (
+    CompiledRuleSet,
     DataIndex,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
 )
 from repro.execution.compiler import corpus_token_frequency
 from repro.rulegen import RuleGenerator
@@ -41,7 +41,7 @@ def workload():
 def test_sec4_indexed_vs_naive(benchmark, workload):
     rules, items, frequency = workload
     naive_fired, naive_stats = NaiveExecutor(rules).run(items)
-    indexed = RuleSetCompiler(token_frequency=frequency).compile(rules)
+    indexed = CompiledRuleSet(rules, token_frequency=frequency)
     indexed_fired, indexed_stats = benchmark.pedantic(
         lambda: indexed.execute(items), rounds=1, iterations=1
     )

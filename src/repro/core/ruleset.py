@@ -338,14 +338,13 @@ class RuleSet:
 
         ``hit_ids`` are the ids of this set's rules whose *condition* holds
         on the item — enabled or not, in any order — as a
-        :class:`~repro.execution.compiler.CompiledRuleSet` built with
-        ``include_disabled=True`` (or the
-        :class:`~repro.execution.incremental.MatchStore` row it maintains)
-        reports them. No rule is evaluated here: ``enabled`` is read now,
-        the hits are put in live rule order, and the rest is ``apply``'s
-        bookkeeping — whitelists → constraints → blacklists, the strongest
-        vote per label with an equal-weight duplicate keeping the earlier
-        rule, ``fired`` in that same order. A whitelist hit votes
+        :class:`~repro.execution.compiler.CompiledRuleSet` handed every rule
+        (or the :class:`~repro.execution.incremental.MatchStore` row it
+        maintains) reports them. No rule is evaluated here: ``enabled`` is
+        read now, the hits are put in live rule order, and the rest is
+        ``apply``'s bookkeeping — whitelists → constraints → blacklists,
+        the strongest vote per label with an equal-weight duplicate keeping
+        the earlier rule, ``fired`` in that same order. A whitelist hit votes
         ``Prediction(target_type, confidence, source=rule_id)``, the shape
         :meth:`Rule.predict_prepared` gives every rule class. :meth:`apply`
         stays the executable definition; the property tests hold the two

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.utils.text import char_ngrams, tokenize
 
@@ -32,7 +32,16 @@ def jaccard_3gram(a: str, b: str) -> float:
 
 
 def levenshtein(a: str, b: str, cutoff: Optional[int] = None) -> int:
-    """Edit distance with an optional early-exit cutoff.
+    """Edit distance; with a ``cutoff``, ``min(distance, cutoff + 1)``.
+
+    Myers' bit-parallel algorithm (Myers 1999, JACM; in Hyyrö's form for
+    the distance between two whole strings): one column of the dynamic
+    program is held as two bit vectors over the shorter string, so each
+    character of the longer one costs a few integer operations instead of
+    a pass over the column. Python integers have no word size, so any
+    length works. With a cutoff the loop stops once the distance is
+    certain to exceed it: each remaining character can lower the score
+    by one at most.
 
     >>> levenshtein("kitten", "sitting")
     3
@@ -41,21 +50,32 @@ def levenshtein(a: str, b: str, cutoff: Optional[int] = None) -> int:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    if cutoff is not None and len(b) - len(a) > cutoff:
-        return cutoff + 1
-    previous = list(range(len(a) + 1))
-    for row, char_b in enumerate(b, start=1):
-        current = [row]
-        best = row
-        for col, char_a in enumerate(a, start=1):
-            cost = 0 if char_a == char_b else 1
-            value = min(previous[col] + 1, current[col - 1] + 1, previous[col - 1] + cost)
-            current.append(value)
-            best = min(best, value)
-        if cutoff is not None and best > cutoff:
-            return cutoff + 1
-        previous = current
-    return previous[-1]
+    m, n = len(a), len(b)
+    limit = n if cutoff is None else cutoff
+    if n - m > limit or not a:
+        return min(n, limit + 1)
+    peq: Dict[str, int] = {}
+    for i, char in enumerate(a):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for j, char in enumerate(b, start=1):
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        if score - (n - j) > limit:
+            return limit + 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:

@@ -9,14 +9,14 @@ to execute the rules in parallel on a cluster of machines."
 One engine, one match kernel, two execution modes over it, one reference
 (DESIGN.md §5):
 
-* :class:`RuleSetCompiler` / :class:`CompiledRuleSet` — *the* engine: the
-  whole rule set lowered once into one combined matcher (a token table
-  for words, a pair table for two-word phrases, precompiled verification
-  closures for the rest); a title the kernel cannot tokenize probes the
-  same lanes and checks each candidate with ``matches_prepared``. An item
-  is evaluated in one function whichever mode asked: ``match_item`` is one
-  call of it, and **batch** execution,
-  ``RuleSetCompiler().compile(rules).execute(items)``, a loop of them;
+* :class:`CompiledRuleSet` — *the* engine: ``CompiledRuleSet(rules)``
+  lowers exactly the rules it is handed (the caller decides ``enabled``)
+  into one combined matcher (a token table for words, precompiled
+  verification closures for the rest); a title the kernel cannot tokenize
+  probes the same lanes and checks each candidate with
+  ``matches_prepared``. An item is evaluated in one function whichever
+  mode asked: ``match_item`` is one call of it, and **batch** execution,
+  ``CompiledRuleSet(enabled_rules).execute(items)``, a loop of them;
 * :class:`PartitionedExecutor` — **sharded** mode: items dealt across
   simulated, in-process cluster workers sharing one artifact a run;
 * :class:`IncrementalExecutor` + :class:`MatchStore` — **delta** mode for
@@ -40,7 +40,7 @@ from repro.core.prepared import (
     prepare,
     prepare_all,
 )
-from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler, rarest_anchor
+from repro.execution.compiler import CompiledRuleSet, rarest_anchor
 from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats, NaiveExecutor
 from repro.execution.incremental import IncrementalExecutor, MatchStore
@@ -70,7 +70,6 @@ __all__ = [
     "PartitionedExecutor",
     "PartitionedRunResult",
     "PreparedItem",
-    "RuleSetCompiler",
     "prepare",
     "rarest_anchor",
     "prepare_all",

@@ -11,21 +11,21 @@ pass over each item's token stream can consume. It is the one engine
 behind batch execution (:meth:`CompiledRuleSet.execute`) and the sharded
 and delta executors.
 
-Lane layout — two literal-phrase tiers over title tokens:
+**One construction, one contract.** ``CompiledRuleSet(rules,
+token_frequency=None)`` lowers exactly the rules it is handed; the caller
+decides ``enabled``. The delta engine hands it every rule (its match
+store records condition-truth and filters ``enabled`` at read time);
+batch and sharded callers hand it only the enabled rules, as
+:class:`~repro.execution.executor.NaiveExecutor` filters its own.
 
-* **depth 1** (single-token patterns: sequence anchors, literal word
-  branches of regex rules) is one token -> entry dict probed by a single
-  set intersection per item (``token_set & keys``).
-* **depth 2** (two-word literal phrases) is a pair table hung off the
-  first word: ``(second_word, rule_id)`` entries checked by position only
-  when the first word is present.
+Lane layout — one literal tier over title tokens: a token -> entry dict
+probed by a single set intersection per item (``token_set & keys``).
+A regex whose branches are not all single words (``word`` or ``words?``)
+keeps its own compiled regex as a verify closure under its anchors.
 
-A regex with a longer literal phrase (or any branch the lowerer does not
-know) keeps its own compiled regex as a verify closure under its anchors.
+Each entry carries five lanes::
 
-Each entry in the depth-1 dict carries six lanes::
-
-    (fires, verify, count_unique, count_multi, bridge, pairs)
+    (fires, verify, count_unique, count_multi, bridge)
 
 * ``fires`` — rule ordinals that fire on token presence alone
   (single-token sequence rules; regex branches that are a bare word, or
@@ -55,24 +55,21 @@ Each entry in the depth-1 dict carries six lanes::
   bare-word fire must not fire on the plural surface form (the regex
   would not match it), so every firing surface form is registered
   directly instead.
-* ``pairs`` — the depth-2 tier above: ``None`` or ``(gate, entries)``
-  with ``(second_word, ordinal)`` entries behind a frozenset gate of the
-  second words.
 
 Rules that never anchor on title tokens (attribute, value-constraint,
 no-anchor regex, predicate rules) form the *residue*: counted for every
 item, with attribute/value rules fired straight off the item's attribute
 map and the rest via their ``matches_prepared``.
 
-**One kernel.** ``CompiledRuleSet._apply_lanes`` evaluates the lanes
-above for a *clean* title: ``match_item`` calls it for one item,
-``execute`` calls it in a loop, and tracing a run changes nothing about
-either (spans are emitted by the executors around ``execute``, never
-inside it). The kernel trusts that ``title.lower().split()`` equals the
-tokenizer's output, which holds exactly for ASCII
-alphanumeric-plus-spaces titles. An *unclean* title probes the same
-folded lanes with its ``anchor_tokens`` and decides every rule ordinal a
-hit entry names by that rule's own ``matches_prepared``
+**One kernel.** ``CompiledRuleSet._match`` decides one item:
+``_apply_lanes`` evaluates the lanes above for a *clean* title, and
+``match_item`` and ``execute`` both reach it only through ``_match``
+(tracing a run changes nothing about either: spans are emitted by the
+executors around ``execute``, never inside it). The kernel trusts that
+``title.lower().split()`` equals the tokenizer's output, which holds
+exactly for ASCII alphanumeric-plus-spaces titles. An *unclean* title
+probes the same folded lanes with its ``anchor_tokens`` and decides every
+rule ordinal a hit entry names by that rule's own ``matches_prepared``
 (``_match_unclean``). An anchored rule class the compiler does not know
 (or a known class whose ``matches_prepared`` was overridden) is counted
 on its anchors and evaluated by its own ``matches_prepared`` on every
@@ -84,8 +81,8 @@ the sharded executor lowers the rules once a run, in-process, into an
 artifact every shard attempt shares.
 
 Incremental invalidation rides the same generation-counter discipline as
-PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule
-occupies (a reverse contribution map records them), mark the touched
+the match store: ``add_rule`` / ``remove_rule`` patch only the lanes the
+rule occupies (a reverse contribution map records them), mark the touched
 tokens dirty, and bump ``generation``; folded entries are rebuilt lazily
 for dirty tokens (plus their plural carriers) on the next execution.
 """
@@ -119,16 +116,14 @@ from repro.core.rule import (
     _expand_alternations,
 )
 from repro.execution.executor import ExecutionStats
-from repro.observability import Observability, ensure_observability
 from repro.utils.text import STOPWORDS, singular_form, tokenize
 
-__all__ = ["RuleSetCompiler", "CompiledRuleSet", "corpus_token_frequency", "rarest_anchor"]
+__all__ = ["CompiledRuleSet", "corpus_token_frequency", "rarest_anchor"]
 
 
 # Fully-lowerable regex branch shapes (post alternation expansion).
 _RX_WORD = re.compile(r"^[a-z0-9]+$")
 _RX_WORD_SOPT = re.compile(r"^([a-z0-9]+)s\?$")
-_RX_PAIR = re.compile(r"^([a-z0-9]+) ([a-z0-9]+)$")
 
 # Ordinal slots of retired rule ids tolerated beyond the live rule count
 # before _refresh renumbers: a compaction costs O(live lanes) and frees more
@@ -166,15 +161,12 @@ def corpus_token_frequency(titles: Iterable[str]) -> Dict[str, int]:
     return frequency
 
 
-def _lower_regex_branches(
-    pattern: str,
-) -> Optional[Tuple[Set[str], Set[Tuple[str, str]]]]:
-    """Lower a title regex to literal (words, two-word pairs), or None.
+def _lower_regex_branches(pattern: str) -> Optional[Set[str]]:
+    """Lower a title regex to the literal words it fires on, or None.
 
     Returns the exact acceptance set at token level: the rule fires on a
-    clean title iff one of ``words`` is a title token or one of the
-    ``pairs`` occurs as adjacent tokens. ``None`` means at least one
-    branch resisted lowering (a literal phrase of three or more words
+    clean title iff one of the words is a title token. ``None`` means at
+    least one branch resisted lowering (any phrase of two or more words
     included) — the caller must fall back to running the compiled regex
     itself (a verify closure).
     """
@@ -182,23 +174,17 @@ def _lower_regex_branches(
     if branches is None:
         return None
     words: Set[str] = set()
-    pairs: Set[Tuple[str, str]] = set()
     for branch in branches:
         if _RX_WORD.match(branch):
             words.add(branch)
             continue
         plural = _RX_WORD_SOPT.match(branch)
-        if plural:
-            base = plural.group(1)
-            words.add(base)
-            words.add(base + "s")
-            continue
-        pair = _RX_PAIR.match(branch)
-        if pair:
-            pairs.add(pair.groups())
-            continue
-        return None
-    return words, pairs
+        if plural is None:
+            return None
+        base = plural.group(1)
+        words.add(base)
+        words.add(base + "s")
+    return words
 
 
 def _make_seq_verifier(sequence: Tuple[str, ...]) -> Callable[[list, set], bool]:
@@ -244,46 +230,35 @@ def _make_regex_verifier(compiled: "re.Pattern") -> Callable[[list, set], bool]:
 class _Lanes:
     """Mutable per-token lane accumulators (folded into tuples lazily)."""
 
-    __slots__ = ("fires", "verify", "cu", "cm", "pairs")
+    __slots__ = ("fires", "verify", "cu", "cm")
 
     def __init__(self) -> None:
         self.fires: List[str] = []
         self.verify: List[Tuple[Any, Any, str]] = []
         self.cu = 0
         self.cm: List[str] = []
-        self.pairs: List[Tuple[str, str]] = []
 
     def empty(self) -> bool:
-        return not (self.fires or self.verify or self.cu or self.cm or self.pairs)
+        return not (self.fires or self.verify or self.cu or self.cm)
 
 
 class CompiledRuleSet:
     """A rule set lowered into one combined matcher (see module docs).
 
-    Build via :class:`RuleSetCompiler` (or directly); execute batches with
-    :meth:`execute`, single items with :meth:`match_item`. ``generation``
-    bumps on every ``add_rule`` / ``remove_rule``, mirroring the PR 3
-    store counters so cached consumers can detect churn cheaply.
-
-    ``include_disabled`` picks the counting contract:
-
-    * ``False`` (batch and sharded execution): disabled rules are
-      excluded from the artifact entirely — they neither fire nor count
-      as a candidate evaluation;
-    * ``True`` (the incremental executor): every rule participates —
-      the match store records condition-truth and filters ``enabled`` at
-      snapshot time, and its evaluation counter includes disabled
-      candidates.
+    Lowers exactly the rules it is handed, ``enabled`` or not: a caller
+    that wants only the enabled rules to fire and count hands it only
+    those. Execute batches with :meth:`execute`, single items with
+    :meth:`match_item`. ``generation`` bumps on every ``add_rule`` /
+    ``remove_rule``, mirroring the match store's counters so cached
+    consumers can detect churn cheaply.
     """
 
     def __init__(
         self,
         rules: Iterable[Rule] = (),
         token_frequency: Optional[Dict[str, int]] = None,
-        include_disabled: bool = False,
     ):
         self._freq: Dict[str, int] = dict(token_frequency or {})
-        self._include_disabled = include_disabled
         self._rules: Dict[str, Rule] = {}
         self.generation = 0
         # Raw (mutable) lanes and the reverse contribution map that makes
@@ -319,6 +294,7 @@ class CompiledRuleSet:
         self._lane_labels: Dict[str, str] = {}
         for rule in rules:
             self.add_rule(rule)
+        self._refresh()
 
     # -- introspection ------------------------------------------------------------
 
@@ -327,10 +303,6 @@ class CompiledRuleSet:
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
-
-    @property
-    def include_disabled(self) -> bool:
-        return self._include_disabled
 
     def rules(self) -> List[Rule]:
         return list(self._rules.values())
@@ -353,16 +325,12 @@ class CompiledRuleSet:
     def layout(self) -> Dict[str, int]:
         """Lane population counts (documented in DESIGN.md §5)."""
         self._refresh()
-        depth1 = sum(
-            1 for lanes in self._raw.values() for _ in lanes.fires
-        )
-        pairs = sum(len(lanes.pairs) for lanes in self._raw.values())
+        depth1 = sum(len(lanes.fires) for lanes in self._raw.values())
         verify = sum(len(lanes.verify) for lanes in self._raw.values())
         return {
             "rules": len(self._rules),
             "tokens": len(self._post),
             "depth1_fire_entries": depth1,
-            "depth2_pair_entries": pairs,
             "verify_entries": verify,
             "residue_rules": self._n_residue,
         }
@@ -380,17 +348,13 @@ class CompiledRuleSet:
         """Lower one rule into the shared lanes (incremental add).
 
         The rule is counted on its anchors and its fired surface is
-        lowered per rule class. Disabled rules are skipped entirely unless
-        ``include_disabled``.
+        lowered per rule class, whatever its ``enabled`` flag.
         """
         rid = rule.rule_id
         if rid in self._rules:
             raise ValueError(f"rule {rid!r} already compiled; remove it first")
         self._rules[rid] = rule
         self.generation += 1
-        if not self._include_disabled and not rule.enabled:
-            self._lane_labels[rid] = "excluded (disabled)"
-            return
         self._contrib[rid] = contrib = []
         self._lower_rule(rule, contrib)
         self._dirty_tokens.add("")  # force a refresh pass
@@ -401,16 +365,14 @@ class CompiledRuleSet:
         if rule is None:
             return False
         self.generation += 1
-        contrib = self._contrib.pop(rule_id, None)
-        self._lane_labels.pop(rule_id, None)
-        if contrib is None:  # was excluded as disabled
-            return True
+        contrib = self._contrib.pop(rule_id)
+        del self._lane_labels[rule_id]
         for token, kind, payload in contrib:
             if token is not None:
                 lanes = self._raw[token]
                 if kind == "cu":
                     lanes.cu -= payload
-                else:  # kind names the list lane: fires / verify / cm / pairs
+                else:  # kind names the list lane: fires / verify / cm
                     getattr(lanes, kind).remove(payload)
                 self._dirty_tokens.add(token)
             elif kind == "attr":
@@ -542,18 +504,10 @@ class CompiledRuleSet:
                 contrib.append((anchor, "verify", entry))
             self._lane_labels[rid] = "verify-regex"
             return
-        words, pairs = lowered
-        for word in words:
+        for word in lowered:
             self._lane(word).fires.append(rid)
             contrib.append((word, "fires", rid))
-        for first, second in sorted(pairs):
-            entry = (second, rid)
-            self._lane(first).pairs.append(entry)
-            contrib.append((first, "pairs", entry))
-        labels = ["depth1-fire"] if words else []
-        if pairs:
-            labels.append("depth2-pair")
-        self._lane_labels[rid] = "+".join(labels) or "depth1-fire"
+        self._lane_labels[rid] = "depth1-fire"
 
     # -- folding ------------------------------------------------------------------
 
@@ -611,24 +565,14 @@ class CompiledRuleSet:
             if bridge is None:
                 self._post.pop(token, None)
                 return
-            self._post[token] = ((), None, 0, (), bridge, None)
+            self._post[token] = ((), None, 0, (), bridge)
             return
-        pairs = None
-        if lanes.pairs:
-            folded_pairs = tuple(
-                (second, ord_[rid]) for second, rid in lanes.pairs
-            )
-            pairs = (
-                frozenset(second for second, _ in folded_pairs),
-                folded_pairs,
-            )
         self._post[token] = (
             tuple(ord_[rid] for rid in lanes.fires),
             self._fold_verify(lanes.verify, token),
             lanes.cu,
             tuple(ord_[rid] for rid in lanes.cm),
             bridge,
-            pairs,
         )
 
     def _refresh(self) -> None:
@@ -677,23 +621,22 @@ class CompiledRuleSet:
     # -- matching -----------------------------------------------------------------
 
     def _apply_lanes(
-        self, item: ItemLike, toks: List[str], tset: set, hit_tokens: Iterable[str]
+        self, item: ItemLike, toks: List[str], tset: set
     ) -> Tuple[List[str], int]:
         """The match kernel: one clean item -> (sorted fired ids, eval count).
 
-        :meth:`match_item` and :meth:`execute` tokenize (``toks`` /
-        ``tset``), probe depth 1 (``hit_tokens = tset & keys``) and land
-        here, so batch, sharded and incremental execution (the pipeline's
-        engine among them) all run this one function on a clean title.
-        Fired ids come back sorted and de-duplicated.
+        :meth:`_match` tokenizes (``toks`` / ``tset``) and lands here, so
+        batch, sharded and incremental execution (the pipeline's engine
+        among them) all run this one function on a clean title. Fired ids
+        come back sorted and de-duplicated.
         """
         post = self._post
         flist: List[int] = []
         n_candidates = self._n_residue
         multi: List[int] = []
         idx = toks.index
-        for t in hit_tokens:
-            fires, verify, cu, cm, bridge, pairs = post[t]
+        for t in tset & self._keys:
+            fires, verify, cu, cm, bridge = post[t]
             if fires:
                 flist.extend(fires)
             n_candidates += cu
@@ -733,19 +676,6 @@ class CompiledRuleSet:
                                     flist.append(o)
                     if b_cm:
                         multi.extend(b_cm)
-            if pairs is not None and not pairs[0].isdisjoint(tset):
-                for second, o in pairs[1]:
-                    if second in tset:
-                        start = 0
-                        while True:
-                            try:
-                                start = idx(t, start)
-                            except ValueError:
-                                break
-                            if start + 1 < len(toks) and toks[start + 1] == second:
-                                flist.append(o)
-                                break
-                            start += 1
         if self._attr_items or self._value_items or self._generic_items:
             self._fire_residue(item, flist)
         if multi:
@@ -805,31 +735,33 @@ class CompiledRuleSet:
         candidates: Set[int] = set()
         multi: Set[int] = set()
         for t in prepared.anchor_tokens & self._keys:
-            fires, verify, cu, cm, _bridge, pairs = post[t]
+            fires, verify, cu, cm, _bridge = post[t]
             n_candidates += cu
             multi.update(cm)
             candidates.update(fires)
             if verify is not None:
                 candidates.update([entry[3] for entry in verify[1]])
                 candidates.update([o for _closure, o in verify[2]])
-            if pairs is not None:
-                candidates.update([o for _second, o in pairs[1]])
         table, rules = self._table, self._rules
         flist = [o for o in candidates if rules[table[o]].matches_prepared(prepared)]
         self._fire_residue(prepared, flist)
         return sorted([table[o] for o in flist]), n_candidates + len(multi)
 
-    def match_item(self, item: ItemLike) -> Tuple[List[str], int]:
-        """(sorted fired rule ids, candidate evaluations) for one item:
-        the kernel for a clean title, :meth:`_match_unclean` otherwise.
-        The per-item entry point the incremental executor uses."""
-        self._refresh()
+    def _match(self, item: ItemLike) -> Tuple[List[str], int]:
+        """(sorted fired rule ids, candidate evaluations) for one item of a
+        refreshed artifact: the kernel for a clean title,
+        :meth:`_match_unclean` otherwise."""
         lowered = item.title.lower()
         if _CLEAN_TITLE(lowered) is None:
             return self._match_unclean(item)
         toks = lowered.split()
-        tset = set(toks)
-        return self._apply_lanes(item, toks, tset, tset & self._keys)
+        return self._apply_lanes(item, toks, set(toks))
+
+    def match_item(self, item: ItemLike) -> Tuple[List[str], int]:
+        """:meth:`_match` for one item: the per-item entry point the
+        incremental executor uses."""
+        self._refresh()
+        return self._match(item)
 
     # -- batch execution ----------------------------------------------------------
 
@@ -842,10 +774,10 @@ class CompiledRuleSet:
         """Run the compiled matcher over a batch.
 
         The fired map is byte-identical to
-        ``NaiveExecutor(rules).run(items)`` over the same (enabled) rules.
-        Each item takes the same route as :meth:`match_item` — the kernel
-        for clean titles, the unclean path otherwise — and a repeated item
-        id is decided by its last occurrence. Spans and metrics are the
+        ``NaiveExecutor(rules).run(items)`` over the same rules, when the
+        artifact was handed only enabled ones. Each item goes through
+        :meth:`_match`, as :meth:`match_item` does, and a repeated item id
+        is decided by its last occurrence. Spans and metrics are the
         caller's business: nothing an observer does can reach this loop,
         and an item that raises fails the batch.
         """
@@ -853,9 +785,7 @@ class CompiledRuleSet:
         if stats is None:
             stats = ExecutionStats()
         self._refresh()
-        keys = self._keys
-        apply_lanes = self._apply_lanes
-        match_unclean = self._match_unclean
+        match = self._match
         fired: Dict[str, List[str]] = {}
         pop = fired.pop
         n_evaluations = 0
@@ -871,13 +801,7 @@ class CompiledRuleSet:
             gc.disable()
         try:
             for item in items:
-                lowered = item.title.lower()
-                if _CLEAN_TITLE(lowered) is None:
-                    hits, n_candidates = match_unclean(item)
-                else:
-                    toks = lowered.split()
-                    tset = set(toks)
-                    hits, n_candidates = apply_lanes(item, toks, tset, tset & keys)
+                hits, n_candidates = match(item)
                 if hits:
                     fired[item.item_id] = hits
                     n_matches += len(hits)
@@ -892,44 +816,3 @@ class CompiledRuleSet:
         stats.items += len(items)
         stats.match_time += clk() - started
         return fired, stats
-
-
-class RuleSetCompiler:
-    """Front door: lower rule sets into :class:`CompiledRuleSet` artifacts.
-
-    Stateless apart from the corpus token-frequency table (the
-    :func:`rarest_anchor` ranking of sequence anchors); the
-    ``exec.compile`` span makes compilation cost visible wherever an
-    observability pipeline is attached.
-    """
-
-    def __init__(
-        self,
-        token_frequency: Optional[Dict[str, int]] = None,
-        observability: Optional[Observability] = None,
-    ):
-        self.token_frequency = dict(token_frequency or {})
-        self.observability = ensure_observability(observability)
-
-    def compile(
-        self,
-        rules: Iterable[Rule],
-        include_disabled: bool = False,
-        stats: Optional[ExecutionStats] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> CompiledRuleSet:
-        """Lower ``rules`` (timed; span ``exec.compile``)."""
-        clk = clock if clock is not None else time.perf_counter
-        rules = list(rules)
-        with self.observability.span("exec.compile", rules=len(rules)):
-            started = clk()
-            compiled = CompiledRuleSet(
-                rules,
-                token_frequency=self.token_frequency,
-                include_disabled=include_disabled,
-            )
-            compiled._refresh()
-            elapsed = clk() - started
-        if stats is not None:
-            stats.compile_time += elapsed
-        return compiled

@@ -25,8 +25,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.prepared import ItemLike, prepare
 from repro.core.rule import Rule
 
-_MERGE_WALL_MODES = ("keep", "sum")
-
 
 @dataclass
 class ExecutionStats:
@@ -61,8 +59,7 @@ class ExecutionStats:
     parallel run their sum can legitimately exceed elapsed time).
     ``wall_time`` is the one *non-additive* field: it is elapsed time as
     observed by whoever owns the run (the driver, for a partitioned run —
-    failed attempts included), so :meth:`merge` leaves it alone unless
-    told how to combine it (see the ``wall`` parameter).
+    failed attempts included), so :meth:`merge` leaves it alone.
     """
 
     items: int = 0
@@ -95,21 +92,10 @@ class ExecutionStats:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    def merge(self, other: "ExecutionStats", wall: str = "keep") -> None:
-        """Fold another run's counters into this one.
-
-        All additive fields (work counters, ``prepare_time``,
-        ``match_time``) are summed. ``wall_time`` is combined according to
-        ``wall``:
-
-        * ``"keep"`` (default) — untouched; the caller owns elapsed time.
-          This is shard merging: the driver measures the run's wall clock
-          itself, failed attempts included.
-        * ``"sum"`` — serial composition: ``other`` ran after ``self``
-          (the incremental executor's lifetime ledger).
-        """
-        if wall not in _MERGE_WALL_MODES:
-            raise ValueError(f"wall must be one of {_MERGE_WALL_MODES}, got {wall!r}")
+    def merge(self, other: "ExecutionStats") -> None:
+        """Fold another run's additive fields (work counters,
+        ``prepare_time``, ``match_time``, ``compile_time``) into this one;
+        ``wall_time`` stays the caller's."""
         self.items += other.items
         self.rule_evaluations += other.rule_evaluations
         self.matches += other.matches
@@ -124,8 +110,6 @@ class ExecutionStats:
         self.delta_rules += other.delta_rules
         self.delta_items += other.delta_items
         self.compile_time += other.compile_time
-        if wall == "sum":
-            self.wall_time += other.wall_time
 
 
 class NaiveExecutor:

@@ -349,11 +349,11 @@ class IncrementalExecutor:
     The *item-side* delta (the hot path — every arriving batch) runs
     through the compiled rule set: rule churn patches only the lanes the
     rule occupies (no full recompile), riding the same generation-counter
-    discipline as the match store. The artifact is compiled with
-    ``include_disabled=True`` because the store records condition-truth
-    for disabled rules too. Rule-side deltas (one changed rule over its
-    candidate rows) call the rule's own ``matches_prepared`` — they are
-    O(one rule) and gain nothing from lowering.
+    discipline as the match store. The artifact lowers every rule,
+    disabled ones too, because the store records condition-truth and
+    filters ``enabled`` at read time. Rule-side deltas (one changed rule
+    over its candidate rows) call the rule's own ``matches_prepared`` —
+    they are O(one rule) and gain nothing from lowering.
     """
 
     def __init__(
@@ -368,7 +368,7 @@ class IncrementalExecutor:
         self._records = MemoryRecords()
         # The last add_items batch by id (a later duplicate wins), for admitted().
         self._arrived: Dict[str, ProductItem] = {}
-        self._compiled = CompiledRuleSet((), include_disabled=True)
+        self._compiled = CompiledRuleSet()
         self.store = MatchStore()
         self.stats = ExecutionStats()
         # The enabled view, None until fired_map() builds it, then patched
@@ -788,7 +788,8 @@ class IncrementalExecutor:
         op.match_time = max(0.0, op.wall_time - op.prepare_time)
         # Serial composition: each delta op ran after the previous one, so
         # the lifetime ledger's wall clock is the sum of op walls.
-        self.stats.merge(op, wall="sum")
+        self.stats.merge(op)
+        self.stats.wall_time += op.wall_time
         obs = self.observability
         recorded = self.store.drain_recorded()
         if obs.enabled:

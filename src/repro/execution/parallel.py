@@ -7,8 +7,8 @@ models is the cluster's *failure* behaviour, not its throughput (DESIGN.md
 §5 has the measurement). :class:`PartitionedExecutor` is one loop over a
 compiled artifact:
 
-* the rule set is lowered once a run, through
-  :class:`~repro.execution.compiler.RuleSetCompiler` (so ``rule.enabled``
+* the enabled rules are lowered once a run into one
+  :class:`~repro.execution.compiler.CompiledRuleSet` (so ``rule.enabled``
   flips are followed and every rule class runs);
 * items are dealt ``items[s::n_workers]`` into one shard per worker, and
   the shard holding an id's last occurrence owns that id, so a repeated
@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 from repro.core.prepared import ItemLike
 from repro.core.rule import Rule
-from repro.execution.compiler import CompiledRuleSet, RuleSetCompiler
+from repro.execution.compiler import CompiledRuleSet
 from repro.execution.executor import ExecutionStats
 from repro.observability import Observability, ensure_observability
 
@@ -281,7 +281,8 @@ class PartitionedRunResult:
 class PartitionedExecutor:
     """Sharded mode of the compiled engine: items dealt over N workers.
 
-    Timing: ``stats.compile_time`` is the lowering (paid once a run),
+    Timing: ``stats.compile_time`` is the lowering (paid once a run, in
+    an ``exec.compile`` span),
     ``stats.match_time``
     sums the *accepted* attempts only, so a failed attempt's work is never
     counted, and ``stats.wall_time`` is the driver's elapsed time for the
@@ -304,7 +305,7 @@ class PartitionedExecutor:
         self.fault_plan = fault_plan
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
-        self._compiler = RuleSetCompiler(token_frequency, self.observability)
+        self.token_frequency = token_frequency
 
     def _attempt(
         self,
@@ -329,8 +330,12 @@ class PartitionedExecutor:
         total = result.stats
         with obs.span("exec.partitioned.run", workers=n, items=len(items)) as run_span:
             started = clock()
-            artifact = self._compiler.compile(self.rules, stats=total, clock=clock)
-            known = frozenset(rule.rule_id for rule in self.rules)
+            rules = [rule for rule in self.rules if rule.enabled]
+            with obs.span("exec.compile", rules=len(rules)):
+                lowering = clock()
+                artifact = CompiledRuleSet(rules, self.token_frequency)
+                total.compile_time += clock() - lowering
+            known = frozenset(rule.rule_id for rule in rules)
             # The shard holding an id's last occurrence owns the id.
             owned: List[List[str]] = [[] for _ in range(n)]
             for item_id, last in {item.item_id: i for i, item in enumerate(items)}.items():

@@ -200,8 +200,14 @@ def _get_batches(data, key, path, default) -> Tuple[int, ...]:
 
 def _get_into(data, key, path, default) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
     into = _require_map(data.get(key), f"{path}.{key}")
+    try:
+        names = sorted(into)
+    except TypeError:  # names of two kinds, as in {1: [a], b: [c]}
+        listed = ", ".join(sorted(repr(name) for name in into))
+        raise _err(f"{path}.{key}", f"names must be all strings or all numbers, "
+                   f"got {listed}") from None
     return tuple((str(name), _get_strs(into, name, f"{path}.{key}", ()))
-                 for name in sorted(into))
+                 for name in names)
 
 
 def _get_enabled(data, key, path, default) -> bool:

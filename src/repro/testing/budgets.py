@@ -27,6 +27,14 @@ RESUMED_B_PER_CHANGE = int(520.8 * 1.05)
 # 3097a09 668.4, 32.4 of them made from scipy), under its ceiling.
 CALL_BUDGET = {"training=0": round(387.7 * 1.05, 1), "default": round(555.8 * 1.05, 1)}
 
+# Interpreter calls StreamService(root).start() makes to resume a seed-7
+# training=0 root (tests/test_resume_budget.py), from roots of 15 and 30
+# batches, equal over PYTHONHASHSEED 0, 1, 2: the slope per journalled item
+# and the intercept. Read 189.1 and 71,529 once match_item wraps the
+# kernel's private per-item function (464a0bb, the gate's parent, read
+# 188.1 and 71,721).
+RESUME_CALLS = {"per_item": round(189.1 * 1.05, 1), "intercept": int(71_529 * 1.05)}
+
 # Interpreter calls per seed-7 labeled title and per generated item
 # (tests/test_catalog_budget.py), exact: a title is a draw and nothing
 # more, and a template is parsed once. Read 85.3 / 96.3 (0430dcc built and

@@ -4,7 +4,8 @@
 is that number from the rules alone: a rule counts when its probe anchor
 is among the item's ``anchor_tokens`` — a sequence rule's one anchor is
 its ``rarest_anchor``, any of a regex rule's ``anchor_literals`` will do —
-and a rule without anchors (the residue) always counts.
+and a rule without anchors (the residue) always counts. Every rule the
+engine was handed counts, enabled or not.
 """
 
 from repro.core.prepared import prepare
@@ -12,13 +13,11 @@ from repro.core.rule import SequenceRule
 from repro.execution import rarest_anchor
 
 
-def reference_evaluations(rules, item, token_frequency=None, include_disabled=False):
+def reference_evaluations(rules, item, token_frequency=None):
     """Rule evaluations the engine owes ``item`` under ``rules``."""
     probe = prepare(item).anchor_tokens
     count = 0
     for rule in rules:
-        if not (include_disabled or rule.enabled):
-            continue
         if isinstance(rule, SequenceRule):
             anchors = {rarest_anchor(rule.token_sequence, token_frequency or {})}
         else:

@@ -15,7 +15,6 @@ from repro.execution import (
     DataIndex,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
     prepare,
 )
 from repro.execution.compiler import corpus_token_frequency
@@ -161,26 +160,26 @@ class TestRuleIndexRemove:
 class TestExecutors:
     def test_naive_and_indexed_agree(self):
         naive_fired, _ = NaiveExecutor(RULES).run(ITEMS)
-        indexed_fired, _ = RuleSetCompiler().compile(RULES).execute(ITEMS)
+        indexed_fired, _ = CompiledRuleSet(RULES).execute(ITEMS)
         assert {k: sorted(v) for k, v in naive_fired.items()} == indexed_fired
 
     def test_indexed_does_less_work(self):
         _, naive_stats = NaiveExecutor(RULES).run(ITEMS)
-        _, indexed_stats = RuleSetCompiler().compile(RULES).execute(ITEMS)
+        _, indexed_stats = CompiledRuleSet(RULES).execute(ITEMS)
         assert indexed_stats.rule_evaluations < naive_stats.rule_evaluations
         assert indexed_stats.matches == naive_stats.matches
 
     def test_work_scales_with_rules(self, corpus_items):
         many_rules = [SequenceRule((f"tok{i}", "x"), "t") for i in range(200)]
         _, naive_stats = NaiveExecutor(many_rules).run(corpus_items[:50])
-        _, indexed_stats = RuleSetCompiler().compile(many_rules).execute(corpus_items[:50])
+        _, indexed_stats = CompiledRuleSet(many_rules).execute(corpus_items[:50])
         assert naive_stats.evaluations_per_item == 200
         assert indexed_stats.evaluations_per_item < 5
 
     def test_both_executors_return_sorted_rule_ids(self):
         """Deterministic output contract: fired lists are sorted."""
         naive_fired, _ = NaiveExecutor(RULES).run(ITEMS)
-        indexed_fired, _ = RuleSetCompiler().compile(RULES).execute(ITEMS)
+        indexed_fired, _ = CompiledRuleSet(RULES).execute(ITEMS)
         assert naive_fired == indexed_fired
         for fired in (naive_fired, indexed_fired):
             for hits in fired.values():
@@ -191,7 +190,8 @@ class TestExecutors:
         rules[0].enabled = False
         target = item("diamond ring gold")
         naive_fired, _ = NaiveExecutor(rules).run([target])
-        indexed_fired, _ = RuleSetCompiler().compile(rules).execute([target])
+        enabled = [rule for rule in rules if rule.enabled]
+        indexed_fired, _ = CompiledRuleSet(enabled).execute([target])
         assert naive_fired == indexed_fired
         assert naive_fired[target.item_id] == [rules[1].rule_id]
 

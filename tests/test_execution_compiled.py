@@ -31,7 +31,6 @@ from repro.execution import (
     IncrementalExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
     rarest_anchor,
 )
 from repro.execution.compiler import _DEAD_SLOT_MARGIN, _lower_regex_branches
@@ -62,16 +61,18 @@ class BadTitle:
 
 
 def probe_count(rules, items):
-    """Candidate evaluations the reference count owes (enabled rules)."""
+    """Candidate evaluations the reference count owes."""
     return sum(reference_evaluations(rules, it) for it in items)
 
 
 def assert_parity(rules, items):
-    """Fired map identical to the reference, evaluation count to the probe."""
+    """Fired map identical to the reference, evaluation count to the probe,
+    with the artifact handed the enabled rules."""
     fired_i, stats_i = NaiveExecutor(rules).run(items)
-    fired_c, stats_c = RuleSetCompiler().compile(rules).execute(items)
+    enabled = [rule for rule in rules if rule.enabled]
+    fired_c, stats_c = CompiledRuleSet(enabled).execute(items)
     assert fired_c == fired_i
-    assert stats_c.rule_evaluations == probe_count(rules, items)
+    assert stats_c.rule_evaluations == probe_count(enabled, items)
     assert stats_c.matches == stats_i.matches
     assert stats_c.items == stats_i.items
     return fired_i
@@ -79,19 +80,16 @@ def assert_parity(rules, items):
 
 class TestRegexBranchLowering:
     def test_bare_word(self):
-        assert _lower_regex_branches("ring") == ({"ring"}, set())
+        assert _lower_regex_branches("ring") == {"ring"}
 
     def test_plural_optional_enumerates_both_surface_forms(self):
-        words, phrases = _lower_regex_branches("rings?")
-        assert words == {"ring", "rings"}
-        assert phrases == set()
+        assert _lower_regex_branches("rings?") == {"ring", "rings"}
 
     def test_alternation_and_phrase(self):
-        words, pairs = _lower_regex_branches("ring|gold band")
-        assert words == {"ring"}
-        assert pairs == {("gold", "band")}
-        # A literal phrase of three or more words is not lowered: the rule
+        assert _lower_regex_branches("ring|bands?") == {"ring", "band", "bands"}
+        # A literal phrase of two or more words is not lowered: the rule
         # verifies with its own compiled regex.
+        assert _lower_regex_branches("ring|gold band") is None
         assert _lower_regex_branches("ring|rose gold ring") is None
 
     def test_unloweable_branch_bails_entirely(self):
@@ -134,7 +132,7 @@ class TestRarestAnchorSharedTiebreak:
             item("i4", "nothing here"),
             item("i5", "Gold-Rings, band!"),
         ]
-        compiled = RuleSetCompiler(token_frequency=freq).compile(rules)
+        compiled = CompiledRuleSet(rules, token_frequency=freq)
         for it in items:
             _, n_evaluated = compiled.match_item(it)
             assert n_evaluated == reference_evaluations(rules, it, freq), it.item_id
@@ -250,7 +248,7 @@ class TestCompiledParityPerRuleClass:
         ]
         items = [item("i1", "gold ring"), item("i2", "silver band")]
         assert_parity(rules, items)
-        compiled = RuleSetCompiler().compile(rules)
+        compiled = CompiledRuleSet(rules)
         assert compiled.lane_of("pr1") == "residue-generic"
         assert compiled.lane_of("w1") == "depth1-fire"
 
@@ -278,7 +276,7 @@ class TestCompiledParityPerRuleClass:
             "i1": ["x1", "x2"], "i3": ["w1"], "i4": ["w1", "x1", "x2", "x3"],
             "i5": ["w1", "x1", "x2"], "i6": ["w1", "x2", "x3"],
         }
-        compiled = RuleSetCompiler().compile(rules)
+        compiled = CompiledRuleSet(rules)
         assert [compiled.lane_of(r.rule_id) for r in rules] == [
             "generic-anchored", "generic-anchored", "generic-anchored", "depth1-fire",
         ]
@@ -303,7 +301,7 @@ class TestPluralBridgeTrap:
     def test_candidate_counted_but_no_fire_on_plural_only_title(self, rule):
         items = [item("i1", "blue rings")]
         fired_i, _ = NaiveExecutor([rule]).run(items)
-        fired_c, stats_c = RuleSetCompiler().compile([rule]).execute(items)
+        fired_c, stats_c = CompiledRuleSet([rule]).execute(items)
         assert fired_i == fired_c == {}
         # The singular-expanded probe proposes the rule: exactly one
         # (failed) evaluation.
@@ -341,7 +339,7 @@ class TestDirtyTitlesAndSkipMode:
                          "i5": ["w1"], "i6": ["p1", "s2", "w1"]}
 
     def test_raise_mode_propagates(self):
-        compiled = RuleSetCompiler().compile([WhitelistRule("x", "t")])
+        compiled = CompiledRuleSet([WhitelistRule("x", "t")])
         with pytest.raises(RuntimeError):
             compiled.execute([BadTitle()])
 
@@ -389,7 +387,7 @@ class TestTracedExecution:
             assert result.stats.compile_time > 0.0
             return result.fired, result.stats
 
-        fired_plain, stats_plain = RuleSetCompiler().compile(rules).execute(items)
+        fired_plain, stats_plain = CompiledRuleSet(rules).execute(items)
         assert fired_plain == NaiveExecutor(rules).run(items)[0]
         assert fired_plain["unclean"] == ["w1"]
         traced_run(items[:1])
@@ -509,13 +507,13 @@ class TestExplain:
         "rule,matching_item,lane", CASES, ids=[c[0].rule_id for c in CASES]
     )
     def test_one_example_per_registered_rule_class(self, rule, matching_item, lane):
-        compiled = RuleSetCompiler().compile([rule])
+        compiled = CompiledRuleSet([rule])
         hits, _ = compiled.match_item(matching_item)
         assert hits == [rule.rule_id]
         assert compiled.lane_of(rule.rule_id) == lane
 
     def test_unknown_rule_raises(self):
-        compiled = RuleSetCompiler().compile([])
+        compiled = CompiledRuleSet([])
         with pytest.raises(UnknownRuleError):
             compiled.lane_of("nope")
 
@@ -614,14 +612,12 @@ class TestCompiledRuleSetChurn:
         assert compiled.layout() == {
             "rules": 4,
             "tokens": 6,                # gold, ring, rose + their plural bridges
-            "depth1_fire_entries": 1,   # "ring" branch
-            "depth2_pair_entries": 1,   # "gold band"
-            "verify_entries": 2,        # the 2-token sequence; w2's regex under "rose"
+            "depth1_fire_entries": 0,   # w1 has a phrase branch: it verifies
+            "verify_entries": 4,        # w1 under gold and ring, w2 under rose, s1
             "residue_rules": 1,
         }
         assert [compiled.lane_of(rule.rule_id) for rule in rules] == [
-            "depth1-fire+depth2-pair", "verify-regex", "verify-pair-order",
-            "residue-attribute",
+            "verify-regex", "verify-regex", "verify-pair-order", "residue-attribute",
         ]
         assert_parity(rules, [
             item("i1", "rose gold ring"), item("i2", "gold band"),
@@ -736,7 +732,7 @@ def _any_rule(draw):
         picked = draw(st.lists(words, min_size=1, max_size=3, unique=True))
         pattern = "|".join(w + ("s?" if draw(st.booleans()) else "") for w in picked)
         rule = WhitelistRule(pattern, "t", rule_id=rid)
-    elif kind == 1:  # depth-2 pairs, or a verify closure at three words
+    elif kind == 1:  # phrases of two and three words: verify closures
         phrase = draw(st.sampled_from(["gold band", "band ring", "gold band ring"]))
         rule = BlacklistRule(phrase, "t", rule_id=rid)
     elif kind == 2:  # closures, anchorless regexes, punctuated anchors
@@ -766,29 +762,30 @@ def _any_rule(draw):
 
 class TestUncleanTitlesProbeTheLanes:
     @settings(max_examples=200, deadline=None)
-    @example(  # a pair candidate, a deduped multi-anchor count, a piece anchor
+    @example(  # a phrase candidate, a deduped multi-anchor count, a piece anchor
         [BlacklistRule("gold band", "t", rule_id="p"),
          WhitelistRule("ring|rings", "t", rule_id="m"),
          WhitelistRule("rings?", "t", rule_id="w")],
-        ["gold band!", "o-rings, gold band"], {}, False,
+        ["gold band!", "o-rings, gold band"], {},
     )
     @given(
         st.lists(_any_rule(), max_size=8, unique_by=lambda r: r.rule_id),
         st.lists(_UNCLEAN_TITLES, min_size=1, max_size=6),
         st.dictionaries(st.sampled_from(_UNCLEAN_WORDS), st.integers(0, 3)),
-        st.booleans(),
     )
     def test_fired_ids_are_the_reference_and_counts_the_contract(
-        self, rules, titles, frequency, include_disabled
+        self, rules, titles, frequency
     ):
-        compiled = CompiledRuleSet(
-            rules, token_frequency=frequency, include_disabled=include_disabled
-        )
+        """Handed every rule, the artifact reports condition-truth and counts
+        every candidate; handed the enabled ones, it is the reference."""
+        enabled = [rule for rule in rules if rule.enabled]
+        every = CompiledRuleSet(rules, token_frequency=frequency)
+        live = CompiledRuleSet(enabled, token_frequency=frequency)
         for n, title in enumerate(titles):
             it = item(f"i{n}", title, {"Brand": "ACME"} if n % 2 else {})
-            if include_disabled:
-                expected = sorted(rule.rule_id for rule in rules if rule.matches(it))
-            else:
-                expected = NaiveExecutor(rules).run([it])[0].get(it.item_id, [])
-            count = reference_evaluations(rules, it, frequency, include_disabled)
-            assert compiled.match_item(it) == (expected, count), title
+            expected = sorted(rule.rule_id for rule in rules if rule.matches(it))
+            count = reference_evaluations(rules, it, frequency)
+            assert every.match_item(it) == (expected, count), title
+            expected = NaiveExecutor(rules).run([it])[0].get(it.item_id, [])
+            count = reference_evaluations(enabled, it, frequency)
+            assert live.match_item(it) == (expected, count), title

@@ -43,11 +43,11 @@ from repro.execution import (
     IncrementalExecutor,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
 )
 from repro.execution import incremental as incremental_module
 from repro.observability import Observability
 from repro.scenario.runner import _check_fault_model
+from tests.candidate_reference import reference_evaluations
 from tests.chain_audit import fingerprint_from_scratch, store_fired_map
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0xC0FFEE"), 0)
@@ -70,7 +70,8 @@ _title = st.lists(_token, min_size=0, max_size=6).map(" ".join)
 
 # Regex conditions: whole words, optional plurals on short stems, optional
 # and wildcard characters *inside* a word (no sound anchor exists), gaps,
-# groups, classes, escaped punctuation, literal phrases of three words.
+# groups, classes, escaped punctuation, literal phrases of two and three
+# words, alone or beside a word.
 _regex = st.one_of(
     _stem,
     _stem.map(lambda w: w + "s?"),
@@ -82,6 +83,8 @@ _regex = st.one_of(
     ]),
     st.builds("{} {}s?".format, _word, _stem),
     st.builds("{}|{}s?".format, _word, _stem),
+    st.builds("{} {}".format, _word, _word),
+    st.builds("{}|{} {}".format, _word, _word, _word),
     st.sampled_from(["rose gold rings", "gold ring band", "gold ring tv", "usb pc|glass tv pc"]),
     st.builds("{} {} {}".format, _word, _word, _word),
 )
@@ -198,7 +201,9 @@ def test_every_engine_mode_equals_the_reference(ops):
     churned, rules, items = _apply(ops)
     reference = _canonical(NaiveExecutor(rules).run(items)[0])
 
-    batch, batch_stats = RuleSetCompiler().compile(rules).execute(items)
+    # Batch callers hand the artifact the enabled rules only.
+    enabled = [rule for rule in rules if rule.enabled]
+    batch, batch_stats = CompiledRuleSet(enabled).execute(items)
     assert _canonical(batch) == reference
 
     # Tracing observes the run; it must not change what the run does.
@@ -208,7 +213,7 @@ def test_every_engine_mode_equals_the_reference(ops):
 
     # One item at a time through the same artifact: the incremental
     # executor's and the pipeline matcher's way in.
-    compiled = CompiledRuleSet(rules)
+    compiled = CompiledRuleSet(enabled)
     swept = {item.item_id: compiled.match_item(item) for item in items}
     assert _canonical(
         {item_id: hits for item_id, (hits, _) in swept.items() if hits}
@@ -255,14 +260,16 @@ def test_anchor_soundness_cases_fire_in_every_mode(pattern, title):
     _assert_every_mode(WhitelistRule(pattern, "t", rule_id="w1"), title, fires=True)
 
 
-# Rules no tier of their own lowers: literal phrases of three words take
-# verify-regex, an anchored class the compiler does not know runs its own
-# matches_prepared (generic-anchored); clean and unclean titles.
+# Rules no tier of their own lowers: literal phrases of two or more words
+# take verify-regex, an anchored class the compiler does not know runs its
+# own matches_prepared (generic-anchored); clean and unclean titles.
 REROUTED_CASES = [
     (WhitelistRule, "rose gold rings", "rose gold rings", True),
     (WhitelistRule, "tv|gold ring band", "a gold ring band", True),
     (WhitelistRule, "gold ring band", "Gold Ring Band!", True),
     (WhitelistRule, "gold ring band", "gold band ring", False),
+    (WhitelistRule, "gold ring", "Gold Ring!", True),
+    (WhitelistRule, "tv|gold ring", "ring gold", False),
     (_NarrowedWhitelist, "rings?", "gold ring", True),
     (_NarrowedWhitelist, "rings?", "rubber o-rings", True),
     (_NarrowedWhitelist, "gold ring tv", "gold ring tv", True),
@@ -275,17 +282,64 @@ def test_rerouted_rules_answer_alike_in_every_mode(cls, pattern, title, fires):
     _assert_every_mode(cls(pattern, "t", rule_id="w1"), title, fires)
 
 
+def _every_mode(rules, items):
+    """Each mode's fired map over ``rules`` (all enabled) and ``items``
+    (distinct ids), with the batch's candidate count."""
+    compiled = CompiledRuleSet(rules)
+    swept = {item.item_id: compiled.match_item(item)[0] for item in items}
+    batch, stats = compiled.execute(items)
+    rules_first = IncrementalExecutor(rules=rules)
+    rules_first.add_items(items)
+    items_first = IncrementalExecutor(items=items)
+    items_first.add_rules(rules)
+    fired = {
+        "naive": NaiveExecutor(rules).run(items)[0],
+        "execute": batch,
+        "match_item": {item_id: hits for item_id, hits in swept.items() if hits},
+        "partitioned": PartitionedExecutor(rules, n_workers=2).run(items).fired,
+        "rules_first": rules_first.fired_map(),
+        "items_first": items_first.fired_map(),
+    }
+    return fired, stats.rule_evaluations
+
+
 def _assert_every_mode(rule, title, fires):
     item = ProductItem(item_id="i1", title=title)
     expected = {"i1": ["w1"]} if fires else {}
-    assert NaiveExecutor([rule]).run([item])[0] == expected
-    assert RuleSetCompiler().compile([rule]).execute([item])[0] == expected
-    assert PartitionedExecutor([rule], n_workers=2).run([item]).fired == expected
-    rules_first = IncrementalExecutor(rules=[rule])
-    rules_first.add_items([item])
-    items_first = IncrementalExecutor(items=[item])
-    items_first.add_rules([rule])
-    assert rules_first.fired_map() == items_first.fired_map() == expected
+    fired, _ = _every_mode([rule], [item])
+    assert fired == dict.fromkeys(fired, expected)
+
+
+# Two-word phrases, alone or beside a word (``gold ring``, ``tv|gold
+# ring``): each verifies by its own compiled regex, under its anchors.
+# Titles hold the phrase adjacent, split, reversed, repeated, pluralised
+# and unclean.
+_PHRASE_TITLES = [
+    "{a} {b}", "x {a} {b} y", "{a} tv {b}", "{b} {a}", "{a} {b} {a} {b}",
+    "{a} {a} {b}", "{a}s {b}", "{a} {b}s", "{A} {B}!", "{a}-{b}", "{a}, {b}",
+    "café {a} {b}",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word, _word, _word, st.booleans(),
+       st.lists(st.sampled_from(_PHRASE_TITLES), min_size=1, max_size=5))
+def test_two_word_phrases_equal_the_reference_in_every_mode(first, second, word, mixed,
+                                                             shapes):
+    phrase = f"{first} {second}"
+    rules = [
+        WhitelistRule(f"{word}|{phrase}" if mixed else phrase, "t", rule_id="w1"),
+        BlacklistRule(f"{second} {first}", "t", rule_id="b1"),
+        SequenceRule([first, second], "t", rule_id="s1"),
+    ]
+    items = [
+        ProductItem(item_id=f"i{n}", title=shape.format(
+            a=first, b=second, A=first.upper(), B=second.title()))
+        for n, shape in enumerate(shapes)
+    ]
+    fired, evaluations = _every_mode(rules, items)
+    assert fired == dict.fromkeys(fired, fired["naive"])
+    assert evaluations == sum(reference_evaluations(rules, item) for item in items)
 
 
 def _fired_by_mode(executors, items):
@@ -322,7 +376,7 @@ def test_every_mode_runs_a_predicate_rule():
     executors = [NaiveExecutor([rule]), PartitionedExecutor([rule], n_workers=2)]
     for mode, fired in _fired_by_mode(executors, [item]).items():
         assert fired == {"i1": ["p1"]}, mode
-    assert RuleSetCompiler().compile([rule]).execute([item])[0] == {"i1": ["p1"]}
+    assert CompiledRuleSet([rule]).execute([item])[0] == {"i1": ["p1"]}
     assert IncrementalExecutor([rule], [item]).fired_map() == {"i1": ["p1"]}
 
 
@@ -351,7 +405,7 @@ def test_a_repeated_id_is_decided_by_its_last_occurrence_in_every_mode(name):
     items = _batch(rows)
     fired = {
         "naive": NaiveExecutor(REPEAT_RULES).run(items)[0],
-        "execute": RuleSetCompiler().compile(REPEAT_RULES).execute(items)[0],
+        "execute": CompiledRuleSet(REPEAT_RULES).execute(items)[0],
         "partitioned": PartitionedExecutor(REPEAT_RULES, n_workers=2).run(items).fired,
         "incremental": IncrementalExecutor(REPEAT_RULES, items).fired_map(),
     }

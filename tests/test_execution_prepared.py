@@ -26,7 +26,6 @@ from repro.execution import (
     CompiledRuleSet,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
 )
 from tests.candidate_reference import reference_evaluations
 
@@ -109,7 +108,8 @@ def rule_corpora(draw):
        n_workers=st.integers(min_value=1, max_value=3))
 def test_all_executors_agree(rules, corpus, n_workers):
     naive_fired, naive_stats = NaiveExecutor(rules).run(corpus)
-    indexed_fired, indexed_stats = RuleSetCompiler().compile(rules).execute(corpus)
+    enabled = [rule for rule in rules if rule.enabled]
+    indexed_fired, indexed_stats = CompiledRuleSet(enabled).execute(corpus)
     partitioned = PartitionedExecutor(rules, n_workers=n_workers).run(corpus)
 
     assert naive_fired == indexed_fired
@@ -124,9 +124,9 @@ def test_all_executors_agree(rules, corpus, n_workers):
 def test_index_candidates_are_sound(rules, corpus):
     """Every matching (enabled or not) rule fires off the lanes, at the
     reference's candidate count."""
-    compiled = CompiledRuleSet(rules, include_disabled=True)
+    compiled = CompiledRuleSet(rules)
     for thing in corpus:
         assert compiled.match_item(thing) == (
             sorted(rule.rule_id for rule in rules if rule.matches(thing)),
-            reference_evaluations(rules, thing, include_disabled=True),
+            reference_evaluations(rules, thing),
         )

@@ -18,6 +18,7 @@ from repro.catalog.types import ProductItem
 from repro.core import AttributeRule, SequenceRule, parse_rules
 from repro.core.rule import Clause, PredicateRule
 from repro.execution import (
+    CompiledRuleSet,
     CorruptShardOutput,
     ExecutionStats,
     FaultKind,
@@ -25,7 +26,6 @@ from repro.execution import (
     FaultSpec,
     NaiveExecutor,
     PartitionedExecutor,
-    RuleSetCompiler,
     validate_shard_output,
 )
 from repro.utils.clock import TickClock
@@ -386,14 +386,14 @@ class TestSingleNodeDegradedMode:
         with pytest.raises(AttributeError):
             NaiveExecutor(RULES).run(poisoned)
         with pytest.raises(AttributeError):
-            RuleSetCompiler().compile(RULES).execute(poisoned)
+            CompiledRuleSet(RULES).execute(poisoned)
         bomb = PredicateRule(
             [Clause("explodes", lambda item: 1 / 0)], "t", rule_id="pred-bomb"
         )
         with pytest.raises(ZeroDivisionError):
             NaiveExecutor(RULES + [bomb]).run(ITEMS)
         with pytest.raises(ZeroDivisionError):
-            RuleSetCompiler().compile(RULES + [bomb]).execute(ITEMS)
+            CompiledRuleSet(RULES + [bomb]).execute(ITEMS)
 
     def test_stats_merge_carries_resilience_ledger(self):
         a, b = ExecutionStats(), ExecutionStats()

@@ -8,7 +8,7 @@ from repro.chimera import Chimera, FeedbackLoop, IncidentManager, PrecisionMonit
 from repro.core import RuleSet, parse_rules
 from repro.crowd import CrowdBudget, PrecisionEstimator, VerificationTask, WorkerPool
 from repro.evaluation import ModuleLevelEvaluator, ruleset_quality
-from repro.execution import NaiveExecutor, RuleSetCompiler
+from repro.execution import CompiledRuleSet, NaiveExecutor
 from repro.repository import RuleRepository
 from repro.rulegen import RuleGenerator
 from repro.synonym import DiscoverySession, SynonymTool
@@ -122,7 +122,7 @@ class TestExecutionAgreesAtScale:
         rules = result.rules
         items = corpus_items[:300]
         naive_fired, naive_stats = NaiveExecutor(rules).run(items)
-        indexed_fired, indexed_stats = RuleSetCompiler().compile(rules).execute(items)
+        indexed_fired, indexed_stats = CompiledRuleSet(rules).execute(items)
         assert {k: sorted(v) for k, v in naive_fired.items()} == indexed_fired
         assert indexed_stats.rule_evaluations * 5 < naive_stats.rule_evaluations
 

@@ -2,15 +2,15 @@
 served title takes.
 
 The compiled engine (``CompiledRuleSet``) keeps the lanes its traffic
-reaches: depth-1 fires, the depth-2 pair table, verify closures and the
-residue. This census pins ``lane_of`` over the rule sets that stand for
-that traffic — the engine of a fresh seed-7 ``training=0`` service (one
-artifact for the pipeline's four rule sets), the golden rule set compiled
-on its own, and a pipeline holding the golden set split across its
-stages — so a rule sliding off a fast lane (or onto a new one) edits this
-table. It also pins how many served items, and evaluations, take the
-kernel (a clean title) and how many the unclean path, so a tokenizer or
-clean-check change that moves traffic between them edits a table too.
+reaches: depth-1 fires, verify closures and the residue. This census pins
+``lane_of`` over the rule sets that stand for that traffic — the engine of
+a fresh seed-7 ``training=0`` service (one artifact for the pipeline's
+four rule sets), the golden rule set compiled on its own, and a pipeline
+holding the golden set split across its stages — so a rule sliding off a
+fast lane (or onto a new one) edits this table. It also pins how many
+served items, and evaluations, take the kernel (a clean title) and how
+many the unclean path, so a tokenizer or clean-check change that moves
+traffic between them edits a table too.
 """
 
 import json

@@ -98,6 +98,50 @@ class TestVectorProperties:
         assert abs(sim - cosine_similarity(b, a)) < 1e-9
 
 
+def dp_levenshtein(a, b):
+    """The O(n*m) dynamic program: the oracle ``levenshtein`` is held to."""
+    previous = list(range(len(a) + 1))
+    for row, char_b in enumerate(b, start=1):
+        current = [row]
+        for col, char_a in enumerate(a, start=1):
+            cost = 0 if char_a == char_b else 1
+            current.append(min(previous[col] + 1, current[col - 1] + 1,
+                               previous[col - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+# Any strings: empty, equal, non-ASCII, longer than a 64-bit word; and
+# near-copies, so small distances under long strings are common.
+any_text = st.text(max_size=150) | st.text(alphabet="abé漢 ", min_size=60, max_size=150)
+
+
+@st.composite
+def text_pairs(draw):
+    a = draw(any_text)
+    if draw(st.booleans()):
+        return a, draw(any_text)
+    i = draw(st.integers(0, len(a)))
+    j = draw(st.integers(i, len(a)))
+    return a, a[:i] + draw(st.text(max_size=3)) + a[j:]
+
+
+class TestLevenshteinOracle:
+    @given(text_pairs(), st.none() | st.integers(min_value=0, max_value=160))
+    @settings(max_examples=300)
+    def test_bit_parallel_equals_the_dynamic_program(self, pair, cutoff):
+        a, b = pair
+        distance = dp_levenshtein(a, b)
+        expected = distance if cutoff is None else min(distance, cutoff + 1)
+        assert levenshtein(a, b, cutoff) == levenshtein(b, a, cutoff) == expected
+
+    def test_edges(self):
+        long = "x" * 70 + "é" * 70
+        for a, b in [("", ""), ("", "abc"), ("abc", "abc"), ("漢字", "漢"),
+                     (long, long[1:] + "y"), (long, "")]:
+            assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
 class TestSimilarityProperties:
     @given(titles, titles)
     def test_levenshtein_metric_axioms(self, a, b):

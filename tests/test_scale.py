@@ -12,7 +12,7 @@ import pytest
 
 from repro.catalog import CatalogGenerator, build_seed_taxonomy, synthesize_types
 from repro.core import SequenceRule
-from repro.execution import NaiveExecutor, RuleSetCompiler
+from repro.execution import CompiledRuleSet, NaiveExecutor
 from repro.learning import MultinomialNaiveBayes
 from repro.rulegen import RuleGenerator
 
@@ -64,7 +64,7 @@ class TestScale:
         ]
         generator = CatalogGenerator(build_seed_taxonomy(), seed=4)
         items = generator.generate_items(100)
-        fired, stats = RuleSetCompiler().compile(rules).execute(items)
+        fired, stats = CompiledRuleSet(rules).execute(items)
         # Nothing should match (tokens are synthetic), and the index should
         # do almost no work despite 10K rules.
         assert stats.matches == 0
@@ -76,5 +76,5 @@ class TestScale:
         rules = RuleGenerator(min_support=0.1, q=20).generate(training).rules
         items = generator.generate_items(150)
         naive_fired, _ = NaiveExecutor(rules).run(items)
-        indexed_fired, _ = RuleSetCompiler().compile(rules).execute(items)
+        indexed_fired, _ = CompiledRuleSet(rules).execute(items)
         assert {k: sorted(v) for k, v in naive_fired.items()} == indexed_fired

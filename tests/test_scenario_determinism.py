@@ -273,7 +273,7 @@ class TestServedPathNeverScansGuard:
 
     def test_artifact_guard_detects_a_violation(self):
         for source in (
-            "compiled = CompiledRuleSet(self.rules, include_disabled=True)\n",
+            "compiled = CompiledRuleSet(self.rules)\n",
             "compiled = compiler.CompiledRuleSet(rules)\n",
         ):
             assert list(self.compiled_rule_sets(ast.parse(source)))

@@ -362,6 +362,42 @@ class TestPinnedTables:
         assert str(refused.value) == entry["error"]
 
 
+SPLIT = """
+name: x
+traffic:
+  batches: 5
+taxonomy_changes:
+  - at_batch: 1
+    op: split
+    type: jeans
+    into: {into}
+"""
+
+
+class TestSplitTypeNames:
+    """A split's new type names load as strings, in sorted order; a map
+    whose names mix kinds cannot be sorted and is refused by name."""
+
+    @pytest.mark.parametrize("into, names", [
+        ("{b: [x], a: [y]}", ("a", "b")),
+        ("{10: [x], 9: [y]}", ("9", "10")),
+    ])
+    def test_names_of_one_kind_load(self, into, names):
+        change = loads(SPLIT.format(into=into)).taxonomy_changes[0]
+        assert tuple(name for name, _ in change.into) == names
+
+    @pytest.mark.parametrize("into, got", [
+        ("{1: [a], b: [c]}", "'b', 1"),
+        ('{1: [a], "1": [b]}', "'1', 1"),
+    ])
+    def test_names_of_mixed_kinds_are_refused(self, into, got):
+        with pytest.raises(SpecError) as refused:
+            loads(SPLIT.format(into=into))
+        assert str(refused.value) == (
+            "taxonomy_changes[0].into: names must be all strings or all numbers, "
+            f"got {got}")
+
+
 # Every float a spec holds, by its path in the base document of
 # spec_refusals.json; weight maps are keyed by type.
 FLOAT_FIELDS = {

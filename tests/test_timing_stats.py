@@ -1,8 +1,9 @@
 """Timing/stats sweep: merge semantics and retry accounting.
 
 1. ``ExecutionStats.merge`` keeps additive CPU totals apart from the
-   non-additive wall clock: it takes an explicit ``wall=`` mode (keep /
-   sum) and documents which fields are additive.
+   non-additive wall clock: it sums the additive fields and leaves
+   ``wall_time`` to the caller (the incremental executor sums its ops'
+   walls itself).
 2. The partitioned executor's retry path: a failed attempt may run real
    work (a corrupt-output attempt executes the full shard before the
    driver rejects it), and that work must never leak into the merged
@@ -14,7 +15,7 @@ import pytest
 
 from repro.catalog.types import ProductItem
 from repro.core import AttributeRule, SequenceRule, parse_rules
-from repro.execution import FaultPlan, NaiveExecutor, PartitionedExecutor
+from repro.execution import FaultPlan, IncrementalExecutor, NaiveExecutor, PartitionedExecutor
 from repro.execution.executor import ExecutionStats
 from repro.utils.clock import TickClock
 
@@ -92,13 +93,13 @@ class TestMergeSemantics:
         assert a.wall_time == 5.0  # untouched: the caller owns elapsed time
 
     def test_wall_sum_composes_serially(self):
-        a, b = self.make(wall_time=5.0), self.make(wall_time=7.0)
-        a.merge(b, wall="sum")
-        assert a.wall_time == 12.0
-
-    def test_invalid_wall_mode_rejected(self):
-        with pytest.raises(ValueError, match="wall must be one of"):
-            self.make().merge(self.make(), wall="average")
+        # The incremental executor's lifetime ledger: each op ran after the
+        # previous one, so its wall clock is the sum of the ops' walls.
+        executor = IncrementalExecutor()
+        ops = [executor.add_rules(RULES), executor.add_items(ITEMS[:4]),
+               executor.add_items(ITEMS[4:]), executor.remove_rules([RULES[0].rule_id])]
+        assert all(op.wall_time > 0.0 for op in ops)
+        assert executor.stats.wall_time == pytest.approx(sum(op.wall_time for op in ops))
 
 
 class TestPartitionedTimingInvariant:
