@@ -9,8 +9,8 @@ system to the previous state quickly."
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyst.analyst import SimulatedAnalyst
 from repro.catalog.types import ProductItem
@@ -42,6 +42,18 @@ class Incident:
     kind: str = "quality"  # "quality" | "stage-failure" | "rule-quality"
     # rule-quality incidents name the offending rules, not types.
     rule_ids: Tuple[str, ...] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "Incident":
+        """The inverse of :meth:`to_dict` over its JSON form."""
+        return cls(**{
+            **payload,
+            "affected_types": tuple(payload["affected_types"]),
+            "rule_ids": tuple(payload["rule_ids"]),
+        })
 
 
 class IncidentManager:

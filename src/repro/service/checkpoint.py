@@ -12,10 +12,11 @@ the checkpoint holds only what no log determines.**
   classified item) with the journal's batch sizes determines the health
   windows — so neither is ever written down: resume rebuilds both.
   ``series.jsonl`` holds metric samples.
-* ``checkpoint.json``, atomically replaced after every batch: RNG
-  streams, clock, incidents, metrics, every log's byte offset, the
-  digest-chain head and the one chain link (``prev_digest_chain``,
-  ``last_batch_id``) that lets resume verify the view it re-derived.
+* ``checkpoint.json``, atomically replaced after every batch: the batch
+  stream's and the item generator's RNGs, incidents, metrics, every log's
+  byte offset, the digest-chain head and the one chain link
+  (``prev_digest_chain``, ``last_batch_id``) that lets resume verify the
+  view it re-derived.
   O(metric series + incidents), written compact (RNGs as ``[version,
   base64 of the 625 packed state words, gauss_next]``, metrics as column
   families); a missing or malformed field is a ``ValueError`` naming it.
@@ -47,8 +48,11 @@ from repro.repository import CHANGELOG_NAME
 #: executor's match store; version 2 re-derives it; version 3 re-derives
 #: the health windows too and chains the digest over the fired map's
 #: fingerprint; version 4 encodes the state compactly; version 5 rolls the
-#: change log back by ``offsets.changelog`` (version 4 pinned it by seq).
-CHECKPOINT_VERSION = 5
+#: change log back by ``offsets.changelog`` (version 4 pinned it by seq);
+#: version 6 drops the analyst RNG, rule-id counter, clock, batch counters
+#: and run totals, which the replayed startup, the journal, the ordinal and
+#: the metric counters determine.
+CHECKPOINT_VERSION = 6
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"

@@ -13,18 +13,22 @@ One rule decides where each piece of state lives (see
 checkpoint holds only what no log determines, plus the link that lets
 resume verify what it re-derives.** Resume rolls the four logs (journal,
 change log, provenance spool, series) back to their checkpointed byte
-offsets, then re-derives: taxonomy, classifiers and training by replaying
-the seeded startup (:func:`repro.world.build_world`, shared with the
-scenario harness; its startup rules are not re-added — the rolled-back
-repository is the source of truth for rules and enabled flags); the
-executor's match store, a view over journal × change log, by streaming
-the journal back through the engine (``restore_items``); and the
-:class:`RuleHealthTracker` windows, a fold over the spool, through a
-tracker not yet wired to metrics or incidents (so the fold re-fires
-nothing). The checkpoint also holds the chain value before the last
-batch and that batch's id: resume recomputes the last link over the
-rebuilt fired map's fingerprint and refuses to start if it is not the
-checkpointed head.
+offsets, then re-derives: taxonomy, classifiers, training, the analyst's
+RNG and the rule-id counter by replaying the seeded startup
+(:func:`repro.world.build_world`, shared with the scenario harness; after
+it the daemon neither draws from the analyst nor mints a rule id, and its
+startup rules are not re-added — the rolled-back repository is the source
+of truth for rules and enabled flags); the executor's match store, a view
+over journal × change log, by streaming the journal back through the
+engine (``restore_items``), which also sets the clock to the last
+journalled batch's arrival; the :class:`RuleHealthTracker` windows, a
+fold over the spool, through a tracker not yet wired to metrics or
+incidents (so the fold re-fires nothing); the stream's and the
+pipeline's batch counters from the ordinal; and the run totals from the
+checkpointed metric counters. The checkpoint also holds the chain value
+before the last batch and that batch's id: resume recomputes the last
+link over the rebuilt fired map's fingerprint and refuses to start if it
+is not the checkpointed head.
 
 What a batch costs after classification is O(batch + delta): the chain
 link hashes the executor's additive fired-map fingerprint (kept current
@@ -59,7 +63,7 @@ from repro.core.rule import Rule
 from repro.observability import Observability
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.provenance import ProvenanceLog, ProvenanceRecord
-from repro.observability.quality import PRECISION_FLOOR, RuleHealthTracker
+from repro.observability.quality import RuleHealthTracker
 from repro.repository import RuleRepository, bind_chimera
 from repro.service.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.service.series import SeriesStore
@@ -70,6 +74,15 @@ from repro.world import RunIds, build_world
 GENESIS_DIGEST = hashlib.sha256(b"repro-service-genesis").hexdigest()
 
 
+def run_totals(metrics: MetricsRegistry) -> Dict[str, int]:
+    """Items served, classified, declined and rejected: the pipeline's
+    deterministic ``chimera_<key>_total`` counters, read without creating
+    a series."""
+    return {
+        key: sum(c.value for c in metrics.series(f"chimera_{key}_total").values())
+        for key in ("items", "classified", "declined", "rejected")
+    }
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -77,7 +90,9 @@ class ServiceConfig:
 
     The fingerprint covers every field, so a resume against a root whose
     checkpoint was written under different knobs fails loudly instead of
-    silently diverging.
+    silently diverging. What no field names is the default of the class it
+    configures: the health tracker's baseline and precision floor, the
+    provenance ring's capacity, the series window.
     """
 
     seed: int = 0
@@ -86,10 +101,6 @@ class ServiceConfig:
     rules_per_day: int = 40
     mean_gap_hours: float = 6.0
     quality_window: int = 8
-    baseline_batches: int = 3
-    precision_floor: float = PRECISION_FLOOR
-    provenance_capacity: int = 10_000
-    series_window: int = 512
 
     def __post_init__(self) -> None:
         check_mean_gap_hours(self.mean_gap_hours)
@@ -270,36 +281,6 @@ def _rss_mb() -> Optional[float]:
     return round(pages * os.sysconf("SC_PAGE_SIZE") / 2**20, 1)
 
 
-def _incident_to_dict(incident: Incident) -> Dict[str, Any]:
-    return {
-        "incident_id": incident.incident_id,
-        "opened_at": incident.opened_at,
-        "affected_types": list(incident.affected_types),
-        "disabled_rule_ids": {
-            stage: list(ids) for stage, ids in sorted(incident.disabled_rule_ids.items())
-        },
-        "status": incident.status,
-        "notes": list(incident.notes),
-        "kind": incident.kind,
-        "rule_ids": list(incident.rule_ids),
-    }
-
-
-def _incident_from_dict(payload: Dict[str, Any]) -> Incident:
-    return Incident(
-        incident_id=payload["incident_id"],
-        opened_at=payload["opened_at"],
-        affected_types=tuple(payload["affected_types"]),
-        disabled_rule_ids={
-            stage: list(ids) for stage, ids in payload["disabled_rule_ids"].items()
-        },
-        status=payload["status"],
-        notes=list(payload["notes"]),
-        kind=payload["kind"],
-        rule_ids=tuple(payload["rule_ids"]),
-    )
-
-
 class StreamService:
     """The checkpointed streaming daemon. ``start()`` then ``run(n)``.
 
@@ -326,9 +307,6 @@ class StreamService:
         self.digest_chain = GENESIS_DIGEST
         self._prev_digest_chain = GENESIS_DIGEST
         self._last_batch_id = ""
-        self.totals: Dict[str, int] = {
-            "items": 0, "classified": 0, "declined": 0, "rejected": 0,
-        }
         self.resumed = False
         self.rolled_back: Dict[str, int] = {}
         self.ids = RunIds("svc")
@@ -419,10 +397,7 @@ class StreamService:
         self.chimera = world.chimera
         self.stream = world.stream
         self.tracker = RuleHealthTracker(
-            window=cfg.quality_window,
-            baseline_batches=cfg.baseline_batches,
-            precision_floor=cfg.precision_floor,
-            metrics=self.obs.metrics,
+            window=cfg.quality_window, metrics=self.obs.metrics
         )
         return world.startup_rules
 
@@ -442,15 +417,10 @@ class StreamService:
         self.incremental.use_records(self._records)
 
     def _fresh(self) -> None:
-        cfg = self.config
         self.store.open_journal()
         startup_rules = self._open_world()
         self.chimera.add_whitelist_rules(startup_rules)
-        self.provenance = ProvenanceLog(
-            capacity=cfg.provenance_capacity,
-            spool=self.store.spool_path,
-            fsync=self.fsync,
-        )
+        self.provenance = ProvenanceLog(spool=self.store.spool_path, fsync=self.fsync)
         self.repository = RuleRepository.open(
             self.store.repo_root, clock=self.clock, fsync=self.fsync
         )
@@ -459,9 +429,7 @@ class StreamService:
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self._finish_wiring()
         self._use_engine()
-        self.series = SeriesStore(
-            self.store.series_path, window=cfg.series_window, fsync=self.fsync
-        )
+        self.series = SeriesStore(self.store.series_path, fsync=self.fsync)
         self._prev_metrics = self.obs.metrics.snapshot()
         # Ordinal-0 checkpoint: a kill before the first batch resumes too.
         self._checkpoint()
@@ -474,14 +442,15 @@ class StreamService:
                 f"{cfg_state.fingerprint()}, caller passed {self.config.fingerprint()}"
             )
         self.config = cfg_state
-        cfg = self.config
 
         # 1. Roll all four logs back to the checkpointed offsets — before
         #    anything opens one.
         self.rolled_back = self.store.truncate(_field(state, "offsets"))
         self.store.open_journal()
 
-        # 2. Deterministic startup re-execution (rules discarded).
+        # 2. Deterministic startup re-execution (rules discarded). It
+        #    leaves the analyst's RNG and the rule-id counter where the
+        #    live daemon holds them: neither moves after startup.
         self._open_world(metrics=MetricsRegistry.load(_field(state, "metrics")))
 
         # 3. The repository, replayed from its rolled-back change log,
@@ -501,31 +470,29 @@ class StreamService:
         #    namespace's live rules, in order, with their flags.
         bind_chimera(self.repository, self.chimera)
 
-        # 5. Clock and every RNG stream, restored verbatim.
-        self.clock.now = float(state["clock_now"])
+        # 5. The batch stream's and the generator's RNGs, restored
+        #    verbatim; both batch counters stand at the ordinal.
+        self.ordinal = int(state["ordinal"])
         _rng_load(self.stream.rng, state, "stream.rng")
-        self.stream._next_batch = int(state["stream"]["next_batch"])
         _rng_load(self.generator.rng, state, "generator.rng")
         self.generator._next_id = int(state["generator"]["next_id"])
-        _rng_load(self.analyst.rng, state, "analyst_rng")
-        self.chimera._batch_counter = int(state["batch_counter"])
-        self.ids.seq = int(state["rule_seq"])
+        self.stream._next_batch = self.chimera._batch_counter = self.ordinal
 
         # 6. Incident log (the manager numbers new incidents after it).
         self.manager = IncidentManager(self.chimera, repository=self.repository)
         self.manager.incidents = [
-            _incident_from_dict(payload) for payload in state["incidents"]
+            Incident.from_dict(payload) for payload in state["incidents"]
         ]
 
         # 7. Incremental executor: stream the journalled corpus back
-        #    through the engine. The match store is a view over journal ×
+        #    through the engine (which also sets the clock to the last
+        #    batch's arrival). The match store is a view over journal ×
         #    rules, so it is rebuilt rather than loaded — and then proved:
         #    the last chain link recomputed from the rebuilt fired map's
         #    fingerprint must equal the checkpointed head.
         self._use_engine()
         batch_sizes: Deque[Tuple[str, int]] = deque()
         self.incremental.restore_items(self._journalled_items(batch_sizes))
-        self.ordinal = int(state["ordinal"])
         self.digest_chain = str(state["digest_chain"])
         self._prev_digest_chain = str(state["prev_digest_chain"])
         self._last_batch_id = str(state["last_batch_id"])
@@ -553,11 +520,8 @@ class StreamService:
         # 9. Only now do alerts open incidents and count on metrics.
         self._finish_wiring()
 
-        # 10. Run counters and telemetry stores.
-        self.totals = {key: int(value) for key, value in state["totals"].items()}
-        self.series = SeriesStore(
-            self.store.series_path, window=cfg.series_window, fsync=self.fsync
-        )
+        # 10. The series store.
+        self.series = SeriesStore(self.store.series_path, fsync=self.fsync)
         self._prev_metrics = self.obs.metrics.snapshot()
         self.resumed = True
 
@@ -565,12 +529,14 @@ class StreamService:
         self, batch_sizes: Deque[Tuple[str, int]]
     ) -> Iterator[ProductItem]:
         """Every journalled item, oldest first, one record in memory at a
-        time; notes each batch's ``(batch_id, item count)`` on the way, and
-        names each batch's line to the record source."""
+        time; notes each batch's ``(batch_id, item count)`` on the way,
+        names each batch's line to the record source, and moves the clock
+        to each batch's arrival (only the stream moves it after startup)."""
         for offset, line in read_lines(self.store.journal_path):
             record = json.loads(line)
             items = record["items"]
             batch_sizes.append((record["batch_id"], len(items)))
+            self.clock.now = record["arrived_at"]
             self._records.next_line(offset)
             for payload in items:
                 yield _item_from_dict(payload)
@@ -595,10 +561,7 @@ class StreamService:
 
         metrics, tracker.metrics = tracker.metrics, None
         self.provenance = ProvenanceLog.replay(
-            self.store.spool_path,
-            capacity=self.config.provenance_capacity,
-            fsync=self.fsync,
-            observe=fold,
+            self.store.spool_path, fsync=self.fsync, observe=fold
         )
         for batch_id, n_items in batch_sizes:
             tracker.finish_batch(batch_id, n_items)
@@ -631,10 +594,6 @@ class StreamService:
         self.digest_chain = _chain_link(
             self.digest_chain, batch.batch_id, self.incremental.fired_fingerprint()
         )
-        self.totals["items"] += len(batch.items)
-        self.totals["classified"] += result.n_classified
-        self.totals["declined"] += result.n_declined
-        self.totals["rejected"] += len(result.rejected)
         wall_ms = (time.perf_counter() - started) * 1000.0
         self._sample(batch, result, wall_ms)
         self.crash_plan.reached("before-checkpoint")
@@ -689,18 +648,11 @@ class StreamService:
             # The link resume re-derives to verify its rebuilt view.
             "prev_digest_chain": self._prev_digest_chain,
             "last_batch_id": self._last_batch_id,
-            "clock_now": self.clock.now,
-            "stream": {
-                "rng": _rng_dump(self.stream.rng),
-                "next_batch": self.stream._next_batch,
-            },
+            "stream": {"rng": _rng_dump(self.stream.rng)},
             "generator": {
                 "rng": _rng_dump(self.generator.rng),
                 "next_id": self.generator._next_id,
             },
-            "analyst_rng": _rng_dump(self.analyst.rng),
-            "batch_counter": self.chimera._batch_counter,
-            "rule_seq": self.ids.seq,
             "offsets": {
                 "journal": self.store.journal_offset(),
                 "spool": self.provenance.spool_offset(),
@@ -708,11 +660,8 @@ class StreamService:
                 "changelog": self.repository.log.offset(),
             },
             "repo_head_seq": self._repo_head_seq(),
-            "incidents": [
-                _incident_to_dict(incident) for incident in self.manager.incidents
-            ],
+            "incidents": self.incidents_view(),
             "metrics": self.obs.metrics.dump(),
-            "totals": dict(self.totals),
         })
 
     def _repo_head_seq(self) -> int:
@@ -725,12 +674,17 @@ class StreamService:
             1 for incident in self.manager.incidents if incident.status != "closed"
         )
 
+    @property
+    def totals(self) -> Dict[str, int]:
+        return run_totals(self.obs.metrics)
+
     def identity(self) -> Dict[str, Any]:
         """The byte-identity surface: everything replay must reproduce.
 
-        Wall-clock telemetry (metrics, tracer spans, ``wall_ms`` series
-        values) is deliberately excluded — it measures the host, not the
-        computation.
+        ``totals`` reads four deterministic counters of the metrics
+        registry. The registry's wall-clock parts (span latency
+        histograms), tracer spans and ``wall_ms`` series values stay
+        outside it — they measure the host, not the computation.
         """
         return {
             "ordinal": self.ordinal,
@@ -738,13 +692,11 @@ class StreamService:
             "clock_now": self.clock.now,
             "batch_counter": self.chimera._batch_counter,
             "tracker": self.tracker.state_dict(),
-            "incidents": [
-                _incident_to_dict(incident) for incident in self.manager.incidents
-            ],
+            "incidents": self.incidents_view(),
             "provenance_records": self.provenance.total_records,
             "rules": self.chimera.rule_count(),
             "repo_head_seq": self._repo_head_seq(),
-            "totals": dict(self.totals),
+            "totals": self.totals,
         }
 
     def identity_json(self) -> str:
@@ -758,7 +710,7 @@ class StreamService:
             "resumed": self.resumed,
             "sim_days": round(self.clock.now, 6),
             "clock_day": self.clock.day,
-            "totals": dict(self.totals),
+            "totals": self.totals,
             "rules": self.chimera.rule_count(),
             "incidents_total": len(self.manager.incidents),
             "incidents_open": self.open_incidents(),
@@ -795,9 +747,7 @@ class StreamService:
         }
 
     def incidents_view(self) -> List[Dict[str, Any]]:
-        return [
-            _incident_to_dict(incident) for incident in self.manager.incidents
-        ]
+        return [incident.to_dict() for incident in self.manager.incidents]
 
     def rule_view(self, rule_id: str) -> Optional[Dict[str, Any]]:
         """The ``/rules/<id>`` document: placement, health, fired items.

@@ -13,7 +13,9 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.observability.metrics import MetricsRegistry
 from repro.service.checkpoint import CHECKPOINT_NAME, SERIES_NAME
+from repro.service.daemon import run_totals
 from repro.service.series import load_series
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
@@ -50,7 +52,7 @@ def render_dashboard(
         state = json.load(handle)
     samples = load_series(os.path.join(root, SERIES_NAME), window=window)
 
-    totals = state.get("totals", {})
+    totals = run_totals(MetricsRegistry.load(state["metrics"]))
     incidents = state.get("incidents", [])
     open_incidents = [i for i in incidents if i.get("status") != "closed"]
     lines = [
@@ -58,15 +60,15 @@ def render_dashboard(
         "=" * max(24, len(root) + 24),
         (
             f"ordinal {state.get('ordinal', 0)}"
-            f" | sim day {state.get('clock_now', 0.0):.2f}"
+            f" | sim day {samples[-1]['arrived_day'] if samples else 0.0:.2f}"
             f" | digest {state.get('digest_chain', '')[:16]}…"
             f" | config {state.get('fingerprint', '?')}"
         ),
         (
-            f"items {totals.get('items', 0)}"
-            f" | classified {totals.get('classified', 0)}"
-            f" | declined {totals.get('declined', 0)}"
-            f" | rejected {totals.get('rejected', 0)}"
+            f"items {totals['items']}"
+            f" | classified {totals['classified']}"
+            f" | declined {totals['declined']}"
+            f" | rejected {totals['rejected']}"
         ),
         (
             f"incidents {len(incidents)} ({len(open_incidents)} open)"

@@ -39,8 +39,8 @@ def sub_seed(seed: int, tag: str) -> int:
 class RunIds:
     """Run-local rule ids: ``"{prefix}-{kind}-{seq:04d}"``, one counter.
 
-    ``seq`` is the whole state — the daemon checkpoints it as ``rule_seq``
-    and sets it back on resume.
+    ``seq`` is the whole state. The daemon mints ids only at startup, so
+    a resume's replayed startup sets it back.
     """
 
     def __init__(self, prefix: str):

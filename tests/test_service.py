@@ -431,9 +431,7 @@ class TestHttpConsole:
         assert resident["provenance_retained"] == min(
             doc["provenance_records"], resident["provenance_capacity"]
         )
-        assert resident["provenance_capacity"] == (
-            live_service.config.provenance_capacity
-        )
+        assert resident["provenance_capacity"] == live_service.provenance.capacity
         # Two kernel counters read at different instants: sane, not ordered.
         assert resident["rss_mb"] > 0 and resident["peak_rss_mb"] > 0
 

@@ -16,8 +16,12 @@ the same way instead of being written down after every batch. Here:
 * ``checkpoint.json`` is flat in the number of items served;
 * ``checkpoint.json`` stays inside a byte budget that the v3 encoding of
   the same state breaks;
+* what v6 stopped writing — the analyst's RNG, the rule-id counter, the
+  batch counters, the clock and the run totals — comes back from the
+  replayed startup, the ordinal, the journal and the metric counters,
+  equal to an uninterrupted run's, for a kill at any barrier;
 * a root whose logs no longer determine the checkpointed chain head,
-  whose checkpoint is a v1 to v4 layout, or whose RNG, metrics or
+  whose checkpoint is a v1 to v5 layout, or whose RNG, metrics or
   config section is damaged, is refused loudly;
 * every chain link's fingerprint is the from-scratch fingerprint of the
   very map a v2 link serialised whole (``tests/chain_audit.py``);
@@ -39,7 +43,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability.metrics import MetricsRegistry
-from repro.service.checkpoint import CHECKPOINT_NAME, JOURNAL_NAME, SPOOL_NAME
+from repro.service.checkpoint import (
+    CHECKPOINT_NAME,
+    CHECKPOINT_VERSION,
+    JOURNAL_NAME,
+    SPOOL_NAME,
+)
 from repro.service.daemon import (
     GENESIS_DIGEST,
     ServiceConfig,
@@ -311,7 +320,54 @@ class TestFlatCheckpoint:
         assert not [item_id for item_id in item_ids if f'"{item_id}"' in text]
 
 
-_RNG_PATHS = (("stream", "rng"), ("generator", "rng"), ("analyst_rng",))
+def _derived(service: StreamService) -> dict:
+    """The facts checkpoint v6 no longer writes down."""
+    return {
+        "analyst_rng": service.analyst.rng.getstate(),
+        "rule_seq": service.ids.seq,
+        "next_batch": service.stream._next_batch,
+        "batch_counter": service.chimera._batch_counter,
+        "clock_now": service.clock.now,
+        "totals": service.totals,
+    }
+
+
+@pytest.mark.parametrize("training", [0, 120], ids=["training-0", "default"])
+def test_resume_rederives_what_the_checkpoint_dropped(training, tmp_path):
+    """Killed at every barrier of the first and the third batch (so a
+    resume at ordinal 0 and later), the resumed service holds what an
+    uninterrupted twin holds at its ordinal. ``identity_json()`` covers
+    the clock, the batch counter and the totals, but not the analyst's
+    RNG, the rule-id counter or the stream's batch counter."""
+    config = ServiceConfig(seed=7, training=training)
+    with StreamService(str(tmp_path / "twin"), config, fsync=False) as twin:
+        expected = [_derived(twin)]
+        for _ in range(3):
+            twin.process_batch()
+            expected.append(_derived(twin))
+    ordinals = set()
+    for crash_at in CRASH_POINTS:
+        for on_hit in (1, 3):
+            root = str(tmp_path / f"{crash_at}-{on_hit}")
+            crashed = StreamService(
+                root, config, fsync=False,
+                crash_plan=CrashPlan(crash_at=crash_at, on_hit=on_hit),
+            ).start()
+            with pytest.raises(SimulatedCrash):
+                crashed.run_to(3)
+            for log in (crashed.store, crashed.series, crashed.provenance,
+                        crashed.repository.log):
+                log.close()
+            with StreamService(root, fsync=False) as resumed:
+                assert resumed.resumed
+                ordinals.add(resumed.ordinal)
+                assert _derived(resumed) == expected[resumed.ordinal], (
+                    crash_at, on_hit
+                )
+    assert ordinals == {0, 1, 2, 3}
+
+
+_RNG_PATHS = (("stream", "rng"), ("generator", "rng"))
 
 
 def _v3_encoding(state: dict) -> dict:
@@ -379,7 +435,7 @@ def _sizes(state: dict, separators, n_series: int) -> dict:
 class TestCheckpointBudget:
     """A host-independent byte budget for the document every batch
     rewrites: ``ServiceConfig(seed=7, training=0)`` after ``BATCHES``
-    batches, as checkpoint v4 encodes it, + 5%. The sizes are counts —
+    batches, as checkpoint v6 writes it, + 5%. The sizes are counts —
     only the reprs of wall-clock histogram floats move them, by bytes."""
 
     BATCHES = 8
@@ -537,13 +593,17 @@ class TestLoudRefusal:
         """A v2 head chains over whole-map JSON and carries the health
         windows: this code can neither verify the one nor wants the other."""
         self._edit_checkpoint(root, version=2, tracker={"alerts": []})
-        self._assert_refused(root, r"version 2 is not supported \(expected 5\)")
+        self._assert_refused(
+            root, rf"version 2 is not supported \(expected {CHECKPOINT_VERSION}\)"
+        )
 
     def test_v3_checkpoint_refused(self, root):
         """v3 held the same state in the long encoding; there is no
         converter, so the refusal names both versions."""
         self._edit_checkpoint(root, version=3)
-        self._assert_refused(root, r"version 3 is not supported \(expected 5\)")
+        self._assert_refused(
+            root, rf"version 3 is not supported \(expected {CHECKPOINT_VERSION}\)"
+        )
 
     def test_v4_checkpoint_refused(self, root):
         """v4 pinned the change log by seq and has no ``offsets.changelog``:
@@ -554,14 +614,25 @@ class TestLoudRefusal:
         self._edit_checkpoint(root, version=4, offsets=offsets)
         changelog = os.path.join(root, "repo", "changelog.jsonl")
         size = os.path.getsize(changelog)
-        self._assert_refused(root, r"version 4 is not supported \(expected 5\)")
+        self._assert_refused(
+            root, rf"version 4 is not supported \(expected {CHECKPOINT_VERSION}\)"
+        )
         assert os.path.getsize(changelog) == size
+
+    def test_v5_checkpoint_refused(self, root):
+        """v5 wrote the analyst's RNG, the rule-id counter, the clock, the
+        batch counters and the totals down; a v5 root is refused naming
+        both versions, with no converter."""
+        self._edit_checkpoint(
+            root, version=5, analyst_rng=[3, "", None], rule_seq=135,
+            clock_now=1.0, batch_counter=3, totals={"items": 0},
+        )
+        self._assert_refused(root, r"version 5 is not supported \(expected 6\)")
 
     @pytest.mark.parametrize(
         "damage, match",
         [
             (lambda s: s["generator"].pop("rng"), r"'generator\.rng' is missing"),
-            (lambda s: s.pop("analyst_rng"), r"'analyst_rng' is missing"),
             (lambda s: s["metrics"].pop("counters"), r"'metrics\.counters' is missing"),
             (
                 lambda s: s["metrics"].pop("rule_label_exceptions"),
@@ -587,7 +658,7 @@ class TestLoudRefusal:
             ),
         ],
         ids=[
-            "rng-missing", "analyst-rng-missing", "metrics-section-missing",
+            "rng-missing", "metrics-section-missing",
             "rule-label-exceptions-missing", "rng-short-blob", "rng-version",
             "counter-row-narrow", "histogram-row-wide",
         ],
