@@ -16,10 +16,10 @@ not allowed to take down classification of every item. That is the job of:
   swallows ``cooldown`` calls, then HALF_OPEN lets one probe through;
   probe success re-closes, probe failure re-opens). No wall-clock time is
   involved, so tests replay transitions exactly;
-* :class:`StageHealthMonitor` — per-stage breakers plus success/failure/
-  routed-around counters and an event log, with ``on_breaker_open``
-  callbacks the :class:`~repro.chimera.incidents.IncidentManager`
-  subscribes to;
+* :class:`StageHealthMonitor` — per-stage breakers (which count each
+  stage's successes and failures) plus routed-around counters and a
+  bounded audit trail, with ``on_breaker_open`` callbacks the
+  :class:`~repro.chimera.incidents.IncidentManager` subscribes to;
 * :class:`GuardedStage` — the wrapper the pipeline threads its stages
   through, a batch at a time: catches stage exceptions, feeds the monitor,
   and answers no-votes while the breaker is open (the voting master simply
@@ -36,6 +36,12 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.chimera.classifiers import StageAnswer
 from repro.observability.tracer import NULL_TRACER
+
+#: How many of the latest entries each audit trail keeps (a breaker's
+#: ``transitions``, a monitor's ``faults`` and ``events``): a stage that
+#: keeps failing for weeks must not grow them without bound. The counts
+#: (``total_*``, ``times_opened``) stay exact.
+AUDIT_TRAIL = 256
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,7 @@ class CircuitBreaker:
     OPEN state instead swallows a fixed number of ``allow()`` calls
     (``cooldown``) before letting a probe through, which makes every
     transition reproducible in tests and under the simulation clock.
+    ``transitions`` keeps the last :data:`AUDIT_TRAIL` state changes.
     """
 
     def __init__(
@@ -186,7 +193,7 @@ class CircuitBreaker:
         self.total_successes = 0
         self.times_opened = 0
         self._cooldown_remaining = 0
-        self.transitions: List[Tuple[str, str]] = []
+        self.transitions: Deque[Tuple[str, str]] = deque(maxlen=AUDIT_TRAIL)
         # Called with ``name`` after every state change.
         self.on_move = on_move
 
@@ -241,6 +248,8 @@ class StageFault:
 class StageHealthMonitor:
     """Per-stage circuit breakers, counters, and an auditable event log.
 
+    Each stage's successes and failures are counted by its breaker;
+    ``faults`` and ``events`` keep the last :data:`AUDIT_TRAIL` entries.
     ``on_breaker_open`` callbacks fire exactly once per OPEN transition
     with the stage name — the incident manager uses this to open a
     stage-failure incident automatically.
@@ -262,11 +271,9 @@ class StageHealthMonitor:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self.successes: Counter = Counter()
-        self.failures: Counter = Counter()
         self.routed_around: Counter = Counter()
-        self.faults: List[StageFault] = []
-        self.events: List[Tuple[str, str]] = []  # (stage, event)
+        self.faults: Deque[StageFault] = deque(maxlen=AUDIT_TRAIL)
+        self.events: Deque[Tuple[str, str]] = deque(maxlen=AUDIT_TRAIL)  # (stage, event)
         self.on_breaker_open: List[Callable[[str], None]] = []
         # Optional MetricsRegistry; when set, every health event is mirrored
         # as stage_{success,failure,routed_around}_total counters, and the
@@ -301,13 +308,11 @@ class StageHealthMonitor:
     def record_success(self, stage_name: str, calls: int = 1) -> None:
         """Book ``calls`` allowed-and-returned calls (a batch books its
         items in bulk: two per item, the votes and the constraints)."""
-        self.successes[stage_name] += calls
         self.breaker(stage_name).record_success(calls)
         if self.metrics is not None:
             self.metrics.counter("stage_success_total", stage=stage_name).inc(calls)
 
     def record_failure(self, stage_name: str, error: Exception) -> None:
-        self.failures[stage_name] += 1
         self.faults.append(StageFault(stage_name, repr(error)))
         breaker = self.breaker(stage_name)
         was_open = breaker.state is BreakerState.OPEN
@@ -329,16 +334,15 @@ class StageHealthMonitor:
 
     def report(self) -> Dict[str, Dict[str, object]]:
         """Per-stage health summary for dashboards/tests."""
-        stages = set(self._breakers) | set(self.successes) | set(self.failures)
         return {
             name: {
-                "state": self.breaker(name).state.value,
-                "successes": self.successes[name],
-                "failures": self.failures[name],
+                "state": breaker.state.value,
+                "successes": breaker.total_successes,
+                "failures": breaker.total_failures,
                 "routed_around": self.routed_around[name],
-                "times_opened": self.breaker(name).times_opened,
+                "times_opened": breaker.times_opened,
             }
-            for name in sorted(stages)
+            for name, breaker in sorted(self._breakers.items())
         }
 
 

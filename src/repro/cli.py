@@ -444,9 +444,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     server = ServiceHttpServer(service, host=args.host, port=args.port)
     server.start()
-    print(f"serving {args.root} on {server.url} "
-          f"(resumed at ordinal {service.ordinal})",
-          file=sys.stderr, flush=True)
+    start = f"resumed at ordinal {service.ordinal}" if service.resumed else "fresh root"
+    print(f"serving {args.root} on {server.url} ({start})", file=sys.stderr, flush=True)
     try:
         target = args.batches
         if target is not None:
@@ -577,8 +576,6 @@ def _run_repo_action(repository, args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "import":
-        from repro.core.ruleset import RuleSet  # noqa: F811 — local alias
-
         ruleset = load_ruleset(args.ruleset)
         state_ids = set(repository.rule_ids(args.ns or "chimera"))
         namespace = args.ns or "chimera"

@@ -307,6 +307,9 @@ class CompiledRuleSet:
     def rules(self) -> List[Rule]:
         return list(self._rules.values())
 
+    def rule(self, rule_id: str) -> Rule:
+        return self._rules[rule_id]
+
     @property
     def reads_attributes(self) -> bool:
         return bool(self._attr_groups or self._value_rules)

@@ -68,7 +68,6 @@ class DataIndex:
         self._fresh: Tuple[int, Tuple[str, ...]] = (-1, ())
         self._postings: Dict[str, array] = {}
         self._row_by_id: Dict[str, int] = {}
-        self._live = 0
         self._live_postings = 0
         self._dead_postings = 0
         for item in items:
@@ -76,7 +75,7 @@ class DataIndex:
 
     def __len__(self) -> int:
         """Live (non-tombstoned) item count."""
-        return self._live
+        return len(self._row_by_id)
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._row_by_id
@@ -115,7 +114,6 @@ class DataIndex:
                 posted.append(row)
         self._live_postings += len(anchors)
         self._row_by_id[item_id] = row
-        self._live += 1
         return row
 
     def _encode(self, tokens: Tuple[str, ...]) -> None:
@@ -140,7 +138,6 @@ class DataIndex:
         self._live_flags[row] = 0
         if self.attributes is not None:
             self.attributes[row] = None
-        self._live -= 1
         self._live_postings -= posted
         self._dead_postings += posted
         if self._dead_postings > self._live_postings:
@@ -254,6 +251,6 @@ class DataIndex:
 
     def candidate_fraction(self, rule: Rule) -> float:
         """How much of the data set the index lets the rule skip."""
-        if not self._live:
+        if not self._row_by_id:
             return 0.0
-        return len(self.candidate_rows(rule)) / self._live
+        return len(self.candidate_rows(rule)) / len(self._row_by_id)

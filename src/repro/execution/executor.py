@@ -19,7 +19,7 @@ argument is about, beside wall-clock time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.prepared import ItemLike, prepare
@@ -30,9 +30,9 @@ from repro.core.rule import Rule
 class ExecutionStats:
     """Work and time accounting for one execution run.
 
-    ``retries`` and the ``skipped_*`` fields are the resilience ledger of
-    a partitioned run: how many shard re-dispatches it cost, and which
-    items it dropped because every worker failed their shard.
+    A sharded run's resilience outcome (retries, skipped items) is not
+    here: it lives on its
+    :class:`~repro.execution.parallel.PartitionedRunResult`.
 
     The ``cache_*`` / ``invalidations`` / ``delta_*`` fields are the
     incremental-execution ledger (see
@@ -68,9 +68,6 @@ class ExecutionStats:
     wall_time: float = 0.0
     prepare_time: float = 0.0
     match_time: float = 0.0
-    retries: int = 0
-    skipped_items: int = 0
-    skipped_item_ids: List[str] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     invalidations: int = 0
@@ -101,9 +98,6 @@ class ExecutionStats:
         self.matches += other.matches
         self.prepare_time += other.prepare_time
         self.match_time += other.match_time
-        self.retries += other.retries
-        self.skipped_items += other.skipped_items
-        self.skipped_item_ids.extend(other.skipped_item_ids)
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.invalidations += other.invalidations

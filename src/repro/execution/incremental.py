@@ -363,7 +363,6 @@ class IncrementalExecutor:
         observability: Optional[Observability] = None,
     ):
         self.observability = ensure_observability(observability)
-        self._rules: Dict[str, Rule] = {}
         self._data_index = DataIndex()
         self._records = MemoryRecords()
         # The last add_items batch by id (a later duplicate wins), for admitted().
@@ -436,7 +435,7 @@ class IncrementalExecutor:
 
     @property
     def rule_count(self) -> int:
-        return len(self._rules)
+        return len(self._compiled)
 
     @property
     def item_count(self) -> int:
@@ -449,7 +448,7 @@ class IncrementalExecutor:
         return self._data_index.dead_postings
 
     def rules(self) -> List[Rule]:
-        return list(self._rules.values())
+        return self._compiled.rules()
 
     # -- delta API ----------------------------------------------------------------
 
@@ -515,11 +514,10 @@ class IncrementalExecutor:
         with self.observability.span("exec.incremental.add_rules"):
             started = time.perf_counter()
             for rule in rules:
-                if rule.rule_id in self._rules:
+                if rule.rule_id in self._compiled:
                     raise DuplicateRuleError(
                         f"rule {rule.rule_id!r} already tracked; use update_rule"
                     )
-                self._rules[rule.rule_id] = rule
                 if not in_view:
                     self._outside.add(rule.rule_id)
                 self._compiled.add_rule(rule)
@@ -534,9 +532,8 @@ class IncrementalExecutor:
         with self.observability.span("exec.incremental.remove_rules"):
             started = time.perf_counter()
             for rule_id in rule_ids:
-                if rule_id not in self._rules:
+                if rule_id not in self._compiled:
                     raise UnknownRuleError(rule_id)
-                del self._rules[rule_id]
                 self._outside.discard(rule_id)
                 self._compiled.remove_rule(rule_id)
                 op.invalidations += self.store.discard_rule(rule_id)
@@ -555,9 +552,8 @@ class IncrementalExecutor:
             "exec.incremental.update_rule", rule_id=rule.rule_id
         ):
             started = time.perf_counter()
-            if rule.rule_id not in self._rules:
+            if rule.rule_id not in self._compiled:
                 raise UnknownRuleError(rule.rule_id)
-            self._rules[rule.rule_id] = rule
             self._compiled.remove_rule(rule.rule_id)
             self._compiled.add_rule(rule)
             self._hold_attributes()
@@ -585,7 +581,7 @@ class IncrementalExecutor:
                 op.matches += len(hits)
                 op.items += 1
                 op.delta_items += 1
-            op.delta_rules += len(self._rules)
+            op.delta_rules += len(self._compiled)
             self._finish("refresh", op, started)
         return self.fired_map(), op
 
@@ -611,8 +607,8 @@ class IncrementalExecutor:
     def _enabled_ids(self) -> FrozenSet[str]:
         outside = self._outside
         return frozenset(
-            rule_id for rule_id, rule in self._rules.items()
-            if rule.enabled and rule_id not in outside
+            rule.rule_id for rule in self._compiled.rules()
+            if rule.enabled and rule.rule_id not in outside
         )
 
     def _sync(self) -> None:
@@ -740,17 +736,18 @@ class IncrementalExecutor:
         row = self._data_index.row_of(item_id)
         if row is None:
             return []
+        rule = self._compiled.rule
         return sorted(
             rule_id
             for rule_id in self.store.rules_of_row(row)
-            if self._rules[rule_id].enabled and rule_id not in self._outside
+            if rule(rule_id).enabled and rule_id not in self._outside
         )
 
     def fired_for_rule(self, rule_id: str) -> List[str]:
         """Sorted item ids one rule currently fires on (enabled or not).
         Writes nothing, so a request thread may call it: ``tolist`` copies
         the column in one step while the batch loop may be editing it."""
-        if rule_id not in self._rules:
+        if rule_id not in self._compiled:
             raise UnknownRuleError(rule_id)
         rows = self.store.rows_of_rule(rule_id).tolist()
         return sorted(map(self._data_index.ids.__getitem__, rows))

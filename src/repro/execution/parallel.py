@@ -260,18 +260,24 @@ class PartitionedRunResult:
     """A possibly-degraded partitioned run: results plus an honest account.
 
     The degraded-mode contract: ``fired`` holds exactly the output of every
-    shard some worker completed for the ids it owns, ``stats.skipped_item_ids``
-    names every id owned by a shard every worker failed, and ``fault_events`` records each
-    failed attempt and the driver's response. ``stats.retries`` counts the
-    ``retry`` events. ``shard_evaluations[s]`` is shard ``s``'s accepted
-    rule evaluations (0 when skipped): the simulated parallel makespan is
-    its maximum.
+    shard some worker completed for the ids it owns, ``skipped_item_ids``
+    names every id owned by a shard every worker failed (their count is
+    its length), and ``fault_events`` records each failed attempt and the
+    driver's response; :attr:`retries` counts the ``retry`` events.
+    ``stats`` is the accepted shards' work, merged.
+    ``shard_evaluations[s]`` is shard ``s``'s accepted rule evaluations (0
+    when skipped): the simulated parallel makespan is its maximum.
     """
 
     fired: Dict[str, List[str]]
     stats: ExecutionStats
     fault_events: List[FaultEvent] = field(default_factory=list)
     shard_evaluations: List[int] = field(default_factory=list)
+    skipped_item_ids: List[str] = field(default_factory=list)
+
+    @property
+    def retries(self) -> int:
+        return sum(1 for event in self.fault_events if event.action == "retry")
 
     @property
     def degraded(self) -> bool:
@@ -363,14 +369,12 @@ class PartitionedExecutor:
                     result.shard_evaluations[shard] = stats.rule_evaluations
                     break
                 else:  # every worker failed this shard
-                    total.skipped_items += len(owned[shard])
-                    total.skipped_item_ids.extend(owned[shard])
-            total.retries = sum(1 for event in result.fault_events if event.action == "retry")
+                    result.skipped_item_ids.extend(owned[shard])
             total.wall_time = clock() - started
             run_span.set_attribute("rule_evaluations", total.rule_evaluations)
             run_span.set_attribute("matches", total.matches)
-            run_span.set_attribute("retries", total.retries)
-            run_span.set_attribute("skipped_items", total.skipped_items)
+            run_span.set_attribute("retries", result.retries)
+            run_span.set_attribute("skipped_items", len(result.skipped_item_ids))
         obs.observe_execution(total, executor="partitioned")
         obs.observe_fired(result.fired)
         if obs.enabled:
@@ -380,5 +384,8 @@ class PartitionedExecutor:
                 ).inc()
             obs.metrics.counter("exec_shards_skipped_total").inc(
                 sum(1 for event in result.fault_events if event.action == "skip")
+            )
+            obs.metrics.counter("exec_skipped_items_total", executor="partitioned").inc(
+                len(result.skipped_item_ids)
             )
         return result

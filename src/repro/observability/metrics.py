@@ -289,7 +289,8 @@ class MetricsRegistry:
         The stats object stays the per-run source of truth; the registry
         accumulates across runs (the long-running deployment view). Time
         splits land on histograms so degradation shows up as a shifting
-        distribution, not just a growing total.
+        distribution, not just a growing total. A sharded run books its
+        retries and skipped items itself, from its fault events.
         """
         self.counter("exec_runs_total", executor=executor).inc()
         self.counter("exec_items_total", executor=executor).inc(stats.items)
@@ -297,14 +298,6 @@ class MetricsRegistry:
             stats.rule_evaluations
         )
         self.counter("exec_matches_total", executor=executor).inc(stats.matches)
-        self.counter("exec_retries_total", executor=executor).inc(stats.retries)
-        self.counter("exec_skipped_items_total", executor=executor).inc(
-            stats.skipped_items
-        )
-        self.counter("exec_cache_hits_total", executor=executor).inc(stats.cache_hits)
-        self.counter("exec_cache_misses_total", executor=executor).inc(
-            stats.cache_misses
-        )
         self.counter("exec_invalidations_total", executor=executor).inc(
             stats.invalidations
         )
@@ -401,26 +394,27 @@ class MetricsRegistry:
         report the increase since ``prev`` (new series count from zero);
         gauges report their current value (a gauge has no rate); histogram
         entries report the observation count/sum added in the interval,
-        with the interval mean derived from those. ``current`` is a
-        :meth:`snapshot` the caller already holds; without it one is taken.
+        with the interval mean derived from those. Only what moved is
+        written: a counter that did not increase and a histogram with no
+        observation in the interval are left out, so a missing key reads
+        as 0. Every gauge is written. ``current`` is a :meth:`snapshot`
+        the caller already holds; without it one is taken.
         """
         snap = current if current is not None else self.snapshot()
         prev_counters = prev.get("counters", {})
-        counters = {
-            name: value - prev_counters.get(name, 0)
-            for name, value in snap["counters"].items()
-        }
+        counters = {}
+        for name, value in snap["counters"].items():
+            increase = value - prev_counters.get(name, 0)
+            if increase:
+                counters[name] = increase
         prev_hists = prev.get("histograms", {})
         histograms: Dict[str, object] = {}
         for name, summary in snap["histograms"].items():
             before = prev_hists.get(name, {})
             d_count = summary["count"] - before.get("count", 0)
-            d_sum = summary["sum"] - before.get("sum", 0.0)
-            histograms[name] = {
-                "count": d_count,
-                "sum": d_sum,
-                "mean": d_sum / d_count if d_count else 0.0,
-            }
+            if d_count:
+                d_sum = summary["sum"] - before.get("sum", 0.0)
+                histograms[name] = {"count": d_count, "sum": d_sum, "mean": d_sum / d_count}
         return {
             "counters": counters,
             "gauges": dict(snap["gauges"]),

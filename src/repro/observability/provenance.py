@@ -14,7 +14,7 @@ moment the label was emitted. This module keeps it:
   label out of the Chimera pipeline (gate decision → stage traces →
   voting-master decision → filter outcome);
 * :class:`ProvenanceLog` — a bounded ring of records, either in memory
-  with a by-item index or, with a write-ahead JSON-lines spool, on disk:
+  or, with a write-ahead JSON-lines spool, on disk:
   the spool keeps the complete trail of a week-long never-ending run and
   is itself the ring, so memory holds one byte offset per retained line.
 
@@ -304,9 +304,8 @@ class ProvenanceLog:
       ``capacity`` offsets in an ``array('q')``), and readers read the
       window — from ``_starts[_head]`` to the spool's end — back from the
       file;
-    * **in-memory** (no spool): the log keeps the records in a ring with a
-      by-item index, because encoding them would cost ``record()`` an
-      order of magnitude.
+    * **in-memory** (no spool): the log keeps the records in a ring,
+      because encoding them would cost ``record()`` an order of magnitude.
 
     The two modes answer ``records`` / ``why`` / ``blame`` /
     ``records_for_type`` / ``blame_summary`` / ``write_jsonl`` equal by
@@ -317,11 +316,13 @@ class ProvenanceLog:
     Readers flush the spool's buffer, so they belong to the thread that
     records (the daemon's batch loop), as ``fired_map()`` does.
 
-    In-memory ``why`` reads an index maintained at record time; ``blame``
-    / ``records_for_type`` are analyst drill-downs, so they scan the
-    bounded buffer at query time instead of taxing the hot path, which is
-    on the telemetry layer's 5%-overhead budget
-    (``benchmarks/bench_quality_overhead.py``).
+    In memory, ``why`` / ``blame`` / ``records_for_type`` are analyst
+    drill-downs, so they scan the bounded ring at query time instead of
+    taxing the hot path with an index, which is on the telemetry layer's
+    5%-overhead budget (``benchmarks/bench_quality_overhead.py``).
+
+    ``evicted_records`` counts the records dropped off the ring;
+    :attr:`total_records` (ever recorded) is it plus ``len(log)``.
 
     The spool is appended per record and synced once per batch, by
     :meth:`spool_offset`; ``fsync=False`` makes that a flush.
@@ -339,13 +340,11 @@ class ProvenanceLog:
         self.spool = spool
         if spool is None:
             self._records: Deque[ProvenanceRecord] = deque()
-            self._by_item: Dict[str, List[ProvenanceRecord]] = {}
         else:
             self._spool = AppendLog(spool, fsync=fsync)
             self._starts = array("q")
             self._head = 0
         self._seq = 0
-        self.total_records = 0
         self.evicted_records = 0
 
     # -- recording ---------------------------------------------------------------
@@ -367,14 +366,9 @@ class ProvenanceLog:
         else:
             records = self._records
             records.append(record)
-            bucket = self._by_item.get(record.item_id)
-            if bucket is None:
-                self._by_item[record.item_id] = [record]
-            else:
-                bucket.append(record)
             if len(records) > self.capacity:
-                self._evict()
-        self.total_records += 1
+                records.popleft()
+                self.evicted_records += 1
         return record
 
     def _keep(self, start: int) -> None:
@@ -388,15 +382,6 @@ class ProvenanceLog:
             if self._head == self.capacity:
                 del starts[: self._head]
                 self._head = 0
-
-    def _evict(self) -> None:
-        evicted = self._records.popleft()
-        self.evicted_records += 1
-        by_item = self._by_item
-        bucket = by_item[evicted.item_id]
-        del bucket[0]  # FIFO: the item's oldest record is the evicted one
-        if not bucket:
-            del by_item[evicted.item_id]
 
     def close(self) -> None:
         """Close the spool (no-op without one)."""
@@ -416,6 +401,11 @@ class ProvenanceLog:
 
     def __len__(self) -> int:
         return len(self._records) if self.spool is None else len(self._starts) - self._head
+
+    @property
+    def total_records(self) -> int:
+        """Records ever appended: the retained ones plus the evicted."""
+        return len(self) + self.evicted_records
 
     def _window(self) -> bytes:
         """The retained lines of a write-ahead log, read back from the
@@ -455,8 +445,6 @@ class ProvenanceLog:
         chain; earlier entries show how the label evolved across
         re-classifications.
         """
-        if self.spool is None:
-            return list(self._by_item.get(item_id, ()))
         return [
             record
             for record in self._mentioning(item_id)
@@ -544,7 +532,7 @@ class ProvenanceLog:
         log's next line starts a line of its own. One pass over the
         complete lines notes where each starts, keeps the last
         ``capacity`` offsets as the window, and restores the
-        seq/total/evicted counters to exactly what a live log that spooled
+        seq and evicted counters to exactly what a live log that spooled
         those records would hold: the counters come from the line count
         and (a spool is written in seq order) the last line's seq.
         Replayed records are *not* re-spooled.
@@ -560,7 +548,6 @@ class ProvenanceLog:
             if observe is not None:
                 observe(_decoded(last))
             log._keep(start)
-        log.total_records = len(log) + log.evicted_records
         log._seq = _decoded(last).seq if last else 0
         return log
 

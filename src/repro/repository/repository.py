@@ -589,30 +589,14 @@ class RuleRepository:
         targets = (
             list(namespaces) if namespaces is not None else self.namespaces()
         )
-        out: Dict[str, NamespaceDiff] = {}
-        for namespace in targets:
-            ea = self._entries_of(a, namespace)
-            eb = self._entries_of(b, namespace)
-            added = tuple(sorted(set(eb) - set(ea)))
-            removed = tuple(sorted(set(ea) - set(eb)))
-            common = set(ea) & set(eb)
-            replaced = tuple(sorted(
-                rule_id for rule_id in common if ea[rule_id][0] != eb[rule_id][0]
-            ))
-            enabled = tuple(sorted(
-                rule_id for rule_id in common
-                if not ea[rule_id][1] and eb[rule_id][1]
-            ))
-            disabled = tuple(sorted(
-                rule_id for rule_id in common
-                if ea[rule_id][1] and not eb[rule_id][1]
-            ))
-            out[namespace] = NamespaceDiff(
-                namespace=namespace,
-                added=added, removed=removed, replaced=replaced,
-                enabled=enabled, disabled=disabled,
+        return {
+            namespace: _diff(
+                namespace,
+                self._entries_of(a, namespace),
+                self._entries_of(b, namespace),
             )
-        return out
+            for namespace in targets
+        }
 
     def rollback(
         self,
@@ -657,37 +641,39 @@ class RuleRepository:
                 state = self._ns(namespace)
                 ruleset = state.ruleset
                 snap_entries = by_ns[namespace].entries
-                live = self._entries_of(None, namespace)
-                ops = 0
+                delta = _diff(namespace, self._entries_of(None, namespace), snap_entries)
                 # 1. retire rules created after the snapshot
-                for rule_id in sorted(set(live) - set(snap_entries)):
+                for rule_id in delta.removed:
                     ruleset.remove(rule_id)
-                    result.removed += 1
-                    ops += 1
                 # 2. re-add rules removed since, at their recorded revision
-                for rule_id in sorted(set(snap_entries) - set(live)):
+                for rule_id in delta.added:
                     revision, enabled = snap_entries[rule_id]
                     rule = rule_from_dict(
                         dict(self._payload(state, rule_id, revision), enabled=enabled)
                     )
                     self._restoring = revision
                     ruleset.add(rule)
-                    result.added += 1
-                    ops += 1
-                # 3. replace rules whose revision moved
-                for rule_id in sorted(set(snap_entries) & set(live)):
-                    revision, enabled = snap_entries[rule_id]
-                    if live[rule_id][0] != revision:
+                # 3. per rule: replace a moved revision, then flip a moved
+                # flag (zero-evaluation on incremental consumers)
+                replaced, enabled, disabled = (
+                    set(delta.replaced), set(delta.enabled), set(delta.disabled)
+                )
+                for rule_id in sorted(replaced | enabled | disabled):
+                    if rule_id in replaced:
+                        revision = snap_entries[rule_id][0]
                         rule = rule_from_dict(self._payload(state, rule_id, revision))
                         self._restoring = revision
                         ruleset.replace(rule)
-                        result.replaced += 1
-                        ops += 1
-                    # 4. enabled flips (zero-evaluation on incremental consumers)
-                    if live[rule_id][1] != enabled:
-                        (ruleset.enable if enabled else ruleset.disable)(rule_id)
-                        result.flips += 1
-                        ops += 1
+                    if rule_id in enabled:
+                        ruleset.enable(rule_id)
+                    elif rule_id in disabled:
+                        ruleset.disable(rule_id)
+                flips = len(enabled) + len(disabled)
+                result.removed += len(delta.removed)
+                result.added += len(delta.added)
+                result.replaced += len(replaced)
+                result.flips += flips
+                ops = len(delta.removed) + len(delta.added) + len(replaced) + flips
                 self._record(
                     namespace, "rollback", snapshot={"name": name, "ops": ops}
                 )
@@ -724,6 +710,23 @@ class RuleRepository:
             if entry.rule_id == rule_id
             and (namespace is None or entry.namespace == namespace)
         ][::-1]
+
+
+def _diff(
+    namespace: str,
+    a: Mapping[str, Tuple[int, bool]],
+    b: Mapping[str, Tuple[int, bool]],
+) -> NamespaceDiff:
+    """Set-compare two ``(rule_id -> (revision, enabled))`` states."""
+    common = set(a) & set(b)
+    return NamespaceDiff(
+        namespace=namespace,
+        added=tuple(sorted(set(b) - set(a))),
+        removed=tuple(sorted(set(a) - set(b))),
+        replaced=tuple(sorted(r for r in common if a[r][0] != b[r][0])),
+        enabled=tuple(sorted(r for r in common if not a[r][1] and b[r][1])),
+        disabled=tuple(sorted(r for r in common if a[r][1] and not b[r][1])),
+    )
 
 
 def _snapshot_of(entry: ChangeEntry) -> Snapshot:

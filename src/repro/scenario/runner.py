@@ -81,7 +81,7 @@ def _engine_fired(engine, items, skipped=()) -> Dict[str, List[str]]:
 def _check_fault_model(engine, batch, run) -> None:
     """A partitioned run must equal the engine's rows for the items it did
     not skip: a distributed result is the sequential one."""
-    expected = _engine_fired(engine, batch.items, set(run.stats.skipped_item_ids))
+    expected = _engine_fired(engine, batch.items, set(run.skipped_item_ids))
     for item in batch.items:
         if run.fired.get(item.item_id, []) != expected.get(item.item_id, []):
             raise ScenarioError(
@@ -482,7 +482,7 @@ class ScenarioRunner:
                     _check_fault_model(engine, batch, run)
                     if run.degraded:
                         degraded_runs += 1
-                    skipped_items += run.stats.skipped_items
+                    skipped_items += len(run.skipped_item_ids)
                     _digest_update(digest, batch.batch_id, run.fired)
                 batch_latencies.append(
                     (time.perf_counter() - batch_started) * 1000.0

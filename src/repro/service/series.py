@@ -7,8 +7,9 @@ a handful of gauges (ordinal, clock day, open incidents, wall latency)
 and appends the sample here. The file, an
 :class:`~repro.core.durability.AppendLog` synced per sample, is the
 durable history and the window's only copy: the ring holds where each of
-the last ``window`` lines (~8 KB each) starts, and ``tail`` — like
-:func:`load_series` — reads lines back and decodes them.
+the last ``window`` lines (~5 KB each; a delta holds only what moved)
+starts, and ``tail`` — like :func:`load_series` — reads lines back and
+decodes them.
 
 Samples are **operational telemetry, not replay state**: wall-clock
 latencies differ run to run, so the byte-identity contract explicitly

@@ -21,6 +21,7 @@ from repro.chimera import (
     StageHealthMonitor,
 )
 from repro.chimera.classifiers import StageAnswer
+from repro.chimera.monitoring import AUDIT_TRAIL
 from repro.core import parse_rules
 from repro.core.rule import Clause, PredicateRule
 from repro.core.prepared import prepare
@@ -46,7 +47,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.times_opened == 1
-        assert breaker.transitions == [("closed", "open")]
+        assert list(breaker.transitions) == [("closed", "open")]
 
     def test_success_resets_the_consecutive_count(self):
         breaker = CircuitBreaker(failure_threshold=2)
@@ -108,8 +109,8 @@ class TestStageHealthMonitor:
         health = StageHealthMonitor(failure_threshold=5)
         health.record_failure("attr", ValueError("boom"))
         health.record_success("attr")
-        assert health.failures["attr"] == 1
-        assert health.successes["attr"] == 1
+        assert health.report()["attr"]["failures"] == 1
+        assert health.report()["attr"]["successes"] == 1
         fault = health.faults[0]
         assert fault.stage == "attr" and "boom" in fault.error
 
@@ -120,7 +121,7 @@ class TestStageHealthMonitor:
         for _ in range(4):  # keeps failing past the threshold
             health.record_failure("learning", RuntimeError("dead"))
         assert opened == ["learning"]
-        assert health.events == [("learning", "breaker-open")]
+        assert list(health.events) == [("learning", "breaker-open")]
 
     def test_routed_around_counter(self):
         health = StageHealthMonitor(failure_threshold=1, cooldown=5)
@@ -141,6 +142,22 @@ class TestStageHealthMonitor:
             "state": "closed", "successes": 1, "failures": 0,
             "routed_around": 0, "times_opened": 0,
         }
+
+    def test_audit_trail_is_bounded_and_counts_stay_exact(self):
+        """A stage that never stops failing keeps the last AUDIT_TRAIL
+        faults, events and transitions; the counts see every call."""
+        health = StageHealthMonitor(failure_threshold=1, cooldown=1)
+        calls = 10 * AUDIT_TRAIL + 3
+        for _ in range(calls):
+            assert health.allow("s")  # cooldown=1: every call after an open probes
+            health.record_failure("s", RuntimeError("down"))
+        breaker = health.breaker("s")
+        assert len(health.faults) == len(health.events) == AUDIT_TRAIL
+        assert len(breaker.transitions) == AUDIT_TRAIL
+        assert list(breaker.transitions)[-2:] == [("open", "half-open"), ("half-open", "open")]
+        report = health.report()["s"]
+        assert report["failures"] == report["times_opened"] == calls
+        assert report["successes"] == report["routed_around"] == 0
 
 
 class _CountingGauges(MetricsRegistry):
@@ -177,9 +194,13 @@ def test_state_gauge_is_published_on_change_and_never_stale(ops):
         metrics.gauge_sets = sets
         assert health.report()["s"]["state"] == breaker.state.value
     if ops:
+        report, breaker = health.report()["s"], health.breaker("s")
         assert metrics.counter("stage_success_total", stage="s").value == (
-            health.successes["s"]
-        ) == health.breaker("s").total_successes
+            report["successes"]
+        ) == breaker.total_successes
+        assert metrics.counter("stage_failure_total", stage="s").value == (
+            report["failures"]
+        ) == breaker.total_failures
 
 
 class _CountingStage:
@@ -226,11 +247,11 @@ class TestGuardedStage:
         stage = _CountingStage()
         guarded = GuardedStage(stage, health)
         assert _shape(guarded.answer_batch([None])) == [(["vote"], {"books"})]
-        assert health.successes["stub"] == 2
+        assert health.report()["stub"]["successes"] == 2
         # A healthy batch is one stage call, booked two successes per item.
         assert len(guarded.answer_batch(list("abcde"))) == 5
         assert stage.batch_calls == 2
-        assert health.successes["stub"] == 12
+        assert health.report()["stub"]["successes"] == 12
         assert health.breaker("stub").total_successes == 12
 
     def test_exceptions_become_no_votes(self):
@@ -239,7 +260,7 @@ class TestGuardedStage:
         stage.broken = True
         guarded = GuardedStage(stage, health)
         assert _shape(guarded.answer_batch([None])) == [([], None)]
-        assert health.failures["stub"] == 2
+        assert health.report()["stub"]["failures"] == 2
 
     def test_a_poison_item_costs_only_its_own_vote(self):
         health = StageHealthMonitor(failure_threshold=10)
@@ -251,7 +272,8 @@ class TestGuardedStage:
             (["vote"], {"books"}), (["vote"], {"books"}), ([], {"books"}),
             (["vote"], {"books"}), (["vote"], {"books"}),
         ]
-        assert (health.successes["stub"], health.failures["stub"]) == (9, 1)
+        report = health.report()["stub"]
+        assert (report["successes"], report["failures"]) == (9, 1)
         assert health.breaker("stub").state is BreakerState.CLOSED
 
     def test_open_breaker_skips_the_stage_entirely(self):
@@ -315,7 +337,7 @@ class TestChimeraStageFailure:
         assert labels["gold ring"] == "rings"
         assert labels["relaxed denim jeans"] == "jeans"
         assert chimera.degraded_stages() == ["attr-value"]
-        assert chimera.health.failures["attr-value"] >= 2
+        assert chimera.health_report()["attr-value"]["failures"] >= 2
         assert chimera.health_report()["attr-value"]["state"] == "open"
 
     def test_a_raising_rule_is_contained_and_opens_the_breaker(self):

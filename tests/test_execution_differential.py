@@ -421,7 +421,7 @@ def test_a_skipped_shard_skips_the_ids_it_owns(failed_shard, skipped):
     plan = None if failed_shard is None else FaultPlan().crash(shard=failed_shard)
     run = PartitionedExecutor(REPEAT_RULES, n_workers=2, fault_plan=plan).run(items)
     reference = NaiveExecutor(REPEAT_RULES).run(items)[0]
-    assert set(run.stats.skipped_item_ids) == skipped
+    assert set(run.skipped_item_ids) == skipped
     assert run.fired == {k: v for k, v in reference.items() if k not in skipped}
     batch = SimpleNamespace(batch_id="b1", items=items)
     _check_fault_model(IncrementalExecutor(REPEAT_RULES, items), batch, run)

@@ -190,7 +190,7 @@ class TestSingleWorkerDeath:
         plan = FaultPlan().crash(worker=1, attempt=0)  # transient: first attempt only
         result = executor(n_workers=3, plan=plan).run(ITEMS)
         assert not result.degraded and result.fired == BASELINE
-        assert result.stats.retries == 1
+        assert result.retries == 1
         assert [e.kind for e in result.fault_events] == ["crash"]
 
     def test_corrupt_worker_is_caught_and_retried(self):
@@ -214,10 +214,10 @@ class TestDegradedMode:
         result = executor(n_workers=3, plan=plan).run(ITEMS)
         assert result.degraded
         assert result.fired == {}
-        assert sorted(result.stats.skipped_item_ids) == sorted(i.item_id for i in ITEMS)
+        assert sorted(result.skipped_item_ids) == sorted(i.item_id for i in ITEMS)
         assert [e.shard_id for e in result.fault_events if e.action == "skip"] == [0, 1, 2]
         assert result.shard_evaluations == [0, 0, 0]
-        assert result.stats.skipped_items == len(ITEMS)
+        assert len(result.skipped_item_ids) == len(ITEMS)
 
     def test_one_shard_lost_keeps_the_rest(self):
         # Shard 1 fails on every worker it rotates to; others stay healthy.
@@ -225,7 +225,7 @@ class TestDegradedMode:
         result = executor(n_workers=3, plan=plan).run(ITEMS)
         assert result.degraded
         shard_1_ids = {i.item_id for i in ITEMS[1::3]}
-        assert set(result.stats.skipped_item_ids) == shard_1_ids
+        assert set(result.skipped_item_ids) == shard_1_ids
         expected = {k: v for k, v in BASELINE.items() if k not in shard_1_ids}
         assert result.fired == expected
         skip_events = [e for e in result.fault_events if e.action == "skip"]
@@ -237,7 +237,7 @@ class TestDegradedMode:
         plan = FaultPlan().crash(worker=0)
         result = executor(n_workers=3, plan=plan).run(ITEMS)
         assert result.fired == BASELINE
-        assert result.stats.retries >= 1
+        assert result.retries >= 1
         assert len(result.shard_evaluations) == 3
         assert sum(result.shard_evaluations) == result.stats.rule_evaluations
 
@@ -254,11 +254,11 @@ class TestDegradedMode:
 
 
 class TestShardReportMerge:
-    """Retry/skip accounting lives on the fault events and the stats."""
+    """Retry/skip accounting lives on the run: its fault events and skipped ids."""
 
     def test_healthy_reports(self):
         result = executor(n_workers=3).run(ITEMS)
-        assert result.fault_events == [] and result.stats.retries == 0
+        assert result.fault_events == [] and result.retries == 0
         assert result.stats.items == len(ITEMS)
         assert sum(result.shard_evaluations) == result.stats.rule_evaluations
         assert result.stats.matches == sum(len(v) for v in result.fired.values())
@@ -270,7 +270,7 @@ class TestShardReportMerge:
         assert [(e.attempt, e.action) for e in shard_events(result, 2)] == [
             (0, "retry"), (1, "retry"),
         ]
-        assert result.stats.retries == 2
+        assert result.retries == 2
 
     def test_worker_rotation_is_recorded(self):
         # shard s, attempt a runs on worker (s + a) % n: every worker once
@@ -284,7 +284,7 @@ class TestShardReportMerge:
         plan = FaultPlan().crash(shard=0)
         result = executor(n_workers=2, plan=plan).run(ITEMS)
         assert result.stats.items == len(ITEMS[1::2])
-        assert result.stats.skipped_item_ids == [i.item_id for i in ITEMS[0::2]]
+        assert result.skipped_item_ids == [i.item_id for i in ITEMS[0::2]]
         assert result.shard_evaluations[0] == 0
         assert result.stats.rule_evaluations == result.shard_evaluations[1]
 
@@ -319,14 +319,14 @@ class TestFaultProperties:
         """Whatever the faults, fired == no-fault map minus explicit skips."""
         plan = FaultPlan(plan_specs)
         result = PartitionedExecutor(RULES, n_workers=4, fault_plan=plan).run(ITEMS)
-        skipped = set(result.stats.skipped_item_ids)
+        skipped = set(result.skipped_item_ids)
         expected = {k: v for k, v in BASELINE.items() if k not in skipped}
         assert result.fired == expected
         # Every input item is accounted for: merged or explicitly skipped.
         skipped_shards = {e.shard_id for e in result.fault_events if e.action == "skip"}
         for index, thing in enumerate(ITEMS):
             assert (thing.item_id in skipped) == (index % 4 in skipped_shards)
-        assert result.stats.items + result.stats.skipped_items == len(ITEMS)
+        assert result.stats.items + len(result.skipped_item_ids) == len(ITEMS)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -342,7 +342,7 @@ class TestFaultProperties:
                  for k, thing in enumerate(ITEMS)]
         plan = FaultPlan(plan_specs)
         result = PartitionedExecutor(RULES + [BOMB], n_workers=n, fault_plan=plan).run(items)
-        skipped_ids = set(result.stats.skipped_item_ids)
+        skipped_ids = set(result.skipped_item_ids)
         for shard in range(n):
             real = any(k % n == shard for k in bombs)
             fails = [real or plan.fault_for((shard + a) % n, shard, a) is not None
@@ -355,7 +355,7 @@ class TestFaultProperties:
             assert skipped == all(fails)
             shard_ids = {thing.item_id for thing in items[shard::n]}
             assert (shard_ids <= skipped_ids) if skipped else not (shard_ids & skipped_ids)
-        assert result.stats.retries == sum(
+        assert result.retries == sum(
             1 for e in result.fault_events if e.action == "retry"
         )
 
@@ -394,10 +394,3 @@ class TestSingleNodeDegradedMode:
             NaiveExecutor(RULES + [bomb]).run(ITEMS)
         with pytest.raises(ZeroDivisionError):
             CompiledRuleSet(RULES + [bomb]).execute(ITEMS)
-
-    def test_stats_merge_carries_resilience_ledger(self):
-        a, b = ExecutionStats(), ExecutionStats()
-        a.retries, a.skipped_items, a.skipped_item_ids = 2, 1, ["x"]
-        b.retries, b.skipped_items, b.skipped_item_ids = 1, 2, ["y", "z"]
-        a.merge(b)
-        assert (a.retries, a.skipped_items, a.skipped_item_ids) == (3, 3, ["x", "y", "z"])

@@ -198,12 +198,12 @@ class TestExecutorFiredMapIdentity:
 
         recovered = faulted(None).run(items)
         assert plain == recovered.fired
-        assert recovered.stats.retries > 0, "the fault plan should have forced retries"
+        assert recovered.retries > 0, "the fault plan should have forced retries"
 
         obs = Observability()
         traced = faulted(obs).run(items)
         assert plain == traced.fired
-        assert traced.stats.retries > 0
+        assert traced.retries > 0
         # The telemetry side really observed the run, every fire once.
         assert fired_total(obs) == sum(len(ids) for ids in plain.values())
         assert obs.metrics.counter(

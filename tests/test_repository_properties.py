@@ -13,7 +13,7 @@ import random
 import shutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RuleSet, WhitelistRule, load_ruleset, save_ruleset
@@ -274,6 +274,13 @@ _script_op = st.tuples(
 class TestRepositoryRevisions:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_script_op, min_size=6, max_size=40))
+    # Rollbacks that need every op kind: a disable, a replace then an
+    # enable, a remove, then a re-add.
+    @example([
+        ("add", 0), ("disable", 0), ("add", 1), ("snapshot", 0), ("enable", 0),
+        ("disable", 1), ("replace", 1), ("rollback", 0), ("remove", 0),
+        ("snapshot", 0), ("add", 0), ("rollback", 1), ("rollback", 0),
+    ])
     def test_revisions_under_random_scripts(self, script):
         """Property: on a bound set, through add / replace / remove /
         re-add / enable / disable / snapshot / rollback, each id's
@@ -307,7 +314,15 @@ class TestRepositoryRevisions:
             elif op == "rollback" and snapshots:
                 name = snapshots[pick % len(snapshots)]
                 restored = dict(repo.get_snapshot(name)["em"].entries)
-                repo.rollback(name)
+                before = repo.diff(None, name).values()
+                result = repo.rollback(name)
+                assert all(d.empty for d in repo.diff(None, name).values())
+                assert (result.removed, result.added, result.replaced, result.flips) == (
+                    sum(len(d.removed) for d in before),
+                    sum(len(d.added) for d in before),
+                    sum(len(d.replaced) for d in before),
+                    sum(len(d.enabled) + len(d.disabled) for d in before),
+                )
             for entry in map(repo.log.entry, range(seen, len(repo.log))):
                 if entry.op not in ("add", "replace"):
                     continue

@@ -61,7 +61,7 @@ def state(chimera, repository, root, error):
         changes = log.read()
     return {
         "set": [(rule.rule_id, rule.enabled) for rule in chimera.rule_stage.rules],
-        "tracked": sorted(engine._rules),
+        "tracked": sorted(rule.rule_id for rule in engine.rules()),
         "pairs": sorted(engine.store.pairs()),
         "fired": engine.fired_map(),
         "fingerprint": engine.fired_fingerprint(),

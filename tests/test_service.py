@@ -318,12 +318,14 @@ class TestMetricsSampling:
 
     def test_delta_reports_interval_increase(self):
         registry = self._populated()
+        registry.histogram("idle").observe(1.0)
         prev = registry.snapshot()
         registry.counter("batches").inc(2)
         registry.histogram("latency").observe(0.75)
         delta = registry.delta(prev)
-        assert delta["counters"]["batches"] == 2
-        assert delta["counters"]["items{vendor=northstar}"] == 0
+        # Only what moved is written: a missing key reads as 0.
+        assert delta["counters"] == {"batches": 2}
+        assert list(delta["histograms"]) == ["latency"]
         assert delta["histograms"]["latency"]["count"] == 1
         assert delta["histograms"]["latency"]["sum"] == pytest.approx(0.75)
         assert delta["gauges"]["open_incidents"] == 2
@@ -679,3 +681,14 @@ class TestServiceCli:
         captured = capsys.readouterr()
         assert "serving" in captured.err
         assert os.path.exists(os.path.join(root, "checkpoint.json"))
+
+    def test_serve_banner_tells_a_fresh_root_from_a_resume(self, tmp_path, capsys):
+        root = str(tmp_path / "run")
+        argv = ["serve", "--root", root, "--batches", "0", "--no-fsync", "--port", "0", "--quiet"]
+        banners = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            banners.append(capsys.readouterr().err.splitlines()[0])
+        assert banners[0].startswith(f"serving {root} on http://")
+        assert banners[0].endswith("(fresh root)")
+        assert banners[1].endswith("(resumed at ordinal 0)")

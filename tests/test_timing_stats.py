@@ -64,8 +64,7 @@ class TestMergeSemantics:
     def make(self, **overrides):
         stats = ExecutionStats(
             items=2, rule_evaluations=10, matches=3, wall_time=5.0,
-            prepare_time=1.0, match_time=2.0, retries=1, skipped_items=1,
-            skipped_item_ids=["x"], cache_hits=4, cache_misses=2,
+            prepare_time=1.0, match_time=2.0, cache_hits=4, cache_misses=2,
             invalidations=1, delta_rules=1, delta_items=2,
         )
         for key, value in overrides.items():
@@ -80,9 +79,6 @@ class TestMergeSemantics:
         assert a.matches == 6
         assert a.prepare_time == 2.0
         assert a.match_time == 4.0
-        assert a.retries == 2
-        assert a.skipped_items == 2
-        assert a.skipped_item_ids == ["x", "x"]
         assert a.cache_hits == 8 and a.cache_misses == 4
         assert a.invalidations == 2
         assert a.delta_rules == 2 and a.delta_items == 4
@@ -136,7 +132,7 @@ class TestPartitionedTimingInvariant:
         assert [(e.shard_id, e.kind, e.action) for e in result.fault_events] == [
             (1, "corrupt", "retry"),
         ]
-        assert result.stats.retries == 1
+        assert result.retries == 1
         self.assert_healthy_totals(result)
 
     def test_rejected_lowering_attempt_does_not_leak_compile_time(self):
