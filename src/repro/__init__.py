@@ -24,7 +24,32 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+import importlib
+import sys
+from typing import Callable, Dict, Tuple
+
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, owners: Dict[str, Tuple[str, ...]]) -> Callable:
+    """A module ``__getattr__`` for ``package`` that re-exports on demand:
+    ``owners`` maps each submodule to the names it exports, and the first
+    read of a name (or of the submodule itself) imports that submodule and
+    caches the name on the package. A process that never reads a name
+    never compiles its module."""
+    owner = {name: module for module, names in owners.items() for name in names}
+
+    def __getattr__(name: str):
+        if name in owners:
+            return importlib.import_module(f"{package}.{name}")
+        if name not in owner:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{owner[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
 
 __all__ = [
     "analyst",

@@ -13,14 +13,20 @@ learning imperfect: ambiguous tokens shared across types, vendor-specific
 vocabulary, drift. Every generator is seeded and deterministic.
 """
 
+from repro import lazy_exports
 from repro.catalog.batches import Batch, BatchStream
-from repro.catalog.drift import DriftInjector, DriftEvent
 from repro.catalog.generator import CatalogGenerator, LabeledTitle
 from repro.catalog.types import ProductItem, ProductType, Taxonomy
 from repro.catalog.vocabulary import (
     build_seed_taxonomy,
     synthesize_types,
 )
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "drift": ("DriftEvent", "DriftInjector"),
+})
 
 __all__ = [
     "Batch",

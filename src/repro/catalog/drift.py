@@ -51,6 +51,7 @@ class DriftInjector:
         existing = product_type.modifier_slots.get(slot, ())
         merged = tuple(existing) + tuple(p for p in new_phrases if p not in existing)
         product_type.modifier_slots[slot] = merged
+        self.generator.taxonomy.version += 1
         event = DriftEvent("extend_slot", type_name, f"{slot} += {list(new_phrases)}")
         self.events.append(event)
         return event
@@ -66,6 +67,7 @@ class DriftInjector:
         product_type = self.generator.taxonomy.get(type_name)
         product_type.slot(slot)  # raises KeyError for unknown slots
         product_type.modifier_slots[slot] = tuple(new_phrases)
+        self.generator.taxonomy.version += 1
         event = DriftEvent("replace_slot", type_name, f"{slot} -> {list(new_phrases)}")
         self.events.append(event)
         return event
@@ -79,6 +81,7 @@ class DriftInjector:
         """
         product_type = self.generator.taxonomy.get(type_name)
         product_type.heads = tuple(new_heads)
+        self.generator.taxonomy.version += 1
         event = DriftEvent("shift_heads", type_name, f"heads -> {list(new_heads)}")
         self.events.append(event)
         return event

@@ -111,7 +111,8 @@ class Taxonomy:
     def __init__(self, types: Sequence[ProductType] = ()):
         self._types: Dict[str, ProductType] = {}
         #: Bumped whenever the set of types changes (``add`` / ``remove``,
-        #: hence splits and merges): what derived tables are cached against.
+        #: hence splits and merges) and by every drift edit of a type in
+        #: place: what derived tables are cached against.
         self.version = 0
         for product_type in types:
             self.add(product_type)

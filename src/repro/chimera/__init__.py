@@ -7,7 +7,7 @@ back into the system, plus the operational controls (scale down / repair /
 restore / scale up) that section 2.2 requires of a deployed system.
 """
 
-from repro.chimera.analysis import BatchReport, FeedbackLoop
+from repro import lazy_exports
 from repro.chimera.classifiers import (
     AttributeValueClassifier,
     ClassifierStage,
@@ -29,6 +29,12 @@ from repro.chimera.monitoring import (
 )
 from repro.chimera.pipeline import BatchResult, Chimera, ItemResult
 from repro.chimera.voting import VotingMaster
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "analysis": ("BatchReport", "FeedbackLoop"),
+})
 
 __all__ = [
     "AttributeValueClassifier",

@@ -7,6 +7,7 @@ checks of the rule-system properties section 4 calls for. Rule history
 (who changed what, when, why) lives in :mod:`repro.repository`.
 """
 
+from repro import lazy_exports
 from repro.core.errors import (
     DuplicateRuleError,
     RuleError,
@@ -14,25 +15,6 @@ from repro.core.errors import (
     UnknownDictionaryError,
     UnknownRuleError,
     UnknownUdfError,
-)
-from repro.core.language import (
-    ConstraintRule,
-    DictionaryStore,
-    UdfRegistry,
-    parse_rule,
-    parse_rules,
-)
-from repro.core.explain import Explanation, ExplanationStep, explain_verdict
-from repro.core.persistence import (
-    load_ruleset,
-    save_ruleset,
-)
-from repro.core.properties import (
-    OrderIndependenceReport,
-    annihilated_items,
-    check_order_independence,
-    stage_partition,
-    whitelist_conflicts,
 )
 from repro.core.prepared import (
     ItemLike,
@@ -55,6 +37,27 @@ from repro.core.rule import (
     extract_anchor_literals,
 )
 from repro.core.ruleset import RuleSet, RuleVerdict
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "explain": ("Explanation", "ExplanationStep", "explain_verdict"),
+    "language": (
+        "ConstraintRule",
+        "DictionaryStore",
+        "UdfRegistry",
+        "parse_rule",
+        "parse_rules",
+    ),
+    "persistence": ("load_ruleset", "save_ruleset"),
+    "properties": (
+        "OrderIndependenceReport",
+        "annihilated_items",
+        "check_order_independence",
+        "stage_partition",
+        "whitelist_conflicts",
+    ),
+})
 
 __all__ = [
     "AttributeRule",

@@ -35,6 +35,7 @@ raising. :mod:`repro.execution.parallel` owns that loop and its
 deterministic fault injection (:class:`FaultPlan`).
 """
 
+from repro import lazy_exports
 from repro.core.prepared import (
     PreparedItem,
     prepare,
@@ -44,16 +45,21 @@ from repro.execution.compiler import CompiledRuleSet, rarest_anchor
 from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats, NaiveExecutor
 from repro.execution.incremental import IncrementalExecutor, MatchStore
-from repro.execution.parallel import (
-    CorruptShardOutput,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    PartitionedExecutor,
-    PartitionedRunResult,
-    validate_shard_output,
-)
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "parallel": (
+        "CorruptShardOutput",
+        "FaultEvent",
+        "FaultKind",
+        "FaultPlan",
+        "FaultSpec",
+        "PartitionedExecutor",
+        "PartitionedRunResult",
+        "validate_shard_output",
+    ),
+})
 
 __all__ = [
     "CompiledRuleSet",

@@ -35,17 +35,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.observability.exporters import (
-    chrome_trace_events,
-    health_snapshot,
-    render_health_report,
-    render_report,
-    render_span_tree,
-    span_to_dict,
-    write_chrome_trace,
-    write_health_json,
-    write_trace_jsonl,
-)
+from repro import lazy_exports
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -64,6 +54,22 @@ from repro.observability.quality import (
     RuleHealthTracker,
 )
 from repro.observability.tracer import NULL_TRACER, Span, Tracer
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "exporters": (
+        "chrome_trace_events",
+        "health_snapshot",
+        "render_health_report",
+        "render_report",
+        "render_span_tree",
+        "span_to_dict",
+        "write_chrome_trace",
+        "write_health_json",
+        "write_trace_jsonl",
+    ),
+})
 
 
 class Observability:
@@ -99,13 +105,19 @@ class Observability:
 
     def report(self, title: str = "observability report") -> str:
         """Plain-text span tree + metrics dump."""
-        return render_report(self.tracer, self.metrics, title=title)
+        from repro.observability import exporters
+
+        return exporters.render_report(self.tracer, self.metrics, title=title)
 
     def write_chrome_trace(self, target) -> int:
-        return write_chrome_trace(self.tracer.spans, target)
+        from repro.observability import exporters
+
+        return exporters.write_chrome_trace(self.tracer.spans, target)
 
     def write_trace_jsonl(self, target) -> int:
-        return write_trace_jsonl(self.tracer.spans, target)
+        from repro.observability import exporters
+
+        return exporters.write_trace_jsonl(self.tracer.spans, target)
 
 
 #: Shared disabled instance: the default for every instrumented component.

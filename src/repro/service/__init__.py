@@ -11,27 +11,23 @@ top sits a metrics time-series layer, a dependency-free HTTP console
 (``repro serve``) and a text dashboard (``repro dashboard``). See
 DESIGN.md §13.
 
-The console (:class:`ServiceHttpServer`, :func:`serve`) is resolved on
-first access through the module ``__getattr__``: ``http.server`` pulls in
+The console (:class:`ServiceHttpServer`, :func:`serve`), the dashboard
+and the harness are resolved on first access through the module
+``__getattr__`` (:func:`repro.lazy_exports`): ``http.server`` pulls in
 ``http.client``, ``email`` and ``ssl``, and only ``repro serve`` needs
 them, so a daemon embedded in another process never imports them.
 """
 
+from repro import lazy_exports
 from repro.service.checkpoint import CheckpointStore
 from repro.service.daemon import ServiceConfig, StreamService
-from repro.service.dashboard import render_dashboard
-from repro.service.harness import crash_resume_identity, run_service
 from repro.service.series import SeriesStore
 
-_CONSOLE = ("ServiceHttpServer", "serve")
-
-
-def __getattr__(name):
-    if name in _CONSOLE:
-        from repro.service import http
-
-        return getattr(http, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(__name__, {
+    "dashboard": ("render_dashboard",),
+    "harness": ("crash_resume_identity", "run_service"),
+    "http": ("ServiceHttpServer", "serve"),
+})
 
 
 __all__ = [

@@ -12,14 +12,18 @@ the checkpoint holds only what no log determines.**
   classified item) with the journal's batch sizes determines the health
   windows — so neither is ever written down: resume rebuilds both.
   ``series.jsonl`` holds metric samples.
-* ``checkpoint.json``, atomically replaced after every batch: the batch
-  stream's and the item generator's RNGs, incidents, metrics, every log's
-  byte offset, the digest-chain head and the one chain link
+* ``checkpoint.json``, atomically replaced after every batch: where the
+  batch stream's and the item generator's RNGs stand, incidents, metrics,
+  every log's byte offset, the digest-chain head and the one chain link
   (``prev_digest_chain``, ``last_batch_id``) that lets resume verify the
   view it re-derived.
-  O(metric series + incidents), written compact (RNGs as ``[version,
-  base64 of the 625 packed state words, gauss_next]``, metrics as column
-  families); a missing or malformed field is a ``ValueError`` naming it.
+  O(metric series + incidents), written compact. An RNG is its position,
+  ``{"drawn": 32-bit words drawn since the post-startup state, "check":
+  16 hex digits of blake2b over the packed state}``: the seed and the
+  count determine the state, and resume skips ``drawn`` words from the
+  replayed startup and refuses a state whose digest is not ``check``.
+  Metrics are column families. A missing or malformed field is a
+  ``ValueError`` naming it.
 
 Anything past a log's offset was written by a run that died before
 checkpointing it (or by a ``repro repo`` command on a stopped root):
@@ -51,8 +55,10 @@ from repro.repository import CHANGELOG_NAME
 #: change log back by ``offsets.changelog`` (version 4 pinned it by seq);
 #: version 6 drops the analyst RNG, rule-id counter, clock, batch counters
 #: and run totals, which the replayed startup, the journal, the ordinal and
-#: the metric counters determine.
-CHECKPOINT_VERSION = 6
+#: the metric counters determine; version 7 stores each RNG as the words it
+#: has drawn (not its 2,500-byte state) and drops the generator's id
+#: counter, which the journalled item count determines.
+CHECKPOINT_VERSION = 7
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "batches.jsonl"

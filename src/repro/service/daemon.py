@@ -24,11 +24,15 @@ engine (``restore_items``), which also sets the clock to the last
 journalled batch's arrival; the :class:`RuleHealthTracker` windows, a
 fold over the spool, through a tracker not yet wired to metrics or
 incidents (so the fold re-fires nothing); the stream's and the
-pipeline's batch counters from the ordinal; and the run totals from the
-checkpointed metric counters. The checkpoint also holds the chain value
-before the last batch and that batch's id: resume recomputes the last
-link over the rebuilt fired map's fingerprint and refuses to start if it
-is not the checkpointed head.
+pipeline's batch counters from the ordinal; the run totals from the
+checkpointed metric counters; and the batch stream's and the item
+generator's RNGs from their post-startup states, each moved on by the
+number of 32-bit words the checkpoint says it has drawn and checked
+against the digest of the state the run held (the generator's id counter
+moves on by the journalled item count). The checkpoint also holds the
+chain value before the last batch and that batch's id: resume recomputes
+the last link over the rebuilt fired map's fingerprint and refuses to
+start if it is not the checkpointed head.
 
 What a batch costs after classification is O(batch + delta): the chain
 link hashes the executor's additive fired-map fingerprint (kept current
@@ -41,10 +45,10 @@ operational telemetry and explicitly *outside* the identity contract.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
+import random
 import resource
 import struct
 import sys
@@ -125,12 +129,6 @@ def _chain_link(previous: str, batch_id: str, fingerprint: str) -> str:
 # -- JSON codecs for the checkpoint document --------------------------------------
 
 
-#: ``random.Random``'s state: Mersenne Twister version 3, 624 words plus
-#: the position index, packed little-endian as 32-bit words.
-_MT_VERSION = 3
-_MT_FORMAT = struct.Struct("<625I")
-
-
 def _field(state: Dict[str, Any], path: str) -> Any:
     """``state["a"]["b"]`` for ``path`` ``"a.b"``; a missing key raises a
     ``ValueError`` naming the field."""
@@ -142,43 +140,96 @@ def _field(state: Dict[str, Any], path: str) -> Any:
     return value
 
 
-def _rng_dump(rng) -> List[Any]:
-    """``[version, base64(packed state), gauss_next]``."""
-    version, internal, gauss = rng.getstate()
-    packed = base64.b64encode(_MT_FORMAT.pack(*internal)).decode("ascii")
-    return [version, packed, gauss]
+#: ``random.Random`` is a Mersenne Twister: 624 key words and a position
+#: index. Drawing past word 624 refills ("twists") the whole key at once.
+_MT_WORDS = 624
+_MT_FORMAT = struct.Struct("<625I")
+#: Words one ``getrandbits`` call skips on resume (a 256 KiB int).
+_SKIP_WORDS = 1 << 16
+#: Twists one counted step searches: ~40M words, far past any batch.
+_MAX_TWISTS = 1 << 16
 
 
-def _rng_load(rng, state: Dict[str, Any], path: str) -> None:
-    """Restore ``rng`` from the :func:`_rng_dump` at ``path`` in the
-    checkpoint, refusing (``ValueError`` naming the field) anything that
-    is not a version-3 state of exactly 2,500 bytes."""
-    encoded = _field(state, path)
-    if not isinstance(encoded, list) or len(encoded) != 3:
-        raise ValueError(
-            f"checkpoint field {path!r} is not [version, state, gauss_next]"
-        )
-    version, packed, gauss = encoded
-    if version != _MT_VERSION:
-        raise ValueError(
-            f"checkpoint field {path!r} holds Mersenne Twister state version "
-            f"{version!r} (expected {_MT_VERSION})"
-        )
-    try:
-        raw = base64.b64decode(packed, validate=True)
-    except (TypeError, ValueError):
-        raise ValueError(f"checkpoint field {path!r}: state is not base64") from None
-    if len(raw) != _MT_FORMAT.size:
-        raise ValueError(
-            f"checkpoint field {path!r}: state is {len(raw)} bytes "
-            f"(expected {_MT_FORMAT.size})"
-        )
+def _state_check(packed: bytes) -> str:
+    """16 hex digits of blake2b over the packed state words."""
+    return hashlib.blake2b(packed, digest_size=8).hexdigest()
+
+
+class _RngPosition:
+    """Where one RNG stands: the words it has drawn since the post-startup
+    state. :meth:`dump` counts the words drawn since its last call from two
+    ``getstate()`` readings, so nothing wraps the RNG the batch loop draws
+    from: twists × 624 + the positions' difference."""
+
+    def __init__(self, rng: random.Random, drawn: int = 0):
+        self.rng = rng
+        self.drawn = drawn
+        self._internal = rng.getstate()[1]
+        self._packed = _MT_FORMAT.pack(*self._internal)
+        # Scratch twisters: one at the last reading's key, about to twist;
+        # one that reads a new key's outputs.
+        self._follower, self._probe = random.Random(0), random.Random(0)
+        self._follower.setstate((3, self._internal[:_MT_WORDS] + (_MT_WORDS,), None))
+
+    def dump(self) -> Dict[str, Any]:
+        """``{"drawn": words, "check": state digest}``, plus a pending
+        ``gauss_next`` when one is set (no word count rebuilds it)."""
+        _, internal, gauss = self.rng.getstate()
+        packed = _MT_FORMAT.pack(*internal)
+        self.drawn += self._words_to(internal, packed)
+        self._internal, self._packed = internal, packed
+        position = {"drawn": self.drawn, "check": _state_check(packed)}
+        if gauss is not None:
+            position["gauss_next"] = gauss
+        return position
+
+    def _words_to(self, internal: Tuple[int, ...], packed: bytes) -> int:
+        """Words drawn from the last reading to ``internal``. An unchanged
+        key means no twist. Otherwise the follower twists until its 624
+        outputs, drawn as one int, equal the new key's (tempering is a
+        bijection, so equal outputs are equal keys); it then stands at the
+        new key for the next call."""
+        moved = internal[-1] - self._internal[-1]
+        if packed[:-4] == self._packed[:-4] and moved >= 0:  # the same key
+            return moved
+        self._probe.setstate((3, internal[:_MT_WORDS] + (0,), None))
+        target = self._probe.getrandbits(32 * _MT_WORDS)
+        getrandbits = self._follower.getrandbits
+        for twists in range(1, _MAX_TWISTS + 1):
+            if getrandbits(32 * _MT_WORDS) == target:
+                return twists * _MT_WORDS + moved
+        raise RuntimeError(f"the RNG moved more than {_MAX_TWISTS} twists in one step")
+
+
+def _rng_seek(rng: random.Random, state: Dict[str, Any], path: str) -> _RngPosition:
+    """Move ``rng``, at its post-startup state, as far as the position at
+    ``path`` says, and prove it: the state reached must digest to the
+    position's ``check``. A missing, malformed or unknown field, or a
+    digest that differs, is a ``ValueError`` naming the field."""
+    position = _field(state, path)
+    if not isinstance(position, dict):
+        raise ValueError(f"checkpoint field {path!r} is not a {{drawn, check}} position")
+    drawn = _field(state, f"{path}.drawn")
+    check = _field(state, f"{path}.check")
+    gauss = position.get("gauss_next")
+    unknown = sorted(set(position) - {"drawn", "check", "gauss_next"})
+    if unknown:
+        raise ValueError(f"checkpoint field '{path}.{unknown[0]}' is not a position field")
+    if type(drawn) is not int or drawn < 0:
+        raise ValueError(f"checkpoint field '{path}.drawn' is {drawn!r}; expected a word count")
     if gauss is not None and not isinstance(gauss, float):
-        raise ValueError(f"checkpoint field {path!r}: gauss_next is {gauss!r}")
-    try:
-        rng.setstate((version, _MT_FORMAT.unpack(raw), gauss))
-    except ValueError as exc:
-        raise ValueError(f"checkpoint field {path!r}: {exc}") from None
+        raise ValueError(f"checkpoint field '{path}.gauss_next' is {gauss!r}")
+    for left in range(drawn, 0, -_SKIP_WORDS):
+        rng.getrandbits(32 * min(left, _SKIP_WORDS))
+    version, internal, _ = rng.getstate()
+    reached = _state_check(_MT_FORMAT.pack(*internal))
+    if reached != check:
+        raise ValueError(
+            f"checkpoint field '{path}.check' is {check!r}, but {drawn} words "
+            f"past the seeded startup the RNG digests to {reached}"
+        )
+    rng.setstate((version, internal, gauss))
+    return _RngPosition(rng, drawn)
 
 
 def _config_load(state: Dict[str, Any]) -> ServiceConfig:
@@ -283,6 +334,12 @@ def _rss_mb() -> Optional[float]:
 
 class StreamService:
     """The checkpointed streaming daemon. ``start()`` then ``run(n)``.
+
+    Each checkpoint counts the words the stream's and the generator's
+    RNGs drew since the last one (twists × 624 + the positions'
+    difference), and stores the running totals, not the states: resume
+    replays the startup and skips that many words, at C speed and linear
+    in the words drawn.
 
     ``crash_plan`` (a :class:`~repro.testing.faults.CrashPlan`) lets
     durability tests SIGKILL the loop at named barriers:
@@ -419,6 +476,8 @@ class StreamService:
     def _fresh(self) -> None:
         self.store.open_journal()
         startup_rules = self._open_world()
+        self._stream_position = _RngPosition(self.stream.rng)
+        self._generator_position = _RngPosition(self.generator.rng)
         self.chimera.add_whitelist_rules(startup_rules)
         self.provenance = ProvenanceLog(spool=self.store.spool_path, fsync=self.fsync)
         self.repository = RuleRepository.open(
@@ -470,12 +529,15 @@ class StreamService:
         #    namespace's live rules, in order, with their flags.
         bind_chimera(self.repository, self.chimera)
 
-        # 5. The batch stream's and the generator's RNGs, restored
-        #    verbatim; both batch counters stand at the ordinal.
+        # 5. The batch stream's and the generator's RNGs, moved from
+        #    their post-startup states by the words each had drawn, and
+        #    checked against the digests of the states the run held; both
+        #    batch counters stand at the ordinal.
         self.ordinal = int(state["ordinal"])
-        _rng_load(self.stream.rng, state, "stream.rng")
-        _rng_load(self.generator.rng, state, "generator.rng")
-        self.generator._next_id = int(state["generator"]["next_id"])
+        self._stream_position = _rng_seek(self.stream.rng, state, "stream.rng")
+        self._generator_position = _rng_seek(
+            self.generator.rng, state, "generator.rng"
+        )
         self.stream._next_batch = self.chimera._batch_counter = self.ordinal
 
         # 6. Incident log (the manager numbers new incidents after it).
@@ -493,6 +555,8 @@ class StreamService:
         self._use_engine()
         batch_sizes: Deque[Tuple[str, int]] = deque()
         self.incremental.restore_items(self._journalled_items(batch_sizes))
+        # Each journalled item took the generator's next id.
+        self.generator._next_id += sum(n_items for _, n_items in batch_sizes)
         self.digest_chain = str(state["digest_chain"])
         self._prev_digest_chain = str(state["prev_digest_chain"])
         self._last_batch_id = str(state["last_batch_id"])
@@ -648,11 +712,8 @@ class StreamService:
             # The link resume re-derives to verify its rebuilt view.
             "prev_digest_chain": self._prev_digest_chain,
             "last_batch_id": self._last_batch_id,
-            "stream": {"rng": _rng_dump(self.stream.rng)},
-            "generator": {
-                "rng": _rng_dump(self.generator.rng),
-                "next_id": self.generator._next_id,
-            },
+            "stream": {"rng": self._stream_position.dump()},
+            "generator": {"rng": self._generator_position.dump()},
             "offsets": {
                 "journal": self.store.journal_offset(),
                 "spool": self.provenance.spool_offset(),

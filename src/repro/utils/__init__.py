@@ -5,9 +5,8 @@ Everything stochastic in the library takes an explicit ``random.Random`` /
 :class:`~repro.utils.clock.SimClock`, so experiments are reproducible.
 """
 
+from repro import lazy_exports
 from repro.utils.clock import SimClock
-from repro.utils.sampling import reservoir_sample, stratified_sample
-from repro.utils.stats import mean, wilson_interval
 from repro.utils.text import (
     STOPWORDS,
     expand_plural_singulars,
@@ -17,7 +16,14 @@ from repro.utils.text import (
     tokenize,
     tokenize_cached,
 )
-from repro.utils.vectors import SparseVector, cosine_similarity, mean_vector
+
+# Read on first access (:func:`repro.lazy_exports`): a served daemon never
+# reads these names, so it never compiles their modules.
+__getattr__ = lazy_exports(__name__, {
+    "sampling": ("reservoir_sample", "stratified_sample"),
+    "stats": ("mean", "wilson_interval"),
+    "vectors": ("SparseVector", "cosine_similarity", "mean_vector"),
+})
 
 __all__ = [
     "STOPWORDS",

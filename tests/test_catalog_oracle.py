@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import BatchStream, CatalogGenerator, DriftInjector, build_seed_taxonomy
 from repro.catalog.batches import VendorProfile
+from repro.catalog.types import parse_template
 from repro.catalog.vocabulary import synthesize_types
 from repro.scenario.runner import _safe_templates
 from tests import catalog_reference as reference
@@ -140,3 +141,30 @@ def test_catalog_equals_the_reference(seed, extra, department_picks, script):
     for step in script + [("items", 8), ("labeled", 8), ("batch", 1), ("batch", 3)]:
         assert new.step(step) == old.step(step), step
         assert new.state() == old.state(), step
+
+
+def _has_bare_mod(product_type) -> bool:
+    return bool(product_type.modifier_slots) and any(
+        kind == "mod" and slot is None
+        for template in product_type.templates
+        for _literal, kind, slot in parse_template(template)[0]
+    )
+
+
+def test_a_slot_added_in_place_is_drawn_at_once():
+    """The generator sorts a type's slot names once per taxonomy version
+    and every drift edit bumps it: a slot added after the sort is one of
+    a bare ``{mod}``'s choices at the next title, as in the reference."""
+    departments = build_seed_taxonomy().departments()[:1]
+    new = World(CatalogGenerator, BatchStream, 5, 0, departments)
+    old = World(reference.CatalogGenerator, reference.ReferenceBatchStream, 5, 0, departments)
+    name = next(t.name for t in new.generator.taxonomy if _has_bare_mod(t))
+    titles = []
+    for world in (new, old):
+        product_type = world.generator.taxonomy.get(name)
+        before = [world.generator.generate_title(product_type) for _ in range(20)]
+        world.drift.extend_slot(name, "zz-new", ["zzquux"])
+        after = [world.generator.generate_title(product_type) for _ in range(200)]
+        titles.append((before, after))
+    assert titles[0] == titles[1]
+    assert any("zzquux" in title for title in titles[0][1])

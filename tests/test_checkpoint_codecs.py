@@ -1,7 +1,8 @@
 """The checkpoint's two codecs are lossless, property-tested.
 
-Checkpoint v4 writes RNG states packed (``_rng_dump``: version, base64 of
-625 little-endian words, ``gauss_next``) and the metrics registry as
+Checkpoint v7 writes each RNG as a position (``_RngPosition.dump``: the
+32-bit words drawn since the post-startup state, a 16-hex digest of that
+state, and ``gauss_next`` when one is pending) and the metrics registry as
 column families (``MetricsRegistry.dump``), deriving the rule-label
 admission set from the ``rule_fired_total`` series instead of listing it.
 Both are only worth their bytes if nothing is lost, so, through a JSON
@@ -10,9 +11,16 @@ round trip as the daemon does it:
 * ``load(dump(r))`` holds every instrument of ``r`` slot for slot, the
   same admission set, and keeps deciding admissions as ``r`` would;
   ``dump(load(d)) == d``;
-* a restored RNG draws the same next 1,000 values as the original, from
-  states taken after ``random()``, ``gauss()`` (a pending ``gauss_next``)
-  and ``getrandbits``.
+* for any program of ``random()``, ``getrandbits(k <= 96)``, ``choice``,
+  ``randint``, ``expovariate``, ``shuffle`` and ``gauss`` — from no word
+  drawn to more than three twists of the key, with positions dumped along
+  the way — the count is exactly the words drawn, and the seed plus a
+  skip of that many words (``_rng_seek``) rebuilds ``getstate()``,
+  a pending ``gauss_next`` included, so the rebuilt RNG draws what the
+  original draws;
+* a position that does not rebuild its state — a tampered count or
+  digest, a count that is not a non-negative int, an unknown key, a
+  ``gauss_next`` that is not a float — is refused naming the field.
 """
 
 from __future__ import annotations
@@ -20,11 +28,12 @@ from __future__ import annotations
 import json
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.observability.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.service.daemon import _rng_dump, _rng_load
+from repro.service.daemon import _rng_seek, _RngPosition
 
 NAMES = ("rule_fired_total", "exec_runs_total", "span_seconds", "x")
 LABEL_KEYS = ("rule_id", "stage", "executor", "fn")
@@ -126,35 +135,126 @@ def draws(rng: random.Random, n: int = 1000) -> list:
     return [kinds[i % 3]() for i in range(n)]
 
 
-class TestRngCodec:
-    @given(
-        seed=st.integers(min_value=0, max_value=2**128),
-        warmup=st.lists(st.sampled_from(["random", "gauss", "getrandbits"]), max_size=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_restored_rng_draws_the_same_values(self, seed, warmup):
-        rng = random.Random(seed)
-        for kind in warmup:
-            if kind == "random":
+#: One step of an RNG program: a call and how many times to repeat it.
+calls = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 700)),
+    st.tuples(st.just("getrandbits"), st.integers(0, 700), st.integers(0, 96)),
+    st.tuples(st.just("choice"), st.integers(0, 300), st.integers(1, 5000)),
+    st.tuples(st.just("randint"), st.integers(0, 300), st.integers(0, 2**40)),
+    st.tuples(st.just("expovariate"), st.integers(0, 300)),
+    st.tuples(st.just("shuffle"), st.integers(0, 20), st.integers(0, 60)),
+    st.tuples(st.just("gauss"), st.integers(0, 3)),
+    st.just(("dump",)),
+)
+
+
+def run(rng: random.Random, position: _RngPosition, program) -> list:
+    """Run ``program`` on ``rng``; returns every position dumped on the way."""
+    dumped = []
+    for op, *args in program:
+        times = args[0] if args else 1
+        for _ in range(times):
+            if op == "random":
                 rng.random()
-            elif kind == "gauss":
+            elif op == "getrandbits":
+                rng.getrandbits(args[1])
+            elif op == "choice":
+                rng.choice(range(args[1]))
+            elif op == "randint":
+                rng.randint(0, args[1])
+            elif op == "expovariate":
+                rng.expovariate(1.5)
+            elif op == "shuffle":
+                rng.shuffle(list(range(args[1])))
+            elif op == "gauss":
                 rng.gauss(0.0, 1.0)
             else:
-                rng.getrandbits(97)
-        encoded = through_json(_rng_dump(rng))
-        clone = random.Random()
-        _rng_load(clone, {"rng": encoded}, "rng")
+                dumped.append(through_json(position.dump()))
+    return dumped
+
+
+def seek(seed: int, position: dict) -> random.Random:
+    clone = random.Random(seed)
+    _rng_seek(clone, {"rng": position}, "rng")
+    return clone
+
+
+MANY_TWISTS = [("random", 700), ("dump",), ("getrandbits", 700, 96), ("shuffle", 3, 60)]
+
+
+class TestRngCodec:
+    @given(seed=st.integers(min_value=0, max_value=2**128), program=st.lists(calls, max_size=8))
+    @example(seed=7, program=[])
+    @example(seed=7, program=MANY_TWISTS)
+    @settings(max_examples=60, deadline=None)
+    def test_restored_rng_draws_the_same_values(self, seed, program):
+        rng = random.Random(seed)
+        position = _RngPosition(rng)
+        dumped = run(rng, position, program)
+        final = through_json(position.dump())
+        for earlier in dumped:
+            assert earlier["drawn"] <= final["drawn"]
+        clone = seek(seed, final)
         assert clone.getstate() == rng.getstate()
-        assert _rng_dump(clone) == encoded
         assert draws(clone) == draws(rng)
+
+    def test_the_count_is_the_words_drawn(self):
+        """Over no twist, one, and many, with a dump between any two."""
+        rng = random.Random(11)
+        position = _RngPosition(rng)
+        drawn = 0
+        for words in (0, 1, 5, 623, 1, 624, 625, 1248, 3 * 624 + 7, 0, 4000, 2):
+            rng.getrandbits(32 * words)
+            drawn += words
+            assert position.dump()["drawn"] == drawn
+        assert drawn > 4 * 624
 
     def test_pending_gauss_survives(self):
         rng = random.Random(7)
+        position = _RngPosition(rng)
+        rng.random()
         rng.gauss(0.0, 1.0)
         assert rng.getstate()[2] is not None  # the pair's second half
-        encoded = through_json(_rng_dump(rng))
-        assert encoded[2] == rng.getstate()[2] and len(encoded[1]) == 3336
-        clone = random.Random()
-        _rng_load(clone, {"rng": encoded}, "rng")
+        encoded = through_json(position.dump())
+        assert encoded["gauss_next"] == rng.getstate()[2]
+        assert encoded["drawn"] == 2 + 4  # random() and two for the pair
+        clone = seek(7, encoded)
+        assert clone.getstate() == rng.getstate()
         assert clone.gauss(0.0, 1.0) == rng.gauss(0.0, 1.0)
+        # The pair is spent: the field is gone again.
+        assert "gauss_next" not in position.dump()
         assert draws(clone) == draws(rng)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p: p.__setitem__("drawn", p["drawn"] + 1), r"'rng\.check' is '[0-9a-f]{16}', but \d+ words"),
+            (lambda p: p.__setitem__("drawn", p["drawn"] - 1), r"'rng\.check' is"),
+            (lambda p: p.__setitem__("check", "0" * 16), r"'rng\.check' is '0{16}'"),
+            (lambda p: p.__setitem__("drawn", float(p["drawn"])), r"'rng\.drawn' is \d+\.0; expected a word count"),
+            (lambda p: p.__setitem__("drawn", str(p["drawn"])), r"'rng\.drawn' is '\d+'"),
+            (lambda p: p.__setitem__("drawn", True), r"'rng\.drawn' is True"),
+            (lambda p: p.__setitem__("drawn", -1), r"'rng\.drawn' is -1"),
+            (lambda p: p.pop("check"), r"'rng\.check' is missing"),
+            (lambda p: p.__setitem__("state", [3]), r"'rng\.state' is not a position field"),
+            (lambda p: p.__setitem__("gauss_next", "0.5"), r"'rng\.gauss_next' is '0\.5'"),
+        ],
+        ids=[
+            "drawn-one-more", "drawn-one-less", "check-edited", "drawn-float",
+            "drawn-string", "drawn-bool", "drawn-negative", "check-missing",
+            "unknown-key", "gauss-not-float",
+        ],
+    )
+    def test_a_position_that_does_not_rebuild_its_state_is_refused(self, damage, match):
+        rng = random.Random(3)
+        position = _RngPosition(rng)
+        rng.getrandbits(32 * 2000)
+        encoded = through_json(position.dump())
+        damage(encoded)
+        with pytest.raises(ValueError, match=match):
+            seek(3, encoded)
+
+    def test_a_packed_state_is_not_a_position(self):
+        """What v4-v6 wrote, ``[3, base64, gauss_next]``, is refused."""
+        with pytest.raises(ValueError, match=r"'rng' is not a \{drawn, check\} position"):
+            seek(3, [3, "AAAA", None])

@@ -18,6 +18,13 @@ Importing it, and serving and resuming either root, must leave
 ``http.server``, ``ssl`` and ``email`` out of ``sys.modules`` too. The
 last two checks keep the gate honest: the console still resolves, and
 induction still runs.
+
+Nor does a served world compile what it never runs. The package
+``__init__`` modules re-export through :func:`repro.lazy_exports`, so the
+sampling and statistics helpers, the rule DSL, its explainer, persistence
+and property checks, the crowd, the feedback loop, drift injection, the
+sharded executor, the exporters, the dashboard and the harness stay out
+of ``sys.modules`` while a root of either config serves and resumes.
 """
 
 import json
@@ -35,10 +42,30 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 WATCHED = ("email", "http.server", "numpy", "scipy", "ssl")
 
-REPORT = (
-    "\nimport json, sys\n"
-    f"print(json.dumps(sorted(set({WATCHED!r}) & set(sys.modules))))\n"
+#: Modules no served world executes, whatever its config.
+NEVER_SERVED = (
+    "repro.catalog.drift",
+    "repro.chimera.analysis",
+    "repro.core.explain",
+    "repro.core.language",
+    "repro.core.persistence",
+    "repro.core.properties",
+    "repro.crowd",
+    "repro.execution.parallel",
+    "repro.observability.exporters",
+    "repro.service.dashboard",
+    "repro.service.harness",
+    "repro.utils.sampling",
+    "repro.utils.stats",
+    "repro.utils.vectors",
 )
+
+
+def _report(watched):
+    return (
+        "\nimport json, sys\n"
+        f"print(json.dumps(sorted(set({watched!r}) & set(sys.modules))))\n"
+    )
 
 SERVE = """
 import sys
@@ -67,13 +94,16 @@ def _fresh(args, cwd):
     return done.stdout
 
 
-def _loaded(code, cwd, *argv):
-    """The ``WATCHED`` modules left in ``sys.modules`` by ``code`` run alone."""
-    return json.loads(_fresh(["-c", code + REPORT, *argv], cwd).splitlines()[-1])
+def _loaded(code, cwd, *argv, watched=WATCHED):
+    """The ``watched`` modules left in ``sys.modules`` by ``code`` run alone."""
+    return json.loads(_fresh(["-c", code + _report(watched), *argv], cwd).splitlines()[-1])
 
 
-def _serve(tmp_path, training, batches):
-    return _loaded(SERVE, tmp_path, str(tmp_path / "root"), str(training), str(batches))
+def _serve(tmp_path, training, batches, watched=WATCHED):
+    return _loaded(
+        SERVE, tmp_path, str(tmp_path / "root"), str(training), str(batches),
+        watched=watched,
+    )
 
 
 def test_importing_the_service_and_the_cli_loads_no_ml_stack(tmp_path):
@@ -87,6 +117,29 @@ def test_a_rules_only_service_serves_and_resumes_without_the_ml_stack(tmp_path):
 
 def test_a_learning_service_still_loads_the_ml_stack(tmp_path):
     assert _serve(tmp_path, training=120, batches=1) == ["numpy"]
+
+
+@pytest.mark.parametrize("training", [0, 120])
+def test_a_served_world_compiles_no_module_it_never_runs(tmp_path, training):
+    assert _serve(tmp_path, training=training, batches=2, watched=NEVER_SERVED) == []
+
+
+def test_the_lazy_names_still_resolve(tmp_path):
+    code = (
+        "import repro.catalog, repro.chimera, repro.core, repro.execution\n"
+        "import repro.observability, repro.service, repro.utils\n"
+        "from repro.core import parse_rules, explain_verdict, save_ruleset\n"
+        "from repro.core import check_order_independence\n"
+        "from repro.catalog import DriftInjector\n"
+        "from repro.chimera import FeedbackLoop\n"
+        "from repro.execution import PartitionedExecutor\n"
+        "from repro.observability import render_report\n"
+        "from repro.service import render_dashboard, run_service\n"
+        "from repro.utils import mean, reservoir_sample, SparseVector\n"
+        "assert repro.core.language.parse_rules is parse_rules\n"
+    )
+    loaded = _loaded(code, tmp_path, watched=NEVER_SERVED)
+    assert loaded == sorted(NEVER_SERVED)
 
 
 def test_a_learning_service_serves_and_resumes_with_scipy_unimportable(tmp_path):

@@ -14,15 +14,18 @@ the same way instead of being written down after every batch. Here:
   rollback), for a kill at any barrier of any batch — the kill matrix in
   ``test_service_resume.py`` edits no rule except through incidents;
 * ``checkpoint.json`` is flat in the number of items served;
-* ``checkpoint.json`` stays inside a byte budget that the v3 encoding of
-  the same state breaks;
+* ``checkpoint.json`` stays inside a byte budget that the v6 and the v3
+  encodings of the same state break;
 * what v6 stopped writing — the analyst's RNG, the rule-id counter, the
   batch counters, the clock and the run totals — comes back from the
   replayed startup, the ordinal, the journal and the metric counters,
-  equal to an uninterrupted run's, for a kill at any barrier;
+  and what v7 stopped writing — the stream's and the generator's RNG
+  states and the generator's id counter — from the replayed startup, the
+  checkpointed word counts and the journal, equal to an uninterrupted
+  run's, for a kill at any barrier;
 * a root whose logs no longer determine the checkpointed chain head,
-  whose checkpoint is a v1 to v5 layout, or whose RNG, metrics or
-  config section is damaged, is refused loudly;
+  whose checkpoint is a v1 to v6 layout, or whose RNG position, metrics
+  or config section is damaged, is refused loudly;
 * every chain link's fingerprint is the from-scratch fingerprint of the
   very map a v2 link serialised whole (``tests/chain_audit.py``);
 * a history with a drift alert and an open incident in it comes back
@@ -321,8 +324,13 @@ class TestFlatCheckpoint:
 
 
 def _derived(service: StreamService) -> dict:
-    """The facts checkpoint v6 no longer writes down."""
+    """The facts checkpoint v6 no longer writes down, and the two RNG
+    states and the id counter v7 re-derives from positions and the
+    journal."""
     return {
+        "stream_rng": service.stream.rng.getstate(),
+        "generator_rng": service.generator.rng.getstate(),
+        "next_id": service.generator._next_id,
         "analyst_rng": service.analyst.rng.getstate(),
         "rule_seq": service.ids.seq,
         "next_batch": service.stream._next_batch,
@@ -370,9 +378,23 @@ def test_resume_rederives_what_the_checkpoint_dropped(training, tmp_path):
 _RNG_PATHS = (("stream", "rng"), ("generator", "rng"))
 
 
+def _v6_encoding(state: dict, rngs: dict) -> dict:
+    """The same state as checkpoint v6 wrote it: each RNG as ``[version,
+    base64 of its 625 packed state words, gauss_next]``, and the
+    generator's id counter beside it."""
+    v6 = copy.deepcopy(state)
+    v6["version"] = 6
+    for name in ("stream", "generator"):
+        version, internal, gauss = rngs[name]
+        packed = base64.b64encode(struct.pack("<625I", *internal)).decode("ascii")
+        v6[name]["rng"] = [version, packed, gauss]
+    v6["generator"]["next_id"] = rngs["next_id"]
+    return v6
+
+
 def _v3_encoding(state: dict) -> dict:
-    """The same state in checkpoint v3's encoding: each RNG as 625
-    decimal ints, one ``{"labels", "name", "value"}`` object per series,
+    """The same state (as :func:`_v6_encoding` writes it) in checkpoint
+    v3's encoding: each RNG as 625 decimal ints, one ``{"labels", "name", "value"}`` object per series,
     the rule-label admission set spelled out."""
     registry = MetricsRegistry.load(state["metrics"])
 
@@ -435,8 +457,9 @@ def _sizes(state: dict, separators, n_series: int) -> dict:
 class TestCheckpointBudget:
     """A host-independent byte budget for the document every batch
     rewrites: ``ServiceConfig(seed=7, training=0)`` after ``BATCHES``
-    batches, as checkpoint v6 writes it, + 5%. The sizes are counts —
-    only the reprs of wall-clock histogram floats move them, by bytes."""
+    batches, as checkpoint v7 writes it, + 5%, and at most 64 B per RNG
+    position. The sizes are counts — only the reprs of wall-clock
+    histogram floats move them, by bytes."""
 
     BATCHES = 8
     TOTAL = budgets.CHECKPOINT_TOTAL_B
@@ -450,29 +473,42 @@ class TestCheckpointBudget:
         with StreamService(root, ServiceConfig(seed=7, training=0), fsync=False) as service:
             service.run_to(self.BATCHES)
             snapshot = service.obs.metrics.snapshot()
+            rngs = {
+                "stream": service.stream.rng.getstate(),
+                "generator": service.generator.rng.getstate(),
+                "next_id": service.generator._next_id,
+            }
         path = os.path.join(root, CHECKPOINT_NAME)
         with open(path) as handle:
             state = json.load(handle)
         n_series = sum(len(snapshot[kind]) for kind in snapshot)
-        return state, os.path.getsize(path), n_series
+        return state, os.path.getsize(path), n_series, rngs
 
     def test_sizes_are_what_the_daemon_wrote(self, checkpoint):
-        state, size, n_series = checkpoint
+        state, size, n_series, _ = checkpoint
         assert _sizes(state, self.COMPACT, n_series)["total"] == size
 
     def test_within_budget(self, checkpoint):
-        state, _, n_series = checkpoint
+        state, _, n_series, _ = checkpoint
         sizes = _sizes(state, self.COMPACT, n_series)
         assert sizes["total"] <= self.TOTAL, sizes
         assert sizes["rng"] <= self.RNG, sizes
         assert sizes["metric_series"] <= self.PER_SERIES, sizes
 
+    def test_budget_goes_red_for_the_v6_encoding(self, checkpoint):
+        """Writing the packed states back — v6's base64 RNGs and the
+        generator's id counter — fails the total and the per-RNG bound."""
+        state, _, n_series, rngs = checkpoint
+        sizes = _sizes(_v6_encoding(state, rngs), self.COMPACT, n_series)
+        assert sizes["total"] > self.TOTAL
+        assert sizes["rng"] > self.RNG
+
     def test_budget_goes_red_for_the_v3_encoding(self, checkpoint):
         """The gate has teeth: the same state as v3 wrote it — decimal
         RNG words, a keyed object per series, ``", "`` / ``": "`` — fails
         every one of the three bounds."""
-        state, _, n_series = checkpoint
-        sizes = _sizes(_v3_encoding(state), None, n_series)
+        state, _, n_series, rngs = checkpoint
+        sizes = _sizes(_v3_encoding(_v6_encoding(state, rngs)), None, n_series)
         assert sizes["total"] > self.TOTAL
         assert sizes["rng"] > self.RNG
         assert sizes["metric_series"] > self.PER_SERIES
@@ -627,7 +663,18 @@ class TestLoudRefusal:
             root, version=5, analyst_rng=[3, "", None], rule_seq=135,
             clock_now=1.0, batch_counter=3, totals={"items": 0},
         )
-        self._assert_refused(root, r"version 5 is not supported \(expected 6\)")
+        self._assert_refused(
+            root, rf"version 5 is not supported \(expected {CHECKPOINT_VERSION}\)"
+        )
+
+    def test_v6_checkpoint_refused(self, root):
+        """v6 wrote each RNG's packed state and the generator's id counter;
+        a v6 root is refused naming both versions, with no converter."""
+        self._edit_checkpoint(
+            root, version=6, stream={"rng": [3, "", None]},
+            generator={"rng": [3, "", None], "next_id": 766},
+        )
+        self._assert_refused(root, r"checkpoint version 6 is not supported \(expected 7\)")
 
     @pytest.mark.parametrize(
         "damage, match",
@@ -639,14 +686,16 @@ class TestLoudRefusal:
                 r"'metrics\.rule_label_exceptions' is missing",
             ),
             (
-                lambda s: s["stream"]["rng"].__setitem__(
-                    1, base64.b64encode(base64.b64decode(s["stream"]["rng"][1])[:-4]).decode()
-                ),
-                r"'stream\.rng': state is 2496 bytes \(expected 2500\)",
+                lambda s: s["stream"]["rng"].__setitem__("drawn", s["stream"]["rng"]["drawn"] + 1),
+                r"'stream\.rng\.check' is '[0-9a-f]{16}', but \d+ words past the seeded startup",
             ),
             (
-                lambda s: s["generator"]["rng"].__setitem__(0, 2),
-                r"'generator\.rng' holds Mersenne Twister state version 2 \(expected 3\)",
+                lambda s: s["generator"]["rng"].__setitem__("check", "0" * 16),
+                r"'generator\.rng\.check' is '0{16}', but \d+ words past the seeded startup",
+            ),
+            (
+                lambda s: s["generator"]["rng"].__setitem__("drawn", "2232"),
+                r"'generator\.rng\.drawn' is '2232'; expected a word count",
             ),
             (
                 lambda s: s["metrics"]["counters"][0][2][0].pop(),
@@ -659,7 +708,8 @@ class TestLoudRefusal:
         ],
         ids=[
             "rng-missing", "metrics-section-missing",
-            "rule-label-exceptions-missing", "rng-short-blob", "rng-version",
+            "rule-label-exceptions-missing", "rng-drawn-tampered", "rng-check-tampered",
+            "rng-drawn-not-int",
             "counter-row-narrow", "histogram-row-wide",
         ],
     )
