@@ -17,8 +17,8 @@ so ``span_count`` is constant in the item count. The loop takes ~0.1 s and
 the difference sits inside this host's run-to-run drift, so the relative
 figure is reported, not gated. The served path's tracing overhead is
 gated by the ledger (``ledger.trace_overhead_share``, benchmarks/ledger).
-The CI smoke job runs the small configuration and fails the build when
-identity breaks or the span count grows. Run directly:
+The run exits 1 when identity breaks or a traced run emits more than
+``MAX_SPANS`` spans. Run directly:
 
     python benchmarks/bench_obs_overhead.py                  # full scale
     python benchmarks/bench_obs_overhead.py --rules 100 --items 500  # smoke
@@ -45,6 +45,8 @@ from bench_exec_prepared import build_corpus  # noqa: E402
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_obs.json")
+#: Spans one traced run may emit: its run-level spans, never one per item.
+MAX_SPANS = 3
 
 def run_once(rules, items, observability=None):
     result = PartitionedExecutor(rules, n_workers=1, observability=observability).run(items)
@@ -140,6 +142,10 @@ def main(argv=None):
     if not identical:
         print("FAIL: fired maps differ between traced and plain runs",
               file=sys.stderr)
+        return 1
+    if payload["span_count"] > MAX_SPANS:
+        print(f"FAIL: a traced run emitted {payload['span_count']} spans, "
+              f"more than {MAX_SPANS}", file=sys.stderr)
         return 1
     return 0
 

@@ -13,13 +13,17 @@ where it fits a learner (``LearningClassifierStage.fit`` builds
 :func:`default_ensemble` there), so a rules-only process never loads it.
 """
 
+from repro import lazy_exports
 from repro.learning.base import LabelEncoder, Prediction, TextClassifier
 from repro.learning.ensemble import VotingEnsemble, default_ensemble
 from repro.learning.features import TfidfVectorizer
 from repro.learning.knn import KNearestNeighbors
-from repro.learning.logistic import LogisticRegressionClassifier
 from repro.learning.naive_bayes import MultinomialNaiveBayes
 from repro.learning.svm import LinearSvmClassifier
+
+# Read on first access (:func:`repro.lazy_exports`): the default ensemble
+# has no logistic member, so a learning daemon never compiles it.
+__getattr__ = lazy_exports(__name__, {"logistic": ("LogisticRegressionClassifier",)})
 
 __all__ = [
     "KNearestNeighbors",

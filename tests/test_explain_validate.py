@@ -110,6 +110,34 @@ class TestChimeraExplain:
         assert tracker.state_dict() == windows
         assert chimera.health_report() == health
 
+    @pytest.mark.parametrize("learning", [True, False], ids=["learning", "no-learning"])
+    def test_the_explanation_ends_in_the_label_classify_gives(self, learning):
+        """``explain_item`` decides gate, stages, vote and filter again,
+        outside the batch path: over a served world's first six batches,
+        with a killed type and a suppressed one, its last line names the
+        label ``classify_item`` gives."""
+        from repro.world import RunIds, build_world
+
+        world = build_world(7, RunIds("svc"), training=120, min_examples=2, mean_gap_hours=6.0)
+        chimera = world.chimera
+        chimera.add_whitelist_rules(world.startup_rules)
+        chimera.filter.kill_type("rings")
+        chimera.voting.suppressed_types.add("jeans")
+        chimera.learning_stage.suppressed_types.add("jeans")
+        chimera.learning_stage.enabled = learning
+        mismatches, seen = [], 0
+        for _ in range(6):
+            batch = world.stream.next_batch()
+            chimera.engine.add_items(batch.items)
+            for product in batch.items:
+                result = chimera.classify_item(product)
+                final = f"final: {(result and result.label) or 'unclassified'}"
+                last = chimera.explain_item(product).rsplit("\n", 1)[-1]
+                if last != final:
+                    mismatches.append((product.item_id, last, final))
+                seen += 1
+        assert seen > 600 and not mismatches, mismatches[:5]
+
 
 class TestTaxonomyValidation:
     def test_seed_taxonomy_is_clean(self, taxonomy):

@@ -864,22 +864,34 @@ class TestMonitorCli:
         assert "rule health" in captured.out
         payload = json.loads(out.read_text())
         assert payload["rules"], "health JSON should cover at least one rule"
+        assert payload["batches"] == 2
         sample = next(iter(payload["rules"].values()))
         assert "fire_rate" in sample and "drifted" in sample
 
-    def test_monitor_synthesized_with_drift_flag(self, capsys):
+    def test_monitor_synthesized_with_drift_flag(self, tmp_path, capsys):
+        """The drift is applied (the rules see other items than the same
+        run without it), and the crowd join raises alerts."""
         from repro.cli import main
 
-        rc = main([
-            "monitor",
-            "--items", "80",
-            "--batches", "4",
-            "--baseline-batches", "1",
-            "--training", "300",
-            "--drift",
-            "--seed", "5",
-        ])
-        assert rc == 0
+        def monitor(*extra):
+            out = tmp_path / "health.json"
+            rc = main([
+                "monitor",
+                "--rules", str(GOLDEN / "ruleset.json"),
+                "--items", "120",
+                "--batches", "4",
+                "--baseline-batches", "1",
+                "--training", "500",
+                "--crowd-sample", "3",
+                "--json", str(out),
+                *extra,
+            ])
+            assert rc == 0
+            return json.loads(out.read_text())
+
+        drifted = monitor("--drift")
         captured = capsys.readouterr()
         assert "rule health" in captured.out
         assert "injected head-vocabulary drift" in captured.err
+        assert drifted["rules"] and drifted["alerts"]
+        assert drifted["rules"] != monitor()["rules"]
