@@ -50,9 +50,10 @@ class RuleFold:
 
 class StageAnswer:
     """One stage's answer for one item — votes, allowed-type restriction
-    and provenance trace — in the shape :meth:`VotingMaster.combine
-    <repro.chimera.voting.VotingMaster.combine>` reads a stage, so the
-    pipeline votes over answers a batch call computed earlier."""
+    and provenance trace, under the stage's ``name`` and ``enabled`` — and
+    the one thing a stage hands on: :meth:`VotingMaster.combine
+    <repro.chimera.voting.VotingMaster.combine>` reads these fields, so
+    the pipeline votes over answers a batch call computed earlier."""
 
     __slots__ = ("name", "enabled", "votes", "allowed", "trace")
 
@@ -68,12 +69,6 @@ class StageAnswer:
         self.votes = votes
         self.allowed = allowed
         self.trace = trace
-
-    def predict(self, item: ItemLike) -> List[Prediction]:
-        return self.votes
-
-    def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        return self.allowed
 
 
 class ClassifierStage(ABC):

@@ -63,17 +63,9 @@ class FinalFilter(RuleFold):
                 fired=verdict.fired,
                 vetoed=tuple(sorted(vetoed)),
             )
-        return first_surviving(ranked, vetoed, confidence_threshold), trace
-
-
-def first_surviving(
-    ranked: List[Prediction], vetoed: Set[str], confidence_threshold: float
-) -> Optional[Prediction]:
-    """The Filter's walk: the first candidate of ``ranked`` not ``vetoed``,
-    stopping at the first one below ``confidence_threshold``."""
-    for candidate in ranked:
-        if candidate.weight < confidence_threshold:
-            return None
-        if candidate.label not in vetoed:
-            return candidate
-    return None
+        for candidate in ranked:
+            if candidate.weight < confidence_threshold:
+                break
+            if candidate.label not in vetoed:
+                return candidate, trace
+        return None, trace

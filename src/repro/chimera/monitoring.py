@@ -7,7 +7,7 @@ per-type error counts and raises degradation flags the IncidentManager
 acts on.
 
 Besides *quality* degradation, a deployed pipeline must survive *component*
-failure: a classifier stage whose predict() starts throwing (bad model
+failure: a classifier stage whose answers start throwing (bad model
 artifact, poisoned dictionary, resource exhaustion) must be routed around,
 not allowed to take down classification of every item. That is the job of:
 
@@ -307,7 +307,7 @@ class StageHealthMonitor:
 
     def record_success(self, stage_name: str, calls: int = 1) -> None:
         """Book ``calls`` allowed-and-returned calls (a batch books its
-        items in bulk: two per item, the votes and the constraints)."""
+        items in bulk: one per item, its answer)."""
         self.breaker(stage_name).record_success(calls)
         if self.metrics is not None:
             self.metrics.counter("stage_success_total", stage=stage_name).inc(calls)
@@ -351,12 +351,12 @@ class GuardedStage:
     at a time, so the pipeline keeps classifying when the stage misbehaves.
 
     While the stage's breaker is CLOSED the whole batch is one call, booked
-    in bulk but item-denominated: two successes per item (its votes and its
-    constraints), exactly what answering item by item books. When the
-    breaker is not CLOSED, or the batch call raises, the batch is answered
-    item by item under the per-call guard instead — an exception costs only
-    that item's votes (and feeds the monitor), and an open breaker skips
-    the stage until its cooldown, counted in calls, elapses.
+    in bulk but item-denominated: one success per item, exactly what
+    answering item by item books. When the breaker is not CLOSED, or the
+    batch call raises, each item is answered by one guarded ``answer`` call
+    instead — an exception costs only that item's answer (no votes, no
+    restriction) and feeds the monitor, and an open breaker skips the
+    stage until its cooldown, counted in items, elapses.
     ``name``/``enabled`` delegate to the wrapped stage, so operator actions
     on the underlying object (disabling, retraining) stay visible.
     """
@@ -389,7 +389,7 @@ class GuardedStage:
                     # offending items and books each on its own.
                     span.set_attribute("batch_error", type(exc).__name__)
                 else:
-                    self.health.record_success(name, 2 * len(items))
+                    self.health.record_success(name, len(items))
                     span.set_attribute("outcome", "ok")
                     return answers
             span.set_attribute("outcome", "per-item")
@@ -397,24 +397,15 @@ class GuardedStage:
             return [self._answer(item, traced, h) for item, h in zip(items, per_item)]
 
     def _answer(self, item, traced: bool, hits) -> StageAnswer:
-        """One item, two guarded calls: its answer, then its constraints
-        (which a returned answer already holds)."""
-        answer = self._call(lambda: self.stage.answer(item, traced, hits))
-        if answer is not None:
-            self.health.record_success(self.stage.name)  # the constraints call
-            return answer
-        allowed = self._call(lambda: self.stage.constraints(item, hits))
-        return StageAnswer(self.stage, [], allowed)
-
-    def _call(self, method: Callable):
-        """``method()``, or None when routed around or raising."""
+        """One item, one guarded call: its answer, or an empty one when
+        routed around or raising."""
         name = self.stage.name
-        if not self.health.allow(name):
-            return None
-        try:
-            result = method()
-        except Exception as exc:
-            self.health.record_failure(name, exc)
-            return None
-        self.health.record_success(name)
-        return result
+        if self.health.allow(name):
+            try:
+                answer = self.stage.answer(item, traced, hits)
+            except Exception as exc:
+                self.health.record_failure(name, exc)
+            else:
+                self.health.record_success(name)
+                return answer
+        return StageAnswer(self.stage, [])

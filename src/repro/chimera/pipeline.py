@@ -18,9 +18,8 @@ from repro.chimera.classifiers import (
     AttributeValueClassifier,
     LearningClassifierStage,
     RuleBasedClassifier,
-    StageAnswer,
 )
-from repro.chimera.filter import FinalFilter, first_surviving
+from repro.chimera.filter import FinalFilter
 from repro.chimera.gatekeeper import GateAction, GateKeeper
 from repro.chimera.monitoring import GuardedStage, StageHealthMonitor
 from repro.chimera.voting import VotingMaster
@@ -445,9 +444,7 @@ class Chimera:
                 if passed and stage.enabled
             ])) or [()] * len(passed)
             with obs.span("chimera.vote"):
-                votes = [
-                    self.voting.combine(item, row) for item, row in zip(passed, rows)
-                ]
+                votes = [self.voting.combine(row) for row in rows]
             with obs.span("chimera.filter"):
                 threshold = self.voting.confidence_threshold
                 picks = [
@@ -502,11 +499,11 @@ class Chimera:
         explanation crisp. Learning votes are reported as such — which is
         exactly why business-critical types are forced through rules.
 
-        Read-only: one read of the item's engine row, folded by every rule
-        set, and one pass over the learners :meth:`classify_batch`
-        consults, outside the circuit-breaker guards — no provenance
-        record, no health-window observation, no stage trace, no breaker
-        call. A raising rule or stage raises here.
+        Read-only: one read of the item's engine row, then every stage's
+        ``answer``, the Voting Master's ``combine`` and the Filter's
+        ``select`` that :meth:`classify_batch` runs, outside the
+        circuit-breaker guards — no provenance record, no health-window
+        observation, no breaker call. A raising rule or stage raises here.
         """
         from repro.core.explain import explain_verdict
 
@@ -518,32 +515,28 @@ class Chimera:
         ]
         answers = []
         for stage, slot in ((self.rule_stage, _RULES), (self.attr_stage, _ATTR)):
+            answers.append(stage.answer(prepared, hits=hits[slot]))
             verdict = stage.verdict(prepared, hits[slot])
-            answers.append(
-                StageAnswer(stage, verdict.predictions, stage.allowed(verdict))
-            )
             explanation = explain_verdict(stage.rules, prepared.item, verdict)
             if explanation.steps:
                 lines.append(f"stage {stage.name}:")
                 for step in explanation.steps:
                     lines.append(f"  [{step.kind}] {step.statement} -> {step.effect}")
-        learning_votes = self.learning_stage.predict(prepared)
-        answers.append(StageAnswer(self.learning_stage, learning_votes))
-        if learning_votes:
-            rendered = ", ".join(f"{p.label} ({p.weight:.2f})" for p in learning_votes)
+        learning = self.learning_stage.answer(prepared)
+        answers.append(learning)
+        if learning.votes:
+            rendered = ", ".join(f"{p.label} ({p.weight:.2f})" for p in learning.votes)
             lines.append(f"stage learning: {rendered}")
-        filter_vetoes = self.filter.killed_types | set(
-            self.filter.verdict(prepared, hits[_FILTER]).vetoed
+        _final, ranked = self.voting.combine(answers)
+        pick, filter_trace = self.filter.select(
+            prepared, ranked, self.voting.confidence_threshold,
+            traced=True, hits=hits[_FILTER],
         )
-        if filter_vetoes:
-            lines.append(f"filter vetoes: {sorted(filter_vetoes)}")
+        if filter_trace.vetoed:
+            lines.append(f"filter vetoes: {list(filter_trace.vetoed)}")
         label = decision.label
         if decision.action is GateAction.PASS:
-            _final, ranked = self.voting.combine(prepared, answers)
-            chosen = first_surviving(
-                ranked, filter_vetoes, self.voting.confidence_threshold
-            )
-            label = chosen.label if chosen is not None else None
+            label = pick.label if pick is not None else None
         lines.append(f"final: {label if label else 'unclassified'}")
         return "\n".join(lines)
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.catalog.types import ProductItem
-from repro.chimera.classifiers import ClassifierStage
-from repro.core.prepared import ItemLike
+from repro.chimera.classifiers import StageAnswer
 from repro.core.rule import Prediction
 
 
@@ -47,11 +45,11 @@ class VotingMaster:
         return self.default_weights.get(stage_name, 1.0)
 
     def combine(
-        self,
-        item: ItemLike,
-        stages: Sequence[ClassifierStage],
+        self, answers: Sequence[StageAnswer]
     ) -> Tuple[Optional[Prediction], List[Prediction]]:
-        """Combine all enabled stages' votes.
+        """Combine one item's answers from the enabled stages: each votes
+        its ``votes`` at its stage's weight, and each ``allowed`` restricts
+        every stage's candidates.
 
         Returns ``(final, ranked)`` where ``final`` is None when confidence
         is below threshold (the item stays unclassified) and ``ranked`` is
@@ -59,18 +57,17 @@ class VotingMaster:
         """
         votes: Dict[str, float] = {}
         allowed: Optional[Set[str]] = None
-        for stage in stages:
-            if not stage.enabled:
+        for answer in answers:
+            if not answer.enabled:
                 continue
-            for prediction in stage.predict(item):
+            for prediction in answer.votes:
                 if prediction.label in self.suppressed_types:
                     continue
                 votes[prediction.label] = votes.get(prediction.label, 0.0) + (
-                    self.weight_for(stage.name) * prediction.weight
+                    self.weight_for(answer.name) * prediction.weight
                 )
-            stage_allowed = stage.constraints(item)
-            if stage_allowed is not None:
-                allowed = stage_allowed if allowed is None else allowed & stage_allowed
+            if answer.allowed is not None:
+                allowed = answer.allowed if allowed is None else allowed & answer.allowed
         if allowed is not None:
             votes = {label: v for label, v in votes.items() if label in allowed}
         if not votes:

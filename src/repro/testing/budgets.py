@@ -21,11 +21,12 @@ RESUMED_B_PER_CHANGE = int(520.8 * 1.05)
 
 # Interpreter calls per served item (tests/test_served_budget.py), equal
 # over PYTHONHASHSEED 0, 1, 2 and random; both include generating the
-# batch. With items drawn before they are formatted and templates parsed
-# once, the rules-only world reads 387.7 (0430dcc read 397.8; 8e8444a
-# 400.6) and the default config 558.4 (0430dcc 568.8; 0bc7b98 555.8;
-# 3097a09 668.4, 32.4 of them made from scipy), under its ceiling.
-CALL_BUDGET = {"training=0": round(387.7 * 1.05, 1), "default": round(555.8 * 1.05, 1)}
+# batch. With each stage's answer handed to the Voting Master as it is
+# (one guarded call per item, no adapter) and the Filter's walk inline,
+# the rules-only world reads 369.5 and the default config 540.1
+# (e5c0a5e read 376.5 / 547.1; 0430dcc 397.8 / 568.8; 8e8444a 400.6 / -;
+# 0bc7b98 - / 555.8; 3097a09 - / 668.4, 32.4 of them made from scipy).
+CALL_BUDGET = {"training=0": round(369.5 * 1.05, 1), "default": round(540.1 * 1.05, 1)}
 
 # Interpreter calls StreamService(root).start() makes to resume a seed-7
 # training=0 root (tests/test_resume_budget.py), from roots of 15 and 30

@@ -116,53 +116,45 @@ class TestLearningStage:
 
 
 class TestVotingMaster:
-    class FakeStage:
-        def __init__(self, name, predictions, allowed=None):
+    class FakeAnswer:
+        def __init__(self, name, votes, allowed=None):
             self.name = name
             self.enabled = True
-            self._predictions = predictions
-            self._allowed = allowed
-
-        def predict(self, item):
-            return self._predictions
-
-        def constraints(self, item):
-            return self._allowed
+            self.votes = votes
+            self.allowed = allowed
 
     def test_rule_votes_outweigh_learning(self):
-        rule_stage = self.FakeStage("rule-based", [Prediction("rings", 1.0)])
-        learn_stage = self.FakeStage("learning", [Prediction("books", 1.0)])
+        rule_answer = self.FakeAnswer("rule-based", [Prediction("rings", 1.0)])
+        learn_answer = self.FakeAnswer("learning", [Prediction("books", 1.0)])
         final, ranked = VotingMaster(confidence_threshold=0.4).combine(
-            item("x"), [rule_stage, learn_stage]
+            [rule_answer, learn_answer]
         )
         assert final.label == "rings"
 
     def test_low_confidence_declines(self):
-        stage_a = self.FakeStage("learning", [
+        answer = self.FakeAnswer("learning", [
             Prediction("a", 0.34), Prediction("b", 0.33), Prediction("c", 0.33)])
-        final, ranked = VotingMaster(confidence_threshold=0.5).combine(
-            item("x"), [stage_a]
-        )
+        final, ranked = VotingMaster(confidence_threshold=0.5).combine([answer])
         assert final is None
         assert len(ranked) == 3
 
     def test_constraints_filter_votes(self):
-        rule_stage = self.FakeStage("rule-based", [Prediction("rings", 1.0)])
-        constraint = self.FakeStage("attr-value", [], allowed={"books"})
-        final, ranked = VotingMaster().combine(item("x"), [rule_stage, constraint])
+        rule_answer = self.FakeAnswer("rule-based", [Prediction("rings", 1.0)])
+        constraint = self.FakeAnswer("attr-value", [], allowed={"books"})
+        final, ranked = VotingMaster().combine([rule_answer, constraint])
         assert final is None and ranked == []
 
     def test_suppressed_types_dropped(self):
         master = VotingMaster(confidence_threshold=0.1)
         master.suppressed_types.add("rings")
-        stage = self.FakeStage("rule-based", [Prediction("rings", 1.0)])
-        final, ranked = master.combine(item("x"), [stage])
+        answer = self.FakeAnswer("rule-based", [Prediction("rings", 1.0)])
+        final, ranked = master.combine([answer])
         assert final is None
 
     def test_disabled_stage_ignored(self):
-        stage = self.FakeStage("rule-based", [Prediction("rings", 1.0)])
-        stage.enabled = False
-        final, _ = VotingMaster().combine(item("x"), [stage])
+        answer = self.FakeAnswer("rule-based", [Prediction("rings", 1.0)])
+        answer.enabled = False
+        final, _ = VotingMaster().combine([answer])
         assert final is None
 
 

@@ -224,11 +224,6 @@ class _CountingStage:
         self.batch_calls += 1
         return [self.answer(item) for item in items]
 
-    def constraints(self, item, hits=None):
-        if self.broken:
-            raise RuntimeError("constraint table unreadable")
-        return {"books"}
-
 
 def _shape(answers):
     return [(answer.votes, answer.allowed) for answer in answers]
@@ -247,12 +242,12 @@ class TestGuardedStage:
         stage = _CountingStage()
         guarded = GuardedStage(stage, health)
         assert _shape(guarded.answer_batch([None])) == [(["vote"], {"books"})]
-        assert health.report()["stub"]["successes"] == 2
-        # A healthy batch is one stage call, booked two successes per item.
+        assert health.report()["stub"]["successes"] == 1
+        # A healthy batch is one stage call, booked one success per item.
         assert len(guarded.answer_batch(list("abcde"))) == 5
         assert stage.batch_calls == 2
-        assert health.report()["stub"]["successes"] == 12
-        assert health.breaker("stub").total_successes == 12
+        assert health.report()["stub"]["successes"] == 6
+        assert health.breaker("stub").total_successes == 6
 
     def test_exceptions_become_no_votes(self):
         health = StageHealthMonitor(failure_threshold=10)
@@ -260,20 +255,20 @@ class TestGuardedStage:
         stage.broken = True
         guarded = GuardedStage(stage, health)
         assert _shape(guarded.answer_batch([None])) == [([], None)]
-        assert health.report()["stub"]["failures"] == 2
+        assert health.report()["stub"]["failures"] == 1
 
     def test_a_poison_item_costs_only_its_own_vote(self):
         health = StageHealthMonitor(failure_threshold=10)
         stage = _CountingStage()
         stage.poison = ("c",)
         guarded = GuardedStage(stage, health)
-        # Its votes are lost; its constraints call still answers.
+        # Its answer is lost: no votes and no restriction.
         assert _shape(guarded.answer_batch(list("abcde"))) == [
-            (["vote"], {"books"}), (["vote"], {"books"}), ([], {"books"}),
+            (["vote"], {"books"}), (["vote"], {"books"}), ([], None),
             (["vote"], {"books"}), (["vote"], {"books"}),
         ]
         report = health.report()["stub"]
-        assert (report["successes"], report["failures"]) == (9, 1)
+        assert (report["successes"], report["failures"]) == (4, 1)
         assert health.breaker("stub").state is BreakerState.CLOSED
 
     def test_open_breaker_skips_the_stage_entirely(self):
@@ -285,17 +280,15 @@ class TestGuardedStage:
         calls_before = (stage.calls, stage.batch_calls)
         assert _shape(guarded.answer_batch([None, None])) == [([], None)] * 2
         assert (stage.calls, stage.batch_calls) == calls_before  # never invoked while open
-        # the tripping item's constraints call, then two calls per item
-        assert health.routed_around["stub"] == 5
+        # one routed-around call per item of the second batch
+        assert health.routed_around["stub"] == 2
 
 
 def _sabotage(stage):
     """Break a stage the way a bad artifact does: every call throws.
 
-    Patching the stage's fold seam, ``verdict``, fails both
-    ``predict`` and ``constraints`` — a stage broken only in one method
-    keeps having its breaker reset by the other method's successes, which
-    is correct breaker behaviour but not what these tests are about.
+    Patching the stage's fold seam, ``verdict``, fails every answer the
+    stage gives, batched or one item at a time.
     """
     def boom(*args, **kwargs):
         raise RuntimeError("rule dictionary corrupted")
@@ -341,8 +334,8 @@ class TestChimeraStageFailure:
         assert chimera.health_report()["attr-value"]["state"] == "open"
 
     def test_a_raising_rule_is_contained_and_opens_the_breaker(self):
-        """Not the seam but a *rule* throws: the engine evaluates it inside
-        ``predict``/``constraints``, so the guard sees the exception."""
+        """Not the seam but a *rule* throws: the stage evaluates it inside
+        its ``answer``, so the guard sees the exception."""
         def corrupted(prepared):
             raise RuntimeError("udf backend unreachable")
 
@@ -361,6 +354,39 @@ class TestChimeraStageFailure:
         # condition (the artifact holds disabled rules); retiring it does.
         chimera.attr_stage.rules.remove("bad-udf")
         assert chimera.attr_stage.predict(ITEMS[2])[0].label == "books"
+
+    @staticmethod
+    def _opens_one_incident(chimera, stage_name):
+        """Classify ``ITEMS`` under ``watch_health``: ``stage_name``'s
+        breaker opens and one stage-failure incident names it."""
+        manager = IncidentManager(chimera)
+        manager.watch_health(SimClock())
+        chimera.classify_batch(ITEMS)
+        report = chimera.health_report()[stage_name]
+        assert (report["state"], report["failures"], report["successes"]) == ("open", 3, 0)
+        assert [(i.kind, i.affected_types) for i in manager.incidents] == [
+            ("stage-failure", (stage_name,))
+        ]
+
+    def test_a_raising_whitelist_rule_opens_the_rule_stage_breaker(self):
+        """Every item raises in the rule stage's answer and books no
+        success, so three items open its breaker at the default threshold."""
+        def corrupted(prepared):
+            raise RuntimeError("udf backend unreachable")
+
+        chimera = build_chimera(failure_threshold=3)
+        chimera.add_whitelist_rules([
+            PredicateRule([Clause("udf(lookup)", corrupted)], "rings", rule_id="bad-wl")
+        ])
+        self._opens_one_incident(chimera, "rule-based")
+
+    def test_a_raising_learner_opens_the_learning_stage_breaker(self):
+        def unreadable(items, traced=False, hits=None):
+            raise RuntimeError("model input unreadable")
+
+        chimera = build_chimera(failure_threshold=3)
+        chimera.learning_stage.answer_batch = unreadable
+        self._opens_one_incident(chimera, "learning")
 
     def test_healthy_pipeline_is_unchanged_by_the_guard(self):
         guarded = build_chimera().classify_batch(ITEMS)

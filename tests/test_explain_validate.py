@@ -115,7 +115,11 @@ class TestChimeraExplain:
         """``explain_item`` decides gate, stages, vote and filter again,
         outside the batch path: over a served world's first six batches,
         with a killed type and a suppressed one, its last line names the
-        label ``classify_item`` gives."""
+        label ``classify_item`` gives, its ``gate:`` line the gate decision
+        the item's provenance record holds and, for an item the gate passed
+        that got a vote, its ``filter vetoes:`` line the record's
+        ``filter_vetoed``."""
+        from repro.observability.provenance import ProvenanceLog
         from repro.world import RunIds, build_world
 
         world = build_world(7, RunIds("svc"), training=120, min_examples=2, mean_gap_hours=6.0)
@@ -125,18 +129,33 @@ class TestChimeraExplain:
         chimera.voting.suppressed_types.add("jeans")
         chimera.learning_stage.suppressed_types.add("jeans")
         chimera.learning_stage.enabled = learning
-        mismatches, seen = [], 0
+        chimera.enable_quality_telemetry(ProvenanceLog(capacity=1))
+        mismatches, seen, vetoing = [], 0, 0
         for _ in range(6):
             batch = world.stream.next_batch()
             chimera.engine.add_items(batch.items)
             for product in batch.items:
                 result = chimera.classify_item(product)
-                final = f"final: {(result and result.label) or 'unclassified'}"
-                last = chimera.explain_item(product).rsplit("\n", 1)[-1]
-                if last != final:
-                    mismatches.append((product.item_id, last, final))
+                (record,) = chimera.provenance.records
+                lines = chimera.explain_item(product).split("\n")
+                expected = [
+                    f"gate: {record.gate_action}"
+                    + (f" ({record.gate_reason})" if record.gate_reason else ""),
+                    f"final: {(result and result.label) or 'unclassified'}",
+                ]
+                got = [lines[0], lines[-1]]
+                if record.gate_action == "pass" and record.ranked:
+                    vetoes = [line for line in lines if line.startswith("filter vetoes: ")]
+                    expected.append(
+                        [f"filter vetoes: {list(record.filter_vetoed)}"]
+                        if record.filter_vetoed else []
+                    )
+                    got.append(vetoes)
+                    vetoing += bool(record.filter_vetoed)
+                if got != expected:
+                    mismatches.append((product.item_id, got, expected))
                 seen += 1
-        assert seen > 600 and not mismatches, mismatches[:5]
+        assert seen > 600 and vetoing and not mismatches, mismatches[:5]
 
 
 class TestTaxonomyValidation:
