@@ -324,11 +324,16 @@ class SequenceRule(Rule):
     def __init__(self, token_sequence: Sequence[str], target_type: str, support: float = 0.0, **metadata):
         if not token_sequence:
             raise ValueError("sequence rule needs at least one token")
+        tokens = []
         for token in token_sequence:
-            if not isinstance(token, str) or tokenize_uncached(token, False) != (token,):
+            # The tokenizer hands back its (interned) token: rules keep it,
+            # so equal tokens are one string across a rule base.
+            checked = isinstance(token, str) and tokenize_uncached(token, False)
+            if checked != (token,):
                 raise ValueError(f"sequence rule token {token!r} is not a title token")
+            tokens.append(checked[0])
         super().__init__(target_type, **metadata)
-        self.token_sequence: Tuple[str, ...] = tuple(token_sequence)
+        self.token_sequence: Tuple[str, ...] = tuple(tokens)
         self.support = support
 
     @property

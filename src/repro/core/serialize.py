@@ -9,6 +9,7 @@ should be expressed in the DSL instead (see :mod:`repro.core.language`).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, List, Sequence
 
 from repro.core.errors import RuleError
@@ -56,11 +57,23 @@ def rule_to_dict(rule: Rule) -> Dict[str, Any]:
     return payload
 
 
+def _shared(value: Any) -> Any:
+    return sys.intern(value) if type(value) is str else value
+
+
 def rule_from_dict(payload: Dict[str, Any]) -> Rule:
-    """Rebuild a rule from :func:`rule_to_dict` output."""
-    metadata = {field: payload[field] for field in _COMMON_FIELDS if field in payload}
+    """Rebuild a rule from :func:`rule_to_dict` output.
+
+    Its strings are interned (a sequence rule interns its tokens itself):
+    a rule set replayed from a change log shares its target types,
+    authors and provenances the way the set that wrote it did, rather
+    than holding a decoded copy of each per rule.
+    """
+    metadata = {
+        field: _shared(payload[field]) for field in _COMMON_FIELDS if field in payload
+    }
     kind = payload.get("kind")
-    target = payload["target_type"]
+    target = _shared(payload["target_type"])
     if kind == "whitelist":
         rule: Rule = WhitelistRule(payload["pattern"], target, **metadata)
     elif kind == "blacklist":

@@ -9,7 +9,7 @@ exists until the pipeline materializes the rules it selected.
 Three structural ideas carry it:
 
 * **Representatives.** Catalog titles repeat heavily (templated vendor
-  feeds), so rows collapse to *reps* — distinct ``(token tuple, label)``
+  feeds), so rows collapse to *reps* — distinct ``(token sequence, label)``
   pairs with integer row weights, stored label-major so each type's reps
   are one contiguous id range. A sequence is contained in all copies of
   a title or none, so weighted rep counting is exactly row counting.
@@ -28,19 +28,27 @@ Three structural ideas carry it:
   densely so packed keys stay small at every length. A level passes on
   only its frequent groups' reps, as a compact CSR.
 
-Positions, reps, token ids and prefixes are ``int32``; only the packed
-sort key and the weight sums are ``int64``. numpy wraps silently, so the
-index bounds its columns (:func:`_require_int32`) and each level its
-largest key (:func:`_require_int64`) in Python integers first, and raises
-instead.
+Positions, reps, token ids, prefixes, weight sums (counts) and coverage
+slices (``lo``/``hi``) are ``int32``; only the packed sort key is
+``int64``. numpy wraps silently, so the index bounds its columns, each
+level its counts and slices, and the table its concatenated slices
+(:func:`_require_int32`), and each level its largest key
+(:func:`_require_int64`), in Python integers first, and raises instead.
+A level's working set is freed before the next level's sort, and the
+table is assembled column by column: the peak is the largest level's
+observation columns beside the levels already yielded.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, islice
-from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from array import array
+from collections import defaultdict
+from itertools import chain, count, islice
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 import numpy as _np
 
@@ -72,6 +80,32 @@ def _require_int64(n_codes: int, radix: int, what: str) -> None:
             f"{what}: {n_codes} sequence codes over {radix} positions pack "
             f"keys up to {largest}, past the int64 limit {_INT64_MAX}"
         )
+
+
+def _numbering() -> Dict[Hashable, int]:
+    """A dict that numbers each key the first time it is read: 0, 1, ..."""
+    return defaultdict(count().__next__)
+
+
+def _ranks(values: List[str]) -> "_np.ndarray":
+    """``rank[code]``: the place of ``values[code]`` in ``sorted(values)``."""
+    rank = _np.empty(len(values), dtype=_np.int32)
+    rank[sorted(range(len(values)), key=values.__getitem__)] = _np.arange(
+        len(values), dtype=_np.int32
+    )
+    return rank
+
+
+def _drain(pieces: List["_np.ndarray"]) -> "_np.ndarray":
+    """``np.concatenate(pieces)``, emptying ``pieces``: each goes once it
+    is copied."""
+    out = _np.empty(sum(map(len, pieces)), dtype=pieces[0].dtype)
+    at = 0
+    while pieces:
+        piece = pieces.pop(0)
+        out[at:at + piece.size] = piece
+        at += piece.size
+    return out
 
 
 def _boundaries(*columns) -> "_np.ndarray":
@@ -107,6 +141,10 @@ def mine_levels(
     weighted reps.
     """
     n_pos = tok.size
+    # Every count is a sum of weights: bounding their total bounds them all,
+    # so the sums run in int32.
+    _require_int32(int(rep_weight.sum()), "count")
+    rep_weight = rep_weight.astype(_np.int32)
     code, pos = tok.astype(_np.int64), _np.arange(n_pos, dtype=_np.int32)
     n_codes = vocab
     prefixes = None
@@ -128,23 +166,26 @@ def mine_levels(
         pos = pos[leftmost]
         label = rep_label[rep]
         group_lo = _np.flatnonzero(_boundaries(code, label))
-        group_size = _np.diff(group_lo, append=rep.size)
+        group_size = _np.diff(group_lo, append=rep.size).astype(_np.int32)
         group_code = code[group_lo]
         group_label = label[group_lo]
         # Observation-sized columns go as soon as they are read: the peak
         # is a few of them at the largest level.
         del code, label, leftmost
-        group_count = _np.add.reduceat(rep_weight[rep], group_lo)
+        group_count = _np.add.reduceat(rep_weight[rep], group_lo, dtype=_np.int32)
+        del group_lo
         frequent = group_count >= min_counts[group_label]
         node_mask = _boundaries(group_code)
         node_lo = _np.flatnonzero(node_mask)
         _require_int32(node_lo.size, f"length-{length} sequences")
         node_of_group = _np.cumsum(node_mask, dtype=_np.int32) - 1
-        total = _np.add.reduceat(group_count, node_lo)
+        del node_mask
+        total = _np.add.reduceat(group_count, node_lo, dtype=_np.int32)
         alive = _np.logical_or.reduceat(frequent, node_lo)
         rank = _np.cumsum(alive, dtype=_np.int32) - 1
 
         alive_code = group_code[node_lo][alive]
+        del group_code, node_lo
         if prefixes is None:
             prefixes = alive_code.astype(_np.int32)[:, None]
         else:
@@ -152,32 +193,37 @@ def mine_levels(
             prefixes = _np.column_stack(
                 (prefixes[parent], token.astype(_np.int32))
             )
-        hi = _np.cumsum(group_size[frequent])
-        reps = rep[_np.repeat(frequent, group_size)]
-        del rep
+            del parent, token
+        n_codes = alive_code.size * vocab
+        del alive_code
+        size = group_size[frequent]
+        _require_int32(int(size.sum(dtype=_np.int64)), f"length-{length} lo/hi")
+        hi = _np.cumsum(size, dtype=_np.int32)
         yield _Level(
             prefixes[rank[node_of_group[frequent]]],
             group_label[frequent],
             group_count[frequent],
             (group_count == total[node_of_group])[frequent],
-            hi - group_size[frequent],
+            hi - size,
             hi,
-            reps,
+            rep[_np.repeat(frequent, group_size)],
         )
-        del reps
+        del group_label, group_count, total, frequent, size, hi, rep
         if length == max_length or not alive.any():
             return
 
         # Extend every observation of a surviving sequence — other labels'
         # too: the next level's corpus-wide supports need them — by each
         # later position of its rep. The next level sorts its keys, so the
-        # extensions are built in one pass, in any order.
+        # extensions are built in one pass, in any order. Nothing of this
+        # level outlives the extension: the next sort is the peak.
         later = pos_end[pos]
         later -= pos
         later -= 1
         keep = _np.repeat(alive[node_of_group], group_size)
         keep &= later > 0
         node = _np.repeat(rank[node_of_group], group_size)[keep]
+        del alive, rank, node_of_group, group_size
         pos = pos[keep]
         later = later[keep]
         del keep
@@ -190,11 +236,11 @@ def mine_levels(
         step[0] = pos[0] + 1
         step[_np.cumsum(later[:-1])] = pos[1:] + 1 - (pos[:-1] + later[:-1])
         pos = _np.cumsum(step, out=step)
+        del step
         code = _np.repeat(node.astype(_np.int64), later)
         del node, later
         code *= vocab
         code += tok[pos]
-        n_codes = len(alive_code) * vocab
 
 
 class CandidateTable(NamedTuple):
@@ -239,62 +285,98 @@ class CorpusIndex:
             raise ValueError(
                 f"{len(labels)} labels for {len(token_lists)} rows"
             )
-        self.n_rows = len(token_lists)
-        self.labeled = labels is not None
-        # Insertion-ordered, so the stable sort keeps first-appearance
-        # order within a label.
-        weights = Counter(
-            zip(map(tuple, token_lists), labels or [""] * self.n_rows)
-        )
-        reps = sorted(weights, key=itemgetter(1))
-        rep_tokens = [rep[0] for rep in reps]
-        self.label_names: List[str] = sorted({rep[1] for rep in reps})
-        self.id_tokens: List[str] = sorted(set(chain.from_iterable(rep_tokens)))
-        n_reps = len(reps)
-        lengths = _np.fromiter(
-            map(len, rep_tokens), dtype=_np.int64, count=n_reps
-        )
-        n_pos = int(lengths.sum())
-        _require_int32(n_pos, "token positions")
-        _require_int32(n_reps, "representatives")
-        label_code = {name: code for code, name in enumerate(self.label_names)}
-        self.rep_label = _np.fromiter(
-            (label_code[rep[1]] for rep in reps), dtype=_np.int32, count=n_reps
-        )
-        self.rep_weight = _np.fromiter(
-            map(weights.__getitem__, reps), dtype=_np.int64, count=n_reps
-        )
-        self.label_rows = _np.bincount(
-            self.rep_label, weights=self.rep_weight,
-            minlength=len(self.label_names),
-        ).astype(_np.int64)
-
-        token_id = {token: tid for tid, token in enumerate(self.id_tokens)}
-        self.tok = _np.fromiter(
-            map(token_id.__getitem__, chain.from_iterable(rep_tokens)),
-            dtype=_np.int32,
-            count=n_pos,
-        )
-        self.pos_rep = _np.repeat(_np.arange(n_reps, dtype=_np.int32), lengths)
-        self.pos_end = _np.repeat(_np.cumsum(lengths, dtype=_np.int32), lengths)
+        self._build(list(map(tuple, token_lists)), tuple, labels)
 
     @classmethod
     def from_labeled(cls, training: Sequence) -> "CorpusIndex":
         """Index a sequence of ``LabeledTitle``-likes (``.title``/``.label``).
 
-        Every distinct title is tokenized once, by the uncached tokenizer:
-        the memo here already absorbs the repeats, and the process-wide
-        text caches stay the served path's.
+        Every distinct title is tokenized once, by the uncached tokenizer,
+        straight into codes: the process-wide text caches stay the served
+        path's.
         """
-        memo: Dict[str, Tuple[str, ...]] = {}
-        token_lists: List[Tuple[str, ...]] = []
-        for example in training:
-            title = example.title
-            tokens = memo.get(title)
-            if tokens is None:
-                tokens = memo[title] = tokenize_uncached(title)
-            token_lists.append(tokens)
-        return cls(token_lists, [example.label for example in training])
+        index = cls.__new__(cls)
+        index._build(
+            list(map(attrgetter("title"), training)),
+            tokenize_uncached,
+            list(map(attrgetter("label"), training)),
+        )
+        return index
+
+    def _build(
+        self,
+        keys: List[Hashable],
+        tokens_of: Callable[[Hashable], Tuple[str, ...]],
+        labels: Optional[List[str]],
+    ) -> None:
+        """The one construction: row ``i`` holds ``tokens_of(keys[i])``.
+
+        Each distinct key is tokenized once; each distinct token sequence
+        (titles may tokenize alike) gets a sequence id and its first-seen
+        token codes in one flat ``array('i')``. Reps are the distinct
+        ``(label, sequence)`` pairs, found by numpy; sorted ranks replace
+        first-seen codes with one gather per column.
+        """
+        self.n_rows = n_rows = len(keys)
+        self.labeled = labels is not None
+        key_of = _numbering()
+        row_key = array("i", map(key_of.__getitem__, keys))
+        seq_of = _numbering()
+        key_seq = array("i", map(seq_of.__getitem__, map(tokens_of, key_of)))
+        del key_of
+        code_of = _numbering()
+        flat = array("i", map(code_of.__getitem__, chain.from_iterable(seq_of)))
+        seq_length = _np.fromiter(
+            map(len, seq_of), dtype=_np.int64, count=len(seq_of)
+        )
+        del seq_of
+        row_seq = _np.frombuffer(key_seq, dtype=_np.int32)[
+            _np.frombuffer(row_key, dtype=_np.int32)
+        ]
+        del row_key, key_seq
+        if labels is None:
+            names = [""] if n_rows else []
+            row_label = _np.zeros(n_rows, dtype=_np.int32)
+        else:
+            label_of = _numbering()
+            row_label = _np.frombuffer(
+                array("i", map(label_of.__getitem__, labels)), dtype=_np.int32
+            )
+            names = list(label_of)
+        self.label_names: List[str] = sorted(names)
+        row_label = _ranks(names)[row_label]
+        vocabulary = list(code_of)
+        del code_of
+        self.id_tokens: List[str] = sorted(vocabulary)
+
+        # A rep is a distinct (label, sequence) pair; reps are label-major
+        # and in first-appearance order within a label.
+        n_seqs = max(seq_length.size, 1)
+        pair = row_label.astype(_np.int64)
+        pair *= n_seqs
+        pair += row_seq
+        pair, first, weight = _np.unique(
+            pair, return_index=True, return_counts=True
+        )
+        rep_label, rep_seq = _np.divmod(pair, n_seqs)
+        order = _np.lexsort((first, rep_label))
+        rep_seq = rep_seq[order]
+        lengths = seq_length[rep_seq]
+        n_reps = rep_seq.size
+        n_pos = int(lengths.sum())
+        _require_int32(n_pos, "token positions")
+        _require_int32(n_reps, "representatives")
+        self.rep_label = rep_label[order].astype(_np.int32)
+        self.rep_weight = weight[order]
+        self.label_rows = _np.bincount(row_label, minlength=len(names))
+
+        seq_end = _np.cumsum(seq_length)
+        rep_end = _np.cumsum(lengths)
+        take = _np.repeat(seq_end[rep_seq] - rep_end, lengths)
+        take += _np.arange(n_pos)
+        self.tok = _ranks(vocabulary)[_np.frombuffer(flat, dtype=_np.int32)[take]]
+        self.pos_rep = _np.repeat(_np.arange(n_reps, dtype=_np.int32), lengths)
+        self.pos_end = _np.repeat(rep_end.astype(_np.int32), lengths)
 
     def decode(self, token_ids: Sequence[int]) -> Tuple[str, ...]:
         """A ``-1``-padded row of token ids -> its token strings."""
@@ -326,35 +408,42 @@ class CorpusIndex:
         ), min_length - 1, None))
         n_labels = len(self.label_names)
         if not levels:
-            empty = _np.zeros(0, dtype=_np.int64)
+            empty = _np.zeros(0, dtype=_np.int32)
             return CandidateTable(
                 _np.zeros((0, max_length), dtype=_np.int32), empty,
-                empty.astype(bool), empty, empty, empty.astype(_np.int32),
+                empty.astype(bool), empty, empty, empty,
                 _np.zeros(n_labels + 1, dtype=_np.int64),
             )
-        tokens, label, count, clean, lo, hi, reps = zip(*levels)
-        # Each column's per-level pieces go once it is concatenated.
+        # Column by column, each level's piece goes once it is copied: the
+        # table never sits beside a second copy of itself.
+        tokens, label, count, clean, lo, hi, reps = map(list, zip(*levels))
         del levels
-        tokens = _np.concatenate([
-            _np.pad(
-                level_tokens,
-                ((0, 0), (0, max_length - level_tokens.shape[1])),
-                constant_values=-1,
-            )
-            for level_tokens in tokens
-        ])
-        label = _np.concatenate(label)
         # Each level's slices index its own ``reps``; shift them into the
         # concatenation.
         offsets = _np.cumsum([0] + [level_reps.size for level_reps in reps])
-        shift = _np.repeat(offsets[:-1], [level_lo.size for level_lo in lo])
-        order = _np.lexsort((*tokens.T[::-1], label))
+        _require_int32(int(offsets[-1]), "lo/hi")
+        for level, shift in enumerate(offsets[:-1].tolist()):
+            lo[level] += shift
+            hi[level] += shift
+        label = _drain(label)
+        padded = _np.full((label.size, max_length), -1, dtype=_np.int32)
+        at = 0
+        while tokens:
+            level_tokens = tokens.pop(0)
+            padded[at:at + len(level_tokens), :level_tokens.shape[1]] = level_tokens
+            at += len(level_tokens)
+        del level_tokens
+        order = _np.lexsort((*padded.T[::-1], label))
+        for column in padded.T:
+            column[:] = column[order]
+        type_ptr = _np.searchsorted(label[order], _np.arange(n_labels + 1))
+        del label
         return CandidateTable(
-            tokens[order],
-            _np.concatenate(count)[order],
-            _np.concatenate(clean)[order],
-            (_np.concatenate(lo) + shift)[order],
-            (_np.concatenate(hi) + shift)[order],
-            _np.concatenate(reps),
-            _np.searchsorted(label[order], _np.arange(n_labels + 1)),
+            padded,
+            _drain(count)[order],
+            _drain(clean)[order],
+            _drain(lo)[order],
+            _drain(hi)[order],
+            _drain(reps),
+            type_ptr,
         )

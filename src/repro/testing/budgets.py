@@ -9,15 +9,19 @@ reading plus 5% unless it says otherwise.
 # corpus as flat columns (titles one UTF-8 buffer, tokens int32 vocabulary
 # codes, live flags a bytearray): read 305.8 live, 449.8 resumed, 449.5
 # live with an attribute rule tracked (0bc7b98 read 394.4 / 541.5 / 538.0;
-# 332b4e1 454.1 / 654.1 / 597.5; 8e8444a 633 / 759 / -).
+# 332b4e1 454.1 / 654.1 / 597.5; 8e8444a 633 / 759 / -). With decoded
+# rules' strings interned the resumed world reads 447.9 over PYTHONHASHSEED
+# 0, 1, 2 and random (e6d35da read 452.9).
 LIVE_B_PER_ITEM = int(305.8 * 1.05)
-RESUMED_B_PER_ITEM = int(449.8 * 1.05)
+RESUMED_B_PER_ITEM = int(447.9 * 1.05)
 ATTRIBUTE_B_PER_ITEM = int(449.5 * 1.05)
 
 # Resident bytes per line of a reopened 1,003-line change log
-# (tests/test_resident_budget.py), equal over PYTHONHASHSEED 0, 1, 2: read
-# 520.8 with entries behind line offsets (332b4e1 decoded them: 1,973.3).
-RESUMED_B_PER_CHANGE = int(520.8 * 1.05)
+# (tests/test_resident_budget.py), equal over PYTHONHASHSEED 0, 1, 2 and
+# random: read 449.7 once a decoded rule interns its id, target type,
+# author and provenance (e6d35da read 521.6, 332b4e1 520.8 with entries
+# behind line offsets; before that they were decoded: 1,973.3).
+RESUMED_B_PER_CHANGE = int(449.7 * 1.05)
 
 # Interpreter calls per served item (tests/test_served_budget.py), equal
 # over PYTHONHASHSEED 0, 1, 2 and random; both include generating the
@@ -81,6 +85,8 @@ CHECKPOINT_PER_SERIES_B = 30.5 * 1.05
 
 # Traced peak bytes per training row of RuleGenerator().generate over its
 # 5,000-title corpus (tests/test_rulegen_budget.py), the largest reading
-# over PYTHONHASHSEED 0, 1, 2 and random, plus 5%: int32 level columns and
-# compact coverage read 1,510.9 (77d33e2 read 2,474.0).
-RULEGEN_PEAK_B_PER_ROW = int(1_511 * 1.05)
+# over PYTHONHASHSEED 0, 1, 2 and random, plus 5%: with the index built
+# from token codes, every level column int32, each level's working set
+# freed before the next sort and the table assembled column by column it
+# reads 794.8 (e6d35da read 1,510.9 and fails this bound; 77d33e2 2,474.0).
+RULEGEN_PEAK_B_PER_ROW = int(794.8 * 1.05)

@@ -21,7 +21,7 @@ the file behind offsets.
 
 The budgets (``repro.testing.budgets``) are the largest reading over
 ``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (306 /
-450 B per item, 450 with the attribute rule), plus 5%. While each row
+448 B per item, 450 with the attribute rule), plus 5%. While each row
 held a title ``str`` and a token tuple they read 394 / 541 / 538; while
 the engine kept a fired view and the change log was held decoded 454 /
 654 / 597. While each row was a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
@@ -47,7 +47,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.catalog.types import ProductItem
-from repro.core import AttributeRule, WhitelistRule
+from repro.core import AttributeRule, SequenceRule, WhitelistRule
 from repro.core.prepared import PreparedItem
 from repro.core.ruleset import RuleSet
 from repro.repository import RuleRepository
@@ -267,3 +267,31 @@ def test_reopened_repository_bytes_per_change_within_budget(tmp_path):
     repository.close()
     assert grown[0] / lines <= budgets.RESUMED_B_PER_CHANGE
     assert decoded == []
+
+
+_WORDS = ("denim", "jeans", "slim", "oak", "desk", "lamp", "gold", "ring")
+_TYPES = ("jeans", "desks", "lamps", "rings", "sofas")
+
+
+def test_a_reopened_rule_base_shares_its_strings(tmp_path):
+    """Rules replayed from the change log share equal strings — tokens,
+    target types, authors, provenances — as the induced set that wrote
+    them does, instead of a decoded copy of each per rule."""
+    root = str(tmp_path / "repo")
+    with RuleRepository.open(root, fsync=False) as repository:
+        rules = RuleSet(name="induced")
+        repository.bind("induced", rules)
+        for n in range(200):
+            rules.add(SequenceRule(
+                (_WORDS[n % 8], _WORDS[(n // 8 + 1) % 8]), _TYPES[n % 5],
+                rule_id=f"seq-{n:04d}", author="rulegen", provenance="rulegen",
+            ))
+    with RuleRepository.open(root, fsync=False) as repository:
+        bound = RuleSet(name="induced")
+        repository.bind("induced", bound)
+    assert len(bound) == 200
+    first = {}
+    for rule in bound:
+        for value in (*rule.token_sequence, rule.target_type, rule.author, rule.provenance):
+            assert first.setdefault(value, value) is value
+    assert set(first) == {*_WORDS, *_TYPES, "rulegen"}

@@ -12,11 +12,13 @@ each candidate from Python pays tens of calls per candidate — the
 per-candidate miner this one replaced read 44 on this corpus.
 
 The same corpus holds ``generate``'s traced peak per training row: the
-miner's level arrays are ``int32`` except the sort key and the weight
-sums, each level is built in one allocation, and only the frequent
-groups' coverage outlives its level, so the peak is a few columns of the
-largest level. The reading moves by < 1 KB in total over
-``PYTHONHASHSEED`` values.
+index is built from token codes (no tuple per row), every level column
+is ``int32`` — counts, weight sums and coverage slices included — except
+the packed sort key, nothing of a level outlives its extension but the
+frequent groups it yields, and the candidate table is assembled column
+by column, each level's piece dropped once copied. The peak is a few
+columns of the largest level beside the levels already yielded. The
+reading moves by < 1 KB in total over ``PYTHONHASHSEED`` values.
 """
 
 import sys

@@ -450,8 +450,8 @@ class TestPackedKeyBounds:
 
 
 class TestInt32ColumnBounds:
-    """Positions and rep ids live in int32 columns, bounded before numpy
-    can wrap them."""
+    """Positions, rep ids, counts and coverage slices live in int32
+    columns, bounded before numpy can wrap them."""
 
     ROWS = [("slim", "fit", "denim", "jeans"), ("oak", "desk", "lamp")]
 
@@ -478,6 +478,48 @@ class TestInt32ColumnBounds:
             ValueError, match="length-2 sequences: 9 is past the int32 limit 7"
         ):
             index.mine(0.5, 1, 2)
+
+    def test_level_coverage_boundary(self, monkeypatch):
+        # One title under two labels: 2 reps, 8 positions, and each of its
+        # 6 length-2 sequences is frequent for both labels, so the level
+        # hands on 12 covering reps — past a limit every other column
+        # fits. The slices would wrap, so the level refuses.
+        monkeypatch.setattr(corpus, "_INT32_MAX", 10)
+        index = CorpusIndex([self.ROWS[0]] * 2, ["pants", "lighting"])
+        assert index.mine(0.5, 1, 1).reps.size == 8
+        with pytest.raises(
+            ValueError, match="length-2 lo/hi: 12 is past the int32 limit 10"
+        ):
+            index.mine(0.5, 1, 2)
+
+    def test_table_coverage_boundary(self, monkeypatch):
+        # Each level's slices fit a limit of 12 (7 and 9 covering reps),
+        # their concatenation (16) does not: ``mine`` refuses before it
+        # shifts them.
+        index = self.index(monkeypatch, 12)
+        assert index.mine(0.5, 2, 2).hi.max() == 9
+        with pytest.raises(
+            ValueError, match="lo/hi: 16 is past the int32 limit 12"
+        ):
+            index.mine(0.5, 1, 2)
+
+    def test_count_boundary(self, monkeypatch):
+        # Counts are sums of row weights, bounded by their total.
+        monkeypatch.setattr(corpus, "_INT32_MAX", 7)
+        index = CorpusIndex([("oak",)] * 8, ["a"] * 8)
+        with pytest.raises(
+            ValueError, match="count: 8 is past the int32 limit 7"
+        ):
+            index.mine(0.5, 1, 1)
+
+    def test_empty_table_has_the_full_tables_dtypes(self):
+        index = CorpusIndex(self.ROWS, ["pants", "lighting"])
+        full, empty = index.mine(0.5, 1, 2), index.mine(0.5, 5, 6)
+        assert not empty.count.size and full.count.size
+        assert [column.dtype for column in empty] == [
+            column.dtype for column in full
+        ]
+        assert full.count.dtype == full.lo.dtype == full.hi.dtype == np.int32
 
     def test_rep_boundary(self, monkeypatch):
         # Two empty titles and a one-word one: 3 reps over 1 position.
