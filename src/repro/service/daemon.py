@@ -164,12 +164,14 @@ class _RngPosition:
     def __init__(self, rng: random.Random, drawn: int = 0):
         self.rng = rng
         self.drawn = drawn
-        self._internal = rng.getstate()[1]
-        self._packed = _MT_FORMAT.pack(*self._internal)
+        internal = rng.getstate()[1]
+        # The last reading as its packed words and its position index: the
+        # 625-int tuple getstate() returns is ~24 KB of objects.
+        self._index, self._packed = internal[-1], _MT_FORMAT.pack(*internal)
         # Scratch twisters: one at the last reading's key, about to twist;
         # one that reads a new key's outputs.
         self._follower, self._probe = random.Random(0), random.Random(0)
-        self._follower.setstate((3, self._internal[:_MT_WORDS] + (_MT_WORDS,), None))
+        self._follower.setstate((3, internal[:_MT_WORDS] + (_MT_WORDS,), None))
 
     def dump(self) -> Dict[str, Any]:
         """``{"drawn": words, "check": state digest}``, plus a pending
@@ -177,7 +179,7 @@ class _RngPosition:
         _, internal, gauss = self.rng.getstate()
         packed = _MT_FORMAT.pack(*internal)
         self.drawn += self._words_to(internal, packed)
-        self._internal, self._packed = internal, packed
+        self._index, self._packed = internal[-1], packed
         position = {"drawn": self.drawn, "check": _state_check(packed)}
         if gauss is not None:
             position["gauss_next"] = gauss
@@ -189,7 +191,7 @@ class _RngPosition:
         outputs, drawn as one int, equal the new key's (tempering is a
         bijection, so equal outputs are equal keys); it then stands at the
         new key for the next call."""
-        moved = internal[-1] - self._internal[-1]
+        moved = internal[-1] - self._index
         if packed[:-4] == self._packed[:-4] and moved >= 0:  # the same key
             return moved
         self._probe.setstate((3, internal[:_MT_WORDS] + (0,), None))
@@ -366,11 +368,7 @@ class StreamService:
         self._last_batch_id = ""
         self.resumed = False
         self.rolled_back: Dict[str, int] = {}
-        self.ids = RunIds("svc")
         self._started = False
-        self.series: Optional[SeriesStore] = None
-        self.repository: Optional[RuleRepository] = None
-        self.provenance: Optional[ProvenanceLog] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -378,6 +376,7 @@ class StreamService:
         """Fresh-start or resume, depending on what the root holds."""
         if self._started:
             raise RuntimeError("service already started")
+        handle = set(vars(self))
         state = self.store.load()
         try:
             if state is None:
@@ -385,32 +384,53 @@ class StreamService:
             else:
                 self._resume(state)
         except Exception:
-            # A refused start closes every log it opened: a corrected
-            # start() in this process must not be a second writer on one.
-            for log in (self.repository, self.provenance, self.series, self.store):
-                if log is not None:
-                    log.close()
+            # A refused start closes every log it opened (a corrected
+            # start() in this process must not be a second writer on one)
+            # and keeps none of the world it was building.
+            self._release(vars(self).keys() - handle)
             raise
+        # Every attribute start() set on top of the handle is the world,
+        # which close() releases.
+        self._world = vars(self).keys() - handle
         self._started = True
         return self
 
     def close(self) -> None:
+        """Close the logs and release the world.
+
+        A closed handle keeps what it held before ``start()`` — ``root``,
+        ``config``, the closed ``store`` and the run's scalars
+        (``ordinal``, ``digest_chain``, ``resumed``, ``rolled_back``) —
+        and no reference to anything ``start()`` set: pipeline, engine
+        and corpus, repository, provenance, tracker, generator, metrics.
+        A process that closes a service and starts another on the same
+        root holds one world, not two. Every other read of a closed
+        handle raises: ``process_batch()`` a ``RuntimeError``, a view an
+        ``AttributeError``.
+        """
         if not self._started:
             self.store.close()
             return
         self.incremental.detach()
         # start() hung a bound method of this service and the incident
-        # wiring on the world's listener lists; left there, service <->
-        # world cycles keep the whole closed world alive until a gen-2
-        # collection.
+        # wiring on the world's listener lists; left there, they keep the
+        # world in cycles only a gen-2 collection frees. Unhooked, the
+        # release below frees it at once, by reference count.
         self.obs.tracer.on_span_end.remove(self._on_span_end)
         self._unwatch_quality()
-        self.repository.close()
-        self.provenance.close()
-        if self.series is not None:
-            self.series.close()
-        self.store.close()
         self._started = False
+        self._release(self._world | {"_world"})
+
+    def _release(self, world) -> None:
+        """Close every log start() opened and the store, then drop the
+        attributes named in ``world``."""
+        held = vars(self)
+        for name in ("repository", "provenance", "series"):
+            if held.get(name) is not None:
+                held[name].close()
+        self.store.close()
+        for name in world:
+            del held[name]
 
     def __enter__(self) -> "StreamService":
         return self.start() if not self._started else self
@@ -434,6 +454,7 @@ class StreamService:
         restart.
         """
         cfg = self.config
+        self.ids = RunIds("svc")
         self.obs = Observability()
         if metrics is not None:
             self.obs.metrics = metrics

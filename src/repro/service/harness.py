@@ -14,7 +14,7 @@ import shutil
 from typing import Any, Dict, Optional
 
 from repro.service.daemon import ServiceConfig, StreamService
-from repro.testing.faults import CrashPlan, SimulatedCrash
+from repro.testing.faults import CrashPlan, SimulatedCrash, simulated_kill
 
 
 def run_service(
@@ -72,16 +72,7 @@ def crash_resume_identity(
     except SimulatedCrash:
         died = True
     finally:
-        # A SIGKILL'd process runs no cleanup: only release the OS-level
-        # file handles (required to reopen on one platform-neutral path),
-        # never flush/checkpoint anything.
-        crashed.store.close()
-        if getattr(crashed, "series", None) is not None:
-            crashed.series.close()
-        if hasattr(crashed, "provenance"):
-            crashed.provenance.close()
-        if hasattr(crashed, "repository"):
-            crashed.repository.log.close()
+        simulated_kill(crashed)
     if not died:
         # The plan never fired (crash point past the run) — the "crash"
         # run already completed; its identity is the answer.

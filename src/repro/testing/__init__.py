@@ -6,6 +6,6 @@ with the same tooling the repo's own suite uses. Fault injection for the
 sharded executor lives beside its loop, in :mod:`repro.execution.parallel`.
 """
 
-from repro.testing.faults import CrashPlan, SimulatedCrash, tear_file
+from repro.testing.faults import CrashPlan, SimulatedCrash, simulated_kill, tear_file
 
-__all__ = ["CrashPlan", "SimulatedCrash", "tear_file"]
+__all__ = ["CrashPlan", "SimulatedCrash", "simulated_kill", "tear_file"]

@@ -11,9 +11,15 @@ reading plus 5% unless it says otherwise.
 # live with an attribute rule tracked (0bc7b98 read 394.4 / 541.5 / 538.0;
 # 332b4e1 454.1 / 654.1 / 597.5; 8e8444a 633 / 759 / -). With decoded
 # rules' strings interned the resumed world reads 447.9 over PYTHONHASHSEED
-# 0, 1, 2 and random (e6d35da read 452.9).
+# 0, 1, 2 and random (e6d35da read 452.9). 13cee79 made each checkpoint
+# leave both RNG positions holding getstate()'s 625-int tuple (~24 KB
+# each, fixed in size but read as +11.7 B/item over the 4,206 measured
+# items); with the positions holding their packed words and index, the
+# three read 307.4-307.5 / 436.6-436.7 / 449.9-450.0 over PYTHONHASHSEED
+# 0, 1, 2 and random (0edc24d: 319.1 / 447.5 / 461.7). The live and
+# attribute bounds stay where they were set.
 LIVE_B_PER_ITEM = int(305.8 * 1.05)
-RESUMED_B_PER_ITEM = int(447.9 * 1.05)
+RESUMED_B_PER_ITEM = int(436.7 * 1.05)
 ATTRIBUTE_B_PER_ITEM = int(449.5 * 1.05)
 
 # Resident bytes per line of a reopened 1,003-line change log
@@ -90,3 +96,15 @@ CHECKPOINT_PER_SERIES_B = 30.5 * 1.05
 # freed before the next sort and the table assembled column by column it
 # reads 794.8 (e6d35da read 1,510.9 and fails this bound; 77d33e2 2,474.0).
 RULEGEN_PEAK_B_PER_ROW = int(794.8 * 1.05)
+
+# Bytes a closed StreamService handle still reaches, measured like the
+# per-item readings (tests/test_resident_budget.py): after 43 seed-7
+# batches at training=0 and training=120, and after a start() refused on
+# a root whose checkpointed head was overwritten. Once close() and a
+# refused start() drop everything start() built, what is left is the
+# handle's scalars, its dict at its grown size, its crash plan's hit log
+# and the small caches of numpy and the checkpoint writer: the largest
+# reading over PYTHONHASHSEED 0, 1, 2 and random is 18,172 (7.8-8.3 KB /
+# 16.8-18.2 KB / 5.5 KB). 0edc24d, where a closed handle kept its whole
+# world, reads 1.95 MB / 2.31 MB / 1.49 MB.
+CLOSED_HANDLE_B = int(18_172 * 1.05)

@@ -7,6 +7,8 @@ this module replaces it with a *schedule* and a file mangler:
   ``"before-checkpoint"``, ...) where the daemon raises
   :class:`SimulatedCrash`, leaving the on-disk state exactly as a kill at
   that instant would;
+* :func:`simulated_kill` leaves a service as SIGKILL would once a plan
+  has fired;
 * :func:`tear_file` truncates an append-only file mid-record, as a crash
   partway through an append would.
 """
@@ -56,6 +58,22 @@ class CrashPlan:
         if self.hit.count(point) >= self.on_hit:
             self._armed = False
             raise SimulatedCrash(point)
+
+
+def simulated_kill(service) -> None:
+    """SIGKILL semantics for a :class:`~repro.service.StreamService`: release
+    the OS handles of the logs it has open, so a fresh instance can reopen
+    them, and run none of ``close()``'s cleanup — no checkpoint, no sync, no
+    listener unhooked. Safe on a service whose ``start()`` stopped part-way
+    or was refused."""
+    service.store.close()
+    for name in ("series", "provenance"):
+        log = getattr(service, name, None)
+        if log is not None:
+            log.close()
+    repository = getattr(service, "repository", None)
+    if repository is not None:
+        repository.log.close()
 
 
 def tear_file(path: str, keep_bytes: Optional[int] = None, garbage: bytes = b"") -> int:

@@ -21,7 +21,8 @@ the file behind offsets.
 
 The budgets (``repro.testing.budgets``) are the largest reading over
 ``PYTHONHASHSEED`` 0, 1 and random at the commit that set them (306 /
-448 B per item, 450 with the attribute rule), plus 5%. While each row
+437 B per item, 450 with the attribute rule), plus 5%. While each RNG
+position held its state tuple they read 319 / 448 / 462. While each row
 held a title ``str`` and a token tuple they read 394 / 541 / 538; while
 the engine kept a fired view and the change log was held decoded 454 /
 654 / 597. While each row was a ``PreparedItem`` and the store was keyed by item id they read 633 / 759;
@@ -33,11 +34,18 @@ before tokens were interned, postings were arrays and rows were shared
 2,785; before the ring held lines 4,977 / 5,417. A 40-batch run fills
 under half of the 10,000-slot ring, so these are this run's figures, not
 the soak's (DESIGN §13 has those).
+
+A closed handle holds none of it: ``close()``, and a ``start()`` that
+refuses its root, drop every reference the start made, so the warm
+handles below need no ``del`` and a process that restarts a service
+holds one world. What a closed handle still reaches is held to
+``CLOSED_HANDLE_B`` (~1.5-2.3 MB while it kept its world).
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import tracemalloc
 from array import array
@@ -52,6 +60,7 @@ from repro.core.prepared import PreparedItem
 from repro.core.ruleset import RuleSet
 from repro.repository import RuleRepository
 from repro.service import ServiceConfig, StreamService
+from repro.service.checkpoint import CHECKPOINT_NAME
 from repro.testing import budgets
 from repro.utils.text import clear_caches
 
@@ -176,11 +185,11 @@ def readings(tmp_path_factory):
     # are kept, so the traced world's interned ids resolve to them and the
     # process-wide interned-string table, whose resizes step with
     # everything else the process ever interned, does not grow inside the
-    # trace; the bytes of those shared id strings are added back.
+    # trace; the bytes of those shared id strings are added back. Closing
+    # the warm handle releases its world; nothing has to delete it.
     warm = StreamService(root, fsync=False).start()
     warm_ids = list(warm.incremental._data_index._row_by_id)
     warm.close()
-    del warm
     with _traced_growth() as grown:
         resumed = StreamService(root, fsync=False).start()
     assert resumed.totals["items"] == items
@@ -214,6 +223,76 @@ def test_nothing_retains_probe_sets_deques_or_decoded_records(readings, world):
         if world == "attribute" else {}
     )
     assert {what: found[:3] for what, found in offenders.items() if found} == expected
+
+
+def _strings_of(service: StreamService) -> list:
+    """The interned strings a world holds (its vocabulary and item ids).
+    Kept alive across a traced run of the same seed, the process-wide
+    interned-string table gains no entry, so its resizes do not count."""
+    index = service.incremental._data_index
+    return list(index._vocabulary) + list(index._row_by_id)
+
+
+def _closed_handle_bytes(root, training):
+    """Bytes a handle still reaches once ``close()`` has returned: it is
+    started, serves the live world's 43 batches and closes inside the
+    trace, and is itself alive at the reading. An untraced twin run
+    first warms what is process-global."""
+    config = ServiceConfig(seed=7, training=training)
+    warm = StreamService(f"{root}-warm", config, fsync=False).start()
+    warm.run(WARMUP_BATCHES + MEASURED_BATCHES)
+    shared = _strings_of(warm)
+    warm.close()
+    with _traced_growth() as grown:
+        service = StreamService(root, config, fsync=False).start()
+        service.run(WARMUP_BATCHES + MEASURED_BATCHES)
+        service.close()
+    assert service.ordinal == WARMUP_BATCHES + MEASURED_BATCHES and shared
+    return grown[0]
+
+
+def _refused_handle_bytes(root):
+    """Bytes a handle reaches after ``start()`` refused ``root``, whose
+    checkpointed head was overwritten: resume builds the whole world
+    before the digest check turns it down."""
+    warm = StreamService(root, fsync=False).start()
+    shared = _strings_of(warm)
+    warm.close()
+    path = f"{root}/{CHECKPOINT_NAME}"
+    with open(path) as handle:
+        state = json.load(handle)
+    state["digest_chain"] = "0" * 64
+    with open(path, "w") as handle:
+        json.dump(state, handle)
+    refused = ""
+    with _traced_growth() as grown:
+        service = StreamService(root, fsync=False)
+        try:
+            service.start()
+        except ValueError as error:
+            refused = str(error)
+    assert "digest mismatch" in refused and not service._started and shared
+    return grown[0]
+
+
+@pytest.fixture(scope="module")
+def closed_handles(tmp_path_factory):
+    base = tmp_path_factory.mktemp("closed")
+    out = {
+        f"training={training}": _closed_handle_bytes(str(base / f"t{training}"), training)
+        for training in (0, 120)
+    }
+    out["refused"] = _refused_handle_bytes(str(base / "t0"))
+    return out
+
+
+@pytest.mark.parametrize("handle", ["training=0", "training=120", "refused"])
+def test_a_closed_handle_holds_no_world(closed_handles, handle):
+    """``close()`` (and a refused ``start()``) drops every reference the
+    start made: what the handle still reaches is its scalars, not the
+    pipeline, engine, corpus, repository, provenance, tracker, generator
+    or metrics of the world it ran."""
+    assert closed_handles[handle] <= budgets.CLOSED_HANDLE_B
 
 
 _PATTERNS = ("rings?", "gold bands?", "silver hoops?", "pearl necklaces?")

@@ -59,7 +59,7 @@ from repro.service.daemon import (
     _chain_link,
 )
 from repro.testing import budgets
-from repro.testing.faults import CrashPlan, SimulatedCrash
+from repro.testing.faults import CrashPlan, SimulatedCrash, simulated_kill
 from tests.chain_audit import fingerprint_from_scratch, whole_map_chain_link
 
 BATCHES = 6
@@ -122,10 +122,7 @@ def _drive(root: str, plan: CrashPlan = None) -> StreamService:
             _edits_before(service, service.ordinal + 1)
             service.process_batch()
     except SimulatedCrash:
-        service.store.close()
-        service.series.close()
-        service.provenance.close()
-        service.repository.log.close()
+        simulated_kill(service)
         return None
     return service
 
@@ -261,10 +258,7 @@ class TestHealthWindowsRederived:
         # Killed inside batch 13, its provenance already spooled.
         with pytest.raises(SimulatedCrash):
             service.process_batch()
-        service.store.close()
-        service.series.close()
-        service.provenance.close()
-        service.repository.log.close()
+        simulated_kill(service)
         with open(os.path.join(root, CHECKPOINT_NAME)) as handle:
             state = json.load(handle)
         assert "tracker" not in state and state["ordinal"] == self.BATCHES

@@ -38,7 +38,7 @@ from repro.service.harness import (
     run_service,
     uninterrupted_identity,
 )
-from repro.testing.faults import CrashPlan, SimulatedCrash, tear_file
+from repro.testing.faults import CrashPlan, SimulatedCrash, simulated_kill, tear_file
 
 BATCHES = 5
 CRASH_POINTS = (
@@ -257,14 +257,7 @@ class TestDoubleKill:
             except SimulatedCrash:
                 pass
             finally:
-                # SIGKILL semantics: drop handles, flush nothing.
-                service.store.close()
-                if getattr(service, "series", None) is not None:
-                    service.series.close()
-                if hasattr(service, "provenance"):
-                    service.provenance.close()
-                if hasattr(service, "repository"):
-                    service.repository.log.close()
+                simulated_kill(service)
 
         _killed_run(CrashPlan(crash_at="before-checkpoint", on_hit=2))
         _killed_run(CrashPlan(crash_at="journal-appended", on_hit=2))

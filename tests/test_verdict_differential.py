@@ -47,7 +47,7 @@ from repro.execution import NaiveExecutor
 from repro.repository import RuleRepository, bind_chimera
 from repro.service.checkpoint import SPOOL_NAME
 from repro.service.daemon import ServiceConfig, StreamService
-from repro.testing.faults import CrashPlan, SimulatedCrash
+from repro.testing.faults import CrashPlan, SimulatedCrash, simulated_kill
 from tests import test_execution_differential as engine_differential
 from tests.test_execution_differential import _attribute, _item, _pick, _value
 
@@ -427,11 +427,7 @@ def _serve(root: str, crash_on_hit=None):
             _edit(service, service.ordinal + 1)
             service.process_batch()
     except SimulatedCrash:
-        # A SIGKILL'd process runs no cleanup: release OS handles only.
-        service.store.close()
-        service.series.close()
-        service.provenance.close()
-        service.repository.log.close()
+        simulated_kill(service)
         service = StreamService(root, fsync=False).start()
         assert service.resumed
         while service.ordinal < BATCHES:
